@@ -1030,11 +1030,7 @@ func (w *NVWAL) writeFramesMode(frames []pager.Frame, commit bool, prepGtx uint6
 	} else {
 		written = w.written[:0]
 		hist = w.newHist[:0]
-		if w.newVers == nil {
-			w.newVers = make(map[uint32][]byte, len(frames))
-		}
-		newVersions = w.newVers
-		clear(newVersions)
+		newVersions = w.versionScratch()
 	}
 	chain := w.chain
 	// One arena holds every history payload of this append — the plan
@@ -1201,6 +1197,30 @@ func (w *NVWAL) writeFramesMode(frames []pager.Frame, commit bool, prepGtx uint6
 		w.m.Inc(metrics.Transactions, 1)
 	}
 	return nil
+}
+
+// maxReusedVersions bounds how large a transaction's new-version map
+// may have been for the next transaction to reuse it. Clearing and
+// ranging over a map that once held 256 entries costs a two-page commit
+// 0.7 µs (5.7 µs after a 2 525-page replica seed), and a transaction
+// above the bound logs enough frames itself that the one map its
+// successor allocates is noise (results/BENCH_hostcost.json,
+// version_scratch_isolated).
+const maxReusedVersions = 256
+
+// versionScratch returns the empty pgno → image map the commit path
+// fills. The previous transaction's map is reused unless that
+// transaction was large: a Go map never shrinks, so after one bulk
+// append (a replica seed, a populate) clearing and ranging over it
+// would cost that append's size on every commit that follows. Caller
+// holds w.mu.
+func (w *NVWAL) versionScratch() map[uint32][]byte {
+	if w.newVers == nil || len(w.newVers) > maxReusedVersions {
+		w.newVers = make(map[uint32][]byte)
+	} else {
+		clear(w.newVers)
+	}
+	return w.newVers
 }
 
 // PageVersion implements pager.Journal.

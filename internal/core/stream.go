@@ -249,11 +249,7 @@ func (w *NVWAL) CommitStreams(streams []*Stream, txns int) error {
 	undoBlocks, undoTail := len(w.blocks), w.tailUsed
 	written := w.written[:0]
 	hist := w.newHist[:0]
-	if w.newVers == nil {
-		w.newVers = make(map[uint32][]byte)
-	}
-	newVersions := w.newVers
-	clear(newVersions)
+	newVersions := w.versionScratch()
 	chain := w.chain
 	arena := make([]byte, totalPayload)
 

@@ -118,10 +118,9 @@ type Manager struct {
 	recycled      map[int][]Block
 	recycledPages int
 	recycleLimit  int
-	// runScratch backs freeRunLensLocked so the admission check on every
-	// reservation and unpromised allocation reuses one slice instead of
-	// growing a fresh one per call.
-	runScratch []int
+	// sum is the volatile free-run summary admission answers from; see
+	// summary.go for what keeps it equal to the persistent metadata.
+	sum freeSummary
 }
 
 // Format initializes a heapo heap on the device, erasing any previous
@@ -143,7 +142,7 @@ func Format(dev *nvram.Device) (*Manager, error) {
 		dev.Write(off, zero[:n])
 	}
 	m.persistRange(0, m.heapBase)
-	m.freePages = m.pageCount
+	m.freePages = m.rebuildSummary()
 	return m, nil
 }
 
@@ -156,11 +155,7 @@ func Attach(dev *nvram.Device) (*Manager, error) {
 	if got := int(dev.Uint64(8)); got != m.pageCount {
 		return nil, fmt.Errorf("heapo: device size changed (heap has %d pages, device fits %d)", got, m.pageCount)
 	}
-	for page := 0; page < m.pageCount; page++ {
-		if st, _ := m.readMeta(page); st == StateFree {
-			m.freePages++
-		}
-	}
+	m.freePages = m.rebuildSummary()
 	return m, nil
 }
 
@@ -215,8 +210,11 @@ func (m *Manager) readMeta(page int) (state int, run int) {
 	return int(v & 0xff), int(v >> 8)
 }
 
+// writeMeta is the only place a page's metadata word changes, which is
+// what lets it keep the volatile summary in step with NVRAM.
 func (m *Manager) writeMeta(page, state, run int) {
 	m.dev.PutUint64(m.metaAddr(page), uint64(state)|uint64(run)<<8)
+	m.sum.set(page, state == StateFree)
 }
 
 // KernelAllocCost is the simulated cost of Heapo's kernel-side

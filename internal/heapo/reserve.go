@@ -241,12 +241,14 @@ func (m *Manager) admitLocked(carvePages, poolClass int, headroomPrivileged bool
 	if len(m.reservedByRun) == 0 && (m.headroom == 0 || headroomPrivileged) {
 		return true
 	}
-	runs := m.freeRunLensLocked()
+	if m.dev.Domain().Failed() {
+		// Power is off: the ghost's stores are dropped and its loads see
+		// the persisted image, so the metadata no longer follows
+		// writeMeta. Take the summary from what the loads return.
+		m.rebuildSummary()
+	}
 	check := func(class int) bool {
-		avail := len(m.recycled[class])
-		for _, rl := range runs {
-			avail += rl / class
-		}
+		avail := len(m.recycled[class]) + m.sum.blocks(class)
 		if carvePages > 0 {
 			avail -= ceilDiv(carvePages, class)
 		}
@@ -271,28 +273,6 @@ func (m *Manager) admitLocked(carvePages, poolClass int, headroomPrivileged bool
 		return false
 	}
 	return true
-}
-
-// freeRunLensLocked scans the page metadata and returns the length of
-// every maximal free run, in a scratch slice valid until the next call
-// (m.mu serializes callers). Reads cost no simulated time, so the scan
-// only spends host CPU.
-func (m *Manager) freeRunLensLocked() []int {
-	runs := m.runScratch[:0]
-	cur := 0
-	for page := 0; page < m.pageCount; page++ {
-		if st, _ := m.readMeta(page); st == StateFree {
-			cur++
-		} else if cur > 0 {
-			runs = append(runs, cur)
-			cur = 0
-		}
-	}
-	if cur > 0 {
-		runs = append(runs, cur)
-	}
-	m.runScratch = runs
-	return runs
 }
 
 // SizeForPages returns the smallest device size (in bytes) for which a

@@ -148,7 +148,8 @@ const (
 )
 
 type lineState struct {
-	dirty      bool // in cache, not yet flushed/evicted
+	addr       uint64 // line-aligned address: the state's key in Domain.lines
+	dirty      bool   // in cache, not yet flushed/evicted
 	lruElem    *lruNode
 	queued     bool          // write-back accepted by the memory controller
 	queuedData []byte        // content snapshot at flush/eviction time
@@ -214,6 +215,12 @@ type Domain struct {
 	// store traffic does not allocate per touched line. Host memory
 	// only; simulated cost is unaffected.
 	statePool []*lineState
+	// queued lists every line whose write-back the memory controller
+	// accepted since the last barrier drained it, so a barrier's host
+	// cost follows the lines it persists instead of the size d.lines
+	// once grew to (a Go map never shrinks). Each entry is in d.lines
+	// (under its addr) with queued set, exactly once.
+	queued []*lineState
 	// LRU list of dirty lines; head = most recent.
 	lruHead, lruTail *lruNode
 	dirtyCount       int
@@ -370,6 +377,7 @@ func (d *Domain) touchDirty(la uint64) {
 		} else {
 			st = &lineState{}
 		}
+		st.addr = la
 		d.lines[la] = st
 	}
 	if st.dirty {
@@ -394,14 +402,26 @@ func (d *Domain) touchDirty(la uint64) {
 	}
 }
 
-// writeBackLocked moves line la from the cache to the controller queue,
-// snapshotting its content. timeKey receives the issue cost attribution.
-// Caller holds d.mu.
+// writeBackLocked executes one dccmvac on a dirty line: the issue cost
+// is charged to timeKey, then the memory controller receives the
+// write-back. Caller holds d.mu.
 func (d *Domain) writeBackLocked(la uint64, timeKey string) {
 	st := d.lines[la]
 	if st == nil || !st.dirty {
 		return
 	}
+	// The controller receives the write-back when the instruction
+	// completes, so the issue cost is charged before the line's bank
+	// schedules it.
+	d.clock.Advance(d.cfg.FlushIssueCost)
+	d.m.AddTime(timeKey, d.cfg.FlushIssueCost)
+	d.enqueueLocked(la, st)
+}
+
+// enqueueLocked moves dirty line la from the cache to the controller
+// queue: its content is snapshotted and its bank services it after the
+// bank's queued predecessors. Caller holds d.mu.
+func (d *Domain) enqueueLocked(la uint64, st *lineState) {
 	st.dirty = false
 	d.lruRemove(st.lruElem)
 	st.lruElem = nil
@@ -409,14 +429,11 @@ func (d *Domain) writeBackLocked(la uint64, timeKey string) {
 
 	snap := st.snapBuf(d.cfg.CacheLineSize)
 	copy(snap, d.volatileMem[la:la+uint64(d.cfg.CacheLineSize)])
+	if !st.queued {
+		d.queued = append(d.queued, st)
+	}
 	st.queued = true
 	st.queuedData = snap
-
-	// The memory controller receives the write-back when the dccmvac
-	// instruction completes, so the issue cost is charged first; the
-	// line's bank then services it after its queued predecessors.
-	d.clock.Advance(d.cfg.FlushIssueCost)
-	d.m.AddTime(timeKey, d.cfg.FlushIssueCost)
 
 	bank := int(la/uint64(d.cfg.CacheLineSize)) % d.cfg.NVRAMBanks
 	start := d.clock.Now()
@@ -430,6 +447,26 @@ func (d *Domain) writeBackLocked(la uint64, timeKey string) {
 	}
 	d.m.Inc(metrics.NVRAMLineWrites, 1)
 	d.m.Inc(metrics.NVRAMBytes, int64(d.cfg.CacheLineSize))
+}
+
+// drainQueueLocked makes every queued write-back durable and drops the
+// lines that are clean afterwards from the map, recycling their state.
+// Caller holds d.mu.
+func (d *Domain) drainQueueLocked() {
+	for i, st := range d.queued {
+		d.persistLineLocked(d.persisted, st.addr, st.queuedData)
+		st.queued = false
+		// queuedData is kept as the line's snapshot scratch; the persist
+		// above copied it into the durable image.
+		if !st.dirty {
+			delete(d.lines, st.addr)
+			if len(d.statePool) < maxStatePool {
+				d.statePool = append(d.statePool, st)
+			}
+		}
+		d.queued[i] = nil
+	}
+	d.queued = d.queued[:0]
 }
 
 // Read copies the current logical content at addr into p (read-your-
@@ -546,20 +583,7 @@ func (d *Domain) PersistBarrier() {
 	}
 	d.clock.Advance(d.cfg.PersistBarrierCost)
 	d.m.AddTime(metrics.TimePersist, d.cfg.PersistBarrierCost)
-	for la, st := range d.lines {
-		if st.queued {
-			d.persistLineLocked(d.persisted, la, st.queuedData)
-			st.queued = false
-			// queuedData is kept as the line's snapshot scratch; the
-			// persist above copied it into the durable image.
-		}
-		if !st.dirty && !st.queued {
-			delete(d.lines, la)
-			if len(d.statePool) < maxStatePool {
-				d.statePool = append(d.statePool, st)
-			}
-		}
-	}
+	d.drainQueueLocked()
 	// Counted after the queue drains, so a crash armed at this op index
 	// observes the barrier's durability effect (a crash "at" a persist
 	// barrier means the barrier completed; crashes inside the drain are
@@ -582,30 +606,9 @@ func (d *Domain) EpochBarrier() {
 	d.m.Inc(metrics.PersistBarrier, 1)
 	// Hardware write-back of all dirty lines: enqueue without per-line
 	// issue cost (no instructions are executed for them).
-	for la, st := range d.lines {
-		if !st.dirty {
-			continue
-		}
-		st.dirty = false
-		d.lruRemove(st.lruElem)
-		st.lruElem = nil
-		d.dirtyCount--
-		snap := st.snapBuf(d.cfg.CacheLineSize)
-		copy(snap, d.volatileMem[la:la+uint64(d.cfg.CacheLineSize)])
-		st.queued = true
-		st.queuedData = snap
-		bank := int(la/uint64(d.cfg.CacheLineSize)) % d.cfg.NVRAMBanks
-		start := d.clock.Now()
-		if d.bankFree[bank] > start {
-			start = d.bankFree[bank]
-		}
-		st.completion = start + d.cfg.NVRAMWriteLatency
-		d.bankFree[bank] = st.completion
-		if st.completion > d.lastCompletion {
-			d.lastCompletion = st.completion
-		}
-		d.m.Inc(metrics.NVRAMLineWrites, 1)
-		d.m.Inc(metrics.NVRAMBytes, int64(d.cfg.CacheLineSize))
+	for d.lruTail != nil {
+		la := d.lruTail.addr
+		d.enqueueLocked(la, d.lines[la])
 	}
 	now := d.clock.Now()
 	if d.lastCompletion > now {
@@ -615,20 +618,7 @@ func (d *Domain) EpochBarrier() {
 	}
 	d.clock.Advance(d.cfg.PersistBarrierCost)
 	d.m.AddTime(metrics.TimePersist, d.cfg.PersistBarrierCost)
-	for la, st := range d.lines {
-		if st.queued {
-			d.persistLineLocked(d.persisted, la, st.queuedData)
-			st.queued = false
-			// queuedData is kept as the line's snapshot scratch; the
-			// persist above copied it into the durable image.
-		}
-		if !st.dirty && !st.queued {
-			delete(d.lines, la)
-			if len(d.statePool) < maxStatePool {
-				d.statePool = append(d.statePool, st)
-			}
-		}
-	}
+	d.drainQueueLocked()
 }
 
 // PowerFail simulates pulling the power. Everything not yet persisted is
@@ -658,6 +648,8 @@ func (d *Domain) PowerFail(policy FailPolicy, seed int64) {
 	for la := range d.lines {
 		delete(d.lines, la)
 	}
+	clear(d.queued)
+	d.queued = d.queued[:0]
 	d.lruHead, d.lruTail = nil, nil
 	d.dirtyCount = 0
 	d.lastCompletion = 0

@@ -123,6 +123,10 @@ type PrimaryNode struct {
 	DB   *db.DB
 	Repl *Primary
 	Srv  *server.Server
+	// lis is closed by Stop itself: the Serve goroutine that hands it
+	// to Srv may not have run yet, and a restart on this node must find
+	// the name free the moment Stop returns.
+	lis netsim.Listener
 }
 
 // StartPrimary opens the node's database (creating or recovering it)
@@ -181,7 +185,7 @@ func (c *Cluster) serveAsPrimary(node *Node, d *db.DB, popts PrimaryOptions, sop
 	}
 	srv := server.New(p, sopts)
 	go srv.Serve(l)
-	return &PrimaryNode{Node: node, DB: d, Repl: p, Srv: srv}, nil
+	return &PrimaryNode{Node: node, DB: d, Repl: p, Srv: srv, lis: l}, nil
 }
 
 // Attach starts shipping from the primary to the named replica.
@@ -193,6 +197,7 @@ func (pn *PrimaryNode) Attach(c *Cluster, replicaName string) {
 // the right call when the node's platform has power-failed.
 func (pn *PrimaryNode) Stop(abandon bool) {
 	pn.Srv.Close()
+	_ = pn.lis.Close()
 	pn.Repl.Close()
 	if abandon {
 		pn.DB.Abandon()
@@ -207,6 +212,9 @@ type ReplicaNode struct {
 	Node *Node
 	R    *Replica
 	Srv  *server.Server
+	// lis (reads) and replLis (shipping) are closed by Stop itself, for
+	// the reason PrimaryNode.lis is.
+	lis, replLis netsim.Listener
 }
 
 // StartReplica opens (or re-opens) replica state on the node and
@@ -243,14 +251,16 @@ func (c *Cluster) StartReplica(name string, ropts ReplicaOptions, sopts server.O
 	}
 	srv := server.New(r, sopts)
 	go srv.Serve(l)
-	return &ReplicaNode{Node: node, R: r, Srv: srv}, nil
+	return &ReplicaNode{Node: node, R: r, Srv: srv, lis: l, replLis: rl}, nil
 }
 
 // Stop tears the replica down, leaving its state for a later
 // StartReplica or Promote.
 func (rn *ReplicaNode) Stop() {
 	rn.Srv.Close()
+	_ = rn.lis.Close()
 	rn.R.Close()
+	_ = rn.replLis.Close()
 }
 
 // WaitCaughtUp polls (real time) until the replica's applied mark

@@ -57,6 +57,14 @@ func TestReplicaQuarantineAndReadmit(t *testing.T) {
 			t.Fatalf("warm write %d: %v", i, err)
 		}
 	}
+	// Both replicas seeded and caught up before the link degrades: a
+	// sender that first runs after the writes below would seed n1 at the
+	// final mark and never ship it a batch to sample.
+	for _, rn := range replicas {
+		if !rn.WaitCaughtUp(pn.Repl.Status().Mark, 5*time.Second) {
+			t.Fatal("replica not caught up after warm writes")
+		}
+	}
 
 	// Gray-degrade n1's ack path: 20ms of virtual latency per ack, four
 	// times the budget. The replica still works — it is merely slow.
@@ -74,8 +82,10 @@ func TestReplicaQuarantineAndReadmit(t *testing.T) {
 		t.Fatalf("slow replica not quarantined; quarantined=%v ewma=%v",
 			pn.Repl.Quarantined(), pn.Repl.AckLatencies())
 	}
-	if got := pn.Repl.DB().Metrics().Count(metrics.ReplicaQuarantines); got < 1 {
-		t.Fatalf("replica_quarantines = %d, want >= 1", got)
+	// observeAck counts the transition just after it flips the flag.
+	count := func(name string) int64 { return pn.Repl.DB().Metrics().Count(name) }
+	if !waitFor(t, time.Second, func() bool { return count(metrics.ReplicaQuarantines) >= 1 }) {
+		t.Fatalf("replica_quarantines = %d, want >= 1", count(metrics.ReplicaQuarantines))
 	}
 
 	// Shipping must continue to a quarantined replica: it keeps
@@ -89,16 +99,21 @@ func TestReplicaQuarantineAndReadmit(t *testing.T) {
 	// and the replica is re-admitted.
 	c.Net.SetLink(ReplAddr("n1"), "n0", netsim.Config{Latency: 20 * time.Microsecond})
 	readmitted := func() bool { return len(pn.Repl.Quarantined()) == 0 }
+	// Paced, not back-to-back: a quarantined link is outside the quorum,
+	// so nothing makes a commit wait for its ack, and writes issued
+	// faster than the link ships them reach it as one batch — one EWMA
+	// sample however many commits it carries.
 	for i := 0; i < 60 && !readmitted(); i++ {
 		if _, err := cli.Put("kv", []byte(fmt.Sprintf("h%03d", i)), []byte("v")); err != nil {
 			t.Fatalf("write during heal: %v", err)
 		}
+		time.Sleep(time.Millisecond)
 	}
 	if !waitFor(t, 2*time.Second, readmitted) {
 		t.Fatalf("healed replica not re-admitted; ewma=%v", pn.Repl.AckLatencies())
 	}
-	if got := pn.Repl.DB().Metrics().Count(metrics.ReplicaReadmits); got < 1 {
-		t.Fatalf("replica_readmits = %d, want >= 1", got)
+	if !waitFor(t, time.Second, func() bool { return count(metrics.ReplicaReadmits) >= 1 }) {
+		t.Fatalf("replica_readmits = %d, want >= 1", count(metrics.ReplicaReadmits))
 	}
 }
 

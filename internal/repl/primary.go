@@ -196,22 +196,16 @@ func (p *Primary) Apply(ctx context.Context, table string, ops []server.Op) (uin
 
 // waitAcks blocks until AckReplicas replicas acked applied >= target.
 func (p *Primary) waitAcks(ctx context.Context, target int) error {
-	deadline := time.After(p.opts.AckTimeout)
-	expired := make(chan struct{})
-	var once sync.Once
-	stop := func() { once.Do(func() { close(expired) }) }
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-deadline:
-		case <-expired:
-			return
-		}
-		stop()
+	// One deadline context covers the ack timeout and the caller giving
+	// up; its AfterFunc wakes the waiter below. Both are torn down on
+	// return, so an acked write leaves no timer or goroutine behind.
+	ctx, cancel := context.WithTimeout(ctx, p.opts.AckTimeout)
+	defer cancel()
+	stop := context.AfterFunc(ctx, func() {
 		p.mu.Lock()
 		p.ackCond.Broadcast()
 		p.mu.Unlock()
-	}()
+	})
 	defer stop()
 
 	p.mu.Lock()
@@ -232,11 +226,9 @@ func (p *Primary) waitAcks(ctx context.Context, target int) error {
 		if p.closed {
 			return fmt.Errorf("repl: primary closed during ack wait: %w", server.ErrIndeterminate)
 		}
-		select {
-		case <-expired:
+		if ctx.Err() != nil {
 			return fmt.Errorf("repl: %d/%d replica acks for mark %d: %w",
 				p.ackedAtLocked(target), p.opts.AckReplicas, target, server.ErrIndeterminate)
-		default:
 		}
 		p.ackCond.Wait()
 	}

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -425,33 +426,51 @@ func TestClusterMetricsAggregateAcrossNodeLabels(t *testing.T) {
 }
 
 func TestPrimaryApplyIndeterminateWhenReplicasUnreachable(t *testing.T) {
-	c := newTestCluster(t, "n0", "n1")
-	pn, err := c.StartPrimary("n0", DefaultDBOptions(),
-		PrimaryOptions{Epoch: 1, AckReplicas: 1, AckTimeout: 50 * time.Millisecond},
-		server.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pn.Stop(false)
-	if err := pn.DB.CreateTable("kv"); err != nil {
-		t.Fatal(err)
-	}
-	// Replica attached but the node is isolated: commits succeed
-	// locally but the ack quorum cannot form.
-	rn, err := c.StartReplica("n1", ReplicaOptions{Epoch: 1}, server.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rn.Stop()
-	pn.Attach(c, "n1")
-	c.IsolateNode("n1")
+	// The ack wait ends at the primary's own AckTimeout or when the
+	// caller gives up, whichever comes first.
+	for _, tc := range []struct {
+		name                string
+		ackTimeout, callerT time.Duration
+	}{
+		{"ack-timeout", 50 * time.Millisecond, time.Minute},
+		{"caller-deadline", time.Minute, 50 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, "n0", "n1")
+			pn, err := c.StartPrimary("n0", DefaultDBOptions(),
+				PrimaryOptions{Epoch: 1, AckReplicas: 1, AckTimeout: tc.ackTimeout},
+				server.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pn.Stop(false)
+			if err := pn.DB.CreateTable("kv"); err != nil {
+				t.Fatal(err)
+			}
+			// Replica attached but the node is isolated: commits succeed
+			// locally but the ack quorum cannot form.
+			rn, err := c.StartReplica("n1", ReplicaOptions{Epoch: 1}, server.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rn.Stop()
+			pn.Attach(c, "n1")
+			c.IsolateNode("n1")
 
-	_, aerr := pn.Repl.Apply(t.Context(), "kv", []server.Op{{Key: []byte("k"), Value: []byte("v")}})
-	if !errors.Is(aerr, server.ErrIndeterminate) {
-		t.Fatalf("ack-starved apply = %v, want ErrIndeterminate", aerr)
-	}
-	// The write IS durable locally — indeterminate, not lost.
-	if v, found, _ := pn.Repl.Get("kv", []byte("k")); !found || string(v) != "v" {
-		t.Fatal("locally committed write missing")
+			ctx, cancel := context.WithTimeout(t.Context(), tc.callerT)
+			defer cancel()
+			start := time.Now()
+			_, aerr := pn.Repl.Apply(ctx, "kv", []server.Op{{Key: []byte("k"), Value: []byte("v")}})
+			if !errors.Is(aerr, server.ErrIndeterminate) {
+				t.Fatalf("ack-starved apply = %v, want ErrIndeterminate", aerr)
+			}
+			if waited := time.Since(start); waited > 10*time.Second {
+				t.Fatalf("ack wait took %v: the shorter deadline did not end it", waited)
+			}
+			// The write IS durable locally — indeterminate, not lost.
+			if v, found, _ := pn.Repl.Get("kv", []byte("k")); !found || string(v) != "v" {
+				t.Fatal("locally committed write missing")
+			}
+		})
 	}
 }

@@ -357,9 +357,7 @@ func (r *Replica) applyFrames(f framesMsg) ack {
 			order = append(order, fr.Pgno)
 		}
 		if fr.Full {
-			for i := range img {
-				img[i] = 0
-			}
+			clear(img)
 		}
 		if int(fr.Off)+len(fr.Payload) > len(img) {
 			return nack()
@@ -390,14 +388,11 @@ func (r *Replica) applyFrames(f framesMsg) ack {
 // holds r.rw.
 func (r *Replica) pageImage(pgno uint32) []byte {
 	img := make([]byte, r.opts.PageSize)
-	if buf, ok := r.wal.PageVersion(pgno); ok {
-		copy(img, buf)
+	if r.wal.PageVersionInto(pgno, img) {
 		return img
 	}
 	if err := r.dbf.ReadPage(pgno, img); err != nil {
-		for i := range img {
-			img[i] = 0
-		}
+		clear(img)
 	}
 	return img
 }

@@ -114,6 +114,9 @@ func (s *Server) Serve(l netsim.Listener) {
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
+		// Close ran before this goroutine did and found no listener to
+		// close; leaving l open would keep its name bound.
+		_ = l.Close()
 		return
 	}
 	for {

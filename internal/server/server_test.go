@@ -94,6 +94,24 @@ func TestServerRoundTripSim(t *testing.T) {
 	}
 }
 
+// Close can win the race against the goroutine running Serve; the
+// listener handed to the late Serve must not stay bound.
+func TestServeAfterCloseReleasesListener(t *testing.T) {
+	n := netsim.New(simclock.New(), netsim.Config{}, 7, nil)
+	l, err := n.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(NewDBEngine(openDB(t), 0), Options{})
+	s.Close()
+	s.Serve(l)
+	if l2, err := n.Listen("srv"); err != nil {
+		t.Fatalf("name still bound after Serve on a closed server: %v", err)
+	} else {
+		_ = l2.Close()
+	}
+}
+
 func TestServerShedsAtWriteRate(t *testing.T) {
 	d := openDB(t)
 	eng := NewDBEngine(d, 0)
