@@ -25,7 +25,7 @@ import (
 
 func main() {
 	txns := flag.Int("txns", 0, "transactions per measurement (0 = experiment default)")
-	jsonOut := flag.String("json", "", "also write the experiment's result as JSON to this file (allocs, checkpoint, pressure and shards only)")
+	jsonOut := flag.String("json", "", "also write the experiment's result as JSON to this file (checkpoint, pressure, shards, mvcc, repl, slow and allocs only)")
 	gate := flag.String("gate", "", "baseline JSON to gate against (allocs only): exit non-zero when allocs/op regress above it")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: nvwal-bench [-txns N] [-json FILE] [-gate FILE] table1|table2|fig5|fig6|fig7|fig8|fig9|persistency|prealloc|baselines|cschecksum|groupcommit|concurrent|checkpoint|pressure|shards|mvcc|repl|slow|allocs|all")

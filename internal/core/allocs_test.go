@@ -202,21 +202,21 @@ type errReadback uint32
 
 func (e errReadback) Error() string { return "immediate readback of committed page failed" }
 
-// A bulk append (a replica seed, a populate) must not leave its size
-// behind in the reused new-version map: clearing and ranging over a map
-// that once held thousands of pages would tax every commit after it.
-func TestVersionScratchDroppedAfterBulkAppend(t *testing.T) {
+// A bulk session must not leave its size behind in the reused page set
+// of CommitStreams: clearing a map that once held thousands of pages
+// would tax every group after it.
+func TestSeenScratchDroppedAfterBulkGroup(t *testing.T) {
 	w := &NVWAL{}
-	id := func(m map[uint32][]byte) uintptr { return reflect.ValueOf(m).Pointer() }
-	small := w.versionScratch()
-	small[7] = nil
-	if again := w.versionScratch(); id(again) != id(small) || len(again) != 0 {
-		t.Fatal("a small transaction's map must be reused, emptied")
+	id := func(m map[uint32]struct{}) uintptr { return reflect.ValueOf(m).Pointer() }
+	small := w.seenScratch()
+	small[7] = struct{}{}
+	if again := w.seenScratch(); id(again) != id(small) || len(again) != 0 {
+		t.Fatal("a small group's set must be reused, emptied")
 	}
-	for pgno := uint32(0); pgno <= maxReusedVersions; pgno++ {
-		small[pgno] = nil
+	for pgno := uint32(0); pgno <= maxReusedSeen; pgno++ {
+		small[pgno] = struct{}{}
 	}
-	if fresh := w.versionScratch(); id(fresh) == id(small) || len(fresh) != 0 {
-		t.Fatal("a bulk transaction's map must be replaced, not cleared")
+	if fresh := w.seenScratch(); id(fresh) == id(small) || len(fresh) != 0 {
+		t.Fatal("a bulk group's set must be replaced, not cleared")
 	}
 }

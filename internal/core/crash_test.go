@@ -50,11 +50,79 @@ var writeSteps = []string{
 	StepAfterCommitFlush,
 }
 
+// crashPages is the write crash matrix's transaction 2: pages 2 and 3
+// rewritten from their transaction-1 images, page 4 added.
+type crashPages struct {
+	t1p2, t1p3       []byte
+	t2p2, t2p3, t2p4 []byte
+}
+
+// crashEntries are the commit entry points the write crash matrix
+// drives; each commits transaction 2 its own way. The prepare entries
+// crash inside the prepare (every step fires there first) and reopen
+// under a coordinator that decided commit, or never decided — in which
+// case a crashed prepare must vanish; the complete entry crashes inside
+// the in-place mark flip, which only has the two mark steps.
+var crashEntries = []struct {
+	name      string
+	commit    func(w *NVWAL, p crashPages) error
+	steps     []string // nil: every write step
+	prepared  bool
+	undecided bool
+}{
+	{name: "transaction", commit: func(w *NVWAL, p crashPages) error {
+		return w.CommitTransaction([]pager.Frame{{Pgno: 2, Data: p.t2p2}, {Pgno: 3, Data: p.t2p3}, {Pgno: 4, Data: p.t2p4}})
+	}},
+	{name: "group", commit: func(w *NVWAL, p crashPages) error {
+		// Two member sets sharing page 2: only the later image is logged.
+		return w.CommitGroup([][]pager.Frame{
+			{{Pgno: 2, Data: patchedPage(p.t1p2, 900, 30, 0xBB)}, {Pgno: 3, Data: p.t2p3}},
+			{{Pgno: 2, Data: p.t2p2}, {Pgno: 4, Data: p.t2p4}},
+		})
+	}},
+	{name: "streams", commit: func(w *NVWAL, p crashPages) error {
+		// Two streams, the first staged differentially by its writer.
+		s1, s2 := w.NewStream(), w.NewStream()
+		if _, err := s1.StagePage(2, p.t2p2, p.t1p2); err != nil {
+			return err
+		}
+		for _, fr := range []pager.Frame{{Pgno: 3, Data: p.t2p3}, {Pgno: 4, Data: p.t2p4}} {
+			if _, err := s2.StagePage(fr.Pgno, fr.Data, nil); err != nil {
+				return err
+			}
+		}
+		return w.CommitStreams([]*Stream{s1, s2}, 2)
+	}},
+	{name: "prepare", prepared: true, commit: func(w *NVWAL, p crashPages) error { return commitPrepared(w, p, func() {}) }},
+	{name: "prepare-undecided", prepared: true, undecided: true,
+		commit: func(w *NVWAL, p crashPages) error { return commitPrepared(w, p, func() {}) }},
+	{name: "complete", prepared: true, steps: []string{StepAfterCommitWrite, StepAfterCommitFlush},
+		commit: func(w *NVWAL, p crashPages) error {
+			hook := w.hook
+			w.hook = nil
+			return commitPrepared(w, p, func() { w.hook = hook })
+		}},
+}
+
+const crashGtx = 42
+
+// commitPrepared runs transaction 2 through 2PC; decided runs between
+// the prepare and the complete, where the coordinator's record lands.
+func commitPrepared(w *NVWAL, p crashPages, decided func()) error {
+	frames := []pager.Frame{{Pgno: 2, Data: p.t2p2}, {Pgno: 3, Data: p.t2p3}, {Pgno: 4, Data: p.t2p4}}
+	if err := w.PrepareTransaction(frames, crashGtx); err != nil {
+		return err
+	}
+	decided()
+	return w.CompletePrepared(crashGtx)
+}
+
 // TestCrashMatrixWriteFrames injects a power failure at every step of
-// Algorithm 1, under every sync scheme and both conservative and
-// adversarial line-survival policies, and verifies transaction
-// atomicity: recovery yields either the complete second transaction or
-// none of it, with the first transaction always intact.
+// Algorithm 1, through every commit entry point, under every sync
+// scheme and both conservative and adversarial line-survival policies,
+// and verifies transaction atomicity: recovery yields either the
+// complete second transaction or none of it, with the first
+// transaction always intact.
 func TestCrashMatrixWriteFrames(t *testing.T) {
 	policies := []struct {
 		name   string
@@ -63,22 +131,29 @@ func TestCrashMatrixWriteFrames(t *testing.T) {
 		{"dropall", memsim.FailDropAll},
 		{"adversarial", memsim.FailAdversarial},
 	}
-	for _, v := range allVariants() {
-		for _, step := range writeSteps {
-			for _, pol := range policies {
-				for _, seed := range []int64{1, 7, 42} {
-					name := fmt.Sprintf("%s/%s/%s/seed%d", v.Cfg.Label(), step, pol.name, seed)
-					t.Run(name, func(t *testing.T) {
-						runWriteCrashCase(t, v.Cfg, step, pol.policy, seed)
-					})
+	for entry := range crashEntries {
+		steps := crashEntries[entry].steps
+		if steps == nil {
+			steps = writeSteps
+		}
+		for _, v := range allVariants() {
+			for _, step := range steps {
+				for _, pol := range policies {
+					for _, seed := range []int64{1, 7, 42} {
+						name := fmt.Sprintf("%s/%s/%s/%s/seed%d", crashEntries[entry].name, v.Cfg.Label(), step, pol.name, seed)
+						t.Run(name, func(t *testing.T) {
+							runWriteCrashCase(t, entry, v.Cfg, step, pol.policy, seed)
+						})
+					}
 				}
 			}
 		}
 	}
 }
 
-func runWriteCrashCase(t *testing.T, cfg Config, step string, policy memsim.FailPolicy, seed int64) {
-	e := newEnv(t)
+func runWriteCrashCase(t *testing.T, entry int, cfg Config, step string, policy memsim.FailPolicy, seed int64) {
+	en := crashEntries[entry]
+	e := newTinyEnv(t, 128)
 	w := e.open(t, cfg)
 
 	// Transaction 1: establish pages 2 and 3.
@@ -91,16 +166,15 @@ func runWriteCrashCase(t *testing.T, cfg Config, step string, policy memsim.Fail
 	t2p3 := patchedPage(t1p3, 2000, 50, 0xB2)
 	t2p4 := fullPage(0xB3)
 	crashed, err := runUntil(w, step, func() error {
-		return w.CommitTransaction([]pager.Frame{
-			{Pgno: 2, Data: t2p2},
-			{Pgno: 3, Data: t2p3},
-			{Pgno: 4, Data: t2p4},
-		})
+		return en.commit(w, crashPages{t1p2: t1p2, t1p3: t1p3, t2p2: t2p2, t2p3: t2p3, t2p4: t2p4})
 	})
-	if !crashed && err != nil {
-		t.Fatalf("commit failed without crashing: %v", err)
+	if !crashed {
+		t.Fatalf("step %s never fired (err=%v)", step, err)
 	}
 
+	if en.prepared && !en.undecided {
+		cfg.PreparedResolver = resolverFor(crashGtx)
+	}
 	w2 := e.reopen(t, cfg, policy, seed)
 
 	v2, ok2 := w2.PageVersion(2)
@@ -111,6 +185,9 @@ func runWriteCrashCase(t *testing.T, cfg Config, step string, policy memsim.Fail
 	if txn2 {
 		if !ok2 || !bytes.Equal(v2, t2p2) || !ok3 || !bytes.Equal(v3, t2p3) {
 			t.Fatal("transaction 2 partially visible (page 4 committed, 2/3 stale)")
+		}
+		if en.undecided {
+			t.Fatal("undecided prepared transaction survived")
 		}
 	} else {
 		if ok4 {
@@ -127,12 +204,10 @@ func runWriteCrashCase(t *testing.T, cfg Config, step string, policy memsim.Fail
 			t.Fatal("checksum mode surfaced a corrupted page instead of dropping it")
 		}
 	}
-	if !crashed && cfg.Sync != SyncChecksum && policy == memsim.FailDropAll {
-		// The commit completed before the step was reached; under the
-		// conservative policy it must be durable.
-		if !txn2 {
-			t.Fatalf("completed commit lost (step %s never fired)", step)
-		}
+	if step == StepAfterCommitFlush && cfg.Sync != SyncChecksum && !en.undecided && !txn2 {
+		// The mark was durable when the power failed (for a prepare, the
+		// provisional one the coordinator's decision covers).
+		t.Fatal("transaction 2 lost after its mark persisted")
 	}
 
 	// The log must remain writable after recovery.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -290,7 +291,6 @@ var (
 type frameRef struct {
 	addr uint64 // device address of the frame header
 	size int    // header + payload bytes (unaligned)
-	pgno uint32
 }
 
 // histFrame is the in-DRAM record of one logged frame, kept for
@@ -318,13 +318,13 @@ type ckptState struct {
 // preparedTxn is the volatile side of one prepared-but-undecided 2PC
 // transaction: everything CompletePrepared needs to publish it, and
 // everything AbortPrepared needs to unwind it. Unlike the commit path's
-// reusable scratch, its buffers are freshly allocated — they outlive
-// the append by an arbitrary coordinator round-trip.
+// reusable scratch, its history records and streams are its own — they
+// outlive the append by an arbitrary coordinator round-trip.
 type preparedTxn struct {
 	gtx        uint64
-	written    []frameRef
+	markAddr   uint64 // the final frame's header; meaningless without frames
 	hist       []histFrame
-	newVers    map[uint32][]byte
+	streams    []*Stream
 	chainAfter uint32
 	undoBlocks int
 	undoTail   int
@@ -382,18 +382,21 @@ type NVWAL struct {
 	// mid-append ErrNoSpace unwind path can be exercised directly.
 	disableReserve bool
 
-	// Commit-path scratch, reused across transactions (guarded by w.mu)
-	// so steady-state commits do not allocate per frame — the allocation
-	// audit of DESIGN.md §15. Only the plan/index bookkeeping lives here;
-	// payload and image bytes that outlive the commit (history, versions)
-	// are freshly allocated each transaction and handed off.
-	plan    writePlan
+	// Append-kernel scratch, reused across transactions (guarded by w.mu)
+	// whatever the entry point, so steady-state commits do not allocate
+	// per frame. Only the plan/index bookkeeping lives here; payload and
+	// image bytes that outlive the commit (history, versions) are freshly
+	// allocated each transaction and handed off. solo is the untagged
+	// stream legacy frame sets are staged into, one the stream list
+	// holding just it, seen CommitStreams' set of pages an earlier stream
+	// of the group already stages.
 	written []frameRef
 	newHist []histFrame
-	newVers map[uint32][]byte
 	hdrBuf  [frameHdrSize]byte
 	coal    pager.Coalescer
-	resv    heapo.Reservation
+	solo    Stream
+	one     [1]*Stream
+	seen    map[uint32]struct{}
 
 	// Volatile state, rebuilt by recovery (the wal-index analogue).
 	blocks   []heapo.Block // live generation's block chain in order
@@ -530,6 +533,8 @@ func Open(h *heapo.Manager, db pager.DBFile, cfg Config, m *metrics.Counters) (*
 		base:      make(map[uint32][]byte),
 		badBlocks: make(map[uint64]bool),
 	}
+	w.solo = w.newStream(0)
+	w.one[0] = &w.solo
 	if addr, ok := h.GetRoot(cfg.Name); ok {
 		w.headerAddr = addr
 		if err := w.recover(); err != nil {
@@ -784,45 +789,45 @@ func (w *NVWAL) CommitTransaction(frames []pager.Frame) error {
 
 // CommitGroup implements pager.GroupJournal: the groups' frames are
 // coalesced page-wise (the group commits atomically under one mark, so
-// only each page's final image needs logging) and written through a
-// single Algorithm 1 sequence — one flush batch, one persist barrier,
-// one commit-mark persist for the whole group.
+// only each page's final image needs logging) and appended as one
+// transaction — one flush batch, one persist barrier, one commit-mark
+// persist for the whole group.
 func (w *NVWAL) CommitGroup(groups [][]pager.Frame) error {
 	if len(groups) == 0 {
 		return nil
 	}
 	w.lockWriter()
 	defer w.mu.Unlock()
-	coalesced := w.coal.Coalesce(groups)
-	if len(coalesced) == 0 {
+	if coalesced := w.coal.Coalesce(groups); len(coalesced) > 0 {
+		if err := w.appendFrames(coalesced, commitValue, len(groups)); err != nil {
+			return err
+		}
+	} else {
 		// A group of no-op transactions still committed: its members were
 		// acknowledged, so the transaction and group tallies must include
 		// them even though nothing reaches NVRAM.
 		w.m.Inc(metrics.Transactions, int64(len(groups)))
-		w.m.Inc(metrics.GroupCommits, 1)
-		return nil
 	}
-	if err := w.writeFrames(coalesced, true); err != nil {
-		return err
-	}
-	// writeFrames counted one committed transaction; credit the rest of
-	// the group.
-	w.m.Inc(metrics.Transactions, int64(len(groups)-1))
 	w.m.Inc(metrics.GroupCommits, 1)
 	return nil
 }
 
-// WriteFrames is sqliteWriteWalFramesToNVRAM (Algorithm 1): log the
-// dirty pages, enforce the transaction-aware persistency guarantee, and
-// — when commit is set — write and persist the commit mark.
+// WriteFrames logs the dirty pages and — when commit is set — writes
+// and persists the commit mark. Without it the frames are appended and
+// made durable markless: recovery keeps them only if a later commit's
+// mark covers them.
 func (w *NVWAL) WriteFrames(frames []pager.Frame, commit bool) error {
 	w.lockWriter()
 	defer w.mu.Unlock()
-	return w.writeFrames(frames, commit)
+	if !commit {
+		return w.appendFrames(frames, 0, 0)
+	}
+	return w.appendFrames(frames, commitValue, 1)
 }
 
-// writeFrames is WriteFrames with w.mu held.
-func (w *NVWAL) writeFrames(frames []pager.Frame, commit bool) error {
+// writable reports why the log accepts no append right now, if it does
+// not. Caller holds w.mu.
+func (w *NVWAL) writable() error {
 	if w.broken != nil {
 		return w.broken
 	}
@@ -832,122 +837,128 @@ func (w *NVWAL) writeFrames(frames []pager.Frame, commit bool) error {
 		// a recovery truncation) eat a committed transaction.
 		return ErrPreparedPending
 	}
-	return w.writeFramesLog(frames, commit)
+	return nil
 }
 
-// planItem is one dirty page's precomputed logging work.
-type planItem struct {
-	fr      pager.Frame
-	skip    bool // identical image under differential logging
-	full    bool
-	extents []Extent
-}
-
-// writePlan is the shape of one WriteFrames call, computed before any
-// NVRAM mutation: what each page logs, how many fresh blocks the append
-// needs, and the largest single allocation — exactly what Reserve must
-// promise for the append to be incapable of running out of space. The
-// frame and payload totals size the append's history arena up front.
-// An NVWAL reuses one writePlan (and its items' extent arrays) across
-// commits under w.mu.
-type writePlan struct {
-	items        []planItem
-	newBlocks    int
-	maxAlloc     int // largest single block allocation, bytes
-	frames       int // physical frames the append will write
-	payloadBytes int // differential payload bytes across all frames
-}
-
-// nextItem returns the plan's next item slot with its extent array
-// emptied for reuse, growing the slice as needed.
-func (p *writePlan) nextItem() *planItem {
-	if len(p.items) < cap(p.items) {
-		p.items = p.items[:len(p.items)+1]
-	} else {
-		p.items = append(p.items, planItem{})
+// appendFrames appends a legacy frame set as one transaction: the
+// frames are staged into the writer's scratch stream (untagged, extent
+// arrays reused across commits) and handed to the append kernel. Caller
+// holds w.mu.
+func (w *NVWAL) appendFrames(frames []pager.Frame, mark uint64, txns int) error {
+	if err := w.writable(); err != nil {
+		return err
 	}
-	it := &p.items[len(p.items)-1]
-	it.extents = it.extents[:0]
-	return it
+	if len(frames) == 0 {
+		return nil
+	}
+	if err := w.stageFrames(&w.solo, frames); err != nil {
+		return err // read-only failure: nothing to latch
+	}
+	return w.appendStreams(w.one[:], mark, txns)
 }
 
-// planFrames simulates the append — extent computation, tail packing,
-// block allocation — without touching NVRAM, mirroring the rules of
-// writeFramesLog/allocFrameSpace/appendBlock step for step. The
-// returned plan is w.plan, reused across commits; it is only valid
-// until the next call.
-func (w *NVWAL) planFrames(frames []pager.Frame) (*writePlan, error) {
-	p := &w.plan
-	p.items = p.items[:0]
-	p.newBlocks, p.maxAlloc, p.frames, p.payloadBytes = 0, 0, 0, 0
-	simBlocks := len(w.blocks)
-	simTailCap := w.tailCapacity()
-	simTailUsed := w.tailUsed
+// stageFrames stages a legacy frame set into s against the log's
+// current page versions: a page the log already holds is logged
+// differentially (§3.2), a first-touch page as a full frame, and an
+// identical image (a page dirtied and restored) not at all. The caller
+// keeps its frame buffers, so each staged page gets its own copy of the
+// image — the one that becomes the page's new version. Caller holds
+// w.mu.
+func (w *NVWAL) stageFrames(s *Stream, frames []pager.Frame) error {
+	s.Reset()
 	for _, fr := range frames {
-		if len(fr.Data) != w.pageSize {
-			return nil, fmt.Errorf("nvwal: frame for page %d has %d bytes, want %d", fr.Pgno, len(fr.Data), w.pageSize)
+		var base []byte
+		if w.cfg.Differential {
+			base = w.versions[fr.Pgno]
 		}
-		it := p.nextItem()
-		it.fr, it.skip, it.full = fr, false, true
-		if old, ok := w.versions[fr.Pgno]; ok && w.cfg.Differential {
-			// §3.2: the page already has frames in the log, so only the
-			// differences need to be logged.
-			it.full = false
-			it.extents = diffExtentsInto(it.extents, old, fr.Data, w.cfg.GapMerge)
-			if len(it.extents) == 0 {
-				// Identical image (e.g. a page dirtied and restored);
-				// nothing to log for this page.
-				it.skip = true
-				continue
-			}
-		} else {
-			// First-touch pages log a "full" frame; its trailing clean
-			// (zero) region is truncated per §3.2 so early-split pages fit
-			// the user-heap block layout. Replay of a full frame resets the
-			// page to zero first, so the truncation can never resurrect
-			// stale tail bytes from an older database-file image.
-			n := w.pageSize - trailingZeros(fr.Data)
-			if n == 0 {
-				n = 8 // all-zero page: log a minimal frame
-			}
-			it.extents = append(it.extents, Extent{Off: 0, Len: n})
+		staged, err := s.StagePage(fr.Pgno, fr.Data, base)
+		if err != nil {
+			return err
 		}
-		groupTotal := 0
-		for _, e := range it.extents {
-			groupTotal += align8(frameHdrSize + e.Len)
-		}
-		p.frames += len(it.extents)
-		p.payloadBytes += extentBytes(it.extents)
-		if !w.cfg.UserHeap && simBlocks > 0 {
-			simTailUsed = simTailCap // legacy: tail space not reused across frames
-		}
-		for _, e := range it.extents {
-			need := align8(frameHdrSize + e.Len)
-			if w.cfg.UserHeap && need > w.cfg.BlockSize-blockLinkSize {
-				return nil, fmt.Errorf("%w: frame %d bytes, block %d", ErrBlockFull, need, w.cfg.BlockSize)
-			}
-			if simBlocks == 0 || simTailUsed+need > simTailCap {
-				alloc := w.cfg.BlockSize
-				if !w.cfg.UserHeap {
-					alloc = need
-					if groupTotal > alloc {
-						alloc = groupTotal
-					}
-					alloc += blockLinkSize
-				}
-				simBlocks++
-				p.newBlocks++
-				if alloc > p.maxAlloc {
-					p.maxAlloc = alloc
-				}
-				// Heapo rounds allocations up to whole pages.
-				simTailCap = (alloc + heapo.PageSize - 1) / heapo.PageSize * heapo.PageSize
-				simTailUsed = blockLinkSize
-			}
-			simTailUsed += need
+		if staged {
+			sp := &s.pages[len(s.pages)-1]
+			sp.img = append([]byte(nil), fr.Data...)
 		}
 	}
-	return p, nil
+	return nil
+}
+
+// frameGroupBytes is the aligned log footprint of one page's frames.
+func frameGroupBytes(extents []Extent) int {
+	n := 0
+	for _, e := range extents {
+		n += align8(frameHdrSize + e.Len)
+	}
+	return n
+}
+
+// planAppend simulates the append — tail packing and block allocation —
+// without touching NVRAM, mirroring allocFrameSpace/appendBlock step
+// for step. It leaves in each stream the fresh blocks its frames force,
+// given the tail the preceding streams leave behind, and the largest
+// single allocation among them: exactly what that stream's reservation
+// must promise for the append to be incapable of running out of space.
+// It returns the payload total, which sizes the history arena up front.
+func (w *NVWAL) planAppend(streams []*Stream) (payloadBytes int, err error) {
+	simBlocks, simTailCap, simTailUsed := len(w.blocks), w.tailCapacity(), w.tailUsed
+	for _, s := range streams {
+		s.newBlocks, s.maxAlloc = 0, 0
+		for i := range s.pages {
+			extents := s.pages[i].extents
+			groupTotal := frameGroupBytes(extents)
+			payloadBytes += extentBytes(extents)
+			if !w.cfg.UserHeap && simBlocks > 0 {
+				simTailUsed = simTailCap // legacy: tail space not reused across frames
+			}
+			for _, e := range extents {
+				need := align8(frameHdrSize + e.Len)
+				if w.cfg.UserHeap && need > w.cfg.BlockSize-blockLinkSize {
+					return 0, fmt.Errorf("%w: frame %d bytes, block %d", ErrBlockFull, need, w.cfg.BlockSize)
+				}
+				if simBlocks == 0 || simTailUsed+need > simTailCap {
+					alloc := w.cfg.BlockSize
+					if !w.cfg.UserHeap {
+						alloc = max(need, groupTotal) + blockLinkSize
+					}
+					simBlocks++
+					s.newBlocks++
+					s.maxAlloc = max(s.maxAlloc, alloc)
+					// Heapo rounds allocations up to whole pages.
+					simTailCap = (alloc + heapo.PageSize - 1) / heapo.PageSize * heapo.PageSize
+					simTailUsed = blockLinkSize
+				}
+				simTailUsed += need
+			}
+		}
+	}
+	return payloadBytes, nil
+}
+
+// reserve promises every stream the blocks planAppend found it needs —
+// one reservation per stream, so admission accounting stays per-writer
+// even though the flush is shared. A denial releases what was already
+// promised and fails before any NVRAM mutation.
+func (w *NVWAL) reserve(streams []*Stream) error {
+	for i, s := range streams {
+		if s.newBlocks == 0 {
+			continue
+		}
+		if err := w.heap.ReserveInto(&s.resv, s.newBlocks, s.maxAlloc); err != nil {
+			w.unreserve(streams[:i])
+			return fmt.Errorf("%w: cannot promise %d blocks of %d bytes for stream %d: %v",
+				ErrLogFull, s.newBlocks, s.maxAlloc, s.id, err)
+		}
+	}
+	return nil
+}
+
+func (w *NVWAL) unreserve(streams []*Stream) {
+	w.res = nil
+	for _, s := range streams {
+		if s.newBlocks > 0 {
+			s.resv.Release()
+		}
+	}
 }
 
 // abortAppend unwinds a failed append back to the pre-transaction
@@ -955,7 +966,7 @@ func (w *NVWAL) planFrames(frames []pager.Frame) (*writePlan, error) {
 // restored, the dangling link is cleared, and the first garbage frame
 // slot is invalidated (same no-resurrection discipline recovery
 // applies at its resume point). Volatile indexes were not yet touched —
-// writeFramesLog updates them only after all NVRAM writes succeed. An
+// appendStreams publishes only after all NVRAM writes succeed. An
 // unwind that itself fails latches the writer.
 func (w *NVWAL) abortAppend(nBlocks, tailUsed int, cause error) error {
 	for i := len(w.blocks) - 1; i >= nBlocks; i-- {
@@ -983,144 +994,103 @@ func (w *NVWAL) abortAppend(nBlocks, tailUsed int, cause error) error {
 	return cause
 }
 
-func (w *NVWAL) writeFramesLog(frames []pager.Frame, commit bool) error {
-	return w.writeFramesMode(frames, commit, 0)
-}
-
-// writeFramesMode is the shared append path. prepGtx == 0 is the
-// ordinary Algorithm 1 commit; prepGtx != 0 appends the same physical
-// frames but writes preparedFlag|prepGtx as the (provisional) mark and
-// defers the volatile publish into w.pendingPrep — the 2PC prepare.
-// Crash-injection hooks fire at the same steps in both modes.
-func (w *NVWAL) writeFramesMode(frames []pager.Frame, commit bool, prepGtx uint64) error {
-	if len(frames) == 0 && prepGtx == 0 {
-		return nil
-	}
-	// Plan first, then reserve: after this point the append cannot run
-	// out of NVRAM space mid-way — every block it will link is promised.
-	plan, err := w.planFrames(frames)
+// appendStreams is sqliteWriteWalFramesToNVRAM (Algorithm 1), the one
+// append path under every commit entry point: log every staged frame of
+// every stream (frames of one stream stay consecutive and streams
+// append in the given order — the commit order — so recovery's linear
+// scan replays them with no reordering), enforce the transaction-aware
+// persistency guarantee, write and persist the mark on the final frame,
+// and publish. mark is 0 (log only), commitValue, or preparedFlag|gtx —
+// the 2PC prepare, which appends the same physical frames under the
+// provisional mark and holds the publish in w.pendingPrep until the
+// coordinator decides; its streams must not be reused meanwhile. txns
+// is the number of logical transactions the append commits. Caller
+// holds w.mu and has checked writable.
+//
+// Plan first, then reserve: after that the append cannot run out of
+// NVRAM space mid-way — every block it will link is promised — so
+// exhaustion is a clean, retryable ErrLogFull with nothing to unwind.
+func (w *NVWAL) appendStreams(streams []*Stream, mark uint64, txns int) error {
+	payloadBytes, err := w.planAppend(streams)
 	if err != nil {
-		return err // read-only failure: nothing to latch
+		return err
 	}
-	if plan.newBlocks > 0 && !w.disableReserve {
-		if err := w.heap.ReserveInto(&w.resv, plan.newBlocks, plan.maxAlloc); err != nil {
-			return fmt.Errorf("%w: cannot promise %d blocks of %d bytes: %v",
-				ErrLogFull, plan.newBlocks, plan.maxAlloc, err)
+	if !w.disableReserve {
+		if err := w.reserve(streams); err != nil {
+			return err
 		}
-		w.res = &w.resv
-		defer func() {
-			w.res = nil
-			w.resv.Release()
-		}()
+		defer w.unreserve(streams)
 	}
 	undoBlocks, undoTail := len(w.blocks), w.tailUsed
-
-	var (
-		written     []frameRef
-		hist        []histFrame
-		newVersions map[uint32][]byte
-	)
-	if prepGtx != 0 {
-		// Prepared appends own their buffers: they outlive this call
-		// (until the coordinator decides), so the reusable commit-path
-		// scratch cannot back them.
-		written = make([]frameRef, 0, plan.frames)
-		hist = make([]histFrame, 0, plan.frames)
-		newVersions = make(map[uint32][]byte, len(frames))
-	} else {
-		written = w.written[:0]
-		hist = w.newHist[:0]
-		newVersions = w.versionScratch()
-	}
+	w.written, w.newHist = w.written[:0], w.newHist[:0]
 	chain := w.chain
 	// One arena holds every history payload of this append — the plan
 	// already knows the total — so snapshot bookkeeping costs a single
 	// allocation instead of one per frame. The arena is handed off to
-	// w.history below and dropped wholesale when a checkpoint retires
-	// these frames.
-	arena := make([]byte, plan.payloadBytes)
+	// w.history by publish and dropped wholesale when a checkpoint
+	// retires these frames.
+	arena := make([]byte, payloadBytes)
 
-	for i := range plan.items {
-		it := &plan.items[i]
-		fr := it.fr
-		if it.skip {
-			// Identical image: the version the log already holds is
-			// byte-for-byte this one, so there is nothing to replace.
-			continue
+	for _, s := range streams {
+		w.res = nil
+		if s.newBlocks > 0 && !w.disableReserve {
+			w.res = &s.resv
 		}
-		groupTotal := 0
-		for _, e := range it.extents {
-			groupTotal += align8(frameHdrSize + e.Len)
-		}
-		if !w.cfg.UserHeap && len(w.blocks) > 0 {
-			// Legacy path: one Heapo allocation per dirty page's WAL
-			// frame — leftover tail space is not reused across frames.
-			w.tailUsed = w.tailCapacity()
-		}
-		for _, e := range it.extents {
-			payload := fr.Data[e.Off : e.Off+e.Len]
-			size := frameHdrSize + len(payload)
-			addr, err := w.allocFrameSpace(size, groupTotal)
-			if err != nil {
-				if prepGtx == 0 {
-					w.written, w.newHist = written[:0], hist[:0]
+		for i := range s.pages {
+			sp := &s.pages[i]
+			groupTotal := frameGroupBytes(sp.extents)
+			if !w.cfg.UserHeap && len(w.blocks) > 0 {
+				// Legacy path: one Heapo allocation per dirty page's WAL
+				// frame — leftover tail space is not reused across frames.
+				w.tailUsed = w.tailCapacity()
+			}
+			for _, e := range sp.extents {
+				payload := sp.img[e.Off : e.Off+e.Len]
+				size := frameHdrSize + len(payload)
+				addr, err := w.allocFrameSpace(size, groupTotal)
+				if err != nil {
+					return w.abortAppend(undoBlocks, undoTail, err)
 				}
-				return w.abortAppend(undoBlocks, undoTail, err)
+				chain = w.encodeFrameAt(addr, sp.pgno, e.Off, payload, chain, sp.full, s.id)
+				w.step(StepAfterMemcpy)
+				switch w.cfg.Sync {
+				case SyncEager, SyncStrictPersistency:
+					// Figure 4(b): synchronize per log entry. Under §4.4
+					// strict persistency that costs no instructions, but
+					// each log write drains before the next may persist.
+					w.persistRange(addr, size)
+				}
+				w.written = append(w.written, frameRef{addr: addr, size: size})
+				pl := arena[:len(payload):len(payload)]
+				arena = arena[len(payload):]
+				copy(pl, payload)
+				w.newHist = append(w.newHist, histFrame{pgno: sp.pgno, off: e.Off, full: sp.full, payload: pl})
+				w.m.Inc(MetricLoggedBytes, int64(size))
 			}
-			chain = w.encodeFrameAt(addr, fr.Pgno, e.Off, payload, chain, it.full, 0)
-			w.step(StepAfterMemcpy)
-			switch w.cfg.Sync {
-			case SyncEager:
-				// Figure 4(b): synchronize per log entry.
-				w.dev.MemoryBarrier()
-				w.dev.Syscall()
-				w.dev.Flush(addr, addr+uint64(size))
-				w.dev.MemoryBarrier()
-				w.dev.PersistBarrier()
-			case SyncStrictPersistency:
-				// §4.4: the hardware orders every persist with the
-				// volatile memory order — no instructions, but each log
-				// write drains before the next may persist.
-				w.dev.Domain().EpochBarrier()
-			}
-			written = append(written, frameRef{addr: addr, size: size, pgno: fr.Pgno})
-			pl := arena[:len(payload):len(payload)]
-			arena = arena[len(payload):]
-			copy(pl, payload)
-			hist = append(hist, histFrame{pgno: fr.Pgno, off: e.Off, full: it.full, payload: pl})
-			w.m.Inc(MetricLoggedBytes, int64(size))
 		}
-		img := make([]byte, w.pageSize)
-		copy(img, fr.Data)
-		newVersions[fr.Pgno] = img
 	}
 
+	var markAddr uint64
+	if len(w.written) > 0 {
+		markAddr = w.written[len(w.written)-1].addr
+	}
+	marked := mark != 0 && len(w.written) > 0
 	// The deliberate ordering bug (see Config.UnsafeEarlyCommitMark):
 	// persist the commit mark while the frames it covers are still
 	// dirty in cache, then let the batch flush queue them without a
 	// persist barrier. The transaction is acknowledged durable while
 	// its frames would not survive a power failure.
-	markVal := uint64(commitValue)
-	if prepGtx != 0 {
-		markVal = preparedFlag | prepGtx
-	}
 	earlyMark := w.cfg.UnsafeEarlyCommitMark && w.cfg.Sync == SyncLazy
-	if earlyMark && commit && len(written) > 0 {
-		last := written[len(written)-1]
-		w.dev.PutUint64(last.addr, markVal)
-		w.dev.MemoryBarrier()
-		w.dev.Syscall()
-		w.dev.Flush(last.addr, last.addr+8)
-		w.dev.MemoryBarrier()
-		w.dev.PersistBarrier()
+	if marked && earlyMark {
+		w.persistMark(markAddr, mark)
 	}
 
 	switch {
-	case w.cfg.Sync == SyncLazy && len(written) > 0:
+	case w.cfg.Sync == SyncLazy && len(w.written) > 0:
 		// Algorithm 1 lines 21–28: one dmb, a batch of per-frame
 		// cache_line_flush syscalls, a dmb, and one persist barrier.
 		w.dev.MemoryBarrier()
-		for _, f := range written {
+		for _, f := range w.written {
 			w.dev.Syscall()
 			w.dev.Flush(f.addr, f.addr+uint64(f.size))
 		}
@@ -1128,7 +1098,7 @@ func (w *NVWAL) writeFramesMode(frames []pager.Frame, commit bool, prepGtx uint6
 		if !earlyMark {
 			w.dev.PersistBarrier()
 		}
-	case w.cfg.Sync == SyncEpochPersistency && len(written) > 0:
+	case w.cfg.Sync == SyncEpochPersistency && len(w.written) > 0:
 		// §4.4 relaxed persistency: one hardware epoch boundary closes
 		// the logging phase; no flush instructions, no kernel crossing.
 		w.dev.Domain().EpochBarrier()
@@ -1137,43 +1107,46 @@ func (w *NVWAL) writeFramesMode(frames []pager.Frame, commit bool, prepGtx uint6
 	// checksums written above let recovery detect torn log entries.
 	w.step(StepAfterLogFlush)
 
-	if commit && len(written) > 0 && !earlyMark {
-		// Algorithm 1 lines 29–35: set the commit mark (or, for a 2PC
-		// prepare, the provisional mark) in the last frame's header and
-		// persist it with 8-byte atomicity.
-		last := written[len(written)-1]
-		w.dev.PutUint64(last.addr, markVal)
-		w.step(StepAfterCommitWrite)
-		switch w.cfg.Sync {
-		case SyncStrictPersistency, SyncEpochPersistency:
-			w.dev.Domain().EpochBarrier()
-		default:
-			w.dev.MemoryBarrier()
-			w.dev.Syscall()
-			w.dev.Flush(last.addr, last.addr+8)
-			w.dev.MemoryBarrier()
-			w.dev.PersistBarrier()
-		}
-		w.step(StepAfterCommitFlush)
+	if marked && !earlyMark {
+		w.persistMark(markAddr, mark)
 	}
 
-	if prepGtx != 0 {
+	if mark&preparedFlag != 0 {
 		// Prepare stops here: the frames are durable under a provisional
 		// mark, but none of the volatile state advances until the
-		// coordinator's decision. writeFrames/beginCheckpoint refuse new
-		// work meanwhile, so these frames remain the log tail.
+		// coordinator's decision. writable/beginCheckpoint refuse new
+		// work meanwhile, so these frames remain the log tail. The
+		// history records outlive this call, so they leave the scratch.
 		w.pendingPrep = &preparedTxn{
-			gtx:        prepGtx,
-			written:    written,
-			hist:       hist,
-			newVers:    newVersions,
+			gtx:        mark &^ preparedFlag,
+			markAddr:   markAddr,
+			hist:       slices.Clone(w.newHist),
+			streams:    streams,
 			chainAfter: chain,
 			undoBlocks: undoBlocks,
 			undoTail:   undoTail,
 		}
 		return nil
 	}
+	w.publish(chain, w.newHist, streams, txns)
+	return nil
+}
 
+// persistMark is Algorithm 1 lines 29–35: set the mark — commit, or a
+// 2PC prepare's provisional one — in a frame header and persist it with
+// 8-byte atomicity.
+func (w *NVWAL) persistMark(addr, mark uint64) {
+	w.dev.PutUint64(addr, mark)
+	w.step(StepAfterCommitWrite)
+	w.persistRange(addr, 8)
+	w.step(StepAfterCommitFlush)
+}
+
+// publish advances the volatile state over an appended frame set: the
+// checksum chain, the snapshot history with its per-page index, and
+// each staged page's new version image (ownership passes to the log;
+// later streams win, as they appended later).
+func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns int) {
 	w.chain = chain
 	for _, f := range hist {
 		if _, tracked := w.byPage[f.pgno]; !tracked && !f.full {
@@ -1186,41 +1159,15 @@ func (w *NVWAL) writeFramesMode(frames []pager.Frame, commit bool, prepGtx uint6
 		w.byPage[f.pgno] = append(w.byPage[f.pgno], w.histBase+len(w.history))
 		w.history = append(w.history, f)
 	}
-	for pgno, img := range newVersions {
-		w.versions[pgno] = img
+	for _, s := range streams {
+		for i := range s.pages {
+			w.versions[s.pages[i].pgno] = s.pages[i].img
+		}
 	}
-	// Hand the (possibly grown) scratch backing arrays back to the
-	// writer so the next transaction reuses their capacity.
-	w.written, w.newHist = written[:0], hist[:0]
-	w.m.Inc(metrics.WALFrames, int64(len(written)))
-	if commit {
-		w.m.Inc(metrics.Transactions, 1)
+	w.m.Inc(metrics.WALFrames, int64(len(hist)))
+	if txns > 0 {
+		w.m.Inc(metrics.Transactions, int64(txns))
 	}
-	return nil
-}
-
-// maxReusedVersions bounds how large a transaction's new-version map
-// may have been for the next transaction to reuse it. Clearing and
-// ranging over a map that once held 256 entries costs a two-page commit
-// 0.7 µs (5.7 µs after a 2 525-page replica seed), and a transaction
-// above the bound logs enough frames itself that the one map its
-// successor allocates is noise (results/BENCH_hostcost.json,
-// version_scratch_isolated).
-const maxReusedVersions = 256
-
-// versionScratch returns the empty pgno → image map the commit path
-// fills. The previous transaction's map is reused unless that
-// transaction was large: a Go map never shrinks, so after one bulk
-// append (a replica seed, a populate) clearing and ranging over it
-// would cost that append's size on every commit that follows. Caller
-// holds w.mu.
-func (w *NVWAL) versionScratch() map[uint32][]byte {
-	if w.newVers == nil || len(w.newVers) > maxReusedVersions {
-		w.newVers = make(map[uint32][]byte)
-	} else {
-		clear(w.newVers)
-	}
-	return w.newVers
 }
 
 // PageVersion implements pager.Journal.

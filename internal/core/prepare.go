@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/pager"
 )
 
@@ -45,13 +44,17 @@ func (w *NVWAL) PrepareTransaction(frames []pager.Frame, gtx uint64) error {
 	}
 	w.lockWriter()
 	defer w.mu.Unlock()
-	if w.broken != nil {
-		return w.broken
+	if err := w.writable(); err != nil {
+		return err
 	}
-	if w.pendingPrep != nil {
-		return ErrPreparedPending
+	// The staged images and history records are held until the decision,
+	// so the prepare stages into a stream of its own, not the writer's
+	// scratch one.
+	s := w.newStream(0)
+	if err := w.stageFrames(&s, frames); err != nil {
+		return err
 	}
-	return w.writeFramesMode(frames, true, gtx)
+	return w.appendStreams([]*Stream{&s}, preparedFlag|gtx, 0)
 }
 
 // CompletePrepared commits the pending prepared transaction: the
@@ -69,37 +72,11 @@ func (w *NVWAL) CompletePrepared(gtx uint64) error {
 	if p == nil || p.gtx != gtx {
 		return fmt.Errorf("%w: gtx %d", ErrNoPrepared, gtx)
 	}
-	if len(p.written) > 0 {
-		last := p.written[len(p.written)-1]
-		w.dev.PutUint64(last.addr, commitValue)
-		w.step(StepAfterCommitWrite)
-		switch w.cfg.Sync {
-		case SyncStrictPersistency, SyncEpochPersistency:
-			w.dev.Domain().EpochBarrier()
-		default:
-			w.dev.MemoryBarrier()
-			w.dev.Syscall()
-			w.dev.Flush(last.addr, last.addr+8)
-			w.dev.MemoryBarrier()
-			w.dev.PersistBarrier()
-		}
-		w.step(StepAfterCommitFlush)
+	if len(p.hist) > 0 {
+		w.persistMark(p.markAddr, commitValue)
 	}
-	// Publish, exactly as writeFramesMode does for an ordinary commit.
-	w.chain = p.chainAfter
-	for _, f := range p.hist {
-		if _, tracked := w.byPage[f.pgno]; !tracked && !f.full {
-			w.base[f.pgno] = w.versions[f.pgno]
-		}
-		w.byPage[f.pgno] = append(w.byPage[f.pgno], w.histBase+len(w.history))
-		w.history = append(w.history, f)
-	}
-	for pgno, img := range p.newVers {
-		w.versions[pgno] = img
-	}
+	w.publish(p.chainAfter, p.hist, p.streams, 1)
 	w.pendingPrep = nil
-	w.m.Inc(metrics.WALFrames, int64(len(p.written)))
-	w.m.Inc(metrics.Transactions, 1)
 	return nil
 }
 
@@ -116,7 +93,7 @@ func (w *NVWAL) AbortPrepared(gtx uint64) error {
 		return fmt.Errorf("%w: gtx %d", ErrNoPrepared, gtx)
 	}
 	w.pendingPrep = nil
-	if len(p.written) == 0 {
+	if len(p.hist) == 0 {
 		return nil
 	}
 	return w.abortAppend(p.undoBlocks, p.undoTail, nil)

@@ -276,45 +276,3 @@ func TestRecycledBlockCannotResurrectPrepared(t *testing.T) {
 	}
 	commitPages(t, w3, map[uint32][]byte{4: fullPage(0x44)})
 }
-
-// TestPrepareCrashSteps drives the crash hook through every step of the
-// prepare append and verifies all-or-nothing for each failure point
-// under both resolver decisions.
-func TestPrepareCrashSteps(t *testing.T) {
-	for _, step := range WriteSteps() {
-		for _, decided := range []bool{true, false} {
-			e := newEnv(t)
-			cfg := VariantUHLSDiff()
-			w := e.open(t, cfg)
-			commitPages(t, w, map[uint32][]byte{2: fullPage(0x11)})
-			crashed, perr := runUntil(w, step, func() error {
-				return w.PrepareTransaction([]pager.Frame{{Pgno: 3, Data: fullPage(0x22)}}, 42)
-			})
-			if !crashed && perr != nil {
-				t.Fatalf("step %s: prepare failed without crashing: %v", step, perr)
-			}
-			if decided {
-				cfg.PreparedResolver = resolverFor(42)
-			} else {
-				cfg.PreparedResolver = nil
-			}
-			w2 := e.reopen(t, cfg, memsim.FailDropAll, 11)
-			got, ok := w2.PageVersion(3)
-			if ok && !bytes.Equal(got, fullPage(0x22)) {
-				t.Fatalf("step %s decided=%v: partial page state", step, decided)
-			}
-			// Before the provisional mark persists the transaction may
-			// legally vanish even if decided; it must never survive
-			// undecided with a flipped mark.
-			if !decided && ok {
-				// Only legal if the prepared mark never became durable AND
-				// a commit mark appeared — impossible; fail hard.
-				t.Fatalf("step %s: undecided prepared transaction survived", step)
-			}
-			if got, ok := w2.PageVersion(2); !ok || !bytes.Equal(got, fullPage(0x11)) {
-				t.Fatalf("step %s decided=%v: earlier commit lost (ok=%v)", step, decided, ok)
-			}
-			commitPages(t, w2, map[uint32][]byte{4: fullPage(0x44)})
-		}
-	}
-}

@@ -226,8 +226,7 @@ func (w *NVWAL) recover() error {
 				break
 			}
 			a := blocks[fr.blockIdx].Addr + uint64(fr.blockOff)
-			w.dev.PutUint64(a, commitValue)
-			w.persistRange(a, 8)
+			w.persistMark(a, commitValue)
 			scanned[i].commit = true
 			lastCommit = i
 			rep.eventf("in-doubt transaction %d resolved committed from the coordinator record; provisional mark flipped at block %#x off %d",

@@ -31,8 +31,15 @@ type Stream struct {
 	differential bool
 	gapMerge     int
 
-	pages        []stagedPage
-	payloadBytes int
+	pages []stagedPage
+
+	// This stream's share of the merged append it is part of, owned by
+	// the append kernel under w.mu: the fresh blocks its frames force,
+	// the largest single allocation among them, and the heap reservation
+	// promising both.
+	newBlocks int
+	maxAlloc  int
+	resv      heapo.Reservation
 }
 
 // stagedPage is one page's precomputed logging work inside a stream.
@@ -43,18 +50,36 @@ type stagedPage struct {
 	extents []Extent
 }
 
-// NewStream hands out a per-writer stream. Tags cycle through the
-// 12-bit space (0 is reserved for untagged frames); they are provenance
-// for the on-NVRAM format and debugging, not identity — two live
-// streams may share a tag after 4095 allocations without harm.
-func (w *NVWAL) NewStream() *Stream {
-	tag := w.streamTag.Add(1)%maxStreamTag + 1
-	return &Stream{
+// setFull gives the page the §3.2 full-frame shape: one extent from
+// offset 0 with the trailing clean (zero) region truncated, so
+// early-split pages fit the user-heap block layout. Replay of a full
+// frame resets the page to zero first, so the truncation can never
+// resurrect stale tail bytes from an older database-file image.
+func (sp *stagedPage) setFull() {
+	n := len(sp.img) - trailingZeros(sp.img)
+	if n == 0 {
+		n = 8 // all-zero page: log a minimal frame
+	}
+	sp.full = true
+	sp.extents = append(sp.extents[:0], Extent{Off: 0, Len: n})
+}
+
+func (w *NVWAL) newStream(tag uint32) Stream {
+	return Stream{
 		id:           tag,
 		pageSize:     w.pageSize,
 		differential: w.cfg.Differential,
 		gapMerge:     w.cfg.GapMerge,
 	}
+}
+
+// NewStream hands out a per-writer stream. Tags cycle through the
+// 12-bit space (0 is reserved for untagged frames); they are provenance
+// for the on-NVRAM format and debugging, not identity — two live
+// streams may share a tag after 4095 allocations without harm.
+func (w *NVWAL) NewStream() *Stream {
+	s := w.newStream(w.streamTag.Add(1)%maxStreamTag + 1)
+	return &s
 }
 
 // ID returns the stream's frame tag.
@@ -63,93 +88,69 @@ func (s *Stream) ID() uint32 { return s.id }
 // Pages returns the number of staged pages.
 func (s *Stream) Pages() int { return len(s.pages) }
 
-// Reset empties the stream for reuse, keeping staged-page capacity.
+// Reset empties the stream for reuse, keeping the staged pages' slots
+// and their extent arrays.
 func (s *Stream) Reset() {
 	for i := range s.pages {
 		s.pages[i].img = nil
 	}
 	s.pages = s.pages[:0]
-	s.payloadBytes = 0
 }
 
 // StagePage stages one dirty page: img is the page's new full image
 // (ownership passes to the stream — the caller must not mutate it
 // afterwards) and base, when non-nil under differential logging, is the
-// image the writer's snapshot read, against which the dirty extents are
-// computed. A nil base stages a full frame (first touch, trailing clean
-// bytes truncated per §3.2). Returns false when img is byte-identical
-// to base — a no-op write that needs no frame, no conflict claim, and
-// no version bump.
+// image the dirty extents are computed against (§3.2: the page already
+// has frames in the log, so only the differences need logging). A nil
+// base stages a full frame (first touch). Returns false when img is
+// byte-identical to base — a no-op write that needs no frame, no
+// conflict claim, and no version bump.
 func (s *Stream) StagePage(pgno uint32, img, base []byte) (bool, error) {
 	if len(img) != s.pageSize {
 		return false, fmt.Errorf("nvwal: staged page %d has %d bytes, want %d", pgno, len(img), s.pageSize)
 	}
-	sp := stagedPage{pgno: pgno, img: img, full: true}
+	// Take the next slot, with whatever extent array an earlier use of
+	// the stream left in it.
+	n := len(s.pages)
+	if n < cap(s.pages) {
+		s.pages = s.pages[:n+1]
+	} else {
+		s.pages = append(s.pages, stagedPage{})
+	}
+	sp := &s.pages[n]
+	sp.pgno, sp.img = pgno, img
 	if s.differential && base != nil {
 		sp.full = false
-		sp.extents = diffExtents(base, img, s.gapMerge)
+		sp.extents = diffExtentsInto(sp.extents, base, img, s.gapMerge)
 		if len(sp.extents) == 0 {
+			sp.img = nil
+			s.pages = s.pages[:n]
 			return false, nil
 		}
 	} else {
-		sp.extents = fullExtents(img)
+		sp.setFull()
 	}
-	s.pages = append(s.pages, sp)
-	s.payloadBytes += extentBytes(sp.extents)
 	return true, nil
 }
 
-// fullExtents is the §3.2 full-frame shape: one extent from offset 0
-// with the trailing clean (zero) region truncated.
-func fullExtents(img []byte) []Extent {
-	n := len(img) - trailingZeros(img)
-	if n == 0 {
-		n = 8 // all-zero page: log a minimal frame
-	}
-	return []Extent{{Off: 0, Len: n}}
-}
-
-// streamPlan is one stream's share of a merged append: the fresh blocks
-// its frames force given the tail state the preceding streams leave
-// behind, and the largest single allocation among them. Each stream
-// gets its own heap reservation, so admission accounting stays
-// per-writer even though the flush is shared.
-type streamPlan struct {
-	newBlocks int
-	maxAlloc  int
-	frames    int
-}
-
-// CommitStreams merges the ready streams into one Algorithm 1 commit:
-// every staged frame of every stream is appended (frames of one stream
-// stay consecutive and streams append in the given order — the commit
-// order — so recovery's linear scan replays the interleaved streams
-// correctly with no reordering), then one flush batch, one persist
-// barrier, and a single commit mark on the final frame cover the whole
-// group. txns is the number of logical transactions the group carries
-// (streams with zero staged pages still committed).
-//
-// Space admission mirrors the solo path: each stream's block need is
-// planned and reserved before any NVRAM mutation, so exhaustion is a
-// clean, retryable ErrLogFull with nothing to unwind.
+// CommitStreams merges the ready streams into one commit: one append,
+// one flush batch, one persist barrier and a single commit mark on the
+// final frame cover the whole group. txns is the number of logical
+// transactions the group carries (streams with zero staged pages still
+// committed).
 func (w *NVWAL) CommitStreams(streams []*Stream, txns int) error {
 	w.lockWriter()
 	defer w.mu.Unlock()
-	if w.broken != nil {
-		return w.broken
+	if err := w.writable(); err != nil {
+		return err
 	}
-	if w.pendingPrep != nil {
-		return ErrPreparedPending
-	}
-
 	// A page staged differentially whose base came from the database
 	// file (never logged, or checkpointed and dropped from the index)
 	// would replay from zero under PageVersionAt unless the log knows
 	// its base. If the log holds no version for it and no earlier
 	// stream in this group stages it first, convert the frame to a full
-	// one — same first-touch rule the solo path applies.
-	seen := make(map[uint32]bool)
-	totalFrames, totalPayload := 0, 0
+	// one — same first-touch rule the legacy staging applies.
+	seen := w.seenScratch()
 	for _, s := range streams {
 		if s.pageSize != w.pageSize {
 			return fmt.Errorf("nvwal: stream page size %d, log %d", s.pageSize, w.pageSize)
@@ -157,211 +158,39 @@ func (w *NVWAL) CommitStreams(streams []*Stream, txns int) error {
 		for i := range s.pages {
 			sp := &s.pages[i]
 			if !sp.full {
-				if _, ok := w.versions[sp.pgno]; !ok && !seen[sp.pgno] {
-					sp.full = true
-					sp.extents = fullExtents(sp.img)
+				_, logged := w.versions[sp.pgno]
+				if _, staged := seen[sp.pgno]; !logged && !staged {
+					sp.setFull()
 				}
 			}
-			seen[sp.pgno] = true
-			totalFrames += len(sp.extents)
-			totalPayload += extentBytes(sp.extents)
+			seen[sp.pgno] = struct{}{}
 		}
 	}
-	if totalFrames == 0 {
-		// Every member coalesced to nothing: the transactions still
-		// committed and must be tallied, but nothing reaches NVRAM.
-		w.m.Inc(metrics.Transactions, int64(txns))
-		if txns > 1 {
-			w.m.Inc(metrics.GroupCommits, 1)
-		}
-		return nil
+	if err := w.appendStreams(streams, commitValue, txns); err != nil {
+		return err
 	}
-
-	// Plan per stream against the running simulated tail, then reserve
-	// per stream. A denial releases everything already promised and
-	// fails before any mutation.
-	plans := make([]streamPlan, len(streams))
-	simBlocks, simTailCap, simTailUsed := len(w.blocks), w.tailCapacity(), w.tailUsed
-	for i, s := range streams {
-		p := &plans[i]
-		for j := range s.pages {
-			sp := &s.pages[j]
-			groupTotal := 0
-			for _, e := range sp.extents {
-				groupTotal += align8(frameHdrSize + e.Len)
-			}
-			p.frames += len(sp.extents)
-			if !w.cfg.UserHeap && simBlocks > 0 {
-				simTailUsed = simTailCap // legacy: tail space not reused across frames
-			}
-			for _, e := range sp.extents {
-				need := align8(frameHdrSize + e.Len)
-				if w.cfg.UserHeap && need > w.cfg.BlockSize-blockLinkSize {
-					return fmt.Errorf("%w: frame %d bytes, block %d", ErrBlockFull, need, w.cfg.BlockSize)
-				}
-				if simBlocks == 0 || simTailUsed+need > simTailCap {
-					alloc := w.cfg.BlockSize
-					if !w.cfg.UserHeap {
-						alloc = need
-						if groupTotal > alloc {
-							alloc = groupTotal
-						}
-						alloc += blockLinkSize
-					}
-					simBlocks++
-					p.newBlocks++
-					if alloc > p.maxAlloc {
-						p.maxAlloc = alloc
-					}
-					simTailCap = (alloc + heapo.PageSize - 1) / heapo.PageSize * heapo.PageSize
-					simTailUsed = blockLinkSize
-				}
-				simTailUsed += need
-			}
-		}
-	}
-	resvs := make([]heapo.Reservation, len(streams))
-	if !w.disableReserve {
-		for i := range streams {
-			if plans[i].newBlocks == 0 {
-				continue
-			}
-			if err := w.heap.ReserveInto(&resvs[i], plans[i].newBlocks, plans[i].maxAlloc); err != nil {
-				for j := 0; j < i; j++ {
-					if plans[j].newBlocks > 0 {
-						resvs[j].Release()
-					}
-				}
-				return fmt.Errorf("%w: cannot promise %d blocks of %d bytes for stream %d: %v",
-					ErrLogFull, plans[i].newBlocks, plans[i].maxAlloc, streams[i].id, err)
-			}
-		}
-		defer func() {
-			w.res = nil
-			for i := range resvs {
-				if plans[i].newBlocks > 0 {
-					resvs[i].Release()
-				}
-			}
-		}()
-	}
-
-	undoBlocks, undoTail := len(w.blocks), w.tailUsed
-	written := w.written[:0]
-	hist := w.newHist[:0]
-	newVersions := w.versionScratch()
-	chain := w.chain
-	arena := make([]byte, totalPayload)
-
-	for i, s := range streams {
-		if !w.disableReserve && plans[i].newBlocks > 0 {
-			w.res = &resvs[i]
-		} else {
-			w.res = nil
-		}
-		for j := range s.pages {
-			sp := &s.pages[j]
-			groupTotal := 0
-			for _, e := range sp.extents {
-				groupTotal += align8(frameHdrSize + e.Len)
-			}
-			if !w.cfg.UserHeap && len(w.blocks) > 0 {
-				w.tailUsed = w.tailCapacity()
-			}
-			for _, e := range sp.extents {
-				payload := sp.img[e.Off : e.Off+e.Len]
-				size := frameHdrSize + len(payload)
-				addr, err := w.allocFrameSpace(size, groupTotal)
-				if err != nil {
-					w.written, w.newHist = written[:0], hist[:0]
-					return w.abortAppend(undoBlocks, undoTail, err)
-				}
-				chain = w.encodeFrameAt(addr, sp.pgno, e.Off, payload, chain, sp.full, s.id)
-				w.step(StepAfterMemcpy)
-				switch w.cfg.Sync {
-				case SyncEager:
-					w.dev.MemoryBarrier()
-					w.dev.Syscall()
-					w.dev.Flush(addr, addr+uint64(size))
-					w.dev.MemoryBarrier()
-					w.dev.PersistBarrier()
-				case SyncStrictPersistency:
-					w.dev.Domain().EpochBarrier()
-				}
-				written = append(written, frameRef{addr: addr, size: size, pgno: sp.pgno})
-				pl := arena[:len(payload):len(payload)]
-				arena = arena[len(payload):]
-				copy(pl, payload)
-				hist = append(hist, histFrame{pgno: sp.pgno, off: e.Off, full: sp.full, payload: pl})
-				w.m.Inc(MetricLoggedBytes, int64(size))
-			}
-			newVersions[sp.pgno] = sp.img
-		}
-	}
-	w.res = nil
-
-	earlyMark := w.cfg.UnsafeEarlyCommitMark && w.cfg.Sync == SyncLazy
-	if earlyMark {
-		last := written[len(written)-1]
-		w.dev.PutUint64(last.addr, commitValue)
-		w.dev.MemoryBarrier()
-		w.dev.Syscall()
-		w.dev.Flush(last.addr, last.addr+8)
-		w.dev.MemoryBarrier()
-		w.dev.PersistBarrier()
-	}
-
-	switch {
-	case w.cfg.Sync == SyncLazy:
-		w.dev.MemoryBarrier()
-		for _, f := range written {
-			w.dev.Syscall()
-			w.dev.Flush(f.addr, f.addr+uint64(f.size))
-		}
-		w.dev.MemoryBarrier()
-		if !earlyMark {
-			w.dev.PersistBarrier()
-		}
-	case w.cfg.Sync == SyncEpochPersistency:
-		w.dev.Domain().EpochBarrier()
-	}
-	w.step(StepAfterLogFlush)
-
-	if !earlyMark {
-		last := written[len(written)-1]
-		w.dev.PutUint64(last.addr, commitValue)
-		w.step(StepAfterCommitWrite)
-		switch w.cfg.Sync {
-		case SyncStrictPersistency, SyncEpochPersistency:
-			w.dev.Domain().EpochBarrier()
-		default:
-			w.dev.MemoryBarrier()
-			w.dev.Syscall()
-			w.dev.Flush(last.addr, last.addr+8)
-			w.dev.MemoryBarrier()
-			w.dev.PersistBarrier()
-		}
-		w.step(StepAfterCommitFlush)
-	}
-
-	w.chain = chain
-	for _, f := range hist {
-		if _, tracked := w.byPage[f.pgno]; !tracked && !f.full {
-			w.base[f.pgno] = w.versions[f.pgno]
-		}
-		w.byPage[f.pgno] = append(w.byPage[f.pgno], w.histBase+len(w.history))
-		w.history = append(w.history, f)
-	}
-	for pgno, img := range newVersions {
-		w.versions[pgno] = img
-	}
-	w.written, w.newHist = written[:0], hist[:0]
-	w.m.Inc(metrics.WALFrames, int64(len(written)))
-	w.m.Inc(metrics.Transactions, int64(txns))
 	if txns > 1 {
 		w.m.Inc(metrics.GroupCommits, 1)
 	}
 	return nil
+}
+
+// maxReusedSeen bounds how large a group's page set may have been for
+// the next group to reuse its map. A Go map never shrinks, so after one
+// bulk session clearing it would cost that session's size on every
+// group that follows; a group above the bound logs enough frames itself
+// that the one map its successor allocates is noise.
+const maxReusedSeen = 256
+
+// seenScratch returns the empty page set CommitStreams fills. Caller
+// holds w.mu.
+func (w *NVWAL) seenScratch() map[uint32]struct{} {
+	if w.seen == nil || len(w.seen) > maxReusedSeen {
+		w.seen = make(map[uint32]struct{})
+	} else {
+		clear(w.seen)
+	}
+	return w.seen
 }
 
 // StreamFrames converts a stream's staged pages into plain pager frames

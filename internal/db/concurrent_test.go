@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/pager"
 )
 
 // concurrentOpts returns a Concurrent-mode NVWAL configuration with
@@ -379,28 +378,5 @@ func TestGroupFlushFailureDisablesEngine(t *testing.T) {
 	}
 	if err := d.CreateTable("u"); err == nil {
 		t.Fatal("CreateTable succeeded after a failed group flush")
-	}
-}
-
-// TestCoalesceGroups pins the frame-merge semantics group commit relies
-// on: the last image per page wins and output is ordered by page.
-func TestCoalesceGroups(t *testing.T) {
-	mk := func(pgno uint32, b byte) pager.Frame {
-		return pager.Frame{Pgno: pgno, Data: []byte{b}}
-	}
-	out := pager.CoalesceGroups([][]pager.Frame{
-		{mk(3, 'a'), mk(1, 'b')},
-		{mk(3, 'c')},
-		{mk(2, 'd'), mk(1, 'e')},
-	})
-	want := []pager.Frame{mk(1, 'e'), mk(2, 'd'), mk(3, 'c')}
-	if len(out) != len(want) {
-		t.Fatalf("coalesced to %d frames, want %d", len(out), len(want))
-	}
-	for i := range want {
-		if out[i].Pgno != want[i].Pgno || out[i].Data[0] != want[i].Data[0] {
-			t.Fatalf("frame %d = {%d %q}, want {%d %q}",
-				i, out[i].Pgno, out[i].Data, want[i].Pgno, want[i].Data)
-		}
 	}
 }

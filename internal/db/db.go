@@ -492,17 +492,7 @@ func (d *DB) uncacheTree(table string) {
 // inside an open write transaction (legacy mode reports ErrTxnOpen;
 // Concurrent mode waits for the writer slot).
 func (d *DB) CreateTable(table string) error {
-	if err := d.Degraded(); err != nil {
-		return err
-	}
-	if err := d.admitWriter(context.Background()); err != nil {
-		return err
-	}
-	if err := d.acquireSlot(); err != nil {
-		return err
-	}
-	if err := d.gc.bail(); err != nil {
-		d.releaseSlot()
+	if err := d.enterWriter(context.Background(), false); err != nil {
 		return err
 	}
 	if len(table) == 0 || len(table) > tableNameLen {
@@ -555,17 +545,7 @@ func (d *DB) CreateTable(table string) error {
 // its pages to the freelist. It cannot run inside an open write
 // transaction.
 func (d *DB) DropTable(table string) error {
-	if err := d.Degraded(); err != nil {
-		return err
-	}
-	if err := d.admitWriter(context.Background()); err != nil {
-		return err
-	}
-	if err := d.acquireSlot(); err != nil {
-		return err
-	}
-	if err := d.gc.bail(); err != nil {
-		d.releaseSlot()
+	if err := d.enterWriter(context.Background(), false); err != nil {
 		return err
 	}
 	cat, err := d.readCatalog()
@@ -655,7 +635,8 @@ type Tx struct {
 	// 2PC state (see twopc.go): a prepared transaction keeps its writer
 	// slot and pager transaction until CompletePrepared/AbortPrepared.
 	prepared bool
-	gtx      uint64 // global transaction id from Prepare
+	gtx      uint64        // global transaction id from Prepare
+	frames   []pager.Frame // the prepared frame set, for the seq stamp at CompletePrepared
 }
 
 // Seq returns the transaction's commit sequence number: 1-based,
@@ -676,30 +657,45 @@ func (d *DB) Begin() (*Tx, error) { return d.BeginCtx(context.Background()) }
 // checkpointing frees space, BeginCtx fails with an error matching
 // errors.Is(err, ErrBusy). The context also bounds the commit-side
 // stall of this transaction's Commit (CommitCtx overrides it).
-func (d *DB) BeginCtx(ctx context.Context) (*Tx, error) {
-	if err := d.Degraded(); err != nil {
-		return nil, err
-	}
-	// Admission runs before any lock or registration: a stalled NEW
-	// writer must not block the checkpointer, readers, or in-flight
-	// writers.
-	if err := d.admitWriter(ctx); err != nil {
-		return nil, err
-	}
-	// Register before contending for the slot, so a group waiting for
-	// stragglers knows this writer is on its way.
-	d.gc.register()
-	if err := d.acquireSlot(); err != nil {
-		d.gc.unregister()
-		return nil, err
-	}
-	if err := d.gc.bail(); err != nil {
-		d.releaseSlot()
-		d.gc.unregister()
+func (d *DB) BeginCtx(ctx context.Context) (*Tx, error) { return d.beginTx(ctx, true) }
+
+// beginTx opens a write transaction; ownReg says the transaction
+// registers itself with the group committer (a Writer session's
+// transactions ride on the session's registration instead).
+func (d *DB) beginTx(ctx context.Context, ownReg bool) (*Tx, error) {
+	if err := d.enterWriter(ctx, ownReg); err != nil {
 		return nil, err
 	}
 	d.pg.Begin()
-	return &Tx{db: d, ctx: ctx, ownReg: true}, nil
+	return &Tx{db: d, ctx: ctx, ownReg: ownReg}, nil
+}
+
+// enterWriter admits a writer and returns with the writer slot held.
+// Admission runs before any lock or registration: a stalled NEW writer
+// must not block the checkpointer, readers, or in-flight writers.
+// register announces the writer to the group committer before it
+// contends for the slot, so a group waiting for stragglers knows it is
+// on its way; a failure withdraws the registration.
+func (d *DB) enterWriter(ctx context.Context, register bool) error {
+	if err := d.Degraded(); err != nil {
+		return err
+	}
+	if err := d.admitWriter(ctx); err != nil {
+		return err
+	}
+	if register {
+		d.gc.register()
+	}
+	err := d.acquireSlot()
+	if err == nil {
+		if err = d.gc.bail(); err != nil {
+			d.releaseSlot()
+		}
+	}
+	if err != nil && register {
+		d.gc.unregister()
+	}
+	return err
 }
 
 // Writer is a registered long-lived writer session. Registration is
@@ -728,21 +724,7 @@ func (w *Writer) BeginCtx(ctx context.Context) (*Tx, error) {
 	if w.closed {
 		return nil, errors.New("db: writer session closed")
 	}
-	if err := w.d.Degraded(); err != nil {
-		return nil, err
-	}
-	if err := w.d.admitWriter(ctx); err != nil {
-		return nil, err
-	}
-	if err := w.d.acquireSlot(); err != nil {
-		return nil, err
-	}
-	if err := w.d.gc.bail(); err != nil {
-		w.d.releaseSlot()
-		return nil, err
-	}
-	w.d.pg.Begin()
-	return &Tx{db: w.d, ctx: ctx}, nil
+	return w.d.beginTx(ctx, false)
 }
 
 // Close unregisters the session, releasing any group waiting on it.
@@ -931,76 +913,52 @@ func (tx *Tx) Rollback() {
 // group can enqueue behind it). The deadline bounds any NVRAM-space
 // stall the flush runs into.
 func (d *DB) commitHeldTxn(dl deadline) (uint64, error) {
-	gc := d.gc
-	gc.mu.Lock()
-	if gc.failed != nil {
-		err := gc.failed
-		gc.mu.Unlock()
+	fail := func(err error) (uint64, error) {
 		d.pg.Rollback()
 		d.releaseSlot()
 		return 0, err
+	}
+	frames, err := d.pg.PrepareCommit()
+	if err != nil {
+		return fail(err)
+	}
+	gc := d.gc
+	gc.mu.Lock()
+	if err := gc.failed; err != nil {
+		gc.mu.Unlock()
+		return fail(err)
 	}
 	if len(gc.queue) == 0 && (gc.size <= 1 || gc.writers <= 1) {
 		// Solo fast path: no group to join and no peer on the way.
 		// Flush synchronously while the pager transaction is still open,
 		// so a journal failure — including a backpressure deadline — rolls
-		// it back cleanly. The seq assignment is ordered: no other commit
-		// can touch the journal until this writer releases the slot (the
-		// queue cannot grow either — enqueueing requires the slot), so
-		// taking it after PrepareCommit is safe and lets the version
-		// vector bump cover the actual frame set. The bump must precede
-		// the journal write: an MVCC session snapshotting between the two
-		// would otherwise miss both the frames (not yet in the log) and
-		// the conflict (vector not yet bumped) — a lost update. Bumping
-		// first, a racing session either conflicts (correct) or
-		// snapshots before the seq and conflicts at validation. A failed
-		// flush leaves a stale bump behind, which can only cause a
-		// spurious ErrConflict, never a lost update.
-		gc.mu.Unlock()
-		frames, err := d.pg.PrepareCommit()
-		if err != nil {
-			d.pg.Rollback()
-			d.releaseSlot()
-			return 0, err
-		}
-		gc.mu.Lock()
-		gc.nextSeq++
-		seq := gc.nextSeq
-		gc.bumpFrames(frames, seq)
+		// it back cleanly. The stamp is ordered: no other commit can touch
+		// the journal until this writer releases the slot (the queue
+		// cannot grow either — enqueueing requires the slot). It must
+		// precede the journal write: an MVCC session snapshotting between
+		// the two would otherwise miss both the frames (not yet in the
+		// log) and the conflict (vector not yet bumped) — a lost update.
+		// A failed flush leaves a stale bump behind, which can only cause
+		// a spurious ErrConflict, never a lost update.
+		seq := gc.stamp(frames)
 		gc.mu.Unlock()
 		if err := d.flushSolo(dl, frames); err != nil {
-			d.pg.Rollback()
-			d.releaseSlot()
-			return 0, fmt.Errorf("pager: commit failed, transaction rolled back: %w", err)
+			return fail(fmt.Errorf("pager: commit failed, transaction rolled back: %w", err))
 		}
 		d.pg.FinishCommit()
 		d.releaseSlot()
 		return seq, nil
 	}
-	// Grouped path: hand the frames to the queue, close the pager
-	// transaction (later writers build on its cache), free the slot, and
-	// wait for a leader to flush the group. Queue order is flush order,
-	// so enqueue-time seq matches journal order.
-	frames, err := d.pg.PrepareCommit()
-	if err != nil {
-		gc.mu.Unlock()
-		d.pg.Rollback()
-		d.releaseSlot()
-		return 0, err
-	}
-	gc.nextSeq++
-	req := &commitReq{frames: cloneFrames(frames), done: make(chan struct{}), until: dl.until}
-	seq := gc.nextSeq
-	gc.bumpFrames(req.frames, seq)
-	d.pg.FinishCommit()
-	gc.queue = append(gc.queue, req)
-	if len(gc.queue) >= gc.size || len(gc.queue) >= gc.writers {
-		gc.flushLocked()
-	}
+	// Grouped path: hand a deep copy of the frames to the queue (the
+	// pager reuses its cache buffers as soon as the next writer runs),
+	// close the pager transaction (later writers build on its cache),
+	// free the slot, and wait for a leader to flush the group.
+	req := gc.submit(cloneFrames(frames), nil, dl.until)
 	gc.mu.Unlock()
+	d.pg.FinishCommit()
 	d.releaseSlot()
 	<-req.done
-	return seq, req.err
+	return req.seq, req.err
 }
 
 // maybeAutoCheckpoint runs the post-commit checkpoint when the log

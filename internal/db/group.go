@@ -1,14 +1,12 @@
 package db
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/health"
-	"repro/internal/metrics"
 	"repro/internal/pager"
 )
 
@@ -25,6 +23,7 @@ type commitReq struct {
 	// one and the journal is a bare NVWAL, the flush merges the streams
 	// under one Algorithm 1 append instead of re-coalescing frames.
 	stream *core.Stream
+	seq    uint64 // commit sequence number, stamped at enqueue
 	done   chan struct{}
 	until  time.Duration
 	err    error
@@ -52,7 +51,7 @@ type groupCommitter struct {
 	writers int          // registered writers (sessions + in-flight anonymous txns)
 	queue   []*commitReq // committed transactions awaiting a flush
 	// nextSeq numbers committed transactions in journal-application
-	// order: assigned under mu at enqueue (grouped path, where queue
+	// order. Only stamp advances it: under mu at enqueue (where queue
 	// order is flush order) or inside the solo critical section (where
 	// the slot serializes the journal write against any other commit).
 	nextSeq uint64
@@ -63,33 +62,40 @@ type groupCommitter struct {
 	failed error
 	// versions is the per-page version vector behind MVCC first-
 	// committer-wins validation: versions[pgno] is the seq of the last
-	// committed transaction that wrote pgno (guarded by mu, bumped by
-	// every commit path — solo, grouped, and MVCC). A session whose
-	// snapshot seq is older than a written page's entry lost the race
-	// and gets ErrConflict. Lazily allocated: nil until the first bump.
+	// committed transaction that wrote pgno (guarded by mu, bumped only
+	// by stamp). A session whose snapshot seq is older than a written
+	// page's entry lost the race and gets ErrConflict. Lazily allocated:
+	// nil until the first bump.
 	versions map[uint32]uint64
 }
 
-// bumpPage records seq as the latest commit writing pgno. Caller holds mu.
-func (gc *groupCommitter) bumpPage(pgno uint32, seq uint64) {
-	if gc.versions == nil {
-		gc.versions = make(map[uint32]uint64)
-	}
-	gc.versions[pgno] = seq
-}
-
-// bumpFrames records seq against every page in a legacy frame set.
-// Caller holds mu.
-func (gc *groupCommitter) bumpFrames(frames []pager.Frame, seq uint64) {
-	if len(frames) == 0 {
-		return
-	}
-	if gc.versions == nil {
+// stamp assigns the next commit sequence number and records it in the
+// page-version vector against every page of the frame set. It is the
+// one place either advances — solo, grouped, MVCC and 2PC commits all
+// come through here — so no commit can take a seq without claiming the
+// pages it wrote. Caller holds mu.
+func (gc *groupCommitter) stamp(frames []pager.Frame) uint64 {
+	gc.nextSeq++
+	if gc.versions == nil && len(frames) > 0 {
 		gc.versions = make(map[uint32]uint64)
 	}
 	for _, fr := range frames {
-		gc.versions[fr.Pgno] = seq
+		gc.versions[fr.Pgno] = gc.nextSeq
 	}
+	return gc.nextSeq
+}
+
+// submit stamps a committed frame set and queues it for the next group
+// flush, flushing at once when its arrival completes the group. Caller
+// holds mu and the writer slot: enqueueing requires the slot, so queue
+// order is flush order and the enqueue-time seq matches journal order.
+func (gc *groupCommitter) submit(frames []pager.Frame, stream *core.Stream, until time.Duration) *commitReq {
+	req := &commitReq{frames: frames, stream: stream, seq: gc.stamp(frames), done: make(chan struct{}), until: until}
+	gc.queue = append(gc.queue, req)
+	if len(gc.queue) >= gc.size || len(gc.queue) >= gc.writers {
+		gc.flushLocked()
+	}
+	return req
 }
 
 // register announces a writer that will commit transactions.
@@ -170,40 +176,16 @@ func (gc *groupCommitter) flushLocked() {
 // Called with gc.mu held; the retry's checkpoint goes through
 // db.reclaim, which takes neither gc.mu nor the writer slot.
 func (gc *groupCommitter) flushWithBackpressure(reqs []*commitReq) error {
-	err := gc.flush(reqs)
-	if err == nil || gc.db == nil || !errors.Is(err, core.ErrLogFull) {
-		return err
+	if gc.db == nil {
+		return gc.flush(reqs)
 	}
-	d := gc.db
-	d.plat.Metrics.Inc(metrics.PressureStalls, 1)
-	var until time.Duration
+	dl := deadline{d: gc.db, terminal: true}
 	for _, r := range reqs {
-		if r.until > 0 && (until == 0 || r.until < until) {
-			until = r.until
+		if r.until > 0 && (dl.until == 0 || r.until < dl.until) {
+			dl.until = r.until
 		}
 	}
-	backoff := stallBackoffMin
-	for {
-		drained := d.jrn.FramesSinceCheckpoint() == 0
-		if rerr := d.reclaim(); rerr != nil {
-			return rerr
-		}
-		err = gc.flush(reqs)
-		if err == nil || !errors.Is(err, core.ErrLogFull) {
-			return err
-		}
-		if drained {
-			d.degrade(fmt.Errorf("NVRAM heap exhausted during group commit: %v", err))
-			return fmt.Errorf("%w (%v)", ErrDegraded, err)
-		}
-		if until > 0 && d.plat.Clock.Now() >= until {
-			d.plat.Metrics.Inc(metrics.CommitTimeouts, 1)
-			d.degrade(fmt.Errorf("group commit abandoned at its deadline under NVRAM exhaustion"))
-			dl := deadline{d: d, until: until}
-			return dl.busy("group-deadline", fmt.Errorf("group deadline elapsed: %v", err))
-		}
-		backoff = d.stallStep(backoff)
-	}
+	return gc.db.retryLogFull(dl, "group-deadline", func() error { return gc.flush(reqs) })
 }
 
 // flush writes the queued frame sets to the journal: one atomic group

@@ -249,20 +249,7 @@ func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
 	if !d.opts.Concurrent {
 		return nil, errors.New("db: BeginConcurrent requires Options.Concurrent")
 	}
-	if err := d.Degraded(); err != nil {
-		return nil, err
-	}
-	if err := d.admitWriter(ctx); err != nil {
-		return nil, err
-	}
-	d.gc.register()
-	if err := d.acquireSlot(); err != nil {
-		d.gc.unregister()
-		return nil, err
-	}
-	if err := d.gc.bail(); err != nil {
-		d.releaseSlot()
-		d.gc.unregister()
+	if err := d.enterWriter(ctx, true); err != nil {
 		return nil, err
 	}
 	// Arm the shared page-number arbiter (lazily, so purely legacy
@@ -668,11 +655,6 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 			return fmt.Errorf("%w: page %d", ErrConflict, wr.pgno)
 		}
 	}
-	gc.nextSeq++
-	seq := gc.nextSeq
-	for _, wr := range staged {
-		gc.bumpPage(wr.pgno, seq)
-	}
 	var frames []pager.Frame
 	if tx.stream != nil {
 		frames = tx.stream.StreamFrames()
@@ -682,11 +664,7 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 			frames = append(frames, pager.Frame{Pgno: wr.pgno, Data: wr.img})
 		}
 	}
-	req := &commitReq{frames: frames, stream: tx.stream, done: make(chan struct{}), until: dl.until}
-	gc.queue = append(gc.queue, req)
-	if len(gc.queue) >= gc.size || len(gc.queue) >= gc.writers {
-		gc.flushLocked()
-	}
+	req := gc.submit(frames, tx.stream, dl.until)
 	gc.mu.Unlock()
 
 	// Publish the committed images into the shared pager cache before
@@ -701,7 +679,7 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 		tx.finish(false) // group failure latches the engine; images may be shared
 		return req.err
 	}
-	tx.seq = seq
+	tx.seq = req.seq
 	tx.finish(false)
 	d.plat.Metrics.Inc(metrics.MVCCCommits, 1)
 	d.maybeKickScrub()

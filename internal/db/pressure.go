@@ -95,10 +95,14 @@ func (d *DB) Pressure() (avail, soft, hard int, ok bool) {
 // deadline bounds one backpressure stall: a context (real
 // cancellation) plus a virtual-clock expiry derived from
 // Options.CommitTimeout. The zero until means no virtual deadline.
+// terminal marks a stall whose work cannot be rolled back (a group
+// flush): giving up on it degrades the database instead of returning a
+// clean, retryable ErrBusy.
 type deadline struct {
-	d     *DB
-	ctx   context.Context
-	until time.Duration
+	d        *DB
+	ctx      context.Context
+	until    time.Duration
+	terminal bool
 }
 
 func (d *DB) newDeadline(ctx context.Context) deadline {
@@ -227,44 +231,57 @@ func (d *DB) urgentCheckpoint() {
 }
 
 // flushSolo commits one transaction's frames through the journal,
-// absorbing NVRAM exhaustion: ErrLogFull is returned by the journal
-// before any NVRAM mutation (the commit-time reservation failed), so
-// the flush can checkpoint, back off and retry until space frees, the
-// deadline expires (ErrBusy — the caller rolls the pager back), or
-// exhaustion is proven permanent (ErrDegraded latch). Called with the
-// writer slot held.
+// absorbing NVRAM exhaustion (retryLogFull). On failure the caller rolls
+// the pager back. Called with the writer slot held.
 func (d *DB) flushSolo(dl deadline, frames []pager.Frame) error {
 	if len(frames) == 0 {
 		return nil
 	}
 	jrn := d.pg.Journal() // the pager's journal: fault wrappers included
-	err := jrn.CommitTransaction(frames)
-	if err == nil || !errors.Is(err, core.ErrLogFull) {
-		return err
-	}
-	d.plat.Metrics.Inc(metrics.PressureStalls, 1)
-	backoff := stallBackoffMin
+	return d.retryLogFull(dl, "commit-log-full", func() error { return jrn.CommitTransaction(frames) })
+}
+
+// retryLogFull runs one journal append, absorbing NVRAM exhaustion. The
+// journal returns ErrLogFull before any NVRAM mutation (the commit-time
+// reservation failed), so the identical attempt can be repeated after a
+// checkpoint and a backoff until space frees, the deadline expires
+// (ErrBusy naming the stall site where; a terminal deadline also
+// degrades the database), or exhaustion is proven permanent (ErrDegraded
+// latch). Callers hold the writer slot and possibly gc.mu; reclaim takes
+// neither.
+func (d *DB) retryLogFull(dl deadline, where string, attempt func() error) error {
+	var backoff time.Duration
+	drained := false
 	for {
-		// Sampled before the checkpoint: if the log held nothing to free
-		// on the previous round and the commit still does not fit, no
-		// future checkpoint can ever make it fit.
-		drained := d.jrn.FramesSinceCheckpoint() == 0
-		if rerr := d.reclaim(); rerr != nil {
-			return rerr
-		}
-		err = jrn.CommitTransaction(frames)
+		err := attempt()
 		if err == nil || !errors.Is(err, core.ErrLogFull) {
 			return err
 		}
-		if drained {
+		switch {
+		case backoff == 0:
+			d.plat.Metrics.Inc(metrics.PressureStalls, 1)
+			backoff = stallBackoffMin
+		case drained:
+			// The log held nothing to free on the previous round and the
+			// append still does not fit: no future checkpoint can ever
+			// make it fit.
 			d.degrade(fmt.Errorf("NVRAM heap exhausted: %v", err))
 			return d.Degraded()
+		default:
+			if derr := dl.expired(where); derr != nil {
+				d.plat.Metrics.Inc(metrics.CommitTimeouts, 1)
+				if dl.terminal {
+					d.degrade(fmt.Errorf("%s: abandoned at its deadline under NVRAM exhaustion: %v", where, err))
+				}
+				return derr
+			}
+			backoff = d.stallStep(backoff)
 		}
-		if derr := dl.expired("commit-log-full"); derr != nil {
-			d.plat.Metrics.Inc(metrics.CommitTimeouts, 1)
-			return derr
+		// Sampled before the checkpoint, judged after the next attempt.
+		drained = d.jrn.FramesSinceCheckpoint() == 0
+		if rerr := d.reclaim(); rerr != nil {
+			return rerr
 		}
-		backoff = d.stallStep(backoff)
 	}
 }
 

@@ -13,8 +13,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/pager"
 )
 
@@ -45,10 +43,9 @@ type preparedJournal interface {
 // for recovery to find. On failure the transaction is rolled back
 // entirely, like a failed Commit.
 //
-// NVRAM exhaustion is absorbed the same way Commit absorbs it:
-// ErrLogFull is pre-mutation, so Prepare checkpoints, backs off and
-// retries until space frees, the deadline expires (ErrBusy), or
-// exhaustion is proven permanent (ErrDegraded).
+// NVRAM exhaustion is absorbed the same way Commit absorbs it
+// (retryLogFull). A failed prepare leaves no pending state in the
+// journal, so the retry's checkpoint rounds are never refused.
 func (tx *Tx) Prepare(gtx uint64) error {
 	if err := tx.guard(); err != nil {
 		return err
@@ -75,46 +72,17 @@ func (tx *Tx) Prepare(gtx uint64) error {
 		tx.Rollback()
 		return err
 	}
-	ctx := tx.ctx
-	if err := d.prepareSolo(d.newDeadline(ctx), pj, frames, gtx); err != nil {
+	err = d.retryLogFull(d.newDeadline(tx.ctx), "prepare-log-full", func() error { return pj.PrepareTransaction(frames, gtx) })
+	if err != nil {
 		tx.Rollback()
 		return fmt.Errorf("pager: prepare failed, transaction rolled back: %w", err)
 	}
 	tx.prepared = true
 	tx.gtx = gtx
+	// The pager's frame list stays valid while its transaction is open,
+	// and a prepared transaction keeps it open until the decision.
+	tx.frames = frames
 	return nil
-}
-
-// prepareSolo is flushSolo for the prepare path: one prepared append
-// with the checkpoint/backoff retry on ErrLogFull. Called with the
-// writer slot held. A failed prepare leaves no pending state in the
-// journal, so reclaim's checkpoint rounds are never refused here.
-func (d *DB) prepareSolo(dl deadline, pj preparedJournal, frames []pager.Frame, gtx uint64) error {
-	err := pj.PrepareTransaction(frames, gtx)
-	if err == nil || !errors.Is(err, core.ErrLogFull) {
-		return err
-	}
-	d.plat.Metrics.Inc(metrics.PressureStalls, 1)
-	backoff := stallBackoffMin
-	for {
-		drained := d.jrn.FramesSinceCheckpoint() == 0
-		if rerr := d.reclaim(); rerr != nil {
-			return rerr
-		}
-		err = pj.PrepareTransaction(frames, gtx)
-		if err == nil || !errors.Is(err, core.ErrLogFull) {
-			return err
-		}
-		if drained {
-			d.degrade(fmt.Errorf("NVRAM heap exhausted: %v", err))
-			return d.Degraded()
-		}
-		if derr := dl.expired("prepare-log-full"); derr != nil {
-			d.plat.Metrics.Inc(metrics.CommitTimeouts, 1)
-			return derr
-		}
-		backoff = d.stallStep(backoff)
-	}
 }
 
 // CompletePrepared commits a prepared transaction after the
@@ -137,9 +105,9 @@ func (tx *Tx) CompletePrepared() error {
 	tx.prepared = false
 	gc := d.gc
 	gc.mu.Lock()
-	gc.nextSeq++
-	tx.seq = gc.nextSeq
+	tx.seq = gc.stamp(tx.frames)
 	gc.mu.Unlock()
+	tx.frames = nil
 	d.pg.FinishCommit()
 	d.releaseSlot()
 	if tx.ownReg {

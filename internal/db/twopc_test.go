@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -256,4 +257,70 @@ func TestPrepareAbsorbsPressure(t *testing.T) {
 	if err := d.Check(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSessionConflictsWithPreparedCommit: a 2PC commit claims its pages
+// in the version vector like every other commit. A session that
+// snapshotted before it and writes the same leaf must lose first-
+// committer-wins validation — committing its stale-base diff over the
+// 2PC image would be a lost update whose live and recovered views
+// differ.
+func TestSessionConflictsWithPreparedCommit(t *testing.T) {
+	opts := concurrentOpts(1)
+	d, plat := newDB(t, opts)
+	if err := d.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	mustCommitKV(t, d, "t", map[string]string{"a": "a0", "b": "b0"})
+
+	sess, err := d.BeginConcurrent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Update("t", []byte("b"), []byte("b-2pc")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Prepare(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.CompletePrepared(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Update("t", []byte("a"), []byte("a-session")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Commit(); !errors.Is(err, ErrConflict) {
+		t.Fatalf("session commit over a 2PC commit of the same leaf: %v, want ErrConflict", err)
+	}
+	err = d.RunConcurrent(context.Background(), func(tx *CTx) error {
+		_, err := tx.Update("t", []byte("a"), []byte("a-session"))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(d *DB, when string) {
+		t.Helper()
+		for k, want := range map[string]string{"a": "a-session", "b": "b-2pc"} {
+			if v, ok, err := d.Get("t", []byte(k)); err != nil || !ok || string(v) != want {
+				t.Fatalf("%s: %s = (%q,%v,%v), want %q", when, k, v, ok, err, want)
+			}
+		}
+	}
+	check(d, "live")
+	d.Abandon()
+	plat.PowerFail(memsim.FailDropAll, 3)
+	if err := plat.Reboot(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Open(plat, "test.db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(d2, "recovered")
 }

@@ -85,12 +85,6 @@ func (c *Coalescer) Coalesce(groups [][]Frame) []Frame {
 	return c.out
 }
 
-// CoalesceGroups is the one-shot form of Coalescer.Coalesce, for callers
-// without a commit loop to amortize the scratch across.
-func CoalesceGroups(groups [][]Frame) []Frame {
-	return new(Coalescer).Coalesce(groups)
-}
-
 // SnapshotJournal is implemented by journals that can serve point-in-
 // time reads — the WAL property that lets readers proceed against a
 // stable snapshot while the writer appends (SQLite's wal-index "mxFrame"

@@ -425,3 +425,26 @@ func TestFrameOrderDeterministic(t *testing.T) {
 		t.Fatalf("sortFrames = %v", frames)
 	}
 }
+
+// TestCoalesce pins the frame-merge semantics group commit relies on:
+// the last image per page wins and output is ordered by page.
+func TestCoalesce(t *testing.T) {
+	mk := func(pgno uint32, b byte) Frame {
+		return Frame{Pgno: pgno, Data: []byte{b}}
+	}
+	out := new(Coalescer).Coalesce([][]Frame{
+		{mk(3, 'a'), mk(1, 'b')},
+		{mk(3, 'c')},
+		{mk(2, 'd'), mk(1, 'e')},
+	})
+	want := []Frame{mk(1, 'e'), mk(2, 'd'), mk(3, 'c')}
+	if len(out) != len(want) {
+		t.Fatalf("coalesced to %d frames, want %d", len(out), len(want))
+	}
+	for i := range want {
+		if out[i].Pgno != want[i].Pgno || out[i].Data[0] != want[i].Data[0] {
+			t.Fatalf("frame %d = {%d %q}, want {%d %q}",
+				i, out[i].Pgno, out[i].Data, want[i].Pgno, want[i].Data)
+		}
+	}
+}
