@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -34,34 +35,52 @@ import (
 )
 
 func main() {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, stop))
+}
+
+// run is the whole command: parse args, assemble the node, serve until
+// stop delivers, shut down. It returns the exit code. The addresses it
+// prints are the ones actually bound, so ":0" listeners can be found.
+func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
+	fs := flag.NewFlagSet("nvwal-server", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		listen     = flag.String("listen", "127.0.0.1:7070", "client listen address")
-		replListen = flag.String("repl-listen", "", "replication listen address (replica mode)")
-		replicas   = flag.String("replicas", "", "comma-separated replica replication addresses to ship to (primary mode)")
-		epoch      = flag.Uint64("epoch", 1, "fencing epoch (bump on every promotion)")
-		ackN       = flag.Int("ack-replicas", 0, "replica acks a commit waits for (semi-sync; 0 = async)")
-		writeRate  = flag.Float64("write-rate", 0, "admission: sustained writes/sec of virtual time (0 = unlimited)")
-		writeBurst = flag.Int("write-burst", 0, "admission: token bucket burst (with -write-rate)")
+		listen     = fs.String("listen", "127.0.0.1:7070", "client listen address")
+		replListen = fs.String("repl-listen", "", "replication listen address (replica mode)")
+		replicas   = fs.String("replicas", "", "comma-separated replica replication addresses to ship to (primary mode)")
+		epoch      = fs.Uint64("epoch", 1, "fencing epoch (bump on every promotion)")
+		ackN       = fs.Int("ack-replicas", 0, "replica acks a commit waits for (semi-sync; 0 = async)")
+		writeRate  = fs.Float64("write-rate", 0, "admission: sustained writes/sec of virtual time (0 = unlimited)")
+		writeBurst = fs.Int("write-burst", 0, "admission: token bucket burst (with -write-rate)")
 	)
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: nvwal-server [flags] primary|replica")
-		flag.PrintDefaults()
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: nvwal-server [flags] primary|replica")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	mode := flag.Arg(0)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	mode := fs.Arg(0)
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "nvwal-server:", err)
+		return 1
+	}
 
 	plat, err := platform.NewTuna()
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	lis, err := netsim.ListenTCP(*listen)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
+	defer lis.Close()
 
 	var srv *server.Server
 	switch mode {
@@ -72,18 +91,20 @@ func main() {
 			Concurrent: true,
 		})
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
+		defer d.Close()
 		if err := d.CreateTable("kv"); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		p, err := repl.NewPrimary(d, repl.PrimaryOptions{Epoch: *epoch, AckReplicas: *ackN})
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
+		defer p.Close()
 		for _, addr := range splitAddrs(*replicas) {
 			p.AddReplica(addr, netsim.DialTCP)
-			fmt.Printf("nvwal-server: shipping to replica %s\n", addr)
+			fmt.Fprintf(stdout, "nvwal-server: shipping to replica %s\n", addr)
 		}
 		srv = server.New(p, server.Options{
 			Epoch:      *epoch,
@@ -93,23 +114,20 @@ func main() {
 			Pressure:   d.Pressure,
 			Metrics:    plat.Metrics,
 		})
-		defer func() {
-			p.Close()
-			_ = d.Close()
-		}()
-		fmt.Printf("nvwal-server: primary (epoch %d) serving on %s\n", *epoch, *listen)
+		fmt.Fprintf(stdout, "nvwal-server: primary (epoch %d) serving on %s\n", *epoch, lis.Addr())
 
 	case "replica":
 		if *replListen == "" {
-			fatal(fmt.Errorf("replica mode requires -repl-listen"))
+			return fatal(fmt.Errorf("replica mode requires -repl-listen"))
 		}
 		r, err := repl.NewReplica(plat, "serve.db", repl.ReplicaOptions{Epoch: *epoch})
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
+		defer r.Close()
 		rlis, err := netsim.ListenTCP(*replListen)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		go r.Serve(rlis)
 		srv = server.New(r, server.Options{
@@ -118,20 +136,18 @@ func main() {
 			Clock:    plat.Clock,
 			Metrics:  plat.Metrics,
 		})
-		defer r.Close()
-		fmt.Printf("nvwal-server: replica serving reads on %s, following on %s\n", *listen, *replListen)
+		fmt.Fprintf(stdout, "nvwal-server: replica serving reads on %s, following on %s\n", lis.Addr(), rlis.Addr())
 
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	go srv.Serve(lis)
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("nvwal-server: shutting down")
+	<-stop
+	fmt.Fprintln(stdout, "nvwal-server: shutting down")
 	srv.Close()
+	return 0
 }
 
 func splitAddrs(s string) []string {
@@ -142,9 +158,4 @@ func splitAddrs(s string) []string {
 		}
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nvwal-server:", err)
-	os.Exit(1)
 }

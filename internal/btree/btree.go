@@ -86,12 +86,14 @@ func (t *Tree) maxCell() int {
 	return (t.usable() - headerSize - 8) / 4
 }
 
-func (t *Tree) page(pgno uint32) (*page, error) {
+// page returns the view by value: the caller's copy stays on its stack,
+// where a returned pointer would cost one heap object per node visited.
+func (t *Tree) page(pgno uint32) (page, error) {
 	buf, err := t.store.Get(pgno)
 	if err != nil {
-		return nil, err
+		return page{}, err
 	}
-	return &page{no: pgno, buf: buf, usable: t.usable()}, nil
+	return page{no: pgno, buf: buf, usable: t.usable()}, nil
 }
 
 // searchLeaf returns the index where key belongs in the leaf and whether
@@ -135,17 +137,17 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 			return nil, false, err
 		}
 		if p.isLeaf() {
-			i, found := searchLeaf(p, key)
+			i, found := searchLeaf(&p, key)
 			if !found {
 				return nil, false, nil
 			}
-			v, err := t.cellValue(p, i)
+			v, err := t.cellValue(&p, i)
 			if err != nil {
 				return nil, false, err
 			}
 			return v, true, nil
 		}
-		pgno, _ = routeInterior(p, key)
+		pgno, _ = routeInterior(&p, key)
 	}
 }
 
@@ -286,10 +288,10 @@ func (t *Tree) insert(pgno uint32, key, cell []byte) (splitResult, error) {
 		return splitResult{}, err
 	}
 	if p.isLeaf() {
-		i, found := searchLeaf(p, key)
+		i, found := searchLeaf(&p, key)
 		t.store.MarkDirty(pgno)
 		if found {
-			if err := t.dropCell(p, i); err != nil {
+			if err := t.dropCell(&p, i); err != nil {
 				return splitResult{}, err
 			}
 		}
@@ -297,10 +299,10 @@ func (t *Tree) insert(pgno uint32, key, cell []byte) (splitResult, error) {
 			p.insertCellAt(i, cell)
 			return splitResult{}, nil
 		}
-		return t.splitLeaf(p, i, cell)
+		return t.splitLeaf(&p, i, cell)
 	}
 
-	child, idx := routeInterior(p, key)
+	child, idx := routeInterior(&p, key)
 	res, err := t.insert(child, key, cell)
 	if err != nil || !res.split {
 		return splitResult{}, err
@@ -321,7 +323,7 @@ func (t *Tree) insert(pgno uint32, key, cell []byte) (splitResult, error) {
 		p.insertCellAt(idx, newCell)
 		return splitResult{}, nil
 	}
-	return t.splitInterior(p, idx, newCell)
+	return t.splitInterior(&p, idx, newCell)
 }
 
 // setInteriorChild rewrites the child pointer of interior cell i in
@@ -500,18 +502,18 @@ func (t *Tree) deleteRec(pgno uint32, key []byte) (deleteResult, error) {
 		return deleteResult{}, err
 	}
 	if p.isLeaf() {
-		i, found := searchLeaf(p, key)
+		i, found := searchLeaf(&p, key)
 		if !found {
 			return deleteResult{}, nil
 		}
 		t.store.MarkDirty(pgno)
-		if err := t.dropCell(p, i); err != nil {
+		if err := t.dropCell(&p, i); err != nil {
 			return deleteResult{}, err
 		}
 		return deleteResult{deleted: true, emptied: p.nCells() == 0 && pgno != t.root}, nil
 	}
 
-	child, idx := routeInterior(p, key)
+	child, idx := routeInterior(&p, key)
 	res, err := t.deleteRec(child, key)
 	if err != nil || !res.deleted {
 		return deleteResult{}, err
@@ -593,7 +595,7 @@ func (t *Tree) scan(pgno uint32, fn func(key, val []byte) bool) (bool, error) {
 			k, _ := p.leafCell(i)
 			kc := make([]byte, len(k))
 			copy(kc, k)
-			vc, err := t.cellValue(p, i)
+			vc, err := t.cellValue(&p, i)
 			if err != nil {
 				return false, err
 			}
@@ -654,7 +656,7 @@ func (t *Tree) Check() error {
 				haveLast = true
 				// Overflow chains must resolve to exactly the declared
 				// total length.
-				if _, err := t.cellValue(p, i); err != nil {
+				if _, err := t.cellValue(&p, i); err != nil {
 					return fmt.Errorf("page %d cell %d: %w", pgno, i, err)
 				}
 			}

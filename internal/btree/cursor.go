@@ -52,11 +52,11 @@ func (c *Cursor) Seek(target []byte) (bool, error) {
 			return false, err
 		}
 		if p.isLeaf() {
-			idx, _ := searchLeaf(p, target)
+			idx, _ := searchLeaf(&p, target)
 			c.stack = append(c.stack, cursorFrame{pgno: pgno, idx: idx})
 			return c.settle()
 		}
-		child, idx := routeInterior(p, target)
+		child, idx := routeInterior(&p, target)
 		c.stack = append(c.stack, cursorFrame{pgno: pgno, idx: idx})
 		pgno = child
 	}
@@ -143,7 +143,7 @@ func (c *Cursor) current() ([]byte, []byte, error) {
 	k, _ := p.leafCell(top.idx)
 	kc := make([]byte, len(k))
 	copy(kc, k)
-	vc, err := c.t.cellValue(p, top.idx)
+	vc, err := c.t.cellValue(&p, top.idx)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -136,29 +136,56 @@ func (r *reader) bytes(n int) []byte {
 	return v
 }
 
-// encodeRequest serializes one request.
+// reqHeaderLen is what every request leads with: verb, id, epoch and
+// the deadline in milliseconds.
+const reqHeaderLen = 1 + 8 + 8 + 4
+
+// opLen is one batch op on the wire.
+func opLen(op Op) int {
+	if op.Delete {
+		return 1 + 2 + len(op.Key)
+	}
+	return 1 + 2 + len(op.Key) + 4 + len(op.Value)
+}
+
+// encodeRequest serializes one request into one allocation of its exact
+// size.
 func encodeRequest(req request) []byte {
-	b := make([]byte, 0, 32+len(req.key)+len(req.value))
+	size := reqHeaderLen
+	if req.verb != verbStatus {
+		size += 1 + len(req.table)
+	}
+	switch req.verb {
+	case verbGet, verbDelete:
+		size += 2 + len(req.key)
+	case verbPut:
+		size += 2 + len(req.key) + 4 + len(req.value)
+	case verbBatch:
+		size += 2
+		for _, op := range req.ops {
+			size += opLen(op)
+		}
+	}
+	b := make([]byte, 0, size)
 	b = append(b, req.verb)
 	b = appendU64(b, req.id)
 	b = appendU64(b, req.epoch)
 	b = appendU32(b, uint32(req.deadline/time.Millisecond))
+	if req.verb == verbStatus {
+		return b
+	}
+	b = append(b, byte(len(req.table)))
+	b = append(b, req.table...)
 	switch req.verb {
 	case verbGet, verbDelete:
-		b = append(b, byte(len(req.table)))
-		b = append(b, req.table...)
 		b = appendU16(b, uint16(len(req.key)))
 		b = append(b, req.key...)
 	case verbPut:
-		b = append(b, byte(len(req.table)))
-		b = append(b, req.table...)
 		b = appendU16(b, uint16(len(req.key)))
 		b = append(b, req.key...)
 		b = appendU32(b, uint32(len(req.value)))
 		b = append(b, req.value...)
 	case verbBatch:
-		b = append(b, byte(len(req.table)))
-		b = append(b, req.table...)
 		b = appendU16(b, uint16(len(req.ops)))
 		for _, op := range req.ops {
 			kind := byte(0)
@@ -173,13 +200,25 @@ func encodeRequest(req request) []byte {
 				b = append(b, op.Value...)
 			}
 		}
-	case verbStatus:
 	}
 	return b
 }
 
-// decodeRequest parses one request message.
-func decodeRequest(msg []byte) (request, error) {
+// tableName reads a table name. Sessions name the same table request
+// after request, so a name equal to prev (the previous request's) is
+// returned as prev instead of being allocated again.
+func (r *reader) tableName(prev string) string {
+	name := r.bytes(int(r.u8()))
+	if string(name) == prev {
+		return prev
+	}
+	return string(name)
+}
+
+// decodeRequest parses one request message. key, value and ops alias
+// msg. prevTable is the table name of the connection's previous request
+// ("" if none).
+func decodeRequest(msg []byte, prevTable string) (request, error) {
 	r := &reader{b: msg}
 	req := request{
 		verb:     r.u8(),
@@ -189,15 +228,24 @@ func decodeRequest(msg []byte) (request, error) {
 	}
 	switch req.verb {
 	case verbGet, verbDelete:
-		req.table = string(r.bytes(int(r.u8())))
+		req.table = r.tableName(prevTable)
 		req.key = r.bytes(int(r.u16()))
 	case verbPut:
-		req.table = string(r.bytes(int(r.u8())))
+		req.table = r.tableName(prevTable)
 		req.key = r.bytes(int(r.u16()))
 		req.value = r.bytes(int(r.u32()))
 	case verbBatch:
-		req.table = string(r.bytes(int(r.u8())))
+		req.table = r.tableName(prevTable)
 		n := int(r.u16())
+		// The count is a claim: size ops by it only once the bytes that
+		// are left could hold that many (the shortest op is a delete of an
+		// empty key).
+		if n > len(r.b)/3 {
+			return req, errShort
+		}
+		if n > 0 {
+			req.ops = make([]Op, 0, n)
+		}
 		for i := 0; i < n && r.err == nil; i++ {
 			var op Op
 			op.Delete = r.u8() == 1
@@ -214,31 +262,34 @@ func decodeRequest(msg []byte) (request, error) {
 	return req, r.err
 }
 
-// response building helpers. Every response leads [status u8][id u64].
-func respHeader(st byte, id uint64) []byte {
-	b := make([]byte, 0, 64)
+// respHeaderLen is what every response leads with: [status u8][id u64].
+const respHeaderLen = 1 + 8
+
+// respHeader starts a response that will carry body more bytes; every
+// encoder below passes its exact body size, so a response is one
+// allocation.
+func respHeader(st byte, id uint64, body int) []byte {
+	b := make([]byte, 0, respHeaderLen+body)
 	b = append(b, st)
 	return appendU64(b, id)
 }
 
 func respOKGet(id uint64, value []byte, found bool) []byte {
-	b := respHeader(stOK, id)
-	if found {
-		b = append(b, 1)
-		b = appendU32(b, uint32(len(value)))
-		b = append(b, value...)
-	} else {
-		b = append(b, 0)
+	if !found {
+		return append(respHeader(stOK, id, 1), 0)
 	}
-	return b
+	b := respHeader(stOK, id, 1+4+len(value))
+	b = append(b, 1)
+	b = appendU32(b, uint32(len(value)))
+	return append(b, value...)
 }
 
 func respOKWrite(id, seq uint64) []byte {
-	return appendU64(respHeader(stOK, id), seq)
+	return appendU64(respHeader(stOK, id, 8), seq)
 }
 
 func respOKStatus(id uint64, s Status) []byte {
-	b := respHeader(stOK, id)
+	b := respHeader(stOK, id, 1+4*8+1)
 	role := byte(0)
 	if s.Role == "primary" {
 		role = 1
@@ -272,7 +323,7 @@ type BusyAdvice struct {
 }
 
 func respBusy(id uint64, adv BusyAdvice) []byte {
-	b := respHeader(stBusy, id)
+	b := respHeader(stBusy, id, 2*8+3*4+2+len(adv.Watermark))
 	b = appendU64(b, uint64(adv.Backoff))
 	b = appendU64(b, uint64(adv.RetryAfter))
 	b = appendU32(b, uint32(int32(adv.Shard)))
@@ -283,11 +334,11 @@ func respBusy(id uint64, adv BusyAdvice) []byte {
 }
 
 func respFenced(id, epoch uint64) []byte {
-	return appendU64(respHeader(stFenced, id), epoch)
+	return appendU64(respHeader(stFenced, id, 8), epoch)
 }
 
 func respMsg(st byte, id uint64, msg string) []byte {
-	b := respHeader(st, id)
+	b := respHeader(st, id, 2+len(msg))
 	b = appendU16(b, uint16(len(msg)))
 	return append(b, msg...)
 }

@@ -175,16 +175,18 @@ func (s *Server) session(c netsim.Conn) {
 	}()
 	var lastID uint64
 	var lastResp []byte
+	var table string // the previous request's, so decoding can reuse it
 	for {
 		msg, err := c.Recv(0)
 		if err != nil {
 			return
 		}
-		req, err := decodeRequest(msg)
+		req, err := decodeRequest(msg, table)
 		if err != nil {
 			_ = c.Send(respMsg(stErr, req.id, err.Error()))
 			continue
 		}
+		table = req.table
 		var resp []byte
 		if lastResp != nil && req.id == lastID {
 			resp = lastResp // duplicate: resend, never re-execute

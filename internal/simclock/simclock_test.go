@@ -132,9 +132,14 @@ func TestAdvanceToPropagatesToParent(t *testing.T) {
 
 func TestConcurrentLanes(t *testing.T) {
 	parent := New()
+	// Every lane exists before any runs: a lane starts at the parent's
+	// current time, so one created after another has advanced is not equal.
+	var lanes [8]*Clock
+	for i := range lanes {
+		lanes[i] = parent.NewLane()
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		lane := parent.NewLane()
+	for _, lane := range lanes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
