@@ -79,8 +79,10 @@ func gitSHA() string {
 // gateAllocs compares the measured allocation audit against a recorded
 // baseline and fails on regression. Allocs/op is near-deterministic for
 // a fixed op count, but map-growth boundaries and pool warmup shift it
-// by a fraction; the gate allows 10% + 2 allocs of slack before calling
-// a regression, and ignores latency (wall-clock, machine-dependent).
+// by a fraction; the gate allows 10% + 2 allocs of slack — and, on
+// bytes/op, 10% + half a page, so one page-sized copy creeping back into
+// a path shows — before calling a regression, and ignores latency
+// (wall-clock, machine-dependent).
 func gateAllocs(r *experiments.CommitAllocsResult, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -100,6 +102,10 @@ func gateAllocs(r *experiments.CommitAllocsResult, path string) error {
 		if limit := want.AllocsPerOp*1.10 + 2; got.AllocsPerOp > limit {
 			failures = append(failures, fmt.Sprintf("%s: %.2f allocs/op exceeds baseline %.2f (limit %.2f)",
 				want.Path, got.AllocsPerOp, want.AllocsPerOp, limit))
+		}
+		if limit := want.BytesPerOp*1.10 + 2048; got.BytesPerOp > limit {
+			failures = append(failures, fmt.Sprintf("%s: %.0f bytes/op exceeds baseline %.0f (limit %.0f)",
+				want.Path, got.BytesPerOp, want.BytesPerOp, limit))
 		}
 	}
 	if len(failures) > 0 {

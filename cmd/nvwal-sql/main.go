@@ -20,6 +20,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -30,25 +31,34 @@ import (
 	"repro/internal/sql"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the whole command: open the database, then read statements and
+// meta commands from stdin until .quit or end of input. It returns the
+// exit code. The shell takes no flags; args are accepted and ignored.
+func run(_ []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "nvwal-sql:", err)
+		return 1
+	}
 	plat, err := platform.NewNexus5()
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	opts := db.Options{Journal: db.JournalNVWAL, NVWAL: core.VariantUHLSDiff(), CPU: db.CPUNexus5}
 	d, err := db.Open(plat, "shell.db", opts)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	conn, err := sql.Open(d)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	fmt.Println("nvwal-sql: SQL over NVWAL UH+LS+Diff (meta: .crash .stats .tables .quit)")
+	fmt.Fprintln(stdout, "nvwal-sql: SQL over NVWAL UH+LS+Diff (meta: .crash .stats .tables .quit)")
 
 	crashSeed := int64(1)
-	sc := bufio.NewScanner(os.Stdin)
-	for fmt.Print("sql> "); sc.Scan(); fmt.Print("sql> ") {
+	sc := bufio.NewScanner(stdin)
+	for fmt.Fprint(stdout, "sql> "); sc.Scan(); fmt.Fprint(stdout, "sql> ") {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
@@ -56,59 +66,60 @@ func main() {
 		if strings.HasPrefix(line, ".") {
 			switch line {
 			case ".quit", ".exit":
-				return
+				return 0
 			case ".tables":
 				names, err := d.Tables()
 				if err != nil {
-					fmt.Println("error:", err)
+					fmt.Fprintln(stdout, "error:", err)
 					continue
 				}
 				for _, n := range names {
 					if n != "__schema" {
-						fmt.Println(n)
+						fmt.Fprintln(stdout, n)
 					}
 				}
 			case ".stats":
-				fmt.Printf("virtual time: %v\n", plat.Clock.Now())
-				fmt.Print(plat.Metrics.Snapshot())
+				fmt.Fprintf(stdout, "virtual time: %v\n", plat.Clock.Now())
+				fmt.Fprint(stdout, plat.Metrics.Snapshot())
 			case ".crash":
 				plat.PowerFail(memsim.FailDropAll, crashSeed)
 				crashSeed++
 				if err := plat.Reboot(); err != nil {
-					fmt.Println("error:", err)
+					fmt.Fprintln(stdout, "error:", err)
 					continue
 				}
 				d, err = db.Open(plat, "shell.db", opts)
 				if err != nil {
-					fmt.Println("error:", err)
+					fmt.Fprintln(stdout, "error:", err)
 					continue
 				}
 				conn, err = sql.Open(d)
 				if err != nil {
-					fmt.Println("error:", err)
+					fmt.Fprintln(stdout, "error:", err)
 					continue
 				}
-				fmt.Println("machine crashed and recovered; uncommitted work is gone")
+				fmt.Fprintln(stdout, "machine crashed and recovered; uncommitted work is gone")
 			default:
-				fmt.Println("unknown meta command (try .quit .crash .stats .tables)")
+				fmt.Fprintln(stdout, "unknown meta command (try .quit .crash .stats .tables)")
 			}
 			continue
 		}
 		res, err := conn.Exec(line)
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(stdout, "error:", err)
 			continue
 		}
-		printResult(res)
+		printResult(stdout, res)
 	}
+	return 0
 }
 
-func printResult(r *sql.Result) {
+func printResult(w io.Writer, r *sql.Result) {
 	if r.Columns == nil {
 		if r.RowsAffected > 0 {
-			fmt.Printf("%d row(s) affected\n", r.RowsAffected)
+			fmt.Fprintf(w, "%d row(s) affected\n", r.RowsAffected)
 		} else {
-			fmt.Println("ok")
+			fmt.Fprintln(w, "ok")
 		}
 		return
 	}
@@ -127,24 +138,18 @@ func printResult(r *sql.Result) {
 		}
 	}
 	for i, c := range r.Columns {
-		fmt.Printf("%-*s  ", widths[i], c)
-		_ = i
+		fmt.Fprintf(w, "%-*s  ", widths[i], c)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for i := range r.Columns {
-		fmt.Printf("%s  ", strings.Repeat("-", widths[i]))
+		fmt.Fprintf(w, "%s  ", strings.Repeat("-", widths[i]))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, row := range cells {
 		for i, cell := range row {
-			fmt.Printf("%-*s  ", widths[i], cell)
+			fmt.Fprintf(w, "%-*s  ", widths[i], cell)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("(%d row(s))\n", len(r.Rows))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nvwal-sql:", err)
-	os.Exit(1)
+	fmt.Fprintf(w, "(%d row(s))\n", len(r.Rows))
 }

@@ -144,38 +144,68 @@ func TestReaderMarkSurvivesCheckpoint(t *testing.T) {
 	}
 }
 
-// BenchmarkPageVersionAt shows the per-page index at work: resolving a
-// page with a fixed number of its own frames costs the same whether the
-// rest of the log holds 64 or 4096 unrelated frames. Before the index,
-// PageVersionAt scanned the whole history and the large case was ~64x
-// slower.
+// BenchmarkPageVersionAt covers the read view's cases. "rewritten after
+// mark" is the one that replays — into the one page buffer it allocates
+// — and shows the per-page index at work: resolving a page with a fixed
+// number of its own frames costs the same whether the rest of the log
+// holds 64 or 4096 unrelated frames. "unchanged since mark" (the newest
+// frame lies below the mark) and "fully backfilled" (a completed
+// checkpoint retired every frame) hand out the log's own image: 0
+// allocs/op.
 func BenchmarkPageVersionAt(b *testing.B) {
-	for _, unrelated := range []int{64, 1024, 4096} {
-		b.Run(fmt.Sprintf("unrelated=%d", unrelated), func(b *testing.B) {
-			e := newEnv(b)
-			w := e.open(b, VariantUHLSDiff())
-
-			target := fullPage(0xAA)
+	// build commits 9 versions of page 2, then `unrelated` small diffs
+	// to page 3 (small, to keep the log within the simulated device), and
+	// returns the mark after page 2's fifth version.
+	build := func(b *testing.B, unrelated int) (w *NVWAL, mid int) {
+		e := newEnv(b)
+		w = e.open(b, VariantUHLSDiff())
+		target := fullPage(0xAA)
+		commitPages(b, w, map[uint32][]byte{2: target})
+		for i := 0; i < 8; i++ {
+			if i == 4 {
+				mid = w.Mark()
+			}
+			target = patchedPage(target, (i*97)%4000, 32, byte(i))
 			commitPages(b, w, map[uint32][]byte{2: target})
-			for i := 0; i < 8; i++ {
-				target = patchedPage(target, (i*97)%4000, 32, byte(i))
-				commitPages(b, w, map[uint32][]byte{2: target})
-			}
-			// Unrelated churn on other pages, small diffs to keep the
-			// log within the simulated device.
-			base := fullPage(0xBB)
+		}
+		base := fullPage(0xBB)
+		commitPages(b, w, map[uint32][]byte{3: base})
+		for i := 0; i < unrelated; i++ {
+			base = patchedPage(base, (i*131)%4000, 24, byte(i))
 			commitPages(b, w, map[uint32][]byte{3: base})
-			for i := 0; i < unrelated; i++ {
-				base = patchedPage(base, (i*131)%4000, 24, byte(i))
-				commitPages(b, w, map[uint32][]byte{3: base})
+		}
+		return w, mid
+	}
+	loop := func(b *testing.B, resolved func() bool) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !resolved() {
+				b.Fatal("target page missing")
 			}
-			mark := w.Mark()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := w.PageVersionAt(2, mark); !ok {
-					b.Fatal("target page missing")
-				}
-			}
+		}
+	}
+	versionAt := func(w *NVWAL, mark int) func() bool {
+		return func() bool { _, ok := w.PageVersionAt(2, mark); return ok }
+	}
+	for _, unrelated := range []int{64, 1024, 4096} {
+		b.Run(fmt.Sprintf("rewritten-after-mark/unrelated=%d", unrelated), func(b *testing.B) {
+			w, mid := build(b, unrelated)
+			loop(b, versionAt(w, mid))
 		})
 	}
+	b.Run("unchanged-since-mark", func(b *testing.B) {
+		w, _ := build(b, 64)
+		loop(b, versionAt(w, w.Mark()))
+	})
+	b.Run("fully-backfilled", func(b *testing.B) {
+		w, _ := build(b, 64)
+		if err := w.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		// No frame is left below the mark, so PageVersionAt would report
+		// ok=false; PageImageAt is the call that still serves the image.
+		mark := w.Mark()
+		loop(b, func() bool { img, _ := w.PageImageAt(2, mark); return img != nil })
+	})
 }

@@ -413,10 +413,11 @@ type NVWAL struct {
 	// It is the per-page wal-index that makes PageVersionAt
 	// O(frames-for-that-page) instead of O(total history).
 	byPage map[uint32][]int
-	// base holds, for pages whose first unbackfilled frame is
-	// differential, the image that frame patches (the page's state at
-	// the frame's append time). Pages whose first frame is full need no
-	// base; replay starts from zero.
+	// base holds, for every indexed page the log held before its first
+	// unbackfilled frame, the image that frame replaced: the page's
+	// state at every mark at or below that frame, and where replay
+	// starts. A page with no entry was first logged by that frame; the
+	// database file holds its earlier state.
 	base map[uint32][]byte
 	// ckpt is the in-flight incremental checkpoint round, nil when none.
 	ckpt *ckptState
@@ -1149,12 +1150,14 @@ func (w *NVWAL) persistMark(addr, mark uint64) {
 func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns int) {
 	w.chain = chain
 	for _, f := range hist {
-		if _, tracked := w.byPage[f.pgno]; !tracked && !f.full {
-			// The page's first unbackfilled frame is differential: record
-			// the image it patches (the pre-transaction version, which a
-			// completed checkpoint round has made durable). Version images
-			// are replaced wholesale, never mutated, so sharing is safe.
-			w.base[f.pgno] = w.versions[f.pgno]
+		if _, tracked := w.byPage[f.pgno]; !tracked {
+			// The page's first unbackfilled frame: record the image it
+			// replaces (the pre-transaction version, which a completed
+			// checkpoint round has made durable). A page the log never
+			// held has none; the database file serves it.
+			if prev, logged := w.versions[f.pgno]; logged {
+				w.base[f.pgno] = prev
+			}
 		}
 		w.byPage[f.pgno] = append(w.byPage[f.pgno], w.histBase+len(w.history))
 		w.history = append(w.history, f)
@@ -1215,36 +1218,63 @@ func (w *NVWAL) Mark() int {
 	return w.histBase + len(w.history)
 }
 
-// PageVersionAt implements pager.SnapshotJournal: replay pgno's frames
-// below the mark, found through the per-page index — O(frames for this
-// page), independent of other pages' history. Replay starts from the
-// recorded base image when the page's first unbackfilled frame is
-// differential, or from zero otherwise; a full frame resets the image
-// before its payload applies.
-func (w *NVWAL) PageVersionAt(pgno uint32, mark int) ([]byte, bool) {
+// imageAt is the one read view of the log (DESIGN.md §22): the
+// read-only image of pgno at mark, resolved through the per-page index,
+// whether a frame of the page lies below the mark, and whether the image
+// is shared. Every image it returns without replaying is one the log
+// retains anyway — installed by publish, completeCheckpoint or recovery
+// and never written again — so callers share it and must not modify it;
+// a replayed one is the caller's alone (worth keeping: it cost a chain
+// walk). Nil means the database file holds the page. Reads charge no virtual time; this is the site
+// that will.
+//
+//	frames below mark   frames at/above mark   image
+//	none                none                   versions[pgno] (= the file, once logged), else nil
+//	none                some                   base[pgno], else nil
+//	all                 none                   versions[pgno]
+//	some                some                   base[pgno] + the frames below mark, replayed
+func (w *NVWAL) imageAt(pgno uint32, mark int) (img []byte, below, shared bool) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	idxs := w.byPage[pgno]
 	n := sort.SearchInts(idxs, mark)
-	if n == 0 {
-		// No frame for this page below the mark: its image at the mark
-		// is whatever the database file holds (the caller falls back).
-		return nil, false
+	switch n {
+	case len(idxs):
+		return w.versions[pgno], n > 0, true
+	case 0:
+		return w.base[pgno], false, true
 	}
-	img := make([]byte, w.pageSize)
-	if base, ok := w.base[pgno]; ok {
-		copy(img, base)
-	}
+	// Rewritten after the mark: O(frames of this page below it).
+	img = make([]byte, w.pageSize)
+	copy(img, w.base[pgno])
 	for _, abs := range idxs[:n] {
 		f := w.history[abs-w.histBase]
 		if f.full {
-			for i := range img {
-				img[i] = 0
-			}
+			clear(img)
 		}
 		applyExtent(img, f.off, f.payload)
 	}
+	return img, true, false
+}
+
+// PageVersionAt implements pager.SnapshotJournal: pgno's image at the
+// mark, or ok=false when no frame of the page lies below it. The image
+// is read-only, and shared unless it had to be replayed (see imageAt).
+func (w *NVWAL) PageVersionAt(pgno uint32, mark int) ([]byte, bool) {
+	img, below, _ := w.imageAt(pgno, mark)
+	if !below {
+		return nil, false
+	}
 	return img, true
+}
+
+// PageImageAt implements pager.PageImager: the read-only image of pgno
+// at the mark whether or not a frame lies below it, nil when only the
+// database file holds the page; shared is false for an image replayed
+// for this call.
+func (w *NVWAL) PageImageAt(pgno uint32, mark int) (img []byte, shared bool) {
+	img, _, shared = w.imageAt(pgno, mark)
+	return img, shared
 }
 
 // Checkpoint implements pager.Journal as a blocking alias: one full
@@ -1441,14 +1471,10 @@ func (w *NVWAL) completeCheckpoint(st *ckptState) error {
 			continue
 		}
 		w.byPage[pgno] = append([]int(nil), idxs[cut:]...)
-		// The surviving frames now replay on top of the image this round
-		// just made durable (the page's state at the watermark) — the
-		// append-time base below the watermark is gone from history.
-		if w.history[w.byPage[pgno][0]-w.histBase].full {
-			delete(w.base, pgno)
-		} else {
-			w.base[pgno] = st.pages[pgno]
-		}
+		// The surviving frames now follow the image this round just made
+		// durable (the page's state at the watermark) — the append-time
+		// base below the watermark is gone from history.
+		w.base[pgno] = st.pages[pgno]
 	}
 	w.ckpt = nil
 	w.m.Inc(metrics.Checkpoints, 1)

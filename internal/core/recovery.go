@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/heapo"
 	"repro/internal/metrics"
@@ -458,18 +459,16 @@ func (w *NVWAL) replayFrames(kept []scannedFrame, record bool, gen uint64, rep *
 			w.versions[fr.pgno] = img
 		}
 		if record {
-			if _, tracked := w.byPage[fr.pgno]; !tracked && !fr.full {
-				base := make([]byte, w.pageSize)
-				copy(base, img)
-				w.base[fr.pgno] = base
+			if _, tracked := w.byPage[fr.pgno]; !tracked && (ok || !fr.full) {
+				// img is patched in place below (no reader exists yet), so
+				// the base is the one image recovery copies.
+				w.base[fr.pgno] = slices.Clone(img)
 			}
 			w.byPage[fr.pgno] = append(w.byPage[fr.pgno], w.histBase+len(w.history))
 			w.history = append(w.history, histFrame{pgno: fr.pgno, off: fr.off, full: fr.full, payload: fr.payload})
 		}
 		if fr.full {
-			for i := range img {
-				img[i] = 0
-			}
+			clear(img)
 		}
 		applyExtent(img, fr.off, fr.payload)
 		applied++

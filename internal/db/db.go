@@ -193,6 +193,12 @@ type DB struct {
 	dbf *retryFile
 	jrn pager.Journal
 	pg  *pager.Pager
+	// view resolves read-only page images at journal marks for every
+	// versioned reader (ReadTx, CTx, ExportPages); nil when the journal
+	// mode has no snapshot support. catalog memoises the table catalog
+	// against the page-1 image those readers resolve.
+	view    *pager.ReadView
+	catalog CatalogCache
 
 	// degradedErr latches the degraded read-only mode (ErrDegraded):
 	// set at open when salvage found database-file damage, or at runtime
@@ -327,6 +333,7 @@ func Open(plat *platform.Platform, name string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	d.view = pager.NewReadView(d.jrn, d.dbf)
 	size := opts.GroupCommit
 	if size < 1 {
 		size = 1
@@ -441,15 +448,7 @@ func (d *DB) readCatalog() (map[string]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint16(hdr[catalogOff:]))
-	out := make(map[string]uint32, n)
-	for i := 0; i < n; i++ {
-		off := catalogOff + 2 + i*tableEntry
-		name := strings.TrimRight(string(hdr[off:off+tableNameLen]), "\x00")
-		root := binary.LittleEndian.Uint32(hdr[off+tableNameLen:])
-		out[name] = root
-	}
-	return out, nil
+	return ParseCatalog(hdr), nil
 }
 
 // tree returns the B+tree handle for a table. Callers hold the writer

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/pager"
@@ -46,54 +47,29 @@ type PageSnapshot struct {
 // concurrent incremental checkpoint can never invalidate the images
 // mid-capture.
 func (d *DB) ExportPages() (*PageSnapshot, error) {
-	sj, ok := d.jrn.(pager.SnapshotJournal)
-	if !ok {
+	if d.view == nil {
 		return nil, ErrNoExport
 	}
-	d.ckptMu.Lock()
-	d.readers.Add(1)
-	mark := sj.Mark()
-	d.openMarks[mark]++
-	d.ckptMu.Unlock()
-	defer func() {
-		d.ckptMu.Lock()
-		d.readers.Add(-1)
-		if n := d.openMarks[mark]; n <= 1 {
-			delete(d.openMarks, mark)
-		} else {
-			d.openMarks[mark] = n - 1
-		}
-		d.ckptMu.Unlock()
-		d.kickCheckpoint()
-	}()
-
-	readAt := func(pgno uint32) ([]byte, error) {
-		if buf, ok := sj.PageVersionAt(pgno, mark); ok {
-			return buf, nil
-		}
-		buf := make([]byte, d.dbf.PageSize())
-		if err := d.dbf.ReadPage(pgno, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
+	mark := d.pinMark()
+	defer d.unpinMark(mark)
 
 	// The page count lives in the header page; reading it at the pinned
 	// mark keeps the capture self-consistent even while writers extend
-	// the file.
-	hdr, err := readAt(1)
+	// the file. The images are the log's own (pager.ReadView): shared,
+	// read-only.
+	hdr, _, err := d.view.PageAt(1, mark)
 	if err != nil {
 		return nil, err
 	}
 	count := pager.HeaderPageCount(hdr)
 	snap := &PageSnapshot{
 		Mark:     mark,
-		PageSize: d.dbf.PageSize(),
+		PageSize: d.view.PageSize(),
 		Pages:    make([]pager.Frame, 0, count),
 	}
 	snap.Pages = append(snap.Pages, pager.Frame{Pgno: 1, Data: hdr})
 	for pgno := uint32(2); pgno <= count; pgno++ {
-		data, err := readAt(pgno)
+		data, _, err := d.view.PageAt(pgno, mark)
 		if err != nil {
 			return nil, err
 		}
@@ -114,6 +90,36 @@ func ParseCatalog(hdr []byte) map[string]uint32 {
 		out[name] = binary.LittleEndian.Uint32(hdr[off+tableNameLen:])
 	}
 	return out
+}
+
+// CatalogCache memoises ParseCatalog against the identity of the
+// header-page image it last parsed. Snapshot images are immutable, so
+// the same image is the same catalog version and readers at one version
+// share one parsed map — which they must treat as read-only. Holding the
+// image keeps its address from being reused (and the last 4 KiB header
+// image alive). It holds ONE version: readers pinned at different page-1
+// versions evict each other and parse per tree open, as every reader did
+// before the memo — still correct, and a ReadTx or session caches the
+// trees it opened anyway. A header image built per reader (a database-
+// file read after a reopen) is a version of its own and hits only within
+// that reader. The zero value is ready; safe for concurrent use.
+type CatalogCache struct {
+	last atomic.Pointer[parsedCatalog]
+}
+
+type parsedCatalog struct {
+	hdr    *byte
+	tables map[string]uint32
+}
+
+// Parse returns the catalog of the immutable header-page image hdr.
+func (c *CatalogCache) Parse(hdr []byte) map[string]uint32 {
+	if p := c.last.Load(); p != nil && p.hdr == &hdr[0] {
+		return p.tables
+	}
+	p := &parsedCatalog{hdr: &hdr[0], tables: ParseCatalog(hdr)}
+	c.last.Store(p)
+	return p.tables
 }
 
 // TreeReserved reports the per-page reserved byte count a btree over

@@ -3,11 +3,10 @@ package db
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/btree"
@@ -48,35 +47,32 @@ type CTx struct {
 	// snapSeq is gc.nextSeq at snapshot time: any versions-vector entry
 	// above it is a conflicting later commit.
 	snapSeq  uint64
-	mark     int
 	markHeld bool
 	done     bool
 	seq      uint64
 }
 
-// sessionStore is a CTx's private btree.PageStore: reads come from the
-// session snapshot (own working set, then the images of commits that
-// were queued but unflushed at snapshot time, then the journal at the
-// snapshot mark, then the database file) and every loaded page is a
-// private copy, so btree mutations never touch shared state. Page
-// numbers for fresh pages come from the DB-wide arbiter (allocTop /
-// allocPool), never from the shared freelist — popping the freelist
-// requires the writer slot the session deliberately does not hold.
+// sessionStore is a CTx's private btree.PageStore: a page is read from
+// the session's own working set, else loaded from the session snapshot
+// (snap: the images of commits that were queued but unflushed at
+// snapshot time, then the journal at the snapshot mark, then the
+// database file) as ONE private copy, so btree mutations never touch
+// shared state. The shared image it was copied from stays the page's
+// committed pre-image — the diff base at commit. An image the snapshot
+// had to build (a file read, a replay) has no other holder: it becomes
+// the working copy itself, and its pre-image is copied only if the
+// session goes on to write the page (keepBase). Page numbers for fresh
+// pages come from the DB-wide arbiter (allocTop / allocPool), never from
+// the shared freelist — popping the freelist requires the writer slot
+// the session deliberately does not hold.
 type sessionStore struct {
-	d        *DB
-	jrn      pager.SnapshotJournal
-	mark     int
-	pageSize int
-	// overlay holds the frame images of commits enqueued but not yet
-	// flushed at snapshot time: they are not reachable through the
-	// journal mark yet, but they ARE committed. Read-only shared
-	// references; Get copies out of them.
-	overlay map[uint32][]byte
-	pages   map[uint32][]byte // private working images
-	base    map[uint32][]byte // committed pre-image of each written page
-	dirty   map[uint32]bool
-	fresh   map[uint32]bool
-	freed   map[uint32]bool // non-fresh pages freed by this session
+	d     *DB
+	snap  snapshotStore
+	pages map[uint32][]byte // private working images
+	base  map[uint32][]byte // committed pre-image of each loaded page (see keepBase)
+	dirty map[uint32]bool
+	fresh map[uint32]bool
+	freed map[uint32]bool // non-fresh pages freed by this session
 	// freshFree recycles pages allocated and freed inside this session.
 	freshFree []uint32
 	// allocs are the page numbers taken from the shared arbiter; on
@@ -84,7 +80,7 @@ type sessionStore struct {
 	allocs []uint32
 }
 
-func (st *sessionStore) PageSize() int { return st.pageSize }
+func (st *sessionStore) PageSize() int { return st.snap.PageSize() }
 
 func (st *sessionStore) Get(pgno uint32) ([]byte, error) {
 	if pgno == 0 {
@@ -93,16 +89,25 @@ func (st *sessionStore) Get(pgno uint32) ([]byte, error) {
 	if buf, ok := st.pages[pgno]; ok {
 		return buf, nil
 	}
-	buf := make([]byte, st.pageSize)
-	if img, ok := st.overlay[pgno]; ok {
-		copy(buf, img)
-	} else if v, ok := st.jrn.PageVersionAt(pgno, st.mark); ok {
-		copy(buf, v)
-	} else if err := st.d.dbf.ReadPage(pgno, buf); err != nil {
+	img, shared, err := st.snap.load(pgno)
+	if err != nil {
 		return nil, err
 	}
-	st.pages[pgno] = buf
-	return buf, nil
+	if shared {
+		st.base[pgno] = img
+		img = slices.Clone(img)
+	}
+	st.pages[pgno] = img
+	return img, nil
+}
+
+// keepBase runs before the session first changes a loaded page: a page
+// loaded without a shared image to diff against gets its pre-image
+// copied now.
+func (st *sessionStore) keepBase(pgno uint32) {
+	if _, ok := st.base[pgno]; !ok {
+		st.base[pgno] = slices.Clone(st.pages[pgno])
+	}
 }
 
 func (st *sessionStore) Allocate() (uint32, []byte, error) {
@@ -121,7 +126,7 @@ func (st *sessionStore) Allocate() (uint32, []byte, error) {
 	if ok {
 		clear(buf)
 	} else {
-		buf = make([]byte, st.pageSize)
+		buf = make([]byte, st.PageSize())
 		st.pages[pgno] = buf
 	}
 	st.dirty[pgno] = true
@@ -140,16 +145,13 @@ func (st *sessionStore) Free(pgno uint32) error {
 		return nil
 	}
 	// Committed page: freeing it is a write (the commit chains it onto
-	// the shared freelist), so capture the pre-image for the diff and
-	// claim it in the write set.
-	if _, ok := st.base[pgno]; !ok {
-		buf, err := st.Get(pgno)
-		if err != nil {
-			return err
-		}
-		pre := make([]byte, len(buf))
-		copy(pre, buf)
-		st.base[pgno] = pre
+	// the shared freelist), so make sure its pre-image is loaded for the
+	// diff and claim it in the write set.
+	if _, err := st.Get(pgno); err != nil {
+		return err
+	}
+	if !st.dirty[pgno] {
+		st.keepBase(pgno)
 	}
 	st.freed[pgno] = true
 	delete(st.dirty, pgno)
@@ -157,19 +159,9 @@ func (st *sessionStore) Free(pgno uint32) error {
 }
 
 func (st *sessionStore) MarkDirty(pgno uint32) {
-	if st.dirty[pgno] {
-		return
-	}
-	st.dirty[pgno] = true
-	if st.fresh[pgno] {
-		return
-	}
-	if _, ok := st.base[pgno]; !ok {
-		if buf, ok := st.pages[pgno]; ok {
-			pre := make([]byte, len(buf))
-			copy(pre, buf)
-			st.base[pgno] = pre
-		}
+	if !st.dirty[pgno] {
+		st.keepBase(pgno)
+		st.dirty[pgno] = true
 	}
 }
 
@@ -242,8 +234,7 @@ func (d *DB) BeginConcurrent() (*CTx, error) {
 // runs — which keeps solo commits (journal written outside gc.mu)
 // from racing the snapshot.
 func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
-	sj, ok := d.jrn.(pager.SnapshotJournal)
-	if !ok {
+	if d.view == nil {
 		return nil, ErrNoSnapshots
 	}
 	if !d.opts.Concurrent {
@@ -268,17 +259,13 @@ func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
 	d.raiseAllocTop(pc)
 
 	// Phase 1: provisional checkpoint pin.
-	d.ckptMu.Lock()
-	d.readers.Add(1)
-	m0 := sj.Mark()
-	d.openMarks[m0]++
-	d.ckptMu.Unlock()
+	m0 := d.pinMark()
 
 	// Phase 2: the real snapshot, consistent under gc.mu.
 	gc := d.gc
 	gc.mu.Lock()
 	snapSeq := gc.nextSeq
-	mark := sj.Mark()
+	mark := d.view.Mark()
 	var overlay map[uint32][]byte
 	for _, r := range gc.queue {
 		for _, fr := range r.frames {
@@ -312,21 +299,17 @@ func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
 		d:   d,
 		ctx: ctx,
 		store: &sessionStore{
-			d:        d,
-			jrn:      sj,
-			mark:     mark,
-			pageSize: d.pg.PageSize(),
-			overlay:  overlay,
-			pages:    make(map[uint32][]byte),
-			base:     make(map[uint32][]byte),
-			dirty:    make(map[uint32]bool),
-			fresh:    make(map[uint32]bool),
-			freed:    make(map[uint32]bool),
+			d:     d,
+			snap:  snapshotStore{view: d.view, mark: mark, overlay: overlay},
+			pages: make(map[uint32][]byte),
+			base:  make(map[uint32][]byte),
+			dirty: make(map[uint32]bool),
+			fresh: make(map[uint32]bool),
+			freed: make(map[uint32]bool),
 		},
 		trees:    make(map[string]*btree.Tree),
 		stream:   stream,
 		snapSeq:  snapSeq,
-		mark:     mark,
 		markHeld: true,
 	}, nil
 }
@@ -359,31 +342,18 @@ func (tx *CTx) guard() error {
 	return nil
 }
 
-// sessionCatalog parses the table catalog as of the snapshot.
-func (tx *CTx) sessionCatalog() (map[string]uint32, error) {
-	hdr, err := tx.store.Get(1)
-	if err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint16(hdr[catalogOff:]))
-	out := make(map[string]uint32, n)
-	for i := 0; i < n; i++ {
-		off := catalogOff + 2 + i*tableEntry
-		name := strings.TrimRight(string(hdr[off:off+tableNameLen]), "\x00")
-		out[name] = binary.LittleEndian.Uint32(hdr[off+tableNameLen:])
-	}
-	return out, nil
-}
-
 func (tx *CTx) tree(table string) (*btree.Tree, error) {
 	if t, ok := tx.trees[table]; ok {
 		return t, nil
 	}
-	cat, err := tx.sessionCatalog()
+	// Resolve the root through the snapshot's shared page-1 image, not a
+	// private copy: its identity keys the catalog memo, and a session
+	// that only reads the catalog never needs page 1 in its working set.
+	hdr, err := tx.store.snap.Get(1)
 	if err != nil {
 		return nil, err
 	}
-	root, ok := cat[table]
+	root, ok := tx.d.catalog.Parse(hdr)[table]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoTable, table)
 	}
@@ -462,16 +432,7 @@ func (tx *CTx) releaseMark() {
 		return
 	}
 	tx.markHeld = false
-	d := tx.d
-	d.ckptMu.Lock()
-	d.readers.Add(-1)
-	if n := d.openMarks[tx.mark]; n <= 1 {
-		delete(d.openMarks, tx.mark)
-	} else {
-		d.openMarks[tx.mark] = n - 1
-	}
-	d.ckptMu.Unlock()
-	d.kickCheckpoint()
+	tx.d.unpinMark(tx.store.snap.mark)
 }
 
 // finish closes the session out: mark released, writer unregistered,
@@ -586,10 +547,7 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 		tx.finish(true)
 		return err
 	}
-	base1 := make([]byte, len(cur1))
-	copy(base1, cur1)
-	img1 := make([]byte, len(cur1))
-	copy(img1, cur1)
+	img1 := slices.Clone(cur1)
 	maxOwn := pager.HeaderPageCount(img1)
 	for _, wr := range staged {
 		if wr.fresh && wr.pgno > maxOwn {
@@ -605,8 +563,7 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 	head := pager.HeaderFreeHead(img1)
 	cnt := pager.HeaderFreeCount(img1)
 	for _, pgno := range freed {
-		link := make([]byte, st.pageSize)
-		copy(link, st.base[pgno])
+		link := slices.Clone(st.base[pgno])
 		pager.SetFreelistLink(link, head)
 		head = pgno
 		cnt++
@@ -623,7 +580,9 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 	}
 	pager.SetHeaderFreeHead(img1, head)
 	pager.SetHeaderFreeCount(img1, cnt)
-	hdrWrite := sessionWrite{pgno: 1, img: img1, base: base1}
+	// cur1 is only read while it is staged, under the slot that keeps it
+	// stable, so the pager's buffer itself is the diff base.
+	hdrWrite := sessionWrite{pgno: 1, img: img1, base: cur1}
 	if ok, err := tx.stagePage(hdrWrite); err != nil {
 		d.releaseSlot()
 		tx.finish(true)

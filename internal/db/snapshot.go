@@ -1,10 +1,8 @@
 package db
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/btree"
 	"repro/internal/pager"
@@ -27,7 +25,7 @@ var ErrBusySnapshot = errors.New("db: checkpoint blocked by open read transactio
 // intact in the database file").
 type ReadTx struct {
 	d     *DB
-	store *snapshotStore
+	store snapshotStore
 	trees map[string]*btree.Tree
 	done  bool
 }
@@ -40,63 +38,64 @@ type ReadTx struct {
 // the WAL reader/writer property the engine exists to provide. One
 // ReadTx must not be shared between goroutines.
 func (d *DB) BeginRead() (*ReadTx, error) {
-	sj, ok := d.jrn.(pager.SnapshotJournal)
-	if !ok {
+	if d.view == nil {
 		return nil, ErrNoSnapshots
 	}
-	// ckptMu makes register-and-mark atomic against the checkpoint
-	// gate's mark scan, so the mark can never straddle a round that
-	// would invalidate it.
-	d.ckptMu.Lock()
-	d.readers.Add(1)
-	mark := sj.Mark()
-	d.openMarks[mark]++
-	d.ckptMu.Unlock()
 	return &ReadTx{
-		d: d,
-		store: &snapshotStore{
-			jrn:   sj,
-			dbf:   d.dbf,
-			mark:  mark,
-			pages: make(map[uint32][]byte),
-		},
+		d:     d,
+		store: snapshotStore{view: d.view, mark: d.pinMark()},
 		trees: make(map[string]*btree.Tree),
 	}, nil
 }
 
-// Close releases the snapshot, unblocking checkpoints. A background
-// checkpointer waiting out this reader's mark is kicked to retry.
-func (r *ReadTx) Close() {
-	if r.done {
-		return
-	}
-	r.done = true
-	d := r.d
+// pinMark registers a snapshot reader at the journal's current mark and
+// returns it. ckptMu makes register-and-mark atomic against the
+// checkpoint gate's mark scan, so the mark can never straddle a round
+// that would invalidate it.
+func (d *DB) pinMark() int {
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
+	d.readers.Add(1)
+	mark := d.view.Mark()
+	d.openMarks[mark]++
+	return mark
+}
+
+// unpinMark releases a pinMark registration, unblocking checkpoints. A
+// background checkpointer waiting out the mark is kicked to retry.
+func (d *DB) unpinMark(mark int) {
 	d.ckptMu.Lock()
 	d.readers.Add(-1)
-	if n := d.openMarks[r.store.mark]; n <= 1 {
-		delete(d.openMarks, r.store.mark)
+	if n := d.openMarks[mark]; n <= 1 {
+		delete(d.openMarks, mark)
 	} else {
-		d.openMarks[r.store.mark] = n - 1
+		d.openMarks[mark] = n - 1
 	}
 	d.ckptMu.Unlock()
 	d.kickCheckpoint()
 }
 
-// snapshotCatalog parses the table catalog as of the snapshot.
-func (r *ReadTx) snapshotCatalog() (map[string]uint32, error) {
-	hdr, err := r.store.Get(1)
+// Close releases the snapshot.
+func (r *ReadTx) Close() {
+	if r.done {
+		return
+	}
+	r.done = true
+	r.d.unpinMark(r.store.mark)
+}
+
+// treeAt opens table's B+tree over a snapshot store, resolving the root
+// through the catalog of the store's page-1 image.
+func (d *DB) treeAt(store btree.PageStore, table string) (*btree.Tree, error) {
+	hdr, err := store.Get(1)
 	if err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint16(hdr[catalogOff:]))
-	out := make(map[string]uint32, n)
-	for i := 0; i < n; i++ {
-		off := catalogOff + 2 + i*tableEntry
-		name := strings.TrimRight(string(hdr[off:off+tableNameLen]), "\x00")
-		out[name] = binary.LittleEndian.Uint32(hdr[off+tableNameLen:])
+	root, ok := d.catalog.Parse(hdr)[table]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoTable, table)
 	}
-	return out, nil
+	return btree.New(store, root, btree.Config{Reserved: d.reserved()}), nil
 }
 
 func (r *ReadTx) tree(table string) (*btree.Tree, error) {
@@ -106,15 +105,10 @@ func (r *ReadTx) tree(table string) (*btree.Tree, error) {
 	if t, ok := r.trees[table]; ok {
 		return t, nil
 	}
-	cat, err := r.snapshotCatalog()
+	t, err := r.d.treeAt(&r.store, table)
 	if err != nil {
 		return nil, err
 	}
-	root, ok := cat[table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoTable, table)
-	}
-	t := btree.New(r.store, root, btree.Config{Reserved: r.d.reserved()})
 	r.trees[table] = t
 	return t, nil
 }
@@ -155,31 +149,50 @@ func (r *ReadTx) Count(table string) (int, error) {
 	return t.Count()
 }
 
-// snapshotStore is a read-only btree.PageStore reconstructing pages as
-// of a journal mark: log frames up to the mark override the database
-// file.
+// snapshotStore is a read-only btree.PageStore over the database as of
+// a journal mark (pager.ReadView). A page the journal hands out shared
+// is not kept — asking again costs nothing; one the view had to build
+// (replayed, or read from the file log or the database file) is, so a
+// long-lived reader builds each such page once.
 type snapshotStore struct {
-	jrn   pager.SnapshotJournal
-	dbf   pager.DBFile
-	mark  int
-	pages map[uint32][]byte
+	view *pager.ReadView
+	mark int
+	// built holds the images that were built for this reader. Nil until
+	// the first one.
+	built map[uint32][]byte
+	// overlay holds the frame images of commits enqueued but not yet
+	// flushed when an MVCC session took its snapshot: they are not
+	// reachable through the journal mark yet, but they ARE committed.
+	// Nil for read transactions, which see only flushed commits.
+	overlay map[uint32][]byte
 }
 
-func (s *snapshotStore) PageSize() int { return s.dbf.PageSize() }
+func (s *snapshotStore) PageSize() int { return s.view.PageSize() }
+
+// load resolves pgno without consulting or feeding built: a caller that
+// gets shared=false owns the image.
+func (s *snapshotStore) load(pgno uint32) (img []byte, shared bool, err error) {
+	if img, ok := s.overlay[pgno]; ok {
+		return img, true, nil
+	}
+	return s.view.PageAt(pgno, s.mark)
+}
 
 func (s *snapshotStore) Get(pgno uint32) ([]byte, error) {
-	if buf, ok := s.pages[pgno]; ok {
-		return buf, nil
+	if img, ok := s.built[pgno]; ok {
+		return img, nil
 	}
-	buf, ok := s.jrn.PageVersionAt(pgno, s.mark)
-	if !ok {
-		buf = make([]byte, s.dbf.PageSize())
-		if err := s.dbf.ReadPage(pgno, buf); err != nil {
-			return nil, err
+	img, shared, err := s.load(pgno)
+	if err != nil {
+		return nil, err
+	}
+	if !shared {
+		if s.built == nil {
+			s.built = make(map[uint32][]byte)
 		}
+		s.built[pgno] = img
 	}
-	s.pages[pgno] = buf
-	return buf, nil
+	return img, nil
 }
 
 func (s *snapshotStore) Allocate() (uint32, []byte, error) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,7 +10,11 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/db"
+	"repro/internal/netsim"
 	"repro/internal/pager"
+	"repro/internal/repl"
+	"repro/internal/server"
 )
 
 // CommitAllocsRow is one commit-path shape of the allocation audit:
@@ -43,9 +48,11 @@ func (r *CommitAllocsResult) Row(path string) *CommitAllocsRow {
 }
 
 // CommitAllocs measures steady-state heap allocations per operation on
-// the three commit-path shapes the zero-copy work targets: a solo
+// the three commit-path shapes the zero-copy work targets — a solo
 // end-to-end transaction (B-tree insert through NVWAL), a group commit
-// driven straight at the journal, and the PageVersionInto read path.
+// driven straight at the journal, and the PageVersionInto read path —
+// and on the three versioned read paths that share the log's page
+// images (readPathAllocs).
 // Measurement is runtime.MemStats deltas (Mallocs and TotalAlloc are
 // monotonic, so a concurrent GC cannot skew them) over a single
 // measuring goroutine.
@@ -66,6 +73,12 @@ func CommitAllocs(txns int) (*CommitAllocsResult, error) {
 		return nil, err
 	}
 	res.Rows = append(res.Rows, group, pvi)
+
+	reads, err := readPathAllocs(txns)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = append(res.Rows, reads...)
 	return res, nil
 }
 
@@ -187,6 +200,126 @@ func journalAllocs(txns int) (CommitAllocsRow, CommitAllocsRow, error) {
 		return zero, zero, err
 	}
 	return group, read, s.DB.Close()
+}
+
+// readPathAllocs audits the versioned readers over a log that is partly
+// checkpointed (some pages fully backfilled, some with frames above the
+// backfill watermark): a snapshot point read (BeginRead, Get, Close), an
+// MVCC session read-modify-write (RunConcurrent: Get then Update) and a
+// replica GET. A snapshot or replica read allocates nothing page-sized —
+// every page it visits is an image the log retains anyway — and a
+// session copies each page it loads exactly once.
+func readPathAllocs(txns int) ([]CommitAllocsRow, error) {
+	const keys = 2000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i%keys)) }
+	val := make([]byte, 100)
+
+	plat, err := Tuna.newPlatform()
+	if err != nil {
+		return nil, err
+	}
+	d, err := db.Open(plat, "bench.db", db.Options{
+		Journal: db.JournalNVWAL, NVWAL: core.VariantUHLSDiff(),
+		Concurrent: true, CheckpointLimit: -1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := d.CreateTable("bench"); err != nil {
+		return nil, err
+	}
+	// Load, backfill everything, then rewrite a quarter of the keys.
+	put := func(from, step int) error {
+		tx, err := d.Begin()
+		if err != nil {
+			return err
+		}
+		for i := from; i < keys; i += step {
+			if err := tx.Insert("bench", key(i), val); err != nil {
+				return err
+			}
+		}
+		return tx.Commit()
+	}
+	if err := put(0, 1); err != nil {
+		return nil, err
+	}
+	if err := d.Checkpoint(); err != nil {
+		return nil, err
+	}
+	val[0] = 1
+	if err := put(0, 4); err != nil {
+		return nil, err
+	}
+
+	snap, err := measureAllocs("snapshot-get", txns, func(i int) error {
+		rt, err := d.BeginRead()
+		if err != nil {
+			return err
+		}
+		defer rt.Close()
+		if _, ok, err := rt.Get("bench", key(i*7)); err != nil || !ok {
+			return fmt.Errorf("experiments: snapshot read of %s: found=%v err=%v", key(i*7), ok, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rmw, err := measureAllocs("session-rmw", txns, func(i int) error {
+		return d.RunConcurrent(context.Background(), func(tx *db.CTx) error {
+			v, ok, err := tx.Get("bench", key(i*7))
+			if err != nil || !ok {
+				return fmt.Errorf("experiments: session read of %s: found=%v err=%v", key(i*7), ok, err)
+			}
+			v[1]++
+			_, err = tx.Update("bench", key(i*7), v)
+			return err
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := d.Close(); err != nil {
+		return nil, err
+	}
+
+	// The replica checkpoints its own journal every 16 applied batches, so
+	// after 200 shipped writes its log is partly checkpointed too.
+	c, err := repl.NewCluster(replPlatformConfig(), netsim.Config{Latency: 20 * time.Microsecond}, 5, "n0", "n1")
+	if err != nil {
+		return nil, err
+	}
+	pn, err := c.StartPrimary("n0", repl.DefaultDBOptions(), repl.PrimaryOptions{Epoch: 1, AckReplicas: 1}, server.Options{})
+	if err != nil {
+		return nil, err
+	}
+	defer pn.Stop(false)
+	if err := pn.DB.CreateTable("kv"); err != nil {
+		return nil, err
+	}
+	rn, err := c.StartReplica("n1", repl.ReplicaOptions{Epoch: 1}, server.Options{})
+	if err != nil {
+		return nil, err
+	}
+	defer rn.Stop()
+	pn.Attach(c, "n1")
+	const replKeys = 200
+	for i := 0; i < replKeys; i++ {
+		if _, err := pn.Repl.Apply(context.Background(), "kv", []server.Op{{Key: key(i), Value: val}}); err != nil {
+			return nil, err
+		}
+	}
+	rget, err := measureAllocs("replica-get", txns, func(i int) error {
+		if _, ok, err := rn.R.Get("kv", key(i%replKeys)); err != nil || !ok {
+			return fmt.Errorf("experiments: replica read of %s: found=%v err=%v", key(i%replKeys), ok, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []CommitAllocsRow{snap, rmw, rget}, nil
 }
 
 // Print renders the audit.

@@ -97,7 +97,8 @@ type SnapshotJournal interface {
 	// PageVersionAt returns pgno's image as of the mark, or ok=false
 	// when the log held no frame for the page at that point (the page's
 	// content is then whatever the database file holds — unchanged
-	// since the mark, because checkpointing is excluded).
+	// since the mark, because checkpointing is excluded). The image may
+	// be one the journal keeps: callers must not modify it.
 	PageVersionAt(pgno uint32, mark int) ([]byte, bool)
 }
 
@@ -126,6 +127,66 @@ type IncrementalJournal interface {
 // prefers it on the read path.
 type PageVersionInto interface {
 	PageVersionInto(pgno uint32, buf []byte) bool
+}
+
+// PageImager is the optional capability of a SnapshotJournal whose log
+// already retains an immutable image of every page it holds (NVWAL's
+// version images): PageImageAt hands that image out shared instead of
+// copying it. The image is read-only for every holder; nil means the
+// log never held the page at the mark, and the database file serves it.
+// shared is false when the journal had to build the image for this call
+// (a page rewritten after the mark): nobody else holds it.
+type PageImager interface {
+	PageImageAt(pgno uint32, mark int) (img []byte, shared bool)
+}
+
+// ReadView answers the one question every versioned reader asks — the
+// read-only image of page pgno at journal mark m — for snapshot reads,
+// MVCC sessions, exports and replicas alike. The journal's PageImager
+// capability is probed once, at construction; journals without it (the
+// file WAL) serve a private copy through PageVersionAt, and a page the
+// log does not hold at the mark is read from the database file.
+type ReadView struct {
+	jrn    SnapshotJournal
+	shared PageImager
+	db     DBFile
+}
+
+// NewReadView returns the read view of jrn over db, or nil when the
+// journal cannot serve point-in-time reads.
+func NewReadView(jrn Journal, db DBFile) *ReadView {
+	sj, ok := jrn.(SnapshotJournal)
+	if !ok {
+		return nil
+	}
+	v := &ReadView{jrn: sj, db: db}
+	v.shared, _ = jrn.(PageImager)
+	return v
+}
+
+// Mark captures the current end of the committed log.
+func (v *ReadView) Mark() int { return v.jrn.Mark() }
+
+// PageSize is the database page size.
+func (v *ReadView) PageSize() int { return v.db.PageSize() }
+
+// PageAt returns the read-only image of pgno at mark. shared reports
+// that it is one the journal retains; otherwise it was built for this
+// call (replayed, copied out of a file log or read from the database
+// file) and a reader that will visit the page again should keep it.
+func (v *ReadView) PageAt(pgno uint32, mark int) (img []byte, shared bool, err error) {
+	if v.shared != nil {
+		if img, shared := v.shared.PageImageAt(pgno, mark); img != nil {
+			return img, shared, nil
+		}
+	} else if img, ok := v.jrn.PageVersionAt(pgno, mark); ok {
+		return img, false, nil
+	}
+	img = make([]byte, v.db.PageSize())
+	if err := v.db.ReadPage(pgno, img); err != nil {
+		return nil, false, err
+	}
+	return img, false, nil
 }
 
 // DBFile is the database file on block storage that checkpointing

@@ -448,3 +448,60 @@ func TestCoalesce(t *testing.T) {
 		}
 	}
 }
+
+// snapJournal adds the snapshot interface to fakeJournal: every mark
+// sees the current versions, copied out like the file WAL does.
+type snapJournal struct{ *fakeJournal }
+
+func (j snapJournal) Mark() int { return j.commits }
+
+func (j snapJournal) PageVersionAt(pgno uint32, _ int) ([]byte, bool) {
+	v, ok := j.versions[pgno]
+	return bytes.Clone(v), ok
+}
+
+// imagerJournal additionally hands its images out shared.
+type imagerJournal struct{ snapJournal }
+
+func (j imagerJournal) PageImageAt(pgno uint32, _ int) ([]byte, bool) { return j.versions[pgno], true }
+
+type failingDBFile struct{ *fakeDBFile }
+
+func (failingDBFile) ReadPage(uint32, []byte) error { return errors.New("injected read failure") }
+
+// TestReadViewSnapshotResolution covers the one helper every versioned
+// reader calls: no view without snapshot support; a PageImager's image
+// is returned as is (no copy) and reported shared; a plain
+// SnapshotJournal's copy is used; a page the log does not hold comes
+// from the file in a private buffer; a file error surfaces.
+func TestReadViewSnapshotResolution(t *testing.T) {
+	f := newFakeDBFile()
+	if NewReadView(newFakeJournal(), f) != nil {
+		t.Fatal("a journal without Mark/PageVersionAt must have no read view")
+	}
+	logged, onFile := bytes.Repeat([]byte{0xA1}, 4096), bytes.Repeat([]byte{0xF2}, 4096)
+	_ = f.WritePage(3, onFile)
+	fj := newFakeJournal()
+	_ = fj.CommitTransaction([]Frame{{Pgno: 2, Data: logged}})
+
+	shared := NewReadView(imagerJournal{snapJournal{fj}}, f)
+	if got, isShared, err := shared.PageAt(2, shared.Mark()); err != nil || !isShared || &got[0] != &fj.versions[2][0] {
+		t.Fatalf("PageImager image not handed out shared (shared=%v err=%v)", isShared, err)
+	}
+	copied := NewReadView(snapJournal{fj}, f)
+	if got, isShared, err := copied.PageAt(2, copied.Mark()); err != nil || isShared || !bytes.Equal(got, logged) || &got[0] == &fj.versions[2][0] {
+		t.Fatalf("plain SnapshotJournal must serve its own copy (shared=%v err=%v)", isShared, err)
+	}
+	for _, v := range []*ReadView{shared, copied} {
+		got, isShared, err := v.PageAt(3, v.Mark())
+		if err != nil || isShared || !bytes.Equal(got, onFile) || &got[0] == &f.pages[3][0] {
+			t.Fatalf("unlogged page must come from the file in a private buffer (shared=%v err=%v)", isShared, err)
+		}
+		if v.PageSize() != 4096 {
+			t.Fatal("PageSize")
+		}
+	}
+	if _, _, err := NewReadView(snapJournal{fj}, failingDBFile{f}).PageAt(3, 0); err == nil {
+		t.Fatal("file read error swallowed")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -472,5 +473,69 @@ func TestPrimaryApplyIndeterminateWhenReplicasUnreachable(t *testing.T) {
 				t.Fatal("locally committed write missing")
 			}
 		})
+	}
+}
+
+// TestReplicaCatalogParsedOncePerVersion: replica reads resolve tables
+// through the memoised catalog of the applied page-1 image — repeated
+// GETs (and updates that leave page 1 alone) parse nothing, a DDL shipped
+// from the primary parses once more — and serve the log's own images.
+func TestReplicaCatalogParsedOncePerVersion(t *testing.T) {
+	c := newTestCluster(t, "n0", "n1")
+	pn := startPrimaryWithTable(t, c, "n0", 1, 1)
+	defer pn.Stop(false)
+	rn, err := c.StartReplica("n1", ReplicaOptions{Epoch: 1}, server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rn.Stop()
+	pn.Attach(c, "n1")
+	cli := server.NewClient(c.Dialer("cli"), []string{"n0"}, server.ClientOptions{})
+	defer cli.Close()
+	put := func(table, k, v string) {
+		t.Helper()
+		if _, err := cli.Put(table, []byte(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(table, k, want string) {
+		t.Helper()
+		if v, found, err := rn.R.Get(table, []byte(k)); err != nil || !found || string(v) != want {
+			t.Fatalf("replica %s[%s] = %q found=%v err=%v, want %q", table, k, v, found, err, want)
+		}
+	}
+	// page1 is the applied header image; parsed the identity of its
+	// memoised catalog map.
+	page1 := func() []byte {
+		t.Helper()
+		rn.R.rw.RLock()
+		defer rn.R.rw.RUnlock()
+		img, err := rn.R.store().Get(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	parsed := func() uintptr { return reflect.ValueOf(rn.R.catalog.Parse(page1())).Pointer() }
+
+	put("kv", "k", "v1")
+	get("kv", "k", "v1")
+	before := parsed()
+	put("kv", "k", "v2") // no allocation: page 1 unchanged
+	get("kv", "k", "v2")
+	get("kv", "k", "v2")
+	if parsed() != before {
+		t.Fatal("replica re-parsed the catalog although page 1 did not change")
+	}
+	if err := pn.DB.CreateTable("kv2"); err != nil {
+		t.Fatal(err)
+	}
+	put("kv2", "a", "b") // ships the DDL's frames ahead of it (semi-sync)
+	get("kv2", "a", "b")
+	if parsed() == before {
+		t.Fatal("replica kept a stale catalog across a DDL")
+	}
+	if logs, shared := rn.R.wal.PageImageAt(1, rn.R.wal.Mark()); !shared || &page1()[0] != &logs[0] {
+		t.Fatal("replica read copied page 1 instead of sharing the log's image")
 	}
 }

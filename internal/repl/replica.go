@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"repro/internal/btree"
@@ -68,6 +69,11 @@ type Replica struct {
 	m    *metrics.Counters
 	dbf  *dbfile.File
 	wal  *core.NVWAL
+	// view resolves the applied state's read-only page images (the same
+	// helper the primary's snapshot readers use); catalog memoises the
+	// table catalog against the page-1 image.
+	view    *pager.ReadView
+	catalog db.CatalogCache
 
 	// rw orders applies (write lock) against reads (read lock): a read
 	// observes exactly the applied mark, never a half-applied batch.
@@ -125,6 +131,7 @@ func NewReplica(plat *platform.Platform, name string, opts ReplicaOptions) (*Rep
 	if err != nil {
 		return nil, err
 	}
+	r.view = pager.NewReadView(r.wal, r.dbf)
 	r.loadCursor()
 	return r, nil
 }
@@ -384,17 +391,13 @@ func (r *Replica) applyFrames(f framesMsg) ack {
 }
 
 // pageImage returns a mutable copy of the replica's current image of
-// pgno (journal version, else database file, else zeros). Caller
-// holds r.rw.
+// pgno (zeros when it cannot be read). Caller holds r.rw.
 func (r *Replica) pageImage(pgno uint32) []byte {
-	img := make([]byte, r.opts.PageSize)
-	if r.wal.PageVersionInto(pgno, img) {
-		return img
+	img, err := r.store().Get(pgno)
+	if err != nil {
+		return make([]byte, r.opts.PageSize)
 	}
-	if err := r.dbf.ReadPage(pgno, img); err != nil {
-		clear(img)
-	}
-	return img
+	return slices.Clone(img)
 }
 
 // --- server.Engine: snapshot reads at the applied mark -------------
@@ -433,13 +436,12 @@ func (r *Replica) Scan(table string, fn func(key, value []byte) bool) error {
 // tree builds a read-only btree over the applied state. Caller holds
 // r.rw (read or write).
 func (r *Replica) tree(table string) (*btree.Tree, error) {
-	store := &replStore{r: r, pages: make(map[uint32][]byte)}
+	store := r.store()
 	hdr, err := store.Get(1)
 	if err != nil {
 		return nil, err
 	}
-	cat := db.ParseCatalog(hdr)
-	root, ok := cat[table]
+	root, ok := r.catalog.Parse(hdr)[table]
 	if !ok {
 		return nil, fmt.Errorf("repl: no table %q in applied catalog", table)
 	}
@@ -479,29 +481,27 @@ func (r *Replica) Degraded() error {
 	return r.degradedErr
 }
 
-// replStore adapts the replica's applied state to btree.PageStore
-// (read-only, per-call page cache).
+// replStore adapts the replica's applied state to btree.PageStore:
+// read-only, every page the image at the applied mark (the journal's
+// own wherever it holds one). It lives for one descent or one scan,
+// which visit a page once, so it keeps nothing.
 type replStore struct {
-	r     *Replica
-	pages map[uint32][]byte
+	view *pager.ReadView
+	mark int
 }
 
-func (s *replStore) PageSize() int { return s.r.opts.PageSize }
+// store opens the applied state. Applies hold r.rw exclusively, so under
+// the read lock the replica journal's own mark IS the applied state.
+// Caller holds r.rw (read or write).
+func (r *Replica) store() *replStore {
+	return &replStore{view: r.view, mark: r.view.Mark()}
+}
+
+func (s *replStore) PageSize() int { return s.view.PageSize() }
 
 func (s *replStore) Get(pgno uint32) ([]byte, error) {
-	if buf, ok := s.pages[pgno]; ok {
-		return buf, nil
-	}
-	if buf, ok := s.r.wal.PageVersion(pgno); ok {
-		s.pages[pgno] = buf
-		return buf, nil
-	}
-	buf := make([]byte, s.r.opts.PageSize)
-	if err := s.r.dbf.ReadPage(pgno, buf); err != nil {
-		return nil, err
-	}
-	s.pages[pgno] = buf
-	return buf, nil
+	img, _, err := s.view.PageAt(pgno, s.mark)
+	return img, err
 }
 
 func (s *replStore) Allocate() (uint32, []byte, error) {
