@@ -12,9 +12,19 @@
 // The hook deliberately exposes only committed state. history gains
 // frames solely in whole commit/group units under w.mu, so any mark
 // range is a union of complete transactions; an exporter can never
-// observe half a commit. Frames retired by a completed checkpoint
-// (mark < histBase) are gone — ExportSince reports !ok and the
-// subscriber must re-seed from a full snapshot.
+// observe half a commit.
+//
+// Retention follows the subscribers, not the checkpoint. What an export
+// reads is the volatile history mirror (immutable payload arenas), never
+// the NVRAM blocks, so a checkpoint frees its blocks and advances the
+// backfill watermark exactly as it does with no subscriber; the retired
+// frames at or above the lowest registered ExportCursor move into a
+// DRAM-only tail instead of being dropped, and the tail is trimmed as
+// cursors advance or close. Only a range below every cursor — or any
+// retired range when none is registered — is gone: ExportSince reports
+// !ok and the subscriber must re-seed from a full snapshot. How long a
+// subscriber may keep its cursor is the subscriber's policy
+// (repl.Primary), not the log's.
 package core
 
 import (
@@ -33,17 +43,194 @@ type ExportFrame struct {
 }
 
 // ExportBatch is the contiguous committed mark range [From, To).
+// Backfill is the watermark of the exporter's newest checkpoint round
+// when the batch was cut — a round still writing back counts from the
+// moment it froze its generation, so the commit that triggered an inline
+// round announces it even to a subscriber that ships before the round
+// completes; 0 = the exporter never checkpointed. It is at most To. A
+// subscriber that checkpoints on the batch that brings it to a watermark
+// it has not yet checkpointed at runs one round per exporter round, on
+// the same boundary.
 type ExportBatch struct {
 	From, To int
+	Backfill int
 	Frames   []ExportFrame
 }
 
-// ExportSince returns every committed frame in [from, Mark()). It
-// reports ok=false when the range is gone: from precedes the retired
-// checkpoint boundary (histBase) or lies beyond the current mark —
-// either way the caller's cursor has an unhealable gap and must
-// re-seed from a full snapshot. An empty batch (From==To) with ok=true
-// means the caller is caught up.
+// ExportCursor is one subscriber's registered position in the export
+// stream: while it is open, every frame at or above it stays exportable
+// across checkpoints. Its methods are safe for concurrent use.
+type ExportCursor struct {
+	w *NVWAL
+	// Guarded by w.mu. behind is w.published as of pos: the payload bytes
+	// of every frame below the cursor on the log's running count.
+	pos    int
+	behind int64
+	closed bool
+}
+
+// ExportRetention describes the export tail: the retired frames (and
+// their payload bytes) it holds now, and the most it has held since the
+// log was opened.
+type ExportRetention struct {
+	Frames, Bytes         int
+	PeakFrames, PeakBytes int
+}
+
+// OpenExportCursor registers a cursor at the current mark, which is
+// always exportable; Seek moves it to where the subscriber stands.
+func (w *NVWAL) OpenExportCursor() *ExportCursor {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	c := &ExportCursor{w: w, pos: w.histBase + len(w.history), behind: w.published}
+	w.cursors = append(w.cursors, c)
+	return c
+}
+
+// Seek moves the cursor to mark — forward as the subscriber acknowledges
+// frames, or back to where a reconnecting subscriber says it stands —
+// and reports whether [mark, Mark()) is exportable. When it is not (mark
+// lies below the retained floor or past the log's mark, or the cursor is
+// closed) the cursor stays where it was.
+func (c *ExportCursor) Seek(mark int) bool {
+	w := c.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if c.closed || mark < w.exportFloor() || mark > w.histBase+len(w.history) {
+		return false
+	}
+	tail, live := w.retained(min(c.pos, mark), max(c.pos, mark))
+	moved := payloadBytes(tail) + payloadBytes(live)
+	if mark < c.pos {
+		moved = -moved
+	}
+	c.pos, c.behind = mark, c.behind+moved
+	w.trimTail()
+	return true
+}
+
+// Backlog is the payload bytes of the frames at or above the cursor:
+// what the subscriber has still to be shipped.
+func (c *ExportCursor) Backlog() int64 {
+	c.w.mu.RLock()
+	defer c.w.mu.RUnlock()
+	return c.w.published - c.behind
+}
+
+// Close unregisters the cursor and releases what only it retained.
+func (c *ExportCursor) Close() {
+	w := c.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if c.closed {
+		return
+	}
+	c.closed = true
+	for i, o := range w.cursors {
+		if o == c {
+			w.cursors = append(w.cursors[:i], w.cursors[i+1:]...)
+			break
+		}
+	}
+	w.trimTail()
+}
+
+// ExportRetention reports the export tail's size and high-water mark.
+func (w *NVWAL) ExportRetention() ExportRetention {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	r := w.tailPeak
+	r.Frames, r.Bytes = len(w.tail), int(payloadBytes(w.tail))
+	return r
+}
+
+// exportFloor is the lowest exportable mark. Caller holds w.mu.
+func (w *NVWAL) exportFloor() int {
+	if len(w.tail) > 0 {
+		return w.tailBase
+	}
+	return w.histBase
+}
+
+// retained returns the frames of [lo, hi) as the part the export tail
+// holds and the part still in history. Caller holds w.mu and has checked
+// exportFloor() <= lo <= hi <= Mark().
+func (w *NVWAL) retained(lo, hi int) (tail, live []histFrame) {
+	if lo < w.histBase {
+		tail = w.tail[lo-w.tailBase : min(hi, w.histBase)-w.tailBase]
+	}
+	if hi > w.histBase {
+		live = w.history[max(lo, w.histBase)-w.histBase : hi-w.histBase]
+	}
+	return tail, live
+}
+
+func payloadBytes(frames []histFrame) int64 {
+	n := 0
+	for i := range frames {
+		n += len(frames[i].payload)
+	}
+	return int64(n)
+}
+
+// retainForExport keeps, of the history prefix a completing checkpoint
+// retires, the frames at or above the lowest registered cursor. The tail
+// stays contiguous with history: it is non-empty only while some cursor
+// stands below histBase, and then everything retired is at or above that
+// cursor. Caller holds w.mu, before histBase advances.
+func (w *NVWAL) retainForExport(retired []histFrame) {
+	if len(w.cursors) == 0 {
+		return
+	}
+	from := w.histBase + len(retired)
+	for _, c := range w.cursors {
+		from = min(from, c.pos)
+	}
+	from = max(from, w.histBase)
+	keep := retired[from-w.histBase:]
+	if len(keep) == 0 {
+		return
+	}
+	if len(w.tail) == 0 {
+		w.tailBase = from
+	}
+	w.tail = append(w.tail, keep...)
+	// The tail only grows here, once per checkpoint round: its peak is
+	// worth a walk.
+	w.tailPeak.PeakFrames = max(w.tailPeak.PeakFrames, len(w.tail))
+	w.tailPeak.PeakBytes = max(w.tailPeak.PeakBytes, int(payloadBytes(w.tail)))
+}
+
+// trimTail drops the retained frames no registered cursor stands at or
+// below — all of them once the last cursor has passed histBase or
+// closed. Caller holds w.mu.
+func (w *NVWAL) trimTail() {
+	if len(w.tail) == 0 {
+		return
+	}
+	low := w.histBase
+	for _, c := range w.cursors {
+		low = min(low, c.pos)
+	}
+	n := low - w.tailBase
+	switch {
+	case n <= 0:
+	case n >= len(w.tail):
+		w.tail = nil
+	default:
+		clear(w.tail[:n]) // the dropped frames' payload arenas must not stay reachable
+		w.tail, w.tailBase = w.tail[n:], low
+	}
+}
+
+// ExportSince returns every committed frame in [from, Mark()), read
+// across the export tail and the live history. It reports ok=false when
+// the range is gone: from precedes the retained floor (the backfill
+// watermark, or the lowest registered cursor that was below it when the
+// frames retired) or lies beyond the current mark — either way the
+// caller's cursor has an unhealable gap and must re-seed from a full
+// snapshot. An empty batch (From==To) with ok=true means the caller is
+// caught up.
 //
 // Payload slices alias the log's immutable history images; callers
 // must not mutate them.
@@ -51,22 +238,27 @@ func (w *NVWAL) ExportSince(from int) (ExportBatch, bool) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	mark := w.histBase + len(w.history)
-	if from < w.histBase || from > mark {
+	if from < w.exportFloor() || from > mark {
 		return ExportBatch{}, false
 	}
-	b := ExportBatch{From: from, To: mark}
+	b := ExportBatch{From: from, To: mark, Backfill: w.histBase}
+	if w.ckpt != nil {
+		b.Backfill = w.ckpt.watermark
+	}
 	if from == mark {
 		return b, true
 	}
 	b.Frames = make([]ExportFrame, 0, mark-from)
-	for i := from - w.histBase; i < len(w.history); i++ {
-		hf := w.history[i]
-		b.Frames = append(b.Frames, ExportFrame{
-			Pgno:    hf.pgno,
-			Off:     uint32(hf.off),
-			Full:    hf.full,
-			Payload: hf.payload,
-		})
+	tail, live := w.retained(from, mark)
+	for _, part := range [2][]histFrame{tail, live} {
+		for _, hf := range part {
+			b.Frames = append(b.Frames, ExportFrame{
+				Pgno:    hf.pgno,
+				Off:     uint32(hf.off),
+				Full:    hf.full,
+				Payload: hf.payload,
+			})
+		}
 	}
 	return b, true
 }

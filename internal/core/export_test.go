@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -255,5 +256,157 @@ func TestExportConcurrentWithCheckpointRounds(t *testing.T) {
 				t.Fatalf("exported replay of page %d diverged (reseeds=%d)", pgno, reseeds)
 			}
 		}
+	}
+}
+
+// TestExportRetentionProperty drives a log with a seeded mix of commits,
+// group commits, checkpoints (some parked in phase B while commits land
+// behind them) and export cursors registering, seeking and closing, next
+// to a reference log that takes the same commits and never checkpoints.
+// After every step: each registered cursor's range is exportable and
+// chains to the value the reference's frames give, its backlog is their
+// payload, the tail is empty whenever no cursor is registered, and it
+// never holds a frame below the lowest cursor.
+func TestExportRetentionProperty(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { exportRetentionRun(t, seed) })
+	}
+}
+
+func exportRetentionRun(t *testing.T, seed int64) {
+	const pages = 12
+	rng := rand.New(rand.NewSource(seed))
+	w := newEnv(t).open(t, VariantUHLSDiff())
+	ref := newEnv(t).open(t, VariantUHLSDiff())
+	images := make(map[uint32][]byte)
+	dirty := func() pager.Frame {
+		pgno := uint32(2 + rng.Intn(pages))
+		img, ok := images[pgno]
+		if !ok {
+			img = fullPage(byte(pgno))
+		}
+		img = patchedPage(img, rng.Intn(4000), 1+rng.Intn(90), byte(rng.Intn(256)))
+		images[pgno] = img
+		return pager.Frame{Pgno: pgno, Data: img}
+	}
+	var cursors []*ExportCursor
+	var parked *ckptState // a round past phase A, its phase C still to come
+	finish := func() {
+		if err := w.backfill(parked); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.completeCheckpoint(parked); err != nil {
+			t.Fatal(err)
+		}
+		parked = nil
+	}
+
+	for step := 0; step < 400; step++ {
+		switch op := rng.Intn(100); {
+		case op < 40:
+			fr := []pager.Frame{dirty()}
+			for _, l := range []*NVWAL{w, ref} {
+				if err := l.CommitTransaction(fr); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case op < 55:
+			// Distinct pages per member, so the coalesced group is the same
+			// on both logs whatever order they visit it in.
+			groups := [][]pager.Frame{{dirty()}, {dirty()}, {dirty()}}
+			for _, l := range []*NVWAL{w, ref} {
+				if err := l.CommitGroup(groups); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case op < 65:
+			if parked != nil {
+				finish()
+			} else if err := w.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		case op < 72:
+			if parked == nil {
+				st, err := w.beginCheckpoint(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parked = st // nil when the log had nothing to backfill
+			}
+		case op < 80:
+			cursors = append(cursors, w.OpenExportCursor())
+		case op < 95:
+			if len(cursors) > 0 {
+				c := cursors[rng.Intn(len(cursors))]
+				// Anywhere between the floor and the mark, forward or back;
+				// one step outside must be refused and leave the cursor put.
+				floor, mark, was := w.exportFloor(), w.Mark(), c.pos
+				if !c.Seek(floor + rng.Intn(mark-floor+1)) {
+					t.Fatalf("step %d: seek inside [%d,%d] refused", step, floor, mark)
+				}
+				at := c.pos
+				if c.Seek(mark+1) || c.Seek(w.exportFloor()-1) || c.pos != at {
+					t.Fatalf("step %d: seek outside [%d,%d] moved the cursor %d -> %d (was %d)",
+						step, w.exportFloor(), mark, at, c.pos, was)
+				}
+			}
+		default:
+			if len(cursors) > 0 {
+				i := rng.Intn(len(cursors))
+				cursors[i].Close()
+				cursors[i].Close() // idempotent
+				if cursors[i].Seek(w.Mark()) {
+					t.Fatalf("step %d: a closed cursor sought", step)
+				}
+				cursors = append(cursors[:i], cursors[i+1:]...)
+			}
+		}
+
+		all, ok := ref.ExportSince(0)
+		if !ok || all.To != w.Mark() {
+			t.Fatalf("step %d: reference at mark %d (ok=%v), log at %d", step, all.To, ok, w.Mark())
+		}
+		lowest := w.Mark()
+		for _, c := range cursors {
+			lowest = min(lowest, c.pos)
+			b, ok := w.ExportSince(c.pos)
+			backfill := w.histBase
+			if parked != nil {
+				backfill = parked.watermark // announced from the moment the round froze it
+			}
+			if !ok || b.From != c.pos || b.To != w.Mark() || b.Backfill != backfill {
+				t.Fatalf("step %d: cursor at %d exports %+v ok=%v (mark %d, backfill %d)",
+					step, c.pos, b, ok, w.Mark(), backfill)
+			}
+			want := ExportBatch{Frames: all.Frames[c.pos:]}
+			if got, exp := ChainExport(ExportChainSeed(c.pos), b), ChainExport(ExportChainSeed(c.pos), want); got != exp {
+				t.Fatalf("step %d: cursor at %d chains to %#x, the reference to %#x", step, c.pos, got, exp)
+			}
+			var payload int64
+			for _, fr := range want.Frames {
+				payload += int64(len(fr.Payload))
+			}
+			if got := c.Backlog(); got != payload {
+				t.Fatalf("step %d: cursor at %d reports a backlog of %d B, the reference holds %d B", step, c.pos, got, payload)
+			}
+		}
+		ret := w.ExportRetention()
+		switch {
+		case len(cursors) == 0 && (len(w.tail) != 0 || w.tail != nil):
+			t.Fatalf("step %d: %d frames retained with no cursor registered", step, len(w.tail))
+		case len(w.tail) > 0 && (w.tailBase < lowest || w.tailBase+len(w.tail) != w.histBase):
+			t.Fatalf("step %d: tail [%d,%d) under lowest cursor %d, backfill watermark %d",
+				step, w.tailBase, w.tailBase+len(w.tail), lowest, w.histBase)
+		case ret.Frames != len(w.tail) || int64(ret.Bytes) != payloadBytes(w.tail) || ret.PeakFrames < ret.Frames || ret.PeakBytes < ret.Bytes:
+			t.Fatalf("step %d: retention report %+v for a tail of %d frames, %d B", step, ret, len(w.tail), payloadBytes(w.tail))
+		}
+		if floor := w.exportFloor(); floor > 0 {
+			if _, ok := w.ExportSince(floor - 1); ok {
+				t.Fatalf("step %d: mark %d below the retained floor %d exported", step, floor-1, floor)
+			}
+		}
+	}
+	if w.ExportRetention().PeakFrames == 0 {
+		t.Fatal("no checkpoint ever retained a frame: the run did not exercise the tail")
 	}
 }

@@ -419,6 +419,17 @@ type NVWAL struct {
 	// starts. A page with no entry was first logged by that frame; the
 	// database file holds its earlier state.
 	base map[uint32][]byte
+	// Export retention (export.go): the registered export cursors and the
+	// retired frames at or above the lowest of them — tail[i] is absolute
+	// frame tailBase+i and the tail ends where history begins — so while no
+	// cursor is registered nothing is kept and nothing allocated. published
+	// is the running count of payload bytes ever put in history, the scale
+	// a cursor measures its backlog on.
+	cursors   []*ExportCursor
+	tail      []histFrame
+	tailBase  int
+	tailPeak  ExportRetention // high-water mark only
+	published int64
 	// ckpt is the in-flight incremental checkpoint round, nil when none.
 	ckpt *ckptState
 	// pendingPrep is the in-flight prepared (2PC) transaction, nil when
@@ -1161,6 +1172,7 @@ func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns 
 		}
 		w.byPage[f.pgno] = append(w.byPage[f.pgno], w.histBase+len(w.history))
 		w.history = append(w.history, f)
+		w.published += int64(len(f.payload))
 	}
 	for _, s := range streams {
 		for i := range s.pages {
@@ -1458,7 +1470,9 @@ func (w *NVWAL) completeCheckpoint(st *ckptState) error {
 	w.step(StepCkptAfterFree)
 	// C3: retire the record, then advance the backfill watermark.
 	w.writeCkptRecord(0, 0, ckptNone, 0, 0)
-	w.history = append([]histFrame(nil), w.history[st.watermark-w.histBase:]...)
+	retired := w.history[:st.watermark-w.histBase]
+	w.retainForExport(retired)
+	w.history = append([]histFrame(nil), w.history[len(retired):]...)
 	w.histBase = st.watermark
 	for pgno, idxs := range w.byPage {
 		cut := sort.SearchInts(idxs, st.watermark)

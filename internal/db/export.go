@@ -1,9 +1,11 @@
 // Replication export surface. A primary database hands its log to a
 // shipping agent through two hooks: ExportSince streams committed
-// frame ranges in journal mark space (the incremental path), and
-// ExportPages captures a full point-in-time page image (the re-seed
-// path a replica falls back to when its cursor predates a completed
-// checkpoint, or when it detects divergence).
+// frame ranges in journal mark space (the incremental path; what it
+// still holds for an agent is the journal's business, see
+// core.ExportCursor), and ExportPages captures a full point-in-time page
+// image (the re-seed path a replica falls back to when its range is no
+// longer retained, or when it detects divergence) whose size SeedBytes
+// tells beforehand.
 package db
 
 import (
@@ -21,8 +23,8 @@ import (
 var ErrNoExport = fmt.Errorf("db: journal mode has no export hook")
 
 // ExportSince returns the committed NVWAL frames in [from, Mark()).
-// ok=false means the range was retired by a checkpoint (or lies past
-// the mark) and the caller must re-seed via ExportPages.
+// ok=false means the range is no longer retained (or lies past the
+// mark) and the caller must re-seed via ExportPages.
 func (d *DB) ExportSince(from int) (core.ExportBatch, bool, error) {
 	w, ok := d.jrn.(*core.NVWAL)
 	if !ok {
@@ -30,6 +32,21 @@ func (d *DB) ExportSince(from int) (core.ExportBatch, bool, error) {
 	}
 	b, ok := w.ExportSince(from)
 	return b, ok, nil
+}
+
+// SeedBytes is the size of the snapshot ExportPages would capture now:
+// the header's page count times the page size.
+func (d *DB) SeedBytes() (int64, error) {
+	if d.view == nil {
+		return 0, ErrNoExport
+	}
+	mark := d.pinMark()
+	defer d.unpinMark(mark)
+	hdr, _, err := d.view.PageAt(1, mark)
+	if err != nil {
+		return 0, err
+	}
+	return int64(pager.HeaderPageCount(hdr)) * int64(d.view.PageSize()), nil
 }
 
 // PageSnapshot is a full database image at one journal mark: every

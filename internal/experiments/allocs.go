@@ -51,8 +51,9 @@ func (r *CommitAllocsResult) Row(path string) *CommitAllocsRow {
 // the three commit-path shapes the zero-copy work targets — a solo
 // end-to-end transaction (B-tree insert through NVWAL), a group commit
 // driven straight at the journal, and the PageVersionInto read path —
-// and on the three versioned read paths that share the log's page
-// images (readPathAllocs).
+// on the three versioned read paths that share the log's page images
+// (readPathAllocs), and on a replica applying shipped batches
+// (replicaApplyAllocs).
 // Measurement is runtime.MemStats deltas (Mallocs and TotalAlloc are
 // monotonic, so a concurrent GC cannot skew them) over a single
 // measuring goroutine.
@@ -79,6 +80,12 @@ func CommitAllocs(txns int) (*CommitAllocsResult, error) {
 		return nil, err
 	}
 	res.Rows = append(res.Rows, reads...)
+
+	apply, err := replicaApplyAllocs(txns)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = append(res.Rows, apply)
 	return res, nil
 }
 
@@ -284,8 +291,10 @@ func readPathAllocs(txns int) ([]CommitAllocsRow, error) {
 		return nil, err
 	}
 
-	// The replica checkpoints its own journal every 16 applied batches, so
-	// after 200 shipped writes its log is partly checkpointed too.
+	// The seed left every page of the replica's journal backfilled and the
+	// 200 shipped writes are frames above that watermark (a replica
+	// checkpoints when its primary does, which these writes never reach),
+	// so its log is partly checkpointed too.
 	c, err := repl.NewCluster(replPlatformConfig(), netsim.Config{Latency: 20 * time.Microsecond}, 5, "n0", "n1")
 	if err != nil {
 		return nil, err
@@ -320,6 +329,92 @@ func readPathAllocs(txns int) ([]CommitAllocsRow, error) {
 		return nil, err
 	}
 	return []CommitAllocsRow{snap, rmw, rget}, nil
+}
+
+// replicaApplyAllocs audits the replica apply path alone: a primary's
+// batches (one 100 B update each) are cut beforehand, then handed to a
+// seeded, caught-up replica in-process, so neither the primary's commit
+// nor the wire is in the measured loop. The row is per applied PAGE: a
+// page costs one image copy — the clone of the journal's current image
+// that the batch patches and the journal then keeps as the new version.
+func replicaApplyAllocs(txns int) (CommitAllocsRow, error) {
+	var zero CommitAllocsRow
+	c, err := repl.NewCluster(replPlatformConfig(), netsim.Config{Latency: 20 * time.Microsecond}, 5, "n0", "n1")
+	if err != nil {
+		return zero, err
+	}
+	// No primary checkpoint, so no boundary and no replica round: like the
+	// commit rows, the audited loop carries no checkpoint I/O.
+	opts := repl.DefaultDBOptions()
+	opts.CheckpointLimit = -1
+	pn, err := c.StartPrimary("n0", opts, repl.PrimaryOptions{Epoch: 1, AckReplicas: 1}, server.Options{})
+	if err != nil {
+		return zero, err
+	}
+	defer pn.Stop(false)
+	if err := pn.DB.CreateTable("kv"); err != nil {
+		return zero, err
+	}
+	rn, err := c.StartReplica("n1", repl.ReplicaOptions{Epoch: 1}, server.Options{})
+	if err != nil {
+		return zero, err
+	}
+	defer rn.Stop()
+	pn.Attach(c, "n1")
+	const keys = 200
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i%keys)) }
+	val := make([]byte, 100)
+	var eng server.Engine = pn.Repl
+	write := func(i int) error {
+		val[0] = byte(i)
+		_, err := eng.Apply(context.Background(), "kv", []server.Op{{Key: key(i), Value: val}})
+		return err
+	}
+	for i := 0; i < keys; i++ {
+		if err := write(i); err != nil {
+			return zero, err
+		}
+	}
+	// Semi-sync, quorum 1 of 1: the replica has applied every write. Stop
+	// the shipping, commit locally and play the primary by hand from here.
+	pn.Repl.Close()
+	eng = server.NewDBEngine(pn.DB, 1)
+	const warmup = 16 // measureAllocs' own
+	batches := make([]core.ExportBatch, 0, warmup+txns)
+	pages := 0
+	for i := 0; i < cap(batches); i++ {
+		if err := write(keys + i*7); err != nil {
+			return zero, err
+		}
+		from := rn.R.Applied()
+		if n := len(batches); n > 0 {
+			from = batches[n-1].To
+		}
+		b, ok, err := pn.DB.ExportSince(from)
+		if err != nil || !ok {
+			return zero, fmt.Errorf("experiments: export from %d: ok=%v err=%v", from, ok, err)
+		}
+		batches = append(batches, b)
+		if i >= warmup {
+			seen := map[uint32]bool{}
+			for _, fr := range b.Frames {
+				seen[fr.Pgno] = true
+			}
+			pages += len(seen)
+		}
+	}
+	row, err := measureAllocs("replica-apply", txns, func(i int) error {
+		if !rn.R.ApplyBatch(1, batches[i]) {
+			return fmt.Errorf("experiments: replica refused batch %d [%d,%d)", i, batches[i].From, batches[i].To)
+		}
+		return nil
+	})
+	if err != nil {
+		return zero, err
+	}
+	perPage := float64(txns) / float64(pages)
+	row.Ops, row.AllocsPerOp, row.BytesPerOp = pages, row.AllocsPerOp*perPage, row.BytesPerOp*perPage
+	return row, nil
 }
 
 // Print renders the audit.

@@ -11,12 +11,13 @@ func TestCommitAllocsShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"solo-commit", "group-commit", "page-version-into", "snapshot-get", "session-rmw", "replica-get"} {
+	for _, path := range []string{"solo-commit", "group-commit", "page-version-into", "snapshot-get", "session-rmw", "replica-get", "replica-apply"} {
 		row := r.Row(path)
 		if row == nil {
 			t.Fatalf("audit missing row %q", path)
 		}
-		if row.Ops != testTxns {
+		// replica-apply counts applied pages, at least one per batch.
+		if row.Ops != testTxns && (path != "replica-apply" || row.Ops < testTxns) {
 			t.Fatalf("%s measured %d ops, want %d", path, row.Ops, testTxns)
 		}
 		if row.AllocsPerOp < 0 || row.BytesPerOp < 0 {
@@ -57,6 +58,12 @@ func TestCommitAllocsShapes(t *testing.T) {
 	}
 	if row := r.Row("session-rmw"); row.BytesPerOp > 30000 {
 		t.Fatalf("session-rmw allocates %.0f bytes/op, want one copy per loaded page", row.BytesPerOp)
+	}
+	// A replica copies each page a batch touches once — the image it
+	// patches and its journal then keeps — beside the journal's own
+	// bookkeeping; two page sizes means the staging copy is back.
+	if row := r.Row("replica-apply"); row.BytesPerOp >= 2*4096 {
+		t.Fatalf("replica-apply allocates %.0f bytes per applied page, want one page copy", row.BytesPerOp)
 	}
 	if r.Row("unknown") != nil {
 		t.Fatal("Row invented a path")

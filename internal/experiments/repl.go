@@ -1,20 +1,24 @@
 // Replication serving experiments: read scale-out across WAL-shipping
-// replicas, and acked-write durability across a forced failover. Both
-// run real clients through the simulated network against a laned
-// cluster (one virtual core per node), so read throughput is
-// virtual-time parallelism — N nodes serve N reads in the virtual
-// time one node serves one — and the failover numbers come from the
-// same crash machinery the torture chains use.
+// replicas, the shipping steady state (what a write costs the replicas
+// between and across primary checkpoints), and acked-write durability
+// across a forced failover. All run through the simulated network
+// against a laned cluster (one virtual core per node), so read
+// throughput is virtual-time parallelism — N nodes serve N reads in the
+// virtual time one node serves one — and the failover numbers come from
+// the same crash machinery the torture chains use.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/memsim"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/nvram"
 	"repro/internal/platform"
@@ -42,12 +46,45 @@ type ReplFailoverResult struct {
 	PromotedEpoch uint64  `json:"promoted_epoch"`
 }
 
-// ReplResult holds both replication experiments.
+// ReplSteadyResult is the shipping steady state: semi-sync writes
+// (quorum 1) into a primary with two attached, caught-up replicas, long
+// enough to cross several primary checkpoints. Replica numbers are the
+// mean over the two replicas, counted on their own machines.
+type ReplSteadyResult struct {
+	Writes             int `json:"writes"`
+	PrimaryCheckpoints int `json:"primary_checkpoints"`
+	// Seeds inside the measured window: 0 unless a link lost its pin.
+	Seeds int `json:"seeds"`
+	// Replica checkpoint rounds and the pages they wrote, per 1 000 writes;
+	// the primary's own rounds per 1 000 writes beside them.
+	PrimaryRoundsPerKWrite float64 `json:"primary_rounds_per_1000_writes"`
+	ReplicaRoundsPerKWrite float64 `json:"replica_rounds_per_1000_writes"`
+	ReplicaPagesPerKWrite  float64 `json:"replica_ckpt_pages_per_1000_writes"`
+	// What one applied batch costs a replica's NVRAM in persist barriers,
+	// kernel crossings and heap-manager allocations: the journal commit
+	// (two barriers) plus the cursor record (one barrier, one crossing —
+	// pinned by repl's TestCursorUpdateIsOneFlushOneBarrier).
+	ReplicaBarriersPerBatch   float64 `json:"replica_persist_barriers_per_batch"`
+	ReplicaSyscallsPerBatch   float64 `json:"replica_syscalls_per_batch"`
+	ReplicaHeapAllocsPerBatch float64 `json:"replica_heap_allocs_per_batch"`
+	// The export tail's high-water mark on the primary: what checkpoints
+	// kept in DRAM for the replicas at their worst.
+	TailPeakFrames int `json:"retained_tail_peak_frames"`
+	TailPeakBytes  int `json:"retained_tail_peak_bytes"`
+	// Virtual write latency on the primary's lane, commit through ack.
+	WriteP50Us  float64 `json:"vwrite_p50_us"`
+	WriteP99Us  float64 `json:"vwrite_p99_us"`
+	WriteP999Us float64 `json:"vwrite_p99_9_us"`
+	WriteMaxUs  float64 `json:"vwrite_max_us"`
+}
+
+// ReplResult holds the replication experiments.
 type ReplResult struct {
 	ValueBytes int                `json:"value_bytes"`
 	Keys       int                `json:"keys"`
 	NetLatency time.Duration      `json:"net_latency_ns"`
 	Rows       []ReplReadRow      `json:"rows"`
+	Steady     ReplSteadyResult   `json:"steady"`
 	Failover   ReplFailoverResult `json:"failover"`
 }
 
@@ -70,6 +107,7 @@ func Repl(txns int) (*ReplResult, error) {
 		Keys:       200,
 		NetLatency: 20 * time.Microsecond,
 	}
+	var err error
 	for _, replicas := range []int{0, 1, 2} {
 		row, err := runReplReadRow(replicas, txns, res.Keys, res.ValueBytes, res.NetLatency)
 		if err != nil {
@@ -81,6 +119,9 @@ func Repl(txns int) (*ReplResult, error) {
 		for i := range res.Rows {
 			res.Rows[i].Speedup = res.Rows[i].ReadsPerSec / base
 		}
+	}
+	if res.Steady, err = runReplSteady(4*txns, res.ValueBytes); err != nil {
+		return nil, err
 	}
 	fo, err := runReplFailover(400, res.ValueBytes)
 	if err != nil {
@@ -185,6 +226,116 @@ func runReplReadRow(replicas, reads, keys, valueBytes int, latency time.Duration
 	}, nil
 }
 
+// runReplSteady measures the shipping steady state over `writes`
+// semi-sync 256 B updates of a 2 000-key table (the database is loaded
+// before the replicas attach, so both seed once, outside the window).
+func runReplSteady(writes, valueBytes int) (ReplSteadyResult, error) {
+	var zero ReplSteadyResult
+	c, err := repl.NewCluster(replPlatformConfig(), netsim.Config{Latency: 20 * time.Microsecond}, 7, "n0", "n1", "n2")
+	if err != nil {
+		return zero, err
+	}
+	pn, err := c.StartPrimary("n0", repl.DefaultDBOptions(), repl.PrimaryOptions{Epoch: 1, AckReplicas: 1}, server.Options{})
+	if err != nil {
+		return zero, err
+	}
+	defer pn.Stop(false)
+	if err := pn.DB.CreateTable("kv"); err != nil {
+		return zero, err
+	}
+	const keys = 2000
+	val := make([]byte, valueBytes)
+	// Loaded straight into the database: there is no ack quorum to wait
+	// for until the replicas attach.
+	var eng server.Engine = server.NewDBEngine(pn.DB, 1)
+	put := func(i int) error {
+		val[0], val[1] = byte(i), byte(i>>8)
+		_, err := eng.Apply(context.Background(), "kv", []server.Op{{Key: []byte(fmt.Sprintf("k%05d", i%keys)), Value: val}})
+		return err
+	}
+	for i := 0; i < keys; i++ {
+		if err := put(i); err != nil {
+			return zero, err
+		}
+	}
+	eng = pn.Repl
+	var rns []*repl.ReplicaNode
+	for _, name := range []string{"n1", "n2"} {
+		rn, err := c.StartReplica(name, repl.ReplicaOptions{Epoch: 1}, server.Options{})
+		if err != nil {
+			return zero, err
+		}
+		defer rn.Stop()
+		rns = append(rns, rn)
+		pn.Attach(c, name)
+	}
+	settle := func() error {
+		for _, rn := range rns {
+			if !rn.WaitCaughtUp(pn.Repl.Status().Mark, 10*time.Second) {
+				return fmt.Errorf("repl: replica %s never caught up", rn.Node.Name)
+			}
+		}
+		return nil
+	}
+	if err := settle(); err != nil {
+		return zero, err
+	}
+
+	before := map[string]metrics.Snapshot{"n0": pn.Node.M.Snapshot()}
+	for _, rn := range rns {
+		before[rn.Node.Name] = rn.Node.M.Snapshot()
+	}
+	lane := pn.Node.Plat.Clock
+	lats := make([]time.Duration, 0, writes)
+	for i := 0; i < writes; i++ {
+		v0 := lane.Now()
+		if err := put(i * 7); err != nil {
+			return zero, err
+		}
+		lats = append(lats, lane.Now()-v0)
+	}
+	if err := settle(); err != nil {
+		return zero, err
+	}
+
+	prim := pn.Node.M.Snapshot().Sub(before["n0"])
+	var reps []metrics.Snapshot
+	for _, rn := range rns {
+		reps = append(reps, rn.Node.M.Snapshot().Sub(before[rn.Node.Name]))
+	}
+	perReplica := func(name string) float64 {
+		var n int64
+		for _, d := range reps {
+			n += d.Count(name)
+		}
+		return float64(n) / float64(len(reps))
+	}
+	perK := 1000 / float64(writes)
+	batches := perReplica(metrics.ReplBatchesApplied)
+	slices.Sort(lats)
+	us := func(p float64) float64 {
+		return float64(lats[int(p*float64(len(lats)-1))].Nanoseconds()) / 1e3
+	}
+	ret := pn.DB.Journal().(*core.NVWAL).ExportRetention()
+	return ReplSteadyResult{
+		Writes:                    writes,
+		PrimaryCheckpoints:        int(prim.Count(metrics.Checkpoints)),
+		Seeds:                     int(prim.Count(metrics.ReplReseeds)),
+		PrimaryRoundsPerKWrite:    float64(prim.Count(metrics.Checkpoints)) * perK,
+		ReplicaRoundsPerKWrite:    perReplica(metrics.Checkpoints) * perK,
+		ReplicaPagesPerKWrite:     perReplica(metrics.CheckpointPages) * perK,
+		ReplicaBarriersPerBatch:   perReplica(metrics.PersistBarrier) / batches,
+		ReplicaSyscallsPerBatch:   perReplica(metrics.Syscall) / batches,
+		ReplicaHeapAllocsPerBatch: perReplica(metrics.HeapAlloc) / batches,
+		TailPeakFrames:            ret.PeakFrames,
+		TailPeakBytes:             ret.PeakBytes,
+		WriteP50Us:                us(0.50),
+		WriteP99Us:                us(0.99),
+		WriteP999Us:               us(0.999),
+		WriteMaxUs:                us(1),
+	}, nil
+}
+
 // runReplFailover writes `writes` acked single-key transactions
 // through a semi-sync 3-node cluster, crash-fails the primary, and
 // counts how many acked writes the promoted replica still serves.
@@ -274,6 +425,16 @@ func (r *ReplResult) Print(w io.Writer) {
 			row.Replicas, row.Readers, row.Reads,
 			float64(row.ElapsedNs)/1e6, row.ReadsPerSec, row.Speedup)
 	}
+	st := r.Steady
+	fmt.Fprintf(w, "shipping steady state: %d semi-sync writes, 2 replicas, %d primary checkpoints, %d seeds in the window\n",
+		st.Writes, st.PrimaryCheckpoints, st.Seeds)
+	fmt.Fprintf(w, "  checkpoint rounds per 1000 writes: primary %.2f, each replica %.2f (%.0f pages)\n",
+		st.PrimaryRoundsPerKWrite, st.ReplicaRoundsPerKWrite, st.ReplicaPagesPerKWrite)
+	fmt.Fprintf(w, "  per applied batch on a replica: %.2f persist barriers, %.2f syscalls, %.2f heap allocations (journal commit + cursor record)\n",
+		st.ReplicaBarriersPerBatch, st.ReplicaSyscallsPerBatch, st.ReplicaHeapAllocsPerBatch)
+	fmt.Fprintf(w, "  retained export tail, high-water mark: %d frames, %d bytes\n", st.TailPeakFrames, st.TailPeakBytes)
+	fmt.Fprintf(w, "  virtual write latency (µs): p50 %.1f  p99 %.1f  p99.9 %.1f  max %.1f\n",
+		st.WriteP50Us, st.WriteP99Us, st.WriteP999Us, st.WriteMaxUs)
 	fmt.Fprintf(w, "forced failover: %d/%d acked writes survived (%.1f%%), promoted epoch %d\n",
 		r.Failover.Survived, r.Failover.AckedWrites, r.Failover.DurablePct, r.Failover.PromotedEpoch)
 }

@@ -84,14 +84,15 @@ const (
 	ServerFenced   = "server_fenced"   // requests rejected by epoch fencing
 	ClientRetries  = "client_retries"  // client-side retry attempts (backoff path)
 	// Replication (log-shipping primary + replicas).
-	ReplBatchesShipped = "repl_batches_shipped" // frame ranges shipped to replicas
-	ReplFramesShipped  = "repl_frames_shipped"  // frames shipped to replicas
-	ReplBytesShipped   = "repl_bytes_shipped"   // payload bytes shipped to replicas
-	ReplBatchesApplied = "repl_batches_applied" // frame ranges applied by a replica
-	ReplAcks           = "repl_acks"            // replica acks processed by the primary
-	ReplReseeds        = "repl_reseeds"         // full-snapshot re-seeds (gap, divergence, incarnation)
-	ReplDivergences    = "repl_divergences"     // chain mismatches latching a replica degraded
-	ReplAckWaits       = "repl_ack_waits"       // commits that waited on a replica ack quorum
+	ReplBatchesShipped   = "repl_batches_shipped"   // frame ranges shipped to replicas
+	ReplFramesShipped    = "repl_frames_shipped"    // frames shipped to replicas
+	ReplBytesShipped     = "repl_bytes_shipped"     // payload bytes shipped to replicas
+	ReplBatchesApplied   = "repl_batches_applied"   // frame ranges applied by a replica
+	ReplAcks             = "repl_acks"              // replica acks processed by the primary
+	ReplReseeds          = "repl_reseeds"           // full-snapshot re-seeds (gap, divergence, incarnation)
+	ReplDivergences      = "repl_divergences"       // chain mismatches latching a replica degraded
+	ReplAckWaits         = "repl_ack_waits"         // commits that waited on a replica ack quorum
+	ReplCheckpointErrors = "repl_checkpoint_errors" // replica checkpoint rounds that failed (retried at the next boundary)
 	// Gray-failure resilience (slow faults, health watchdogs, hedging).
 	SlowFaultStalls    = "slow_fault_stalls"   // injected slow-fault delays (all layers)
 	SlowFaultStallNs   = "slow_fault_stall_ns" // virtual ns of injected slow-fault delay

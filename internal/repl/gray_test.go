@@ -166,10 +166,11 @@ func TestSemiSyncDegradesToAsyncWhenAllQuarantined(t *testing.T) {
 
 // TestReseedAbortsOnStagedDoubleFault stages the double fault the
 // re-seed abort protects against: fault 1 opens an unhealable cursor
-// gap (checkpoint retires frames while the replica is away), forcing a
-// full re-seed; fault 2 degrades the source before the copy. The
-// sender must abort and re-schedule the seed — never ship a snapshot
-// from a source that may stop serving snapshot reads mid-copy.
+// gap (while the replica is away its backlog outgrows the retention
+// budget, the link loses its pin and a checkpoint passes its cursor),
+// forcing a full re-seed; fault 2 degrades the source before the copy.
+// The sender must abort and re-schedule the seed — never ship a
+// snapshot from a source that may stop serving snapshot reads mid-copy.
 func TestReseedAbortsOnStagedDoubleFault(t *testing.T) {
 	c := newTestCluster(t, "n0", "n1")
 	pn := startPrimaryWithTable(t, c, "n0", 1, 0)
@@ -190,21 +191,16 @@ func TestReseedAbortsOnStagedDoubleFault(t *testing.T) {
 	if !rn.WaitCaughtUp(pn.Repl.Status().Mark, 5*time.Second) {
 		t.Fatal("replica never caught up before the staged faults")
 	}
+	cursor := rn.R.Applied()
 	rn.Stop()
 
-	// Fault 1: while the replica is away, write and checkpoint — the
-	// frames behind its cursor retire, leaving an unhealable gap that
-	// forces a full re-seed on reconnect.
-	for i := 0; i < 20; i++ {
-		if _, err := cli.Put("kv", []byte(fmt.Sprintf("b%03d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Fault 1: the gap.
+	outgrowSeedBudget(t, pn, cli, ReplAddr("n1"))
 	if err := pn.DB.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := pn.DB.ExportSince(0); ok {
-		t.Fatal("staging failed: cursor 0 still exportable, no re-seed would be needed")
+	if _, ok, _ := pn.DB.ExportSince(cursor); ok {
+		t.Fatalf("staging failed: cursor %d still exportable, no re-seed would be needed", cursor)
 	}
 
 	// Fault 2: the source degrades. Then the replica comes back.

@@ -1,8 +1,9 @@
 // Primary: local commits plus log shipping. One sender goroutine per
 // replica runs a strict send/ack loop — resume from the replica's
 // HELLO cursor when the mark range is still exportable, full-snapshot
-// re-seed when it is not (checkpoint-retired gap, incarnation change,
-// chain nack). Commits optionally wait for a quorum of replica acks
+// re-seed when it is not (incarnation change, chain nack, or a range the
+// link no longer pinned when a checkpoint passed it: see reviewPin, the
+// retention policy). Commits optionally wait for a quorum of replica acks
 // (semi-sync): a client-acked write is then guaranteed present on the
 // most-caught-up replica, which is exactly the durability the
 // failover oracle checks. An ack wait that exhausts its deadline
@@ -81,6 +82,9 @@ type Primary struct {
 	// aborts: a seed stamped with a stale incarnation would only be
 	// thrown away by the replica's next hello.
 	fenced atomic.Uint64
+	// seedBytes is the size of the last seed captured or measured: the
+	// retention budget (see overBudget).
+	seedBytes atomic.Int64
 }
 
 // replicaLink is one replica's shipping state.
@@ -99,6 +103,9 @@ type replicaLink struct {
 	// from the semi-sync quorum while it breaches AckBudget.
 	ackEwma     time.Duration
 	quarantined bool
+	// pin is the link's export cursor on the primary's journal, nil while
+	// the link holds none (reviewPin).
+	pin *core.ExportCursor
 }
 
 // NewPrimary wraps d. The caller keeps ownership of d (Close order:
@@ -294,8 +301,11 @@ func (p *Primary) Fence(epoch uint64) {
 			return
 		}
 		if p.fenced.CompareAndSwap(cur, epoch) {
-			return
+			break
 		}
+	}
+	for _, rl := range p.links() {
+		rl.reviewPin()
 	}
 }
 
@@ -327,11 +337,18 @@ func (p *Primary) MinAppliedReplica() int {
 	return st.Mark - st.Lag
 }
 
-func (p *Primary) kickAll() {
+// links returns the attached links (the slice is append-only).
+func (p *Primary) links() []*replicaLink {
 	p.mu.Lock()
-	reps := p.replicas
-	p.mu.Unlock()
-	for _, rl := range reps {
+	defer p.mu.Unlock()
+	return p.replicas
+}
+
+// kickAll runs after every local commit: each link's pin is held to the
+// retention budget, then its sender is woken.
+func (p *Primary) kickAll() {
+	for _, rl := range p.links() {
+		rl.reviewPin()
 		select {
 		case rl.kick <- struct{}{}:
 		default:
@@ -339,9 +356,76 @@ func (p *Primary) kickAll() {
 	}
 }
 
+// reviewPin is the retention policy, stated once. A link holds an export
+// cursor — a pin — on the primary's journal for as long as it is
+// attached (across connections: a replica that reboots redials within
+// milliseconds), so no checkpoint retires a frame the replica has not
+// acknowledged and the replica resumes from its cursor instead of
+// re-seeding. The pin is lost, and the link therefore re-seeds once a
+// checkpoint passes its cursor, in three cases: the link is quarantined
+// (the watchdog already treats it as sick, and its lag must not become
+// the primary's memory), the primary is fenced (it will not ship again),
+// or the link's backlog holds more payload than a seed would ship — past
+// that a seed is the cheaper transfer, and it bounds what a peer can
+// make the primary hold whatever the peer does.
+func (rl *replicaLink) reviewPin() {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	rl.reviewPinLocked()
+}
+
+func (rl *replicaLink) reviewPinLocked() {
+	if rl.pin != nil && (rl.quarantined || rl.p.superseded() || rl.p.overBudget(rl.pin.Backlog())) {
+		rl.pin.Close()
+		rl.pin = nil
+	}
+}
+
+// overBudget reports whether a backlog of payload bytes exceeds what a
+// seed would ship: the header's page count times the page size. A
+// database file only grows, so the last size seen is a lower bound and
+// the header is read again only by a backlog that passes it.
+func (p *Primary) overBudget(backlog int64) bool {
+	if backlog <= p.seedBytes.Load() {
+		return false
+	}
+	n, err := p.d.SeedBytes()
+	if err != nil {
+		return true // a source that cannot size a seed must not accumulate for one
+	}
+	p.seedBytes.Store(n)
+	return backlog > n
+}
+
+// pinAt (sender only) stands the link's pin at pos, registering one if
+// the link holds none, and reports whether [pos, mark) is exportable. The
+// policy is reviewed straight after, so a link that may not hold a pin
+// keeps it no longer than this call.
+func (rl *replicaLink) pinAt(pos int) bool {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	if rl.pin == nil {
+		rl.pin = rl.p.wal.OpenExportCursor()
+	}
+	ok := rl.pin.Seek(pos)
+	rl.reviewPinLocked()
+	return ok
+}
+
+// unpin releases the link's pin when its sender stops for good.
+func (rl *replicaLink) unpin() {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	if rl.pin != nil {
+		rl.pin.Close()
+		rl.pin = nil
+	}
+}
+
 // run is one replica's sender loop: connect, resume or re-seed, ship.
 func (rl *replicaLink) run() {
 	defer close(rl.done)
+	defer rl.unpin()
 	for {
 		select {
 		case <-rl.quit:
@@ -382,14 +466,15 @@ func (rl *replicaLink) serveConn() bool {
 		return true
 	}
 
-	cursor, chain := int(h.applied), h.chain
+	cursor, chain := h.applied, h.chain
 	needSeed := h.needSeed || h.incarnation != p.opts.Epoch
 	if !needSeed {
-		// The replica's cursor must still be exportable.
-		if _, ok, err := p.d.ExportSince(cursor); err != nil || !ok {
-			needSeed = true
-		} else {
+		// Whether the replica's cursor is still exportable is what standing
+		// the pin there answers.
+		if rl.pinAt(cursor) {
 			rl.noteApplied(cursor)
+		} else {
+			needSeed = true
 		}
 	}
 
@@ -410,10 +495,15 @@ func (rl *replicaLink) serveConn() bool {
 				p.m.Inc(metrics.ReplReseedAborts, 1)
 				return true
 			}
+			// The pin stands at or below the snapshot's mark BEFORE the
+			// snapshot is taken, so a checkpoint between the snapshot and
+			// the first batch cannot force a second seed.
+			rl.pinAt(p.wal.Mark())
 			snap, err := p.d.ExportPages()
 			if err != nil {
 				return true
 			}
+			p.seedBytes.Store(int64(len(snap.Pages)) * int64(snap.PageSize))
 			if p.superseded() {
 				p.m.Inc(metrics.ReplReseedAborts, 1)
 				return false
@@ -422,16 +512,17 @@ func (rl *replicaLink) serveConn() bool {
 				p.m.Inc(metrics.ReplReseedAborts, 1)
 				return true
 			}
-			p.m.Inc(metrics.ReplReseeds, 1)
 			if err := conn.Send(encodeSeed(p.opts.Epoch, snap)); err != nil {
 				return true
 			}
+			p.m.Inc(metrics.ReplReseeds, 1) // seeds handed to the wire, not attempts on a dead conn
 			a, _, _, ok := rl.awaitAck(conn)
 			if !ok || !a.ok {
 				return true
 			}
 			cursor, chain = snap.Mark, core.ExportChainSeed(snap.Mark)
 			needSeed = false
+			rl.pinAt(cursor)
 			rl.noteApplied(cursor)
 			continue
 		}
@@ -441,8 +532,8 @@ func (rl *replicaLink) serveConn() bool {
 			return true
 		}
 		if !ok {
-			// Checkpoint retired frames under the cursor: unhealable
-			// gap, re-seed.
+			// A checkpoint passed the cursor while the link held no pin:
+			// unhealable gap, re-seed.
 			needSeed = true
 			continue
 		}
@@ -458,10 +549,14 @@ func (rl *replicaLink) serveConn() bool {
 			continue
 		}
 		endChain := core.ChainExport(chain, batch)
+		// Virtual time when the primary has a lane; the wall clock is read
+		// only in the real-time fallback.
 		var t0Virt time.Duration
-		t0Real := time.Now()
+		var t0Real time.Time
 		if p.opts.Clock != nil {
 			t0Virt = p.opts.Clock.Now()
+		} else {
+			t0Real = time.Now()
 		}
 		if err := conn.Send(encodeFrames(p.opts.Epoch, batch, endChain)); err != nil {
 			return true
@@ -494,7 +589,8 @@ func (rl *replicaLink) serveConn() bool {
 			continue
 		}
 		cursor, chain = batch.To, endChain
-		rl.noteApplied(int(a.applied))
+		rl.pinAt(cursor)
+		rl.noteApplied(a.applied)
 	}
 }
 
@@ -528,6 +624,7 @@ func (rl *replicaLink) observeAck(d time.Duration) {
 	}
 	if nowQuarantined {
 		p.m.Inc(metrics.ReplicaQuarantines, 1)
+		rl.reviewPin()
 	} else {
 		p.m.Inc(metrics.ReplicaReadmits, 1)
 	}

@@ -1,19 +1,23 @@
 // Replica: a full NVWAL node following a primary's log. Shipped frame
 // ranges are chain-verified, reconstructed into full-page images
 // against the replica's current state, and committed through the
-// replica's OWN NVWAL (WriteFrames with a commit mark) — so a replica
-// survives its own power failures by the same recovery path as a
-// primary, and re-applied ranges after a crash are idempotent. The
-// applied primary mark, stream chain and primary incarnation persist
-// as CRC-guarded roots in the NVRAM namespace, written only AFTER the
-// corresponding frames are durable (a crash between the two leaves
-// the cursor stale-low, which resumes by harmless re-apply). Reads
-// serve a btree view at exactly the applied mark under an RWMutex —
-// a replica can never serve state newer than what it acked.
+// replica's OWN NVWAL (one stream, one commit mark per batch) — so a
+// replica survives its own power failures by the same recovery path as
+// a primary, and re-applied ranges after a crash are idempotent. The
+// applied primary mark, stream chain and primary incarnation persist as
+// one checksummed record in the NVRAM namespace, written only AFTER the
+// corresponding frames are durable (a crash between the two leaves the
+// cursor stale-low, which resumes by harmless re-apply). The replica
+// checkpoints its journal when its primary does — on the batch that
+// carries a backfill watermark it has not yet checkpointed at — so the
+// cluster has one checkpoint policy, the primary's. Reads serve a btree
+// view at exactly the applied mark under an RWMutex — a replica can
+// never serve state newer than what it acked.
 package repl
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -31,15 +35,32 @@ import (
 	"repro/internal/server"
 )
 
-// Persistent cursor roots in the NVRAM namespace.
+// The persistent cursor is one record, {incarnation u64, applied u64,
+// chain u32, crc32c u32}, kept in two slots of one heapo block found
+// through rootCursor. The root is written once, when the first seed
+// allocates the block; every later update is a store into the slot that
+// does not hold the newest record, one flush and one persist barrier —
+// persist the record, publish it with one ordered store. Each slot has a
+// cache line to itself, so a write torn by a power cut damages at most
+// the slot being written and the other still holds the previous cursor.
 const (
-	rootInc     = "repl:inc"
-	rootApplied = "repl:applied"
-	rootChain   = "repl:chain"
-	rootSum     = "repl:sum"
+	rootCursor    = "repl:cursor"
+	cursorRecSize = 24
 )
 
+// legacyCursorRoots named the cursor's four fields before it was a
+// record. A namespace that still holds them reads as unseeded; they are
+// listed only to be deleted.
+var legacyCursorRoots = [...]string{"repl:inc", "repl:applied", "repl:chain", "repl:sum"}
+
 var replCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// checkpointNet is the replica's safety net: its own journal reaching
+// this many unbackfilled frames forces a round even if no boundary
+// arrived (a primary that predates the watermark field, or one whose
+// rounds keep failing). It is never reached while the primary
+// checkpoints at all.
+const checkpointNet = 2 * db.DefaultCheckpointLimit
 
 // ReplicaOptions configures a replica node.
 type ReplicaOptions struct {
@@ -51,9 +72,6 @@ type ReplicaOptions struct {
 	NVWAL *core.Config
 	// PageSize must match the primary's (default 4096).
 	PageSize int
-	// CheckpointEvery compacts the replica journal into its database
-	// file every N applied batches (default 16).
-	CheckpointEvery int
 	// Reserved is the btree per-page reserve of the primary's pages
 	// (default core.RecommendedPageReserve — the NVWAL layout).
 	Reserved int
@@ -83,12 +101,33 @@ type Replica struct {
 	chain       uint32
 	seeded      bool
 	degradedErr error
-	batches     int
+	// cursorAddr is the cursor block (0 until the first seed allocates
+	// it) and cursorSlot the slot holding the newest record.
+	cursorAddr uint64
+	cursorSlot int
+	// ckptAt is the primary mark this replica's journal was last
+	// checkpointed at; ckptErr is that round's failure, nil once a later
+	// round succeeds.
+	ckptAt  int
+	ckptErr error
+	// The apply path's scratch: the journal stream every batch is staged
+	// into and the batch's page images, in the order the batch first
+	// touches them.
+	stream [1]*core.Stream
+	pages  []applyPage
 
 	mu     sync.Mutex
 	lis    netsim.Listener
 	cur    netsim.Conn
 	closed bool
+}
+
+// applyPage is one page a batch touches: img the image being
+// reconstructed (ownership passes to the journal at commit), base the
+// journal's current image it is logged against, nil for a first touch.
+type applyPage struct {
+	pgno      uint32
+	img, base []byte
 }
 
 // NewReplica opens (or re-opens after a crash) replica state for the
@@ -99,9 +138,6 @@ type Replica struct {
 func NewReplica(plat *platform.Platform, name string, opts ReplicaOptions) (*Replica, error) {
 	if opts.PageSize <= 0 {
 		opts.PageSize = 4096
-	}
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = 16
 	}
 	if opts.Reserved == 0 {
 		opts.Reserved = core.RecommendedPageReserve
@@ -132,49 +168,121 @@ func NewReplica(plat *platform.Platform, name string, opts ReplicaOptions) (*Rep
 		return nil, err
 	}
 	r.view = pager.NewReadView(r.wal, r.dbf)
+	r.stream[0] = r.wal.NewStream()
 	r.loadCursor()
 	return r, nil
 }
 
-// loadCursor restores the persisted (incarnation, applied, chain)
-// triple when its checksum verifies; anything else means re-seed.
+// cursorRec is the persistent cursor in memory.
+type cursorRec struct {
+	incarnation uint64
+	applied     int
+	chain       uint32
+}
+
+func (c cursorRec) encode() (rec [cursorRecSize]byte) {
+	binary.LittleEndian.PutUint64(rec[0:], c.incarnation)
+	binary.LittleEndian.PutUint64(rec[8:], uint64(c.applied))
+	binary.LittleEndian.PutUint32(rec[16:], c.chain)
+	binary.LittleEndian.PutUint32(rec[20:], crc32.Checksum(rec[:20], replCRC))
+	return rec
+}
+
+// decodeCursor reports ok=false for a slot that fails its checksum — a
+// torn or never-written record; an all-zero slot is one — or holds a
+// mark no journal could have.
+func decodeCursor(rec []byte) (cursorRec, bool) {
+	applied, err := markAt(rec[8:])
+	if err != nil || binary.LittleEndian.Uint32(rec[20:]) != crc32.Checksum(rec[:20], replCRC) {
+		return cursorRec{}, false
+	}
+	return cursorRec{
+		incarnation: binary.LittleEndian.Uint64(rec[0:]),
+		applied:     applied,
+		chain:       binary.LittleEndian.Uint32(rec[16:]),
+	}, true
+}
+
+// cursorStride is the distance between the two cursor slots: each has a
+// cache line to itself.
+func (r *Replica) cursorStride() int {
+	line := r.plat.Heap.Device().LineSize()
+	return (cursorRecSize + line - 1) / line * line
+}
+
+// loadCursor restores the persisted cursor from the valid slot with the
+// higher applied mark. No cursor block, or two slots that fail their
+// checksum, means unseeded. The journal may be ahead of a slot that
+// lost its last update to a power cut, never behind it.
 func (r *Replica) loadCursor() {
 	h := r.plat.Heap
-	inc, ok1 := h.GetRoot(rootInc)
-	applied, ok2 := h.GetRoot(rootApplied)
-	chain, ok3 := h.GetRoot(rootChain)
-	sum, ok4 := h.GetRoot(rootSum)
-	if !(ok1 && ok2 && ok3 && ok4) || sum != cursorSum(inc, applied, chain) {
+	for _, name := range legacyCursorRoots {
+		h.DeleteRoot(name)
+	}
+	addr, ok := h.GetRoot(rootCursor)
+	if !ok {
 		return
 	}
-	r.incarnation = inc
-	r.applied = int(applied)
-	r.chain = uint32(chain)
-	r.seeded = true
-}
-
-// saveCursor persists the cursor AFTER the frames it covers are
-// durable in the replica's journal.
-func (r *Replica) saveCursor() {
-	h := r.plat.Heap
-	inc, applied, chain := r.incarnation, uint64(r.applied), uint64(r.chain)
-	_ = h.SetRoot(rootInc, inc)
-	_ = h.SetRoot(rootApplied, applied)
-	_ = h.SetRoot(rootChain, chain)
-	_ = h.SetRoot(rootSum, cursorSum(inc, applied, chain))
-}
-
-func cursorSum(inc, applied, chain uint64) uint64 {
-	var b [24]byte
-	put := func(off int, v uint64) {
-		for i := 0; i < 8; i++ {
-			b[off+i] = byte(v >> (8 * i))
+	r.cursorAddr = addr
+	var rec [cursorRecSize]byte
+	for slot := 0; slot < 2; slot++ {
+		h.Device().Read(addr+uint64(slot*r.cursorStride()), rec[:])
+		c, ok := decodeCursor(rec[:])
+		if !ok || (r.seeded && c.applied <= r.applied) {
+			continue
 		}
+		r.incarnation, r.applied, r.chain = c.incarnation, c.applied, c.chain
+		r.cursorSlot, r.seeded = slot, true
 	}
-	put(0, inc)
-	put(8, applied)
-	put(16, chain)
-	return uint64(crc32.Checksum(b[:], replCRC))
+	// The next boundary the primary announces past this mark runs a round.
+	r.ckptAt = r.applied
+}
+
+// allocCursor allocates the cursor block and binds rootCursor to it, with
+// both slots zeroed first so that no record from the block's previous
+// life can read as a cursor.
+func (r *Replica) allocCursor() error {
+	h := r.plat.Heap
+	blk, err := h.NVMalloc(2 * r.cursorStride())
+	if err != nil {
+		return err
+	}
+	r.cursorAddr = blk.Addr
+	var zero [cursorRecSize]byte
+	r.storeCursor(0, zero)
+	r.storeCursor(1, zero)
+	if err := h.SetRoot(rootCursor, blk.Addr); err != nil {
+		r.cursorAddr = 0
+		_ = h.NVFree(blk) // the root table is full, which is the error reported
+		return err
+	}
+	return nil
+}
+
+// saveCursor persists the cursor AFTER the frames it covers are durable
+// in the replica's journal. A batch writes the slot that does not hold
+// the newest record. A seed starts a new mark space, in which the other
+// slot's higher applied mark would win the next load, so it writes both.
+func (r *Replica) saveCursor(seed bool) {
+	rec := cursorRec{incarnation: r.incarnation, applied: r.applied, chain: r.chain}.encode()
+	r.cursorSlot ^= 1
+	r.storeCursor(r.cursorSlot, rec)
+	if seed {
+		r.storeCursor(r.cursorSlot^1, rec)
+	}
+}
+
+// storeCursor writes one slot and makes it durable: one store, one
+// cache_line_flush call (a kernel crossing, as for any user-level flush)
+// between its two dmb fences, and one persist barrier.
+func (r *Replica) storeCursor(slot int, rec [cursorRecSize]byte) {
+	dev, addr := r.plat.Heap.Device(), r.cursorAddr+uint64(slot*r.cursorStride())
+	dev.Write(addr, rec[:])
+	dev.MemoryBarrier()
+	dev.Syscall()
+	dev.Flush(addr, addr+cursorRecSize)
+	dev.MemoryBarrier()
+	dev.PersistBarrier()
 }
 
 // Serve accepts primary connections on l until Close. Newest conn
@@ -243,11 +351,15 @@ func (r *Replica) Promote(opts db.Options) (*db.DB, error) {
 	r.Close()
 	r.rw.Lock()
 	defer r.rw.Unlock()
-	h := r.plat.Heap
-	h.DeleteRoot(rootInc)
-	h.DeleteRoot(rootApplied)
-	h.DeleteRoot(rootChain)
-	h.DeleteRoot(rootSum)
+	if h := r.plat.Heap; r.cursorAddr != 0 {
+		// Root first: a crash in between leaks the block, the other order
+		// leaves a root pointing at memory the heap may hand out again.
+		h.DeleteRoot(rootCursor)
+		if blk, err := h.BlockAt(r.cursorAddr); err == nil {
+			_ = h.NVFree(blk) // a block that will not free is a leaked page, not a failed promotion
+		}
+		r.cursorAddr, r.seeded = 0, false
+	}
 	return db.Open(r.plat, r.name, opts)
 }
 
@@ -256,7 +368,7 @@ func (r *Replica) handleConn(conn netsim.Conn) {
 	r.rw.RLock()
 	h := hello{
 		incarnation: r.incarnation,
-		applied:     uint64(r.applied),
+		applied:     r.applied,
 		chain:       r.chain,
 		needSeed:    !r.seeded || r.degradedErr != nil,
 	}
@@ -295,53 +407,75 @@ func (r *Replica) handleConn(conn netsim.Conn) {
 	}
 }
 
-// applySeed installs a full generation transfer: every page as a
-// full-image frame through the replica's journal, then a checkpoint
-// to compact. Clears the degraded latch — a re-seed heals divergence.
+// applySeed installs a full generation transfer: every page through the
+// replica's journal (logged against the image the journal already holds,
+// so re-seeding a replica that has most of the state logs little), then
+// a checkpoint to compact. Clears the degraded latch — a re-seed heals
+// divergence.
 func (r *Replica) applySeed(s seedMsg) ack {
 	r.rw.Lock()
 	defer r.rw.Unlock()
-	frames := make([]pager.Frame, 0, len(s.pages))
-	for _, pg := range s.pages {
-		data := pg.data
-		if len(data) < r.opts.PageSize {
-			padded := make([]byte, r.opts.PageSize)
-			copy(padded, data)
-			data = padded
+	nack := ack{incarnation: s.incarnation, applied: r.applied, ok: false}
+	if r.cursorAddr == 0 {
+		// The first seed: without its cursor block the replica would apply
+		// state it could never resume from.
+		if err := r.allocCursor(); err != nil {
+			return nack
 		}
-		frames = append(frames, pager.Frame{Pgno: pg.pgno, Data: data})
 	}
-	if err := r.wal.WriteFrames(frames, true); err != nil {
-		return ack{incarnation: s.incarnation, applied: uint64(r.applied), ok: false}
+	mark := r.view.Mark()
+	for _, pg := range s.pages {
+		if len(pg.data) > r.opts.PageSize {
+			r.dropPages()
+			return nack
+		}
+		// The message buffer is the transport's; the journal keeps its own.
+		img := make([]byte, r.opts.PageSize)
+		copy(img, pg.data)
+		base, _ := r.wal.PageImageAt(pg.pgno, mark)
+		r.pages = append(r.pages, applyPage{pgno: pg.pgno, img: img, base: base})
 	}
-	_ = r.wal.CheckpointIncremental(nil)
+	if err := r.commitPages(); err != nil {
+		return nack
+	}
 	r.incarnation = s.incarnation
 	r.applied = s.mark
 	r.chain = core.ExportChainSeed(s.mark)
 	r.seeded = true
 	r.degradedErr = nil
-	r.saveCursor()
+	r.checkpoint()
+	r.saveCursor(true)
 	r.m.Inc(metrics.ReplBatchesApplied, 1)
-	return ack{incarnation: r.incarnation, applied: uint64(r.applied), ok: true}
+	return ack{incarnation: r.incarnation, applied: r.applied, ok: true}
+}
+
+// ApplyBatch applies an exported range the way a FRAMES message from a
+// primary of the given incarnation is applied, for a caller that holds
+// the batch in-process (benchmarks drive a replica without a network).
+// With no wire in between there is no shipped chain value to check, so
+// the one the message would carry is folded here.
+func (r *Replica) ApplyBatch(incarnation uint64, b core.ExportBatch) bool {
+	r.rw.RLock()
+	chain := r.chain
+	r.rw.RUnlock()
+	return r.applyFrames(framesMsg{incarnation: incarnation, batch: b, endChain: core.ChainExport(chain, b)}).ok
 }
 
 // applyFrames verifies and applies one shipped mark range.
 func (r *Replica) applyFrames(f framesMsg) ack {
 	r.rw.Lock()
 	defer r.rw.Unlock()
-	nack := func() ack {
-		return ack{incarnation: r.incarnation, applied: uint64(r.applied), ok: false}
-	}
+	nack := ack{incarnation: r.incarnation, applied: r.applied, ok: false}
 	if !r.seeded || r.degradedErr != nil {
-		return nack()
+		return nack
 	}
 	if f.incarnation != r.incarnation {
-		return nack()
+		return nack
 	}
 	if f.batch.From != r.applied {
 		// A range not anchored at the cursor is a gap (or an overlap
 		// from a confused sender) — unhealable in place.
-		return nack()
+		return nack
 	}
 	end := core.ChainExport(r.chain, f.batch)
 	if end != f.endChain {
@@ -350,54 +484,95 @@ func (r *Replica) applyFrames(f framesMsg) ack {
 		r.degradedErr = fmt.Errorf("repl: export chain diverged at mark %d (%08x != %08x)",
 			f.batch.To, end, f.endChain)
 		r.m.Inc(metrics.ReplDivergences, 1)
-		return nack()
+		return nack
 	}
 
-	// Reconstruct full-page images in frame order (later frames patch
-	// earlier ones within the batch).
-	images := make(map[uint32][]byte)
-	order := make([]uint32, 0, len(f.batch.Frames))
+	// Reconstruct each touched page's image in frame order (later frames
+	// patch earlier ones within the batch). A batch is a few commits'
+	// worth of pages, so finding a page again is a scan of a short slice.
+	mark := r.view.Mark()
 	for _, fr := range f.batch.Frames {
-		img, ok := images[fr.Pgno]
-		if !ok {
-			img = r.pageImage(fr.Pgno)
-			order = append(order, fr.Pgno)
+		i := slices.IndexFunc(r.pages, func(p applyPage) bool { return p.pgno == fr.Pgno })
+		if i < 0 {
+			i = len(r.pages)
+			r.pages = append(r.pages, r.openPage(fr.Pgno, mark))
 		}
+		img := r.pages[i].img
 		if fr.Full {
 			clear(img)
 		}
 		if int(fr.Off)+len(fr.Payload) > len(img) {
-			return nack()
+			r.dropPages()
+			return nack
 		}
 		copy(img[fr.Off:], fr.Payload)
-		images[fr.Pgno] = img
 	}
-	frames := make([]pager.Frame, 0, len(images))
-	for _, pgno := range order {
-		frames = append(frames, pager.Frame{Pgno: pgno, Data: images[pgno]})
-	}
-	if err := r.wal.WriteFrames(frames, true); err != nil {
-		return nack()
+	if err := r.commitPages(); err != nil {
+		return nack
 	}
 	r.applied = f.batch.To
 	r.chain = end
-	r.saveCursor()
+	r.saveCursor(false)
 	r.m.Inc(metrics.ReplBatchesApplied, 1)
-	r.batches++
-	if r.batches%r.opts.CheckpointEvery == 0 {
-		_ = r.wal.CheckpointIncremental(nil)
+	// One checkpoint policy for the cluster, the primary's: the round runs
+	// (inline, before the ack — every device of a node charges the node's
+	// one lane, so a background round would take nothing off the ack's
+	// timestamp) on the batch that carries a backfill watermark this
+	// replica has not yet checkpointed at, the very write that paid the
+	// primary's round. The safety net catches a primary that announces none.
+	if f.batch.Backfill > r.ckptAt || r.wal.FramesSinceCheckpoint() >= checkpointNet {
+		r.checkpoint()
 	}
-	return ack{incarnation: r.incarnation, applied: uint64(r.applied), ok: true}
+	return ack{incarnation: r.incarnation, applied: r.applied, ok: true}
 }
 
-// pageImage returns a mutable copy of the replica's current image of
-// pgno (zeros when it cannot be read). Caller holds r.rw.
-func (r *Replica) pageImage(pgno uint32) []byte {
-	img, err := r.store().Get(pgno)
-	if err != nil {
-		return make([]byte, r.opts.PageSize)
+// openPage starts the image a batch will patch: a copy of the journal's
+// current image of pgno, logged against that image. An image the read
+// view had to build for this call (read from the database file, which
+// means the journal holds no version to log against) or could not read
+// (zeros) is the batch's own already. Caller holds r.rw.
+func (r *Replica) openPage(pgno uint32, mark int) applyPage {
+	img, shared, err := r.view.PageAt(pgno, mark)
+	switch {
+	case err != nil:
+		return applyPage{pgno: pgno, img: make([]byte, r.opts.PageSize)}
+	case shared:
+		return applyPage{pgno: pgno, img: slices.Clone(img), base: img}
 	}
-	return slices.Clone(img)
+	return applyPage{pgno: pgno, img: img}
+}
+
+// commitPages commits r.pages through the journal as one transaction —
+// the stream takes ownership of the images — and empties the scratch.
+// Caller holds r.rw.
+func (r *Replica) commitPages() error {
+	defer r.dropPages()
+	s := r.stream[0]
+	s.Reset()
+	for _, p := range r.pages {
+		if _, err := s.StagePage(p.pgno, p.img, p.base); err != nil {
+			return err
+		}
+	}
+	return r.wal.CommitStreams(r.stream[:], 1)
+}
+
+// dropPages empties the apply scratch, keeping its array but none of the
+// images it referenced.
+func (r *Replica) dropPages() {
+	clear(r.pages)
+	r.pages = r.pages[:0]
+}
+
+// checkpoint compacts the replica's journal into its database file, at
+// the applied mark. A failed round is counted and retried at the next
+// boundary or, past the safety net, on every batch; the frames
+// themselves stay durable in the journal. Caller holds r.rw.
+func (r *Replica) checkpoint() {
+	r.ckptAt = r.applied
+	if r.ckptErr = r.wal.CheckpointIncremental(nil); r.ckptErr != nil {
+		r.m.Inc(metrics.ReplCheckpointErrors, 1)
+	}
 }
 
 // --- server.Engine: snapshot reads at the applied mark -------------
@@ -458,11 +633,14 @@ func (r *Replica) Status() server.Status {
 	r.rw.RLock()
 	defer r.rw.RUnlock()
 	return server.Status{
-		Role:     "replica",
-		Epoch:    r.opts.Epoch,
-		Mark:     r.applied,
-		Applied:  r.applied,
-		Degraded: r.degradedErr != nil || !r.seeded,
+		Role:    "replica",
+		Epoch:   r.opts.Epoch,
+		Mark:    r.applied,
+		Applied: r.applied,
+		// A failed checkpoint round degrades the replica only once the
+		// safety net is past as well: until then the next boundary retries.
+		Degraded: r.degradedErr != nil || !r.seeded ||
+			(r.ckptErr != nil && r.wal.FramesSinceCheckpoint() >= checkpointNet),
 	}
 }
 
@@ -472,6 +650,15 @@ func (r *Replica) Applied() int {
 	r.rw.RLock()
 	defer r.rw.RUnlock()
 	return r.applied
+}
+
+// Incarnation returns the incarnation (its primary's fencing epoch) of
+// the log the replica's state follows, 0 before the first seed. Applied
+// marks of different incarnations do not compare.
+func (r *Replica) Incarnation() uint64 {
+	r.rw.RLock()
+	defer r.rw.RUnlock()
+	return r.incarnation
 }
 
 // Degraded returns the latched divergence error, if any.

@@ -7,7 +7,7 @@
 // that mark. The protocol is strict request/response per conn:
 //
 //	replica → HELLO (incarnation, applied mark, chain)   on connect
-//	primary → SEED   (full page snapshot)  |  FRAMES (mark range)
+//	primary → SEED   (full page snapshot)  |  FRAMES (mark range, backfill watermark)
 //	replica → ACK    (incarnation, applied, ok)          per message
 //
 // A chain mismatch, mark gap, or incarnation change is unhealable in
@@ -15,12 +15,17 @@
 // primary re-seeds it with a full generation transfer. Incarnation is
 // the primary's fencing epoch — a promoted replica starts a new mark
 // space, so every follower of a new primary re-seeds by construction.
+//
+// Every decoder eats bytes from a peer: it never panics, never sizes an
+// allocation by a count it has not checked against the message length,
+// and refuses a mark that does not fit a non-negative int.
 package repl
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/db"
@@ -34,12 +39,24 @@ const (
 	mtAck
 )
 
-var errShort = errors.New("repl: truncated message")
+var (
+	errShort = errors.New("repl: truncated message")
+	errMark  = errors.New("repl: mark out of range")
+)
+
+// markAt reads a mark: a frame index, so a non-negative int.
+func markAt(msg []byte) (int, error) {
+	m := binary.LittleEndian.Uint64(msg)
+	if m > math.MaxInt {
+		return 0, errMark
+	}
+	return int(m), nil
+}
 
 // hello is the replica's opening statement on every conn.
 type hello struct {
 	incarnation uint64
-	applied     uint64
+	applied     int
 	chain       uint32
 	needSeed    bool
 }
@@ -48,7 +65,7 @@ type hello struct {
 // the replica could not verify/apply and needs a re-seed.
 type ack struct {
 	incarnation uint64
-	applied     uint64
+	applied     int
 	ok          bool
 }
 
@@ -56,7 +73,7 @@ func encodeHello(h hello) []byte {
 	b := make([]byte, 0, 22)
 	b = append(b, mtHello)
 	b = binary.LittleEndian.AppendUint64(b, h.incarnation)
-	b = binary.LittleEndian.AppendUint64(b, h.applied)
+	b = binary.LittleEndian.AppendUint64(b, uint64(h.applied))
 	b = binary.LittleEndian.AppendUint32(b, h.chain)
 	if h.needSeed {
 		b = append(b, 1)
@@ -70,9 +87,13 @@ func decodeHello(msg []byte) (hello, error) {
 	if len(msg) < 22 || msg[0] != mtHello {
 		return hello{}, fmt.Errorf("repl: bad hello (%d bytes)", len(msg))
 	}
+	applied, err := markAt(msg[9:])
+	if err != nil {
+		return hello{}, err
+	}
 	return hello{
 		incarnation: binary.LittleEndian.Uint64(msg[1:]),
-		applied:     binary.LittleEndian.Uint64(msg[9:]),
+		applied:     applied,
 		chain:       binary.LittleEndian.Uint32(msg[17:]),
 		needSeed:    msg[21] == 1,
 	}, nil
@@ -82,7 +103,7 @@ func encodeAck(a ack) []byte {
 	b := make([]byte, 0, 18)
 	b = append(b, mtAck)
 	b = binary.LittleEndian.AppendUint64(b, a.incarnation)
-	b = binary.LittleEndian.AppendUint64(b, a.applied)
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.applied))
 	if a.ok {
 		b = append(b, 1)
 	} else {
@@ -95,9 +116,13 @@ func decodeAck(msg []byte) (ack, error) {
 	if len(msg) < 18 || msg[0] != mtAck {
 		return ack{}, fmt.Errorf("repl: bad ack (%d bytes)", len(msg))
 	}
+	applied, err := markAt(msg[9:])
+	if err != nil {
+		return ack{}, err
+	}
 	return ack{
 		incarnation: binary.LittleEndian.Uint64(msg[1:]),
-		applied:     binary.LittleEndian.Uint64(msg[9:]),
+		applied:     applied,
 		ok:          msg[17] == 1,
 	}, nil
 }
@@ -138,22 +163,27 @@ func decodeSeed(msg []byte) (seedMsg, error) {
 	if len(msg) < 25 || msg[0] != mtSeed {
 		return seedMsg{}, fmt.Errorf("repl: bad seed (%d bytes)", len(msg))
 	}
+	mark, err := markAt(msg[9:])
+	if err != nil {
+		return seedMsg{}, err
+	}
 	s := seedMsg{
 		incarnation: binary.LittleEndian.Uint64(msg[1:]),
-		mark:        int(binary.LittleEndian.Uint64(msg[9:])),
+		mark:        mark,
 		pageSize:    int(binary.LittleEndian.Uint32(msg[17:])),
 	}
 	n := int(binary.LittleEndian.Uint32(msg[21:]))
 	off := 25
+	s.pages = make([]seedPage, 0, min(n, (len(msg)-off)/8))
 	for i := 0; i < n; i++ {
 		if off+8 > len(msg) {
-			return s, errShort
+			return seedMsg{}, errShort
 		}
 		pgno := binary.LittleEndian.Uint32(msg[off:])
 		dl := int(binary.LittleEndian.Uint32(msg[off+4:]))
 		off += 8
-		if off+dl > len(msg) {
-			return s, errShort
+		if dl > len(msg)-off {
+			return seedMsg{}, errShort
 		}
 		s.pages = append(s.pages, seedPage{pgno: pgno, data: msg[off : off+dl]})
 		off += dl
@@ -162,9 +192,11 @@ func decodeSeed(msg []byte) (seedMsg, error) {
 }
 
 // encodeFrames serializes one exported mark range plus the CRC chain
-// value AFTER folding it, as computed by the primary.
+// value AFTER folding it, as computed by the primary. The backfill
+// watermark trails the frames, where a decoder that predates it reads
+// nothing.
 func encodeFrames(incarnation uint64, b core.ExportBatch, endChain uint32) []byte {
-	size := 1 + 8 + 8 + 8 + 4 + 4
+	size := 1 + 8 + 8 + 8 + 4 + 4 + 8
 	for _, fr := range b.Frames {
 		size += 12 + len(fr.Payload)
 	}
@@ -185,7 +217,7 @@ func encodeFrames(incarnation uint64, b core.ExportBatch, endChain uint32) []byt
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(fr.Payload)))
 		out = append(out, fr.Payload...)
 	}
-	return out
+	return binary.LittleEndian.AppendUint64(out, uint64(b.Backfill))
 }
 
 type framesMsg struct {
@@ -194,30 +226,38 @@ type framesMsg struct {
 	endChain    uint32
 }
 
+// decodeFrames parses a FRAMES message. One that ends after its frames
+// (a sender that predates the watermark field) decodes with Backfill 0,
+// "no boundary": the pair degrades to the replica's safety net instead
+// of desynchronising.
 func decodeFrames(msg []byte) (framesMsg, error) {
 	if len(msg) < 33 || msg[0] != mtFrames {
 		return framesMsg{}, fmt.Errorf("repl: bad frames message (%d bytes)", len(msg))
 	}
 	f := framesMsg{
 		incarnation: binary.LittleEndian.Uint64(msg[1:]),
-		batch: core.ExportBatch{
-			From: int(binary.LittleEndian.Uint64(msg[9:])),
-			To:   int(binary.LittleEndian.Uint64(msg[17:])),
-		},
-		endChain: binary.LittleEndian.Uint32(msg[25:]),
+		endChain:    binary.LittleEndian.Uint32(msg[25:]),
+	}
+	var err error
+	if f.batch.From, err = markAt(msg[9:]); err != nil {
+		return framesMsg{}, err
+	}
+	if f.batch.To, err = markAt(msg[17:]); err != nil {
+		return framesMsg{}, err
 	}
 	n := int(binary.LittleEndian.Uint32(msg[29:]))
 	off := 33
+	f.batch.Frames = make([]core.ExportFrame, 0, min(n, (len(msg)-off)/12))
 	for i := 0; i < n; i++ {
 		if off+12 > len(msg) {
-			return f, errShort
+			return framesMsg{}, errShort
 		}
 		pgno := binary.LittleEndian.Uint32(msg[off:])
 		rawOff := binary.LittleEndian.Uint32(msg[off+4:])
 		dl := int(binary.LittleEndian.Uint32(msg[off+8:]))
 		off += 12
-		if off+dl > len(msg) {
-			return f, errShort
+		if dl > len(msg)-off {
+			return framesMsg{}, errShort
 		}
 		f.batch.Frames = append(f.batch.Frames, core.ExportFrame{
 			Pgno:    pgno,
@@ -226,6 +266,11 @@ func decodeFrames(msg []byte) (framesMsg, error) {
 			Payload: msg[off : off+dl],
 		})
 		off += dl
+	}
+	if len(msg)-off >= 8 {
+		if f.batch.Backfill, err = markAt(msg[off:]); err != nil {
+			return framesMsg{}, err
+		}
 	}
 	return f, nil
 }

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/db"
 	"repro/internal/memsim"
 	"repro/internal/netsim"
 	"repro/internal/nvram"
@@ -50,11 +51,24 @@ type replChainCfg struct {
 	opsPer   int // client ops per worker per era
 	dropMax  float64
 	policies []memsim.FailPolicy
+	// ckptLimit is every primary's db.Options.CheckpointLimit: a few
+	// frames, so an era of a few dozen writes crosses many checkpoint
+	// boundaries — replica rounds, export retention and resume under
+	// partition all happen — where the default 1 000 would see none.
+	ckptLimit int
 }
 
 func (c replChainCfg) String() string {
-	return fmt.Sprintf("repl w=%d eras=%d ops=%d drop<=%.2f",
-		c.workers, c.rounds, c.opsPer, c.dropMax)
+	return fmt.Sprintf("repl w=%d eras=%d ops=%d drop<=%.2f ckpt=%d",
+		c.workers, c.rounds, c.opsPer, c.dropMax, c.ckptLimit)
+}
+
+// replDBOptions is what a chain's primaries (initial and promoted) open
+// their database with.
+func replDBOptions(ckptLimit int) db.Options {
+	opts := repl.DefaultDBOptions()
+	opts.CheckpointLimit = ckptLimit
+	return opts
 }
 
 func sampleReplChain(rng *rand.Rand, opts Options) replChainCfg {
@@ -66,6 +80,7 @@ func sampleReplChain(rng *rand.Rand, opts Options) replChainCfg {
 		policies: []memsim.FailPolicy{
 			memsim.FailDropAll, memsim.FailKeepCompleted, memsim.FailAdversarial,
 		},
+		ckptLimit: 6 + rng.Intn(20),
 	}
 	if opts.Workers > 0 {
 		cfg.workers = opts.Workers
@@ -218,6 +233,7 @@ type replTopology struct {
 	pn       *repl.PrimaryNode
 	replicas map[string]*repl.ReplicaNode
 	epoch    uint64
+	dbOpts   db.Options
 }
 
 const replKeysPerWorker = 4
@@ -258,8 +274,8 @@ func runReplChain(opts Options, step int) chainResult {
 		return res
 	}
 	popts := repl.PrimaryOptions{Epoch: 1, AckReplicas: 1, AckTimeout: 150 * time.Millisecond}
-	topo := &replTopology{c: cluster, replicas: map[string]*repl.ReplicaNode{}, epoch: 1}
-	topo.pn, err = cluster.StartPrimary(names[0], repl.DefaultDBOptions(), popts, server.Options{})
+	topo := &replTopology{c: cluster, replicas: map[string]*repl.ReplicaNode{}, epoch: 1, dbOpts: replDBOptions(cfg.ckptLimit)}
+	topo.pn, err = cluster.StartPrimary(names[0], topo.dbOpts, popts, server.Options{})
 	if err != nil {
 		fail(-1, Violation{Kind: "error", Worker: -1, Detail: "start primary: " + err.Error()})
 		return res
@@ -327,11 +343,20 @@ func runReplChain(opts Options, step int) chainResult {
 		// every invariant against the current primary.
 		cluster.Net.HealAll()
 		res.txns += oracle.acked - ackedBefore
+		// Caught up means: following THIS primary's log (marks of a former
+		// incarnation say nothing, and a promoted primary whose replica
+		// journal was just checkpointed starts its mark space at 0) through
+		// its current mark.
 		target := topo.pn.Repl.Status().Mark
 		for name, rn := range topo.replicas {
-			if !rn.WaitCaughtUp(target, 10*time.Second) {
+			deadline := time.Now().Add(10 * time.Second)
+			for rn.R.Incarnation() != topo.epoch && time.Now().Before(deadline) {
+				time.Sleep(500 * time.Microsecond)
+			}
+			if rn.R.Incarnation() != topo.epoch || !rn.WaitCaughtUp(target, time.Until(deadline)) {
 				fail(round, Violation{Kind: "liveness", Worker: -1,
-					Detail: fmt.Sprintf("replica %s stuck at %d, primary mark %d", name, rn.R.Applied(), target)})
+					Detail: fmt.Sprintf("replica %s stuck at %d of incarnation %d, primary mark %d of %d",
+						name, rn.R.Applied(), rn.R.Incarnation(), target, topo.epoch)})
 			}
 		}
 		if len(res.violations) > 0 {
@@ -393,7 +418,7 @@ func failOver(c *repl.Cluster, topo *replTopology, policy memsim.FailPolicy, pfS
 	delete(topo.replicas, bestName)
 	best.Stop()
 	topo.epoch++
-	d, err := best.R.Promote(repl.DefaultDBOptions())
+	d, err := best.R.Promote(topo.dbOpts)
 	if err != nil {
 		return Violation{Kind: "error", Worker: -1, Detail: "promote: " + err.Error()}, false
 	}
@@ -408,9 +433,8 @@ func failOver(c *repl.Cluster, topo *replTopology, policy memsim.FailPolicy, pfS
 		pn.Attach(c, name)
 	}
 
-	// The old primary reboots and rejoins as a replica: its cursor roots
-	// are absent and its incarnation is stale, so it re-seeds from the
-	// new primary by construction.
+	// The old primary reboots and rejoins as a replica: it has no cursor
+	// record, so it re-seeds from the new primary by construction.
 	if err := c.Node(oldName).Plat.Reboot(); err != nil {
 		return Violation{Kind: "error", Worker: -1, Detail: "reboot: " + err.Error()}, false
 	}

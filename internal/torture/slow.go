@@ -51,12 +51,14 @@ type slowChainCfg struct {
 	// stallRate/stallDelay parameterize the link chaos.
 	stallRate  float64
 	stallDelay time.Duration
+	// ckptLimit is the primary's checkpoint limit (see replChainCfg).
+	ckptLimit int
 }
 
 func (c slowChainCfg) String() string {
-	return fmt.Sprintf("slow w=%d ops=%d ackBudget=%v nv=%g dev=%g fsync=%g stall=%g/%v",
+	return fmt.Sprintf("slow w=%d ops=%d ackBudget=%v nv=%g dev=%g fsync=%g stall=%g/%v ckpt=%d",
 		c.workers, c.opsPer, c.ackBudget, c.nvSlow.SlowOpRate, c.devSlow.SlowOpRate,
-		c.fsSlow.FsyncStallRate, c.stallRate, c.stallDelay)
+		c.fsSlow.FsyncStallRate, c.stallRate, c.stallDelay, c.ckptLimit)
 }
 
 func sampleSlowChain(rng *rand.Rand, opts Options) slowChainCfg {
@@ -83,6 +85,7 @@ func sampleSlowChain(rng *rand.Rand, opts Options) slowChainCfg {
 		},
 		stallRate:  0.05 + 0.15*rng.Float64(),
 		stallDelay: time.Duration(1+rng.Intn(10)) * time.Millisecond,
+		ckptLimit:  6 + rng.Intn(20),
 	}
 	if opts.Workers > 0 {
 		cfg.workers = opts.Workers
@@ -147,7 +150,7 @@ func runSlowChain(opts Options, step int) chainResult {
 		Epoch: 1, AckReplicas: 1, AckTimeout: 150 * time.Millisecond,
 		AckBudget: cfg.ackBudget,
 	}
-	pn, err := cluster.StartPrimary(names[0], repl.DefaultDBOptions(), popts, server.Options{})
+	pn, err := cluster.StartPrimary(names[0], replDBOptions(cfg.ckptLimit), popts, server.Options{})
 	if err != nil {
 		fail(Violation{Kind: "error", Worker: -1, Detail: "start primary: " + err.Error()})
 		return res
