@@ -488,3 +488,144 @@ func TestDanglingLinkCleared(t *testing.T) {
 		t.Fatal("log unusable after dangling-link recovery")
 	}
 }
+
+// commitStream commits frames the way a session does: pre-staged into a
+// stream of its own, first touches as full pages.
+func commitStream(w *NVWAL, frames []pager.Frame) error {
+	s := w.NewStream()
+	for _, fr := range frames {
+		if _, err := s.StagePage(fr.Pgno, fr.Data, nil); err != nil {
+			return err
+		}
+	}
+	return w.CommitStreams([]*Stream{s}, 1)
+}
+
+// readBack is pgno's committed content wherever recovery left it: the log,
+// or the database file once a completed round moved it there.
+func readBack(t *testing.T, e *testEnv, w *NVWAL, pgno uint32) []byte {
+	t.Helper()
+	if v, ok := w.PageVersion(pgno); ok {
+		return v
+	}
+	buf := make([]byte, 4096)
+	if err := e.db.ReadPage(pgno, buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestCrashMatrixBoundaryFrozenRound covers the window FreezeCheckpoint
+// opens: phase A has run, the caller is busy acknowledging, phases B + C
+// come later. Commits by two entry points land in that window — a rewrite
+// of a frozen page and a page the frozen generation never saw — and the
+// power fails (a) at every Algorithm 1 step of the second of them, and
+// (b) at every later step of the round once CheckpointIncremental resumes
+// it. Whatever survives: every page committed before the freeze and every
+// commit acknowledged after it reads back, the interrupted commit is
+// atomic, recovery leaves no round in flight, and the log takes new work
+// and a full checkpoint.
+func TestCrashMatrixBoundaryFrozenRound(t *testing.T) {
+	type crashAt struct {
+		step    string
+		inWrite bool
+	}
+	var points []crashAt
+	for _, s := range writeSteps {
+		points = append(points, crashAt{s, true})
+	}
+	for _, s := range checkpointSteps[2:] { // phases B and C; A ran in the freeze
+		points = append(points, crashAt{s, false})
+	}
+	for _, v := range []NamedConfig{{"UH+LS+Diff", VariantUHLSDiff()}, {"E", VariantE()}} {
+		for _, pt := range points {
+			for _, pol := range []struct {
+				name   string
+				policy memsim.FailPolicy
+			}{{"dropall", memsim.FailDropAll}, {"adversarial", memsim.FailAdversarial}} {
+				name := fmt.Sprintf("%s/%s/%s", v.Name, pt.step, pol.name)
+				t.Run(name, func(t *testing.T) {
+					e := newTinyEnv(t, 128)
+					w := e.open(t, v.Cfg)
+					expect := make(map[uint32][]byte)
+					for i := 0; i < 4; i++ {
+						expect[uint32(2+i)] = fullPage(byte(0x30 + i))
+						commitPages(t, w, map[uint32][]byte{uint32(2 + i): expect[uint32(2+i)]})
+					}
+					if err := w.FreezeCheckpoint(nil); err != nil {
+						t.Fatal(err)
+					}
+					frozenAt := w.Mark()
+					if b, _ := w.ExportSince(frozenAt); b.Backfill != frozenAt {
+						t.Fatalf("a frozen round announces watermark %d, want %d", b.Backfill, frozenAt)
+					}
+					if err := w.FreezeCheckpoint(nil); err != nil || w.FramesSinceCheckpoint() != 4 {
+						t.Fatalf("a second freeze must change nothing: err=%v, %d frames", err, w.FramesSinceCheckpoint())
+					}
+
+					// The legacy entry point rewrites a frozen page; a session's
+					// stream adds three pages, enough to need a block of its own.
+					rewrite := patchedPage(expect[2], 700, 90, 0x3A)
+					if err := w.CommitTransaction([]pager.Frame{{Pgno: 2, Data: rewrite}}); err != nil {
+						t.Fatal(err)
+					}
+					expect[2] = rewrite
+					added := []pager.Frame{{Pgno: 8, Data: fullPage(0x3B)}, {Pgno: 10, Data: fullPage(0x3D)}, {Pgno: 11, Data: fullPage(0x3E)}}
+					commit2 := func() error { return commitStream(w, added) }
+					var crashed bool
+					var err error
+					if pt.inWrite {
+						crashed, err = runUntil(w, pt.step, commit2)
+					} else {
+						if err := commit2(); err != nil {
+							t.Fatal(err)
+						}
+						for _, fr := range added {
+							expect[fr.Pgno] = fr.Data
+						}
+						crashed, err = runUntil(w, pt.step, func() error { return w.CheckpointIncremental(nil) })
+					}
+					if !crashed {
+						t.Fatalf("step %s never fired (err=%v)", pt.step, err)
+					}
+
+					w2 := e.reopen(t, v.Cfg, pol.policy, 13)
+					if w2.ckpt != nil {
+						t.Fatal("recovery left a round in flight")
+					}
+					for pgno, want := range expect {
+						if !bytes.Equal(readBack(t, e, w2, pgno), want) {
+							t.Fatalf("page %d lost or stale after the crash", pgno)
+						}
+					}
+					if pt.inWrite {
+						visible := 0
+						for _, fr := range added {
+							if got, ok := w2.PageVersion(fr.Pgno); ok && bytes.Equal(got, fr.Data) {
+								visible++
+							} else if ok {
+								t.Fatalf("page %d of the interrupted commit is corrupt", fr.Pgno)
+							}
+						}
+						if visible != 0 && visible != len(added) {
+							t.Fatalf("the interrupted commit is partially visible (%d of %d pages)", visible, len(added))
+						}
+						if pt.step == StepAfterCommitFlush && visible == 0 {
+							t.Fatal("the interrupted commit was lost after its mark persisted")
+						}
+					}
+					commitPages(t, w2, map[uint32][]byte{9: fullPage(0x3C)})
+					expect[9] = fullPage(0x3C)
+					if err := w2.Checkpoint(); err != nil {
+						t.Fatalf("checkpoint after recovery: %v", err)
+					}
+					for pgno, want := range expect {
+						if !bytes.Equal(readBack(t, e, w2, pgno), want) {
+							t.Fatalf("page %d wrong after the post-recovery checkpoint", pgno)
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -1327,15 +1327,31 @@ func (w *NVWAL) CheckpointIncremental(gate func(watermark int) bool) error {
 	return w.completeCheckpoint(st)
 }
 
+// FreezeCheckpoint runs phase A of a round on its own: the checkpoint
+// record and the salt bump, two persists and no block I/O. From its return
+// the round's watermark is a fact — ExportSince stamps it into every batch,
+// recovery completes the round — and the next CheckpointIncremental runs
+// phases B and C of this round instead of starting one. A caller that owes
+// somebody an acknowledgement freezes, acknowledges, then writes back. The
+// gate is consulted as in CheckpointIncremental; with a round already
+// frozen, or nothing to backfill, the call does nothing.
+func (w *NVWAL) FreezeCheckpoint(gate func(watermark int) bool) error {
+	w.ckptMu.Lock()
+	defer w.ckptMu.Unlock()
+	_, err := w.beginCheckpoint(gate)
+	return err
+}
+
 // beginCheckpoint runs phase A and returns the round's state, or
 // (nil, nil) when the log has nothing to backfill. Called with w.ckptMu
 // held.
 func (w *NVWAL) beginCheckpoint(gate func(watermark int) bool) (*ckptState, error) {
 	w.mu.Lock()
 	if st := w.ckpt; st != nil {
-		// Resume a round a previous call left half-done (a database-file
-		// write error during backfill). Its watermark was gated when the
-		// round froze it, and marks only grow, so no re-check is needed.
+		// Resume a round that stopped after phase A: FreezeCheckpoint ran it
+		// ahead, or a database-file write error cut backfill short. Its
+		// watermark was gated when the round froze it, and marks only grow,
+		// so no re-check is needed.
 		w.mu.Unlock()
 		return st, nil
 	}

@@ -863,8 +863,21 @@ func (tx *Tx) Commit() error {
 }
 
 // CommitCtx is Commit with an explicit context bounding the
-// backpressure stall (overriding the one captured at BeginCtx).
+// backpressure stall (overriding the one captured at BeginCtx): the
+// durable commit, then the auto-checkpoint.
 func (tx *Tx) CommitCtx(ctx context.Context) error {
+	if err := tx.CommitDurableCtx(ctx); err != nil {
+		return err
+	}
+	return tx.db.AutoCheckpoint(false)
+}
+
+// CommitDurableCtx is the first half of CommitCtx: on a nil return the
+// transaction is durable in the journal and has its Seq, and no
+// auto-checkpoint has run. The caller owes the database an AutoCheckpoint
+// — after whatever it must do first with the commit, such as shipping it
+// and collecting acknowledgements (repl.Primary).
+func (tx *Tx) CommitDurableCtx(ctx context.Context) error {
 	if err := tx.guard(); err != nil {
 		return err
 	}
@@ -883,7 +896,7 @@ func (tx *Tx) CommitCtx(ctx context.Context) error {
 	}
 	tx.seq = seq
 	d.maybeKickScrub()
-	return d.maybeAutoCheckpoint()
+	return nil
 }
 
 // Rollback abandons the transaction, restoring all pages. On a
@@ -960,14 +973,22 @@ func (d *DB) commitHeldTxn(dl deadline) (uint64, error) {
 	return req.seq, req.err
 }
 
-// maybeAutoCheckpoint runs the post-commit checkpoint when the log
-// passed the frame limit. With BackgroundCheckpoint it only kicks the
-// checkpointer goroutine — the commit path never carries checkpoint
-// I/O. Inline, it is best-effort: a busy writer slot or an open
-// snapshot defers it silently to a later commit (the SQLite behaviour:
-// checkpointing cannot pass a reader's mark); a real checkpoint failure
-// is reported wrapped in ErrCheckpointDeferred.
-func (d *DB) maybeAutoCheckpoint() error {
+// AutoCheckpoint is the second half of CommitCtx: the post-commit
+// checkpoint, run when the log passed the frame limit. With
+// BackgroundCheckpoint it only kicks the checkpointer goroutine — the
+// commit path never carries checkpoint I/O. Inline, it is best-effort: a
+// busy writer slot or an open snapshot defers it silently to a later
+// commit (the SQLite behaviour: checkpointing cannot pass a reader's
+// mark); a real checkpoint failure is counted and reported wrapped in
+// ErrCheckpointDeferred, and the next due commit retries the round.
+//
+// freezeOnly stops a due inline round after phase A (core's
+// FreezeCheckpoint; NVWAL journals only, a no-op otherwise): the
+// generation is frozen and its watermark announced to exporters, and the
+// write-back is left to the next call without freezeOnly. The conditions
+// are the same for both, so what is frozen is exactly a round that would
+// have run.
+func (d *DB) AutoCheckpoint(freezeOnly bool) error {
 	lim := d.opts.CheckpointLimit
 	if lim <= 0 || d.jrn.FramesSinceCheckpoint() < lim {
 		return nil
@@ -978,7 +999,9 @@ func (d *DB) maybeAutoCheckpoint() error {
 		return nil
 	}
 	if d.ckptKick != nil {
-		d.kickCheckpoint()
+		if !freezeOnly {
+			d.kickCheckpoint()
+		}
 		return nil
 	}
 	if d.readers.Load() > 0 {
@@ -988,10 +1011,11 @@ func (d *DB) maybeAutoCheckpoint() error {
 		return nil
 	}
 	defer d.releaseSlot()
-	if err := d.checkpointLocked(); err != nil {
+	if err := d.checkpointLocked(freezeOnly); err != nil {
 		if errors.Is(err, ErrBusySnapshot) {
 			return nil
 		}
+		d.plat.Metrics.Inc(metrics.CheckpointErrors, 1)
 		return fmt.Errorf("%w: %w", ErrCheckpointDeferred, err)
 	}
 	return nil
@@ -1157,15 +1181,30 @@ func (d *DB) Checkpoint() error {
 		return err
 	}
 	defer d.releaseSlot()
-	return d.checkpointLocked()
+	return d.checkpointLocked(false)
 }
 
-// checkpointLocked checkpoints with the writer slot held. Incremental
+// checkpointLocked checkpoints with the writer slot held — with
+// freezeOnly, only as far as freezing an NVWAL round's generation (other
+// journals have no such stage: nothing is done). Incremental
 // journals protect open readers through the gate (ckptMu is never held
 // across the journal call — the gate takes it, and readers hold it
 // while marking); the legacy path pairs ckptMu with BeginRead so no new
 // snapshot can take a mark between the reader check and the truncation.
-func (d *DB) checkpointLocked() error {
+func (d *DB) checkpointLocked(freezeOnly bool) error {
+	// round is the journal's gated entry point, nil for a journal that can
+	// only truncate.
+	var round func(gate func(watermark int) bool) error
+	if ij, ok := d.jrn.(pager.IncrementalJournal); ok {
+		round = ij.CheckpointIncremental
+	}
+	if freezeOnly {
+		nv, ok := d.jrn.(*core.NVWAL)
+		if !ok {
+			return nil
+		}
+		round = nv.FreezeCheckpoint
+	}
 	// Flush any group still waiting in the queue: its transactions'
 	// pages live only in the pager cache and the queue, so the journal
 	// must absorb them before checkpointing. The writer slot is held, so
@@ -1174,8 +1213,8 @@ func (d *DB) checkpointLocked() error {
 		return err
 	}
 	sw := d.plat.Clock.Now()
-	if ij, ok := d.jrn.(pager.IncrementalJournal); ok {
-		err := ij.CheckpointIncremental(d.ckptGate)
+	if round != nil {
+		err := round(d.ckptGate)
 		if errors.Is(err, pager.ErrCheckpointPending) {
 			return ErrBusySnapshot
 		}

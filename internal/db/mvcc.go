@@ -642,7 +642,7 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 	tx.finish(false)
 	d.plat.Metrics.Inc(metrics.MVCCCommits, 1)
 	d.maybeKickScrub()
-	return d.maybeAutoCheckpoint()
+	return d.AutoCheckpoint(false)
 }
 
 // stagePage routes one write into the session's stream (or, without

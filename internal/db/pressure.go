@@ -227,7 +227,7 @@ func (d *DB) urgentCheckpoint() {
 		return
 	}
 	defer d.releaseSlot()
-	_ = d.checkpointLocked()
+	_ = d.checkpointLocked(false)
 }
 
 // flushSolo commits one transaction's frames through the journal,

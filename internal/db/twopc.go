@@ -114,7 +114,7 @@ func (tx *Tx) CompletePrepared() error {
 		gc.unregister()
 	}
 	d.maybeKickScrub()
-	return d.maybeAutoCheckpoint()
+	return d.AutoCheckpoint(false)
 }
 
 // AbortPrepared rolls a prepared transaction back after the coordinator

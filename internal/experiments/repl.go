@@ -24,6 +24,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/repl"
 	"repro/internal/server"
+	"repro/internal/simclock"
 )
 
 // ReplReadRow is one replica-count cell of the read scale-out sweep.
@@ -71,6 +72,19 @@ type ReplSteadyResult struct {
 	// kept in DRAM for the replicas at their worst.
 	TailPeakFrames int `json:"retained_tail_peak_frames"`
 	TailPeakBytes  int `json:"retained_tail_peak_bytes"`
+	// What a primary checkpoint boundary costs the writer: the virtual time
+	// of the writes above 20 ms (a round writes back a few hundred pages at
+	// 180 µs each; nothing else on the write path comes near) per primary
+	// round, and the writes between 1 and 20 ms — strays a boundary left on
+	// later writes. With every node's round on the far side of its
+	// acknowledgement the first is one round, not the sum of the nodes', and
+	// the second is a handful.
+	BoundaryMsPerRound float64 `json:"vboundary_ms_per_primary_round"`
+	StrayWrites        int     `json:"writes_between_1ms_and_20ms"`
+	// Mean virtual time from a batch handed to the wire to its ack's
+	// delivery, over both links: link latency both ways plus the replica's
+	// apply, and no flash time.
+	ShipAckMeanUs float64 `json:"vship_to_ack_mean_us"`
 	// Virtual write latency on the primary's lane, commit through ack.
 	WriteP50Us  float64 `json:"vwrite_p50_us"`
 	WriteP99Us  float64 `json:"vwrite_p99_us"`
@@ -244,6 +258,7 @@ func runReplSteady(writes, valueBytes int) (ReplSteadyResult, error) {
 		return zero, err
 	}
 	const keys = 2000
+	var ship shipTimes
 	val := make([]byte, valueBytes)
 	// Loaded straight into the database: there is no ack quorum to wait
 	// for until the replicas attach.
@@ -267,7 +282,14 @@ func runReplSteady(writes, valueBytes int) (ReplSteadyResult, error) {
 		}
 		defer rn.Stop()
 		rns = append(rns, rn)
-		pn.Attach(c, name)
+		dial := c.Dialer("n0")
+		pn.Repl.AddReplica(repl.ReplAddr(name), func(addr string) (netsim.Conn, error) {
+			conn, err := dial(addr)
+			if err != nil {
+				return nil, err
+			}
+			return &shipTimedConn{Conn: conn, lane: pn.Node.Plat.Clock, total: &ship}, nil
+		})
 	}
 	settle := func() error {
 		for _, rn := range rns {
@@ -287,16 +309,27 @@ func runReplSteady(writes, valueBytes int) (ReplSteadyResult, error) {
 	}
 	lane := pn.Node.Plat.Clock
 	lats := make([]time.Duration, 0, writes)
+	sum0, n0 := ship.totals()
+	var boundary time.Duration
+	strays := 0
 	for i := 0; i < writes; i++ {
 		v0 := lane.Now()
 		if err := put(i * 7); err != nil {
 			return zero, err
 		}
-		lats = append(lats, lane.Now()-v0)
+		lat := lane.Now() - v0
+		lats = append(lats, lat)
+		switch {
+		case lat > 20*time.Millisecond:
+			boundary += lat
+		case lat > time.Millisecond:
+			strays++
+		}
 	}
 	if err := settle(); err != nil {
 		return zero, err
 	}
+	sum1, n1 := ship.totals()
 
 	prim := pn.Node.M.Snapshot().Sub(before["n0"])
 	var reps []metrics.Snapshot
@@ -329,11 +362,55 @@ func runReplSteady(writes, valueBytes int) (ReplSteadyResult, error) {
 		ReplicaHeapAllocsPerBatch: perReplica(metrics.HeapAlloc) / batches,
 		TailPeakFrames:            ret.PeakFrames,
 		TailPeakBytes:             ret.PeakBytes,
+		BoundaryMsPerRound:        boundary.Seconds() * 1e3 / float64(max(1, prim.Count(metrics.Checkpoints))),
+		StrayWrites:               strays,
+		ShipAckMeanUs:             float64((sum1 - sum0).Nanoseconds()) / 1e3 / float64(max(1, n1-n0)),
 		WriteP50Us:                us(0.50),
 		WriteP99Us:                us(0.99),
 		WriteP999Us:               us(0.999),
 		WriteMaxUs:                us(1),
 	}, nil
+}
+
+// shipTimes accumulates send→ack times over the links of one primary.
+type shipTimes struct {
+	mu  sync.Mutex
+	sum time.Duration
+	n   int64
+}
+
+func (s *shipTimes) totals() (sum time.Duration, n int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sum, s.n
+}
+
+// shipTimedConn times a sender's conn in virtual time. The sender's loop is
+// strictly one message, one ack, so every ack received (the hello is read
+// with a plain Recv) answers the last Send: lane time at the Send to the
+// ack's own delivery time. It forwards RecvAt, so the primary behind it
+// sees what it would see on the bare conn.
+type shipTimedConn struct {
+	netsim.Conn
+	lane  *simclock.Clock
+	total *shipTimes
+	sent  time.Duration
+}
+
+func (c *shipTimedConn) Send(msg []byte) error {
+	c.sent = c.lane.Now()
+	return c.Conn.Send(msg)
+}
+
+func (c *shipTimedConn) RecvAt(timeout time.Duration) ([]byte, time.Duration, error) {
+	msg, at, _, err := netsim.RecvAt(c.Conn, timeout)
+	if err == nil {
+		c.total.mu.Lock()
+		c.total.sum += at - c.sent
+		c.total.n++
+		c.total.mu.Unlock()
+	}
+	return msg, at, err
 }
 
 // runReplFailover writes `writes` acked single-key transactions
@@ -433,6 +510,8 @@ func (r *ReplResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "  per applied batch on a replica: %.2f persist barriers, %.2f syscalls, %.2f heap allocations (journal commit + cursor record)\n",
 		st.ReplicaBarriersPerBatch, st.ReplicaSyscallsPerBatch, st.ReplicaHeapAllocsPerBatch)
 	fmt.Fprintf(w, "  retained export tail, high-water mark: %d frames, %d bytes\n", st.TailPeakFrames, st.TailPeakBytes)
+	fmt.Fprintf(w, "  per primary boundary: %.1f virtual ms in writes above 20 ms; %d writes between 1 and 20 ms; mean send-to-ack %.1f µs\n",
+		st.BoundaryMsPerRound, st.StrayWrites, st.ShipAckMeanUs)
 	fmt.Fprintf(w, "  virtual write latency (µs): p50 %.1f  p99 %.1f  p99.9 %.1f  max %.1f\n",
 		st.WriteP50Us, st.WriteP99Us, st.WriteP999Us, st.WriteMaxUs)
 	fmt.Fprintf(w, "forced failover: %d/%d acked writes survived (%.1f%%), promoted epoch %d\n",

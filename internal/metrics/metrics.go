@@ -46,6 +46,7 @@ const (
 	// merely waits on a lock).
 	CheckpointNanos  = "checkpoint_ns_total"      // wall ns spent writing back + syncing pages
 	CheckpointPages  = "checkpoint_pages_written" // pages copied into the database file
+	CheckpointErrors = "checkpoint_errors"        // auto-checkpoint rounds that failed after a durable commit (retried at the next due commit)
 	CommitStallNanos = "commit_stall_ns"          // wall ns commits waited for the journal writer lock
 	HeapRecycled     = "heap_recycled"            // blocks parked in the recycled free-block pool
 	HeapRecycleHits  = "heap_recycle_hits"        // allocations served from the pool (no kernel call)

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,6 +99,9 @@ type replicaLink struct {
 
 	mu      sync.Mutex
 	applied int // highest acked applied mark
+	// ackAt is the virtual delivery time of the ack that raised applied (0
+	// when the transport tracks none, or a hello raised it).
+	ackAt time.Duration
 	// ackEwma is the rolling send→ack latency estimate (virtual time
 	// when PrimaryOptions.Clock is set); quarantined drops the link
 	// from the semi-sync quorum while it breaches AckBudget.
@@ -180,25 +184,36 @@ func (p *Primary) Get(table string, key []byte) ([]byte, bool, error) {
 	return p.eng.Get(table, key)
 }
 
-// Apply commits locally, kicks shipping, and (semi-sync) waits for
-// the ack quorum. The quorum guarantee: on success, every byte of
-// this commit is applied on at least AckReplicas replicas.
+// Apply is the one place a replicated write is sequenced, and nobody's
+// acknowledgement in it waits for flash: commit durably → if an inline
+// checkpoint round is due, freeze its generation (phase A: two persists)
+// → ship → (semi-sync) wait for the ack quorum → write the round back
+// (phases B + C), the last step before Apply returns, also when the ack
+// wait failed. Freezing before the ship makes the boundary a fact the
+// batch carrying this commit announces (ExportSince stamps the frozen
+// watermark), so every replica runs its own round after its ack and the
+// cluster's rounds overlap instead of chaining. The quorum guarantee: on
+// success, every byte of this commit is applied on at least AckReplicas
+// replicas.
 func (p *Primary) Apply(ctx context.Context, table string, ops []server.Op) (uint64, error) {
-	seq, err := p.eng.Apply(ctx, table, ops)
+	seq, err := p.eng.ApplyDurable(ctx, table, ops)
 	if err != nil {
 		return 0, err
 	}
 	// The commit is durable locally at (at least) the current mark.
 	target := p.wal.Mark()
+	// A round that cannot freeze now (a reader below the watermark, the
+	// writer slot busy) is not announced either; a later commit retries.
+	_ = p.d.AutoCheckpoint(true)
 	p.kickAll()
-	if p.opts.AckReplicas <= 0 {
-		return seq, nil
+	if p.opts.AckReplicas > 0 {
+		p.m.Inc(metrics.ReplAckWaits, 1)
+		err = p.waitAcks(ctx, target)
 	}
-	p.m.Inc(metrics.ReplAckWaits, 1)
-	if err := p.waitAcks(ctx, target); err != nil {
-		return seq, err
-	}
-	return seq, nil
+	// The write is durable and acknowledged as far as it will be: a failed
+	// round is counted by the database and retried at the next due commit.
+	_ = p.d.AutoCheckpoint(false)
+	return seq, err
 }
 
 // waitAcks blocks until AckReplicas replicas acked applied >= target.
@@ -218,7 +233,16 @@ func (p *Primary) waitAcks(ctx context.Context, target int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if p.ackedAtLocked(target) >= p.opts.AckReplicas {
+		acked, at := p.quorumLocked(target)
+		if acked >= p.opts.AckReplicas {
+			// An ack moves the primary's clock only for the commit that
+			// waited for it, and only the ack that completed the quorum: a
+			// later one from a replica nobody waited for is not on any
+			// write's path (the rule hedged reads follow: the winner's
+			// delivery time only).
+			if p.opts.Clock != nil {
+				p.opts.Clock.AdvanceTo(at)
+			}
 			return nil
 		}
 		if p.opts.AckBudget > 0 && p.eligibleLocked() < p.opts.AckReplicas {
@@ -235,27 +259,33 @@ func (p *Primary) waitAcks(ctx context.Context, target int) error {
 		}
 		if ctx.Err() != nil {
 			return fmt.Errorf("repl: %d/%d replica acks for mark %d: %w",
-				p.ackedAtLocked(target), p.opts.AckReplicas, target, server.ErrIndeterminate)
+				acked, p.opts.AckReplicas, target, server.ErrIndeterminate)
 		}
 		p.ackCond.Wait()
 	}
 }
 
-// ackedAtLocked counts quorum-eligible replicas whose acked applied
-// mark covers target. Quarantined replicas do not count: their acks
-// still advance the cursor (shipping never stops) but a commit must
-// not treat a known-sick replica as its durability copy. Caller holds
-// p.mu.
-func (p *Primary) ackedAtLocked(target int) int {
-	n := 0
+// quorumLocked counts quorum-eligible replicas whose acked applied mark
+// covers target and, once they are a quorum, reports the virtual time it
+// was complete: the AckReplicas-th smallest delivery time among their
+// acks (0 off-simulation). Quarantined replicas do not count: their acks
+// still advance the cursor (shipping never stops) but a commit must not
+// treat a known-sick replica as its durability copy. Caller holds p.mu.
+func (p *Primary) quorumLocked(target int) (acked int, at time.Duration) {
+	var buf [8]time.Duration // on the stack: a write must not allocate to learn its quorum
+	ats := buf[:0]
 	for _, rl := range p.replicas {
 		rl.mu.Lock()
 		if rl.applied >= target && !rl.quarantined {
-			n++
+			ats = append(ats, rl.ackAt)
 		}
 		rl.mu.Unlock()
 	}
-	return n
+	if k := p.opts.AckReplicas; k > 0 && len(ats) >= k {
+		slices.Sort(ats)
+		at = ats[k-1]
+	}
+	return len(ats), at
 }
 
 // eligibleLocked counts replicas currently admitted to the semi-sync
@@ -472,7 +502,7 @@ func (rl *replicaLink) serveConn() bool {
 		// Whether the replica's cursor is still exportable is what standing
 		// the pin there answers.
 		if rl.pinAt(cursor) {
-			rl.noteApplied(cursor)
+			rl.noteApplied(cursor, 0) // Recv of the hello already moved the clock
 		} else {
 			needSeed = true
 		}
@@ -516,14 +546,14 @@ func (rl *replicaLink) serveConn() bool {
 				return true
 			}
 			p.m.Inc(metrics.ReplReseeds, 1) // seeds handed to the wire, not attempts on a dead conn
-			a, _, _, ok := rl.awaitAck(conn)
+			a, ackAt, _, ok := rl.awaitAck(conn)
 			if !ok || !a.ok {
 				return true
 			}
 			cursor, chain = snap.Mark, core.ExportChainSeed(snap.Mark)
 			needSeed = false
 			rl.pinAt(cursor)
-			rl.noteApplied(cursor)
+			rl.noteApplied(cursor, ackAt)
 			continue
 		}
 
@@ -563,19 +593,22 @@ func (rl *replicaLink) serveConn() bool {
 		}
 		p.m.Inc(metrics.ReplBatchesShipped, 1)
 		p.m.Inc(metrics.ReplFramesShipped, int64(len(batch.Frames)))
+		shipped := 0
 		for _, fr := range batch.Frames {
-			p.m.Inc(metrics.ReplBytesShipped, int64(len(fr.Payload)))
+			shipped += len(fr.Payload)
 		}
+		p.m.Inc(metrics.ReplBytesShipped, int64(shipped))
 		a, ackAt, virt, ok := rl.awaitAck(conn)
 		if !ok {
 			return true
 		}
 		// Latency is measured against the ack's own virtual delivery
 		// time, not the lane's Now() after Recv: the lane is shared by
-		// every replica link, so another replica's slow ack advancing
-		// it mid-wait would bleed into this link's sample and
-		// quarantine a healthy replica. Real time is the fallback
-		// off-simulation.
+		// every replica link and by the commits themselves, so whatever
+		// advanced it mid-wait — the primary's own checkpoint round, which
+		// runs right after the quorum's ack — would bleed into this link's
+		// sample and quarantine a healthy replica. Real time is the
+		// fallback off-simulation.
 		switch {
 		case p.opts.Clock != nil && virt:
 			rl.observeAck(ackAt - t0Virt)
@@ -590,7 +623,7 @@ func (rl *replicaLink) serveConn() bool {
 		}
 		cursor, chain = batch.To, endChain
 		rl.pinAt(cursor)
-		rl.noteApplied(a.applied)
+		rl.noteApplied(a.applied, ackAt)
 	}
 }
 
@@ -655,9 +688,9 @@ func (p *Primary) AckLatencies() map[string]time.Duration {
 // a redial, and the reconnect hello resumes from the replica's real
 // cursor.
 // On simulated transports it reports the ack's own virtual delivery
-// time (virt=true) and advances the primary's lane to it — the same
-// advance Recv would have done — so the caller can measure per-link
-// latency without cross-talk from other links sharing the lane.
+// time (virt=true) and leaves the primary's lane where it is: the caller
+// measures per-link latency against that time, and the lane moves only
+// for the commit whose quorum the ack completes (waitAcks).
 func (rl *replicaLink) awaitAck(conn netsim.Conn) (a ack, at time.Duration, virt, ok bool) {
 	for tries := 0; tries < 4; tries++ {
 		select {
@@ -667,11 +700,8 @@ func (rl *replicaLink) awaitAck(conn netsim.Conn) (a ack, at time.Duration, virt
 		}
 		var msg []byte
 		var err error
-		if clk := rl.p.opts.Clock; clk != nil {
+		if rl.p.opts.Clock != nil {
 			msg, at, virt, err = netsim.RecvAt(conn, 250*time.Millisecond)
-			if err == nil && virt {
-				clk.AdvanceTo(at)
-			}
 		} else {
 			msg, err = conn.Recv(250 * time.Millisecond)
 		}
@@ -690,11 +720,12 @@ func (rl *replicaLink) awaitAck(conn netsim.Conn) (a ack, at time.Duration, virt
 	return ack{}, 0, virt, false
 }
 
-// noteApplied records a replica ack and wakes semi-sync waiters.
-func (rl *replicaLink) noteApplied(applied int) {
+// noteApplied records a replica ack, delivered at virtual time at, and
+// wakes semi-sync waiters.
+func (rl *replicaLink) noteApplied(applied int, at time.Duration) {
 	rl.mu.Lock()
 	if applied > rl.applied {
-		rl.applied = applied
+		rl.applied, rl.ackAt = applied, at
 	}
 	rl.mu.Unlock()
 	rl.p.mu.Lock()

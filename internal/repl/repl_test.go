@@ -160,7 +160,7 @@ func TestDivergenceLatchesDegradedUntilReseed(t *testing.T) {
 		{Pgno: 2, Full: true, Payload: []byte("payload")},
 	}}
 	f := framesMsg{incarnation: 1, batch: batch, endChain: 0xdeadbeef}
-	if a := r.applyFrames(f); a.ok {
+	if a, _ := r.applyFrames(f); a.ok {
 		t.Fatal("diverged batch accepted")
 	}
 	if r.Degraded() == nil {
@@ -175,7 +175,7 @@ func TestDivergenceLatchesDegradedUntilReseed(t *testing.T) {
 	// Degraded still serves reads at the applied mark, but refuses
 	// further frame batches.
 	good := framesMsg{incarnation: 1, batch: batch, endChain: core.ChainExport(r.chain, batch)}
-	if a := r.applyFrames(good); a.ok {
+	if a, _ := r.applyFrames(good); a.ok {
 		t.Fatal("degraded replica accepted frames")
 	}
 	// Only a full re-seed heals the latch.

@@ -9,8 +9,9 @@
 // corresponding frames are durable (a crash between the two leaves the
 // cursor stale-low, which resumes by harmless re-apply). The replica
 // checkpoints its journal when its primary does — on the batch that
-// carries a backfill watermark it has not yet checkpointed at — so the
-// cluster has one checkpoint policy, the primary's. Reads serve a btree
+// carries a backfill watermark it has not yet checkpointed at, after that
+// batch's ack is on the wire — so the cluster has one checkpoint policy,
+// the primary's, and no node's round waits for another's. Reads serve a btree
 // view at exactly the applied mark under an RWMutex — a replica can
 // never serve state newer than what it acked.
 package repl
@@ -340,6 +341,19 @@ func (r *Replica) Close() {
 	if cur != nil {
 		_ = cur.Close()
 	}
+	// Wait out a handler inside an apply or a post-ack round: each checks
+	// stopped() on entry, so once Close returns nothing touches the journal
+	// and the state may be reopened or promoted.
+	r.rw.Lock()
+	r.rw.Unlock() //nolint:staticcheck // an empty critical section is the barrier
+}
+
+// stopped reports whether Close was called. Journal-touching critical
+// sections check it under r.rw; see Close.
+func (r *Replica) stopped() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.closed
 }
 
 // Promote ends replication and re-opens the replica's state as a full
@@ -385,6 +399,7 @@ func (r *Replica) handleConn(conn netsim.Conn) {
 			return
 		}
 		var a ack
+		roundDue := false
 		switch msg[0] {
 		case mtSeed:
 			s, derr := decodeSeed(msg)
@@ -397,11 +412,19 @@ func (r *Replica) handleConn(conn netsim.Conn) {
 			if derr != nil {
 				return
 			}
-			a = r.applyFrames(f)
+			a, roundDue = r.applyFrames(f)
 		default:
 			return
 		}
-		if err := conn.Send(encodeAck(a)); err != nil {
+		// Ack first, write back second: the ack says the frames are committed
+		// and the cursor durable, which is all the primary's commit waits
+		// for. A round the batch left due runs before the next batch is
+		// read, whether or not the ack got out.
+		err = conn.Send(encodeAck(a))
+		if roundDue {
+			r.checkpointAfterAck()
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -416,6 +439,9 @@ func (r *Replica) applySeed(s seedMsg) ack {
 	r.rw.Lock()
 	defer r.rw.Unlock()
 	nack := ack{incarnation: s.incarnation, applied: r.applied, ok: false}
+	if r.stopped() {
+		return nack
+	}
 	if r.cursorAddr == 0 {
 		// The first seed: without its cursor block the replica would apply
 		// state it could never resume from.
@@ -458,24 +484,34 @@ func (r *Replica) ApplyBatch(incarnation uint64, b core.ExportBatch) bool {
 	r.rw.RLock()
 	chain := r.chain
 	r.rw.RUnlock()
-	return r.applyFrames(framesMsg{incarnation: incarnation, batch: b, endChain: core.ChainExport(chain, b)}).ok
+	a, roundDue := r.applyFrames(framesMsg{incarnation: incarnation, batch: b, endChain: core.ChainExport(chain, b)})
+	if roundDue {
+		r.checkpointAfterAck()
+	}
+	return a.ok
 }
 
-// applyFrames verifies and applies one shipped mark range.
-func (r *Replica) applyFrames(f framesMsg) ack {
+// applyFrames verifies and applies one shipped mark range. It runs no
+// checkpoint round; it reports whether the batch left one due, for the
+// caller to run (checkpointAfterAck) once the ack is on the wire. One
+// checkpoint policy for the cluster, the primary's: a round is due on the
+// batch that carries a backfill watermark this replica has not yet
+// checkpointed at — the very write that froze the primary's round — and
+// the safety net catches a primary that announces none.
+func (r *Replica) applyFrames(f framesMsg) (a ack, roundDue bool) {
 	r.rw.Lock()
 	defer r.rw.Unlock()
 	nack := ack{incarnation: r.incarnation, applied: r.applied, ok: false}
-	if !r.seeded || r.degradedErr != nil {
-		return nack
+	if !r.seeded || r.degradedErr != nil || r.stopped() {
+		return nack, false
 	}
 	if f.incarnation != r.incarnation {
-		return nack
+		return nack, false
 	}
 	if f.batch.From != r.applied {
 		// A range not anchored at the cursor is a gap (or an overlap
 		// from a confused sender) — unhealable in place.
-		return nack
+		return nack, false
 	}
 	end := core.ChainExport(r.chain, f.batch)
 	if end != f.endChain {
@@ -484,7 +520,7 @@ func (r *Replica) applyFrames(f framesMsg) ack {
 		r.degradedErr = fmt.Errorf("repl: export chain diverged at mark %d (%08x != %08x)",
 			f.batch.To, end, f.endChain)
 		r.m.Inc(metrics.ReplDivergences, 1)
-		return nack
+		return nack, false
 	}
 
 	// Reconstruct each touched page's image in frame order (later frames
@@ -503,27 +539,34 @@ func (r *Replica) applyFrames(f framesMsg) ack {
 		}
 		if int(fr.Off)+len(fr.Payload) > len(img) {
 			r.dropPages()
-			return nack
+			return nack, false
 		}
 		copy(img[fr.Off:], fr.Payload)
 	}
 	if err := r.commitPages(); err != nil {
-		return nack
+		return nack, false
 	}
 	r.applied = f.batch.To
 	r.chain = end
 	r.saveCursor(false)
 	r.m.Inc(metrics.ReplBatchesApplied, 1)
-	// One checkpoint policy for the cluster, the primary's: the round runs
-	// (inline, before the ack — every device of a node charges the node's
-	// one lane, so a background round would take nothing off the ack's
-	// timestamp) on the batch that carries a backfill watermark this
-	// replica has not yet checkpointed at, the very write that paid the
-	// primary's round. The safety net catches a primary that announces none.
-	if f.batch.Backfill > r.ckptAt || r.wal.FramesSinceCheckpoint() >= checkpointNet {
+	roundDue = f.batch.Backfill > r.ckptAt || r.wal.FramesSinceCheckpoint() >= checkpointNet
+	return ack{incarnation: r.incarnation, applied: r.applied, ok: true}, roundDue
+}
+
+// checkpointAfterAck runs the round an applied batch left due. It runs
+// inline on the applying goroutine, on the far side of the ack: every
+// device of a node charges the node's one lane, so a background round
+// would smear its flash time over whatever overlaps it in host time and
+// make virtual time depend on the scheduler, while here it is
+// deterministic and costs a commit nothing unless the next batch arrives
+// before the round ends.
+func (r *Replica) checkpointAfterAck() {
+	r.rw.Lock()
+	defer r.rw.Unlock()
+	if !r.stopped() {
 		r.checkpoint()
 	}
-	return ack{incarnation: r.incarnation, applied: r.applied, ok: true}
 }
 
 // openPage starts the image a batch will patch: a copy of the journal's

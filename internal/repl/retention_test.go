@@ -410,7 +410,6 @@ func TestSteadyStateOneRoundPerPrimaryBoundary(t *testing.T) {
 		}
 	}
 	settle()
-	rounds := func(n *Node) int64 { return n.M.Count(metrics.Checkpoints) }
 	base := map[string]int64{"n0": rounds(pn.Node)}
 	for _, rn := range replicas {
 		base[rn.Node.Name] = rounds(rn.Node)
@@ -446,8 +445,61 @@ func TestSteadyStateOneRoundPerPrimaryBoundary(t *testing.T) {
 		}
 		mustGet(t, rn.R, "k0499", string(append([]byte{byte(2999 % 256)}, val[1:]...)))
 	}
-	if ret := pn.Repl.wal.ExportRetention(); ret.Frames != 0 || ret.PeakFrames == 0 {
-		t.Fatalf("retention after the run %+v: want an empty tail that was used", ret)
+	// Every replica acked every frame before the primary's round retired it
+	// (the round is the last step of the write that waited for those acks),
+	// so the export tail was never needed.
+	if ret := pn.Repl.wal.ExportRetention(); ret.Frames != 0 || ret.PeakFrames != 0 {
+		t.Fatalf("retention after the run %+v: replicas that keep up must leave the tail unused", ret)
+	}
+}
+
+// TestRetentionTailServesLaggingReplica is the case the export tail exists
+// for: one link stalls (its node drops off the network) while the quorum's
+// other replica carries the writes across two primary boundaries. The
+// stalled link's frames move into the tail, the replica resumes from its
+// cursor without a seed when it returns, and the tail drains.
+func TestRetentionTailServesLaggingReplica(t *testing.T) {
+	const limit = 40
+	c := newTestCluster(t, "n0", "n1", "n2")
+	pn := startBoundaryPrimary(t, c, limit, PrimaryOptions{Epoch: 1, AckReplicas: 1})
+	defer pn.Stop(false)
+	var replicas []*Replica
+	for _, name := range []string{"n1", "n2"} {
+		rn, err := c.StartReplica(name, ReplicaOptions{Epoch: 1}, server.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rn.Stop()
+		replicas = append(replicas, rn.R)
+		pn.Attach(c, name)
+	}
+	// A database large enough that two generations of backlog stay inside
+	// the seed budget.
+	model := kvModel{}
+	for i := 0; i < 400; i++ {
+		model.put(t, pn.Repl, i)
+	}
+	waitApplied(t, pn.Repl, replicas...)
+	seeds := pn.Node.M.Count(metrics.ReplReseeds)
+
+	c.IsolateNode("n2")
+	for i, before := 400, rounds(pn.Node); rounds(pn.Node) < before+2; i++ {
+		model.put(t, pn.Repl, i)
+	}
+	held := pn.Repl.wal.ExportRetention()
+	if held.Frames < limit || !linkPinned(pn.Repl, ReplAddr("n2")) {
+		t.Fatalf("two boundaries behind a stalled link kept %+v (pinned=%v), want at least a generation", held, linkPinned(pn.Repl, ReplAddr("n2")))
+	}
+	c.RejoinNode("n2")
+	waitApplied(t, pn.Repl, replicas...)
+	if got := pn.Node.M.Count(metrics.ReplReseeds) - seeds; got != 0 {
+		t.Fatalf("the lagging replica's return cost %d seeds, want 0", got)
+	}
+	if !waitFor(t, time.Second, func() bool { return pn.Repl.wal.ExportRetention().Frames == 0 }) {
+		t.Fatalf("tail not drained after the replica caught up: %+v", pn.Repl.wal.ExportRetention())
+	}
+	for _, r := range replicas {
+		model.verify(t, "replica", r.Get)
 	}
 }
 

@@ -35,10 +35,23 @@ func (e *DBEngine) Get(table string, key []byte) ([]byte, bool, error) {
 	return e.d.Get(table, key)
 }
 
-// Apply runs ops as one transaction. A failure after Begin rolls the
-// transaction back, so a non-nil error (other than ErrIndeterminate,
-// which DBEngine never returns) means "not applied".
+// Apply runs ops as one transaction: the durable commit, then the
+// database's auto-checkpoint, both under the queue slot. A failure after
+// Begin rolls the transaction back, so a non-nil error (other than
+// ErrIndeterminate, which DBEngine never returns) means "not applied".
 func (e *DBEngine) Apply(ctx context.Context, table string, ops []Op) (uint64, error) {
+	return e.apply(ctx, table, ops, true)
+}
+
+// ApplyDurable is Apply without the auto-checkpoint, for an engine that
+// has its own work to do between the commit and the round (repl.Primary
+// ships the commit and collects acks first); that caller owes the database
+// an AutoCheckpoint. The queue slot is held only for the transaction.
+func (e *DBEngine) ApplyDurable(ctx context.Context, table string, ops []Op) (uint64, error) {
+	return e.apply(ctx, table, ops, false)
+}
+
+func (e *DBEngine) apply(ctx context.Context, table string, ops []Op, checkpoint bool) (uint64, error) {
 	select {
 	case <-e.slot:
 	case <-ctx.Done():
@@ -66,8 +79,15 @@ func (e *DBEngine) Apply(ctx context.Context, table string, ops []Op) (uint64, e
 			return 0, err
 		}
 	}
-	if err := tx.CommitCtx(ctx); err != nil {
+	if err := tx.CommitDurableCtx(ctx); err != nil {
 		return 0, err
+	}
+	if checkpoint {
+		// The write is durable and has its seq whatever becomes of the
+		// round: a failed one is counted (metrics.CheckpointErrors), latches
+		// Degraded if the device is gone for good, and is retried by the
+		// next due commit.
+		_ = e.d.AutoCheckpoint(false)
 	}
 	return tx.Seq(), nil
 }
