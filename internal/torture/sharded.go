@@ -89,11 +89,10 @@ type stageSignal struct{ stage shard.Stage }
 // (workload under an armed crash OR a deterministic coordinator-stage
 // crash) → power fail → reboot → per-shard oracle + cross-shard
 // all-or-nothing.
-func runShardedChain(opts Options, step int) chainResult {
+func runShardedChain(opts Options, step int) (res chainResult) {
 	seed := mix(opts.Seed, step)
 	rng := rand.New(rand.NewSource(seed))
 	nshards := opts.Shards
-	res := chainResult{}
 
 	// Sampled chain configuration. SyncChecksum stays out: the sharded
 	// oracle keeps durability absolute.
@@ -146,6 +145,8 @@ func runShardedChain(opts Options, step int) chainResult {
 		fail(-1, Violation{Kind: "error", Worker: -1, Detail: "platform: " + err.Error()})
 		return res
 	}
+	fp := newFingerprinter()
+	defer func() { res.fingerprint = fp.finish(plat.OpCount()) }()
 	sopts := shard.Options{DB: db.Options{
 		NVWAL:           v.Cfg,
 		Concurrent:      true,
@@ -269,6 +270,7 @@ func runShardedChain(opts Options, step int) chainResult {
 			fail(round, Violation{Kind: "error", Worker: -1, Detail: "survivor scan: " + err.Error()})
 			return res
 		}
+		fp.survivor(survivor)
 		if err := s.Check(); err != nil {
 			fail(round, Violation{Kind: "atomicity", Worker: -1, Detail: "btree check: " + err.Error()})
 			return res

@@ -3,6 +3,8 @@ package torture
 import (
 	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"sort"
@@ -367,6 +369,31 @@ type chainResult struct {
 	damaged    int  // rounds whose salvage report observed media damage
 	degraded   bool // chain ended in degraded read-only mode
 	violations []ViolationReport
+	// fingerprint pins what a crash chain did, for the golden tests:
+	// FNV-1a over every round's sorted survivor k=v pairs, then the
+	// machine's final op count. Equal on two runs of a one-worker chain.
+	fingerprint uint64
+}
+
+// fingerprinter accumulates chainResult.fingerprint.
+type fingerprinter struct{ h hash.Hash64 }
+
+func newFingerprinter() fingerprinter { return fingerprinter{fnv.New64a()} }
+
+func (f fingerprinter) survivor(s map[string]string) {
+	keys := make([]string, 0, len(s))
+	for k := range s {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(f.h, "%s=%s\n", k, s[k])
+	}
+}
+
+func (f fingerprinter) finish(ops int64) uint64 {
+	fmt.Fprintf(f.h, "ops=%d", ops)
+	return f.h.Sum64()
 }
 
 func policyName(p memsim.FailPolicy) string {
@@ -384,11 +411,10 @@ func policyName(p memsim.FailPolicy) string {
 // (workload with an armed crash → power fail → reboot → recover →
 // oracle check) for the configured number of rounds, carrying the
 // survivor forward as the next round's base state.
-func runChain(opts Options, step int) chainResult {
+func runChain(opts Options, step int) (res chainResult) {
 	seed := mix(opts.Seed, step)
 	rng := rand.New(rand.NewSource(seed))
 	cfg := sampleChain(rng, opts)
-	res := chainResult{}
 
 	repro := fmt.Sprintf("nvwal-fuzz -seed %d -step %d", opts.Seed, step)
 	if opts.Bug {
@@ -418,6 +444,8 @@ func runChain(opts Options, step int) chainResult {
 		fail(-1, Violation{Kind: "error", Worker: -1, Detail: "platform: " + err.Error()})
 		return res
 	}
+	fp := newFingerprinter()
+	defer func() { res.fingerprint = fp.finish(plat.OpCount()) }()
 	if opts.Faults {
 		// Damage scope: the heap's data pages (log blocks and the NVWAL
 		// header) for NVRAM faults, the whole device for block faults.
@@ -555,6 +583,7 @@ func runChain(opts Options, step int) chainResult {
 			fail(round, Violation{Kind: "error", Worker: -1, Detail: "survivor scan: " + err.Error()})
 			return res
 		}
+		fp.survivor(survivor)
 		if err := d.Check(); err != nil {
 			fail(round, Violation{Kind: "atomicity", Worker: -1, Detail: "btree check: " + err.Error()})
 			return res

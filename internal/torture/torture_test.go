@@ -118,13 +118,18 @@ func TestMinimizeShrinksPlantedBug(t *testing.T) {
 }
 
 // TestSingleStepReplay runs one specific chain twice and expects the
-// same transaction count — the deterministic-replay property repro
-// commands rely on (exact for single-worker chains).
+// same fingerprint — every round's survivor and the machine's final op
+// count — the deterministic-replay property repro commands rely on
+// (exact for single-worker chains).
 func TestSingleStepReplay(t *testing.T) {
-	a := Run(Options{Seed: 42, Step: 0, Steps: 1, Workers: 1})
-	b := Run(Options{Seed: 42, Step: 0, Steps: 1, Workers: 1})
-	if a.Txns != b.Txns || a.Rounds != b.Rounds || len(a.Violations) != len(b.Violations) {
+	opts := Options{Seed: 42, Workers: 1}
+	a, _ := chainAt(opts, 0)
+	b, _ := chainAt(opts, 0)
+	if a.fingerprint != b.fingerprint || a.txns != b.txns || len(a.violations) != len(b.violations) {
 		t.Fatalf("replay diverged: %+v vs %+v", a, b)
+	}
+	if a.rounds == 0 || a.fingerprint == 0 {
+		t.Fatalf("chain ran nothing to compare: %+v", a)
 	}
 }
 
