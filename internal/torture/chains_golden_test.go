@@ -46,19 +46,11 @@ func chainAt(opts Options, step int) (chainResult, string) {
 			line = s
 		}
 	}
-	var res chainResult
-	switch {
-	case opts.Slow:
-		res = runSlowChain(opts, step)
-	case opts.Repl:
-		res = runReplChain(opts, step)
-	case opts.Shards > 1:
-		res = runShardedChain(opts, step)
-	case opts.MVCC:
-		res = runMVCCChain(opts, step)
-	default:
-		res = runChain(opts, step)
+	m, err := modeFor(opts)
+	if err != nil {
+		panic(err)
 	}
+	res := runChain(m, opts, step)
 	return res, line
 }
 

@@ -9,32 +9,25 @@
 // violates.
 package torture
 
-// maxTxnsPerRound is the largest value runChain ever samples for a
-// round's per-worker transaction budget — the shrinker's search
-// ceiling.
-const maxTxnsPerRound = 10
-
 // Minimize shrinks the chain behind a violation to a smaller repro,
 // returning the violation observed under the tightest clamps that
-// still fire (its Repro carries the -max-rounds/-max-txns flags).
-// The second result is false when the original violation could not be
-// reproduced even unclamped — a racy multi-worker finding that needs
-// re-runs rather than shrinking — in which case the input is returned
-// unchanged.
+// still fire (its Repro carries the -max-rounds/-max-txns flags next to
+// every option of the run that found it). It replays through the mode
+// table, so what is shrunk is the chain that violated. The second
+// result is false when the row does not replay at all (cluster chains:
+// real client goroutines over a faulty network), or when the original
+// violation could not be reproduced even unclamped — a racy
+// multi-worker finding that needs re-runs rather than shrinking — in
+// which case the input is returned unchanged.
 func Minimize(opts Options, v ViolationReport) (ViolationReport, bool) {
-	if v.Round < 0 || opts.Repl {
-		// Replication chains are concurrent by construction (real client
-		// goroutines over a faulty network): no exact replay, no shrink.
+	m, err := modeFor(opts)
+	if err != nil || v.Round < 0 || m.replay == replayNever {
 		return v, false
 	}
-	opts.Step = v.Step
-	opts.Steps = 1
-	opts.Duration = 0
-
 	check := func(maxRounds, maxTxns int) (ViolationReport, bool) {
 		o := opts
 		o.MaxRounds, o.MaxTxns = maxRounds, maxTxns
-		res := runChain(o, v.Step)
+		res := runChain(m, o, v.Step)
 		if len(res.violations) > 0 {
 			return res.violations[0], true
 		}
@@ -50,10 +43,11 @@ func Minimize(opts Options, v ViolationReport) (ViolationReport, bool) {
 	}
 	rounds := best.Round + 1
 
-	// Binary-search the transaction budget. The predicate is not truly
-	// monotone (a smaller budget shifts the crash point), so this is a
-	// heuristic descent: every still-violating clamp is kept.
-	lo, hi := 1, maxTxnsPerRound
+	// Binary-search the transaction budget up to the largest one the row
+	// samples. The predicate is not truly monotone (a smaller budget
+	// shifts the crash point), so this is a heuristic descent: every
+	// still-violating clamp is kept.
+	lo, hi := 1, m.maxTxns
 	for lo <= hi {
 		mid := (lo + hi) / 2
 		if nv, ok := check(rounds, mid); ok {

@@ -4,16 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/db"
-	"repro/internal/memsim"
-	"repro/internal/platform"
 )
 
 // MVCC chain mode (Options.MVCC): every worker writes the SAME shared
@@ -154,201 +149,35 @@ func VerifyMVCC(h History, survivor map[string]string) []Violation {
 	return out
 }
 
-// sampleMVCCChain draws an overlapping-keyspace chain configuration:
-// always ≥ 2 writers (one writer cannot conflict with itself), the
-// strict-durability variant rotation, and the usual auxiliary load.
-func sampleMVCCChain(rng *rand.Rand, opts Options) chainCfg {
-	variants := []core.NamedConfig{
-		{Name: "E", Cfg: core.VariantE()},
-		{Name: "LS", Cfg: core.VariantLS()},
-		{Name: "LS+Diff", Cfg: core.VariantLSDiff()},
-		{Name: "UH+LS", Cfg: core.VariantUHLS()},
-		{Name: "UH+LS+Diff", Cfg: core.VariantUHLSDiff()},
-		{Name: "SP", Cfg: core.VariantSP()},
-		{Name: "EP", Cfg: core.VariantEP()},
-	}
-	v := variants[rng.Intn(len(variants))]
-	cfg := chainCfg{
-		label:   "MVCC/" + v.Name,
-		variant: v.Cfg,
-		rounds:  3 + rng.Intn(4),
-	}
+// sampleMVCC draws an overlapping-keyspace chain: always ≥ 2 writers
+// (one writer cannot conflict with itself, so a forced count of 1 is
+// not honoured), the strict-durability variant rotation, and the usual
+// auxiliary load.
+func sampleMVCC(rng *rand.Rand, opts Options) chainCfg {
+	v := drawVariant(rng, opts)
+	cfg := chainCfg{label: "MVCC/" + v.Name, variant: v.Cfg, rounds: 3 + rng.Intn(4)}
 	if opts.Workers > 1 {
 		cfg.workers = opts.Workers
 	} else {
 		cfg.workers = 2 + rng.Intn(4)
 	}
-	switch rng.Intn(3) {
-	case 0:
-		cfg.groupCommit = 1
-	case 1:
-		cfg.groupCommit = 2
-	default:
-		cfg.groupCommit = cfg.workers
-	}
-	cfg.bgCkpt = rng.Intn(2) == 0
-	cfg.churn = rng.Intn(2) == 0
-	cfg.reader = rng.Intn(2) == 0
-	cfg.ckptLimit = 24 + rng.Intn(120)
-	if opts.HeapPages > 0 {
-		cfg.ckptLimit = 4 + rng.Intn(12)
-	}
-	cfg.policies = []memsim.FailPolicy{
-		memsim.FailDropAll, memsim.FailKeepCompleted, memsim.FailAdversarial,
-	}
+	drawConcurrency(rng, &cfg)
+	cfg.ckptLimit = drawCkptLimit(rng, opts)
 	return cfg
 }
 
-// runMVCCChain runs one overlapping-keyspace crash chain: the same
-// (workload with armed crash → power fail → reboot → recover → oracle)
-// loop as runChain, with the MVCC workload and the seq-order oracle.
-func runMVCCChain(opts Options, step int) chainResult {
-	seed := mix(opts.Seed, step)
-	rng := rand.New(rand.NewSource(seed))
-	cfg := sampleMVCCChain(rng, opts)
-	res := chainResult{}
-
-	repro := fmt.Sprintf("nvwal-fuzz -mvcc -seed %d -step %d", opts.Seed, step)
-	if opts.MaxRounds > 0 {
-		repro += fmt.Sprintf(" -max-rounds %d", opts.MaxRounds)
+// verifyMVCCRound is the MVCC row's oracle step.
+func verifyMVCCRound(c *chain, log *roundLog, survivor map[string]string) []Violation {
+	if log.indeterminate {
+		// Whether the failed commit reached the log is unknowable from
+		// outside, so no seq-order prefix claim is sound. The structural
+		// checks still ran; the chain continues from whatever survived.
+		c.opts.logf("chain %d round %d (%s): indeterminate commit outcome, oracle skipped",
+			c.step, c.round, policyName[c.plan.policy])
+		return nil
 	}
-	if opts.MaxTxns > 0 {
-		repro += fmt.Sprintf(" -max-txns %d", opts.MaxTxns)
-	}
-	if opts.HeapPages > 0 {
-		repro += fmt.Sprintf(" -heap-pages %d", opts.HeapPages)
-	}
-	fail := func(round int, v Violation) {
-		res.violations = append(res.violations, ViolationReport{
-			Step: step, Seed: opts.Seed, Round: round, Chain: cfg.String(),
-			Kind: v.Kind, Worker: v.Worker, Detail: v.Detail, Repro: repro,
-		})
-	}
-
-	if opts.MaxRounds > 0 && cfg.rounds > opts.MaxRounds {
-		cfg.rounds = opts.MaxRounds
-	}
-
-	plat, err := newChainPlatform(opts)
-	if err != nil {
-		fail(-1, Violation{Kind: "error", Worker: -1, Detail: "platform: " + err.Error()})
-		return res
-	}
-	dbOpts := db.Options{
-		Journal:              db.JournalNVWAL,
-		NVWAL:                cfg.variant,
-		Concurrent:           true,
-		GroupCommit:          cfg.groupCommit,
-		BackgroundCheckpoint: cfg.bgCkpt,
-		CheckpointLimit:      cfg.ckptLimit,
-	}
-	if opts.HeapPages > 0 {
-		dbOpts.CommitTimeout = 250 * time.Millisecond
-	}
-	d, err := db.Open(plat, "fuzz", dbOpts)
-	if err != nil {
-		fail(-1, Violation{Kind: "error", Worker: -1, Detail: "open: " + err.Error()})
-		return res
-	}
-	if err := d.CreateTable("t"); err != nil {
-		fail(-1, Violation{Kind: "error", Worker: -1, Detail: "create table: " + err.Error()})
-		return res
-	}
-
-	base := map[string]string{}
-	window := int64(2500)
-	opts.logf("chain %d (seed %d): %s", step, seed, cfg)
-
-	for round := 0; round < cfg.rounds; round++ {
-		policy := cfg.policies[rng.Intn(len(cfg.policies))]
-		armAfter := 1 + rng.Int63n(window)
-		pfSeed := rng.Int63()
-		txnsPer := 3 + rng.Intn(8)
-		if opts.MaxTxns > 0 && txnsPer > opts.MaxTxns {
-			txnsPer = opts.MaxTxns
-		}
-		opStart := plat.OpCount()
-
-		plat.ArmCrash(armAfter, policy, pfSeed)
-		hist, wvs, indeterminate := runMVCCWorkload(d, plat, cfg, base, seed, round, txnsPer)
-		res.txns += len(hist.Txns)
-
-		if d.Degraded() != nil && opts.HeapPages > 0 {
-			res.degraded = true
-		}
-		d.Abandon()
-		plat.PowerFail(policy, pfSeed)
-		if err := plat.Reboot(); err != nil {
-			fail(round, Violation{Kind: "error", Worker: -1, Detail: "reboot: " + err.Error()})
-			return res
-		}
-		d, err = db.Open(plat, "fuzz", dbOpts)
-		if err != nil {
-			fail(round, Violation{Kind: "error", Worker: -1, Detail: "recovery open: " + err.Error()})
-			return res
-		}
-		if !d.HasTable("t") {
-			fail(round, Violation{Kind: "durability", Worker: -1,
-				Detail: "table created before the crash window vanished"})
-			return res
-		}
-		survivor := map[string]string{}
-		err = d.Scan("t", func(k, v []byte) bool {
-			survivor[string(k)] = string(v)
-			return true
-		})
-		if err != nil {
-			fail(round, Violation{Kind: "error", Worker: -1, Detail: "survivor scan: " + err.Error()})
-			return res
-		}
-		if err := d.Check(); err != nil {
-			fail(round, Violation{Kind: "atomicity", Worker: -1, Detail: "btree check: " + err.Error()})
-			return res
-		}
-
-		for _, v := range wvs {
-			fail(round, v)
-		}
-		if indeterminate {
-			// A commit failed with a hard error after the crash instant:
-			// whether it reached the log is unknowable from outside, so no
-			// seq-order prefix claim is sound. Structural checks above
-			// still ran; the chain continues from whatever survived.
-			opts.logf("chain %d round %d (%s): indeterminate commit outcome, oracle skipped",
-				step, round, policyName(policy))
-		} else {
-			hist.WeakDurability = cfg.variant.Sync == core.SyncChecksum
-			for _, v := range VerifyMVCC(hist, survivor) {
-				fail(round, v)
-			}
-		}
-		res.rounds++
-		if len(res.violations) > 0 {
-			if os.Getenv("TORTURE_DEBUG") != "" {
-				for _, t := range hist.Txns {
-					opts.logf("DBG txn w=%d idx=%d seq=%d acked=%v ops=%d", t.Worker, t.Index, t.Seq, t.Acked, len(t.Ops))
-				}
-				keys := make([]string, 0, len(survivor))
-				for k := range survivor {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					opts.logf("DBG surv %q=%q", k, clip(survivor[k]))
-				}
-			}
-			opts.logf("chain %d round %d (%s): VIOLATION", step, round, policyName(policy))
-			d.Abandon()
-			return res
-		}
-
-		base = survivor
-		if used := plat.OpCount() - opStart; used > 300 {
-			window = used
-		}
-	}
-	_ = d.Close()
-	return res
+	log.hist.WeakDurability = c.cfg.variant.Sync == core.SyncChecksum
+	return VerifyMVCC(log.hist, survivor)
 }
 
 // mvccRetries bounds the per-transaction conflict retry budget: enough
@@ -357,216 +186,70 @@ func runMVCCChain(opts Options, step int) chainResult {
 // transactions rather than a hang.
 const mvccRetries = 8
 
-// runMVCCWorkload drives one round with the crash trigger armed:
-// cfg.workers writers over ONE shared keyspace, each transaction run as
-// an MVCC session (or, one time in four, a legacy slot transaction —
-// both paths feed the same version vector). Conflicted and cleanly
-// backpressured attempts stay out of the history; only commits with an
-// assigned seq enter it. The returned indeterminate flag is set when a
-// commit failed with a hard error after the crash instant, leaving its
-// durability unknowable.
-func runMVCCWorkload(d *db.DB, plat *platform.Platform, cfg chainCfg,
-	base map[string]string, seed int64, round, txnsPer int) (History, []Violation, bool) {
+// mvccWorker is one writer of an MVCC round: every worker writes ONE
+// shared keyspace, each transaction run as an MVCC session or, one time
+// in four, a legacy slot transaction — both paths feed the same version
+// vector. Conflicted and cleanly backpressured attempts stay out of the
+// history; only commits with an assigned seq enter it.
+func mvccWorker(c *chain, log *roundLog, w int, wrng *rand.Rand) {
+	session, slot, committed := sessionTx(c.d), slotTx(c.d), 0
+	for i := 0; i < c.plan.txns; i++ {
+		rollback := wrng.Intn(100) < 15
+		idx := committed + 1
+		ops := genMVCCOps(wrng, w, c.round, idx)
 
-	hist := History{Base: base, Workers: cfg.workers}
-	var mu sync.Mutex // guards hist.Txns, violations, indeterminate
-	var violations []Violation
-	indeterminate := false
-	var wg sync.WaitGroup
-
-	stop := make(chan struct{})
-	if cfg.churn {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			crng := rand.New(rand.NewSource(mix(seed, round*1000+901)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				blk, err := plat.Heap.NVPreMalloc(4096 * (1 + crng.Intn(2)))
-				if err != nil {
-					continue
-				}
-				_ = plat.Heap.NVFree(blk)
-			}
-		}()
-	}
-	if cfg.reader {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				rtx, err := d.BeginRead()
-				if err != nil {
-					continue
-				}
-				_ = rtx.Scan("t", func(k, v []byte) bool { return true })
-				rtx.Close()
-			}
-		}()
-	}
-
-	// record appends one committed transaction under the lock.
-	record := func(w, idx int, seq uint64, acked bool, ops []Op) {
-		mu.Lock()
-		hist.Txns = append(hist.Txns, Txn{Worker: w, Index: idx, Seq: seq, Acked: acked, Ops: ops})
-		mu.Unlock()
-	}
-	violate := func(w int, kind, detail string) {
-		mu.Lock()
-		violations = append(violations, Violation{Kind: kind, Worker: w, Detail: detail})
-		mu.Unlock()
-	}
-
-	var writers sync.WaitGroup
-	for w := 0; w < cfg.workers; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			wrng := rand.New(rand.NewSource(mix(seed, round*1000+w)))
-			committed := 0
-			for i := 0; i < txnsPer; i++ {
-				rollback := wrng.Intn(100) < 15
-				idx := committed + 1
-				ops := genMVCCOps(wrng, w, round, idx)
-				legacy := wrng.Intn(4) == 0
-
-				var seq uint64
-				var err error
-				if legacy {
-					seq, err = runMVCCLegacyTxn(d, ops, rollback)
-				} else {
-					seq, err = runMVCCSessionTxn(d, plat, w, ops, rollback, violate)
-				}
-				switch {
-				case err == nil && seq == 0:
-					// Clean non-commit: rollback, conflict budget exhausted,
-					// or backpressure — legal, stays out of the history.
-					continue
-				case err == nil:
-					record(w, idx, seq, !plat.CrashTriggered(), ops)
-					committed = idx
-				case errors.Is(err, db.ErrBusy):
-					continue
-				case errors.Is(err, db.ErrDegraded):
-					return
-				default:
-					if plat.CrashTriggered() {
-						mu.Lock()
-						indeterminate = true
-						mu.Unlock()
-					} else {
-						violate(w, "error", "txn: "+err.Error())
-					}
-					return
-				}
-			}
-		}(w)
-	}
-	writers.Wait()
-	close(stop)
-	wg.Wait()
-	return hist, violations, indeterminate
-}
-
-// runMVCCSessionTxn runs one transaction as an MVCC session, retrying
-// conflicts up to mvccRetries. Returns the commit seq (0 = cleanly not
-// committed) or a hard error.
-func runMVCCSessionTxn(d *db.DB, plat *platform.Platform, w int, ops []Op,
-	rollback bool, violate func(w int, kind, detail string)) (uint64, error) {
-
-	for try := 0; try <= mvccRetries; try++ {
-		tx, err := d.BeginConcurrent()
-		if err != nil {
-			if errors.Is(err, db.ErrBusy) {
-				return 0, nil
-			}
-			return 0, err
+		// One time in four the slot path, which can never conflict: it
+		// holds the writer slot throughout.
+		begin, retries := session, mvccRetries
+		if wrng.Intn(4) == 0 {
+			begin, retries = slot, 0
 		}
-		bad := false
-		for _, op := range ops {
-			if op.Delete {
-				_, err = tx.Delete("t", []byte(op.Key))
-			} else {
-				err = tx.Insert("t", []byte(op.Key), []byte(op.Value))
-			}
-			if err != nil {
-				bad = true
+		var seq uint64
+		var err error
+		for try := 0; try <= retries; try++ {
+			seq, _, err = runTxn(begin, ops, rollback, func(tx fuzzTx) { sessionReadsItsWrites(c, log, w, tx, ops) })
+			if !errors.Is(err, db.ErrConflict) {
 				break
 			}
+			err = nil // conflict budget exhausted: cleanly dropped
 		}
-		if bad {
-			tx.Rollback()
-			return 0, err
-		}
-		// Read-your-writes inside the session: the last op on a key this
-		// transaction wrote must be what the session reads back.
-		op := ops[len(ops)-1]
-		got, ok, gerr := tx.Get("t", []byte(op.Key))
-		if gerr == nil {
-			if op.Delete && ok {
-				if !plat.CrashTriggered() {
-					violate(w, "error", fmt.Sprintf("session read-your-writes: deleted %q still present", op.Key))
-				}
-			} else if !op.Delete && (!ok || string(got) != op.Value) {
-				if !plat.CrashTriggered() {
-					violate(w, "error", fmt.Sprintf("session read-your-writes mismatch on %q", op.Key))
-				}
-			}
-		}
-		if rollback {
-			tx.Rollback()
-			return 0, nil
-		}
-		err = tx.Commit()
 		switch {
-		case err == nil || errors.Is(err, db.ErrCheckpointDeferred):
-			return tx.Seq(), nil
-		case errors.Is(err, db.ErrConflict):
-			continue
+		case err == nil && seq == 0, errors.Is(err, db.ErrBusy):
+			// Clean non-commit: rollback, conflict budget exhausted, or
+			// backpressure — legal, stays out of the history.
+		case err == nil:
+			log.record(Txn{Worker: w, Index: idx, Seq: seq, Acked: !c.crashed(), Ops: ops})
+			committed = idx
+		case errors.Is(err, db.ErrDegraded):
+			return
 		default:
-			return 0, err
+			if c.crashed() {
+				log.mu.Lock()
+				log.indeterminate = true
+				log.mu.Unlock()
+			} else {
+				log.violate(w, "txn: "+err.Error())
+			}
+			return
 		}
 	}
-	return 0, nil // conflict budget exhausted: cleanly dropped
 }
 
-// runMVCCLegacyTxn runs one transaction through the legacy slot path,
-// which can never conflict (it holds the writer slot throughout).
-func runMVCCLegacyTxn(d *db.DB, ops []Op, rollback bool) (uint64, error) {
-	tx, err := d.Begin()
-	if err != nil {
-		if errors.Is(err, db.ErrBusy) {
-			return 0, nil
+// sessionReadsItsWrites checks read-your-writes inside an open
+// transaction: the last op on a key this transaction wrote must be what
+// it reads back.
+func sessionReadsItsWrites(c *chain, log *roundLog, w int, tx fuzzTx, ops []Op) {
+	op := ops[len(ops)-1]
+	got, ok, err := tx.Get("t", []byte(op.Key))
+	switch {
+	case err != nil:
+	case op.Delete && ok:
+		if !c.crashed() {
+			log.violate(w, fmt.Sprintf("session read-your-writes: deleted %q still present", op.Key))
 		}
-		return 0, err
-	}
-	for _, op := range ops {
-		if op.Delete {
-			_, err = tx.Delete("t", []byte(op.Key))
-		} else {
-			err = tx.Insert("t", []byte(op.Key), []byte(op.Value))
-		}
-		if err != nil {
-			tx.Rollback()
-			return 0, err
+	case !op.Delete && (!ok || string(got) != op.Value):
+		if !c.crashed() {
+			log.violate(w, fmt.Sprintf("session read-your-writes mismatch on %q", op.Key))
 		}
 	}
-	if rollback {
-		tx.Rollback()
-		return 0, nil
-	}
-	err = tx.Commit()
-	if err != nil && !errors.Is(err, db.ErrCheckpointDeferred) {
-		return 0, err
-	}
-	return tx.Seq(), nil
 }

@@ -22,14 +22,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/db"
-	"repro/internal/memsim"
 	"repro/internal/nvram"
 	"repro/internal/platform"
 	"repro/internal/shard"
@@ -85,269 +80,129 @@ type crossRec struct {
 // stageSignal is the panic the staged coordinator crash unwinds with.
 type stageSignal struct{ stage shard.Stage }
 
-// runShardedChain is runChain for a sharded database: rounds of
-// (workload under an armed crash OR a deterministic coordinator-stage
-// crash) → power fail → reboot → per-shard oracle + cross-shard
-// all-or-nothing.
-func runShardedChain(opts Options, step int) (res chainResult) {
-	seed := mix(opts.Seed, step)
-	rng := rand.New(rand.NewSource(seed))
-	nshards := opts.Shards
-
-	// Sampled chain configuration. SyncChecksum stays out: the sharded
-	// oracle keeps durability absolute.
-	variants := []core.NamedConfig{
-		{Name: "E", Cfg: core.VariantE()},
-		{Name: "LS", Cfg: core.VariantLS()},
-		{Name: "LS+Diff", Cfg: core.VariantLSDiff()},
-		{Name: "UH+LS", Cfg: core.VariantUHLS()},
-		{Name: "UH+LS+Diff", Cfg: core.VariantUHLSDiff()},
-		{Name: "SP", Cfg: core.VariantSP()},
-		{Name: "EP", Cfg: core.VariantEP()},
-	}
-	v := variants[rng.Intn(len(variants))]
-	workers := 1 + rng.Intn(3)
+// sampleSharded draws a sharded chain. SyncChecksum stays out: the
+// sharded oracle keeps durability absolute.
+func sampleSharded(rng *rand.Rand, opts Options) chainCfg {
+	v := drawVariant(rng, opts)
+	cfg := chainCfg{label: v.Name, variant: v.Cfg, shards: opts.Shards, groupCommit: 1}
+	cfg.workers = 1 + rng.Intn(3)
 	if opts.Workers > 0 {
-		workers = opts.Workers
+		cfg.workers = opts.Workers
 	}
-	rounds := 3 + rng.Intn(3)
-	if opts.MaxRounds > 0 && rounds > opts.MaxRounds {
-		rounds = opts.MaxRounds
-	}
-	ckptLimit := 24 + rng.Intn(120)
-	policies := []memsim.FailPolicy{
-		memsim.FailDropAll, memsim.FailKeepCompleted, memsim.FailAdversarial,
-	}
-	label := fmt.Sprintf("%s shards=%d w=%d rounds=%d ckpt=%d", v.Name, nshards, workers, rounds, ckptLimit)
+	cfg.rounds = 3 + rng.Intn(3)
+	cfg.ckptLimit = drawCkptLimit(rng, opts)
+	return cfg
+}
 
-	repro := fmt.Sprintf("nvwal-fuzz -seed %d -step %d -shards %d", opts.Seed, step, nshards)
-	if opts.MaxRounds > 0 {
-		repro += fmt.Sprintf(" -max-rounds %d", opts.MaxRounds)
-	}
-	if opts.MaxTxns > 0 {
-		repro += fmt.Sprintf(" -max-txns %d", opts.MaxTxns)
-	}
-	fail := func(round int, viol Violation) {
-		res.violations = append(res.violations, ViolationReport{
-			Step: step, Seed: opts.Seed, Round: round, Chain: label,
-			Kind: viol.Kind, Worker: viol.Worker, Detail: viol.Detail, Repro: repro,
-		})
-	}
+func describeSharded(c chainCfg) string {
+	return fmt.Sprintf("%s shards=%d w=%d rounds=%d ckpt=%d", c.label, c.shards, c.workers, c.rounds, c.ckptLimit)
+}
 
-	plat, err := shard.NewShared(platform.Config{
-		NVRAM: nvram.Config{
-			Size:              64 << 20,
-			CacheLineSize:     32,
-			NVRAMWriteLatency: 500 * time.Nanosecond,
-		},
-	}, nshards)
+// simNVRAM is the NVRAM of the multi-engine machines (shared-domain
+// shards, cluster nodes): size apart, one fixed device.
+func simNVRAM(size int) platform.Config {
+	return platform.Config{NVRAM: nvram.Config{
+		Size:              size,
+		CacheLineSize:     32,
+		NVRAMWriteLatency: 500 * time.Nanosecond,
+	}}
+}
+
+func bootSharded(c *chain) (machine, error) {
+	plat, err := shard.NewShared(simNVRAM(64<<20), c.cfg.shards)
 	if err != nil {
-		fail(-1, Violation{Kind: "error", Worker: -1, Detail: "platform: " + err.Error()})
-		return res
+		return nil, err
 	}
-	fp := newFingerprinter()
-	defer func() { res.fingerprint = fp.finish(plat.OpCount()) }()
-	sopts := shard.Options{DB: db.Options{
-		NVWAL:           v.Cfg,
+	c.splat = plat
+	return plat, nil
+}
+
+func openSharded(c *chain) (engine, error) {
+	s, err := shard.Open(c.splat, "fuzz", shard.Options{DB: db.Options{
+		NVWAL:           c.cfg.variant,
 		Concurrent:      true,
 		GroupCommit:     1,
-		CheckpointLimit: ckptLimit,
-	}}
-	s, err := shard.Open(plat, "fuzz", sopts)
+		CheckpointLimit: c.cfg.ckptLimit,
+	}})
 	if err != nil {
-		fail(-1, Violation{Kind: "error", Worker: -1, Detail: "open: " + err.Error()})
-		return res
+		return nil, err
 	}
-	if err := s.CreateTable("t"); err != nil {
-		fail(-1, Violation{Kind: "error", Worker: -1, Detail: "create table: " + err.Error()})
-		return res
+	c.s = s
+	if c.pools == nil {
+		c.pools = routePools(s, c.cfg.workers, c.cfg.shards)
 	}
-	pools := routePools(s, workers, nshards)
+	return s, nil
+}
 
-	base := map[string]string{}
-	window := int64(2500)
-	opts.logf("chain %d (seed %d): %s", step, seed, label)
+// planShardedRound draws a sharded round. A third of the rounds crash
+// the coordinator at a fixed protocol stage instead of a random op
+// window.
+func planShardedRound(c *chain, window int64) roundPlan {
+	rp := roundPlan{
+		policy: c.cfg.policies[c.rng.Intn(len(c.cfg.policies))],
+		pfSeed: c.rng.Int63(),
+		txns:   3 + c.rng.Intn(6),
+	}
+	if c.rng.Intn(3) != 0 {
+		rp.armAfter = 1 + c.rng.Int63n(window)
+		return rp
+	}
+	rp.stage = shard.StageAfterPrepare
+	if c.rng.Intn(2) == 0 {
+		rp.stage = shard.StageAfterDecide
+	}
+	return rp
+}
 
-	for round := 0; round < rounds; round++ {
-		policy := policies[rng.Intn(len(policies))]
-		pfSeed := rng.Int63()
-		txnsPer := 3 + rng.Intn(6)
-		if opts.MaxTxns > 0 && txnsPer > opts.MaxTxns {
-			txnsPer = opts.MaxTxns
-		}
-		// A third of multi-shard rounds crash the coordinator at a fixed
-		// protocol stage instead of a random op window.
-		var stage *shard.Stage
-		if nshards > 1 && rng.Intn(3) == 0 {
-			st := shard.StageAfterPrepare
-			if rng.Intn(2) == 0 {
-				st = shard.StageAfterDecide
+func salvageSharded(c *chain) []string {
+	var out []string
+	for sh := 0; sh < c.cfg.shards; sh++ {
+		if rep := c.s.Shard(sh).Salvage(); rep != nil {
+			for _, ev := range rep.Events {
+				out = append(out, fmt.Sprintf("shard %d: %s", sh, ev))
 			}
-			stage = &st
-		}
-		opStart := plat.OpCount()
-		if stage == nil {
-			plat.ArmCrash(1+rng.Int63n(window), policy, pfSeed)
-		}
-		hist, crosses, committed, wvs := runShardedWorkload(s, plat, pools, workers, nshards, base, seed, round, txnsPer, stage == nil)
-		res.txns += len(hist.Txns)
-
-		if stage != nil {
-			// The deterministic coordinator crash: one cross-shard
-			// transaction from worker 0, panicking out of the commit hook
-			// at the target stage. Nothing runs between the panic and the
-			// power failure, so the durable image is exactly the stage
-			// boundary.
-			a := rng.Intn(nshards)
-			b := (a + 1 + rng.Intn(nshards-1)) % nshards
-			idxA, idxB := committed[0][a]+1, committed[0][b]+1
-			ops, sops := genCrossOps(rng, pools[0], a, b, nshards, round, idxA, idxB)
-			s.SetCommitHook(func(st shard.Stage, gtx uint64) {
-				if st == *stage {
-					panic(stageSignal{st})
-				}
-			})
-			fired := false
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(stageSignal); !ok {
-							panic(r)
-						}
-						fired = true
-					}
-				}()
-				_ = s.Apply(sops)
-			}()
-			s.SetCommitHook(nil)
-			if !fired {
-				fail(round, Violation{Kind: "error", Worker: 0, Detail: "stage hook never fired"})
-				return res
-			}
-			want := *stage == shard.StageAfterDecide
-			hist.Txns = append(hist.Txns,
-				Txn{Worker: vwOf(0, a, nshards), Index: idxA, Ops: ops[0]},
-				Txn{Worker: vwOf(0, b, nshards), Index: idxB, Ops: ops[1]})
-			crosses = append(crosses, crossRec{
-				vwA: vwOf(0, a, nshards), idxA: idxA,
-				vwB: vwOf(0, b, nshards), idxB: idxB,
-				expect: &want,
-			})
-			res.txns++
-		}
-
-		s.Abandon()
-		plat.PowerFail(policy, pfSeed)
-		if err := plat.Reboot(); err != nil {
-			fail(round, Violation{Kind: "error", Worker: -1, Detail: "reboot: " + err.Error()})
-			return res
-		}
-		s, err = shard.Open(plat, "fuzz", sopts)
-		if err != nil {
-			fail(round, Violation{Kind: "error", Worker: -1, Detail: "recovery open: " + err.Error()})
-			return res
-		}
-		if os.Getenv("TORTURE_DEBUG") != "" {
-			for sh := 0; sh < nshards; sh++ {
-				if rep := s.Shard(sh).Salvage(); rep != nil {
-					for _, ev := range rep.Events {
-						opts.logf("DBG round %d shard %d salvage: %s", round, sh, ev)
-					}
-				}
-			}
-		}
-		if !s.HasTable("t") {
-			fail(round, Violation{Kind: "durability", Worker: -1,
-				Detail: "table created before the crash window vanished"})
-			return res
-		}
-		survivor := map[string]string{}
-		err = s.Scan("t", func(k, v []byte) bool {
-			survivor[string(k)] = string(v)
-			return true
-		})
-		if err != nil {
-			fail(round, Violation{Kind: "error", Worker: -1, Detail: "survivor scan: " + err.Error()})
-			return res
-		}
-		fp.survivor(survivor)
-		if err := s.Check(); err != nil {
-			fail(round, Violation{Kind: "atomicity", Worker: -1, Detail: "btree check: " + err.Error()})
-			return res
-		}
-
-		for _, viol := range wvs {
-			fail(round, viol)
-		}
-		// Per-shard oracle runs: each shard journal is its own total
-		// order, so prefix/durability/order verify shard by shard; the
-		// matched prefixes then feed the cross-shard check.
-		matched := make([]int, hist.Workers)
-		for sh := 0; sh < nshards; sh++ {
-			hs := History{Base: restrictShard(base, sh, nshards), Workers: hist.Workers}
-			for _, t := range hist.Txns {
-				if t.Worker%nshards == sh {
-					hs.Txns = append(hs.Txns, t)
-				}
-			}
-			vs, m := verifyMatched(hs, restrictShard(survivor, sh, nshards))
-			for _, viol := range vs {
-				fail(round, viol)
-			}
-			for vw := sh; vw < hist.Workers; vw += nshards {
-				matched[vw] = m[vw]
-			}
-		}
-		for _, c := range crosses {
-			appliedA := matched[c.vwA] >= c.idxA
-			appliedB := matched[c.vwB] >= c.idxB
-			if appliedA != appliedB {
-				fail(round, Violation{Kind: "atomicity", Worker: c.vwA,
-					Detail: fmt.Sprintf("cross-shard txn torn: shard %d applied=%v, shard %d applied=%v",
-						c.vwA%nshards, appliedA, c.vwB%nshards, appliedB)})
-			}
-			if c.expect != nil && appliedA == appliedB && appliedA != *c.expect {
-				fail(round, Violation{Kind: "atomicity", Worker: c.vwA,
-					Detail: fmt.Sprintf("staged coordinator crash: applied=%v, protocol requires %v", appliedA, *c.expect)})
-			}
-		}
-		res.rounds++
-		if len(res.violations) > 0 {
-			opts.logf("chain %d round %d (%s): VIOLATION", step, round, policyName(policy))
-			if os.Getenv("TORTURE_DEBUG") != "" {
-				for _, t := range hist.Txns {
-					opts.logf("DBG txn vw=%d idx=%d seq=%d acked=%v ops=%v", t.Worker, t.Index, t.Seq, t.Acked, t.Ops)
-				}
-				for _, c := range crosses {
-					opts.logf("DBG cross vwA=%d idxA=%d vwB=%d idxB=%d expect=%v", c.vwA, c.idxA, c.vwB, c.idxB, c.expect)
-				}
-				keys := make([]string, 0, len(survivor))
-				for k := range survivor {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					opts.logf("DBG surv %q=%q", k, clip(survivor[k]))
-				}
-				bkeys := make([]string, 0, len(base))
-				for k := range base {
-					bkeys = append(bkeys, k)
-				}
-				sort.Strings(bkeys)
-				for _, k := range bkeys {
-					opts.logf("DBG base %q=%q", k, clip(base[k]))
-				}
-			}
-			s.Abandon()
-			return res
-		}
-		base = survivor
-		if used := plat.OpCount() - opStart; used > 300 {
-			window = used
 		}
 	}
-	_ = s.Close()
-	return res
+	return out
+}
+
+// verifySharded is the sharded row's oracle step. Each shard journal is
+// its own total order, so prefix/durability/order verify shard by
+// shard; the matched prefixes then feed the cross-shard check: the
+// halves of a cross-shard transaction survive or vanish together, and a
+// staged coordinator crash lands where the protocol says.
+func verifySharded(c *chain, log *roundLog, survivor map[string]string) []Violation {
+	var out []Violation
+	hist, nshards := log.hist, c.cfg.shards
+	hist.Workers *= nshards // the oracle's workers are the (worker, shard) pairs
+	matched := make([]int, hist.Workers)
+	for sh := 0; sh < nshards; sh++ {
+		hs := History{Base: restrictShard(hist.Base, sh, nshards), Workers: hist.Workers}
+		for _, t := range hist.Txns {
+			if t.Worker%nshards == sh {
+				hs.Txns = append(hs.Txns, t)
+			}
+		}
+		vs, m := verifyMatched(hs, restrictShard(survivor, sh, nshards))
+		out = append(out, vs...)
+		for vw := sh; vw < hist.Workers; vw += nshards {
+			matched[vw] = m[vw]
+		}
+	}
+	for _, x := range log.crosses {
+		appliedA := matched[x.vwA] >= x.idxA
+		appliedB := matched[x.vwB] >= x.idxB
+		if appliedA != appliedB {
+			out = append(out, Violation{Kind: "atomicity", Worker: x.vwA,
+				Detail: fmt.Sprintf("cross-shard txn torn: shard %d applied=%v, shard %d applied=%v",
+					x.vwA%nshards, appliedA, x.vwB%nshards, appliedB)})
+		}
+		if x.expect != nil && appliedA == appliedB && appliedA != *x.expect {
+			out = append(out, Violation{Kind: "atomicity", Worker: x.vwA,
+				Detail: fmt.Sprintf("staged coordinator crash: applied=%v, protocol requires %v", appliedA, *x.expect)})
+		}
+	}
+	return out
 }
 
 // restrictShard filters a state map down to the keys owned by one
@@ -383,7 +238,7 @@ func genShardOps(rng *rand.Rand, pool shardKeys, round, idx int) []Op {
 // genCrossOps builds one cross-shard transaction: a shard-local op set
 // on each participant (returned per half for the oracle) plus the flat
 // shard.Op list Apply takes.
-func genCrossOps(rng *rand.Rand, pools []shardKeys, a, b, nshards, round, idxA, idxB int) ([2][]Op, []shard.Op) {
+func genCrossOps(rng *rand.Rand, pools []shardKeys, a, b, round, idxA, idxB int) ([2][]Op, []shard.Op) {
 	halves := [2][]Op{
 		genShardOps(rng, pools[a], round, idxA),
 		genShardOps(rng, pools[b], round, idxB),
@@ -397,130 +252,105 @@ func genCrossOps(rng *rand.Rand, pools []shardKeys, a, b, nshards, round, idxA, 
 	return halves, sops
 }
 
-// runShardedWorkload drives one round's workers. Each worker mixes
-// shard-local transactions (80%) with cross-shard Apply batches (20%,
-// two participants). Returns the oracle history (virtual workers), the
-// cross-transaction records, the per-(worker, shard) committed counts
-// (the staged crash continues from them), and any live violations.
-func runShardedWorkload(s *shard.DB, plat *shard.Platform, pools [][]shardKeys,
-	workers, nshards int, base map[string]string, seed int64, round, txnsPer int,
-	armed bool) (History, []crossRec, [][]int, []Violation) {
-
-	hist := History{Base: base, Workers: workers * nshards}
-	var mu sync.Mutex
-	var crosses []crossRec
-	var violations []Violation
-	committed := make([][]int, workers)
-
-	crashed := func() bool { return armed && plat.CrashTriggered() }
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		committed[w] = make([]int, nshards)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wrng := rand.New(rand.NewSource(mix(seed, round*1000+w)))
-			for i := 0; i < txnsPer; i++ {
-				if nshards > 1 && wrng.Intn(5) == 0 {
-					// Cross-shard transaction over two participants.
-					a := wrng.Intn(nshards)
-					b := (a + 1 + wrng.Intn(nshards-1)) % nshards
-					idxA, idxB := committed[w][a]+1, committed[w][b]+1
-					ops, sops := genCrossOps(wrng, pools[w], a, b, nshards, round, idxA, idxB)
-					err := s.Apply(sops)
-					if err != nil && !crashed() {
-						mu.Lock()
-						violations = append(violations, Violation{Kind: "error", Worker: w,
-							Detail: "apply: " + err.Error()})
-						mu.Unlock()
-						return
-					}
-					// Success, or a post-crash ghost failure (outcome frozen
-					// mid-protocol): both halves enter the history; acked only
-					// when the commit finished before the crash instant.
-					acked := err == nil && !crashed()
-					committed[w][a], committed[w][b] = idxA, idxB
-					mu.Lock()
-					hist.Txns = append(hist.Txns,
-						Txn{Worker: vwOf(w, a, nshards), Index: idxA, Acked: acked, Ops: ops[0]},
-						Txn{Worker: vwOf(w, b, nshards), Index: idxB, Acked: acked, Ops: ops[1]})
-					crosses = append(crosses, crossRec{
-						vwA: vwOf(w, a, nshards), idxA: idxA,
-						vwB: vwOf(w, b, nshards), idxB: idxB,
-					})
-					mu.Unlock()
-					continue
-				}
-				sh := wrng.Intn(nshards)
-				idx := committed[w][sh] + 1
-				ops := genShardOps(wrng, pools[w][sh], round, idx)
-				d := s.Shard(sh)
-				tx, err := d.Begin()
-				if err != nil {
-					if errors.Is(err, db.ErrBusy) {
-						continue
-					}
-					if !crashed() {
-						mu.Lock()
-						violations = append(violations, Violation{Kind: "error", Worker: w,
-							Detail: "begin: " + err.Error()})
-						mu.Unlock()
-					}
-					return
-				}
-				bad := false
-				for _, op := range ops {
-					if op.Delete {
-						_, err = tx.Delete("t", []byte(op.Key))
-					} else {
-						err = tx.Insert("t", []byte(op.Key), []byte(op.Value))
-					}
-					if err != nil {
-						bad = true
-						break
-					}
-				}
-				if bad {
-					tx.Rollback()
-					if !crashed() {
-						mu.Lock()
-						violations = append(violations, Violation{Kind: "error", Worker: w,
-							Detail: "txn op: " + err.Error()})
-						mu.Unlock()
-						return
-					}
-					continue
-				}
-				err = tx.Commit()
-				if err != nil && errors.Is(err, db.ErrBusy) {
-					continue
-				}
-				if err != nil && !errors.Is(err, db.ErrCheckpointDeferred) {
-					if !crashed() {
-						mu.Lock()
-						violations = append(violations, Violation{Kind: "error", Worker: w,
-							Detail: "commit: " + err.Error()})
-						mu.Unlock()
-						return
-					}
-					// Ghost failure: outcome uncertain, record unacked.
-					mu.Lock()
-					hist.Txns = append(hist.Txns, Txn{Worker: vwOf(w, sh, nshards), Index: idx, Ops: ops})
-					mu.Unlock()
-					committed[w][sh] = idx
-					continue
-				}
-				acked := !crashed()
-				committed[w][sh] = idx
-				mu.Lock()
-				hist.Txns = append(hist.Txns, Txn{
-					Worker: vwOf(w, sh, nshards), Index: idx, Seq: tx.Seq(), Acked: acked, Ops: ops,
-				})
-				mu.Unlock()
-			}
-		}(w)
+// stagedCrash is the deterministic coordinator crash that ends a staged
+// round, once its writers (which run with no crash armed) are done.
+func stagedCrash(c *chain, log *roundLog) {
+	if c.plan.armAfter > 0 {
+		return
 	}
-	wg.Wait()
-	return hist, crosses, committed, violations
+	nshards := c.cfg.shards
+	// One cross-shard transaction from worker 0, panicking out of the
+	// commit hook at the target stage. Nothing runs between the panic
+	// and the power failure, so the durable image is exactly the stage
+	// boundary.
+	a := c.rng.Intn(nshards)
+	b := (a + 1 + c.rng.Intn(nshards-1)) % nshards
+	idxA, idxB := log.committed[0][a]+1, log.committed[0][b]+1
+	ops, sops := genCrossOps(c.rng, c.pools[0], a, b, c.round, idxA, idxB)
+	c.s.SetCommitHook(func(st shard.Stage, gtx uint64) {
+		if st == c.plan.stage {
+			panic(stageSignal{st})
+		}
+	})
+	fired := false
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(stageSignal); !ok {
+					panic(r)
+				}
+				fired = true
+			}
+		}()
+		_ = c.s.Apply(sops)
+	}()
+	c.s.SetCommitHook(nil)
+	if !fired {
+		log.violate(0, "stage hook never fired")
+		return
+	}
+	want := c.plan.stage == shard.StageAfterDecide
+	log.recordCross(vwOf(0, a, nshards), idxA, vwOf(0, b, nshards), idxB, false, ops, &want)
+	c.res.txns-- // both halves are in the history; the report counts the transaction once
+}
+
+// recordCross enters the two halves of one cross-shard transaction
+// into the history and ties them together for the all-or-nothing check.
+func (l *roundLog) recordCross(vwA, idxA, vwB, idxB int, acked bool, ops [2][]Op, expect *bool) {
+	l.mu.Lock()
+	l.hist.Txns = append(l.hist.Txns,
+		Txn{Worker: vwA, Index: idxA, Acked: acked, Ops: ops[0]},
+		Txn{Worker: vwB, Index: idxB, Acked: acked, Ops: ops[1]})
+	l.crosses = append(l.crosses, crossRec{vwA: vwA, idxA: idxA, vwB: vwB, idxB: idxB, expect: expect})
+	l.mu.Unlock()
+}
+
+// shardedWorker is one writer of a sharded round: shard-local
+// transactions (80%) mixed with cross-shard Apply batches (20%, two
+// participants).
+func shardedWorker(c *chain, log *roundLog, w int, wrng *rand.Rand) {
+	nshards := c.cfg.shards
+	committed := make([]int, nshards)
+	log.committed[w] = committed
+	for i := 0; i < c.plan.txns; i++ {
+		if wrng.Intn(5) == 0 {
+			// Cross-shard transaction over two participants.
+			a := wrng.Intn(nshards)
+			b := (a + 1 + wrng.Intn(nshards-1)) % nshards
+			idxA, idxB := committed[a]+1, committed[b]+1
+			ops, sops := genCrossOps(wrng, c.pools[w], a, b, c.round, idxA, idxB)
+			err := c.s.Apply(sops)
+			if err != nil && !c.crashed() {
+				log.violate(w, "apply: "+err.Error())
+				return
+			}
+			// Success, or a post-crash ghost failure (outcome frozen
+			// mid-protocol): both halves enter the history; acked only
+			// when the commit finished before the crash instant.
+			committed[a], committed[b] = idxA, idxB
+			log.recordCross(vwOf(w, a, nshards), idxA, vwOf(w, b, nshards), idxB, err == nil && !c.crashed(), ops, nil)
+			continue
+		}
+		sh := wrng.Intn(nshards)
+		idx := committed[sh] + 1
+		ops := genShardOps(wrng, c.pools[w][sh], c.round, idx)
+		seq, at, err := runTxn(slotTx(c.s.Shard(sh)), ops, false, nil)
+		crashed := c.crashed()
+		switch {
+		case err == nil:
+			committed[sh] = idx
+			log.record(Txn{Worker: vwOf(w, sh, nshards), Index: idx, Seq: seq, Acked: !crashed, Ops: ops})
+		case at != "txn op" && errors.Is(err, db.ErrBusy):
+		case crashed && at == "commit":
+			// Ghost failure: outcome uncertain, record unacked.
+			committed[sh] = idx
+			log.record(Txn{Worker: vwOf(w, sh, nshards), Index: idx, Ops: ops})
+		case crashed && at == "txn op":
+		default:
+			if !crashed {
+				log.violate(w, at+": "+err.Error())
+			}
+			return
+		}
+	}
 }
