@@ -154,6 +154,15 @@ type Device struct {
 	// instant: the candidates for torn-sector application at PowerFail.
 	frozenPending map[int][]byte
 
+	// free holds page buffers no map references any more: the durable
+	// buffer a Sync replaced, the pending buffer an overwrite replaced.
+	// WritePage takes from it before allocating. See recycleLocked.
+	free [][]byte
+
+	// The counter cells of the read, write and sync paths, bound in New;
+	// the fault counters go by name.
+	cRead, cWrite, cFsync, tBlockIO *metrics.Cell
+
 	faults  *FaultConfig
 	rng     *rand.Rand
 	badPage map[int]bool
@@ -172,7 +181,41 @@ func New(cfg Config, clock *simclock.Clock, m *metrics.Counters, rec *trace.Reco
 		durable: make(map[int][]byte),
 		pending: make(map[int][]byte),
 		badPage: make(map[int]bool),
+
+		cRead:    m.Cell(metrics.BlockRead),
+		cWrite:   m.Cell(metrics.BlockWrite),
+		cFsync:   m.Cell(metrics.Fsync),
+		tBlockIO: m.Cell(metrics.TimeBlockIO),
 	}
+}
+
+// maxFreeBuffers bounds the recycled page buffers (1 MiB of host memory
+// at the default page size): enough that a checkpoint round's programs
+// reuse what the previous round's Sync replaced.
+const maxFreeBuffers = 256
+
+// recycleLocked hands a buffer that durable or pending no longer maps to
+// the free list — unless a Freeze image is held. Freeze copies the maps
+// shallowly, so while frozen is set a replaced buffer may still be the
+// frozen image's content and must stay as it is; recycling stops
+// entirely until PowerFail or Unfreeze drops the image. That keeps
+// "buffers are replaced, never mutated" true for every buffer a map can
+// still reach. Caller holds d.mu.
+func (d *Device) recycleLocked(buf []byte) {
+	if d.frozen == nil && buf != nil && len(d.free) < maxFreeBuffers {
+		d.free = append(d.free, buf)
+	}
+}
+
+// pageBufferLocked returns a page-sized buffer whose content is
+// unspecified. Caller holds d.mu.
+func (d *Device) pageBufferLocked() []byte {
+	if n := len(d.free); n > 0 {
+		buf := d.free[n-1]
+		d.free = d.free[:n-1]
+		return buf
+	}
+	return make([]byte, d.cfg.PageSize)
 }
 
 // PageSize returns the device write granule in bytes.
@@ -288,7 +331,7 @@ func (d *Device) WritePage(page int, p []byte, tag string) error {
 		panic(fmt.Sprintf("blockdev: write of %d bytes exceeds page size %d", len(p), d.cfg.PageSize))
 	}
 	d.clock.Advance(d.cfg.ProgramLatency)
-	d.m.AddTime(metrics.TimeBlockIO, d.cfg.ProgramLatency)
+	d.tBlockIO.Add(int64(d.cfg.ProgramLatency))
 	if f := d.faults; f != nil {
 		d.slowStallLocked(f.SlowOpRate, f.SlowOpDelay)
 	}
@@ -302,14 +345,15 @@ func (d *Device) WritePage(page int, p []byte, tag string) error {
 	if f := d.faults; f != nil && f.WriteEIORate > 0 && d.rng.Float64() < f.WriteEIORate {
 		return d.ioError("write", page, true)
 	}
-	buf := make([]byte, d.cfg.PageSize)
+	buf := d.pageBufferLocked()
+	replaced := d.pending[page]
 	if f := d.faults; f != nil && f.ShortWriteRate > 0 && d.rng.Float64() < f.ShortWriteRate {
 		// Short write: the old content shows through past the cut.
-		if old, ok := d.pending[page]; ok {
-			copy(buf, old)
-		} else if old, ok := d.durable[page]; ok {
-			copy(buf, old)
+		old := replaced
+		if old == nil {
+			old = d.durable[page]
 		}
+		clear(buf[copy(buf, old):])
 		cut := 1 + d.rng.Intn(d.cfg.PageSize-1)
 		if cut > len(p) {
 			cut = len(p)
@@ -317,10 +361,11 @@ func (d *Device) WritePage(page int, p []byte, tag string) error {
 		copy(buf[:cut], p[:cut])
 		d.m.Inc(metrics.BlockShortWrites, 1)
 	} else {
-		copy(buf, p)
+		clear(buf[copy(buf, p):])
 	}
 	d.pending[page] = buf
-	d.m.Inc(metrics.BlockWrite, 1)
+	d.recycleLocked(replaced)
+	d.cWrite.Add(1)
 	d.rec.Record(trace.Event{T: d.clock.Now(), Block: page, Tag: tag, Bytes: d.cfg.PageSize})
 	return nil
 }
@@ -331,7 +376,7 @@ func (d *Device) ReadPage(page int, p []byte) error {
 	defer d.mu.Unlock()
 	d.checkPage(page)
 	d.clock.Advance(d.cfg.ReadLatency)
-	d.m.AddTime(metrics.TimeBlockIO, d.cfg.ReadLatency)
+	d.tBlockIO.Add(int64(d.cfg.ReadLatency))
 	if f := d.faults; f != nil {
 		d.slowStallLocked(f.SlowOpRate, f.SlowOpDelay)
 	}
@@ -355,7 +400,7 @@ func (d *Device) ReadPage(page int, p []byte) error {
 	if src != nil {
 		copy(p, src)
 	}
-	d.m.Inc(metrics.BlockRead, 1)
+	d.cRead.Add(1)
 	return nil
 }
 
@@ -366,7 +411,7 @@ func (d *Device) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.clock.Advance(d.cfg.FlushLatency)
-	d.m.AddTime(metrics.TimeBlockIO, d.cfg.FlushLatency)
+	d.tBlockIO.Add(int64(d.cfg.FlushLatency))
 	if f := d.faults; f != nil {
 		d.slowStallLocked(f.SyncStallRate, f.SyncStallDelay)
 	}
@@ -384,10 +429,11 @@ func (d *Device) Sync() error {
 			delete(d.pending, page)
 			continue
 		}
+		d.recycleLocked(d.durable[page])
 		d.durable[page] = buf
 		delete(d.pending, page)
 	}
-	d.m.Inc(metrics.Fsync, 1)
+	d.cFsync.Add(1)
 	return nil
 }
 
@@ -396,7 +442,9 @@ func (d *Device) Sync() error {
 // block-device half of a coordinated crash instant: a crash-injection
 // harness freezes every device at the same moment, lets the doomed
 // execution run on, and then fails power. A shallow copy of the durable
-// map suffices because page buffers are replaced, never mutated. The
+// map suffices because page buffers are replaced, never mutated: a
+// replaced buffer is reused (recycleLocked) only while no frozen image
+// exists, and one recycled earlier is in neither map to be copied. The
 // in-flight (pending) writes at the freeze instant are also captured:
 // they are the sectors that may tear when power actually fails.
 func (d *Device) Freeze() {

@@ -267,6 +267,11 @@ const (
 	MetricBlocks = "nvwal_blocks"
 )
 
+func init() {
+	metrics.RegisterCounter(MetricLoggedBytes)
+	metrics.RegisterCounter(MetricBlocks)
+}
+
 // Errors.
 var (
 	ErrCorruptHeader = errors.New("nvwal: corrupt log header")
@@ -350,6 +355,10 @@ type NVWAL struct {
 	db   pager.DBFile
 	cfg  Config
 	m    *metrics.Counters
+	// m's cells on the append and checkpoint paths, bound in Open;
+	// recovery, salvage and scrub count by name.
+	cLoggedBytes, cBlocks, cFrames, cTxns, cGroupCommits *metrics.Cell
+	cCommitStall, cCheckpoints, cCkptPages, cCkptNanos   *metrics.Cell
 
 	pageSize   int
 	headerAddr uint64
@@ -544,6 +553,16 @@ func Open(h *heapo.Manager, db pager.DBFile, cfg Config, m *metrics.Counters) (*
 		byPage:    make(map[uint32][]int),
 		base:      make(map[uint32][]byte),
 		badBlocks: make(map[uint64]bool),
+
+		cLoggedBytes:  m.Cell(MetricLoggedBytes),
+		cBlocks:       m.Cell(MetricBlocks),
+		cFrames:       m.Cell(metrics.WALFrames),
+		cTxns:         m.Cell(metrics.Transactions),
+		cGroupCommits: m.Cell(metrics.GroupCommits),
+		cCommitStall:  m.Cell(metrics.CommitStallNanos),
+		cCheckpoints:  m.Cell(metrics.Checkpoints),
+		cCkptPages:    m.Cell(metrics.CheckpointPages),
+		cCkptNanos:    m.Cell(metrics.CheckpointNanos),
 	}
 	w.solo = w.newStream(0)
 	w.one[0] = &w.solo
@@ -723,7 +742,7 @@ func (w *NVWAL) appendBlock(minSize int) error {
 	w.step(StepAfterSetUsed)
 	w.blocks = append(w.blocks, blk)
 	w.tailUsed = blockLinkSize
-	w.m.Inc(MetricBlocks, 1)
+	w.cBlocks.Add(1)
 	return nil
 }
 
@@ -791,7 +810,7 @@ func (w *NVWAL) lockWriter() {
 	}
 	start := time.Now()
 	w.mu.Lock()
-	w.m.Inc(metrics.CommitStallNanos, time.Since(start).Nanoseconds())
+	w.cCommitStall.Add(time.Since(start).Nanoseconds())
 }
 
 // CommitTransaction implements pager.Journal.
@@ -818,9 +837,9 @@ func (w *NVWAL) CommitGroup(groups [][]pager.Frame) error {
 		// A group of no-op transactions still committed: its members were
 		// acknowledged, so the transaction and group tallies must include
 		// them even though nothing reaches NVRAM.
-		w.m.Inc(metrics.Transactions, int64(len(groups)))
+		w.cTxns.Add(int64(len(groups)))
 	}
-	w.m.Inc(metrics.GroupCommits, 1)
+	w.cGroupCommits.Add(1)
 	return nil
 }
 
@@ -1077,7 +1096,7 @@ func (w *NVWAL) appendStreams(streams []*Stream, mark uint64, txns int) error {
 				arena = arena[len(payload):]
 				copy(pl, payload)
 				w.newHist = append(w.newHist, histFrame{pgno: sp.pgno, off: e.Off, full: sp.full, payload: pl})
-				w.m.Inc(MetricLoggedBytes, int64(size))
+				w.cLoggedBytes.Add(int64(size))
 			}
 		}
 	}
@@ -1179,9 +1198,9 @@ func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns 
 			w.versions[s.pages[i].pgno] = s.pages[i].img
 		}
 	}
-	w.m.Inc(metrics.WALFrames, int64(len(hist)))
+	w.cFrames.Add(int64(len(hist)))
 	if txns > 0 {
-		w.m.Inc(metrics.Transactions, int64(txns))
+		w.cTxns.Add(int64(txns))
 	}
 }
 
@@ -1455,8 +1474,8 @@ func (w *NVWAL) backfill(st *ckptState) error {
 		return err
 	}
 	st.synced = true
-	w.m.Inc(metrics.CheckpointPages, int64(len(st.pages)))
-	w.m.Inc(metrics.CheckpointNanos, time.Since(start).Nanoseconds())
+	w.cCkptPages.Add(int64(len(st.pages)))
+	w.cCkptNanos.Add(time.Since(start).Nanoseconds())
 	w.step(StepCkptAfterSync)
 	return nil
 }
@@ -1507,7 +1526,7 @@ func (w *NVWAL) completeCheckpoint(st *ckptState) error {
 		w.base[pgno] = st.pages[pgno]
 	}
 	w.ckpt = nil
-	w.m.Inc(metrics.Checkpoints, 1)
+	w.cCheckpoints.Add(1)
 	return nil
 }
 

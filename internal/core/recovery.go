@@ -509,7 +509,7 @@ func (w *NVWAL) finishRecoveredCheckpoint(firstBlk, salt uint64, blocks []heapo.
 		}
 	}
 	w.writeCkptRecord(0, 0, ckptNone, 0, 0)
-	w.m.Inc(metrics.Checkpoints, 1)
+	w.cCheckpoints.Add(1)
 	return nil
 }
 

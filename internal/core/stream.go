@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/heapo"
-	"repro/internal/metrics"
 	"repro/internal/pager"
 )
 
@@ -170,7 +169,7 @@ func (w *NVWAL) CommitStreams(streams []*Stream, txns int) error {
 		return err
 	}
 	if txns > 1 {
-		w.m.Inc(metrics.GroupCommits, 1)
+		w.cGroupCommits.Add(1)
 	}
 	return nil
 }

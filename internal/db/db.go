@@ -187,6 +187,7 @@ type DB struct {
 	plat *platform.Platform
 	opts Options
 	name string
+	tCPU *metrics.Cell // plat.Metrics' t_cpu: charged per B-tree operation
 
 	// dbf is the database file behind the transient-retry wrapper; all
 	// consumers (pager, journal backfill, checkpoint) share it.
@@ -301,6 +302,7 @@ func Open(plat *platform.Platform, name string, opts Options) (*DB, error) {
 		plat:      plat,
 		opts:      opts,
 		name:      name,
+		tCPU:      plat.Metrics.Cell(metrics.TimeCPU),
 		trees:     make(map[string]*btree.Tree),
 		slot:      make(chan struct{}, 1),
 		openMarks: make(map[int]int),
@@ -439,7 +441,7 @@ func (d *DB) chargeCPU(dur time.Duration) {
 		return
 	}
 	d.plat.Clock.Advance(dur)
-	d.plat.Metrics.AddTime(metrics.TimeCPU, dur)
+	d.tCPU.Add(int64(dur))
 }
 
 // readCatalog parses the table catalog out of page 1.

@@ -329,7 +329,7 @@ func (tx *CTx) charge(dur time.Duration) {
 	}
 	if tx.clock != nil {
 		tx.clock.Advance(dur)
-		tx.d.plat.Metrics.AddTime(metrics.TimeCPU, dur)
+		tx.d.tCPU.Add(int64(dur))
 		return
 	}
 	tx.d.chargeCPU(dur)

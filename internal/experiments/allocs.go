@@ -9,12 +9,16 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/db"
+	"repro/internal/memsim"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/pager"
 	"repro/internal/repl"
 	"repro/internal/server"
+	"repro/internal/simclock"
 )
 
 // CommitAllocsRow is one commit-path shape of the allocation audit:
@@ -52,8 +56,9 @@ func (r *CommitAllocsResult) Row(path string) *CommitAllocsRow {
 // end-to-end transaction (B-tree insert through NVWAL), a group commit
 // driven straight at the journal, and the PageVersionInto read path —
 // on the three versioned read paths that share the log's page images
-// (readPathAllocs), and on a replica applying shipped batches
-// (replicaApplyAllocs).
+// (readPathAllocs), on a replica applying shipped batches
+// (replicaApplyAllocs), and on the simulated hardware under all of them
+// (simulatorAllocs).
 // Measurement is runtime.MemStats deltas (Mallocs and TotalAlloc are
 // monotonic, so a concurrent GC cannot skew them) over a single
 // measuring goroutine.
@@ -86,6 +91,12 @@ func CommitAllocs(txns int) (*CommitAllocsResult, error) {
 		return nil, err
 	}
 	res.Rows = append(res.Rows, apply)
+
+	line, blk, err := simulatorAllocs(txns)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = append(res.Rows, line, blk)
 	return res, nil
 }
 
@@ -415,6 +426,43 @@ func replicaApplyAllocs(txns int) (CommitAllocsRow, error) {
 	perPage := float64(txns) / float64(pages)
 	row.Ops, row.AllocsPerOp, row.BytesPerOp = pages, row.AllocsPerOp*perPage, row.BytesPerOp*perPage
 	return row, nil
+}
+
+// simulatorAllocs audits the simulated hardware itself, which every row
+// above runs on. sim-line is what flushing a cache line allocates: its
+// op is one commit-shaped burst of 48 lines (one gather store, the flush
+// batch, dmb, persist barrier — memsim's BenchmarkCommitShapedFlush), so
+// the gate's slack of 2 allocations per op is 1/24 of one per line, and
+// the line table and counter cells must stay at 0. blockdev-write is one
+// page program and the Sync that makes it durable, on a device that has
+// seen the page before: the buffer the Sync replaces is the next write's.
+func simulatorAllocs(txns int) (line, blk CommitAllocsRow, err error) {
+	const lines = 48
+	dom := memsim.New(memsim.Config{Size: 16 << 20}, simclock.New(), &metrics.Counters{})
+	ls := uint64(dom.LineSize())
+	hdr, payload := make([]byte, ls), make([]byte, (lines-1)*ls)
+	line, err = measureAllocs("sim-line", txns, func(i int) error {
+		addr := uint64(i%1024) * lines * ls
+		dom.WriteV(addr, hdr, payload)
+		dom.CacheLineFlush(addr, addr+lines*ls)
+		dom.MemoryBarrier()
+		dom.PersistBarrier()
+		return nil
+	})
+	if err != nil {
+		return line, blk, err
+	}
+
+	dev := blockdev.New(blockdev.Config{Pages: 64}, simclock.New(), &metrics.Counters{}, nil)
+	img := make([]byte, dev.PageSize())
+	blk, err = measureAllocs("blockdev-write", txns, func(i int) error {
+		// 8 pages: measureAllocs' warmup programs each of them twice.
+		if err := dev.WritePage(i%8, img, "db"); err != nil {
+			return err
+		}
+		return dev.Sync()
+	})
+	return line, blk, err
 }
 
 // Print renders the audit.

@@ -11,7 +11,7 @@ func TestCommitAllocsShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"solo-commit", "group-commit", "page-version-into", "snapshot-get", "session-rmw", "replica-get", "replica-apply"} {
+	for _, path := range []string{"solo-commit", "group-commit", "page-version-into", "snapshot-get", "session-rmw", "replica-get", "replica-apply", "sim-line", "blockdev-write"} {
 		row := r.Row(path)
 		if row == nil {
 			t.Fatalf("audit missing row %q", path)
@@ -64,6 +64,15 @@ func TestCommitAllocsShapes(t *testing.T) {
 	// bookkeeping; two page sizes means the staging copy is back.
 	if row := r.Row("replica-apply"); row.BytesPerOp >= 2*4096 {
 		t.Fatalf("replica-apply allocates %.0f bytes per applied page, want one page copy", row.BytesPerOp)
+	}
+	// The simulated hardware allocates nothing per 48-line flush burst
+	// and nothing per page program on a warm device (stray runtime
+	// allocations in a window are a few hundredths per op; one buffer per
+	// op, or one allocation per memsim call, is 1 or more).
+	for _, path := range []string{"sim-line", "blockdev-write"} {
+		if row := r.Row(path); row.AllocsPerOp >= 0.5 || row.BytesPerOp >= 1024 {
+			t.Fatalf("%s allocates %.3f/op, %.1f bytes/op, want 0", path, row.AllocsPerOp, row.BytesPerOp)
+		}
 	}
 	if r.Row("unknown") != nil {
 		t.Fatal("Row invented a path")

@@ -388,8 +388,8 @@ func (s *shipTimes) totals() (sum time.Duration, n int64) {
 // shipTimedConn times a sender's conn in virtual time. The sender's loop is
 // strictly one message, one ack, so every ack received (the hello is read
 // with a plain Recv) answers the last Send: lane time at the Send to the
-// ack's own delivery time. It forwards RecvAt, so the primary behind it
-// sees what it would see on the bare conn.
+// ack's own delivery time. It forwards SendAt and RecvAt, so the primary
+// behind it stamps and sees what it would on the bare conn.
 type shipTimedConn struct {
 	netsim.Conn
 	lane  *simclock.Clock
@@ -400,6 +400,11 @@ type shipTimedConn struct {
 func (c *shipTimedConn) Send(msg []byte) error {
 	c.sent = c.lane.Now()
 	return c.Conn.Send(msg)
+}
+
+func (c *shipTimedConn) SendAt(msg []byte, at time.Duration) error {
+	c.sent = at
+	return netsim.SendAt(c.Conn, msg, at)
 }
 
 func (c *shipTimedConn) RecvAt(timeout time.Duration) ([]byte, time.Duration, error) {

@@ -121,6 +121,10 @@ type Manager struct {
 	// sum is the volatile free-run summary admission answers from; see
 	// summary.go for what keeps it equal to the persistent metadata.
 	sum freeSummary
+
+	// The device's counter cells this manager adds to, bound in layout.
+	cAlloc, cFree, cRecycled, cRecycleHits, cQuarantined *metrics.Cell
+	cReservations, cReserveDenied, tHeapAlloc            *metrics.Cell
 }
 
 // Format initializes a heapo heap on the device, erasing any previous
@@ -161,7 +165,18 @@ func Attach(dev *nvram.Device) (*Manager, error) {
 
 // layout computes the address-space split for the device size.
 func layout(dev *nvram.Device) *Manager {
-	m := &Manager{dev: dev, metaBase: 16, recycleLimit: DefaultRecycleLimit}
+	c := dev.Metrics()
+	m := &Manager{
+		dev: dev, metaBase: 16, recycleLimit: DefaultRecycleLimit,
+		cAlloc:         c.Cell(metrics.HeapAlloc),
+		cFree:          c.Cell(metrics.HeapFree),
+		cRecycled:      c.Cell(metrics.HeapRecycled),
+		cRecycleHits:   c.Cell(metrics.HeapRecycleHits),
+		cQuarantined:   c.Cell(metrics.BlocksQuarantined),
+		cReservations:  c.Cell(metrics.HeapReservations),
+		cReserveDenied: c.Cell(metrics.HeapReserveDenied),
+		tHeapAlloc:     c.Cell(metrics.TimeHeapAlloc),
+	}
 	size := uint64(dev.Size())
 	// Solve for the page count: 16 + 8P + rootTable + P*PageSize <= size.
 	fixed := m.metaBase + rootSlots*rootSlotLen
@@ -237,7 +252,7 @@ func (m *Manager) allocate(bytes int, headState int) (Block, error) {
 	}
 	m.dev.Syscall()
 	m.dev.Domain().Clock().Advance(KernelAllocCost)
-	m.dev.Metrics().AddTime(metrics.TimeHeapAlloc, KernelAllocCost)
+	m.tHeapAlloc.Add(int64(KernelAllocCost))
 	need := (bytes + PageSize - 1) / PageSize
 	start, ok := m.findRun(need)
 	if !ok {
@@ -250,7 +265,7 @@ func (m *Manager) allocate(bytes int, headState int) (Block, error) {
 	m.persistRange(m.metaAddr(start), m.metaAddr(start+need))
 	m.freeHint = start + need
 	m.freePages -= need
-	m.dev.Metrics().Inc(metrics.HeapAlloc, 1)
+	m.cAlloc.Add(1)
 	return Block{Addr: m.pageAddr(start), Pages: need}, nil
 }
 
@@ -322,7 +337,7 @@ func (m *Manager) NVPreMalloc(bytes int) (Block, error) {
 		b := pool[len(pool)-1]
 		m.recycled[need] = pool[:len(pool)-1]
 		m.recycledPages -= need
-		m.dev.Metrics().Inc(metrics.HeapRecycleHits, 1)
+		m.cRecycleHits.Add(1)
 		return b, nil
 	}
 	if !m.admitLocked(need, 0, false) {
@@ -358,7 +373,7 @@ func (m *Manager) Recycle(b Block) error {
 	}
 	m.recycled[run] = append(m.recycled[run], Block{Addr: b.Addr, Pages: run})
 	m.recycledPages += run
-	m.dev.Metrics().Inc(metrics.HeapRecycled, 1)
+	m.cRecycled.Add(1)
 	return nil
 }
 
@@ -420,7 +435,7 @@ func (m *Manager) Quarantine(b Block) error {
 		m.writeMeta(i, StateQuarantined, 1)
 	}
 	m.persistRange(m.metaAddr(page), m.metaAddr(page+run))
-	m.dev.Metrics().Inc(metrics.BlocksQuarantined, 1)
+	m.cQuarantined.Add(1)
 	return nil
 }
 
@@ -465,7 +480,7 @@ func (m *Manager) freeLocked(page, run int) error {
 		m.freeHint = page
 	}
 	m.freePages += run
-	m.dev.Metrics().Inc(metrics.HeapFree, 1)
+	m.cFree.Add(1)
 	return nil
 }
 

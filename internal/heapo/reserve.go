@@ -41,8 +41,6 @@ package heapo
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/metrics"
 )
 
 // ErrReservationSpent is returned when a reservation is debited more
@@ -95,11 +93,11 @@ func (m *Manager) ReserveInto(r *Reservation, blocks, maxBytes int) error {
 	m.reservedByRun[run] += blocks
 	if !m.admitLocked(0, 0, false) {
 		m.unreserveLocked(run, blocks)
-		m.dev.Metrics().Inc(metrics.HeapReserveDenied, 1)
+		m.cReserveDenied.Add(1)
 		*r = Reservation{m: m}
 		return ErrNoSpace
 	}
-	m.dev.Metrics().Inc(metrics.HeapReservations, 1)
+	m.cReservations.Add(1)
 	*r = Reservation{m: m, run: run, remaining: blocks}
 	return nil
 }
@@ -136,7 +134,7 @@ func (r *Reservation) alloc(bytes, headState int) (Block, error) {
 			b := pool[len(pool)-1]
 			m.recycled[need] = pool[:len(pool)-1]
 			m.recycledPages -= need
-			m.dev.Metrics().Inc(metrics.HeapRecycleHits, 1)
+			m.cRecycleHits.Add(1)
 			r.debitLocked()
 			return b, nil
 		}

@@ -25,3 +25,25 @@ func BenchmarkPersistBarrierAfterBurst(b *testing.B) {
 		d.PersistBarrier()
 	}
 }
+
+// BenchmarkCommitShapedFlush is the NVRAM half of one served PUT: a
+// frame header and a page's worth of differential payload stored as one
+// gather write over 48 lines, the lazy flush batch, dmb, persist
+// barrier. ns/line is the host cost the simulator adds per cache line a
+// commit flushes, everything included.
+func BenchmarkCommitShapedFlush(b *testing.B) {
+	const lines = 48
+	d, _, _ := newDomain(b, Config{Size: 16 << 20})
+	ls := uint64(d.LineSize())
+	hdr, payload := make([]byte, ls), make([]byte, (lines-1)*ls)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := uint64(i%2048) * lines * ls
+		d.WriteV(addr, hdr, payload)
+		d.CacheLineFlush(addr, addr+lines*ls)
+		d.MemoryBarrier()
+		d.PersistBarrier()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lines, "ns/line")
+}

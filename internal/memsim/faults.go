@@ -141,7 +141,7 @@ func (d *Domain) InjectFaults(cfg FaultConfig) {
 // lines [first, last] (nLines of them): the degraded-region multiplier
 // plus a seeded per-op stall. Purely a virtual-clock cost — the store
 // itself is untouched, which is what makes slow faults gray rather than
-// fail-stop. Caller holds d.mu.
+// fail-stop. Caller holds d.mu and publishes d.owed.
 func (d *Domain) applySlowFaultLocked(first, last uint64, nLines int) {
 	f := d.faults
 	if f == nil || !f.cfg.slowEnabled() {
@@ -161,7 +161,7 @@ func (d *Domain) applySlowFaultLocked(first, last uint64, nLines int) {
 		extra += f.cfg.SlowOpDelay
 	}
 	if extra > 0 {
-		d.clock.Advance(extra)
+		d.owed += extra
 		d.m.Inc(metrics.SlowFaultStalls, 1)
 		d.m.Inc(metrics.SlowFaultStallNs, extra.Nanoseconds())
 	}

@@ -39,8 +39,9 @@ package memsim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -147,38 +148,6 @@ const (
 	FailAdversarial
 )
 
-type lineState struct {
-	addr       uint64 // line-aligned address: the state's key in Domain.lines
-	dirty      bool   // in cache, not yet flushed/evicted
-	lruElem    *lruNode
-	queued     bool          // write-back accepted by the memory controller
-	queuedData []byte        // content snapshot at flush/eviction time
-	completion time.Duration // virtual time the controller finishes the write-back
-	// node is the LRU list element backing lruElem, embedded so a
-	// clean→dirty transition costs no allocation. queuedData is likewise
-	// kept (not nil-ed) after a persist as a reusable snapshot buffer —
-	// persistLineLocked copies out of it immediately, so no consumer
-	// ever retains it.
-	node lruNode
-}
-
-type lruNode struct {
-	addr       uint64
-	prev, next *lruNode
-}
-
-// maxStatePool bounds the lineState recycle pool (host memory only).
-const maxStatePool = 1 << 14
-
-// snapBuf returns the line's snapshot scratch sized to one cache line,
-// reusing the previous snapshot's backing array when possible.
-func (st *lineState) snapBuf(lineSize int) []byte {
-	if cap(st.queuedData) < lineSize {
-		return make([]byte, lineSize)
-	}
-	return st.queuedData[:lineSize]
-}
-
 // crashArm is a one-shot power-failure trigger: when the domain's
 // persistence-operation counter reaches target, the durable image that
 // would survive a PowerFail at that exact instant is frozen. Execution
@@ -189,7 +158,6 @@ func (st *lineState) snapBuf(lineSize int) []byte {
 // of an operation — after the Nth flush or barrier — without having to
 // stop every goroutine at that instant.
 type crashArm struct {
-	target    int64
 	policy    FailPolicy
 	seed      int64
 	onTrigger func()
@@ -209,21 +177,22 @@ type Domain struct {
 	volatileMem []byte // current logical content (read-your-writes view)
 	persisted   []byte // content guaranteed to survive PowerFail
 
-	lines map[uint64]*lineState // keyed by line-aligned address
-	// statePool recycles lineStates (and their snapshot buffers) that
-	// the persist-barrier cleanup evicted from the map, so steady-state
-	// store traffic does not allocate per touched line. Host memory
-	// only; simulated cost is unaffected.
-	statePool []*lineState
-	// queued lists every line whose write-back the memory controller
-	// accepted since the last barrier drained it, so a barrier's host
-	// cost follows the lines it persists instead of the size d.lines
-	// once grew to (a Go map never shrinks). Each entry is in d.lines
-	// (under its addr) with queued set, exactly once.
-	queued []*lineState
-	// LRU list of dirty lines; head = most recent.
-	lruHead, lruTail *lruNode
-	dirtyCount       int
+	lineShift uint      // log2 of the cache line size
+	t         lineTable // per-line cache and controller-queue state
+
+	// What the current call owes the clock and the per-line counters,
+	// accumulated line by line under d.mu and published once by
+	// publishLocked before the call returns (and before an armed crash
+	// trigger fires, so the frozen image is resolved at the right time).
+	// Virtual "now" under the lock is nowLocked, which includes owed.
+	owed                   time.Duration
+	owedMemcpy, owedFlush  time.Duration
+	owedFlushes, owedLines int64
+
+	// The cells this domain adds to on its store, flush and barrier
+	// paths, bound once; the rare fault counters go by name.
+	cFlushes, cLineWrites, cBytes, cDmb, cPersistBarriers, cSyscalls *metrics.Cell
+	tMemcpy, tFlush, tDmb, tPersist, tSyscall                        *metrics.Cell
 
 	// bankFree[i] is the time bank i finishes its queued write-backs;
 	// lastCompletion is the max across banks (what barriers wait for).
@@ -231,8 +200,11 @@ type Domain struct {
 	lastCompletion time.Duration
 
 	// ops counts persistence operations (stores, per-line flushes,
-	// barriers) for the ArmCrash trigger.
+	// barriers) for the ArmCrash trigger; armAt is the count at which an
+	// armed, unfired trigger fires (MaxInt64 when there is none), so the
+	// per-line check is one compare.
 	ops    int64
+	armAt  int64
 	arm    *crashArm
 	frozen []byte // durable image captured when the armed trigger fired
 
@@ -242,17 +214,35 @@ type Domain struct {
 }
 
 // New creates a Domain with the given configuration, clock and metrics
-// sink. clock and m must not be nil.
+// sink. clock and m must not be nil; the cache line size must be a power
+// of two.
 func New(cfg Config, clock *simclock.Clock, m *metrics.Counters) *Domain {
 	cfg = cfg.withDefaults()
+	if cfg.CacheLineSize&(cfg.CacheLineSize-1) != 0 {
+		panic(fmt.Sprintf("memsim: cache line size %d is not a power of two", cfg.CacheLineSize))
+	}
 	return &Domain{
 		cfg:         cfg,
 		clock:       clock,
 		m:           m,
 		volatileMem: make([]byte, cfg.Size),
 		persisted:   make([]byte, cfg.Size),
-		lines:       make(map[uint64]*lineState),
+		lineShift:   uint(bits.TrailingZeros(uint(cfg.CacheLineSize))),
+		t:           newLineTable(cfg.Size, cfg.CacheLineSize),
 		bankFree:    make([]time.Duration, cfg.NVRAMBanks),
+		armAt:       math.MaxInt64,
+
+		cFlushes:         m.Cell(metrics.CacheLineFlush),
+		cLineWrites:      m.Cell(metrics.NVRAMLineWrites),
+		cBytes:           m.Cell(metrics.NVRAMBytes),
+		cDmb:             m.Cell(metrics.MemoryBarrier),
+		cPersistBarriers: m.Cell(metrics.PersistBarrier),
+		cSyscalls:        m.Cell(metrics.Syscall),
+		tMemcpy:          m.Cell(metrics.TimeMemcpy),
+		tFlush:           m.Cell(metrics.TimeFlush),
+		tDmb:             m.Cell(metrics.TimeBarrier),
+		tPersist:         m.Cell(metrics.TimePersist),
+		tSyscall:         m.Cell(metrics.TimeSyscall),
 	}
 }
 
@@ -295,6 +285,32 @@ func (d *Domain) checkRange(addr uint64, n int) {
 	}
 }
 
+// nowLocked is the virtual time as this call has advanced it so far.
+// Caller holds d.mu.
+func (d *Domain) nowLocked() time.Duration { return d.clock.Now() + d.owed }
+
+// publishLocked pays what the call accumulated: one clock advance and
+// one add per counter instead of one of each per line. A counter is
+// added to only when the call moved it, so Snapshot lists the names it
+// always listed. Caller holds d.mu.
+func (d *Domain) publishLocked() {
+	d.clock.Advance(d.owed)
+	if d.owedMemcpy > 0 {
+		d.tMemcpy.Add(int64(d.owedMemcpy))
+	}
+	if d.owedFlush > 0 {
+		d.tFlush.Add(int64(d.owedFlush))
+	}
+	if d.owedFlushes > 0 {
+		d.cFlushes.Add(d.owedFlushes)
+	}
+	if d.owedLines > 0 {
+		d.cLineWrites.Add(d.owedLines)
+		d.cBytes.Add(d.owedLines << d.lineShift)
+	}
+	d.owed, d.owedMemcpy, d.owedFlush, d.owedFlushes, d.owedLines = 0, 0, 0, 0, 0
+}
+
 // Write stores p at addr through the cache. The data becomes visible to
 // Read immediately but is not durable until flushed and persisted.
 //
@@ -313,18 +329,7 @@ func (d *Domain) Write(addr uint64, p []byte) {
 		return
 	}
 	copy(d.volatileMem[addr:], p)
-
-	first := d.lineAddr(addr)
-	last := d.lineAddr(addr + uint64(len(p)) - 1)
-	nLines := int((last-first)/uint64(d.cfg.CacheLineSize)) + 1
-	d.clock.Advance(time.Duration(nLines) * d.cfg.StoreCostPerLine)
-	d.m.AddTime(metrics.TimeMemcpy, time.Duration(nLines)*d.cfg.StoreCostPerLine)
-	d.applySlowFaultLocked(first, last, nLines)
-
-	for la := first; la <= last; la += uint64(d.cfg.CacheLineSize) {
-		d.touchDirty(la)
-	}
-	d.countOpLocked()
+	d.storedLocked(addr, len(p))
 }
 
 // WriteV stores the concatenation of parts contiguously at addr, with
@@ -352,121 +357,99 @@ func (d *Domain) WriteV(addr uint64, parts ...[]byte) {
 		copy(d.volatileMem[pos:], p)
 		pos += uint64(len(p))
 	}
-
-	first := d.lineAddr(addr)
-	last := d.lineAddr(addr + uint64(n) - 1)
-	nLines := int((last-first)/uint64(d.cfg.CacheLineSize)) + 1
-	d.clock.Advance(time.Duration(nLines) * d.cfg.StoreCostPerLine)
-	d.m.AddTime(metrics.TimeMemcpy, time.Duration(nLines)*d.cfg.StoreCostPerLine)
-	d.applySlowFaultLocked(first, last, nLines)
-
-	for la := first; la <= last; la += uint64(d.cfg.CacheLineSize) {
-		d.touchDirty(la)
-	}
-	d.countOpLocked()
+	d.storedLocked(addr, n)
 }
 
-// touchDirty marks line la dirty and most-recently-used, evicting the LRU
-// dirty line if the cache is over capacity. Caller holds d.mu.
-func (d *Domain) touchDirty(la uint64) {
-	st := d.lines[la]
-	if st == nil {
-		if n := len(d.statePool); n > 0 {
-			st = d.statePool[n-1]
-			d.statePool = d.statePool[:n-1]
-		} else {
-			st = &lineState{}
-		}
-		st.addr = la
-		d.lines[la] = st
+// storedLocked accounts for one store burst of n bytes at addr whose
+// data is already in volatileMem: the per-line CPU cost, the lines it
+// dirtied (and any evictions they forced), one op. Caller holds d.mu.
+func (d *Domain) storedLocked(addr uint64, n int) {
+	first := int32(addr >> d.lineShift)
+	last := int32((addr + uint64(n) - 1) >> d.lineShift)
+	nLines := int(last-first) + 1
+	cost := time.Duration(nLines) * d.cfg.StoreCostPerLine
+	d.owed += cost
+	d.owedMemcpy += cost
+	d.applySlowFaultLocked(uint64(first)<<d.lineShift, uint64(last)<<d.lineShift, nLines)
+
+	for line := first; line <= last; line++ {
+		d.touchDirty(line)
 	}
-	if st.dirty {
-		d.lruMoveFront(st.lruElem)
+	d.countOpLocked()
+	d.publishLocked()
+}
+
+// touchDirty marks a line dirty and most-recently-used, evicting the LRU
+// dirty line if the cache is over capacity. Caller holds d.mu.
+func (d *Domain) touchDirty(line int32) {
+	t := &d.t
+	s := t.index[line]
+	if s == 0 {
+		s = t.acquire(line)
+	}
+	if t.slots[s].dirty {
+		t.lruMoveFront(s)
 		return
 	}
-	st.dirty = true
-	st.node = lruNode{addr: la}
-	st.lruElem = &st.node
-	d.lruPushFront(st.lruElem)
-	d.dirtyCount++
-	for d.dirtyCount > d.cfg.CacheCapacityLines {
-		victim := d.lruTail
-		if victim == nil {
-			break
-		}
+	t.slots[s].dirty = true
+	t.lruPushFront(s)
+	t.dirty++
+	for t.dirty > d.cfg.CacheCapacityLines && t.lruTail != 0 {
 		// Hardware eviction: the write-back is enqueued on the controller
 		// and its cost is absorbed by the ongoing memcpy phase — this is
 		// the "masking" of flush overhead §5.1 observes under lazy
 		// synchronization.
-		d.writeBackLocked(victim.addr, metrics.TimeMemcpy)
+		d.owed += d.cfg.FlushIssueCost
+		d.owedMemcpy += d.cfg.FlushIssueCost
+		d.enqueueLocked(t.lruTail)
 	}
 }
 
-// writeBackLocked executes one dccmvac on a dirty line: the issue cost
-// is charged to timeKey, then the memory controller receives the
-// write-back. Caller holds d.mu.
-func (d *Domain) writeBackLocked(la uint64, timeKey string) {
-	st := d.lines[la]
-	if st == nil || !st.dirty {
-		return
+// enqueueLocked moves dirty slot s from the cache to the controller
+// queue: the line's content is snapshotted and its bank services it
+// after the bank's queued predecessors. The controller receives the
+// write-back when the dccmvac (or eviction) completes, so the caller
+// has already added the issue cost to d.owed. Caller holds d.mu.
+func (d *Domain) enqueueLocked(s int32) {
+	t := &d.t
+	sl := &t.slots[s]
+	sl.dirty = false
+	t.lruRemove(s)
+	t.dirty--
+
+	la := uint64(sl.line) << d.lineShift
+	copy(t.snap(s), d.volatileMem[la:])
+	if !sl.queued {
+		sl.queued = true
+		t.queued = append(t.queued, s)
 	}
-	// The controller receives the write-back when the instruction
-	// completes, so the issue cost is charged before the line's bank
-	// schedules it.
-	d.clock.Advance(d.cfg.FlushIssueCost)
-	d.m.AddTime(timeKey, d.cfg.FlushIssueCost)
-	d.enqueueLocked(la, st)
-}
 
-// enqueueLocked moves dirty line la from the cache to the controller
-// queue: its content is snapshotted and its bank services it after the
-// bank's queued predecessors. Caller holds d.mu.
-func (d *Domain) enqueueLocked(la uint64, st *lineState) {
-	st.dirty = false
-	d.lruRemove(st.lruElem)
-	st.lruElem = nil
-	d.dirtyCount--
-
-	snap := st.snapBuf(d.cfg.CacheLineSize)
-	copy(snap, d.volatileMem[la:la+uint64(d.cfg.CacheLineSize)])
-	if !st.queued {
-		d.queued = append(d.queued, st)
-	}
-	st.queued = true
-	st.queuedData = snap
-
-	bank := int(la/uint64(d.cfg.CacheLineSize)) % d.cfg.NVRAMBanks
-	start := d.clock.Now()
+	bank := int(sl.line) % d.cfg.NVRAMBanks
+	start := d.nowLocked()
 	if d.bankFree[bank] > start {
 		start = d.bankFree[bank]
 	}
-	st.completion = start + d.cfg.NVRAMWriteLatency
-	d.bankFree[bank] = st.completion
-	if st.completion > d.lastCompletion {
-		d.lastCompletion = st.completion
+	sl.completion = start + d.cfg.NVRAMWriteLatency
+	d.bankFree[bank] = sl.completion
+	if sl.completion > d.lastCompletion {
+		d.lastCompletion = sl.completion
 	}
-	d.m.Inc(metrics.NVRAMLineWrites, 1)
-	d.m.Inc(metrics.NVRAMBytes, int64(d.cfg.CacheLineSize))
+	d.owedLines++
 }
 
-// drainQueueLocked makes every queued write-back durable and drops the
-// lines that are clean afterwards from the map, recycling their state.
-// Caller holds d.mu.
+// drainQueueLocked makes every queued write-back durable and releases
+// the slots of the lines that are clean afterwards. Caller holds d.mu.
 func (d *Domain) drainQueueLocked() {
-	for i, st := range d.queued {
-		d.persistLineLocked(d.persisted, st.addr, st.queuedData)
-		st.queued = false
-		// queuedData is kept as the line's snapshot scratch; the persist
-		// above copied it into the durable image.
-		if !st.dirty {
-			delete(d.lines, st.addr)
-			if len(d.statePool) < maxStatePool {
-				d.statePool = append(d.statePool, st)
-			}
+	t := &d.t
+	for _, s := range t.queued {
+		sl := &t.slots[s]
+		d.persistLineLocked(d.persisted, uint64(sl.line)<<d.lineShift, t.snap(s))
+		sl.queued = false
+		if !sl.dirty {
+			t.release(s)
 		}
-		d.queued[i] = nil
 	}
-	d.queued = d.queued[:0]
+	t.queued = t.queued[:0]
 }
 
 // Read copies the current logical content at addr into p (read-your-
@@ -510,21 +493,21 @@ func (d *Domain) CacheLineFlush(start, end uint64) {
 	if d.failed {
 		return
 	}
-	first := d.lineAddr(start)
-	last := d.lineAddr(end - 1)
-	for la := first; la <= last; la += uint64(d.cfg.CacheLineSize) {
-		d.m.Inc(metrics.CacheLineFlush, 1)
-		st := d.lines[la]
-		if st != nil && st.dirty {
-			d.writeBackLocked(la, metrics.TimeFlush)
-		} else {
-			// Clean or already-evicted line: dccmvac still executes but
-			// finds nothing to write back.
-			d.clock.Advance(d.cfg.FlushIssueCost)
-			d.m.AddTime(metrics.TimeFlush, d.cfg.FlushIssueCost)
+	t := &d.t
+	first := int32(start >> d.lineShift)
+	last := int32((end - 1) >> d.lineShift)
+	for line := first; line <= last; line++ {
+		// The instruction executes, and costs its issue time, whether or
+		// not it finds a dirty line to write back.
+		d.owedFlushes++
+		d.owed += d.cfg.FlushIssueCost
+		d.owedFlush += d.cfg.FlushIssueCost
+		if s := t.index[line]; s != 0 && t.slots[s].dirty {
+			d.enqueueLocked(s)
 		}
 		d.countOpLocked()
 	}
+	d.publishLocked()
 }
 
 // SyscallCost is the simulated kernel-mode switch overhead per system
@@ -538,9 +521,25 @@ const SyscallCost = 800 * time.Nanosecond
 func (d *Domain) Syscall() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.cSyscalls.Add(1)
+	d.tSyscall.Add(int64(SyscallCost))
 	d.clock.Advance(SyscallCost)
-	d.m.Inc(metrics.Syscall, 1)
-	d.m.AddTime(metrics.TimeSyscall, SyscallCost)
+}
+
+// barrierLocked blocks until the memory controller has serviced every
+// outstanding write-back, then pays the barrier's own fixed cost. The
+// wait is flush completion, so it is attributed to the flush phase; the
+// fixed cost to the barrier's phase. One clock advance for both. Caller
+// holds d.mu.
+func (d *Domain) barrierLocked(phase *metrics.Cell, cost time.Duration) {
+	wait := d.lastCompletion - d.clock.Now()
+	if wait > 0 {
+		d.tFlush.Add(int64(wait))
+	} else {
+		wait = 0
+	}
+	phase.Add(int64(cost))
+	d.clock.Advance(wait + cost)
 }
 
 // MemoryBarrier models dmb: it blocks until every outstanding write-back
@@ -553,15 +552,8 @@ func (d *Domain) MemoryBarrier() {
 	if d.failed {
 		return
 	}
-	d.m.Inc(metrics.MemoryBarrier, 1)
-	now := d.clock.Now()
-	if d.lastCompletion > now {
-		wait := d.lastCompletion - now
-		d.clock.Advance(wait)
-		d.m.AddTime(metrics.TimeFlush, wait)
-	}
-	d.clock.Advance(d.cfg.BarrierCost)
-	d.m.AddTime(metrics.TimeBarrier, d.cfg.BarrierCost)
+	d.cDmb.Add(1)
+	d.barrierLocked(d.tDmb, d.cfg.BarrierCost)
 	d.countOpLocked()
 }
 
@@ -574,15 +566,8 @@ func (d *Domain) PersistBarrier() {
 	if d.failed {
 		return
 	}
-	d.m.Inc(metrics.PersistBarrier, 1)
-	now := d.clock.Now()
-	if d.lastCompletion > now {
-		wait := d.lastCompletion - now
-		d.clock.Advance(wait)
-		d.m.AddTime(metrics.TimeFlush, wait)
-	}
-	d.clock.Advance(d.cfg.PersistBarrierCost)
-	d.m.AddTime(metrics.TimePersist, d.cfg.PersistBarrierCost)
+	d.cPersistBarriers.Add(1)
+	d.barrierLocked(d.tPersist, d.cfg.PersistBarrierCost)
 	d.drainQueueLocked()
 	// Counted after the queue drains, so a crash armed at this op index
 	// observes the barrier's durability effect (a crash "at" a persist
@@ -603,21 +588,14 @@ func (d *Domain) EpochBarrier() {
 	if d.failed {
 		return
 	}
-	d.m.Inc(metrics.PersistBarrier, 1)
+	d.cPersistBarriers.Add(1)
 	// Hardware write-back of all dirty lines: enqueue without per-line
 	// issue cost (no instructions are executed for them).
-	for d.lruTail != nil {
-		la := d.lruTail.addr
-		d.enqueueLocked(la, d.lines[la])
+	for d.t.lruTail != 0 {
+		d.enqueueLocked(d.t.lruTail)
 	}
-	now := d.clock.Now()
-	if d.lastCompletion > now {
-		wait := d.lastCompletion - now
-		d.clock.Advance(wait)
-		d.m.AddTime(metrics.TimeFlush, wait)
-	}
-	d.clock.Advance(d.cfg.PersistBarrierCost)
-	d.m.AddTime(metrics.TimePersist, d.cfg.PersistBarrierCost)
+	d.publishLocked()
+	d.barrierLocked(d.tPersist, d.cfg.PersistBarrierCost)
 	d.drainQueueLocked()
 }
 
@@ -644,68 +622,79 @@ func (d *Domain) PowerFail(policy FailPolicy, seed int64) {
 	// Retention bit rot is observed at the reboot following an outage:
 	// damage the finalized durable image, seeded by this crash.
 	d.applyCrashFaultsLocked(seed)
-	d.arm = nil
-	for la := range d.lines {
-		delete(d.lines, la)
-	}
-	clear(d.queued)
-	d.queued = d.queued[:0]
-	d.lruHead, d.lruTail = nil, nil
-	d.dirtyCount = 0
+	d.arm, d.armAt = nil, math.MaxInt64
+	d.t.reset()
 	d.lastCompletion = 0
 	for i := range d.bankFree {
 		d.bankFree[i] = 0
 	}
+	// The volatile view a reboot starts from. Nothing changes either
+	// image while failed (stores, flushes and barriers are dropped), so
+	// Recover has nothing left to copy.
 	copy(d.volatileMem, d.persisted)
 	d.failed = true
 }
 
 // resolveSurvivorsLocked applies a fail policy to the current cache and
 // controller-queue state, writing surviving lines into dst. Lines are
-// visited in ascending address order so the adversarial policy's seeded
-// choices are deterministic (map iteration order is not). Caller holds
+// visited in ascending address order — the order of the index — so the
+// adversarial policy's seeded choices are deterministic. Caller holds
 // d.mu.
 func (d *Domain) resolveSurvivorsLocked(dst []byte, policy FailPolicy, seed int64) {
+	t := &d.t
+	remaining := t.live()
+	if policy == FailDropAll || remaining == 0 {
+		return // nothing survives
+	}
 	rng := rand.New(rand.NewSource(seed))
 	now := d.clock.Now()
-	addrs := make([]uint64, 0, len(d.lines))
-	for la := range d.lines {
-		addrs = append(addrs, la)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, la := range addrs {
-		st := d.lines[la]
+	for line, s := range t.index {
+		if s == 0 {
+			continue
+		}
+		sl := &t.slots[s]
+		la := uint64(line) << d.lineShift
 		switch policy {
-		case FailDropAll:
-			// nothing survives
 		case FailKeepCompleted:
-			if st.queued && st.completion <= now {
-				d.persistLineLocked(dst, la, st.queuedData)
+			if sl.queued && sl.completion <= now {
+				d.persistLineLocked(dst, la, t.snap(s))
 			}
 		case FailAdversarial:
-			if st.queued && rng.Intn(2) == 0 {
-				d.persistLineLocked(dst, la, st.queuedData)
+			if sl.queued && rng.Intn(2) == 0 {
+				d.persistLineLocked(dst, la, t.snap(s))
 			}
-			if st.dirty && rng.Intn(4) == 0 {
+			if sl.dirty && rng.Intn(4) == 0 {
 				// Spontaneous hardware eviction made this line durable
 				// even though it was never explicitly flushed.
 				d.persistLineLocked(dst, la, d.volatileMem[la:la+uint64(d.cfg.CacheLineSize)])
 			}
 		}
+		if remaining--; remaining == 0 {
+			break
+		}
 	}
 }
 
 // countOpLocked advances the persistence-operation counter and fires the
-// armed crash trigger when the counter reaches its target: the durable
-// image a PowerFail at this instant would leave behind is captured into
-// d.frozen under the same mutex hold, so no concurrent store can slip
-// into it. Caller holds d.mu.
+// armed crash trigger when the counter reaches its target. Small enough
+// to inline: it runs once per flushed line. Caller holds d.mu.
 func (d *Domain) countOpLocked() {
 	d.ops++
-	if d.arm == nil || d.arm.triggered || d.ops < d.arm.target {
-		return
+	if d.ops >= d.armAt {
+		d.fireCrashLocked()
 	}
+}
+
+// fireCrashLocked captures the durable image a PowerFail at this instant
+// would leave behind into d.frozen, under the same mutex hold as the
+// operation that reached the target, so no concurrent store can slip
+// into it. Caller holds d.mu.
+func (d *Domain) fireCrashLocked() {
+	d.armAt = math.MaxInt64
 	d.arm.triggered = true
+	// The crash instant is now: the clock must read it before the
+	// survivors are resolved and the sibling devices freeze.
+	d.publishLocked()
 	d.frozen = make([]byte, len(d.persisted))
 	copy(d.frozen, d.persisted)
 	d.resolveSurvivorsLocked(d.frozen, d.arm.policy, d.arm.seed)
@@ -730,11 +719,11 @@ func (d *Domain) ArmCrash(afterOps int64, policy FailPolicy, seed int64, onTrigg
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.arm = &crashArm{
-		target:    d.ops + afterOps,
 		policy:    policy,
 		seed:      seed,
 		onTrigger: onTrigger,
 	}
+	d.armAt = d.ops + afterOps
 	d.frozen = nil
 }
 
@@ -743,7 +732,7 @@ func (d *Domain) ArmCrash(afterOps int64, policy FailPolicy, seed int64, onTrigg
 func (d *Domain) DisarmCrash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.arm = nil
+	d.arm, d.armAt = nil, math.MaxInt64
 	d.frozen = nil
 }
 
@@ -765,15 +754,12 @@ func (d *Domain) OpCount() int64 {
 	return d.ops
 }
 
-// Recover clears the failed state after a PowerFail, modelling reboot:
-// the volatile view is re-initialized from persisted NVRAM content.
+// Recover clears the failed state after a PowerFail, modelling reboot.
+// The volatile view already equals the persisted content: PowerFail left
+// it so, and a failed domain drops every store.
 func (d *Domain) Recover() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.failed {
-		return
-	}
-	copy(d.volatileMem, d.persisted)
 	d.failed = false
 }
 
@@ -789,44 +775,5 @@ func (d *Domain) Failed() bool {
 func (d *Domain) DirtyLines() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.dirtyCount
-}
-
-// lru helpers; caller holds d.mu.
-
-func (d *Domain) lruPushFront(n *lruNode) {
-	n.prev = nil
-	n.next = d.lruHead
-	if d.lruHead != nil {
-		d.lruHead.prev = n
-	}
-	d.lruHead = n
-	if d.lruTail == nil {
-		d.lruTail = n
-	}
-}
-
-func (d *Domain) lruRemove(n *lruNode) {
-	if n == nil {
-		return
-	}
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		d.lruHead = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		d.lruTail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (d *Domain) lruMoveFront(n *lruNode) {
-	if d.lruHead == n {
-		return
-	}
-	d.lruRemove(n)
-	d.lruPushFront(n)
+	return d.t.dirty
 }

@@ -8,17 +8,90 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Counters aggregates event counts and attributed virtual time for one
-// simulated component or one experiment run. The zero value is ready to
-// use. All methods are safe for concurrent use.
+// simulated component or one experiment run: a fixed array of atomic
+// cells, one per name in the package's name table. The zero value is
+// ready to use and all methods are safe for concurrent use; a Counters
+// must not be copied after first use (cells are handed out by address).
 type Counters struct {
-	mu     sync.Mutex
-	counts map[string]int64
-	times  map[string]time.Duration
+	cells [maxCells]Cell
+}
+
+// Cell is one counter or one phase time of a Counters.
+type Cell struct {
+	v atomic.Int64
+	// set records that the cell was added to since the last Reset, which
+	// is what makes Snapshot list its name.
+	set atomic.Bool
+}
+
+// Add adds delta (a count, or a time.Duration's nanoseconds) to the cell.
+func (c *Cell) Add(delta int64) {
+	c.v.Add(delta)
+	if !c.set.Load() {
+		c.set.Store(true)
+	}
+}
+
+// maxCells bounds the name table: the constants below plus what other
+// packages register at init. It is a constant so that Counters is a
+// plain array whose zero value works and whose cells never move.
+const maxCells = 128
+
+// The name table: which cell a name owns and whether it is a count or a
+// time. It is filled by this package's initialisation (from the constant
+// lists below) and by RegisterCounter calls in other packages'
+// initialisation, and only read afterwards, so lookups take no
+// lock. Names exist as strings here and in Snapshot; everything between
+// is an index.
+type cellName struct {
+	name   string
+	isTime bool
+}
+
+var (
+	cellNames []cellName
+	cellIndex = make(map[string]int, maxCells)
+)
+
+func register(name string, isTime bool) {
+	if _, dup := cellIndex[name]; dup {
+		panic(fmt.Sprintf("metrics: %q registered twice", name))
+	}
+	if len(cellNames) == maxCells {
+		panic(fmt.Sprintf("metrics: name table full at %q; raise maxCells", name))
+	}
+	cellIndex[name] = len(cellNames)
+	cellNames = append(cellNames, cellName{name, isTime})
+}
+
+// RegisterCounter adds a counter name to the table. Call it only from
+// another package's init function: the table is read without a lock
+// once main starts.
+func RegisterCounter(name string) { register(name, false) }
+
+// index resolves a name. An unknown one is a programming error and
+// panics instead of counting into nowhere.
+func index(name string) int {
+	i, ok := cellIndex[name]
+	if !ok {
+		panic(fmt.Sprintf("metrics: %q is not a registered name", name))
+	}
+	return i
+}
+
+// lookup is index for the by-name methods, which also know which kind
+// they expect: a counter used as a time (or the reverse) panics too.
+func lookup(name string, isTime bool) int {
+	i := index(name)
+	if cellNames[i].isTime != isTime {
+		panic(fmt.Sprintf("metrics: %q used as the wrong kind (time: %v)", name, cellNames[i].isTime))
+	}
+	return i
 }
 
 // Standard counter keys used across the repository. Using shared names
@@ -123,61 +196,97 @@ const (
 	TimeHeapAlloc = "t_heap_alloc" // kernel heap manager time
 )
 
-// Inc adds delta to the named counter.
-func (c *Counters) Inc(name string, delta int64) {
-	c.mu.Lock()
-	if c.counts == nil {
-		c.counts = make(map[string]int64)
+// The table is built from these two lists; a constant missing from them
+// panics at its first use, and TestEveryConstantIsInTheTable catches it
+// before that.
+func init() {
+	for _, name := range [...]string{
+		CacheLineFlush, MemoryBarrier, PersistBarrier, NVRAMBytes,
+		NVRAMLineWrites, Syscall, HeapAlloc, HeapFree, BlockRead, BlockWrite,
+		Fsync, JournalWrite, WALFrames, Transactions, GroupCommits, Checkpoints,
+		CheckpointNanos, CheckpointPages, CheckpointErrors, CommitStallNanos,
+		HeapRecycled, HeapRecycleHits, MediaBitFlips, MediaStuckLines,
+		MediaReadErrors, BlockTornWrites, BlockShortWrites, BlockIOErrors,
+		IORetries, ScrubFramesChecked, ScrubFramesBad, FramesSalvaged,
+		FramesDropped, BlocksQuarantined, HeapReservations, HeapReserveDenied,
+		PressureStalls, PressureStallNs, UrgentCheckpoints, CommitTimeouts,
+		MVCCCommits, MVCCConflicts, NetMessages, NetBytes, NetDropped,
+		NetReordered, NetCuts, ServerRequests, ServerShed, ServerFenced,
+		ClientRetries, ReplBatchesShipped, ReplFramesShipped, ReplBytesShipped,
+		ReplBatchesApplied, ReplAcks, ReplReseeds, ReplDivergences, ReplAckWaits,
+		ReplCheckpointErrors, SlowFaultStalls, SlowFaultStallNs, HealthState,
+		HealthDegraded, HealthStalled, ReplReseedAborts, HedgedReads, HedgeWins,
+		BreakerOpen, ReplicaQuarantines, ReplicaReadmits, DeadlineAborts,
+	} {
+		register(name, false)
 	}
-	c.counts[name] += delta
-	c.mu.Unlock()
+	for _, name := range [...]string{
+		TimeMemcpy, TimeFlush, TimeBarrier, TimePersist, TimeSyscall, TimeBlockIO,
+		TimeCPU, TimeTotalTxn, TimeCheckpnt, TimeHeapAlloc,
+	} {
+		register(name, true)
+	}
 }
 
-// AddTime attributes a span of virtual time to the named phase.
-func (c *Counters) AddTime(name string, d time.Duration) {
-	c.mu.Lock()
-	if c.times == nil {
-		c.times = make(map[string]time.Duration)
-	}
-	c.times[name] += d
-	c.mu.Unlock()
+// Inc adds delta to the named counter. The name must be in the table
+// (a constant above, or registered at init); anything else panics.
+func (c *Counters) Inc(name string, delta int64) {
+	c.cells[lookup(name, false)].Add(delta)
 }
+
+// AddTime attributes a span of virtual time to the named phase, under
+// the same rule as Inc.
+func (c *Counters) AddTime(name string, d time.Duration) {
+	c.cells[lookup(name, true)].Add(int64(d))
+}
+
+// Cell returns the cell behind a counter or time name, for a component
+// that adds to it on a hot path: bind once at construction, Add per
+// event. The address is stable for the life of the Counters and
+// survives Reset.
+func (c *Counters) Cell(name string) *Cell { return &c.cells[index(name)] }
 
 // Count returns the current value of the named counter.
 func (c *Counters) Count(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts[name]
+	return c.cells[lookup(name, false)].v.Load()
 }
 
 // Time returns the virtual time attributed to the named phase.
 func (c *Counters) Time(name string) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.times[name]
+	return time.Duration(c.cells[lookup(name, true)].v.Load())
 }
 
-// Reset clears all counters and times.
+// Reset zeroes every cell in place: a bound cell keeps counting into
+// the same Counters afterwards. An Add racing a Reset lands on either
+// side of it.
 func (c *Counters) Reset() {
-	c.mu.Lock()
-	c.counts = nil
-	c.times = nil
-	c.mu.Unlock()
+	for i := range c.cells[:len(cellNames)] {
+		c.cells[i].set.Store(false)
+		c.cells[i].v.Store(0)
+	}
 }
 
-// Snapshot returns a point-in-time copy of all counters and times.
+// Snapshot returns a copy of every counter and time that has been
+// added to since the last Reset (a name nothing touched is absent, one
+// that received a zero delta is present at 0). Each cell is read
+// atomically and exactly; the cells are not read at one instant, so a
+// snapshot racing writers may hold one counter's update without a
+// sibling's from the same event. Quiesced, it is exact.
 func (c *Counters) Snapshot() Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s := Snapshot{
-		Counts: make(map[string]int64, len(c.counts)),
-		Times:  make(map[string]time.Duration, len(c.times)),
+		Counts: make(map[string]int64),
+		Times:  make(map[string]time.Duration),
 	}
-	for k, v := range c.counts {
-		s.Counts[k] = v
-	}
-	for k, v := range c.times {
-		s.Times[k] = v
+	for i, info := range cellNames {
+		cell := &c.cells[i]
+		if !cell.set.Load() {
+			continue
+		}
+		if info.isTime {
+			s.Times[info.name] = time.Duration(cell.v.Load())
+		} else {
+			s.Counts[info.name] = cell.v.Load()
+		}
 	}
 	return s
 }

@@ -69,14 +69,14 @@ func TestSnapshotSub(t *testing.T) {
 
 func TestSnapshotSubMissingKeys(t *testing.T) {
 	var a, b Counters
-	a.Inc("only_in_earlier", 4)
-	b.AddTime("t_only_in_earlier", time.Second)
+	a.Inc(HeapFree, 4)
+	b.AddTime(TimeTotalTxn, time.Second)
 	d := Snapshot{Counts: map[string]int64{}, Times: map[string]time.Duration{}}.Sub(a.Snapshot())
-	if got := d.Count("only_in_earlier"); got != -4 {
+	if got := d.Count(HeapFree); got != -4 {
 		t.Fatalf("missing-key delta = %d, want -4", got)
 	}
 	d2 := Snapshot{Counts: map[string]int64{}, Times: map[string]time.Duration{}}.Sub(b.Snapshot())
-	if got := d2.Time("t_only_in_earlier"); got != -time.Second {
+	if got := d2.Time(TimeTotalTxn); got != -time.Second {
 		t.Fatalf("missing-time delta = %v, want -1s", got)
 	}
 }

@@ -66,6 +66,9 @@ type Config struct {
 type Network struct {
 	clock *simclock.Clock
 	m     *metrics.Counters
+	// m's two per-message cells, bound in New; the fault counters go by
+	// name.
+	cMessages, cBytes *metrics.Cell
 
 	mu        sync.Mutex
 	rng       *rand.Rand
@@ -95,6 +98,8 @@ func New(clock *simclock.Clock, cfg Config, seed int64, m *metrics.Counters) *Ne
 	return &Network{
 		clock:     clock,
 		m:         m,
+		cMessages: m.Cell(metrics.NetMessages),
+		cBytes:    m.Cell(metrics.NetBytes),
 		rng:       rand.New(rand.NewSource(seed)),
 		def:       cfg,
 		links:     make(map[[2]string]Config),
@@ -273,7 +278,16 @@ type conn struct {
 func (c *conn) LocalName() string  { return c.local }
 func (c *conn) RemoteName() string { return c.remote }
 
-func (c *conn) Send(msg []byte) error {
+func (c *conn) Send(msg []byte) error { return c.SendAt(msg, -1) }
+
+// SendAt is Send with the message's virtual send time supplied by the
+// caller instead of read off the sender's lane at whatever host moment
+// the goroutine got to run (at < 0 reads the lane, which is Send). A
+// sender whose lane is shared with other work — a shipping goroutine
+// beside the commits and checkpoint rounds of its node — knows when, in
+// virtual time, its message became sendable; the lane's Now() also
+// holds everything else the node did before the goroutine was scheduled.
+func (c *conn) SendAt(msg []byte, at time.Duration) error {
 	n := c.shared.net
 
 	c.shared.mu.Lock()
@@ -311,11 +325,14 @@ func (c *conn) Send(msg []byte) error {
 	sendClock := n.clockFor(c.local)
 	n.mu.Unlock()
 
-	n.m.Inc(metrics.NetMessages, 1)
-	n.m.Inc(metrics.NetBytes, int64(len(msg)))
+	n.cMessages.Add(1)
+	n.cBytes.Add(int64(len(msg)))
 	// The send itself costs the sender its share of the latency — wire
 	// time is virtual-clock time like NVRAM write-backs are.
-	deliverAt := sendClock.Now() + lat
+	if at < 0 {
+		at = sendClock.Now()
+	}
+	deliverAt := at + lat
 
 	if blocked {
 		// Black hole: silently gone, conn stays up.
@@ -430,6 +447,19 @@ func (c *conn) RecvAt(timeout time.Duration) ([]byte, time.Duration, error) {
 	c.inbox = c.inbox[1:]
 	c.mu.Unlock()
 	return m.payload, m.deliverAt, nil
+}
+
+// SendAt sends on any Conn, at virtual time at when the transport tracks
+// virtual time and with the conn's plain Send when it does not (the TCP
+// binding, or a decorator that hides the method).
+func SendAt(c Conn, msg []byte, at time.Duration) error {
+	type sendAtConn interface {
+		SendAt(msg []byte, at time.Duration) error
+	}
+	if sc, has := c.(sendAtConn); has {
+		return sc.SendAt(msg, at)
+	}
+	return c.Send(msg)
 }
 
 // RecvAt receives on any Conn, reporting the message's virtual delivery

@@ -181,3 +181,45 @@ func TestListenerCloseUnblocksAccept(t *testing.T) {
 		t.Fatalf("relisten: %v", err)
 	}
 }
+
+// plainConn hides everything but the Conn interface, as a decorator or
+// the TCP binding would.
+type plainConn struct{ Conn }
+
+// TestSendAtStampsTheGivenTime: delivery is the caller's virtual send
+// time plus the link latency, whatever the sender's lane read when the
+// goroutine ran; a negative time and a conn without the method both mean
+// "the lane, now".
+func TestSendAtStampsTheGivenTime(t *testing.T) {
+	parent := simclock.New()
+	n := New(parent, Config{Latency: time.Millisecond}, 1, nil)
+	laneA, laneB := parent.NewLane(), parent.NewLane()
+	n.Register("a", laneA)
+	n.Register("b", laneB)
+	l, _ := n.Listen("b")
+	ca, _ := n.Dial("a", "b")
+	cb, _ := l.Accept(time.Second)
+
+	laneA.Advance(80 * time.Millisecond) // the sender's node was busy with something else
+	for _, tc := range []struct {
+		name string
+		send func() error
+		want time.Duration
+	}{
+		{"at 5ms", func() error { return SendAt(ca, []byte("x"), 5*time.Millisecond) }, 6 * time.Millisecond},
+		{"negative", func() error { return SendAt(ca, []byte("x"), -1) }, 81 * time.Millisecond},
+		{"plain Send", func() error { return ca.Send([]byte("x")) }, 81 * time.Millisecond},
+		{"no method", func() error { return SendAt(plainConn{ca}, []byte("x"), 5*time.Millisecond) }, 81 * time.Millisecond},
+	} {
+		if err := tc.send(); err != nil {
+			t.Fatal(err)
+		}
+		_, at, ok, err := RecvAt(cb, time.Second)
+		if err != nil || !ok || at != tc.want {
+			t.Fatalf("%s: delivered at %v (virtual %v, err %v), want %v", tc.name, at, ok, err, tc.want)
+		}
+	}
+	if laneB.Now() != 0 {
+		t.Fatalf("RecvAt moved the receiver's lane to %v", laneB.Now())
+	}
+}

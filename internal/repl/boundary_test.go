@@ -913,3 +913,65 @@ func (c stripWatermark) Send(msg []byte) error {
 	}
 	return c.Conn.Send(msg)
 }
+
+// TestShipStampIsAVirtualEvent: a batch leaves on a link when its last
+// frame was committed or when the ack that freed the link was delivered,
+// whichever is later — not at whatever the primary's shared lane reads
+// when the sender goroutine gets to run. n2's link is busy (its ack is
+// held) while write 2 commits; then the lane runs on by 50 ms, as it does
+// through the checkpoint round that follows a quorum's ack; only then is
+// the ack released and batch 2 shipped. Stamped off the lane, the batch
+// would reach n2 50 ms "later", n2's own round after a boundary batch
+// would end that much after the primary's, and the next read from n2
+// would carry the difference into a client's clock.
+func TestShipStampIsAVirtualEvent(t *testing.T) {
+	c := newTestCluster(t, "n0", "n1", "n2")
+	pn := startPrimaryWithTable(t, c, "n0", 1, 1)
+	defer pn.Stop(false)
+	rn, err := c.StartReplica("n1", ReplicaOptions{Epoch: 1}, server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rn.Stop()
+	var hold atomic.Bool
+	release := make(chan struct{})
+	slow, _ := startTappedReplica(t, c, "n2", func(conn netsim.Conn) netsim.Conn {
+		return &tapConn{Conn: conn, beforeSend: func(msg []byte) {
+			if msg[0] == mtAck && hold.Load() {
+				<-release
+			}
+		}}
+	})
+	pn.Attach(c, "n1")
+	pn.Attach(c, "n2")
+	model := kvModel{}
+	model.put(t, pn.Repl, 0)
+	waitApplied(t, pn.Repl, rn.R, slow)
+	if !waitFor(t, time.Second, func() bool { return pn.Repl.Status().Lag == 0 }) {
+		t.Fatal("set-up acks never arrived")
+	}
+
+	hold.Store(true)
+	model.put(t, pn.Repl, 1) // returns on n1's ack; n2 applies it and its ack is held: the link is busy
+	model.put(t, pn.Repl, 2) // n2's backlog
+	lane := pn.Node.Plat.Clock
+	committed := lane.Now()
+	const round = 50 * time.Millisecond
+	lane.Advance(round)
+	hold.Store(false)
+	release <- struct{}{}
+	waitApplied(t, pn.Repl, slow)
+	if !waitFor(t, time.Second, func() bool { return pn.Repl.Status().Lag == 0 }) {
+		t.Fatal("n2's ack for the second batch never arrived")
+	}
+	if n2 := c.Node("n2").Plat.Clock.Now(); n2 > committed+round/2 {
+		t.Fatalf("n2's clock reads %v after a batch committed by %v: it was stamped off the primary's lane, %v further on", n2, committed, round)
+	}
+	for addr, ewma := range pn.Repl.AckLatencies() {
+		if ewma > round/2 || ewma < 0 {
+			t.Fatalf("link %s: send-to-ack estimate %v holds the primary's %v of other work", addr, ewma, round)
+		}
+	}
+	model.verify(t, "n1", rn.R.Get)
+	model.verify(t, "n2", slow.Get)
+}

@@ -76,6 +76,11 @@ type Primary struct {
 	ackCond  *sync.Cond
 	replicas []*replicaLink
 	closed   bool
+	// commitMark and commitAt are the newest commit Apply announced and
+	// the lane's time when it was durable locally: every frame below
+	// commitMark existed by commitAt (see shipAt).
+	commitMark int
+	commitAt   time.Duration
 
 	// fenced holds a newer epoch this primary learned it was superseded
 	// by (failover drivers call Fence on the old primary when promoting
@@ -202,6 +207,14 @@ func (p *Primary) Apply(ctx context.Context, table string, ops []server.Op) (uin
 	}
 	// The commit is durable locally at (at least) the current mark.
 	target := p.wal.Mark()
+	if p.opts.Clock != nil {
+		now := p.opts.Clock.Now()
+		p.mu.Lock()
+		if target >= p.commitMark {
+			p.commitMark, p.commitAt = target, now
+		}
+		p.mu.Unlock()
+	}
 	// A round that cannot freeze now (a reader below the watermark, the
 	// writer slot busy) is not announced either; a later commit retries.
 	_ = p.d.AutoCheckpoint(true)
@@ -374,6 +387,28 @@ func (p *Primary) links() []*replicaLink {
 	return p.replicas
 }
 
+// shipAt is the virtual time a batch ending at mark `to` leaves the
+// primary on a link whose previous ack was delivered at linkFree: when
+// its last frame existed or when the link came free, whichever is later.
+// Both are virtual events. The lane's Now() at the host moment the sender
+// goroutine runs is neither: the lane is shared with the commits and with
+// the checkpoint round that follows the quorum's ack, so a sender
+// scheduled a moment late would ship "during" a round it does not wait
+// for, the replica's own round would start that much later, and the next
+// read from that replica would carry the difference into a client's
+// clock — more often the faster the host runs the path to the first ack.
+// Frames nobody announced (a commit that did not come through Apply) ship
+// at the lane's time, as before.
+func (p *Primary) shipAt(to int, linkFree time.Duration) time.Duration {
+	at := p.opts.Clock.Now()
+	p.mu.Lock()
+	if to <= p.commitMark {
+		at = p.commitAt
+	}
+	p.mu.Unlock()
+	return max(at, linkFree)
+}
+
 // kickAll runs after every local commit: each link's pin is held to the
 // retention budget, then its sender is woken.
 func (p *Primary) kickAll() {
@@ -497,6 +532,9 @@ func (rl *replicaLink) serveConn() bool {
 	}
 
 	cursor, chain := h.applied, h.chain
+	// linkFree is the virtual delivery time of the ack that freed the link
+	// for the next batch (0 until this conn has carried one).
+	var linkFree time.Duration
 	needSeed := h.needSeed || h.incarnation != p.opts.Epoch
 	if !needSeed {
 		// Whether the replica's cursor is still exportable is what standing
@@ -583,12 +621,15 @@ func (rl *replicaLink) serveConn() bool {
 		// only in the real-time fallback.
 		var t0Virt time.Duration
 		var t0Real time.Time
+		msg := encodeFrames(p.opts.Epoch, batch, endChain)
 		if p.opts.Clock != nil {
-			t0Virt = p.opts.Clock.Now()
+			t0Virt = p.shipAt(batch.To, linkFree)
+			err = netsim.SendAt(conn, msg, t0Virt)
 		} else {
 			t0Real = time.Now()
+			err = conn.Send(msg)
 		}
-		if err := conn.Send(encodeFrames(p.opts.Epoch, batch, endChain)); err != nil {
+		if err != nil {
 			return true
 		}
 		p.m.Inc(metrics.ReplBatchesShipped, 1)
@@ -624,6 +665,9 @@ func (rl *replicaLink) serveConn() bool {
 		cursor, chain = batch.To, endChain
 		rl.pinAt(cursor)
 		rl.noteApplied(a.applied, ackAt)
+		if virt {
+			linkFree = ackAt
+		}
 	}
 }
 
