@@ -5,23 +5,32 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // PageStore supplies pages to a Tree. The pager package implements it on
 // top of the journal (WAL or NVWAL) and the database file.
+//
+// Ownership: an image Get returns is read-only — it may be a committed
+// image the store shares with the log and with other readers. A tree
+// writes only to buffers Allocate or MarkDirty returned.
 type PageStore interface {
 	// PageSize returns the fixed page size in bytes.
 	PageSize() int
-	// Get returns the mutable in-memory buffer of page pgno.
+	// Get returns the read-only image of page pgno.
 	Get(pgno uint32) ([]byte, error)
-	// Allocate creates a fresh zeroed page and returns it.
+	// Allocate creates a fresh zeroed page and returns its writable
+	// buffer.
 	Allocate() (uint32, []byte, error)
 	// Free returns a page to the store's free pool (overflow chains of
 	// deleted records).
 	Free(pgno uint32) error
-	// MarkDirty must be called before a page buffer is mutated, so the
-	// store can snapshot the pre-image for differential logging.
-	MarkDirty(pgno uint32)
+	// MarkDirty returns the buffer of page pgno the caller may write: the
+	// transaction's one private copy, made the first time the page is
+	// dirtied, while the image it was copied from stays the pre-image
+	// (rollback image, differential-logging base). The page must have
+	// been read through Get first. Later Gets return the same buffer.
+	MarkDirty(pgno uint32) []byte
 }
 
 // ReservedTail is the per-page reserve of the early-split optimization:
@@ -46,6 +55,42 @@ type Tree struct {
 	reserved int
 }
 
+// edit is the scratch one Put or Delete works in, so that an update or a
+// split allocates nothing for its own bookkeeping: relay is the
+// page-sized buffer a compaction or a split re-lays cells through (a
+// page's cells never exceed the page), cells the split's cell list, cell
+// the record being inserted. It is lent from editPool for the one call
+// rather than kept per Tree, so the read-only Trees snapshot and replica
+// reads open carry none of it, and an MVCC session's Tree, which lives
+// for one transaction, does not cost another page.
+type edit struct {
+	relay []byte
+	cells [][]byte
+	cell  []byte
+}
+
+var editPool sync.Pool // of *edit
+
+// borrowEdit lends an edit whose relay holds at least a page; give it
+// back with release.
+func (t *Tree) borrowEdit() *edit {
+	e, _ := editPool.Get().(*edit)
+	if e == nil {
+		e = new(edit)
+	}
+	if ps := t.store.PageSize(); len(e.relay) < ps {
+		e.relay = make([]byte, ps)
+	}
+	return e
+}
+
+// release returns e to the pool, dropping what its cell list points at.
+func (e *edit) release() {
+	clear(e.cells)
+	e.cells = e.cells[:0]
+	editPool.Put(e)
+}
+
 // Config controls tree construction.
 type Config struct {
 	// Reserved is the per-page reserved tail in bytes. The paper's
@@ -61,16 +106,12 @@ func New(store PageStore, root uint32, cfg Config) *Tree {
 // Create formats a fresh page as an empty tree root and returns the
 // tree.
 func Create(store PageStore, cfg Config) (*Tree, error) {
-	pgno, _, err := store.Allocate()
+	pgno, buf, err := store.Allocate()
 	if err != nil {
 		return nil, err
 	}
 	t := &Tree{store: store, root: pgno, reserved: cfg.Reserved}
-	p, err := t.page(pgno)
-	if err != nil {
-		return nil, err
-	}
-	store.MarkDirty(pgno)
+	p := t.view(pgno, buf)
 	p.init(pageLeaf)
 	return t, nil
 }
@@ -93,8 +134,15 @@ func (t *Tree) page(pgno uint32) (page, error) {
 	if err != nil {
 		return page{}, err
 	}
-	return page{no: pgno, buf: buf, usable: t.usable()}, nil
+	return t.view(pgno, buf), nil
 }
+
+func (t *Tree) view(pgno uint32, buf []byte) page {
+	return page{no: pgno, buf: buf, usable: t.usable()}
+}
+
+// dirty switches p to the buffer the store lets the tree write.
+func (t *Tree) dirty(p *page) { p.buf = t.store.MarkDirty(p.no) }
 
 // searchLeaf returns the index where key belongs in the leaf and whether
 // it is already present.
@@ -128,33 +176,40 @@ func routeInterior(p *page, key []byte) (uint32, int) {
 	return child, i
 }
 
-// Get returns the value stored under key.
-func (t *Tree) Get(key []byte) ([]byte, bool, error) {
+// seek descends to the leaf where key belongs and returns it with the
+// key's index in it and whether the key is present.
+func (t *Tree) seek(key []byte) (page, int, bool, error) {
 	pgno := t.root
 	for {
 		p, err := t.page(pgno)
 		if err != nil {
-			return nil, false, err
+			return page{}, 0, false, err
 		}
 		if p.isLeaf() {
 			i, found := searchLeaf(&p, key)
-			if !found {
-				return nil, false, nil
-			}
-			v, err := t.cellValue(&p, i)
-			if err != nil {
-				return nil, false, err
-			}
-			return v, true, nil
+			return p, i, found, nil
 		}
 		pgno, _ = routeInterior(&p, key)
 	}
 }
 
-// Has reports whether key is present.
+// Get returns the value stored under key.
+func (t *Tree) Get(key []byte) ([]byte, bool, error) {
+	p, i, found, err := t.seek(key)
+	if err != nil || !found {
+		return nil, false, err
+	}
+	v, err := t.cellValue(&p, i)
+	if err != nil {
+		return nil, false, err
+	}
+	return v, true, nil
+}
+
+// Has reports whether key is present, without copying its value out.
 func (t *Tree) Has(key []byte) (bool, error) {
-	_, ok, err := t.Get(key)
-	return ok, err
+	_, _, found, err := t.seek(key)
+	return found, err
 }
 
 // Put inserts key/val, replacing any existing value. Values too large
@@ -169,18 +224,19 @@ func (t *Tree) Put(key, val []byte) error {
 	if len(val) > MaxValueSize {
 		return fmt.Errorf("%w: value of %d bytes, limit %d", ErrTooLarge, len(val), MaxValueSize)
 	}
-	var cell []byte
+	e := t.borrowEdit()
+	defer e.release()
 	if leafCellSize(key, val) <= t.maxCell() {
-		cell = encodeLeafCell(key, val)
+		e.cell = appendLeafCell(e.cell[:0], key, val)
 	} else {
 		localLen := t.maxCell() - overflowCellSize(len(key), 0)
 		head, err := t.buildOverflowChain(val[localLen:])
 		if err != nil {
 			return err
 		}
-		cell = encodeOverflowCell(key, val[:localLen], len(val), head)
+		e.cell = appendOverflowCell(e.cell[:0], key, val[:localLen], len(val), head)
 	}
-	res, err := t.insert(t.root, key, cell)
+	res, err := t.insert(e, t.root, key, e.cell)
 	if err != nil {
 		return err
 	}
@@ -264,13 +320,13 @@ func (t *Tree) cellValue(p *page, i int) ([]byte, error) {
 }
 
 // dropCell removes leaf cell i, releasing its overflow chain first.
-func (t *Tree) dropCell(p *page, i int) error {
+func (t *Tree) dropCell(e *edit, p *page, i int) error {
 	if _, _, _, ovfl := p.leafCellInfo(i); ovfl != 0 {
 		if err := t.freeOverflowChain(ovfl); err != nil {
 			return err
 		}
 	}
-	p.deleteCellAt(i)
+	p.deleteCellAt(i, e.relay)
 	return nil
 }
 
@@ -282,16 +338,16 @@ type splitResult struct {
 
 // insert descends to the leaf, placing the pre-encoded cell and
 // splitting on the way back up.
-func (t *Tree) insert(pgno uint32, key, cell []byte) (splitResult, error) {
+func (t *Tree) insert(e *edit, pgno uint32, key, cell []byte) (splitResult, error) {
 	p, err := t.page(pgno)
 	if err != nil {
 		return splitResult{}, err
 	}
 	if p.isLeaf() {
 		i, found := searchLeaf(&p, key)
-		t.store.MarkDirty(pgno)
+		t.dirty(&p)
 		if found {
-			if err := t.dropCell(&p, i); err != nil {
+			if err := t.dropCell(e, &p, i); err != nil {
 				return splitResult{}, err
 			}
 		}
@@ -299,11 +355,11 @@ func (t *Tree) insert(pgno uint32, key, cell []byte) (splitResult, error) {
 			p.insertCellAt(i, cell)
 			return splitResult{}, nil
 		}
-		return t.splitLeaf(&p, i, cell)
+		return t.splitLeaf(e, &p, i, cell)
 	}
 
 	child, idx := routeInterior(&p, key)
-	res, err := t.insert(child, key, cell)
+	res, err := t.insert(e, child, key, cell)
 	if err != nil || !res.split {
 		return splitResult{}, err
 	}
@@ -311,7 +367,7 @@ func (t *Tree) insert(pgno uint32, key, cell []byte) (splitResult, error) {
 	// upper half, res.sep is the max key of the lower half. Insert a new
 	// cell (child, sep) at idx and redirect the old slot to the right
 	// sibling.
-	t.store.MarkDirty(pgno)
+	t.dirty(&p)
 	newCell := encodeInteriorCell(child, res.sep)
 	if idx == p.nCells() {
 		// child was the rightmost pointer.
@@ -323,7 +379,7 @@ func (t *Tree) insert(pgno uint32, key, cell []byte) (splitResult, error) {
 		p.insertCellAt(idx, newCell)
 		return splitResult{}, nil
 	}
-	return t.splitInterior(&p, idx, newCell)
+	return t.splitInterior(e, &p, idx, newCell)
 }
 
 // setInteriorChild rewrites the child pointer of interior cell i in
@@ -337,25 +393,34 @@ func (p *page) setInteriorChild(i int, child uint32) {
 }
 
 // collectCells returns the raw encoded cells of p with pending inserted
-// at index idx.
-func collectCells(p *page, idx int, pending []byte) [][]byte {
+// at index idx. The page's cells are copied into e.relay, so the split
+// may re-lay p itself; the list and the copies are valid until e's next
+// use.
+func (e *edit) collectCells(p *page, idx int, pending []byte) [][]byte {
 	n := p.nCells()
-	cells := make([][]byte, 0, n+1)
+	pos := 0
+	cells := e.cells[:0]
 	for i := 0; i < n; i++ {
-		off := p.cellPtr(i)
-		sz := p.cellSize(i)
-		c := make([]byte, sz)
+		if i == idx {
+			cells = append(cells, pending)
+		}
+		off, sz := p.cellPtr(i), p.cellSize(i)
+		c := e.relay[pos : pos+sz : pos+sz]
 		copy(c, p.buf[off:off+sz])
 		cells = append(cells, c)
+		pos += sz
 	}
-	cells = append(cells[:idx], append([][]byte{pending}, cells[idx:]...)...)
+	if idx == n {
+		cells = append(cells, pending)
+	}
+	e.cells = cells
 	return cells
 }
 
 // splitLeaf distributes the page's cells plus the pending cell across
 // the page and a fresh right sibling, by byte volume.
-func (t *Tree) splitLeaf(p *page, idx int, pending []byte) (splitResult, error) {
-	cells := collectCells(p, idx, pending)
+func (t *Tree) splitLeaf(e *edit, p *page, idx int, pending []byte) (splitResult, error) {
+	cells := e.collectCells(p, idx, pending)
 	total := 0
 	for _, c := range cells {
 		total += len(c)
@@ -369,15 +434,11 @@ func (t *Tree) splitLeaf(p *page, idx int, pending []byte) (splitResult, error) 
 			break
 		}
 	}
-	rightNo, _, err := t.store.Allocate()
+	rightNo, rightBuf, err := t.store.Allocate()
 	if err != nil {
 		return splitResult{}, err
 	}
-	right, err := t.page(rightNo)
-	if err != nil {
-		return splitResult{}, err
-	}
-	t.store.MarkDirty(rightNo)
+	right := t.view(rightNo, rightBuf)
 	right.init(pageLeaf)
 	for i, c := range cells[split:] {
 		right.insertCellAt(i, c)
@@ -395,21 +456,17 @@ func (t *Tree) splitLeaf(p *page, idx int, pending []byte) (splitResult, error) 
 // splitInterior distributes interior cells across the page and a fresh
 // right sibling; the middle cell's key moves up as the separator and its
 // child becomes the left page's rightmost pointer.
-func (t *Tree) splitInterior(p *page, idx int, pending []byte) (splitResult, error) {
-	cells := collectCells(p, idx, pending)
+func (t *Tree) splitInterior(e *edit, p *page, idx int, pending []byte) (splitResult, error) {
+	cells := e.collectCells(p, idx, pending)
 	oldRight := p.rightChild()
 	mid := len(cells) / 2
 	midChild, midKey := decodeInteriorCell(cells[mid])
 
-	rightNo, _, err := t.store.Allocate()
+	rightNo, rightBuf, err := t.store.Allocate()
 	if err != nil {
 		return splitResult{}, err
 	}
-	right, err := t.page(rightNo)
-	if err != nil {
-		return splitResult{}, err
-	}
-	t.store.MarkDirty(rightNo)
+	right := t.view(rightNo, rightBuf)
 	right.init(pageInterior)
 	for i, c := range cells[mid+1:] {
 		right.insertCellAt(i, c)
@@ -450,18 +507,13 @@ func (t *Tree) growRoot(res splitResult) error {
 	if err != nil {
 		return err
 	}
-	leftNo, _, err := t.store.Allocate()
+	leftNo, left, err := t.store.Allocate()
 	if err != nil {
 		return err
 	}
-	left, err := t.page(leftNo)
-	if err != nil {
-		return err
-	}
-	t.store.MarkDirty(leftNo)
-	copy(left.buf, root.buf)
+	copy(left, root.buf)
 
-	t.store.MarkDirty(t.root)
+	t.dirty(&root)
 	root.init(pageInterior)
 	root.insertCellAt(0, encodeInteriorCell(leftNo, res.sep))
 	root.setRightChild(res.right)
@@ -475,7 +527,9 @@ func (t *Tree) growRoot(res splitResult) error {
 // return pages instead of hollowing the tree out. (Full sibling
 // rebalancing, as in SQLite's balance(), is not performed.)
 func (t *Tree) Delete(key []byte) (bool, error) {
-	res, err := t.deleteRec(t.root, key)
+	e := t.borrowEdit()
+	defer e.release()
+	res, err := t.deleteRec(e, t.root, key)
 	if err != nil || !res.deleted {
 		return false, err
 	}
@@ -496,7 +550,7 @@ type deleteResult struct {
 	collapse uint32
 }
 
-func (t *Tree) deleteRec(pgno uint32, key []byte) (deleteResult, error) {
+func (t *Tree) deleteRec(e *edit, pgno uint32, key []byte) (deleteResult, error) {
 	p, err := t.page(pgno)
 	if err != nil {
 		return deleteResult{}, err
@@ -506,37 +560,37 @@ func (t *Tree) deleteRec(pgno uint32, key []byte) (deleteResult, error) {
 		if !found {
 			return deleteResult{}, nil
 		}
-		t.store.MarkDirty(pgno)
-		if err := t.dropCell(&p, i); err != nil {
+		t.dirty(&p)
+		if err := t.dropCell(e, &p, i); err != nil {
 			return deleteResult{}, err
 		}
 		return deleteResult{deleted: true, emptied: p.nCells() == 0 && pgno != t.root}, nil
 	}
 
 	child, idx := routeInterior(&p, key)
-	res, err := t.deleteRec(child, key)
+	res, err := t.deleteRec(e, child, key)
 	if err != nil || !res.deleted {
 		return deleteResult{}, err
 	}
 	switch {
 	case res.emptied:
-		t.store.MarkDirty(pgno)
+		t.dirty(&p)
 		if idx == p.nCells() {
 			// The rightmost child vanished: its left neighbour becomes
 			// the rightmost pointer.
 			lastChild, _ := p.interiorCell(p.nCells() - 1)
 			p.setRightChild(lastChild)
-			p.deleteCellAt(p.nCells() - 1)
+			p.deleteCellAt(p.nCells()-1, e.relay)
 		} else {
 			// Dropping cell idx merges its key range into the next
 			// child, which keeps the separator ordering intact.
-			p.deleteCellAt(idx)
+			p.deleteCellAt(idx, e.relay)
 		}
 		if err := t.store.Free(child); err != nil {
 			return deleteResult{}, err
 		}
 	case res.collapse != 0:
-		t.store.MarkDirty(pgno)
+		t.dirty(&p)
 		if idx == p.nCells() {
 			p.setRightChild(res.collapse)
 		} else {
@@ -560,7 +614,7 @@ func (t *Tree) deleteRec(pgno uint32, key []byte) (deleteResult, error) {
 	if err != nil {
 		return deleteResult{}, err
 	}
-	t.store.MarkDirty(pgno)
+	t.dirty(&p)
 	copy(p.buf, cp.buf)
 	if err := t.store.Free(only); err != nil {
 		return deleteResult{}, err

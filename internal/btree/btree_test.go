@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,17 +11,38 @@ import (
 )
 
 // memStore is a minimal in-memory PageStore for unit-testing the tree in
-// isolation from the pager.
+// isolation from the pager. It keeps the store contract the way the
+// pager does — copy on the first MarkDirty of a step, committed images
+// read-only — and checks that the tree does too: every image Get hands
+// out that the tree may not write is CRC'd, and checkOwnership re-verifies
+// them all and ends the step (the step's private copies become the
+// committed images the next step must copy again).
 type memStore struct {
 	pageSize int
 	pages    map[uint32][]byte
-	next     uint32
-	dirtied  map[uint32]int
-	freed    []uint32
+	// private marks the pages whose current image Allocate or MarkDirty
+	// returned in this step: the only buffers the tree may write.
+	private map[uint32]bool
+	// handed records the CRC of every read-only image Get returned,
+	// keyed by the image's first byte, until a step ends past its last
+	// use.
+	handed  map[*byte]readOnlyImage
+	next    uint32
+	dirtied map[uint32]int
+	freed   []uint32
+}
+
+type readOnlyImage struct {
+	pgno uint32
+	img  []byte
+	crc  uint32
 }
 
 func newMemStore(pageSize int) *memStore {
-	return &memStore{pageSize: pageSize, pages: make(map[uint32][]byte), next: 1, dirtied: make(map[uint32]int)}
+	return &memStore{
+		pageSize: pageSize, pages: make(map[uint32][]byte), private: make(map[uint32]bool),
+		handed: make(map[*byte]readOnlyImage), next: 1, dirtied: make(map[uint32]int),
+	}
 }
 
 func (s *memStore) PageSize() int { return s.pageSize }
@@ -30,6 +52,11 @@ func (s *memStore) Get(pgno uint32) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("memStore: page %d does not exist", pgno)
 	}
+	if !s.private[pgno] {
+		if _, seen := s.handed[&buf[0]]; !seen {
+			s.handed[&buf[0]] = readOnlyImage{pgno, buf, crc32.ChecksumIEEE(buf)}
+		}
+	}
 	return buf, nil
 }
 
@@ -38,6 +65,7 @@ func (s *memStore) Allocate() (uint32, []byte, error) {
 	s.next++
 	buf := make([]byte, s.pageSize)
 	s.pages[pgno] = buf
+	s.private[pgno] = true
 	return pgno, buf, nil
 }
 
@@ -47,10 +75,34 @@ func (s *memStore) Free(pgno uint32) error {
 	}
 	s.freed = append(s.freed, pgno)
 	delete(s.pages, pgno)
+	delete(s.private, pgno)
 	return nil
 }
 
-func (s *memStore) MarkDirty(pgno uint32) { s.dirtied[pgno]++ }
+func (s *memStore) MarkDirty(pgno uint32) []byte {
+	s.dirtied[pgno]++
+	if !s.private[pgno] {
+		s.pages[pgno] = bytes.Clone(s.pages[pgno])
+		s.private[pgno] = true
+	}
+	return s.pages[pgno]
+}
+
+// checkOwnership fails if any read-only image changed since Get handed
+// it out, then ends the step: this step's private images become
+// committed, and records of images no page holds any more are dropped.
+func (s *memStore) checkOwnership() error {
+	for key, h := range s.handed {
+		if crc32.ChecksumIEEE(h.img) != h.crc {
+			return fmt.Errorf("read-only image of page %d was written in place", h.pgno)
+		}
+		if cur, ok := s.pages[h.pgno]; !ok || &cur[0] != key {
+			delete(s.handed, key)
+		}
+	}
+	clear(s.private)
+	return nil
+}
 
 func newTree(t testing.TB, reserved int) (*Tree, *memStore) {
 	t.Helper()
@@ -475,7 +527,7 @@ func TestInsertAppendsNearContentStart(t *testing.T) {
 func TestPropertyTreeMatchesModelMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr, _ := newTree(t, ReservedTail)
+		tr, s := newTree(t, ReservedTail)
 		model := make(map[string]string)
 		keys := func() []string {
 			ks := make([]string, 0, len(model))
@@ -531,6 +583,10 @@ func TestPropertyTreeMatchesModelMap(t *testing.T) {
 					return false
 				}
 			}
+			if err := s.checkOwnership(); err != nil {
+				t.Errorf("seed %d op %d: %v", seed, op, err)
+				return false
+			}
 		}
 		return tr.Check() == nil
 	}
@@ -544,7 +600,7 @@ func TestPropertyTreeMatchesModelMap(t *testing.T) {
 func TestPropertyPageCompaction(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr, _ := newTree(t, 0)
+		tr, s := newTree(t, 0)
 		live := map[int]bool{}
 		for op := 0; op < 300; op++ {
 			i := rng.Intn(20) // few keys, heavy churn within one page
@@ -563,12 +619,123 @@ func TestPropertyPageCompaction(t *testing.T) {
 			if tr.Check() != nil {
 				return false
 			}
+			if err := s.checkOwnership(); err != nil {
+				t.Errorf("seed %d op %d: %v", seed, op, err)
+				return false
+			}
 		}
 		n, _ := tr.Count()
 		return n == len(live)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOwnershipAcrossSplitsOverflowAndShrink runs the paths the property
+// tests reach rarely — overflow chains built and freed, interior splits,
+// emptied leaves unlinked, the root collapsing back to a leaf — with the
+// ownership check after every operation.
+func TestOwnershipAcrossSplitsOverflowAndShrink(t *testing.T) {
+	tr, s := newTree(t, ReservedTail)
+	value := func(i int) []byte {
+		if i%50 == 0 {
+			return bytes.Repeat([]byte{byte(i)}, 9000) // an overflow chain
+		}
+		return val(i)
+	}
+	step := func(what string, i int, err error) {
+		t.Helper()
+		if err == nil {
+			err = s.checkOwnership()
+		}
+		if err != nil {
+			t.Fatalf("%s %d: %v", what, i, err)
+		}
+	}
+	const n = 4000
+	for i := 0; i < n; i++ {
+		step("put", i, tr.Put(key(i), value(i)))
+	}
+	if d, _ := tr.Depth(); d < 2 {
+		t.Fatalf("depth %d: no interior split exercised", d)
+	}
+	for i := 0; i < n; i += 3 {
+		_, err := tr.Update(key(i), value(i+1))
+		step("update", i, err)
+	}
+	for i := 0; i < n; i++ {
+		_, err := tr.Delete(key(i))
+		step("delete", i, err)
+	}
+	if d, _ := tr.Depth(); d != 0 || len(s.pages) != 1 {
+		t.Fatalf("after deleting everything: depth %d, %d pages", d, len(s.pages))
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOwnershipGuardCatchesWriteThroughGet shows the guard the tests above
+// rely on fails on a write to an image Get handed out read-only.
+func TestOwnershipGuardCatchesWriteThroughGet(t *testing.T) {
+	tr, s := newTree(t, 0)
+	if err := tr.Put(key(1), val(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.checkOwnership(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := s.Get(tr.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)-1]++
+	if err := s.checkOwnership(); err == nil {
+		t.Fatal("a write through a Get image went unnoticed")
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestUpdateThatCompactsAllocatesNothing pins the edit scratch: replacing
+// a record deletes its cell (compacting the page) and inserts the new one,
+// and with the page already the transaction's own copy that costs no heap
+// allocation at all — no span list, no content copy, no encoded cell.
+func TestUpdateThatCompactsAllocatesNothing(t *testing.T) {
+	tr, s := newTree(t, 0)
+	for i := 0; i < 20; i++ {
+		if err := tr.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := append([]byte(nil), s.pages[tr.Root()]...)
+	k, short, long := key(7), vals("short"), bytes.Repeat([]byte{'L'}, 150)
+	n := 0
+	update := func() {
+		v := short
+		if n++; n%2 == 0 {
+			v = long
+		}
+		if ok, err := tr.Update(k, v); err != nil || !ok {
+			t.Fatalf("Update = (%v, %v)", ok, err)
+		}
+	}
+	update() // grow the scratch once
+	// The race detector makes sync.Pool drop a share of what is put back,
+	// so only a plain build can count the pooled scratch's allocations.
+	if avg := testing.AllocsPerRun(200, update); avg != 0 && !raceEnabled {
+		t.Fatalf("an Update that compacts allocates %.2f times, want 0", avg)
+	}
+	if d, _ := tr.Depth(); d != 0 {
+		t.Fatal("the updates split the page")
+	}
+	if bytes.Equal(before, s.pages[tr.Root()]) {
+		t.Fatal("the updates did not change the page")
+	}
+	if got, _, _ := tr.Get(k); !bytes.Equal(got, long) && !bytes.Equal(got, short) {
+		t.Fatalf("value = %q", got)
 	}
 }
 

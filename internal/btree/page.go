@@ -151,19 +151,21 @@ func (p *page) interiorCell(i int) (child uint32, key []byte) {
 }
 
 // cellSize reports the content size of cell i.
-func (p *page) cellSize(i int) int {
-	off := p.cellPtr(i)
-	if p.isLeaf() {
-		klRaw := binary.LittleEndian.Uint16(p.buf[off:])
+func (p *page) cellSize(i int) int { return cellSizeAt(p.buf[p.cellPtr(i):], p.isLeaf()) }
+
+// cellSizeAt reports the size of the encoded cell at the start of b.
+func cellSizeAt(b []byte, leaf bool) int {
+	if leaf {
+		klRaw := binary.LittleEndian.Uint16(b)
 		kl := int(klRaw &^ overflowFlag)
 		if klRaw&overflowFlag != 0 {
-			ll := int(binary.LittleEndian.Uint16(p.buf[off+4:]))
+			ll := int(binary.LittleEndian.Uint16(b[4:]))
 			return overflowCellSize(kl, ll)
 		}
-		vl := int(binary.LittleEndian.Uint16(p.buf[off+2:]))
+		vl := int(binary.LittleEndian.Uint16(b[2:]))
 		return 4 + kl + vl
 	}
-	kl := int(binary.LittleEndian.Uint16(p.buf[off+4:]))
+	kl := int(binary.LittleEndian.Uint16(b[4:]))
 	return 6 + kl
 }
 
@@ -196,67 +198,55 @@ func (p *page) insertCellAt(i int, cell []byte) {
 
 // deleteCellAt removes cell i and compacts the content area so no
 // fragmentation remains — the shifting behaviour that makes delete and
-// update transactions dirty a large portion of the page (§5.2).
-func (p *page) deleteCellAt(i int) {
+// update transactions dirty a large portion of the page (§5.2). scratch
+// (at least the page's size) carries the cells while they are re-laid.
+func (p *page) deleteCellAt(i int, scratch []byte) {
 	n := p.nCells()
 	// Drop the pointer.
 	copy(p.buf[headerSize+2*i:headerSize+2*(n-1)], p.buf[headerSize+2*(i+1):headerSize+2*n])
 	p.setNCells(n - 1)
-	p.compact()
+	p.compact(scratch)
 }
 
 // compact repacks all cell content against the end of the usable area,
-// preserving cell order.
-func (p *page) compact() {
+// preserving cell order: the cells are copied out back to back, then
+// re-laid from the page end, each one's size read off its own copy.
+func (p *page) compact(scratch []byte) {
 	n := p.nCells()
-	type span struct {
-		idx, off, size int
-	}
-	spans := make([]span, n)
-	total := 0
-	for i := 0; i < n; i++ {
-		sz := p.cellSize(i)
-		spans[i] = span{i, p.cellPtr(i), sz}
-		total += sz
-	}
-	// Copy content out and re-lay it in.
-	tmp := make([]byte, total)
 	pos := 0
-	for i := range spans {
-		copy(tmp[pos:], p.buf[spans[i].off:spans[i].off+spans[i].size])
-		spans[i].off = pos // now an offset into tmp
-		pos += spans[i].size
-	}
-	writeAt := p.usable
 	for i := 0; i < n; i++ {
-		writeAt -= spans[i].size
-		copy(p.buf[writeAt:], tmp[spans[i].off:spans[i].off+spans[i].size])
+		off := p.cellPtr(i)
+		pos += copy(scratch[pos:], p.buf[off:off+p.cellSize(i)])
+	}
+	leaf := p.isLeaf()
+	writeAt, pos := p.usable, 0
+	for i := 0; i < n; i++ {
+		sz := cellSizeAt(scratch[pos:], leaf)
+		writeAt -= sz
+		copy(p.buf[writeAt:], scratch[pos:pos+sz])
 		p.setCellPtr(i, writeAt)
+		pos += sz
 	}
 	p.setContentStart(writeAt)
 }
 
-// encodeLeafCell builds a leaf cell for key/val.
-func encodeLeafCell(key, val []byte) []byte {
-	cell := make([]byte, leafCellSize(key, val))
-	binary.LittleEndian.PutUint16(cell[0:], uint16(len(key)))
-	binary.LittleEndian.PutUint16(cell[2:], uint16(len(val)))
-	copy(cell[4:], key)
-	copy(cell[4+len(key):], val)
-	return cell
+// appendLeafCell appends the leaf cell for key/val to dst.
+func appendLeafCell(dst, key, val []byte) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(key)))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(val)))
+	dst = append(dst, key...)
+	return append(dst, val...)
 }
 
-// encodeOverflowCell builds a leaf cell whose value spills to an
+// appendOverflowCell appends a leaf cell whose value spills to an
 // overflow chain headed at ovfl.
-func encodeOverflowCell(key, local []byte, total int, ovfl uint32) []byte {
-	cell := make([]byte, overflowCellSize(len(key), len(local)))
-	binary.LittleEndian.PutUint16(cell[0:], uint16(len(key))|overflowFlag)
-	binary.LittleEndian.PutUint16(cell[2:], uint16(total))
-	binary.LittleEndian.PutUint16(cell[4:], uint16(len(local)))
-	copy(cell[6:], key)
-	copy(cell[6+len(key):], local)
-	binary.LittleEndian.PutUint32(cell[6+len(key)+len(local):], ovfl)
-	return cell
+func appendOverflowCell(dst, key, local []byte, total int, ovfl uint32) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(key))|overflowFlag)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(total))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(local)))
+	dst = append(dst, key...)
+	dst = append(dst, local...)
+	return binary.LittleEndian.AppendUint32(dst, ovfl)
 }
 
 // encodeInteriorCell builds an interior cell for child/key.

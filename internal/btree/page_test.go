@@ -31,9 +31,9 @@ func TestPageInit(t *testing.T) {
 func TestInsertCellOrderingAndLookup(t *testing.T) {
 	p := newPage(t, pageLeaf, 4096)
 	// Insert out of order via explicit indices.
-	p.insertCellAt(0, encodeLeafCell([]byte("bb"), []byte("2")))
-	p.insertCellAt(0, encodeLeafCell([]byte("aa"), []byte("1")))
-	p.insertCellAt(2, encodeLeafCell([]byte("cc"), []byte("3")))
+	p.insertCellAt(0, appendLeafCell(nil, []byte("bb"), []byte("2")))
+	p.insertCellAt(0, appendLeafCell(nil, []byte("aa"), []byte("1")))
+	p.insertCellAt(2, appendLeafCell(nil, []byte("cc"), []byte("3")))
 	if p.nCells() != 3 {
 		t.Fatalf("nCells = %d", p.nCells())
 	}
@@ -59,17 +59,17 @@ func TestInsertCellOverflowPanics(t *testing.T) {
 		}
 	}()
 	for i := 0; ; i++ {
-		p.insertCellAt(i, encodeLeafCell([]byte{byte(i)}, bytes.Repeat([]byte{1}, 40)))
+		p.insertCellAt(i, appendLeafCell(nil, []byte{byte(i)}, bytes.Repeat([]byte{1}, 40)))
 	}
 }
 
 func TestDeleteCellCompacts(t *testing.T) {
 	p := newPage(t, pageLeaf, 4096)
 	for i := 0; i < 10; i++ {
-		p.insertCellAt(i, encodeLeafCell([]byte{byte('a' + i)}, bytes.Repeat([]byte{byte(i)}, 50)))
+		p.insertCellAt(i, appendLeafCell(nil, []byte{byte('a' + i)}, bytes.Repeat([]byte{byte(i)}, 50)))
 	}
 	free0 := p.freeSpace()
-	p.deleteCellAt(4)
+	p.deleteCellAt(4, make([]byte, 4096))
 	if p.nCells() != 9 {
 		t.Fatalf("nCells = %d", p.nCells())
 	}
@@ -113,7 +113,7 @@ func TestInteriorCells(t *testing.T) {
 }
 
 func TestOverflowCellEncoding(t *testing.T) {
-	cell := encodeOverflowCell([]byte("key"), []byte("local"), 5000, 77)
+	cell := appendOverflowCell(nil, []byte("key"), []byte("local"), 5000, 77)
 	if got := keyOfLeafCell(cell); string(got) != "key" {
 		t.Fatalf("keyOfLeafCell = %q", got)
 	}
@@ -128,9 +128,44 @@ func TestOverflowCellEncoding(t *testing.T) {
 	}
 }
 
+// deleteCellReference returns the image deleting cell i from p gives
+// under a straightforward compaction — a span list and a temporary copy
+// of the content, both allocated per call — leaving p untouched: the
+// compaction through a relay buffer must produce these bytes exactly.
+func deleteCellReference(p *page, i int) []byte {
+	q := &page{no: p.no, buf: bytes.Clone(p.buf), usable: p.usable}
+	n := q.nCells()
+	copy(q.buf[headerSize+2*i:headerSize+2*(n-1)], q.buf[headerSize+2*(i+1):headerSize+2*n])
+	q.setNCells(n - 1)
+	type span struct{ off, size int }
+	spans := make([]span, n-1)
+	total := 0
+	for j := range spans {
+		spans[j] = span{q.cellPtr(j), q.cellSize(j)}
+		total += spans[j].size
+	}
+	tmp := make([]byte, total)
+	pos := 0
+	for j := range spans {
+		copy(tmp[pos:], q.buf[spans[j].off:spans[j].off+spans[j].size])
+		spans[j].off = pos
+		pos += spans[j].size
+	}
+	writeAt := q.usable
+	for j, s := range spans {
+		writeAt -= s.size
+		copy(q.buf[writeAt:], tmp[s.off:s.off+s.size])
+		q.setCellPtr(j, writeAt)
+	}
+	q.setContentStart(writeAt)
+	return q.buf
+}
+
 // Property: any sequence of ordered inserts and deletes keeps page
-// accounting valid and the cells reconstructible.
+// accounting valid and the cells reconstructible, and every compaction
+// writes exactly the bytes the reference compaction writes.
 func TestPropertyPageCellOps(t *testing.T) {
+	scratch := make([]byte, 4096)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := newPage(t, pageLeaf, 1024)
@@ -140,7 +175,7 @@ func TestPropertyPageCellOps(t *testing.T) {
 				key := []byte{byte(rng.Intn(256)), byte(rng.Intn(256))}
 				val := make([]byte, rng.Intn(60))
 				rng.Read(val)
-				cell := encodeLeafCell(key, val)
+				cell := appendLeafCell(nil, key, val)
 				if p.freeSpace() < len(cell)+2 {
 					continue
 				}
@@ -151,7 +186,12 @@ func TestPropertyPageCellOps(t *testing.T) {
 				model[idx] = [2][]byte{key, val}
 			} else {
 				idx := rng.Intn(len(model))
-				p.deleteCellAt(idx)
+				want := deleteCellReference(p, idx)
+				p.deleteCellAt(idx, scratch)
+				if !bytes.Equal(p.buf, want) {
+					t.Errorf("seed %d op %d: compaction through the scratch differs from the reference", seed, op)
+					return false
+				}
 				model = append(model[:idx], model[idx+1:]...)
 			}
 			if p.checkAccounting() != nil || p.nCells() != len(model) {

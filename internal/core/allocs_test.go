@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,105 +13,108 @@ import (
 )
 
 // The commit path is zero-copy (DESIGN.md §15): frames are encoded
-// straight into reserved NVRAM and the plan/index bookkeeping lives in
-// scratch reused across transactions. What remains per commit is only
-// what outlives it — the history-payload arena, the replacement version
-// image, and amortized map/slice growth. These tests pin that budget so
-// a regression (an intermediate frame image creeping back in, a scratch
-// buffer dropped) fails loudly.
+// straight into reserved NVRAM, the plan/index bookkeeping lives in
+// scratch reused across transactions, and a successful commit takes the
+// caller's page images — each becomes the page's version, and its
+// history records alias it. What remains per commit is amortized
+// map/slice growth. These tests pin that budget so a regression (an
+// image copied, an intermediate frame image, a scratch buffer dropped)
+// fails loudly.
 
 // soloAllocBudget bounds steady-state allocations for a one-page
-// differential commit: one history arena + one version image + slack
-// for amortized growth of history/byPage/versions and simulator
-// bookkeeping. The pre-audit commit path sat far above this.
-const soloAllocBudget = 8.0
+// differential commit: amortized growth of history/byPage/versions and
+// simulator bookkeeping, well under one allocation per commit. The
+// pre-audit commit path sat far above this; copying the handed-over
+// image, or a payload arena per append, is one more each.
+const soloAllocBudget = 1.0
+
+// successiveImages returns n page images, each a fresh copy of the one
+// before with two bytes changed — what a writer hands over commit after
+// commit, since it may not touch an image it has handed over.
+func successiveImages(first []byte, n int) [][]byte {
+	imgs := [][]byte{first}
+	for i := 1; i < n; i++ {
+		img := bytes.Clone(imgs[i-1])
+		img[100], img[200] = byte(i), byte(i)^0xFF
+		imgs = append(imgs, img)
+	}
+	return imgs
+}
+
+// perRun reports the mean heap allocations and bytes of f over runs
+// calls, after one warm-up call, measured like testing.AllocsPerRun.
+func perRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
 
 func TestSoloCommitAllocs(t *testing.T) {
 	e := newEnv(t)
 	w := e.open(t, VariantUHLSDiff())
-	page := fullPage('a')
-	commitPages(t, w, map[uint32][]byte{2: page})
+	const runs = 300
+	imgs := successiveImages(fullPage('a'), runs+2)
+	commitPages(t, w, map[uint32][]byte{2: imgs[0]})
 
-	i := byte(0)
-	avg := testing.AllocsPerRun(300, func() {
-		i++
-		page[100] = i
-		page[200] = i ^ 0xFF
-		if err := w.CommitTransaction([]pager.Frame{{Pgno: 2, Data: page}}); err != nil {
+	next := 1
+	avg, perCommit := perRun(runs, func() {
+		if err := w.CommitTransaction([]pager.Frame{{Pgno: 2, Data: imgs[next]}}); err != nil {
 			t.Fatal(err)
 		}
+		next++
 	})
-	t.Logf("solo differential commit: %.2f allocs/op", avg)
+	t.Logf("solo differential commit: %.2f allocs/op, %.0f bytes/op", avg, perCommit)
 	if avg > soloAllocBudget {
 		t.Fatalf("solo commit allocates %.2f/op, budget %.1f — zero-copy path regressed", avg, soloAllocBudget)
+	}
+	if perCommit >= 2048 {
+		t.Fatalf("solo commit allocates %.0f bytes/op: the journal is copying the image it was handed", perCommit)
+	}
+	if got, _ := w.PageVersion(2); !bytes.Equal(got, imgs[next-1]) {
+		t.Fatal("the last commit's image is not the page's version")
 	}
 }
 
 func TestGroupCommitAllocs(t *testing.T) {
 	e := newEnv(t)
 	w := e.open(t, VariantUHLSDiff())
-	const members = 3
-	pages := make([][]byte, members)
+	const members, runs = 3, 300
+	imgs := make([][][]byte, members)
 	groups := make([][]pager.Frame, members)
-	for g := range pages {
-		pages[g] = fullPage(byte('a' + g))
-		groups[g] = []pager.Frame{{Pgno: uint32(2 + g), Data: pages[g]}}
+	for g := range imgs {
+		imgs[g] = successiveImages(fullPage(byte('a'+g)), runs+2)
+		groups[g] = []pager.Frame{{Pgno: uint32(2 + g), Data: imgs[g][0]}}
 	}
 	if err := w.CommitGroup(groups); err != nil {
 		t.Fatal(err)
 	}
 
-	// Budget: one arena + one version image per member + amortized
-	// growth, with the coalescer's map and output reused across calls.
-	const groupAllocBudget = 6.0 * members
-	i := byte(0)
-	avg := testing.AllocsPerRun(300, func() {
-		i++
-		for g := range pages {
-			pages[g][64*g] = i
+	// Budget: amortized growth per member, with the coalescer's map and
+	// output reused across calls.
+	const groupAllocBudget = 1.0 * members
+	next := 1
+	avg, perCommit := perRun(runs, func() {
+		for g := range groups {
+			groups[g][0].Data = imgs[g][next]
 		}
 		if err := w.CommitGroup(groups); err != nil {
 			t.Fatal(err)
 		}
+		next++
 	})
-	t.Logf("group commit (%d members): %.2f allocs/op", members, avg)
+	t.Logf("group commit (%d members): %.2f allocs/op, %.0f bytes/op", members, avg, perCommit)
 	if avg > groupAllocBudget {
 		t.Fatalf("group commit allocates %.2f/op, budget %.1f — coalescer or commit scratch regressed", avg, groupAllocBudget)
 	}
-}
-
-func TestPageVersionIntoAllocs(t *testing.T) {
-	e := newEnv(t)
-	w := e.open(t, VariantUHLSDiff())
-	img := fullPage(0x5A)
-	commitPages(t, w, map[uint32][]byte{2: img})
-
-	buf := make([]byte, 4096)
-	avg := testing.AllocsPerRun(300, func() {
-		if !w.PageVersionInto(2, buf) {
-			t.Fatal("PageVersionInto lost page 2")
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("PageVersionInto allocates %.2f/op, want 0", avg)
-	}
-	if !bytes.Equal(buf, img) {
-		t.Fatal("PageVersionInto returned wrong image")
-	}
-
-	// Short buffer: the copy truncates to the caller's length — still
-	// allocation-free, still the image's prefix.
-	short := make([]byte, 100)
-	avg = testing.AllocsPerRun(300, func() {
-		if !w.PageVersionInto(2, short) {
-			t.Fatal("PageVersionInto lost page 2")
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("short-buffer PageVersionInto allocates %.2f/op, want 0", avg)
-	}
-	if !bytes.Equal(short, img[:100]) {
-		t.Fatal("short-buffer PageVersionInto returned wrong prefix")
+	if perCommit >= 2048 {
+		t.Fatalf("group commit allocates %.0f bytes/op: the journal is copying the images it was handed", perCommit)
 	}
 }
 
@@ -167,14 +171,14 @@ func TestScratchReuseConcurrentCommits(t *testing.T) {
 			defer wg.Done()
 			pgno := uint32(10 + s)
 			page := fullPage(byte('A' + s))
-			buf := make([]byte, 4096)
 			for i := 0; i < rounds; i++ {
+				page = bytes.Clone(page) // the last one was handed over
 				page[i*8] = byte(i)
 				if err := w.CommitTransaction([]pager.Frame{{Pgno: pgno, Data: page}}); err != nil {
 					errs <- err
 					return
 				}
-				if !w.PageVersionInto(pgno, buf) || buf[i*8] != byte(i) {
+				if img, _ := w.PageImageAt(pgno, pager.Latest); img == nil || img[i*8] != byte(i) {
 					errs <- errReadback(pgno)
 					return
 				}

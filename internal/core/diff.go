@@ -40,30 +40,16 @@ func diffExtents(old, new []byte, gapMerge int) []Extent {
 
 // diffExtentsInto is diffExtents appending into out[:0], so a caller
 // with a commit loop can reuse one backing array across transactions.
+// It decides which bytes reach NVRAM, so it must find exactly the runs a
+// byte-at-a-time comparison finds (FuzzDiffExtents holds it to that).
 func diffExtentsInto(out []Extent, old, new []byte, gapMerge int) []Extent {
 	if len(old) != len(new) {
 		panic("core: diffExtents requires equal-length images")
 	}
 	out = out[:0]
-	i := 0
-	for i < len(new) {
-		// Most of a page is clean: skip it a word at a time, landing on
-		// the first differing byte exactly as the byte loop would.
-		if i+8 <= len(new) {
-			x := binary.LittleEndian.Uint64(old[i:]) ^ binary.LittleEndian.Uint64(new[i:])
-			if x == 0 {
-				i += 8
-				continue
-			}
-			i += bits.TrailingZeros64(x) / 8
-		} else if old[i] == new[i] {
-			i++
-			continue
-		}
+	for i := nextDiff(old, new, 0); i < len(new); i = nextDiff(old, new, i) {
 		start := i
-		for i < len(new) && old[i] != new[i] {
-			i++
-		}
+		i = nextSame(old, new, i)
 		if n := len(out); n > 0 && start-(out[n-1].Off+out[n-1].Len) < gapMerge {
 			out[n-1].Len = i - out[n-1].Off
 		} else {
@@ -73,18 +59,62 @@ func diffExtentsInto(out []Extent, old, new []byte, gapMerge int) []Extent {
 	return out
 }
 
+const (
+	lowBytes  = 0x0101010101010101
+	highBytes = 0x8080808080808080
+)
+
+// word loads the 8 bytes of b at off (b is a fixed-length window, so the
+// bounds checks fold away).
+func word(b []byte, off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
+
+// nextDiff returns the index of the first byte at or after i where old
+// and new differ, or len(new). Most of a page is clean: it skips 32-byte
+// blocks with one compare, then words, landing on the differing byte
+// through the lowest set byte of old^new.
+func nextDiff(old, new []byte, i int) int {
+	n := len(new)
+	old = old[:n]
+	for ; i+32 <= n; i += 32 {
+		a, b := old[i:i+32], new[i:i+32]
+		if (word(a, 0)^word(b, 0))|(word(a, 8)^word(b, 8))|(word(a, 16)^word(b, 16))|(word(a, 24)^word(b, 24)) != 0 {
+			break
+		}
+	}
+	for ; i+8 <= n; i += 8 {
+		if x := word(old[i:i+8], 0) ^ word(new[i:i+8], 0); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < n && old[i] == new[i] {
+		i++
+	}
+	return i
+}
+
+// nextSame returns the index of the first byte at or after i where old
+// and new agree, or len(new): a dirty run is scanned a word at a time and
+// ends at the lowest zero byte of old^new. (x-lowBytes)&^x&highBytes
+// flags every zero byte of x, and possibly a 0x01 byte above one; the
+// lowest flag is always exact.
+func nextSame(old, new []byte, i int) int {
+	n := len(new)
+	old = old[:n]
+	for ; i+8 <= n; i += 8 {
+		x := word(old[i:i+8], 0) ^ word(new[i:i+8], 0)
+		if z := (x - lowBytes) &^ x & highBytes; z != 0 {
+			return i + bits.TrailingZeros64(z)/8
+		}
+	}
+	for i < n && old[i] != new[i] {
+		i++
+	}
+	return i
+}
+
 // applyExtent patches page with payload at off.
 func applyExtent(page []byte, off int, payload []byte) {
 	copy(page[off:], payload)
-}
-
-// extentBytes sums the payload volume of a set of extents.
-func extentBytes(extents []Extent) int {
-	n := 0
-	for _, e := range extents {
-		n += e.Len
-	}
-	return n
 }
 
 // trailingZeros counts the clean (zero) tail of a page image, the

@@ -38,6 +38,18 @@ func FuzzDiffExtents(f *testing.F) {
 	f.Add([]byte("abcdefgh12345678"), []byte("abcdefghX2345678")) // first byte of the next
 	f.Add([]byte("0123456789a"), []byte("0123456789b"))           // in the sub-word tail
 	f.Add([]byte{}, []byte{})
+	// Dirty runs the word-wise run scan must end exactly: inside a word,
+	// at a word boundary, across one, and at the image's end.
+	f.Add([]byte("abcdefgh12345678abcdefgh"), []byte("abXYZfgh12345678abcdefgh"))
+	f.Add([]byte("abcdefgh12345678abcdefgh"), []byte("abcXYZWV12345678abcdefgh"))
+	f.Add([]byte("abcdefgh12345678abcdefgh"), []byte("abcdeXYZWVUT5678abcdefgh"))
+	f.Add([]byte("abcdefgh12345678abcdefgh"), []byte("abcdefgh12345678abcdeXYZ"))
+	// Byte deltas of 0x01 and 0x80, the values a zero-byte test trips on,
+	// next to clean bytes and to each other.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 0, 1})
+	f.Add([]byte{0x7F, 0x80, 1, 0, 0xFF, 0, 0, 0, 0x80, 0x80}, []byte{0xFF, 0, 0, 0, 0x7F, 0, 1, 0, 0, 0x81})
+	f.Add(bytes.Repeat([]byte{0x80}, 40), append(bytes.Repeat([]byte{0x00}, 20), bytes.Repeat([]byte{0x80}, 20)...))
+	f.Add(bytes.Repeat([]byte{0x01}, 40), append(bytes.Repeat([]byte{0x00}, 17), bytes.Repeat([]byte{0x01}, 23)...))
 	f.Fuzz(func(t *testing.T, old, new []byte) {
 		n := min(len(old), len(new))
 		old, new = old[:n], new[:n]

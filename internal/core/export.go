@@ -15,16 +15,17 @@
 // observe half a commit.
 //
 // Retention follows the subscribers, not the checkpoint. What an export
-// reads is the volatile history mirror (immutable payload arenas), never
-// the NVRAM blocks, so a checkpoint frees its blocks and advances the
-// backfill watermark exactly as it does with no subscriber; the retired
-// frames at or above the lowest registered ExportCursor move into a
-// DRAM-only tail instead of being dropped, and the tail is trimmed as
-// cursors advance or close. Only a range below every cursor — or any
-// retired range when none is registered — is gone: ExportSince reports
-// !ok and the subscriber must re-seed from a full snapshot. How long a
-// subscriber may keep its cursor is the subscriber's policy
-// (repl.Primary), not the log's.
+// reads is the volatile history mirror (payloads aliasing immutable page
+// images), never the NVRAM blocks, so a checkpoint frees its blocks and
+// advances the backfill watermark exactly as it does with no subscriber;
+// the retired frames at or above the lowest registered ExportCursor move
+// into a DRAM-only tail instead of being dropped (their payloads copied
+// out of the images, so the tail holds payload bytes only), and the tail
+// is trimmed as cursors advance or close. Only a range below every
+// cursor — or any retired range when none is registered — is gone:
+// ExportSince reports !ok and the subscriber must re-seed from a full
+// snapshot. How long a subscriber may keep its cursor is the
+// subscriber's policy (repl.Primary), not the log's.
 package core
 
 import (
@@ -177,7 +178,11 @@ func payloadBytes(frames []histFrame) int64 {
 // retires, the frames at or above the lowest registered cursor. The tail
 // stays contiguous with history: it is non-empty only while some cursor
 // stands below histBase, and then everything retired is at or above that
-// cursor. Caller holds w.mu, before histBase advances.
+// cursor. A history payload aliases the whole page image it was logged
+// from, so the kept payloads are copied into one arena here: the tail
+// then holds the payload bytes Backlog and ExportRetention count — what
+// a subscriber's budget bounds — and not a page per frame. Caller holds
+// w.mu, before histBase advances.
 func (w *NVWAL) retainForExport(retired []histFrame) {
 	if len(w.cursors) == 0 {
 		return
@@ -194,7 +199,12 @@ func (w *NVWAL) retainForExport(retired []histFrame) {
 	if len(w.tail) == 0 {
 		w.tailBase = from
 	}
-	w.tail = append(w.tail, keep...)
+	arena := make([]byte, payloadBytes(keep))
+	for _, hf := range keep {
+		n := copy(arena, hf.payload)
+		hf.payload, arena = arena[:n:n], arena[n:]
+		w.tail = append(w.tail, hf)
+	}
 	// The tail only grows here, once per checkpoint round: its peak is
 	// worth a walk.
 	w.tailPeak.PeakFrames = max(w.tailPeak.PeakFrames, len(w.tail))

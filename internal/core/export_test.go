@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -409,4 +410,53 @@ func exportRetentionRun(t *testing.T, seed int64) {
 	if w.ExportRetention().PeakFrames == 0 {
 		t.Fatal("no checkpoint ever retained a frame: the run did not exercise the tail")
 	}
+}
+
+// TestRetentionTailHoldsPayloadNotImages: a cursor that never moves (a
+// subscriber that never acknowledges) keeps every frame the checkpoints
+// retire, and the memory that costs must be what its Backlog and
+// ExportRetention report — the payload bytes a subscriber's budget is
+// held to — not the page images the live history's payloads alias.
+// One-byte patches make the difference a page per retained frame. The
+// tail's memory is measured as what closing the cursor frees.
+func TestRetentionTailHoldsPayloadNotImages(t *testing.T) {
+	const commits, perFrame = 2048, 128 // perFrame: a frame's tail bookkeeping, generously
+	w := newEnv(t).open(t, VariantUHLSDiff())
+	img := fullPage(0x40)
+	commitPages(t, w, map[uint32][]byte{2: img})
+	c := w.OpenExportCursor()
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	for i := 0; i < commits; i++ {
+		img = patchedPage(img, i%4096, 1, ^img[i%4096])
+		commitPages(t, w, map[uint32][]byte{2: img})
+		if i%64 == 63 {
+			if err := w.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ret := w.ExportRetention()
+	if ret.Frames != commits {
+		t.Fatalf("the tail holds %d frames, want all %d the checkpoints retired", ret.Frames, commits)
+	}
+	if backlog := c.Backlog(); backlog != int64(ret.Bytes) {
+		t.Fatalf("backlog %d B, tail payload %d B", backlog, ret.Bytes)
+	}
+	held := heap()
+	c.Close()
+	if w.ExportRetention().Frames != 0 {
+		t.Fatal("closing the only cursor left the tail in place")
+	}
+	held -= heap()
+	t.Logf("tail: %d frames, %d B of payload, %d B of heap", ret.Frames, ret.Bytes, held)
+	if limit := int64(ret.Bytes + perFrame*ret.Frames); held > limit {
+		t.Fatalf("a tail of %d frames, %d B of payload, held %d B of heap (limit %d B): it pins page images",
+			ret.Frames, ret.Bytes, held, limit)
+	}
+	runtime.KeepAlive(w) // and with it everything but the tail
 }

@@ -300,7 +300,10 @@ type frameRef struct {
 
 // histFrame is the in-DRAM record of one logged frame, kept for
 // snapshot reads. A full frame resets the page to zero before its
-// payload applies; a differential frame patches the prior image.
+// payload applies; a differential frame patches the prior image. The
+// payload is read-only: on the append path it aliases the staged image
+// the frame was encoded from (so a history frame pins that image until a
+// checkpoint retires it), after recovery the bytes read back from NVRAM.
 type histFrame struct {
 	pgno    uint32
 	off     int
@@ -393,12 +396,12 @@ type NVWAL struct {
 
 	// Append-kernel scratch, reused across transactions (guarded by w.mu)
 	// whatever the entry point, so steady-state commits do not allocate
-	// per frame. Only the plan/index bookkeeping lives here; payload and
-	// image bytes that outlive the commit (history, versions) are freshly
-	// allocated each transaction and handed off. solo is the untagged
-	// stream legacy frame sets are staged into, one the stream list
-	// holding just it, seen CommitStreams' set of pages an earlier stream
-	// of the group already stages.
+	// per frame. Only the plan/index bookkeeping lives here; the images
+	// that outlive the commit are the callers' own, handed over with the
+	// frames (versions keep them, history payloads alias them). solo is
+	// the untagged stream legacy frame sets are staged into, one the
+	// stream list holding just it, seen CommitStreams' set of pages an
+	// earlier stream of the group already stages.
 	written []frameRef
 	newHist []histFrame
 	hdrBuf  [frameHdrSize]byte
@@ -813,7 +816,9 @@ func (w *NVWAL) lockWriter() {
 	w.cCommitStall.Add(time.Since(start).Nanoseconds())
 }
 
-// CommitTransaction implements pager.Journal.
+// CommitTransaction implements pager.Journal. A successful commit takes
+// the frames' Data: each staged image becomes its page's version, so the
+// caller must not write it again.
 func (w *NVWAL) CommitTransaction(frames []pager.Frame) error {
 	return w.WriteFrames(frames, true)
 }
@@ -822,7 +827,8 @@ func (w *NVWAL) CommitTransaction(frames []pager.Frame) error {
 // coalesced page-wise (the group commits atomically under one mark, so
 // only each page's final image needs logging) and appended as one
 // transaction — one flush batch, one persist barrier, one commit-mark
-// persist for the whole group.
+// persist for the whole group. Like CommitTransaction, a successful call
+// takes every member's frame Data.
 func (w *NVWAL) CommitGroup(groups [][]pager.Frame) error {
 	if len(groups) == 0 {
 		return nil
@@ -846,7 +852,7 @@ func (w *NVWAL) CommitGroup(groups [][]pager.Frame) error {
 // WriteFrames logs the dirty pages and — when commit is set — writes
 // and persists the commit mark. Without it the frames are appended and
 // made durable markless: recovery keeps them only if a later commit's
-// mark covers them.
+// mark covers them. Either way a successful call takes the frames' Data.
 func (w *NVWAL) WriteFrames(frames []pager.Frame, commit bool) error {
 	w.lockWriter()
 	defer w.mu.Unlock()
@@ -891,10 +897,9 @@ func (w *NVWAL) appendFrames(frames []pager.Frame, mark uint64, txns int) error 
 // stageFrames stages a legacy frame set into s against the log's
 // current page versions: a page the log already holds is logged
 // differentially (§3.2), a first-touch page as a full frame, and an
-// identical image (a page dirtied and restored) not at all. The caller
-// keeps its frame buffers, so each staged page gets its own copy of the
-// image — the one that becomes the page's new version. Caller holds
-// w.mu.
+// identical image (a page dirtied and restored) not at all. Each staged
+// image is the caller's own, handed over: it becomes the page's new
+// version if the append succeeds. Caller holds w.mu.
 func (w *NVWAL) stageFrames(s *Stream, frames []pager.Frame) error {
 	s.Reset()
 	for _, fr := range frames {
@@ -902,13 +907,8 @@ func (w *NVWAL) stageFrames(s *Stream, frames []pager.Frame) error {
 		if w.cfg.Differential {
 			base = w.versions[fr.Pgno]
 		}
-		staged, err := s.StagePage(fr.Pgno, fr.Data, base)
-		if err != nil {
+		if _, err := s.StagePage(fr.Pgno, fr.Data, base); err != nil {
 			return err
-		}
-		if staged {
-			sp := &s.pages[len(s.pages)-1]
-			sp.img = append([]byte(nil), fr.Data...)
 		}
 	}
 	return nil
@@ -929,22 +929,20 @@ func frameGroupBytes(extents []Extent) int {
 // given the tail the preceding streams leave behind, and the largest
 // single allocation among them: exactly what that stream's reservation
 // must promise for the append to be incapable of running out of space.
-// It returns the payload total, which sizes the history arena up front.
-func (w *NVWAL) planAppend(streams []*Stream) (payloadBytes int, err error) {
+func (w *NVWAL) planAppend(streams []*Stream) error {
 	simBlocks, simTailCap, simTailUsed := len(w.blocks), w.tailCapacity(), w.tailUsed
 	for _, s := range streams {
 		s.newBlocks, s.maxAlloc = 0, 0
 		for i := range s.pages {
 			extents := s.pages[i].extents
 			groupTotal := frameGroupBytes(extents)
-			payloadBytes += extentBytes(extents)
 			if !w.cfg.UserHeap && simBlocks > 0 {
 				simTailUsed = simTailCap // legacy: tail space not reused across frames
 			}
 			for _, e := range extents {
 				need := align8(frameHdrSize + e.Len)
 				if w.cfg.UserHeap && need > w.cfg.BlockSize-blockLinkSize {
-					return 0, fmt.Errorf("%w: frame %d bytes, block %d", ErrBlockFull, need, w.cfg.BlockSize)
+					return fmt.Errorf("%w: frame %d bytes, block %d", ErrBlockFull, need, w.cfg.BlockSize)
 				}
 				if simBlocks == 0 || simTailUsed+need > simTailCap {
 					alloc := w.cfg.BlockSize
@@ -962,7 +960,7 @@ func (w *NVWAL) planAppend(streams []*Stream) (payloadBytes int, err error) {
 			}
 		}
 	}
-	return payloadBytes, nil
+	return nil
 }
 
 // reserve promises every stream the blocks planAppend found it needs —
@@ -1042,8 +1040,7 @@ func (w *NVWAL) abortAppend(nBlocks, tailUsed int, cause error) error {
 // NVRAM space mid-way — every block it will link is promised — so
 // exhaustion is a clean, retryable ErrLogFull with nothing to unwind.
 func (w *NVWAL) appendStreams(streams []*Stream, mark uint64, txns int) error {
-	payloadBytes, err := w.planAppend(streams)
-	if err != nil {
+	if err := w.planAppend(streams); err != nil {
 		return err
 	}
 	if !w.disableReserve {
@@ -1055,12 +1052,6 @@ func (w *NVWAL) appendStreams(streams []*Stream, mark uint64, txns int) error {
 	undoBlocks, undoTail := len(w.blocks), w.tailUsed
 	w.written, w.newHist = w.written[:0], w.newHist[:0]
 	chain := w.chain
-	// One arena holds every history payload of this append — the plan
-	// already knows the total — so snapshot bookkeeping costs a single
-	// allocation instead of one per frame. The arena is handed off to
-	// w.history by publish and dropped wholesale when a checkpoint
-	// retires these frames.
-	arena := make([]byte, payloadBytes)
 
 	for _, s := range streams {
 		w.res = nil
@@ -1076,7 +1067,9 @@ func (w *NVWAL) appendStreams(streams []*Stream, mark uint64, txns int) error {
 				w.tailUsed = w.tailCapacity()
 			}
 			for _, e := range sp.extents {
-				payload := sp.img[e.Off : e.Off+e.Len]
+				// The history record aliases the staged image, which the log
+				// owns from here on and never writes: no payload copy.
+				payload := sp.img[e.Off : e.Off+e.Len : e.Off+e.Len]
 				size := frameHdrSize + len(payload)
 				addr, err := w.allocFrameSpace(size, groupTotal)
 				if err != nil {
@@ -1092,10 +1085,7 @@ func (w *NVWAL) appendStreams(streams []*Stream, mark uint64, txns int) error {
 					w.persistRange(addr, size)
 				}
 				w.written = append(w.written, frameRef{addr: addr, size: size})
-				pl := arena[:len(payload):len(payload)]
-				arena = arena[len(payload):]
-				copy(pl, payload)
-				w.newHist = append(w.newHist, histFrame{pgno: sp.pgno, off: e.Off, full: sp.full, payload: pl})
+				w.newHist = append(w.newHist, histFrame{pgno: sp.pgno, off: e.Off, full: sp.full, payload: payload})
 				w.cLoggedBytes.Add(int64(size))
 			}
 		}
@@ -1215,20 +1205,6 @@ func (w *NVWAL) PageVersion(pgno uint32) ([]byte, bool) {
 	out := make([]byte, len(img))
 	copy(out, img)
 	return out, true
-}
-
-// PageVersionInto implements pager.PageVersionInto: like PageVersion,
-// but copies the latest image straight into the caller's buffer,
-// skipping the intermediate allocation on the pager's read path.
-func (w *NVWAL) PageVersionInto(pgno uint32, buf []byte) bool {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	img, ok := w.versions[pgno]
-	if !ok {
-		return false
-	}
-	copy(buf, img)
-	return true
 }
 
 // FramesSinceCheckpoint implements pager.Journal: the count of frames

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -520,13 +521,12 @@ func (d *DB) CreateTable(table string) error {
 		d.releaseSlot()
 		return err
 	}
-	hdr, err := d.pg.Get(1)
-	if err != nil {
+	if _, err := d.pg.Get(1); err != nil {
 		d.pg.Rollback()
 		d.releaseSlot()
 		return err
 	}
-	d.pg.MarkDirty(1)
+	hdr := d.pg.MarkDirty(1)
 	n := int(binary.LittleEndian.Uint16(hdr[catalogOff:]))
 	off := catalogOff + 2 + n*tableEntry
 	copy(hdr[off:off+tableNameLen], make([]byte, tableNameLen))
@@ -570,13 +570,12 @@ func (d *DB) DropTable(table string) error {
 		return err
 	}
 	// Remove the catalog entry, compacting the table list.
-	hdr, err := d.pg.Get(1)
-	if err != nil {
+	if _, err := d.pg.Get(1); err != nil {
 		d.pg.Rollback()
 		d.releaseSlot()
 		return err
 	}
-	d.pg.MarkDirty(1)
+	hdr := d.pg.MarkDirty(1)
 	n := int(binary.LittleEndian.Uint16(hdr[catalogOff:]))
 	for i := 0; i < n; i++ {
 		off := catalogOff + 2 + i*tableEntry
@@ -963,11 +962,13 @@ func (d *DB) commitHeldTxn(dl deadline) (uint64, error) {
 		d.releaseSlot()
 		return seq, nil
 	}
-	// Grouped path: hand a deep copy of the frames to the queue (the
-	// pager reuses its cache buffers as soon as the next writer runs),
-	// close the pager transaction (later writers build on its cache),
-	// free the slot, and wait for a leader to flush the group.
-	req := gc.submit(cloneFrames(frames), nil, dl.until)
+	// Grouped path: hand the frames to the queue — a copy of the list,
+	// which is the pager's scratch, but not of the pages: they are the
+	// committed images from here on, and the next writer that dirties one
+	// copies it first — close the pager transaction (later writers build
+	// on its cache), free the slot, and wait for a leader to flush the
+	// group.
+	req := gc.submit(slices.Clone(frames), nil, dl.until)
 	gc.mu.Unlock()
 	d.pg.FinishCommit()
 	d.releaseSlot()

@@ -11,9 +11,9 @@ import (
 )
 
 // commitReq is one transaction waiting in the group-commit queue: its
-// frame set (deep-copied — the pager reuses its cache buffers as soon
-// as the next writer runs) and the channel its committer blocks on
-// until a leader flushes the group. until is the committer's
+// frame set (committed page images, which nobody writes again: the
+// journal takes them when the group flushes) and the channel its
+// committer blocks on until a leader flushes the group. until is the committer's
 // backpressure deadline on the virtual clock (0 = none); the group's
 // flush honors the earliest one.
 type commitReq struct {
@@ -228,24 +228,4 @@ func (gc *groupCommitter) flush(reqs []*commitReq) error {
 		}
 	}
 	return nil
-}
-
-// cloneFrames deep-copies a frame set out of the pager's cache buffers.
-// All payloads are carved from one arena allocation: the clone lives
-// only until the group committer hands it to the journal, so the whole
-// set is freed together and two allocations replace 1+N.
-func cloneFrames(frames []pager.Frame) []pager.Frame {
-	total := 0
-	for _, fr := range frames {
-		total += len(fr.Data)
-	}
-	arena := make([]byte, total)
-	out := make([]pager.Frame, len(frames))
-	for i, fr := range frames {
-		data := arena[:len(fr.Data):len(fr.Data)]
-		arena = arena[len(fr.Data):]
-		copy(data, fr.Data)
-		out[i] = pager.Frame{Pgno: fr.Pgno, Data: data}
-	}
-	return out
 }

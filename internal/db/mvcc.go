@@ -52,24 +52,23 @@ type CTx struct {
 	seq      uint64
 }
 
-// sessionStore is a CTx's private btree.PageStore: a page is read from
-// the session's own working set, else loaded from the session snapshot
-// (snap: the images of commits that were queued but unflushed at
-// snapshot time, then the journal at the snapshot mark, then the
-// database file) as ONE private copy, so btree mutations never touch
-// shared state. The shared image it was copied from stays the page's
-// committed pre-image — the diff base at commit. An image the snapshot
-// had to build (a file read, a replay) has no other holder: it becomes
-// the working copy itself, and its pre-image is copied only if the
-// session goes on to write the page (keepBase). Page numbers for fresh
-// pages come from the DB-wide arbiter (allocTop / allocPool), never from
-// the shared freelist — popping the freelist requires the writer slot
-// the session deliberately does not hold.
+// sessionStore is a CTx's private btree.PageStore, under the pager's
+// rule: a page the session reads is the image its snapshot resolves (snap:
+// the images of commits that were queued but unflushed at snapshot time,
+// then the journal at the snapshot mark, then the database file), used as
+// it is — shared with the log and every other reader, or built for this
+// session alone — and never written. The session's first MarkDirty of a
+// page makes its one private copy; the loaded image stays the page's
+// committed pre-image, the diff base at commit. A session that reads many
+// pages and writes few copies only the ones it writes. Page numbers for
+// fresh pages come from the DB-wide arbiter (allocTop / allocPool), never
+// from the shared freelist — popping the freelist requires the writer
+// slot the session deliberately does not hold.
 type sessionStore struct {
 	d     *DB
 	snap  snapshotStore
-	pages map[uint32][]byte // private working images
-	base  map[uint32][]byte // committed pre-image of each loaded page (see keepBase)
+	base  map[uint32][]byte // the image each page was loaded as (read-only)
+	pages map[uint32][]byte // the session's own images: written and fresh pages
 	dirty map[uint32]bool
 	fresh map[uint32]bool
 	freed map[uint32]bool // non-fresh pages freed by this session
@@ -89,25 +88,15 @@ func (st *sessionStore) Get(pgno uint32) ([]byte, error) {
 	if buf, ok := st.pages[pgno]; ok {
 		return buf, nil
 	}
-	img, shared, err := st.snap.load(pgno)
+	if img, ok := st.base[pgno]; ok {
+		return img, nil
+	}
+	img, _, err := st.snap.load(pgno)
 	if err != nil {
 		return nil, err
 	}
-	if shared {
-		st.base[pgno] = img
-		img = slices.Clone(img)
-	}
-	st.pages[pgno] = img
+	st.base[pgno] = img
 	return img, nil
-}
-
-// keepBase runs before the session first changes a loaded page: a page
-// loaded without a shared image to diff against gets its pre-image
-// copied now.
-func (st *sessionStore) keepBase(pgno uint32) {
-	if _, ok := st.base[pgno]; !ok {
-		st.base[pgno] = slices.Clone(st.pages[pgno])
-	}
 }
 
 func (st *sessionStore) Allocate() (uint32, []byte, error) {
@@ -145,24 +134,30 @@ func (st *sessionStore) Free(pgno uint32) error {
 		return nil
 	}
 	// Committed page: freeing it is a write (the commit chains it onto
-	// the shared freelist), so make sure its pre-image is loaded for the
-	// diff and claim it in the write set.
+	// the shared freelist, as a copy of its loaded image), so make sure
+	// that image is loaded and claim the page in the write set.
 	if _, err := st.Get(pgno); err != nil {
 		return err
-	}
-	if !st.dirty[pgno] {
-		st.keepBase(pgno)
 	}
 	st.freed[pgno] = true
 	delete(st.dirty, pgno)
 	return nil
 }
 
-func (st *sessionStore) MarkDirty(pgno uint32) {
-	if !st.dirty[pgno] {
-		st.keepBase(pgno)
-		st.dirty[pgno] = true
+// MarkDirty copies a loaded page the first time the session writes it —
+// the one copy a session makes of a committed page.
+func (st *sessionStore) MarkDirty(pgno uint32) []byte {
+	buf, ok := st.pages[pgno]
+	if !ok {
+		img, loaded := st.base[pgno]
+		if !loaded {
+			panic(fmt.Sprintf("db: MarkDirty of page %d, which the session never read", pgno))
+		}
+		buf = slices.Clone(img)
+		st.pages[pgno] = buf
 	}
+	st.dirty[pgno] = true
+	return buf
 }
 
 // nextPageNumber is the pager's extension arbiter (pager.SetAllocBase):
@@ -301,8 +296,8 @@ func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
 		store: &sessionStore{
 			d:     d,
 			snap:  snapshotStore{view: d.view, mark: mark, overlay: overlay},
-			pages: make(map[uint32][]byte),
 			base:  make(map[uint32][]byte),
+			pages: make(map[uint32][]byte),
 			dirty: make(map[uint32]bool),
 			fresh: make(map[uint32]bool),
 			freed: make(map[uint32]bool),
@@ -547,41 +542,47 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 		tx.finish(true)
 		return err
 	}
-	img1 := slices.Clone(cur1)
-	maxOwn := pager.HeaderPageCount(img1)
+	maxOwn := pager.HeaderPageCount(cur1)
 	for _, wr := range staged {
 		if wr.fresh && wr.pgno > maxOwn {
 			maxOwn = wr.pgno
 		}
 	}
-	pager.SetHeaderPageCount(img1, maxOwn)
-	freed := make([]uint32, 0, len(st.freed))
-	for pgno := range st.freed {
-		freed = append(freed, pgno)
-	}
-	sort.Slice(freed, func(i, j int) bool { return freed[i] < freed[j] })
-	head := pager.HeaderFreeHead(img1)
-	cnt := pager.HeaderFreeCount(img1)
-	for _, pgno := range freed {
-		link := slices.Clone(st.base[pgno])
-		pager.SetFreelistLink(link, head)
-		head = pgno
-		cnt++
-		wr := sessionWrite{pgno: pgno, img: link, base: st.base[pgno]}
-		ok, err := tx.stagePage(wr)
-		if err != nil {
-			d.releaseSlot()
-			tx.finish(true)
-			return err
+	// A session that neither extends the database nor frees a page leaves
+	// the header as it is: it stages the committed image itself, which a
+	// differential stream drops as identical — no copy either way.
+	img1 := cur1
+	if maxOwn != pager.HeaderPageCount(cur1) || len(st.freed) > 0 {
+		img1 = slices.Clone(cur1)
+		pager.SetHeaderPageCount(img1, maxOwn)
+		freed := make([]uint32, 0, len(st.freed))
+		for pgno := range st.freed {
+			freed = append(freed, pgno)
 		}
-		if ok {
-			staged = append(staged, wr)
+		sort.Slice(freed, func(i, j int) bool { return freed[i] < freed[j] })
+		head := pager.HeaderFreeHead(img1)
+		cnt := pager.HeaderFreeCount(img1)
+		for _, pgno := range freed {
+			link := slices.Clone(st.base[pgno])
+			pager.SetFreelistLink(link, head)
+			head = pgno
+			cnt++
+			wr := sessionWrite{pgno: pgno, img: link, base: st.base[pgno]}
+			ok, err := tx.stagePage(wr)
+			if err != nil {
+				d.releaseSlot()
+				tx.finish(true)
+				return err
+			}
+			if ok {
+				staged = append(staged, wr)
+			}
 		}
+		pager.SetHeaderFreeHead(img1, head)
+		pager.SetHeaderFreeCount(img1, cnt)
 	}
-	pager.SetHeaderFreeHead(img1, head)
-	pager.SetHeaderFreeCount(img1, cnt)
-	// cur1 is only read while it is staged, under the slot that keeps it
-	// stable, so the pager's buffer itself is the diff base.
+	// cur1 is the pager's committed image, which nobody writes: it is the
+	// diff base as it is.
 	hdrWrite := sessionWrite{pgno: 1, img: img1, base: cur1}
 	if ok, err := tx.stagePage(hdrWrite); err != nil {
 		d.releaseSlot()

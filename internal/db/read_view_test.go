@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -253,51 +255,96 @@ func TestSnapshotReadersRaceWritersAndCheckpointer(t *testing.T) {
 	t.Logf("%d snapshots, %d pages checked, %d checkpoints", snapshots.Load(), pages.Load(), d.Metrics().Count(metrics.Checkpoints))
 }
 
-// TestSessionCopiesEachLoadedPageOnce pins the session half of the
-// ownership rule: a page a session loads is one private copy of the
-// snapshot's shared image, that shared image stays the commit's diff
-// base, and dirtying or freeing a loaded page copies nothing.
-func TestSessionCopiesEachLoadedPageOnce(t *testing.T) {
-	d, _ := newDB(t, Options{Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff(), Concurrent: true})
+// TestSessionCopiesOnlyWrittenPages pins the session half of the
+// ownership rule: a page a session loads is the snapshot's shared image
+// itself — read, never copied — and the one copy is made when the session
+// first writes a page, with the shared image staying the commit's diff
+// base. A session that reads 64 pages and writes one copies exactly one
+// page.
+func TestSessionCopiesOnlyWrittenPages(t *testing.T) {
+	d, _ := newDB(t, Options{Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff(), Concurrent: true, CheckpointLimit: -1})
 	if err := d.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
-	mustCommitKV(t, d, "t", map[string]string{"a": "1", "b": "2"})
-	tx, err := d.BeginConcurrent()
-	if err != nil {
-		t.Fatal(err)
+	// ~40 records of 100 bytes per leaf: every 40th key lands on a leaf of
+	// its own.
+	const keys, stride, reads = 64 * 40, 40, 64
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i)) }
+	kv := make(map[string]string, keys)
+	for i := 0; i < keys; i++ {
+		kv[string(key(i))] = string(bytes.Repeat([]byte{'v'}, 100))
 	}
-	if _, err := tx.Update("t", []byte("a"), []byte("9")); err != nil {
-		t.Fatal(err)
+	mustCommitKV(t, d, "t", kv)
+	probe := make([][]byte, reads)
+	for r := range probe {
+		probe[r] = key(r * stride)
 	}
-	st := tx.store
-	if len(st.pages) == 0 || len(st.pages) != len(st.base) {
-		t.Fatalf("%d working pages, %d bases", len(st.pages), len(st.base))
+	value := []byte("written")
+	session := func(write bool) *sessionStore {
+		tx, err := d.BeginConcurrent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Rollback()
+		for _, k := range probe {
+			if _, ok, err := tx.Get("t", k); err != nil || !ok {
+				t.Fatalf("Get %s = %v %v", k, ok, err)
+			}
+		}
+		if write {
+			if ok, err := tx.Update("t", probe[0], value); err != nil || !ok {
+				t.Fatalf("Update = %v %v", ok, err)
+			}
+		}
+		return tx.store
+	}
+
+	st := session(true)
+	leaves := 0
+	for pgno, img := range st.base {
+		shared, isShared, err := d.view.PageAt(pgno, st.snap.mark)
+		if err != nil || !isShared || &img[0] != &shared[0] {
+			t.Fatalf("page %d: the session did not load the snapshot's shared image (shared=%v err=%v)", pgno, isShared, err)
+		}
+		leaves++
+	}
+	if leaves < reads {
+		t.Fatalf("the reads loaded %d pages, want at least %d", leaves, reads)
+	}
+	if len(st.pages) != 1 || len(st.dirty) != 1 {
+		t.Fatalf("%d private pages, %d dirty, want the one written leaf", len(st.pages), len(st.dirty))
 	}
 	for pgno, own := range st.pages {
-		shared, isShared, err := d.view.PageAt(pgno, st.snap.mark)
-		if err != nil || !isShared {
-			t.Fatalf("page %d: shared=%v err=%v", pgno, isShared, err)
+		if &own[0] == &st.base[pgno][0] || bytes.Equal(own, st.base[pgno]) {
+			t.Fatalf("page %d: the write went to the shared image", pgno)
 		}
-		if &st.base[pgno][0] != &shared[0] {
-			t.Fatalf("page %d: diff base is not the snapshot's shared image", pgno)
-		}
-		if &own[0] == &shared[0] {
-			t.Fatalf("page %d: session works on the shared image", pgno)
-		}
-		wasDirty := st.dirty[pgno]
-		if n := testing.AllocsPerRun(10, func() { delete(st.dirty, pgno); st.MarkDirty(pgno) }); n != 0 {
-			t.Fatalf("MarkDirty(%d) allocates %v times, want 0", pgno, n)
-		}
-		if !wasDirty {
-			delete(st.dirty, pgno)
+		if n := testing.AllocsPerRun(10, func() { st.MarkDirty(pgno) }); n != 0 {
+			t.Fatalf("MarkDirty of a page already written allocates %v times, want 0", n)
 		}
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
+
+	// Bytes: the same session with and without the one write. Reading 64
+	// pages copies none of them (that alone would be 256 KiB); the write
+	// adds one page copy and small bookkeeping, not a second page.
+	bytesPerSession := func(write bool) float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		session(write)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 20
+		for i := 0; i < runs; i++ {
+			session(write)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	if v, _, _ := d.Get("t", []byte("a")); string(v) != "9" {
-		t.Fatalf("committed value = %q", v)
+	readOnly, written := bytesPerSession(false), bytesPerSession(true)
+	t.Logf("session of %d reads: %.0f B; with one write: %.0f B", reads, readOnly, written)
+	if readOnly >= reads*4096/4 {
+		t.Fatalf("a read-only session of %d page loads allocates %.0f bytes: pages are being copied", reads, readOnly)
+	}
+	if extra := written - readOnly; extra < 4096 || extra >= 2*4096 {
+		t.Fatalf("one write costs %.0f bytes, want one 4 KiB page copy", extra)
 	}
 }
 
@@ -367,9 +414,10 @@ func TestSnapshotKeepsOnlyBuiltPages(t *testing.T) {
 }
 
 // TestSessionOwnsBuiltPages is the session side of the same rule on a
-// reopened database: a page read from the file is the session's working
-// copy as it is (no clone, no base), and its pre-image is copied only
-// when the session writes the page.
+// reopened database: a page read from the file is built for the session
+// alone, and the session keeps it as it is — loaded once, never copied
+// for reading, never written — and copies it only when it writes the
+// page, the built image staying the diff base.
 func TestSessionOwnsBuiltPages(t *testing.T) {
 	opts := Options{Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff(), Concurrent: true}
 	d, plat := newDB(t, opts)
@@ -387,13 +435,17 @@ func TestSessionOwnsBuiltPages(t *testing.T) {
 		t.Fatalf("Get = %q %v %v", v, ok, err)
 	}
 	st := tx.store
-	if len(st.pages) == 0 || len(st.base) != 0 {
-		t.Fatalf("read-only load: %d working pages, %d bases, want some and none", len(st.pages), len(st.base))
+	if len(st.base) == 0 || len(st.pages) != 0 {
+		t.Fatalf("read-only load: %d loaded pages, %d private, want some and none", len(st.base), len(st.pages))
 	}
 	before := make(map[uint32][]byte)
-	for pgno, img := range st.pages {
+	for pgno, img := range st.base {
+		if again, _ := st.Get(pgno); &again[0] != &img[0] {
+			t.Fatalf("page %d built twice", pgno)
+		}
 		before[pgno] = bytes.Clone(img)
 	}
+	loaded := maps.Clone(st.base)
 	if _, err := tx.Update("t", []byte("a"), []byte("9")); err != nil {
 		t.Fatal(err)
 	}
@@ -401,8 +453,11 @@ func TestSessionOwnsBuiltPages(t *testing.T) {
 		t.Fatal("update dirtied nothing")
 	}
 	for pgno := range st.dirty {
-		if !bytes.Equal(st.base[pgno], before[pgno]) || bytes.Equal(st.base[pgno], st.pages[pgno]) {
-			t.Fatalf("page %d: diff base is not the page's pre-image", pgno)
+		if &st.base[pgno][0] != &loaded[pgno][0] || !bytes.Equal(st.base[pgno], before[pgno]) {
+			t.Fatalf("page %d: diff base is not the page's pre-image as built", pgno)
+		}
+		if bytes.Equal(st.base[pgno], st.pages[pgno]) {
+			t.Fatalf("page %d: the write did not reach the session's copy", pgno)
 		}
 	}
 	if err := tx.Commit(); err != nil {

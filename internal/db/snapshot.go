@@ -203,6 +203,6 @@ func (s *snapshotStore) Free(uint32) error {
 	return errors.New("db: snapshot store is read-only")
 }
 
-func (s *snapshotStore) MarkDirty(uint32) {
+func (s *snapshotStore) MarkDirty(uint32) []byte {
 	panic("db: write through a read transaction")
 }

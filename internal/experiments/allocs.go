@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -52,11 +53,11 @@ func (r *CommitAllocsResult) Row(path string) *CommitAllocsRow {
 }
 
 // CommitAllocs measures steady-state heap allocations per operation on
-// the three commit-path shapes the zero-copy work targets — a solo
-// end-to-end transaction (B-tree insert through NVWAL), a group commit
-// driven straight at the journal, and the PageVersionInto read path —
-// on the three versioned read paths that share the log's page images
-// (readPathAllocs), on a replica applying shipped batches
+// the commit-path shapes the zero-copy work targets — a solo end-to-end
+// transaction (B-tree insert through NVWAL), a group commit driven
+// straight at the journal, and a legacy transaction updating one cached
+// page — on the three versioned read paths that share the log's page
+// images (readPathAllocs), on a replica applying shipped batches
 // (replicaApplyAllocs), and on the simulated hardware under all of them
 // (simulatorAllocs).
 // Measurement is runtime.MemStats deltas (Mallocs and TotalAlloc are
@@ -68,17 +69,15 @@ func CommitAllocs(txns int) (*CommitAllocsResult, error) {
 	}
 	res := &CommitAllocsResult{}
 
-	solo, err := soloCommitAllocs(txns)
+	solo, update, err := soloCommitAllocs(txns)
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, solo)
-
-	group, pvi, err := journalAllocs(txns)
+	group, err := groupCommitAllocs(txns)
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, group, pvi)
+	res.Rows = append(res.Rows, solo, group, update)
 
 	reads, err := readPathAllocs(txns)
 	if err != nil {
@@ -137,87 +136,94 @@ func measureAllocs(path string, n int, op func(i int) error) (CommitAllocsRow, e
 	}, nil
 }
 
-// soloCommitAllocs drives one-insert transactions end to end through
-// the database layer, the BenchmarkCommitPath shape.
-func soloCommitAllocs(txns int) (CommitAllocsRow, error) {
+// soloCommitAllocs drives one-record transactions end to end through
+// the database layer: inserts of fresh keys (the BenchmarkCommitPath
+// shape, solo-commit), then updates of one record on a page the cache
+// already holds (legacy-update). An update's only page-sized allocation
+// is the transaction's private copy of that page — made when the B-tree
+// dirties it, then handed to the journal as the page's new version.
+func soloCommitAllocs(txns int) (solo, update CommitAllocsRow, err error) {
 	// A checkpoint limit far above the transaction count keeps
 	// checkpoint I/O out of the audited loop.
 	s, err := NewNVWALSetup(Tuna, core.VariantUHLSDiff(), 1<<20)
 	if err != nil {
-		return CommitAllocsRow{}, err
+		return solo, update, err
 	}
 	if err := s.DB.CreateTable("bench"); err != nil {
-		return CommitAllocsRow{}, err
+		return solo, update, err
 	}
 	val := make([]byte, 100)
 	key := make([]byte, 8)
-	row, err := measureAllocs("solo-commit", txns, func(i int) error {
+	commit := func(op func(tx *db.Tx) error) error {
 		tx, err := s.DB.Begin()
 		if err != nil {
 			return err
 		}
-		binary.BigEndian.PutUint64(key, uint64(i))
-		if err := tx.Insert("bench", key, val); err != nil {
+		if err := op(tx); err != nil {
+			tx.Rollback()
 			return err
 		}
 		return tx.Commit()
+	}
+	solo, err = measureAllocs("solo-commit", txns, func(i int) error {
+		binary.BigEndian.PutUint64(key, uint64(i))
+		return commit(func(tx *db.Tx) error { return tx.Insert("bench", key, val) })
 	})
 	if err != nil {
-		return CommitAllocsRow{}, err
+		return solo, update, err
 	}
-	return row, s.DB.Close()
+	binary.BigEndian.PutUint64(key, 7)
+	update, err = measureAllocs("legacy-update", txns, func(i int) error {
+		val[0] = byte(i)
+		return commit(func(tx *db.Tx) error {
+			if ok, err := tx.Update("bench", key, val); err != nil || !ok {
+				return fmt.Errorf("experiments: update of key 7: found=%v err=%v", ok, err)
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		return solo, update, err
+	}
+	return solo, update, s.DB.Close()
 }
 
-// journalAllocs drives the NVWAL journal directly: a 4-member group
-// commit per operation, then the PageVersionInto read path over the
-// committed pages.
-func journalAllocs(txns int) (CommitAllocsRow, CommitAllocsRow, error) {
+// groupCommitAllocs drives the NVWAL journal directly: a 4-member group
+// commit per operation. A successful commit takes each member's image, so
+// every member writes a fresh copy of its last one — the copy the pager's
+// MarkDirty would make.
+func groupCommitAllocs(txns int) (CommitAllocsRow, error) {
 	var zero CommitAllocsRow
 	s, err := NewNVWALSetup(Tuna, core.VariantUHLSDiff(), 1<<20)
 	if err != nil {
-		return zero, zero, err
+		return zero, err
 	}
 	gj, ok := s.DB.Journal().(pager.GroupJournal)
 	if !ok {
-		return zero, zero, fmt.Errorf("experiments: NVWAL journal lost its GroupJournal capability")
+		return zero, fmt.Errorf("experiments: NVWAL journal lost its GroupJournal capability")
 	}
 	const members = 4
 	const ps = 4096 // db.Open's default page size
-	pages := make([][]byte, members)
 	groups := make([][]pager.Frame, members)
 	frames := make([][1]pager.Frame, members)
-	for g := range pages {
-		pages[g] = make([]byte, ps)
-		frames[g][0] = pager.Frame{Pgno: uint32(100 + g), Data: pages[g]}
+	for g := range frames {
+		frames[g][0] = pager.Frame{Pgno: uint32(100 + g), Data: make([]byte, ps)}
 		groups[g] = frames[g][:]
 	}
 	group, err := measureAllocs("group-commit", txns, func(i int) error {
-		for g := range pages {
+		for g := range frames {
 			// A small dirty region per member keeps the differential
 			// logger on its steady-state diff path.
-			binary.LittleEndian.PutUint64(pages[g][(i%64)*16:], uint64(i+1))
+			page := slices.Clone(frames[g][0].Data)
+			binary.LittleEndian.PutUint64(page[(i%64)*16:], uint64(i+1))
+			frames[g][0].Data = page
 		}
 		return gj.CommitGroup(groups)
 	})
 	if err != nil {
-		return zero, zero, err
+		return zero, err
 	}
-
-	pvi, ok := s.DB.Journal().(pager.PageVersionInto)
-	if !ok {
-		return zero, zero, fmt.Errorf("experiments: NVWAL journal lost its PageVersionInto capability")
-	}
-	buf := make([]byte, ps)
-	read, err := measureAllocs("page-version-into", txns, func(i int) error {
-		if !pvi.PageVersionInto(uint32(100+i%members), buf) {
-			return fmt.Errorf("experiments: committed page %d has no version", 100+i%members)
-		}
-		return nil
-	})
-	if err != nil {
-		return zero, zero, err
-	}
-	return group, read, s.DB.Close()
+	return group, s.DB.Close()
 }
 
 // readPathAllocs audits the versioned readers over a log that is partly

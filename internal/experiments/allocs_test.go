@@ -11,7 +11,7 @@ func TestCommitAllocsShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"solo-commit", "group-commit", "page-version-into", "snapshot-get", "session-rmw", "replica-get", "replica-apply", "sim-line", "blockdev-write"} {
+	for _, path := range []string{"solo-commit", "group-commit", "legacy-update", "snapshot-get", "session-rmw", "replica-get", "replica-apply", "sim-line", "blockdev-write"} {
 		row := r.Row(path)
 		if row == nil {
 			t.Fatalf("audit missing row %q", path)
@@ -24,21 +24,12 @@ func TestCommitAllocsShapes(t *testing.T) {
 			t.Fatalf("%s reported negative allocations: %+v", path, row)
 		}
 	}
-	// The read path is the zero-copy poster child: no allocations at
-	// all once the caller supplies the buffer. MemStats is process-wide:
-	// a runtime goroutine can add a stray allocation to a window but never
-	// take one out, so the smallest of a few windows is still an upper
-	// bound on what the path itself allocates — and that must be exactly 0.
-	pvi := r.Row("page-version-into").AllocsPerOp
-	for retry := 0; pvi != 0 && retry < 4; retry++ {
-		_, read, err := journalAllocs(testTxns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pvi = min(pvi, read.AllocsPerOp)
-	}
-	if pvi != 0 {
-		t.Fatalf("page-version-into allocates %.2f/op, want 0", pvi)
+	// Updating one record on a cached page copies that page once — the
+	// transaction's private copy, which the journal then keeps — and no
+	// other page: not for the rollback image, not for the log's version,
+	// not for its history.
+	if row := r.Row("legacy-update"); row.BytesPerOp < 4096 || row.BytesPerOp >= 2*4096 {
+		t.Fatalf("legacy-update allocates %.0f bytes/op, want one 4 KiB page copy", row.BytesPerOp)
 	}
 	// The commit paths hand off a bounded set of buffers per
 	// transaction; far above this means an intermediate frame image

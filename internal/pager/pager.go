@@ -7,9 +7,11 @@
 package pager
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Frame is one dirty page handed to the journal at commit: the page
@@ -23,12 +25,19 @@ type Frame struct {
 
 // Journal is the write-ahead log abstraction both the stock/optimized
 // file WAL and NVWAL implement.
+//
+// Every entry point that logs frames (CommitTransaction, a GroupJournal's
+// CommitGroup, NVWAL's WriteFrames and PrepareTransaction) takes the
+// frames' Data when it succeeds: the journal may keep an image as the
+// page's version, so the caller must never write it again. A failed call
+// takes nothing.
 type Journal interface {
 	// CommitTransaction durably logs the transaction's dirty pages and
 	// its commit mark.
 	CommitTransaction(frames []Frame) error
 	// PageVersion returns the latest committed image of pgno held in the
-	// log, or ok=false when the log has no frame for the page.
+	// log, or ok=false when the log has no frame for the page. The image
+	// is read-only: it may be one the journal keeps.
 	PageVersion(pgno uint32) ([]byte, bool)
 	// FramesSinceCheckpoint reports the number of logged frames, the
 	// trigger SQLite compares against its 1000-frame checkpoint limit.
@@ -121,24 +130,21 @@ type IncrementalJournal interface {
 	CheckpointIncremental(gate func(watermark int) bool) error
 }
 
-// PageVersionInto is the copy-into-caller-buffer variant of
-// Journal.PageVersion: journals that can serve the latest committed
-// image without an intermediate allocation implement it, and the pager
-// prefers it on the read path.
-type PageVersionInto interface {
-	PageVersionInto(pgno uint32, buf []byte) bool
-}
-
 // PageImager is the optional capability of a SnapshotJournal whose log
 // already retains an immutable image of every page it holds (NVWAL's
 // version images): PageImageAt hands that image out shared instead of
 // copying it. The image is read-only for every holder; nil means the
 // log never held the page at the mark, and the database file serves it.
 // shared is false when the journal had to build the image for this call
-// (a page rewritten after the mark): nobody else holds it.
+// (a page rewritten after the mark): nobody else holds it. A mark of
+// Latest asks for the latest committed image, which is always shared.
 type PageImager interface {
 	PageImageAt(pgno uint32, mark int) (img []byte, shared bool)
 }
+
+// Latest is the journal mark past every commit: a PageImager asked for
+// it returns the page's latest committed image (the pager's read path).
+const Latest = math.MaxInt
 
 // ReadView answers the one question every versioned reader asks — the
 // read-only image of page pgno at journal mark m — for snapshot reads,
@@ -220,25 +226,34 @@ var headerMagic = []byte("NVWALDB1")
 var ErrNoTxn = errors.New("pager: no transaction in progress")
 
 // Pager is the page cache. It implements btree.PageStore.
+//
+// The cache holds committed images and never writes one in place: a
+// cache miss aliases the journal's own image where the journal keeps one
+// (PageImager), and Install aliases a session's committed image. A
+// transaction's first MarkDirty of a page installs its one private copy
+// in the cache and keeps the committed image, by pointer, as the
+// rollback image; a successful commit hands the copy to the journal, and
+// from then on it is a committed image like any other.
 type Pager struct {
 	pageSize int
 	db       DBFile
 	jrn      Journal
-	// jrnInto caches the journal's optional copy-into capability so Get
+	// imager caches the journal's optional shared-image capability so Get
 	// avoids a per-miss interface assertion.
-	jrnInto PageVersionInto
+	imager PageImager
 
 	cache map[uint32][]byte
-	dirty map[uint32]bool
-	// fresh marks pages allocated in the current transaction (they have
-	// no committed pre-image to restore on rollback).
-	fresh map[uint32]bool
+	// orig holds, for every page the open transaction dirtied, the
+	// committed image its private copy was made from — nil for a page
+	// the transaction allocated, which has none. Its keys are the
+	// transaction's dirty set.
 	orig  map[uint32][]byte
 	inTxn bool
 	// frameScratch backs PrepareCommit's frame list, reused across
-	// transactions: both commit paths consume the frames (journal write
-	// or deep clone) before the writer slot is released, so the slice is
-	// free again by the time the next transaction prepares.
+	// transactions: both commit paths consume the list (journal write,
+	// or a copy of the list into the group queue) before the writer slot
+	// is released, so it is free again by the time the next transaction
+	// prepares.
 	frameScratch []Frame
 	// allocBase, when set, arbitrates database extension against an
 	// external page-number allocator (MVCC sessions allocating outside
@@ -258,11 +273,9 @@ func Open(db DBFile, jrn Journal) (*Pager, error) {
 		db:       db,
 		jrn:      jrn,
 		cache:    make(map[uint32][]byte),
-		dirty:    make(map[uint32]bool),
-		fresh:    make(map[uint32]bool),
 		orig:     make(map[uint32][]byte),
 	}
-	p.jrnInto, _ = jrn.(PageVersionInto)
+	p.imager, _ = jrn.(PageImager)
 	hdr, err := p.Get(1)
 	if err != nil {
 		return nil, err
@@ -274,7 +287,7 @@ func Open(db DBFile, jrn Journal) (*Pager, error) {
 		// Fresh database: initialize the header under an implicit
 		// transaction so it reaches the journal durably.
 		p.Begin()
-		p.MarkDirty(1)
+		hdr = p.MarkDirty(1)
 		copy(hdr[hdrMagicOff:], headerMagic)
 		p.setPageCount(hdr, 1)
 		if err := p.Commit(); err != nil {
@@ -315,7 +328,7 @@ func (p *Pager) setPageCount(hdr []byte, n uint32) {
 }
 
 // Get implements btree.PageStore: cache, then journal, then database
-// file.
+// file. The image is read-only (MarkDirty returns the writable one).
 func (p *Pager) Get(pgno uint32) ([]byte, error) {
 	if pgno == 0 {
 		return nil, fmt.Errorf("pager: page numbers start at 1")
@@ -323,19 +336,17 @@ func (p *Pager) Get(pgno uint32) ([]byte, error) {
 	if buf, ok := p.cache[pgno]; ok {
 		return buf, nil
 	}
-	buf := make([]byte, p.pageSize)
-	switch {
-	case p.jrnInto != nil:
-		// One copy, journal version straight into the cache buffer.
-		if !p.jrnInto.PageVersionInto(pgno, buf) {
-			if err := p.db.ReadPage(pgno, buf); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		if v, ok := p.jrn.PageVersion(pgno); ok {
-			copy(buf, v)
-		} else if err := p.db.ReadPage(pgno, buf); err != nil {
+	// Nothing in the cache is written in place, so the journal's own
+	// image serves as the cache entry as it is — no copy.
+	var buf []byte
+	if p.imager != nil {
+		buf, _ = p.imager.PageImageAt(pgno, Latest)
+	} else if v, ok := p.jrn.PageVersion(pgno); ok {
+		buf = v
+	}
+	if buf == nil {
+		buf = make([]byte, p.pageSize)
+		if err := p.db.ReadPage(pgno, buf); err != nil {
 			return nil, err
 		}
 	}
@@ -351,22 +362,18 @@ func (p *Pager) Allocate() (uint32, []byte, error) {
 	if !p.inTxn {
 		return 0, nil, ErrNoTxn
 	}
-	hdr, err := p.Get(1)
-	if err != nil {
+	if _, err := p.Get(1); err != nil {
 		return 0, nil, err
 	}
-	p.MarkDirty(1)
+	hdr := p.MarkDirty(1)
 	if head := getU32(hdr, hdrFreeHeadOff); head != 0 {
-		buf, err := p.Get(head)
-		if err != nil {
+		if _, err := p.Get(head); err != nil {
 			return 0, nil, err
 		}
-		p.MarkDirty(head)
+		buf := p.MarkDirty(head)
 		putU32(hdr, hdrFreeHeadOff, getU32(buf, 0))
 		putU32(hdr, hdrFreeCountOff, getU32(hdr, hdrFreeCountOff)-1)
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		return head, buf, nil
 	}
 	n, err := p.PageCount()
@@ -380,8 +387,7 @@ func (p *Pager) Allocate() (uint32, []byte, error) {
 	p.setPageCount(hdr, pgno)
 	buf := make([]byte, p.pageSize)
 	p.cache[pgno] = buf
-	p.dirty[pgno] = true
-	p.fresh[pgno] = true
+	p.orig[pgno] = nil
 	return pgno, buf, nil
 }
 
@@ -395,16 +401,13 @@ func (p *Pager) Free(pgno uint32) error {
 	if pgno <= 1 {
 		return fmt.Errorf("pager: cannot free page %d", pgno)
 	}
-	hdr, err := p.Get(1)
-	if err != nil {
+	if _, err := p.Get(1); err != nil {
 		return err
 	}
-	buf, err := p.Get(pgno)
-	if err != nil {
+	if _, err := p.Get(pgno); err != nil {
 		return err
 	}
-	p.MarkDirty(1)
-	p.MarkDirty(pgno)
+	hdr, buf := p.MarkDirty(1), p.MarkDirty(pgno)
 	putU32(buf, 0, getU32(hdr, hdrFreeHeadOff))
 	putU32(hdr, hdrFreeHeadOff, pgno)
 	putU32(hdr, hdrFreeCountOff, getU32(hdr, hdrFreeCountOff)+1)
@@ -431,22 +434,26 @@ func putU32(b []byte, off int, v uint32) {
 	b[off+3] = byte(v >> 24)
 }
 
-// MarkDirty implements btree.PageStore: snapshots the committed
-// pre-image the first time a page is dirtied in a transaction, so
-// Rollback can restore it.
-func (p *Pager) MarkDirty(pgno uint32) {
+// MarkDirty implements btree.PageStore: the first time a transaction
+// dirties a page, the cache entry becomes the transaction's private copy
+// of the committed image, and the committed image itself is kept as the
+// rollback image. The page must be cached (read through Get, or
+// allocated).
+func (p *Pager) MarkDirty(pgno uint32) []byte {
 	if !p.inTxn {
 		panic("pager: MarkDirty outside a transaction")
 	}
-	if p.dirty[pgno] {
-		return
+	buf, ok := p.cache[pgno]
+	if !ok {
+		panic(fmt.Sprintf("pager: MarkDirty of page %d, which was never read", pgno))
 	}
-	p.dirty[pgno] = true
-	if buf, ok := p.cache[pgno]; ok {
-		pre := make([]byte, len(buf))
-		copy(pre, buf)
-		p.orig[pgno] = pre
+	if _, dirty := p.orig[pgno]; dirty {
+		return buf
 	}
+	own := slices.Clone(buf)
+	p.orig[pgno] = buf
+	p.cache[pgno] = own
+	return own
 }
 
 // Begin starts a write transaction. SQLite is serverless and allows a
@@ -465,13 +472,16 @@ func (p *Pager) InTransaction() bool { return p.inTxn }
 // frames without ending the transaction. The caller either hands the
 // frames to the journal itself (deferring durability, as group commit
 // does) and then calls FinishCommit, or calls Rollback to abandon the
-// transaction — the pre-images are still intact.
+// transaction — the pre-images are still intact. The list is the pager's
+// scratch, valid until the next PrepareCommit; each frame's Data is the
+// transaction's private copy of the page, which the journal takes on a
+// successful commit.
 func (p *Pager) PrepareCommit() ([]Frame, error) {
 	if !p.inTxn {
 		return nil, ErrNoTxn
 	}
 	frames := p.frameScratch[:0]
-	for pgno := range p.dirty {
+	for pgno := range p.orig {
 		frames = append(frames, Frame{Pgno: pgno, Data: p.cache[pgno]})
 	}
 	// Deterministic frame order keeps experiments reproducible.
@@ -481,7 +491,7 @@ func (p *Pager) PrepareCommit() ([]Frame, error) {
 }
 
 // FinishCommit ends the transaction after its frames have been handed
-// off, discarding the rollback pre-images.
+// off: the private copies stay in the cache as the committed images.
 func (p *Pager) FinishCommit() {
 	if !p.inTxn {
 		return
@@ -508,29 +518,24 @@ func (p *Pager) Commit() error {
 	return nil
 }
 
-// Rollback restores every dirtied page to its committed pre-image and
-// drops pages allocated by the transaction.
+// Rollback re-points every dirtied page's cache entry at its committed
+// image and drops pages allocated by the transaction; the private copies
+// are garbage.
 func (p *Pager) Rollback() {
 	if !p.inTxn {
 		return
 	}
-	for pgno := range p.dirty {
-		if p.fresh[pgno] {
+	for pgno, committed := range p.orig {
+		if committed == nil {
 			delete(p.cache, pgno)
-			continue
-		}
-		if pre, ok := p.orig[pgno]; ok {
-			copy(p.cache[pgno], pre)
 		} else {
-			delete(p.cache, pgno)
+			p.cache[pgno] = committed
 		}
 	}
 	p.endTxn()
 }
 
 func (p *Pager) endTxn() {
-	clear(p.dirty)
-	clear(p.fresh)
 	clear(p.orig)
 	p.inTxn = false
 }
@@ -543,7 +548,7 @@ func (p *Pager) SetJournal(jrn Journal) {
 		panic("pager: SetJournal inside a transaction")
 	}
 	p.jrn = jrn
-	p.jrnInto, _ = jrn.(PageVersionInto)
+	p.imager, _ = jrn.(PageImager)
 }
 
 // Journal returns the journal the pager currently commits through
@@ -565,30 +570,15 @@ func (p *Pager) SetAllocBase(fn func(pageCount uint32) uint32) {
 // Install publishes a committed page image into the shared cache
 // without a pager transaction. MVCC session commits use it: their
 // frames bypass Begin/PrepareCommit, but later writers and reads must
-// see the new images. The data is copied — in place when the page is
-// already cached, so existing references stay valid. Callers must hold
+// see the new images. The cache aliases data, which is a committed image
+// like any other from then on: nobody writes it again. Callers must hold
 // the writer slot; calling inside a pager transaction is a programming
 // error.
 func (p *Pager) Install(pgno uint32, data []byte) {
 	if p.inTxn {
 		panic("pager: Install inside a transaction")
 	}
-	buf, ok := p.cache[pgno]
-	if !ok {
-		buf = make([]byte, p.pageSize)
-		p.cache[pgno] = buf
-	}
-	copy(buf, data)
-}
-
-// Evict drops one page from the shared cache (the MVCC commit path
-// uses it for pages it freed: their next read must come from the
-// journal, not a stale cached image). Illegal mid-transaction.
-func (p *Pager) Evict(pgno uint32) {
-	if p.inTxn {
-		panic("pager: Evict inside a transaction")
-	}
-	delete(p.cache, pgno)
+	p.cache[pgno] = data
 }
 
 // Header-field accessors for page-1 images held outside the pager (the
@@ -615,8 +605,8 @@ func (p *Pager) DropCache() {
 
 // DirtyPages reports the number of pages dirtied so far in the open
 // transaction.
-func (p *Pager) DirtyPages() int { return len(p.dirty) }
+func (p *Pager) DirtyPages() int { return len(p.orig) }
 
 func sortFrames(frames []Frame) {
-	sort.Slice(frames, func(i, j int) bool { return frames[i].Pgno < frames[j].Pgno })
+	slices.SortFunc(frames, func(a, b Frame) int { return cmp.Compare(a.Pgno, b.Pgno) })
 }

@@ -3,10 +3,15 @@ package pager
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
+	"slices"
 	"testing"
 )
 
-// fakeJournal is an in-memory Journal recording commits.
+// fakeJournal is an in-memory Journal recording commits. Like NVWAL it
+// keeps the images a successful commit hands it as the pages' versions,
+// by pointer: a pager that wrote a buffer after handing it over would
+// change a committed version.
 type fakeJournal struct {
 	versions map[uint32][]byte
 	commits  int
@@ -23,9 +28,22 @@ func (j *fakeJournal) CommitTransaction(frames []Frame) error {
 		return errors.New("injected commit failure")
 	}
 	for _, fr := range frames {
-		img := make([]byte, len(fr.Data))
-		copy(img, fr.Data)
-		j.versions[fr.Pgno] = img
+		j.versions[fr.Pgno] = fr.Data
+	}
+	j.commits++
+	return nil
+}
+
+// CommitGroup implements GroupJournal: the groups in order, one commit.
+func (j *fakeJournal) CommitGroup(groups [][]Frame) error {
+	if j.failNext {
+		j.failNext = false
+		return errors.New("injected group failure")
+	}
+	for _, frames := range groups {
+		for _, fr := range frames {
+			j.versions[fr.Pgno] = fr.Data
+		}
 	}
 	j.commits++
 	return nil
@@ -157,24 +175,172 @@ func TestCommitSendsDirtyFrames(t *testing.T) {
 	}
 }
 
+// TestRollbackRestoresPreImages pins the copy-on-write contract: Get
+// hands out the committed image, MarkDirty a private copy while the
+// committed image is kept by pointer (not copied again) as the rollback
+// image, and Rollback re-points the cache at it — so the committed image
+// is never written, and a reader holding it keeps seeing it throughout.
 func TestRollbackRestoresPreImages(t *testing.T) {
-	p, _, _ := newPager(t)
+	p, j, _ := newPager(t)
 	p.Begin()
 	_, buf, _ := p.Allocate()
 	copy(buf, "committed")
 	p.Commit()
 
 	p.Begin()
-	got, _ := p.Get(2)
-	p.MarkDirty(2)
-	copy(got, "scribbled")
+	committed, _ := p.Get(2)
+	if &committed[0] != &j.versions[2][0] {
+		t.Fatal("the cache does not share the journal's committed image")
+	}
+	own := p.MarkDirty(2)
+	if &own[0] == &committed[0] {
+		t.Fatal("MarkDirty handed out the committed image for writing")
+	}
+	if &p.orig[2][0] != &committed[0] {
+		t.Fatal("the rollback image is a copy, not the committed image")
+	}
+	if again := p.MarkDirty(2); &again[0] != &own[0] {
+		t.Fatal("a second MarkDirty made a second copy")
+	}
+	if got, _ := p.Get(2); &got[0] != &own[0] {
+		t.Fatal("Get inside the transaction does not see its own copy")
+	}
+	copy(own, "scribbled")
+	if !bytes.Equal(committed[:9], []byte("committed")) {
+		t.Fatalf("writing the private copy changed the committed image: %q", committed[:9])
+	}
 	p.Rollback()
-	got, _ = p.Get(2)
-	if !bytes.Equal(got[:9], []byte("committed")) {
+	got, _ := p.Get(2)
+	if &got[0] != &committed[0] || !bytes.Equal(got[:9], []byte("committed")) {
 		t.Fatalf("rollback left %q", got[:9])
 	}
 	if n, _ := p.PageCount(); n != 2 {
 		t.Fatalf("PageCount after rollback = %d", n)
+	}
+}
+
+// imageGuard CRCs every committed image the pager or the journal holds —
+// cache entries outside the open transaction's dirty set, rollback
+// images, journal versions — the first time it sees one, and re-verifies
+// all of them, replaced ones included, on every check.
+type imageGuard struct {
+	crcs map[*byte]imageCRC
+}
+
+type imageCRC struct {
+	img []byte
+	crc uint32
+}
+
+func (g *imageGuard) record(img []byte) {
+	if len(img) == 0 {
+		return
+	}
+	if g.crcs == nil {
+		g.crcs = make(map[*byte]imageCRC)
+	}
+	if _, ok := g.crcs[&img[0]]; !ok {
+		g.crcs[&img[0]] = imageCRC{img, crc32.ChecksumIEEE(img)}
+	}
+}
+
+// check verifies every recorded image, then records the ones now held.
+func (g *imageGuard) check(t *testing.T, step string, p *Pager, j *fakeJournal) {
+	t.Helper()
+	for _, c := range g.crcs {
+		if crc32.ChecksumIEEE(c.img) != c.crc {
+			t.Fatalf("%s: a committed image was written in place", step)
+		}
+	}
+	for pgno, img := range p.cache {
+		if _, dirty := p.orig[pgno]; !dirty {
+			g.record(img)
+		}
+	}
+	for _, img := range p.orig {
+		g.record(img)
+	}
+	for _, img := range j.versions {
+		g.record(img)
+	}
+}
+
+// TestOwnershipCommittedImagesNeverWritten drives the pager through every
+// way the database layer ends a transaction — commit, rollback, a solo
+// commit that fails and is retried with the same frames (the ErrLogFull
+// path), and a grouped flush of two transactions that dirtied the same
+// page one after the other — and requires that no committed image, in the
+// cache or in the journal, ever changes.
+func TestOwnershipCommittedImagesNeverWritten(t *testing.T) {
+	p, j, _ := newPager(t)
+	var g imageGuard
+	g.check(t, "open", p, j)
+	write := func(pgno uint32, s string) {
+		t.Helper()
+		if _, err := p.Get(pgno); err != nil {
+			t.Fatal(err)
+		}
+		copy(p.MarkDirty(pgno)[8:], s)
+	}
+
+	p.Begin()
+	for i := 0; i < 4; i++ {
+		if _, _, err := p.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(2, "first")
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	g.check(t, "commit", p, j)
+
+	p.Begin()
+	write(2, "rolled back")
+	write(3, "rolled back")
+	if err := p.Free(4); err != nil {
+		t.Fatal(err)
+	}
+	g.check(t, "dirty", p, j)
+	p.Rollback()
+	g.check(t, "rollback", p, j)
+
+	p.Begin()
+	write(2, "retried")
+	write(5, "retried")
+	frames, _ := p.PrepareCommit()
+	j.failNext = true
+	if err := p.Journal().CommitTransaction(frames); err == nil {
+		t.Fatal("the injected failure did not fail the commit")
+	}
+	g.check(t, "failed attempt", p, j)
+	if err := p.Journal().CommitTransaction(frames); err != nil {
+		t.Fatal(err)
+	}
+	p.FinishCommit()
+	g.check(t, "retry", p, j)
+
+	var queued [][]Frame
+	for _, s := range []string{"group member A", "group member B"} {
+		p.Begin()
+		write(2, s)
+		write(3, s)
+		frames, _ := p.PrepareCommit()
+		queued = append(queued, slices.Clone(frames))
+		p.FinishCommit()
+		g.check(t, "queued "+s, p, j)
+	}
+	if err := j.CommitGroup(queued); err != nil {
+		t.Fatal(err)
+	}
+	g.check(t, "grouped flush", p, j)
+	for _, pgno := range []uint32{2, 3} {
+		if got, _ := p.Get(pgno); !bytes.Equal(got[8:22], []byte("group member B")) || &got[0] != &j.versions[pgno][0] {
+			t.Fatalf("page %d after the group: cache %q, not the journal's last image", pgno, got[8:22])
+		}
+	}
+	if len(g.crcs) < 8 {
+		t.Fatalf("guard saw only %d images", len(g.crcs))
 	}
 }
 

@@ -934,10 +934,11 @@ func TestShipStampIsAVirtualEvent(t *testing.T) {
 	}
 	defer rn.Stop()
 	var hold atomic.Bool
-	release := make(chan struct{})
+	held, release := make(chan struct{}), make(chan struct{})
 	slow, _ := startTappedReplica(t, c, "n2", func(conn netsim.Conn) netsim.Conn {
 		return &tapConn{Conn: conn, beforeSend: func(msg []byte) {
 			if msg[0] == mtAck && hold.Load() {
+				held <- struct{}{}
 				<-release
 			}
 		}}
@@ -954,6 +955,7 @@ func TestShipStampIsAVirtualEvent(t *testing.T) {
 	hold.Store(true)
 	model.put(t, pn.Repl, 1) // returns on n1's ack; n2 applies it and its ack is held: the link is busy
 	model.put(t, pn.Repl, 2) // n2's backlog
+	<-held                   // however late n2 gets to it, the hold is in place before time moves
 	lane := pn.Node.Plat.Clock
 	committed := lane.Now()
 	const round = 50 * time.Millisecond

@@ -742,6 +742,6 @@ func (s *replStore) Free(uint32) error {
 	return errors.New("repl: replica store is read-only")
 }
 
-func (s *replStore) MarkDirty(uint32) {
+func (s *replStore) MarkDirty(uint32) []byte {
 	panic("repl: write through a replica read")
 }

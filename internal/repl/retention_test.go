@@ -133,7 +133,9 @@ func TestRetentionResumesAcrossCheckpointGap(t *testing.T) {
 // (its node drops off the network; nothing closes) cannot make the
 // primary hold more than a seed's worth of log for it. The link is
 // unpinned at the budget, the next checkpoint keeps nothing, and the
-// peer re-seeds when it returns.
+// peer re-seeds when it returns. The tail's PeakBytes is its memory: it
+// holds copies of the payloads, not the page images they were logged
+// from (core's TestRetentionTailHoldsPayloadNotImages).
 func TestRetentionBoundedForSilentPeer(t *testing.T) {
 	c := newTestCluster(t, "n0", "n1")
 	pn := startPrimaryWithTable(t, c, "n0", 1, 0)

@@ -400,7 +400,8 @@ func (w *WAL) ensurePrealloc(frameCount int) {
 }
 
 // PageVersion implements pager.Journal: reconstruct the latest committed
-// image of pgno from its newest frame.
+// image of pgno from its newest frame, into a fresh buffer (the pager
+// caches it as it is).
 func (w *WAL) PageVersion(pgno uint32) ([]byte, bool) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -417,19 +418,6 @@ func (w *WAL) pageVersionLocked(pgno uint32) ([]byte, bool) {
 		return nil, false
 	}
 	return page, true
-}
-
-// PageVersionInto implements pager.PageVersionInto: read the newest
-// committed image of pgno straight into the caller's buffer, skipping
-// the intermediate allocation.
-func (w *WAL) PageVersionInto(pgno uint32, buf []byte) bool {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	i, ok := w.index[pgno]
-	if !ok {
-		return false
-	}
-	return w.readPayloadInto(i, buf)
 }
 
 // readPayloadInto reads frame i's payload into buf (a full page). In
