@@ -48,7 +48,7 @@ func BenchmarkFig5LazyVsEager(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		l, e := r.Cell(32, true), r.Cell(32, false)
+		l, e := fig5Cell(r, 32, true), fig5Cell(r, 32, false)
 		b.ReportMetric(float64(l.Ordering().Microseconds()), "lazy-ordering-us(K=32)")
 		b.ReportMetric(float64(e.Ordering().Microseconds()), "eager-ordering-us(K=32)")
 	}
@@ -60,9 +60,13 @@ func BenchmarkFig6OverheadPercent(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Cell(1, true).OverheadPercent(), "overhead-%(K=1)")
-		b.ReportMetric(r.Cell(32, true).OverheadPercent(), "overhead-%(K=32)")
+		b.ReportMetric(fig5Cell(r, 1, true).OverheadPercent(), "overhead-%(K=1)")
+		b.ReportMetric(fig5Cell(r, 32, true).OverheadPercent(), "overhead-%(K=32)")
 	}
+}
+
+func fig5Cell(r *experiments.Fig5Result, k int, lazy bool) *experiments.Fig5Cell {
+	return experiments.Find(r.Cells, func(c experiments.Fig5Cell) bool { return c.InsertsPerTxn == k && c.Lazy == lazy })
 }
 
 func BenchmarkFig7Variants(b *testing.B) {
@@ -72,8 +76,11 @@ func BenchmarkFig7Variants(b *testing.B) {
 			b.Fatal(err)
 		}
 		slow := r.Latencies[len(r.Latencies)-1]
-		b.ReportMetric(r.Throughput("NVWAL UH+LS+Diff", slow), "UH+LS+Diff-txn/s@1942ns")
-		b.ReportMetric(r.Throughput("NVWAL LS", slow), "LS-txn/s@1942ns")
+		tput := func(v string) float64 {
+			return experiments.Find(r.Points, func(p experiments.Fig7Point) bool { return p.Variant == v && p.Latency == slow }).Throughput
+		}
+		b.ReportMetric(tput("NVWAL UH+LS+Diff"), "UH+LS+Diff-txn/s@1942ns")
+		b.ReportMetric(tput("NVWAL LS"), "LS-txn/s@1942ns")
 	}
 }
 
@@ -94,7 +101,8 @@ func BenchmarkFig9NVWALvsFlash(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(r.Speedup(2*time.Microsecond), "speedup-x@2us")
-		b.ReportMetric(r.Throughput(experiments.Fig9Series[2], r.Latencies[0]), "wal-txn/s")
+		wal := experiments.Find(r.Points, func(p experiments.Fig9Point) bool { return p.Series == experiments.Fig9Series[2] })
+		b.ReportMetric(wal.Throughput, "wal-txn/s")
 	}
 }
 
@@ -104,8 +112,11 @@ func BenchmarkBaselines(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Row("Rollback journal").Throughput, "rollback-txn/s")
-		b.ReportMetric(r.Row("NVWAL UH+LS+Diff").Throughput, "nvwal-txn/s")
+		tput := func(mode string) float64 {
+			return experiments.Find(r.Rows, func(row experiments.BaselineRow) bool { return row.Mode == mode }).Throughput
+		}
+		b.ReportMetric(tput("Rollback journal"), "rollback-txn/s")
+		b.ReportMetric(tput("NVWAL UH+LS+Diff"), "nvwal-txn/s")
 	}
 }
 
@@ -116,8 +127,11 @@ func BenchmarkPersistencyModels(b *testing.B) {
 			b.Fatal(err)
 		}
 		slow := r.Latencies[len(r.Latencies)-1]
-		b.ReportMetric(r.Throughput("Epoch persistency", slow), "epoch-txn/s@1942ns")
-		b.ReportMetric(r.Throughput("Strict persistency", slow), "strict-txn/s@1942ns")
+		tput := func(m string) float64 {
+			return experiments.Find(r.Points, func(p experiments.PersistencyPoint) bool { return p.Model == m && p.Latency == slow }).Throughput
+		}
+		b.ReportMetric(tput("Epoch persistency"), "epoch-txn/s@1942ns")
+		b.ReportMetric(tput("Strict persistency"), "strict-txn/s@1942ns")
 	}
 }
 

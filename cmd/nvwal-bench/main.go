@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	nvwal-bench [-txns N] table1|table2|fig5|fig6|fig7|fig8|fig9|...|concurrent|all
+//	nvwal-bench [-txns N] [-json FILE] [-gate FILE] table1|table2|fig5|fig6|fig7|fig8|fig9|...|allocs|all
 //
 // Throughput numbers are virtual-time based and deterministic; see
 // EXPERIMENTS.md for the paper-versus-measured comparison.
@@ -11,11 +11,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,23 +26,159 @@ import (
 	"repro/internal/mobibench"
 )
 
-func main() {
-	txns := flag.Int("txns", 0, "transactions per measurement (0 = experiment default)")
-	jsonOut := flag.String("json", "", "also write the experiment's result as JSON to this file (checkpoint, pressure, shards, mvcc, repl, slow and allocs only)")
-	gate := flag.String("gate", "", "baseline JSON to gate against (allocs only): exit non-zero when allocs/op regress above it")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: nvwal-bench [-txns N] [-json FILE] [-gate FILE] table1|table2|fig5|fig6|fig7|fig8|fig9|persistency|prealloc|baselines|cschecksum|groupcommit|concurrent|checkpoint|pressure|shards|mvcc|repl|slow|allocs|all")
-		flag.PrintDefaults()
+// result is what an experiment returns: it prints itself, and it is the
+// value -json writes.
+type result interface{ Print(io.Writer) }
+
+// experiment is one subcommand; "all" runs every one in table order.
+type experiment struct {
+	name string
+	run  func(txns int) (result, error)
+}
+
+var table = []experiment{
+	{"table1", of(experiments.Table1)},
+	{"table2", of(experiments.Table2)},
+	{"fig5", of(experiments.Figure5)},
+	{"fig6", func(txns int) (result, error) {
+		r, err := experiments.Figure5(txns)
+		return fig6{r}, err
+	}},
+	{"fig7", func(txns int) (result, error) {
+		var f fig7
+		for _, op := range []mobibench.Op{mobibench.Insert, mobibench.Update, mobibench.Delete} {
+			r, err := experiments.Figure7(op, txns)
+			if err != nil {
+				return nil, err
+			}
+			f.Panels = append(f.Panels, r)
+		}
+		return f, nil
+	}},
+	{"fig8", func(int) (result, error) {
+		r, err := experiments.Figure8()
+		return r, err
+	}},
+	{"fig9", of(experiments.Figure9)},
+	{"persistency", of(experiments.Persistency)},
+	{"prealloc", of(experiments.Prealloc)},
+	{"baselines", of(experiments.Baselines)},
+	{"cschecksum", of(experiments.ChecksumStudy)},
+	{"groupcommit", of(experiments.GroupCommit)},
+	{"concurrent", of(experiments.Concurrent)},
+	{"checkpoint", of(experiments.CheckpointStall)},
+	{"pressure", of(experiments.Pressure)},
+	{"shards", of(experiments.Shards)},
+	{"mvcc", of(experiments.MVCC)},
+	{"repl", of(experiments.Repl)},
+	{"slow", of(experiments.Slow)},
+	{"allocs", of(experiments.CommitAllocs)},
+}
+
+// of adapts an experiment's entry point to the table's signature.
+func of[R result](f func(txns int) (R, error)) func(int) (result, error) {
+	return func(txns int) (result, error) {
+		r, err := f(txns)
+		return r, err
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+}
+
+// fig6 prints Figure 5's measurements as the Figure 6 view.
+type fig6 struct{ *experiments.Fig5Result }
+
+func (f fig6) Print(w io.Writer) { f.WriteFigure6(w) }
+
+// fig7 is Figure 7's three panels: insert, update, delete.
+type fig7 struct{ Panels []*experiments.Fig7Result }
+
+func (f fig7) Print(w io.Writer) {
+	for _, p := range f.Panels {
+		p.Print(w)
+		fmt.Fprintln(w)
 	}
-	if err := run(flag.Arg(0), *txns, *jsonOut, *gate); err != nil {
-		fmt.Fprintln(os.Stderr, "nvwal-bench:", err)
-		os.Exit(1)
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command. It returns the exit code: 0 done, 1 when an
+// experiment fails or the allocs gate trips, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nvwal-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	txns := fs.Int("txns", 0, "transactions per measurement (0 = experiment default)")
+	jsonOut := fs.String("json", "", "also write the experiment's result as JSON to this file")
+	gate := fs.String("gate", "", "baseline JSON to gate against (allocs only): exit non-zero when allocs/op regress above it")
+	var names []string
+	for _, e := range table {
+		names = append(names, e.name)
 	}
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: nvwal-bench [-txns N] [-json FILE] [-gate FILE] %s|all\n", strings.Join(names, "|"))
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	name, todo := fs.Arg(0), table
+	i := slices.Index(names, name)
+	if i >= 0 {
+		todo = table[i : i+1]
+	}
+	var refused string
+	switch {
+	case i < 0 && name != "all":
+		refused = fmt.Sprintf("unknown experiment %q", name)
+	case name == "all" && *jsonOut != "":
+		refused = "-json writes one experiment's result; name the experiment instead of all"
+	case *gate != "" && name != "allocs":
+		refused = "-gate applies to allocs only"
+	}
+	if refused != "" {
+		fmt.Fprintln(stderr, "nvwal-bench:", refused)
+		return 2
+	}
+	for _, e := range todo {
+		if name == "all" {
+			fmt.Fprintf(stdout, "==== %s ====\n", e.name)
+		}
+		if err := runOne(e, *txns, *jsonOut, *gate, stdout); err != nil {
+			fmt.Fprintln(stderr, "nvwal-bench:", err)
+			return 1
+		}
+		if name == "all" {
+			fmt.Fprintln(stdout)
+		}
+	}
+	return 0
+}
+
+// runOne runs and prints one experiment, then writes its JSON and gates
+// it when asked to.
+func runOne(e experiment, txns int, jsonOut, gate string, stdout io.Writer) error {
+	r, err := e.run(txns)
+	if err != nil {
+		return err
+	}
+	r.Print(stdout)
+	if jsonOut != "" {
+		if err := writeJSON(jsonOut, r); err != nil {
+			return err
+		}
+	}
+	if gate != "" {
+		if err := gateAllocs(r.(*experiments.CommitAllocsResult), gate); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "allocs/op gate passed against %s\n", gate)
+	}
+	return nil
 }
 
 // writeJSON dumps v indented to path, stamped with provenance meta
@@ -94,7 +233,7 @@ func gateAllocs(r *experiments.CommitAllocsResult, path string) error {
 	}
 	var failures []string
 	for _, want := range base.Rows {
-		got := r.Row(want.Path)
+		got := experiments.Find(r.Rows, func(row experiments.CommitAllocsRow) bool { return row.Path == want.Path })
 		if got == nil {
 			failures = append(failures, fmt.Sprintf("%s: missing from current run", want.Path))
 			continue
@@ -110,187 +249,6 @@ func gateAllocs(r *experiments.CommitAllocsResult, path string) error {
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("allocs/op regression:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-func run(name string, txns int, jsonOut, gate string) error {
-	out := os.Stdout
-	switch name {
-	case "table1":
-		r, err := experiments.Table1(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-	case "table2":
-		r, err := experiments.Table2(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-	case "fig5":
-		r, err := experiments.Figure5(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-	case "fig6":
-		r, err := experiments.Figure5(txns)
-		if err != nil {
-			return err
-		}
-		r.WriteFigure6(out)
-	case "fig7":
-		for _, op := range []mobibench.Op{mobibench.Insert, mobibench.Update, mobibench.Delete} {
-			r, err := experiments.Figure7(op, txns)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			fmt.Fprintln(out)
-		}
-	case "fig8":
-		r, err := experiments.Figure8()
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-	case "fig9":
-		r, err := experiments.Figure9(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-	case "persistency":
-		r, err := experiments.Persistency(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-	case "prealloc":
-		r, err := experiments.Prealloc(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-	case "baselines":
-		r, err := experiments.Baselines(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-	case "cschecksum":
-		r, err := experiments.ChecksumStudy(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-	case "groupcommit":
-		r, err := experiments.GroupCommit(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-	case "concurrent":
-		r, err := experiments.Concurrent(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-	case "checkpoint":
-		r, err := experiments.CheckpointStall(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-		if jsonOut != "" {
-			if err := writeJSON(jsonOut, r); err != nil {
-				return err
-			}
-		}
-	case "pressure":
-		r, err := experiments.Pressure(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-		if jsonOut != "" {
-			if err := writeJSON(jsonOut, r); err != nil {
-				return err
-			}
-		}
-	case "shards":
-		r, err := experiments.Shards(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-		if jsonOut != "" {
-			if err := writeJSON(jsonOut, r); err != nil {
-				return err
-			}
-		}
-	case "mvcc":
-		r, err := experiments.MVCC(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-		if jsonOut != "" {
-			if err := writeJSON(jsonOut, r); err != nil {
-				return err
-			}
-		}
-	case "repl":
-		r, err := experiments.Repl(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-		if jsonOut != "" {
-			if err := writeJSON(jsonOut, r); err != nil {
-				return err
-			}
-		}
-	case "slow":
-		r, err := experiments.Slow(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-		if jsonOut != "" {
-			if err := writeJSON(jsonOut, r); err != nil {
-				return err
-			}
-		}
-	case "allocs":
-		r, err := experiments.CommitAllocs(txns)
-		if err != nil {
-			return err
-		}
-		r.Print(out)
-		if jsonOut != "" {
-			if err := writeJSON(jsonOut, r); err != nil {
-				return err
-			}
-		}
-		if gate != "" {
-			if err := gateAllocs(r, gate); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "allocs/op gate passed against %s\n", gate)
-		}
-	case "all":
-		for _, sub := range []string{"table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "persistency", "prealloc", "baselines", "cschecksum", "groupcommit", "concurrent", "checkpoint", "pressure", "shards", "mvcc", "repl", "slow", "allocs"} {
-			fmt.Fprintf(out, "==== %s ====\n", sub)
-			if err := run(sub, txns, jsonOut, gate); err != nil {
-				return err
-			}
-			fmt.Fprintln(out)
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/blockdev"
@@ -40,16 +39,6 @@ type CommitAllocsRow struct {
 // CommitAllocsResult holds the audit across commit-path shapes.
 type CommitAllocsResult struct {
 	Rows []CommitAllocsRow `json:"rows"`
-}
-
-// Row returns the named row, or nil.
-func (r *CommitAllocsResult) Row(path string) *CommitAllocsRow {
-	for i := range r.Rows {
-		if r.Rows[i].Path == path {
-			return &r.Rows[i]
-		}
-	}
-	return nil
 }
 
 // CommitAllocs measures steady-state heap allocations per operation on
@@ -122,17 +111,14 @@ func measureAllocs(path string, n int, op func(i int) error) (CommitAllocsRow, e
 		lats = append(lats, time.Since(t0))
 	}
 	runtime.ReadMemStats(&after)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) int64 {
-		return lats[int(p*float64(len(lats)-1))].Nanoseconds()
-	}
+	slices.Sort(lats)
 	return CommitAllocsRow{
 		Path:        path,
 		Ops:         n,
 		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(n),
 		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
-		P50Ns:       pct(0.50),
-		P99Ns:       pct(0.99),
+		P50Ns:       int64(quantile(lats, 0.50)),
+		P99Ns:       int64(quantile(lats, 0.99)),
 	}, nil
 }
 
@@ -145,25 +131,17 @@ func measureAllocs(path string, n int, op func(i int) error) (CommitAllocsRow, e
 func soloCommitAllocs(txns int) (solo, update CommitAllocsRow, err error) {
 	// A checkpoint limit far above the transaction count keeps
 	// checkpoint I/O out of the audited loop.
-	s, err := NewNVWALSetup(Tuna, core.VariantUHLSDiff(), 1<<20)
+	s, err := newSetup(Tuna.newPlatform, db.Options{
+		Journal: db.JournalNVWAL, NVWAL: core.VariantUHLSDiff(), CPU: Tuna.cpu(), CheckpointLimit: 1 << 20,
+	}, "bench")
 	if err != nil {
-		return solo, update, err
-	}
-	if err := s.DB.CreateTable("bench"); err != nil {
 		return solo, update, err
 	}
 	val := make([]byte, 100)
 	key := make([]byte, 8)
 	commit := func(op func(tx *db.Tx) error) error {
-		tx, err := s.DB.Begin()
-		if err != nil {
-			return err
-		}
-		if err := op(tx); err != nil {
-			tx.Rollback()
-			return err
-		}
-		return tx.Commit()
+		_, err := commitTxn(s.DB.Begin, s.Plat.Clock.Now, op)
+		return err
 	}
 	solo, err = measureAllocs("solo-commit", txns, func(i int) error {
 		binary.BigEndian.PutUint64(key, uint64(i))
@@ -238,32 +216,25 @@ func readPathAllocs(txns int) ([]CommitAllocsRow, error) {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i%keys)) }
 	val := make([]byte, 100)
 
-	plat, err := Tuna.newPlatform()
-	if err != nil {
-		return nil, err
-	}
-	d, err := db.Open(plat, "bench.db", db.Options{
+	s, err := newSetup(Tuna.newPlatform, db.Options{
 		Journal: db.JournalNVWAL, NVWAL: core.VariantUHLSDiff(),
 		Concurrent: true, CheckpointLimit: -1,
-	})
+	}, "bench")
 	if err != nil {
 		return nil, err
 	}
-	if err := d.CreateTable("bench"); err != nil {
-		return nil, err
-	}
+	d := s.DB
 	// Load, backfill everything, then rewrite a quarter of the keys.
 	put := func(from, step int) error {
-		tx, err := d.Begin()
-		if err != nil {
-			return err
-		}
-		for i := from; i < keys; i += step {
-			if err := tx.Insert("bench", key(i), val); err != nil {
-				return err
+		_, err := commitTxn(d.Begin, s.Plat.Clock.Now, func(tx *db.Tx) error {
+			for i := from; i < keys; i += step {
+				if err := tx.Insert("bench", key(i), val); err != nil {
+					return err
+				}
 			}
-		}
-		return tx.Commit()
+			return nil
+		})
+		return err
 	}
 	if err := put(0, 1); err != nil {
 		return nil, err

@@ -11,8 +11,11 @@ func TestCommitAllocsShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rowOf := func(path string) *CommitAllocsRow {
+		return Find(r.Rows, func(row CommitAllocsRow) bool { return row.Path == path })
+	}
 	for _, path := range []string{"solo-commit", "group-commit", "legacy-update", "snapshot-get", "session-rmw", "replica-get", "replica-apply", "sim-line", "blockdev-write"} {
-		row := r.Row(path)
+		row := rowOf(path)
 		if row == nil {
 			t.Fatalf("audit missing row %q", path)
 		}
@@ -28,14 +31,14 @@ func TestCommitAllocsShapes(t *testing.T) {
 	// transaction's private copy, which the journal then keeps — and no
 	// other page: not for the rollback image, not for the log's version,
 	// not for its history.
-	if row := r.Row("legacy-update"); row.BytesPerOp < 4096 || row.BytesPerOp >= 2*4096 {
+	if row := rowOf("legacy-update"); row.BytesPerOp < 4096 || row.BytesPerOp >= 2*4096 {
 		t.Fatalf("legacy-update allocates %.0f bytes/op, want one 4 KiB page copy", row.BytesPerOp)
 	}
 	// The commit paths hand off a bounded set of buffers per
 	// transaction; far above this means an intermediate frame image
 	// crept back in. The bound is deliberately loose — the CI gate
 	// against results/BENCH_commit_allocs.json does the tight tracking.
-	if row := r.Row("solo-commit"); row.AllocsPerOp > 40 {
+	if row := rowOf("solo-commit"); row.AllocsPerOp > 40 {
 		t.Fatalf("solo-commit allocates %.2f/op, want the zero-copy steady state", row.AllocsPerOp)
 	}
 	// Snapshot and replica reads serve the log's own page images: not one
@@ -43,17 +46,17 @@ func TestCommitAllocsShapes(t *testing.T) {
 	// once (root and leaf here, plus the commit's page-1 image); the bound
 	// sits between that and the three copies per page it used to make.
 	for _, path := range []string{"snapshot-get", "replica-get"} {
-		if row := r.Row(path); row.BytesPerOp >= 2048 {
+		if row := rowOf(path); row.BytesPerOp >= 2048 {
 			t.Fatalf("%s allocates %.0f bytes/op: a page image is being copied", path, row.BytesPerOp)
 		}
 	}
-	if row := r.Row("session-rmw"); row.BytesPerOp > 30000 {
+	if row := rowOf("session-rmw"); row.BytesPerOp > 30000 {
 		t.Fatalf("session-rmw allocates %.0f bytes/op, want one copy per loaded page", row.BytesPerOp)
 	}
 	// A replica copies each page a batch touches once — the image it
 	// patches and its journal then keeps — beside the journal's own
 	// bookkeeping; two page sizes means the staging copy is back.
-	if row := r.Row("replica-apply"); row.BytesPerOp >= 2*4096 {
+	if row := rowOf("replica-apply"); row.BytesPerOp >= 2*4096 {
 		t.Fatalf("replica-apply allocates %.0f bytes per applied page, want one page copy", row.BytesPerOp)
 	}
 	// The simulated hardware allocates nothing per 48-line flush burst
@@ -61,11 +64,11 @@ func TestCommitAllocsShapes(t *testing.T) {
 	// allocations in a window are a few hundredths per op; one buffer per
 	// op, or one allocation per memsim call, is 1 or more).
 	for _, path := range []string{"sim-line", "blockdev-write"} {
-		if row := r.Row(path); row.AllocsPerOp >= 0.5 || row.BytesPerOp >= 1024 {
+		if row := rowOf(path); row.AllocsPerOp >= 0.5 || row.BytesPerOp >= 1024 {
 			t.Fatalf("%s allocates %.3f/op, %.1f bytes/op, want 0", path, row.AllocsPerOp, row.BytesPerOp)
 		}
 	}
-	if r.Row("unknown") != nil {
+	if rowOf("unknown") != nil {
 		t.Fatal("Row invented a path")
 	}
 	var b bytes.Buffer

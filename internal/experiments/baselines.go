@@ -34,33 +34,19 @@ func Baselines(txns int) (*BaselinesResult, error) {
 	if txns <= 0 {
 		txns = 300
 	}
-	type mode struct {
+	modes := []struct {
 		name string
-		open func() (*Setup, error)
-	}
-	modes := []mode{
-		{"Rollback journal", func() (*Setup, error) {
-			plat, err := Nexus5.newPlatform()
-			if err != nil {
-				return nil, err
-			}
-			d, err := db.Open(plat, "bench.db", db.Options{
-				Journal: db.JournalRollback, CPU: Nexus5.cpu(), CheckpointLimit: db1000,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return &Setup{Plat: plat, DB: d}, nil
-		}},
-		{"Stock WAL", func() (*Setup, error) { return NewWALSetup(Nexus5, false, db1000) }},
-		{"Optimized WAL", func() (*Setup, error) { return NewWALSetup(Nexus5, true, db1000) }},
-		{"NVWAL UH+LS+Diff", func() (*Setup, error) {
-			return NewNVWALSetup(Nexus5, core.VariantUHLSDiff(), db1000)
-		}},
+		opts db.Options
+	}{
+		{"Rollback journal", db.Options{Journal: db.JournalRollback}},
+		{"Stock WAL", db.Options{Journal: db.JournalWAL}},
+		{"Optimized WAL", db.Options{Journal: db.JournalOptimizedWAL}},
+		{"NVWAL UH+LS+Diff", db.Options{Journal: db.JournalNVWAL, NVWAL: core.VariantUHLSDiff()}},
 	}
 	res := &BaselinesResult{}
 	for _, m := range modes {
-		s, err := m.open()
+		m.opts.CPU, m.opts.CheckpointLimit = Nexus5.cpu(), db1000
+		s, err := newSetup(Nexus5.newPlatform, m.opts)
 		if err != nil {
 			return nil, err
 		}
@@ -86,16 +72,6 @@ func Baselines(txns int) (*BaselinesResult, error) {
 		})
 	}
 	return res, nil
-}
-
-// Row returns the named mode's measurements.
-func (r *BaselinesResult) Row(mode string) *BaselineRow {
-	for i := range r.Rows {
-		if r.Rows[i].Mode == mode {
-			return &r.Rows[i]
-		}
-	}
-	return nil
 }
 
 // Print renders the comparison.

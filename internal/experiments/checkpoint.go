@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -71,92 +69,44 @@ func CheckpointStall(txns int) (*CheckpointResult, error) {
 }
 
 func runCheckpointStall(background bool, writers, txns int, latency time.Duration, limit int) (CheckpointRow, error) {
-	plat, err := Tuna.newPlatform()
-	if err != nil {
-		return CheckpointRow{}, err
-	}
-	plat.SetNVRAMLatency(latency)
-	d, err := db.Open(plat, "bench.db", db.Options{
+	s, err := newSetup(Tuna.at(latency), db.Options{
 		Journal:              db.JournalNVWAL,
 		NVWAL:                core.VariantUHLSDiff(),
 		CPU:                  Tuna.cpu(),
 		CheckpointLimit:      limit,
 		Concurrent:           true,
 		BackgroundCheckpoint: background,
+	}, "bench")
+	if err != nil {
+		return CheckpointRow{}, err
+	}
+	perWriter := txns / writers
+	total := perWriter * writers
+	before := s.Plat.Metrics.Snapshot()
+	start := s.Plat.Clock.Now()
+	wall := time.Now()
+	sinceWall := func() time.Duration { return time.Since(wall) }
+	val := make([]byte, 100)
+	out, err := driveWriters(writers, perWriter, func(w, i int) (time.Duration, error) {
+		key := []byte(fmt.Sprintf("w%02d-%06d", w, i))
+		return commitTxn(s.DB.Begin, sinceWall, func(tx *db.Tx) error { return tx.Insert("bench", key, val) })
 	})
 	if err != nil {
 		return CheckpointRow{}, err
 	}
-	if err := d.CreateTable("bench"); err != nil {
-		return CheckpointRow{}, err
-	}
-
-	perWriter := txns / writers
-	total := perWriter * writers
-	before := plat.Metrics.Snapshot()
-	start := plat.Clock.Now()
-
-	lats := make([][]time.Duration, writers)
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	for s := 0; s < writers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			val := make([]byte, 100)
-			mine := make([]time.Duration, 0, perWriter)
-			for i := 0; i < perWriter; i++ {
-				tx, err := d.Begin()
-				if err != nil {
-					errs <- err
-					return
-				}
-				key := []byte(fmt.Sprintf("w%02d-%06d", s, i))
-				if err := tx.Insert("bench", key, val); err != nil {
-					errs <- err
-					return
-				}
-				t0 := time.Now()
-				if err := tx.Commit(); err != nil {
-					errs <- err
-					return
-				}
-				mine = append(mine, time.Since(t0))
-			}
-			lats[s] = mine
-		}(s)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return CheckpointRow{}, err
-	}
-	elapsed := plat.Clock.Now() - start
+	elapsed := s.Plat.Clock.Now() - start
 
 	// Let the background checkpointer finish in-flight rounds so both
 	// modes report comparable checkpoint totals, then stop it.
 	if background {
 		deadline := time.Now().Add(5 * time.Second)
-		for d.Journal().FramesSinceCheckpoint() >= limit && time.Now().Before(deadline) {
+		for s.DB.Journal().FramesSinceCheckpoint() >= limit && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	delta := plat.Metrics.Snapshot().Sub(before)
-	if err := d.Close(); err != nil {
+	delta := s.Plat.Metrics.Snapshot().Sub(before)
+	if err := s.DB.Close(); err != nil {
 		return CheckpointRow{}, err
-	}
-
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) int64 {
-		if len(all) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(all)-1))
-		return all[i].Nanoseconds()
 	}
 	mode := "blocking"
 	if background {
@@ -166,25 +116,15 @@ func runCheckpointStall(background bool, writers, txns int, latency time.Duratio
 		Mode:            mode,
 		Writers:         writers,
 		Txns:            total,
-		P50CommitNs:     pct(0.50),
-		P99CommitNs:     pct(0.99),
-		MaxCommitNs:     pct(1.0),
+		P50CommitNs:     int64(quantile(out.lats, 0.50)),
+		P99CommitNs:     int64(quantile(out.lats, 0.99)),
+		MaxCommitNs:     int64(quantile(out.lats, 1)),
 		Checkpoints:     delta.Count(metrics.Checkpoints),
 		CheckpointPages: delta.Count(metrics.CheckpointPages),
 		CheckpointNs:    delta.Count(metrics.CheckpointNanos),
 		CommitStallNs:   delta.Count(metrics.CommitStallNanos),
 		Throughput:      float64(total) / elapsed.Seconds(),
 	}, nil
-}
-
-// P99 returns the p99 commit latency for (mode, writers), or 0.
-func (r *CheckpointResult) P99(mode string, writers int) int64 {
-	for _, row := range r.Rows {
-		if row.Mode == mode && row.Writers == writers {
-			return row.P99CommitNs
-		}
-	}
-	return 0
 }
 
 // Print renders the sweep.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -57,90 +56,50 @@ func Concurrent(txns int) (*ConcurrentResult, error) {
 }
 
 func runConcurrent(writers, group, txns int, latency time.Duration) (ConcurrentRow, error) {
-	plat, err := Tuna.newPlatform()
-	if err != nil {
-		return ConcurrentRow{}, err
-	}
-	plat.SetNVRAMLatency(latency)
-	d, err := db.Open(plat, "bench.db", db.Options{
+	s, err := newSetup(Tuna.at(latency), db.Options{
 		Journal:         db.JournalNVWAL,
 		NVWAL:           core.VariantUHLSDiff(),
 		CPU:             Tuna.cpu(),
 		CheckpointLimit: -1,
 		Concurrent:      true,
 		GroupCommit:     group,
-	})
+	}, "bench")
 	if err != nil {
 		return ConcurrentRow{}, err
 	}
-	if err := d.CreateTable("bench"); err != nil {
-		return ConcurrentRow{}, err
-	}
-
 	perWriter := txns / writers
 	total := perWriter * writers
 	// Register every session before the first commit so the group
 	// committer forms deterministic groups of min(writers, group).
 	sessions := make([]*db.Writer, writers)
 	for i := range sessions {
-		sessions[i] = d.Writer()
+		sessions[i] = s.DB.Writer()
 	}
-	before := plat.Metrics.Snapshot()
-	start := plat.Clock.Now()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	for s := 0; s < writers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sess := sessions[s]
-			defer sess.Close()
-			val := make([]byte, 100)
-			for i := 0; i < perWriter; i++ {
-				tx, err := sess.Begin()
-				if err != nil {
-					errs <- err
-					return
-				}
-				key := []byte(fmt.Sprintf("w%02d-%06d", s, i))
-				if err := tx.Insert("bench", key, val); err != nil {
-					errs <- err
-					return
-				}
-				if err := tx.Commit(); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	before := s.Plat.Metrics.Snapshot()
+	start := s.Plat.Clock.Now()
+	val := make([]byte, 100)
+	_, err = driveWriters(writers, perWriter, func(w, i int) (time.Duration, error) {
+		key := []byte(fmt.Sprintf("w%02d-%06d", w, i))
+		lat, err := commitTxn(sessions[w].Begin, s.Plat.Clock.Now, func(tx *db.Tx) error {
+			return tx.Insert("bench", key, val)
+		})
+		if stops(err) || i == perWriter-1 {
+			sessions[w].Close() // a group waits for every registered session
+		}
+		return lat, err
+	})
+	if err != nil {
 		return ConcurrentRow{}, err
 	}
-
-	delta := plat.Metrics.Snapshot().Sub(before)
-	elapsed := plat.Clock.Now() - start
+	delta := s.Plat.Metrics.Snapshot().Sub(before)
 	return ConcurrentRow{
 		Writers:     writers,
 		GroupSize:   group,
 		Txns:        total,
 		BarriersTxn: float64(delta.Count(metrics.PersistBarrier)) / float64(total),
 		Groups:      delta.Count(metrics.GroupCommits),
-		Throughput:  float64(total) / elapsed.Seconds(),
+		Throughput:  float64(total) / (s.Plat.Clock.Now() - start).Seconds(),
 	}, nil
-}
-
-// BarriersPerTxn returns the measurement for (writers, group), or 0.
-func (r *ConcurrentResult) BarriersPerTxn(writers, group int) float64 {
-	for _, row := range r.Rows {
-		if row.Writers == writers && row.GroupSize == group {
-			return row.BarriersTxn
-		}
-	}
-	return 0
 }
 
 // Print renders the sweep.

@@ -125,16 +125,6 @@ func runChecksumTrial(bits int, seed int64) (string, error) {
 	}
 }
 
-// CorruptionRate returns the corrupted fraction for a checksum width.
-func (r *ChecksumResult) CorruptionRate(bits int) float64 {
-	for _, row := range r.Rows {
-		if row.Bits == bits && row.Trials > 0 {
-			return float64(row.Corrupted) / float64(row.Trials)
-		}
-	}
-	return 0
-}
-
 // Print renders the study.
 func (r *ChecksumResult) Print(w io.Writer) {
 	fmt.Fprintln(w, "Asynchronous-commit checksum collision study (§4.2), adversarial crashes")

@@ -63,44 +63,64 @@ func (b Board) cpu() db.CPUProfile {
 	return db.CPUTuna
 }
 
-// NewNVWALSetup opens an NVWAL-journaled database on the given board.
-func NewNVWALSetup(b Board, cfg core.Config, checkpointLimit int) (*Setup, error) {
-	plat, err := b.newPlatform()
+// machine builds the simulated hardware a Setup runs on: a board
+// (Tuna.newPlatform), a board at a fixed NVRAM latency (Tuna.at) or
+// explicit hardware parameters (configured).
+type machine func() (*platform.Platform, error)
+
+// at is the board with its NVRAM write latency set before anything runs
+// on it.
+func (b Board) at(latency time.Duration) machine {
+	return func() (*platform.Platform, error) {
+		plat, err := b.newPlatform()
+		if err == nil {
+			plat.SetNVRAMLatency(latency)
+		}
+		return plat, err
+	}
+}
+
+func configured(cfg platform.Config) machine {
+	return func() (*platform.Platform, error) { return platform.New(cfg) }
+}
+
+// newSetup opens bench.db with opts on a fresh machine and creates the
+// given tables (the sweeps write to "bench"; mobibench creates its own).
+func newSetup(m machine, opts db.Options, tables ...string) (*Setup, error) {
+	plat, err := m()
 	if err != nil {
 		return nil, err
 	}
-	d, err := db.Open(plat, "bench.db", db.Options{
+	d, err := db.Open(plat, "bench.db", opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range tables {
+		if err := d.CreateTable(t); err != nil {
+			return nil, err
+		}
+	}
+	return &Setup{Plat: plat, DB: d}, nil
+}
+
+// NewNVWALSetup opens an NVWAL-journaled database on the given board.
+func NewNVWALSetup(b Board, cfg core.Config, checkpointLimit int) (*Setup, error) {
+	return newSetup(b.newPlatform, db.Options{
 		Journal:         db.JournalNVWAL,
 		NVWAL:           cfg,
 		CPU:             b.cpu(),
 		CheckpointLimit: checkpointLimit,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Setup{Plat: plat, DB: d}, nil
 }
 
 // NewWALSetup opens a flash-WAL database (stock or optimized) on the
 // given board.
 func NewWALSetup(b Board, optimized bool, checkpointLimit int) (*Setup, error) {
-	plat, err := b.newPlatform()
-	if err != nil {
-		return nil, err
-	}
 	mode := db.JournalWAL
 	if optimized {
 		mode = db.JournalOptimizedWAL
 	}
-	d, err := db.Open(plat, "bench.db", db.Options{
-		Journal:         mode,
-		CPU:             b.cpu(),
-		CheckpointLimit: checkpointLimit,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Setup{Plat: plat, DB: d}, nil
+	return newSetup(b.newPlatform, db.Options{Journal: mode, CPU: b.cpu(), CheckpointLimit: checkpointLimit})
 }
 
 // runWorkload prepares and runs a mobibench workload, returning the

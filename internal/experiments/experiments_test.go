@@ -79,8 +79,11 @@ func TestFigure5LazyBeatsEagerOnOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cell := func(k int, lazy bool) *Fig5Cell {
+		return Find(r.Cells, func(c Fig5Cell) bool { return c.InsertsPerTxn == k && c.Lazy == lazy })
+	}
 	for _, k := range kSweep {
-		l, e := r.Cell(k, true), r.Cell(k, false)
+		l, e := cell(k, true), cell(k, false)
 		if l == nil || e == nil {
 			t.Fatalf("missing cells for K=%d", k)
 		}
@@ -96,7 +99,7 @@ func TestFigure5LazyBeatsEagerOnOrdering(t *testing.T) {
 	}
 	// The dccmvac(+dmb) component of eager is a few percent to a few
 	// tens of percent slower (paper: 2–23%).
-	l32, e32 := r.Cell(32, true), r.Cell(32, false)
+	l32, e32 := cell(32, true), cell(32, false)
 	ratio := float64(e32.Dccmvac+e32.Dmb) / float64(l32.Dccmvac+l32.Dmb)
 	if ratio < 1.01 || ratio > 1.6 {
 		t.Fatalf("eager/lazy dccmvac+dmb ratio = %.2f, want within the paper's up-to-23%% band", ratio)
@@ -108,8 +111,11 @@ func TestFigure6OverheadSmallAndDecreasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := r.Cell(kSweep[0], true)
-	last := r.Cell(kSweep[len(kSweep)-1], true)
+	cell := func(k int, lazy bool) *Fig5Cell {
+		return Find(r.Cells, func(c Fig5Cell) bool { return c.InsertsPerTxn == k && c.Lazy == lazy })
+	}
+	first := cell(kSweep[0], true)
+	last := cell(kSweep[len(kSweep)-1], true)
 	if first.OverheadPercent() > 6.0 {
 		t.Fatalf("K=1 overhead = %.1f%%, paper reports at most 4.6%%", first.OverheadPercent())
 	}
@@ -124,19 +130,22 @@ func TestFigure7VariantOrderingAndLatencySensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tput := func(v string, lat time.Duration) float64 {
+		return Find(r.Points, func(p Fig7Point) bool { return p.Variant == v && p.Latency == lat }).Throughput
+	}
 	slow := r.Latencies[len(r.Latencies)-1]
 	// Throughput decreases with latency for every variant.
 	for _, v := range r.Variants {
-		prev := r.Throughput(v, r.Latencies[0])
+		prev := tput(v, r.Latencies[0])
 		for _, lat := range r.Latencies[1:] {
-			cur := r.Throughput(v, lat)
+			cur := tput(v, lat)
 			if cur > prev {
 				t.Fatalf("%s: throughput rose with latency (%f -> %f)", v, prev, cur)
 			}
 			prev = cur
 		}
 	}
-	at := func(v string) float64 { return r.Throughput(v, slow) }
+	at := func(v string) float64 { return tput(v, slow) }
 	// Figure 7 ordering at high latency: UH+CS+Diff fastest; each
 	// technique helps.
 	if !(at("NVWAL UH+CS+Diff") >= at("NVWAL UH+LS+Diff") &&
@@ -151,8 +160,8 @@ func TestFigure7VariantOrderingAndLatencySensitivity(t *testing.T) {
 	}
 	// Abstract anchor: one-fifth latency gives only a few %% gain for
 	// UH+LS+Diff (2517 -> 2621 ins/s, ~4%%).
-	gain := r.Throughput("NVWAL UH+LS+Diff", r.Latencies[0]) /
-		r.Throughput("NVWAL UH+LS+Diff", slow)
+	gain := tput("NVWAL UH+LS+Diff", r.Latencies[0]) /
+		tput("NVWAL UH+LS+Diff", slow)
 	if gain < 1.0 || gain > 1.12 {
 		t.Fatalf("latency insensitivity broken: 437ns/1942ns gain = %.2fx (paper ~1.04x)", gain)
 	}
@@ -184,13 +193,16 @@ func TestFigure9HeadlineSpeedupAndCrossovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tput := func(s string, lat time.Duration) float64 {
+		return Find(r.Points, func(p Fig9Point) bool { return p.Series == s && p.Latency == lat }).Throughput
+	}
 	// Headline: >= 10x over WAL on flash at 2 µs (§1, §5.4).
 	if s := r.Speedup(2 * time.Microsecond); s < 9.0 {
 		t.Fatalf("speedup at 2µs = %.1fx, paper >= 10x", s)
 	}
 	// Optimized WAL beats stock WAL.
 	lat0 := r.Latencies[0]
-	if r.Throughput(Fig9Series[2], lat0) <= r.Throughput(Fig9Series[3], lat0) {
+	if tput(Fig9Series[2], lat0) <= tput(Fig9Series[3], lat0) {
 		t.Fatal("optimized WAL not faster than stock WAL")
 	}
 	// LS crosses the WAL baseline around 47 µs (within our sweep's
@@ -205,9 +217,9 @@ func TestFigure9HeadlineSpeedupAndCrossovers(t *testing.T) {
 	}
 	// NVWAL throughput decreases monotonically with latency.
 	for _, s := range Fig9Series[:2] {
-		prev := r.Throughput(s, r.Latencies[0])
+		prev := tput(s, r.Latencies[0])
 		for _, lat := range r.Latencies[1:] {
-			cur := r.Throughput(s, lat)
+			cur := tput(s, lat)
 			if cur > prev {
 				t.Fatalf("%s: throughput rose with latency", s)
 			}

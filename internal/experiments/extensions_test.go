@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestPersistencyModelShapes(t *testing.T) {
@@ -11,28 +12,32 @@ func TestPersistencyModelShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	point := func(m string, lat time.Duration) *PersistencyPoint {
+		return Find(r.Points, func(p PersistencyPoint) bool { return p.Model == m && p.Latency == lat })
+	}
+	tput := func(m string, lat time.Duration) float64 { return point(m, lat).Throughput }
 	slow := r.Latencies[len(r.Latencies)-1]
 	// §4.4 conjectures: relaxed (epoch) persistency is the fastest; it
 	// beats strict persistency at every latency.
 	for _, lat := range r.Latencies {
-		if r.Throughput("Epoch persistency", lat) < r.Throughput("Strict persistency", lat) {
+		if tput("Epoch persistency", lat) < tput("Strict persistency", lat) {
 			t.Fatalf("epoch not faster than strict at %v", lat)
 		}
 	}
 	// Both hardware models remove explicit flush instructions.
 	for _, m := range []string{"Strict persistency", "Epoch persistency"} {
-		p := r.point(m, slow)
+		p := point(m, slow)
 		if p == nil || p.Flushes > 1 {
 			t.Fatalf("%s issued %v dccmvac per txn", m, p.Flushes)
 		}
 	}
 	// The software schemes do flush explicitly.
-	if p := r.point("Lazy (software)", slow); p == nil || p.Flushes < 5 {
+	if p := point("Lazy (software)", slow); p == nil || p.Flushes < 5 {
 		t.Fatalf("software lazy flushes = %+v", p)
 	}
 	// Epoch persistency also beats the software schemes (no kernel
 	// crossings).
-	if r.Throughput("Epoch persistency", slow) < r.Throughput("Lazy (software)", slow) {
+	if tput("Epoch persistency", slow) < tput("Lazy (software)", slow) {
 		t.Fatal("epoch persistency slower than software lazy")
 	}
 	var b bytes.Buffer
@@ -83,10 +88,13 @@ func TestBaselinesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := r.Row("Rollback journal")
-	sw := r.Row("Stock WAL")
-	ow := r.Row("Optimized WAL")
-	nv := r.Row("NVWAL UH+LS+Diff")
+	row := func(mode string) *BaselineRow {
+		return Find(r.Rows, func(b BaselineRow) bool { return b.Mode == mode })
+	}
+	rb := row("Rollback journal")
+	sw := row("Stock WAL")
+	ow := row("Optimized WAL")
+	nv := row("NVWAL UH+LS+Diff")
 	if rb == nil || sw == nil || ow == nil || nv == nil {
 		t.Fatalf("missing rows: %+v", r.Rows)
 	}
@@ -111,12 +119,15 @@ func TestGroupCommitShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tput := func(g int) float64 {
+		return Find(r.Rows, func(row GroupCommitRow) bool { return row.GroupSize == g }).Throughput
+	}
 	// Grouping never hurts, and the gain is modest — the paper's own
 	// point that ordering overhead is a small share of transaction time.
-	if r.Throughput(16) < r.Throughput(1) {
+	if tput(16) < tput(1) {
 		t.Fatalf("group commit slowed things down: %+v", r.Rows)
 	}
-	if gain := r.Throughput(16) / r.Throughput(1); gain > 1.2 {
+	if gain := tput(16) / tput(1); gain > 1.2 {
 		t.Fatalf("group-commit gain %.2fx implausibly large for a CPU-bound workload", gain)
 	}
 }
@@ -126,13 +137,17 @@ func TestChecksumStudyShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	corruptionRate := func(bits int) float64 {
+		row := Find(r.Rows, func(row ChecksumRow) bool { return row.Bits == bits })
+		return float64(row.Corrupted) / float64(row.Trials)
+	}
 	// The full CRC32 never admits corruption.
-	if got := r.CorruptionRate(32); got != 0 {
+	if got := corruptionRate(32); got != 0 {
 		t.Fatalf("32-bit CRC corruption rate = %f", got)
 	}
 	// Severely narrowed checksums do corrupt (the §4.2 hazard made
 	// visible) — allow the 2-bit row to demonstrate it.
-	if r.CorruptionRate(2) == 0 && r.CorruptionRate(4) == 0 {
+	if corruptionRate(2) == 0 && corruptionRate(4) == 0 {
 		t.Fatal("narrowed checksums never corrupted; the study shows nothing")
 	}
 	// Every trial ends in one of the three outcomes.
@@ -148,26 +163,29 @@ func TestConcurrentShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	barriersPerTxn := func(writers, group int) float64 {
+		return Find(r.Rows, func(row ConcurrentRow) bool { return row.Writers == writers && row.GroupSize == group }).BarriersTxn
+	}
 	if len(r.Rows) != 12 {
 		t.Fatalf("rows = %d, want 12", len(r.Rows))
 	}
 	// With one writer no group can form, so K is irrelevant.
-	if r.BarriersPerTxn(1, 8) != r.BarriersPerTxn(1, 1) {
+	if barriersPerTxn(1, 8) != barriersPerTxn(1, 1) {
 		t.Fatalf("single writer affected by group size: %+v", r.Rows)
 	}
 	// The acceptance shape: group commit reduces persist barriers per
 	// transaction as the writer count grows.
 	for _, w := range []int{2, 4, 8} {
-		if r.BarriersPerTxn(w, 8) >= r.BarriersPerTxn(w, 1) {
+		if barriersPerTxn(w, 8) >= barriersPerTxn(w, 1) {
 			t.Fatalf("K=8 did not amortize barriers at %d writers: %+v", w, r.Rows)
 		}
 	}
-	if r.BarriersPerTxn(8, 8) >= r.BarriersPerTxn(2, 8) {
+	if barriersPerTxn(8, 8) >= barriersPerTxn(2, 8) {
 		t.Fatalf("amortization did not improve with writer count: %+v", r.Rows)
 	}
 	// Group width is min(writers, K), so K only separates K=4 from K=8
 	// once 8 writers can actually fill the wider group.
-	if r.BarriersPerTxn(8, 8) >= r.BarriersPerTxn(8, 4) {
+	if barriersPerTxn(8, 8) >= barriersPerTxn(8, 4) {
 		t.Fatalf("8-wide groups cost no less than 4-wide at 8 writers: %+v", r.Rows)
 	}
 }
@@ -176,6 +194,9 @@ func TestCheckpointStallShapes(t *testing.T) {
 	r, err := CheckpointStall(160)
 	if err != nil {
 		t.Fatal(err)
+	}
+	p99 := func(mode string, writers int) int64 {
+		return Find(r.Rows, func(row CheckpointRow) bool { return row.Mode == mode && row.Writers == writers }).P99CommitNs
 	}
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(r.Rows))
@@ -201,7 +222,7 @@ func TestCheckpointStallShapes(t *testing.T) {
 	// check stays coarse: with one writer the background p99 must not be
 	// dramatically WORSE than blocking (it has strictly less work on the
 	// commit path). Allow 2x slack for scheduler noise.
-	if bg, bl := r.P99("background", 1), r.P99("blocking", 1); bg > 2*bl {
+	if bg, bl := p99("background", 1), p99("blocking", 1); bg > 2*bl {
 		t.Fatalf("background p99 %dns > 2x blocking p99 %dns", bg, bl)
 	}
 }
@@ -245,6 +266,9 @@ func TestShardsShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rowOf := func(shards, writers int) *ShardRow {
+		return Find(r.Rows, func(row ShardRow) bool { return row.Shards == shards && row.Writers == writers })
+	}
 	// 3 baseline cells (shards=0) + 4 shard counts × 3 writer counts.
 	if len(r.Rows) != 15 {
 		t.Fatalf("rows = %d, want 15", len(r.Rows))
@@ -262,7 +286,7 @@ func TestShardsShapes(t *testing.T) {
 	}
 	// The headline property survives even a tiny sweep: with 32 writers,
 	// 8 shards on 8 lanes must out-commit 1 shard per unit virtual time.
-	one, eight := r.Row(1, 32), r.Row(8, 32)
+	one, eight := rowOf(1, 32), rowOf(8, 32)
 	if one == nil || eight == nil {
 		t.Fatal("sweep missing the 1- or 8-shard 32-writer cell")
 	}
@@ -273,8 +297,8 @@ func TestShardsShapes(t *testing.T) {
 	// The shard layer may not tax the single-shard path: shards=1 stays
 	// in the same latency regime as the bare engine (loose 2x bound —
 	// the committed full-size run pins it within 10%).
-	base := r.Row(0, 1)
-	if s1 := r.Row(1, 1); s1.P50CommitNs > 2*base.P50CommitNs {
+	base := rowOf(0, 1)
+	if s1 := rowOf(1, 1); s1.P50CommitNs > 2*base.P50CommitNs {
 		t.Fatalf("shards=1 p50 %dns vs bare-engine %dns", s1.P50CommitNs, base.P50CommitNs)
 	}
 	var b bytes.Buffer
@@ -288,6 +312,9 @@ func TestMVCCShapes(t *testing.T) {
 	r, err := MVCC(256)
 	if err != nil {
 		t.Fatal(err)
+	}
+	rowOf := func(mode string, writers int) *MVCCRow {
+		return Find(r.Rows, func(row MVCCRow) bool { return row.Mode == mode && row.Writers == writers })
 	}
 	// 2 modes × 4 writer counts.
 	if len(r.Rows) != 8 {
@@ -308,7 +335,7 @@ func TestMVCCShapes(t *testing.T) {
 	// independent CPU lanes out-commit slot-serialized writers per unit
 	// virtual time, and keep scaling with writers (loose bounds — the
 	// committed full-size run pins 6.4x at 64 writers).
-	l8, m8, m64 := r.Row("legacy", 8), r.Row("mvcc", 8), r.Row("mvcc", 64)
+	l8, m8, m64 := rowOf("legacy", 8), rowOf("mvcc", 8), rowOf("mvcc", 64)
 	if l8 == nil || m8 == nil || m64 == nil {
 		t.Fatal("sweep missing a mode/writer cell")
 	}

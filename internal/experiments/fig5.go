@@ -91,16 +91,6 @@ func Figure5(txns int) (*Fig5Result, error) {
 	return res, nil
 }
 
-// Cell returns the cell for (k, lazy), or nil.
-func (r *Fig5Result) Cell(k int, lazy bool) *Fig5Cell {
-	for i := range r.Cells {
-		if r.Cells[i].InsertsPerTxn == k && r.Cells[i].Lazy == lazy {
-			return &r.Cells[i]
-		}
-	}
-	return nil
-}
-
 // Print prints the Figure 5 series (times in µs per transaction).
 func (r *Fig5Result) Print(w io.Writer) {
 	fmt.Fprintln(w, "Figure 5: Ordering-constraint time per transaction (usec), L=lazy E=eager")
@@ -123,10 +113,10 @@ func (r *Fig5Result) WriteFigure6(w io.Writer) {
 	fmt.Fprintln(w, "Figure 6: Ordering-constraint overhead as % of query execution time")
 	fmt.Fprintf(w, "%4s %8s %8s\n", "K", "L (%)", "E (%)")
 	for _, k := range kSweep {
-		l, e := r.Cell(k, true), r.Cell(k, false)
-		if l == nil || e == nil {
-			continue
+		l := Find(r.Cells, func(c Fig5Cell) bool { return c.InsertsPerTxn == k && c.Lazy })
+		e := Find(r.Cells, func(c Fig5Cell) bool { return c.InsertsPerTxn == k && !c.Lazy })
+		if l != nil && e != nil {
+			fmt.Fprintf(w, "%4d %8.1f %8.1f\n", k, l.OverheadPercent(), e.OverheadPercent())
 		}
-		fmt.Fprintf(w, "%4d %8.1f %8.1f\n", k, l.OverheadPercent(), e.OverheadPercent())
 	}
 }

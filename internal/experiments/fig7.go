@@ -59,16 +59,6 @@ func Figure7(op mobibench.Op, txns int) (*Fig7Result, error) {
 	return res, nil
 }
 
-// Throughput returns the measurement for (variant, latency), or 0.
-func (r *Fig7Result) Throughput(variant string, lat time.Duration) float64 {
-	for _, p := range r.Points {
-		if p.Variant == variant && p.Latency == lat {
-			return p.Throughput
-		}
-	}
-	return 0
-}
-
 // Print prints the panel as the paper's series.
 func (r *Fig7Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "Figure 7(%s): Transaction throughput (txn/sec) vs NVRAM write latency\n", r.Op)
@@ -80,7 +70,8 @@ func (r *Fig7Result) Print(w io.Writer) {
 	for _, v := range r.Variants {
 		fmt.Fprintf(w, "%-18s", v)
 		for _, lat := range r.Latencies {
-			fmt.Fprintf(w, "%11.0f", r.Throughput(v, lat))
+			p := Find(r.Points, func(p Fig7Point) bool { return p.Variant == v && p.Latency == lat })
+			fmt.Fprintf(w, "%11.0f", p.Throughput)
 		}
 		fmt.Fprintln(w)
 	}

@@ -82,35 +82,30 @@ func Figure9(txns int) (*Fig9Result, error) {
 	return res, nil
 }
 
-// Throughput returns the measurement for (series, latency), or 0.
-func (r *Fig9Result) Throughput(series string, lat time.Duration) float64 {
-	for _, p := range r.Points {
-		if p.Series == series && p.Latency == lat {
-			return p.Throughput
-		}
-	}
-	return 0
+// walBaseline is the optimized WAL's throughput, which does not depend
+// on the NVRAM latency.
+func (r *Fig9Result) walBaseline() float64 {
+	return Find(r.Points, func(p Fig9Point) bool { return p.Series == Fig9Series[2] }).Throughput
 }
 
 // Speedup reports NVWAL UH+LS+Diff at the given latency over the
 // optimized WAL baseline (the paper's "at least 10x" headline holds at
 // 2 µs: 5812 vs 541 ins/sec).
 func (r *Fig9Result) Speedup(lat time.Duration) float64 {
-	base := r.Throughput(Fig9Series[2], r.Latencies[0])
-	if base == 0 {
+	p := Find(r.Points, func(p Fig9Point) bool { return p.Series == Fig9Series[0] && p.Latency == lat })
+	if p == nil || r.walBaseline() == 0 {
 		return 0
 	}
-	return r.Throughput(Fig9Series[0], lat) / base
+	return p.Throughput / r.walBaseline()
 }
 
 // Crossover returns the smallest swept latency at which the series
 // drops to or below the optimized-WAL baseline (paper: ~47 µs for LS,
 // ~230 µs for UH+LS+Diff), or 0 if it stays above throughout.
 func (r *Fig9Result) Crossover(series string) time.Duration {
-	base := r.Throughput(Fig9Series[2], r.Latencies[0])
-	for _, lat := range r.Latencies {
-		if r.Throughput(series, lat) <= base {
-			return lat
+	for _, p := range r.Points { // each series in ascending latency
+		if p.Series == series && p.Throughput <= r.walBaseline() {
+			return p.Latency
 		}
 	}
 	return 0
@@ -127,7 +122,8 @@ func (r *Fig9Result) Print(w io.Writer) {
 	for _, s := range Fig9Series {
 		fmt.Fprintf(w, "%-28s", s)
 		for _, lat := range r.Latencies {
-			fmt.Fprintf(w, "%10.0f", r.Throughput(s, lat))
+			p := Find(r.Points, func(p Fig9Point) bool { return p.Series == s && p.Latency == lat })
+			fmt.Fprintf(w, "%10.0f", p.Throughput)
 		}
 		fmt.Fprintln(w)
 	}

@@ -82,16 +82,6 @@ func GroupCommit(txns int) (*GroupCommitResult, error) {
 	return res, nil
 }
 
-// Throughput returns the measurement for a group size, or 0.
-func (r *GroupCommitResult) Throughput(g int) float64 {
-	for _, row := range r.Rows {
-		if row.GroupSize == g {
-			return row.Throughput
-		}
-	}
-	return 0
-}
-
 // Print renders the sweep.
 func (r *GroupCommitResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Group-commit ablation (NVWAL UH+LS+Diff, Tuna @ %v NVRAM latency)\n", r.Latency)

@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/db"
 	"repro/internal/metrics"
-	"repro/internal/platform"
 	"repro/internal/simclock"
 )
 
@@ -23,16 +20,13 @@ import (
 // nanoseconds on the platform clock (the parent of the per-writer
 // lanes, so it reads the max over parallel writers).
 type MVCCRow struct {
-	Mode        string  `json:"mode"` // "legacy" (slot-serialized Begin) or "mvcc" (sessions)
-	Writers     int     `json:"writers"`
-	Txns        int     `json:"txns"`
-	Committed   int     `json:"committed"`
+	Mode    string `json:"mode"` // "legacy" (slot-serialized Begin) or "mvcc" (sessions)
+	Writers int    `json:"writers"`
+	Txns    int    `json:"txns"`
+	commitStats
 	Conflicts   int64   `json:"conflicts"`    // commit-time validation losses (retried)
 	ConflictPct float64 `json:"conflict_pct"` // conflicts / commit attempts
 	BarriersTxn float64 `json:"barriers_txn"` // persist barriers per committed txn
-	P50CommitNs int64   `json:"p50_commit_ns"`
-	P99CommitNs int64   `json:"p99_commit_ns"`
-	Throughput  float64 `json:"txn_per_sec"` // virtual-time transactions/sec
 }
 
 // MVCCResult holds the mode × writer-count sweep.
@@ -62,31 +56,16 @@ func MVCC(txns int) (*MVCCResult, error) {
 		SharedKeys: 512,
 		Latency:    500 * time.Nanosecond,
 	}
-	for _, writers := range []int{8, 16, 32, 64} {
-		row, err := runMVCCCell("legacy", writers, txns, res)
-		if err != nil {
-			return nil, err
+	for _, mode := range []string{"legacy", "mvcc"} {
+		for _, writers := range []int{8, 16, 32, 64} {
+			row, err := runMVCCCell(mode, writers, txns, res)
+			if err != nil {
+				return nil, err
+			}
+			res.Rows = append(res.Rows, row)
 		}
-		res.Rows = append(res.Rows, row)
-	}
-	for _, writers := range []int{8, 16, 32, 64} {
-		row, err := runMVCCCell("mvcc", writers, txns, res)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// Row returns the cell for (mode, writers), nil if absent.
-func (r *MVCCResult) Row(mode string, writers int) *MVCCRow {
-	for i := range r.Rows {
-		if r.Rows[i].Mode == mode && r.Rows[i].Writers == writers {
-			return &r.Rows[i]
-		}
-	}
-	return nil
 }
 
 // mvccBenchRetries bounds conflict retries per transaction; the bench
@@ -95,10 +74,6 @@ func (r *MVCCResult) Row(mode string, writers int) *MVCCRow {
 const mvccBenchRetries = 128
 
 func runMVCCCell(mode string, writers, txns int, res *MVCCResult) (MVCCRow, error) {
-	plat, err := platform.New(shardBenchConfig(res.Latency))
-	if err != nil {
-		return MVCCRow{}, err
-	}
 	opts := shardBenchOpts()
 	opts.GroupCommit = writers
 	// The paper's point (§5.1) is that query-processing CPU dominates
@@ -107,13 +82,11 @@ func runMVCCCell(mode string, writers, txns int, res *MVCCResult) (MVCCRow, erro
 	// slot (one shared clock), MVCC sessions burn it on per-writer lanes
 	// (independent cores), so only the merged flush stays serial.
 	opts.CPU = db.CPUTuna
-	d, err := db.Open(plat, "bench.db", opts)
+	s, err := newSetup(configured(shardBenchConfig(res.Latency)), opts, "bench")
 	if err != nil {
 		return MVCCRow{}, err
 	}
-	if err := d.CreateTable("bench"); err != nil {
-		return MVCCRow{}, err
-	}
+	d, clock := s.DB, s.Plat.Clock
 	keys := make([][]byte, res.SharedKeys)
 	for k := range keys {
 		keys[k] = []byte(fmt.Sprintf("k%04d", k))
@@ -121,145 +94,80 @@ func runMVCCCell(mode string, writers, txns int, res *MVCCResult) (MVCCRow, erro
 	// Pre-populate the whole shared keyspace so the sweep measures
 	// data-page contention on a stable tree.
 	for lo := 0; lo < len(keys); lo += 64 {
-		tx, err := d.Begin()
-		if err != nil {
-			return MVCCRow{}, err
-		}
-		val := make([]byte, res.ValueBytes)
-		for k := lo; k < lo+64 && k < len(keys); k++ {
-			benchValue(val, k, 0)
-			if err := tx.Insert("bench", keys[k], val); err != nil {
-				tx.Rollback()
-				return MVCCRow{}, err
+		if _, err := commitTxn(d.Begin, clock.Now, func(tx *db.Tx) error {
+			val := make([]byte, res.ValueBytes)
+			for k := lo; k < lo+64 && k < len(keys); k++ {
+				benchValue(val, k, 0)
+				if err := tx.Insert("bench", keys[k], val); err != nil {
+					return err
+				}
 			}
-		}
-		if err := tx.Commit(); err != nil {
+			return nil
+		}); err != nil {
 			return MVCCRow{}, err
 		}
 	}
 
 	perWriter := txns / writers
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		latencies []int64
-		committed int
-		hardErr   error
-	)
-	before := plat.Metrics.Snapshot()
-	start := plat.Clock.Now()
+	before := s.Plat.Metrics.Snapshot()
+	start := clock.Now()
 	// All lanes are created at the sweep origin, BEFORE any writer runs:
 	// a lane created lazily inside its goroutine would start at whatever
 	// time the other writers had already pushed the parent clock to, and
 	// the sweep would serialize in virtual time exactly when the host
 	// scheduler staggers goroutine start-up.
 	lanes := make([]*simclock.Clock, writers)
+	rngs := make([]*rand.Rand, writers)
 	for w := range lanes {
-		lanes[w] = plat.Clock.NewLane()
+		lanes[w] = clock.NewLane()
+		rngs[w] = rand.New(rand.NewSource(int64(w)*7919 + 17))
 	}
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)*7919 + 17))
-			lane := lanes[w]
-			val := make([]byte, res.ValueBytes)
-			for i := 0; i < perWriter; i++ {
-				key := keys[rng.Intn(len(keys))]
-				benchValue(val, w, i+1)
-				var cerr error
-				var lat int64
-				if mode == "legacy" {
-					cerr, lat = mvccLegacyTxn(d, plat, key, val)
-				} else {
-					cerr, lat = mvccSessionTxn(d, plat, lane, key, val)
-				}
-				mu.Lock()
-				switch {
-				case cerr == nil:
-					committed++
-					latencies = append(latencies, lat)
-				case errors.Is(cerr, db.ErrBusy):
-					// clean backpressure rollback; drop the attempt
-				default:
-					if hardErr == nil {
-						hardErr = cerr
-					}
-				}
-				mu.Unlock()
-				if cerr != nil && !errors.Is(cerr, db.ErrBusy) {
-					return
-				}
+	out, err := driveWriters(writers, perWriter, func(w, i int) (time.Duration, error) {
+		key := keys[rngs[w].Intn(len(keys))]
+		val := make([]byte, res.ValueBytes)
+		benchValue(val, w, i+1)
+		if mode == "legacy" {
+			// A slot transaction: Begin serializes on the writer slot, so
+			// concurrent legacy writers queue no matter how many cores
+			// they have.
+			return commitTxn(d.Begin, clock.Now, func(tx *db.Tx) error { return tx.Insert("bench", key, val) })
+		}
+		// An MVCC session on the writer's own CPU lane, retrying
+		// first-committer-wins losses with a fresh snapshot.
+		begin := func() (*db.CTx, error) {
+			tx, err := d.BeginConcurrent()
+			if err == nil {
+				tx.SetClock(lanes[w])
 			}
-		}(w)
+			return tx, err
+		}
+		for try := 0; try <= mvccBenchRetries; try++ {
+			lat, err := commitTxn(begin, clock.Now, func(tx *db.CTx) error { return tx.Insert("bench", key, val) })
+			if !errors.Is(err, db.ErrConflict) {
+				return lat, err
+			}
+		}
+		return 0, fmt.Errorf("mvcc txn still conflicting after %d retries", mvccBenchRetries)
+	})
+	if err != nil {
+		return MVCCRow{}, fmt.Errorf("%s writers=%d: %w", mode, writers, err)
 	}
-	wg.Wait()
-	if hardErr != nil {
-		return MVCCRow{}, fmt.Errorf("%s writers=%d: %w", mode, writers, hardErr)
-	}
-	elapsed := plat.Clock.Now() - start
-	delta := plat.Metrics.Snapshot().Sub(before)
-
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	delta := s.Plat.Metrics.Snapshot().Sub(before)
 	conflicts := delta.Count(metrics.MVCCConflicts)
-	attempts := int64(committed) + conflicts
 	row := MVCCRow{
 		Mode:        mode,
 		Writers:     writers,
 		Txns:        perWriter * writers,
-		Committed:   committed,
+		commitStats: out.stats(clock.Now() - start),
 		Conflicts:   conflicts,
-		P50CommitNs: pct(latencies, 50),
-		P99CommitNs: pct(latencies, 99),
-		Throughput:  float64(committed) / elapsed.Seconds(),
 	}
-	if attempts > 0 {
+	if attempts := int64(out.committed) + conflicts; attempts > 0 {
 		row.ConflictPct = 100 * float64(conflicts) / float64(attempts)
 	}
-	if committed > 0 {
-		row.BarriersTxn = float64(delta.Count(metrics.PersistBarrier)) / float64(committed)
+	if out.committed > 0 {
+		row.BarriersTxn = float64(delta.Count(metrics.PersistBarrier)) / float64(out.committed)
 	}
 	return row, nil
-}
-
-// mvccLegacyTxn is one slot transaction: Begin serializes on the writer
-// slot, so concurrent legacy writers queue no matter how many cores
-// they have.
-func mvccLegacyTxn(d *db.DB, plat *platform.Platform, key, val []byte) (error, int64) {
-	tx, err := d.Begin()
-	if err != nil {
-		return err, 0
-	}
-	if err := tx.Insert("bench", key, val); err != nil {
-		tx.Rollback()
-		return err, 0
-	}
-	t0 := plat.Clock.Now()
-	err = tx.Commit()
-	return err, int64(plat.Clock.Now() - t0)
-}
-
-// mvccSessionTxn is one MVCC session transaction on the writer's own
-// CPU lane, retrying first-committer-wins losses with a fresh snapshot.
-func mvccSessionTxn(d *db.DB, plat *platform.Platform, lane *simclock.Clock, key, val []byte) (error, int64) {
-	for try := 0; try <= mvccBenchRetries; try++ {
-		tx, err := d.BeginConcurrent()
-		if err != nil {
-			return err, 0
-		}
-		tx.SetClock(lane)
-		if err := tx.Insert("bench", key, val); err != nil {
-			tx.Rollback()
-			return err, 0
-		}
-		t0 := plat.Clock.Now()
-		err = tx.Commit()
-		lat := int64(plat.Clock.Now() - t0)
-		if err == nil || !errors.Is(err, db.ErrConflict) {
-			return err, lat
-		}
-	}
-	return fmt.Errorf("mvcc txn still conflicting after %d retries", mvccBenchRetries), 0
 }
 
 // Print renders the sweep with per-mode scaling factors against the
@@ -271,7 +179,7 @@ func (r *MVCCResult) Print(w io.Writer) {
 		"mode", "writers", "txns", "committed", "conflicts", "confl%", "barr/txn", "p50(ns)", "p99(ns)", "txn/sec", "scale")
 	for _, row := range r.Rows {
 		scale := "-"
-		if base := r.Row(row.Mode, 8); base != nil && base.Throughput > 0 {
+		if base := Find(r.Rows, func(b MVCCRow) bool { return b.Mode == row.Mode && b.Writers == 8 }); base != nil && base.Throughput > 0 {
 			scale = fmt.Sprintf("%.2fx", row.Throughput/base.Throughput)
 		}
 		fmt.Fprintf(w, "%-7s %-8d %-6d %-10d %-10d %-9.1f %-9.2f %12d %12d %10.0f %8s\n",

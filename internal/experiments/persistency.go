@@ -70,25 +70,6 @@ func Persistency(txns int) (*PersistencyResult, error) {
 	return res, nil
 }
 
-// Throughput returns the measurement for (model, latency), or 0.
-func (r *PersistencyResult) Throughput(model string, lat time.Duration) float64 {
-	for _, p := range r.Points {
-		if p.Model == model && p.Latency == lat {
-			return p.Throughput
-		}
-	}
-	return 0
-}
-
-func (r *PersistencyResult) point(model string, lat time.Duration) *PersistencyPoint {
-	for i := range r.Points {
-		if r.Points[i].Model == model && r.Points[i].Latency == lat {
-			return &r.Points[i]
-		}
-	}
-	return nil
-}
-
 // Print renders the ablation table.
 func (r *PersistencyResult) Print(w io.Writer) {
 	fmt.Fprintln(w, "Persistency-model ablation (§4.4 future work): insert txn/sec vs NVRAM latency")
@@ -97,18 +78,20 @@ func (r *PersistencyResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "%9dns", lat.Nanoseconds())
 	}
 	fmt.Fprintln(w)
+	point := func(m string, lat time.Duration) *PersistencyPoint {
+		return Find(r.Points, func(p PersistencyPoint) bool { return p.Model == m && p.Latency == lat })
+	}
 	for _, m := range r.Models {
 		fmt.Fprintf(w, "%-20s", m)
 		for _, lat := range r.Latencies {
-			fmt.Fprintf(w, "%11.0f", r.Throughput(m, lat))
+			fmt.Fprintf(w, "%11.0f", point(m, lat).Throughput)
 		}
 		fmt.Fprintln(w)
 	}
 	lat := r.Latencies[0]
 	fmt.Fprintf(w, "per-txn instrumentation at %v:\n", lat)
 	for _, m := range r.Models {
-		if p := r.point(m, lat); p != nil {
-			fmt.Fprintf(w, "  %-20s %6.1f dccmvac, %5.1f kernel switches\n", m, p.Flushes, p.Syscalls)
-		}
+		p := point(m, lat)
+		fmt.Fprintf(w, "  %-20s %6.1f dccmvac, %5.1f kernel switches\n", m, p.Flushes, p.Syscalls)
 	}
 }

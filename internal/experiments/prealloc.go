@@ -34,26 +34,11 @@ func Prealloc(txns int) (*PreallocResult, error) {
 	}
 	res := &PreallocResult{}
 	for _, pages := range []int{0, 1, 2, 8, 32} {
-		var s *Setup
-		var err error
+		opts := db.Options{Journal: db.JournalOptimizedWAL, WALPrealloc: pages, CPU: Nexus5.cpu(), CheckpointLimit: db1000}
 		if pages == 0 {
-			s, err = NewWALSetup(Nexus5, false, db1000)
-		} else {
-			plat, perr := Nexus5.newPlatform()
-			if perr != nil {
-				return nil, perr
-			}
-			d, derr := db.Open(plat, "bench.db", db.Options{
-				Journal:         db.JournalOptimizedWAL,
-				WALPrealloc:     pages,
-				CPU:             Nexus5.cpu(),
-				CheckpointLimit: db1000,
-			})
-			if derr != nil {
-				return nil, derr
-			}
-			s, err = &Setup{Plat: plat, DB: d}, nil
+			opts.Journal = db.JournalWAL // stock WAL: no pre-allocation
 		}
+		s, err := newSetup(Nexus5.newPlatform, opts)
 		if err != nil {
 			return nil, err
 		}

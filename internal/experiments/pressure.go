@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -22,18 +19,14 @@ import (
 // backpressure (urgent checkpoints, admission stalls, commit-side
 // retries). Latencies are virtual-clock nanoseconds.
 type PressureRow struct {
-	HeapPages   int     `json:"heap_pages"`
-	Writers     int     `json:"writers"`
-	Txns        int     `json:"txns"`
-	Committed   int     `json:"committed"`
-	Busy        int     `json:"busy"` // ErrBusy outcomes (clean deadline rollbacks)
-	P50CommitNs int64   `json:"p50_commit_ns"`
-	P99CommitNs int64   `json:"p99_commit_ns"`
-	Stalls      int64   `json:"pressure_stalls"`
-	StallNs     int64   `json:"pressure_stall_ns"`
-	UrgentCkpts int64   `json:"urgent_checkpoints"`
-	Timeouts    int64   `json:"commit_timeouts"`
-	Throughput  float64 `json:"txn_per_sec"` // virtual-time transactions/sec
+	HeapPages int `json:"heap_pages"`
+	Writers   int `json:"writers"`
+	Txns      int `json:"txns"`
+	commitStats
+	Stalls      int64 `json:"pressure_stalls"`
+	StallNs     int64 `json:"pressure_stall_ns"`
+	UrgentCkpts int64 `json:"urgent_checkpoints"`
+	Timeouts    int64 `json:"commit_timeouts"`
 }
 
 // PressureResult holds the heap-size × writer sweep.
@@ -72,121 +65,41 @@ func Pressure(txns int) (*PressureResult, error) {
 }
 
 func runPressure(pages, writers, txns, valueBytes int, timeout time.Duration) (PressureRow, error) {
-	plat, err := platform.New(platform.Config{
-		NVRAM: nvram.Config{Size: heapo.SizeForPages(pages)},
-	})
-	if err != nil {
-		return PressureRow{}, err
-	}
-	d, err := db.Open(plat, "bench.db", db.Options{
+	s, err := newSetup(configured(platform.Config{NVRAM: nvram.Config{Size: heapo.SizeForPages(pages)}}), db.Options{
 		Journal:       db.JournalNVWAL,
 		NVWAL:         core.VariantUHLSDiff(),
 		Concurrent:    writers > 1,
 		GroupCommit:   writers,
 		CommitTimeout: timeout,
-	})
+	}, "bench")
 	if err != nil {
 		return PressureRow{}, err
 	}
-	if err := d.CreateTable("bench"); err != nil {
-		return PressureRow{}, err
-	}
-
 	perWriter := txns / writers
-	before := plat.Metrics.Snapshot()
-	start := plat.Clock.Now()
-
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		latencies []int64
-		committed int
-		busy      int
-		hardErr   error
-	)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				// Full-content overwrite: 8 keys per writer, every value
-				// byte varies with the iteration.
-				key := []byte(fmt.Sprintf("w%d-k%d", w, i%8))
-				val := make([]byte, valueBytes)
-				for j := range val {
-					val[j] = byte(i + j + w)
-				}
-				tx, err := d.Begin()
-				if err != nil {
-					if !errors.Is(err, db.ErrBusy) {
-						mu.Lock()
-						hardErr = err
-						mu.Unlock()
-						return
-					}
-					mu.Lock()
-					busy++
-					mu.Unlock()
-					continue
-				}
-				if err := tx.Insert("bench", key, val); err != nil {
-					tx.Rollback()
-					mu.Lock()
-					hardErr = err
-					mu.Unlock()
-					return
-				}
-				t0 := plat.Clock.Now()
-				err = tx.Commit()
-				lat := int64(plat.Clock.Now() - t0)
-				mu.Lock()
-				switch {
-				case err == nil:
-					committed++
-					latencies = append(latencies, lat)
-				case errors.Is(err, db.ErrBusy):
-					busy++
-				default:
-					hardErr = err
-				}
-				mu.Unlock()
-				if err != nil && !errors.Is(err, db.ErrBusy) {
-					return
-				}
-			}
-		}(w)
+	before := s.Plat.Metrics.Snapshot()
+	start := s.Plat.Clock.Now()
+	out, err := driveWriters(writers, perWriter, func(w, i int) (time.Duration, error) {
+		// Full-content overwrite: 8 keys per writer, every value byte
+		// varies with the iteration.
+		key := []byte(fmt.Sprintf("w%d-k%d", w, i%8))
+		val := make([]byte, valueBytes)
+		benchValue(val, w, i)
+		return commitTxn(s.DB.Begin, s.Plat.Clock.Now, func(tx *db.Tx) error { return tx.Insert("bench", key, val) })
+	})
+	if err != nil {
+		return PressureRow{}, fmt.Errorf("heap=%d writers=%d: %w", pages, writers, err)
 	}
-	wg.Wait()
-	if hardErr != nil {
-		return PressureRow{}, fmt.Errorf("heap=%d writers=%d: %w", pages, writers, hardErr)
-	}
-
-	delta := plat.Metrics.Snapshot().Sub(before)
-	elapsed := plat.Clock.Now() - start
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	delta := s.Plat.Metrics.Snapshot().Sub(before)
 	return PressureRow{
 		HeapPages:   pages,
 		Writers:     writers,
 		Txns:        perWriter * writers,
-		Committed:   committed,
-		Busy:        busy,
-		P50CommitNs: pct(latencies, 50),
-		P99CommitNs: pct(latencies, 99),
+		commitStats: out.stats(s.Plat.Clock.Now() - start),
 		Stalls:      delta.Count(metrics.PressureStalls),
 		StallNs:     delta.Count(metrics.PressureStallNs),
 		UrgentCkpts: delta.Count(metrics.UrgentCheckpoints),
 		Timeouts:    delta.Count(metrics.CommitTimeouts),
-		Throughput:  float64(committed) / elapsed.Seconds(),
 	}, nil
-}
-
-// pct returns the p-th percentile of sorted values (0 when empty).
-func pct(sorted []int64, p int) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := (len(sorted) - 1) * p / 100
-	return sorted[idx]
 }
 
 // Print renders the sweep.

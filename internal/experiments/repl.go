@@ -192,37 +192,29 @@ func runReplReadRow(replicas, reads, keys, valueBytes int, latency time.Duration
 	}
 
 	// One reader per node, registered ON the node's lane (a colocated
-	// client): all its virtual time accrues where it is served.
+	// client): all its virtual time accrues where it is served. The
+	// readers run as driveWriters' loops.
 	nodes := len(names)
 	per := reads / nodes
 	starts := make([]time.Duration, nodes)
 	for i, name := range names {
 		starts[i] = c.Node(name).Plat.Clock.Now()
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, nodes)
+	clis := make([]*server.Client, nodes)
 	for i, name := range names {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			rd := fmt.Sprintf("rd-%s", name)
-			c.Net.Register(rd, c.Node(name).Plat.Clock)
-			cli := server.NewClient(c.Dialer(rd), []string{name}, server.ClientOptions{ReadAnywhere: true})
-			defer cli.Close()
-			for j := 0; j < per; j++ {
-				key := []byte(fmt.Sprintf("k%04d", (i*per+j)%keys))
-				if _, found, err := cli.Get("kv", key); err != nil || !found {
-					errs[i] = fmt.Errorf("read %s via %s: found=%v err=%v", key, name, found, err)
-					return
-				}
-			}
-		}(i, name)
+		rd := fmt.Sprintf("rd-%s", name)
+		c.Net.Register(rd, c.Node(name).Plat.Clock)
+		clis[i] = server.NewClient(c.Dialer(rd), []string{name}, server.ClientOptions{ReadAnywhere: true})
+		defer clis[i].Close()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return ReplReadRow{}, err
+	if _, err := driveWriters(nodes, per, func(i, j int) (time.Duration, error) {
+		key := []byte(fmt.Sprintf("k%04d", (i*per+j)%keys))
+		if _, found, err := clis[i].Get("kv", key); err != nil || !found {
+			return 0, fmt.Errorf("read %s via %s: found=%v err=%v", key, names[i], found, err)
 		}
+		return 0, nil
+	}); err != nil {
+		return ReplReadRow{}, err
 	}
 	var elapsed time.Duration
 	for i, name := range names {
@@ -346,9 +338,7 @@ func runReplSteady(writes, valueBytes int) (ReplSteadyResult, error) {
 	perK := 1000 / float64(writes)
 	batches := perReplica(metrics.ReplBatchesApplied)
 	slices.Sort(lats)
-	us := func(p float64) float64 {
-		return float64(lats[int(p*float64(len(lats)-1))].Nanoseconds()) / 1e3
-	}
+	us := func(q float64) float64 { return float64(quantile(lats, q)) / 1e3 }
 	ret := pn.DB.Journal().(*core.NVWAL).ExportRetention()
 	return ReplSteadyResult{
 		Writes:                    writes,

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -13,6 +10,7 @@ import (
 	"repro/internal/nvram"
 	"repro/internal/platform"
 	"repro/internal/shard"
+	"repro/internal/simclock"
 )
 
 // ShardRow is one (shard count, writer count) cell of the scale-out
@@ -22,14 +20,10 @@ import (
 // coordinator record may not tax the single-shard path. Latencies are
 // virtual-clock nanoseconds measured on the committing shard's lane.
 type ShardRow struct {
-	Shards      int     `json:"shards"` // 0 = unsharded baseline
-	Writers     int     `json:"writers"`
-	Txns        int     `json:"txns"`
-	Committed   int     `json:"committed"`
-	Busy        int     `json:"busy"`
-	P50CommitNs int64   `json:"p50_commit_ns"`
-	P99CommitNs int64   `json:"p99_commit_ns"`
-	Throughput  float64 `json:"txn_per_sec"` // virtual-time transactions/sec
+	Shards  int `json:"shards"` // 0 = unsharded baseline
+	Writers int `json:"writers"`
+	Txns    int `json:"txns"`
+	commitStats
 }
 
 // ShardsResult holds the shard-count × writer sweep.
@@ -54,16 +48,9 @@ func Shards(txns int) (*ShardsResult, error) {
 		ValueBytes: 256,
 		Latency:    500 * time.Nanosecond,
 	}
-	for _, writers := range []int{1, 8, 32} {
-		row, err := runShardBaseline(writers, txns, res.ValueBytes, res.Latency)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range []int{0, 1, 2, 4, 8} {
 		for _, writers := range []int{1, 8, 32} {
-			row, err := runSharded(shards, writers, txns, res.ValueBytes, res.Latency)
+			row, err := runShardCell(shards, writers, txns, res.ValueBytes, res.Latency)
 			if err != nil {
 				return nil, err
 			}
@@ -71,16 +58,6 @@ func Shards(txns int) (*ShardsResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// Row returns the cell for (shards, writers), nil if absent.
-func (r *ShardsResult) Row(shards, writers int) *ShardRow {
-	for i := range r.Rows {
-		if r.Rows[i].Shards == shards && r.Rows[i].Writers == writers {
-			return &r.Rows[i]
-		}
-	}
-	return nil
 }
 
 func shardBenchConfig(latency time.Duration) platform.Config {
@@ -111,165 +88,75 @@ func benchValue(val []byte, w, i int) {
 	}
 }
 
-// runShardBaseline is the Shards == 0 row: the identical workload on a
-// bare engine, no shard layer.
-func runShardBaseline(writers, txns, valueBytes int, latency time.Duration) (ShardRow, error) {
-	plat, err := platform.New(shardBenchConfig(latency))
-	if err != nil {
-		return ShardRow{}, err
-	}
-	d, err := db.Open(plat, "bench.db", shardBenchOpts())
-	if err != nil {
-		return ShardRow{}, err
-	}
-	if err := d.CreateTable("bench"); err != nil {
-		return ShardRow{}, err
-	}
-	keys := make([][][]byte, writers)
-	for w := 0; w < writers; w++ {
-		keys[w] = make([][]byte, 8)
-		for k := range keys[w] {
-			keys[w][k] = []byte(fmt.Sprintf("w%d-k%d", w, k))
-		}
-	}
-	run := func(w, i int, lat *int64) error {
-		key := keys[w][i%8]
-		val := make([]byte, valueBytes)
-		benchValue(val, w, i)
-		tx, err := d.Begin()
+// runShardCell is one cell: writers bound to home shards round-robin,
+// keys pre-routed, commits timed on the home shard's lane. Shards == 0
+// runs the same loop on a bare engine, no shard layer.
+func runShardCell(shards, writers, txns, valueBytes int, latency time.Duration) (ShardRow, error) {
+	var (
+		clock *simclock.Clock
+		route func(key []byte) (*db.DB, *simclock.Clock)
+		st    *shard.DB
+	)
+	if shards == 0 {
+		s, err := newSetup(configured(shardBenchConfig(latency)), shardBenchOpts(), "bench")
 		if err != nil {
-			return err
+			return ShardRow{}, err
 		}
-		if err := tx.Insert("bench", key, val); err != nil {
-			tx.Rollback()
-			return err
+		clock = s.Plat.Clock
+		route = func([]byte) (*db.DB, *simclock.Clock) { return s.DB, s.Plat.Clock }
+	} else {
+		plat, err := shard.NewLaned(shardBenchConfig(latency), shards)
+		if err != nil {
+			return ShardRow{}, err
 		}
-		t0 := plat.Clock.Now()
-		err = tx.Commit()
-		*lat = int64(plat.Clock.Now() - t0)
-		return err
+		if st, err = shard.Open(plat, "bench.db", shard.Options{DB: shardBenchOpts()}); err != nil {
+			return ShardRow{}, err
+		}
+		if err := st.CreateTable("bench"); err != nil {
+			return ShardRow{}, err
+		}
+		clock = plat.Clock
+		route = func(key []byte) (*db.DB, *simclock.Clock) {
+			home := st.ShardOf(key) // the routed, shard-local path
+			return st.Shard(home), plat.View(home).Clock
+		}
 	}
-	start := plat.Clock.Now()
-	committed, busy, lats, err := driveShardWriters(writers, txns/writers, run)
-	if err != nil {
-		return ShardRow{}, fmt.Errorf("baseline writers=%d: %w", writers, err)
-	}
-	return shardRowFrom(0, writers, txns/writers*writers, committed, busy, lats,
-		plat.Clock.Now()-start), nil
-}
-
-// runSharded is one laned-platform cell: writers bound to home shards
-// round-robin, keys pre-routed, commits timed on the home lane.
-func runSharded(shards, writers, txns, valueBytes int, latency time.Duration) (ShardRow, error) {
-	plat, err := shard.NewLaned(shardBenchConfig(latency), shards)
-	if err != nil {
-		return ShardRow{}, err
-	}
-	s, err := shard.Open(plat, "bench.db", shard.Options{DB: shardBenchOpts()})
-	if err != nil {
-		return ShardRow{}, err
-	}
-	if err := s.CreateTable("bench"); err != nil {
-		return ShardRow{}, err
-	}
-	// Pre-route 8 keys per writer to its home shard; the suffix search
-	// stands in for a client hashing its working set.
+	// 8 keys per writer. Sharded cells pre-route them to the writer's home
+	// shard; the suffix search stands in for a client hashing its working
+	// set.
 	keys := make([][][]byte, writers)
-	for w := 0; w < writers; w++ {
-		home := w % shards
+	for w := range keys {
 		keys[w] = make([][]byte, 8)
 		for k := range keys[w] {
-			for n := 0; ; n++ {
-				cand := []byte(fmt.Sprintf("w%d-k%d-%d", w, k, n))
-				if s.ShardOf(cand) == home {
+			if shards == 0 {
+				keys[w][k] = []byte(fmt.Sprintf("w%d-k%d", w, k))
+				continue
+			}
+			for n := 0; keys[w][k] == nil; n++ {
+				if cand := []byte(fmt.Sprintf("w%d-k%d-%d", w, k, n)); st.ShardOf(cand) == w%shards {
 					keys[w][k] = cand
-					break
 				}
 			}
 		}
 	}
-	run := func(w, i int, lat *int64) error {
+	perWriter := txns / writers
+	start := clock.Now()
+	out, err := driveWriters(writers, perWriter, func(w, i int) (time.Duration, error) {
 		key := keys[w][i%8]
 		val := make([]byte, valueBytes)
 		benchValue(val, w, i)
-		home := s.ShardOf(key) // the routed, shard-local path
-		d := s.Shard(home)
-		lane := plat.View(home).Clock
-		tx, err := d.Begin()
-		if err != nil {
-			return err
-		}
-		if err := tx.Insert("bench", key, val); err != nil {
-			tx.Rollback()
-			return err
-		}
-		t0 := lane.Now()
-		err = tx.Commit()
-		*lat = int64(lane.Now() - t0)
-		return err
-	}
-	start := plat.Clock.Now()
-	committed, busy, lats, err := driveShardWriters(writers, txns/writers, run)
+		d, lane := route(key)
+		return commitTxn(d.Begin, lane.Now, func(tx *db.Tx) error { return tx.Insert("bench", key, val) })
+	})
 	if err != nil {
 		return ShardRow{}, fmt.Errorf("shards=%d writers=%d: %w", shards, writers, err)
 	}
-	return shardRowFrom(shards, writers, txns/writers*writers, committed, busy, lats,
-		plat.Clock.Now()-start), nil
-}
-
-// driveShardWriters runs the per-writer transaction loops and collects
-// outcomes. ErrBusy is a clean rollback, anything else is fatal.
-func driveShardWriters(writers, perWriter int, run func(w, i int, lat *int64) error) (int, int, []int64, error) {
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		latencies []int64
-		committed int
-		busy      int
-		hardErr   error
-	)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				var lat int64
-				err := run(w, i, &lat)
-				mu.Lock()
-				switch {
-				case err == nil:
-					committed++
-					latencies = append(latencies, lat)
-				case errors.Is(err, db.ErrBusy):
-					busy++
-				default:
-					if hardErr == nil {
-						hardErr = err
-					}
-				}
-				mu.Unlock()
-				if err != nil && !errors.Is(err, db.ErrBusy) {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return committed, busy, latencies, hardErr
-}
-
-func shardRowFrom(shards, writers, txns, committed, busy int, latencies []int64, elapsed time.Duration) ShardRow {
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	return ShardRow{
 		Shards:      shards,
 		Writers:     writers,
-		Txns:        txns,
-		Committed:   committed,
-		Busy:        busy,
-		P50CommitNs: pct(latencies, 50),
-		P99CommitNs: pct(latencies, 99),
-		Throughput:  float64(committed) / elapsed.Seconds(),
-	}
+		Txns:        perWriter * writers,
+		commitStats: out.stats(clock.Now() - start),
+	}, nil
 }
 
 // Print renders the sweep with per-writer-count scaling factors.
@@ -281,7 +168,7 @@ func (r *ShardsResult) Print(w io.Writer) {
 	for _, row := range r.Rows {
 		scale := "-"
 		if row.Shards >= 1 {
-			if one := r.Row(1, row.Writers); one != nil && one.Throughput > 0 {
+			if one := Find(r.Rows, func(o ShardRow) bool { return o.Shards == 1 && o.Writers == row.Writers }); one != nil && one.Throughput > 0 {
 				scale = fmt.Sprintf("%.2fx", row.Throughput/one.Throughput)
 			}
 		}

@@ -11,7 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -178,12 +178,12 @@ func runSlowReadCell(c *repl.Cluster, addrs []string, rd string, hedged bool, re
 		}
 		lats = append(lats, lane.Now()-t0)
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	slices.Sort(lats)
 	row := SlowReadRow{
 		Hedged:      hedged,
 		Reads:       reads,
-		P50Ns:       int64(lats[len(lats)/2]),
-		P99Ns:       int64(lats[len(lats)*99/100]),
+		P50Ns:       int64(quantile(lats, 0.50)),
+		P99Ns:       int64(quantile(lats, 0.99)),
 		HedgedReads: m.Count(metrics.HedgedReads),
 		HedgeWins:   m.Count(metrics.HedgeWins),
 	}
