@@ -178,7 +178,7 @@ func TestScratchReuseConcurrentCommits(t *testing.T) {
 					errs <- err
 					return
 				}
-				if img, _ := w.PageImageAt(pgno, pager.Latest); img == nil || img[i*8] != byte(i) {
+				if img, _, _ := w.PageImageAt(pgno, pager.Latest); img == nil || img[i*8] != byte(i) {
 					errs <- errReadback(pgno)
 					return
 				}

@@ -206,6 +206,6 @@ func BenchmarkPageVersionAt(b *testing.B) {
 		// No frame is left below the mark, so PageVersionAt would report
 		// ok=false; PageImageAt is the call that still serves the image.
 		mark := w.Mark()
-		loop(b, func() bool { img, _ := w.PageImageAt(2, mark); return img != nil })
+		loop(b, func() bool { img, _, _ := w.PageImageAt(2, mark); return img != nil })
 	})
 }

@@ -431,6 +431,13 @@ type NVWAL struct {
 	// starts. A page with no entry was first logged by that frame; the
 	// database file holds its earlier state.
 	base map[uint32][]byte
+	// pending holds the pages recovery indexed without building: their
+	// frames are in history and byPage, but versions and base have no
+	// entry for them yet. version builds one the first time anything needs
+	// it and removes it from the set, which only ever shrinks; every read
+	// of versions and base is preceded by that build (version on the
+	// writer's side, readLockBuilt on the readers').
+	pending map[uint32]struct{}
 	// Export retention (export.go): the registered export cursors and the
 	// retired frames at or above the lowest of them — tail[i] is absolute
 	// frame tailBase+i and the tail ends where history begins — so while no
@@ -555,6 +562,7 @@ func Open(h *heapo.Manager, db pager.DBFile, cfg Config, m *metrics.Counters) (*
 		versions:  make(map[uint32][]byte),
 		byPage:    make(map[uint32][]int),
 		base:      make(map[uint32][]byte),
+		pending:   make(map[uint32]struct{}),
 		badBlocks: make(map[uint64]bool),
 
 		cLoggedBytes:  m.Cell(MetricLoggedBytes),
@@ -899,13 +907,17 @@ func (w *NVWAL) appendFrames(frames []pager.Frame, mark uint64, txns int) error 
 // differentially (§3.2), a first-touch page as a full frame, and an
 // identical image (a page dirtied and restored) not at all. Each staged
 // image is the caller's own, handed over: it becomes the page's new
-// version if the append succeeds. Caller holds w.mu.
+// version if the append succeeds. A recovered page is built first, even
+// for a full frame: publish needs its images. Caller holds w.mu.
 func (w *NVWAL) stageFrames(s *Stream, frames []pager.Frame) error {
 	s.Reset()
 	for _, fr := range frames {
-		var base []byte
-		if w.cfg.Differential {
-			base = w.versions[fr.Pgno]
+		base, err := w.version(fr.Pgno)
+		if err != nil {
+			return err
+		}
+		if !w.cfg.Differential {
+			base = nil
 		}
 		if _, err := s.StagePage(fr.Pgno, fr.Data, base); err != nil {
 			return err
@@ -1174,7 +1186,8 @@ func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns 
 			// The page's first unbackfilled frame: record the image it
 			// replaces (the pre-transaction version, which a completed
 			// checkpoint round has made durable). A page the log never
-			// held has none; the database file serves it.
+			// held has none; the database file serves it. An untracked page
+			// is never pending, so its version needs no build.
 			if prev, logged := w.versions[f.pgno]; logged {
 				w.base[f.pgno] = prev
 			}
@@ -1194,17 +1207,89 @@ func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns 
 	}
 }
 
-// PageVersion implements pager.Journal.
-func (w *NVWAL) PageVersion(pgno uint32) ([]byte, bool) {
+// version is the one way to a page's latest committed image, nil when
+// the log holds none. A recovered page is built the first time it is
+// asked for, and only then: when its first frame is differential, the
+// database-file page is its base, read once and kept as base[pgno] (a
+// full first frame needs none); its frames replay on top into
+// versions[pgno]. A failed read leaves the page pending and returns the
+// error; no image stands in for it. Caller holds w.mu exclusively.
+func (w *NVWAL) version(pgno uint32) ([]byte, error) {
+	if _, ok := w.pending[pgno]; !ok {
+		return w.versions[pgno], nil
+	}
+	// No checkpoint round can have retired any of its frames: freezing
+	// one builds every pending page first.
+	idxs := w.byPage[pgno]
+	img := make([]byte, w.pageSize)
+	if !w.history[idxs[0]-w.histBase].full {
+		if err := w.db.ReadPage(pgno, img); err != nil {
+			return nil, fmt.Errorf("nvwal: reading the database-file base of recovered page %d: %w", pgno, err)
+		}
+		w.base[pgno] = slices.Clone(img)
+	}
+	for _, abs := range idxs {
+		f := w.history[abs-w.histBase]
+		if f.full {
+			clear(img)
+		}
+		applyExtent(img, f.off, f.payload)
+	}
+	w.versions[pgno] = img
+	delete(w.pending, pgno)
+	return img, nil
+}
+
+// buildPending builds every pending page, in page order. Caller holds
+// w.mu exclusively.
+func (w *NVWAL) buildPending() error {
+	if len(w.pending) == 0 {
+		return nil
+	}
+	pgnos := make([]uint32, 0, len(w.pending))
+	for pgno := range w.pending {
+		pgnos = append(pgnos, pgno)
+	}
+	slices.Sort(pgnos)
+	for _, pgno := range pgnos {
+		if _, err := w.version(pgno); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readLockBuilt takes w.mu for reading with pgno built: a pending page is
+// built under the exclusive lock first. Once built a page never becomes
+// pending again, so the read lock taken afterwards finds it built.
+func (w *NVWAL) readLockBuilt(pgno uint32) error {
 	w.mu.RLock()
-	defer w.mu.RUnlock()
-	img, ok := w.versions[pgno]
-	if !ok {
+	if _, ok := w.pending[pgno]; !ok {
+		return nil
+	}
+	w.mu.RUnlock()
+	w.mu.Lock()
+	_, err := w.version(pgno)
+	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	w.mu.RLock()
+	return nil
+}
+
+// PageVersion implements pager.Journal. A recovered page whose image
+// cannot be built (its database-file base is unreadable) reports ok with
+// a nil image: the log holds the page, and the file's copy is not it.
+func (w *NVWAL) PageVersion(pgno uint32) ([]byte, bool) {
+	img, _, _, err := w.imageAt(pgno, pager.Latest)
+	if err != nil {
+		return nil, true
+	}
+	if img == nil {
 		return nil, false
 	}
-	out := make([]byte, len(img))
-	copy(out, img)
-	return out, true
+	return slices.Clone(img), true
 }
 
 // FramesSinceCheckpoint implements pager.Journal: the count of frames
@@ -1232,24 +1317,27 @@ func (w *NVWAL) Mark() int {
 // retains anyway — installed by publish, completeCheckpoint or recovery
 // and never written again — so callers share it and must not modify it;
 // a replayed one is the caller's alone (worth keeping: it cost a chain
-// walk). Nil means the database file holds the page. Reads charge no virtual time; this is the site
-// that will.
+// walk). Nil means the database file holds the page. A pending page is
+// built first (readLockBuilt); when that fails the error is all there is.
+// Reads charge no virtual time; this is the site that will.
 //
 //	frames below mark   frames at/above mark   image
 //	none                none                   versions[pgno] (= the file, once logged), else nil
 //	none                some                   base[pgno], else nil
 //	all                 none                   versions[pgno]
 //	some                some                   base[pgno] + the frames below mark, replayed
-func (w *NVWAL) imageAt(pgno uint32, mark int) (img []byte, below, shared bool) {
-	w.mu.RLock()
+func (w *NVWAL) imageAt(pgno uint32, mark int) (img []byte, below, shared bool, err error) {
+	if err := w.readLockBuilt(pgno); err != nil {
+		return nil, false, false, err
+	}
 	defer w.mu.RUnlock()
 	idxs := w.byPage[pgno]
 	n := sort.SearchInts(idxs, mark)
 	switch n {
 	case len(idxs):
-		return w.versions[pgno], n > 0, true
+		return w.versions[pgno], n > 0, true, nil
 	case 0:
-		return w.base[pgno], false, true
+		return w.base[pgno], false, true, nil
 	}
 	// Rewritten after the mark: O(frames of this page below it).
 	img = make([]byte, w.pageSize)
@@ -1261,14 +1349,19 @@ func (w *NVWAL) imageAt(pgno uint32, mark int) (img []byte, below, shared bool) 
 		}
 		applyExtent(img, f.off, f.payload)
 	}
-	return img, true, false
+	return img, true, false, nil
 }
 
 // PageVersionAt implements pager.SnapshotJournal: pgno's image at the
 // mark, or ok=false when no frame of the page lies below it. The image
-// is read-only, and shared unless it had to be replayed (see imageAt).
+// is read-only, and shared unless it had to be replayed (see imageAt). A
+// recovered page whose image cannot be built reports ok with a nil
+// image, as PageVersion does.
 func (w *NVWAL) PageVersionAt(pgno uint32, mark int) ([]byte, bool) {
-	img, below, _ := w.imageAt(pgno, mark)
+	img, below, _, err := w.imageAt(pgno, mark)
+	if err != nil {
+		return nil, true
+	}
 	if !below {
 		return nil, false
 	}
@@ -1278,10 +1371,10 @@ func (w *NVWAL) PageVersionAt(pgno uint32, mark int) ([]byte, bool) {
 // PageImageAt implements pager.PageImager: the read-only image of pgno
 // at the mark whether or not a frame lies below it, nil when only the
 // database file holds the page; shared is false for an image replayed
-// for this call.
-func (w *NVWAL) PageImageAt(pgno uint32, mark int) (img []byte, shared bool) {
-	img, _, shared = w.imageAt(pgno, mark)
-	return img, shared
+// for this call. The error is a recovered page's failed build.
+func (w *NVWAL) PageImageAt(pgno uint32, mark int) (img []byte, shared bool, err error) {
+	img, _, shared, err = w.imageAt(pgno, mark)
+	return img, shared, err
 }
 
 // Checkpoint implements pager.Journal as a blocking alias: one full
@@ -1390,6 +1483,12 @@ func (w *NVWAL) beginCheckpoint(gate func(watermark int) bool) (*ckptState, erro
 	}
 	defer w.mu.Unlock()
 
+	// The round writes every indexed page's version back and retires the
+	// frames a pending page would be built from: build them now. A base
+	// that cannot be read fails the round before it freezes anything.
+	if err := w.buildPending(); err != nil {
+		return nil, err
+	}
 	st := &ckptState{
 		watermark: w.histBase + len(w.history),
 		pages:     make(map[uint32][]byte, len(w.byPage)),

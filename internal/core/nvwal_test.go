@@ -23,6 +23,8 @@ type testEnv struct {
 	heap  *heapo.Manager
 	fs    *ext4.FS
 	db    pager.DBFile
+	// wrap, when set, wraps the database file reopen hands the log.
+	wrap func(pager.DBFile) pager.DBFile
 }
 
 func newEnv(t testing.TB) *testEnv {
@@ -65,6 +67,9 @@ func (e *testEnv) reopen(t testing.TB, cfg Config, policy memsim.FailPolicy, see
 		t.Fatal(err)
 	}
 	e.db = dbfile.New(f, 4096)
+	if e.wrap != nil {
+		e.db = e.wrap(e.db)
+	}
 	h, err := heapo.Attach(e.dev)
 	if err != nil {
 		t.Fatal(err)

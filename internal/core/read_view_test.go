@@ -137,31 +137,35 @@ func (r *readViewRun) check(step string) {
 	r.must(r.guard.observe(r.w, step))
 }
 
-// next returns a new image for pgno: a fresh one (random prefix, clean
-// tail, so full frames truncate) or the current one with a few extents
+// nextImage returns a new image for a page: a fresh one (random prefix,
+// clean tail, so full frames truncate) or base with a few extents
 // rewritten. It never modifies an existing image.
-func (r *readViewRun) next(base []byte) []byte {
+func nextImage(rng *rand.Rand, base []byte) []byte {
 	img := make([]byte, 4096)
-	if base == nil || r.rng.Intn(6) == 0 {
-		r.rng.Read(img[:1+r.rng.Intn(4096)])
+	if base == nil || rng.Intn(6) == 0 {
+		rng.Read(img[:1+rng.Intn(4096)])
 		return img
 	}
 	copy(img, base)
-	for k := 1 + r.rng.Intn(3); k > 0; k-- {
-		off := r.rng.Intn(4096)
-		r.rng.Read(img[off:min(4096, off+1+r.rng.Intn(300))])
+	for k := 1 + rng.Intn(3); k > 0; k-- {
+		off := rng.Intn(4096)
+		rng.Read(img[off:min(4096, off+1+rng.Intn(300))])
 	}
 	return img
 }
 
-// pick returns n distinct written-range page numbers.
-func (r *readViewRun) pick(n int) []uint32 {
+// pickPages returns n distinct written-range page numbers.
+func pickPages(rng *rand.Rand, n int) []uint32 {
 	var out []uint32
-	for _, i := range r.rng.Perm(rvPages)[:n] {
+	for _, i := range rng.Perm(rvPages)[:n] {
 		out = append(out, uint32(2+i))
 	}
 	return out
 }
+
+func (r *readViewRun) next(base []byte) []byte { return nextImage(r.rng, base) }
+
+func (r *readViewRun) pick(n int) []uint32 { return pickPages(r.rng, n) }
 
 func (r *readViewRun) frames(n int) []pager.Frame {
 	var frames []pager.Frame
@@ -421,9 +425,9 @@ func testSharesInstalledImages(t *testing.T, cfg Config) {
 		{"rewritten after the mark", 2, mid, nil, v2},
 	}
 	for _, c := range cases {
-		got, shared := w.PageImageAt(c.pgno, c.mark)
-		if !bytes.Equal(got, c.want) {
-			t.Fatalf("%s: wrong image", c.name)
+		got, shared, err := w.PageImageAt(c.pgno, c.mark)
+		if err != nil || !bytes.Equal(got, c.want) {
+			t.Fatalf("%s: wrong image (%v)", c.name, err)
 		}
 		if shared != (c.shared != nil) {
 			t.Fatalf("%s: reported shared=%v", c.name, shared)
@@ -436,7 +440,7 @@ func testSharesInstalledImages(t *testing.T, cfg Config) {
 			t.Fatalf("%s: %v allocs, want exactly the replay buffer", c.name, allocs)
 		}
 	}
-	if img, _ := w.PageImageAt(9, w.Mark()); img != nil {
+	if img, _, _ := w.PageImageAt(9, w.Mark()); img != nil {
 		t.Fatal("a never-logged page must resolve to the database file (nil)")
 	}
 }

@@ -96,6 +96,12 @@ type scanInfo struct {
 //     undo that. The round is left pending and the report flags the
 //     database file so the database layer opens degraded read-only.
 //
+// Without a frozen round, recovery does what SQLite's does and no more:
+// it validates the live chain, keeps the committed prefix and fills the
+// history and its per-page index. No page image is built and the
+// database file is not read; every recovered page stays pending until
+// its first use builds it (version).
+//
 // Recovery is also what gives the asynchronous-commit mode (§4.2) its
 // semantics: a commit mark whose transaction has a torn (checksum-
 // mismatched) frame invalidates the whole transaction.
@@ -108,6 +114,7 @@ func (w *NVWAL) recover() error {
 	w.histBase = 0
 	w.byPage = make(map[uint32][]int)
 	w.base = make(map[uint32][]byte)
+	w.pending = make(map[uint32]struct{})
 
 	hdr := make([]byte, 64)
 	if err := w.dev.ReadChecked(w.headerAddr, hdr); err != nil {
@@ -160,6 +167,9 @@ func (w *NVWAL) recover() error {
 	var frozenBlocks []heapo.Block
 	frozenDamaged := false
 	frozenLost := false
+	// unreadable collects the pages whose database-file base could not be
+	// read during the frozen round's eager replay, across both passes.
+	unreadable := make(map[uint32]bool)
 	if ckBlk != 0 {
 		blocks, scanned, info := w.scanGeneration(ckBlk, ckSalt, w.headerAddr+hdrCkptBlkOff, false, rep)
 		frozenBlocks = blocks
@@ -188,13 +198,14 @@ func (w *NVWAL) recover() error {
 			rep.eventf("frozen generation (salt %d) damaged: scanned %d of %d sealed frames (chain %#x, want %#x), kept %d whole-transaction frames",
 				ckSalt, len(scanned), ckCount, endChain, ckChain, len(kept))
 		}
-		rep.FramesKept += w.replayFrames(kept, false, ckSalt, rep)
+		rep.FramesKept += w.replayFrames(kept, false, ckSalt, unreadable, rep)
 	}
 
-	// Live generation: scan, keep the committed prefix, replay it into
-	// both the page images and the unbackfilled history index — unless a
-	// damaged frozen generation already lost older committed frames, in
-	// which case the whole live generation goes too.
+	// Live generation: scan, keep the committed prefix and index it —
+	// replayed into the page images too when a frozen round needs every
+	// image to finish — unless a damaged frozen generation already lost
+	// older committed frames, in which case the whole live generation goes
+	// too.
 	liveSalt := w.salt
 	blocks, scanned, info := w.scanGeneration(
 		binary.LittleEndian.Uint64(hdr[hdrFirstBlkOff:]), liveSalt,
@@ -244,7 +255,12 @@ func (w *NVWAL) recover() error {
 	} else {
 		rep.FramesDropped += len(scanned) - len(kept) + info.ghosts
 	}
-	rep.FramesKept += w.replayFrames(kept, true, liveSalt, rep)
+	if ckBlk != 0 {
+		rep.FramesKept += w.replayFrames(kept, true, liveSalt, unreadable, rep)
+	} else {
+		w.indexFrames(kept)
+		rep.FramesKept += len(kept)
+	}
 	w.chain = chainSeed(liveSalt)
 	if lastCommit >= 0 {
 		w.chain = kept[lastCommit].chainAfter
@@ -286,6 +302,13 @@ func (w *NVWAL) recover() error {
 	w.m.Inc(metrics.FramesSalvaged, int64(rep.FramesKept))
 	w.m.Inc(metrics.FramesDropped, int64(rep.FramesDropped))
 	if ckBlk != 0 {
+		if len(unreadable) > 0 {
+			// Those pages' frames are dropped and the database file holds
+			// their pre-round images: finishing would retire frozen frames
+			// that no durable copy has absorbed. Same verdict as below.
+			rep.eventf("frozen generation (salt %d): %d pages without a readable base; round left pending, opening degraded", ckSalt, len(unreadable))
+			return nil
+		}
 		if frozenLost {
 			// Sealed frames of the interrupted round are gone, and the
 			// crashed backfill may already have pushed their page images —
@@ -432,23 +455,41 @@ func (w *NVWAL) probeFrame(blk heapo.Block, off int, salt uint64) (int, bool) {
 	return align8(frameHdrSize + size), true
 }
 
-// replayFrames applies kept frames to the page images, returning how
-// many were applied. When record is true the frames are not yet
-// backfilled: they also enter the history and the per-page index,
-// capturing each page's replay base. A page whose first frame is
-// differential was backfilled by an earlier checkpoint round, so its
-// base comes from the database file — and when that read fails, the log
-// cannot repair the database: the page's frames are dropped (its reads
-// will surface honest errors rather than wrong data) and the report is
-// flagged so the database layer opens degraded.
-func (w *NVWAL) replayFrames(kept []scannedFrame, record bool, gen uint64, rep *SalvageReport) int {
+// indexFrames enters the live generation's kept frames into the history
+// and the per-page index, and leaves every page they touch pending: its
+// images are built on first use (version), not here.
+func (w *NVWAL) indexFrames(kept []scannedFrame) {
+	for _, fr := range kept {
+		w.pending[fr.pgno] = struct{}{}
+		w.byPage[fr.pgno] = append(w.byPage[fr.pgno], w.histBase+len(w.history))
+		w.history = append(w.history, histFrame{pgno: fr.pgno, off: fr.off, full: fr.full, payload: fr.payload})
+	}
+}
+
+// replayFrames is the eager replay a frozen round's recovery runs: it
+// applies kept frames to the page images, returning how many were
+// applied. When record is true the frames are not yet backfilled: they
+// also enter the history and the per-page index, capturing each page's
+// replay base. A page whose first frame is differential was backfilled
+// by an earlier checkpoint round, so its base comes from the database
+// file — and when that read fails, the log cannot repair the database:
+// the page joins unreadable, every later frame of it is dropped too (an
+// image built from the file plus a subset of its frames is no version
+// the page ever had), and the report is flagged so the database layer
+// opens degraded.
+func (w *NVWAL) replayFrames(kept []scannedFrame, record bool, gen uint64, unreadable map[uint32]bool, rep *SalvageReport) int {
 	applied := 0
 	for i, fr := range kept {
+		if unreadable[fr.pgno] {
+			rep.FramesDropped++
+			continue
+		}
 		img, ok := w.versions[fr.pgno]
 		if !ok {
 			img = make([]byte, w.pageSize)
 			if !fr.full {
 				if err := w.db.ReadPage(fr.pgno, img); err != nil {
+					unreadable[fr.pgno] = true
 					rep.DBFileDamaged = true
 					rep.FramesDropped++
 					rep.eventf("dropping frames for page %d: %v",

@@ -148,7 +148,8 @@ func (w *NVWAL) CommitStreams(streams []*Stream, txns int) error {
 	// would replay from zero under PageVersionAt unless the log knows
 	// its base. If the log holds no version for it and no earlier
 	// stream in this group stages it first, convert the frame to a full
-	// one — same first-touch rule the legacy staging applies.
+	// one — same first-touch rule the legacy staging applies. Asking for
+	// the version builds a recovered page, as staging does.
 	seen := w.seenScratch()
 	for _, s := range streams {
 		if s.pageSize != w.pageSize {
@@ -156,9 +157,12 @@ func (w *NVWAL) CommitStreams(streams []*Stream, txns int) error {
 		}
 		for i := range s.pages {
 			sp := &s.pages[i]
+			v, err := w.version(sp.pgno)
+			if err != nil {
+				return err
+			}
 			if !sp.full {
-				_, logged := w.versions[sp.pgno]
-				if _, staged := seen[sp.pgno]; !logged && !staged {
+				if _, staged := seen[sp.pgno]; v == nil && !staged {
 					sp.setFull()
 				}
 			}

@@ -130,6 +130,20 @@ func (c *checkedStore) Get(pgno uint32) ([]byte, error) {
 	return got, nil
 }
 
+// The stress's shape: 4 snapshot readers, 2 writers of 24 keys each.
+const raceReaders, raceWriters, raceSetSize = 4, 2, 24
+
+func raceOpts() Options {
+	return Options{
+		Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff(),
+		Concurrent: true, GroupCommit: raceWriters, BackgroundCheckpoint: true, CheckpointLimit: 48,
+	}
+}
+
+func raceKey(w, i int) []byte { return []byte(fmt.Sprintf("w%d-%05d", w, i)) }
+
+func raceVal(n uint64) []byte { return binary.BigEndian.AppendUint64(make([]byte, 0, 72), n)[:72] }
+
 // TestSnapshotReadersRaceWritersAndCheckpointer is the -race stress of
 // the shared read view: 4 snapshot readers, 2 RunConcurrent writers and
 // the background checkpointer. A writer rewrites its whole key set to one
@@ -139,20 +153,21 @@ func (c *checkedStore) Get(pgno uint32) ([]byte, error) {
 // to be uniform — a torn snapshot, an image patched in place or a
 // checkpoint retiring a pinned frame would all show.
 func TestSnapshotReadersRaceWritersAndCheckpointer(t *testing.T) {
-	const readers, writers, setSize = 4, 2, 24
+	d, _ := newDB(t, raceOpts())
+	if err := d.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	raceReadersWritersCheckpointer(t, d)
+}
+
+// raceReadersWritersCheckpointer runs the stress on d's table "t".
+func raceReadersWritersCheckpointer(t *testing.T, d *DB) {
+	const readers, writers, setSize = raceReaders, raceWriters, raceSetSize
 	run := 2 * time.Second
 	if testing.Short() {
 		run = 300 * time.Millisecond
 	}
-	d, _ := newDB(t, Options{
-		Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff(),
-		Concurrent: true, GroupCommit: writers, BackgroundCheckpoint: true, CheckpointLimit: 48,
-	})
-	if err := d.CreateTable("t"); err != nil {
-		t.Fatal(err)
-	}
-	key := func(w, i int) []byte { return []byte(fmt.Sprintf("w%d-%05d", w, i)) }
-	val := func(n uint64) []byte { return binary.BigEndian.AppendUint64(make([]byte, 0, 72), n)[:72] }
+	key, val := raceKey, raceVal
 	ref := pager.NewReadView(copyingJournal{d.jrn.(pager.SnapshotJournal)}, d.dbf)
 
 	stop := make(chan struct{})

@@ -37,7 +37,9 @@ type Journal interface {
 	CommitTransaction(frames []Frame) error
 	// PageVersion returns the latest committed image of pgno held in the
 	// log, or ok=false when the log has no frame for the page. The image
-	// is read-only: it may be one the journal keeps.
+	// is read-only: it may be one the journal keeps. ok with a nil image
+	// means the log holds the page but could not build its image; the
+	// database file's copy is then not the page, and no reader may use it.
 	PageVersion(pgno uint32) ([]byte, bool)
 	// FramesSinceCheckpoint reports the number of logged frames, the
 	// trigger SQLite compares against its 1000-frame checkpoint limit.
@@ -107,9 +109,14 @@ type SnapshotJournal interface {
 	// when the log held no frame for the page at that point (the page's
 	// content is then whatever the database file holds — unchanged
 	// since the mark, because checkpointing is excluded). The image may
-	// be one the journal keeps: callers must not modify it.
+	// be one the journal keeps: callers must not modify it. ok with a nil
+	// image means what it means for PageVersion.
 	PageVersionAt(pgno uint32, mark int) ([]byte, bool)
 }
+
+// ErrNoImage is returned for a page the journal holds but cannot build
+// an image of (PageVersion's ok with a nil image).
+var ErrNoImage = errors.New("pager: the journal holds the page but cannot build its image")
 
 // ErrCheckpointPending is returned by IncrementalJournal implementations
 // when the caller's gate refused the checkpoint (an open snapshot reader
@@ -138,8 +145,11 @@ type IncrementalJournal interface {
 // shared is false when the journal had to build the image for this call
 // (a page rewritten after the mark): nobody else holds it. A mark of
 // Latest asks for the latest committed image, which is always shared.
+// An error means the journal holds the page but could not build its image
+// (NVWAL: a recovered page whose database-file base is unreadable); it
+// reaches the reader, and the database file does not stand in.
 type PageImager interface {
-	PageImageAt(pgno uint32, mark int) (img []byte, shared bool)
+	PageImageAt(pgno uint32, mark int) (img []byte, shared bool, err error)
 }
 
 // Latest is the journal mark past every commit: a PageImager asked for
@@ -182,10 +192,14 @@ func (v *ReadView) PageSize() int { return v.db.PageSize() }
 // file) and a reader that will visit the page again should keep it.
 func (v *ReadView) PageAt(pgno uint32, mark int) (img []byte, shared bool, err error) {
 	if v.shared != nil {
-		if img, shared := v.shared.PageImageAt(pgno, mark); img != nil {
-			return img, shared, nil
+		img, shared, err := v.shared.PageImageAt(pgno, mark)
+		if err != nil || img != nil {
+			return img, shared, err
 		}
 	} else if img, ok := v.jrn.PageVersionAt(pgno, mark); ok {
+		if img == nil {
+			return nil, false, fmt.Errorf("%w: page %d at mark %d", ErrNoImage, pgno, mark)
+		}
 		return img, false, nil
 	}
 	img = make([]byte, v.db.PageSize())
@@ -340,8 +354,14 @@ func (p *Pager) Get(pgno uint32) ([]byte, error) {
 	// image serves as the cache entry as it is — no copy.
 	var buf []byte
 	if p.imager != nil {
-		buf, _ = p.imager.PageImageAt(pgno, Latest)
+		var err error
+		if buf, _, err = p.imager.PageImageAt(pgno, Latest); err != nil {
+			return nil, err
+		}
 	} else if v, ok := p.jrn.PageVersion(pgno); ok {
+		if v == nil {
+			return nil, fmt.Errorf("%w: page %d", ErrNoImage, pgno)
+		}
 		buf = v
 	}
 	if buf == nil {

@@ -629,7 +629,69 @@ func (j snapJournal) PageVersionAt(pgno uint32, _ int) ([]byte, bool) {
 // imagerJournal additionally hands its images out shared.
 type imagerJournal struct{ snapJournal }
 
-func (j imagerJournal) PageImageAt(pgno uint32, _ int) ([]byte, bool) { return j.versions[pgno], true }
+func (j imagerJournal) PageImageAt(pgno uint32, _ int) ([]byte, bool, error) {
+	return j.versions[pgno], true, nil
+}
+
+// unbuiltJournal holds page unbuilt but cannot build its image: the
+// imager reports err, PageVersion and PageVersionAt ok with a nil image.
+type unbuiltJournal struct{ imagerJournal }
+
+const unbuilt = 3
+
+var errUnbuilt = errors.New("injected base read failure")
+
+func (j unbuiltJournal) PageImageAt(pgno uint32, mark int) ([]byte, bool, error) {
+	if pgno == unbuilt {
+		return nil, false, errUnbuilt
+	}
+	return j.imagerJournal.PageImageAt(pgno, mark)
+}
+
+func (j unbuiltJournal) PageVersion(pgno uint32) ([]byte, bool) {
+	if pgno == unbuilt {
+		return nil, true
+	}
+	return j.imagerJournal.PageVersion(pgno)
+}
+
+func (j unbuiltJournal) PageVersionAt(pgno uint32, mark int) ([]byte, bool) {
+	if pgno == unbuilt {
+		return nil, true
+	}
+	return j.imagerJournal.PageVersionAt(pgno, mark)
+}
+
+// plainJournal hides every capability but Journal and SnapshotJournal.
+type plainJournal struct{ SnapshotJournal }
+
+// TestUnbuiltPageNeverReadsTheFile: a page the journal holds but cannot
+// build is an error for the pager and the read view, through the imager
+// and through PageVersion(At) alike — never the database file's image.
+func TestUnbuiltPageNeverReadsTheFile(t *testing.T) {
+	f := newFakeDBFile()
+	_ = f.WritePage(unbuilt, bytes.Repeat([]byte{0xF2}, 4096))
+	for _, c := range []struct {
+		name string
+		jrn  SnapshotJournal
+		want error
+	}{
+		{"imager", unbuiltJournal{imagerJournal{snapJournal{newFakeJournal()}}}, errUnbuilt},
+		{"plain", plainJournal{unbuiltJournal{imagerJournal{snapJournal{newFakeJournal()}}}}, ErrNoImage},
+	} {
+		p, err := Open(f, c.jrn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img, err := p.Get(unbuilt); !errors.Is(err, c.want) || img != nil {
+			t.Fatalf("%s: Get = (%d bytes, %v), want %v", c.name, len(img), err, c.want)
+		}
+		v := NewReadView(c.jrn, f)
+		if img, _, err := v.PageAt(unbuilt, v.Mark()); !errors.Is(err, c.want) || img != nil {
+			t.Fatalf("%s: PageAt = (%d bytes, %v), want %v", c.name, len(img), err, c.want)
+		}
+	}
+}
 
 type failingDBFile struct{ *fakeDBFile }
 

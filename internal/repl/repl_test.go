@@ -493,7 +493,7 @@ func TestReplicaCatalogParsedOncePerVersion(t *testing.T) {
 	if parsed() == before {
 		t.Fatal("replica kept a stale catalog across a DDL")
 	}
-	if logs, shared := rn.R.wal.PageImageAt(1, rn.R.wal.Mark()); !shared || &page1()[0] != &logs[0] {
+	if logs, shared, err := rn.R.wal.PageImageAt(1, rn.R.wal.Mark()); err != nil || !shared || &page1()[0] != &logs[0] {
 		t.Fatal("replica read copied page 1 instead of sharing the log's image")
 	}
 }

@@ -458,7 +458,11 @@ func (r *Replica) applySeed(s seedMsg) ack {
 		// The message buffer is the transport's; the journal keeps its own.
 		img := make([]byte, r.opts.PageSize)
 		copy(img, pg.data)
-		base, _ := r.wal.PageImageAt(pg.pgno, mark)
+		base, _, err := r.wal.PageImageAt(pg.pgno, mark)
+		if err != nil {
+			r.dropPages()
+			return nack
+		}
 		r.pages = append(r.pages, applyPage{pgno: pg.pgno, img: img, base: base})
 	}
 	if err := r.commitPages(); err != nil {
@@ -530,8 +534,13 @@ func (r *Replica) applyFrames(f framesMsg) (a ack, roundDue bool) {
 	for _, fr := range f.batch.Frames {
 		i := slices.IndexFunc(r.pages, func(p applyPage) bool { return p.pgno == fr.Pgno })
 		if i < 0 {
+			p, err := r.openPage(fr.Pgno, mark)
+			if err != nil {
+				r.dropPages()
+				return nack, false
+			}
 			i = len(r.pages)
-			r.pages = append(r.pages, r.openPage(fr.Pgno, mark))
+			r.pages = append(r.pages, p)
 		}
 		img := r.pages[i].img
 		if fr.Full {
@@ -572,17 +581,19 @@ func (r *Replica) checkpointAfterAck() {
 // openPage starts the image a batch will patch: a copy of the journal's
 // current image of pgno, logged against that image. An image the read
 // view had to build for this call (read from the database file, which
-// means the journal holds no version to log against) or could not read
-// (zeros) is the batch's own already. Caller holds r.rw.
-func (r *Replica) openPage(pgno uint32, mark int) applyPage {
+// means the journal holds no version to log against) is the batch's own
+// already. A page that cannot be read fails the batch: patching zeros or
+// a stale file image would apply the batch to a state the primary never
+// had. Caller holds r.rw.
+func (r *Replica) openPage(pgno uint32, mark int) (applyPage, error) {
 	img, shared, err := r.view.PageAt(pgno, mark)
 	switch {
 	case err != nil:
-		return applyPage{pgno: pgno, img: make([]byte, r.opts.PageSize)}
+		return applyPage{}, err
 	case shared:
-		return applyPage{pgno: pgno, img: slices.Clone(img), base: img}
+		return applyPage{pgno: pgno, img: slices.Clone(img), base: img}, nil
 	}
-	return applyPage{pgno: pgno, img: img}
+	return applyPage{pgno: pgno, img: img}, nil
 }
 
 // commitPages commits r.pages through the journal as one transaction —
