@@ -15,13 +15,18 @@
 // Usage:
 //
 //	nvwal-crash [-seeds N] [-variant UH+LS+Diff|LS|E|...] [-shards N]
+//
+// The exit code is 0 when every case passes, 1 on any failed case and 2
+// on a usage error, an unknown -variant label included.
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -32,45 +37,81 @@ import (
 	"repro/internal/shard"
 )
 
-func main() {
-	seeds := flag.Int("seeds", 3, "adversarial seeds per case")
-	variant := flag.String("variant", "", "single variant label (default: all)")
-	shards := flag.Int("shards", 1, "run the cross-shard 2PC crash matrix over this many shards instead of the single-engine one")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *shards > 1 {
-		os.Exit(runShardedMatrix(*shards, *seeds, *variant))
+// policies are the two cache-line survival rules every case runs under.
+var policies = []struct {
+	name   string
+	policy memsim.FailPolicy
+}{{"dropall", memsim.FailDropAll}, {"adversarial", memsim.FailAdversarial}}
+
+// run is the whole command: parse args, run the matrix, print the table.
+// It returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nvwal-crash", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seeds := fs.Int("seeds", 3, "adversarial seeds per case")
+	variant := fs.String("variant", "", "single variant label (default: all; UH+LS+Diff with -shards)")
+	shards := fs.Int("shards", 1, "run the cross-shard 2PC crash matrix over this many shards instead of the single-engine one")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	variants, err := pickVariants(*variant)
+	if err != nil {
+		fmt.Fprintf(stderr, "nvwal-crash: %v\n", err)
+		return 2
 	}
 
-	variants := append(core.Figure7Variants(), core.NamedConfig{Name: "NVWAL E", Cfg: core.VariantE()})
 	pass, fail := 0, 0
-	for _, v := range variants {
-		if *variant != "" && v.Cfg.Label() != *variant {
-			continue
+	report := func(label string, err error) {
+		if err != nil {
+			fail++
+			fmt.Fprintf(stdout, "FAIL %s: %v\n", label, err)
+		} else {
+			pass++
+			fmt.Fprintf(stdout, "ok   %s\n", label)
 		}
-		for _, step := range append(core.WriteSteps(), core.CheckpointSteps()...) {
-			for _, pol := range []struct {
-				name   string
-				policy memsim.FailPolicy
-			}{{"dropall", memsim.FailDropAll}, {"adversarial", memsim.FailAdversarial}} {
-				for seed := int64(1); seed <= int64(*seeds); seed++ {
-					err := runCase(v.Cfg, step, pol.policy, seed)
-					label := fmt.Sprintf("%-12s %-22s %-12s seed=%d", v.Cfg.Label(), step, pol.name, seed)
-					if err != nil {
-						fail++
-						fmt.Printf("FAIL %s: %v\n", label, err)
-					} else {
-						pass++
-						fmt.Printf("ok   %s\n", label)
+	}
+	if *shards > 1 {
+		cfg := core.VariantUHLSDiff()
+		if *variant != "" {
+			cfg = variants[0]
+		}
+		runShardedMatrix(cfg, *shards, *seeds, report)
+	} else {
+		for _, cfg := range variants {
+			for _, step := range append(core.WriteSteps(), core.CheckpointSteps()...) {
+				for _, pol := range policies {
+					for seed := int64(1); seed <= int64(*seeds); seed++ {
+						err := runCase(cfg, step, pol.policy, seed)
+						report(fmt.Sprintf("%-12s %-22s %-12s seed=%d", cfg.Label(), step, pol.name, seed), err)
 					}
 				}
 			}
 		}
 	}
-	fmt.Printf("\n%d cases passed, %d failed\n", pass, fail)
+	fmt.Fprintf(stdout, "\n%d cases passed, %d failed\n", pass, fail)
 	if fail > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// pickVariants returns the variant labelled label — of Figure 7's six and
+// NVWAL E — or all seven for "".
+func pickVariants(label string) ([]core.Config, error) {
+	var picked []core.Config
+	var labels []string
+	for _, v := range append(core.Figure7Variants(), core.NamedConfig{Name: "NVWAL E", Cfg: core.VariantE()}) {
+		labels = append(labels, v.Cfg.Label())
+		if label == "" || v.Cfg.Label() == label {
+			picked = append(picked, v.Cfg)
+		}
+	}
+	if len(picked) == 0 {
+		return nil, fmt.Errorf("unknown variant %q (one of %s)", label, strings.Join(labels, ", "))
+	}
+	return picked, nil
 }
 
 type crashSignal struct{}
@@ -195,27 +236,9 @@ func runCase(cfg core.Config, step string, policy memsim.FailPolicy, seed int64)
 
 // runShardedMatrix is the -shards > 1 mode: every write step of the
 // second participant's prepare plus every coordinator stage boundary,
-// under both survival policies. Exit code 1 on any failure.
-func runShardedMatrix(nshards, seeds int, variant string) int {
-	cfg := core.VariantUHLSDiff()
-	name := "UH+LS+Diff"
-	if variant != "" {
-		found := false
-		for _, v := range append(core.Figure7Variants(), core.NamedConfig{Name: "NVWAL E", Cfg: core.VariantE()}) {
-			if v.Cfg.Label() == variant {
-				cfg, name, found = v.Cfg, v.Cfg.Label(), true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "nvwal-crash: unknown variant %q\n", variant)
-			return 2
-		}
-	}
-	policies := []struct {
-		name   string
-		policy memsim.FailPolicy
-	}{{"dropall", memsim.FailDropAll}, {"adversarial", memsim.FailAdversarial}}
+// under both survival policies, each case's outcome handed to report.
+func runShardedMatrix(cfg core.Config, nshards, seeds int, report func(label string, err error)) {
+	name := cfg.Label()
 	stages := []struct {
 		name  string
 		stage shard.Stage
@@ -224,16 +247,6 @@ func runShardedMatrix(nshards, seeds int, variant string) int {
 		{"after-prepare", shard.StageAfterPrepare, false},
 		{"after-decide", shard.StageAfterDecide, true},
 		{"after-complete", shard.StageAfterComplete, true},
-	}
-	pass, fail := 0, 0
-	report := func(label string, err error) {
-		if err != nil {
-			fail++
-			fmt.Printf("FAIL %s: %v\n", label, err)
-		} else {
-			pass++
-			fmt.Printf("ok   %s\n", label)
-		}
 	}
 	for _, pol := range policies {
 		for seed := int64(1); seed <= int64(seeds); seed++ {
@@ -247,11 +260,6 @@ func runShardedMatrix(nshards, seeds int, variant string) int {
 			}
 		}
 	}
-	fmt.Printf("\n%d cases passed, %d failed\n", pass, fail)
-	if fail > 0 {
-		return 1
-	}
-	return 0
 }
 
 // shardedKey fabricates a key routed to the wanted shard.

@@ -968,7 +968,7 @@ func (d *DB) commitHeldTxn(dl deadline) (uint64, error) {
 	// copies it first — close the pager transaction (later writers build
 	// on its cache), free the slot, and wait for a leader to flush the
 	// group.
-	req := gc.submit(slices.Clone(frames), nil, dl.until)
+	req := gc.submit(slices.Clone(frames), nil, dl.until, false)
 	gc.mu.Unlock()
 	d.pg.FinishCommit()
 	d.releaseSlot()

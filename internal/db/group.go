@@ -27,6 +27,13 @@ type commitReq struct {
 	done   chan struct{}
 	until  time.Duration
 	err    error
+	// perTxn marks a request whose writer registered for this one
+	// transaction (an MVCC session): once flushed, the writer lingers —
+	// registered, but unable to join a group — until it unregisters.
+	// lingers is that state, set by flushLocked and cleared by the
+	// owner's unregisterAfter; both under gc.mu.
+	perTxn  bool
+	lingers bool
 }
 
 // groupCommitter is the writer queue behind Tx.Commit. Committing
@@ -39,7 +46,8 @@ type commitReq struct {
 // The flush rule "len(queue) >= size || len(queue) >= writers" is what
 // keeps the engine deterministic AND deadlock-free: a group never waits
 // for a writer that is not registered, so min(GroupCommit, writers)
-// bounds both the group size and the wait.
+// bounds both the group size and the wait. A group does not wait for a
+// lingering writer either (see submit).
 type groupCommitter struct {
 	jrn  pager.Journal
 	size int
@@ -50,6 +58,10 @@ type groupCommitter struct {
 	mu      sync.Mutex
 	writers int          // registered writers (sessions + in-flight anonymous txns)
 	queue   []*commitReq // committed transactions awaiting a flush
+	// lingering counts registered writers whose per-transaction request
+	// has been flushed but which have not unregistered yet. None of them
+	// is in the queue, and none can commit again without unregistering.
+	lingering int
 	// nextSeq numbers committed transactions in journal-application
 	// order. Only stamp advances it: under mu at enqueue (where queue
 	// order is flush order) or inside the solo critical section (where
@@ -89,10 +101,19 @@ func (gc *groupCommitter) stamp(frames []pager.Frame) uint64 {
 // flush, flushing at once when its arrival completes the group. Caller
 // holds mu and the writer slot: enqueueing requires the slot, so queue
 // order is flush order and the enqueue-time seq matches journal order.
-func (gc *groupCommitter) submit(frames []pager.Frame, stream *core.Stream, until time.Duration) *commitReq {
-	req := &commitReq{frames: frames, stream: stream, seq: gc.stamp(frames), done: make(chan struct{}), until: until}
+// perTxn says the caller registered for this transaction alone and
+// unregisters through unregisterAfter once it is flushed.
+//
+// The group is complete when it reaches min(GroupCommit, writers), or
+// when the one registered writer not in the queue is lingering: that
+// writer must unregister before it can commit again, and its unregister
+// would flush exactly this queue. Flushing now forms the same group,
+// only without handing the flush to that writer and waking this one.
+func (gc *groupCommitter) submit(frames []pager.Frame, stream *core.Stream, until time.Duration, perTxn bool) *commitReq {
+	req := &commitReq{frames: frames, stream: stream, seq: gc.stamp(frames), done: make(chan struct{}), until: until, perTxn: perTxn}
 	gc.queue = append(gc.queue, req)
-	if len(gc.queue) >= gc.size || len(gc.queue) >= gc.writers {
+	n := len(gc.queue)
+	if n >= gc.size || n >= gc.writers || (gc.writers-n == 1 && gc.lingering == 1) {
 		gc.flushLocked()
 	}
 	return req
@@ -107,9 +128,18 @@ func (gc *groupCommitter) register() {
 
 // unregister retires a writer. If every remaining writer is already
 // waiting in the queue, the group can no longer grow — flush it.
-func (gc *groupCommitter) unregister() {
+func (gc *groupCommitter) unregister() { gc.unregisterAfter(nil) }
+
+// unregisterAfter is unregister for a per-transaction writer whose
+// request was req (nil when it never submitted one): a flushed req stops
+// counting as lingering in the same critical section.
+func (gc *groupCommitter) unregisterAfter(req *commitReq) {
 	gc.mu.Lock()
 	gc.writers--
+	if req != nil && req.lingers {
+		req.lingers = false
+		gc.lingering--
+	}
 	if len(gc.queue) > 0 && len(gc.queue) >= gc.writers {
 		gc.flushLocked()
 	}
@@ -133,7 +163,8 @@ func (gc *groupCommitter) flushPending() error {
 }
 
 // flushLocked drains the queue through the journal and wakes every
-// waiter. Called with gc.mu held.
+// waiter; a per-transaction member lingers from here until its owner
+// unregisters. Called with gc.mu held.
 func (gc *groupCommitter) flushLocked() {
 	if len(gc.queue) == 0 {
 		return
@@ -160,6 +191,10 @@ func (gc *groupCommitter) flushLocked() {
 		}
 	}
 	for _, r := range reqs {
+		if r.perTxn {
+			r.lingers = true
+			gc.lingering++
+		}
 		r.err = err
 		close(r.done)
 	}

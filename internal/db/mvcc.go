@@ -50,6 +50,9 @@ type CTx struct {
 	markHeld bool
 	done     bool
 	seq      uint64
+	// req is the session's request in the group queue, once submitted;
+	// finish retires the registration through it.
+	req *commitReq
 }
 
 // sessionStore is a CTx's private btree.PageStore, under the pager's
@@ -430,15 +433,17 @@ func (tx *CTx) releaseMark() {
 	tx.d.unpinMark(tx.store.snap.mark)
 }
 
-// finish closes the session out: mark released, writer unregistered,
-// and (when the session did not commit) its page numbers recycled.
+// finish closes the session out: mark released, writer unregistered
+// (ending its linger, if its request was flushed), and (when the session
+// did not commit) its page numbers recycled.
 func (tx *CTx) finish(recycle bool) {
 	tx.done = true
 	tx.releaseMark()
 	if recycle {
 		tx.d.poolPut(tx.store.allocs)
 	}
-	tx.d.gc.unregister()
+	tx.d.gc.unregisterAfter(tx.req)
+	tx.req = nil
 }
 
 // Rollback abandons the session. Nothing reached shared state, so this
@@ -624,7 +629,8 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 			frames = append(frames, pager.Frame{Pgno: wr.pgno, Data: wr.img})
 		}
 	}
-	req := gc.submit(frames, tx.stream, dl.until)
+	req := gc.submit(frames, tx.stream, dl.until, true)
+	tx.req = req
 	gc.mu.Unlock()
 
 	// Publish the committed images into the shared pager cache before
