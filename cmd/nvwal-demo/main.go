@@ -20,6 +20,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -29,22 +30,31 @@ import (
 	"repro/internal/platform"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the whole command: open the database, then read commands from
+// stdin until quit or end of input. It returns the exit code. The shell
+// takes no flags; args are accepted and ignored.
+func run(_ []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "nvwal-demo:", err)
+		return 1
+	}
 	plat, err := platform.NewNexus5()
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	opts := db.Options{Journal: db.JournalNVWAL, NVWAL: core.VariantUHLSDiff(), CPU: db.CPUNexus5}
 	d, err := db.Open(plat, "demo.db", opts)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	fmt.Println("nvwal-demo: NVWAL UH+LS+Diff on a simulated Nexus 5 (type 'help')")
+	fmt.Fprintln(stdout, "nvwal-demo: NVWAL UH+LS+Diff on a simulated Nexus 5 (type 'help')")
 
 	var tx *db.Tx
 	crashSeed := int64(1)
-	sc := bufio.NewScanner(os.Stdin)
-	for fmt.Print("> "); sc.Scan(); fmt.Print("> ") {
+	sc := bufio.NewScanner(stdin)
+	for fmt.Fprint(stdout, "> "); sc.Scan(); fmt.Fprint(stdout, "> ") {
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 {
 			continue
@@ -53,7 +63,7 @@ func main() {
 		var err error
 		switch cmd {
 		case "help":
-			fmt.Println("create put get del scan begin commit rollback checkpoint crash stats quit")
+			fmt.Fprintln(stdout, "create put get del scan begin commit rollback checkpoint crash stats quit")
 		case "create":
 			if len(args) != 1 {
 				err = fmt.Errorf("usage: create <table>")
@@ -82,9 +92,9 @@ func main() {
 			}
 			if err == nil {
 				if ok {
-					fmt.Printf("%s\n", v)
+					fmt.Fprintf(stdout, "%s\n", v)
 				} else {
-					fmt.Println("(not found)")
+					fmt.Fprintln(stdout, "(not found)")
 				}
 			}
 		case "del":
@@ -101,13 +111,19 @@ func main() {
 				err = fmt.Errorf("usage: scan <table>")
 				break
 			}
+			// Each record is printed straight from the view the scan hands
+			// out, inside the callback, where it is valid.
+			scan := d.Scan
+			if tx != nil {
+				scan = tx.Scan
+			}
 			n := 0
-			err = d.Scan(args[0], func(k, v []byte) bool {
-				fmt.Printf("  %s = %s\n", k, v)
+			err = scan(args[0], func(k, v []byte) bool {
+				fmt.Fprintf(stdout, "  %s = %s\n", k, v)
 				n++
 				return true
 			})
-			fmt.Printf("(%d records)\n", n)
+			fmt.Fprintf(stdout, "(%d records)\n", n)
 		case "begin":
 			if tx != nil {
 				err = fmt.Errorf("transaction already open")
@@ -131,30 +147,28 @@ func main() {
 		case "checkpoint":
 			err = d.Checkpoint()
 		case "crash":
-			if tx != nil {
-				tx = nil // the open transaction dies with the machine
-			}
+			tx = nil // the open transaction dies with the machine
 			plat.PowerFail(memsim.FailDropAll, crashSeed)
 			crashSeed++
 			if err = plat.Reboot(); err != nil {
 				break
 			}
-			d, err = db.Open(plat, "demo.db", opts)
-			if err == nil {
-				fmt.Println("machine crashed and recovered; uncommitted work is gone")
+			if d, err = db.Open(plat, "demo.db", opts); err == nil {
+				fmt.Fprintln(stdout, "machine crashed and recovered; uncommitted work is gone")
 			}
 		case "stats":
-			fmt.Printf("virtual time: %v\n", plat.Clock.Now())
-			fmt.Print(plat.Metrics.Snapshot())
+			fmt.Fprintf(stdout, "virtual time: %v\n", plat.Clock.Now())
+			fmt.Fprint(stdout, plat.Metrics.Snapshot())
 		case "quit", "exit":
-			return
+			return 0
 		default:
 			err = fmt.Errorf("unknown command %q (try 'help')", cmd)
 		}
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(stdout, "error:", err)
 		}
 	}
+	return 0
 }
 
 // inTxn runs fn inside the open transaction, or an auto-commit one.
@@ -171,9 +185,4 @@ func inTxn(d *db.DB, tx **db.Tx, fn func(*db.Tx) error) error {
 		return err
 	}
 	return t.Commit()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nvwal-demo:", err)
-	os.Exit(1)
 }

@@ -53,7 +53,12 @@ func (e *IOError) Error() string {
 func (e *IOError) Unwrap() error { return ErrIO }
 
 // IsTransient reports whether err is a device error a retry may clear.
+// A nil error, the common case, costs nothing: errors.As needs its
+// target on the heap.
 func IsTransient(err error) bool {
+	if err == nil {
+		return false
+	}
 	var ioe *IOError
 	return errors.As(err, &ioe) && ioe.Transient
 }

@@ -100,7 +100,14 @@ type Config struct {
 
 // New attaches to an existing tree rooted at root.
 func New(store PageStore, root uint32, cfg Config) *Tree {
-	return &Tree{store: store, root: root, reserved: cfg.Reserved}
+	t := Attach(store, root, cfg)
+	return &t
+}
+
+// Attach is New by value, for a caller that embeds the tree rather than
+// allocating one.
+func Attach(store PageStore, root uint32, cfg Config) Tree {
+	return Tree{store: store, root: root, reserved: cfg.Reserved}
 }
 
 // Create formats a fresh page as an empty tree root and returns the
@@ -294,29 +301,32 @@ func (t *Tree) freeOverflowChain(head uint32) error {
 	return nil
 }
 
-// cellValue reassembles the full value of leaf cell i, following any
-// overflow chain.
+// cellValue returns a copy of the full value of leaf cell i, following
+// any overflow chain.
 func (t *Tree) cellValue(p *page, i int) ([]byte, error) {
 	_, local, total, ovfl := p.leafCellInfo(i)
-	out := make([]byte, 0, total)
-	out = append(out, local...)
+	return t.appendValue(make([]byte, 0, total), local, total, ovfl)
+}
+
+// appendValue appends to dst a value of total bytes whose first bytes
+// are local and whose rest is on the overflow chain headed at ovfl.
+func (t *Tree) appendValue(dst, local []byte, total int, ovfl uint32) ([]byte, error) {
+	base := len(dst)
+	dst = append(dst, local...)
 	chunk := t.overflowCapacity()
-	for ovfl != 0 && len(out) < total {
+	for ovfl != 0 && len(dst)-base < total {
 		buf, err := t.store.Get(ovfl)
 		if err != nil {
 			return nil, err
 		}
-		n := total - len(out)
-		if n > chunk {
-			n = chunk
-		}
-		out = append(out, buf[4:4+n]...)
+		n := min(total-(len(dst)-base), chunk)
+		dst = append(dst, buf[4:4+n]...)
 		ovfl = uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24
 	}
-	if len(out) != total {
-		return nil, fmt.Errorf("btree: truncated overflow chain (%d of %d bytes)", len(out), total)
+	if got := len(dst) - base; got != total {
+		return nil, fmt.Errorf("btree: truncated overflow chain (%d of %d bytes)", got, total)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // dropCell removes leaf cell i, releasing its overflow chain first.
@@ -633,46 +643,15 @@ func (t *Tree) Update(key, val []byte) (bool, error) {
 }
 
 // Scan visits all records in ascending key order until fn returns
-// false.
+// false. key and val are valid until fn returns; copy them to keep them.
 func (t *Tree) Scan(fn func(key, val []byte) bool) error {
-	_, err := t.scan(t.root, fn)
-	return err
-}
-
-func (t *Tree) scan(pgno uint32, fn func(key, val []byte) bool) (bool, error) {
-	p, err := t.page(pgno)
-	if err != nil {
-		return false, err
-	}
-	if p.isLeaf() {
-		for i := 0; i < p.nCells(); i++ {
-			k, _ := p.leafCell(i)
-			kc := make([]byte, len(k))
-			copy(kc, k)
-			vc, err := t.cellValue(&p, i)
-			if err != nil {
-				return false, err
-			}
-			if !fn(kc, vc) {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	for i := 0; i < p.nCells(); i++ {
-		child, _ := p.interiorCell(i)
-		cont, err := t.scan(child, fn)
-		if err != nil || !cont {
-			return cont, err
-		}
-	}
-	return t.scan(p.rightChild(), fn)
+	return t.ScanRange(nil, nil, fn)
 }
 
 // Count returns the number of records in the tree.
 func (t *Tree) Count() (int, error) {
 	n := 0
-	err := t.Scan(func(_, _ []byte) bool { n++; return true })
+	err := t.ScanRange(nil, nil, func(_, _ []byte) bool { n++; return true })
 	return n, err
 }
 

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -243,5 +244,176 @@ func TestPropertyCursorMatchesSortedModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPropertyScanViewsMatchModel pins the view contract of the one
+// walker: over random trees holding overflow values, with leaves emptied
+// by range deletes, ScanRange on random [start, end) bounds, Scan and
+// Count equal a sorted reference map, every key and value fn sees is
+// checked byte for byte while fn runs, and the CRC-guarded store proves
+// no view became a write.
+func TestPropertyScanViewsMatchModel(t *testing.T) {
+	const keySpace = 1500
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr, s := newTree(t, ReservedTail)
+		model := map[string][]byte{}
+		keyOf := func(i int) string { return fmt.Sprintf("k%05d", i) }
+		value := func() []byte {
+			n := 1 + rng.Intn(150)
+			if rng.Intn(12) == 0 {
+				n = 3000 + rng.Intn(12000) // an overflow chain of one to four pages
+			}
+			v := make([]byte, n)
+			rng.Read(v)
+			return v
+		}
+		// bound is a random scan bound: nil, a present key or a key between.
+		bound := func() []byte {
+			if rng.Intn(5) == 0 {
+				return nil
+			}
+			k := keyOf(rng.Intn(keySpace + 20))
+			if rng.Intn(2) == 0 {
+				k += "+"
+			}
+			return []byte(k)
+		}
+		for round := 0; round < 5; round++ {
+			for i := 0; i < 400; i++ {
+				k, v := keyOf(rng.Intn(keySpace)), value()
+				if err := tr.Put([]byte(k), v); err != nil {
+					t.Fatal(err)
+				}
+				model[k] = v
+			}
+			// A contiguous run of deletes empties whole leaves.
+			lo := rng.Intn(keySpace)
+			for i := lo; i < lo+50+rng.Intn(300); i++ {
+				if _, err := tr.Delete([]byte(keyOf(i))); err != nil {
+					t.Fatal(err)
+				}
+				delete(model, keyOf(i))
+			}
+			if err := s.checkOwnership(); err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]string, 0, len(model))
+			for k := range model {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+
+			// scan runs one walk and checks it against keys[from:to],
+			// stopping after limit records (-1: no limit).
+			scan := func(what string, walk func(fn func(k, v []byte) bool) error, from, to, limit int) {
+				t.Helper()
+				i := from
+				err := walk(func(k, v []byte) bool {
+					if i >= to {
+						t.Fatalf("seed %d round %d %s: record %q past the range", seed, round, what, k)
+					}
+					if string(k) != keys[i] || !bytes.Equal(v, model[keys[i]]) {
+						t.Fatalf("seed %d round %d %s: record %d = %q (%d bytes), want %q (%d bytes)",
+							seed, round, what, i, k, len(v), keys[i], len(model[keys[i]]))
+					}
+					i++
+					return limit < 0 || i-from < limit
+				})
+				if err != nil {
+					t.Fatalf("seed %d round %d %s: %v", seed, round, what, err)
+				}
+				if want := to; limit >= 0 && from+limit < to {
+					want = from + limit
+					if i != want {
+						t.Fatalf("seed %d round %d %s: stopped after %d records, want %d", seed, round, what, i-from, limit)
+					}
+				} else if i != want {
+					t.Fatalf("seed %d round %d %s: visited %d records, want %d", seed, round, what, i-from, want-from)
+				}
+			}
+			scan("Scan", tr.Scan, 0, len(keys), -1)
+			for trial := 0; trial < 20; trial++ {
+				start, end := bound(), bound()
+				from := sort.SearchStrings(keys, string(start))
+				to := len(keys)
+				if end != nil {
+					to = max(from, sort.SearchStrings(keys, string(end)))
+				}
+				limit := -1
+				if trial%4 == 3 {
+					limit = 1 + rng.Intn(30)
+				}
+				what := fmt.Sprintf("ScanRange(%q, %q) limit %d", start, end, limit)
+				scan(what, func(fn func(k, v []byte) bool) error { return tr.ScanRange(start, end, fn) }, from, to, limit)
+			}
+			if n, err := tr.Count(); err != nil || n != len(keys) {
+				t.Fatalf("seed %d round %d: Count = %d, %v, want %d", seed, round, n, err, len(keys))
+			}
+			if err := s.checkOwnership(); err != nil {
+				t.Fatalf("seed %d round %d: a scan wrote a page: %v", seed, round, err)
+			}
+		}
+		if err := tr.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestScanAllocatesNothing: a warm walk over local values hands out
+// views of the leaf images and costs no heap object — not per record,
+// not for the cursor — and a value on an overflow chain costs one
+// buffer per scan, not one per record.
+func TestScanAllocatesNothing(t *testing.T) {
+	tr, _ := newTree(t, 0)
+	for i := 0; i < 400; i++ {
+		if err := tr.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d, _ := tr.Depth(); d < 1 {
+		t.Fatal("the tree has no interior level")
+	}
+	n, start := 0, key(100)
+	visit := func(_, _ []byte) bool { n++; return n%20 != 0 }
+	tr.ScanRange(start, nil, visit)
+	if a := testing.AllocsPerRun(100, func() { tr.ScanRange(start, nil, visit) }); a != 0 {
+		t.Fatalf("a 20-record ScanRange allocates %v times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { tr.Count() }); a != 0 {
+		t.Fatalf("Count allocates %v times, want 0", a)
+	}
+
+	for i := 0; i < 400; i += 40 {
+		if err := tr.Put(key(i), bytes.Repeat([]byte{byte(i)}, 9000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := func(_, _ []byte) bool { return true }
+	if a := testing.AllocsPerRun(20, func() { tr.Scan(all) }); a != 1 {
+		t.Fatalf("a scan over ten overflow values allocates %v times, want its one buffer", a)
+	}
+}
+
+// TestCursorRefusesPageCycle: a corrupt tree whose interior page points
+// back at itself ends a walk with an error instead of descending forever.
+func TestCursorRefusesPageCycle(t *testing.T) {
+	tr, s := newTree(t, 0)
+	for i := 0; i < 400; i++ {
+		if err := tr.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root := page{no: tr.Root(), buf: s.pages[tr.Root()], usable: tr.usable()}
+	if root.isLeaf() {
+		t.Fatal("the root is a leaf")
+	}
+	root.setInteriorChild(0, root.no)
+	if _, err := tr.Count(); !errors.Is(err, errTooDeep) {
+		t.Fatalf("Count over a page cycle = %v, want errTooDeep", err)
+	}
+	if ok, err := tr.NewCursor().First(); ok || !errors.Is(err, errTooDeep) {
+		t.Fatalf("First over a page cycle = (%v, %v), want errTooDeep", ok, err)
 	}
 }

@@ -782,7 +782,8 @@ func (tx *Tx) Delete(table string, key []byte) (bool, error) {
 	return t.Delete(key)
 }
 
-// Get reads a record, seeing the transaction's own writes.
+// Get reads a record, seeing the transaction's own writes. The value is
+// a copy the caller owns.
 func (tx *Tx) Get(table string, key []byte) ([]byte, bool, error) {
 	if err := tx.guard(); err != nil {
 		return nil, false, err
@@ -795,7 +796,8 @@ func (tx *Tx) Get(table string, key []byte) ([]byte, bool, error) {
 }
 
 // Scan visits table's records (including the transaction's own writes)
-// in ascending key order until fn returns false.
+// in ascending key order until fn returns false. key and value are valid
+// until fn returns; copy them to keep them.
 func (tx *Tx) Scan(table string, fn func(key, value []byte) bool) error {
 	if err := tx.guard(); err != nil {
 		return err
@@ -808,7 +810,8 @@ func (tx *Tx) Scan(table string, fn func(key, value []byte) bool) error {
 }
 
 // ScanRange visits records with start <= key < end (nil end = no upper
-// bound), including the transaction's own writes.
+// bound), including the transaction's own writes. key and value are
+// valid until fn returns; copy them to keep them.
 func (tx *Tx) ScanRange(table string, start, end []byte, fn func(key, value []byte) bool) error {
 	if err := tx.guard(); err != nil {
 		return err
@@ -821,7 +824,8 @@ func (tx *Tx) ScanRange(table string, start, end []byte, fn func(key, value []by
 }
 
 // ScanPrefix visits records whose key begins with prefix, including the
-// transaction's own writes.
+// transaction's own writes. key and value are valid until fn returns;
+// copy them to keep them.
 func (tx *Tx) ScanPrefix(table string, prefix []byte, fn func(key, value []byte) bool) error {
 	if err := tx.guard(); err != nil {
 		return err
@@ -1117,7 +1121,7 @@ func (d *DB) Health() *health.Monitor { return d.health }
 
 // Get reads a record outside any transaction. In Concurrent mode it
 // waits for the writer slot; in legacy mode an open write transaction
-// is reported as ErrTxnOpen.
+// is reported as ErrTxnOpen. The value is a copy the caller owns.
 func (d *DB) Get(table string, key []byte) ([]byte, bool, error) {
 	if err := d.acquireSlot(); err != nil {
 		return nil, false, err
@@ -1131,9 +1135,10 @@ func (d *DB) Get(table string, key []byte) ([]byte, bool, error) {
 }
 
 // Scan visits table's records in ascending key order until fn returns
-// false. Inside an open transaction use Tx.Scan (legacy single-
-// goroutine code may keep calling this mid-transaction; Concurrent mode
-// serializes it against the writer).
+// false. key and value are valid until fn returns; copy them to keep
+// them. Inside an open transaction use Tx.Scan (legacy single-goroutine
+// code may keep calling this mid-transaction; Concurrent mode serializes
+// it against the writer).
 func (d *DB) Scan(table string, fn func(key, value []byte) bool) error {
 	defer d.readLock()()
 	t, err := d.tree(table)
@@ -1144,7 +1149,8 @@ func (d *DB) Scan(table string, fn func(key, value []byte) bool) error {
 }
 
 // ScanRange visits records with start <= key < end (nil end = no upper
-// bound) in ascending order until fn returns false.
+// bound) in ascending order until fn returns false. key and value are
+// valid until fn returns; copy them to keep them.
 func (d *DB) ScanRange(table string, start, end []byte, fn func(key, value []byte) bool) error {
 	defer d.readLock()()
 	t, err := d.tree(table)
@@ -1155,7 +1161,8 @@ func (d *DB) ScanRange(table string, start, end []byte, fn func(key, value []byt
 }
 
 // ScanPrefix visits records whose key begins with prefix, in ascending
-// order until fn returns false.
+// order until fn returns false. key and value are valid until fn
+// returns; copy them to keep them.
 func (d *DB) ScanPrefix(table string, prefix []byte, fn func(key, value []byte) bool) error {
 	defer d.readLock()()
 	t, err := d.tree(table)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/memsim"
 	"repro/internal/metrics"
 	"repro/internal/platform"
+	"repro/internal/simclock"
 )
 
 func faultOpts() Options {
@@ -393,5 +394,32 @@ func TestScrubberRacesPowerFail(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// okFile is a database file on which every operation succeeds.
+type okFile struct{}
+
+func (okFile) PageSize() int                  { return 4096 }
+func (okFile) ReadPage(uint32, []byte) error  { return nil }
+func (okFile) WritePage(uint32, []byte) error { return nil }
+func (okFile) Sync() error                    { return nil }
+
+// TestRetryFileSuccessAllocatesNothing pins the retry wrapper's happy
+// path, which every database-file read, write and sync of every workload
+// runs: asking whether a nil error is transient, and a WritePage that
+// succeeds, allocate nothing.
+func TestRetryFileSuccessAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { blockdev.IsTransient(nil) }); n != 0 {
+		t.Fatalf("IsTransient(nil) allocates %v times, want 0", n)
+	}
+	r := newRetryFile(okFile{}, simclock.New(), &metrics.Counters{}, func(error) { t.Fatal("permanent error") })
+	page := make([]byte, 4096)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := r.WritePage(7, page); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a successful retryFile.WritePage allocates %v times, want 0", n)
 	}
 }

@@ -2,11 +2,11 @@ package db
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/btree"
@@ -32,10 +32,10 @@ var ErrConflict = errors.New("db: transaction conflicts with a concurrent commit
 // ErrConflict under page-level first-committer-wins. One CTx must not
 // be shared between goroutines.
 type CTx struct {
-	d     *DB
-	ctx   context.Context
-	store *sessionStore
-	trees map[string]*btree.Tree
+	d      *DB
+	ctx    context.Context
+	store  sessionStore
+	tables tables
 	// stream is the session's per-writer NVRAM log stream (nil when the
 	// journal is not a bare NVWAL — fault wrappers and the file WAL fall
 	// back to plain frames).
@@ -68,18 +68,25 @@ type CTx struct {
 // from the shared freelist — popping the freelist requires the writer
 // slot the session deliberately does not hold.
 type sessionStore struct {
-	d     *DB
-	snap  snapshotStore
-	base  map[uint32][]byte // the image each page was loaded as (read-only)
-	pages map[uint32][]byte // the session's own images: written and fresh pages
-	dirty map[uint32]bool
-	fresh map[uint32]bool
-	freed map[uint32]bool // non-fresh pages freed by this session
+	d    *DB
+	snap snapshotStore
+	// pages is the session's page table: every page it has loaded,
+	// written, allocated or freed.
+	pages map[uint32]sessionPage
 	// freshFree recycles pages allocated and freed inside this session.
 	freshFree []uint32
 	// allocs are the page numbers taken from the shared arbiter; on
 	// rollback or conflict they return to the pool for other sessions.
 	allocs []uint32
+}
+
+// sessionPage is one page of a session's working set.
+type sessionPage struct {
+	base []byte // the image the page was loaded as (read-only); nil for a fresh page
+	own  []byte // the session's own image, once it writes or allocates the page
+	// dirty: the commit logs own. fresh: allocated by this session, never
+	// committed. freed: a committed page this session freed.
+	dirty, fresh, freed bool
 }
 
 func (st *sessionStore) PageSize() int { return st.snap.PageSize() }
@@ -88,17 +95,17 @@ func (st *sessionStore) Get(pgno uint32) ([]byte, error) {
 	if pgno == 0 {
 		return nil, fmt.Errorf("db: page numbers start at 1")
 	}
-	if buf, ok := st.pages[pgno]; ok {
-		return buf, nil
-	}
-	if img, ok := st.base[pgno]; ok {
-		return img, nil
+	if e, ok := st.pages[pgno]; ok {
+		if e.own != nil {
+			return e.own, nil
+		}
+		return e.base, nil
 	}
 	img, _, err := st.snap.load(pgno)
 	if err != nil {
 		return nil, err
 	}
-	st.base[pgno] = img
+	st.pages[pgno] = sessionPage{base: img}
 	return img, nil
 }
 
@@ -114,26 +121,26 @@ func (st *sessionStore) Allocate() (uint32, []byte, error) {
 		pgno = st.d.allocTop.Add(1)
 		st.allocs = append(st.allocs, pgno)
 	}
-	buf, ok := st.pages[pgno]
-	if ok {
-		clear(buf)
+	e := st.pages[pgno]
+	if e.own != nil {
+		clear(e.own)
 	} else {
-		buf = make([]byte, st.PageSize())
-		st.pages[pgno] = buf
+		e.own = make([]byte, st.PageSize())
 	}
-	st.dirty[pgno] = true
-	st.fresh[pgno] = true
-	return pgno, buf, nil
+	e.dirty, e.fresh = true, true
+	st.pages[pgno] = e
+	return pgno, e.own, nil
 }
 
 func (st *sessionStore) Free(pgno uint32) error {
 	if pgno <= 1 {
 		return fmt.Errorf("db: cannot free page %d", pgno)
 	}
-	if st.fresh[pgno] {
+	if e := st.pages[pgno]; e.fresh {
 		// Never committed: recycle inside the session, no trace outside.
 		st.freshFree = append(st.freshFree, pgno)
-		delete(st.dirty, pgno)
+		e.dirty = false
+		st.pages[pgno] = e
 		return nil
 	}
 	// Committed page: freeing it is a write (the commit chains it onto
@@ -142,25 +149,25 @@ func (st *sessionStore) Free(pgno uint32) error {
 	if _, err := st.Get(pgno); err != nil {
 		return err
 	}
-	st.freed[pgno] = true
-	delete(st.dirty, pgno)
+	e := st.pages[pgno]
+	e.dirty, e.freed = false, true
+	st.pages[pgno] = e
 	return nil
 }
 
 // MarkDirty copies a loaded page the first time the session writes it —
 // the one copy a session makes of a committed page.
 func (st *sessionStore) MarkDirty(pgno uint32) []byte {
-	buf, ok := st.pages[pgno]
-	if !ok {
-		img, loaded := st.base[pgno]
-		if !loaded {
-			panic(fmt.Sprintf("db: MarkDirty of page %d, which the session never read", pgno))
-		}
-		buf = slices.Clone(img)
-		st.pages[pgno] = buf
+	e, loaded := st.pages[pgno]
+	if !loaded {
+		panic(fmt.Sprintf("db: MarkDirty of page %d, which the session never read", pgno))
 	}
-	st.dirty[pgno] = true
-	return buf
+	if e.own == nil {
+		e.own = slices.Clone(e.base)
+	}
+	e.dirty = true
+	st.pages[pgno] = e
+	return e.own
 }
 
 // nextPageNumber is the pager's extension arbiter (pager.SetAllocBase):
@@ -296,16 +303,11 @@ func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
 	return &CTx{
 		d:   d,
 		ctx: ctx,
-		store: &sessionStore{
+		store: sessionStore{
 			d:     d,
 			snap:  snapshotStore{view: d.view, mark: mark, overlay: overlay},
-			base:  make(map[uint32][]byte),
-			pages: make(map[uint32][]byte),
-			dirty: make(map[uint32]bool),
-			fresh: make(map[uint32]bool),
-			freed: make(map[uint32]bool),
+			pages: make(map[uint32]sessionPage),
 		},
-		trees:    make(map[string]*btree.Tree),
 		stream:   stream,
 		snapSeq:  snapSeq,
 		markHeld: true,
@@ -340,24 +342,11 @@ func (tx *CTx) guard() error {
 	return nil
 }
 
+// tree resolves the root through the snapshot's shared page-1 image, not
+// a private copy: its identity keys the catalog memo, and a session that
+// only reads the catalog never needs page 1 in its working set.
 func (tx *CTx) tree(table string) (*btree.Tree, error) {
-	if t, ok := tx.trees[table]; ok {
-		return t, nil
-	}
-	// Resolve the root through the snapshot's shared page-1 image, not a
-	// private copy: its identity keys the catalog memo, and a session
-	// that only reads the catalog never needs page 1 in its working set.
-	hdr, err := tx.store.snap.Get(1)
-	if err != nil {
-		return nil, err
-	}
-	root, ok := tx.d.catalog.Parse(hdr)[table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoTable, table)
-	}
-	t := btree.New(tx.store, root, btree.Config{Reserved: tx.d.reserved()})
-	tx.trees[table] = t
-	return t, nil
+	return tx.tables.tree(tx.d, &tx.store.snap, &tx.store, table)
 }
 
 // Insert stores key/value in table, replacing an existing value.
@@ -400,6 +389,7 @@ func (tx *CTx) Delete(table string, key []byte) (bool, error) {
 }
 
 // Get reads a record at the snapshot, seeing the session's own writes.
+// The value is a copy the caller owns.
 func (tx *CTx) Get(table string, key []byte) ([]byte, bool, error) {
 	if err := tx.guard(); err != nil {
 		return nil, false, err
@@ -412,7 +402,8 @@ func (tx *CTx) Get(table string, key []byte) ([]byte, bool, error) {
 }
 
 // Scan visits table's records at the snapshot (including the session's
-// own writes) in ascending key order until fn returns false.
+// own writes) in ascending key order until fn returns false. key and
+// value are valid until fn returns; copy them to keep them.
 func (tx *CTx) Scan(table string, fn func(key, value []byte) bool) error {
 	if err := tx.guard(); err != nil {
 		return err
@@ -470,6 +461,18 @@ type sessionWrite struct {
 	img   []byte
 	base  []byte // nil stages a full frame
 	fresh bool
+	freed bool // img is still to be made: base relinked onto the freelist
+}
+
+// writeOrder sorts written pages before freed ones, each by page number.
+func writeOrder(a, b sessionWrite) int {
+	if a.freed != b.freed {
+		if a.freed {
+			return 1
+		}
+		return -1
+	}
+	return cmp.Compare(a.pgno, b.pgno)
 }
 
 // CommitCtx runs first-committer-wins validation and, if the session
@@ -488,21 +491,27 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 	d := tx.d
 	tx.charge(d.opts.CPU.TxnFixed)
 	dl := d.newDeadline(ctx)
-	st := tx.store
+	// One slice carries the whole commit: the written pages, then the
+	// freed ones, each in page order, then page 1. staged filters it in
+	// place — an entry is read before its slot can be overwritten, as
+	// staged never overtakes the entry being read.
+	writes := make([]sessionWrite, 0, len(tx.store.pages)+1)
+	nw := 0
+	for pgno, e := range tx.store.pages {
+		if e.dirty {
+			writes = append(writes, sessionWrite{pgno: pgno, img: e.own, base: e.base, fresh: e.fresh})
+			nw++
+		}
+		if e.freed {
+			writes = append(writes, sessionWrite{pgno: pgno, base: e.base, freed: true})
+		}
+	}
+	slices.SortFunc(writes, writeOrder)
+	written, freed := writes[:nw], writes[nw:]
 
 	// Stage the session's own writes — no lock held.
-	writes := make([]sessionWrite, 0, len(st.dirty))
-	for pgno := range st.dirty {
-		writes = append(writes, sessionWrite{
-			pgno:  pgno,
-			img:   st.pages[pgno],
-			base:  st.base[pgno],
-			fresh: st.fresh[pgno],
-		})
-	}
-	sort.Slice(writes, func(i, j int) bool { return writes[i].pgno < writes[j].pgno })
-	staged := make([]sessionWrite, 0, len(writes)+len(st.freed)+1)
-	for _, wr := range writes {
+	staged := writes[:0]
+	for _, wr := range written {
 		ok, err := tx.stagePage(wr)
 		if err != nil {
 			tx.finish(true)
@@ -512,7 +521,7 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 			staged = append(staged, wr)
 		}
 	}
-	if len(staged) == 0 && len(st.freed) == 0 {
+	if len(staged) == 0 && len(freed) == 0 {
 		// Read-only (or all writes were byte-identical no-ops): nothing
 		// to validate, nothing to log.
 		tx.finish(true)
@@ -557,22 +566,16 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 	// the header as it is: it stages the committed image itself, which a
 	// differential stream drops as identical — no copy either way.
 	img1 := cur1
-	if maxOwn != pager.HeaderPageCount(cur1) || len(st.freed) > 0 {
+	if maxOwn != pager.HeaderPageCount(cur1) || len(freed) > 0 {
 		img1 = slices.Clone(cur1)
 		pager.SetHeaderPageCount(img1, maxOwn)
-		freed := make([]uint32, 0, len(st.freed))
-		for pgno := range st.freed {
-			freed = append(freed, pgno)
-		}
-		sort.Slice(freed, func(i, j int) bool { return freed[i] < freed[j] })
 		head := pager.HeaderFreeHead(img1)
 		cnt := pager.HeaderFreeCount(img1)
-		for _, pgno := range freed {
-			link := slices.Clone(st.base[pgno])
-			pager.SetFreelistLink(link, head)
-			head = pgno
+		for _, wr := range freed {
+			wr.img = slices.Clone(wr.base)
+			pager.SetFreelistLink(wr.img, head)
+			head = wr.pgno
 			cnt++
-			wr := sessionWrite{pgno: pgno, img: link, base: st.base[pgno]}
 			ok, err := tx.stagePage(wr)
 			if err != nil {
 				d.releaseSlot()

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -222,7 +221,7 @@ func raceReadersWritersCheckpointer(t *testing.T, d *DB) {
 				store := &checkedStore{snapshotStore: rt.store, ref: ref, pages: &pages}
 				seen := make(map[byte]uint64)
 				var torn error
-				tr, err := d.treeAt(store, "t")
+				tr, err := d.treeAt(store, store, "t")
 				if err == nil {
 					err = tr.Scan(func(k, v []byte) bool {
 						n := binary.BigEndian.Uint64(v)
@@ -311,31 +310,33 @@ func TestSessionCopiesOnlyWrittenPages(t *testing.T) {
 				t.Fatalf("Update = %v %v", ok, err)
 			}
 		}
-		return tx.store
+		return &tx.store
 	}
 
 	st := session(true)
-	leaves := 0
-	for pgno, img := range st.base {
+	leaves, owned := 0, 0
+	for pgno, e := range st.pages {
 		shared, isShared, err := d.view.PageAt(pgno, st.snap.mark)
-		if err != nil || !isShared || &img[0] != &shared[0] {
+		if err != nil || !isShared || &e.base[0] != &shared[0] {
 			t.Fatalf("page %d: the session did not load the snapshot's shared image (shared=%v err=%v)", pgno, isShared, err)
 		}
 		leaves++
-	}
-	if leaves < reads {
-		t.Fatalf("the reads loaded %d pages, want at least %d", leaves, reads)
-	}
-	if len(st.pages) != 1 || len(st.dirty) != 1 {
-		t.Fatalf("%d private pages, %d dirty, want the one written leaf", len(st.pages), len(st.dirty))
-	}
-	for pgno, own := range st.pages {
-		if &own[0] == &st.base[pgno][0] || bytes.Equal(own, st.base[pgno]) {
+		if e.own == nil {
+			continue
+		}
+		owned++
+		if !e.dirty || &e.own[0] == &e.base[0] || bytes.Equal(e.own, e.base) {
 			t.Fatalf("page %d: the write went to the shared image", pgno)
 		}
 		if n := testing.AllocsPerRun(10, func() { st.MarkDirty(pgno) }); n != 0 {
 			t.Fatalf("MarkDirty of a page already written allocates %v times, want 0", n)
 		}
+	}
+	if leaves < reads {
+		t.Fatalf("the reads loaded %d pages, want at least %d", leaves, reads)
+	}
+	if owned != 1 {
+		t.Fatalf("%d private pages, want the one written leaf", owned)
 	}
 
 	// Bytes: the same session with and without the one write. Reading 64
@@ -449,31 +450,40 @@ func TestSessionOwnsBuiltPages(t *testing.T) {
 	if v, ok, err := tx.Get("t", []byte("a")); err != nil || !ok || string(v) != "1" {
 		t.Fatalf("Get = %q %v %v", v, ok, err)
 	}
-	st := tx.store
-	if len(st.base) == 0 || len(st.pages) != 0 {
-		t.Fatalf("read-only load: %d loaded pages, %d private, want some and none", len(st.base), len(st.pages))
+	st := &tx.store
+	if len(st.pages) == 0 {
+		t.Fatal("read-only load: no loaded pages")
 	}
 	before := make(map[uint32][]byte)
-	for pgno, img := range st.base {
-		if again, _ := st.Get(pgno); &again[0] != &img[0] {
+	loaded := make(map[uint32][]byte)
+	for pgno, e := range st.pages {
+		if e.own != nil {
+			t.Fatalf("read-only load: page %d has a private image", pgno)
+		}
+		if again, _ := st.Get(pgno); &again[0] != &e.base[0] {
 			t.Fatalf("page %d built twice", pgno)
 		}
-		before[pgno] = bytes.Clone(img)
+		before[pgno] = bytes.Clone(e.base)
+		loaded[pgno] = e.base
 	}
-	loaded := maps.Clone(st.base)
 	if _, err := tx.Update("t", []byte("a"), []byte("9")); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.dirty) == 0 {
-		t.Fatal("update dirtied nothing")
-	}
-	for pgno := range st.dirty {
-		if &st.base[pgno][0] != &loaded[pgno][0] || !bytes.Equal(st.base[pgno], before[pgno]) {
+	dirty := 0
+	for pgno, e := range st.pages {
+		if !e.dirty {
+			continue
+		}
+		dirty++
+		if &e.base[0] != &loaded[pgno][0] || !bytes.Equal(e.base, before[pgno]) {
 			t.Fatalf("page %d: diff base is not the page's pre-image as built", pgno)
 		}
-		if bytes.Equal(st.base[pgno], st.pages[pgno]) {
+		if bytes.Equal(e.base, e.own) {
 			t.Fatalf("page %d: the write did not reach the session's copy", pgno)
 		}
+	}
+	if dirty == 0 {
+		t.Fatal("update dirtied nothing")
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -601,10 +611,12 @@ func TestSessionFreesAndRewritesBuiltPages(t *testing.T) {
 				return err
 			}
 		}
-		if len(tx.store.freed) == 0 {
-			return errors.New("the delete range freed no page")
+		for _, e := range tx.store.pages {
+			if e.freed {
+				return nil
+			}
 		}
-		return nil
+		return errors.New("the delete range freed no page")
 	})
 	if err != nil {
 		t.Fatal(err)

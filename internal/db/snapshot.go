@@ -24,10 +24,10 @@ var ErrBusySnapshot = errors.New("db: checkpoint blocked by open read transactio
 // (§2: dirty pages are appended to the log, "the original pages remain
 // intact in the database file").
 type ReadTx struct {
-	d     *DB
-	store snapshotStore
-	trees map[string]*btree.Tree
-	done  bool
+	d      *DB
+	store  snapshotStore
+	tables tables
+	done   bool
 }
 
 // BeginRead opens a read transaction at the current committed state.
@@ -41,11 +41,7 @@ func (d *DB) BeginRead() (*ReadTx, error) {
 	if d.view == nil {
 		return nil, ErrNoSnapshots
 	}
-	return &ReadTx{
-		d:     d,
-		store: snapshotStore{view: d.view, mark: d.pinMark()},
-		trees: make(map[string]*btree.Tree),
-	}, nil
+	return &ReadTx{d: d, store: snapshotStore{view: d.view, mark: d.pinMark()}}, nil
 }
 
 // pinMark registers a snapshot reader at the journal's current mark and
@@ -84,36 +80,65 @@ func (r *ReadTx) Close() {
 	r.d.unpinMark(r.store.mark)
 }
 
-// treeAt opens table's B+tree over a snapshot store, resolving the root
-// through the catalog of the store's page-1 image.
-func (d *DB) treeAt(store btree.PageStore, table string) (*btree.Tree, error) {
-	hdr, err := store.Get(1)
+// treeAt opens table's B+tree over store, resolving the root through the
+// catalog of cat's page-1 image.
+func (d *DB) treeAt(cat, store btree.PageStore, table string) (btree.Tree, error) {
+	hdr, err := cat.Get(1)
 	if err != nil {
-		return nil, err
+		return btree.Tree{}, err
 	}
 	root, ok := d.catalog.Parse(hdr)[table]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoTable, table)
+		return btree.Tree{}, fmt.Errorf("%w: %q", ErrNoTable, table)
 	}
-	return btree.New(store, root, btree.Config{Reserved: d.reserved()}), nil
+	return btree.Attach(store, root, btree.Config{Reserved: d.reserved()}), nil
+}
+
+// tables holds the trees one transaction has opened. The first is
+// embedded, so the usual one-table transaction allocates nothing for it;
+// any further ones go in a map made on demand.
+type tables struct {
+	name  string
+	first btree.Tree
+	open  bool
+	more  map[string]*btree.Tree
+}
+
+// tree returns table's tree over store, opening it (root from cat's
+// catalog) the first time.
+func (ts *tables) tree(d *DB, cat, store btree.PageStore, table string) (*btree.Tree, error) {
+	if ts.open && ts.name == table {
+		return &ts.first, nil
+	}
+	if t, ok := ts.more[table]; ok {
+		return t, nil
+	}
+	t, err := d.treeAt(cat, store, table)
+	if err != nil {
+		return nil, err
+	}
+	if !ts.open {
+		ts.name, ts.first, ts.open = table, t, true
+		return &ts.first, nil
+	}
+	if ts.more == nil {
+		ts.more = make(map[string]*btree.Tree)
+	}
+	p := new(btree.Tree)
+	*p = t
+	ts.more[table] = p
+	return p, nil
 }
 
 func (r *ReadTx) tree(table string) (*btree.Tree, error) {
 	if r.done {
 		return nil, errors.New("db: read transaction closed")
 	}
-	if t, ok := r.trees[table]; ok {
-		return t, nil
-	}
-	t, err := r.d.treeAt(&r.store, table)
-	if err != nil {
-		return nil, err
-	}
-	r.trees[table] = t
-	return t, nil
+	return r.tables.tree(r.d, &r.store, &r.store, table)
 }
 
-// Get reads a record as of the snapshot.
+// Get reads a record as of the snapshot. The value is a copy the caller
+// owns.
 func (r *ReadTx) Get(table string, key []byte) ([]byte, bool, error) {
 	t, err := r.tree(table)
 	if err != nil {
@@ -122,7 +147,8 @@ func (r *ReadTx) Get(table string, key []byte) ([]byte, bool, error) {
 	return t.Get(key)
 }
 
-// Scan visits the snapshot's records in ascending key order.
+// Scan visits the snapshot's records in ascending key order. key and
+// value are valid until fn returns; copy them to keep them.
 func (r *ReadTx) Scan(table string, fn func(key, value []byte) bool) error {
 	t, err := r.tree(table)
 	if err != nil {
@@ -131,7 +157,8 @@ func (r *ReadTx) Scan(table string, fn func(key, value []byte) bool) error {
 	return t.Scan(fn)
 }
 
-// ScanRange visits snapshot records with start <= key < end.
+// ScanRange visits snapshot records with start <= key < end. key and
+// value are valid until fn returns; copy them to keep them.
 func (r *ReadTx) ScanRange(table string, start, end []byte, fn func(key, value []byte) bool) error {
 	t, err := r.tree(table)
 	if err != nil {

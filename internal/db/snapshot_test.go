@@ -3,6 +3,8 @@ package db
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -177,5 +179,149 @@ func TestManySnapshotsInterleaved(t *testing.T) {
 			t.Fatalf("snapshot %d count = %d (%v), want %d", i, n, err, i+1)
 		}
 		r.Close()
+	}
+}
+
+// TestSessionScanSeesOwnWrites: an MVCC session's scans walk its own page
+// table — updates, deletes that empty leaves, inserts, a value moved onto
+// an overflow chain, a second table — while a snapshot opened before it
+// sees none of that, and every view fn is handed matches the expected
+// record while fn runs.
+func TestSessionScanSeesOwnWrites(t *testing.T) {
+	d, _ := newDB(t, Options{Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff(), Concurrent: true, CheckpointLimit: -1})
+	for _, table := range []string{"t", "u"} {
+		if err := d.CreateTable(table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := func(i int) string { return fmt.Sprintf("k%05d", i) }
+	base := map[string]string{}
+	for i := 0; i < 400; i++ {
+		base[key(i)] = fmt.Sprintf("base-%05d-%s", i, bytes.Repeat([]byte{'b'}, 80))
+	}
+	mustCommitKV(t, d, "t", base)
+	before, err := d.BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer before.Close()
+
+	want := maps.Clone(base)
+	tx, err := d.BeginConcurrent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	for i := 0; i < 400; i += 7 {
+		want[key(i)] = "updated"
+		if _, err := tx.Update("t", []byte(key(i)), []byte("updated")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 100; i < 160; i++ {
+		delete(want, key(i))
+		if _, err := tx.Delete("t", []byte(key(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 400; i < 450; i++ {
+		want[key(i)] = "inserted"
+		if err := tx.Insert("t", []byte(key(i)), []byte("inserted")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want[key(200)] = string(bytes.Repeat([]byte{'o'}, 9000))
+	if err := tx.Insert("t", []byte(key(200)), []byte(want[key(200)])); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert("u", []byte("only"), []byte("row")); err != nil {
+		t.Fatal(err)
+	}
+
+	// scan checks a walk against kv in key order, view by view.
+	scan := func(what string, walk func(string, func(k, v []byte) bool) error, table string, kv map[string]string) {
+		t.Helper()
+		keys := make([]string, 0, len(kv))
+		for k := range kv {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		i := 0
+		err := walk(table, func(k, v []byte) bool {
+			if i >= len(keys) || string(k) != keys[i] || string(v) != kv[keys[i]] {
+				t.Fatalf("%s: record %d is %q (%d bytes)", what, i, k, len(v))
+			}
+			i++
+			return true
+		})
+		if err != nil || i != len(keys) {
+			t.Fatalf("%s: visited %d of %d records, err %v", what, i, len(keys), err)
+		}
+	}
+	scan("session scan", tx.Scan, "t", want)
+	scan("session scan of a second table", tx.Scan, "u", map[string]string{"only": "row"})
+	scan("earlier snapshot", before.Scan, "t", base)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := d.BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer after.Close()
+	scan("snapshot after commit", after.Scan, "t", want)
+}
+
+// TestSnapshotScanAllocatesNothing pins the read side's allocations: a
+// warm 20-record ReadTx.ScanRange and a Count hand out views and allocate
+// nothing, and a whole snapshot point read — BeginRead, Get, Close —
+// allocates the ReadTx, the value it returns and at most one more.
+func TestSnapshotScanAllocatesNothing(t *testing.T) {
+	d, _ := newDB(t, Options{Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff(), Concurrent: true, CheckpointLimit: -1})
+	if err := d.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	kv := map[string]string{}
+	for i := 0; i < 500; i++ {
+		kv[fmt.Sprintf("k%05d", i)] = string(bytes.Repeat([]byte{'v'}, 100))
+	}
+	mustCommitKV(t, d, "t", kv)
+	rt, err := d.BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, start := 0, []byte("k00100")
+	visit := func(_, _ []byte) bool { n++; return n%20 != 0 }
+	scan := func() {
+		if err := rt.ScanRange("t", start, nil, visit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan()
+	if a := testing.AllocsPerRun(100, scan); a != 0 {
+		t.Fatalf("a 20-record ReadTx.ScanRange allocates %v times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { rt.Count("t") }); a != 0 {
+		t.Fatalf("ReadTx.Count allocates %v times, want 0", a)
+	}
+	if n != 20*102 {
+		t.Fatalf("the scans visited %d records, want %d", n, 20*102)
+	}
+	rt.Close()
+
+	k := []byte("k00321")
+	read := func() {
+		rt, err := d.BeginRead()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := rt.Get("t", k); err != nil || !ok {
+			t.Fatalf("Get = %v, %v", ok, err)
+		}
+		rt.Close()
+	}
+	read()
+	if a := testing.AllocsPerRun(100, read); a > 3 {
+		t.Fatalf("BeginRead + Get + Close allocates %v times, want at most 3", a)
 	}
 }

@@ -206,13 +206,14 @@ func groupCommitAllocs(txns int) (CommitAllocsRow, error) {
 
 // readPathAllocs audits the versioned readers over a log that is partly
 // checkpointed (some pages fully backfilled, some with frames above the
-// backfill watermark): a snapshot point read (BeginRead, Get, Close), an
-// MVCC session read-modify-write (RunConcurrent: Get then Update) and a
-// replica GET. A snapshot or replica read allocates nothing page-sized —
-// every page it visits is an image the log retains anyway — and a
-// session copies each page it loads exactly once.
+// backfill watermark): a snapshot point read (BeginRead, Get, Close), a
+// snapshot range scan of 20 records, an MVCC session read-modify-write
+// (RunConcurrent: Get then Update) and a replica GET. A snapshot or
+// replica read allocates nothing page-sized — every page it visits is an
+// image the log retains anyway — a scan hands out views of those images
+// and copies no record, and a session copies only the pages it writes.
 func readPathAllocs(txns int) ([]CommitAllocsRow, error) {
-	const keys = 2000
+	const keys, scanLen = 2000, 20
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i%keys)) }
 	val := make([]byte, 100)
 
@@ -257,6 +258,22 @@ func readPathAllocs(txns int) ([]CommitAllocsRow, error) {
 			return fmt.Errorf("experiments: snapshot read of %s: found=%v err=%v", key(i*7), ok, err)
 		}
 		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	scan, err := measureAllocs("snapshot-scan", txns, func(i int) error {
+		rt, err := d.BeginRead()
+		if err != nil {
+			return err
+		}
+		defer rt.Close()
+		n := 0
+		err = rt.ScanRange("bench", key(i*7%(keys-scanLen)), nil, func(_, _ []byte) bool { n++; return n < scanLen })
+		if err == nil && n != scanLen {
+			err = fmt.Errorf("experiments: snapshot scan from %s visited %d records, want %d", key(i*7%(keys-scanLen)), n, scanLen)
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -316,7 +333,7 @@ func readPathAllocs(txns int) ([]CommitAllocsRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []CommitAllocsRow{snap, rmw, rget}, nil
+	return []CommitAllocsRow{snap, scan, rmw, rget}, nil
 }
 
 // replicaApplyAllocs audits the replica apply path alone: a primary's

@@ -14,7 +14,7 @@ func TestCommitAllocsShapes(t *testing.T) {
 	rowOf := func(path string) *CommitAllocsRow {
 		return Find(r.Rows, func(row CommitAllocsRow) bool { return row.Path == path })
 	}
-	for _, path := range []string{"solo-commit", "group-commit", "legacy-update", "snapshot-get", "session-rmw", "replica-get", "replica-apply", "sim-line", "blockdev-write"} {
+	for _, path := range []string{"solo-commit", "group-commit", "legacy-update", "snapshot-get", "snapshot-scan", "session-rmw", "replica-get", "replica-apply", "sim-line", "blockdev-write"} {
 		row := rowOf(path)
 		if row == nil {
 			t.Fatalf("audit missing row %q", path)
@@ -41,11 +41,12 @@ func TestCommitAllocsShapes(t *testing.T) {
 	if row := rowOf("solo-commit"); row.AllocsPerOp > 40 {
 		t.Fatalf("solo-commit allocates %.2f/op, want the zero-copy steady state", row.AllocsPerOp)
 	}
-	// Snapshot and replica reads serve the log's own page images: not one
-	// page-sized allocation per read. A session copies each page it loads
-	// once (root and leaf here, plus the commit's page-1 image); the bound
-	// sits between that and the three copies per page it used to make.
-	for _, path := range []string{"snapshot-get", "replica-get"} {
+	// Snapshot reads and scans and replica reads serve the log's own page
+	// images: not one page-sized allocation per read. A session copies
+	// each page it loads once (root and leaf here, plus the commit's page-1
+	// image); the bound sits between that and the three copies per page it
+	// used to make.
+	for _, path := range []string{"snapshot-get", "snapshot-scan", "replica-get"} {
 		if row := rowOf(path); row.BytesPerOp >= 2048 {
 			t.Fatalf("%s allocates %.0f bytes/op: a page image is being copied", path, row.BytesPerOp)
 		}

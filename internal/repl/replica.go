@@ -648,7 +648,8 @@ func (r *Replica) Get(table string, key []byte) ([]byte, bool, error) {
 	return t.Get(key)
 }
 
-// Scan visits the applied state's records in ascending key order.
+// Scan visits the applied state's records in ascending key order. key
+// and value are valid until fn returns; copy them to keep them.
 func (r *Replica) Scan(table string, fn func(key, value []byte) bool) error {
 	r.rw.RLock()
 	defer r.rw.RUnlock()
