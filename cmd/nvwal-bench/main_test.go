@@ -89,3 +89,24 @@ func TestJSONCarriesMetaAndRows(t *testing.T) {
 		t.Fatalf("document lacks meta.git_sha or the five group sizes:\n%s", data)
 	}
 }
+
+// TestEmptyCellsEncode runs sweeps scaled down until most cells commit
+// nothing in no virtual time: they report a throughput of 0, and the
+// -json document still encodes and decodes.
+func TestEmptyCellsEncode(t *testing.T) {
+	for _, name := range []string{"concurrent", "mvcc", "checkpoint"} {
+		out := filepath.Join(t.TempDir(), name+".json")
+		code, stdout, stderr := runBench(t, "-txns", "1", "-json", out, name)
+		if code != 0 || strings.Contains(stdout, "NaN") || strings.Contains(stdout, "Inf") {
+			t.Fatalf("%s: exit %d, stderr %q, stdout:\n%s", name, code, stderr, stdout)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct{ Rows []map[string]any }
+		if err := json.Unmarshal(data, &doc); err != nil || len(doc.Rows) == 0 {
+			t.Fatalf("%s: %v, %d rows in:\n%s", name, err, len(doc.Rows), data)
+		}
+	}
+}

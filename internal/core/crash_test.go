@@ -221,6 +221,88 @@ func runWriteCrashCase(t *testing.T, entry int, cfg Config, step string, policy 
 	}
 }
 
+// TestCrashReusedStreamAtEveryStep commits two transactions through one
+// stream, the way a DB's recycled session state does: transaction 1's
+// frames are still live in the log when the stream is Reset and stages
+// transaction 2 under the same tag, differentially against transaction
+// 1's images. A power failure at every step of the second commit must
+// recover exactly one of the two states. Checksum mode is left out: it
+// may lose transaction 1 itself (TestCrashMatrixWriteFrames covers that).
+func TestCrashReusedStreamAtEveryStep(t *testing.T) {
+	for _, v := range allVariants() {
+		if v.Cfg.Sync == SyncChecksum {
+			continue
+		}
+		for _, step := range writeSteps {
+			for _, pol := range []struct {
+				name   string
+				policy memsim.FailPolicy
+			}{{"dropall", memsim.FailDropAll}, {"adversarial", memsim.FailAdversarial}} {
+				for _, seed := range []int64{1, 7} {
+					t.Run(fmt.Sprintf("%s/%s/%s/seed%d", v.Cfg.Label(), step, pol.name, seed), func(t *testing.T) {
+						runReusedStreamCrashCase(t, v.Cfg, step, pol.policy, seed)
+					})
+				}
+			}
+		}
+	}
+}
+
+func runReusedStreamCrashCase(t *testing.T, cfg Config, step string, policy memsim.FailPolicy, seed int64) {
+	e := newTinyEnv(t, 128)
+	w := e.open(t, cfg)
+	s := w.NewStream()
+	tag := s.ID()
+	stage := func(pgno uint32, img, base []byte) {
+		t.Helper()
+		if ok, err := s.StagePage(pgno, img, base); err != nil || !ok {
+			t.Fatalf("stage page %d: staged=%v err=%v", pgno, ok, err)
+		}
+	}
+
+	t1 := map[uint32][]byte{2: fullPage(0xA1), 3: fullPage(0xA2)}
+	stage(2, t1[2], nil)
+	stage(3, t1[3], nil)
+	if err := w.CommitStreams([]*Stream{s}, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	s.Reset()
+	t2 := map[uint32][]byte{
+		2: patchedPage(t1[2], 100, 50, 0xB1),
+		3: patchedPage(t1[3], 2000, 50, 0xB2),
+		4: fullPage(0xB3),
+	}
+	stage(2, t2[2], t1[2])
+	stage(3, t2[3], t1[3])
+	stage(4, t2[4], nil)
+	if s.ID() != tag {
+		t.Fatalf("Reset changed the stream's tag %d to %d", tag, s.ID())
+	}
+	crashed, err := runUntil(w, step, func() error { return w.CommitStreams([]*Stream{s}, 1) })
+	if !crashed {
+		t.Fatalf("step %s never fired (err=%v)", step, err)
+	}
+
+	w2 := e.reopen(t, cfg, policy, seed)
+	matches := func(want map[uint32][]byte) bool {
+		for pgno := uint32(2); pgno <= 4; pgno++ {
+			got, ok := w2.PageVersion(pgno)
+			if img, in := want[pgno]; ok != in || in && !bytes.Equal(got, img) {
+				return false
+			}
+		}
+		return true
+	}
+	txn2 := matches(t2)
+	if !txn2 && !matches(t1) {
+		t.Fatal("recovered state is neither transaction 1 nor transaction 2")
+	}
+	if step == StepAfterCommitFlush && !txn2 {
+		t.Fatal("transaction 2 lost after its mark persisted")
+	}
+}
+
 // TestCrashDuringCommitMarkPersistIsAtomic drives the §4.1 claim: the
 // commit mark's 8-byte write either fully persists or not, so recovery
 // never sees a half-committed transaction, across many adversarial

@@ -75,7 +75,9 @@ func (w *NVWAL) newStream(tag uint32) Stream {
 // NewStream hands out a per-writer stream. Tags cycle through the
 // 12-bit space (0 is reserved for untagged frames); they are provenance
 // for the on-NVRAM format and debugging, not identity — two live
-// streams may share a tag after 4095 allocations without harm.
+// streams may share a tag after 4095 allocations without harm, and a
+// stream Reset after its commit stages its next transaction under the
+// same tag while the last one's frames are still live.
 func (w *NVWAL) NewStream() *Stream {
 	s := w.newStream(w.streamTag.Add(1)%maxStreamTag + 1)
 	return &s
@@ -196,14 +198,13 @@ func (w *NVWAL) seenScratch() map[uint32]struct{} {
 	return w.seen
 }
 
-// StreamFrames converts a stream's staged pages into plain pager frames
-// (each page's full new image), the fallback shape for journals that do
-// not understand streams — fault-injection wrappers, the file WAL, or
-// a group mixing stream and non-stream members.
-func (s *Stream) StreamFrames() []pager.Frame {
-	frames := make([]pager.Frame, 0, len(s.pages))
+// AppendFrames appends a stream's staged pages to dst as plain pager
+// frames (each page's full new image), the fallback shape for journals
+// that do not understand streams — fault-injection wrappers, the file
+// WAL, or a group mixing stream and non-stream members.
+func (s *Stream) AppendFrames(dst []pager.Frame) []pager.Frame {
 	for i := range s.pages {
-		frames = append(frames, pager.Frame{Pgno: s.pages[i].pgno, Data: s.pages[i].img})
+		dst = append(dst, pager.Frame{Pgno: s.pages[i].pgno, Data: s.pages[i].img})
 	}
-	return frames
+	return dst
 }

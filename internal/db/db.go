@@ -249,6 +249,10 @@ type DB struct {
 	allocMu   sync.Mutex
 	allocPool []uint32
 	mvccAlloc bool
+	// idle is the free list of MVCC session state (sessionState):
+	// BeginConcurrent borrows an entry, a session's end hands it back.
+	idleMu sync.Mutex
+	idle   []*sessionState
 
 	// Background checkpointer (Options.BackgroundCheckpoint): commits
 	// and closing readers kick the goroutine instead of checkpointing
@@ -972,7 +976,8 @@ func (d *DB) commitHeldTxn(dl deadline) (uint64, error) {
 	// copies it first — close the pager transaction (later writers build
 	// on its cache), free the slot, and wait for a leader to flush the
 	// group.
-	req := gc.submit(slices.Clone(frames), nil, dl.until, false)
+	req := new(commitReq)
+	gc.submit(req, slices.Clone(frames), nil, dl.until, false)
 	gc.mu.Unlock()
 	d.pg.FinishCommit()
 	d.releaseSlot()

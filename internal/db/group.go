@@ -15,7 +15,9 @@ import (
 // journal takes them when the group flushes) and the channel its
 // committer blocks on until a leader flushes the group. until is the committer's
 // backpressure deadline on the virtual clock (0 = none); the group's
-// flush honors the earliest one.
+// flush honors the earliest one. A request is reusable once its
+// committer has received from done: an MVCC session's comes with the
+// state it borrows from the DB, and submit re-fills it.
 type commitReq struct {
 	frames []pager.Frame
 	// stream carries an MVCC session's pre-staged per-writer log stream
@@ -24,9 +26,11 @@ type commitReq struct {
 	// under one Algorithm 1 append instead of re-coalescing frames.
 	stream *core.Stream
 	seq    uint64 // commit sequence number, stamped at enqueue
-	done   chan struct{}
-	until  time.Duration
-	err    error
+	// done holds one slot: the flush sends into it, so exactly one
+	// receive follows each submit and the channel is armed again after it.
+	done  chan struct{}
+	until time.Duration
+	err   error
 	// perTxn marks a request whose writer registered for this one
 	// transaction (an MVCC session): once flushed, the writer lingers —
 	// registered, but unable to join a group — until it unregisters.
@@ -58,6 +62,9 @@ type groupCommitter struct {
 	mu      sync.Mutex
 	writers int          // registered writers (sessions + in-flight anonymous txns)
 	queue   []*commitReq // committed transactions awaiting a flush
+	// streams is flush's scratch. mu is held across a whole flush, so
+	// neither it nor the queue's array can be appended to meanwhile.
+	streams []*core.Stream
 	// lingering counts registered writers whose per-transaction request
 	// has been flushed but which have not unregistered yet. None of them
 	// is in the queue, and none can commit again without unregistering.
@@ -102,21 +109,25 @@ func (gc *groupCommitter) stamp(frames []pager.Frame) uint64 {
 // holds mu and the writer slot: enqueueing requires the slot, so queue
 // order is flush order and the enqueue-time seq matches journal order.
 // perTxn says the caller registered for this transaction alone and
-// unregisters through unregisterAfter once it is flushed.
+// unregisters through unregisterAfter once it is flushed. req is the
+// caller's: a new one, or one whose last submit's signal it received.
 //
 // The group is complete when it reaches min(GroupCommit, writers), or
 // when the one registered writer not in the queue is lingering: that
 // writer must unregister before it can commit again, and its unregister
 // would flush exactly this queue. Flushing now forms the same group,
 // only without handing the flush to that writer and waking this one.
-func (gc *groupCommitter) submit(frames []pager.Frame, stream *core.Stream, until time.Duration, perTxn bool) *commitReq {
-	req := &commitReq{frames: frames, stream: stream, seq: gc.stamp(frames), done: make(chan struct{}), until: until, perTxn: perTxn}
+func (gc *groupCommitter) submit(req *commitReq, frames []pager.Frame, stream *core.Stream, until time.Duration, perTxn bool) {
+	if req.done == nil {
+		req.done = make(chan struct{}, 1)
+	}
+	req.frames, req.stream, req.seq = frames, stream, gc.stamp(frames)
+	req.until, req.err, req.perTxn = until, nil, perTxn
 	gc.queue = append(gc.queue, req)
 	n := len(gc.queue)
 	if n >= gc.size || n >= gc.writers || (gc.writers-n == 1 && gc.lingering == 1) {
 		gc.flushLocked()
 	}
-	return req
 }
 
 // register announces a writer that will commit transactions.
@@ -170,7 +181,6 @@ func (gc *groupCommitter) flushLocked() {
 		return
 	}
 	reqs := gc.queue
-	gc.queue = nil
 	err := gc.failed
 	if err == nil {
 		var tr *health.Tracker
@@ -196,8 +206,10 @@ func (gc *groupCommitter) flushLocked() {
 			gc.lingering++
 		}
 		r.err = err
-		close(r.done)
+		r.done <- struct{}{}
 	}
+	clear(reqs)
+	gc.queue = reqs[:0]
 }
 
 // flushWithBackpressure is flush plus the NVRAM-space retry. ErrLogFull
@@ -233,15 +245,15 @@ func (gc *groupCommitter) flush(reqs []*commitReq) error {
 	// (file WAL, fault wrappers, mixed legacy/MVCC groups) — the stream
 	// is an optimization, not a correctness requirement.
 	if nv, ok := gc.jrn.(*core.NVWAL); ok {
-		streams := make([]*core.Stream, 0, len(reqs))
+		streams := gc.streams[:0]
 		for _, r := range reqs {
 			if r.stream == nil {
-				streams = nil
 				break
 			}
 			streams = append(streams, r.stream)
 		}
-		if streams != nil {
+		gc.streams = streams[:0]
+		if len(streams) == len(reqs) {
 			return nv.CommitStreams(streams, len(reqs))
 		}
 	}

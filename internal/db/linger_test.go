@@ -49,19 +49,17 @@ func newLingerRig(t *testing.T, size int) *lingerRig {
 
 // submit queues a one-frame request identified by id.
 func (r *lingerRig) submit(id uint32) *commitReq {
+	req := new(commitReq)
 	r.gc.mu.Lock()
 	defer r.gc.mu.Unlock()
-	return r.gc.submit([]pager.Frame{{Pgno: id}}, nil, 0, true)
+	r.gc.submit(req, []pager.Frame{{Pgno: id}}, nil, 0, true)
+	return req
 }
 
-func flushed(req *commitReq) bool {
-	select {
-	case <-req.done:
-		return true
-	default:
-		return false
-	}
-}
+// flushed reports whether req's flush signal is waiting in its one-slot
+// done channel, without taking it: the rig asks about a request more than
+// once, and a receive would re-arm the channel.
+func flushed(req *commitReq) bool { return len(req.done) == 1 }
 
 // expect checks the registration counts and the flushes so far.
 func (r *lingerRig) expect(writers, lingering int, flushes ...[]uint32) {

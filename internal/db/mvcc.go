@@ -31,15 +31,16 @@ var ErrConflict = errors.New("db: transaction conflicts with a concurrent commit
 // Begin and Commit — and conflicts surface at commit as a retryable
 // ErrConflict under page-level first-committer-wins. One CTx must not
 // be shared between goroutines.
+//
+// The handle is the caller's for good (Seq stays readable after Commit);
+// the working state behind it — page table, log stream, commit request,
+// scratch — is borrowed from the DB at Begin and handed back when the
+// session ends, after which every method returns ErrNoTxn.
 type CTx struct {
 	d      *DB
 	ctx    context.Context
 	store  sessionStore
 	tables tables
-	// stream is the session's per-writer NVRAM log stream (nil when the
-	// journal is not a bare NVWAL — fault wrappers and the file WAL fall
-	// back to plain frames).
-	stream *core.Stream
 	// clock, when set via SetClock, receives the session's CPU charges
 	// instead of the platform clock — a simclock lane modeling that
 	// independent writers burn CPU on independent cores.
@@ -50,9 +51,6 @@ type CTx struct {
 	markHeld bool
 	done     bool
 	seq      uint64
-	// req is the session's request in the group queue, once submitted;
-	// finish retires the registration through it.
-	req *commitReq
 }
 
 // sessionStore is a CTx's private btree.PageStore, under the pager's
@@ -70,6 +68,16 @@ type CTx struct {
 type sessionStore struct {
 	d    *DB
 	snap snapshotStore
+	// The borrowed working state; nil once the session has ended, so a
+	// finished handle cannot reach the next borrower's pages.
+	*sessionState
+}
+
+// sessionState is what a session borrows from its DB for its lifetime
+// and hands back in finish: all of it is rebuilt by every transaction
+// otherwise, and none of it outlives the session's commit. The next
+// borrower finds it empty.
+type sessionState struct {
 	// pages is the session's page table: every page it has loaded,
 	// written, allocated or freed.
 	pages map[uint32]sessionPage
@@ -78,6 +86,70 @@ type sessionStore struct {
 	// allocs are the page numbers taken from the shared arbiter; on
 	// rollback or conflict they return to the pool for other sessions.
 	allocs []uint32
+	// stream is the session's per-writer NVRAM log stream (nil when the
+	// journal is not a bare NVWAL — fault wrappers and the file WAL fall
+	// back to plain frames). It keeps its tag from session to session.
+	stream *core.Stream
+	// writes and frames are CommitCtx's scratch; req is the session's
+	// request in the group queue, through which finish also retires the
+	// writer's registration.
+	writes []sessionWrite
+	frames []pager.Frame
+	req    commitReq
+}
+
+// maxIdleSessions bounds the DB's free list of session state: more
+// sessions than this finishing at once make new state next time.
+const maxIdleSessions = 64
+
+// maxReusedPages bounds the page table a finished session may hand back.
+// A Go map never shrinks, so after one bulk session clearing it would
+// cost that session's size on every session that follows; a session
+// above the bound touched enough pages that the state its successor
+// makes anew is noise (the rule core's seenScratch applies to its group
+// page set).
+const maxReusedPages = 256
+
+// borrowSession takes session state from the free list, or makes it, with
+// a log stream when the journal is a bare NVWAL. Caller holds the slot.
+func (d *DB) borrowSession() *sessionState {
+	var st *sessionState
+	d.idleMu.Lock()
+	if n := len(d.idle); n > 0 {
+		st = d.idle[n-1]
+		d.idle[n-1] = nil
+		d.idle = d.idle[:n-1]
+	}
+	d.idleMu.Unlock()
+	if st == nil {
+		st = &sessionState{pages: make(map[uint32]sessionPage)}
+		if nv, ok := d.jrn.(*core.NVWAL); ok {
+			st.stream = nv.NewStream()
+		}
+	}
+	return st
+}
+
+// returnSession empties st and puts it on the free list. It holds no
+// page image afterwards: the log owns what the session committed, and
+// an idle entry must not keep anything else alive.
+func (d *DB) returnSession(st *sessionState) {
+	if len(st.pages) > maxReusedPages {
+		return
+	}
+	clear(st.pages)
+	st.freshFree, st.allocs = st.freshFree[:0], st.allocs[:0]
+	if st.stream != nil {
+		st.stream.Reset()
+	}
+	clear(st.writes[:cap(st.writes)])
+	clear(st.frames[:cap(st.frames)])
+	st.writes, st.frames = st.writes[:0], st.frames[:0]
+	d.idleMu.Lock()
+	if len(d.idle) < maxIdleSessions {
+		d.idle = append(d.idle, st)
+	}
+	d.idleMu.Unlock()
 }
 
 // sessionPage is one page of a session's working set.
@@ -294,21 +366,17 @@ func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
 		d.ckptMu.Unlock()
 	}
 
-	var stream *core.Stream
-	if nv, ok := d.jrn.(*core.NVWAL); ok {
-		stream = nv.NewStream()
-	}
+	st := d.borrowSession()
 	d.releaseSlot()
 
 	return &CTx{
 		d:   d,
 		ctx: ctx,
 		store: sessionStore{
-			d:     d,
-			snap:  snapshotStore{view: d.view, mark: mark, overlay: overlay},
-			pages: make(map[uint32]sessionPage),
+			d:            d,
+			snap:         snapshotStore{view: d.view, mark: mark, overlay: overlay},
+			sessionState: st,
 		},
-		stream:   stream,
 		snapSeq:  snapSeq,
 		markHeld: true,
 	}, nil
@@ -425,16 +493,20 @@ func (tx *CTx) releaseMark() {
 }
 
 // finish closes the session out: mark released, writer unregistered
-// (ending its linger, if its request was flushed), and (when the session
-// did not commit) its page numbers recycled.
+// (ending its linger, if its request was flushed), (when the session did
+// not commit) its page numbers recycled, and its working state detached
+// from the handle and handed back. A request it submitted has been
+// flushed and received by now, so nothing else refers to the state.
 func (tx *CTx) finish(recycle bool) {
 	tx.done = true
 	tx.releaseMark()
+	st := tx.store.sessionState
+	tx.store.sessionState = nil
 	if recycle {
-		tx.d.poolPut(tx.store.allocs)
+		tx.d.poolPut(st.allocs)
 	}
-	tx.d.gc.unregisterAfter(tx.req)
-	tx.req = nil
+	tx.d.gc.unregisterAfter(&st.req)
+	tx.d.returnSession(st)
 }
 
 // Rollback abandons the session. Nothing reached shared state, so this
@@ -488,16 +560,17 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 	if err := tx.guard(); err != nil {
 		return err
 	}
-	d := tx.d
+	d, st := tx.d, tx.store.sessionState
 	tx.charge(d.opts.CPU.TxnFixed)
 	dl := d.newDeadline(ctx)
 	// One slice carries the whole commit: the written pages, then the
 	// freed ones, each in page order, then page 1. staged filters it in
 	// place — an entry is read before its slot can be overwritten, as
 	// staged never overtakes the entry being read.
-	writes := make([]sessionWrite, 0, len(tx.store.pages)+1)
+	writes := slices.Grow(st.writes[:0], len(st.pages)+1)
+	st.writes = writes
 	nw := 0
-	for pgno, e := range tx.store.pages {
+	for pgno, e := range st.pages {
 		if e.dirty {
 			writes = append(writes, sessionWrite{pgno: pgno, img: e.own, base: e.base, fresh: e.fresh})
 			nw++
@@ -623,17 +696,16 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 			return fmt.Errorf("%w: page %d", ErrConflict, wr.pgno)
 		}
 	}
-	var frames []pager.Frame
-	if tx.stream != nil {
-		frames = tx.stream.StreamFrames()
+	frames := st.frames[:0]
+	if st.stream != nil {
+		frames = st.stream.AppendFrames(frames)
 	} else {
-		frames = make([]pager.Frame, 0, len(staged))
 		for _, wr := range staged {
 			frames = append(frames, pager.Frame{Pgno: wr.pgno, Data: wr.img})
 		}
 	}
-	req := gc.submit(frames, tx.stream, dl.until, true)
-	tx.req = req
+	st.frames = frames
+	gc.submit(&st.req, frames, st.stream, dl.until, true)
 	gc.mu.Unlock()
 
 	// Publish the committed images into the shared pager cache before
@@ -643,12 +715,13 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 		d.pg.Install(wr.pgno, wr.img)
 	}
 	d.releaseSlot()
-	<-req.done
-	if req.err != nil {
+	<-st.req.done
+	// The request goes back with the state: read it first.
+	if err := st.req.err; err != nil {
 		tx.finish(false) // group failure latches the engine; images may be shared
-		return req.err
+		return err
 	}
-	tx.seq = req.seq
+	tx.seq = st.req.seq
 	tx.finish(false)
 	d.plat.Metrics.Inc(metrics.MVCCCommits, 1)
 	d.maybeKickScrub()
@@ -659,8 +732,8 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 // one, applies the same no-op skip the stream would). Reports whether
 // the page actually needs logging.
 func (tx *CTx) stagePage(wr sessionWrite) (bool, error) {
-	if tx.stream != nil {
-		return tx.stream.StagePage(wr.pgno, wr.img, wr.base)
+	if s := tx.store.stream; s != nil {
+		return s.StagePage(wr.pgno, wr.img, wr.base)
 	}
 	if wr.base != nil && bytes.Equal(wr.img, wr.base) {
 		return false, nil

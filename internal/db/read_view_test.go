@@ -294,7 +294,9 @@ func TestSessionCopiesOnlyWrittenPages(t *testing.T) {
 		probe[r] = key(r * stride)
 	}
 	value := []byte("written")
-	session := func(write bool) *sessionStore {
+	// session runs the reads (and the write), then hands the page table to
+	// inspect, if any, before the rollback takes it back.
+	session := func(write bool, inspect func(st *sessionStore)) {
 		tx, err := d.BeginConcurrent()
 		if err != nil {
 			t.Fatal(err)
@@ -310,28 +312,31 @@ func TestSessionCopiesOnlyWrittenPages(t *testing.T) {
 				t.Fatalf("Update = %v %v", ok, err)
 			}
 		}
-		return &tx.store
+		if inspect != nil {
+			inspect(&tx.store)
+		}
 	}
 
-	st := session(true)
 	leaves, owned := 0, 0
-	for pgno, e := range st.pages {
-		shared, isShared, err := d.view.PageAt(pgno, st.snap.mark)
-		if err != nil || !isShared || &e.base[0] != &shared[0] {
-			t.Fatalf("page %d: the session did not load the snapshot's shared image (shared=%v err=%v)", pgno, isShared, err)
+	session(true, func(st *sessionStore) {
+		for pgno, e := range st.pages {
+			shared, isShared, err := d.view.PageAt(pgno, st.snap.mark)
+			if err != nil || !isShared || &e.base[0] != &shared[0] {
+				t.Fatalf("page %d: the session did not load the snapshot's shared image (shared=%v err=%v)", pgno, isShared, err)
+			}
+			leaves++
+			if e.own == nil {
+				continue
+			}
+			owned++
+			if !e.dirty || &e.own[0] == &e.base[0] || bytes.Equal(e.own, e.base) {
+				t.Fatalf("page %d: the write went to the shared image", pgno)
+			}
+			if n := testing.AllocsPerRun(10, func() { st.MarkDirty(pgno) }); n != 0 {
+				t.Fatalf("MarkDirty of a page already written allocates %v times, want 0", n)
+			}
 		}
-		leaves++
-		if e.own == nil {
-			continue
-		}
-		owned++
-		if !e.dirty || &e.own[0] == &e.base[0] || bytes.Equal(e.own, e.base) {
-			t.Fatalf("page %d: the write went to the shared image", pgno)
-		}
-		if n := testing.AllocsPerRun(10, func() { st.MarkDirty(pgno) }); n != 0 {
-			t.Fatalf("MarkDirty of a page already written allocates %v times, want 0", n)
-		}
-	}
+	})
 	if leaves < reads {
 		t.Fatalf("the reads loaded %d pages, want at least %d", leaves, reads)
 	}
@@ -344,12 +349,12 @@ func TestSessionCopiesOnlyWrittenPages(t *testing.T) {
 	// adds one page copy and small bookkeeping, not a second page.
 	bytesPerSession := func(write bool) float64 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		session(write)
+		session(write, nil)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		const runs = 20
 		for i := 0; i < runs; i++ {
-			session(write)
+			session(write, nil)
 		}
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc-before.TotalAlloc) / runs

@@ -123,7 +123,7 @@ func runCheckpointStall(background bool, writers, txns int, latency time.Duratio
 		CheckpointPages: delta.Count(metrics.CheckpointPages),
 		CheckpointNs:    delta.Count(metrics.CheckpointNanos),
 		CommitStallNs:   delta.Count(metrics.CommitStallNanos),
-		Throughput:      float64(total) / elapsed.Seconds(),
+		Throughput:      perSecond(total, elapsed),
 	}, nil
 }
 

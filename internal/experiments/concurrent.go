@@ -96,9 +96,9 @@ func runConcurrent(writers, group, txns int, latency time.Duration) (ConcurrentR
 		Writers:     writers,
 		GroupSize:   group,
 		Txns:        total,
-		BarriersTxn: float64(delta.Count(metrics.PersistBarrier)) / float64(total),
+		BarriersTxn: float64(delta.Count(metrics.PersistBarrier)) / float64(max(total, 1)),
 		Groups:      delta.Count(metrics.GroupCommits),
-		Throughput:  float64(total) / (s.Plat.Clock.Now() - start).Seconds(),
+		Throughput:  perSecond(total, s.Plat.Clock.Now()-start),
 	}, nil
 }
 

@@ -76,7 +76,7 @@ func GroupCommit(txns int) (*GroupCommitResult, error) {
 		elapsed := s.Plat.Clock.Now() - start
 		res.Rows = append(res.Rows, GroupCommitRow{
 			GroupSize:  g,
-			Throughput: float64(txns) / elapsed.Seconds(),
+			Throughput: perSecond(txns, elapsed),
 		})
 	}
 	return res, nil

@@ -228,7 +228,7 @@ func runReplReadRow(replicas, reads, keys, valueBytes int, latency time.Duration
 		Readers:     nodes,
 		Reads:       total,
 		ElapsedNs:   int64(elapsed),
-		ReadsPerSec: float64(total) / elapsed.Seconds(),
+		ReadsPerSec: perSecond(total, elapsed),
 	}, nil
 }
 
