@@ -65,7 +65,6 @@ var table = []experiment{
 	{"baselines", of(experiments.Baselines)},
 	{"cschecksum", of(experiments.ChecksumStudy)},
 	{"groupcommit", of(experiments.GroupCommit)},
-	{"concurrent", of(experiments.Concurrent)},
 	{"checkpoint", of(experiments.CheckpointStall)},
 	{"pressure", of(experiments.Pressure)},
 	{"shards", of(experiments.Shards)},

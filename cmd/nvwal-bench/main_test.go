@@ -94,7 +94,7 @@ func TestJSONCarriesMetaAndRows(t *testing.T) {
 // nothing in no virtual time: they report a throughput of 0, and the
 // -json document still encodes and decodes.
 func TestEmptyCellsEncode(t *testing.T) {
-	for _, name := range []string{"concurrent", "mvcc", "checkpoint"} {
+	for _, name := range []string{"mvcc", "checkpoint"} {
 		out := filepath.Join(t.TempDir(), name+".json")
 		code, stdout, stderr := runBench(t, "-txns", "1", "-json", out, name)
 		if code != 0 || strings.Contains(stdout, "NaN") || strings.Contains(stdout, "Inf") {

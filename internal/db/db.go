@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,17 +109,17 @@ type Options struct {
 	// its legacy single-goroutine contract: a second Begin while a
 	// transaction is open is a programming error reported as ErrTxnOpen.
 	Concurrent bool
-	// GroupCommit batches up to this many concurrently committing write
-	// transactions into one journal flush — Algorithm 1's commit flag:
-	// all the group's frames are logged, only the final one carries the
-	// commit mark, so one flush batch, one persist barrier and one
-	// commit-mark persist cover the whole group. Atomicity coarsens to
+	// GroupCommit batches up to this many concurrently committing MVCC
+	// sessions (BeginConcurrent) into one journal flush — Algorithm 1's
+	// commit flag: all the group's frames are logged, only the final one
+	// carries the commit mark, so one flush batch, one persist barrier and
+	// one commit-mark persist cover the whole group. Atomicity coarsens to
 	// the group: a crash loses the whole in-flight group, never a prefix.
-	// Values <= 1 commit each transaction individually. Requires
-	// Concurrent; groups only form among registered Writer sessions (or
-	// overlapping anonymous writers), and a group flushes as soon as
-	// every registered writer is waiting in it, so K writers never wait
-	// for an absent (K+1)th.
+	// A group flushes as soon as every open session is waiting in it, so
+	// K sessions never wait for an absent (K+1)th. A Tx (Begin,
+	// CreateTable, DropTable, a 2PC prepare) never joins a group: it
+	// flushes the sessions already queued, then commits on its own.
+	// Values <= 1 commit each session individually. Requires Concurrent.
 	GroupCommit int
 	// BackgroundCheckpoint moves auto-checkpointing off the commit path:
 	// a dedicated goroutine runs the journal's incremental checkpoint
@@ -498,7 +497,7 @@ func (d *DB) uncacheTree(table string) {
 // inside an open write transaction (legacy mode reports ErrTxnOpen;
 // Concurrent mode waits for the writer slot).
 func (d *DB) CreateTable(table string) error {
-	if err := d.enterWriter(context.Background(), false); err != nil {
+	if err := d.enterWriter(context.Background()); err != nil {
 		return err
 	}
 	if len(table) == 0 || len(table) > tableNameLen {
@@ -550,7 +549,7 @@ func (d *DB) CreateTable(table string) error {
 // its pages to the freelist. It cannot run inside an open write
 // transaction.
 func (d *DB) DropTable(table string) error {
-	if err := d.enterWriter(context.Background(), false); err != nil {
+	if err := d.enterWriter(context.Background()); err != nil {
 		return err
 	}
 	cat, err := d.readCatalog()
@@ -631,11 +630,10 @@ func (d *DB) HasTable(table string) bool {
 // (§4.1), which Begin enforces: the transaction holds the writer slot
 // from Begin until Commit or Rollback.
 type Tx struct {
-	db     *DB
-	ctx    context.Context // from BeginCtx; bounds Commit's stall too
-	done   bool
-	ownReg bool   // this txn registered itself with the group committer
-	seq    uint64 // commit sequence number, set by a successful Commit
+	db   *DB
+	ctx  context.Context // from BeginCtx; bounds Commit's stall too
+	done bool
+	seq  uint64 // commit sequence number, set by a successful Commit
 	// 2PC state (see twopc.go): a prepared transaction keeps its writer
 	// slot and pager transaction until CompletePrepared/AbortPrepared.
 	prepared bool
@@ -661,83 +659,35 @@ func (d *DB) Begin() (*Tx, error) { return d.BeginCtx(context.Background()) }
 // checkpointing frees space, BeginCtx fails with an error matching
 // errors.Is(err, ErrBusy). The context also bounds the commit-side
 // stall of this transaction's Commit (CommitCtx overrides it).
-func (d *DB) BeginCtx(ctx context.Context) (*Tx, error) { return d.beginTx(ctx, true) }
-
-// beginTx opens a write transaction; ownReg says the transaction
-// registers itself with the group committer (a Writer session's
-// transactions ride on the session's registration instead).
-func (d *DB) beginTx(ctx context.Context, ownReg bool) (*Tx, error) {
-	if err := d.enterWriter(ctx, ownReg); err != nil {
+func (d *DB) BeginCtx(ctx context.Context) (*Tx, error) {
+	if err := d.enterWriter(ctx); err != nil {
 		return nil, err
 	}
 	d.pg.Begin()
-	return &Tx{db: d, ctx: ctx, ownReg: ownReg}, nil
+	return &Tx{db: d, ctx: ctx}, nil
 }
 
 // enterWriter admits a writer and returns with the writer slot held.
-// Admission runs before any lock or registration: a stalled NEW writer
-// must not block the checkpointer, readers, or in-flight writers.
-// register announces the writer to the group committer before it
-// contends for the slot, so a group waiting for stragglers knows it is
-// on its way; a failure withdraws the registration.
-func (d *DB) enterWriter(ctx context.Context, register bool) error {
-	if err := d.Degraded(); err != nil {
-		return err
-	}
+// Admission runs before any lock is taken: a stalled NEW writer must not
+// block the checkpointer, readers, or in-flight writers.
+func (d *DB) enterWriter(ctx context.Context) error {
 	if err := d.admitWriter(ctx); err != nil {
 		return err
 	}
-	if register {
-		d.gc.register()
-	}
-	err := d.acquireSlot()
-	if err == nil {
-		if err = d.gc.bail(); err != nil {
-			d.releaseSlot()
-		}
-	}
-	if err != nil && register {
-		d.gc.unregister()
-	}
-	return err
+	return d.claimSlot()
 }
 
-// Writer is a registered long-lived writer session. Registration is
-// what makes group commit deterministic: the group committer flushes
-// once every registered writer is waiting in the queue, so K sessions
-// running transaction loops produce groups of exactly min(K, GroupCommit)
-// regardless of goroutine scheduling. A session must keep committing
-// (or Close) — an idle registered session stalls a waiting group.
-type Writer struct {
-	d      *DB
-	closed bool
-}
-
-// Writer registers a writer session with the group committer.
-func (d *DB) Writer() *Writer {
-	d.gc.register()
-	return &Writer{d: d}
-}
-
-// Begin opens a write transaction owned by the session.
-func (w *Writer) Begin() (*Tx, error) { return w.BeginCtx(context.Background()) }
-
-// BeginCtx is Begin with a context bounding the backpressure stall,
-// like DB.BeginCtx.
-func (w *Writer) BeginCtx(ctx context.Context) (*Tx, error) {
-	if w.closed {
-		return nil, errors.New("db: writer session closed")
+// claimSlot takes the writer slot, refusing it once a group flush has
+// failed.
+func (d *DB) claimSlot() error {
+	if err := d.acquireSlot(); err != nil {
+		return err
 	}
-	return w.d.beginTx(ctx, false)
-}
-
-// Close unregisters the session, releasing any group waiting on it.
-func (w *Writer) Close() {
-	if w.closed {
-		return
+	if err := d.gc.bail(); err != nil {
+		d.releaseSlot()
+		return err
 	}
-	w.closed = true
-	w.d.gc.unregister()
+	return nil
 }
 
 func (tx *Tx) guard() error {
@@ -897,9 +847,6 @@ func (tx *Tx) CommitDurableCtx(ctx context.Context) error {
 	d := tx.db
 	d.chargeCPU(d.opts.CPU.TxnFixed)
 	seq, err := d.commitHeldTxn(d.newDeadline(ctx)) // releases the slot
-	if tx.ownReg {
-		d.gc.unregister()
-	}
 	if err != nil {
 		return err
 	}
@@ -922,16 +869,16 @@ func (tx *Tx) Rollback() {
 	tx.done = true
 	tx.db.pg.Rollback()
 	tx.db.releaseSlot()
-	if tx.ownReg {
-		tx.db.gc.unregister()
-	}
 }
 
 // commitHeldTxn durably commits the pager's open write transaction and
 // returns its commit sequence number (1-based, in journal-application
-// order). Called with the writer slot held; the slot is released by the
-// time it returns (the grouped path must free it so the rest of the
-// group can enqueue behind it). The deadline bounds any NVRAM-space
+// order). Called with the writer slot held, which it releases. The
+// transaction never joins the group queue: it first flushes the sessions
+// already queued — their images are in the pager cache it built on, and
+// their seqs are lower — then commits alone while the pager transaction
+// is still open, so a journal failure (a backpressure deadline
+// included) rolls it back cleanly. The deadline bounds any NVRAM-space
 // stall the flush runs into.
 func (d *DB) commitHeldTxn(dl deadline) (uint64, error) {
 	fail := func(err error) (uint64, error) {
@@ -943,46 +890,25 @@ func (d *DB) commitHeldTxn(dl deadline) (uint64, error) {
 	if err != nil {
 		return fail(err)
 	}
-	gc := d.gc
-	gc.mu.Lock()
-	if err := gc.failed; err != nil {
-		gc.mu.Unlock()
+	if err := d.gc.flushPending(); err != nil {
 		return fail(err)
 	}
-	if len(gc.queue) == 0 && (gc.size <= 1 || gc.writers <= 1) {
-		// Solo fast path: no group to join and no peer on the way.
-		// Flush synchronously while the pager transaction is still open,
-		// so a journal failure — including a backpressure deadline — rolls
-		// it back cleanly. The stamp is ordered: no other commit can touch
-		// the journal until this writer releases the slot (the queue
-		// cannot grow either — enqueueing requires the slot). It must
-		// precede the journal write: an MVCC session snapshotting between
-		// the two would otherwise miss both the frames (not yet in the
-		// log) and the conflict (vector not yet bumped) — a lost update.
-		// A failed flush leaves a stale bump behind, which can only cause
-		// a spurious ErrConflict, never a lost update.
-		seq := gc.stamp(frames)
-		gc.mu.Unlock()
-		if err := d.flushSolo(dl, frames); err != nil {
-			return fail(fmt.Errorf("pager: commit failed, transaction rolled back: %w", err))
-		}
-		d.pg.FinishCommit()
-		d.releaseSlot()
-		return seq, nil
+	// The stamp is ordered: no other commit can touch the journal until
+	// this writer releases the slot (the queue cannot grow either —
+	// enqueueing requires the slot). It must precede the journal write: an
+	// MVCC session snapshotting between the two would otherwise miss both
+	// the frames (not yet in the log) and the conflict (vector not yet
+	// bumped) — a lost update. A failed flush leaves a stale bump behind,
+	// which can only cause a spurious ErrConflict, never a lost update.
+	d.gc.mu.Lock()
+	seq := d.gc.stamp(frames)
+	d.gc.mu.Unlock()
+	if err := d.flushSolo(dl, frames); err != nil {
+		return fail(fmt.Errorf("pager: commit failed, transaction rolled back: %w", err))
 	}
-	// Grouped path: hand the frames to the queue — a copy of the list,
-	// which is the pager's scratch, but not of the pages: they are the
-	// committed images from here on, and the next writer that dirties one
-	// copies it first — close the pager transaction (later writers build
-	// on its cache), free the slot, and wait for a leader to flush the
-	// group.
-	req := new(commitReq)
-	gc.submit(req, slices.Clone(frames), nil, dl.until, false)
-	gc.mu.Unlock()
 	d.pg.FinishCommit()
 	d.releaseSlot()
-	<-req.done
-	return req.seq, req.err
+	return seq, nil
 }
 
 // AutoCheckpoint is the second half of CommitCtx: the post-commit

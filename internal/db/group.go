@@ -10,20 +10,20 @@ import (
 	"repro/internal/pager"
 )
 
-// commitReq is one transaction waiting in the group-commit queue: its
-// frame set (committed page images, which nobody writes again: the
-// journal takes them when the group flushes) and the channel its
-// committer blocks on until a leader flushes the group. until is the committer's
-// backpressure deadline on the virtual clock (0 = none); the group's
-// flush honors the earliest one. A request is reusable once its
-// committer has received from done: an MVCC session's comes with the
-// state it borrows from the DB, and submit re-fills it.
+// commitReq is one MVCC session's commit waiting in the group-commit
+// queue: its frame set (committed page images, which nobody writes
+// again: the journal takes them when the group flushes) and the channel
+// its committer blocks on until a leader flushes the group. until is the
+// committer's backpressure deadline on the virtual clock (0 = none); the
+// group's flush honors the earliest one. A request comes with the state
+// the session borrows from the DB, and submit re-fills it once its
+// committer has received from done.
 type commitReq struct {
 	frames []pager.Frame
-	// stream carries an MVCC session's pre-staged per-writer log stream
-	// (nil for legacy transactions). When every request in a group has
-	// one and the journal is a bare NVWAL, the flush merges the streams
-	// under one Algorithm 1 append instead of re-coalescing frames.
+	// stream carries the session's pre-staged per-writer log stream (nil
+	// when the journal is not a bare NVWAL). On a bare NVWAL the flush
+	// merges the streams under one Algorithm 1 append instead of
+	// re-coalescing frames.
 	stream *core.Stream
 	seq    uint64 // commit sequence number, stamped at enqueue
 	// done holds one slot: the flush sends into it, so exactly one
@@ -31,27 +31,25 @@ type commitReq struct {
 	done  chan struct{}
 	until time.Duration
 	err   error
-	// perTxn marks a request whose writer registered for this one
-	// transaction (an MVCC session): once flushed, the writer lingers —
-	// registered, but unable to join a group — until it unregisters.
-	// lingers is that state, set by flushLocked and cleared by the
-	// owner's unregisterAfter; both under gc.mu.
-	perTxn  bool
+	// lingers marks a flushed request whose session has not unregistered
+	// yet: registered, but unable to join a group. Set by flushLocked and
+	// cleared by the owner's unregister, both under gc.mu.
 	lingers bool
 }
 
-// groupCommitter is the writer queue behind Tx.Commit. Committing
-// transactions enqueue their frames and wait; the transaction whose
-// arrival completes the group — GroupCommit entries, or one entry per
-// registered writer, whichever is smaller — flushes every queued frame
-// set through the journal as a single unit (pager.GroupJournal when the
-// journal supports it, else back-to-back single commits).
+// groupCommitter is the queue behind CTx.Commit. Committing MVCC
+// sessions enqueue their frames and wait; the session whose arrival
+// completes the group — GroupCommit entries, or one entry per registered
+// session, whichever is smaller — flushes every queued frame set through
+// the journal as a single unit. A legacy Tx is never a member: it holds
+// the writer slot from Begin to Commit, flushes whatever is queued, and
+// commits alone (DB.commitHeldTxn).
 //
 // The flush rule "len(queue) >= size || len(queue) >= writers" is what
 // keeps the engine deterministic AND deadlock-free: a group never waits
-// for a writer that is not registered, so min(GroupCommit, writers)
+// for a session that is not registered, so min(GroupCommit, writers)
 // bounds both the group size and the wait. A group does not wait for a
-// lingering writer either (see submit).
+// lingering session either (see submit).
 type groupCommitter struct {
 	jrn  pager.Journal
 	size int
@@ -60,14 +58,14 @@ type groupCommitter struct {
 	db *DB
 
 	mu      sync.Mutex
-	writers int          // registered writers (sessions + in-flight anonymous txns)
-	queue   []*commitReq // committed transactions awaiting a flush
+	writers int          // registered sessions, from Begin until they finish
+	queue   []*commitReq // committed sessions awaiting a flush
 	// streams is flush's scratch. mu is held across a whole flush, so
 	// neither it nor the queue's array can be appended to meanwhile.
 	streams []*core.Stream
-	// lingering counts registered writers whose per-transaction request
-	// has been flushed but which have not unregistered yet. None of them
-	// is in the queue, and none can commit again without unregistering.
+	// lingering counts registered sessions whose request has been flushed
+	// but which have not unregistered yet. None of them is in the queue,
+	// and none can commit again without unregistering.
 	lingering int
 	// nextSeq numbers committed transactions in journal-application
 	// order. Only stamp advances it: under mu at enqueue (where queue
@@ -90,9 +88,9 @@ type groupCommitter struct {
 
 // stamp assigns the next commit sequence number and records it in the
 // page-version vector against every page of the frame set. It is the
-// one place either advances — solo, grouped, MVCC and 2PC commits all
-// come through here — so no commit can take a seq without claiming the
-// pages it wrote. Caller holds mu.
+// one place either advances — legacy, session and 2PC commits all come
+// through here — so no commit can take a seq without claiming the pages
+// it wrote. Caller holds mu.
 func (gc *groupCommitter) stamp(frames []pager.Frame) uint64 {
 	gc.nextSeq++
 	if gc.versions == nil && len(frames) > 0 {
@@ -104,25 +102,24 @@ func (gc *groupCommitter) stamp(frames []pager.Frame) uint64 {
 	return gc.nextSeq
 }
 
-// submit stamps a committed frame set and queues it for the next group
-// flush, flushing at once when its arrival completes the group. Caller
-// holds mu and the writer slot: enqueueing requires the slot, so queue
-// order is flush order and the enqueue-time seq matches journal order.
-// perTxn says the caller registered for this transaction alone and
-// unregisters through unregisterAfter once it is flushed. req is the
-// caller's: a new one, or one whose last submit's signal it received.
+// submit stamps a session's committed frame set and queues it for the
+// next group flush, flushing at once when its arrival completes the
+// group. Caller holds mu and the writer slot: enqueueing requires the
+// slot, so queue order is flush order and the enqueue-time seq matches
+// journal order. req is the caller's: one whose last submit's signal it
+// received. The caller unregisters once the request is flushed.
 //
 // The group is complete when it reaches min(GroupCommit, writers), or
-// when the one registered writer not in the queue is lingering: that
-// writer must unregister before it can commit again, and its unregister
+// when the one registered session not in the queue is lingering: that
+// session must unregister before it can commit again, and its unregister
 // would flush exactly this queue. Flushing now forms the same group,
-// only without handing the flush to that writer and waking this one.
-func (gc *groupCommitter) submit(req *commitReq, frames []pager.Frame, stream *core.Stream, until time.Duration, perTxn bool) {
+// only without handing the flush to that session and waking this one.
+func (gc *groupCommitter) submit(req *commitReq, frames []pager.Frame, stream *core.Stream, until time.Duration) {
 	if req.done == nil {
 		req.done = make(chan struct{}, 1)
 	}
 	req.frames, req.stream, req.seq = frames, stream, gc.stamp(frames)
-	req.until, req.err, req.perTxn = until, nil, perTxn
+	req.until, req.err = until, nil
 	gc.queue = append(gc.queue, req)
 	n := len(gc.queue)
 	if n >= gc.size || n >= gc.writers || (gc.writers-n == 1 && gc.lingering == 1) {
@@ -130,21 +127,18 @@ func (gc *groupCommitter) submit(req *commitReq, frames []pager.Frame, stream *c
 	}
 }
 
-// register announces a writer that will commit transactions.
+// register announces a session that may commit through the queue.
 func (gc *groupCommitter) register() {
 	gc.mu.Lock()
 	gc.writers++
 	gc.mu.Unlock()
 }
 
-// unregister retires a writer. If every remaining writer is already
-// waiting in the queue, the group can no longer grow — flush it.
-func (gc *groupCommitter) unregister() { gc.unregisterAfter(nil) }
-
-// unregisterAfter is unregister for a per-transaction writer whose
-// request was req (nil when it never submitted one): a flushed req stops
-// counting as lingering in the same critical section.
-func (gc *groupCommitter) unregisterAfter(req *commitReq) {
+// unregister retires a session whose request was req (nil when it never
+// submitted one): a flushed req stops counting as lingering in the same
+// critical section. If every remaining session is already waiting in
+// the queue, the group can no longer grow — flush it.
+func (gc *groupCommitter) unregister(req *commitReq) {
 	gc.mu.Lock()
 	gc.writers--
 	if req != nil && req.lingers {
@@ -165,7 +159,8 @@ func (gc *groupCommitter) bail() error {
 }
 
 // flushPending flushes whatever is queued. Called with the writer slot
-// held (checkpointing), so no new request can enqueue concurrently.
+// held (a Tx commit or prepare, checkpointing), so no new request can
+// enqueue concurrently.
 func (gc *groupCommitter) flushPending() error {
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
@@ -174,8 +169,8 @@ func (gc *groupCommitter) flushPending() error {
 }
 
 // flushLocked drains the queue through the journal and wakes every
-// waiter; a per-transaction member lingers from here until its owner
-// unregisters. Called with gc.mu held.
+// waiter; each member lingers from here until its session unregisters.
+// Called with gc.mu held.
 func (gc *groupCommitter) flushLocked() {
 	if len(gc.queue) == 0 {
 		return
@@ -201,10 +196,8 @@ func (gc *groupCommitter) flushLocked() {
 		}
 	}
 	for _, r := range reqs {
-		if r.perTxn {
-			r.lingers = true
-			gc.lingering++
-		}
+		r.lingers = true
+		gc.lingering++
 		r.err = err
 		r.done <- struct{}{}
 	}
@@ -235,27 +228,20 @@ func (gc *groupCommitter) flushWithBackpressure(reqs []*commitReq) error {
 	return gc.db.retryLogFull(dl, "group-deadline", func() error { return gc.flush(reqs) })
 }
 
-// flush writes the queued frame sets to the journal: one atomic group
-// when the journal supports it, else one commit per transaction in
-// queue (= logical commit) order.
+// flush writes the queued frame sets to the journal. On a bare NVWAL
+// every member staged a per-writer stream, and the streams merge under
+// one Algorithm 1 append and a single commit mark. Other journals (file
+// WAL, fault wrappers) take the frames: one atomic group when the
+// journal supports it, else one commit per session in queue (= logical
+// commit) order.
 func (gc *groupCommitter) flush(reqs []*commitReq) error {
-	// Stream path: when every member staged a per-writer NVRAM stream
-	// and the journal is a bare NVWAL, merge the streams under one
-	// Algorithm 1 append + single commit mark. Frames are the fallback
-	// (file WAL, fault wrappers, mixed legacy/MVCC groups) — the stream
-	// is an optimization, not a correctness requirement.
 	if nv, ok := gc.jrn.(*core.NVWAL); ok {
 		streams := gc.streams[:0]
 		for _, r := range reqs {
-			if r.stream == nil {
-				break
-			}
 			streams = append(streams, r.stream)
 		}
 		gc.streams = streams[:0]
-		if len(streams) == len(reqs) {
-			return nv.CommitStreams(streams, len(reqs))
-		}
+		return nv.CommitStreams(streams, len(reqs))
 	}
 	groups := make([][]pager.Frame, 0, len(reqs))
 	for _, r := range reqs {

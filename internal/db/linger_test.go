@@ -35,7 +35,7 @@ func (j *recordJournal) FramesSinceCheckpoint() int        { return 0 }
 func (j *recordJournal) Checkpoint() error                 { return nil }
 
 // lingerRig drives a bare groupCommitter the way CTx does: register,
-// submit a per-transaction request, wait, unregisterAfter.
+// submit a request, wait, unregister.
 type lingerRig struct {
 	t   *testing.T
 	jrn *recordJournal
@@ -52,7 +52,7 @@ func (r *lingerRig) submit(id uint32) *commitReq {
 	req := new(commitReq)
 	r.gc.mu.Lock()
 	defer r.gc.mu.Unlock()
-	r.gc.submit(req, []pager.Frame{{Pgno: id}}, nil, 0, true)
+	r.gc.submit(req, []pager.Frame{{Pgno: id}}, nil, 0)
 	return req
 }
 
@@ -83,7 +83,7 @@ func TestLingerTwoWritersFlushesOwnRequest(t *testing.T) {
 	a1 := r.submit(1)
 	b1 := r.submit(2) // completes the group of two
 	r.expect(2, 2, []uint32{1, 2})
-	r.gc.unregisterAfter(a1)
+	r.gc.unregister(a1)
 	r.expect(1, 1, []uint32{1, 2})
 
 	r.gc.register() // A's next transaction; B still lingers
@@ -92,8 +92,8 @@ func TestLingerTwoWritersFlushesOwnRequest(t *testing.T) {
 		t.Fatal("A's request waits for B, which can only unregister")
 	}
 	r.expect(2, 2, []uint32{1, 2}, []uint32{3})
-	r.gc.unregisterAfter(b1)
-	r.gc.unregisterAfter(a2)
+	r.gc.unregister(b1)
+	r.gc.unregister(a2)
 	r.expect(0, 0, []uint32{1, 2}, []uint32{3})
 }
 
@@ -107,7 +107,7 @@ func TestLingerThreeWritersWaitsForGroup(t *testing.T) {
 	r.gc.register() // B
 	r.gc.register() // C
 	a1, b1 := r.submit(1), r.submit(2)
-	r.gc.unregisterAfter(nil) // C rolls back: {A, B} cannot grow
+	r.gc.unregister(nil) // C rolls back: {A, B} cannot grow
 	r.expect(2, 2, []uint32{1, 2})
 
 	r.gc.register() // C again
@@ -115,7 +115,7 @@ func TestLingerThreeWritersWaitsForGroup(t *testing.T) {
 	if flushed(c) {
 		t.Fatal("C flushed alone while A or B could still join its group")
 	}
-	r.gc.unregisterAfter(a1)
+	r.gc.unregister(a1)
 	if flushed(c) {
 		t.Fatal("A's unregister flushed C while A could come back")
 	}
@@ -127,9 +127,9 @@ func TestLingerThreeWritersWaitsForGroup(t *testing.T) {
 		t.Fatal("A's submit left the group waiting for lingering B")
 	}
 	r.expect(3, 3, []uint32{1, 2}, []uint32{3, 4})
-	r.gc.unregisterAfter(b1)
-	r.gc.unregisterAfter(c)
-	r.gc.unregisterAfter(a2)
+	r.gc.unregister(b1)
+	r.gc.unregister(c)
+	r.gc.unregister(a2)
 	r.expect(0, 0, []uint32{1, 2}, []uint32{3, 4})
 }
 
@@ -206,7 +206,7 @@ func runLingerModel(t *testing.T, k, size int, seed int64, steps int) int {
 	unregister := func(w int) {
 		t.Helper()
 		queued, flushes := len(r.gc.queue), len(r.jrn.flushes)
-		r.gc.unregisterAfter(reqs[w])
+		r.gc.unregister(reqs[w])
 		reqs[w] = nil
 		state[w] = mIdle
 		if len(r.jrn.flushes) > flushes && queued < r.gc.writers {
@@ -352,15 +352,7 @@ func TestLingerRegistrationAccounting(t *testing.T) {
 		}
 		aErr := make(chan error, 1)
 		go func() { aErr <- a.Commit() }()
-		for {
-			d.gc.mu.Lock()
-			queued := len(d.gc.queue)
-			d.gc.mu.Unlock()
-			if queued == 1 {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
+		waitQueued(t, d, 1)
 		if err := b.Commit(); !errors.Is(err, ErrConflict) {
 			t.Fatalf("second committer: want ErrConflict, got %v", err)
 		}

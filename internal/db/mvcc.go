@@ -92,7 +92,7 @@ type sessionState struct {
 	stream *core.Stream
 	// writes and frames are CommitCtx's scratch; req is the session's
 	// request in the group queue, through which finish also retires the
-	// writer's registration.
+	// session's registration.
 	writes []sessionWrite
 	frames []pager.Frame
 	req    commitReq
@@ -317,7 +317,14 @@ func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
 	if !d.opts.Concurrent {
 		return nil, errors.New("db: BeginConcurrent requires Options.Concurrent")
 	}
-	if err := d.enterWriter(ctx, true); err != nil {
+	if err := d.admitWriter(ctx); err != nil {
+		return nil, err
+	}
+	// Registered before it contends for the slot, so a group waiting for
+	// its peers knows this session is on its way.
+	d.gc.register()
+	if err := d.claimSlot(); err != nil {
+		d.gc.unregister(nil)
 		return nil, err
 	}
 	// Arm the shared page-number arbiter (lazily, so purely legacy
@@ -330,7 +337,7 @@ func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
 	pc, err := d.pg.PageCount()
 	if err != nil {
 		d.releaseSlot()
-		d.gc.unregister()
+		d.gc.unregister(nil)
 		return nil, err
 	}
 	d.raiseAllocTop(pc)
@@ -505,7 +512,7 @@ func (tx *CTx) finish(recycle bool) {
 	if recycle {
 		tx.d.poolPut(st.allocs)
 	}
-	tx.d.gc.unregisterAfter(&st.req)
+	tx.d.gc.unregister(&st.req)
 	tx.d.returnSession(st)
 }
 
@@ -607,12 +614,7 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 	// from being blocked by its own mark.
 	tx.releaseMark()
 
-	if err := d.acquireSlot(); err != nil {
-		tx.finish(true)
-		return err
-	}
-	if err := d.gc.bail(); err != nil {
-		d.releaseSlot()
+	if err := d.claimSlot(); err != nil {
 		tx.finish(true)
 		return err
 	}
@@ -705,7 +707,7 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 		}
 	}
 	st.frames = frames
-	gc.submit(&st.req, frames, st.stream, dl.until, true)
+	gc.submit(&st.req, frames, st.stream, dl.until)
 	gc.mu.Unlock()
 
 	// Publish the committed images into the shared pager cache before

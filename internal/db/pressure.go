@@ -150,13 +150,17 @@ func (d *DB) stallStep(backoff time.Duration) time.Duration {
 	return backoff
 }
 
-// admitWriter gates a NEW write transaction on the space watermarks.
-// Above hard it admits immediately (kicking an urgent checkpoint if
-// below soft); below hard it stalls with backoff until checkpointing
-// frees space, the deadline expires (ErrBusy), or exhaustion is proven
+// admitWriter gates a NEW write transaction: a degraded database
+// refuses it, and otherwise it waits on the space watermarks. Above
+// hard it admits immediately (kicking an urgent checkpoint if below
+// soft); below hard it stalls with backoff until checkpointing frees
+// space, the deadline expires (ErrBusy), or exhaustion is proven
 // permanent (ErrDegraded latch). Callers hold no locks — the stall must
 // not block the checkpointer, readers, or the in-flight writer.
 func (d *DB) admitWriter(ctx context.Context) error {
+	if err := d.Degraded(); err != nil {
+		return err
+	}
 	p := d.pressure
 	if p == nil {
 		return nil

@@ -59,9 +59,9 @@ func (tx *Tx) Prepare(gtx uint64) error {
 		tx.Rollback()
 		return fmt.Errorf("db: journal %T does not support prepared transactions", d.pg.Journal())
 	}
-	// Drain any queued group first: this writer holds the slot and is
-	// about to stop committing through the queue, so a group waiting on
-	// it would stall forever.
+	// Flush the sessions already queued first, as a commit does: the
+	// prepared frames build on their pages and must follow them in the
+	// journal, which refuses any other append until the decision.
 	if err := d.gc.flushPending(); err != nil {
 		tx.Rollback()
 		return err
@@ -110,9 +110,6 @@ func (tx *Tx) CompletePrepared() error {
 	tx.frames = nil
 	d.pg.FinishCommit()
 	d.releaseSlot()
-	if tx.ownReg {
-		gc.unregister()
-	}
 	d.maybeKickScrub()
 	return d.AutoCheckpoint(false)
 }
@@ -133,9 +130,6 @@ func (tx *Tx) AbortPrepared() error {
 	tx.prepared = false
 	d.pg.Rollback()
 	d.releaseSlot()
-	if tx.ownReg {
-		d.gc.unregister()
-	}
 	return err
 }
 

@@ -158,38 +158,6 @@ func TestChecksumStudyShapes(t *testing.T) {
 	}
 }
 
-func TestConcurrentShapes(t *testing.T) {
-	r, err := Concurrent(120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	barriersPerTxn := func(writers, group int) float64 {
-		return Find(r.Rows, func(row ConcurrentRow) bool { return row.Writers == writers && row.GroupSize == group }).BarriersTxn
-	}
-	if len(r.Rows) != 12 {
-		t.Fatalf("rows = %d, want 12", len(r.Rows))
-	}
-	// With one writer no group can form, so K is irrelevant.
-	if barriersPerTxn(1, 8) != barriersPerTxn(1, 1) {
-		t.Fatalf("single writer affected by group size: %+v", r.Rows)
-	}
-	// The acceptance shape: group commit reduces persist barriers per
-	// transaction as the writer count grows.
-	for _, w := range []int{2, 4, 8} {
-		if barriersPerTxn(w, 8) >= barriersPerTxn(w, 1) {
-			t.Fatalf("K=8 did not amortize barriers at %d writers: %+v", w, r.Rows)
-		}
-	}
-	if barriersPerTxn(8, 8) >= barriersPerTxn(2, 8) {
-		t.Fatalf("amortization did not improve with writer count: %+v", r.Rows)
-	}
-	// Group width is min(writers, K), so K only separates K=4 from K=8
-	// once 8 writers can actually fill the wider group.
-	if barriersPerTxn(8, 8) >= barriersPerTxn(8, 4) {
-		t.Fatalf("8-wide groups cost no less than 4-wide at 8 writers: %+v", r.Rows)
-	}
-}
-
 func TestCheckpointStallShapes(t *testing.T) {
 	r, err := CheckpointStall(160)
 	if err != nil {

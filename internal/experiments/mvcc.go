@@ -75,7 +75,7 @@ const mvccBenchRetries = 128
 
 func runMVCCCell(mode string, writers, txns int, res *MVCCResult) (MVCCRow, error) {
 	opts := shardBenchOpts()
-	opts.GroupCommit = writers
+	opts.GroupCommit = writers // batches the mvcc rows' sessions; a legacy Tx commits alone
 	// The paper's point (§5.1) is that query-processing CPU dominates
 	// transactions. Charging the calibrated profile is what the sweep
 	// measures: legacy writers burn that CPU serialized on the writer

@@ -9,7 +9,7 @@ import (
 	"repro/internal/db"
 )
 
-// The extension sweeps (checkpoint, concurrent, pressure, shards, mvcc)
+// The extension sweeps (checkpoint, pressure, shards, mvcc)
 // share one shape: W writer goroutines run transaction loops against one
 // freshly opened database, and a cell's row is the loops' outcome mapped
 // onto that sweep's columns. Each sweep supplies only its grid, its
