@@ -22,8 +22,11 @@ import (
 // fails loudly.
 
 // soloAllocBudget bounds steady-state allocations for a one-page
-// differential commit: amortized growth of history/byPage/versions and
-// simulator bookkeeping, well under one allocation per commit. The
+// differential commit: the history array and the versions map growing
+// until they are warm, and simulator bookkeeping, well under one
+// allocation per commit. The per-page index grows nothing once warm, and
+// keeps its arrays across checkpoint rounds
+// (TestIndexAllocatesNothingAcrossRounds). The
 // pre-audit commit path sat far above this; copying the handed-over
 // image, or a payload arena per append, is one more each.
 const soloAllocBudget = 1.0
@@ -222,5 +225,64 @@ func TestSeenScratchDroppedAfterBulkGroup(t *testing.T) {
 	}
 	if fresh := w.seenScratch(); id(fresh) == id(small) || len(fresh) != 0 {
 		t.Fatal("a bulk group's set must be replaced, not cleared")
+	}
+}
+
+// TestIndexAllocatesNothingAcrossRounds drives one-page commits through
+// checkpoint rounds that leave both kinds of page behind: pages written
+// only before a round froze, whose index the round retires whole, and
+// pages written again after it froze, whose index it trims. Once the
+// history array and the retired indexes are warm, indexing a frame
+// allocates nothing, round after round; what the commits still allocate
+// is per round (the new generation's block list), not per frame. An
+// index rebuilt each round costs ≈ 0.8 allocations per commit here.
+func TestIndexAllocatesNothingAcrossRounds(t *testing.T) {
+	e := newEnv(t)
+	w := e.open(t, VariantUHLSDiff())
+	const sets, pages, warm, rounds, perRound = 3, 6, 4, 6, 40
+	imgs := make(map[uint32][][]byte)
+	for pgno := uint32(2); pgno < 2+sets*pages; pgno++ {
+		imgs[pgno] = successiveImages(fullPage(byte(pgno)), 1+(warm+rounds)*perRound)
+	}
+	next := make(map[uint32]int)
+	// commits makes n commits on the pages of set and reports what they
+	// allocated.
+	commits := func(set, n int) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			pgno := uint32(2 + set*pages + i%pages)
+			next[pgno]++
+			if err := w.CommitTransaction([]pager.Frame{{Pgno: pgno, Data: imgs[pgno][next[pgno]]}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	var allocs uint64
+	for r := 0; r < warm+rounds; r++ {
+		a := commits(r%sets, perRound)
+		if err := w.FreezeCheckpoint(nil); err != nil {
+			t.Fatal(err)
+		}
+		a += commits((r+1)%sets, perRound/4)
+		if err := w.CheckpointIncremental(nil); err != nil {
+			t.Fatal(err)
+		}
+		if r >= warm {
+			allocs += a
+		}
+	}
+	perCommit := float64(allocs) / float64(rounds*(perRound+perRound/4))
+	t.Logf("%d rounds of %d commits: %d allocations, %.3f per commit", rounds, perRound+perRound/4, allocs, perCommit)
+	if perCommit > 0.1 {
+		t.Fatalf("commits across checkpoint rounds allocate %.3f each: indexing a frame allocates", perCommit)
+	}
+	for pgno, n := range next {
+		if got, _ := w.PageVersion(pgno); !bytes.Equal(got, imgs[pgno][n]) {
+			t.Fatalf("page %d is not its last committed image", pgno)
+		}
 	}
 }

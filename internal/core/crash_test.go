@@ -638,7 +638,7 @@ func TestCrashMatrixBoundaryFrozenRound(t *testing.T) {
 						t.Fatal(err)
 					}
 					frozenAt := w.Mark()
-					if b, _ := w.ExportSince(frozenAt); b.Backfill != frozenAt {
+					if b, _ := w.ExportSince(frozenAt, nil); b.Backfill != frozenAt {
 						t.Fatalf("a frozen round announces watermark %d, want %d", b.Backfill, frozenAt)
 					}
 					if err := w.FreezeCheckpoint(nil); err != nil || w.FramesSinceCheckpoint() != 4 {

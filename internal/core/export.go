@@ -31,6 +31,7 @@ package core
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 )
 
 // ExportFrame is one committed log frame in wire form: the page it
@@ -243,8 +244,10 @@ func (w *NVWAL) trimTail() {
 // caught up.
 //
 // Payload slices alias the log's immutable history images; callers
-// must not mutate them.
-func (w *NVWAL) ExportSince(from int) (ExportBatch, bool) {
+// must not mutate them. The frame list is built in frames' array (the
+// batch's Frames is frames[:0] with the range appended), so a shipper
+// that cuts batch after batch keeps one list; nil allocates a fresh one.
+func (w *NVWAL) ExportSince(from int, frames []ExportFrame) (ExportBatch, bool) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	mark := w.histBase + len(w.history)
@@ -258,7 +261,7 @@ func (w *NVWAL) ExportSince(from int) (ExportBatch, bool) {
 	if from == mark {
 		return b, true
 	}
-	b.Frames = make([]ExportFrame, 0, mark-from)
+	b.Frames = slices.Grow(frames[:0], mark-from)
 	tail, live := w.retained(from, mark)
 	for _, part := range [2][]histFrame{tail, live} {
 		for _, hf := range part {
@@ -278,19 +281,29 @@ func (w *NVWAL) ExportSince(from int) (ExportBatch, bool) {
 // ends of a replication stream run it independently; a divergence in
 // the resulting value proves the streams saw different bytes.
 func ChainExport(chain uint32, b ExportBatch) uint32 {
-	var hdr [20]byte
 	for _, fr := range b.Frames {
-		binary.LittleEndian.PutUint32(hdr[0:], fr.Pgno)
 		off := fr.Off
 		if fr.Full {
 			off |= 1 << 31
 		}
-		binary.LittleEndian.PutUint32(hdr[4:], off)
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(fr.Payload)))
-		chain = crc32.Update(chain, crcTab, hdr[:12])
+		chain = crcWord(chain, fr.Pgno)
+		chain = crcWord(chain, off)
+		chain = crcWord(chain, uint32(len(fr.Payload)))
 		chain = crc32.Update(chain, crcTab, fr.Payload)
 	}
 	return chain
+}
+
+// crcWord folds v's four little-endian bytes into crc: crc32.Update over
+// them, a byte at a time through crcTab, with no buffer for the frame
+// header to escape into (crc32.Update's would, once per frame).
+func crcWord(crc, v uint32) uint32 {
+	crc = ^crc
+	for i := 0; i < 4; i++ {
+		crc = crcTab[byte(crc)^byte(v)] ^ crc>>8
+		v >>= 8
+	}
+	return ^crc
 }
 
 // ExportChainSeed derives the initial chain value for an export stream

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -30,7 +32,7 @@ func TestExportSinceStreamsCommittedFrames(t *testing.T) {
 	commitPages(t, w, map[uint32][]byte{2: fullPage(0x11), 3: fullPage(0x12)})
 	commitPages(t, w, map[uint32][]byte{2: patchedPage(fullPage(0x11), 100, 40, 0x13)})
 
-	b, ok := w.ExportSince(0)
+	b, ok := w.ExportSince(0, nil)
 	if !ok {
 		t.Fatal("ExportSince(0) reported a gap on a fresh log")
 	}
@@ -52,12 +54,12 @@ func TestExportSinceStreamsCommittedFrames(t *testing.T) {
 	}
 
 	// Caught up: empty batch, still ok.
-	b2, ok := w.ExportSince(b.To)
+	b2, ok := w.ExportSince(b.To, nil)
 	if !ok || len(b2.Frames) != 0 || b2.From != b2.To {
 		t.Fatalf("caught-up export = %+v ok=%v, want empty ok batch", b2, ok)
 	}
 	// Beyond the mark: a gap.
-	if _, ok := w.ExportSince(b.To + 1); ok {
+	if _, ok := w.ExportSince(b.To+1, nil); ok {
 		t.Fatal("ExportSince past the mark must report a gap")
 	}
 
@@ -84,10 +86,10 @@ func TestExportGapAfterCheckpointRetirement(t *testing.T) {
 	if err := w.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := w.ExportSince(0); ok {
+	if _, ok := w.ExportSince(0, nil); ok {
 		t.Fatal("cursor 0 must be a gap after the checkpoint retired the frames")
 	}
-	if b, ok := w.ExportSince(w.Mark()); !ok || len(b.Frames) != 0 {
+	if b, ok := w.ExportSince(w.Mark(), nil); !ok || len(b.Frames) != 0 {
 		t.Fatalf("cursor at the post-checkpoint mark must be a caught-up empty batch, got %+v ok=%v", b, ok)
 	}
 }
@@ -115,7 +117,7 @@ func TestExportGapAfterRecovery(t *testing.T) {
 	// equal to the new mark is "caught up" only by coincidence of mark
 	// arithmetic — the chain values diverge, which is what replication
 	// keys re-seeding on.
-	b, ok := w2.ExportSince(0)
+	b, ok := w2.ExportSince(0, nil)
 	if !ok {
 		t.Fatal("full re-export from 0 must succeed on the recovered log")
 	}
@@ -199,7 +201,7 @@ func TestExportConcurrentWithCheckpointRounds(t *testing.T) {
 	}
 	exportErr := func() error {
 		for {
-			b, ok := w.ExportSince(cursor)
+			b, ok := w.ExportSince(cursor, nil)
 			if !ok {
 				reseed()
 				continue
@@ -230,7 +232,7 @@ func TestExportConcurrentWithCheckpointRounds(t *testing.T) {
 	// Drain whatever landed after the exporter's last cursor, then the
 	// replayed model must equal the log's own idea of every page.
 	for {
-		b, ok := w.ExportSince(cursor)
+		b, ok := w.ExportSince(cursor, nil)
 		if !ok {
 			reseed()
 			continue
@@ -363,14 +365,14 @@ func exportRetentionRun(t *testing.T, seed int64) {
 			}
 		}
 
-		all, ok := ref.ExportSince(0)
+		all, ok := ref.ExportSince(0, nil)
 		if !ok || all.To != w.Mark() {
 			t.Fatalf("step %d: reference at mark %d (ok=%v), log at %d", step, all.To, ok, w.Mark())
 		}
 		lowest := w.Mark()
 		for _, c := range cursors {
 			lowest = min(lowest, c.pos)
-			b, ok := w.ExportSince(c.pos)
+			b, ok := w.ExportSince(c.pos, nil)
 			backfill := w.histBase
 			if parked != nil {
 				backfill = parked.watermark // announced from the moment the round froze it
@@ -402,7 +404,7 @@ func exportRetentionRun(t *testing.T, seed int64) {
 			t.Fatalf("step %d: retention report %+v for a tail of %d frames, %d B", step, ret, len(w.tail), payloadBytes(w.tail))
 		}
 		if floor := w.exportFloor(); floor > 0 {
-			if _, ok := w.ExportSince(floor - 1); ok {
+			if _, ok := w.ExportSince(floor-1, nil); ok {
 				t.Fatalf("step %d: mark %d below the retained floor %d exported", step, floor-1, floor)
 			}
 		}
@@ -459,4 +461,36 @@ func TestRetentionTailHoldsPayloadNotImages(t *testing.T) {
 			ret.Frames, ret.Bytes, held, limit)
 	}
 	runtime.KeepAlive(w) // and with it everything but the tail
+}
+
+// TestChainExportMatchesReference holds the export chain, which folds each
+// frame's header a word at a time, to the construction it must equal on
+// the wire: crc32 over the 12-byte header, then over the payload.
+func TestChainExportMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var b ExportBatch
+	for i := 0; i < 64; i++ {
+		payload := make([]byte, rng.Intn(300))
+		rng.Read(payload)
+		b.Frames = append(b.Frames, ExportFrame{Pgno: rng.Uint32(), Off: rng.Uint32() >> 1, Full: rng.Intn(2) == 0, Payload: payload})
+	}
+	want := ExportChainSeed(42)
+	for _, fr := range b.Frames {
+		var hdr [12]byte
+		off := fr.Off
+		if fr.Full {
+			off |= 1 << 31
+		}
+		binary.LittleEndian.PutUint32(hdr[0:], fr.Pgno)
+		binary.LittleEndian.PutUint32(hdr[4:], off)
+		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(fr.Payload)))
+		want = crc32.Update(want, crcTab, hdr[:])
+		want = crc32.Update(want, crcTab, fr.Payload)
+	}
+	if got := ChainExport(ExportChainSeed(42), b); got != want {
+		t.Fatalf("ChainExport = %08x, reference %08x", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { ChainExport(want, b) }); n != 0 {
+		t.Fatalf("ChainExport allocates %.1f per batch, want 0", n)
+	}
 }

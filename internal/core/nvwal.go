@@ -423,8 +423,13 @@ type NVWAL struct {
 	histBase int
 	// byPage indexes history by page: ascending absolute frame indices.
 	// It is the per-page wal-index that makes PageVersionAt
-	// O(frames-for-that-page) instead of O(total history).
-	byPage map[uint32][]int
+	// O(frames-for-that-page) instead of O(total history). idxFree holds
+	// the emptied index slices of pages a checkpoint round retired, for
+	// publish to index the next newly logged pages in: a page's index is
+	// trimmed in place and a retired one reused, so indexing a frame
+	// allocates nothing in steady state, round after round.
+	byPage  map[uint32][]int
+	idxFree [][]int
 	// base holds, for every indexed page the log held before its first
 	// unbackfilled frame, the image that frame replaced: the page's
 	// state at every mark at or below that frame, and where replay
@@ -1182,7 +1187,8 @@ func (w *NVWAL) persistMark(addr, mark uint64) {
 func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns int) {
 	w.chain = chain
 	for _, f := range hist {
-		if _, tracked := w.byPage[f.pgno]; !tracked {
+		idxs, tracked := w.byPage[f.pgno]
+		if !tracked {
 			// The page's first unbackfilled frame: record the image it
 			// replaces (the pre-transaction version, which a completed
 			// checkpoint round has made durable). A page the log never
@@ -1191,8 +1197,12 @@ func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns 
 			if prev, logged := w.versions[f.pgno]; logged {
 				w.base[f.pgno] = prev
 			}
+			if n := len(w.idxFree); n > 0 {
+				idxs, w.idxFree[n-1] = w.idxFree[n-1], nil
+				w.idxFree = w.idxFree[:n-1]
+			}
 		}
-		w.byPage[f.pgno] = append(w.byPage[f.pgno], w.histBase+len(w.history))
+		w.byPage[f.pgno] = append(idxs, w.histBase+len(w.history))
 		w.history = append(w.history, f)
 		w.published += int64(len(f.payload))
 	}
@@ -1555,6 +1565,10 @@ func (w *NVWAL) backfill(st *ckptState) error {
 	return nil
 }
 
+// maxFreeIdx bounds idxFree: of a round that retires more pages (a bulk
+// load's), only this many emptied indexes are kept for reuse.
+const maxFreeIdx = 4096
+
 // completeCheckpoint runs phase C: free the frozen generation and drop
 // the backfilled prefix from the volatile index. Frees are NVRAM
 // metadata writes (no block I/O), so the critical section stays short.
@@ -1580,9 +1594,14 @@ func (w *NVWAL) completeCheckpoint(st *ckptState) error {
 	w.step(StepCkptAfterFree)
 	// C3: retire the record, then advance the backfill watermark.
 	w.writeCkptRecord(0, 0, ckptNone, 0, 0)
+	// History and the per-page index keep their arrays: the surviving
+	// frames move to the front, and a fully retired page's index goes to
+	// idxFree (up to a bound, past which a bulk round's are dropped).
 	retired := w.history[:st.watermark-w.histBase]
 	w.retainForExport(retired)
-	w.history = append([]histFrame(nil), w.history[len(retired):]...)
+	n := copy(w.history, w.history[len(retired):])
+	clear(w.history[n:])
+	w.history = w.history[:n]
 	w.histBase = st.watermark
 	for pgno, idxs := range w.byPage {
 		cut := sort.SearchInts(idxs, st.watermark)
@@ -1592,9 +1611,12 @@ func (w *NVWAL) completeCheckpoint(st *ckptState) error {
 		if cut == len(idxs) {
 			delete(w.byPage, pgno)
 			delete(w.base, pgno)
+			if len(w.idxFree) < maxFreeIdx {
+				w.idxFree = append(w.idxFree, idxs[:0])
+			}
 			continue
 		}
-		w.byPage[pgno] = append([]int(nil), idxs[cut:]...)
+		w.byPage[pgno] = idxs[:copy(idxs, idxs[cut:])]
 		// The surviving frames now follow the image this round just made
 		// durable (the page's state at the watermark) — the append-time
 		// base below the watermark is gone from history.

@@ -22,15 +22,16 @@ import (
 // NVWAL-journaled databases ship log generations.
 var ErrNoExport = fmt.Errorf("db: journal mode has no export hook")
 
-// ExportSince returns the committed NVWAL frames in [from, Mark()).
-// ok=false means the range is no longer retained (or lies past the
-// mark) and the caller must re-seed via ExportPages.
-func (d *DB) ExportSince(from int) (core.ExportBatch, bool, error) {
+// ExportSince returns the committed NVWAL frames in [from, Mark()),
+// their list built in frames' array (core.NVWAL.ExportSince). ok=false
+// means the range is no longer retained (or lies past the mark) and the
+// caller must re-seed via ExportPages.
+func (d *DB) ExportSince(from int, frames []core.ExportFrame) (core.ExportBatch, bool, error) {
 	w, ok := d.jrn.(*core.NVWAL)
 	if !ok {
 		return core.ExportBatch{}, false, ErrNoExport
 	}
-	b, ok := w.ExportSince(from)
+	b, ok := w.ExportSince(from, frames)
 	return b, ok, nil
 }
 

@@ -51,7 +51,7 @@ func TestExportPagesSnapshot(t *testing.T) {
 
 	// The incremental hook covers [0, Mark) gaplessly before any
 	// checkpoint has retired frames.
-	b, ok, err := d.ExportSince(0)
+	b, ok, err := d.ExportSince(0, nil)
 	if err != nil || !ok {
 		t.Fatalf("ExportSince(0) = ok=%v err=%v", ok, err)
 	}

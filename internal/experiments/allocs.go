@@ -47,7 +47,8 @@ type CommitAllocsResult struct {
 // straight at the journal, and a legacy transaction updating one cached
 // page — on the three versioned read paths that share the log's page
 // images (readPathAllocs), on a replica applying shipped batches
-// (replicaApplyAllocs), and on the simulated hardware under all of them
+// (replicaApplyAllocs), on a served write shipped to a replica
+// (replicatedPutAllocs), and on the simulated hardware under all of them
 // (simulatorAllocs).
 // Measurement is runtime.MemStats deltas (Mallocs and TotalAlloc are
 // monotonic, so a concurrent GC cannot skew them) over a single
@@ -78,7 +79,11 @@ func CommitAllocs(txns int) (*CommitAllocsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, apply)
+	put, err := replicatedPutAllocs(txns)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = append(res.Rows, apply, put)
 
 	line, blk, err := simulatorAllocs(txns)
 	if err != nil {
@@ -395,7 +400,7 @@ func replicaApplyAllocs(txns int) (CommitAllocsRow, error) {
 		if n := len(batches); n > 0 {
 			from = batches[n-1].To
 		}
-		b, ok, err := pn.DB.ExportSince(from)
+		b, ok, err := pn.DB.ExportSince(from, nil)
 		if err != nil || !ok {
 			return zero, fmt.Errorf("experiments: export from %d: ok=%v err=%v", from, ok, err)
 		}
@@ -420,6 +425,56 @@ func replicaApplyAllocs(txns int) (CommitAllocsRow, error) {
 	perPage := float64(txns) / float64(pages)
 	row.Ops, row.AllocsPerOp, row.BytesPerOp = pages, row.AllocsPerOp*perPage, row.BytesPerOp*perPage
 	return row, nil
+}
+
+// replicatedPutAllocs audits a served, replicated write whole: one PUT
+// from a server.Client over netsim to a semi-sync primary (AckReplicas 1),
+// its commit, the batch shipped to the replica, the replica's apply and
+// ack, and the response — every goroutine on the path, which is what
+// runtime.MemStats counts. What a write must allocate is its messages'
+// wire copies (request, frames, ack, response), the page images the
+// primary and the replica keep, and the client's and server's protocol
+// buffers; the rest of the path is state its owners re-arm. As in the
+// commit rows, no checkpoint runs in the audited loop.
+func replicatedPutAllocs(txns int) (CommitAllocsRow, error) {
+	var zero CommitAllocsRow
+	c, err := repl.NewCluster(replPlatformConfig(), netsim.Config{Latency: 20 * time.Microsecond}, 5, "n0", "n1")
+	if err != nil {
+		return zero, err
+	}
+	opts := repl.DefaultDBOptions()
+	opts.CheckpointLimit = -1
+	pn, err := c.StartPrimary("n0", opts, repl.PrimaryOptions{Epoch: 1, AckReplicas: 1}, server.Options{})
+	if err != nil {
+		return zero, err
+	}
+	defer pn.Stop(false)
+	if err := pn.DB.CreateTable("kv"); err != nil {
+		return zero, err
+	}
+	rn, err := c.StartReplica("n1", repl.ReplicaOptions{Epoch: 1}, server.Options{})
+	if err != nil {
+		return zero, err
+	}
+	defer rn.Stop()
+	pn.Attach(c, "n1")
+	cli := server.NewClient(c.Dialer("client"), []string{"n0"}, server.ClientOptions{})
+	defer cli.Close()
+	keys := make([][]byte, 200)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("k%05d", i))
+	}
+	val := make([]byte, 100)
+	for i := range keys { // every key's leaf exists before the audit
+		if _, err := cli.Put("kv", keys[i], val); err != nil {
+			return zero, err
+		}
+	}
+	return measureAllocs("replicated-put", txns, func(i int) error {
+		val[0] = byte(i)
+		_, err := cli.Put("kv", keys[i*7%len(keys)], val)
+		return err
+	})
 }
 
 // simulatorAllocs audits the simulated hardware itself, which every row

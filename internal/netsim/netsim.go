@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/simclock"
+	"repro/internal/timedcond"
 )
 
 // Config is one link's fault model. The zero value is a perfect,
@@ -181,7 +182,7 @@ func (n *Network) Listen(name string) (Listener, error) {
 		return nil, fmt.Errorf("netsim: name %q already bound", name)
 	}
 	l := &listener{net: n, name: name}
-	l.cond = sync.NewCond(&l.mu)
+	l.cond = timedcond.New(&l.mu)
 	n.listeners[name] = l
 	return l, nil
 }
@@ -212,8 +213,8 @@ func (n *Network) pair(from, to string) (*conn, *conn) {
 	a := &conn{shared: shared, local: from, remote: to}
 	b := &conn{shared: shared, local: to, remote: from}
 	a.peer, b.peer = b, a
-	a.cond = sync.NewCond(&a.mu)
-	b.cond = sync.NewCond(&b.mu)
+	a.cond = timedcond.New(&a.mu)
+	b.cond = timedcond.New(&b.mu)
 	return a, b
 }
 
@@ -226,6 +227,11 @@ func (n *Network) clockFor(name string) *simclock.Clock {
 }
 
 // Conn is one end of a message connection.
+//
+// Buffers: Send does not retain msg once it returns (the simulated wire
+// copies it, the TCP binding writes it before returning), so a sender may
+// encode every message into one buffer it owns. The slice Recv returns
+// belongs to the caller; the conn keeps no reference to it.
 type Conn interface {
 	// Send enqueues one whole message toward the peer. A nil error
 	// means the message was handed to the wire — NOT that it will
@@ -269,10 +275,57 @@ type conn struct {
 	local  string
 	remote string
 
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu   sync.Mutex
+	cond *timedcond.Cond
+	// inbox[head:] are the undelivered messages, oldest first. The array
+	// is reused: a receive advances head, and the queue restarts at the
+	// front of the array whenever it empties (compacting first if it
+	// fills while a prefix is spent), so a conn in steady request/response
+	// traffic appends without allocating.
 	inbox  []message
+	head   int
 	closed bool
+}
+
+// enqueue adds m to the inbox, before the last queued message when
+// reorder is set and one is queued (it reports whether it reordered).
+// Caller holds c.mu.
+func (c *conn) enqueue(m message, reorder bool) bool {
+	if c.head > 0 && len(c.inbox) == cap(c.inbox) {
+		n := copy(c.inbox, c.inbox[c.head:])
+		clear(c.inbox[n:])
+		c.inbox, c.head = c.inbox[:n], 0
+	}
+	if !reorder || len(c.inbox) == c.head {
+		c.inbox = append(c.inbox, m)
+		return false
+	}
+	last := c.inbox[len(c.inbox)-1]
+	c.inbox[len(c.inbox)-1] = m
+	c.inbox = append(c.inbox, last)
+	return true
+}
+
+// next waits, up to timeout of real time (0 = no bound), for the oldest
+// undelivered message and removes it from the inbox.
+func (c *conn) next(timeout time.Duration) (message, error) {
+	deadline := timedcond.Deadline(timeout)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.head == len(c.inbox) && !c.closed {
+		if c.cond.WaitUntil(deadline) && c.head == len(c.inbox) && !c.closed {
+			return message{}, ErrTimeout
+		}
+	}
+	if c.head == len(c.inbox) {
+		return message{}, ErrClosed
+	}
+	m := c.inbox[c.head]
+	c.inbox[c.head] = message{}
+	if c.head++; c.head == len(c.inbox) {
+		c.inbox, c.head = c.inbox[:0], 0
+	}
+	return m, nil
 }
 
 func (c *conn) LocalName() string  { return c.local }
@@ -364,12 +417,8 @@ func (c *conn) SendAt(msg []byte, at time.Duration) error {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	m := message{payload: cp, deliverAt: deliverAt}
-	if reorderNow && len(p.inbox) > 0 {
+	if p.enqueue(message{payload: cp, deliverAt: deliverAt}, reorderNow) {
 		n.m.Inc(metrics.NetReordered, 1)
-		p.inbox = append(p.inbox[:len(p.inbox)-1], m, p.inbox[len(p.inbox)-1])
-	} else {
-		p.inbox = append(p.inbox, m)
 	}
 	p.cond.Signal()
 	p.mu.Unlock()
@@ -377,33 +426,10 @@ func (c *conn) SendAt(msg []byte, at time.Duration) error {
 }
 
 func (c *conn) Recv(timeout time.Duration) ([]byte, error) {
-	var timer *time.Timer
-	expired := false
-	if timeout > 0 {
-		timer = time.AfterFunc(timeout, func() {
-			c.mu.Lock()
-			expired = true
-			c.cond.Broadcast()
-			c.mu.Unlock()
-		})
-		defer timer.Stop()
+	m, err := c.next(timeout)
+	if err != nil {
+		return nil, err
 	}
-	c.mu.Lock()
-	for len(c.inbox) == 0 && !c.closed && !expired {
-		c.cond.Wait()
-	}
-	if len(c.inbox) == 0 {
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return nil, ErrClosed
-		}
-		return nil, ErrTimeout
-	}
-	m := c.inbox[0]
-	c.inbox = c.inbox[1:]
-	c.mu.Unlock()
-
 	// Charge the wire latency to the receiver's clock: delivery cannot
 	// precede the send plus flight time. AdvanceTo is a monotone max,
 	// so a receiver already past deliverAt pays nothing extra.
@@ -420,32 +446,10 @@ func (c *conn) Recv(timeout time.Duration) ([]byte, error) {
 // response with the EARLIER virtual arrival, and a plain Recv on the
 // loser would drag the receiver's clock past the winner's.
 func (c *conn) RecvAt(timeout time.Duration) ([]byte, time.Duration, error) {
-	var timer *time.Timer
-	expired := false
-	if timeout > 0 {
-		timer = time.AfterFunc(timeout, func() {
-			c.mu.Lock()
-			expired = true
-			c.cond.Broadcast()
-			c.mu.Unlock()
-		})
-		defer timer.Stop()
+	m, err := c.next(timeout)
+	if err != nil {
+		return nil, 0, err
 	}
-	c.mu.Lock()
-	for len(c.inbox) == 0 && !c.closed && !expired {
-		c.cond.Wait()
-	}
-	if len(c.inbox) == 0 {
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return nil, 0, ErrClosed
-		}
-		return nil, 0, ErrTimeout
-	}
-	m := c.inbox[0]
-	c.inbox = c.inbox[1:]
-	c.mu.Unlock()
 	return m.payload, m.deliverAt, nil
 }
 
@@ -495,7 +499,7 @@ func (c *conn) teardown() {
 	for _, half := range [2]*conn{c, c.peer} {
 		half.mu.Lock()
 		half.closed = true
-		half.inbox = nil
+		half.inbox, half.head = nil, 0
 		half.cond.Broadcast()
 		half.mu.Unlock()
 	}
@@ -506,7 +510,7 @@ type listener struct {
 	name string
 
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    *timedcond.Cond
 	backlog []*conn
 	closed  bool
 }
@@ -526,20 +530,11 @@ func (l *listener) deliver(c *conn) bool {
 }
 
 func (l *listener) Accept(timeout time.Duration) (Conn, error) {
-	var timer *time.Timer
-	expired := false
-	if timeout > 0 {
-		timer = time.AfterFunc(timeout, func() {
-			l.mu.Lock()
-			expired = true
-			l.cond.Broadcast()
-			l.mu.Unlock()
-		})
-		defer timer.Stop()
-	}
+	deadline := timedcond.Deadline(timeout)
 	l.mu.Lock()
+	expired := false
 	for len(l.backlog) == 0 && !l.closed && !expired {
-		l.cond.Wait()
+		expired = l.cond.WaitUntil(deadline)
 	}
 	if len(l.backlog) == 0 {
 		closed := l.closed

@@ -128,7 +128,7 @@ func shippedBatch(msg []byte) (b core.ExportBatch, ok bool) {
 	if msg[0] != mtFrames {
 		return b, false
 	}
-	f, err := decodeFrames(msg)
+	f, err := decodeFrames(msg, nil)
 	return f.batch, err == nil
 }
 

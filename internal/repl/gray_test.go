@@ -199,7 +199,7 @@ func TestReseedAbortsOnStagedDoubleFault(t *testing.T) {
 	if err := pn.DB.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := pn.DB.ExportSince(cursor); ok {
+	if _, ok, _ := pn.DB.ExportSince(cursor, nil); ok {
 		t.Fatalf("staging failed: cursor %d still exportable, no re-seed would be needed", cursor)
 	}
 

@@ -26,6 +26,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/server"
 	"repro/internal/simclock"
+	"repro/internal/timedcond"
 )
 
 // PrimaryOptions configures replication on a primary.
@@ -73,7 +74,7 @@ type Primary struct {
 	m    *metrics.Counters
 
 	mu       sync.Mutex
-	ackCond  *sync.Cond
+	ackCond  *timedcond.Cond
 	replicas []*replicaLink
 	closed   bool
 	// commitMark and commitAt are the newest commit Apply announced and
@@ -115,7 +116,21 @@ type replicaLink struct {
 	// pin is the link's export cursor on the primary's journal, nil while
 	// the link holds none (reviewPin).
 	pin *core.ExportCursor
+
+	// The sender's own, reused batch after batch: the caught-up poll
+	// timer, the exported frame list and the encoded message (a Conn keeps
+	// no reference to what it sends).
+	poll   *time.Timer
+	frames []core.ExportFrame
+	wire   []byte
 }
+
+// The largest frame list and message buffer a link keeps for its next
+// batch; a larger one (a lagging replica's catch-up) is dropped once sent.
+const (
+	maxKeptFrames = 1 << 12
+	maxKeptWire   = 1 << 18
+)
 
 // NewPrimary wraps d. The caller keeps ownership of d (Close order:
 // Primary first, then the DB).
@@ -140,7 +155,7 @@ func NewPrimary(d *db.DB, opts PrimaryOptions) (*Primary, error) {
 		opts: opts,
 		m:    opts.Metrics,
 	}
-	p.ackCond = sync.NewCond(&p.mu)
+	p.ackCond = timedcond.New(&p.mu)
 	return p, nil
 }
 
@@ -231,20 +246,24 @@ func (p *Primary) Apply(ctx context.Context, table string, ops []server.Op) (uin
 
 // waitAcks blocks until AckReplicas replicas acked applied >= target.
 func (p *Primary) waitAcks(ctx context.Context, target int) error {
-	// One deadline context covers the ack timeout and the caller giving
-	// up; its AfterFunc wakes the waiter below. Both are torn down on
-	// return, so an acked write leaves no timer or goroutine behind.
-	ctx, cancel := context.WithTimeout(ctx, p.opts.AckTimeout)
-	defer cancel()
-	stop := context.AfterFunc(ctx, func() {
-		p.mu.Lock()
-		p.ackCond.Broadcast()
-		p.mu.Unlock()
-	})
-	defer stop()
+	// The ack timeout is a deadline on ackCond's one reusable timer. A
+	// context that can end at all wakes the waiter through a hook that is
+	// torn down on return; a background one needs none. So an acked write
+	// leaves no timer or goroutine behind, and under a background context
+	// allocates nothing to wait.
+	deadline := time.Now().Add(p.opts.AckTimeout)
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() {
+			p.mu.Lock()
+			p.ackCond.Broadcast()
+			p.mu.Unlock()
+		})
+		defer stop()
+	}
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	expired := false
 	for {
 		acked, at := p.quorumLocked(target)
 		if acked >= p.opts.AckReplicas {
@@ -270,11 +289,11 @@ func (p *Primary) waitAcks(ctx context.Context, target int) error {
 		if p.closed {
 			return fmt.Errorf("repl: primary closed during ack wait: %w", server.ErrIndeterminate)
 		}
-		if ctx.Err() != nil {
+		if expired || ctx.Err() != nil {
 			return fmt.Errorf("repl: %d/%d replica acks for mark %d: %w",
 				acked, p.opts.AckReplicas, target, server.ErrIndeterminate)
 		}
-		p.ackCond.Wait()
+		expired = p.ackCond.WaitUntil(deadline)
 	}
 }
 
@@ -491,6 +510,11 @@ func (rl *replicaLink) unpin() {
 func (rl *replicaLink) run() {
 	defer close(rl.done)
 	defer rl.unpin()
+	defer func() {
+		if rl.poll != nil {
+			rl.poll.Stop()
+		}
+	}()
 	for {
 		select {
 		case <-rl.quit:
@@ -595,7 +619,7 @@ func (rl *replicaLink) serveConn() bool {
 			continue
 		}
 
-		batch, ok, err := p.d.ExportSince(cursor)
+		batch, ok, err := p.d.ExportSince(cursor, rl.frames)
 		if err != nil {
 			return true
 		}
@@ -612,7 +636,7 @@ func (rl *replicaLink) serveConn() bool {
 			case <-rl.quit:
 				return false
 			case <-rl.kick:
-			case <-time.After(p.opts.PollEvery):
+			case <-rl.pollAfter(p.opts.PollEvery):
 			}
 			continue
 		}
@@ -621,23 +645,24 @@ func (rl *replicaLink) serveConn() bool {
 		// only in the real-time fallback.
 		var t0Virt time.Duration
 		var t0Real time.Time
-		msg := encodeFrames(p.opts.Epoch, batch, endChain)
+		rl.wire = encodeFrames(rl.wire[:0], p.opts.Epoch, batch, endChain)
 		if p.opts.Clock != nil {
 			t0Virt = p.shipAt(batch.To, linkFree)
-			err = netsim.SendAt(conn, msg, t0Virt)
+			err = netsim.SendAt(conn, rl.wire, t0Virt)
 		} else {
 			t0Real = time.Now()
-			err = conn.Send(msg)
+			err = conn.Send(rl.wire)
 		}
+		frames, shipped := len(batch.Frames), 0
+		for _, fr := range batch.Frames {
+			shipped += len(fr.Payload)
+		}
+		rl.keepScratch(batch.Frames)
 		if err != nil {
 			return true
 		}
 		p.m.Inc(metrics.ReplBatchesShipped, 1)
-		p.m.Inc(metrics.ReplFramesShipped, int64(len(batch.Frames)))
-		shipped := 0
-		for _, fr := range batch.Frames {
-			shipped += len(fr.Payload)
-		}
+		p.m.Inc(metrics.ReplFramesShipped, int64(frames))
 		p.m.Inc(metrics.ReplBytesShipped, int64(shipped))
 		a, ackAt, virt, ok := rl.awaitAck(conn)
 		if !ok {
@@ -668,6 +693,38 @@ func (rl *replicaLink) serveConn() bool {
 		if virt {
 			linkFree = ackAt
 		}
+	}
+}
+
+// pollAfter re-arms the link's poll timer for d and returns its channel
+// (sender only). A timer that fired unread is drained first, so the
+// channel holds nothing from an earlier wait.
+func (rl *replicaLink) pollAfter(d time.Duration) <-chan time.Time {
+	if rl.poll == nil {
+		rl.poll = time.NewTimer(d)
+		return rl.poll.C
+	}
+	if !rl.poll.Stop() {
+		select {
+		case <-rl.poll.C:
+		default:
+		}
+	}
+	rl.poll.Reset(d)
+	return rl.poll.C
+}
+
+// keepScratch keeps a sent batch's frame list and message buffer for the
+// next batch, emptied: the list holds no payload (a page image a
+// checkpoint may retire) and neither is kept past its bound.
+func (rl *replicaLink) keepScratch(frames []core.ExportFrame) {
+	clear(frames)
+	rl.frames = frames[:0]
+	if cap(rl.frames) > maxKeptFrames {
+		rl.frames = nil
+	}
+	if cap(rl.wire) > maxKeptWire {
+		rl.wire = nil
 	}
 }
 

@@ -468,7 +468,7 @@ func TestReplicaCatalogParsedOncePerVersion(t *testing.T) {
 		t.Helper()
 		rn.R.rw.RLock()
 		defer rn.R.rw.RUnlock()
-		img, err := rn.R.store().Get(1)
+		img, err := rn.R.read.Get(1)
 		if err != nil {
 			t.Fatal(err)
 		}

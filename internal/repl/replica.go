@@ -93,6 +93,9 @@ type Replica struct {
 	// table catalog against the page-1 image.
 	view    *pager.ReadView
 	catalog db.CatalogCache
+	// read is the store every read serves from: the view at the applied
+	// mark, which only the apply path moves, under the write lock.
+	read replStore
 
 	// rw orders applies (write lock) against reads (read lock): a read
 	// observes exactly the applied mark, never a half-applied batch.
@@ -106,6 +109,9 @@ type Replica struct {
 	// it) and cursorSlot the slot holding the newest record.
 	cursorAddr uint64
 	cursorSlot int
+	// cursorBuf is the record storeCursor hands the device, the replica's
+	// own so that a cursor update allocates nothing. Guarded by r.rw.
+	cursorBuf [cursorRecSize]byte
 	// ckptAt is the primary mark this replica's journal was last
 	// checkpointed at; ckptErr is that round's failure, nil once a later
 	// round succeeds.
@@ -169,6 +175,7 @@ func NewReplica(plat *platform.Platform, name string, opts ReplicaOptions) (*Rep
 		return nil, err
 	}
 	r.view = pager.NewReadView(r.wal, r.dbf)
+	r.read = replStore{view: r.view, mark: r.view.Mark()}
 	r.stream[0] = r.wal.NewStream()
 	r.loadCursor()
 	return r, nil
@@ -181,12 +188,13 @@ type cursorRec struct {
 	chain       uint32
 }
 
-func (c cursorRec) encode() (rec [cursorRecSize]byte) {
+// encode writes the record into rec, which crc32 sees through a pointer:
+// a caller's buffer, not one encode would have to allocate.
+func (c cursorRec) encode(rec *[cursorRecSize]byte) {
 	binary.LittleEndian.PutUint64(rec[0:], c.incarnation)
 	binary.LittleEndian.PutUint64(rec[8:], uint64(c.applied))
 	binary.LittleEndian.PutUint32(rec[16:], c.chain)
 	binary.LittleEndian.PutUint32(rec[20:], crc32.Checksum(rec[:20], replCRC))
-	return rec
 }
 
 // decodeCursor reports ok=false for a slot that fails its checksum — a
@@ -249,9 +257,9 @@ func (r *Replica) allocCursor() error {
 		return err
 	}
 	r.cursorAddr = blk.Addr
-	var zero [cursorRecSize]byte
-	r.storeCursor(0, zero)
-	r.storeCursor(1, zero)
+	r.cursorBuf = [cursorRecSize]byte{}
+	r.storeCursor(0)
+	r.storeCursor(1)
 	if err := h.SetRoot(rootCursor, blk.Addr); err != nil {
 		r.cursorAddr = 0
 		_ = h.NVFree(blk) // the root table is full, which is the error reported
@@ -265,20 +273,20 @@ func (r *Replica) allocCursor() error {
 // the newest record. A seed starts a new mark space, in which the other
 // slot's higher applied mark would win the next load, so it writes both.
 func (r *Replica) saveCursor(seed bool) {
-	rec := cursorRec{incarnation: r.incarnation, applied: r.applied, chain: r.chain}.encode()
+	cursorRec{incarnation: r.incarnation, applied: r.applied, chain: r.chain}.encode(&r.cursorBuf)
 	r.cursorSlot ^= 1
-	r.storeCursor(r.cursorSlot, rec)
+	r.storeCursor(r.cursorSlot)
 	if seed {
-		r.storeCursor(r.cursorSlot^1, rec)
+		r.storeCursor(r.cursorSlot ^ 1)
 	}
 }
 
-// storeCursor writes one slot and makes it durable: one store, one
-// cache_line_flush call (a kernel crossing, as for any user-level flush)
-// between its two dmb fences, and one persist barrier.
-func (r *Replica) storeCursor(slot int, rec [cursorRecSize]byte) {
+// storeCursor writes cursorBuf to one slot and makes it durable: one
+// store, one cache_line_flush call (a kernel crossing, as for any
+// user-level flush) between its two dmb fences, and one persist barrier.
+func (r *Replica) storeCursor(slot int) {
 	dev, addr := r.plat.Heap.Device(), r.cursorAddr+uint64(slot*r.cursorStride())
-	dev.Write(addr, rec[:])
+	dev.Write(addr, r.cursorBuf[:])
 	dev.MemoryBarrier()
 	dev.Syscall()
 	dev.Flush(addr, addr+cursorRecSize)
@@ -390,6 +398,11 @@ func (r *Replica) handleConn(conn netsim.Conn) {
 	if err := conn.Send(encodeHello(h)); err != nil {
 		return
 	}
+	// The handler's own, reused message after message: the decoded frame
+	// list (emptied after each apply, as its payloads alias the message)
+	// and the encoded ack.
+	var frames []core.ExportFrame
+	ackBuf := make([]byte, 0, 18)
 	for {
 		msg, err := conn.Recv(0)
 		if err != nil {
@@ -408,11 +421,13 @@ func (r *Replica) handleConn(conn netsim.Conn) {
 			}
 			a = r.applySeed(s)
 		case mtFrames:
-			f, derr := decodeFrames(msg)
+			f, derr := decodeFrames(msg, frames)
 			if derr != nil {
 				return
 			}
 			a, roundDue = r.applyFrames(f)
+			frames = f.batch.Frames
+			clear(frames)
 		default:
 			return
 		}
@@ -420,7 +435,7 @@ func (r *Replica) handleConn(conn netsim.Conn) {
 		// and the cursor durable, which is all the primary's commit waits
 		// for. A round the batch left due runs before the next batch is
 		// read, whether or not the ack got out.
-		err = conn.Send(encodeAck(a))
+		err = conn.Send(encodeAck(ackBuf[:0], a))
 		if roundDue {
 			r.checkpointAfterAck()
 		}
@@ -597,8 +612,8 @@ func (r *Replica) openPage(pgno uint32, mark int) (applyPage, error) {
 }
 
 // commitPages commits r.pages through the journal as one transaction —
-// the stream takes ownership of the images — and empties the scratch.
-// Caller holds r.rw.
+// the stream takes ownership of the images — moves the reads' mark to
+// the journal's, and empties the scratch. Caller holds r.rw exclusively.
 func (r *Replica) commitPages() error {
 	defer r.dropPages()
 	s := r.stream[0]
@@ -608,7 +623,9 @@ func (r *Replica) commitPages() error {
 			return err
 		}
 	}
-	return r.wal.CommitStreams(r.stream[:], 1)
+	err := r.wal.CommitStreams(r.stream[:], 1)
+	r.read.mark = r.view.Mark()
+	return err
 }
 
 // dropPages empties the apply scratch, keeping its array but none of the
@@ -638,9 +655,6 @@ var ErrNotSeeded = errors.New("repl: replica holds no seeded state")
 func (r *Replica) Get(table string, key []byte) ([]byte, bool, error) {
 	r.rw.RLock()
 	defer r.rw.RUnlock()
-	if !r.seeded {
-		return nil, false, ErrNotSeeded
-	}
 	t, err := r.tree(table)
 	if err != nil {
 		return nil, false, err
@@ -653,9 +667,6 @@ func (r *Replica) Get(table string, key []byte) ([]byte, bool, error) {
 func (r *Replica) Scan(table string, fn func(key, value []byte) bool) error {
 	r.rw.RLock()
 	defer r.rw.RUnlock()
-	if !r.seeded {
-		return ErrNotSeeded
-	}
 	t, err := r.tree(table)
 	if err != nil {
 		return err
@@ -663,19 +674,22 @@ func (r *Replica) Scan(table string, fn func(key, value []byte) bool) error {
 	return t.Scan(fn)
 }
 
-// tree builds a read-only btree over the applied state. Caller holds
-// r.rw (read or write).
-func (r *Replica) tree(table string) (*btree.Tree, error) {
-	store := r.store()
-	hdr, err := store.Get(1)
+// tree opens table's btree over the applied state, by value: a read
+// allocates nothing to reach its records. Caller holds r.rw (read or
+// write).
+func (r *Replica) tree(table string) (btree.Tree, error) {
+	if !r.seeded {
+		return btree.Tree{}, ErrNotSeeded
+	}
+	hdr, err := r.read.Get(1)
 	if err != nil {
-		return nil, err
+		return btree.Tree{}, err
 	}
 	root, ok := r.catalog.Parse(hdr)[table]
 	if !ok {
-		return nil, fmt.Errorf("repl: no table %q in applied catalog", table)
+		return btree.Tree{}, fmt.Errorf("repl: no table %q in applied catalog", table)
 	}
-	return btree.New(store, root, btree.Config{Reserved: r.opts.Reserved}), nil
+	return btree.Attach(&r.read, root, btree.Config{Reserved: r.opts.Reserved}), nil
 }
 
 // Apply refuses writes: replicas are read-only until promoted.
@@ -725,18 +739,11 @@ func (r *Replica) Degraded() error {
 
 // replStore adapts the replica's applied state to btree.PageStore:
 // read-only, every page the image at the applied mark (the journal's
-// own wherever it holds one). It lives for one descent or one scan,
-// which visit a page once, so it keeps nothing.
+// own wherever it holds one). Every read shares the replica's one store,
+// so it keeps nothing: a descent or a scan visits a page once.
 type replStore struct {
 	view *pager.ReadView
 	mark int
-}
-
-// store opens the applied state. Applies hold r.rw exclusively, so under
-// the read lock the replica journal's own mark IS the applied state.
-// Caller holds r.rw (read or write).
-func (r *Replica) store() *replStore {
-	return &replStore{view: r.view, mark: r.view.Mark()}
 }
 
 func (s *replStore) PageSize() int { return s.view.PageSize() }

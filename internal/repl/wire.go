@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/db"
@@ -99,9 +100,9 @@ func decodeHello(msg []byte) (hello, error) {
 	}, nil
 }
 
-func encodeAck(a ack) []byte {
-	b := make([]byte, 0, 18)
-	b = append(b, mtAck)
+// encodeAck appends an ACK to dst.
+func encodeAck(dst []byte, a ack) []byte {
+	b := append(dst, mtAck)
 	b = binary.LittleEndian.AppendUint64(b, a.incarnation)
 	b = binary.LittleEndian.AppendUint64(b, uint64(a.applied))
 	if a.ok {
@@ -191,16 +192,16 @@ func decodeSeed(msg []byte) (seedMsg, error) {
 	return s, nil
 }
 
-// encodeFrames serializes one exported mark range plus the CRC chain
+// encodeFrames appends to dst one exported mark range plus the CRC chain
 // value AFTER folding it, as computed by the primary. The backfill
 // watermark trails the frames, where a decoder that predates it reads
 // nothing.
-func encodeFrames(incarnation uint64, b core.ExportBatch, endChain uint32) []byte {
+func encodeFrames(dst []byte, incarnation uint64, b core.ExportBatch, endChain uint32) []byte {
 	size := 1 + 8 + 8 + 8 + 4 + 4 + 8
 	for _, fr := range b.Frames {
 		size += 12 + len(fr.Payload)
 	}
-	out := make([]byte, 0, size)
+	out := slices.Grow(dst, size)
 	out = append(out, mtFrames)
 	out = binary.LittleEndian.AppendUint64(out, incarnation)
 	out = binary.LittleEndian.AppendUint64(out, uint64(b.From))
@@ -226,11 +227,12 @@ type framesMsg struct {
 	endChain    uint32
 }
 
-// decodeFrames parses a FRAMES message. One that ends after its frames
+// decodeFrames parses a FRAMES message, building its frame list in
+// frames' array; the payloads alias msg. One that ends after its frames
 // (a sender that predates the watermark field) decodes with Backfill 0,
 // "no boundary": the pair degrades to the replica's safety net instead
 // of desynchronising.
-func decodeFrames(msg []byte) (framesMsg, error) {
+func decodeFrames(msg []byte, frames []core.ExportFrame) (framesMsg, error) {
 	if len(msg) < 33 || msg[0] != mtFrames {
 		return framesMsg{}, fmt.Errorf("repl: bad frames message (%d bytes)", len(msg))
 	}
@@ -247,7 +249,7 @@ func decodeFrames(msg []byte) (framesMsg, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(msg[29:]))
 	off := 33
-	f.batch.Frames = make([]core.ExportFrame, 0, min(n, (len(msg)-off)/12))
+	f.batch.Frames = slices.Grow(frames[:0], min(n, (len(msg)-off)/12))
 	for i := 0; i < n; i++ {
 		if off+12 > len(msg) {
 			return framesMsg{}, errShort

@@ -37,12 +37,12 @@ func sameBatch(a, b core.ExportBatch) bool {
 // same frames out of a message that carries it.
 func TestFramesWithoutWatermarkDecodeAsNoBoundary(t *testing.T) {
 	f := sampleFrames()
-	msg := encodeFrames(f.incarnation, f.batch, f.endChain)
-	got, err := decodeFrames(msg)
+	msg := encodeFrames(nil, f.incarnation, f.batch, f.endChain)
+	got, err := decodeFrames(msg, nil)
 	if err != nil || got.batch.Backfill != 1000 {
 		t.Fatalf("decoded watermark %d err %v, want 1000", got.batch.Backfill, err)
 	}
-	old, err := decodeFrames(msg[:len(msg)-8])
+	old, err := decodeFrames(msg[:len(msg)-8], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,17 +57,17 @@ func TestFramesWithoutWatermarkDecodeAsNoBoundary(t *testing.T) {
 
 func FuzzDecodeFrames(f *testing.F) {
 	s := sampleFrames()
-	f.Add(encodeFrames(s.incarnation, s.batch, s.endChain))
-	f.Add(encodeFrames(1, core.ExportBatch{From: 5, To: 5}, 0))
+	f.Add(encodeFrames(nil, s.incarnation, s.batch, s.endChain))
+	f.Add(encodeFrames(nil, 1, core.ExportBatch{From: 5, To: 5}, 0))
 	f.Fuzz(func(t *testing.T, msg []byte) {
-		got, err := decodeFrames(msg)
+		got, err := decodeFrames(msg, nil)
 		if max := len(msg) / 12; cap(got.batch.Frames) > max {
 			t.Fatalf("%d B message sized %d frames", len(msg), cap(got.batch.Frames))
 		}
 		if err != nil {
 			return
 		}
-		again, err := decodeFrames(encodeFrames(got.incarnation, got.batch, got.endChain))
+		again, err := decodeFrames(encodeFrames(nil, got.incarnation, got.batch, got.endChain), nil)
 		if err != nil || again.incarnation != got.incarnation || again.endChain != got.endChain || !sameBatch(again.batch, got.batch) {
 			t.Fatalf("decode(encode(x)) = %+v, %v; want %+v", again, err, got)
 		}
@@ -108,7 +108,7 @@ func FuzzDecodeSeed(f *testing.F) {
 // byte the input carries picks the decoder.
 func FuzzDecodeHelloAck(f *testing.F) {
 	f.Add(encodeHello(hello{incarnation: 2, applied: 77, chain: 0xfeed, needSeed: true}))
-	f.Add(encodeAck(ack{incarnation: 2, applied: 78, ok: true}))
+	f.Add(encodeAck(nil, ack{incarnation: 2, applied: 78, ok: true}))
 	f.Fuzz(func(t *testing.T, msg []byte) {
 		if h, err := decodeHello(msg); err == nil {
 			if again, err := decodeHello(encodeHello(h)); err != nil || again != h {
@@ -116,7 +116,7 @@ func FuzzDecodeHelloAck(f *testing.F) {
 			}
 		}
 		if a, err := decodeAck(msg); err == nil {
-			if again, err := decodeAck(encodeAck(a)); err != nil || again != a {
+			if again, err := decodeAck(encodeAck(nil, a)); err != nil || again != a {
 				t.Fatalf("decode(encode(x)) = %+v, %v; want %+v", again, err, a)
 			}
 		}
