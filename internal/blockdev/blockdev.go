@@ -110,11 +110,6 @@ type Config struct {
 	Pages int
 	// ProgramLatency is charged per page write.
 	ProgramLatency time.Duration
-	// ReadLatency is charged per page read.
-	ReadLatency time.Duration
-	// FlushLatency is the device cache-flush cost charged per Sync, on
-	// top of any outstanding page programs.
-	FlushLatency time.Duration
 }
 
 // Defaults calibrated against the paper's eMMC anchors (§7 of DESIGN.md).
@@ -122,8 +117,11 @@ const (
 	DefaultPageSize       = 4096
 	DefaultPages          = 1 << 18 // 1 GiB
 	DefaultProgramLatency = 180 * time.Microsecond
-	DefaultReadLatency    = 60 * time.Microsecond
-	DefaultFlushLatency   = 470 * time.Microsecond
+	// DefaultReadLatency is charged per page read.
+	DefaultReadLatency = 60 * time.Microsecond
+	// DefaultFlushLatency is the device cache-flush cost charged per
+	// Sync, on top of any outstanding page programs.
+	DefaultFlushLatency = 470 * time.Microsecond
 )
 
 func (c Config) withDefaults() Config {
@@ -135,12 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProgramLatency <= 0 {
 		c.ProgramLatency = DefaultProgramLatency
-	}
-	if c.ReadLatency <= 0 {
-		c.ReadLatency = DefaultReadLatency
-	}
-	if c.FlushLatency <= 0 {
-		c.FlushLatency = DefaultFlushLatency
 	}
 	return c
 }
@@ -380,8 +372,8 @@ func (d *Device) ReadPage(page int, p []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.checkPage(page)
-	d.clock.Advance(d.cfg.ReadLatency)
-	d.tBlockIO.Add(int64(d.cfg.ReadLatency))
+	d.clock.Advance(DefaultReadLatency)
+	d.tBlockIO.Add(int64(DefaultReadLatency))
 	if f := d.faults; f != nil {
 		d.slowStallLocked(f.SlowOpRate, f.SlowOpDelay)
 	}
@@ -415,8 +407,8 @@ func (d *Device) ReadPage(page int, p []byte) error {
 func (d *Device) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.clock.Advance(d.cfg.FlushLatency)
-	d.tBlockIO.Add(int64(d.cfg.FlushLatency))
+	d.clock.Advance(DefaultFlushLatency)
+	d.tBlockIO.Add(int64(DefaultFlushLatency))
 	if f := d.faults; f != nil {
 		d.slowStallLocked(f.SyncStallRate, f.SyncStallDelay)
 	}

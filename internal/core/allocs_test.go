@@ -85,36 +85,47 @@ func TestSoloCommitAllocs(t *testing.T) {
 	}
 }
 
+// TestGroupCommitAllocs drives the group commit the database layer runs:
+// one reused stream per member, each page staged against its last image,
+// then one CommitStreams call.
 func TestGroupCommitAllocs(t *testing.T) {
 	e := newEnv(t)
 	w := e.open(t, VariantUHLSDiff())
 	const members, runs = 3, 300
 	imgs := make([][][]byte, members)
-	groups := make([][]pager.Frame, members)
+	streams := make([]*Stream, members)
 	for g := range imgs {
 		imgs[g] = successiveImages(fullPage(byte('a'+g)), runs+2)
-		groups[g] = []pager.Frame{{Pgno: uint32(2 + g), Data: imgs[g][0]}}
+		streams[g] = w.NewStream()
 	}
-	if err := w.CommitGroup(groups); err != nil {
-		t.Fatal(err)
+	commit := func(next int) {
+		for g, s := range streams {
+			s.Reset()
+			var base []byte
+			if next > 0 {
+				base = imgs[g][next-1]
+			}
+			if _, err := s.StagePage(uint32(2+g), imgs[g][next], base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.CommitStreams(streams, members); err != nil {
+			t.Fatal(err)
+		}
 	}
+	commit(0)
 
-	// Budget: amortized growth per member, with the coalescer's map and
-	// output reused across calls.
+	// Budget: amortized growth per member, with the streams and the
+	// append kernel's scratch reused across calls.
 	const groupAllocBudget = 1.0 * members
 	next := 1
 	avg, perCommit := perRun(runs, func() {
-		for g := range groups {
-			groups[g][0].Data = imgs[g][next]
-		}
-		if err := w.CommitGroup(groups); err != nil {
-			t.Fatal(err)
-		}
+		commit(next)
 		next++
 	})
 	t.Logf("group commit (%d members): %.2f allocs/op, %.0f bytes/op", members, avg, perCommit)
 	if avg > groupAllocBudget {
-		t.Fatalf("group commit allocates %.2f/op, budget %.1f — coalescer or commit scratch regressed", avg, groupAllocBudget)
+		t.Fatalf("group commit allocates %.2f/op, budget %.1f — stream or commit scratch regressed", avg, groupAllocBudget)
 	}
 	if perCommit >= 2048 {
 		t.Fatalf("group commit allocates %.0f bytes/op: the journal is copying the images it was handed", perCommit)

@@ -74,11 +74,22 @@ var crashEntries = []struct {
 		return w.CommitTransaction([]pager.Frame{{Pgno: 2, Data: p.t2p2}, {Pgno: 3, Data: p.t2p3}, {Pgno: 4, Data: p.t2p4}})
 	}},
 	{name: "group", commit: func(w *NVWAL, p crashPages) error {
-		// Two member sets sharing page 2: only the later image is logged.
-		return w.CommitGroup([][]pager.Frame{
+		// Two member streams sharing page 2, staged as full frames: only
+		// the later member's image is logged.
+		sets := [][]pager.Frame{
 			{{Pgno: 2, Data: patchedPage(p.t1p2, 900, 30, 0xBB)}, {Pgno: 3, Data: p.t2p3}},
 			{{Pgno: 2, Data: p.t2p2}, {Pgno: 4, Data: p.t2p4}},
-		})
+		}
+		streams := make([]*Stream, len(sets))
+		for i, frames := range sets {
+			streams[i] = w.NewStream()
+			for _, fr := range frames {
+				if _, err := streams[i].StagePage(fr.Pgno, fr.Data, nil); err != nil {
+					return err
+				}
+			}
+		}
+		return w.CommitStreams(streams, len(streams))
 	}},
 	{name: "streams", commit: func(w *NVWAL, p crashPages) error {
 		// Two streams, the first staged differentially by its writer.

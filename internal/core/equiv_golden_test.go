@@ -14,16 +14,6 @@ var equivGolden = map[string]equivOutcome{
 	"transaction/NVWAL SP":                    {Hash: 0x239bb6ba098ea2a9, Now: 3361288, Ops: 820, Counters: 0x6544fbf7},
 	"transaction/NVWAL EP":                    {Hash: 0x239bb6ba098ea2a9, Now: 3337788, Ops: 820, Counters: 0x96256522},
 	"transaction/NVWAL UH+LS+Diff early-mark": {Hash: 0xb9b873f3707edbc2, Now: 3373113, Ops: 1915, Counters: 0x69ea4ee6},
-	"group/NVWAL LS":                          {Hash: 0x8329aba37cd72cd5, Now: 3859413, Ops: 3504, Counters: 0x2d4b7cd},
-	"group/NVWAL LS+Diff":                     {Hash: 0xc32dfc4bacd32fe1, Now: 3737935, Ops: 2994, Counters: 0x95b289f6},
-	"group/NVWAL CS+Diff":                     {Hash: 0x8b40be58e53976b3, Now: 3617770, Ops: 2275, Counters: 0x2bfdd},
-	"group/NVWAL UH+LS":                       {Hash: 0x336bfd96ca5ae33d, Now: 3555993, Ops: 3390, Counters: 0xd1367cd4},
-	"group/NVWAL UH+LS+Diff":                  {Hash: 0xb13f7e4e1d352081, Now: 3421782, Ops: 2852, Counters: 0x4460e69},
-	"group/NVWAL UH+CS+Diff":                  {Hash: 0x931d74017fd2861f, Now: 3228897, Ops: 1494, Counters: 0xa991c1d2},
-	"group/NVWAL E":                           {Hash: 0x8329aba37cd72cd5, Now: 3889613, Ops: 3546, Counters: 0x6cac61fa},
-	"group/NVWAL SP":                          {Hash: 0xb13f7e4e1d352081, Now: 3400457, Ops: 864, Counters: 0xa975827},
-	"group/NVWAL EP":                          {Hash: 0xb13f7e4e1d352081, Now: 3383957, Ops: 864, Counters: 0x7abe96bd},
-	"group/NVWAL UH+LS+Diff early-mark":       {Hash: 0xae5762d258a636ca, Now: 3413782, Ops: 2844, Counters: 0x3a239b80},
 	"streams/NVWAL LS":                        {Hash: 0x17f823c3556a12bc, Now: 5163125, Ops: 4517, Counters: 0xdff2e9e8},
 	"streams/NVWAL LS+Diff":                   {Hash: 0xc7b4218d6bcd86d7, Now: 5044557, Ops: 4053, Counters: 0xcb82532c},
 	"streams/NVWAL CS+Diff":                   {Hash: 0x669f9f9e69f5f4b8, Now: 5230482, Ops: 6115, Counters: 0x7d2d2de},

@@ -1,5 +1,5 @@
 // Equivalence goldens for the commit entry points: one fixed script per
-// entry point (CommitTransaction/WriteFrames, CommitGroup, CommitStreams,
+// entry point (CommitTransaction/WriteFrames, CommitStreams,
 // PrepareTransaction+CompletePrepared) under every variant must leave
 // exactly the virtual time, device op count, counters, NVRAM image and
 // volatile views recorded from the implementation that carried
@@ -118,23 +118,6 @@ var equivScripts = []struct {
 		r.commit()
 		x := equivPage(7, 900)
 		r.commit(fr(9, x), fr(9, equivPatch(x, 300, 64, 51)))
-	}},
-	{"group", func(r *equivRun) {
-		a, b, c, d := equivPage(1, 3000), equivPage(2, 4096), equivPage(3, 1800), equivPage(4, 700)
-		g := func(groups ...[]pager.Frame) { r.t.Helper(); r.must(r.w.CommitGroup(groups)) }
-		g([]pager.Frame{fr(2, a), fr(3, b)}, []pager.Frame{fr(2, c)}, []pager.Frame{fr(4, d)})
-		g([]pager.Frame{}, []pager.Frame{})
-		c2, b2 := equivPatch(c, 500, 80, 10), equivPatch(b, 4000, 96, 11)
-		g([]pager.Frame{fr(2, c2)}, []pager.Frame{fr(3, b2), fr(5, equivPage(5, 4096))})
-		g([]pager.Frame{fr(6, equivPage(6, 3100))})
-		r.must(r.w.Checkpoint())
-		c3 := equivPatch(c2, 0, 8, 12)
-		g([]pager.Frame{fr(2, c3)}, []pager.Frame{fr(2, equivPatch(c3, 1000, 1000, 13))}, []pager.Frame{fr(7, equivPage(7, 64))})
-		g()
-		g([]pager.Frame{fr(3, b2)}, []pager.Frame{fr(5, equivPage(5, 4096))})
-		for i := 0; i < 4; i++ {
-			g([]pager.Frame{fr(8, equivPage(uint32(20+i), 4096))}, []pager.Frame{fr(9, equivPage(uint32(30+i), 4096)), fr(10, equivPage(uint32(40+i), 2500))})
-		}
 	}},
 	{"streams", func(r *equivRun) {
 		a, b := equivPage(1, 3000), equivPage(2, 4096)

@@ -314,11 +314,17 @@ func exportRetentionRun(t *testing.T, seed int64) {
 				}
 			}
 		case op < 55:
-			// Distinct pages per member, so the coalesced group is the same
-			// on both logs whatever order they visit it in.
-			groups := [][]pager.Frame{{dirty()}, {dirty()}, {dirty()}}
+			// A group of three one-page streams.
+			frames := []pager.Frame{dirty(), dirty(), dirty()}
 			for _, l := range []*NVWAL{w, ref} {
-				if err := l.CommitGroup(groups); err != nil {
+				streams := make([]*Stream, len(frames))
+				for i, fr := range frames {
+					streams[i] = l.NewStream()
+					if _, err := streams[i].StagePage(fr.Pgno, fr.Data, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := l.CommitStreams(streams, len(streams)); err != nil {
 					t.Fatal(err)
 				}
 			}

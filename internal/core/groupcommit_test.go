@@ -9,21 +9,36 @@ import (
 	"repro/internal/pager"
 )
 
-// TestCommitGroup pins the GroupJournal contract: the member
-// transactions' frames are coalesced to each page's final image, the
-// whole group commits under one Algorithm 1 sequence, and the metrics
-// credit every member transaction plus one batched flush.
-func TestCommitGroup(t *testing.T) {
+// streamsOf stages each frame set into a fresh stream of w, as full
+// frames, the way a group of sessions reaches CommitStreams.
+func streamsOf(t *testing.T, w *NVWAL, sets ...[]pager.Frame) []*Stream {
+	t.Helper()
+	streams := make([]*Stream, len(sets))
+	for i, frames := range sets {
+		streams[i] = w.NewStream()
+		for _, fr := range frames {
+			stage(t, streams[i], fr.Pgno, fr.Data, nil)
+		}
+	}
+	return streams
+}
+
+// TestCommitStreamsGroup pins the group contract: the member
+// transactions' streams commit under one Algorithm 1 sequence, a later
+// member's image of a page wins, and the metrics credit every member
+// transaction plus one batched flush — also for a group whose members
+// staged nothing.
+func TestCommitStreamsGroup(t *testing.T) {
 	e := newEnv(t)
 	w := e.open(t, VariantUHLSDiff())
 
 	before := e.m.Snapshot()
-	groups := [][]pager.Frame{
-		{{Pgno: 2, Data: fullPage('a')}, {Pgno: 3, Data: fullPage('b')}},
-		{{Pgno: 2, Data: fullPage('c')}},
-		{{Pgno: 4, Data: fullPage('d')}},
-	}
-	if err := w.CommitGroup(groups); err != nil {
+	streams := streamsOf(t, w,
+		[]pager.Frame{{Pgno: 2, Data: fullPage('a')}, {Pgno: 3, Data: fullPage('b')}},
+		[]pager.Frame{{Pgno: 2, Data: fullPage('c')}},
+		[]pager.Frame{{Pgno: 4, Data: fullPage('d')}},
+	)
+	if err := w.CommitStreams(streams, len(streams)); err != nil {
 		t.Fatal(err)
 	}
 	delta := e.m.Snapshot().Sub(before)
@@ -33,72 +48,50 @@ func TestCommitGroup(t *testing.T) {
 	if got := delta.Count(metrics.GroupCommits); got != 1 {
 		t.Fatalf("GroupCommits delta = %d, want 1", got)
 	}
-
-	// Last image per page wins; earlier members' superseded images are
-	// not retrievable (they were never logged — the group is atomic, so
-	// intermediate versions can never be observed).
-	for _, want := range []struct {
-		pgno uint32
-		fill byte
-	}{{2, 'c'}, {3, 'b'}, {4, 'd'}} {
-		img, ok := w.PageVersion(want.pgno)
-		if !ok {
-			t.Fatalf("page %d missing after group commit", want.pgno)
-		}
-		if !bytes.Equal(img, fullPage(want.fill)) {
-			t.Fatalf("page %d = %q..., want fill %q", want.pgno, img[:4], want.fill)
+	check := func(w *NVWAL, when string) {
+		t.Helper()
+		for _, want := range []struct {
+			pgno uint32
+			fill byte
+		}{{2, 'c'}, {3, 'b'}, {4, 'd'}} {
+			img, ok := w.PageVersion(want.pgno)
+			if !ok {
+				t.Fatalf("%s: page %d missing", when, want.pgno)
+			}
+			if !bytes.Equal(img, fullPage(want.fill)) {
+				t.Fatalf("%s: page %d = %q..., want fill %q", when, want.pgno, img[:4], want.fill)
+			}
 		}
 	}
+	check(w, "live")
 
-	// A nil group (no member transactions) is a true no-op.
+	// A group whose members staged nothing still committed its member
+	// transactions: nothing reaches NVRAM, but the txn and group tallies
+	// (which throughput numbers and the torture oracle count) must
+	// include them.
 	mid := e.m.Snapshot()
-	if err := w.CommitGroup(nil); err != nil {
+	if err := w.CommitStreams(streamsOf(t, w, nil, nil), 2); err != nil {
 		t.Fatal(err)
 	}
 	d2 := e.m.Snapshot().Sub(mid)
-	if d2.Count(metrics.Transactions) != 0 || d2.Count(metrics.GroupCommits) != 0 {
-		t.Fatalf("nil group moved metrics: %v", d2)
-	}
-
-	// A group whose members coalesce to zero frames still committed its
-	// member transactions: nothing reaches NVRAM, but the txn and group
-	// tallies (which throughput numbers and the torture oracle count)
-	// must include them.
-	mid = e.m.Snapshot()
-	if err := w.CommitGroup([][]pager.Frame{{}, {}}); err != nil {
-		t.Fatal(err)
-	}
-	d2 = e.m.Snapshot().Sub(mid)
 	if got := d2.Count(metrics.Transactions); got != 2 {
-		t.Fatalf("zero-frame group Transactions delta = %d, want 2", got)
+		t.Fatalf("empty group Transactions delta = %d, want 2", got)
 	}
 	if got := d2.Count(metrics.GroupCommits); got != 1 {
-		t.Fatalf("zero-frame group GroupCommits delta = %d, want 1", got)
+		t.Fatalf("empty group GroupCommits delta = %d, want 1", got)
 	}
 	if got := d2.Count(metrics.WALFrames); got != 0 {
-		t.Fatalf("zero-frame group wrote %d frames, want 0", got)
+		t.Fatalf("empty group wrote %d frames, want 0", got)
 	}
 
 	// The single commit mark covers the whole group across a crash.
-	w2 := e.reopen(t, VariantUHLSDiff(), memsim.FailDropAll, 21)
-	for _, want := range []struct {
-		pgno uint32
-		fill byte
-	}{{2, 'c'}, {3, 'b'}, {4, 'd'}} {
-		img, ok := w2.PageVersion(want.pgno)
-		if !ok {
-			t.Fatalf("page %d lost across crash", want.pgno)
-		}
-		if !bytes.Equal(img, fullPage(want.fill)) {
-			t.Fatalf("page %d corrupted across crash", want.pgno)
-		}
-	}
+	check(e.reopen(t, VariantUHLSDiff(), memsim.FailDropAll, 21), "recovered")
 }
 
-// TestCommitGroupAmortizesSync: a group of K single-page transactions
+// TestCommitStreamsAmortizesSync: a group of K single-page transactions
 // must cost fewer persist barriers than K solo commits of the same
 // frames.
-func TestCommitGroupAmortizesSync(t *testing.T) {
+func TestCommitStreamsAmortizesSync(t *testing.T) {
 	frames := make([][]pager.Frame, 8)
 	for i := range frames {
 		frames[i] = []pager.Frame{{Pgno: uint32(10 + i), Data: fullPage(byte('a' + i))}}
@@ -116,8 +109,9 @@ func TestCommitGroupAmortizesSync(t *testing.T) {
 
 	eGrp := newEnv(t)
 	wGrp := eGrp.open(t, VariantUHLSDiff())
+	streams := streamsOf(t, wGrp, frames...)
 	before = eGrp.m.Snapshot()
-	if err := wGrp.CommitGroup(frames); err != nil {
+	if err := wGrp.CommitStreams(streams, len(streams)); err != nil {
 		t.Fatal(err)
 	}
 	grouped := eGrp.m.Snapshot().Sub(before).Count(metrics.PersistBarrier)

@@ -74,9 +74,6 @@ type Config struct {
 	UserHeap bool
 	// BlockSize is the user-heap block size in bytes (paper: 8 KB).
 	BlockSize int
-	// GapMerge coalesces dirty extents separated by fewer clean bytes
-	// than this (default: the cache line size).
-	GapMerge int
 	// Name is the Heapo persistent-namespace key under which the log's
 	// header block is registered, so it survives reboots.
 	Name string
@@ -113,12 +110,9 @@ func (c Config) effMask() uint32 {
 	return c.ChecksumMask
 }
 
-func (c Config) withDefaults(lineSize int) Config {
+func (c Config) withDefaults() Config {
 	if c.BlockSize <= 0 {
 		c.BlockSize = 8192
-	}
-	if c.GapMerge <= 0 {
-		c.GapMerge = lineSize
 	}
 	if c.Name == "" {
 		c.Name = "nvwal"
@@ -345,8 +339,9 @@ func (st *ckptState) firstAddr() uint64 {
 	return st.blocks[0].Addr
 }
 
-// NVWAL is a write-ahead log in NVRAM. It implements pager.Journal,
-// pager.SnapshotJournal and pager.GroupJournal.
+// NVWAL is a write-ahead log in NVRAM. It implements pager.Journal and
+// pager.SnapshotJournal; CommitStreams commits a group of per-writer
+// streams.
 //
 // All methods are safe for concurrent use: a reader-writer lock lets
 // snapshot readers reconstruct pages (PageVersionAt) concurrently with
@@ -405,7 +400,6 @@ type NVWAL struct {
 	written []frameRef
 	newHist []histFrame
 	hdrBuf  [frameHdrSize]byte
-	coal    pager.Coalescer
 	solo    Stream
 	one     [1]*Stream
 	seen    map[uint32]struct{}
@@ -537,7 +531,7 @@ func CheckpointSteps() []string {
 // existing log.
 func Open(h *heapo.Manager, db pager.DBFile, cfg Config, m *metrics.Counters) (*NVWAL, error) {
 	dev := h.Device()
-	cfg = cfg.withDefaults(dev.LineSize())
+	cfg = cfg.withDefaults()
 	if m == nil {
 		m = &metrics.Counters{}
 	}
@@ -834,32 +828,6 @@ func (w *NVWAL) lockWriter() {
 // caller must not write it again.
 func (w *NVWAL) CommitTransaction(frames []pager.Frame) error {
 	return w.WriteFrames(frames, true)
-}
-
-// CommitGroup implements pager.GroupJournal: the groups' frames are
-// coalesced page-wise (the group commits atomically under one mark, so
-// only each page's final image needs logging) and appended as one
-// transaction — one flush batch, one persist barrier, one commit-mark
-// persist for the whole group. Like CommitTransaction, a successful call
-// takes every member's frame Data.
-func (w *NVWAL) CommitGroup(groups [][]pager.Frame) error {
-	if len(groups) == 0 {
-		return nil
-	}
-	w.lockWriter()
-	defer w.mu.Unlock()
-	if coalesced := w.coal.Coalesce(groups); len(coalesced) > 0 {
-		if err := w.appendFrames(coalesced, commitValue, len(groups)); err != nil {
-			return err
-		}
-	} else {
-		// A group of no-op transactions still committed: its members were
-		// acknowledged, so the transaction and group tallies must include
-		// them even though nothing reaches NVRAM.
-		w.cTxns.Add(int64(len(groups)))
-	}
-	w.cGroupCommits.Add(1)
-	return nil
 }
 
 // WriteFrames logs the dirty pages and — when commit is set — writes

@@ -209,16 +209,32 @@ func (r *pendingRun) solo() {
 	}
 }
 
+// group commits two or three streams, each page staged against the image
+// before it — a later member's against an earlier member's.
 func (r *pendingRun) group() {
-	var groups [][]pager.Frame
+	type member struct{ frames, bases []pager.Frame }
+	var members []member
 	for g := 2 + r.rng.Intn(2); g > 0; g-- {
-		frames := r.frames(1 + r.rng.Intn(2))
-		for _, fr := range frames {
+		var m member
+		m.frames = r.frames(1 + r.rng.Intn(2))
+		for _, fr := range m.frames {
+			m.bases = append(m.bases, pager.Frame{Pgno: fr.Pgno, Data: r.cur[fr.Pgno]})
 			r.cur[fr.Pgno] = fr.Data
 		}
-		groups = append(groups, frames)
+		members = append(members, m)
 	}
-	r.both(func(w *NVWAL) error { return w.CommitGroup(groups) })
+	r.both(func(w *NVWAL) error {
+		streams := make([]*Stream, len(members))
+		for i, m := range members {
+			streams[i] = w.NewStream()
+			for j, fr := range m.frames {
+				if _, err := streams[i].StagePage(fr.Pgno, fr.Data, m.bases[j].Data); err != nil {
+					return err
+				}
+			}
+		}
+		return w.CommitStreams(streams, len(streams))
+	})
 }
 
 // session is an MVCC session's commit: each page's base is what the read

@@ -190,22 +190,26 @@ func (r *readViewRun) solo() {
 	r.adopt(frames)
 }
 
+// group commits two or three streams, a later one staging a page on top
+// of an earlier one's image when they share it.
 func (r *readViewRun) group() {
-	var groups [][]pager.Frame
+	var streams []*Stream
 	staged := make(map[uint32][]byte)
 	for g := 2 + r.rng.Intn(2); g > 0; g-- {
-		var frames []pager.Frame
+		s := r.w.NewStream()
 		for _, pgno := range r.pick(1 + r.rng.Intn(2)) {
 			base, ok := staged[pgno]
 			if !ok {
 				base = r.cur[pgno]
 			}
 			staged[pgno] = r.next(base)
-			frames = append(frames, pager.Frame{Pgno: pgno, Data: staged[pgno]})
+			if _, err := s.StagePage(pgno, staged[pgno], base); err != nil {
+				r.t.Fatal(err)
+			}
 		}
-		groups = append(groups, frames)
+		streams = append(streams, s)
 	}
-	r.must(r.w.CommitGroup(groups))
+	r.must(r.w.CommitStreams(streams, len(streams)))
 	for pgno, img := range staged {
 		r.cur[pgno] = img
 	}

@@ -62,7 +62,7 @@ type scanInfo struct {
 //     never committed and are discarded; blocks holding only such frames
 //     are freed.
 //
-// Media faults add three salvage rules on top:
+// Media faults add four salvage rules on top:
 //
 //   - a header that fails validation is rebuilt: the log's contents are
 //     lost, but the database file still holds the last completed
@@ -76,7 +76,9 @@ type scanInfo struct {
 //     than everything in the live generation — so the live generation
 //     is discarded too. Surviving transactions stay a prefix of the
 //     commit order; re-applying newer transactions over a hole would
-//     trade detected data loss for silent corruption.
+//     trade detected data loss for silent corruption;
+//   - a link word naming the header block or a block a chain already
+//     holds ends the chain like a dangling reference.
 //
 // The header's checkpoint record drives the incremental checkpoint
 // state machine:
@@ -165,13 +167,16 @@ func (w *NVWAL) recover() error {
 	// scan means committed frames are gone, which poisons the (newer)
 	// live generation too.
 	var frozenBlocks []heapo.Block
+	// A block belongs to one chain: seen holds the header and every block
+	// either scan has taken.
+	seen := map[uint64]bool{w.headerAddr: true}
 	frozenDamaged := false
 	frozenLost := false
 	// unreadable collects the pages whose database-file base could not be
 	// read during the frozen round's eager replay, across both passes.
 	unreadable := make(map[uint32]bool)
 	if ckBlk != 0 {
-		blocks, scanned, info := w.scanGeneration(ckBlk, ckSalt, w.headerAddr+hdrCkptBlkOff, false, rep)
+		blocks, scanned, info := w.scanGeneration(ckBlk, ckSalt, w.headerAddr+hdrCkptBlkOff, false, seen, rep)
 		frozenBlocks = blocks
 		kept := scanned
 		endChain := chainSeed(ckSalt)
@@ -209,7 +214,7 @@ func (w *NVWAL) recover() error {
 	liveSalt := w.salt
 	blocks, scanned, info := w.scanGeneration(
 		binary.LittleEndian.Uint64(hdr[hdrFirstBlkOff:]), liveSalt,
-		w.headerAddr+hdrFirstBlkOff, true, rep)
+		w.headerAddr+hdrFirstBlkOff, true, seen, rep)
 	w.blocks = blocks
 	lastCommit := -1
 	for i, fr := range scanned {
@@ -360,8 +365,9 @@ func (w *NVWAL) rebuildHeader(rep *SalvageReport, cause error) error {
 // chain. clearDangling enables the §4.3 dangling-reference repair, which
 // only the live generation needs: a frozen chain's links were all
 // persisted long before it froze. An uncorrectable media error ends the
-// scan and marks the block it hit for quarantine.
-func (w *NVWAL) scanGeneration(firstAddr, salt uint64, prevLink uint64, clearDangling bool, rep *SalvageReport) ([]heapo.Block, []scannedFrame, scanInfo) {
+// scan and marks the block it hit for quarantine. seen is shared by the
+// scans of one recovery.
+func (w *NVWAL) scanGeneration(firstAddr, salt uint64, prevLink uint64, clearDangling bool, seen map[uint64]bool, rep *SalvageReport) ([]heapo.Block, []scannedFrame, scanInfo) {
 	var blocks []heapo.Block
 	var scanned []scannedFrame
 	var info scanInfo
@@ -378,6 +384,19 @@ func (w *NVWAL) scanGeneration(firstAddr, salt uint64, prevLink uint64, clearDan
 			}
 			break
 		}
+		if seen[addr] {
+			// No append ever links to the header block or to a block a
+			// chain already holds: the link word is damaged. Following it
+			// would loop forever, or let truncation or a finished round
+			// free a block the log still owns. Cut the chain here, as for
+			// a dangling reference.
+			rep.eventf("gen %d: link to block %#x, the header or a block already in a chain — chain cut", salt, addr)
+			if clearDangling {
+				w.clearLink(prevLink)
+			}
+			break
+		}
+		seen[addr] = true
 		blocks = append(blocks, blk)
 		// Frames are packed within the block; a frame that would not
 		// fit was placed at the start of the next block, so an invalid

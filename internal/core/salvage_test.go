@@ -192,6 +192,39 @@ func TestSalvageFrozenDamageDropsLiveGeneration(t *testing.T) {
 	}
 }
 
+// TestSalvageFrozenLinkIntoLiveChain: a damaged link word that points the
+// frozen generation's tail at the live generation's first block must not
+// give that block to both chains. Finishing the interrupted round frees
+// the frozen chain's blocks, so a shared block would be freed under the
+// live log, and the next commit into it lost.
+func TestSalvageFrozenLinkIntoLiveChain(t *testing.T) {
+	e := newEnv(t)
+	w := e.open(t, salvageCfg())
+	imgA, imgB := fullPage(0x51), fullPage(0x52)
+	commitPages(t, w, map[uint32][]byte{2: imgA})
+	commitPages(t, w, map[uint32][]byte{3: imgB})
+	if err := w.FreezeCheckpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	commitPages(t, w, map[uint32][]byte{4: fullPage(0x53)})
+	frozenTail := w.ckpt.blocks[len(w.ckpt.blocks)-1]
+	w.dev.PutUint64(frozenTail.Addr, w.blocks[0].Addr)
+	w.persistRange(frozenTail.Addr, 8)
+
+	w2 := e.reopen(t, salvageCfg(), memsim.FailDropAll, 8)
+	for pgno, want := range map[uint32][]byte{2: imgA, 3: imgB} {
+		if got, ok := w2.PageVersion(pgno); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("frozen page %d lost (%s)", pgno, w2.Salvage())
+		}
+	}
+	imgD := fullPage(0x54)
+	commitPages(t, w2, map[uint32][]byte{5: imgD})
+	w3 := e.reopen(t, salvageCfg(), memsim.FailDropAll, 9)
+	if got, ok := w3.PageVersion(5); !ok || !bytes.Equal(got, imgD) {
+		t.Fatalf("commit after salvage lost across the next crash (%s)", w3.Salvage())
+	}
+}
+
 // TestSalvageMediaReadErrorQuarantinesBlock: an uncorrectable read
 // error during the scan ends the log there, and the block lands in the
 // heap's persistent quarantine instead of the free list.

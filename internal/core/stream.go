@@ -28,7 +28,7 @@ type Stream struct {
 	id           uint32
 	pageSize     int
 	differential bool
-	gapMerge     int
+	gapMerge     int // the NVRAM line size: dirty extents closer than this merge
 
 	pages []stagedPage
 
@@ -68,7 +68,7 @@ func (w *NVWAL) newStream(tag uint32) Stream {
 		id:           tag,
 		pageSize:     w.pageSize,
 		differential: w.cfg.Differential,
-		gapMerge:     w.cfg.GapMerge,
+		gapMerge:     w.dev.LineSize(),
 	}
 }
 
@@ -199,9 +199,9 @@ func (w *NVWAL) seenScratch() map[uint32]struct{} {
 }
 
 // AppendFrames appends a stream's staged pages to dst as plain pager
-// frames (each page's full new image), the fallback shape for journals
-// that do not understand streams — fault-injection wrappers, the file
-// WAL, or a group mixing stream and non-stream members.
+// frames (each page's full new image): the shape the database layer's
+// group queue stamps page versions from and overlays onto the snapshot of
+// a session that begins while the stream waits for its flush.
 func (s *Stream) AppendFrames(dst []pager.Frame) []pager.Frame {
 	for i := range s.pages {
 		dst = append(dst, pager.Frame{Pgno: s.pages[i].pgno, Data: s.pages[i].img})

@@ -11,7 +11,8 @@ import (
 )
 
 // faultJournal wraps a real journal and fails on demand, so tests can
-// observe how the engine reacts to journal-layer errors.
+// observe how the engine reacts to journal-layer errors. A group flush
+// reaches it once it stands in for the group committer's journal.
 type faultJournal struct {
 	pager.Journal
 	failCommits     int // fail this many CommitTransaction calls
@@ -26,6 +27,16 @@ func (j *faultJournal) CommitTransaction(frames []pager.Frame) error {
 		return errInjected
 	}
 	return j.Journal.CommitTransaction(frames)
+}
+
+// CommitStreams is the group flush's journal call: it fails like
+// CommitTransaction, and otherwise commits through the wrapped NVWAL.
+func (j *faultJournal) CommitStreams(streams []*core.Stream, txns int) error {
+	if j.failCommits > 0 {
+		j.failCommits--
+		return errInjected
+	}
+	return j.Journal.(*core.NVWAL).CommitStreams(streams, txns)
 }
 
 func (j *faultJournal) Checkpoint() error {
@@ -159,7 +170,6 @@ func TestAutoCheckpointFailureIsDistinguishable(t *testing.T) {
 	fj := &faultJournal{Journal: d.jrn, failCheckpoints: 1}
 	d.jrn = fj
 	d.pg.SetJournal(fj)
-	d.gc.jrn = fj
 
 	tx, err := d.Begin()
 	if err != nil {

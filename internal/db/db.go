@@ -111,15 +111,16 @@ type Options struct {
 	Concurrent bool
 	// GroupCommit batches up to this many concurrently committing MVCC
 	// sessions (BeginConcurrent) into one journal flush — Algorithm 1's
-	// commit flag: all the group's frames are logged, only the final one
-	// carries the commit mark, so one flush batch, one persist barrier and
-	// one commit-mark persist cover the whole group. Atomicity coarsens to
-	// the group: a crash loses the whole in-flight group, never a prefix.
-	// A group flushes as soon as every open session is waiting in it, so
-	// K sessions never wait for an absent (K+1)th. A Tx (Begin,
-	// CreateTable, DropTable, a 2PC prepare) never joins a group: it
-	// flushes the sessions already queued, then commits on its own.
-	// Values <= 1 commit each session individually. Requires Concurrent.
+	// commit flag: the sessions' log streams merge under one append, only
+	// the final frame carries the commit mark, so one flush batch, one
+	// persist barrier and one commit-mark persist cover the whole group.
+	// Atomicity coarsens to the group: a crash loses the whole in-flight
+	// group, never a prefix. A group flushes as soon as every open
+	// session is waiting in it, so K sessions never wait for an absent
+	// (K+1)th. A Tx (Begin, CreateTable, DropTable, a 2PC prepare) never
+	// joins a group: it flushes the sessions already queued, then commits
+	// on its own. Values <= 1 commit each session individually. Values
+	// above 1 require Concurrent and JournalNVWAL.
 	GroupCommit int
 	// BackgroundCheckpoint moves auto-checkpointing off the commit path:
 	// a dedicated goroutine runs the journal's incremental checkpoint
@@ -295,6 +296,9 @@ func Open(plat *platform.Platform, name string, opts Options) (*DB, error) {
 	if opts.GroupCommit > 1 && !opts.Concurrent {
 		return nil, errors.New("db: GroupCommit > 1 requires Concurrent mode")
 	}
+	if opts.GroupCommit > 1 && opts.Journal != JournalNVWAL {
+		return nil, errors.New("db: GroupCommit > 1 requires JournalNVWAL")
+	}
 	if opts.BackgroundCheckpoint && !opts.Concurrent {
 		return nil, errors.New("db: BackgroundCheckpoint requires Concurrent mode")
 	}
@@ -344,7 +348,10 @@ func Open(plat *platform.Platform, name string, opts Options) (*DB, error) {
 	if size < 1 {
 		size = 1
 	}
-	d.gc = &groupCommitter{jrn: d.jrn, size: size, db: d}
+	d.gc = &groupCommitter{size: size, db: d}
+	if nv, ok := d.jrn.(*core.NVWAL); ok {
+		d.gc.jrn = nv
+	}
 	if opts.BackgroundCheckpoint {
 		if _, ok := d.jrn.(pager.IncrementalJournal); !ok {
 			return nil, fmt.Errorf("db: journal mode %s does not support background checkpointing", opts.Journal)

@@ -11,19 +11,17 @@ import (
 )
 
 // commitReq is one MVCC session's commit waiting in the group-commit
-// queue: its frame set (committed page images, which nobody writes
-// again: the journal takes them when the group flushes) and the channel
-// its committer blocks on until a leader flushes the group. until is the
-// committer's backpressure deadline on the virtual clock (0 = none); the
-// group's flush honors the earliest one. A request comes with the state
-// the session borrows from the DB, and submit re-fills it once its
-// committer has received from done.
+// queue: its staged log stream, the same pages as frames (committed page
+// images, which nobody writes again: the journal takes them when the
+// group flushes), and the channel its committer blocks on until a leader
+// flushes the group. until is the committer's backpressure deadline on
+// the virtual clock (0 = none); the group's flush honors the earliest
+// one. A request comes with the state the session borrows from the DB,
+// and submit re-fills it once its committer has received from done.
 type commitReq struct {
+	// frames stamps the pages' versions and overlays the snapshot of a
+	// session that begins while the request waits.
 	frames []pager.Frame
-	// stream carries the session's pre-staged per-writer log stream (nil
-	// when the journal is not a bare NVWAL). On a bare NVWAL the flush
-	// merges the streams under one Algorithm 1 append instead of
-	// re-coalescing frames.
 	stream *core.Stream
 	seq    uint64 // commit sequence number, stamped at enqueue
 	// done holds one slot: the flush sends into it, so exactly one
@@ -38,10 +36,10 @@ type commitReq struct {
 }
 
 // groupCommitter is the queue behind CTx.Commit. Committing MVCC
-// sessions enqueue their frames and wait; the session whose arrival
-// completes the group — GroupCommit entries, or one entry per registered
-// session, whichever is smaller — flushes every queued frame set through
-// the journal as a single unit. A legacy Tx is never a member: it holds
+// sessions enqueue their staged streams and wait; the session whose
+// arrival completes the group — GroupCommit entries, or one entry per
+// registered session, whichever is smaller — flushes every queued stream
+// through one CommitStreams call. A legacy Tx is never a member: it holds
 // the writer slot from Begin to Commit, flushes whatever is queued, and
 // commits alone (DB.commitHeldTxn).
 //
@@ -51,7 +49,7 @@ type commitReq struct {
 // bounds both the group size and the wait. A group does not wait for a
 // lingering session either (see submit).
 type groupCommitter struct {
-	jrn  pager.Journal
+	jrn  streamCommitter
 	size int
 	// db backs the NVRAM-space retry in flushLocked (checkpoint +
 	// backoff on ErrLogFull); nil in journal-only unit tests.
@@ -228,37 +226,19 @@ func (gc *groupCommitter) flushWithBackpressure(reqs []*commitReq) error {
 	return gc.db.retryLogFull(dl, "group-deadline", func() error { return gc.flush(reqs) })
 }
 
-// flush writes the queued frame sets to the journal. On a bare NVWAL
-// every member staged a per-writer stream, and the streams merge under
-// one Algorithm 1 append and a single commit mark. Other journals (file
-// WAL, fault wrappers) take the frames: one atomic group when the
-// journal supports it, else one commit per session in queue (= logical
-// commit) order.
+// streamCommitter is the one journal call a group flush makes: a bare
+// NVWAL's CommitStreams. Tests put a fake in its place.
+type streamCommitter interface {
+	CommitStreams(streams []*core.Stream, txns int) error
+}
+
+// flush merges the queued sessions' streams under one Algorithm 1 append
+// and a single commit mark.
 func (gc *groupCommitter) flush(reqs []*commitReq) error {
-	if nv, ok := gc.jrn.(*core.NVWAL); ok {
-		streams := gc.streams[:0]
-		for _, r := range reqs {
-			streams = append(streams, r.stream)
-		}
-		gc.streams = streams[:0]
-		return nv.CommitStreams(streams, len(reqs))
-	}
-	groups := make([][]pager.Frame, 0, len(reqs))
+	streams := gc.streams[:0]
 	for _, r := range reqs {
-		if len(r.frames) > 0 {
-			groups = append(groups, r.frames)
-		}
+		streams = append(streams, r.stream)
 	}
-	if len(groups) == 0 {
-		return nil
-	}
-	if gj, ok := gc.jrn.(pager.GroupJournal); ok && len(groups) > 1 {
-		return gj.CommitGroup(groups)
-	}
-	for _, g := range groups {
-		if err := gc.jrn.CommitTransaction(g); err != nil {
-			return err
-		}
-	}
-	return nil
+	gc.streams = streams[:0]
+	return gc.jrn.CommitStreams(streams, len(reqs))
 }

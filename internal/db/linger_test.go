@@ -10,29 +10,26 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/pager"
 )
 
-// recordJournal is a pager.GroupJournal that logs nothing and records
-// every flush as the ids (first page numbers) of the requests it carried.
-type recordJournal struct{ flushes [][]uint32 }
-
-func (j *recordJournal) CommitTransaction(frames []pager.Frame) error {
-	return j.CommitGroup([][]pager.Frame{frames})
+// recordJournal stands in for the group flush's journal call: it logs
+// nothing and records every flush as the ids of the requests it carried,
+// each request's stream mapped to its id.
+type recordJournal struct {
+	ids     map[*core.Stream]uint32
+	flushes [][]uint32
 }
 
-func (j *recordJournal) CommitGroup(groups [][]pager.Frame) error {
-	ids := make([]uint32, len(groups))
-	for i, g := range groups {
-		ids[i] = g[0].Pgno
+func (j *recordJournal) CommitStreams(streams []*core.Stream, txns int) error {
+	ids := make([]uint32, len(streams))
+	for i, s := range streams {
+		ids[i] = j.ids[s]
 	}
 	j.flushes = append(j.flushes, ids)
 	return nil
 }
-
-func (j *recordJournal) PageVersion(uint32) ([]byte, bool) { return nil, false }
-func (j *recordJournal) FramesSinceCheckpoint() int        { return 0 }
-func (j *recordJournal) Checkpoint() error                 { return nil }
 
 // lingerRig drives a bare groupCommitter the way CTx does: register,
 // submit a request, wait, unregister.
@@ -43,16 +40,17 @@ type lingerRig struct {
 }
 
 func newLingerRig(t *testing.T, size int) *lingerRig {
-	j := &recordJournal{}
+	j := &recordJournal{ids: make(map[*core.Stream]uint32)}
 	return &lingerRig{t: t, jrn: j, gc: &groupCommitter{jrn: j, size: size}}
 }
 
 // submit queues a one-frame request identified by id.
 func (r *lingerRig) submit(id uint32) *commitReq {
-	req := new(commitReq)
+	req, stream := new(commitReq), new(core.Stream)
+	r.jrn.ids[stream] = id
 	r.gc.mu.Lock()
 	defer r.gc.mu.Unlock()
-	r.gc.submit(req, []pager.Frame{{Pgno: id}}, nil, 0)
+	r.gc.submit(req, []pager.Frame{{Pgno: id}}, stream, 0)
 	return req
 }
 

@@ -1,7 +1,6 @@
 package db
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -25,12 +24,12 @@ import (
 var ErrConflict = errors.New("db: transaction conflicts with a concurrent commit")
 
 // CTx is an MVCC write transaction: a writer session with its own
-// snapshot, its own page working set, and (under a bare NVWAL journal)
-// its own per-writer log stream. Unlike Tx, concurrent CTxs build
-// their changes fully in parallel — no writer slot is held between
-// Begin and Commit — and conflicts surface at commit as a retryable
-// ErrConflict under page-level first-committer-wins. One CTx must not
-// be shared between goroutines.
+// snapshot, its own page working set, and its own per-writer NVRAM log
+// stream. Unlike Tx, concurrent CTxs build their changes fully in
+// parallel — no writer slot is held between Begin and Commit — and
+// conflicts surface at commit as a retryable ErrConflict under
+// page-level first-committer-wins. One CTx must not be shared between
+// goroutines.
 //
 // The handle is the caller's for good (Seq stays readable after Commit);
 // the working state behind it — page table, log stream, commit request,
@@ -86,9 +85,9 @@ type sessionState struct {
 	// allocs are the page numbers taken from the shared arbiter; on
 	// rollback or conflict they return to the pool for other sessions.
 	allocs []uint32
-	// stream is the session's per-writer NVRAM log stream (nil when the
-	// journal is not a bare NVWAL — fault wrappers and the file WAL fall
-	// back to plain frames). It keeps its tag from session to session.
+	// stream is the session's per-writer NVRAM log stream, which its
+	// commit stages every written page into. It keeps its tag from
+	// session to session.
 	stream *core.Stream
 	// writes and frames are CommitCtx's scratch; req is the session's
 	// request in the group queue, through which finish also retires the
@@ -110,8 +109,8 @@ const maxIdleSessions = 64
 // page set).
 const maxReusedPages = 256
 
-// borrowSession takes session state from the free list, or makes it, with
-// a log stream when the journal is a bare NVWAL. Caller holds the slot.
+// borrowSession takes session state from the free list, or makes it with
+// a fresh log stream. Caller holds the slot.
 func (d *DB) borrowSession() *sessionState {
 	var st *sessionState
 	d.idleMu.Lock()
@@ -122,9 +121,9 @@ func (d *DB) borrowSession() *sessionState {
 	}
 	d.idleMu.Unlock()
 	if st == nil {
-		st = &sessionState{pages: make(map[uint32]sessionPage)}
-		if nv, ok := d.jrn.(*core.NVWAL); ok {
-			st.stream = nv.NewStream()
+		st = &sessionState{
+			pages:  make(map[uint32]sessionPage),
+			stream: d.jrn.(*core.NVWAL).NewStream(),
 		}
 	}
 	return st
@@ -139,9 +138,7 @@ func (d *DB) returnSession(st *sessionState) {
 	}
 	clear(st.pages)
 	st.freshFree, st.allocs = st.freshFree[:0], st.allocs[:0]
-	if st.stream != nil {
-		st.stream.Reset()
-	}
+	st.stream.Reset()
 	clear(st.writes[:cap(st.writes)])
 	clear(st.frames[:cap(st.frames)])
 	st.writes, st.frames = st.writes[:0], st.frames[:0]
@@ -290,7 +287,8 @@ func (d *DB) poolPut(pgnos []uint32) {
 }
 
 // BeginConcurrent opens an MVCC write transaction. Requires
-// Options.Concurrent and a snapshot-capable journal.
+// Options.Concurrent and JournalNVWAL: a session commits by staging its
+// pages into an NVRAM log stream.
 func (d *DB) BeginConcurrent() (*CTx, error) {
 	return d.BeginConcurrentCtx(context.Background())
 }
@@ -311,11 +309,11 @@ func (d *DB) BeginConcurrent() (*CTx, error) {
 // runs — which keeps solo commits (journal written outside gc.mu)
 // from racing the snapshot.
 func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
-	if d.view == nil {
-		return nil, ErrNoSnapshots
-	}
 	if !d.opts.Concurrent {
 		return nil, errors.New("db: BeginConcurrent requires Options.Concurrent")
+	}
+	if d.opts.Journal != JournalNVWAL {
+		return nil, fmt.Errorf("db: BeginConcurrent requires JournalNVWAL, not %s", d.opts.Journal)
 	}
 	if err := d.admitWriter(ctx); err != nil {
 		return nil, err
@@ -592,7 +590,7 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 	// Stage the session's own writes — no lock held.
 	staged := writes[:0]
 	for _, wr := range written {
-		ok, err := tx.stagePage(wr)
+		ok, err := st.stream.StagePage(wr.pgno, wr.img, wr.base)
 		if err != nil {
 			tx.finish(true)
 			return err
@@ -651,7 +649,7 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 			pager.SetFreelistLink(wr.img, head)
 			head = wr.pgno
 			cnt++
-			ok, err := tx.stagePage(wr)
+			ok, err := st.stream.StagePage(wr.pgno, wr.img, wr.base)
 			if err != nil {
 				d.releaseSlot()
 				tx.finish(true)
@@ -667,7 +665,7 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 	// cur1 is the pager's committed image, which nobody writes: it is the
 	// diff base as it is.
 	hdrWrite := sessionWrite{pgno: 1, img: img1, base: cur1}
-	if ok, err := tx.stagePage(hdrWrite); err != nil {
+	if ok, err := st.stream.StagePage(hdrWrite.pgno, hdrWrite.img, hdrWrite.base); err != nil {
 		d.releaseSlot()
 		tx.finish(true)
 		return err
@@ -698,16 +696,8 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 			return fmt.Errorf("%w: page %d", ErrConflict, wr.pgno)
 		}
 	}
-	frames := st.frames[:0]
-	if st.stream != nil {
-		frames = st.stream.AppendFrames(frames)
-	} else {
-		for _, wr := range staged {
-			frames = append(frames, pager.Frame{Pgno: wr.pgno, Data: wr.img})
-		}
-	}
-	st.frames = frames
-	gc.submit(&st.req, frames, st.stream, dl.until)
+	st.frames = st.stream.AppendFrames(st.frames[:0])
+	gc.submit(&st.req, st.frames, st.stream, dl.until)
 	gc.mu.Unlock()
 
 	// Publish the committed images into the shared pager cache before
@@ -728,19 +718,6 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 	d.plat.Metrics.Inc(metrics.MVCCCommits, 1)
 	d.maybeKickScrub()
 	return d.AutoCheckpoint(false)
-}
-
-// stagePage routes one write into the session's stream (or, without
-// one, applies the same no-op skip the stream would). Reports whether
-// the page actually needs logging.
-func (tx *CTx) stagePage(wr sessionWrite) (bool, error) {
-	if s := tx.store.stream; s != nil {
-		return s.StagePage(wr.pgno, wr.img, wr.base)
-	}
-	if wr.base != nil && bytes.Equal(wr.img, wr.base) {
-		return false, nil
-	}
-	return true, nil
 }
 
 // RunConcurrent runs fn inside MVCC sessions, retrying conflicts until

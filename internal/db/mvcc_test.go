@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/platform"
 )
 
 // TestMVCCBasicCommit commits through a session and checks the result
@@ -465,5 +466,36 @@ func TestMVCCSurvivesCheckpoint(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBeginConcurrentRequiresNVWAL: a session commits by staging its pages
+// into an NVRAM log stream, so every other journal refuses it at Begin —
+// with no registration left behind, and legacy transactions unaffected —
+// and refuses GroupCommit above 1 at Open.
+func TestBeginConcurrentRequiresNVWAL(t *testing.T) {
+	for _, j := range []JournalMode{JournalWAL, JournalOptimizedWAL, JournalRollback} {
+		t.Run(j.String(), func(t *testing.T) {
+			d, _ := newDB(t, Options{Journal: j, Concurrent: true})
+			if err := d.CreateTable("t"); err != nil {
+				t.Fatal(err)
+			}
+			if tx, err := d.BeginConcurrent(); err == nil {
+				tx.Rollback()
+				t.Fatalf("BeginConcurrent on %s succeeded", j)
+			}
+			expectUnregistered(t, d, "a refused BeginConcurrent")
+			mustCommitKV(t, d, "t", map[string]string{"k": "v"})
+			if v, ok, err := d.Get("t", []byte("k")); err != nil || !ok || string(v) != "v" {
+				t.Fatalf("Get after the refused session = %q %v %v", v, ok, err)
+			}
+		})
+	}
+	plat, err := platform.NewNexus5()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(plat, "g.db", Options{Journal: JournalWAL, Concurrent: true, GroupCommit: 4}); err == nil {
+		t.Fatal("Open with GroupCommit 4 on the file WAL succeeded")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/memsim"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/pager"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/simclock"
@@ -171,37 +170,42 @@ func soloCommitAllocs(txns int) (solo, update CommitAllocsRow, err error) {
 	return solo, update, s.DB.Close()
 }
 
-// groupCommitAllocs drives the NVWAL journal directly: a 4-member group
-// commit per operation. A successful commit takes each member's image, so
-// every member writes a fresh copy of its last one — the copy the pager's
-// MarkDirty would make.
+// groupCommitAllocs drives the group commit the database layer runs, at
+// the journal: per operation, 4 reused streams each stage one page
+// against its last image, then one CommitStreams call logs them. A
+// successful commit takes each staged image, so every member writes a
+// fresh copy of its last one — the copy a session's MarkDirty would make.
 func groupCommitAllocs(txns int) (CommitAllocsRow, error) {
 	var zero CommitAllocsRow
 	s, err := NewNVWALSetup(Tuna, core.VariantUHLSDiff(), 1<<20)
 	if err != nil {
 		return zero, err
 	}
-	gj, ok := s.DB.Journal().(pager.GroupJournal)
+	nv, ok := s.DB.Journal().(*core.NVWAL)
 	if !ok {
-		return zero, fmt.Errorf("experiments: NVWAL journal lost its GroupJournal capability")
+		return zero, fmt.Errorf("experiments: the NVWAL setup's journal is %T", s.DB.Journal())
 	}
 	const members = 4
 	const ps = 4096 // db.Open's default page size
-	groups := make([][]pager.Frame, members)
-	frames := make([][1]pager.Frame, members)
-	for g := range frames {
-		frames[g][0] = pager.Frame{Pgno: uint32(100 + g), Data: make([]byte, ps)}
-		groups[g] = frames[g][:]
+	streams := make([]*core.Stream, members)
+	last := make([][]byte, members)
+	for g := range streams {
+		streams[g] = nv.NewStream()
 	}
 	group, err := measureAllocs("group-commit", txns, func(i int) error {
-		for g := range frames {
+		for g, st := range streams {
 			// A small dirty region per member keeps the differential
 			// logger on its steady-state diff path.
-			page := slices.Clone(frames[g][0].Data)
+			page := make([]byte, ps)
+			copy(page, last[g])
 			binary.LittleEndian.PutUint64(page[(i%64)*16:], uint64(i+1))
-			frames[g][0].Data = page
+			st.Reset()
+			if _, err := st.StagePage(uint32(100+g), page, last[g]); err != nil {
+				return err
+			}
+			last[g] = page
 		}
-		return gj.CommitGroup(groups)
+		return nv.CommitStreams(streams, members)
 	})
 	if err != nil {
 		return zero, err

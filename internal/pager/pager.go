@@ -26,11 +26,10 @@ type Frame struct {
 // Journal is the write-ahead log abstraction both the stock/optimized
 // file WAL and NVWAL implement.
 //
-// Every entry point that logs frames (CommitTransaction, a GroupJournal's
-// CommitGroup, NVWAL's WriteFrames and PrepareTransaction) takes the
-// frames' Data when it succeeds: the journal may keep an image as the
-// page's version, so the caller must never write it again. A failed call
-// takes nothing.
+// Every entry point that logs frames (CommitTransaction, NVWAL's
+// WriteFrames and PrepareTransaction) takes the frames' Data when it
+// succeeds: the journal may keep an image as the page's version, so the
+// caller must never write it again. A failed call takes nothing.
 type Journal interface {
 	// CommitTransaction durably logs the transaction's dirty pages and
 	// its commit mark.
@@ -47,53 +46,6 @@ type Journal interface {
 	// Checkpoint writes all committed pages back to the database file
 	// and truncates the log.
 	Checkpoint() error
-}
-
-// GroupJournal is implemented by journals that can persist several
-// transactions' frame sets under a single commit mark — the group
-// commit enabled by Algorithm 1's commit flag: every transaction's
-// frames are logged, but only the final frame carries the commit mark,
-// so one flush batch and one persist barrier cover the whole group.
-// Atomicity coarsens to the group: a crash loses the entire in-flight
-// group, never a prefix of it.
-type GroupJournal interface {
-	Journal
-	// CommitGroup durably logs every group's frames as one atomic unit.
-	// Later groups override earlier ones on the same page.
-	CommitGroup(groups [][]Frame) error
-}
-
-// Coalescer flattens group commits' per-transaction frame sets, reusing
-// its map and output slice across calls so the steady-state coalescing
-// path allocates nothing. A Coalescer is not safe for concurrent use;
-// journals embed one and call it under their writer lock.
-type Coalescer struct {
-	latest map[uint32][]byte
-	out    []Frame
-}
-
-// Coalesce merges the groups into one frame list holding a single image
-// per page, ordered by page number. Because the group persists
-// atomically under one commit mark, intermediate page versions are
-// never visible to recovery — only each page's final image needs
-// logging, and later groups override earlier ones. The returned slice
-// is owned by the Coalescer and only valid until the next call.
-func (c *Coalescer) Coalesce(groups [][]Frame) []Frame {
-	if c.latest == nil {
-		c.latest = make(map[uint32][]byte)
-	}
-	clear(c.latest)
-	for _, frames := range groups {
-		for _, fr := range frames {
-			c.latest[fr.Pgno] = fr.Data
-		}
-	}
-	c.out = c.out[:0]
-	for pgno, data := range c.latest {
-		c.out = append(c.out, Frame{Pgno: pgno, Data: data})
-	}
-	sortFrames(c.out)
-	return c.out
 }
 
 // SnapshotJournal is implemented by journals that can serve point-in-

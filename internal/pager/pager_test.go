@@ -34,21 +34,6 @@ func (j *fakeJournal) CommitTransaction(frames []Frame) error {
 	return nil
 }
 
-// CommitGroup implements GroupJournal: the groups in order, one commit.
-func (j *fakeJournal) CommitGroup(groups [][]Frame) error {
-	if j.failNext {
-		j.failNext = false
-		return errors.New("injected group failure")
-	}
-	for _, frames := range groups {
-		for _, fr := range frames {
-			j.versions[fr.Pgno] = fr.Data
-		}
-	}
-	j.commits++
-	return nil
-}
-
 func (j *fakeJournal) PageVersion(pgno uint32) ([]byte, bool) {
 	v, ok := j.versions[pgno]
 	return v, ok
@@ -268,9 +253,9 @@ func (g *imageGuard) check(t *testing.T, step string, p *Pager, j *fakeJournal) 
 // TestOwnershipCommittedImagesNeverWritten drives the pager through every
 // way the database layer ends a transaction — commit, rollback, a solo
 // commit that fails and is retried with the same frames (the ErrLogFull
-// path), and a grouped flush of two transactions that dirtied the same
-// page one after the other — and requires that no committed image, in the
-// cache or in the journal, ever changes.
+// path) — plus two transactions that dirtied the same page one after the
+// other and reach the journal only after both finished, and requires that
+// no committed image, in the cache or in the journal, ever changes.
 func TestOwnershipCommittedImagesNeverWritten(t *testing.T) {
 	p, j, _ := newPager(t)
 	var g imageGuard
@@ -330,13 +315,15 @@ func TestOwnershipCommittedImagesNeverWritten(t *testing.T) {
 		p.FinishCommit()
 		g.check(t, "queued "+s, p, j)
 	}
-	if err := j.CommitGroup(queued); err != nil {
-		t.Fatal(err)
+	for _, frames := range queued {
+		if err := j.CommitTransaction(frames); err != nil {
+			t.Fatal(err)
+		}
 	}
-	g.check(t, "grouped flush", p, j)
+	g.check(t, "late commits", p, j)
 	for _, pgno := range []uint32{2, 3} {
 		if got, _ := p.Get(pgno); !bytes.Equal(got[8:22], []byte("group member B")) || &got[0] != &j.versions[pgno][0] {
-			t.Fatalf("page %d after the group: cache %q, not the journal's last image", pgno, got[8:22])
+			t.Fatalf("page %d after the late commits: cache %q, not the journal's last image", pgno, got[8:22])
 		}
 	}
 	if len(g.crcs) < 8 {
@@ -589,29 +576,6 @@ func TestFrameOrderDeterministic(t *testing.T) {
 	sortFrames(frames)
 	if frames[0].Pgno != 2 || frames[1].Pgno != 5 || frames[2].Pgno != 9 {
 		t.Fatalf("sortFrames = %v", frames)
-	}
-}
-
-// TestCoalesce pins the frame-merge semantics group commit relies on:
-// the last image per page wins and output is ordered by page.
-func TestCoalesce(t *testing.T) {
-	mk := func(pgno uint32, b byte) Frame {
-		return Frame{Pgno: pgno, Data: []byte{b}}
-	}
-	out := new(Coalescer).Coalesce([][]Frame{
-		{mk(3, 'a'), mk(1, 'b')},
-		{mk(3, 'c')},
-		{mk(2, 'd'), mk(1, 'e')},
-	})
-	want := []Frame{mk(1, 'e'), mk(2, 'd'), mk(3, 'c')}
-	if len(out) != len(want) {
-		t.Fatalf("coalesced to %d frames, want %d", len(out), len(want))
-	}
-	for i := range want {
-		if out[i].Pgno != want[i].Pgno || out[i].Data[0] != want[i].Data[0] {
-			t.Fatalf("frame %d = {%d %q}, want {%d %q}",
-				i, out[i].Pgno, out[i].Data, want[i].Pgno, want[i].Data)
-		}
 	}
 }
 

@@ -1,69 +1,12 @@
 package wal
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/pager"
 )
-
-// TestGroupCommitAccounting pins the GroupJournal metric contract the
-// file WAL shares with NVWAL: every member transaction is counted, one
-// group commit per batch — including a group whose members coalesce to
-// zero frames (those transactions were acknowledged; they must not
-// vanish from the txn count throughput numbers divide by).
-func TestGroupCommitAccounting(t *testing.T) {
-	e := newEnv(t)
-	w := e.open(t, ModeStock)
-
-	before := e.m.Snapshot()
-	groups := [][]pager.Frame{
-		{{Pgno: 2, Data: mkPage('a')}},
-		{{Pgno: 2, Data: mkPage('b')}},
-		{{Pgno: 3, Data: mkPage('c')}},
-	}
-	if err := w.CommitGroup(groups); err != nil {
-		t.Fatal(err)
-	}
-	delta := e.m.Snapshot().Sub(before)
-	if got := delta.Count(metrics.Transactions); got != 3 {
-		t.Fatalf("Transactions delta = %d, want 3", got)
-	}
-	if got := delta.Count(metrics.GroupCommits); got != 1 {
-		t.Fatalf("GroupCommits delta = %d, want 1", got)
-	}
-	if img, ok := w.PageVersion(2); !ok || !bytes.Equal(img, mkPage('b')) {
-		t.Fatal("coalesced group lost page 2's final image")
-	}
-
-	// Nil group: true no-op.
-	mid := e.m.Snapshot()
-	if err := w.CommitGroup(nil); err != nil {
-		t.Fatal(err)
-	}
-	d2 := e.m.Snapshot().Sub(mid)
-	if d2.Count(metrics.Transactions) != 0 || d2.Count(metrics.GroupCommits) != 0 {
-		t.Fatalf("nil group moved metrics: %v", d2)
-	}
-
-	// Zero-frame members still count as committed transactions.
-	mid = e.m.Snapshot()
-	if err := w.CommitGroup([][]pager.Frame{{}, {}}); err != nil {
-		t.Fatal(err)
-	}
-	d2 = e.m.Snapshot().Sub(mid)
-	if got := d2.Count(metrics.Transactions); got != 2 {
-		t.Fatalf("zero-frame group Transactions delta = %d, want 2", got)
-	}
-	if got := d2.Count(metrics.GroupCommits); got != 1 {
-		t.Fatalf("zero-frame group GroupCommits delta = %d, want 1", got)
-	}
-	if got := d2.Count(metrics.WALFrames); got != 0 {
-		t.Fatalf("zero-frame group wrote %d frames, want 0", got)
-	}
-}
 
 // TestCommitStallOnlyWhenContended mirrors the NVWAL fix on the file
 // WAL: uncontended commits charge nothing to CommitStallNanos.

@@ -80,10 +80,10 @@ type frameInfo struct {
 	commit bool
 }
 
-// WAL is one write-ahead log file. It implements pager.Journal,
-// pager.SnapshotJournal and pager.GroupJournal. All methods are safe
-// for concurrent use: snapshot readers share a reader-writer lock that
-// CommitTransaction, CommitGroup and Checkpoint take exclusively.
+// WAL is one write-ahead log file. It implements pager.Journal and
+// pager.SnapshotJournal. All methods are safe for concurrent use:
+// snapshot readers share a reader-writer lock that CommitTransaction and
+// Checkpoint take exclusively.
 type WAL struct {
 	file     *ext4.File
 	db       pager.DBFile
@@ -110,11 +110,10 @@ type WAL struct {
 	// it — such readers fall back to the (fully backfilled) database
 	// file instead.
 	epoch int
-	// encBuf and coal are commit-path scratch, reused across
-	// transactions (guarded by w.mu; ext4.WriteAt copies into the page
-	// cache, so the buffer is free again as soon as the write returns).
+	// encBuf is commit-path scratch, reused across transactions (guarded
+	// by w.mu; ext4.WriteAt copies into the page cache, so the buffer is
+	// free again as soon as the write returns).
 	encBuf []byte
-	coal   pager.Coalescer
 	// ckptMu serializes checkpointers; never held by commits or reads.
 	ckptMu sync.Mutex
 }
@@ -319,47 +318,15 @@ func (w *WAL) lockWriter() {
 }
 
 // CommitTransaction implements pager.Journal: append one frame per
-// dirty page, the last carrying the commit mark, then fsync once.
+// dirty page, the last carrying the commit mark, then fsync once. A
+// mid-append failure leaves the frame slots unreferenced (w.frames never
+// advanced); the next commit overwrites them.
 func (w *WAL) CommitTransaction(frames []pager.Frame) error {
-	w.lockWriter()
-	defer w.mu.Unlock()
-	return w.commitFrames(frames)
-}
-
-// CommitGroup implements pager.GroupJournal: the groups' frames are
-// coalesced page-wise and appended under a single commit mark, so the
-// whole group shares one fsync. A mid-append failure leaves the frame
-// slots unreferenced (w.frames never advanced); they are simply
-// overwritten by the next commit.
-func (w *WAL) CommitGroup(groups [][]pager.Frame) error {
-	if len(groups) == 0 {
-		return nil
-	}
-	w.lockWriter()
-	defer w.mu.Unlock()
-	coalesced := w.coal.Coalesce(groups)
-	if len(coalesced) == 0 {
-		// A group of no-op transactions still committed: its members were
-		// acknowledged, so the transaction and group tallies must include
-		// them even though nothing reaches the log file.
-		w.m.Inc(metrics.Transactions, int64(len(groups)))
-		w.m.Inc(metrics.GroupCommits, 1)
-		return nil
-	}
-	if err := w.commitFrames(coalesced); err != nil {
-		return err
-	}
-	// commitFrames counted one committed transaction; credit the rest.
-	w.m.Inc(metrics.Transactions, int64(len(groups)-1))
-	w.m.Inc(metrics.GroupCommits, 1)
-	return nil
-}
-
-// commitFrames is CommitTransaction with w.mu held.
-func (w *WAL) commitFrames(frames []pager.Frame) error {
 	if len(frames) == 0 {
 		return nil
 	}
+	w.lockWriter()
+	defer w.mu.Unlock()
 	base := len(w.frames)
 	if w.opts.Mode == ModeOptimized {
 		w.ensurePrealloc(base + len(frames))
