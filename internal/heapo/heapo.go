@@ -515,8 +515,29 @@ func (m *Manager) StateOf(addr uint64) (int, error) {
 
 // ReclaimPending frees every block left in the pending state, the heap
 // manager's half of crash recovery (§4.3: "the heap manager can reclaim
-// any pending NVRAM blocks to prevent a memory leak"). It returns the
-// number of blocks reclaimed.
+// any pending NVRAM blocks to prevent a memory leak"), and every orphaned
+// continuation page. It returns the number of pending blocks reclaimed.
+//
+// A head's run is the head plus the stateCont pages after it, at most
+// its recorded length and never past the heap end (runLen), so neither a
+// damaged length nor a crash that persisted a head without its
+// continuation words makes the pass touch a page outside the block. A
+// stateCont page outside every run is an orphan: allocate's persist
+// reached its line but not its head's. Pages inside an in-use or
+// quarantined run are never written.
+//
+// The pass persists the way Algorithm 1 commits: store every StateFree
+// word, flush each dirty metadata line once (neighbouring runs share
+// lines, so a range is flushed only when the next freed page starts past
+// its last line), then one dmb and one persist barrier — none when
+// nothing was freed. One barrier per pass is crash-safe because:
+//   - each pending→free transition stands alone: a crash before the
+//     barrier leaves some subset freed, and the next reboot's pass frees
+//     the rest (a freed head's surviving continuations become orphans);
+//   - m.mu is held for the whole pass, so no allocation can see a free
+//     that is not yet persisted;
+//   - the barrier completes before Reboot hands out the heap;
+//   - each metadata word is one 8-byte PutUint64.
 func (m *Manager) ReclaimPending() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -525,24 +546,62 @@ func (m *Manager) ReclaimPending() int {
 	m.recycled = nil
 	m.recycledPages = 0
 	m.dev.Syscall()
+	line := uint64(m.dev.LineSize())
+	var from, to uint64 // metadata bytes stored but not yet flushed
+	free := func(page, n int) {
+		for i := page; i < page+n; i++ {
+			m.writeMeta(i, StateFree, 0)
+		}
+		m.freePages += n
+		start := m.metaAddr(page)
+		if to == 0 {
+			from = start
+		} else if start/line > (to-1)/line {
+			m.dev.Flush(from, to)
+			from = start
+		}
+		to = m.metaAddr(page + n)
+	}
 	reclaimed := 0
 	for page := 0; page < m.pageCount; {
 		st, run := m.readMeta(page)
-		if run < 1 {
-			run = 1
-		}
-		if st == StatePending {
-			for i := page; i < page+run; i++ {
-				m.writeMeta(i, StateFree, 0)
-			}
-			m.persistRange(m.metaAddr(page), m.metaAddr(page+run))
-			m.freePages += run
+		switch st {
+		case StatePending:
+			run = m.runLen(page, run)
+			free(page, run)
 			reclaimed++
+		case StateInUse, StateQuarantined:
+			run = m.runLen(page, run)
+		case stateCont:
+			free(page, 1)
+			run = 1
+		default:
+			run = 1
 		}
 		page += run
 	}
+	if to != 0 {
+		m.dev.Flush(from, to)
+		m.dev.MemoryBarrier()
+		m.dev.PersistBarrier()
+	}
 	m.freeHint = 0
 	return reclaimed
+}
+
+// runLen returns how many pages the head at page really spans: its
+// recorded length, at least 1 and clamped to the heap end, cut at the
+// first page that is not a continuation.
+func (m *Manager) runLen(page, run int) int {
+	run = min(max(run, 1), m.pageCount-page)
+	n := 1
+	for n < run {
+		if st, _ := m.readMeta(page + n); st != stateCont {
+			break
+		}
+		n++
+	}
+	return n
 }
 
 // FreePages reports the number of free heap pages.
