@@ -340,7 +340,7 @@ func (st *ckptState) firstAddr() uint64 {
 }
 
 // NVWAL is a write-ahead log in NVRAM. It implements pager.Journal and
-// pager.SnapshotJournal; CommitStreams commits a group of per-writer
+// pager.VersionedLog; CommitStreams commits a group of per-writer
 // streams.
 //
 // All methods are safe for concurrent use: a reader-writer lock lets
@@ -1278,7 +1278,7 @@ func (w *NVWAL) FramesSinceCheckpoint() int {
 	return len(w.history)
 }
 
-// Mark implements pager.SnapshotJournal. Marks are absolute frame
+// Mark implements pager.VersionedLog. Marks are absolute frame
 // indices and grow monotonically across checkpoints; the database
 // layer's reader gate keeps every open mark at or above the backfill
 // watermark, so the frames a mark needs are always still indexed.
@@ -1330,11 +1330,10 @@ func (w *NVWAL) imageAt(pgno uint32, mark int) (img []byte, below, shared bool, 
 	return img, true, false, nil
 }
 
-// PageVersionAt implements pager.SnapshotJournal: pgno's image at the
-// mark, or ok=false when no frame of the page lies below it. The image
-// is read-only, and shared unless it had to be replayed (see imageAt). A
-// recovered page whose image cannot be built reports ok with a nil
-// image, as PageVersion does.
+// PageVersionAt is pgno's image at the mark, or ok=false when no frame
+// of the page lies below it. The image is read-only, and shared unless it
+// had to be replayed (see imageAt). A recovered page whose image cannot
+// be built reports ok with a nil image, as PageVersion does.
 func (w *NVWAL) PageVersionAt(pgno uint32, mark int) ([]byte, bool) {
 	img, below, _, err := w.imageAt(pgno, mark)
 	if err != nil {
@@ -1359,8 +1358,8 @@ func (w *NVWAL) PageImageAt(pgno uint32, mark int) (img []byte, shared bool, err
 // incremental round with no reader gate.
 func (w *NVWAL) Checkpoint() error { return w.CheckpointIncremental(nil) }
 
-// CheckpointIncremental implements pager.IncrementalJournal: one round
-// of the non-blocking checkpoint pipeline (§4.3 made incremental).
+// CheckpointIncremental is one round of the non-blocking checkpoint
+// pipeline (§4.3 made incremental).
 //
 // Phase A (short w.mu critical section): persist a checkpoint record
 // naming the current generation, then bump the salt and hand the block

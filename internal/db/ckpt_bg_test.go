@@ -212,19 +212,21 @@ func TestBackgroundCheckpointOptionValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("BackgroundCheckpoint without Concurrent accepted")
 	}
-	if _, err := Open(plat, "b.db", Options{
-		Journal: JournalRollback, Concurrent: true,
-		BackgroundCheckpoint: true,
-	}); err == nil {
-		t.Fatal("BackgroundCheckpoint under a rollback journal accepted")
+	// Only NVWAL checkpoints incrementally; the baselines block.
+	for _, j := range []JournalMode{JournalWAL, JournalOptimizedWAL, JournalRollback} {
+		if _, err := Open(plat, "b.db", Options{
+			Journal: j, Concurrent: true,
+			BackgroundCheckpoint: true,
+		}); err == nil {
+			t.Fatalf("BackgroundCheckpoint under %s accepted", j)
+		}
 	}
-	// The file WAL implements the incremental interface too.
 	d, err := Open(plat, "c.db", Options{
-		Journal: JournalWAL, Concurrent: true,
+		Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff(), Concurrent: true,
 		BackgroundCheckpoint: true, CheckpointLimit: 4,
 	})
 	if err != nil {
-		t.Fatalf("BackgroundCheckpoint under file WAL rejected: %v", err)
+		t.Fatalf("BackgroundCheckpoint under NVWAL rejected: %v", err)
 	}
 	if err := d.CreateTable("t"); err != nil {
 		t.Fatal(err)

@@ -100,14 +100,13 @@ type Options struct {
 	CheckpointLimit int
 	// CPU is the platform cost model; zero value charges no CPU time.
 	CPU CPUProfile
-	// PageSize defaults to 4096.
-	PageSize int
 	// Concurrent enables the goroutine-safe multi-reader/single-writer
 	// protocol: Begin blocks until the writer slot frees (instead of
 	// returning ErrTxnOpen), non-snapshot reads serialize against the
-	// writer, and snapshot ReadTxs stay lock-free. Off, the engine keeps
-	// its legacy single-goroutine contract: a second Begin while a
-	// transaction is open is a programming error reported as ErrTxnOpen.
+	// writer, and snapshot ReadTxs (JournalNVWAL) stay lock-free. Off,
+	// the engine keeps its legacy single-goroutine contract: a second
+	// Begin while a transaction is open is a programming error reported
+	// as ErrTxnOpen.
 	Concurrent bool
 	// GroupCommit batches up to this many concurrently committing MVCC
 	// sessions (BeginConcurrent) into one journal flush — Algorithm 1's
@@ -123,13 +122,13 @@ type Options struct {
 	// above 1 require Concurrent and JournalNVWAL.
 	GroupCommit int
 	// BackgroundCheckpoint moves auto-checkpointing off the commit path:
-	// a dedicated goroutine runs the journal's incremental checkpoint
-	// (page writeback and fsync with no writer lock held) whenever the
-	// log passes CheckpointLimit, retrying when open snapshot readers
-	// defer it, instead of piggybacking blocking checkpoints on commits.
-	// Requires Concurrent and a journal mode with incremental checkpoint
-	// support (every WAL mode; not rollback). A background checkpoint
-	// failure is latched and reported by Close.
+	// a dedicated goroutine runs NVWAL's incremental checkpoint (page
+	// writeback and fsync with no writer lock held) whenever the log
+	// passes CheckpointLimit, retrying when open snapshot readers defer
+	// it, instead of piggybacking blocking checkpoints on commits.
+	// Requires Concurrent and JournalNVWAL; the flash baselines keep
+	// SQLite's blocking checkpoint. A background checkpoint failure is
+	// latched and reported by Close.
 	BackgroundCheckpoint bool
 	// CommitTimeout bounds (in virtual time) how long a write may stall
 	// under NVRAM-space backpressure: both the admission wait at Begin
@@ -152,6 +151,9 @@ type Options struct {
 
 // DefaultCheckpointLimit matches SQLite's 1000-frame threshold (§2).
 const DefaultCheckpointLimit = 1000
+
+// PageSize is the database page size, SQLite's default and the paper's.
+const PageSize = 4096
 
 // Errors.
 var (
@@ -194,11 +196,15 @@ type DB struct {
 	// consumers (pager, journal backfill, checkpoint) share it.
 	dbf *retryFile
 	jrn pager.Journal
-	pg  *pager.Pager
+	// nv is the journal when it is NVWAL, nil on the flash baselines and
+	// the rollback journal: snapshots, sessions, exports, background and
+	// incremental checkpoints exist only on it.
+	nv *core.NVWAL
+	pg *pager.Pager
 	// view resolves read-only page images at journal marks for every
-	// versioned reader (ReadTx, CTx, ExportPages); nil when the journal
-	// mode has no snapshot support. catalog memoises the table catalog
-	// against the page-1 image those readers resolve.
+	// versioned reader (ReadTx, CTx, ExportPages); nil unless nv is set.
+	// catalog memoises the table catalog against the page-1 image those
+	// readers resolve.
 	view    *pager.ReadView
 	catalog CatalogCache
 
@@ -287,9 +293,6 @@ type DB struct {
 // error matching errors.Is(err, ErrDegraded): the handle serves the
 // last good snapshot read-only.
 func Open(plat *platform.Platform, name string, opts Options) (*DB, error) {
-	if opts.PageSize <= 0 {
-		opts.PageSize = 4096
-	}
 	if opts.CheckpointLimit == 0 {
 		opts.CheckpointLimit = DefaultCheckpointLimit
 	}
@@ -301,6 +304,12 @@ func Open(plat *platform.Platform, name string, opts Options) (*DB, error) {
 	}
 	if opts.BackgroundCheckpoint && !opts.Concurrent {
 		return nil, errors.New("db: BackgroundCheckpoint requires Concurrent mode")
+	}
+	if opts.BackgroundCheckpoint && opts.Journal != JournalNVWAL {
+		return nil, fmt.Errorf("db: journal mode %s does not support background checkpointing", opts.Journal)
+	}
+	if opts.ScrubEvery > 0 && opts.Journal != JournalNVWAL {
+		return nil, errors.New("db: ScrubEvery requires JournalNVWAL")
 	}
 	f, err := plat.FS.OpenOrCreate(name, "db")
 	if err != nil {
@@ -319,14 +328,15 @@ func Open(plat *platform.Platform, name string, opts Options) (*DB, error) {
 		Now:     plat.Clock.Now,
 		Metrics: plat.Metrics,
 	})
-	d.dbf = newRetryFile(dbfile.New(f, opts.PageSize), plat.Clock, plat.Metrics, d.degrade)
+	d.dbf = newRetryFile(dbfile.New(f, PageSize), plat.Clock, plat.Metrics, d.degrade)
 	switch opts.Journal {
 	case JournalNVWAL:
 		cfg := opts.NVWAL
 		if cfg.Name == "" {
 			cfg.Name = "nvwal:" + name
 		}
-		d.jrn, err = core.Open(plat.Heap, d.dbf, cfg, plat.Metrics)
+		d.nv, err = core.Open(plat.Heap, d.dbf, cfg, plat.Metrics)
+		d.jrn = d.nv
 		d.pressure = newPressureState(plat.Heap)
 	case JournalOptimizedWAL:
 		d.jrn, err = wal.Open(plat.FS, name+"-wal", d.dbf,
@@ -343,35 +353,26 @@ func Open(plat *platform.Platform, name string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.view = pager.NewReadView(d.jrn, d.dbf)
 	size := opts.GroupCommit
 	if size < 1 {
 		size = 1
 	}
 	d.gc = &groupCommitter{size: size, db: d}
-	if nv, ok := d.jrn.(*core.NVWAL); ok {
-		d.gc.jrn = nv
+	if d.nv != nil {
+		d.view = pager.NewReadView(d.nv, d.dbf)
+		d.gc.jrn = d.nv
 	}
-	if opts.BackgroundCheckpoint {
-		if _, ok := d.jrn.(pager.IncrementalJournal); !ok {
-			return nil, fmt.Errorf("db: journal mode %s does not support background checkpointing", opts.Journal)
-		}
-		if opts.CheckpointLimit > 0 {
-			d.ckptKick = make(chan struct{}, 1)
-			d.ckptQuit = make(chan struct{})
-			d.ckptDone = make(chan struct{})
-			go d.checkpointLoop()
-		}
+	if opts.BackgroundCheckpoint && opts.CheckpointLimit > 0 {
+		d.ckptKick = make(chan struct{}, 1)
+		d.ckptQuit = make(chan struct{})
+		d.ckptDone = make(chan struct{})
+		go d.checkpointLoop()
 	}
 	if opts.ScrubEvery > 0 {
-		nv, ok := d.jrn.(*core.NVWAL)
-		if !ok {
-			return nil, errors.New("db: ScrubEvery requires JournalNVWAL")
-		}
 		d.scrubKick = make(chan struct{}, 1)
 		d.scrubQuit = make(chan struct{})
 		d.scrubDone = make(chan struct{})
-		go d.scrubLoop(nv)
+		go d.scrubLoop(d.nv)
 	}
 	// Recovery may have found the database file itself damaged — pages
 	// the log cannot reconstruct. The handle still opens (the last good
@@ -520,7 +521,7 @@ func (d *DB) CreateTable(table string) error {
 		d.releaseSlot()
 		return fmt.Errorf("%w: %q", ErrTableExists, table)
 	}
-	if len(cat) >= maxTables(d.opts.PageSize) {
+	if len(cat) >= maxTables(PageSize) {
 		d.releaseSlot()
 		return errors.New("db: catalog full")
 	}
@@ -978,10 +979,8 @@ func (d *DB) kickCheckpoint() {
 	}
 }
 
-// ckptGate is the reader gate the incremental journals consult: a
-// checkpoint round may only cover frames below every open snapshot
-// mark. Probing one past the log's end doubles as an "any reader at
-// all?" check (used by the file WAL before a log reset).
+// ckptGate is the reader gate NVWAL's checkpoint rounds consult: a
+// round may only cover frames below every open snapshot mark.
 func (d *DB) ckptGate(watermark int) bool {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
@@ -1003,7 +1002,6 @@ func (d *DB) ckptGate(watermark int) bool {
 // would have triggered.
 func (d *DB) checkpointLoop() {
 	defer close(d.ckptDone)
-	ij := d.jrn.(pager.IncrementalJournal)
 	tr := d.health.Tracker("checkpointer")
 	needsRound := func() bool {
 		frames := d.jrn.FramesSinceCheckpoint()
@@ -1030,7 +1028,7 @@ func (d *DB) checkpointLoop() {
 				break
 			}
 			start := d.plat.Clock.Now()
-			err := ij.CheckpointIncremental(d.ckptGate)
+			err := d.nv.CheckpointIncremental(d.ckptGate)
 			if err == nil {
 				tr.Observe(d.plat.Clock.Now() - start)
 				tr.Beat()
@@ -1134,24 +1132,14 @@ func (d *DB) Checkpoint() error {
 
 // checkpointLocked checkpoints with the writer slot held — with
 // freezeOnly, only as far as freezing an NVWAL round's generation (other
-// journals have no such stage: nothing is done). Incremental
-// journals protect open readers through the gate (ckptMu is never held
-// across the journal call — the gate takes it, and readers hold it
-// while marking); the legacy path pairs ckptMu with BeginRead so no new
-// snapshot can take a mark between the reader check and the truncation.
+// journals have no such stage: nothing is done). NVWAL protects open
+// readers through the gate (ckptMu is never held across the journal
+// call — the gate takes it, and readers hold it while marking); the
+// other journals have no readers to protect and checkpoint in one
+// blocking call.
 func (d *DB) checkpointLocked(freezeOnly bool) error {
-	// round is the journal's gated entry point, nil for a journal that can
-	// only truncate.
-	var round func(gate func(watermark int) bool) error
-	if ij, ok := d.jrn.(pager.IncrementalJournal); ok {
-		round = ij.CheckpointIncremental
-	}
-	if freezeOnly {
-		nv, ok := d.jrn.(*core.NVWAL)
-		if !ok {
-			return nil
-		}
-		round = nv.FreezeCheckpoint
+	if freezeOnly && d.nv == nil {
+		return nil
 	}
 	// Flush any group still waiting in the queue: its transactions'
 	// pages live only in the pager cache and the queue, so the journal
@@ -1161,24 +1149,20 @@ func (d *DB) checkpointLocked(freezeOnly bool) error {
 		return err
 	}
 	sw := d.plat.Clock.Now()
-	if round != nil {
-		err := round(d.ckptGate)
-		if errors.Is(err, pager.ErrCheckpointPending) {
-			return ErrBusySnapshot
-		}
-		if err != nil {
-			return err
-		}
-	} else {
-		d.ckptMu.Lock()
-		busy := d.readers.Load() > 0
-		d.ckptMu.Unlock()
-		if busy {
-			return ErrBusySnapshot
-		}
-		if err := d.jrn.Checkpoint(); err != nil {
-			return err
-		}
+	var err error
+	switch {
+	case d.nv == nil:
+		err = d.jrn.Checkpoint()
+	case freezeOnly:
+		err = d.nv.FreezeCheckpoint(d.ckptGate)
+	default:
+		err = d.nv.CheckpointIncremental(d.ckptGate)
+	}
+	if errors.Is(err, pager.ErrCheckpointPending) {
+		return ErrBusySnapshot
+	}
+	if err != nil {
+		return err
 	}
 	d.plat.Metrics.AddTime(metrics.TimeCheckpnt, d.plat.Clock.Now()-sw)
 	return nil

@@ -27,11 +27,10 @@ var ErrNoExport = fmt.Errorf("db: journal mode has no export hook")
 // means the range is no longer retained (or lies past the mark) and the
 // caller must re-seed via ExportPages.
 func (d *DB) ExportSince(from int, frames []core.ExportFrame) (core.ExportBatch, bool, error) {
-	w, ok := d.jrn.(*core.NVWAL)
-	if !ok {
+	if d.nv == nil {
 		return core.ExportBatch{}, false, ErrNoExport
 	}
-	b, ok := w.ExportSince(from, frames)
+	b, ok := d.nv.ExportSince(from, frames)
 	return b, ok, nil
 }
 

@@ -112,10 +112,10 @@ func (d *DB) Degraded() error {
 // Salvage returns the journal's crash-recovery salvage report (nvwal
 // mode after recovering an existing log; nil otherwise).
 func (d *DB) Salvage() *core.SalvageReport {
-	if nv, ok := d.jrn.(*core.NVWAL); ok {
-		return nv.Salvage()
+	if d.nv == nil {
+		return nil
 	}
-	return nil
+	return d.nv.Salvage()
 }
 
 // maybeKickScrub nudges the background scrubber once ScrubEvery commits

@@ -123,7 +123,7 @@ func (d *DB) borrowSession() *sessionState {
 	if st == nil {
 		st = &sessionState{
 			pages:  make(map[uint32]sessionPage),
-			stream: d.jrn.(*core.NVWAL).NewStream(),
+			stream: d.nv.NewStream(),
 		}
 	}
 	return st

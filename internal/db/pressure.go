@@ -292,16 +292,15 @@ func (d *DB) retryLogFull(dl deadline, where string, attempt func() error) error
 // reclaim runs one incremental checkpoint round for the commit-path
 // retry loops. Those loops already hold the writer slot and possibly
 // gc.mu, so it must not call Checkpoint/checkpointLocked (which take
-// them); the incremental journal serializes internally and consults the
-// reader gate. A round deferred by an open snapshot returns nil — the
-// caller backs off and retries as the reader closes.
+// them); NVWAL serializes rounds internally and consults the reader
+// gate. A round deferred by an open snapshot returns nil — the caller
+// backs off and retries as the reader closes.
 func (d *DB) reclaim() error {
-	ij, ok := d.jrn.(pager.IncrementalJournal)
-	if !ok || d.jrn.FramesSinceCheckpoint() == 0 {
+	if d.nv == nil || d.nv.FramesSinceCheckpoint() == 0 {
 		return nil
 	}
 	d.plat.Metrics.Inc(metrics.UrgentCheckpoints, 1)
-	err := ij.CheckpointIncremental(d.ckptGate)
+	err := d.nv.CheckpointIncremental(d.ckptGate)
 	if errors.Is(err, pager.ErrCheckpointPending) {
 		return nil
 	}

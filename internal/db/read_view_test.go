@@ -99,17 +99,28 @@ func TestCatalogParsedOncePerVersion(t *testing.T) {
 	}
 }
 
-// copyingJournal hides the journal's PageImager capability, so a
-// ReadView over it is the journal-else-file fallback every versioned
-// reader used to carry: PageVersionAt when a frame lies below the mark,
-// otherwise a read of the database file.
-type copyingJournal struct{ pager.SnapshotJournal }
+// referencePage is an independent journal-else-file resolution of pgno at
+// mark: NVWAL's PageVersionAt when a frame of the page lies below the
+// mark, otherwise a read of the database file.
+func referencePage(nv *core.NVWAL, dbf pager.DBFile, pgno uint32, mark int) ([]byte, error) {
+	if img, ok := nv.PageVersionAt(pgno, mark); ok {
+		if img == nil {
+			return nil, fmt.Errorf("%w: page %d at mark %d", pager.ErrNoImage, pgno, mark)
+		}
+		return img, nil
+	}
+	img := make([]byte, dbf.PageSize())
+	if err := dbf.ReadPage(pgno, img); err != nil {
+		return nil, err
+	}
+	return img, nil
+}
 
-// checkedStore compares every page a reader resolves with that fallback
+// checkedStore compares every page a reader resolves with referencePage
 // at the reader's own mark.
 type checkedStore struct {
 	snapshotStore
-	ref   *pager.ReadView
+	d     *DB
 	pages *atomic.Int64
 }
 
@@ -118,7 +129,7 @@ func (c *checkedStore) Get(pgno uint32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	want, _, err := c.ref.PageAt(pgno, c.mark)
+	want, err := referencePage(c.d.nv, c.d.dbf, pgno, c.mark)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +178,6 @@ func raceReadersWritersCheckpointer(t *testing.T, d *DB) {
 		run = 300 * time.Millisecond
 	}
 	key, val := raceKey, raceVal
-	ref := pager.NewReadView(copyingJournal{d.jrn.(pager.SnapshotJournal)}, d.dbf)
 
 	stop := make(chan struct{})
 	errs := make(chan error, readers+writers)
@@ -218,7 +228,7 @@ func raceReadersWritersCheckpointer(t *testing.T, d *DB) {
 					errs <- err
 					return
 				}
-				store := &checkedStore{snapshotStore: rt.store, ref: ref, pages: &pages}
+				store := &checkedStore{snapshotStore: rt.store, d: d, pages: &pages}
 				seen := make(map[byte]uint64)
 				var torn error
 				tr, err := d.treeAt(store, store, "t")
@@ -387,9 +397,8 @@ func reopened(t testing.TB, d *DB, plat *platform.Platform, opts Options) *DB {
 }
 
 // TestSnapshotKeepsOnlyBuiltPages pins the reader's memo to the pages
-// that need one: an image the view had to build (file WAL copy, database
-// file read) is built once per ReadTx, an image the log shares is never
-// kept.
+// that need one: an image the view had to build (a database file read) is
+// built once per ReadTx, an image the log shares is never kept.
 func TestSnapshotKeepsOnlyBuiltPages(t *testing.T) {
 	nv := Options{Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff()}
 	for _, c := range []struct {
@@ -400,7 +409,6 @@ func TestSnapshotKeepsOnlyBuiltPages(t *testing.T) {
 	}{
 		{"nvwal live", nv, false, false},
 		{"nvwal reopened", nv, true, true},
-		{"file wal", Options{Journal: JournalWAL}, false, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			d, plat := newDB(t, c.opts)
@@ -512,12 +520,11 @@ func TestSessionOwnsBuiltPages(t *testing.T) {
 }
 
 // BenchmarkFallbackReads measures the readers on pages the log cannot
-// hand out shared — a reopened NVWAL database (every page only in the
-// database file) and the file WAL — beside the shared case: a ReadTx of
-// N point reads, or (session) a read-only MVCC session of 10.
+// hand out shared — a reopened NVWAL database, every page only in the
+// database file — beside the shared case: a ReadTx of N point reads, or
+// (session) a read-only MVCC session of 10.
 func BenchmarkFallbackReads(b *testing.B) {
 	nv := Options{Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff(), Concurrent: true, CheckpointLimit: -1}
-	fw := Options{Journal: JournalWAL, CheckpointLimit: -1}
 	for _, c := range []struct {
 		name    string
 		opts    Options
@@ -528,8 +535,6 @@ func BenchmarkFallbackReads(b *testing.B) {
 		{"nvwal-live/100gets", nv, false, 100, false},
 		{"nvwal-reopened/1get", nv, true, 1, false},
 		{"nvwal-reopened/100gets", nv, true, 100, false},
-		{"filewal/1get", fw, false, 1, false},
-		{"filewal/100gets", fw, false, 100, false},
 		{"nvwal-live/session", nv, false, 10, true},
 		{"nvwal-reopened/session", nv, true, 10, true},
 	} {

@@ -8,10 +8,11 @@ import (
 	"repro/internal/pager"
 )
 
-// ErrNoSnapshots is returned by BeginRead under a journal mode without
-// snapshot support (the rollback journal updates the database file in
-// place, so readers cannot proceed against a stable version — exactly
-// the limitation WAL mode lifted in SQLite).
+// ErrNoSnapshots is returned by BeginRead under every journal mode but
+// JournalNVWAL, the one log that keeps page versions by mark. The flash
+// WALs are the paper's single-writer baselines, and the rollback journal
+// updates the database file in place, so readers cannot proceed against
+// a stable version — the limitation WAL mode lifted in SQLite.
 var ErrNoSnapshots = errors.New("db: journal mode does not support snapshot reads")
 
 // ErrBusySnapshot is returned by Checkpoint while read transactions are

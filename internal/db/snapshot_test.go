@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -12,7 +13,7 @@ import (
 
 func TestSnapshotReadsAreStable(t *testing.T) {
 	for _, opts := range allModes() {
-		if opts.Journal == JournalRollback {
+		if opts.Journal != JournalNVWAL {
 			continue
 		}
 		t.Run(modeName(opts), func(t *testing.T) {
@@ -136,15 +137,41 @@ func TestSnapshotAcrossCheckpointEpoch(t *testing.T) {
 	}
 }
 
-func TestRollbackModeRejectsSnapshots(t *testing.T) {
-	d, _ := newDB(t, Options{Journal: JournalRollback})
-	if _, err := d.BeginRead(); err != ErrNoSnapshots {
-		t.Fatalf("BeginRead under rollback mode = %v, want ErrNoSnapshots", err)
+// TestBaselineModesRejectSnapshots: point-in-time reads are NVWAL's
+// alone. The flash WALs and the rollback journal refuse a snapshot, an
+// export, a session, and background checkpointing at Open — naming the
+// journal mode — while their plain reads and writes keep working.
+func TestBaselineModesRejectSnapshots(t *testing.T) {
+	for _, j := range []JournalMode{JournalWAL, JournalOptimizedWAL, JournalRollback} {
+		t.Run(j.String(), func(t *testing.T) {
+			d, plat := newDB(t, Options{Journal: j, Concurrent: true})
+			if err := d.CreateTable("t"); err != nil {
+				t.Fatal(err)
+			}
+			mustCommitKV(t, d, "t", map[string]string{"k": "v"})
+			if _, err := d.BeginRead(); err != ErrNoSnapshots {
+				t.Fatalf("BeginRead = %v, want ErrNoSnapshots", err)
+			}
+			if _, err := d.ExportPages(); err != ErrNoExport {
+				t.Fatalf("ExportPages = %v, want ErrNoExport", err)
+			}
+			if tx, err := d.BeginConcurrent(); err == nil {
+				tx.Rollback()
+				t.Fatal("BeginConcurrent succeeded")
+			}
+			if v, ok, err := d.Get("t", []byte("k")); err != nil || !ok || string(v) != "v" {
+				t.Fatalf("Get = %q %v %v", v, ok, err)
+			}
+			_, err := Open(plat, "bg.db", Options{Journal: j, Concurrent: true, BackgroundCheckpoint: true})
+			if err == nil || !strings.Contains(err.Error(), j.String()) {
+				t.Fatalf("Open with BackgroundCheckpoint = %v, want an error naming %s", err, j)
+			}
+		})
 	}
 }
 
 func TestClosedReadTxRejected(t *testing.T) {
-	d, _ := newDB(t, Options{Journal: JournalOptimizedWAL})
+	d, _ := newDB(t, Options{Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff()})
 	d.CreateTable("t")
 	r, err := d.BeginRead()
 	if err != nil {

@@ -48,58 +48,27 @@ type Journal interface {
 	Checkpoint() error
 }
 
-// SnapshotJournal is implemented by journals that can serve point-in-
-// time reads — the WAL property that lets readers proceed against a
-// stable snapshot while the writer appends (SQLite's wal-index "mxFrame"
-// mechanism). Marks are only valid within the current checkpoint epoch;
-// the database layer keeps checkpointing and open snapshots apart.
-type SnapshotJournal interface {
-	Journal
-	// Mark captures the current end of the committed log.
-	Mark() int
-	// PageVersionAt returns pgno's image as of the mark, or ok=false
-	// when the log held no frame for the page at that point (the page's
-	// content is then whatever the database file holds — unchanged
-	// since the mark, because checkpointing is excluded). The image may
-	// be one the journal keeps: callers must not modify it. ok with a nil
-	// image means what it means for PageVersion.
-	PageVersionAt(pgno uint32, mark int) ([]byte, bool)
-}
-
 // ErrNoImage is returned for a page the journal holds but cannot build
 // an image of (PageVersion's ok with a nil image).
 var ErrNoImage = errors.New("pager: the journal holds the page but cannot build its image")
 
-// ErrCheckpointPending is returned by IncrementalJournal implementations
-// when the caller's gate refused the checkpoint (an open snapshot reader
-// still holds a mark below the backfill watermark). The log is intact;
-// retry once the reader closes.
+// ErrCheckpointPending is returned by a gated checkpoint round (NVWAL's
+// CheckpointIncremental) when the caller's gate refused it: an open
+// snapshot reader still holds a mark below the round's watermark. The
+// log is intact; retry once the reader closes.
 var ErrCheckpointPending = errors.New("pager: checkpoint pending: a snapshot reader pins the log")
 
-// IncrementalJournal is implemented by journals whose checkpoint follows
-// the backfill-watermark protocol: page writeback and fsync run outside
-// the journal's writer lock, commits keep appending concurrently, and
-// frames logged during the writeback carry over to the next round
-// (SQLite's nBackfill). The gate decides — without any journal lock
-// held — whether a checkpoint covering marks < watermark may proceed; it
-// must return false while any open snapshot reader holds a mark below
-// the watermark. A nil gate always allows.
-type IncrementalJournal interface {
-	Journal
-	CheckpointIncremental(gate func(watermark int) bool) error
-}
-
-// PageImager is the optional capability of a SnapshotJournal whose log
-// already retains an immutable image of every page it holds (NVWAL's
-// version images): PageImageAt hands that image out shared instead of
-// copying it. The image is read-only for every holder; nil means the
-// log never held the page at the mark, and the database file serves it.
-// shared is false when the journal had to build the image for this call
-// (a page rewritten after the mark): nobody else holds it. A mark of
-// Latest asks for the latest committed image, which is always shared.
-// An error means the journal holds the page but could not build its image
-// (NVWAL: a recovered page whose database-file base is unreadable); it
-// reaches the reader, and the database file does not stand in.
+// PageImager is the capability of a journal whose log retains an
+// immutable image of every page it holds (NVWAL's version images):
+// PageImageAt hands that image out shared instead of copying it. The
+// image is read-only for every holder; nil means the log never held the
+// page at the mark, and the database file serves it. shared is false
+// when the journal had to build the image for this call (a page
+// rewritten after the mark): nobody else holds it. A mark of Latest asks
+// for the latest committed image, which is always shared. An error means
+// the journal holds the page but could not build its image (NVWAL: a
+// recovered page whose database-file base is unreadable); it reaches the
+// reader, and the database file does not stand in.
 type PageImager interface {
 	PageImageAt(pgno uint32, mark int) (img []byte, shared bool, err error)
 }
@@ -108,51 +77,44 @@ type PageImager interface {
 // it returns the page's latest committed image (the pager's read path).
 const Latest = math.MaxInt
 
-// ReadView answers the one question every versioned reader asks — the
-// read-only image of page pgno at journal mark m — for snapshot reads,
-// MVCC sessions, exports and replicas alike. The journal's PageImager
-// capability is probed once, at construction; journals without it (the
-// file WAL) serve a private copy through PageVersionAt, and a page the
-// log does not hold at the mark is read from the database file.
-type ReadView struct {
-	jrn    SnapshotJournal
-	shared PageImager
-	db     DBFile
+// VersionedLog is a log that serves point-in-time reads — the WAL
+// property that lets readers proceed against a stable snapshot while the
+// writer appends (SQLite's wal-index "mxFrame" mechanism). NVWAL is the
+// one implementation; the database layer keeps checkpointing and open
+// marks apart.
+type VersionedLog interface {
+	PageImager
+	// Mark captures the current end of the committed log.
+	Mark() int
 }
 
-// NewReadView returns the read view of jrn over db, or nil when the
-// journal cannot serve point-in-time reads.
-func NewReadView(jrn Journal, db DBFile) *ReadView {
-	sj, ok := jrn.(SnapshotJournal)
-	if !ok {
-		return nil
-	}
-	v := &ReadView{jrn: sj, db: db}
-	v.shared, _ = jrn.(PageImager)
-	return v
+// ReadView answers the one question every versioned reader asks — the
+// read-only image of page pgno at log mark m — for snapshot reads, MVCC
+// sessions, exports and replicas alike: the log's image, or else the
+// database file's.
+type ReadView struct {
+	log VersionedLog
+	db  DBFile
+}
+
+// NewReadView returns the read view of log over db.
+func NewReadView(log VersionedLog, db DBFile) *ReadView {
+	return &ReadView{log: log, db: db}
 }
 
 // Mark captures the current end of the committed log.
-func (v *ReadView) Mark() int { return v.jrn.Mark() }
+func (v *ReadView) Mark() int { return v.log.Mark() }
 
 // PageSize is the database page size.
 func (v *ReadView) PageSize() int { return v.db.PageSize() }
 
 // PageAt returns the read-only image of pgno at mark. shared reports
-// that it is one the journal retains; otherwise it was built for this
-// call (replayed, copied out of a file log or read from the database
-// file) and a reader that will visit the page again should keep it.
+// that it is one the log retains; otherwise it was built for this call
+// (replayed by the log or read from the database file) and a reader that
+// will visit the page again should keep it.
 func (v *ReadView) PageAt(pgno uint32, mark int) (img []byte, shared bool, err error) {
-	if v.shared != nil {
-		img, shared, err := v.shared.PageImageAt(pgno, mark)
-		if err != nil || img != nil {
-			return img, shared, err
-		}
-	} else if img, ok := v.jrn.PageVersionAt(pgno, mark); ok {
-		if img == nil {
-			return nil, false, fmt.Errorf("%w: page %d at mark %d", ErrNoImage, pgno, mark)
-		}
-		return img, false, nil
+	if img, shared, err := v.log.PageImageAt(pgno, mark); err != nil || img != nil {
+		return img, shared, err
 	}
 	img = make([]byte, v.db.PageSize())
 	if err := v.db.ReadPage(pgno, img); err != nil {

@@ -3,6 +3,7 @@ package pager
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"slices"
 	"testing"
@@ -579,27 +580,38 @@ func TestFrameOrderDeterministic(t *testing.T) {
 	}
 }
 
-// snapJournal adds the snapshot interface to fakeJournal: every mark
-// sees the current versions, copied out like the file WAL does.
-type snapJournal struct{ *fakeJournal }
+// imagerJournal adds the read view's interface to fakeJournal: every
+// mark sees the current versions, handed out shared like NVWAL does.
+type imagerJournal struct{ *fakeJournal }
 
-func (j snapJournal) Mark() int { return j.commits }
-
-func (j snapJournal) PageVersionAt(pgno uint32, _ int) ([]byte, bool) {
-	v, ok := j.versions[pgno]
-	return bytes.Clone(v), ok
-}
-
-// imagerJournal additionally hands its images out shared.
-type imagerJournal struct{ snapJournal }
+func (j imagerJournal) Mark() int { return j.commits }
 
 func (j imagerJournal) PageImageAt(pgno uint32, _ int) ([]byte, bool, error) {
 	return j.versions[pgno], true, nil
 }
 
-// unbuiltJournal holds page unbuilt but cannot build its image: the
-// imager reports err, PageVersion and PageVersionAt ok with a nil image.
-type unbuiltJournal struct{ imagerJournal }
+// copyingJournal serves every image as a private copy, the way NVWAL
+// serves a page it has to build for the call.
+type copyingJournal struct{ *fakeJournal }
+
+func (j copyingJournal) Mark() int { return j.commits }
+
+func (j copyingJournal) PageImageAt(pgno uint32, _ int) ([]byte, bool, error) {
+	return bytes.Clone(j.versions[pgno]), false, nil
+}
+
+// versionedJournal is a fake both the pager and a read view accept.
+type versionedJournal interface {
+	Journal
+	VersionedLog
+}
+
+// unbuiltJournal holds page unbuilt but cannot build its image:
+// PageImageAt reports err, PageVersion ok with a nil image.
+type unbuiltJournal struct {
+	versionedJournal
+	err error
+}
 
 const unbuilt = 3
 
@@ -607,48 +619,49 @@ var errUnbuilt = errors.New("injected base read failure")
 
 func (j unbuiltJournal) PageImageAt(pgno uint32, mark int) ([]byte, bool, error) {
 	if pgno == unbuilt {
-		return nil, false, errUnbuilt
+		return nil, false, j.err
 	}
-	return j.imagerJournal.PageImageAt(pgno, mark)
+	return j.versionedJournal.PageImageAt(pgno, mark)
 }
 
 func (j unbuiltJournal) PageVersion(pgno uint32) ([]byte, bool) {
 	if pgno == unbuilt {
 		return nil, true
 	}
-	return j.imagerJournal.PageVersion(pgno)
+	return j.versionedJournal.PageVersion(pgno)
 }
 
-func (j unbuiltJournal) PageVersionAt(pgno uint32, mark int) ([]byte, bool) {
-	if pgno == unbuilt {
-		return nil, true
-	}
-	return j.imagerJournal.PageVersionAt(pgno, mark)
-}
-
-// plainJournal hides every capability but Journal and SnapshotJournal.
-type plainJournal struct{ SnapshotJournal }
+// plainJournal hides every capability but Journal: the pager's cache miss
+// then goes through PageVersion.
+type plainJournal struct{ Journal }
 
 // TestUnbuiltPageNeverReadsTheFile: a page the journal holds but cannot
-// build is an error for the pager and the read view, through the imager
-// and through PageVersion(At) alike — never the database file's image.
+// build is an error for the pager and the read view, through PageImageAt
+// (shared or copying) and through PageVersion alike — never the database
+// file's image.
 func TestUnbuiltPageNeverReadsTheFile(t *testing.T) {
 	f := newFakeDBFile()
 	_ = f.WritePage(unbuilt, bytes.Repeat([]byte{0xF2}, 4096))
 	for _, c := range []struct {
 		name string
-		jrn  SnapshotJournal
+		jrn  unbuiltJournal
 		want error
 	}{
-		{"imager", unbuiltJournal{imagerJournal{snapJournal{newFakeJournal()}}}, errUnbuilt},
-		{"plain", plainJournal{unbuiltJournal{imagerJournal{snapJournal{newFakeJournal()}}}}, ErrNoImage},
+		{"imager", unbuiltJournal{imagerJournal{newFakeJournal()}, errUnbuilt}, errUnbuilt},
+		{"copying", unbuiltJournal{copyingJournal{newFakeJournal()}, fmt.Errorf("%w: page %d", ErrNoImage, unbuilt)}, ErrNoImage},
 	} {
-		p, err := Open(f, c.jrn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if img, err := p.Get(unbuilt); !errors.Is(err, c.want) || img != nil {
-			t.Fatalf("%s: Get = (%d bytes, %v), want %v", c.name, len(img), err, c.want)
+		for _, pj := range []struct {
+			name string
+			jrn  Journal
+			want error
+		}{{"PageImageAt", c.jrn, c.want}, {"PageVersion", plainJournal{c.jrn}, ErrNoImage}} {
+			p, err := Open(f, pj.jrn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if img, err := p.Get(unbuilt); !errors.Is(err, pj.want) || img != nil {
+				t.Fatalf("%s: Get through %s = (%d bytes, %v), want %v", c.name, pj.name, len(img), err, pj.want)
+			}
 		}
 		v := NewReadView(c.jrn, f)
 		if img, _, err := v.PageAt(unbuilt, v.Mark()); !errors.Is(err, c.want) || img != nil {
@@ -662,27 +675,24 @@ type failingDBFile struct{ *fakeDBFile }
 func (failingDBFile) ReadPage(uint32, []byte) error { return errors.New("injected read failure") }
 
 // TestReadViewSnapshotResolution covers the one helper every versioned
-// reader calls: no view without snapshot support; a PageImager's image
-// is returned as is (no copy) and reported shared; a plain
-// SnapshotJournal's copy is used; a page the log does not hold comes
-// from the file in a private buffer; a file error surfaces.
+// reader calls: a shared image is returned as is (no copy) and reported
+// shared; a copy the log built for the call is returned as not shared; a
+// page the log does not hold comes from the file in a private buffer; a
+// file error surfaces.
 func TestReadViewSnapshotResolution(t *testing.T) {
 	f := newFakeDBFile()
-	if NewReadView(newFakeJournal(), f) != nil {
-		t.Fatal("a journal without Mark/PageVersionAt must have no read view")
-	}
 	logged, onFile := bytes.Repeat([]byte{0xA1}, 4096), bytes.Repeat([]byte{0xF2}, 4096)
 	_ = f.WritePage(3, onFile)
 	fj := newFakeJournal()
 	_ = fj.CommitTransaction([]Frame{{Pgno: 2, Data: logged}})
 
-	shared := NewReadView(imagerJournal{snapJournal{fj}}, f)
+	shared := NewReadView(imagerJournal{fj}, f)
 	if got, isShared, err := shared.PageAt(2, shared.Mark()); err != nil || !isShared || &got[0] != &fj.versions[2][0] {
-		t.Fatalf("PageImager image not handed out shared (shared=%v err=%v)", isShared, err)
+		t.Fatalf("a shared image not handed out as is (shared=%v err=%v)", isShared, err)
 	}
-	copied := NewReadView(snapJournal{fj}, f)
+	copied := NewReadView(copyingJournal{fj}, f)
 	if got, isShared, err := copied.PageAt(2, copied.Mark()); err != nil || isShared || !bytes.Equal(got, logged) || &got[0] == &fj.versions[2][0] {
-		t.Fatalf("plain SnapshotJournal must serve its own copy (shared=%v err=%v)", isShared, err)
+		t.Fatalf("a copy the log built must be served as not shared (shared=%v err=%v)", isShared, err)
 	}
 	for _, v := range []*ReadView{shared, copied} {
 		got, isShared, err := v.PageAt(3, v.Mark())
@@ -693,7 +703,7 @@ func TestReadViewSnapshotResolution(t *testing.T) {
 			t.Fatal("PageSize")
 		}
 	}
-	if _, _, err := NewReadView(snapJournal{fj}, failingDBFile{f}).PageAt(3, 0); err == nil {
+	if _, _, err := NewReadView(copyingJournal{fj}, failingDBFile{f}).PageAt(3, 0); err == nil {
 		t.Fatal("file read error swallowed")
 	}
 }

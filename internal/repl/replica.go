@@ -68,14 +68,6 @@ type ReplicaOptions struct {
 	// Epoch the replica reports in Status (the fencing epoch of the
 	// primary it expects to follow).
 	Epoch uint64
-	// NVWAL configures the replica's own journal (default
-	// core.VariantUHLSDiff with a name derived from the file name).
-	NVWAL *core.Config
-	// PageSize must match the primary's (default 4096).
-	PageSize int
-	// Reserved is the btree per-page reserve of the primary's pages
-	// (default core.RecommendedPageReserve — the NVWAL layout).
-	Reserved int
 	// Metrics receives replica counters (default: the platform sink).
 	Metrics *metrics.Counters
 }
@@ -142,23 +134,16 @@ type applyPage struct {
 // runs inside core.Open; the persisted cursor then says which primary
 // mark that state corresponds to. An invalid or missing cursor leaves
 // the replica unseeded — it will request a full generation transfer.
+//
+// The replica's journal is NVWAL UH+LS+Diff, and its pages have the
+// primary's layout: db.PageSize bytes with core.RecommendedPageReserve
+// reserved by the B+tree.
 func NewReplica(plat *platform.Platform, name string, opts ReplicaOptions) (*Replica, error) {
-	if opts.PageSize <= 0 {
-		opts.PageSize = 4096
-	}
-	if opts.Reserved == 0 {
-		opts.Reserved = core.RecommendedPageReserve
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = plat.Metrics
 	}
 	cfg := core.VariantUHLSDiff()
-	if opts.NVWAL != nil {
-		cfg = *opts.NVWAL
-	}
-	if cfg.Name == "" {
-		cfg.Name = "nvwal:" + name
-	}
+	cfg.Name = "nvwal:" + name
 	f, err := plat.FS.OpenOrCreate(name, "db")
 	if err != nil {
 		return nil, err
@@ -168,7 +153,7 @@ func NewReplica(plat *platform.Platform, name string, opts ReplicaOptions) (*Rep
 		name: name,
 		opts: opts,
 		m:    opts.Metrics,
-		dbf:  dbfile.New(f, opts.PageSize),
+		dbf:  dbfile.New(f, db.PageSize),
 	}
 	r.wal, err = core.Open(plat.Heap, r.dbf, cfg, r.m)
 	if err != nil {
@@ -466,12 +451,12 @@ func (r *Replica) applySeed(s seedMsg) ack {
 	}
 	mark := r.view.Mark()
 	for _, pg := range s.pages {
-		if len(pg.data) > r.opts.PageSize {
+		if len(pg.data) > db.PageSize {
 			r.dropPages()
 			return nack
 		}
 		// The message buffer is the transport's; the journal keeps its own.
-		img := make([]byte, r.opts.PageSize)
+		img := make([]byte, db.PageSize)
 		copy(img, pg.data)
 		base, _, err := r.wal.PageImageAt(pg.pgno, mark)
 		if err != nil {
@@ -689,7 +674,7 @@ func (r *Replica) tree(table string) (btree.Tree, error) {
 	if !ok {
 		return btree.Tree{}, fmt.Errorf("repl: no table %q in applied catalog", table)
 	}
-	return btree.Attach(&r.read, root, btree.Config{Reserved: r.opts.Reserved}), nil
+	return btree.Attach(&r.read, root, btree.Config{Reserved: core.RecommendedPageReserve}), nil
 }
 
 // Apply refuses writes: replicas are read-only until promoted.

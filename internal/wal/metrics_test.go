@@ -2,41 +2,9 @@ package wal
 
 import (
 	"testing"
-	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/pager"
 )
-
-// TestCommitStallOnlyWhenContended mirrors the NVWAL fix on the file
-// WAL: uncontended commits charge nothing to CommitStallNanos.
-func TestCommitStallOnlyWhenContended(t *testing.T) {
-	e := newEnv(t)
-	w := e.open(t, ModeStock)
-	for i := byte(0); i < 10; i++ {
-		commit(t, w, map[uint32]byte{2: i})
-	}
-	if got := e.m.Count(metrics.CommitStallNanos); got != 0 {
-		t.Fatalf("uncontended commits charged %dns of commit stall, want 0", got)
-	}
-
-	for attempt := 0; attempt < 20; attempt++ {
-		w.mu.Lock()
-		done := make(chan struct{})
-		go func() {
-			w.lockWriter()
-			w.mu.Unlock()
-			close(done)
-		}()
-		time.Sleep(20 * time.Millisecond)
-		w.mu.Unlock()
-		<-done
-		if e.m.Count(metrics.CommitStallNanos) > 0 {
-			return
-		}
-	}
-	t.Fatal("contended lockWriter never charged the stall metric")
-}
 
 // TestCommitFrameEncodeScratchReuse pins the reused frame-encode
 // buffer: a commit frame followed by a non-commit frame in the same

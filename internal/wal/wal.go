@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
-	"sort"
 	"sync"
 	"time"
 
@@ -80,10 +79,10 @@ type frameInfo struct {
 	commit bool
 }
 
-// WAL is one write-ahead log file. It implements pager.Journal and
-// pager.SnapshotJournal. All methods are safe for concurrent use:
-// snapshot readers share a reader-writer lock that CommitTransaction and
-// Checkpoint take exclusively.
+// WAL is one write-ahead log file. It implements pager.Journal with one
+// writer at a time: CommitTransaction and Checkpoint take the log's lock
+// exclusively, PageVersion shares it. Point-in-time reads are NVWAL's
+// alone; the file WAL is the paper's single-writer baseline.
 type WAL struct {
 	file     *ext4.File
 	db       pager.DBFile
@@ -95,33 +94,14 @@ type WAL struct {
 	mu       sync.RWMutex
 	salt     uint64
 	frames   []frameInfo
-	index    map[uint32]int   // pgno -> latest committed frame
-	byPage   map[uint32][]int // pgno -> ascending frame indices (wal-index)
-	chain    uint64           // running checksum of the last frame
-	prealloc int              // next pre-allocation size in pages
-	// nBackfill is the backfill watermark: frames below it are already
-	// durable in the database file (SQLite's nBackfill). The log only
-	// resets (truncate + fresh salt) when fully backfilled and no
-	// snapshot reader is open; otherwise a checkpoint just advances the
-	// watermark and commits keep appending.
-	nBackfill int
-	// epoch counts log resets. Marks encode it in their high bits so a
-	// mark taken before a reset can never index frames appended after
-	// it — such readers fall back to the (fully backfilled) database
-	// file instead.
-	epoch int
+	index    map[uint32]int // pgno -> latest committed frame
+	chain    uint64         // running checksum of the last frame
+	prealloc int            // next pre-allocation size in pages
 	// encBuf is commit-path scratch, reused across transactions (guarded
 	// by w.mu; ext4.WriteAt copies into the page cache, so the buffer is
 	// free again as soon as the write returns).
 	encBuf []byte
-	// ckptMu serializes checkpointers; never held by commits or reads.
-	ckptMu sync.Mutex
 }
-
-// markBits is the width of the frame-index part of an encoded mark.
-const markBits = 32
-
-func (w *WAL) encodeMark(frame int) int { return w.epoch<<markBits | frame }
 
 // Open attaches to (or creates) the write-ahead log file name on fs.
 // Existing committed frames are recovered; a trailing uncommitted or
@@ -144,7 +124,6 @@ func Open(fs *ext4.FS, name string, db pager.DBFile, opts Options, m *metrics.Co
 		opts:     opts,
 		m:        m,
 		index:    make(map[uint32]int),
-		byPage:   make(map[uint32][]int),
 		prealloc: opts.InitialPrealloc,
 	}
 	if f.Size() == 0 {
@@ -299,22 +278,8 @@ func (w *WAL) recover() error {
 	w.frames = scanned[:lastCommit+1]
 	for i, fi := range w.frames {
 		w.index[fi.pgno] = i
-		w.byPage[fi.pgno] = append(w.byPage[fi.pgno], i)
 	}
 	return nil
-}
-
-// lockWriter takes the exclusive writer lock, charging a contended
-// wait to the commit-stall metric (wall time: the simulated clock does
-// not advance while a goroutine waits on a mutex). An uncontended
-// acquisition charges nothing.
-func (w *WAL) lockWriter() {
-	if w.mu.TryLock() {
-		return
-	}
-	start := time.Now()
-	w.mu.Lock()
-	w.m.Inc(metrics.CommitStallNanos, time.Since(start).Nanoseconds())
 }
 
 // CommitTransaction implements pager.Journal: append one frame per
@@ -325,7 +290,7 @@ func (w *WAL) CommitTransaction(frames []pager.Frame) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	w.lockWriter()
+	w.mu.Lock()
 	defer w.mu.Unlock()
 	base := len(w.frames)
 	if w.opts.Mode == ModeOptimized {
@@ -349,7 +314,6 @@ func (w *WAL) CommitTransaction(frames []pager.Frame) error {
 	for i, fr := range frames {
 		w.frames = append(w.frames, frameInfo{pgno: fr.Pgno, commit: i == len(frames)-1})
 		w.index[fr.Pgno] = base + i
-		w.byPage[fr.Pgno] = append(w.byPage[fr.Pgno], base+i)
 	}
 	w.m.Inc(metrics.WALFrames, int64(len(frames)))
 	w.m.Inc(metrics.Transactions, 1)
@@ -372,10 +336,6 @@ func (w *WAL) ensurePrealloc(frameCount int) {
 func (w *WAL) PageVersion(pgno uint32) ([]byte, bool) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return w.pageVersionLocked(pgno)
-}
-
-func (w *WAL) pageVersionLocked(pgno uint32) ([]byte, bool) {
 	i, ok := w.index[pgno]
 	if !ok {
 		return nil, false
@@ -401,140 +361,53 @@ func (w *WAL) readPayloadInto(i int, buf []byte) bool {
 	return true
 }
 
-// FramesSinceCheckpoint implements pager.Journal: frames not yet
-// backfilled into the database file.
+// FramesSinceCheckpoint implements pager.Journal: every committed frame
+// is one not yet written back, since a checkpoint resets the log.
 func (w *WAL) FramesSinceCheckpoint() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return len(w.frames) - w.nBackfill
+	return len(w.frames)
 }
 
-// Mark implements pager.SnapshotJournal: the end of the committed log,
-// tagged with the reset epoch so marks stay monotone across log resets.
-func (w *WAL) Mark() int {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.encodeMark(len(w.frames))
-}
-
-// PageVersionAt implements pager.SnapshotJournal: the newest frame for
-// pgno below the mark wins (every file-WAL frame is a full page image),
-// found by binary search in the per-page index. A mark from an earlier
-// epoch predates a log reset — a reset requires the log fully
-// backfilled, so the database file serves that snapshot exactly.
-func (w *WAL) PageVersionAt(pgno uint32, mark int) ([]byte, bool) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	if mark>>markBits != w.epoch {
-		return nil, false
-	}
-	idxs := w.byPage[pgno]
-	n := sort.SearchInts(idxs, mark&(1<<markBits-1))
-	if n == 0 {
-		return nil, false
-	}
-	page := make([]byte, w.pageSize)
-	if !w.readPayloadInto(idxs[n-1], page) {
-		return nil, false
-	}
-	return page, true
-}
-
-// Checkpoint implements pager.Journal as a blocking alias: one
-// incremental round with no reader gate.
-func (w *WAL) Checkpoint() error { return w.CheckpointIncremental(nil) }
-
-// CheckpointIncremental implements pager.IncrementalJournal: write the
-// unbackfilled frames' pages to the database file and fsync with no
-// lock held — commits keep appending, since frame slots below the
-// watermark are never rewritten — then advance the backfill watermark.
-// The log file itself only resets (truncate + fresh salt, invalidating
-// frame indices) when it is fully backfilled and the gate confirms no
-// snapshot reader is open at all; a growing log between resets is the
-// price of not blocking, exactly as in SQLite.
-//
-// gate, when non-nil, is consulted with the candidate watermark before
-// any page is written back; returning false aborts the round with
-// pager.ErrCheckpointPending.
-func (w *WAL) CheckpointIncremental(gate func(watermark int) bool) error {
-	w.ckptMu.Lock()
-	defer w.ckptMu.Unlock()
-
-	// Snapshot the dirty region under the lock. index[pgno] is the
-	// page's newest frame; it is below the watermark by construction.
-	w.mu.RLock()
-	watermark := len(w.frames)
-	dirty := make(map[uint32]int)
-	for i := w.nBackfill; i < watermark; i++ {
-		pgno := w.frames[i].pgno
-		dirty[pgno] = w.index[pgno]
-	}
-	frames := len(w.frames)
-	w.mu.RUnlock()
-	if watermark == w.nBackfill && frames == 0 {
-		return nil
-	}
-
-	// The writeback below makes images newer than some marks visible in
-	// the database file; the gate guarantees no open reader would see
-	// them through its fallback path.
-	if gate != nil && !gate(w.encodeMark(watermark)) {
-		return pager.ErrCheckpointPending
-	}
-
-	if len(dirty) > 0 {
-		start := time.Now()
-		page := make([]byte, w.pageSize)
-		for pgno, i := range dirty {
-			if !w.readPayloadInto(i, page) {
-				return fmt.Errorf("wal: lost frame for page %d during checkpoint", pgno)
-			}
-			if err := w.db.WritePage(pgno, page); err != nil {
-				return err
-			}
-		}
-		if err := w.db.Sync(); err != nil {
-			return err
-		}
-		w.m.Inc(metrics.CheckpointPages, int64(len(dirty)))
-		w.m.Inc(metrics.CheckpointNanos, time.Since(start).Nanoseconds())
-	}
-
-	// Resetting the log invalidates frame indices, so it needs the log
-	// fully backfilled and no reader open at any mark (every open mark
-	// is at most the current end): probe the gate one past the end.
-	// Checked before re-taking w.mu — the gate takes the database
-	// layer's reader-registry lock, which readers hold while calling
-	// Mark. A reader slipping in after the probe still reads correctly:
-	// its epoch-tagged mark falls back to the database file, which the
-	// reset just made exact.
-	allowReset := gate == nil || gate(w.encodeMark(watermark)+1)
-
+// Checkpoint implements pager.Journal as SQLite's blocking checkpoint
+// (§2), one round under the writer lock: write the newest frame of every
+// logged page back to the database file and fsync it, then truncate the
+// log, give it a fresh salt (fencing any stale frames left in the file)
+// and fsync the header.
+func (w *WAL) Checkpoint() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.nBackfill = watermark
-	didReset := false
-	if allowReset && len(w.frames) == watermark && watermark > 0 {
-		// A new salt fences any stale frames left in the file.
-		w.salt++
-		w.file.Truncate(0)
-		if err := w.writeHeader(); err != nil {
+	if len(w.frames) == 0 {
+		return nil
+	}
+	start := time.Now()
+	page := make([]byte, w.pageSize)
+	for pgno, i := range w.index {
+		if !w.readPayloadInto(i, page) {
+			return fmt.Errorf("wal: lost frame for page %d during checkpoint", pgno)
+		}
+		if err := w.db.WritePage(pgno, page); err != nil {
 			return err
 		}
-		if err := w.file.Fsync(); err != nil {
-			return err
-		}
-		w.frames = nil
-		w.index = make(map[uint32]int)
-		w.byPage = make(map[uint32][]int)
-		w.nBackfill = 0
-		w.epoch++
-		w.prealloc = w.opts.InitialPrealloc
-		didReset = true
 	}
-	if len(dirty) > 0 || didReset {
-		w.m.Inc(metrics.Checkpoints, 1)
+	if err := w.db.Sync(); err != nil {
+		return err
 	}
+	w.m.Inc(metrics.CheckpointPages, int64(len(w.index)))
+	w.m.Inc(metrics.CheckpointNanos, time.Since(start).Nanoseconds())
+
+	w.salt++
+	w.file.Truncate(0)
+	if err := w.writeHeader(); err != nil {
+		return err
+	}
+	if err := w.file.Fsync(); err != nil {
+		return err
+	}
+	w.frames = nil
+	w.index = make(map[uint32]int)
+	w.prealloc = w.opts.InitialPrealloc
+	w.m.Inc(metrics.Checkpoints, 1)
 	return nil
 }
 

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -166,6 +168,14 @@ func TestCheckpointWritesBackAndTruncates(t *testing.T) {
 	if _, ok := w.PageVersion(2); ok {
 		t.Fatal("PageVersion served from a truncated log")
 	}
+	// With no frames logged a checkpoint writes, syncs and counts nothing.
+	before := e.m.Snapshot()
+	if err := w.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if d := e.m.Snapshot().Sub(before); len(d.Counts)+len(d.Times) != 0 {
+		t.Fatalf("checkpoint of an empty log moved counters %v %v", d.Counts, d.Times)
+	}
 	buf := make([]byte, 4096)
 	if err := e.db.ReadPage(2, buf); err != nil {
 		t.Fatal(err)
@@ -193,6 +203,94 @@ func TestStaleFramesFencedAfterCheckpoint(t *testing.T) {
 	w2 := e.open(t, ModeStock)
 	if got := w2.FramesSinceCheckpoint(); got != 0 {
 		t.Fatalf("stale frames resurrected: %d", got)
+	}
+}
+
+// TestCheckpointRacesCommitsAndReads: Checkpoint is one blocking round
+// under the log's lock, so commits and PageVersion reads racing it see
+// the log either before the round or after its reset. A read that finds
+// a page finds a committed image no older than the last one it found,
+// and the final checkpoint leaves every page's last commit in the
+// database file.
+func TestCheckpointRacesCommitsAndReads(t *testing.T) {
+	for _, mode := range []Mode{ModeStock, ModeOptimized} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e := newEnv(t)
+			w := e.open(t, mode)
+			const writers, commits = 2, 60
+			errs := make(chan error, writers+2)
+			var wg sync.WaitGroup
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func(pgno uint32) {
+					defer wg.Done()
+					for i := 1; i <= commits; i++ {
+						if err := w.CommitTransaction([]pager.Frame{{Pgno: pgno, Data: mkPage(byte(i))}}); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(uint32(2 + g))
+			}
+			stop := make(chan struct{})
+			var bg sync.WaitGroup
+			bg.Add(2)
+			go func() {
+				defer bg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := w.Checkpoint(); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+			go func() {
+				defer bg.Done()
+				seen := make(map[uint32]byte)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for pgno := uint32(2); pgno < 2+writers; pgno++ {
+						v, ok := w.PageVersion(pgno)
+						if !ok {
+							continue
+						}
+						if !bytes.Equal(v, mkPage(v[0])) || v[0] < seen[pgno] {
+							errs <- fmt.Errorf("page %d read %#x after %#x", pgno, v[0], seen[pgno])
+							return
+						}
+						seen[pgno] = v[0]
+					}
+				}
+			}()
+			wg.Wait()
+			close(stop)
+			bg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if err := w.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if n := w.FramesSinceCheckpoint(); n != 0 {
+				t.Fatalf("%d frames left after the final checkpoint", n)
+			}
+			buf := make([]byte, 4096)
+			for pgno := uint32(2); pgno < 2+writers; pgno++ {
+				if err := e.db.ReadPage(pgno, buf); err != nil || !bytes.Equal(buf, mkPage(commits)) {
+					t.Fatalf("page %d in the database file = %#x (%v), want %#x", pgno, buf[0], err, commits)
+				}
+			}
+		})
 	}
 }
 
@@ -276,41 +374,6 @@ func TestMetricsCounts(t *testing.T) {
 	w.Checkpoint()
 	if got := e.m.Count(metrics.Checkpoints); got != 1 {
 		t.Fatalf("Checkpoints = %d", got)
-	}
-}
-
-func TestPageVersionAtMarks(t *testing.T) {
-	e := newEnv(t)
-	w := e.open(t, ModeOptimized)
-	m0 := w.Mark()
-	commit(t, w, map[uint32]byte{2: 0x01})
-	m1 := w.Mark()
-	commit(t, w, map[uint32]byte{2: 0x02, 3: 0x03})
-	m2 := w.Mark()
-	commit(t, w, map[uint32]byte{2: 0x04})
-
-	if _, ok := w.PageVersionAt(2, m0); ok {
-		t.Fatal("mark 0 sees a later frame")
-	}
-	if v, ok := w.PageVersionAt(2, m1); !ok || v[0] != 0x01 {
-		t.Fatalf("mark 1 page 2 = %x (ok=%v)", v[0], ok)
-	}
-	if v, ok := w.PageVersionAt(2, m2); !ok || v[0] != 0x02 {
-		t.Fatalf("mark 2 page 2 = %x", v[0])
-	}
-	if _, ok := w.PageVersionAt(3, m1); ok {
-		t.Fatal("mark 1 sees page 3")
-	}
-	if v, ok := w.PageVersionAt(3, m2); !ok || v[0] != 0x03 {
-		t.Fatalf("mark 2 page 3 = %x", v[0])
-	}
-	// The latest view agrees with PageVersion.
-	if v, ok := w.PageVersionAt(2, w.Mark()); !ok || v[0] != 0x04 {
-		t.Fatalf("latest mark page 2 = %x", v[0])
-	}
-	// Out-of-range marks clamp.
-	if v, ok := w.PageVersionAt(2, w.Mark()+100); !ok || v[0] != 0x04 {
-		t.Fatalf("clamped mark = %x", v[0])
 	}
 }
 
