@@ -47,7 +47,8 @@ type CommitAllocsResult struct {
 // page — on the three versioned read paths that share the log's page
 // images (readPathAllocs), on a replica applying shipped batches
 // (replicaApplyAllocs), on a served write shipped to a replica
-// (replicatedPutAllocs), and on the simulated hardware under all of them
+// (replicatedPutAllocs), on a read served over a real socket
+// (servedGetAllocs), and on the simulated hardware under all of them
 // (simulatorAllocs).
 // Measurement is runtime.MemStats deltas (Mallocs and TotalAlloc are
 // monotonic, so a concurrent GC cannot skew them) over a single
@@ -82,7 +83,11 @@ func CommitAllocs(txns int) (*CommitAllocsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, apply, put)
+	get, err := servedGetAllocs(txns)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = append(res.Rows, apply, put, get)
 
 	line, blk, err := simulatorAllocs(txns)
 	if err != nil {
@@ -477,6 +482,46 @@ func replicatedPutAllocs(txns int) (CommitAllocsRow, error) {
 	return measureAllocs("replicated-put", txns, func(i int) error {
 		val[0] = byte(i)
 		_, err := cli.Put("kv", keys[i*7%len(keys)], val)
+		return err
+	})
+}
+
+// servedGetAllocs is the read of the serve-tcp benchmark: one Client.Get
+// over a loopback socket (ListenTCP/DialTCP) to a server on a DBEngine,
+// for a 256 B value. It counts both ends of the socket — the client, the
+// server's session and the engine — as the measuring goroutine waits on
+// the session for each response.
+func servedGetAllocs(txns int) (CommitAllocsRow, error) {
+	var zero CommitAllocsRow
+	s, err := newSetup(Tuna.newPlatform, db.Options{
+		Journal: db.JournalNVWAL, NVWAL: core.VariantUHLSDiff(), Concurrent: true,
+	}, "kv")
+	if err != nil {
+		return zero, err
+	}
+	defer s.DB.Close()
+	lis, err := netsim.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		return zero, err
+	}
+	srv := server.New(server.NewDBEngine(s.DB, 1), server.Options{Epoch: 1})
+	go srv.Serve(lis)
+	defer srv.Close()
+	cli := server.NewClient(netsim.DialTCP, []string{lis.Addr()}, server.ClientOptions{})
+	defer cli.Close()
+	keys := make([][]byte, 200)
+	val := make([]byte, 256)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("k%05d", i))
+		if _, err := cli.Put("kv", keys[i], val); err != nil {
+			return zero, err
+		}
+	}
+	return measureAllocs("served-get", txns, func(i int) error {
+		_, found, err := cli.Get("kv", keys[i*7%len(keys)])
+		if err == nil && !found {
+			err = fmt.Errorf("served-get: key %q not found", keys[i*7%len(keys)])
+		}
 		return err
 	})
 }

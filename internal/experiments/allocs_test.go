@@ -14,7 +14,7 @@ func TestCommitAllocsShapes(t *testing.T) {
 	rowOf := func(path string) *CommitAllocsRow {
 		return Find(r.Rows, func(row CommitAllocsRow) bool { return row.Path == path })
 	}
-	for _, path := range []string{"solo-commit", "group-commit", "legacy-update", "snapshot-get", "snapshot-scan", "session-rmw", "replica-get", "replica-apply", "sim-line", "blockdev-write"} {
+	for _, path := range []string{"solo-commit", "group-commit", "legacy-update", "snapshot-get", "snapshot-scan", "session-rmw", "replica-get", "replica-apply", "served-get", "sim-line", "blockdev-write"} {
 		row := rowOf(path)
 		if row == nil {
 			t.Fatalf("audit missing row %q", path)
@@ -59,6 +59,11 @@ func TestCommitAllocsShapes(t *testing.T) {
 	// bookkeeping; two page sizes means the staging copy is back.
 	if row := rowOf("replica-apply"); row.BytesPerOp >= 2*4096 {
 		t.Fatalf("replica-apply allocates %.0f bytes per applied page, want one page copy", row.BytesPerOp)
+	}
+	// A read served over a socket allocates the engine's copy of the value
+	// and the caller's, and nothing per message on either end of the wire.
+	if row := rowOf("served-get"); row.AllocsPerOp >= 3 {
+		t.Fatalf("served-get allocates %.2f/op, want 2: a wire buffer is allocated per message", row.AllocsPerOp)
 	}
 	// The simulated hardware allocates nothing per 48-line flush burst
 	// and nothing per page program on a warm device (stray runtime

@@ -230,8 +230,10 @@ func (n *Network) clockFor(name string) *simclock.Clock {
 //
 // Buffers: Send does not retain msg once it returns (the simulated wire
 // copies it, the TCP binding writes it before returning), so a sender may
-// encode every message into one buffer it owns. The slice Recv returns
-// belongs to the caller; the conn keeps no reference to it.
+// encode every message into one buffer it owns. The slice Recv or RecvAt
+// returns is valid until the next Recv, RecvAt or Close on that conn,
+// which may reuse its memory for the next message; a caller that keeps
+// bytes past that point copies them.
 type Conn interface {
 	// Send enqueues one whole message toward the peer. A nil error
 	// means the message was handed to the wire — NOT that it will
@@ -285,6 +287,11 @@ type conn struct {
 	inbox  []message
 	head   int
 	closed bool
+	// held is the payload the last receive returned, which the caller may
+	// read until its next receive; spare is the one before it, which the
+	// peer's next send fills when it is large enough, so steady traffic
+	// copies each message into a buffer the conn already has.
+	held, spare []byte
 }
 
 // enqueue adds m to the inbox, before the last queued message when
@@ -325,6 +332,12 @@ func (c *conn) next(timeout time.Duration) (message, error) {
 	if c.head++; c.head == len(c.inbox) {
 		c.inbox, c.head = c.inbox[:0], 0
 	}
+	// The caller is done with the previous payload. As with the TCP
+	// binding's send buffer, one large message is not kept per conn.
+	if cap(c.held) <= connBuf {
+		c.spare = c.held
+	}
+	c.held = m.payload
 	return m, nil
 }
 
@@ -409,14 +422,17 @@ func (c *conn) SendAt(msg []byte, at time.Duration) error {
 		n.m.Inc(metrics.SlowFaultStallNs, cfg.StallDelay.Nanoseconds())
 	}
 
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
 	p := c.peer
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return ErrClosed
 	}
+	cp := p.spare[:0]
+	if cap(cp) >= len(msg) {
+		p.spare = nil
+	}
+	cp = append(cp, msg...)
 	if p.enqueue(message{payload: cp, deliverAt: deliverAt}, reorderNow) {
 		n.m.Inc(metrics.NetReordered, 1)
 	}

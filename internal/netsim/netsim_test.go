@@ -155,10 +155,12 @@ func TestReorderSwapsQueuedMessages(t *testing.T) {
 	if err := cli.Send([]byte("second")); err != nil {
 		t.Fatal(err)
 	}
+	// A received message is valid until the next receive: keep a copy.
 	a, _ := srv.Recv(time.Second)
+	first := string(a)
 	b, _ := srv.Recv(time.Second)
-	if string(a) != "second" || string(b) != "first" {
-		t.Fatalf("order: %q then %q", a, b)
+	if first != "second" || string(b) != "first" {
+		t.Fatalf("order: %q then %q", first, b)
 	}
 }
 

@@ -8,7 +8,9 @@
 // prefix and payload in a per-connection buffer and hands them over in a
 // single Write; Recv reads through a per-connection buffered reader, so
 // a prefix, its payload and whatever is queued behind them arrive in one
-// read.
+// read. A frame that fits in that reader is returned where it lies, in
+// the reader's buffer, which the next Recv reuses; only a larger frame
+// gets a buffer of its own.
 package netsim
 
 import (
@@ -29,7 +31,8 @@ const maxFrame = 16 << 20
 const prefixLen = 4
 
 // connBuf is the size of a connection's buffered reader, and the most a
-// connection keeps of its send buffer between messages. A frame that
+// connection keeps of its send buffer (or, simulated, of its spare
+// receive buffer) between messages. A frame that
 // fits in it is peeked, never consumed, until it is whole; a larger one
 // is read into a destination that grows from this size as bytes arrive.
 const connBuf = 64 << 10
@@ -145,8 +148,10 @@ func (c *tcpConn) Recv(timeout time.Duration) ([]byte, error) {
 			if err != nil {
 				return nil, mapNetErr(err)
 			}
-			msg := make([]byte, n)
-			copy(msg, frame[prefixLen:])
+			// The reader moves or overwrites these bytes only when it reads
+			// again, which is the next Recv. Capped, so that an append by
+			// the caller cannot write over the frames queued behind it.
+			msg := frame[prefixLen : prefixLen+n : prefixLen+n]
 			_, _ = c.br.Discard(prefixLen + n) // cannot fail: all of it is buffered
 			return msg, nil
 		}

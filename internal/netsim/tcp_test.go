@@ -106,8 +106,10 @@ func TestTCPRoundTripSizes(t *testing.T) {
 	}()
 	// Both sides of the boundary between a frame that waits whole in the
 	// reader and one that is consumed as it arrives (connBuf-prefixLen),
-	// and of the buffer size itself.
-	sizes := []int{0, 1, 4 << 10, connBuf - prefixLen, connBuf - prefixLen + 1, connBuf, connBuf + 1, 1 << 20}
+	// and of the buffer size itself; small frames again after the large
+	// ones.
+	sizes := []int{0, 1, 4 << 10, connBuf - prefixLen, connBuf - prefixLen + 1, connBuf, connBuf + 1, 1 << 20, 1, 300}
+	var inPlace *byte // where the reader's buffer returns a frame
 	for i, n := range sizes {
 		want := pattern(n, byte(i))
 		if err := cli.Send(want); err != nil {
@@ -121,7 +123,23 @@ func TestTCPRoundTripSizes(t *testing.T) {
 			t.Fatalf("%d B message came back as %d B, equal=false", n, len(got))
 		}
 		if cap(got) != len(got) {
-			t.Errorf("%d B message returned in a %d B allocation", n, cap(got))
+			t.Errorf("%d B message returned with %d B of capacity: an append would reach past it", n, cap(got))
+		}
+		if n == 0 {
+			continue
+		}
+		// Each reply is received alone, so the reader's buffer holds it
+		// from the same offset every time: a frame that fits is returned
+		// there, reusing the buffer, and a larger one comes in its own.
+		fits := prefixLen+n <= connBuf
+		if inPlace == nil && fits {
+			inPlace = &got[0]
+		}
+		if fits && &got[0] != inPlace {
+			t.Errorf("%d B message was not returned in the reader's buffer", n)
+		}
+		if !fits && &got[0] == inPlace {
+			t.Errorf("%d B message, larger than the reader, was returned in it", n)
 		}
 	}
 	cli.Close()
@@ -131,8 +149,8 @@ func TestTCPRoundTripSizes(t *testing.T) {
 }
 
 // A burst written before the first Recv must come out message by
-// message, and the caller owns each returned slice: a later Recv never
-// overwrites an earlier result.
+// message. A returned slice is valid only until the next Recv, so the
+// messages are copied to be compared at the end.
 func TestTCPBackToBackMessagesSplitCorrectly(t *testing.T) {
 	raw, acc := loopback(t)
 	rc := newTCPConn(acc)
@@ -150,7 +168,7 @@ func TestTCPBackToBackMessagesSplitCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
-		got[i] = msg
+		got[i] = bytes.Clone(msg)
 	}
 	for i, msg := range got {
 		want := fmt.Sprintf("message-%04d-%s", i, bytes.Repeat([]byte{'x'}, i%37))
@@ -242,6 +260,69 @@ func TestTCPRecvTimeoutMidFrameResumes(t *testing.T) {
 			got, err = rc.Recv(0)
 			if err != nil || !bytes.Equal(got, second) {
 				t.Fatalf("message after the resumed one = %d B, %v; want %d B intact", len(got), err, len(second))
+			}
+		})
+	}
+}
+
+// The receive contract, on both transports: the slice Recv returns stays
+// byte-identical while the peer sends more, up to the next Recv. Run it
+// under -race, which also reports a send that writes into the buffer the
+// receiver is still reading.
+func TestRecvResultStableUntilNextRecv(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pair func(t *testing.T) (cli, srv Conn)
+	}{
+		{"sim", func(t *testing.T) (Conn, Conn) { return simPair(t, Config{}) }},
+		{"tcp", func(t *testing.T) (Conn, Conn) {
+			a, b := loopback(t)
+			return newTCPConn(a), newTCPConn(b)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, srv := tc.pair(t)
+			// Message k: its number, then a body whose length and bytes
+			// follow from k.
+			build := func(k int) []byte {
+				msg := binary.BigEndian.AppendUint32(nil, uint32(k))
+				return append(msg, pattern(200+k%300, byte(k))...)
+			}
+			// The peer sends n more messages, and returns once it has.
+			more, sent := make(chan int), make(chan error)
+			go func() {
+				k := 0
+				for n := range more {
+					var err error
+					for ; n > 0 && err == nil; n-- {
+						err = cli.Send(build(k))
+						k++
+					}
+					sent <- err
+				}
+			}()
+			defer close(more)
+			send := func(n int) {
+				more <- n
+				if err := <-sent; err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Two messages stay queued behind the one held.
+			send(2)
+			for k := 0; k < 200; k++ {
+				msg, err := srv.Recv(5 * time.Second)
+				if err != nil {
+					t.Fatalf("message %d: %v", k, err)
+				}
+				want := build(k)
+				if !bytes.Equal(msg, want) {
+					t.Fatalf("message %d arrived as %d B, % x…", k, len(msg), msg[:min(len(msg), 8)])
+				}
+				send(1)
+				if !bytes.Equal(msg, want) {
+					t.Fatalf("message %d changed while it was held", k)
+				}
 			}
 		})
 	}
@@ -400,8 +481,8 @@ func TestTCPFramingAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { _ = c.Send(payload) }); n != 0 {
 		t.Errorf("Send allocates %v times per message, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { _, _ = c.Recv(0) }); n != 1 {
-		t.Errorf("Recv allocates %v times per message, want 1 (the payload it returns)", n)
+	if n := testing.AllocsPerRun(200, func() { _, _ = c.Recv(0) }); n != 0 {
+		t.Errorf("Recv allocates %v times per message, want 0 (the payload stays in the reader)", n)
 	}
 
 	// A large message grows the send buffer once and does not keep it.

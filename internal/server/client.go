@@ -10,6 +10,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -108,6 +109,9 @@ type Client struct {
 	conn   netsim.Conn
 	epoch  uint64
 	nextID uint64
+	// out is the buffer every request is encoded in: one request is
+	// outstanding at a time, and Send keeps no reference to it.
+	out []byte
 
 	// Gray-failure machinery: per-endpoint circuit breakers, cached
 	// hedge connections, and per-endpoint virtual-latency EWMAs that
@@ -172,21 +176,23 @@ func (c *Client) Close() {
 }
 
 // Get reads key. A nil error with found=false is a definitive miss.
-// With hedging configured, a read whose first answer would arrive
-// later than the hedge delay is duplicated to a second replica and the
-// earlier (virtual-time) answer wins; any complication falls back to
-// the plain retry loop.
+// The value is the caller's. With hedging configured, a read whose first
+// answer would arrive later than the hedge delay is duplicated to a
+// second replica and the earlier (virtual-time) answer wins; any
+// complication falls back to the plain retry loop.
 func (c *Client) Get(table string, key []byte) ([]byte, bool, error) {
-	if c.opts.HedgeDelay > 0 && c.opts.ReadAnywhere && len(c.addrs) > 1 {
-		if resp, ok := c.hedgedGet(request{verb: verbGet, table: table, key: key}); ok {
-			return resp.value, resp.found, nil
+	req := request{verb: verbGet, table: table, key: key}
+	if c.opts.HedgeDelay > 0 && c.opts.ReadAnywhere && len(c.addrs) > 1 && checkRequest(req) == nil {
+		if resp, ok := c.hedgedGet(req); ok {
+			return bytes.Clone(resp.value), resp.found, nil
 		}
 	}
-	resp, err := c.do(request{verb: verbGet, table: table, key: key})
+	resp, err := c.do(req)
 	if err != nil {
 		return nil, false, err
 	}
-	return resp.value, resp.found, nil
+	// The response aliases the conn's receive buffer.
+	return bytes.Clone(resp.value), resp.found, nil
 }
 
 // Put writes key=value, returning the commit sequence.
@@ -229,9 +235,21 @@ func isWrite(verb byte) bool {
 	return verb == verbPut || verb == verbDelete || verb == verbBatch
 }
 
+// send encodes req into the client's request buffer and sends it on conn.
+func (c *Client) send(conn netsim.Conn, req request) error {
+	c.out = encodeRequest(reuse(c.out), req)
+	return conn.Send(c.out)
+}
+
 // do runs one operation through the retry loop. On failure the error
-// is always an *OpError.
+// is always an *OpError. A response's value aliases the conn's receive
+// buffer, valid until the conn's next receive.
 func (c *Client) do(req request) (response, *OpError) {
+	if err := checkRequest(req); err != nil {
+		// The request cannot be put on the wire: refused before any
+		// attempt, so definitely not applied.
+		return response{}, &OpError{Err: err}
+	}
 	req.id = c.nextID
 	c.nextID++
 	req.deadline = c.opts.Deadline
@@ -251,7 +269,7 @@ func (c *Client) do(req request) (response, *OpError) {
 			}
 		}
 		req.epoch = c.epoch
-		if err := c.conn.Send(encodeRequest(req)); err != nil {
+		if err := c.send(c.conn, req); err != nil {
 			// A failed send never reached the server whole: the frame
 			// dies with the connection. Determinate.
 			c.dropConn()
@@ -374,7 +392,7 @@ func (c *Client) connect(needPrimary bool) error {
 func (c *Client) statusOn(conn netsim.Conn) (Status, error) {
 	id := c.nextID
 	c.nextID++
-	if err := conn.Send(encodeRequest(request{verb: verbStatus, id: id})); err != nil {
+	if err := c.send(conn, request{verb: verbStatus, id: id}); err != nil {
 		return Status{}, err
 	}
 	msg, err := conn.Recv(c.opts.RecvTimeout)
@@ -588,7 +606,7 @@ func (c *Client) hedgedGet(req request) (response, bool) {
 	if c.opts.Clock != nil {
 		t0 = c.opts.Clock.Now()
 	}
-	if err := ca.Send(encodeRequest(req)); err != nil {
+	if err := c.send(ca, req); err != nil {
 		c.dropHconn(first)
 		c.noteAddrFailure(first)
 		return response{}, false
@@ -634,7 +652,7 @@ func (c *Client) hedgedGet(req request) (response, bool) {
 		reqB := req
 		reqB.id = c.nextID
 		c.nextID++
-		if err := cb.Send(encodeRequest(reqB)); err != nil {
+		if err := c.send(cb, reqB); err != nil {
 			c.dropHconn(second)
 			c.noteAddrFailure(second)
 		} else if respB, atB, _, errB := c.recvAtMatching(cb, reqB.id, reqB.verb); errB != nil {

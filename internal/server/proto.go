@@ -11,6 +11,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 )
 
@@ -74,8 +76,12 @@ type request struct {
 	ops      []Op
 }
 
-// errShort rejects truncated messages.
-var errShort = errors.New("server: truncated message")
+// errShort rejects truncated messages, errTrailing ones with bytes left
+// over after their last field.
+var (
+	errShort    = errors.New("server: truncated message")
+	errTrailing = errors.New("server: bytes after the last field")
+)
 
 func appendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
@@ -148,9 +154,58 @@ func opLen(op Op) int {
 	return 1 + 2 + len(op.Key) + 4 + len(op.Value)
 }
 
-// encodeRequest serializes one request into one allocation of its exact
-// size.
-func encodeRequest(req request) []byte {
+// keptBuf bounds the buffer a session or client encodes into from one
+// message to the next: one that a large message grew is dropped, not
+// pinned for the life of the connection.
+const keptBuf = 64 << 10
+
+// reuse empties b for the next message, or drops it when a large message
+// grew it past keptBuf.
+func reuse(b []byte) []byte {
+	if cap(b) > keptBuf {
+		return nil
+	}
+	return b[:0]
+}
+
+// grow returns dst with room for n more bytes. A dst without that room is
+// replaced by one allocation of exactly len(dst)+n, so a nil dst costs
+// one allocation of the message's size.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	b := make([]byte, len(dst), len(dst)+n)
+	copy(b, dst)
+	return b
+}
+
+// checkRequest refuses a request a field of which is longer than its
+// wire length can say: encoded, the length would wrap and the server
+// would read a different request. (A value's u32 length cannot wrap: no
+// transport sends a message that large.)
+func checkRequest(req request) error {
+	if len(req.table) > math.MaxUint8 {
+		return fmt.Errorf("server: table name of %d B exceeds %d B", len(req.table), math.MaxUint8)
+	}
+	if len(req.key) > math.MaxUint16 {
+		return fmt.Errorf("server: key of %d B exceeds %d B", len(req.key), math.MaxUint16)
+	}
+	if len(req.ops) > math.MaxUint16 {
+		return fmt.Errorf("server: batch of %d ops exceeds %d", len(req.ops), math.MaxUint16)
+	}
+	for i, op := range req.ops {
+		if len(op.Key) > math.MaxUint16 {
+			return fmt.Errorf("server: batch op %d: key of %d B exceeds %d B", i, len(op.Key), math.MaxUint16)
+		}
+	}
+	return nil
+}
+
+// encodeRequest appends one request to dst; a nil dst yields one
+// allocation of the request's exact size. The request must pass
+// checkRequest.
+func encodeRequest(dst []byte, req request) []byte {
 	size := reqHeaderLen
 	if req.verb != verbStatus {
 		size += 1 + len(req.table)
@@ -166,7 +221,7 @@ func encodeRequest(req request) []byte {
 			size += opLen(op)
 		}
 	}
-	b := make([]byte, 0, size)
+	b := grow(dst, size)
 	b = append(b, req.verb)
 	b = appendU64(b, req.id)
 	b = appendU64(b, req.epoch)
@@ -215,10 +270,11 @@ func (r *reader) tableName(prev string) string {
 	return string(name)
 }
 
-// decodeRequest parses one request message. key, value and ops alias
-// msg. prevTable is the table name of the connection's previous request
-// ("" if none).
-func decodeRequest(msg []byte, prevTable string) (request, error) {
+// decodeRequest parses one request message. key, value and the ops' keys
+// and values alias msg. prevTable is the table name of the connection's
+// previous request ("" if none); a BATCH's ops are appended to ops[:0],
+// which a caller may pass to reuse its array.
+func decodeRequest(msg []byte, prevTable string, ops []Op) (request, error) {
 	r := &reader{b: msg}
 	req := request{
 		verb:     r.u8(),
@@ -244,7 +300,7 @@ func decodeRequest(msg []byte, prevTable string) (request, error) {
 			return req, errShort
 		}
 		if n > 0 {
-			req.ops = make([]Op, 0, n)
+			req.ops = slices.Grow(ops[:0], n)
 		}
 		for i := 0; i < n && r.err == nil; i++ {
 			var op Op
@@ -259,37 +315,41 @@ func decodeRequest(msg []byte, prevTable string) (request, error) {
 	default:
 		return req, fmt.Errorf("server: unknown verb %d", req.verb)
 	}
+	if r.err == nil && len(r.b) > 0 {
+		return req, errTrailing
+	}
 	return req, r.err
 }
 
 // respHeaderLen is what every response leads with: [status u8][id u64].
 const respHeaderLen = 1 + 8
 
-// respHeader starts a response that will carry body more bytes; every
-// encoder below passes its exact body size, so a response is one
-// allocation.
-func respHeader(st byte, id uint64, body int) []byte {
-	b := make([]byte, 0, respHeaderLen+body)
+// respHeader starts a response, appended to dst, that will carry body
+// more bytes. Every encoder below passes its exact body size, so with a
+// nil dst a response is one allocation, and with a dst that has the room
+// none.
+func respHeader(dst []byte, st byte, id uint64, body int) []byte {
+	b := grow(dst, respHeaderLen+body)
 	b = append(b, st)
 	return appendU64(b, id)
 }
 
-func respOKGet(id uint64, value []byte, found bool) []byte {
+func respOKGet(dst []byte, id uint64, value []byte, found bool) []byte {
 	if !found {
-		return append(respHeader(stOK, id, 1), 0)
+		return append(respHeader(dst, stOK, id, 1), 0)
 	}
-	b := respHeader(stOK, id, 1+4+len(value))
+	b := respHeader(dst, stOK, id, 1+4+len(value))
 	b = append(b, 1)
 	b = appendU32(b, uint32(len(value)))
 	return append(b, value...)
 }
 
-func respOKWrite(id, seq uint64) []byte {
-	return appendU64(respHeader(stOK, id, 8), seq)
+func respOKWrite(dst []byte, id, seq uint64) []byte {
+	return appendU64(respHeader(dst, stOK, id, 8), seq)
 }
 
-func respOKStatus(id uint64, s Status) []byte {
-	b := respHeader(stOK, id, 1+4*8+1)
+func respOKStatus(dst []byte, id uint64, s Status) []byte {
+	b := respHeader(dst, stOK, id, 1+4*8+1)
 	role := byte(0)
 	if s.Role == "primary" {
 		role = 1
@@ -322,8 +382,12 @@ type BusyAdvice struct {
 	Watermark  string
 }
 
-func respBusy(id uint64, adv BusyAdvice) []byte {
-	b := respHeader(stBusy, id, 2*8+3*4+2+len(adv.Watermark))
+// clampU16 cuts s to what a u16 length can say.
+func clampU16(s string) string { return s[:min(len(s), math.MaxUint16)] }
+
+func respBusy(dst []byte, id uint64, adv BusyAdvice) []byte {
+	adv.Watermark = clampU16(adv.Watermark)
+	b := respHeader(dst, stBusy, id, 2*8+3*4+2+len(adv.Watermark))
 	b = appendU64(b, uint64(adv.Backoff))
 	b = appendU64(b, uint64(adv.RetryAfter))
 	b = appendU32(b, uint32(int32(adv.Shard)))
@@ -333,12 +397,13 @@ func respBusy(id uint64, adv BusyAdvice) []byte {
 	return append(b, adv.Watermark...)
 }
 
-func respFenced(id, epoch uint64) []byte {
-	return appendU64(respHeader(stFenced, id, 8), epoch)
+func respFenced(dst []byte, id, epoch uint64) []byte {
+	return appendU64(respHeader(dst, stFenced, id, 8), epoch)
 }
 
-func respMsg(st byte, id uint64, msg string) []byte {
-	b := respHeader(st, id, 2+len(msg))
+func respMsg(dst []byte, st byte, id uint64, msg string) []byte {
+	msg = clampU16(msg)
+	b := respHeader(dst, st, id, 2+len(msg))
 	b = appendU16(b, uint16(len(msg)))
 	return append(b, msg...)
 }

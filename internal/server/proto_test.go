@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -55,25 +58,25 @@ func sampleResponses() []struct {
 }
 
 // encodeResponse is the inverse of decodeResponse, assembled from the
-// server's per-status encoders.
-func encodeResponse(resp response, verb byte) []byte {
+// server's per-status encoders, appending to dst.
+func encodeResponse(dst []byte, resp response, verb byte) []byte {
 	switch resp.status {
 	case stOK:
 		switch verb {
 		case verbGet:
-			return respOKGet(resp.id, resp.value, resp.found)
+			return respOKGet(dst, resp.id, resp.value, resp.found)
 		case verbPut, verbDelete, verbBatch:
-			return respOKWrite(resp.id, resp.seq)
+			return respOKWrite(dst, resp.id, resp.seq)
 		case verbStatus:
-			return respOKStatus(resp.id, resp.stat)
+			return respOKStatus(dst, resp.id, resp.stat)
 		}
-		return respHeader(stOK, resp.id, 0)
+		return respHeader(dst, stOK, resp.id, 0)
 	case stBusy:
-		return respBusy(resp.id, resp.busy)
+		return respBusy(dst, resp.id, resp.busy)
 	case stFenced:
-		return respFenced(resp.id, resp.epoch)
+		return respFenced(dst, resp.id, resp.epoch)
 	default:
-		return respMsg(resp.status, resp.id, resp.msg)
+		return respMsg(dst, resp.status, resp.id, resp.msg)
 	}
 }
 
@@ -98,19 +101,25 @@ func sameResponse(a, b response) bool {
 	return bytes.Equal(av, bv) && reflect.DeepEqual(a, b)
 }
 
+// With a nil dst, every encoder makes one allocation of the message's
+// exact size; with a dst, it appends.
 func TestProtoRoundTripsEveryVerbAndStatus(t *testing.T) {
+	prefix := []byte("prefix")
 	for _, req := range sampleRequests() {
-		enc := encodeRequest(req)
+		enc := encodeRequest(nil, req)
 		if cap(enc) != len(enc) {
 			t.Errorf("verb %d: %d B request in a %d B allocation", req.verb, len(enc), cap(enc))
 		}
-		got, err := decodeRequest(enc, "")
+		got, err := decodeRequest(enc, "", nil)
 		if err != nil || !sameRequest(got, req) {
 			t.Errorf("verb %d: decode(encode(x)) = %+v, %v; want %+v", req.verb, got, err, req)
 		}
+		if app := encodeRequest(bytes.Clone(prefix), req); !bytes.Equal(app, append(bytes.Clone(prefix), enc...)) {
+			t.Errorf("verb %d: encoding after a prefix is not prefix+encoding", req.verb)
+		}
 	}
 	for _, s := range sampleResponses() {
-		enc := encodeResponse(s.resp, s.verb)
+		enc := encodeResponse(nil, s.resp, s.verb)
 		if cap(enc) != len(enc) {
 			t.Errorf("status %d verb %d: %d B response in a %d B allocation", s.resp.status, s.verb, len(enc), cap(enc))
 		}
@@ -118,26 +127,33 @@ func TestProtoRoundTripsEveryVerbAndStatus(t *testing.T) {
 		if err != nil || !sameResponse(got, s.resp) {
 			t.Errorf("status %d verb %d: decode(encode(x)) = %+v, %v; want %+v", s.resp.status, s.verb, got, err, s.resp)
 		}
+		if app := encodeResponse(bytes.Clone(prefix), s.resp, s.verb); !bytes.Equal(app, append(bytes.Clone(prefix), enc...)) {
+			t.Errorf("status %d verb %d: encoding after a prefix is not prefix+encoding", s.resp.status, s.verb)
+		}
 	}
 }
 
+// The serving path's shapes cost nothing once the session's and client's
+// buffers are warm: only a table name the session has not seen is
+// allocated.
 func TestProtoAllocations(t *testing.T) {
 	get := request{verb: verbGet, id: 1, epoch: 1, table: "kv", key: []byte("key-000123")}
 	value := bytes.Repeat([]byte("v"), 256)
-	wire := encodeRequest(get)
+	wire := encodeRequest(nil, get)
+	buf, ops := make([]byte, 0, 4<<10), make([]Op, 0, 8)
 	for name, tc := range map[string]struct {
 		want float64
 		fn   func()
 	}{
-		"encode GET":                  {1, func() { _ = encodeRequest(get) }},
-		"decode GET, same table":      {0, func() { _, _ = decodeRequest(wire, "kv") }},
-		"decode GET, new table":       {1, func() { _, _ = decodeRequest(wire, "other") }},
-		"encode GET response, 256 B":  {1, func() { _ = respOKGet(1, value, true) }},
-		"encode BATCH, 8 ops":         {1, func() { _ = encodeRequest(request{verb: verbBatch, table: "kv", ops: batchOps}) }},
-		"decode BATCH, 8 ops":         {1, func() { _, _ = decodeRequest(batchWire, "kv") }},
+		"encode GET":                  {0, func() { buf = encodeRequest(buf[:0], get) }},
+		"decode GET, same table":      {0, func() { _, _ = decodeRequest(wire, "kv", ops) }},
+		"decode GET, new table":       {1, func() { _, _ = decodeRequest(wire, "other", ops) }},
+		"encode GET response, 256 B":  {0, func() { buf = respOKGet(buf[:0], 1, value, true) }},
+		"encode BATCH, 8 ops":         {0, func() { buf = encodeRequest(buf[:0], request{verb: verbBatch, table: "kv", ops: batchOps}) }},
+		"decode BATCH, 8 ops":         {0, func() { _, _ = decodeRequest(batchWire, "kv", ops) }},
 		"decode GET response, 256 B":  {0, func() { _, _ = decodeResponse(getRespWire, verbGet) }},
-		"encode write response":       {1, func() { _ = respOKWrite(1, 2) }},
-		"encode Busy with a 16 B tag": {1, func() { _ = respBusy(1, BusyAdvice{Watermark: "server-admission"}) }},
+		"encode write response":       {0, func() { buf = respOKWrite(buf[:0], 1, 2) }},
+		"encode Busy with a 16 B tag": {0, func() { buf = respBusy(buf[:0], 1, BusyAdvice{Watermark: "server-admission"}) }},
 	} {
 		if got := testing.AllocsPerRun(100, tc.fn); got != tc.want {
 			t.Errorf("%s: %v allocations, want %v", name, got, tc.want)
@@ -155,16 +171,41 @@ var (
 		}
 		return ops
 	}()
-	batchWire   = encodeRequest(request{verb: verbBatch, id: 1, epoch: 1, table: "kv", ops: batchOps})
-	getRespWire = respOKGet(1, bytes.Repeat([]byte("v"), 256), true)
+	batchWire   = encodeRequest(nil, request{verb: verbBatch, id: 1, epoch: 1, table: "kv", ops: batchOps})
+	getRespWire = respOKGet(nil, 1, bytes.Repeat([]byte("v"), 256), true)
 )
+
+// A request decodes only if its last field ends the message: bytes left
+// over mean the sender and the decoder disagree about a length.
+func TestDecodeRequestRejectsTrailingBytes(t *testing.T) {
+	for _, req := range sampleRequests() {
+		msg := append(encodeRequest(nil, req), 0)
+		if _, err := decodeRequest(msg, "", nil); !errors.Is(err, errTrailing) {
+			t.Errorf("verb %d with a byte after its last field: err = %v, want errTrailing", req.verb, err)
+		}
+	}
+}
+
+// A response's u16 strings are cut to what the length can say, not
+// wrapped into a length that reads part of the string as the rest.
+func TestResponseStringsClampToTheirLength(t *testing.T) {
+	long := strings.Repeat("e", math.MaxUint16+9)
+	resp, err := decodeResponse(respMsg(nil, stErr, 1, long), verbPut)
+	if err != nil || resp.msg != long[:math.MaxUint16] {
+		t.Errorf("error message of %d B came back as %d B, %v", len(long), len(resp.msg), err)
+	}
+	resp, err = decodeResponse(respBusy(nil, 2, BusyAdvice{Watermark: long, Hard: 7}), verbPut)
+	if err != nil || resp.busy.Watermark != long[:math.MaxUint16] || resp.busy.Hard != 7 {
+		t.Errorf("watermark of %d B came back as %d B (hard %d), %v", len(long), len(resp.busy.Watermark), resp.busy.Hard, err)
+	}
+}
 
 // A batch's op count is a claim by the peer; decoding must not size
 // anything by it before the bytes are there.
 func TestDecodeRequestRejectsHostileBatchCount(t *testing.T) {
-	msg := encodeRequest(request{verb: verbBatch, id: 1, table: "kv"})
+	msg := encodeRequest(nil, request{verb: verbBatch, id: 1, table: "kv"})
 	msg[len(msg)-2], msg[len(msg)-1] = 0xff, 0xff // 65 535 ops, none present
-	req, err := decodeRequest(msg, "")
+	req, err := decodeRequest(msg, "", nil)
 	if err == nil || cap(req.ops) != 0 {
 		t.Fatalf("decode = %d ops (cap %d), %v; want an error before any allocation", len(req.ops), cap(req.ops), err)
 	}
@@ -172,17 +213,17 @@ func TestDecodeRequestRejectsHostileBatchCount(t *testing.T) {
 
 func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range sampleRequests() {
-		f.Add(encodeRequest(req))
+		f.Add(encodeRequest(nil, req))
 	}
 	f.Fuzz(func(t *testing.T, msg []byte) {
-		req, err := decodeRequest(msg, "kv")
+		req, err := decodeRequest(msg, "kv", nil)
 		if max := len(msg) / 3; cap(req.ops) > max {
 			t.Fatalf("%d B message sized %d ops", len(msg), cap(req.ops))
 		}
 		if err != nil {
 			return
 		}
-		again, err := decodeRequest(encodeRequest(req), "")
+		again, err := decodeRequest(encodeRequest(nil, req), "", nil)
 		if err != nil || !sameRequest(again, req) {
 			t.Fatalf("decode(encode(x)) = %+v, %v; want %+v", again, err, req)
 		}
@@ -191,14 +232,14 @@ func FuzzDecodeRequest(f *testing.F) {
 
 func FuzzDecodeResponse(f *testing.F) {
 	for _, s := range sampleResponses() {
-		f.Add(encodeResponse(s.resp, s.verb), s.verb)
+		f.Add(encodeResponse(nil, s.resp, s.verb), s.verb)
 	}
 	f.Fuzz(func(t *testing.T, msg []byte, verb byte) {
 		resp, err := decodeResponse(msg, verb)
 		if err != nil {
 			return
 		}
-		again, err := decodeResponse(encodeResponse(resp, verb), verb)
+		again, err := decodeResponse(encodeResponse(nil, resp, verb), verb)
 		if err != nil || !sameResponse(again, resp) {
 			t.Fatalf("decode(encode(x)) = %+v, %v; want %+v", again, err, resp)
 		}
@@ -209,17 +250,20 @@ var protoSink int
 
 // BenchmarkProtoGet is the wire work of one GET: the client encodes the
 // request, the session decodes it, the server encodes a 256 B value, the
-// client decodes it.
+// client decodes it. Client and session encode into buffers they reuse.
 func BenchmarkProtoGet(b *testing.B) {
 	req := request{verb: verbGet, id: 1, epoch: 1, table: "kv", key: []byte("key-000123")}
 	value := bytes.Repeat([]byte("v"), 256)
+	var reqWire, respWire []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		got, err := decodeRequest(encodeRequest(req), "kv")
+		reqWire = encodeRequest(reqWire[:0], req)
+		got, err := decodeRequest(reqWire, "kv", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		resp, err := decodeResponse(respOKGet(got.id, value, true), verbGet)
+		respWire = respOKGet(respWire[:0], got.id, value, true)
+		resp, err := decodeResponse(respWire, verbGet)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,13 +274,18 @@ func BenchmarkProtoGet(b *testing.B) {
 // BenchmarkProtoBatch is the wire work of one 8-op BATCH of 256 B values.
 func BenchmarkProtoBatch(b *testing.B) {
 	req := request{verb: verbBatch, id: 1, epoch: 1, table: "kv", ops: batchOps}
+	var reqWire, respWire []byte
+	var ops []Op
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		got, err := decodeRequest(encodeRequest(req), "kv")
+		reqWire = encodeRequest(reqWire[:0], req)
+		got, err := decodeRequest(reqWire, "kv", ops)
 		if err != nil {
 			b.Fatal(err)
 		}
-		resp, err := decodeResponse(respOKWrite(got.id, 9), verbBatch)
+		ops = got.ops
+		respWire = respOKWrite(respWire[:0], got.id, 9)
+		resp, err := decodeResponse(respWire, verbBatch)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -34,7 +34,10 @@ var ErrReadOnly = errors.New("server: endpoint is read-only")
 
 // Engine executes requests for a Server. Implementations: DBEngine
 // (a local db.DB), repl.Primary (local commit + log shipping),
-// repl.Replica (snapshot reads at the applied mark).
+// repl.Replica (snapshot reads at the applied mark). A key, and the ops
+// with their keys and values, alias the request as it was received:
+// they are valid for the call only, and an engine that keeps one copies
+// it.
 type Engine interface {
 	// Get reads the latest readable version of key.
 	Get(table string, key []byte) ([]byte, bool, error)
@@ -160,11 +163,19 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
+// keptOps bounds the ops array a session reuses from one BATCH to the
+// next; one larger batch gets an array of its own.
+const keptOps = 1 << 10
+
 // session serves one connection: a strict request/response loop with
 // at-most-once execution per request id. The client sends one request
 // at a time and retries with the SAME id after a timeout; if the
 // original response was computed but lost, the cached copy is resent
 // without re-executing the write.
+//
+// Nothing here allocates per request in steady state: the request is
+// decoded where the conn received it, a write's ops go in one reused
+// array, and every response is built in one reused buffer.
 func (s *Server) session(c netsim.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -173,26 +184,34 @@ func (s *Server) session(c netsim.Conn) {
 		_ = c.Close()
 		s.wg.Done()
 	}()
-	var lastID uint64
-	var lastResp []byte
-	var table string // the previous request's, so decoding can reuse it
+	var (
+		lastID uint64
+		// resp is the buffer every response is built in, and the dedup
+		// cache: it holds lastID's response until a new id rebuilds it.
+		resp []byte
+		// ops is a write's ops: a BATCH's, decoded into it, or a PUT's or
+		// DELETE's one.
+		ops   = make([]Op, 0, 1)
+		table string // the previous request's, so decoding can reuse it
+	)
 	for {
 		msg, err := c.Recv(0)
 		if err != nil {
 			return
 		}
-		req, err := decodeRequest(msg, table)
+		req, err := decodeRequest(msg, table, ops)
 		if err != nil {
-			_ = c.Send(respMsg(stErr, req.id, err.Error()))
+			clear(req.ops)
+			// Built apart: resp still holds lastID's response.
+			_ = c.Send(respMsg(nil, stErr, req.id, err.Error()))
 			continue
 		}
 		table = req.table
-		var resp []byte
-		if lastResp != nil && req.id == lastID {
-			resp = lastResp // duplicate: resend, never re-execute
-		} else {
-			resp = s.handle(req)
-			lastID, lastResp = req.id, resp
+		if n := cap(req.ops); n > cap(ops) && n <= keptOps {
+			ops = req.ops[:0]
+		}
+		if resp == nil || req.id != lastID { // a duplicate is resent, never re-executed
+			resp, lastID = s.handle(reuse(resp), req, ops), req.id
 		}
 		if err := c.Send(resp); err != nil {
 			return
@@ -200,32 +219,44 @@ func (s *Server) session(c netsim.Conn) {
 	}
 }
 
-// handle executes one decoded request.
-func (s *Server) handle(req request) []byte {
+// handle executes one decoded request and appends its response to dst.
+// ops is the session's scratch for a write's ops.
+func (s *Server) handle(dst []byte, req request, ops []Op) []byte {
 	s.m.Inc(metrics.ServerRequests, 1)
 	switch req.verb {
 	case verbStatus:
-		return respOKStatus(req.id, s.eng.Status())
+		return respOKStatus(dst, req.id, s.eng.Status())
 	case verbGet:
 		v, found, err := s.eng.Get(req.table, req.key)
 		if err != nil {
-			return s.errResp(req.id, err)
+			return s.errResp(dst, req.id, err)
 		}
-		return respOKGet(req.id, v, found)
+		return respOKGet(dst, req.id, v, found)
 	case verbPut, verbDelete, verbBatch:
-		return s.handleWrite(req)
+		return s.handleWrite(dst, req, ops)
 	default:
-		return respMsg(stErr, req.id, "server: unknown verb")
+		return respMsg(dst, stErr, req.id, "server: unknown verb")
 	}
 }
 
-func (s *Server) handleWrite(req request) []byte {
+func (s *Server) handleWrite(dst []byte, req request, ops []Op) []byte {
+	switch req.verb {
+	case verbPut:
+		ops = append(ops[:0], Op{Key: req.key, Value: req.value})
+	case verbDelete:
+		ops = append(ops[:0], Op{Key: req.key, Delete: true})
+	case verbBatch:
+		ops = req.ops
+	}
+	// The keys and values alias the request message, which the conn reuses
+	// or drops: the session's array must not keep them.
+	defer clear(ops)
 	if req.epoch != s.opts.Epoch {
 		s.m.Inc(metrics.ServerFenced, 1)
-		return respFenced(req.id, s.opts.Epoch)
+		return respFenced(dst, req.id, s.opts.Epoch)
 	}
 	if s.opts.ReadOnly {
-		return respMsg(stReadOnly, req.id, ErrReadOnly.Error())
+		return respMsg(dst, stReadOnly, req.id, ErrReadOnly.Error())
 	}
 	if wait, ok := s.takeToken(); !ok {
 		s.m.Inc(metrics.ServerShed, 1)
@@ -233,7 +264,7 @@ func (s *Server) handleWrite(req request) []byte {
 		// it ships an explicit RetryAfter: the client honors it uncapped
 		// instead of clamping it into its backoff schedule and hammering
 		// the bucket early.
-		return respBusy(req.id, BusyAdvice{
+		return respBusy(dst, req.id, BusyAdvice{
 			Backoff:    wait,
 			RetryAfter: wait,
 			Shard:      -1,
@@ -246,7 +277,7 @@ func (s *Server) handleWrite(req request) []byte {
 			// an urgent checkpoint; refusing with advice keeps the
 			// session (and the group committer) live.
 			s.m.Inc(metrics.ServerShed, 1)
-			return respBusy(req.id, BusyAdvice{
+			return respBusy(dst, req.id, BusyAdvice{
 				Backoff:   db.SuggestedBusyBackoff,
 				Shard:     -1,
 				Avail:     avail,
@@ -262,15 +293,6 @@ func (s *Server) handleWrite(req request) []byte {
 		ctx, cancel = context.WithTimeout(ctx, req.deadline)
 		defer cancel()
 	}
-	var ops []Op
-	switch req.verb {
-	case verbPut:
-		ops = []Op{{Key: req.key, Value: req.value}}
-	case verbDelete:
-		ops = []Op{{Key: req.key, Delete: true}}
-	case verbBatch:
-		ops = req.ops
-	}
 	seq, err := s.eng.Apply(ctx, req.table, ops)
 	if err != nil {
 		if req.deadline > 0 &&
@@ -279,9 +301,9 @@ func (s *Server) handleWrite(req request) []byte {
 			// the stall cleanly — the deadline did its job end to end.
 			s.m.Inc(metrics.DeadlineAborts, 1)
 		}
-		return s.errResp(req.id, err)
+		return s.errResp(dst, req.id, err)
 	}
-	return respOKWrite(req.id, seq)
+	return respOKWrite(dst, req.id, seq)
 }
 
 // takeToken draws from the write-rate bucket; on refusal it returns
@@ -308,14 +330,15 @@ func (s *Server) takeToken() (time.Duration, bool) {
 	return wait, false
 }
 
-// errResp maps engine errors onto wire statuses. Busy and ReadOnly
-// mean "definitely not applied"; Indeterminate means "maybe applied".
-func (s *Server) errResp(id uint64, err error) []byte {
+// errResp maps engine errors onto wire statuses, appended to dst. Busy
+// and ReadOnly mean "definitely not applied"; Indeterminate means "maybe
+// applied".
+func (s *Server) errResp(dst []byte, id uint64, err error) []byte {
 	var be *db.BusyError
 	switch {
 	case errors.As(err, &be):
 		s.m.Inc(metrics.ServerShed, 1)
-		return respBusy(id, BusyAdvice{
+		return respBusy(dst, id, BusyAdvice{
 			Backoff:   be.Backoff,
 			Shard:     be.Shard,
 			Avail:     be.Avail,
@@ -326,16 +349,16 @@ func (s *Server) errResp(id uint64, err error) []byte {
 		errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, context.Canceled):
 		s.m.Inc(metrics.ServerShed, 1)
-		return respBusy(id, BusyAdvice{
+		return respBusy(dst, id, BusyAdvice{
 			Backoff:   db.SuggestedBusyBackoff,
 			Shard:     -1,
 			Watermark: "engine-busy",
 		})
 	case errors.Is(err, ErrIndeterminate):
-		return respMsg(stIndeterminate, id, err.Error())
+		return respMsg(dst, stIndeterminate, id, err.Error())
 	case errors.Is(err, ErrReadOnly), errors.Is(err, db.ErrDegraded):
-		return respMsg(stReadOnly, id, err.Error())
+		return respMsg(dst, stReadOnly, id, err.Error())
 	default:
-		return respMsg(stErr, id, err.Error())
+		return respMsg(dst, stErr, id, err.Error())
 	}
 }

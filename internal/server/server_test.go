@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,7 +166,7 @@ func TestServerFencesStaleEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send(encodeRequest(request{verb: verbPut, id: 99, epoch: 1, table: "kv", key: []byte("z"), value: []byte("z")})); err != nil {
+	if err := conn.Send(encodeRequest(nil, request{verb: verbPut, id: 99, epoch: 1, table: "kv", key: []byte("z"), value: []byte("z")})); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := conn.Recv(time.Second)
@@ -186,6 +188,95 @@ func TestServerFencesStaleEpoch(t *testing.T) {
 	}
 }
 
+// A field longer than its wire length can say used to wrap: a GET of a
+// 65 541-byte key that begins with "hello" read the value stored under
+// "hello". The client refuses such a request before sending anything,
+// with a determinate error and no retry.
+func TestClientRefusesFieldsTheWireCannotCarry(t *testing.T) {
+	d := openDB(t)
+	sm, cm := &metrics.Counters{}, &metrics.Counters{}
+	_, dial := startSim(t, NewDBEngine(d, 0), Options{Metrics: sm})
+	cli := NewClient(dial, []string{"srv"}, ClientOptions{Metrics: cm})
+	defer cli.Close()
+	if _, err := cli.Put("kv", []byte("hello"), []byte("world")); err != nil {
+		t.Fatal(err)
+	}
+	served := sm.Count(metrics.ServerRequests)
+
+	longKey := append([]byte("hello"), make([]byte, math.MaxUint16+1)...)
+	longTable := strings.Repeat("t", math.MaxUint8+3)
+	for name, op := range map[string]func() error{
+		"GET of a long key": func() error {
+			v, found, err := cli.Get("kv", longKey)
+			if err == nil {
+				return fmt.Errorf("succeeded: found=%v value %q", found, v)
+			}
+			return err
+		},
+		"PUT of a long key":    func() error { _, err := cli.Put("kv", longKey, []byte("v")); return err },
+		"DELETE of a long key": func() error { _, err := cli.Delete("kv", longKey); return err },
+		"GET in a long table": func() error {
+			_, _, err := cli.Get(longTable, []byte("hello"))
+			return err
+		},
+		"BATCH of too many ops": func() error {
+			_, err := cli.Batch("kv", make([]Op, math.MaxUint16+1))
+			return err
+		},
+		"BATCH with a long key": func() error {
+			_, err := cli.Batch("kv", []Op{{Key: []byte("a")}, {Key: longKey, Delete: true}})
+			return err
+		},
+	} {
+		var oe *OpError
+		if err := op(); !errors.As(err, &oe) || oe.Indeterminate {
+			t.Errorf("%s: err = %v, want a determinate *OpError", name, err)
+		}
+	}
+	if n := sm.Count(metrics.ServerRequests); n != served {
+		t.Errorf("the server saw %d requests the client should have refused", n-served)
+	}
+	if n := cm.Count(metrics.ClientRetries); n != 0 {
+		t.Errorf("the client retried a refused request %d times", n)
+	}
+	if v, found, err := cli.Get("kv", []byte("hello")); err != nil || !found || string(v) != "world" {
+		t.Fatalf("Get hello after the refusals = %q, %v, %v", v, found, err)
+	}
+}
+
+// Values a Get returns are the caller's: the client receives into a
+// buffer the conn reuses, and later reads must not write into an earlier
+// read's value.
+func TestClientGetValuesOutliveLaterReads(t *testing.T) {
+	d := openDB(t)
+	_, dial := startSim(t, NewDBEngine(d, 0), Options{})
+	cli := NewClient(dial, []string{"srv"}, ClientOptions{})
+	defer cli.Close()
+	want := map[string]string{}
+	for i := 0; i < 4; i++ {
+		k, v := fmt.Sprintf("k%d", i), strings.Repeat(string(rune('a'+i)), 40)
+		if _, err := cli.Put("kv", []byte(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	got := map[string][]byte{}
+	for round := 0; round < 2; round++ {
+		for k := range want {
+			v, found, err := cli.Get("kv", []byte(k))
+			if err != nil || !found {
+				t.Fatalf("Get %s = %v, %v", k, found, err)
+			}
+			got[k+fmt.Sprint(round)] = v
+		}
+	}
+	for k, v := range got {
+		if string(v) != want[k[:2]] {
+			t.Errorf("value read for %s is now %q, want %q", k[:2], v, want[k[:2]])
+		}
+	}
+}
+
 func TestServerDedupResendsWithoutReexecuting(t *testing.T) {
 	d := openDB(t)
 	eng := NewDBEngine(d, 0)
@@ -197,22 +288,23 @@ func TestServerDedupResendsWithoutReexecuting(t *testing.T) {
 	defer conn.Close()
 
 	req := request{verb: verbPut, id: 42, table: "kv", key: []byte("dup"), value: []byte("v")}
-	if err := conn.Send(encodeRequest(req)); err != nil {
+	if err := conn.Send(encodeRequest(nil, req)); err != nil {
 		t.Fatal(err)
 	}
 	first, err := conn.Recv(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Decoded now: the message is valid only until the next Recv.
+	r1, _ := decodeResponse(first, verbPut)
 	// Model a lost response: the client retries the same request id.
-	if err := conn.Send(encodeRequest(req)); err != nil {
+	if err := conn.Send(encodeRequest(nil, req)); err != nil {
 		t.Fatal(err)
 	}
 	second, err := conn.Recv(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, _ := decodeResponse(first, verbPut)
 	r2, _ := decodeResponse(second, verbPut)
 	if r1.status != stOK || r2.status != stOK {
 		t.Fatalf("statuses %d, %d", r1.status, r2.status)
@@ -280,7 +372,7 @@ func TestServerEngineBusySurfacesAdvice(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send(encodeRequest(request{verb: verbPut, id: 1, table: "kv", key: []byte("k"), value: []byte("v")})); err != nil {
+	if err := conn.Send(encodeRequest(nil, request{verb: verbPut, id: 1, table: "kv", key: []byte("k"), value: []byte("v")})); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := conn.Recv(time.Second)
