@@ -275,11 +275,11 @@ func TestIndexAllocatesNothingAcrossRounds(t *testing.T) {
 	var allocs uint64
 	for r := 0; r < warm+rounds; r++ {
 		a := commits(r%sets, perRound)
-		if err := w.FreezeCheckpoint(nil); err != nil {
+		if err := w.FreezeCheckpoint(); err != nil {
 			t.Fatal(err)
 		}
 		a += commits((r+1)%sets, perRound/4)
-		if err := w.CheckpointIncremental(nil); err != nil {
+		if err := w.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		if r >= warm {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/pager"
@@ -208,4 +210,141 @@ func BenchmarkPageVersionAt(b *testing.B) {
 		mark := w.Mark()
 		loop(b, func() bool { img, _, _ := w.PageImageAt(2, mark); return img != nil })
 	})
+}
+
+// TestPinRefusesRoundsPastItsMark holds the reader registry's contract: a
+// pin below the round's watermark refuses Checkpoint and FreezeCheckpoint
+// with ErrCheckpointPending and leaves the log as it was, a pin at the
+// current mark refuses nothing, pins count, Unpin lets the round run, and
+// a round already frozen resumes whatever the pins.
+func TestPinRefusesRoundsPastItsMark(t *testing.T) {
+	e := newEnv(t)
+	w := e.open(t, VariantUHLSDiff())
+	rounds := []struct {
+		name string
+		run  func() error
+	}{{"FreezeCheckpoint", w.FreezeCheckpoint}, {"Checkpoint", w.Checkpoint}}
+	refused := func(step string) {
+		t.Helper()
+		frames, mark := w.FramesSinceCheckpoint(), w.Mark()
+		for _, r := range rounds {
+			if err := r.run(); !errors.Is(err, pager.ErrCheckpointPending) {
+				t.Fatalf("%s: %s = %v, want ErrCheckpointPending", step, r.name, err)
+			}
+		}
+		if w.FramesSinceCheckpoint() != frames || w.Mark() != mark || w.ckpt != nil {
+			t.Fatalf("%s: a refused round changed the log", step)
+		}
+	}
+
+	img2 := fullPage(0x21)
+	commitPages(t, w, map[uint32][]byte{2: img2})
+	at, again := w.Pin(), w.Pin()
+	if at != w.Mark() || again != at {
+		t.Fatalf("pins at %d and %d, mark %d", at, again, w.Mark())
+	}
+	for _, r := range rounds {
+		if err := r.run(); err != nil {
+			t.Fatalf("%s with a pin at the current mark: %v", r.name, err)
+		}
+	}
+	if w.FramesSinceCheckpoint() != 0 {
+		t.Fatal("the round under a pin at the current mark left frames")
+	}
+
+	commitPages(t, w, map[uint32][]byte{3: fullPage(0x31)})
+	refused("two pins below the watermark")
+	w.Unpin(at)
+	refused("one pin left below the watermark")
+	if _, ok := w.PageVersionAt(3, again); ok {
+		t.Fatal("the pinned mark sees a later commit")
+	}
+	w.Unpin(again)
+	if err := w.Checkpoint(); err != nil || w.FramesSinceCheckpoint() != 0 {
+		t.Fatalf("Checkpoint after Unpin = %v with %d frames left", err, w.FramesSinceCheckpoint())
+	}
+
+	commitPages(t, w, map[uint32][]byte{4: fullPage(0x41)})
+	if err := w.FreezeCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	commitPages(t, w, map[uint32][]byte{5: fullPage(0x51)})
+	late := w.Pin()
+	commitPages(t, w, map[uint32][]byte{6: fullPage(0x61)})
+	if err := w.Checkpoint(); err != nil || w.ckpt != nil || w.FramesSinceCheckpoint() != 2 {
+		t.Fatalf("resuming the frozen round = %v with %d frames left, want nil and 2", err, w.FramesSinceCheckpoint())
+	}
+	refused("a pin below the next round's watermark")
+	w.Unpin(late)
+	if err := w.Checkpoint(); err != nil || w.FramesSinceCheckpoint() != 0 {
+		t.Fatalf("Checkpoint after the last Unpin = %v with %d frames left", err, w.FramesSinceCheckpoint())
+	}
+}
+
+// TestPinRacesWritersAndCheckpointer runs readers that pin, resolve a page
+// at their mark and unpin against a writer rewriting that page and a
+// checkpointer looping rounds: every read sees exactly the image the
+// page had at the reader's mark — one frame per commit, so the mark says
+// which — never a later one a round left in its place.
+func TestPinRacesWritersAndCheckpointer(t *testing.T) {
+	e := newEnv(t)
+	w := e.open(t, VariantUHLSDiff())
+	view := pager.NewReadView(w, e.db)
+	commitPages(t, w, map[uint32][]byte{2: fullPage(1)})
+	first := w.Mark()   // commit i (fill i) ends at mark first+i-1
+	const commits = 250 // one fill byte per commit
+	stop := make(chan struct{})
+	errs := make(chan error, 4) // one failure per goroutine at most
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mark := w.Pin()
+				img, _, err := view.PageAt(2, mark)
+				w.Unpin(mark)
+				switch {
+				case err != nil:
+					errs <- err
+					return
+				case !bytes.Equal(img, fullPage(byte(mark-first+1))):
+					errs <- fmt.Errorf("page 2 at mark %d reads fill %d, want %d", mark, img[0], mark-first+1)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := w.Checkpoint(); err != nil && !errors.Is(err, pager.ErrCheckpointPending) {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for i := 2; i <= commits; i++ {
+		commitPages(t, w, map[uint32][]byte{2: fullPage(byte(i))})
+		if w.Mark() != first+i-1 {
+			t.Errorf("commit %d ends at mark %d, want %d", i, w.Mark(), first+i-1)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
 }

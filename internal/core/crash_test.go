@@ -613,7 +613,7 @@ func readBack(t *testing.T, e *testEnv, w *NVWAL, pgno uint32) []byte {
 // come later. Commits by two entry points land in that window — a rewrite
 // of a frozen page and a page the frozen generation never saw — and the
 // power fails (a) at every Algorithm 1 step of the second of them, and
-// (b) at every later step of the round once CheckpointIncremental resumes
+// (b) at every later step of the round once Checkpoint resumes
 // it. Whatever survives: every page committed before the freeze and every
 // commit acknowledged after it reads back, the interrupted commit is
 // atomic, recovery leaves no round in flight, and the log takes new work
@@ -645,14 +645,14 @@ func TestCrashMatrixBoundaryFrozenRound(t *testing.T) {
 						expect[uint32(2+i)] = fullPage(byte(0x30 + i))
 						commitPages(t, w, map[uint32][]byte{uint32(2 + i): expect[uint32(2+i)]})
 					}
-					if err := w.FreezeCheckpoint(nil); err != nil {
+					if err := w.FreezeCheckpoint(); err != nil {
 						t.Fatal(err)
 					}
 					frozenAt := w.Mark()
 					if b, _ := w.ExportSince(frozenAt, nil); b.Backfill != frozenAt {
 						t.Fatalf("a frozen round announces watermark %d, want %d", b.Backfill, frozenAt)
 					}
-					if err := w.FreezeCheckpoint(nil); err != nil || w.FramesSinceCheckpoint() != 4 {
+					if err := w.FreezeCheckpoint(); err != nil || w.FramesSinceCheckpoint() != 4 {
 						t.Fatalf("a second freeze must change nothing: err=%v, %d frames", err, w.FramesSinceCheckpoint())
 					}
 
@@ -676,7 +676,7 @@ func TestCrashMatrixBoundaryFrozenRound(t *testing.T) {
 						for _, fr := range added {
 							expect[fr.Pgno] = fr.Data
 						}
-						crashed, err = runUntil(w, pt.step, func() error { return w.CheckpointIncremental(nil) })
+						crashed, err = runUntil(w, pt.step, func() error { return w.Checkpoint() })
 					}
 					if !crashed {
 						t.Fatalf("step %s never fired (err=%v)", pt.step, err)

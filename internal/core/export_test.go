@@ -176,7 +176,7 @@ func TestExportConcurrentWithCheckpointRounds(t *testing.T) {
 				return
 			default:
 			}
-			_ = w.CheckpointIncremental(nil)
+			_ = w.Checkpoint()
 		}
 	}()
 
@@ -336,7 +336,7 @@ func exportRetentionRun(t *testing.T, seed int64) {
 			}
 		case op < 72:
 			if parked == nil {
-				st, err := w.beginCheckpoint(nil)
+				st, err := w.beginCheckpoint()
 				if err != nil {
 					t.Fatal(err)
 				}

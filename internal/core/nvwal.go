@@ -412,7 +412,7 @@ type NVWAL struct {
 	// history records the frames not yet backfilled into the database
 	// file; history[i] is absolute frame histBase+i. histBase is the
 	// backfill watermark (SQLite's nBackfill): marks below it are
-	// invalid, which the database layer's reader gate guarantees.
+	// invalid, and no round passes a pinned mark (Pin).
 	history  []histFrame
 	histBase int
 	// byPage indexes history by page: ascending absolute frame indices.
@@ -450,6 +450,14 @@ type NVWAL struct {
 	published int64
 	// ckpt is the in-flight incremental checkpoint round, nil when none.
 	ckpt *ckptState
+	// pins counts the readers registered at each mark (Pin), the
+	// wal-index read marks of SQLite: phase A of a round refuses a
+	// watermark above any of them. Pin registers under mu's read lock, so
+	// no round freezes between a reader taking its mark and registering
+	// it; pinMu alone guards the map, so readers never queue on the writer
+	// lock for it. Order: mu before pinMu.
+	pinMu sync.Mutex
+	pins  map[int]int
 	// pendingPrep is the in-flight prepared (2PC) transaction, nil when
 	// none. Its frames are physically in the log under a provisional
 	// mark but NOT in the volatile indexes — publish is deferred to
@@ -563,6 +571,7 @@ func Open(h *heapo.Manager, db pager.DBFile, cfg Config, m *metrics.Counters) (*
 		base:      make(map[uint32][]byte),
 		pending:   make(map[uint32]struct{}),
 		badBlocks: make(map[uint64]bool),
+		pins:      make(map[int]int),
 
 		cLoggedBytes:  m.Cell(MetricLoggedBytes),
 		cBlocks:       m.Cell(MetricBlocks),
@@ -1279,9 +1288,9 @@ func (w *NVWAL) FramesSinceCheckpoint() int {
 }
 
 // Mark implements pager.VersionedLog. Marks are absolute frame
-// indices and grow monotonically across checkpoints; the database
-// layer's reader gate keeps every open mark at or above the backfill
-// watermark, so the frames a mark needs are always still indexed.
+// indices and grow monotonically across checkpoints. A reader that
+// resolves pages at a mark pins it (Pin), which keeps it at or above the
+// backfill watermark, so the frames it needs stay indexed.
 func (w *NVWAL) Mark() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -1354,12 +1363,47 @@ func (w *NVWAL) PageImageAt(pgno uint32, mark int) (img []byte, shared bool, err
 	return img, shared, err
 }
 
-// Checkpoint implements pager.Journal as a blocking alias: one full
-// incremental round with no reader gate.
-func (w *NVWAL) Checkpoint() error { return w.CheckpointIncremental(nil) }
+// Pin registers a reader at the current mark and returns the mark: until
+// the matching Unpin, no checkpoint round retires a frame the mark needs
+// — phase A refuses a watermark above it with pager.ErrCheckpointPending.
+// Readers proceed against a stable version while the writer appends
+// (§2), and the checkpoint never pulls it from under them.
+func (w *NVWAL) Pin() int {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	mark := w.histBase + len(w.history)
+	w.pinMu.Lock()
+	w.pins[mark]++
+	w.pinMu.Unlock()
+	return mark
+}
 
-// CheckpointIncremental is one round of the non-blocking checkpoint
-// pipeline (§4.3 made incremental).
+// Unpin releases one Pin of mark.
+func (w *NVWAL) Unpin(mark int) {
+	w.pinMu.Lock()
+	defer w.pinMu.Unlock()
+	if n := w.pins[mark]; n > 1 {
+		w.pins[mark] = n - 1
+	} else {
+		delete(w.pins, mark)
+	}
+}
+
+// pinnedBelow reports whether a reader holds a mark below watermark.
+// Called with w.mu held, so no Pin can register meanwhile.
+func (w *NVWAL) pinnedBelow(watermark int) bool {
+	w.pinMu.Lock()
+	defer w.pinMu.Unlock()
+	for m := range w.pins {
+		if m < watermark {
+			return true
+		}
+	}
+	return false
+}
+
+// Checkpoint implements pager.Journal: one round of the non-blocking
+// checkpoint pipeline (§4.3 made incremental).
 //
 // Phase A (short w.mu critical section): persist a checkpoint record
 // naming the current generation, then bump the salt and hand the block
@@ -1375,14 +1419,12 @@ func (w *NVWAL) Checkpoint() error { return w.CheckpointIncremental(nil) }
 // UserHeap), retire the record, and drop the backfilled prefix from the
 // volatile per-page index.
 //
-// gate, when non-nil, is consulted with the candidate watermark before
-// the round freezes anything; returning false aborts the round with
-// pager.ErrCheckpointPending. The database layer uses it to keep open
-// snapshot readers' marks valid.
-func (w *NVWAL) CheckpointIncremental(gate func(watermark int) bool) error {
+// A reader pinned below the current mark (Pin) refuses the round before
+// it freezes anything: pager.ErrCheckpointPending, the log intact.
+func (w *NVWAL) Checkpoint() error {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
-	st, err := w.beginCheckpoint(gate)
+	st, err := w.beginCheckpoint()
 	if err != nil || st == nil {
 		return err
 	}
@@ -1395,70 +1437,42 @@ func (w *NVWAL) CheckpointIncremental(gate func(watermark int) bool) error {
 // FreezeCheckpoint runs phase A of a round on its own: the checkpoint
 // record and the salt bump, two persists and no block I/O. From its return
 // the round's watermark is a fact — ExportSince stamps it into every batch,
-// recovery completes the round — and the next CheckpointIncremental runs
-// phases B and C of this round instead of starting one. A caller that owes
-// somebody an acknowledgement freezes, acknowledges, then writes back. The
-// gate is consulted as in CheckpointIncremental; with a round already
-// frozen, or nothing to backfill, the call does nothing.
-func (w *NVWAL) FreezeCheckpoint(gate func(watermark int) bool) error {
+// recovery completes the round — and the next Checkpoint runs phases B and
+// C of this round instead of starting one. A caller that owes somebody an
+// acknowledgement freezes, acknowledges, then writes back. Pinned readers
+// refuse it as they refuse Checkpoint; with a round already frozen, or
+// nothing to backfill, the call does nothing.
+func (w *NVWAL) FreezeCheckpoint() error {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
-	_, err := w.beginCheckpoint(gate)
+	_, err := w.beginCheckpoint()
 	return err
 }
 
 // beginCheckpoint runs phase A and returns the round's state, or
 // (nil, nil) when the log has nothing to backfill. Called with w.ckptMu
 // held.
-func (w *NVWAL) beginCheckpoint(gate func(watermark int) bool) (*ckptState, error) {
+func (w *NVWAL) beginCheckpoint() (*ckptState, error) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if st := w.ckpt; st != nil {
 		// Resume a round that stopped after phase A: FreezeCheckpoint ran it
-		// ahead, or a database-file write error cut backfill short. Its
-		// watermark was gated when the round froze it, and marks only grow,
-		// so no re-check is needed.
-		w.mu.Unlock()
+		// ahead, or a database-file write error cut backfill short. No pin
+		// is below its watermark: a reader pinned since has a mark at or
+		// above it, as marks only grow.
 		return st, nil
 	}
 	if len(w.history) == 0 {
-		w.mu.Unlock()
 		return nil, nil
 	}
-	if w.pendingPrep != nil {
-		// Freezing the generation now would seal prepared frames that are
-		// not in history into the frozen chain — completing the round
-		// would free them. Prepared windows are short (the writer slot is
-		// held across the 2PC round-trip); let the caller retry.
-		w.mu.Unlock()
+	// Freezing the generation while a 2PC transaction is prepared would
+	// seal its frames, which are not in history, into the frozen chain —
+	// completing the round would free them. Prepared windows are short
+	// (the writer slot is held across the 2PC round-trip); let the caller
+	// retry, as when a reader's pin is below the watermark.
+	if w.pendingPrep != nil || w.pinnedBelow(w.histBase+len(w.history)) {
 		return nil, pager.ErrCheckpointPending
 	}
-	w.mu.Unlock()
-
-	// Consult the gate without w.mu held — the database layer takes its
-	// reader-registry lock inside, and readers hold that lock while
-	// calling Mark. Re-validate under w.mu and retry if a commit slipped
-	// in between: the snapshot below captures images at the CURRENT
-	// mark, so the gated watermark must match it exactly.
-	for attempt := 0; ; attempt++ {
-		end := w.Mark()
-		if gate != nil && !gate(end) {
-			return nil, pager.ErrCheckpointPending
-		}
-		w.mu.Lock()
-		if w.pendingPrep != nil {
-			w.mu.Unlock()
-			return nil, pager.ErrCheckpointPending
-		}
-		if w.histBase+len(w.history) == end {
-			break
-		}
-		w.mu.Unlock()
-		if attempt >= 8 {
-			// A writer burst keeps moving the mark; let the caller retry.
-			return nil, pager.ErrCheckpointPending
-		}
-	}
-	defer w.mu.Unlock()
 
 	// The round writes every indexed page's version back and retires the
 	// frames a pending page would be built from: build them now. A base

@@ -269,7 +269,7 @@ func (r *readViewRun) parkedCheckpoint() {
 	})
 	go func() { done <- r.w.Checkpoint() }()
 	<-entered
-	r.lo = r.w.Mark() // the gate admits no reader below the frozen watermark
+	r.lo = r.w.Mark() // a reader pinned now is at or above the frozen watermark
 	r.check("checkpoint parked in phase B")
 	for k := 1 + r.rng.Intn(3); k > 0; k-- {
 		if r.rng.Intn(2) == 0 {

@@ -203,7 +203,7 @@ func TestSalvageFrozenLinkIntoLiveChain(t *testing.T) {
 	imgA, imgB := fullPage(0x51), fullPage(0x52)
 	commitPages(t, w, map[uint32][]byte{2: imgA})
 	commitPages(t, w, map[uint32][]byte{3: imgB})
-	if err := w.FreezeCheckpoint(nil); err != nil {
+	if err := w.FreezeCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	commitPages(t, w, map[uint32][]byte{4: fullPage(0x53)})

@@ -183,9 +183,10 @@ func maxTables(pageSize int) int { return (pageSize - catalogOff - 2) / tableEnt
 
 // DB is one open database.
 //
-// Lock order (see DESIGN.md §8): writer slot → ckptMu → gc.mu → the
-// journal's internal lock. Snapshot ReadTxs never take the writer slot;
-// they touch only the journal (read-locked) and the database file.
+// Lock order (see DESIGN.md §8): writer slot → gc.mu → the journal's
+// internal locks. Snapshot ReadTxs never take the writer slot; they pin
+// their mark in the journal (core.NVWAL.Pin) and touch only the journal
+// (read-locked) and the database file.
 type DB struct {
 	plat *platform.Platform
 	opts Options
@@ -224,19 +225,6 @@ type DB struct {
 	// read, or a checkpoint. Legacy mode try-acquires it (ErrTxnOpen
 	// when busy); Concurrent mode blocks.
 	slot chan struct{}
-	// readers counts open snapshot read transactions; a positive count
-	// pins the log against checkpointing.
-	readers atomic.Int64
-	// ckptMu makes BeginRead's register-and-mark atomic against the
-	// checkpoint gate's mark scan, so a reader can never take a mark
-	// that a concurrent checkpoint immediately invalidates. It is never
-	// held across a journal call (the journal consults the gate, which
-	// takes it).
-	ckptMu sync.Mutex
-	// openMarks counts open snapshot readers per mark (guarded by
-	// ckptMu); the checkpoint gate refuses any watermark above an open
-	// mark.
-	openMarks map[int]int
 	// gc is the writer queue implementing group commit.
 	gc *groupCommitter
 	// pressure holds the NVRAM free-space watermarks (JournalNVWAL
@@ -316,13 +304,12 @@ func Open(plat *platform.Platform, name string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	d := &DB{
-		plat:      plat,
-		opts:      opts,
-		name:      name,
-		tCPU:      plat.Metrics.Cell(metrics.TimeCPU),
-		trees:     make(map[string]*btree.Tree),
-		slot:      make(chan struct{}, 1),
-		openMarks: make(map[int]int),
+		plat:  plat,
+		opts:  opts,
+		name:  name,
+		tCPU:  plat.Metrics.Cell(metrics.TimeCPU),
+		trees: make(map[string]*btree.Tree),
+		slot:  make(chan struct{}, 1),
 	}
 	d.health = health.NewMonitor(health.Options{
 		Now:     plat.Clock.Now,
@@ -950,9 +937,6 @@ func (d *DB) AutoCheckpoint(freezeOnly bool) error {
 		}
 		return nil
 	}
-	if d.readers.Load() > 0 {
-		return nil
-	}
 	if !d.tryAcquireSlot() {
 		return nil
 	}
@@ -977,19 +961,6 @@ func (d *DB) kickCheckpoint() {
 	case d.ckptKick <- struct{}{}:
 	default:
 	}
-}
-
-// ckptGate is the reader gate NVWAL's checkpoint rounds consult: a
-// round may only cover frames below every open snapshot mark.
-func (d *DB) ckptGate(watermark int) bool {
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-	for m := range d.openMarks {
-		if m < watermark {
-			return false
-		}
-	}
-	return true
 }
 
 // checkpointLoop is the background checkpointer: each kick drains the
@@ -1028,7 +999,7 @@ func (d *DB) checkpointLoop() {
 				break
 			}
 			start := d.plat.Clock.Now()
-			err := d.nv.CheckpointIncremental(d.ckptGate)
+			err := d.nv.Checkpoint()
 			if err == nil {
 				tr.Observe(d.plat.Clock.Now() - start)
 				tr.Beat()
@@ -1132,11 +1103,9 @@ func (d *DB) Checkpoint() error {
 
 // checkpointLocked checkpoints with the writer slot held — with
 // freezeOnly, only as far as freezing an NVWAL round's generation (other
-// journals have no such stage: nothing is done). NVWAL protects open
-// readers through the gate (ckptMu is never held across the journal
-// call — the gate takes it, and readers hold it while marking); the
-// other journals have no readers to protect and checkpoint in one
-// blocking call.
+// journals have no such stage: nothing is done). An NVWAL round that a
+// reader's pinned mark refuses is ErrBusySnapshot; the other journals
+// have no readers to protect and checkpoint in one blocking call.
 func (d *DB) checkpointLocked(freezeOnly bool) error {
 	if freezeOnly && d.nv == nil {
 		return nil
@@ -1150,13 +1119,10 @@ func (d *DB) checkpointLocked(freezeOnly bool) error {
 	}
 	sw := d.plat.Clock.Now()
 	var err error
-	switch {
-	case d.nv == nil:
+	if freezeOnly {
+		err = d.nv.FreezeCheckpoint()
+	} else {
 		err = d.jrn.Checkpoint()
-	case freezeOnly:
-		err = d.nv.FreezeCheckpoint(d.ckptGate)
-	default:
-		err = d.nv.CheckpointIncremental(d.ckptGate)
 	}
 	if errors.Is(err, pager.ErrCheckpointPending) {
 		return ErrBusySnapshot

@@ -40,8 +40,8 @@ func (d *DB) SeedBytes() (int64, error) {
 	if d.view == nil {
 		return 0, ErrNoExport
 	}
-	mark := d.pinMark()
-	defer d.unpinMark(mark)
+	mark := d.nv.Pin()
+	defer d.unpin(mark)
 	hdr, _, err := d.view.PageAt(1, mark)
 	if err != nil {
 		return 0, err
@@ -67,8 +67,8 @@ func (d *DB) ExportPages() (*PageSnapshot, error) {
 	if d.view == nil {
 		return nil, ErrNoExport
 	}
-	mark := d.pinMark()
-	defer d.unpinMark(mark)
+	mark := d.nv.Pin()
+	defer d.unpin(mark)
 
 	// The page count lives in the header page; reading it at the pinned
 	// mark keeps the capture self-consistent even while writers extend

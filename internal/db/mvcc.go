@@ -297,17 +297,11 @@ func (d *DB) BeginConcurrent() (*CTx, error) {
 // admission stall under NVRAM-space backpressure (and, unless
 // CommitCtx overrides it, the commit-side stall too).
 //
-// The snapshot is taken in three phases because of the lock order
-// (slot → ckptMu → gc.mu, and ckptMu must never be held while waiting
-// on gc.mu — a group flush holding gc.mu reclaims space through the
-// checkpoint gate, which takes ckptMu): a provisional mark m0 pins the
-// checkpointer first, the real snapshot (seq, mark, overlay) is taken
-// under gc.mu where it is consistent with the queue, and the pin then
-// moves m0 → mark. Frames between m0 and mark stay readable throughout
-// because the gate refuses any watermark above m0 while it is pinned.
-// The slot is held only across Begin itself — never while the session
-// runs — which keeps solo commits (journal written outside gc.mu)
-// from racing the snapshot.
+// The snapshot (seq, pinned mark, overlay) is taken under gc.mu, where it
+// is consistent with the queue; pinning takes the journal's lock inside
+// gc.mu, the order a flush takes them in. The slot is held only across
+// Begin itself — never while the session runs — which keeps solo commits
+// (journal written outside gc.mu) from racing the snapshot.
 func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
 	if !d.opts.Concurrent {
 		return nil, errors.New("db: BeginConcurrent requires Options.Concurrent")
@@ -340,14 +334,10 @@ func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
 	}
 	d.raiseAllocTop(pc)
 
-	// Phase 1: provisional checkpoint pin.
-	m0 := d.pinMark()
-
-	// Phase 2: the real snapshot, consistent under gc.mu.
 	gc := d.gc
 	gc.mu.Lock()
 	snapSeq := gc.nextSeq
-	mark := d.view.Mark()
+	mark := d.nv.Pin()
 	var overlay map[uint32][]byte
 	for _, r := range gc.queue {
 		for _, fr := range r.frames {
@@ -359,18 +349,6 @@ func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
 	}
 	gc.mu.Unlock()
 
-	// Phase 3: move the pin to the real mark.
-	if mark != m0 {
-		d.ckptMu.Lock()
-		if n := d.openMarks[m0]; n <= 1 {
-			delete(d.openMarks, m0)
-		} else {
-			d.openMarks[m0] = n - 1
-		}
-		d.openMarks[mark]++
-		d.ckptMu.Unlock()
-	}
-
 	st := d.borrowSession()
 	d.releaseSlot()
 
@@ -379,7 +357,7 @@ func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
 		ctx: ctx,
 		store: sessionStore{
 			d:            d,
-			snap:         snapshotStore{view: d.view, mark: mark, overlay: overlay},
+			snap:         snapshotStore{MarkStore: pager.MarkStore{View: d.view, Mark: mark}, overlay: overlay},
 			sessionState: st,
 		},
 		snapSeq:  snapSeq,
@@ -494,7 +472,7 @@ func (tx *CTx) releaseMark() {
 		return
 	}
 	tx.markHeld = false
-	tx.d.unpinMark(tx.store.snap.mark)
+	tx.d.unpin(tx.store.snap.Mark)
 }
 
 // finish closes the session out: mark released, writer unregistered
@@ -608,8 +586,8 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 
 	// The snapshot is no longer needed — everything the commit writes
 	// is materialized above. Dropping the pin here keeps the session's
-	// own flush (whose space reclaim checkpoints through the mark gate)
-	// from being blocked by its own mark.
+	// own flush (whose space reclaim runs checkpoint rounds) from being
+	// refused by its own mark.
 	tx.releaseMark()
 
 	if err := d.claimSlot(); err != nil {

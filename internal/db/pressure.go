@@ -292,15 +292,15 @@ func (d *DB) retryLogFull(dl deadline, where string, attempt func() error) error
 // reclaim runs one incremental checkpoint round for the commit-path
 // retry loops. Those loops already hold the writer slot and possibly
 // gc.mu, so it must not call Checkpoint/checkpointLocked (which take
-// them); NVWAL serializes rounds internally and consults the reader
-// gate. A round deferred by an open snapshot returns nil — the caller
-// backs off and retries as the reader closes.
+// them); NVWAL serializes rounds internally. A round a reader's pinned
+// mark refuses returns nil — the caller backs off and retries as the
+// reader closes.
 func (d *DB) reclaim() error {
 	if d.nv == nil || d.nv.FramesSinceCheckpoint() == 0 {
 		return nil
 	}
 	d.plat.Metrics.Inc(metrics.UrgentCheckpoints, 1)
-	err := d.nv.CheckpointIncremental(d.ckptGate)
+	err := d.nv.Checkpoint()
 	if errors.Is(err, pager.ErrCheckpointPending) {
 		return nil
 	}

@@ -129,12 +129,12 @@ func (c *checkedStore) Get(pgno uint32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	want, err := referencePage(c.d.nv, c.d.dbf, pgno, c.mark)
+	want, err := referencePage(c.d.nv, c.d.dbf, pgno, c.Mark)
 	if err != nil {
 		return nil, err
 	}
 	if !bytes.Equal(got, want) {
-		return nil, fmt.Errorf("page %d at mark %d: shared image differs from the journal-else-file reference", pgno, c.mark)
+		return nil, fmt.Errorf("page %d at mark %d: shared image differs from the journal-else-file reference", pgno, c.Mark)
 	}
 	c.pages.Add(1)
 	return got, nil
@@ -239,7 +239,7 @@ func raceReadersWritersCheckpointer(t *testing.T, d *DB) {
 							return true // growth filler
 						}
 						if prev, ok := seen[k[1]]; ok && prev != n {
-							torn = fmt.Errorf("torn snapshot at mark %d: writer %c has %d and %d", store.mark, k[1], prev, n)
+							torn = fmt.Errorf("torn snapshot at mark %d: writer %c has %d and %d", store.Mark, k[1], prev, n)
 							return false
 						}
 						seen[k[1]] = n
@@ -330,7 +330,7 @@ func TestSessionCopiesOnlyWrittenPages(t *testing.T) {
 	leaves, owned := 0, 0
 	session(true, func(st *sessionStore) {
 		for pgno, e := range st.pages {
-			shared, isShared, err := d.view.PageAt(pgno, st.snap.mark)
+			shared, isShared, err := d.view.PageAt(pgno, st.snap.Mark)
 			if err != nil || !isShared || &e.base[0] != &shared[0] {
 				t.Fatalf("page %d: the session did not load the snapshot's shared image (shared=%v err=%v)", pgno, isShared, err)
 			}

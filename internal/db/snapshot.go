@@ -42,33 +42,13 @@ func (d *DB) BeginRead() (*ReadTx, error) {
 	if d.view == nil {
 		return nil, ErrNoSnapshots
 	}
-	return &ReadTx{d: d, store: snapshotStore{view: d.view, mark: d.pinMark()}}, nil
+	return &ReadTx{d: d, store: snapshotStore{MarkStore: pager.MarkStore{View: d.view, Mark: d.nv.Pin()}}}, nil
 }
 
-// pinMark registers a snapshot reader at the journal's current mark and
-// returns it. ckptMu makes register-and-mark atomic against the
-// checkpoint gate's mark scan, so the mark can never straddle a round
-// that would invalidate it.
-func (d *DB) pinMark() int {
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-	d.readers.Add(1)
-	mark := d.view.Mark()
-	d.openMarks[mark]++
-	return mark
-}
-
-// unpinMark releases a pinMark registration, unblocking checkpoints. A
+// unpin releases a mark pinned in the journal (core.NVWAL.Pin). A
 // background checkpointer waiting out the mark is kicked to retry.
-func (d *DB) unpinMark(mark int) {
-	d.ckptMu.Lock()
-	d.readers.Add(-1)
-	if n := d.openMarks[mark]; n <= 1 {
-		delete(d.openMarks, mark)
-	} else {
-		d.openMarks[mark] = n - 1
-	}
-	d.ckptMu.Unlock()
+func (d *DB) unpin(mark int) {
+	d.nv.Unpin(mark)
 	d.kickCheckpoint()
 }
 
@@ -78,7 +58,7 @@ func (r *ReadTx) Close() {
 		return
 	}
 	r.done = true
-	r.d.unpinMark(r.store.mark)
+	r.d.unpin(r.store.Mark)
 }
 
 // treeAt opens table's B+tree over store, resolving the root through the
@@ -178,13 +158,12 @@ func (r *ReadTx) Count(table string) (int, error) {
 }
 
 // snapshotStore is a read-only btree.PageStore over the database as of
-// a journal mark (pager.ReadView). A page the journal hands out shared
-// is not kept — asking again costs nothing; one the view had to build
-// (replayed, or read from the file log or the database file) is, so a
-// long-lived reader builds each such page once.
+// a pinned journal mark (pager.MarkStore). A page the journal hands out
+// shared is not kept — asking again costs nothing; one the view had to
+// build (replayed, or read from the database file) is, so a long-lived
+// reader builds each such page once.
 type snapshotStore struct {
-	view *pager.ReadView
-	mark int
+	pager.MarkStore
 	// built holds the images that were built for this reader. Nil until
 	// the first one.
 	built map[uint32][]byte
@@ -195,15 +174,13 @@ type snapshotStore struct {
 	overlay map[uint32][]byte
 }
 
-func (s *snapshotStore) PageSize() int { return s.view.PageSize() }
-
 // load resolves pgno without consulting or feeding built: a caller that
 // gets shared=false owns the image.
 func (s *snapshotStore) load(pgno uint32) (img []byte, shared bool, err error) {
 	if img, ok := s.overlay[pgno]; ok {
 		return img, true, nil
 	}
-	return s.view.PageAt(pgno, s.mark)
+	return s.View.PageAt(pgno, s.Mark)
 }
 
 func (s *snapshotStore) Get(pgno uint32) ([]byte, error) {
@@ -221,16 +198,4 @@ func (s *snapshotStore) Get(pgno uint32) ([]byte, error) {
 		s.built[pgno] = img
 	}
 	return img, nil
-}
-
-func (s *snapshotStore) Allocate() (uint32, []byte, error) {
-	return 0, nil, errors.New("db: snapshot store is read-only")
-}
-
-func (s *snapshotStore) Free(uint32) error {
-	return errors.New("db: snapshot store is read-only")
-}
-
-func (s *snapshotStore) MarkDirty(uint32) []byte {
-	panic("db: write through a read transaction")
 }

@@ -52,10 +52,10 @@ type Journal interface {
 // an image of (PageVersion's ok with a nil image).
 var ErrNoImage = errors.New("pager: the journal holds the page but cannot build its image")
 
-// ErrCheckpointPending is returned by a gated checkpoint round (NVWAL's
-// CheckpointIncremental) when the caller's gate refused it: an open
-// snapshot reader still holds a mark below the round's watermark. The
-// log is intact; retry once the reader closes.
+// ErrCheckpointPending is returned by a checkpoint round (NVWAL's
+// Checkpoint and FreezeCheckpoint) that a reader refused: it pinned a
+// mark below the round's watermark. The log is intact; retry once the
+// reader unpins.
 var ErrCheckpointPending = errors.New("pager: checkpoint pending: a snapshot reader pins the log")
 
 // PageImager is the capability of a journal whose log retains an
@@ -80,8 +80,8 @@ const Latest = math.MaxInt
 // VersionedLog is a log that serves point-in-time reads — the WAL
 // property that lets readers proceed against a stable snapshot while the
 // writer appends (SQLite's wal-index "mxFrame" mechanism). NVWAL is the
-// one implementation; the database layer keeps checkpointing and open
-// marks apart.
+// one implementation, and it keeps checkpointing and the marks its
+// readers pin apart.
 type VersionedLog interface {
 	PageImager
 	// Mark captures the current end of the committed log.
@@ -122,6 +122,35 @@ func (v *ReadView) PageAt(pgno uint32, mark int) (img []byte, shared bool, err e
 	}
 	return img, false, nil
 }
+
+// MarkStore is a read-only page store (a btree.PageStore) over the
+// database as of one log mark: every page is View's image at Mark, and
+// the store keeps none of them. Whoever sets Mark keeps it readable by
+// pinning it in the log for as long as the store is used.
+type MarkStore struct {
+	View *ReadView
+	Mark int
+}
+
+// PageSize is the database page size.
+func (s *MarkStore) PageSize() int { return s.View.PageSize() }
+
+// Get returns pgno's read-only image at the mark.
+func (s *MarkStore) Get(pgno uint32) ([]byte, error) {
+	img, _, err := s.View.PageAt(pgno, s.Mark)
+	return img, err
+}
+
+var errReadOnly = errors.New("pager: the store at a mark is read-only")
+
+// Allocate refuses: the store is read-only.
+func (s *MarkStore) Allocate() (uint32, []byte, error) { return 0, nil, errReadOnly }
+
+// Free refuses: the store is read-only.
+func (s *MarkStore) Free(uint32) error { return errReadOnly }
+
+// MarkDirty panics: no writer holds a store at a mark.
+func (s *MarkStore) MarkDirty(uint32) []byte { panic("pager: write through a store at a mark") }
 
 // DBFile is the database file on block storage that checkpointing
 // writes into and cache misses read from.

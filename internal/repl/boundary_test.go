@@ -702,8 +702,8 @@ func TestBoundaryReplicaPowerCutAroundPostAckRound(t *testing.T) {
 				cutPower(t, node, pol.policy, 17)
 
 				back, _ := startTappedReplica(t, c, "n1", func(conn netsim.Conn) netsim.Conn { return conn })
-				if !back.seeded || back.Applied() != acked {
-					t.Fatalf("rebooted replica: seeded=%v applied=%d, want the acked mark %d", back.seeded, back.Applied(), acked)
+				if !back.seeded.Load() || back.Applied() != acked {
+					t.Fatalf("rebooted replica: seeded=%v applied=%d, want the acked mark %d", back.seeded.Load(), back.Applied(), acked)
 				}
 				model.verify(t, "rebooted replica, before resuming", back.Get)
 				for i := 1000; i < 1000+2*limit; i++ {

@@ -164,7 +164,7 @@ func TestCursorPowerCutAtEveryOp(t *testing.T) {
 				g.r.ApplyBatch(1, b) // a ghost past the trigger: its ack means nothing
 				g.powerCut(policy, at)
 
-				if !g.r.seeded {
+				if !g.r.seeded.Load() {
 					t.Fatalf("%s: one cut left no valid cursor slot", name)
 				}
 				switch g.r.Applied() {
@@ -220,9 +220,9 @@ func TestCursorTornRecordFallsBackToStaleSlot(t *testing.T) {
 	newest := g.r.cursorSlot
 	tear(newest)
 	g.powerCut(memsim.FailDropAll, 1)
-	if !g.r.seeded || g.r.Applied() != cursorRigSeedMark+1 || g.r.cursorSlot == newest {
+	if !g.r.seeded.Load() || g.r.Applied() != cursorRigSeedMark+1 || g.r.cursorSlot == newest {
 		t.Fatalf("after a torn newest slot: seeded=%v applied=%d slot=%d; want the stale slot's %d",
-			g.r.seeded, g.r.Applied(), g.r.cursorSlot, cursorRigSeedMark+1)
+			g.r.seeded.Load(), g.r.Applied(), g.r.cursorSlot, cursorRigSeedMark+1)
 	}
 	if !g.holds() { // the journal is ahead of the cursor, never behind
 		t.Fatal("journal lost the second batch")
@@ -234,7 +234,7 @@ func TestCursorTornRecordFallsBackToStaleSlot(t *testing.T) {
 	tear(0)
 	tear(1)
 	g.powerCut(memsim.FailDropAll, 2)
-	if g.r.seeded || !g.r.Status().Degraded {
+	if g.r.seeded.Load() || !g.r.Status().Degraded {
 		t.Fatal("two bad slots must read as unseeded")
 	}
 	if g.r.ApplyBatch(1, g.batch(3, false)) {
@@ -246,33 +246,8 @@ func TestCursorTornRecordFallsBackToStaleSlot(t *testing.T) {
 	}
 	// The seed's mark is below the old slots': it must still win the load.
 	g.powerCut(memsim.FailDropAll, 3)
-	if !g.r.seeded || g.r.Applied() != 4 || g.r.incarnation != 2 {
-		t.Fatalf("after the healing seed: seeded=%v applied=%d incarnation=%d", g.r.seeded, g.r.Applied(), g.r.incarnation)
-	}
-}
-
-// TestCursorLegacyRootsReadAsUnseeded: a namespace that still holds the
-// cursor as four named roots is a replica without a cursor, and the
-// roots are removed.
-func TestCursorLegacyRootsReadAsUnseeded(t *testing.T) {
-	node := newTestCluster(t, "n1").Node("n1")
-	h := node.Plat.Heap
-	for i, name := range legacyCursorRoots {
-		if err := h.SetRoot(name, uint64(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := NewReplica(node.Plat, "n1.db", ReplicaOptions{Epoch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.seeded {
-		t.Fatal("legacy roots seeded a replica")
-	}
-	for _, name := range legacyCursorRoots {
-		if _, ok := h.GetRoot(name); ok {
-			t.Fatalf("legacy root %s survived the open", name)
-		}
+	if !g.r.seeded.Load() || g.r.Applied() != 4 || g.r.incarnation != 2 {
+		t.Fatalf("after the healing seed: seeded=%v applied=%d incarnation=%d", g.r.seeded.Load(), g.r.Applied(), g.r.incarnation)
 	}
 }
 

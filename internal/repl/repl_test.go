@@ -466,9 +466,7 @@ func TestReplicaCatalogParsedOncePerVersion(t *testing.T) {
 	// memoised catalog map.
 	page1 := func() []byte {
 		t.Helper()
-		rn.R.rw.RLock()
-		defer rn.R.rw.RUnlock()
-		img, err := rn.R.read.Get(1)
+		img, _, err := rn.R.view.PageAt(1, rn.R.wal.Mark())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,9 @@
 // checkpoints its journal when its primary does — on the batch that
 // carries a backfill watermark it has not yet checkpointed at, after that
 // batch's ack is on the wire — so the cluster has one checkpoint policy,
-// the primary's, and no node's round waits for another's. Reads serve a btree
-// view at exactly the applied mark under an RWMutex — a replica can
-// never serve state newer than what it acked.
+// the primary's, and no node's round waits for another's. A read pins
+// the journal's mark (core.NVWAL.Pin) and serves a btree view at it: it
+// sees whole batches and waits for neither an apply nor a round.
 package repl
 
 import (
@@ -24,6 +24,7 @@ import (
 	"hash/crc32"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/btree"
 	"repro/internal/core"
@@ -48,11 +49,6 @@ const (
 	rootCursor    = "repl:cursor"
 	cursorRecSize = 24
 )
-
-// legacyCursorRoots named the cursor's four fields before it was a
-// record. A namespace that still holds them reads as unseeded; they are
-// listed only to be deleted.
-var legacyCursorRoots = [...]string{"repl:inc", "repl:applied", "repl:chain", "repl:sum"}
 
 var replCRC = crc32.MakeTable(crc32.Castagnoli)
 
@@ -85,17 +81,19 @@ type Replica struct {
 	// table catalog against the page-1 image.
 	view    *pager.ReadView
 	catalog db.CatalogCache
-	// read is the store every read serves from: the view at the applied
-	// mark, which only the apply path moves, under the write lock.
-	read replStore
+	// stores lends each read its store (*pager.MarkStore).
+	stores sync.Pool
+	// reads is read-locked by every read; Close, Promote and a refused
+	// round write-lock it only to wait the reads in flight out.
+	reads sync.RWMutex
+	// seeded: applies set it under rw, Promote clears it under reads.
+	seeded atomic.Bool
 
-	// rw orders applies (write lock) against reads (read lock): a read
-	// observes exactly the applied mark, never a half-applied batch.
+	// rw serializes applies, rounds and the position fields below.
 	rw          sync.RWMutex
 	incarnation uint64
 	applied     int
 	chain       uint32
-	seeded      bool
 	degradedErr error
 	// cursorAddr is the cursor block (0 until the first seed allocates
 	// it) and cursorSlot the slot holding the newest record.
@@ -160,7 +158,7 @@ func NewReplica(plat *platform.Platform, name string, opts ReplicaOptions) (*Rep
 		return nil, err
 	}
 	r.view = pager.NewReadView(r.wal, r.dbf)
-	r.read = replStore{view: r.view, mark: r.view.Mark()}
+	r.stores.New = func() any { return &pager.MarkStore{View: r.view} }
 	r.stream[0] = r.wal.NewStream()
 	r.loadCursor()
 	return r, nil
@@ -210,9 +208,6 @@ func (r *Replica) cursorStride() int {
 // lost its last update to a power cut, never behind it.
 func (r *Replica) loadCursor() {
 	h := r.plat.Heap
-	for _, name := range legacyCursorRoots {
-		h.DeleteRoot(name)
-	}
 	addr, ok := h.GetRoot(rootCursor)
 	if !ok {
 		return
@@ -222,11 +217,12 @@ func (r *Replica) loadCursor() {
 	for slot := 0; slot < 2; slot++ {
 		h.Device().Read(addr+uint64(slot*r.cursorStride()), rec[:])
 		c, ok := decodeCursor(rec[:])
-		if !ok || (r.seeded && c.applied <= r.applied) {
+		if !ok || (r.seeded.Load() && c.applied <= r.applied) {
 			continue
 		}
 		r.incarnation, r.applied, r.chain = c.incarnation, c.applied, c.chain
-		r.cursorSlot, r.seeded = slot, true
+		r.cursorSlot = slot
+		r.seeded.Store(true)
 	}
 	// The next boundary the primary announces past this mark runs a round.
 	r.ckptAt = r.applied
@@ -334,11 +330,14 @@ func (r *Replica) Close() {
 	if cur != nil {
 		_ = cur.Close()
 	}
-	// Wait out a handler inside an apply or a post-ack round: each checks
-	// stopped() on entry, so once Close returns nothing touches the journal
-	// and the state may be reopened or promoted.
+	// Wait out a handler inside an apply or a post-ack round (each checks
+	// stopped() on entry) and the reads in flight, so that once Close
+	// returns nothing it started touches the journal and the state may be
+	// reopened or promoted.
 	r.rw.Lock()
 	r.rw.Unlock() //nolint:staticcheck // an empty critical section is the barrier
+	r.reads.Lock()
+	r.reads.Unlock() //nolint:staticcheck // as above
 }
 
 // stopped reports whether Close was called. Journal-touching critical
@@ -358,6 +357,10 @@ func (r *Replica) Promote(opts db.Options) (*db.DB, error) {
 	r.Close()
 	r.rw.Lock()
 	defer r.rw.Unlock()
+	// A read racing the promotion finished inside Close or gets ErrNotSeeded.
+	r.reads.Lock()
+	r.seeded.Store(false)
+	r.reads.Unlock()
 	if h := r.plat.Heap; r.cursorAddr != 0 {
 		// Root first: a crash in between leaks the block, the other order
 		// leaves a root pointing at memory the heap may hand out again.
@@ -365,7 +368,7 @@ func (r *Replica) Promote(opts db.Options) (*db.DB, error) {
 		if blk, err := h.BlockAt(r.cursorAddr); err == nil {
 			_ = h.NVFree(blk) // a block that will not free is a leaked page, not a failed promotion
 		}
-		r.cursorAddr, r.seeded = 0, false
+		r.cursorAddr = 0
 	}
 	return db.Open(r.plat, r.name, opts)
 }
@@ -377,7 +380,7 @@ func (r *Replica) handleConn(conn netsim.Conn) {
 		incarnation: r.incarnation,
 		applied:     r.applied,
 		chain:       r.chain,
-		needSeed:    !r.seeded || r.degradedErr != nil,
+		needSeed:    !r.seeded.Load() || r.degradedErr != nil,
 	}
 	r.rw.RUnlock()
 	if err := conn.Send(encodeHello(h)); err != nil {
@@ -449,7 +452,7 @@ func (r *Replica) applySeed(s seedMsg) ack {
 			return nack
 		}
 	}
-	mark := r.view.Mark()
+	mark := r.wal.Mark()
 	for _, pg := range s.pages {
 		if len(pg.data) > db.PageSize {
 			r.dropPages()
@@ -471,7 +474,7 @@ func (r *Replica) applySeed(s seedMsg) ack {
 	r.incarnation = s.incarnation
 	r.applied = s.mark
 	r.chain = core.ExportChainSeed(s.mark)
-	r.seeded = true
+	r.seeded.Store(true)
 	r.degradedErr = nil
 	r.checkpoint()
 	r.saveCursor(true)
@@ -506,7 +509,7 @@ func (r *Replica) applyFrames(f framesMsg) (a ack, roundDue bool) {
 	r.rw.Lock()
 	defer r.rw.Unlock()
 	nack := ack{incarnation: r.incarnation, applied: r.applied, ok: false}
-	if !r.seeded || r.degradedErr != nil || r.stopped() {
+	if !r.seeded.Load() || r.degradedErr != nil || r.stopped() {
 		return nack, false
 	}
 	if f.incarnation != r.incarnation {
@@ -530,7 +533,7 @@ func (r *Replica) applyFrames(f framesMsg) (a ack, roundDue bool) {
 	// Reconstruct each touched page's image in frame order (later frames
 	// patch earlier ones within the batch). A batch is a few commits'
 	// worth of pages, so finding a page again is a scan of a short slice.
-	mark := r.view.Mark()
+	mark := r.wal.Mark()
 	for _, fr := range f.batch.Frames {
 		i := slices.IndexFunc(r.pages, func(p applyPage) bool { return p.pgno == fr.Pgno })
 		if i < 0 {
@@ -597,8 +600,8 @@ func (r *Replica) openPage(pgno uint32, mark int) (applyPage, error) {
 }
 
 // commitPages commits r.pages through the journal as one transaction —
-// the stream takes ownership of the images — moves the reads' mark to
-// the journal's, and empties the scratch. Caller holds r.rw exclusively.
+// the stream takes ownership of the images — and empties the scratch.
+// Caller holds r.rw exclusively.
 func (r *Replica) commitPages() error {
 	defer r.dropPages()
 	s := r.stream[0]
@@ -608,9 +611,7 @@ func (r *Replica) commitPages() error {
 			return err
 		}
 	}
-	err := r.wal.CommitStreams(r.stream[:], 1)
-	r.read.mark = r.view.Mark()
-	return err
+	return r.wal.CommitStreams(r.stream[:], 1)
 }
 
 // dropPages empties the apply scratch, keeping its array but none of the
@@ -623,10 +624,24 @@ func (r *Replica) dropPages() {
 // checkpoint compacts the replica's journal into its database file, at
 // the applied mark. A failed round is counted and retried at the next
 // boundary or, past the safety net, on every batch; the frames
-// themselves stay durable in the journal. Caller holds r.rw.
+// themselves stay durable in the journal. A round that a pinned mark
+// refuses is no failure: it leaves ckptAt where it was, so the next batch
+// runs it. Caller holds r.rw.
 func (r *Replica) checkpoint() {
+	err := r.wal.Checkpoint()
+	if errors.Is(err, pager.ErrCheckpointPending) {
+		// A read pinned before the batch refused it. Reads are short: wait
+		// out those in flight (one starting now pins the round's own mark)
+		// and retry, so that overlapping reads cannot put the round off
+		// batch after batch.
+		r.reads.Lock()
+		r.reads.Unlock() //nolint:staticcheck // an empty critical section is the barrier
+		if err = r.wal.Checkpoint(); errors.Is(err, pager.ErrCheckpointPending) {
+			return
+		}
+	}
 	r.ckptAt = r.applied
-	if r.ckptErr = r.wal.CheckpointIncremental(nil); r.ckptErr != nil {
+	if r.ckptErr = err; err != nil {
 		r.m.Inc(metrics.ReplCheckpointErrors, 1)
 	}
 }
@@ -636,45 +651,56 @@ func (r *Replica) checkpoint() {
 // ErrNotSeeded is returned for reads before the first seed/resume.
 var ErrNotSeeded = errors.New("repl: replica holds no seeded state")
 
-// Get serves a read at exactly the applied mark.
+// Get serves a read at the journal's mark when it starts.
 func (r *Replica) Get(table string, key []byte) ([]byte, bool, error) {
-	r.rw.RLock()
-	defer r.rw.RUnlock()
-	t, err := r.tree(table)
+	t, s, err := r.tree(table)
 	if err != nil {
 		return nil, false, err
 	}
+	defer r.release(s)
 	return t.Get(key)
 }
 
 // Scan visits the applied state's records in ascending key order. key
 // and value are valid until fn returns; copy them to keep them.
 func (r *Replica) Scan(table string, fn func(key, value []byte) bool) error {
-	r.rw.RLock()
-	defer r.rw.RUnlock()
-	t, err := r.tree(table)
+	t, s, err := r.tree(table)
 	if err != nil {
 		return err
 	}
+	defer r.release(s)
 	return t.Scan(fn)
 }
 
-// tree opens table's btree over the applied state, by value: a read
-// allocates nothing to reach its records. Caller holds r.rw (read or
-// write).
-func (r *Replica) tree(table string) (btree.Tree, error) {
-	if !r.seeded {
-		return btree.Tree{}, ErrNotSeeded
+// tree begins a read: it pins the journal's mark in a lent store and
+// opens table's btree over it by value, so that a read allocates nothing
+// to reach its records. The caller releases the store unless tree fails.
+func (r *Replica) tree(table string) (btree.Tree, *pager.MarkStore, error) {
+	r.reads.RLock()
+	if !r.seeded.Load() {
+		r.reads.RUnlock()
+		return btree.Tree{}, nil, ErrNotSeeded
 	}
-	hdr, err := r.read.Get(1)
+	s := r.stores.Get().(*pager.MarkStore)
+	s.Mark = r.wal.Pin()
+	hdr, err := s.Get(1)
 	if err != nil {
-		return btree.Tree{}, err
+		r.release(s)
+		return btree.Tree{}, nil, err
 	}
 	root, ok := r.catalog.Parse(hdr)[table]
 	if !ok {
-		return btree.Tree{}, fmt.Errorf("repl: no table %q in applied catalog", table)
+		r.release(s)
+		return btree.Tree{}, nil, fmt.Errorf("repl: no table %q in applied catalog", table)
 	}
-	return btree.Attach(&r.read, root, btree.Config{Reserved: core.RecommendedPageReserve}), nil
+	return btree.Attach(s, root, btree.Config{Reserved: core.RecommendedPageReserve}), s, nil
+}
+
+// release ends a read tree began.
+func (r *Replica) release(s *pager.MarkStore) {
+	r.wal.Unpin(s.Mark)
+	r.stores.Put(s)
+	r.reads.RUnlock()
 }
 
 // Apply refuses writes: replicas are read-only until promoted.
@@ -693,7 +719,7 @@ func (r *Replica) Status() server.Status {
 		Applied: r.applied,
 		// A failed checkpoint round degrades the replica only once the
 		// safety net is past as well: until then the next boundary retries.
-		Degraded: r.degradedErr != nil || !r.seeded ||
+		Degraded: r.degradedErr != nil || !r.seeded.Load() ||
 			(r.ckptErr != nil && r.wal.FramesSinceCheckpoint() >= checkpointNet),
 	}
 }
@@ -720,32 +746,4 @@ func (r *Replica) Degraded() error {
 	r.rw.RLock()
 	defer r.rw.RUnlock()
 	return r.degradedErr
-}
-
-// replStore adapts the replica's applied state to btree.PageStore:
-// read-only, every page the image at the applied mark (the journal's
-// own wherever it holds one). Every read shares the replica's one store,
-// so it keeps nothing: a descent or a scan visits a page once.
-type replStore struct {
-	view *pager.ReadView
-	mark int
-}
-
-func (s *replStore) PageSize() int { return s.view.PageSize() }
-
-func (s *replStore) Get(pgno uint32) ([]byte, error) {
-	img, _, err := s.view.PageAt(pgno, s.mark)
-	return img, err
-}
-
-func (s *replStore) Allocate() (uint32, []byte, error) {
-	return 0, nil, errors.New("repl: replica store is read-only")
-}
-
-func (s *replStore) Free(uint32) error {
-	return errors.New("repl: replica store is read-only")
-}
-
-func (s *replStore) MarkDirty(uint32) []byte {
-	panic("repl: write through a replica read")
 }
