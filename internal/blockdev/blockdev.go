@@ -264,8 +264,8 @@ func (d *Device) slowStallLocked(rate float64, delay time.Duration) {
 	d.m.Inc(metrics.SlowFaultStallNs, delay.Nanoseconds())
 }
 
-// MarkBad retires a page: every read or write of it fails permanently
-// until ClearBad. A pending (unsynced) write to the page is discarded —
+// MarkBad retires a page: every read or write of it fails permanently.
+// A pending (unsynced) write to the page is discarded —
 // it will never program.
 func (d *Device) MarkBad(page int) {
 	d.mu.Lock()
@@ -273,13 +273,6 @@ func (d *Device) MarkBad(page int) {
 	d.checkPage(page)
 	d.badPage[page] = true
 	delete(d.pending, page)
-}
-
-// ClearBad un-retires a page.
-func (d *Device) ClearBad(page int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.badPage[page] = false
 }
 
 // FailNextReads makes the next n reads fail with a transient EIO.

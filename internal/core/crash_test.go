@@ -513,9 +513,7 @@ func runCkptWriterCrashCase(t *testing.T, step string, policy memsim.FailPolicy,
 // block that ReclaimPending returns to the free pool.
 func TestPendingBlockReclaimedNotLeaked(t *testing.T) {
 	e := newEnv(t)
-	cfg := VariantUHLSDiff()
-	cfg.BlockSize = 8192
-	w := e.open(t, cfg)
+	w := e.open(t, VariantUHLSDiff())
 	crashed, _ := runUntil(w, StepAfterPreMalloc, func() error {
 		return w.CommitTransaction([]pager.Frame{{Pgno: 2, Data: fullPage(1)}})
 	})

@@ -69,11 +69,9 @@ type Config struct {
 	// (§3.2). When off, every frame carries the full page.
 	Differential bool
 	// UserHeap enables user-level NVRAM heap management (§3.3):
-	// nv_pre_malloc of BlockSize-byte blocks with the pending/in-use
+	// nv_pre_malloc of blockSize-byte blocks with the pending/in-use
 	// protocol, instead of one Heapo nvmalloc per WAL frame.
 	UserHeap bool
-	// BlockSize is the user-heap block size in bytes (paper: 8 KB).
-	BlockSize int
 	// Name is the Heapo persistent-namespace key under which the log's
 	// header block is registered, so it survives reboots.
 	Name string
@@ -111,9 +109,6 @@ func (c Config) effMask() uint32 {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BlockSize <= 0 {
-		c.BlockSize = 8192
-	}
 	if c.Name == "" {
 		c.Name = "nvwal"
 	}
@@ -172,7 +167,7 @@ func (c Config) Label() string {
 //	[60:64) checkpoint record: the frozen generation's frame count at
 //	        freeze time, for salvage accounting
 //
-// Log block (BlockSize bytes from the user heap, or a per-frame block):
+// Log block (blockSize bytes from the user heap, or a per-frame block):
 //
 //	[0:8)   next block address (0 = tail)
 //	[8:)    packed, 8-byte-aligned WAL frames
@@ -201,6 +196,8 @@ const (
 	hdrCkptChainOff = 56
 	hdrCkptCountOff = 60
 	headerBlockSize = 4096
+	// blockSize is the user-heap block size: the paper's 8 KB (§3.3).
+	blockSize = 8192
 
 	blockLinkSize = 8
 	frameHdrSize  = 32
@@ -340,8 +337,8 @@ func (st *ckptState) firstAddr() uint64 {
 }
 
 // NVWAL is a write-ahead log in NVRAM. It implements pager.Journal and
-// pager.VersionedLog; CommitStreams commits a group of per-writer
-// streams.
+// pager.PageImager, and serves reads at any pinned mark; CommitStreams
+// commits a group of per-writer streams.
 //
 // All methods are safe for concurrent use: a reader-writer lock lets
 // snapshot readers reconstruct pages (PageVersionAt) concurrently with
@@ -543,8 +540,8 @@ func Open(h *heapo.Manager, db pager.DBFile, cfg Config, m *metrics.Counters) (*
 	if m == nil {
 		m = &metrics.Counters{}
 	}
-	if cfg.BlockSize < blockLinkSize+frameHdrSize+db.PageSize() {
-		return nil, fmt.Errorf("nvwal: block size %d cannot hold a full-page frame", cfg.BlockSize)
+	if blockSize < blockLinkSize+frameHdrSize+db.PageSize() {
+		return nil, fmt.Errorf("nvwal: page size %d: a full-page frame does not fit a %d-byte block", db.PageSize(), blockSize)
 	}
 	// Carve out the checkpoint headroom before the first allocation: the
 	// largest headroom-privileged allocation (a header block, or a log
@@ -555,7 +552,7 @@ func Open(h *heapo.Manager, db pager.DBFile, cfg Config, m *metrics.Counters) (*
 	// longer contiguity demand could never be met. Headroom only grows;
 	// several logs sharing a heap each raise it to their own block size.
 	hr := (headerBlockSize + heapo.PageSize - 1) / heapo.PageSize
-	if b := (cfg.BlockSize + heapo.PageSize - 1) / heapo.PageSize; b > hr {
+	if b := (blockSize + heapo.PageSize - 1) / heapo.PageSize; b > hr {
 		hr = b
 	}
 	h.EnsureHeadroom(hr)
@@ -698,7 +695,7 @@ func (w *NVWAL) linkAddrForNext() uint64 {
 // (reclaimed by the heap manager) or a dangling reference to a freed
 // block (cleared by SQLite recovery) — the §4.3 failure cases.
 func (w *NVWAL) appendBlock(minSize int) error {
-	size := w.cfg.BlockSize
+	size := blockSize
 	if !w.cfg.UserHeap {
 		// Legacy path: one kernel allocation per WAL frame, sized for
 		// the frame (Heapo rounds to pages).
@@ -774,8 +771,8 @@ func (w *NVWAL) appendBlock(minSize int) error {
 // allocations.
 func (w *NVWAL) allocFrameSpace(size, groupTotal int) (uint64, error) {
 	need := align8(size)
-	if w.cfg.UserHeap && need > w.cfg.BlockSize-blockLinkSize {
-		return 0, fmt.Errorf("%w: frame %d bytes, block %d", ErrBlockFull, need, w.cfg.BlockSize)
+	if w.cfg.UserHeap && need > blockSize-blockLinkSize {
+		return 0, fmt.Errorf("%w: frame %d bytes, block %d", ErrBlockFull, need, blockSize)
 	}
 	if len(w.blocks) == 0 || w.tailUsed+need > w.tailCapacity() {
 		alloc := need
@@ -935,11 +932,11 @@ func (w *NVWAL) planAppend(streams []*Stream) error {
 			}
 			for _, e := range extents {
 				need := align8(frameHdrSize + e.Len)
-				if w.cfg.UserHeap && need > w.cfg.BlockSize-blockLinkSize {
-					return fmt.Errorf("%w: frame %d bytes, block %d", ErrBlockFull, need, w.cfg.BlockSize)
+				if w.cfg.UserHeap && need > blockSize-blockLinkSize {
+					return fmt.Errorf("%w: frame %d bytes, block %d", ErrBlockFull, need, blockSize)
 				}
 				if simBlocks == 0 || simTailUsed+need > simTailCap {
-					alloc := w.cfg.BlockSize
+					alloc := blockSize
 					if !w.cfg.UserHeap {
 						alloc = max(need, groupTotal) + blockLinkSize
 					}
@@ -1287,8 +1284,8 @@ func (w *NVWAL) FramesSinceCheckpoint() int {
 	return len(w.history)
 }
 
-// Mark implements pager.VersionedLog. Marks are absolute frame
-// indices and grow monotonically across checkpoints. A reader that
+// Mark captures the current end of the committed log. Marks are absolute
+// frame indices and grow monotonically across checkpoints. A reader that
 // resolves pages at a mark pins it (Pin), which keeps it at or above the
 // backfill watermark, so the frames it needs stay indexed.
 func (w *NVWAL) Mark() int {

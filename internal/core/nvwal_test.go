@@ -412,13 +412,6 @@ func TestLogSurvivesHeapReattachWithoutCrash(t *testing.T) {
 	}
 }
 
-func TestTooLargeFrameRejected(t *testing.T) {
-	e := newEnv(t)
-	if _, err := Open(e.heap, e.db, Config{BlockSize: 1024}, e.m); err == nil {
-		t.Fatal("block size smaller than a full-page frame accepted")
-	}
-}
-
 func TestWrongPageSizeRejected(t *testing.T) {
 	e := newEnv(t)
 	w := e.open(t, VariantUHLSDiff())

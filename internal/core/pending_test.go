@@ -288,7 +288,7 @@ func (r *pendingRun) apply() {
 		for _, fr := range batch {
 			p := pages[fr.Pgno]
 			if p == nil {
-				img, shared, err := view.PageAt(fr.Pgno, view.Mark())
+				img, shared, err := view.PageAt(fr.Pgno, s.w.Mark())
 				r.must(err)
 				p = &page{img: img}
 				if shared {

@@ -29,7 +29,9 @@ type BusyError struct {
 	// "group-deadline" (group commit abandoned), "prepare-log-full"
 	// (2PC prepare), "mvcc-commit" (concurrent session commit),
 	// "checkpointer-stalled" (the health watchdog latched the
-	// background checkpointer stalled, so waiting cannot help).
+	// background checkpointer stalled, so waiting cannot help),
+	// "writer-slot" (the context ended while Begin waited for the
+	// writer slot in Concurrent mode).
 	Watermark string
 	// Avail and Hard are the heap pages available and the hard
 	// watermark at the moment the deadline expired.

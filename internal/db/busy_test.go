@@ -95,3 +95,47 @@ func TestBusyErrorCarriesContext(t *testing.T) {
 		t.Fatalf("WithShard: got %+v, original %+v", be2, busy)
 	}
 }
+
+// TestBeginShedsAtWriterSlot: in Concurrent mode a Begin waiting for the
+// writer slot waits only as long as its context — the queue the serving
+// layer's writes share — and then fails with a BusyError naming the
+// slot, holding nothing: the writer in front commits, and the next Begin
+// gets the slot.
+func TestBeginShedsAtWriterSlot(t *testing.T) {
+	d, _ := newDB(t, Options{Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff(), Concurrent: true})
+	defer d.Close()
+	if err := d.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	front, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	shed := make(chan error, 1)
+	go func() {
+		tx, err := d.BeginCtx(ctx)
+		if err == nil {
+			tx.Rollback()
+		}
+		shed <- err
+	}()
+	cancel()
+	var be *BusyError
+	if err := <-shed; !errors.As(err, &be) || !errors.Is(err, ErrBusy) || be.Watermark != "writer-slot" ||
+		!errors.Is(err, context.Canceled) {
+		t.Fatalf("Begin behind a held slot past its context = %v, want a writer-slot BusyError", err)
+	}
+	if err := front.Insert("t", []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := front.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// A context that has ended does not refuse a free slot.
+	tx, err := d.BeginCtx(ctx)
+	if err != nil {
+		t.Fatalf("Begin on a free slot with an ended context = %v", err)
+	}
+	tx.Rollback()
+}

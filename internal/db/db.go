@@ -207,7 +207,9 @@ type DB struct {
 	// catalog memoises the table catalog against the page-1 image those
 	// readers resolve.
 	view    *pager.ReadView
-	catalog CatalogCache
+	catalog catalogCache
+	// readers holds closed ReadTxs for BeginRead to reuse.
+	readers sync.Pool
 
 	// degradedErr latches the degraded read-only mode (ErrDegraded):
 	// set at open when salvage found database-file damage, or at runtime
@@ -372,18 +374,22 @@ func Open(plat *platform.Platform, name string, opts Options) (*DB, error) {
 	return d, nil
 }
 
-// acquireSlot claims the writer slot: blocking in Concurrent mode,
-// try-only (ErrTxnOpen) in the legacy single-goroutine mode.
-func (d *DB) acquireSlot() error {
-	if d.opts.Concurrent {
-		d.slot <- struct{}{}
+// acquireSlot claims the writer slot. Concurrent mode waits for it as
+// long as ctx lets it: a wait ctx ends is a BusyError at the
+// "writer-slot", taking nothing. The legacy single-goroutine mode only
+// tries (ErrTxnOpen when busy).
+func (d *DB) acquireSlot(ctx context.Context) error {
+	if d.tryAcquireSlot() {
 		return nil
+	}
+	if !d.opts.Concurrent {
+		return ErrTxnOpen
 	}
 	select {
 	case d.slot <- struct{}{}:
 		return nil
-	default:
-		return ErrTxnOpen
+	case <-ctx.Done():
+		return d.newDeadline(ctx).busy("writer-slot", ctx.Err())
 	}
 }
 
@@ -449,7 +455,7 @@ func (d *DB) readCatalog() (map[string]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ParseCatalog(hdr), nil
+	return parseCatalog(hdr), nil
 }
 
 // tree returns the B+tree handle for a table. Callers hold the writer
@@ -649,11 +655,12 @@ func (tx *Tx) Seq() uint64 { return tx.seq }
 // context.
 func (d *DB) Begin() (*Tx, error) { return d.BeginCtx(context.Background()) }
 
-// BeginCtx is Begin with a context bounding the backpressure stall: if
-// the heap is below the hard watermark and ctx is cancelled before
-// checkpointing frees space, BeginCtx fails with an error matching
-// errors.Is(err, ErrBusy). The context also bounds the commit-side
-// stall of this transaction's Commit (CommitCtx overrides it).
+// BeginCtx is Begin with a context bounding its waits: if the heap is
+// below the hard watermark and ctx is cancelled before checkpointing
+// frees space, or ctx ends while Concurrent mode waits for the writer
+// slot, BeginCtx fails with an error matching errors.Is(err, ErrBusy).
+// The context also bounds the commit-side stall of this transaction's
+// Commit (CommitCtx overrides it).
 func (d *DB) BeginCtx(ctx context.Context) (*Tx, error) {
 	if err := d.enterWriter(ctx); err != nil {
 		return nil, err
@@ -669,13 +676,13 @@ func (d *DB) enterWriter(ctx context.Context) error {
 	if err := d.admitWriter(ctx); err != nil {
 		return err
 	}
-	return d.claimSlot()
+	return d.claimSlot(ctx)
 }
 
-// claimSlot takes the writer slot, refusing it once a group flush has
-// failed.
-func (d *DB) claimSlot() error {
-	if err := d.acquireSlot(); err != nil {
+// claimSlot takes the writer slot (waiting up to ctx), refusing it once a
+// group flush has failed.
+func (d *DB) claimSlot(ctx context.Context) error {
+	if err := d.acquireSlot(ctx); err != nil {
 		return err
 	}
 	if err := d.gc.bail(); err != nil {
@@ -1030,7 +1037,7 @@ func (d *DB) Health() *health.Monitor { return d.health }
 // waits for the writer slot; in legacy mode an open write transaction
 // is reported as ErrTxnOpen. The value is a copy the caller owns.
 func (d *DB) Get(table string, key []byte) ([]byte, bool, error) {
-	if err := d.acquireSlot(); err != nil {
+	if err := d.acquireSlot(context.Background()); err != nil {
 		return nil, false, err
 	}
 	defer d.releaseSlot()
@@ -1094,7 +1101,7 @@ func (d *DB) Checkpoint() error {
 	if err := d.Degraded(); err != nil {
 		return err
 	}
-	if err := d.acquireSlot(); err != nil {
+	if err := d.acquireSlot(context.Background()); err != nil {
 		return err
 	}
 	defer d.releaseSlot()

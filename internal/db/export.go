@@ -1,14 +1,15 @@
-// Replication export surface. A primary database hands its log to a
-// shipping agent through two hooks: ExportSince streams committed
-// frame ranges in journal mark space (the incremental path; what it
-// still holds for an agent is the journal's business, see
-// core.ExportCursor), and ExportPages captures a full point-in-time page
-// image (the re-seed path a replica falls back to when its range is no
-// longer retained, or when it detects divergence) whose size SeedBytes
-// tells beforehand.
+// Replication surface. A primary database hands its log to a shipping
+// agent through two hooks: ExportSince streams committed frame ranges in
+// journal mark space (the incremental path; what it still holds for an
+// agent is the journal's business, see core.ExportCursor), and
+// ExportPages captures a full point-in-time page image (the re-seed path
+// a replica falls back to when its range is no longer retained, or when
+// it detects divergence) whose size SeedBytes tells beforehand. A
+// follower's database takes both back through one entry, ImportFrames.
 package db
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -95,10 +96,56 @@ func (d *DB) ExportPages() (*PageSnapshot, error) {
 	return snap, nil
 }
 
-// ParseCatalog decodes the table catalog out of a header-page image —
-// the same layout CreateTable maintains. Replicas use it to resolve
-// table roots against their applied page state without a DB handle.
-func ParseCatalog(hdr []byte) map[string]uint32 {
+// ImportFrames applies frames shipped from a primary — an ExportSince
+// batch, or an ExportPages snapshot as one Full frame per page — as one
+// write transaction: each frame patches its page's committed image (a
+// Full frame replaces it) in order, and the dirty pages commit through the
+// journal like any transaction's, logged against the versions the log
+// holds. A frame that overruns its page, or a page that cannot be read,
+// fails the batch and nothing of it is applied. NVWAL journals only.
+func (d *DB) ImportFrames(frames []core.ExportFrame) error {
+	if d.nv == nil {
+		return ErrNoExport
+	}
+	if err := d.claimSlot(context.Background()); err != nil {
+		return err
+	}
+	d.pg.Begin()
+	for _, fr := range frames {
+		if err := d.importFrame(fr); err != nil {
+			d.pg.Rollback()
+			d.releaseSlot()
+			return err
+		}
+	}
+	// The frames may move any table's root, page 1 included: no tree
+	// opened before them may serve again.
+	d.treeMu.Lock()
+	clear(d.trees)
+	d.treeMu.Unlock()
+	_, err := d.commitHeldTxn(d.newDeadline(context.Background())) // releases the slot
+	return err
+}
+
+// importFrame patches fr into its page inside the open transaction.
+func (d *DB) importFrame(fr core.ExportFrame) error {
+	if _, err := d.pg.Get(fr.Pgno); err != nil {
+		return err
+	}
+	img := d.pg.MarkDirty(fr.Pgno)
+	if int(fr.Off)+len(fr.Payload) > len(img) {
+		return fmt.Errorf("db: imported frame overruns page %d", fr.Pgno)
+	}
+	if fr.Full {
+		clear(img)
+	}
+	copy(img[fr.Off:], fr.Payload)
+	return nil
+}
+
+// parseCatalog decodes the table catalog out of a header-page image —
+// the same layout CreateTable maintains.
+func parseCatalog(hdr []byte) map[string]uint32 {
 	n := int(binary.LittleEndian.Uint16(hdr[catalogOff:]))
 	out := make(map[string]uint32, n)
 	for i := 0; i < n; i++ {
@@ -109,7 +156,7 @@ func ParseCatalog(hdr []byte) map[string]uint32 {
 	return out
 }
 
-// CatalogCache memoises ParseCatalog against the identity of the
+// catalogCache memoises parseCatalog against the identity of the
 // header-page image it last parsed. Snapshot images are immutable, so
 // the same image is the same catalog version and readers at one version
 // share one parsed map — which they must treat as read-only. Holding the
@@ -120,7 +167,7 @@ func ParseCatalog(hdr []byte) map[string]uint32 {
 // trees it opened anyway. A header image built per reader (a database-
 // file read after a reopen) is a version of its own and hits only within
 // that reader. The zero value is ready; safe for concurrent use.
-type CatalogCache struct {
+type catalogCache struct {
 	last atomic.Pointer[parsedCatalog]
 }
 
@@ -130,15 +177,11 @@ type parsedCatalog struct {
 }
 
 // Parse returns the catalog of the immutable header-page image hdr.
-func (c *CatalogCache) Parse(hdr []byte) map[string]uint32 {
+func (c *catalogCache) Parse(hdr []byte) map[string]uint32 {
 	if p := c.last.Load(); p != nil && p.hdr == &hdr[0] {
 		return p.tables
 	}
-	p := &parsedCatalog{hdr: &hdr[0], tables: ParseCatalog(hdr)}
+	p := &parsedCatalog{hdr: &hdr[0], tables: parseCatalog(hdr)}
 	c.last.Store(p)
 	return p.tables
 }
-
-// TreeReserved reports the per-page reserved byte count a btree over
-// exported pages must use to match this database's physical layout.
-func (d *DB) TreeReserved() int { return d.reserved() }

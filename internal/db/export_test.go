@@ -44,7 +44,7 @@ func TestExportPagesSnapshot(t *testing.T) {
 	if snap.Pages[0].Pgno != 1 {
 		t.Fatalf("snapshot must lead with the header page, got page %d", snap.Pages[0].Pgno)
 	}
-	cat := ParseCatalog(snap.Pages[0].Data)
+	cat := parseCatalog(snap.Pages[0].Data)
 	if _, ok := cat["kv"]; !ok {
 		t.Fatalf("catalog in exported header lacks table kv: %v", cat)
 	}
@@ -57,5 +57,78 @@ func TestExportPagesSnapshot(t *testing.T) {
 	}
 	if b.To != snap.Mark || len(b.Frames) != b.To {
 		t.Fatalf("incremental range [%d,%d) with %d frames, want To=%d", b.From, b.To, len(b.Frames), snap.Mark)
+	}
+}
+
+// TestImportFramesFollowsAnotherDatabase: a database that imports
+// another's snapshot and then its frame batches holds that database's
+// state. Its own tree cache from before is dropped — the import moved the
+// table's root, and the old root now holds the other database's "pad" —
+// and a batch with a frame that overruns its page applies nothing.
+func TestImportFramesFollowsAnotherDatabase(t *testing.T) {
+	opts := Options{Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff()}
+	src, _ := newDB(t, opts)
+	dst, _ := newDB(t, opts)
+	defer dst.Close()
+	defer src.Close()
+	get := func(d *DB, want string) {
+		t.Helper()
+		if v, found, err := d.Get("t", []byte("k")); err != nil || !found || string(v) != want {
+			t.Fatalf("Get = %q found=%v err=%v, want %q", v, found, err, want)
+		}
+		rt, err := d.BeginRead()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		if v, found, err := rt.Get("t", []byte("k")); err != nil || !found || string(v) != want {
+			t.Fatalf("snapshot Get = %q found=%v err=%v, want %q", v, found, err, want)
+		}
+	}
+	for _, step := range []struct {
+		d      *DB
+		tables []string
+	}{{dst, []string{"t"}}, {src, []string{"pad", "t"}}} {
+		for _, table := range step.tables {
+			if err := step.d.CreateTable(table); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mustCommitKV(t, dst, "t", map[string]string{"k": "dst"})
+	get(dst, "dst") // caches dst's tree of "t"
+	mustCommitKV(t, src, "t", map[string]string{"k": "src"})
+
+	snap, err := src.ExportPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := make([]core.ExportFrame, len(snap.Pages))
+	for i, pg := range snap.Pages {
+		seed[i] = core.ExportFrame{Pgno: pg.Pgno, Full: true, Payload: pg.Data}
+	}
+	if err := dst.ImportFrames(seed); err != nil {
+		t.Fatal(err)
+	}
+	get(dst, "src")
+
+	mustCommitKV(t, src, "t", map[string]string{"k": "src2"})
+	b, ok, err := src.ExportSince(snap.Mark, nil)
+	if err != nil || !ok {
+		t.Fatalf("ExportSince(%d) = ok=%v err=%v", snap.Mark, ok, err)
+	}
+	if err := dst.ImportFrames(b.Frames); err != nil {
+		t.Fatal(err)
+	}
+	get(dst, "src2")
+
+	// The first frame would wipe the catalog; the second fails the batch.
+	overrun := []core.ExportFrame{{Pgno: 1, Full: true, Payload: []byte{0}}, {Pgno: 2, Off: PageSize - 8, Payload: make([]byte, 16)}}
+	if err := dst.ImportFrames(overrun); err == nil {
+		t.Fatal("a frame that overruns its page was imported")
+	}
+	get(dst, "src2")
+	if err := dst.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

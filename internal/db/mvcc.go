@@ -315,7 +315,7 @@ func (d *DB) BeginConcurrentCtx(ctx context.Context) (*CTx, error) {
 	// Registered before it contends for the slot, so a group waiting for
 	// its peers knows this session is on its way.
 	d.gc.register()
-	if err := d.claimSlot(); err != nil {
+	if err := d.claimSlot(ctx); err != nil {
 		d.gc.unregister(nil)
 		return nil, err
 	}
@@ -590,7 +590,7 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 	// refused by its own mark.
 	tx.releaseMark()
 
-	if err := d.claimSlot(); err != nil {
+	if err := d.claimSlot(ctx); err != nil {
 		tx.finish(true)
 		return err
 	}

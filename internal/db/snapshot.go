@@ -23,7 +23,8 @@ var ErrBusySnapshot = errors.New("db: checkpoint blocked by open read transactio
 // exactly as of the moment BeginRead ran, regardless of writes
 // committed afterwards — the reader/writer concurrency property of WAL
 // (§2: dirty pages are appended to the log, "the original pages remain
-// intact in the database file").
+// intact in the database file"). Close hands it back to its database,
+// whose next BeginRead reuses it: a closed ReadTx must not be used again.
 type ReadTx struct {
 	d      *DB
 	store  snapshotStore
@@ -42,7 +43,12 @@ func (d *DB) BeginRead() (*ReadTx, error) {
 	if d.view == nil {
 		return nil, ErrNoSnapshots
 	}
-	return &ReadTx{d: d, store: snapshotStore{MarkStore: pager.MarkStore{View: d.view, Mark: d.nv.Pin()}}}, nil
+	r, _ := d.readers.Get().(*ReadTx)
+	if r == nil {
+		r = &ReadTx{d: d, store: snapshotStore{MarkStore: pager.MarkStore{View: d.view}}}
+	}
+	r.store.Mark, r.done = d.nv.Pin(), false
+	return r, nil
 }
 
 // unpin releases a mark pinned in the journal (core.NVWAL.Pin). A
@@ -52,13 +58,26 @@ func (d *DB) unpin(mark int) {
 	d.kickCheckpoint()
 }
 
-// Close releases the snapshot.
+// maxKeptBuilt bounds the built-page table a closed ReadTx keeps for its
+// next use: a long reader's table goes, rather than be cleared on every
+// later Close.
+const maxKeptBuilt = 64
+
+// Close releases the snapshot and hands the ReadTx back for reuse, with
+// none of the trees or built pages of this snapshot.
 func (r *ReadTx) Close() {
 	if r.done {
 		return
 	}
 	r.done = true
 	r.d.unpin(r.store.Mark)
+	r.tables = tables{}
+	if len(r.store.built) > maxKeptBuilt {
+		r.store.built = nil
+	} else {
+		clear(r.store.built)
+	}
+	r.d.readers.Put(r)
 }
 
 // treeAt opens table's B+tree over store, resolving the root through the

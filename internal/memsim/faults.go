@@ -167,13 +167,6 @@ func (d *Domain) applySlowFaultLocked(first, last uint64, nLines int) {
 	}
 }
 
-// FaultsEnabled reports whether a media-fault model is installed.
-func (d *Domain) FaultsEnabled() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.faults != nil
-}
-
 // persistLineLocked writes one line's worth of durable content into dst
 // at la, honouring stuck-at faults: a stuck line keeps the content it
 // held when the fault first bit. Caller holds d.mu.

@@ -159,9 +159,3 @@ func (d *Device) Uint32(addr uint64) uint32 {
 	d.dom.Read(d.base+addr, buf[:])
 	return binary.LittleEndian.Uint32(buf[:])
 }
-
-// FlushValue flushes the cache line(s) covering an n-byte value at addr
-// (the "8 bytes padding" pattern used for the commit mark, §4.1).
-func (d *Device) FlushValue(addr uint64, n int) {
-	d.dom.CacheLineFlush(d.base+addr, d.base+addr+uint64(n))
-}

@@ -46,11 +46,11 @@ func TestAligned8ByteWriteIsAtomicAcrossCrash(t *testing.T) {
 	}
 }
 
-func TestCommitMarkOrderingViaFlushValue(t *testing.T) {
+func TestCommitMarkOrderingViaFlush(t *testing.T) {
 	d := newDev(t)
 	d.PutUint64(0, 42)
 	d.MemoryBarrier()
-	d.FlushValue(0, 8)
+	d.Flush(0, 8)
 	d.MemoryBarrier()
 	d.PersistBarrier()
 	d.PowerFail(memsim.FailDropAll, 1)

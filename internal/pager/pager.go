@@ -77,33 +77,23 @@ type PageImager interface {
 // it returns the page's latest committed image (the pager's read path).
 const Latest = math.MaxInt
 
-// VersionedLog is a log that serves point-in-time reads — the WAL
-// property that lets readers proceed against a stable snapshot while the
-// writer appends (SQLite's wal-index "mxFrame" mechanism). NVWAL is the
-// one implementation, and it keeps checkpointing and the marks its
-// readers pin apart.
-type VersionedLog interface {
-	PageImager
-	// Mark captures the current end of the committed log.
-	Mark() int
-}
-
 // ReadView answers the one question every versioned reader asks — the
 // read-only image of page pgno at log mark m — for snapshot reads, MVCC
 // sessions, exports and replicas alike: the log's image, or else the
-// database file's.
+// database file's. The log is one that serves point-in-time reads — the
+// WAL property that lets readers proceed against a stable snapshot while
+// the writer appends (SQLite's wal-index "mxFrame" mechanism); NVWAL is
+// the one such log, and it keeps checkpointing and the marks its readers
+// pin apart.
 type ReadView struct {
-	log VersionedLog
+	log PageImager
 	db  DBFile
 }
 
 // NewReadView returns the read view of log over db.
-func NewReadView(log VersionedLog, db DBFile) *ReadView {
+func NewReadView(log PageImager, db DBFile) *ReadView {
 	return &ReadView{log: log, db: db}
 }
-
-// Mark captures the current end of the committed log.
-func (v *ReadView) Mark() int { return v.log.Mark() }
 
 // PageSize is the database page size.
 func (v *ReadView) PageSize() int { return v.db.PageSize() }
@@ -498,8 +488,19 @@ func (p *Pager) Rollback() {
 	p.endTxn()
 }
 
+// maxReusedOrig bounds the dirty set whose map the next transaction
+// reuses. A Go map never shrinks, and clearing or ranging over one costs
+// its capacity, so after one bulk transaction (a replica's seed, a
+// populate) every later commit would pay that size; past the bound the
+// map is dropped instead.
+const maxReusedOrig = 256
+
 func (p *Pager) endTxn() {
-	clear(p.orig)
+	if len(p.orig) > maxReusedOrig {
+		p.orig = make(map[uint32][]byte)
+	} else {
+		clear(p.orig)
+	}
 	p.inTxn = false
 }
 
@@ -553,8 +554,7 @@ func SetHeaderFreeHead(hdr []byte, n uint32)  { putU32(hdr, hdrFreeHeadOff, n) }
 func HeaderFreeCount(hdr []byte) uint32       { return getU32(hdr, hdrFreeCountOff) }
 func SetHeaderFreeCount(hdr []byte, n uint32) { putU32(hdr, hdrFreeCountOff, n) }
 
-// FreelistLink reads / writes a freelist page's next-page link word.
-func FreelistLink(buf []byte) uint32          { return getU32(buf, 0) }
+// SetFreelistLink writes a freelist page's next-page link word.
 func SetFreelistLink(buf []byte, next uint32) { putU32(buf, 0, next) }
 
 // DropCache empties the page cache (after recovery, or to simulate a

@@ -603,7 +603,8 @@ func (j copyingJournal) PageImageAt(pgno uint32, _ int) ([]byte, bool, error) {
 // versionedJournal is a fake both the pager and a read view accept.
 type versionedJournal interface {
 	Journal
-	VersionedLog
+	PageImager
+	Mark() int
 }
 
 // unbuiltJournal holds page unbuilt but cannot build its image:
@@ -664,7 +665,7 @@ func TestUnbuiltPageNeverReadsTheFile(t *testing.T) {
 			}
 		}
 		v := NewReadView(c.jrn, f)
-		if img, _, err := v.PageAt(unbuilt, v.Mark()); !errors.Is(err, c.want) || img != nil {
+		if img, _, err := v.PageAt(unbuilt, c.jrn.Mark()); !errors.Is(err, c.want) || img != nil {
 			t.Fatalf("%s: PageAt = (%d bytes, %v), want %v", c.name, len(img), err, c.want)
 		}
 	}
@@ -686,16 +687,17 @@ func TestReadViewSnapshotResolution(t *testing.T) {
 	fj := newFakeJournal()
 	_ = fj.CommitTransaction([]Frame{{Pgno: 2, Data: logged}})
 
-	shared := NewReadView(imagerJournal{fj}, f)
-	if got, isShared, err := shared.PageAt(2, shared.Mark()); err != nil || !isShared || &got[0] != &fj.versions[2][0] {
+	log := imagerJournal{fj}
+	shared := NewReadView(log, f)
+	if got, isShared, err := shared.PageAt(2, log.Mark()); err != nil || !isShared || &got[0] != &fj.versions[2][0] {
 		t.Fatalf("a shared image not handed out as is (shared=%v err=%v)", isShared, err)
 	}
 	copied := NewReadView(copyingJournal{fj}, f)
-	if got, isShared, err := copied.PageAt(2, copied.Mark()); err != nil || isShared || !bytes.Equal(got, logged) || &got[0] == &fj.versions[2][0] {
+	if got, isShared, err := copied.PageAt(2, log.Mark()); err != nil || isShared || !bytes.Equal(got, logged) || &got[0] == &fj.versions[2][0] {
 		t.Fatalf("a copy the log built must be served as not shared (shared=%v err=%v)", isShared, err)
 	}
 	for _, v := range []*ReadView{shared, copied} {
-		got, isShared, err := v.PageAt(3, v.Mark())
+		got, isShared, err := v.PageAt(3, log.Mark())
 		if err != nil || isShared || !bytes.Equal(got, onFile) || &got[0] == &f.pages[3][0] {
 			t.Fatalf("unlogged page must come from the file in a private buffer (shared=%v err=%v)", isShared, err)
 		}

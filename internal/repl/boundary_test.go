@@ -109,11 +109,11 @@ func startBoundaryPrimary(t *testing.T, c *Cluster, limit int, popts PrimaryOpti
 	t.Helper()
 	opts := DefaultDBOptions()
 	opts.CheckpointLimit = limit
-	popts.PollEvery = time.Hour
 	pn, err := c.StartPrimary("n0", opts, popts, server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pn.Repl.pollEvery = time.Hour // no sender runs before Attach
 	if err := pn.DB.CreateTable("kv"); err != nil {
 		t.Fatal(err)
 	}
@@ -679,7 +679,7 @@ func TestBoundaryReplicaPowerCutAroundPostAckRound(t *testing.T) {
 						},
 					}
 				})
-				r.wal.SetCrashHook(armAt)
+				replicaLog(r).SetCrashHook(armAt)
 				pn.Attach(c, "n1")
 
 				model := kvModel{}

@@ -35,8 +35,11 @@ func newCursorRig(t *testing.T) *cursorRig {
 	g := &cursorRig{t: t, plat: node.Plat, model: make(map[uint32][]byte)}
 	g.reopen()
 	seed := seedMsg{incarnation: 1, mark: cursorRigSeedMark, pageSize: 4096}
-	for pgno := uint32(1); pgno <= 4; pgno++ {
+	g.model[1] = headerPage(4)
+	for pgno := uint32(2); pgno <= 4; pgno++ {
 		g.model[pgno] = bytes.Repeat([]byte{0xE0 + byte(pgno)}, 4096)
+	}
+	for pgno := uint32(1); pgno <= 4; pgno++ {
 		seed.pages = append(seed.pages, seedPage{pgno: pgno, data: g.model[pgno]})
 	}
 	if a := g.r.applySeed(seed); !a.ok {
@@ -88,12 +91,12 @@ func (g *cursorRig) patch(b core.ExportBatch) {
 // holds reports whether the replica's journal state equals the model.
 func (g *cursorRig) holds() bool {
 	g.t.Helper()
+	snap, err := g.r.db.ExportPages()
+	if err != nil {
+		g.t.Fatal(err)
+	}
 	for pgno, want := range g.model {
-		got, _, err := g.r.view.PageAt(pgno, g.r.view.Mark())
-		if err != nil {
-			g.t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
+		if !bytes.Equal(snap.Pages[pgno-1].Data, want) {
 			return false
 		}
 	}

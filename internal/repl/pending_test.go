@@ -27,6 +27,9 @@ func TestReplicaAppliesOverRecoveredPendingPages(t *testing.T) {
 	var seed []seedPage
 	for pgno := uint32(1); pgno <= 3; pgno++ {
 		model[pgno] = bytes.Repeat([]byte{byte(0x10 * pgno)}, 4096)
+		if pgno == 1 {
+			model[pgno] = headerPage(3)
+		}
 		seed = append(seed, seedPage{pgno: pgno, data: model[pgno]})
 	}
 	if a := r.applySeed(seedMsg{incarnation: 1, mark: 3, pageSize: 4096, pages: seed}); !a.ok {
@@ -69,7 +72,8 @@ func TestReplicaAppliesOverRecoveredPendingPages(t *testing.T) {
 	if !apply(r2, 2, 300, 0xB2) {
 		t.Fatal("batch over a pending page refused")
 	}
-	if got, _, err := r2.view.PageAt(2, r2.view.Mark()); err != nil || !bytes.Equal(got, model[2]) {
+	log := replicaLog(r2)
+	if got, _, err := log.PageImageAt(2, log.Mark()); err != nil || !bytes.Equal(got, model[2]) {
 		t.Fatalf("page 2 after the apply: err %v, equal %v", err, bytes.Equal(got, model[2]))
 	}
 	applied := r2.Applied()
@@ -79,7 +83,7 @@ func TestReplicaAppliesOverRecoveredPendingPages(t *testing.T) {
 	if r2.Applied() != applied {
 		t.Fatalf("a refused batch moved the applied mark %d -> %d", applied, r2.Applied())
 	}
-	if _, _, err := r2.view.PageAt(3, r2.view.Mark()); !errors.Is(err, blockdev.ErrIO) {
+	if _, _, err := log.PageImageAt(3, log.Mark()); !errors.Is(err, blockdev.ErrIO) {
 		t.Fatalf("read of the unreadable page = %v, want the device error", err)
 	}
 }

@@ -199,7 +199,7 @@ func TestPinnedReplicaReadsSeeWholeBatches(t *testing.T) {
 	}
 	g.write()
 	g.ship(true)
-	if n := g.r.wal.FramesSinceCheckpoint(); n != 0 {
+	if n := replicaLog(g.r).FramesSinceCheckpoint(); n != 0 {
 		t.Fatalf("%d frames left after a boundary with no reader", n)
 	}
 	if n := g.m.Count(metrics.ReplCheckpointErrors); n != 0 || g.r.Status().Degraded {
@@ -217,7 +217,7 @@ func TestPinnedReplicaReadDefersRoundToNextBatch(t *testing.T) {
 	g.write()
 	g.ship(true)
 	before, ckptAt := rounds(), g.r.ckptAt
-	mark := g.r.wal.Pin()
+	mark := replicaLog(g.r).Pin()
 	g.write()
 	g.ship(true)
 	if rounds() != before || g.r.ckptAt != ckptAt || g.r.ckptErr != nil {
@@ -227,7 +227,7 @@ func TestPinnedReplicaReadDefersRoundToNextBatch(t *testing.T) {
 	if g.m.Count(metrics.ReplCheckpointErrors) != 0 || g.r.Status().Degraded {
 		t.Fatal("a round refused by a read counted as a failure")
 	}
-	g.r.wal.Unpin(mark)
+	replicaLog(g.r).Unpin(mark)
 	g.write()
 	g.ship(false) // carries the same watermark: the round is still due
 	if rounds() != before+1 || g.r.ckptAt != g.from {

@@ -42,9 +42,6 @@ type PrimaryOptions struct {
 	// of the request context. Expiry after the local commit returns
 	// an error wrapping server.ErrIndeterminate.
 	AckTimeout time.Duration
-	// PollEvery is the sender's fallback poll interval for new frames
-	// when no commit kick arrives (default 2ms, real time).
-	PollEvery time.Duration
 	// AckBudget enables automatic quarantine (0 = disabled): a replica
 	// whose send→ack latency EWMA breaches the budget is dropped from
 	// the semi-sync quorum — shipping continues, but commits stop
@@ -65,6 +62,10 @@ type PrimaryOptions struct {
 	Metrics *metrics.Counters
 }
 
+// pollEvery is a sender's fallback poll interval for new frames when no
+// commit kick arrives (real time).
+const pollEvery = 2 * time.Millisecond
+
 // Primary wraps a local database as a replicating server.Engine.
 type Primary struct {
 	eng  *server.DBEngine
@@ -72,6 +73,9 @@ type Primary struct {
 	wal  *core.NVWAL
 	opts PrimaryOptions
 	m    *metrics.Counters
+	// pollEvery is the senders' poll interval: the constant, except in a
+	// test that ships only on commit kicks.
+	pollEvery time.Duration
 
 	mu       sync.Mutex
 	ackCond  *timedcond.Cond
@@ -142,18 +146,16 @@ func NewPrimary(d *db.DB, opts PrimaryOptions) (*Primary, error) {
 	if opts.AckTimeout <= 0 {
 		opts.AckTimeout = 2 * time.Second
 	}
-	if opts.PollEvery <= 0 {
-		opts.PollEvery = 2 * time.Millisecond
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = d.Metrics()
 	}
 	p := &Primary{
-		eng:  server.NewDBEngine(d, opts.Epoch),
-		d:    d,
-		wal:  wal,
-		opts: opts,
-		m:    opts.Metrics,
+		eng:       server.NewDBEngine(d, opts.Epoch),
+		d:         d,
+		wal:       wal,
+		opts:      opts,
+		m:         opts.Metrics,
+		pollEvery: pollEvery,
 	}
 	p.ackCond = timedcond.New(&p.mu)
 	return p, nil
@@ -390,13 +392,6 @@ func (p *Primary) Status() server.Status {
 	p.mu.Unlock()
 	st.Lag = st.Mark - minApplied
 	return st
-}
-
-// MinAppliedReplica returns the lowest acked replica mark (shipping
-// health probes).
-func (p *Primary) MinAppliedReplica() int {
-	st := p.Status()
-	return st.Mark - st.Lag
 }
 
 // links returns the attached links (the slice is append-only).
@@ -636,7 +631,7 @@ func (rl *replicaLink) serveConn() bool {
 			case <-rl.quit:
 				return false
 			case <-rl.kick:
-			case <-rl.pollAfter(p.opts.PollEvery):
+			case <-rl.pollAfter(p.pollEvery):
 			}
 			continue
 		}

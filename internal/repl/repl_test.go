@@ -2,13 +2,14 @@ package repl
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/db"
 	"repro/internal/memsim"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -34,6 +35,18 @@ func newTestCluster(t *testing.T, names ...string) *Cluster {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// replicaLog is the journal of the replica's database.
+func replicaLog(r *Replica) *core.NVWAL { return r.db.Journal().(*core.NVWAL) }
+
+// headerPage is page 1 of a database pages long with no tables: a page a
+// replica's database reopens over, which a hand-built seed must ship.
+func headerPage(pages uint32) []byte {
+	img := make([]byte, 4096)
+	copy(img, "NVWALDB1")
+	binary.LittleEndian.PutUint32(img[12:], pages)
+	return img
 }
 
 func startPrimaryWithTable(t *testing.T, c *Cluster, name string, epoch uint64, acks int) *PrimaryNode {
@@ -434,10 +447,11 @@ func TestPrimaryApplyIndeterminateWhenReplicasUnreachable(t *testing.T) {
 	}
 }
 
-// TestReplicaCatalogParsedOncePerVersion: replica reads resolve tables
-// through the memoised catalog of the applied page-1 image — repeated
-// GETs (and updates that leave page 1 alone) parse nothing, a DDL shipped
-// from the primary parses once more — and serve the log's own images.
+// TestReplicaCatalogParsedOncePerVersion: replica reads are the
+// database's pooled snapshot reads, resolving tables through its memoised
+// catalog of the applied page-1 image — repeated GETs (and updates that
+// leave page 1 alone) parse nothing and allocate only the value they
+// return, and a DDL shipped from the primary is seen by the next read.
 func TestReplicaCatalogParsedOncePerVersion(t *testing.T) {
 	c := newTestCluster(t, "n0", "n1")
 	pn := startPrimaryWithTable(t, c, "n0", 1, 1)
@@ -462,36 +476,98 @@ func TestReplicaCatalogParsedOncePerVersion(t *testing.T) {
 			t.Fatalf("replica %s[%s] = %q found=%v err=%v, want %q", table, k, v, found, err, want)
 		}
 	}
-	// page1 is the applied header image; parsed the identity of its
-	// memoised catalog map.
-	page1 := func() []byte {
-		t.Helper()
-		img, _, err := rn.R.view.PageAt(1, rn.R.wal.Mark())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return img
+	// A read that parsed the catalog again, or copied a page the log
+	// holds, would allocate more than the value it returns.
+	readAllocs := func() float64 {
+		return testing.AllocsPerRun(50, func() { _, _, _ = rn.R.Get("kv", []byte("k")) })
 	}
-	parsed := func() uintptr { return reflect.ValueOf(rn.R.catalog.Parse(page1())).Pointer() }
 
 	put("kv", "k", "v1")
 	get("kv", "k", "v1")
-	before := parsed()
 	put("kv", "k", "v2") // no allocation: page 1 unchanged
 	get("kv", "k", "v2")
-	get("kv", "k", "v2")
-	if parsed() != before {
-		t.Fatal("replica re-parsed the catalog although page 1 did not change")
+	if n := readAllocs(); n > 1 {
+		t.Fatalf("replica read allocated %.1f times, want only the value copy", n)
 	}
 	if err := pn.DB.CreateTable("kv2"); err != nil {
 		t.Fatal(err)
 	}
 	put("kv2", "a", "b") // ships the DDL's frames ahead of it (semi-sync)
 	get("kv2", "a", "b")
-	if parsed() == before {
-		t.Fatal("replica kept a stale catalog across a DDL")
+	get("kv", "k", "v2")
+	if n := readAllocs(); n > 1 {
+		t.Fatalf("after a DDL a replica read allocated %.1f times, want only the value copy", n)
 	}
-	if logs, shared, err := rn.R.wal.PageImageAt(1, rn.R.wal.Mark()); err != nil || !shared || &page1()[0] != &logs[0] {
-		t.Fatal("replica read copied page 1 instead of sharing the log's image")
+	if _, shared, err := replicaLog(rn.R).PageImageAt(1, replicaLog(rn.R).Mark()); err != nil || !shared {
+		t.Fatal("the replica's log does not hold the DDL's page 1")
+	}
+}
+
+// TestReplicaFollowsTableDropAndRecreate: the primary drops a table and
+// creates it again. Drop frees the root last, so the freelist hands the
+// old root to a table created in between and the new table's root moves.
+// Replica reads find no table while it is gone, then only the new table's
+// records: never a tree of the dropped one, nor the other table's under
+// the old root.
+func TestReplicaFollowsTableDropAndRecreate(t *testing.T) {
+	c := newTestCluster(t, "n0", "n1")
+	pn := startPrimaryWithTable(t, c, "n0", 1, 1)
+	defer pn.Stop(false)
+	rn, err := c.StartReplica("n1", ReplicaOptions{Epoch: 1}, server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rn.Stop()
+	pn.Attach(c, "n1")
+	// put commits through the primary; semi-sync, so the replica has
+	// applied it, and every DDL before it, when put returns.
+	put := func(table string, i int, v string) {
+		t.Helper()
+		ops := []server.Op{{Key: []byte(fmt.Sprintf("k%04d", i)), Value: []byte(v)}}
+		if _, err := pn.Repl.Apply(context.Background(), table, ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func() (n int, v string) {
+		t.Helper()
+		if err := rn.R.Scan("kv", func(_, val []byte) bool { n, v = n+1, string(val); return true }); err != nil {
+			t.Fatal(err)
+		}
+		return n, v
+	}
+	old := fmt.Sprintf("old-%0100d", 0)
+	for i := 0; i < 200; i++ { // several leaves under the root
+		put("kv", i, old)
+	}
+	if n, _ := scan(); n != 200 {
+		t.Fatalf("replica scan before the drop saw %d records, want 200", n)
+	}
+
+	if err := pn.DB.DropTable("kv"); err != nil {
+		t.Fatal(err)
+	}
+	if err := pn.DB.CreateTable("pad"); err != nil { // takes the old root
+		t.Fatal(err)
+	}
+	put("pad", 0, "pad")
+	if _, _, err := rn.R.Get("kv", []byte("k0000")); !errors.Is(err, db.ErrNoTable) {
+		t.Fatalf("replica read of the dropped table = %v, want ErrNoTable", err)
+	}
+
+	if err := pn.DB.CreateTable("kv"); err != nil {
+		t.Fatal(err)
+	}
+	put("kv", 7, "new")
+	if n, v := scan(); n != 1 || v != "new" {
+		t.Fatalf("replica scan of the re-created table saw %d records (last %q), want the 1 new one", n, v)
+	}
+	if _, found, err := rn.R.Get("kv", []byte("k0000")); err != nil || found {
+		t.Fatalf("replica read a dropped record: found=%v err=%v", found, err)
+	}
+	if v, found, err := rn.R.Get("kv", []byte("k0007")); err != nil || !found || string(v) != "new" {
+		t.Fatalf("replica read of the new record = %q found=%v err=%v", v, found, err)
+	}
+	if v, found, err := rn.R.Get("pad", []byte("k0000")); err != nil || !found || string(v) != "pad" {
+		t.Fatalf("replica read of the table at the old root = %q found=%v err=%v", v, found, err)
 	}
 }

@@ -1,9 +1,9 @@
-// Replica: a full NVWAL node following a primary's log. Shipped frame
-// ranges are chain-verified, reconstructed into full-page images
-// against the replica's current state, and committed through the
-// replica's OWN NVWAL (one stream, one commit mark per batch) — so a
-// replica survives its own power failures by the same recovery path as
-// a primary, and re-applied ranges after a crash are idempotent. The
+// Replica: a node following a primary's log into its own db.DB. Shipped
+// frame ranges are chain-verified and applied as one transaction of the
+// replica's database (db.ImportFrames: each page patched in the pager and
+// committed through the replica's own NVWAL, one commit mark per batch) —
+// so a replica survives its own power failures by the same recovery path
+// as a primary, and re-applied ranges after a crash are idempotent. The
 // applied primary mark, stream chain and primary incarnation persist as
 // one checksummed record in the NVRAM namespace, written only AFTER the
 // corresponding frames are durable (a crash between the two leaves the
@@ -11,8 +11,8 @@
 // checkpoints its journal when its primary does — on the batch that
 // carries a backfill watermark it has not yet checkpointed at, after that
 // batch's ack is on the wire — so the cluster has one checkpoint policy,
-// the primary's, and no node's round waits for another's. A read pins
-// the journal's mark (core.NVWAL.Pin) and serves a btree view at it: it
+// the primary's, and no node's round waits for another's. A read is the
+// database's snapshot reader (db.ReadTx): it pins the journal's mark,
 // sees whole batches and waits for neither an apply nor a round.
 package repl
 
@@ -22,17 +22,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"slices"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/db"
-	"repro/internal/dbfile"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/pager"
 	"repro/internal/platform"
 	"repro/internal/server"
 )
@@ -59,12 +55,18 @@ var replCRC = crc32.MakeTable(crc32.Castagnoli)
 // checkpoints at all.
 const checkpointNet = 2 * db.DefaultCheckpointLimit
 
+// followerOptions opens a replica's database: the paper's NVWAL variant,
+// no checkpoint of its own choosing (the boundary policy above runs every
+// round) and no background goroutine.
+var followerOptions = db.Options{Journal: db.JournalNVWAL, NVWAL: core.VariantUHLSDiff(), CheckpointLimit: -1}
+
 // ReplicaOptions configures a replica node.
 type ReplicaOptions struct {
 	// Epoch the replica reports in Status (the fencing epoch of the
 	// primary it expects to follow).
 	Epoch uint64
-	// Metrics receives replica counters (default: the platform sink).
+	// Metrics receives replica counters (default: the platform sink; the
+	// database's own counters always go there).
 	Metrics *metrics.Counters
 }
 
@@ -74,15 +76,8 @@ type Replica struct {
 	name string
 	opts ReplicaOptions
 	m    *metrics.Counters
-	dbf  *dbfile.File
-	wal  *core.NVWAL
-	// view resolves the applied state's read-only page images (the same
-	// helper the primary's snapshot readers use); catalog memoises the
-	// table catalog against the page-1 image.
-	view    *pager.ReadView
-	catalog db.CatalogCache
-	// stores lends each read its store (*pager.MarkStore).
-	stores sync.Pool
+	// db is the applied state: applies write it, reads pin its snapshots.
+	db *db.DB
 	// reads is read-locked by every read; Close, Promote and a refused
 	// round write-lock it only to wait the reads in flight out.
 	reads sync.RWMutex
@@ -107,11 +102,6 @@ type Replica struct {
 	// round succeeds.
 	ckptAt  int
 	ckptErr error
-	// The apply path's scratch: the journal stream every batch is staged
-	// into and the batch's page images, in the order the batch first
-	// touches them.
-	stream [1]*core.Stream
-	pages  []applyPage
 
 	mu     sync.Mutex
 	lis    netsim.Listener
@@ -119,47 +109,22 @@ type Replica struct {
 	closed bool
 }
 
-// applyPage is one page a batch touches: img the image being
-// reconstructed (ownership passes to the journal at commit), base the
-// journal's current image it is logged against, nil for a first touch.
-type applyPage struct {
-	pgno      uint32
-	img, base []byte
-}
-
 // NewReplica opens (or re-opens after a crash) replica state for the
-// database file name on plat. Recovery of the replica's own journal
-// runs inside core.Open; the persisted cursor then says which primary
-// mark that state corresponds to. An invalid or missing cursor leaves
-// the replica unseeded — it will request a full generation transfer.
-//
-// The replica's journal is NVWAL UH+LS+Diff, and its pages have the
-// primary's layout: db.PageSize bytes with core.RecommendedPageReserve
-// reserved by the B+tree.
+// database file name on plat. Recovery of the replica's own journal runs
+// inside db.Open; the persisted cursor then says which primary mark that
+// state corresponds to. An invalid or missing cursor leaves the replica
+// unseeded — it will request a full generation transfer. A database that
+// opens degraded still follows: its applies go on, and its rounds fail
+// until a re-seed finds a healthy node.
 func NewReplica(plat *platform.Platform, name string, opts ReplicaOptions) (*Replica, error) {
 	if opts.Metrics == nil {
 		opts.Metrics = plat.Metrics
 	}
-	cfg := core.VariantUHLSDiff()
-	cfg.Name = "nvwal:" + name
-	f, err := plat.FS.OpenOrCreate(name, "db")
-	if err != nil {
+	d, err := db.Open(plat, name, followerOptions)
+	if err != nil && !errors.Is(err, db.ErrDegraded) {
 		return nil, err
 	}
-	r := &Replica{
-		plat: plat,
-		name: name,
-		opts: opts,
-		m:    opts.Metrics,
-		dbf:  dbfile.New(f, db.PageSize),
-	}
-	r.wal, err = core.Open(plat.Heap, r.dbf, cfg, r.m)
-	if err != nil {
-		return nil, err
-	}
-	r.view = pager.NewReadView(r.wal, r.dbf)
-	r.stores.New = func() any { return &pager.MarkStore{View: r.view} }
-	r.stream[0] = r.wal.NewStream()
+	r := &Replica{plat: plat, name: name, opts: opts, m: opts.Metrics, db: d}
 	r.loadCursor()
 	return r, nil
 }
@@ -332,12 +297,13 @@ func (r *Replica) Close() {
 	}
 	// Wait out a handler inside an apply or a post-ack round (each checks
 	// stopped() on entry) and the reads in flight, so that once Close
-	// returns nothing it started touches the journal and the state may be
-	// reopened or promoted.
+	// returns nothing it started touches the database, then abandon the
+	// handle without a checkpoint: the state may be reopened or promoted.
 	r.rw.Lock()
 	r.rw.Unlock() //nolint:staticcheck // an empty critical section is the barrier
 	r.reads.Lock()
 	r.reads.Unlock() //nolint:staticcheck // as above
+	r.db.Abandon()
 }
 
 // stopped reports whether Close was called. Journal-touching critical
@@ -433,11 +399,11 @@ func (r *Replica) handleConn(conn netsim.Conn) {
 	}
 }
 
-// applySeed installs a full generation transfer: every page through the
-// replica's journal (logged against the image the journal already holds,
-// so re-seeding a replica that has most of the state logs little), then
-// a checkpoint to compact. Clears the degraded latch — a re-seed heals
-// divergence.
+// applySeed installs a full generation transfer: every page as one Full
+// frame of one imported transaction (logged against the image the journal
+// already holds, so re-seeding a replica that has most of the state logs
+// little), then a checkpoint to compact. Clears the degraded latch — a
+// re-seed heals divergence.
 func (r *Replica) applySeed(s seedMsg) ack {
 	r.rw.Lock()
 	defer r.rw.Unlock()
@@ -452,23 +418,11 @@ func (r *Replica) applySeed(s seedMsg) ack {
 			return nack
 		}
 	}
-	mark := r.wal.Mark()
-	for _, pg := range s.pages {
-		if len(pg.data) > db.PageSize {
-			r.dropPages()
-			return nack
-		}
-		// The message buffer is the transport's; the journal keeps its own.
-		img := make([]byte, db.PageSize)
-		copy(img, pg.data)
-		base, _, err := r.wal.PageImageAt(pg.pgno, mark)
-		if err != nil {
-			r.dropPages()
-			return nack
-		}
-		r.pages = append(r.pages, applyPage{pgno: pg.pgno, img: img, base: base})
+	frames := make([]core.ExportFrame, len(s.pages))
+	for i, pg := range s.pages {
+		frames[i] = core.ExportFrame{Pgno: pg.pgno, Full: true, Payload: pg.data}
 	}
-	if err := r.commitPages(); err != nil {
+	if err := r.db.ImportFrames(frames); err != nil {
 		return nack
 	}
 	r.incarnation = s.incarnation
@@ -529,40 +483,14 @@ func (r *Replica) applyFrames(f framesMsg) (a ack, roundDue bool) {
 		r.m.Inc(metrics.ReplDivergences, 1)
 		return nack, false
 	}
-
-	// Reconstruct each touched page's image in frame order (later frames
-	// patch earlier ones within the batch). A batch is a few commits'
-	// worth of pages, so finding a page again is a scan of a short slice.
-	mark := r.wal.Mark()
-	for _, fr := range f.batch.Frames {
-		i := slices.IndexFunc(r.pages, func(p applyPage) bool { return p.pgno == fr.Pgno })
-		if i < 0 {
-			p, err := r.openPage(fr.Pgno, mark)
-			if err != nil {
-				r.dropPages()
-				return nack, false
-			}
-			i = len(r.pages)
-			r.pages = append(r.pages, p)
-		}
-		img := r.pages[i].img
-		if fr.Full {
-			clear(img)
-		}
-		if int(fr.Off)+len(fr.Payload) > len(img) {
-			r.dropPages()
-			return nack, false
-		}
-		copy(img[fr.Off:], fr.Payload)
-	}
-	if err := r.commitPages(); err != nil {
+	if err := r.db.ImportFrames(f.batch.Frames); err != nil {
 		return nack, false
 	}
 	r.applied = f.batch.To
 	r.chain = end
 	r.saveCursor(false)
 	r.m.Inc(metrics.ReplBatchesApplied, 1)
-	roundDue = f.batch.Backfill > r.ckptAt || r.wal.FramesSinceCheckpoint() >= checkpointNet
+	roundDue = f.batch.Backfill > r.ckptAt || r.db.Journal().FramesSinceCheckpoint() >= checkpointNet
 	return ack{incarnation: r.incarnation, applied: r.applied, ok: true}, roundDue
 }
 
@@ -581,46 +509,6 @@ func (r *Replica) checkpointAfterAck() {
 	}
 }
 
-// openPage starts the image a batch will patch: a copy of the journal's
-// current image of pgno, logged against that image. An image the read
-// view had to build for this call (read from the database file, which
-// means the journal holds no version to log against) is the batch's own
-// already. A page that cannot be read fails the batch: patching zeros or
-// a stale file image would apply the batch to a state the primary never
-// had. Caller holds r.rw.
-func (r *Replica) openPage(pgno uint32, mark int) (applyPage, error) {
-	img, shared, err := r.view.PageAt(pgno, mark)
-	switch {
-	case err != nil:
-		return applyPage{}, err
-	case shared:
-		return applyPage{pgno: pgno, img: slices.Clone(img), base: img}, nil
-	}
-	return applyPage{pgno: pgno, img: img}, nil
-}
-
-// commitPages commits r.pages through the journal as one transaction —
-// the stream takes ownership of the images — and empties the scratch.
-// Caller holds r.rw exclusively.
-func (r *Replica) commitPages() error {
-	defer r.dropPages()
-	s := r.stream[0]
-	s.Reset()
-	for _, p := range r.pages {
-		if _, err := s.StagePage(p.pgno, p.img, p.base); err != nil {
-			return err
-		}
-	}
-	return r.wal.CommitStreams(r.stream[:], 1)
-}
-
-// dropPages empties the apply scratch, keeping its array but none of the
-// images it referenced.
-func (r *Replica) dropPages() {
-	clear(r.pages)
-	r.pages = r.pages[:0]
-}
-
 // checkpoint compacts the replica's journal into its database file, at
 // the applied mark. A failed round is counted and retried at the next
 // boundary or, past the safety net, on every batch; the frames
@@ -628,15 +516,15 @@ func (r *Replica) dropPages() {
 // refuses is no failure: it leaves ckptAt where it was, so the next batch
 // runs it. Caller holds r.rw.
 func (r *Replica) checkpoint() {
-	err := r.wal.Checkpoint()
-	if errors.Is(err, pager.ErrCheckpointPending) {
+	err := r.db.Checkpoint()
+	if errors.Is(err, db.ErrBusySnapshot) {
 		// A read pinned before the batch refused it. Reads are short: wait
 		// out those in flight (one starting now pins the round's own mark)
 		// and retry, so that overlapping reads cannot put the round off
 		// batch after batch.
 		r.reads.Lock()
 		r.reads.Unlock() //nolint:staticcheck // an empty critical section is the barrier
-		if err = r.wal.Checkpoint(); errors.Is(err, pager.ErrCheckpointPending) {
+		if err = r.db.Checkpoint(); errors.Is(err, db.ErrBusySnapshot) {
 			return
 		}
 	}
@@ -653,53 +541,42 @@ var ErrNotSeeded = errors.New("repl: replica holds no seeded state")
 
 // Get serves a read at the journal's mark when it starts.
 func (r *Replica) Get(table string, key []byte) ([]byte, bool, error) {
-	t, s, err := r.tree(table)
+	rt, err := r.beginRead()
 	if err != nil {
 		return nil, false, err
 	}
-	defer r.release(s)
-	return t.Get(key)
+	defer r.endRead(rt)
+	return rt.Get(table, key)
 }
 
 // Scan visits the applied state's records in ascending key order. key
 // and value are valid until fn returns; copy them to keep them.
 func (r *Replica) Scan(table string, fn func(key, value []byte) bool) error {
-	t, s, err := r.tree(table)
+	rt, err := r.beginRead()
 	if err != nil {
 		return err
 	}
-	defer r.release(s)
-	return t.Scan(fn)
+	defer r.endRead(rt)
+	return rt.Scan(table, fn)
 }
 
-// tree begins a read: it pins the journal's mark in a lent store and
-// opens table's btree over it by value, so that a read allocates nothing
-// to reach its records. The caller releases the store unless tree fails.
-func (r *Replica) tree(table string) (btree.Tree, *pager.MarkStore, error) {
+// beginRead opens a snapshot of the applied state; the caller ends it
+// with endRead unless beginRead fails.
+func (r *Replica) beginRead() (*db.ReadTx, error) {
 	r.reads.RLock()
 	if !r.seeded.Load() {
 		r.reads.RUnlock()
-		return btree.Tree{}, nil, ErrNotSeeded
+		return nil, ErrNotSeeded
 	}
-	s := r.stores.Get().(*pager.MarkStore)
-	s.Mark = r.wal.Pin()
-	hdr, err := s.Get(1)
+	rt, err := r.db.BeginRead()
 	if err != nil {
-		r.release(s)
-		return btree.Tree{}, nil, err
+		r.reads.RUnlock()
 	}
-	root, ok := r.catalog.Parse(hdr)[table]
-	if !ok {
-		r.release(s)
-		return btree.Tree{}, nil, fmt.Errorf("repl: no table %q in applied catalog", table)
-	}
-	return btree.Attach(s, root, btree.Config{Reserved: core.RecommendedPageReserve}), s, nil
+	return rt, err
 }
 
-// release ends a read tree began.
-func (r *Replica) release(s *pager.MarkStore) {
-	r.wal.Unpin(s.Mark)
-	r.stores.Put(s)
+func (r *Replica) endRead(rt *db.ReadTx) {
+	rt.Close()
 	r.reads.RUnlock()
 }
 
@@ -720,7 +597,7 @@ func (r *Replica) Status() server.Status {
 		// A failed checkpoint round degrades the replica only once the
 		// safety net is past as well: until then the next boundary retries.
 		Degraded: r.degradedErr != nil || !r.seeded.Load() ||
-			(r.ckptErr != nil && r.wal.FramesSinceCheckpoint() >= checkpointNet),
+			(r.ckptErr != nil && r.db.Journal().FramesSinceCheckpoint() >= checkpointNet),
 	}
 }
 

@@ -651,7 +651,7 @@ func TestReplicaCheckpointErrorIsCountedAndRetried(t *testing.T) {
 	if !r.ApplyBatch(1, next(1, r.Applied()+1)) || rounds() != before+1 || r.Status().Degraded {
 		t.Fatalf("after the device healed: %d rounds completed, degraded=%v; want 1, false", rounds()-before, r.Status().Degraded)
 	}
-	if !r.ApplyBatch(1, next(1, 0)) || rounds() != before+2 || r.wal.FramesSinceCheckpoint() != 0 {
-		t.Fatalf("the safety net left %d frames unbackfilled after %d rounds", r.wal.FramesSinceCheckpoint(), rounds()-before)
+	if !r.ApplyBatch(1, next(1, 0)) || rounds() != before+2 || replicaLog(r).FramesSinceCheckpoint() != 0 {
+		t.Fatalf("the safety net left %d frames unbackfilled after %d rounds", replicaLog(r).FramesSinceCheckpoint(), rounds()-before)
 	}
 }

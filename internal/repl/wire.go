@@ -1,10 +1,10 @@
 // Package repl is WAL-shipping replication over the serving wire: a
 // primary exports committed NVWAL frame ranges (core.ExportSince) and
 // ships them to N replicas, which verify the export CRC chain, apply
-// the frames through their OWN NVWAL (so replica durability is the
-// same §4.2 story as primary durability), persist the applied primary
-// mark in the NVRAM namespace, and serve snapshot reads at exactly
-// that mark. The protocol is strict request/response per conn:
+// the frames to their own database (db.ImportFrames: the commit path a
+// primary's transactions take, so replica durability is the same §4.2
+// story as primary durability), persist the applied primary mark in the
+// NVRAM namespace, and serve snapshot reads at exactly that mark. The protocol is strict request/response per conn:
 //
 //	replica → HELLO (incarnation, applied mark, chain)   on connect
 //	primary → SEED   (full page snapshot)  |  FRAMES (mark range, backfill watermark)

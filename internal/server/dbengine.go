@@ -1,8 +1,10 @@
 // DBEngine adapts a local db.DB to the Engine interface: the
-// single-node serving path, and the building block repl.Primary and
-// repl.Replica wrap. Writes are serialized through a context-aware
-// queue slot so a stalled commit sheds waiters as Busy instead of
-// piling goroutines onto the journal lock.
+// single-node serving path, and the building block repl.Primary wraps.
+// Writes queue on the database's writer slot, whose wait the request
+// context bounds, so a stalled commit sheds waiters as Busy instead of
+// piling goroutines onto the journal lock. Concurrent writers need a
+// database opened Concurrent: a legacy-mode one refuses a second writer
+// with db.ErrTxnOpen.
 package server
 
 import (
@@ -16,15 +18,12 @@ import (
 type DBEngine struct {
 	d     *db.DB
 	epoch uint64
-	slot  chan struct{}
 }
 
 // NewDBEngine wraps d. epoch is reported in Status (fencing is
 // enforced by the Server, which carries its own epoch).
 func NewDBEngine(d *db.DB, epoch uint64) *DBEngine {
-	e := &DBEngine{d: d, epoch: epoch, slot: make(chan struct{}, 1)}
-	e.slot <- struct{}{}
-	return e
+	return &DBEngine{d: d, epoch: epoch}
 }
 
 // DB exposes the wrapped database (replication hooks need it).
@@ -36,7 +35,7 @@ func (e *DBEngine) Get(table string, key []byte) ([]byte, bool, error) {
 }
 
 // Apply runs ops as one transaction: the durable commit, then the
-// database's auto-checkpoint, both under the queue slot. A failure after
+// database's auto-checkpoint. A failure after
 // Begin rolls the transaction back, so a non-nil error (other than
 // ErrIndeterminate, which DBEngine never returns) means "not applied".
 func (e *DBEngine) Apply(ctx context.Context, table string, ops []Op) (uint64, error) {
@@ -46,24 +45,12 @@ func (e *DBEngine) Apply(ctx context.Context, table string, ops []Op) (uint64, e
 // ApplyDurable is Apply without the auto-checkpoint, for an engine that
 // has its own work to do between the commit and the round (repl.Primary
 // ships the commit and collects acks first); that caller owes the database
-// an AutoCheckpoint. The queue slot is held only for the transaction.
+// an AutoCheckpoint.
 func (e *DBEngine) ApplyDurable(ctx context.Context, table string, ops []Op) (uint64, error) {
 	return e.apply(ctx, table, ops, false)
 }
 
 func (e *DBEngine) apply(ctx context.Context, table string, ops []Op, checkpoint bool) (uint64, error) {
-	select {
-	case <-e.slot:
-	case <-ctx.Done():
-		return 0, &db.BusyError{
-			Watermark: "engine-queue",
-			Shard:     -1,
-			Backoff:   db.SuggestedBusyBackoff,
-			Cause:     ctx.Err(),
-		}
-	}
-	defer func() { e.slot <- struct{}{} }()
-
 	tx, err := e.d.BeginCtx(ctx)
 	if err != nil {
 		return 0, err
