@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,6 +160,9 @@ var (
 	ErrNoTxn       = errors.New("db: no open transaction")
 	ErrNoTable     = errors.New("db: no such table")
 	ErrTableExists = errors.New("db: table already exists")
+	// errCorruptCatalog marks a page 1 whose catalog cannot be read
+	// (parseCatalog).
+	errCorruptCatalog = errors.New("db: corrupt catalog")
 	// ErrCheckpointDeferred wraps an auto-checkpoint failure after a
 	// successful commit. The transaction IS durable in the log — callers
 	// must not treat it as aborted; the checkpoint will be retried after
@@ -455,7 +457,7 @@ func (d *DB) readCatalog() (map[string]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseCatalog(hdr), nil
+	return parseCatalog(hdr)
 }
 
 // tree returns the B+tree handle for a table. Callers hold the writer
@@ -531,7 +533,7 @@ func (d *DB) CreateTable(table string) error {
 		return err
 	}
 	hdr := d.pg.MarkDirty(1)
-	n := int(binary.LittleEndian.Uint16(hdr[catalogOff:]))
+	n := len(cat)
 	off := catalogOff + 2 + n*tableEntry
 	copy(hdr[off:off+tableNameLen], make([]byte, tableNameLen))
 	copy(hdr[off:], table)
@@ -580,13 +582,12 @@ func (d *DB) DropTable(table string) error {
 		return err
 	}
 	hdr := d.pg.MarkDirty(1)
-	n := int(binary.LittleEndian.Uint16(hdr[catalogOff:]))
-	for i := 0; i < n; i++ {
-		off := catalogOff + 2 + i*tableEntry
-		name := strings.TrimRight(string(hdr[off:off+tableNameLen]), "\x00")
-		if name != table {
+	n := len(cat)
+	for i := range n {
+		if name, _ := catalogSlot(hdr, i); name != table {
 			continue
 		}
+		off := catalogOff + 2 + i*tableEntry
 		last := catalogOff + 2 + (n-1)*tableEntry
 		copy(hdr[off:], hdr[off+tableEntry:last+tableEntry])
 		for j := last; j < last+tableEntry; j++ {

@@ -143,17 +143,33 @@ func (d *DB) importFrame(fr core.ExportFrame) error {
 	return nil
 }
 
-// parseCatalog decodes the table catalog out of a header-page image —
-// the same layout CreateTable maintains.
-func parseCatalog(hdr []byte) map[string]uint32 {
+// parseCatalog is the one decoder of the catalog layout CreateTable and
+// DropTable edit: the tables of a header-page image by name. A count past
+// what fits in the page, or a name listed twice, is a corrupt page 1 and
+// an error — read as it stands, the first slices past the page and the
+// second hides a table. Page 1 arrives from outside the engine too: a
+// salvaged file, a replica's shipped image.
+func parseCatalog(hdr []byte) (map[string]uint32, error) {
 	n := int(binary.LittleEndian.Uint16(hdr[catalogOff:]))
-	out := make(map[string]uint32, n)
-	for i := 0; i < n; i++ {
-		off := catalogOff + 2 + i*tableEntry
-		name := strings.TrimRight(string(hdr[off:off+tableNameLen]), "\x00")
-		out[name] = binary.LittleEndian.Uint32(hdr[off+tableNameLen:])
+	if limit := maxTables(len(hdr)); n > limit {
+		return nil, fmt.Errorf("%w: %d tables listed, page 1 holds %d", errCorruptCatalog, n, limit)
 	}
-	return out
+	out := make(map[string]uint32, n)
+	for i := range n {
+		name, root := catalogSlot(hdr, i)
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("%w: table %q listed twice", errCorruptCatalog, name)
+		}
+		out[name] = root
+	}
+	return out, nil
+}
+
+// catalogSlot decodes entry i of a catalog parseCatalog accepted (i below
+// its table count).
+func catalogSlot(hdr []byte, i int) (name string, root uint32) {
+	off := catalogOff + 2 + i*tableEntry
+	return strings.TrimRight(string(hdr[off:off+tableNameLen]), "\x00"), binary.LittleEndian.Uint32(hdr[off+tableNameLen:])
 }
 
 // catalogCache memoises parseCatalog against the identity of the
@@ -176,12 +192,16 @@ type parsedCatalog struct {
 	tables map[string]uint32
 }
 
-// Parse returns the catalog of the immutable header-page image hdr.
-func (c *catalogCache) Parse(hdr []byte) map[string]uint32 {
+// Parse returns the catalog of the immutable header-page image hdr. A
+// corrupt catalog is an error and is not memoised.
+func (c *catalogCache) Parse(hdr []byte) (map[string]uint32, error) {
 	if p := c.last.Load(); p != nil && p.hdr == &hdr[0] {
-		return p.tables
+		return p.tables, nil
 	}
-	p := &parsedCatalog{hdr: &hdr[0], tables: parseCatalog(hdr)}
-	c.last.Store(p)
-	return p.tables
+	tables, err := parseCatalog(hdr)
+	if err != nil {
+		return nil, err
+	}
+	c.last.Store(&parsedCatalog{hdr: &hdr[0], tables: tables})
+	return tables, nil
 }

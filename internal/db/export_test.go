@@ -1,6 +1,8 @@
 package db
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -44,8 +46,8 @@ func TestExportPagesSnapshot(t *testing.T) {
 	if snap.Pages[0].Pgno != 1 {
 		t.Fatalf("snapshot must lead with the header page, got page %d", snap.Pages[0].Pgno)
 	}
-	cat := parseCatalog(snap.Pages[0].Data)
-	if _, ok := cat["kv"]; !ok {
+	cat, err := parseCatalog(snap.Pages[0].Data)
+	if _, ok := cat["kv"]; err != nil || !ok {
 		t.Fatalf("catalog in exported header lacks table kv: %v", cat)
 	}
 
@@ -130,5 +132,56 @@ func TestImportFramesFollowsAnotherDatabase(t *testing.T) {
 	get(dst, "src2")
 	if err := dst.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCorruptCatalogIsAnError: a page 1 whose catalog lists more tables
+// than the page holds, or one table twice, reaches the engine as an
+// imported frame (a replica's shipped page 1). Every reader of the
+// catalog — a tree open, CreateTable, DropTable, a snapshot's tree open —
+// reports it rather than slicing past the page or hiding a table.
+func TestCorruptCatalogIsAnError(t *testing.T) {
+	count := func(n uint16) core.ExportFrame {
+		return core.ExportFrame{Pgno: 1, Off: catalogOff, Payload: binary.LittleEndian.AppendUint16(nil, n)}
+	}
+	for _, tc := range []struct {
+		name  string
+		patch core.ExportFrame
+	}{
+		{"count 144", count(uint16(maxTables(PageSize)) + 1)},
+		{"count 65535", count(65535)},
+		// Rename the second entry, "kw", to "kv".
+		{"duplicate name", core.ExportFrame{Pgno: 1, Off: catalogOff + 2 + tableEntry + 1, Payload: []byte("v")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, _ := newDB(t, Options{Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff()})
+			defer d.Close()
+			for _, table := range []string{"kv", "kw"} {
+				if err := d.CreateTable(table); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustCommitKV(t, d, "kv", map[string]string{"k": "v"})
+			if err := d.ImportFrames([]core.ExportFrame{tc.patch}); err != nil {
+				t.Fatal(err)
+			}
+			check := func(op string, err error) {
+				t.Helper()
+				if !errors.Is(err, errCorruptCatalog) {
+					t.Errorf("%s: err = %v, want a corrupt catalog", op, err)
+				}
+			}
+			_, _, err := d.Get("kv", []byte("k"))
+			check("Get", err)
+			check("CreateTable", d.CreateTable("new"))
+			check("DropTable", d.DropTable("kv"))
+			rt, err := d.BeginRead()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			_, _, err = rt.Get("kv", []byte("k"))
+			check("ReadTx.Get", err)
+		})
 	}
 }

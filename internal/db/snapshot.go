@@ -87,7 +87,11 @@ func (d *DB) treeAt(cat, store btree.PageStore, table string) (btree.Tree, error
 	if err != nil {
 		return btree.Tree{}, err
 	}
-	root, ok := d.catalog.Parse(hdr)[table]
+	tables, err := d.catalog.Parse(hdr)
+	if err != nil {
+		return btree.Tree{}, err
+	}
+	root, ok := tables[table]
 	if !ok {
 		return btree.Tree{}, fmt.Errorf("%w: %q", ErrNoTable, table)
 	}

@@ -27,15 +27,16 @@
 //
 // Time is injected via Options.Now so the same watchdog runs against
 // the simulation's virtual clock in tests and the wall clock in a real
-// deployment.
+// deployment; NodeClock picks between the two for a node.
 package health
 
 import (
-	"sort"
+	"maps"
 	"sync"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/simclock"
 )
 
 // State is a component's latched health.
@@ -65,8 +66,7 @@ func (s State) String() string {
 // Options configures a Monitor. The zero value of every field has a
 // usable default except Now, which must be provided.
 type Options struct {
-	// Now is the time source. Inject the virtual clock's Now in
-	// simulation, time.Since(start) against the wall clock otherwise.
+	// Now is the time source: a node's NodeClock.
 	Now func() time.Duration
 	// BeatTimeout is how long an armed tracker may go without a Beat
 	// before it is declared Stalled. Default 100ms (virtual).
@@ -89,6 +89,16 @@ type Monitor struct {
 
 	mu       sync.Mutex
 	trackers map[string]*Tracker
+}
+
+// NodeClock is a node's one time source: clk's Now on a simulated node,
+// wall time since the call when clk is nil.
+func NodeClock(clk *simclock.Clock) func() time.Duration {
+	if clk != nil {
+		return clk.Now
+	}
+	start := time.Now()
+	return func() time.Duration { return time.Since(start) }
 }
 
 // NewMonitor returns a Monitor with defaults applied.
@@ -124,29 +134,28 @@ func (m *Monitor) Tracker(name string) *Tracker {
 // name. Staleness checks run as part of the snapshot, so an armed-but-
 // silent component reads Stalled here without anyone polling it.
 func (m *Monitor) States() map[string]State {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.trackers))
-	for name := range m.trackers {
-		names = append(names, name)
-	}
-	m.mu.Unlock()
-	sort.Strings(names)
-	out := make(map[string]State, len(names))
-	for _, name := range names {
-		out[name] = m.Tracker(name).State()
+	out := make(map[string]State)
+	for name, t := range m.snapshot() {
+		out[name] = t.State()
 	}
 	return out
 }
 
-// Worst returns the most severe state across all trackers.
-func (m *Monitor) Worst() State {
-	worst := OK
-	for _, s := range m.States() {
-		if s > worst {
-			worst = s
-		}
+// EWMAs returns every tracker's latency estimate, keyed by name.
+func (m *Monitor) EWMAs() map[string]time.Duration {
+	out := make(map[string]time.Duration)
+	for name, t := range m.snapshot() {
+		out[name] = t.EWMA()
 	}
-	return worst
+	return out
+}
+
+// snapshot copies the tracker table: a tracker's lock is never taken
+// under the monitor's.
+func (m *Monitor) snapshot() map[string]*Tracker {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return maps.Clone(m.trackers)
 }
 
 // Tracker supervises one component. All methods are safe for concurrent

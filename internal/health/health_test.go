@@ -120,7 +120,7 @@ func TestDisarmClearsStall(t *testing.T) {
 	}
 }
 
-func TestMonitorStatesAndWorst(t *testing.T) {
+func TestMonitorStates(t *testing.T) {
 	var m metrics.Counters
 	mon, clk := newTestMonitor(&m)
 	mon.Tracker("a").Beat()
@@ -131,9 +131,6 @@ func TestMonitorStatesAndWorst(t *testing.T) {
 	states := mon.States()
 	if states["a"] != OK || states["b"] != Stalled {
 		t.Fatalf("states = %v, want a=ok b=stalled", states)
-	}
-	if mon.Worst() != Stalled {
-		t.Fatalf("worst = %v, want stalled", mon.Worst())
 	}
 	if Stalled.String() != "stalled" || OK.String() != "ok" || Degraded.String() != "degraded" {
 		t.Fatal("State.String mismatch")

@@ -117,6 +117,60 @@ func TestReplicaQuarantineAndReadmit(t *testing.T) {
 	}
 }
 
+// TestQuarantineThresholds pins the quarantine rule, the link's
+// health.Tracker against AckBudget: a link is quarantined once its ack
+// EWMA is over the budget, not at it, and re-admitted once the EWMA is
+// back at half the budget — at it, not only below it.
+func TestQuarantineThresholds(t *testing.T) {
+	const budget = 10 * time.Millisecond
+	c := newTestCluster(t, "n0")
+	pn, err := c.StartPrimary("n0", DefaultDBOptions(),
+		PrimaryOptions{Epoch: 1, AckReplicas: 1, AckBudget: budget}, server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pn.Stop(false)
+	// A replica that never answers a dial: the samples below are the
+	// link's only ones.
+	pn.Repl.AddReplica("r", func(string) (netsim.Conn, error) { return nil, netsim.ErrNoPeer })
+	rl := pn.Repl.links()[0]
+	ewma := func() time.Duration { return pn.Repl.AckLatencies()["r"] }
+	quarantined := func() bool {
+		t.Helper()
+		rl.mu.Lock()
+		flag := rl.quarantined
+		rl.mu.Unlock()
+		if q := pn.Repl.Quarantined(); (len(q) == 1) != flag {
+			t.Fatalf("the commit path's flag %v disagrees with Quarantined() %v", flag, q)
+		}
+		return flag
+	}
+
+	rl.observeAck(budget) // the first sample is the EWMA
+	if ewma() != budget || quarantined() {
+		t.Fatalf("EWMA %v at the budget: quarantined=%v, want admitted", ewma(), quarantined())
+	}
+	rl.observeAck(budget + 10*time.Nanosecond)
+	if ewma() <= budget || !quarantined() {
+		t.Fatalf("EWMA %v over the budget: quarantined=%v, want quarantined", ewma(), quarantined())
+	}
+	for i := 0; ewma() > budget/2; i++ {
+		if !quarantined() {
+			t.Fatalf("re-admitted at EWMA %v, over half the budget", ewma())
+		}
+		if i == 100 {
+			t.Fatalf("EWMA stuck at %v, over half the budget", ewma())
+		}
+		rl.observeAck(budget / 2)
+	}
+	if ewma() != budget/2 || quarantined() {
+		t.Fatalf("EWMA %v: quarantined=%v, want re-admitted at exactly half the budget", ewma(), quarantined())
+	}
+	if q, r := pn.Repl.m.Count(metrics.ReplicaQuarantines), pn.Repl.m.Count(metrics.ReplicaReadmits); q != 1 || r != 1 {
+		t.Fatalf("quarantines=%d readmits=%d, want 1 and 1", q, r)
+	}
+}
+
 func TestSemiSyncDegradesToAsyncWhenAllQuarantined(t *testing.T) {
 	c := newTestCluster(t, "n0", "n1")
 	pn, err := c.StartPrimary("n0", DefaultDBOptions(),

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/db"
+	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/server"
@@ -45,18 +46,19 @@ type PrimaryOptions struct {
 	// AckBudget enables automatic quarantine (0 = disabled): a replica
 	// whose send→ack latency EWMA breaches the budget is dropped from
 	// the semi-sync quorum — shipping continues, but commits stop
-	// waiting on it. Hysteresis re-admits it once the EWMA falls below
-	// half the budget. When every quorum-eligible replica is
-	// quarantined, commits degrade to asynchronous acks (the MySQL
-	// semi-sync wait-no-slave=off behaviour) rather than timing out
-	// one by one behind replicas known to be sick.
+	// waiting on it. Hysteresis re-admits it once the EWMA is back at
+	// half the budget (a health.Tracker's Degraded state). When every
+	// quorum-eligible replica is quarantined, commits degrade to
+	// asynchronous acks (the MySQL semi-sync wait-no-slave=off
+	// behaviour) rather than timing out one by one behind replicas
+	// known to be sick.
 	AckBudget time.Duration
 	// Clock is the primary node's virtual-time lane. With it, ack
 	// latency is measured in virtual time — over netsim every ack
 	// arrives real-time-fast no matter how slow the replica is
 	// virtually, so a real-time EWMA would be blind to exactly the
-	// gray slowness quarantine exists to catch. Nil falls back to real
-	// time (TCP deployments).
+	// gray slowness quarantine exists to catch. Nil falls back to wall
+	// time since NewPrimary (TCP deployments).
 	Clock *simclock.Clock
 	// Metrics receives replication counters (default: the DB's sink).
 	Metrics *metrics.Counters
@@ -76,6 +78,10 @@ type Primary struct {
 	// pollEvery is the senders' poll interval: the constant, except in a
 	// test that ships only on commit kicks.
 	pollEvery time.Duration
+	// now is the primary's one time source (health.NodeClock), and acks
+	// holds each link's send→ack latency tracker on it, keyed by address.
+	now  func() time.Duration
+	acks *health.Monitor
 
 	mu       sync.Mutex
 	ackCond  *timedcond.Cond
@@ -112,10 +118,11 @@ type replicaLink struct {
 	// ackAt is the virtual delivery time of the ack that raised applied (0
 	// when the transport tracks none, or a hello raised it).
 	ackAt time.Duration
-	// ackEwma is the rolling send→ack latency estimate (virtual time
-	// when PrimaryOptions.Clock is set); quarantined drops the link
-	// from the semi-sync quorum while it breaches AckBudget.
-	ackEwma     time.Duration
+	// ack is the link's send→ack latency tracker (in p.acks). quarantined
+	// drops the link from the semi-sync quorum while AckBudget is set and
+	// ack reads Degraded: the commit path reads this copy under mu, never
+	// the tracker.
+	ack         *health.Tracker
 	quarantined bool
 	// pin is the link's export cursor on the primary's journal, nil while
 	// the link holds none (reviewPin).
@@ -156,7 +163,9 @@ func NewPrimary(d *db.DB, opts PrimaryOptions) (*Primary, error) {
 		opts:      opts,
 		m:         opts.Metrics,
 		pollEvery: pollEvery,
+		now:       health.NodeClock(opts.Clock),
 	}
+	p.acks = health.NewMonitor(health.Options{Now: p.now, Alpha: 0.3, DegradedLatency: opts.AckBudget})
 	p.ackCond = timedcond.New(&p.mu)
 	return p, nil
 }
@@ -169,6 +178,7 @@ func (p *Primary) AddReplica(addr string, dial server.Dialer) {
 		p:    p,
 		addr: addr,
 		dial: dial,
+		ack:  p.acks.Tracker(addr),
 		kick: make(chan struct{}, 1),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
@@ -225,7 +235,7 @@ func (p *Primary) Apply(ctx context.Context, table string, ops []server.Op) (uin
 	// The commit is durable locally at (at least) the current mark.
 	target := p.wal.Mark()
 	if p.opts.Clock != nil {
-		now := p.opts.Clock.Now()
+		now := p.now()
 		p.mu.Lock()
 		if target >= p.commitMark {
 			p.commitMark, p.commitAt = target, now
@@ -336,18 +346,16 @@ func (p *Primary) eligibleLocked() int {
 	return n
 }
 
-// Quarantined returns the addresses of currently quarantined replicas.
+// Quarantined returns the addresses of currently quarantined replicas,
+// sorted.
 func (p *Primary) Quarantined() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var out []string
-	for _, rl := range p.replicas {
-		rl.mu.Lock()
-		if rl.quarantined {
-			out = append(out, rl.addr)
+	for addr, s := range p.acks.States() {
+		if p.opts.AckBudget > 0 && s == health.Degraded {
+			out = append(out, addr)
 		}
-		rl.mu.Unlock()
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -414,7 +422,7 @@ func (p *Primary) links() []*replicaLink {
 // Frames nobody announced (a commit that did not come through Apply) ship
 // at the lane's time, as before.
 func (p *Primary) shipAt(to int, linkFree time.Duration) time.Duration {
-	at := p.opts.Clock.Now()
+	at := p.now()
 	p.mu.Lock()
 	if to <= p.commitMark {
 		at = p.commitAt
@@ -636,16 +644,13 @@ func (rl *replicaLink) serveConn() bool {
 			continue
 		}
 		endChain := core.ChainExport(chain, batch)
-		// Virtual time when the primary has a lane; the wall clock is read
-		// only in the real-time fallback.
-		var t0Virt time.Duration
-		var t0Real time.Time
 		rl.wire = encodeFrames(rl.wire[:0], p.opts.Epoch, batch, endChain)
+		var t0 time.Duration
 		if p.opts.Clock != nil {
-			t0Virt = p.shipAt(batch.To, linkFree)
-			err = netsim.SendAt(conn, rl.wire, t0Virt)
+			t0 = p.shipAt(batch.To, linkFree)
+			err = netsim.SendAt(conn, rl.wire, t0)
 		} else {
-			t0Real = time.Now()
+			t0 = p.now()
 			err = conn.Send(rl.wire)
 		}
 		frames, shipped := len(batch.Frames), 0
@@ -668,16 +673,13 @@ func (rl *replicaLink) serveConn() bool {
 		// every replica link and by the commits themselves, so whatever
 		// advanced it mid-wait — the primary's own checkpoint round, which
 		// runs right after the quorum's ack — would bleed into this link's
-		// sample and quarantine a healthy replica. Real time is the
-		// fallback off-simulation.
-		switch {
-		case p.opts.Clock != nil && virt:
-			rl.observeAck(ackAt - t0Virt)
-		case p.opts.Clock != nil:
-			rl.observeAck(p.opts.Clock.Now() - t0Virt)
-		default:
-			rl.observeAck(time.Since(t0Real))
+		// sample and quarantine a healthy replica. A transport without
+		// delivery times is sampled on the primary's clock.
+		acked := ackAt
+		if !virt {
+			acked = p.now()
 		}
+		rl.observeAck(acked - t0)
 		if !a.ok {
 			needSeed = true
 			continue
@@ -723,35 +725,24 @@ func (rl *replicaLink) keepScratch(frames []core.ExportFrame) {
 	}
 }
 
-// observeAck folds one send→ack latency sample into the link's EWMA
-// and applies the quarantine policy: breach the AckBudget and the link
-// leaves the semi-sync quorum; decay below half the budget and it is
-// re-admitted. Both transitions wake semi-sync waiters — a quarantine
-// can unblock a commit (quorum degradation), a re-admit restores the
-// guarantee for the next one.
+// observeAck feeds one send→ack latency sample to the link's tracker
+// and applies the quarantine policy: a Degraded tracker (its EWMA over
+// AckBudget) leaves the semi-sync quorum; one that recovers (the EWMA
+// back at half the budget) is re-admitted. Both transitions wake
+// semi-sync waiters — a quarantine can unblock a commit (quorum
+// degradation), a re-admit restores the guarantee for the next one.
 func (rl *replicaLink) observeAck(d time.Duration) {
 	p := rl.p
+	rl.ack.Observe(d)
+	sick := p.opts.AckBudget > 0 && rl.ack.State() == health.Degraded
 	rl.mu.Lock()
-	if rl.ackEwma == 0 {
-		rl.ackEwma = d
-	} else {
-		rl.ackEwma += (d - rl.ackEwma) * 3 / 10
-	}
-	changed, nowQuarantined := false, false
-	if budget := p.opts.AckBudget; budget > 0 {
-		switch {
-		case !rl.quarantined && rl.ackEwma > budget:
-			rl.quarantined, changed = true, true
-		case rl.quarantined && rl.ackEwma < budget/2:
-			rl.quarantined, changed = false, true
-		}
-		nowQuarantined = rl.quarantined
-	}
+	changed := sick != rl.quarantined
+	rl.quarantined = sick
 	rl.mu.Unlock()
 	if !changed {
 		return
 	}
-	if nowQuarantined {
+	if sick {
 		p.m.Inc(metrics.ReplicaQuarantines, 1)
 		rl.reviewPin()
 	} else {
@@ -764,17 +755,7 @@ func (rl *replicaLink) observeAck(d time.Duration) {
 
 // AckLatencies reports each replica's send→ack latency EWMA keyed by
 // address (tests and status probes).
-func (p *Primary) AckLatencies() map[string]time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]time.Duration, len(p.replicas))
-	for _, rl := range p.replicas {
-		rl.mu.Lock()
-		out[rl.addr] = rl.ackEwma
-		rl.mu.Unlock()
-	}
-	return out
-}
+func (p *Primary) AckLatencies() map[string]time.Duration { return p.acks.EWMAs() }
 
 // awaitAck reads the replica's ack for the last message, honouring
 // quit. ok=false means the conn died, went silent, or the sender is

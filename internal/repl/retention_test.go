@@ -76,6 +76,11 @@ func awayAndBack(t *testing.T, c *Cluster, pn *PrimaryNode, rn *ReplicaNode, cli
 	if !back.WaitCaughtUp(pn.Repl.Status().Mark, 5*time.Second) {
 		t.Fatalf("returning replica stuck at %d, primary mark %d", back.R.Applied(), pn.Repl.Status().Mark)
 	}
+	// The sender counts a seed after its Send returns, which can be after
+	// the replica applied it, and before it records the replica's ack.
+	if !waitFor(t, 5*time.Second, func() bool { return pn.Repl.Status().Lag == 0 }) {
+		t.Fatal("the primary never recorded the returning replica's ack")
+	}
 	return back, pn.Node.M.Count(metrics.ReplReseeds) - seedsBefore
 }
 

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/simclock"
@@ -54,7 +55,8 @@ type ClientOptions struct {
 	// Clock is the client's virtual-time lane, required for hedged
 	// reads over netsim: hedge outcomes are decided by virtual delivery
 	// time, not real arrival order. Nil restricts hedging to the
-	// first-response-wins degenerate form on real transports.
+	// first-response-wins degenerate form on real transports. Breaker
+	// windows run on it too; nil means wall time since NewClient.
 	Clock *simclock.Clock
 	// Seed drives the backoff jitter.
 	Seed int64
@@ -63,11 +65,12 @@ type ClientOptions struct {
 }
 
 // Circuit-breaker policy: after breakerFailThreshold consecutive
-// dial/probe failures an endpoint is skipped for breakerOpenFor (real
-// time); the first attempt after that window is the half-open probe —
-// success closes the breaker, failure re-opens it. When every endpoint
-// is open the client probes them all anyway: a breaker sheds work from
-// a sick endpoint, it must never lock the client out of a sick cluster.
+// dial/probe failures an endpoint is skipped for breakerOpenFor on the
+// client's clock; the first attempt after that window is the half-open
+// probe — success closes the breaker, failure re-opens it. When every
+// endpoint is open the client probes them all anyway: a breaker sheds
+// work from a sick endpoint, it must never lock the client out of a
+// sick cluster.
 const (
 	breakerFailThreshold = 3
 	breakerOpenFor       = 250 * time.Millisecond
@@ -75,7 +78,7 @@ const (
 
 type breakerState struct {
 	fails     int
-	openUntil time.Time
+	openUntil time.Duration // on c.now()
 }
 
 // OpError is a failed operation's outcome. Indeterminate reports
@@ -113,12 +116,14 @@ type Client struct {
 	// outstanding at a time, and Send keeps no reference to it.
 	out []byte
 
-	// Gray-failure machinery: per-endpoint circuit breakers, cached
-	// hedge connections, and per-endpoint virtual-latency EWMAs that
-	// order read targets and inform the hedge delay.
+	// Gray-failure machinery, on now (health.NodeClock): per-endpoint
+	// circuit breakers, cached hedge connections, and per-endpoint
+	// latency trackers whose EWMAs order read targets and inform the
+	// hedge delay.
+	now    func() time.Duration
 	brk    map[string]*breakerState
 	hconns map[string]netsim.Conn
-	lat    map[string]time.Duration
+	lat    *health.Monitor
 }
 
 // NewClient builds a client over the given endpoints. The first
@@ -140,6 +145,7 @@ func NewClient(dial Dialer, addrs []string, opts ClientOptions) *Client {
 	if m == nil {
 		m = &metrics.Counters{}
 	}
+	now := health.NodeClock(opts.Clock)
 	return &Client{
 		dial:   dial,
 		addrs:  addrs,
@@ -147,9 +153,10 @@ func NewClient(dial Dialer, addrs []string, opts ClientOptions) *Client {
 		m:      m,
 		rng:    rand.New(rand.NewSource(opts.Seed ^ 0x5eed)),
 		nextID: 1,
+		now:    now,
 		brk:    make(map[string]*breakerState),
 		hconns: make(map[string]netsim.Conn),
-		lat:    make(map[string]time.Duration),
+		lat:    health.NewMonitor(health.Options{Now: now, Alpha: 0.3}),
 	}
 }
 
@@ -454,7 +461,7 @@ func (c *Client) backoff(attempt int, advised, retryAfter time.Duration) {
 // (closed, or open past its window — the half-open probe).
 func (c *Client) addrAllowed(addr string) bool {
 	b := c.brk[addr]
-	return b == nil || b.fails < breakerFailThreshold || time.Now().After(b.openUntil)
+	return b == nil || b.fails < breakerFailThreshold || c.now() > b.openUntil
 }
 
 // noteAddrFailure records a dial/probe failure; crossing the threshold
@@ -467,7 +474,7 @@ func (c *Client) noteAddrFailure(addr string) {
 	}
 	b.fails++
 	if b.fails >= breakerFailThreshold {
-		b.openUntil = time.Now().Add(breakerOpenFor)
+		b.openUntil = c.now() + breakerOpenFor
 		c.m.Inc(metrics.BreakerOpen, 1)
 	}
 }
@@ -498,15 +505,6 @@ func (c *Client) candidateAddrs() []string {
 
 // --- hedged reads ----------------------------------------------------
 
-// observeLat folds one virtual-latency sample into the endpoint's EWMA.
-func (c *Client) observeLat(addr string, d time.Duration) {
-	if prev, ok := c.lat[addr]; ok {
-		c.lat[addr] = prev + (d-prev)*3/10
-	} else {
-		c.lat[addr] = d
-	}
-}
-
 // readOrder returns breaker-admitted endpoints sorted fastest-first by
 // latency EWMA (unknown endpoints sort first so they get measured).
 // A degrading replica's EWMA inflates until it loses the front spot —
@@ -514,7 +512,7 @@ func (c *Client) observeLat(addr string, d time.Duration) {
 func (c *Client) readOrder() []string {
 	addrs := append([]string(nil), c.candidateAddrs()...)
 	sort.SliceStable(addrs, func(i, j int) bool {
-		return c.lat[addrs[i]] < c.lat[addrs[j]]
+		return c.lat.Tracker(addrs[i]).EWMA() < c.lat.Tracker(addrs[j]).EWMA()
 	})
 	return addrs
 }
@@ -524,7 +522,7 @@ func (c *Client) readOrder() []string {
 // from a healthy replica are never hedged.
 func (c *Client) hedgeDelayFor(addr string) time.Duration {
 	d := c.opts.HedgeDelay
-	if ewma := c.lat[addr]; ewma*2 > d {
+	if ewma := c.lat.Tracker(addr).EWMA(); ewma*2 > d {
 		d = ewma * 2
 	}
 	return d
@@ -602,10 +600,7 @@ func (c *Client) hedgedGet(req request) (response, bool) {
 	c.nextID++
 	req.epoch = c.epoch
 	req.deadline = c.opts.Deadline
-	var t0 time.Duration
-	if c.opts.Clock != nil {
-		t0 = c.opts.Clock.Now()
-	}
+	t0 := c.now()
 	if err := c.send(ca, req); err != nil {
 		c.dropHconn(first)
 		c.noteAddrFailure(first)
@@ -631,7 +626,7 @@ func (c *Client) hedgedGet(req request) (response, bool) {
 	deadline := t0 + c.hedgeDelayFor(first)
 	if errA == nil && atA <= deadline {
 		c.opts.Clock.AdvanceTo(atA)
-		c.observeLat(first, atA-t0)
+		c.lat.Tracker(first).Observe(atA - t0)
 		return respA, respA.status == stOK
 	}
 
@@ -682,7 +677,7 @@ func (c *Client) hedgedGet(req request) (response, bool) {
 		// actually sent — the duplicate went out at the hedge deadline,
 		// not t0, and billing it the hedge delay would inflate a healthy
 		// hedge target's EWMA on every hedge.
-		c.observeLat(a.addr, a.at-a.sentAt)
+		c.lat.Tracker(a.addr).Observe(a.at - a.sentAt)
 	}
 	if win.addr == second {
 		c.m.Inc(metrics.HedgeWins, 1)

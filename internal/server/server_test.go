@@ -456,3 +456,65 @@ func TestHedgedGetNilClockRecvFailureFallsBack(t *testing.T) {
 		t.Fatal("expected an error from a cluster that never answers")
 	}
 }
+
+// TestBreakerWindowIsOnTheClientClock: three failed dials open an
+// endpoint's breaker, and it stays open until the client's lane passes
+// breakerOpenFor — no real time needs to pass — when one half-open probe
+// goes out; its success closes the breaker, so a later single failure
+// does not re-open it.
+func TestBreakerWindowIsOnTheClientClock(t *testing.T) {
+	clock := simclock.New()
+	lane := clock.NewLane()
+	n := netsim.New(clock, netsim.Config{Latency: 10 * time.Microsecond}, 7, nil)
+	n.Register("cli", lane)
+	serve := func(name string) {
+		l, err := n.Listen(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(NewDBEngine(openDB(t), 0), Options{Clock: clock})
+		go s.Serve(l)
+		t.Cleanup(s.Close)
+	}
+	serve("up")
+	downDials := 0
+	dial := func(addr string) (netsim.Conn, error) {
+		if addr == "down" {
+			downDials++
+		}
+		return n.Dial("cli", addr)
+	}
+	var m metrics.Counters
+	cli := NewClient(dial, []string{"down", "up"}, ClientOptions{ReadAnywhere: true, Clock: lane, Metrics: &m})
+	defer cli.Close()
+	// get reads on a new connection: the client probes its endpoints again.
+	get := func(wantDownDials int) {
+		t.Helper()
+		cli.Close()
+		if _, _, err := cli.Get("kv", []byte("k")); err != nil {
+			t.Fatal(err)
+		}
+		if downDials != wantDownDials {
+			t.Fatalf("lane at %v: %d dials to the down endpoint, want %d", lane.Now(), downDials, wantDownDials)
+		}
+	}
+
+	var opened time.Duration
+	for i := 1; i <= breakerFailThreshold; i++ {
+		opened = lane.Now() // the down endpoint is dialed first
+		get(i)
+	}
+	if got := m.Count(metrics.BreakerOpen); got != 1 {
+		t.Fatalf("breaker opened %d times, want 1", got)
+	}
+	lane.AdvanceTo(opened + breakerOpenFor)
+	get(breakerFailThreshold) // open through the window's last instant
+	serve("down")
+	get(breakerFailThreshold + 2) // the half-open probe succeeds; the read connects there
+	n.Isolate("down")
+	get(breakerFailThreshold + 3) // closed: one failure does not re-open it
+	get(breakerFailThreshold + 4)
+	if got := m.Count(metrics.BreakerOpen); got != 1 {
+		t.Fatalf("breaker opened %d times, want 1", got)
+	}
+}
