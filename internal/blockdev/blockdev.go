@@ -154,7 +154,10 @@ type Device struct {
 	// free holds page buffers no map references any more: the durable
 	// buffer a Sync replaced, the pending buffer an overwrite replaced.
 	// WritePage takes from it before allocating. See recycleLocked.
-	free [][]byte
+	// synced is how many pages the last Sync made durable, which bounds
+	// it.
+	free   [][]byte
+	synced int
 
 	// The counter cells of the read, write and sync paths, bound in New;
 	// the fault counters go by name.
@@ -186,9 +189,13 @@ func New(cfg Config, clock *simclock.Clock, m *metrics.Counters, rec *trace.Reco
 	}
 }
 
-// maxFreeBuffers bounds the recycled page buffers (1 MiB of host memory
-// at the default page size): enough that a checkpoint round's programs
-// reuse what the previous round's Sync replaced.
+// maxFreeBuffers is the least the free list may hold (1 MiB of host
+// memory at the default page size). Past it the list takes as many
+// buffers as the last Sync made durable, so a checkpoint round's
+// programs reuse what the previous round's Sync replaced however many
+// pages a round writes back. A bulk round's surplus is not trimmed: the
+// rounds after it draw it down, as their Syncs add no more than they
+// made durable.
 const maxFreeBuffers = 256
 
 // recycleLocked hands a buffer that durable or pending no longer maps to
@@ -199,7 +206,7 @@ const maxFreeBuffers = 256
 // "buffers are replaced, never mutated" true for every buffer a map can
 // still reach. Caller holds d.mu.
 func (d *Device) recycleLocked(buf []byte) {
-	if d.frozen == nil && buf != nil && len(d.free) < maxFreeBuffers {
+	if d.frozen == nil && buf != nil && len(d.free) < max(maxFreeBuffers, d.synced) {
 		d.free = append(d.free, buf)
 	}
 }
@@ -412,6 +419,7 @@ func (d *Device) Sync() error {
 	if f := d.faults; f != nil && f.SyncEIORate > 0 && d.rng.Float64() < f.SyncEIORate {
 		return d.ioError("sync", -1, true)
 	}
+	d.synced = len(d.pending)
 	for page, buf := range d.pending {
 		if d.badPage[page] {
 			// The page went bad while its write sat in the cache: the

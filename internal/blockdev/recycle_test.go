@@ -53,6 +53,30 @@ func TestWriteSyncOnWarmDeviceAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRoundLargerThanFloorAllocatesNothing: a checkpoint round writes
+// back more pages than the free list's floor, and the next round's
+// programs still reuse every buffer the last Sync replaced.
+func TestRoundLargerThanFloorAllocatesNothing(t *testing.T) {
+	const pages = 400 // past maxFreeBuffers, as a busy round is
+	d := New(Config{Pages: 512}, simclock.New(), &metrics.Counters{}, nil)
+	img := page(0x3C, d.PageSize())
+	round := func() {
+		for p := 0; p < pages; p++ {
+			if err := d.WritePage(p, img, "db"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	round()
+	if avg := testing.AllocsPerRun(3, round); avg != 0 {
+		t.Fatalf("a warm %d-page round: %.1f allocs, want 0", pages, avg)
+	}
+}
+
 // TestRecycledBufferCarriesNoStaleBytes: a short page image and a short
 // write land on a buffer that held another page's content a moment ago.
 func TestRecycledBufferCarriesNoStaleBytes(t *testing.T) {
@@ -137,5 +161,34 @@ func TestFreezeImageSurvivesRecycling(t *testing.T) {
 	cut := prefixLen(got, 0x33)
 	if cut == 0 || cut == ps || !bytes.Equal(got[cut:], page(0x22, ps-cut)) {
 		t.Fatalf("torn page: %#x… cut %d, want a 0x33 prefix over 0x22", got[0], cut)
+	}
+}
+
+// TestBulkRoundSurplusDrains: the free list grows to a bulk round's size,
+// and the smaller rounds after it draw the surplus down to their own
+// size without allocating, instead of keeping it.
+func TestBulkRoundSurplusDrains(t *testing.T) {
+	d := New(Config{Pages: 2048}, simclock.New(), &metrics.Counters{}, nil)
+	img := page(0x5A, d.PageSize())
+	round := func(pages int) {
+		for p := 0; p < pages; p++ {
+			if err := d.WritePage(p, img, "db"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round(1500)
+	round(1500)
+	if n := len(d.free); n != 1500 {
+		t.Fatalf("after two 1500-page rounds the free list holds %d buffers, want 1500", n)
+	}
+	if avg := testing.AllocsPerRun(5, func() { round(300) }); avg != 0 {
+		t.Fatalf("300-page rounds after a bulk one: %.1f allocs, want 0", avg)
+	}
+	if n := len(d.free); n != 300 {
+		t.Fatalf("after 300-page rounds the free list holds %d buffers, want 300", n)
 	}
 }

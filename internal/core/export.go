@@ -244,7 +244,10 @@ func (w *NVWAL) trimTail() {
 // caught up.
 //
 // Payload slices alias the log's immutable history images; callers
-// must not mutate them. The frame list is built in frames' array (the
+// must not mutate them. A batch with frames is out until the caller
+// hands it back with ExportDone, and no checkpoint round recycles an
+// image while any batch is out (recycle.go): call it once the payloads
+// are no longer read. The frame list is built in frames' array (the
 // batch's Frames is frames[:0] with the range appended), so a shipper
 // that cuts batch after batch keeps one list; nil allocates a fresh one.
 func (w *NVWAL) ExportSince(from int, frames []ExportFrame) (ExportBatch, bool) {
@@ -261,6 +264,7 @@ func (w *NVWAL) ExportSince(from int, frames []ExportFrame) (ExportBatch, bool) 
 	if from == mark {
 		return b, true
 	}
+	w.exporting.Add(1)
 	b.Frames = slices.Grow(frames[:0], mark-from)
 	tail, live := w.retained(from, mark)
 	for _, part := range [2][]histFrame{tail, live} {
@@ -275,6 +279,10 @@ func (w *NVWAL) ExportSince(from int, frames []ExportFrame) (ExportBatch, bool) 
 	}
 	return b, true
 }
+
+// ExportDone hands back a batch with frames that ExportSince returned:
+// its payloads are no longer read.
+func (w *NVWAL) ExportDone() { w.exporting.Add(-1) }
 
 // ChainExport folds a batch into a running export-stream CRC chain,
 // frame by frame, using the on-NVRAM frame checksum construction. Both

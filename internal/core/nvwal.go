@@ -445,6 +445,18 @@ type NVWAL struct {
 	tailBase  int
 	tailPeak  ExportRetention // high-water mark only
 	published int64
+	// Image recycling (recycle.go): retired queues, in mark order, the
+	// versions publish replaced; a completing round moves those at or
+	// below its watermark into spare, which writers copy pages into
+	// (SpareImage). exporting counts the batches ExportSince handed out
+	// and ExportDone has not taken back. spareMu guards spare alone, so
+	// writers outside w.mu take from it; spareHook (tests) sees every
+	// image enter (true) and leave it.
+	retired   []retiredImage
+	exporting atomic.Int64
+	spareMu   sync.Mutex
+	spare     [][]byte
+	spareHook func(img []byte, in bool)
 	// ckpt is the in-flight incremental checkpoint round, nil when none.
 	ckpt *ckptState
 	// pins counts the readers registered at each mark (Pin), the
@@ -1157,7 +1169,8 @@ func (w *NVWAL) persistMark(addr, mark uint64) {
 // publish advances the volatile state over an appended frame set: the
 // checksum chain, the snapshot history with its per-page index, and
 // each staged page's new version image (ownership passes to the log;
-// later streams win, as they appended later).
+// later streams win, as they appended later). Every version replaced is
+// queued for the round that retires this commit (queueRetired).
 func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns int) {
 	w.chain = chain
 	for _, f := range hist {
@@ -1180,9 +1193,12 @@ func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns 
 		w.history = append(w.history, f)
 		w.published += int64(len(f.payload))
 	}
+	mark := w.histBase + len(w.history)
 	for _, s := range streams {
 		for i := range s.pages {
-			w.versions[s.pages[i].pgno] = s.pages[i].img
+			sp := &s.pages[i]
+			w.queueRetired(w.versions[sp.pgno], sp.img, mark)
+			w.versions[sp.pgno] = sp.img
 		}
 	}
 	w.cFrames.Add(int64(len(hist)))
@@ -1600,6 +1616,7 @@ func (w *NVWAL) completeCheckpoint(st *ckptState) error {
 		// base below the watermark is gone from history.
 		w.base[pgno] = st.pages[pgno]
 	}
+	w.releaseImages(st.watermark)
 	w.ckpt = nil
 	w.cCheckpoints.Add(1)
 	return nil

@@ -199,11 +199,27 @@ func (r *pendingRun) frames(n int) []pager.Frame {
 	return frames
 }
 
-// Both logs take the same images: installed images are never written, so
-// sharing them between the two is as safe as sharing them within one.
+// owned returns the images a step hands side w: the lazy side takes them
+// as they are, the reference its own copies — a log owns what it is
+// handed, and recycles an image once a round retires it (recycle.go).
+func (r *pendingRun) owned(w *NVWAL, img []byte) []byte {
+	if w == r.lazy.w {
+		return img
+	}
+	return slices.Clone(img)
+}
+
+func (r *pendingRun) ownedFrames(w *NVWAL, frames []pager.Frame) []pager.Frame {
+	out := make([]pager.Frame, len(frames))
+	for i, fr := range frames {
+		out[i] = pager.Frame{Pgno: fr.Pgno, Data: r.owned(w, fr.Data)}
+	}
+	return out
+}
+
 func (r *pendingRun) solo() {
 	frames := r.frames(1 + r.rng.Intn(3))
-	r.both(func(w *NVWAL) error { return w.CommitTransaction(frames) })
+	r.both(func(w *NVWAL) error { return w.CommitTransaction(r.ownedFrames(w, frames)) })
 	for _, fr := range frames {
 		r.cur[fr.Pgno] = fr.Data
 	}
@@ -228,7 +244,7 @@ func (r *pendingRun) group() {
 		for i, m := range members {
 			streams[i] = w.NewStream()
 			for j, fr := range m.frames {
-				if _, err := streams[i].StagePage(fr.Pgno, fr.Data, m.bases[j].Data); err != nil {
+				if _, err := streams[i].StagePage(fr.Pgno, r.owned(w, fr.Data), m.bases[j].Data); err != nil {
 					return err
 				}
 			}
@@ -253,7 +269,7 @@ func (r *pendingRun) session() {
 			if imgs[pgno] == nil {
 				imgs[pgno] = r.next(base)
 			}
-			_, err = st.StagePage(pgno, imgs[pgno], base)
+			_, err = st.StagePage(pgno, r.owned(s.w, imgs[pgno]), base)
 			r.must(err)
 		}
 		r.must(s.w.CommitStreams([]*Stream{st}, 1))
@@ -317,7 +333,7 @@ func (r *pendingRun) apply() {
 func (r *pendingRun) prepare() {
 	frames := r.frames(1 + r.rng.Intn(2))
 	r.gtx++
-	r.both(func(w *NVWAL) error { return w.PrepareTransaction(frames, r.gtx) })
+	r.both(func(w *NVWAL) error { return w.PrepareTransaction(r.ownedFrames(w, frames), r.gtx) })
 	r.check("prepared, undecided", r.allPages())
 	if r.rng.Intn(2) == 0 {
 		r.both(func(w *NVWAL) error { return w.AbortPrepared(r.gtx) })

@@ -13,6 +13,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/memsim"
@@ -47,13 +48,43 @@ func referencePageAt(w *NVWAL, pgno uint32, mark int) (img []byte, below bool, e
 
 // imageGuard checks the ownership rule behind image sharing: an image
 // the log installed (a version, a replay base, a checkpoint round's
-// page) is never written again. It records a CRC of every image the
-// first time it is reachable — the observation after the step whose
+// page) is never written again until a round releases it (recycle.go),
+// and then the log no longer reaches it. It records a CRC of every image
+// the first time it is reachable — the observation after the step whose
 // publish / completeCheckpoint / recovery installed it — and re-verifies
-// every image it has ever seen, replaced ones included (holding them
-// keeps their memory from being reused).
+// every image it has seen and the log has not released, replaced ones
+// included, once per observation and once more as the round releases it.
 type imageGuard struct {
+	mu   sync.Mutex
 	seen map[*byte]guardedImage
+	// spare holds the images released and not taken since; err is the
+	// first violation the release hook saw.
+	spare map[*byte]bool
+	err   error
+}
+
+// hook is the log's spareHook: a released image must not be in the
+// spare list already and must still hold the bytes it was installed
+// with; from then on the guard forgets it.
+func (g *imageGuard) hook(img []byte, in bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	p := &img[0]
+	if !in {
+		delete(g.spare, p)
+		return
+	}
+	if gi, ok := g.seen[p]; ok && crc32.ChecksumIEEE(img) != gi.sum && g.err == nil {
+		g.err = fmt.Errorf("image installed as %s was modified in place before its release", gi.where)
+	}
+	if g.spare[p] && g.err == nil {
+		g.err = fmt.Errorf("image %p released twice", p)
+	}
+	delete(g.seen, p)
+	if g.spare == nil {
+		g.spare = make(map[*byte]bool)
+	}
+	g.spare[p] = true
 }
 
 type guardedImage struct {
@@ -62,7 +93,15 @@ type guardedImage struct {
 	where string
 }
 
-func (g *imageGuard) observe(w *NVWAL, step string) error {
+func (g *imageGuard) observe(w *NVWAL, step string) (err error) {
+	w.mu.Lock()
+	w.spareHook = g.hook
+	w.mu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.err != nil {
+		return fmt.Errorf("%s: %w", step, g.err)
+	}
 	if g.seen == nil {
 		g.seen = make(map[*byte]guardedImage)
 	}
@@ -74,6 +113,9 @@ func (g *imageGuard) observe(w *NVWAL, step string) error {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	note := func(kind string, pgno uint32, img []byte) {
+		if g.spare[&img[0]] && err == nil {
+			err = fmt.Errorf("%s: %s[%d] is an image the log released", step, kind, pgno)
+		}
 		if _, ok := g.seen[&img[0]]; !ok {
 			g.seen[&img[0]] = guardedImage{img, crc32.ChecksumIEEE(img), fmt.Sprintf("%s[%d] after %s", kind, pgno, step)}
 		}
@@ -89,7 +131,7 @@ func (g *imageGuard) observe(w *NVWAL, step string) error {
 			note("ckpt.pages", pgno, img)
 		}
 	}
-	return nil
+	return err
 }
 
 const rvPages = 9 // pages 2..rvPages+1 get written; rvPages+2 never does
@@ -376,9 +418,10 @@ func TestReadViewGuardCatchesInPlacePatch(t *testing.T) {
 		case "base":
 			img = r.w.base[2]
 		case "replaced":
+			// Replaced, and not yet released: no round has retired the
+			// commit that replaced it.
 			img = r.w.versions[2]
 			r.must(r.w.CommitTransaction([]pager.Frame{{Pgno: 2, Data: r.next(img)}}))
-			r.checkpoint() // drops it from base too: only the guard still holds it
 		}
 		img[100] ^= 0x40
 		if err := r.guard.observe(r.w, "patched"); err == nil {

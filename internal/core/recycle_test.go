@@ -1,0 +1,169 @@
+package core
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/pager"
+)
+
+// TestNoImageEntersSpareTwice drives a pager over the log through
+// commits, rolled-back transactions, prepared transactions aborted and
+// completed, and checkpoint rounds, with a hook on the spare list: an
+// image may enter it again only after a writer has taken it out. An
+// image in the list twice would be handed to two writers.
+func TestNoImageEntersSpareTwice(t *testing.T) {
+	e := newEnv(t)
+	w := e.open(t, VariantUHLSDiff())
+	var mu sync.Mutex
+	spare := map[*byte]bool{}
+	entered, taken := 0, 0
+	w.spareHook = func(img []byte, in bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		p := &img[0]
+		if !in {
+			delete(spare, p)
+			taken++
+			return
+		}
+		if spare[p] {
+			t.Errorf("image %p entered the spare list twice", p)
+		}
+		spare[p] = true
+		entered++
+	}
+	p, err := pager.Open(e.db, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pages = 8
+	p.Begin()
+	for i := 0; i < pages; i++ {
+		if _, _, err := p.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var gtx uint64
+	for i := 0; i < 600; i++ {
+		p.Begin()
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			pgno := uint32(2 + rng.Intn(pages))
+			if _, err := p.Get(pgno); err != nil {
+				t.Fatal(err)
+			}
+			p.MarkDirty(pgno)[rng.Intn(4096)] ^= byte(1 + rng.Intn(255))
+		}
+		switch rng.Intn(4) {
+		case 0:
+			p.Rollback()
+		case 1:
+			frames, err := p.PrepareCommit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gtx++
+			if err := w.PrepareTransaction(frames, gtx); err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(2) == 0 {
+				if err := w.AbortPrepared(gtx); err != nil {
+					t.Fatal(err)
+				}
+				p.Rollback()
+			} else {
+				if err := w.CompletePrepared(gtx); err != nil {
+					t.Fatal(err)
+				}
+				p.FinishCommit()
+			}
+		default:
+			if err := p.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%50 == 49 {
+			if err := w.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if entered == 0 || taken == 0 {
+		t.Fatalf("%d images released, %d taken: the test proves nothing", entered, taken)
+	}
+}
+
+// drainSpares takes every spare image the log holds and counts them.
+func drainSpares(w *NVWAL) int {
+	n := 0
+	for w.SpareImage() != nil {
+		n++
+	}
+	return n
+}
+
+// TestSpareListHoldsOneRound: each round replaces the spare list with
+// the images it released — an untaken spare never carries over to the
+// next round — and a round that releases nothing, because an export
+// batch is out, empties the list.
+func TestSpareListHoldsOneRound(t *testing.T) {
+	e := newEnv(t)
+	w := e.open(t, VariantUHLSDiff())
+	imgs := successiveImages(fullPage('a'), 40)
+	next := 0
+	round := func(commits int, beforeRound func()) {
+		t.Helper()
+		for i := 0; i < commits; i++ {
+			commitPages(t, w, map[uint32][]byte{2: imgs[next]})
+			next++
+		}
+		beforeRound()
+		if err := w.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nothing := func() {}
+	round(4, nothing) // the first commit replaced nothing
+	if n := drainSpares(w); n != 3 {
+		t.Fatalf("first round released %d images, want 3", n)
+	}
+	round(5, nothing)
+	round(2, nothing) // the previous round's five stay untaken
+	if n := drainSpares(w); n != 2 {
+		t.Fatalf("spare list holds %d images after a two-commit round, want 2", n)
+	}
+	round(1, nothing)
+	// A batch out holds back every round until it is handed back; the
+	// list that round leaves is empty.
+	round(3, func() {
+		if b, ok := w.ExportSince(w.Mark()-2, nil); !ok || len(b.Frames) != 2 {
+			t.Fatalf("export: ok=%v, %d frames", ok, len(b.Frames))
+		}
+	})
+	if n := drainSpares(w); n != 0 {
+		t.Fatalf("a round with a batch out released %d images", n)
+	}
+	round(3, nothing)
+	if n := drainSpares(w); n != 0 {
+		t.Fatalf("a second round with the batch still out released %d images", n)
+	}
+	w.ExportDone()
+	// A cursor standing below the watermark holds nothing back: the round
+	// copies the frames it keeps for it into the export tail.
+	c := w.OpenExportCursor()
+	round(3, nothing)
+	if n := drainSpares(w); n != 3 {
+		t.Fatalf("a round with a cursor below its watermark released %d images, want 3", n)
+	}
+	tail, ok := w.ExportSince(c.pos, nil)
+	if !ok || len(tail.Frames) != 6 { // two extents per commit
+		t.Fatalf("the cursor's frames are not retained: ok=%v, %d frames", ok, len(tail.Frames))
+	}
+	w.ExportDone()
+	c.Close()
+}

@@ -9,6 +9,7 @@
 package db
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -26,7 +27,8 @@ var ErrNoExport = fmt.Errorf("db: journal mode has no export hook")
 // ExportSince returns the committed NVWAL frames in [from, Mark()),
 // their list built in frames' array (core.NVWAL.ExportSince). ok=false
 // means the range is no longer retained (or lies past the mark) and the
-// caller must re-seed via ExportPages.
+// caller must re-seed via ExportPages. A batch with frames is handed back
+// with ExportDone once its payloads are no longer read.
 func (d *DB) ExportSince(from int, frames []core.ExportFrame) (core.ExportBatch, bool, error) {
 	if d.nv == nil {
 		return core.ExportBatch{}, false, ErrNoExport
@@ -34,6 +36,10 @@ func (d *DB) ExportSince(from int, frames []core.ExportFrame) (core.ExportBatch,
 	b, ok := d.nv.ExportSince(from, frames)
 	return b, ok, nil
 }
+
+// ExportDone hands back a batch with frames ExportSince returned
+// (core.NVWAL.ExportDone).
+func (d *DB) ExportDone() { d.nv.ExportDone() }
 
 // SeedBytes is the size of the snapshot ExportPages would capture now:
 // the header's page count times the page size.
@@ -63,7 +69,8 @@ type PageSnapshot struct {
 // ExportPages captures a full point-in-time snapshot. The mark is
 // pinned exactly the way BeginRead pins a snapshot reader, so a
 // concurrent incremental checkpoint can never invalidate the images
-// mid-capture.
+// mid-capture. The snapshot's pages are its own copies, in one arena:
+// the log's images may be recycled once the mark is unpinned.
 func (d *DB) ExportPages() (*PageSnapshot, error) {
 	if d.view == nil {
 		return nil, ErrNoExport
@@ -73,25 +80,30 @@ func (d *DB) ExportPages() (*PageSnapshot, error) {
 
 	// The page count lives in the header page; reading it at the pinned
 	// mark keeps the capture self-consistent even while writers extend
-	// the file. The images are the log's own (pager.ReadView): shared,
-	// read-only.
+	// the file.
 	hdr, _, err := d.view.PageAt(1, mark)
 	if err != nil {
 		return nil, err
 	}
 	count := pager.HeaderPageCount(hdr)
+	ps := d.view.PageSize()
 	snap := &PageSnapshot{
 		Mark:     mark,
-		PageSize: d.view.PageSize(),
+		PageSize: ps,
 		Pages:    make([]pager.Frame, 0, count),
 	}
-	snap.Pages = append(snap.Pages, pager.Frame{Pgno: 1, Data: hdr})
-	for pgno := uint32(2); pgno <= count; pgno++ {
-		data, _, err := d.view.PageAt(pgno, mark)
-		if err != nil {
-			return nil, err
+	arena := make([]byte, int(count)*ps)
+	for pgno := uint32(1); pgno <= count; pgno++ {
+		data := hdr
+		if pgno > 1 {
+			if data, _, err = d.view.PageAt(pgno, mark); err != nil {
+				return nil, err
+			}
 		}
-		snap.Pages = append(snap.Pages, pager.Frame{Pgno: pgno, Data: data})
+		own := arena[:ps:ps]
+		arena = arena[ps:]
+		copy(own, data)
+		snap.Pages = append(snap.Pages, pager.Frame{Pgno: pgno, Data: own})
 	}
 	return snap, nil
 }
@@ -172,36 +184,44 @@ func catalogSlot(hdr []byte, i int) (name string, root uint32) {
 	return strings.TrimRight(string(hdr[off:off+tableNameLen]), "\x00"), binary.LittleEndian.Uint32(hdr[off+tableNameLen:])
 }
 
-// catalogCache memoises parseCatalog against the identity of the
-// header-page image it last parsed. Snapshot images are immutable, so
-// the same image is the same catalog version and readers at one version
-// share one parsed map — which they must treat as read-only. Holding the
-// image keeps its address from being reused (and the last 4 KiB header
-// image alive). It holds ONE version: readers pinned at different page-1
-// versions evict each other and parse per tree open, as every reader did
-// before the memo — still correct, and a ReadTx or session caches the
-// trees it opened anyway. A header image built per reader (a database-
-// file read after a reopen) is a version of its own and hits only within
-// that reader. The zero value is ready; safe for concurrent use.
+// catalogCache memoises parseCatalog against the catalog bytes it last
+// parsed — the table count and its entries, copied out of page 1. Not
+// the image's address: a checkpoint round recycles retired page images
+// (DESIGN.md §15), so one address holds different page-1 versions over
+// time. Header images that list the same tables share one parsed map,
+// which readers must treat as read-only; a hit compares a few dozen
+// bytes and allocates nothing. It holds ONE catalog: readers pinned at
+// page-1 versions with different catalogs evict each other and parse per
+// tree open, as every reader did before the memo — still correct, and a
+// ReadTx or session caches the trees it opened anyway. The zero value is
+// ready; safe for concurrent use.
 type catalogCache struct {
 	last atomic.Pointer[parsedCatalog]
 }
 
 type parsedCatalog struct {
-	hdr    *byte
+	raw    []byte // catalogBytes of the parsed image, a copy
 	tables map[string]uint32
 }
 
-// Parse returns the catalog of the immutable header-page image hdr. A
-// corrupt catalog is an error and is not memoised.
+// catalogBytes is the catalog region of a header-page image: the count
+// and the entries it lists, clamped to what fits in the page.
+func catalogBytes(hdr []byte) []byte {
+	n := min(int(binary.LittleEndian.Uint16(hdr[catalogOff:])), maxTables(len(hdr)))
+	return hdr[catalogOff : catalogOff+2+n*tableEntry]
+}
+
+// Parse returns the catalog of the header-page image hdr. A corrupt
+// catalog is an error and is not memoised.
 func (c *catalogCache) Parse(hdr []byte) (map[string]uint32, error) {
-	if p := c.last.Load(); p != nil && p.hdr == &hdr[0] {
+	raw := catalogBytes(hdr)
+	if p := c.last.Load(); p != nil && bytes.Equal(p.raw, raw) {
 		return p.tables, nil
 	}
 	tables, err := parseCatalog(hdr)
 	if err != nil {
 		return nil, err
 	}
-	c.last.Store(&parsedCatalog{hdr: &hdr[0], tables: tables})
+	c.last.Store(&parsedCatalog{raw: bytes.Clone(raw), tables: tables})
 	return tables, nil
 }

@@ -194,7 +194,7 @@ func (st *sessionStore) Allocate() (uint32, []byte, error) {
 	if e.own != nil {
 		clear(e.own)
 	} else {
-		e.own = make([]byte, st.PageSize())
+		e.own = pager.NewImage(st.d.nv, nil, st.PageSize())
 	}
 	e.dirty, e.fresh = true, true
 	st.pages[pgno] = e
@@ -225,14 +225,15 @@ func (st *sessionStore) Free(pgno uint32) error {
 }
 
 // MarkDirty copies a loaded page the first time the session writes it —
-// the one copy a session makes of a committed page.
+// the one copy a session makes of a committed page, into an image the
+// log recycles when it has one.
 func (st *sessionStore) MarkDirty(pgno uint32) []byte {
 	e, loaded := st.pages[pgno]
 	if !loaded {
 		panic(fmt.Sprintf("db: MarkDirty of page %d, which the session never read", pgno))
 	}
 	if e.own == nil {
-		e.own = slices.Clone(e.base)
+		e.own = pager.NewImage(st.d.nv, e.base, st.PageSize())
 	}
 	e.dirty = true
 	st.pages[pgno] = e
@@ -394,8 +395,8 @@ func (tx *CTx) guard() error {
 }
 
 // tree resolves the root through the snapshot's shared page-1 image, not
-// a private copy: its identity keys the catalog memo, and a session that
-// only reads the catalog never needs page 1 in its working set.
+// a private copy: a session that only reads the catalog never needs
+// page 1 in its working set.
 func (tx *CTx) tree(table string) (*btree.Tree, error) {
 	return tx.tables.tree(tx.d, &tx.store.snap, &tx.store, table)
 }
@@ -516,7 +517,10 @@ type sessionWrite struct {
 	img   []byte
 	base  []byte // nil stages a full frame
 	fresh bool
-	freed bool // img is still to be made: base relinked onto the freelist
+	// freed: img is still to be made, base relinked onto the freelist —
+	// base is then the session's own copy of the loaded image, made while
+	// the snapshot was pinned (after that the loaded image may be recycled).
+	freed bool
 }
 
 // writeOrder sorts written pages before freed ones, each by page number.
@@ -559,7 +563,8 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 			nw++
 		}
 		if e.freed {
-			writes = append(writes, sessionWrite{pgno: pgno, base: e.base, freed: true})
+			own := pager.NewImage(d.nv, e.base, len(e.base))
+			writes = append(writes, sessionWrite{pgno: pgno, base: own, freed: true})
 		}
 	}
 	slices.SortFunc(writes, writeOrder)
@@ -618,12 +623,12 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 	// differential stream drops as identical — no copy either way.
 	img1 := cur1
 	if maxOwn != pager.HeaderPageCount(cur1) || len(freed) > 0 {
-		img1 = slices.Clone(cur1)
+		img1 = pager.NewImage(d.nv, cur1, len(cur1))
 		pager.SetHeaderPageCount(img1, maxOwn)
 		head := pager.HeaderFreeHead(img1)
 		cnt := pager.HeaderFreeCount(img1)
 		for _, wr := range freed {
-			wr.img = slices.Clone(wr.base)
+			wr.img = pager.NewImage(d.nv, wr.base, len(wr.base))
 			pager.SetFreelistLink(wr.img, head)
 			head = wr.pgno
 			cnt++

@@ -431,6 +431,11 @@ func replicaApplyAllocs(txns int) (CommitAllocsRow, error) {
 	if err != nil {
 		return zero, err
 	}
+	for _, b := range batches {
+		if len(b.Frames) > 0 {
+			pn.DB.ExportDone()
+		}
+	}
 	perPage := float64(txns) / float64(pages)
 	row.Ops, row.AllocsPerOp, row.BytesPerOp = pages, row.AllocsPerOp*perPage, row.BytesPerOp*perPage
 	return row, nil

@@ -73,6 +73,32 @@ type PageImager interface {
 	PageImageAt(pgno uint32, mark int) (img []byte, shared bool, err error)
 }
 
+// ImageRecycler is the capability of a journal that hands page images
+// back once nobody holds them (NVWAL: the versions a checkpoint round
+// retired, DESIGN.md §15): whoever is about to make a private page copy
+// takes one through NewImage before it allocates.
+type ImageRecycler interface {
+	// SpareImage returns a page image no one else holds, its content
+	// unspecified, or nil when the journal has none to spare.
+	SpareImage() []byte
+}
+
+// NewImage returns a private page image of size bytes holding src, zero
+// past it (all zero for a nil src): a spare of r's when it has one, a
+// fresh allocation otherwise. r may be nil.
+func NewImage(r ImageRecycler, src []byte, size int) []byte {
+	if r != nil {
+		if img := r.SpareImage(); img != nil {
+			clear(img[copy(img, src):])
+			return img
+		}
+	}
+	if src == nil {
+		return make([]byte, size)
+	}
+	return slices.Clone(src)
+}
+
 // Latest is the journal mark past every commit: a PageImager asked for
 // it returns the page's latest committed image (the pager's read path).
 const Latest = math.MaxInt
@@ -180,14 +206,18 @@ var ErrNoTxn = errors.New("pager: no transaction in progress")
 // transaction's first MarkDirty of a page installs its one private copy
 // in the cache and keeps the committed image, by pointer, as the
 // rollback image; a successful commit hands the copy to the journal, and
-// from then on it is a committed image like any other.
+// from then on it is a committed image like any other. The copy is made
+// in an image the journal recycles when it has one (ImageRecycler): the
+// cache holds only latest versions once a commit returns, never one a
+// checkpoint round could retire.
 type Pager struct {
 	pageSize int
 	db       DBFile
 	jrn      Journal
-	// imager caches the journal's optional shared-image capability so Get
-	// avoids a per-miss interface assertion.
-	imager PageImager
+	// imager and recycler cache the journal's optional capabilities, so
+	// Get and the page copies avoid a per-call interface assertion.
+	imager   PageImager
+	recycler ImageRecycler
 
 	cache map[uint32][]byte
 	// orig holds, for every page the open transaction dirtied, the
@@ -223,6 +253,7 @@ func Open(db DBFile, jrn Journal) (*Pager, error) {
 		orig:     make(map[uint32][]byte),
 	}
 	p.imager, _ = jrn.(PageImager)
+	p.recycler, _ = jrn.(ImageRecycler)
 	hdr, err := p.Get(1)
 	if err != nil {
 		return nil, err
@@ -338,7 +369,7 @@ func (p *Pager) Allocate() (uint32, []byte, error) {
 		pgno = p.allocBase(n)
 	}
 	p.setPageCount(hdr, pgno)
-	buf := make([]byte, p.pageSize)
+	buf := NewImage(p.recycler, nil, p.pageSize)
 	p.cache[pgno] = buf
 	p.orig[pgno] = nil
 	return pgno, buf, nil
@@ -403,7 +434,7 @@ func (p *Pager) MarkDirty(pgno uint32) []byte {
 	if _, dirty := p.orig[pgno]; dirty {
 		return buf
 	}
-	own := slices.Clone(buf)
+	own := NewImage(p.recycler, buf, p.pageSize)
 	p.orig[pgno] = buf
 	p.cache[pgno] = own
 	return own
@@ -513,6 +544,7 @@ func (p *Pager) SetJournal(jrn Journal) {
 	}
 	p.jrn = jrn
 	p.imager, _ = jrn.(PageImager)
+	p.recycler, _ = jrn.(ImageRecycler)
 }
 
 // Journal returns the journal the pager currently commits through

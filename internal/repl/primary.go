@@ -645,6 +645,7 @@ func (rl *replicaLink) serveConn() bool {
 		}
 		endChain := core.ChainExport(chain, batch)
 		rl.wire = encodeFrames(rl.wire[:0], p.opts.Epoch, batch, endChain)
+		p.d.ExportDone() // the payloads are in the wire buffer now
 		var t0 time.Duration
 		if p.opts.Clock != nil {
 			t0 = p.shipAt(batch.To, linkFree)
