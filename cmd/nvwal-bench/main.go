@@ -217,9 +217,11 @@ func gitSHA() string {
 // gateAllocs compares the measured allocation audit against a recorded
 // baseline and fails on regression. Allocs/op is near-deterministic for
 // a fixed op count, but map-growth boundaries and pool warmup shift it
-// by a fraction; the gate allows 10% + 2 allocs of slack — and, on
-// bytes/op, 10% + half a page, so one page-sized copy creeping back into
-// a path shows — before calling a regression, and ignores latency
+// by a fraction; the gate allows 10% + 2 allocs of slack — except on a
+// row recorded below 1 alloc/op, which may rise by 0.05 only, so one
+// allocation per operation creeping back into a path that makes none
+// shows — and, on bytes/op, 10% + half a page, so one page-sized copy
+// creeping back shows, before calling a regression. It ignores latency
 // (wall-clock, machine-dependent).
 func gateAllocs(r *experiments.CommitAllocsResult, path string) error {
 	data, err := os.ReadFile(path)
@@ -237,7 +239,7 @@ func gateAllocs(r *experiments.CommitAllocsResult, path string) error {
 			failures = append(failures, fmt.Sprintf("%s: missing from current run", want.Path))
 			continue
 		}
-		if limit := want.AllocsPerOp*1.10 + 2; got.AllocsPerOp > limit {
+		if limit := allocsLimit(want.AllocsPerOp); got.AllocsPerOp > limit {
 			failures = append(failures, fmt.Sprintf("%s: %.2f allocs/op exceeds baseline %.2f (limit %.2f)",
 				want.Path, got.AllocsPerOp, want.AllocsPerOp, limit))
 		}
@@ -250,4 +252,13 @@ func gateAllocs(r *experiments.CommitAllocsResult, path string) error {
 		return fmt.Errorf("allocs/op regression:\n  %s", strings.Join(failures, "\n  "))
 	}
 	return nil
+}
+
+// allocsLimit is the most allocs/op the gate lets a row recorded at base
+// reach.
+func allocsLimit(base float64) float64 {
+	if base < 1 {
+		return base + 0.05
+	}
+	return base*1.10 + 2
 }

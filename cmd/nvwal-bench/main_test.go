@@ -66,6 +66,21 @@ func TestAllocsGateNamesRegressedRow(t *testing.T) {
 	}
 }
 
+// TestAllocsLimitSeesOneAllocation: a row recorded below one allocation
+// per op fails at one more allocation per op; a larger row keeps 10% + 2.
+func TestAllocsLimitSeesOneAllocation(t *testing.T) {
+	for _, c := range []struct{ base, pass, fail float64 }{
+		{0, 0.05, 1},
+		{0.10, 0.15, 1.10},
+		{0.82, 0.87, 1.82},
+		{2, 4.2, 4.3},
+	} {
+		if got := allocsLimit(c.base); got < c.pass || got >= c.fail {
+			t.Errorf("allocsLimit(%v) = %v, want within [%v, %v)", c.base, got, c.pass, c.fail)
+		}
+	}
+}
+
 func TestJSONCarriesMetaAndRows(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "groupcommit.json")
 	code, stdout, stderr := runBench(t, "-json", out, "-txns", "40", "groupcommit")

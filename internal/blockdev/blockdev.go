@@ -158,6 +158,10 @@ type Device struct {
 	// it.
 	free   [][]byte
 	synced int
+	// zero is the content of every page programmed with no data (the file
+	// system's journal blocks): one read-only buffer all such pages share,
+	// never recycled, so a journal commit takes nothing from free.
+	zero []byte
 
 	// The counter cells of the read, write and sync paths, bound in New;
 	// the fault counters go by name.
@@ -206,9 +210,14 @@ const maxFreeBuffers = 256
 // "buffers are replaced, never mutated" true for every buffer a map can
 // still reach. Caller holds d.mu.
 func (d *Device) recycleLocked(buf []byte) {
-	if d.frozen == nil && buf != nil && len(d.free) < max(maxFreeBuffers, d.synced) {
+	if d.frozen == nil && buf != nil && !d.isZero(buf) && len(d.free) < max(maxFreeBuffers, d.synced) {
 		d.free = append(d.free, buf)
 	}
+}
+
+// isZero reports whether buf is the shared zero page.
+func (d *Device) isZero(buf []byte) bool {
+	return len(buf) > 0 && len(d.zero) > 0 && &buf[0] == &d.zero[0]
 }
 
 // pageBufferLocked returns a page-sized buffer whose content is
@@ -342,10 +351,11 @@ func (d *Device) WritePage(page int, p []byte, tag string) error {
 	if f := d.faults; f != nil && f.WriteEIORate > 0 && d.rng.Float64() < f.WriteEIORate {
 		return d.ioError("write", page, true)
 	}
-	buf := d.pageBufferLocked()
+	var buf []byte
 	replaced := d.pending[page]
 	if f := d.faults; f != nil && f.ShortWriteRate > 0 && d.rng.Float64() < f.ShortWriteRate {
 		// Short write: the old content shows through past the cut.
+		buf = d.pageBufferLocked()
 		old := replaced
 		if old == nil {
 			old = d.durable[page]
@@ -357,7 +367,13 @@ func (d *Device) WritePage(page int, p []byte, tag string) error {
 		}
 		copy(buf[:cut], p[:cut])
 		d.m.Inc(metrics.BlockShortWrites, 1)
+	} else if len(p) == 0 {
+		if d.zero == nil {
+			d.zero = make([]byte, d.cfg.PageSize)
+		}
+		buf = d.zero
 	} else {
+		buf = d.pageBufferLocked()
 		clear(buf[copy(buf, p):])
 	}
 	d.pending[page] = buf

@@ -53,6 +53,49 @@ func TestWriteSyncOnWarmDeviceAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestNoDataProgramsShareZeroPage: pages programmed with no data (the
+// file system's journal blocks) read as zeros, take no buffer even on a
+// fresh device, and the shared page they map to is never handed to a
+// later write — data programmed over them, before or after a Sync, leaves
+// the others zero.
+func TestNoDataProgramsShareZeroPage(t *testing.T) {
+	d := New(Config{Pages: 256}, simclock.New(), &metrics.Counters{}, nil)
+	zero, img := make([]byte, d.PageSize()), page(0x5A, d.PageSize())
+	next := 0
+	if avg := testing.AllocsPerRun(50, func() {
+		for range 3 {
+			if err := d.WritePage(next%200, nil, "journal"); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("no-data programs of fresh pages: %.1f allocs per round, want 0", avg)
+	}
+	for _, p := range []int{0, 1} {
+		if err := d.WritePage(p, img, "db"); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WritePage(p, img, "db"); err != nil { // recycles p's last buffer
+			t.Fatal(err)
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := 2; p < 200; p++ {
+		if got := readPage(t, d, p); !bytes.Equal(got, zero) {
+			t.Fatalf("page %d reads %#x…, want zeros", p, got[0])
+		}
+	}
+	if got := readPage(t, d, 1); !bytes.Equal(got, img) {
+		t.Fatalf("page 1 reads %#x…, want its data", got[0])
+	}
+}
+
 // TestRoundLargerThanFloorAllocatesNothing: a checkpoint round writes
 // back more pages than the free list's floor, and the next round's
 // programs still reuse every buffer the last Sync replaced.

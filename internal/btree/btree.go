@@ -59,14 +59,18 @@ type Tree struct {
 // split allocates nothing for its own bookkeeping: relay is the
 // page-sized buffer a compaction or a split re-lays cells through (a
 // page's cells never exceed the page), cells the split's cell list, cell
-// the record being inserted. It is lent from editPool for the one call
-// rather than kept per Tree, so the read-only Trees snapshot and replica
-// reads open carry none of it, and an MVCC session's Tree, which lives
-// for one transaction, does not cost another page.
+// the record being inserted, sep the separator a split hands up and link
+// the interior cell that carries it into the parent. It is lent from
+// editPool for the one call rather than kept per Tree, so the read-only
+// Trees snapshot and replica reads open carry none of it, and an MVCC
+// session's Tree, which lives for one transaction, does not cost another
+// page.
 type edit struct {
 	relay []byte
 	cells [][]byte
 	cell  []byte
+	sep   []byte
+	link  []byte
 }
 
 var editPool sync.Pool // of *edit
@@ -248,7 +252,7 @@ func (t *Tree) Put(key, val []byte) error {
 		return err
 	}
 	if res.split {
-		return t.growRoot(res)
+		return t.growRoot(e, res)
 	}
 	return nil
 }
@@ -342,7 +346,7 @@ func (t *Tree) dropCell(e *edit, p *page, i int) error {
 
 type splitResult struct {
 	split bool
-	sep   []byte // max key of the left (original) page
+	sep   []byte // max key of the left (original) page, in the edit's sep
 	right uint32 // page holding the upper half
 }
 
@@ -378,7 +382,8 @@ func (t *Tree) insert(e *edit, pgno uint32, key, cell []byte) (splitResult, erro
 	// cell (child, sep) at idx and redirect the old slot to the right
 	// sibling.
 	t.dirty(&p)
-	newCell := encodeInteriorCell(child, res.sep)
+	e.link = appendInteriorCell(e.link[:0], child, res.sep)
+	newCell := e.link
 	if idx == p.nCells() {
 		// child was the rightmost pointer.
 		p.setRightChild(res.right)
@@ -457,10 +462,8 @@ func (t *Tree) splitLeaf(e *edit, p *page, idx int, pending []byte) (splitResult
 	for i, c := range cells[:split] {
 		p.insertCellAt(i, c)
 	}
-	lastKey := keyOfLeafCell(cells[split-1])
-	sep := make([]byte, len(lastKey))
-	copy(sep, lastKey)
-	return splitResult{split: true, sep: sep, right: rightNo}, nil
+	e.sep = append(e.sep[:0], keyOfLeafCell(cells[split-1])...)
+	return splitResult{split: true, sep: e.sep, right: rightNo}, nil
 }
 
 // splitInterior distributes interior cells across the page and a fresh
@@ -489,9 +492,8 @@ func (t *Tree) splitInterior(e *edit, p *page, idx int, pending []byte) (splitRe
 	}
 	p.setRightChild(midChild)
 
-	sep := make([]byte, len(midKey))
-	copy(sep, midKey)
-	return splitResult{split: true, sep: sep, right: rightNo}, nil
+	e.sep = append(e.sep[:0], midKey...)
+	return splitResult{split: true, sep: e.sep, right: rightNo}, nil
 }
 
 func keyOfLeafCell(cell []byte) []byte {
@@ -512,7 +514,7 @@ func decodeInteriorCell(cell []byte) (uint32, []byte) {
 // growRoot handles a root split while keeping the root page number
 // fixed: the old root's content moves to a new left child and the root
 // becomes an interior page over (left, right).
-func (t *Tree) growRoot(res splitResult) error {
+func (t *Tree) growRoot(e *edit, res splitResult) error {
 	root, err := t.page(t.root)
 	if err != nil {
 		return err
@@ -525,7 +527,8 @@ func (t *Tree) growRoot(res splitResult) error {
 
 	t.dirty(&root)
 	root.init(pageInterior)
-	root.insertCellAt(0, encodeInteriorCell(leftNo, res.sep))
+	e.link = appendInteriorCell(e.link[:0], leftNo, res.sep)
+	root.insertCellAt(0, e.link)
 	root.setRightChild(res.right)
 	return nil
 }

@@ -110,8 +110,6 @@ func leafCellSize(key, val []byte) int { return 4 + len(key) + len(val) }
 
 func overflowCellSize(keyLen, localLen int) int { return 6 + keyLen + localLen + 4 }
 
-func interiorCellSize(key []byte) int { return 6 + len(key) }
-
 // leafCell reads the key and the locally stored value bytes of leaf
 // cell i. The returned slices alias the page buffer. For overflowing
 // cells, val is only the local prefix; use Tree.cellValue for the full
@@ -249,11 +247,9 @@ func appendOverflowCell(dst, key, local []byte, total int, ovfl uint32) []byte {
 	return binary.LittleEndian.AppendUint32(dst, ovfl)
 }
 
-// encodeInteriorCell builds an interior cell for child/key.
-func encodeInteriorCell(child uint32, key []byte) []byte {
-	cell := make([]byte, interiorCellSize(key))
-	binary.LittleEndian.PutUint32(cell[0:], child)
-	binary.LittleEndian.PutUint16(cell[4:], uint16(len(key)))
-	copy(cell[6:], key)
-	return cell
+// appendInteriorCell appends the interior cell for child/key to dst.
+func appendInteriorCell(dst []byte, child uint32, key []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, child)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(key)))
+	return append(dst, key...)
 }

@@ -92,8 +92,8 @@ func TestDeleteCellCompacts(t *testing.T) {
 
 func TestInteriorCells(t *testing.T) {
 	p := newPage(t, pageInterior, 4096)
-	p.insertCellAt(0, encodeInteriorCell(7, []byte("mm")))
-	p.insertCellAt(1, encodeInteriorCell(9, []byte("tt")))
+	p.insertCellAt(0, appendInteriorCell(nil, 7, []byte("mm")))
+	p.insertCellAt(1, appendInteriorCell(nil, 9, []byte("tt")))
 	p.setRightChild(11)
 	c, k := p.interiorCell(0)
 	if c != 7 || string(k) != "mm" {
@@ -106,7 +106,7 @@ func TestInteriorCells(t *testing.T) {
 	if p.rightChild() != 11 {
 		t.Fatalf("rightChild = %d", p.rightChild())
 	}
-	child, kk := decodeInteriorCell(encodeInteriorCell(99, []byte("zz")))
+	child, kk := decodeInteriorCell(appendInteriorCell(nil, 99, []byte("zz")))
 	if child != 99 || string(kk) != "zz" {
 		t.Fatal("interior cell round trip")
 	}

@@ -457,8 +457,11 @@ type NVWAL struct {
 	spareMu   sync.Mutex
 	spare     [][]byte
 	spareHook func(img []byte, in bool)
-	// ckpt is the in-flight incremental checkpoint round, nil when none.
-	ckpt *ckptState
+	// ckpt is the in-flight incremental checkpoint round, nil when none;
+	// spent is the last completed one, emptied, whose map and chain array
+	// the next round and the next generation reuse.
+	ckpt  *ckptState
+	spent *ckptState
 	// pins counts the readers registered at each mark (Pin), the
 	// wal-index read marks of SQLite: phase A of a round refuses a
 	// watermark above any of them. Pin registers under mu's read lock, so
@@ -621,10 +624,15 @@ func Open(h *heapo.Manager, db pager.DBFile, cfg Config, m *metrics.Counters) (*
 	return w, nil
 }
 
+// chainSeed is the CRC-32C of salt's eight little-endian bytes, a new
+// generation's first chain value. It runs the table by hand: handed to
+// crc32.Checksum, eight bytes on the stack would escape to the heap.
 func chainSeed(salt uint64) uint32 {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], salt)
-	return crc32.Checksum(b[:], crcTab)
+	crc := ^uint32(0)
+	for i := range 8 {
+		crc = crcTab[byte(crc)^byte(salt>>(8*i))] ^ crc>>8
+	}
+	return ^crc
 }
 
 // hardwarePersistency reports whether the configured model removes all
@@ -1187,6 +1195,8 @@ func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns 
 			if n := len(w.idxFree); n > 0 {
 				idxs, w.idxFree[n-1] = w.idxFree[n-1], nil
 				w.idxFree = w.idxFree[:n-1]
+			} else {
+				idxs = make([]int, 0, newIdxCap)
 			}
 		}
 		w.byPage[f.pgno] = append(idxs, w.histBase+len(w.history))
@@ -1493,12 +1503,15 @@ func (w *NVWAL) beginCheckpoint() (*ckptState, error) {
 	if err := w.buildPending(); err != nil {
 		return nil, err
 	}
-	st := &ckptState{
-		watermark: w.histBase + len(w.history),
-		pages:     make(map[uint32][]byte, len(w.byPage)),
-		blocks:    w.blocks,
-		salt:      w.salt,
+	// The last round's state is reused: its pages map, and its chain array
+	// — emptied as that round freed its blocks — for the next generation.
+	st := w.spent
+	w.spent = nil
+	if st == nil {
+		st = &ckptState{pages: make(map[uint32][]byte, len(w.byPage))}
 	}
+	next := st.blocks[:0]
+	st.watermark, st.blocks, st.salt, st.synced = w.histBase+len(w.history), w.blocks, w.salt, false
 	for pgno := range w.byPage {
 		// Images at the watermark; shared, not copied — version images
 		// are replaced wholesale on commit, never mutated in place.
@@ -1527,7 +1540,7 @@ func (w *NVWAL) beginCheckpoint() (*ckptState, error) {
 	// A2: open the new generation. The salt bump fences every frozen
 	// frame; commits proceed into the fresh chain immediately.
 	w.salt++
-	w.blocks = nil
+	w.blocks = next
 	w.tailUsed = 0
 	w.chain = chainSeed(w.salt)
 	w.writeHeader()
@@ -1559,8 +1572,14 @@ func (w *NVWAL) backfill(st *ckptState) error {
 	return nil
 }
 
-// maxFreeIdx bounds idxFree: of a round that retires more pages (a bulk
-// load's), only this many emptied indexes are kept for reuse.
+// newIdxCap is a fresh page index's capacity: the indexes circulate
+// among pages through idxFree, and one grown from a single frame would
+// regrow, 1 → 2 → 4 → 8, in every window a busier page takes it up.
+const newIdxCap = 8
+
+// maxFreeIdx bounds what a round leaves for reuse: of a round that
+// retires more pages (a bulk load's), only this many emptied indexes are
+// kept in idxFree, and its pages map is not kept at all.
 const maxFreeIdx = 4096
 
 // completeCheckpoint runs phase C: free the frozen generation and drop
@@ -1618,6 +1637,10 @@ func (w *NVWAL) completeCheckpoint(st *ckptState) error {
 	}
 	w.releaseImages(st.watermark)
 	w.ckpt = nil
+	if len(st.pages) <= maxFreeIdx {
+		clear(st.pages)
+		w.spent = st
+	}
 	w.cCheckpoints.Add(1)
 	return nil
 }

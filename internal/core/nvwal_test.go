@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -492,5 +494,22 @@ func TestVariantLabels(t *testing.T) {
 	}
 	if got := VariantE().Label(); got != "E" {
 		t.Errorf("eager label = %q", got)
+	}
+}
+
+// TestChainSeedIsCRC32C: the hand-run table is crc32.Checksum's CRC-32C of
+// the salt's little-endian bytes — a recovered log's chains still verify —
+// and costs no allocation.
+func TestChainSeedIsCRC32C(t *testing.T) {
+	var b [8]byte
+	for _, salt := range []uint64{0, 1, 2, 0xff, 1 << 40, 0xdeadbeefcafef00d, ^uint64(0)} {
+		binary.LittleEndian.PutUint64(b[:], salt)
+		if got, want := chainSeed(salt), crc32.Checksum(b[:], crcTab); got != want {
+			t.Errorf("chainSeed(%#x) = %#x, want %#x", salt, got, want)
+		}
+	}
+	salt := uint64(7)
+	if n := testing.AllocsPerRun(100, func() { salt += uint64(chainSeed(salt)) }); n != 0 {
+		t.Errorf("chainSeed allocates %v times", n)
 	}
 }

@@ -48,9 +48,12 @@ func (w *NVWAL) queueRetired(prev, img []byte, mark int) {
 //     from images no commit at or below it replaced, or copies in the
 //     export tail.
 //
-// Released images replace the spare list — it never holds more than one
-// round's retirements, nor carries a list over a round that released
-// nothing. Caller holds w.mu exclusively.
+// Released images join the spares the writers left untaken, of which a
+// round keeps at most as many as it releases: rounds differ in size, and
+// what a short round's writers left is there for the long one after it.
+// The list never holds more than twice one round's retirements, and a
+// round that released nothing leaves it empty. Caller holds w.mu
+// exclusively.
 func (w *NVWAL) releaseImages(watermark int) {
 	n := 0
 	for n < len(w.retired) && w.retired[n].mark <= watermark {
@@ -58,8 +61,12 @@ func (w *NVWAL) releaseImages(watermark int) {
 	}
 	release := w.exporting.Load() == 0
 	w.spareMu.Lock()
-	clear(w.spare)
-	w.spare = w.spare[:0]
+	keep := 0
+	if release {
+		keep = min(len(w.spare), n)
+	}
+	clear(w.spare[keep:])
+	w.spare = w.spare[:keep]
 	if release {
 		for _, r := range w.retired[:n] {
 			if w.spareHook != nil {

@@ -107,11 +107,12 @@ func drainSpares(w *NVWAL) int {
 	return n
 }
 
-// TestSpareListHoldsOneRound: each round replaces the spare list with
-// the images it released — an untaken spare never carries over to the
-// next round — and a round that releases nothing, because an export
+// TestSpareListCarriesAtMostOneRound: each round adds the images it
+// released to the spares left untaken, of which it keeps at most as many
+// as it released — the list never holds more than twice one round's
+// retirements — and a round that releases nothing, because an export
 // batch is out, empties the list.
-func TestSpareListHoldsOneRound(t *testing.T) {
+func TestSpareListCarriesAtMostOneRound(t *testing.T) {
 	e := newEnv(t)
 	w := e.open(t, VariantUHLSDiff())
 	imgs := successiveImages(fullPage('a'), 40)
@@ -133,9 +134,14 @@ func TestSpareListHoldsOneRound(t *testing.T) {
 		t.Fatalf("first round released %d images, want 3", n)
 	}
 	round(5, nothing)
-	round(2, nothing) // the previous round's five stay untaken
+	round(2, nothing) // the previous round's five stay untaken; two carry over
+	if n := drainSpares(w); n != 4 {
+		t.Fatalf("spare list holds %d images after a two-commit round, want 2 released + 2 carried", n)
+	}
+	round(3, nothing)
+	round(1, nothing) // of the three untaken, one carries over
 	if n := drainSpares(w); n != 2 {
-		t.Fatalf("spare list holds %d images after a two-commit round, want 2", n)
+		t.Fatalf("spare list holds %d images after a one-commit round, want 1 released + 1 carried", n)
 	}
 	round(1, nothing)
 	// A batch out holds back every round until it is handed back; the

@@ -654,7 +654,15 @@ func (tx *Tx) Seq() uint64 { return tx.seq }
 // Under NVRAM-space pressure Begin may stall at the hard watermark
 // (see Options.CommitTimeout); BeginCtx bounds that stall with a
 // context.
-func (d *DB) Begin() (*Tx, error) { return d.BeginCtx(context.Background()) }
+func (d *DB) Begin() (*Tx, error) {
+	if err := d.beginTx(background); err != nil {
+		return nil, err
+	}
+	return &Tx{db: d, ctx: background}, nil
+}
+
+// background is Begin's context, a variable so Begin stays inlinable.
+var background = context.Background()
 
 // BeginCtx is Begin with a context bounding its waits: if the heap is
 // below the hard watermark and ctx is cancelled before checkpointing
@@ -663,11 +671,22 @@ func (d *DB) Begin() (*Tx, error) { return d.BeginCtx(context.Background()) }
 // The context also bounds the commit-side stall of this transaction's
 // Commit (CommitCtx overrides it).
 func (d *DB) BeginCtx(ctx context.Context) (*Tx, error) {
-	if err := d.enterWriter(ctx); err != nil {
+	if err := d.beginTx(ctx); err != nil {
 		return nil, err
 	}
-	d.pg.Begin()
 	return &Tx{db: d, ctx: ctx}, nil
+}
+
+// beginTx is Begin's work: it admits the writer, takes the slot and opens
+// the pager transaction. Begin and BeginCtx stay small enough to inline,
+// so the handle they return is built in the caller's frame and stays on
+// its stack whenever the caller keeps it local.
+func (d *DB) beginTx(ctx context.Context) error {
+	if err := d.enterWriter(ctx); err != nil {
+		return err
+	}
+	d.pg.Begin()
+	return nil
 }
 
 // enterWriter admits a writer and returns with the writer slot held.

@@ -307,3 +307,6 @@ func TestSessionReuseAllocs(t *testing.T) {
 
 // raceEnabled is set by race_test.go when the race detector is on.
 var raceEnabled bool
+
+// RaceEnabled reports raceEnabled to the package's external tests.
+func RaceEnabled() bool { return raceEnabled }

@@ -148,13 +148,20 @@ func soloCommitAllocs(txns int) (solo, update CommitAllocsRow, err error) {
 	}
 	val := make([]byte, 100)
 	key := make([]byte, 8)
-	commit := func(op func(tx *db.Tx) error) error {
-		_, err := commitTxn(s.DB.Begin, s.Plat.Clock.Now, op)
-		return err
-	}
+	// Both rows call DB.Begin directly and keep the handle local, as an
+	// application does: through a func value (commitTxn's begin) the
+	// handle would go to the heap whatever Begin does.
 	solo, err = measureAllocs("solo-commit", txns, func(i int) error {
 		binary.BigEndian.PutUint64(key, uint64(i))
-		return commit(func(tx *db.Tx) error { return tx.Insert("bench", key, val) })
+		tx, err := s.DB.Begin()
+		if err != nil {
+			return err
+		}
+		if err := tx.Insert("bench", key, val); err != nil {
+			tx.Rollback()
+			return err
+		}
+		return tx.Commit()
 	})
 	if err != nil {
 		return solo, update, err
@@ -162,12 +169,15 @@ func soloCommitAllocs(txns int) (solo, update CommitAllocsRow, err error) {
 	binary.BigEndian.PutUint64(key, 7)
 	update, err = measureAllocs("legacy-update", txns, func(i int) error {
 		val[0] = byte(i)
-		return commit(func(tx *db.Tx) error {
-			if ok, err := tx.Update("bench", key, val); err != nil || !ok {
-				return fmt.Errorf("experiments: update of key 7: found=%v err=%v", ok, err)
-			}
-			return nil
-		})
+		tx, err := s.DB.Begin()
+		if err != nil {
+			return err
+		}
+		if ok, err := tx.Update("bench", key, val); err != nil || !ok {
+			tx.Rollback()
+			return fmt.Errorf("experiments: update of key 7: found=%v err=%v", ok, err)
+		}
+		return tx.Commit()
 	})
 	if err != nil {
 		return solo, update, err

@@ -21,7 +21,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,12 +53,33 @@ type inode struct {
 	tag     string
 	size    int64
 	extents []int // file page index -> device page
+	// dirty lists the file pages written since their last write-out,
+	// unordered and possibly repeated: Fsync's work list, so a sync costs
+	// the pages it writes rather than the file's length. A durable copy
+	// has none.
+	dirty []int
+}
+
+// setFrom makes in a durable copy of live, in in's own extent array.
+func (in *inode) setFrom(live *inode) {
+	in.name, in.tag, in.size = live.name, live.tag, live.size
+	in.extents = append(in.extents[:0], live.extents...)
+	in.dirty = in.dirty[:0]
 }
 
 func (in *inode) clone() *inode {
-	c := *in
-	c.extents = append([]int(nil), in.extents...)
-	return &c
+	c := new(inode)
+	c.setFrom(in)
+	return c
+}
+
+// cloneFiles copies a file table, each inode its own copy.
+func cloneFiles(files map[string]*inode) map[string]*inode {
+	c := make(map[string]*inode, len(files))
+	for name, in := range files {
+		c[name] = in.clone()
+	}
+	return c
 }
 
 // FS is one mounted file system over a block device.
@@ -80,7 +103,7 @@ type FS struct {
 	journalBase  int
 	journalHead  int
 
-	// durable metadata snapshot, refreshed at each journal commit
+	// durable metadata snapshot, updated in place at each journal commit
 	durableFiles     map[string]*inode
 	durableNextPage  int
 	durableFree      []int
@@ -140,9 +163,8 @@ func (fs *FS) slowFsyncStallLocked() {
 	}
 }
 
-// frozenMeta is a point-in-time reference to the durable metadata
-// snapshot. References suffice: snapshotMeta rebuilds these structures
-// wholesale at each journal commit and never mutates them in place.
+// frozenMeta is a copy of the durable metadata snapshot taken by Freeze:
+// snapshotMeta updates the snapshot itself in place.
 type frozenMeta struct {
 	files     map[string]*inode
 	nextPage  int
@@ -248,16 +270,30 @@ func (fs *FS) allocPage() int {
 	return pg
 }
 
-// snapshotMeta captures the current metadata as the durable state.
+// snapshotMeta makes the current metadata the durable state. It updates
+// the snapshot in place — its maps, free list and inodes' extent arrays
+// are reused — so a steady-state journal commit allocates nothing.
 // Caller holds fs.mu.
 func (fs *FS) snapshotMeta() {
-	fs.durableFiles = make(map[string]*inode, len(fs.files))
+	if fs.durableFiles == nil {
+		fs.durableFiles = make(map[string]*inode, len(fs.files))
+		fs.durableUnwritten = make(map[int]bool, len(fs.unwritten))
+	}
+	for name := range fs.durableFiles {
+		if _, ok := fs.files[name]; !ok {
+			delete(fs.durableFiles, name)
+		}
+	}
 	for name, in := range fs.files {
-		fs.durableFiles[name] = in.clone()
+		if d := fs.durableFiles[name]; d != nil {
+			d.setFrom(in)
+		} else {
+			fs.durableFiles[name] = in.clone()
+		}
 	}
 	fs.durableNextPage = fs.nextDataPage
-	fs.durableFree = append([]int(nil), fs.freePages...)
-	fs.durableUnwritten = make(map[int]bool, len(fs.unwritten))
+	fs.durableFree = append(fs.durableFree[:0], fs.freePages...)
+	clear(fs.durableUnwritten)
 	for pg := range fs.unwritten {
 		fs.durableUnwritten[pg] = true
 	}
@@ -272,10 +308,10 @@ func (fs *FS) Freeze() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.frozen = &frozenMeta{
-		files:     fs.durableFiles,
+		files:     cloneFiles(fs.durableFiles),
 		nextPage:  fs.durableNextPage,
-		free:      fs.durableFree,
-		unwritten: fs.durableUnwritten,
+		free:      slices.Clone(fs.durableFree),
+		unwritten: maps.Clone(fs.durableUnwritten),
 	}
 	fs.dev.Freeze()
 }
@@ -305,10 +341,7 @@ func (fs *FS) PowerFail() {
 	fs.dev.PowerFail()
 	fs.cache = make(map[int][]byte)
 	fs.dirty = make(map[int]string)
-	fs.files = make(map[string]*inode, len(fs.durableFiles))
-	for name, in := range fs.durableFiles {
-		fs.files[name] = in.clone()
-	}
+	fs.files = cloneFiles(fs.durableFiles)
 	fs.nextDataPage = fs.durableNextPage
 	fs.freePages = append([]int(nil), fs.durableFree...)
 	fs.unwritten = make(map[int]bool, len(fs.durableUnwritten))
@@ -385,7 +418,10 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		}
 		c := copy(buf[inPage:], p[n:])
 		n += c
-		f.fs.dirty[devPage] = f.in.tag
+		if _, ok := f.fs.dirty[devPage]; !ok {
+			f.fs.dirty[devPage] = f.in.tag
+			f.in.dirty = append(f.in.dirty, idx)
+		}
 	}
 	if off+int64(len(p)) > f.in.size {
 		f.in.size = off + int64(len(p))
@@ -506,19 +542,30 @@ func (f *File) Fsync() error {
 
 	fs.slowFsyncStallLocked()
 
-	// Ordered mode: data pages reach the device before the journal
-	// commits the metadata that references them.
+	// Ordered mode: data pages reach the device, in file-page order,
+	// before the journal commits the metadata that references them. The
+	// work list may name a page twice or a page truncated away since;
+	// fs.dirty says which are still to write.
 	wrote := false
-	for _, devPage := range f.in.extents {
-		if tag, ok := fs.dirty[devPage]; ok {
-			if err := fs.dev.WritePage(devPage, fs.cache[devPage], tag); err != nil {
-				return fmt.Errorf("ext4: fsync %s: %w", f.in.name, err)
-			}
-			delete(fs.dirty, devPage)
-			delete(fs.unwritten, devPage) // the extent now holds real data
-			wrote = true
+	slices.Sort(f.in.dirty)
+	for i, idx := range f.in.dirty {
+		if idx >= len(f.in.extents) {
+			continue
 		}
+		devPage := f.in.extents[idx]
+		tag, ok := fs.dirty[devPage]
+		if !ok {
+			continue
+		}
+		if err := fs.dev.WritePage(devPage, fs.cache[devPage], tag); err != nil {
+			f.in.dirty = f.in.dirty[:copy(f.in.dirty, f.in.dirty[i:])]
+			return fmt.Errorf("ext4: fsync %s: %w", f.in.name, err)
+		}
+		delete(fs.dirty, devPage)
+		delete(fs.unwritten, devPage) // the extent now holds real data
+		wrote = true
 	}
+	f.in.dirty = f.in.dirty[:0]
 
 	if fs.metaDirty || fs.allocDirty {
 		if err := fs.journalCommit(); err != nil {

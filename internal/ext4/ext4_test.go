@@ -246,6 +246,51 @@ func TestTruncateFreesPages(t *testing.T) {
 	}
 }
 
+// TestFsyncWritesDirtyPagesInFileOrder: Fsync writes exactly the pages
+// written since the last one, once each and in file-page order, whatever
+// order they were written in — a page written twice or truncated away
+// included — and a failed Fsync leaves them all for its retry.
+func TestFsyncWritesDirtyPagesInFileOrder(t *testing.T) {
+	fs, rec, _, _ := newFS(t)
+	f, _ := fs.Create("w", "db")
+	f.Preallocate(16)
+	f.Fsync()
+	page := make([]byte, 4096)
+	for _, idx := range []int{9, 2, 12, 5, 2} {
+		f.WriteAt(page, int64(idx)*4096)
+	}
+	f.Truncate(11 * 4096) // drops page 12
+	f.WriteAt(page, 10*4096)
+	want := []int{2, 5, 9, 10}
+	fs.Device().FailNextWrites(1)
+	if err := f.Fsync(); err == nil {
+		t.Fatal("fsync over a failing write succeeded")
+	}
+	rec.Reset()
+	if err := f.Fsync(); err != nil {
+		t.Fatal(err)
+	}
+	ext := f.Extents()
+	var got []int
+	for _, e := range rec.Events() {
+		if e.Tag == "db" {
+			for idx, pg := range ext {
+				if pg == e.Block {
+					got = append(got, idx)
+				}
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("fsync wrote file pages %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fsync wrote file pages %v, want %v", got, want)
+		}
+	}
+}
+
 func TestFsyncWithoutChangesIsCheap(t *testing.T) {
 	fs, _, m, _ := newFS(t)
 	f, _ := fs.Create("w", "db")

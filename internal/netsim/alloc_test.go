@@ -42,6 +42,27 @@ func TestSimAllocations(t *testing.T) {
 		t.Errorf("Send+Recv(0) allocates %v times per message, want 0", n)
 	}
 
+	// Messages of varying size, one or two in flight, settle into the
+	// buffers of the largest: a small payload released never displaces a
+	// larger spare.
+	sizes := [][]byte{make([]byte, 4<<10), make([]byte, 64), make([]byte, 1<<10), make([]byte, 300)}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		for range 2 {
+			if err := cli.Send(sizes[i%len(sizes)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		for range 2 {
+			if _, err := srv.Recv(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("two in flight of varying size allocate %v times per pair, want 0", n)
+	}
+
 	// A peer that sends one message a moment after each kick, so that the
 	// receives below wait for it.
 	kick, stop := make(chan struct{}), make(chan struct{})

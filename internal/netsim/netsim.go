@@ -288,10 +288,51 @@ type conn struct {
 	head   int
 	closed bool
 	// held is the payload the last receive returned, which the caller may
-	// read until its next receive; spare is the one before it, which the
-	// peer's next send fills when it is large enough, so steady traffic
-	// copies each message into a buffer the conn already has.
-	held, spare []byte
+	// read until its next receive; spares are earlier ones (at most
+	// maxSpares), which the peer's sends fill when one is large enough, so
+	// steady traffic — a few messages in flight, of varying size — copies
+	// each message into a buffer the conn already has.
+	held   []byte
+	spares [][]byte
+}
+
+// maxSpares bounds the buffers a conn keeps for its peer's sends.
+const maxSpares = 4
+
+// takeSpare returns an empty spare buffer that holds n bytes, or nil.
+// Caller holds c.mu.
+func (c *conn) takeSpare(n int) []byte {
+	for i, b := range c.spares {
+		if cap(b) >= n {
+			last := len(c.spares) - 1
+			c.spares[i], c.spares[last] = c.spares[last], nil
+			c.spares = c.spares[:last]
+			return b[:0]
+		}
+	}
+	return nil
+}
+
+// keepSpare adds b to the spares; when they are full, b replaces the
+// smallest if it is larger. As with the TCP binding's send buffer, one
+// large message is not kept per conn. Caller holds c.mu.
+func (c *conn) keepSpare(b []byte) {
+	if b == nil || cap(b) > connBuf {
+		return
+	}
+	if len(c.spares) < maxSpares {
+		c.spares = append(c.spares, b)
+		return
+	}
+	small := 0
+	for i := range c.spares {
+		if cap(c.spares[i]) < cap(c.spares[small]) {
+			small = i
+		}
+	}
+	if cap(c.spares[small]) < cap(b) {
+		c.spares[small] = b
+	}
 }
 
 // enqueue adds m to the inbox, before the last queued message when
@@ -332,11 +373,8 @@ func (c *conn) next(timeout time.Duration) (message, error) {
 	if c.head++; c.head == len(c.inbox) {
 		c.inbox, c.head = c.inbox[:0], 0
 	}
-	// The caller is done with the previous payload. As with the TCP
-	// binding's send buffer, one large message is not kept per conn.
-	if cap(c.held) <= connBuf {
-		c.spare = c.held
-	}
+	// The caller is done with the previous payload.
+	c.keepSpare(c.held)
 	c.held = m.payload
 	return m, nil
 }
@@ -428,11 +466,7 @@ func (c *conn) SendAt(msg []byte, at time.Duration) error {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	cp := p.spare[:0]
-	if cap(cp) >= len(msg) {
-		p.spare = nil
-	}
-	cp = append(cp, msg...)
+	cp := append(p.takeSpare(len(msg)), msg...)
 	if p.enqueue(message{payload: cp, deliverAt: deliverAt}, reorderNow) {
 		n.m.Inc(metrics.NetReordered, 1)
 	}

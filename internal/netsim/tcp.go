@@ -31,7 +31,7 @@ const maxFrame = 16 << 20
 const prefixLen = 4
 
 // connBuf is the size of a connection's buffered reader, and the most a
-// connection keeps of its send buffer (or, simulated, of its spare
+// connection keeps of its send buffer (or, simulated, of each spare
 // receive buffer) between messages. A frame that
 // fits in it is peeked, never consumed, until it is whole; a larger one
 // is read into a destination that grows from this size as bytes arrive.
