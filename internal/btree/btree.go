@@ -204,15 +204,27 @@ func (t *Tree) seek(key []byte) (page, int, bool, error) {
 	}
 }
 
-// Get returns the value stored under key.
-func (t *Tree) Get(key []byte) ([]byte, bool, error) {
+// Get returns a copy of the value stored under key, sized to it.
+func (t *Tree) Get(key []byte) ([]byte, bool, error) { return t.AppendGet(nil, key) }
+
+// AppendGet appends the value stored under key to dst and returns the
+// extended slice. A dst without room for the value is replaced once by a
+// buffer of exactly its length plus the value's, so an overflow chain
+// does not reallocate per chunk, and a nil dst yields a copy sized to the
+// value. A missing key or an error returns dst as passed.
+func (t *Tree) AppendGet(dst, key []byte) ([]byte, bool, error) {
 	p, i, found, err := t.seek(key)
 	if err != nil || !found {
-		return nil, false, err
+		return dst, false, err
 	}
-	v, err := t.cellValue(&p, i)
+	_, local, total, ovfl := p.leafCellInfo(i)
+	buf := dst
+	if buf == nil || cap(buf)-len(buf) < total {
+		buf = append(make([]byte, 0, len(buf)+total), buf...)
+	}
+	v, err := t.appendValue(buf, local, total, ovfl)
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
 	return v, true, nil
 }

@@ -759,3 +759,56 @@ func BenchmarkGet(b *testing.B) {
 		tr.Get(key(i % 10000))
 	}
 }
+
+// AppendGet appends the value behind what dst holds. A dst without room
+// is replaced once, by exactly the room the value needs, however many
+// overflow pages it spans; a dst with room is filled in place; a nil dst
+// gets a copy of the value's size, a 0-byte value included. A missing key
+// and a read that fails partway along the overflow chain hand dst back as
+// passed.
+func TestAppendGet(t *testing.T) {
+	tr, s := newTree(t, ReservedTail)
+	big := make([]byte, 10000)
+	for i := range big {
+		big[i] = byte(i * 13)
+	}
+	for k, v := range map[int][]byte{1: big, 2: {}, 3: vals("leaf")} {
+		if err := tr.Put(key(k), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prefix := vals("hdr:")
+	for k, want := range map[int][]byte{1: big, 2: {}, 3: vals("leaf")} {
+		got, ok, err := tr.AppendGet(bytes.Clone(prefix), key(k))
+		if err != nil || !ok || !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
+			t.Fatalf("AppendGet %d = %d B ok=%v err=%v", k, len(got), ok, err)
+		}
+		if got, ok, err := tr.Get(key(k)); err != nil || !ok || got == nil || cap(got) != len(want) {
+			t.Fatalf("Get %d = cap %d ok=%v err=%v, want a copy of %d B", k, cap(got), ok, err, len(want))
+		}
+	}
+	k1 := key(1)
+	short := append(make([]byte, 0, len(prefix)), prefix...)
+	if n := testing.AllocsPerRun(50, func() {
+		if got, _, _ := tr.AppendGet(short, k1); cap(got) != len(prefix)+len(big) {
+			t.Fatalf("grown to cap %d, want %d", cap(got), len(prefix)+len(big))
+		}
+	}); n != 1 {
+		t.Fatalf("AppendGet of a %d B value into a full dst allocates %v times, want 1", len(big), n)
+	}
+	roomy := append(make([]byte, 0, len(prefix)+len(big)), prefix...)
+	if n := testing.AllocsPerRun(50, func() { _, _, _ = tr.AppendGet(roomy, k1) }); n != 0 {
+		t.Fatalf("AppendGet into a dst with room allocates %v times, want 0", n)
+	}
+
+	if got, ok, err := tr.AppendGet(roomy, key(4)); ok || err != nil || len(got) != len(prefix) || &got[0] != &roomy[0] {
+		t.Fatalf("AppendGet of a missing key = %d B ok=%v err=%v, want dst as passed", len(got), ok, err)
+	}
+	// Break the chain at its last page: the local part and the first
+	// pages are appended before the read fails.
+	delete(s.pages, s.next-1)
+	got, ok, err := tr.AppendGet(roomy, key(1))
+	if err == nil || ok || len(got) != len(prefix) || !bytes.Equal(got, prefix) {
+		t.Fatalf("AppendGet over a broken chain = %d B ok=%v err=%v, want dst as passed and an error", len(got), ok, err)
+	}
+}

@@ -1057,15 +1057,23 @@ func (d *DB) Health() *health.Monitor { return d.health }
 // waits for the writer slot; in legacy mode an open write transaction
 // is reported as ErrTxnOpen. The value is a copy the caller owns.
 func (d *DB) Get(table string, key []byte) ([]byte, bool, error) {
+	return d.AppendGet(nil, table, key)
+}
+
+// AppendGet is Get appending the value to dst (btree.Tree.AppendGet): a
+// caller that only passes the value on, such as a server building its
+// response, copies it once. A missing key or an error returns dst as
+// passed.
+func (d *DB) AppendGet(dst []byte, table string, key []byte) ([]byte, bool, error) {
 	if err := d.acquireSlot(context.Background()); err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
 	defer d.releaseSlot()
 	t, err := d.tree(table)
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
-	return t.Get(key)
+	return t.AppendGet(dst, key)
 }
 
 // Scan visits table's records in ascending key order until fn returns

@@ -144,11 +144,17 @@ func (r *ReadTx) tree(table string) (*btree.Tree, error) {
 // Get reads a record as of the snapshot. The value is a copy the caller
 // owns.
 func (r *ReadTx) Get(table string, key []byte) ([]byte, bool, error) {
+	return r.AppendGet(nil, table, key)
+}
+
+// AppendGet is Get appending the value to dst; a missing key or an error
+// returns dst as passed.
+func (r *ReadTx) AppendGet(dst []byte, table string, key []byte) ([]byte, bool, error) {
 	t, err := r.tree(table)
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
-	return t.Get(key)
+	return t.AppendGet(dst, key)
 }
 
 // Scan visits the snapshot's records in ascending key order. key and

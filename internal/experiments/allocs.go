@@ -45,7 +45,8 @@ type CommitAllocsResult struct {
 // transaction (B-tree insert through NVWAL), a group commit driven
 // straight at the journal, and a legacy transaction updating one cached
 // page — on the three versioned read paths that share the log's page
-// images (readPathAllocs), on a replica applying shipped batches
+// images and a replica read served over a simulated conn
+// (readPathAllocs), on a replica applying shipped batches
 // (replicaApplyAllocs), on a served write shipped to a replica
 // (replicatedPutAllocs), on a read served over a real socket
 // (servedGetAllocs), and on the simulated hardware under all of them
@@ -232,10 +233,11 @@ func groupCommitAllocs(txns int) (CommitAllocsRow, error) {
 // checkpointed (some pages fully backfilled, some with frames above the
 // backfill watermark): a snapshot point read (BeginRead, Get, Close), a
 // snapshot range scan of 20 records, an MVCC session read-modify-write
-// (RunConcurrent: Get then Update) and a replica GET. A snapshot or
-// replica read allocates nothing page-sized — every page it visits is an
-// image the log retains anyway — a scan hands out views of those images
-// and copies no record, and a session copies only the pages it writes.
+// (RunConcurrent: Get then Update) and a replica GET, direct and served
+// to a Client over a simulated conn. A snapshot or replica read
+// allocates nothing page-sized — every page it visits is an image the
+// log retains anyway — a scan hands out views of those images and copies
+// no record, and a session copies only the pages it writes.
 func readPathAllocs(txns int) ([]CommitAllocsRow, error) {
 	const keys, scanLen = 2000, 20
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i%keys)) }
@@ -357,7 +359,25 @@ func readPathAllocs(txns int) ([]CommitAllocsRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []CommitAllocsRow{snap, scan, rmw, rget}, nil
+	// The same read served: one Client.Get over a simulated conn to the
+	// replica's server, whose engine appends the value into the response.
+	// Its keys are made beforehand, so that the row counts the read alone.
+	cli := server.NewClient(c.Dialer("client"), []string{"n1"}, server.ClientOptions{ReadAnywhere: true})
+	defer cli.Close()
+	keyed := make([][]byte, replKeys)
+	for i := range keyed {
+		keyed[i] = key(i)
+	}
+	served, err := measureAllocs("replica-served-get", txns, func(i int) error {
+		if _, ok, err := cli.Get("kv", keyed[i%replKeys]); err != nil || !ok {
+			return fmt.Errorf("experiments: served replica read of %s: found=%v err=%v", keyed[i%replKeys], ok, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []CommitAllocsRow{snap, scan, rmw, rget, served}, nil
 }
 
 // replicaApplyAllocs audits the replica apply path alone: a primary's

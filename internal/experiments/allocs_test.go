@@ -14,7 +14,7 @@ func TestCommitAllocsShapes(t *testing.T) {
 	rowOf := func(path string) *CommitAllocsRow {
 		return Find(r.Rows, func(row CommitAllocsRow) bool { return row.Path == path })
 	}
-	for _, path := range []string{"solo-commit", "group-commit", "legacy-update", "snapshot-get", "snapshot-scan", "session-rmw", "replica-get", "replica-apply", "served-get", "sim-line", "blockdev-write"} {
+	for _, path := range []string{"solo-commit", "group-commit", "legacy-update", "snapshot-get", "snapshot-scan", "session-rmw", "replica-get", "replica-served-get", "replica-apply", "served-get", "sim-line", "blockdev-write"} {
 		row := rowOf(path)
 		if row == nil {
 			t.Fatalf("audit missing row %q", path)
@@ -60,10 +60,14 @@ func TestCommitAllocsShapes(t *testing.T) {
 	if row := rowOf("replica-apply"); row.BytesPerOp >= 2*4096 {
 		t.Fatalf("replica-apply allocates %.0f bytes per applied page, want one page copy", row.BytesPerOp)
 	}
-	// A read served over a socket allocates the engine's copy of the value
-	// and the caller's, and nothing per message on either end of the wire.
-	if row := rowOf("served-get"); row.AllocsPerOp >= 3 {
-		t.Fatalf("served-get allocates %.2f/op, want 2: a wire buffer is allocated per message", row.AllocsPerOp)
+	// A read served over a socket or a simulated conn allocates only the
+	// client's copy of the value: the engine appends it from the page into
+	// the response frame, and neither end of the wire allocates per
+	// message.
+	for _, path := range []string{"served-get", "replica-served-get"} {
+		if row := rowOf(path); row.AllocsPerOp >= 2 {
+			t.Fatalf("%s allocates %.2f/op, want 1: the server copies the value, or a wire buffer is allocated per message", path, row.AllocsPerOp)
+		}
 	}
 	// The simulated hardware allocates nothing per 48-line flush burst
 	// and nothing per page program on a warm device (stray runtime

@@ -216,6 +216,11 @@ func (p *Primary) Get(table string, key []byte) ([]byte, bool, error) {
 	return p.eng.Get(table, key)
 }
 
+// AppendGet is Get appending the value to dst (server.AppendGetter).
+func (p *Primary) AppendGet(dst []byte, table string, key []byte) ([]byte, bool, error) {
+	return p.eng.AppendGet(dst, table, key)
+}
+
 // Apply is the one place a replicated write is sequenced, and nobody's
 // acknowledgement in it waits for flash: commit durably → if an inline
 // checkpoint round is due, freeze its generation (phase A: two persists)

@@ -539,14 +539,22 @@ func (r *Replica) checkpoint() {
 // ErrNotSeeded is returned for reads before the first seed/resume.
 var ErrNotSeeded = errors.New("repl: replica holds no seeded state")
 
-// Get serves a read at the journal's mark when it starts.
+// Get serves a read at the journal's mark when it starts. The value is a
+// copy the caller owns.
 func (r *Replica) Get(table string, key []byte) ([]byte, bool, error) {
+	return r.AppendGet(nil, table, key)
+}
+
+// AppendGet is Get appending the value to dst (server.AppendGetter),
+// inside the read's snapshot; a missing key or an error returns dst as
+// passed.
+func (r *Replica) AppendGet(dst []byte, table string, key []byte) ([]byte, bool, error) {
 	rt, err := r.beginRead()
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
 	defer r.endRead(rt)
-	return rt.Get(table, key)
+	return rt.AppendGet(dst, table, key)
 }
 
 // Scan visits the applied state's records in ascending key order. key

@@ -34,6 +34,11 @@ func (e *DBEngine) Get(table string, key []byte) ([]byte, bool, error) {
 	return e.d.Get(table, key)
 }
 
+// AppendGet is Get appending the value to dst (AppendGetter).
+func (e *DBEngine) AppendGet(dst []byte, table string, key []byte) ([]byte, bool, error) {
+	return e.d.AppendGet(dst, table, key)
+}
+
 // Apply runs ops as one transaction: the durable commit, then the
 // database's auto-checkpoint. A failure after
 // Begin rolls the transaction back, so a non-nil error (other than

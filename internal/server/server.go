@@ -12,6 +12,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"time"
@@ -34,7 +35,8 @@ var ErrReadOnly = errors.New("server: endpoint is read-only")
 
 // Engine executes requests for a Server. Implementations: DBEngine
 // (a local db.DB), repl.Primary (local commit + log shipping),
-// repl.Replica (snapshot reads at the applied mark). A key, and the ops
+// repl.Replica (snapshot reads at the applied mark); all three are
+// AppendGetters as well. A key, and the ops
 // with their keys and values, alias the request as it was received:
 // they are valid for the call only, and an engine that keeps one copies
 // it.
@@ -46,6 +48,15 @@ type Engine interface {
 	Apply(ctx context.Context, table string, ops []Op) (uint64, error)
 	// Status reports role, fencing epoch and replication marks.
 	Status() Status
+}
+
+// AppendGetter is an Engine whose reads can append the value to a buffer
+// the caller passes. The server serves a GET through it when its engine
+// has it: the value goes from the page image straight into the response
+// frame, where Engine.Get's copy would be made only to be copied again.
+// A missing key or an error returns dst as passed.
+type AppendGetter interface {
+	AppendGet(dst []byte, table string, key []byte) ([]byte, bool, error)
 }
 
 // Options configures a Server.
@@ -74,6 +85,7 @@ type Options struct {
 // Server accepts conns and runs one session per conn.
 type Server struct {
 	eng  Engine
+	app  AppendGetter // eng, when it appends; nil otherwise
 	opts Options
 	m    *metrics.Counters
 
@@ -103,6 +115,7 @@ func New(engine Engine, opts Options) *Server {
 		conns:  make(map[netsim.Conn]struct{}),
 		tokens: float64(opts.WriteBurst),
 	}
+	s.app, _ = engine.(AppendGetter)
 	if opts.Clock != nil {
 		s.lastFill = opts.Clock.Now()
 	}
@@ -227,16 +240,37 @@ func (s *Server) handle(dst []byte, req request, ops []Op) []byte {
 	case verbStatus:
 		return respOKStatus(dst, req.id, s.eng.Status())
 	case verbGet:
-		v, found, err := s.eng.Get(req.table, req.key)
-		if err != nil {
-			return s.errResp(dst, req.id, err)
-		}
-		return respOKGet(dst, req.id, v, found)
+		return s.handleGet(dst, req)
 	case verbPut, verbDelete, verbBatch:
 		return s.handleWrite(dst, req, ops)
 	default:
 		return respMsg(dst, stErr, req.id, "server: unknown verb")
 	}
+}
+
+// handleGet appends a GET's response to dst. An AppendGetter engine
+// appends the value behind the header, the found byte and a length
+// placeholder, which is patched once the value's length is known; a miss
+// or an error rewinds to dst, so the frame never carries part of a value.
+func (s *Server) handleGet(dst []byte, req request) []byte {
+	if s.app == nil {
+		v, found, err := s.eng.Get(req.table, req.key)
+		if err != nil {
+			return s.errResp(dst, req.id, err)
+		}
+		return respOKGet(dst, req.id, v, found)
+	}
+	b := append(respHeader(dst, stOK, req.id, 1+4), 1, 0, 0, 0, 0)
+	start := len(b)
+	b, found, err := s.app.AppendGet(b, req.table, req.key)
+	switch {
+	case err != nil:
+		return s.errResp(dst, req.id, err)
+	case !found:
+		return respOKGet(dst, req.id, nil, false)
+	}
+	binary.LittleEndian.PutUint32(b[start-4:start], uint32(len(b)-start))
+	return b
 }
 
 func (s *Server) handleWrite(dst []byte, req request, ops []Op) []byte {
