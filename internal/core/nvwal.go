@@ -453,6 +453,8 @@ type NVWAL struct {
 	// writers outside w.mu take from it; spareHook (tests) sees every
 	// image enter (true) and leave it.
 	retired   []retiredImage
+	hdrPay    []byte
+	hdrLoose  bool
 	exporting atomic.Int64
 	spareMu   sync.Mutex
 	spare     [][]byte
@@ -1077,9 +1079,11 @@ func (w *NVWAL) appendStreams(streams []*Stream, mark uint64, txns int) error {
 				// frame — leftover tail space is not reused across frames.
 				w.tailUsed = w.tailCapacity()
 			}
+			sp.header = sp.pgno == 1 && !sp.full && inHeader(sp.extents)
 			for _, e := range sp.extents {
 				// The history record aliases the staged image, which the log
-				// owns from here on and never writes: no payload copy.
+				// owns from here on and never writes: no payload copy — but
+				// for a header commit's few bytes (recycle.go).
 				payload := sp.img[e.Off : e.Off+e.Len : e.Off+e.Len]
 				size := frameHdrSize + len(payload)
 				addr, err := w.allocFrameSpace(size, groupTotal)
@@ -1096,7 +1100,11 @@ func (w *NVWAL) appendStreams(streams []*Stream, mark uint64, txns int) error {
 					w.persistRange(addr, size)
 				}
 				w.written = append(w.written, frameRef{addr: addr, size: size})
-				w.newHist = append(w.newHist, histFrame{pgno: sp.pgno, off: e.Off, full: sp.full, payload: payload})
+				hist := payload
+				if sp.header {
+					hist = w.detach(payload)
+				}
+				w.newHist = append(w.newHist, histFrame{pgno: sp.pgno, off: e.Off, full: sp.full, payload: hist})
 				w.cLoggedBytes.Add(int64(size))
 			}
 		}
@@ -1178,7 +1186,8 @@ func (w *NVWAL) persistMark(addr, mark uint64) {
 // checksum chain, the snapshot history with its per-page index, and
 // each staged page's new version image (ownership passes to the log;
 // later streams win, as they appended later). Every version replaced is
-// queued for the round that retires this commit (queueRetired).
+// queued for the round that retires this commit (queueRetired), or
+// released at once if nothing can reach it (retire).
 func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns int) {
 	w.chain = chain
 	for _, f := range hist {
@@ -1207,8 +1216,11 @@ func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns 
 	for _, s := range streams {
 		for i := range s.pages {
 			sp := &s.pages[i]
-			w.queueRetired(w.versions[sp.pgno], sp.img, mark)
+			w.retire(sp.pgno, sp.img, mark)
 			w.versions[sp.pgno] = sp.img
+			if sp.pgno == 1 {
+				w.hdrLoose = sp.header
+			}
 		}
 	}
 	w.cFrames.Add(int64(len(hist)))

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/pager"
+
 // Image recycling (DESIGN.md §15). A commit hands the log one private
 // copy of every page it dirties, and that copy becomes the page's
 // version; the version it replaces stays readable — through pinned
@@ -29,6 +31,77 @@ func (w *NVWAL) queueRetired(prev, img []byte, mark int) {
 		return
 	}
 	w.retired = append(w.retired, retiredImage{img: prev, mark: mark})
+}
+
+// Header commits. A commit whose page-1 frames all lie in the pager's
+// header (page count, free list, a follower's position) has appendStreams
+// copy their few bytes into hdrPay, so no history record aliases its
+// image, and the commit replacing it spares it at once when nothing a
+// round waits out holds it: a follower writing its position on every
+// import then copies page 1 into the image the last import left.
+// hdrLoose says the current page-1 version came from a header commit.
+
+// inHeader reports whether every extent lies in page 1's header.
+func inHeader(extents []Extent) bool {
+	for _, e := range extents {
+		if e.Off+e.Len > pager.HeaderReserved {
+			return false
+		}
+	}
+	return true
+}
+
+// detach copies a header commit's payload into hdrPay, a chunk that
+// history records share and nothing writes twice. Caller holds w.mu
+// exclusively.
+func (w *NVWAL) detach(payload []byte) []byte {
+	if cap(w.hdrPay)-len(w.hdrPay) < len(payload) {
+		w.hdrPay = make([]byte, 0, 4096)
+	}
+	n := len(w.hdrPay)
+	w.hdrPay = append(w.hdrPay, payload...)
+	return w.hdrPay[n:len(w.hdrPay):len(w.hdrPay)]
+}
+
+// retire disposes of the version img replaces as pgno's image: spared at
+// once if it is a header commit's page 1 that nothing can reach, queued
+// for the next round otherwise. Caller holds w.mu exclusively.
+func (w *NVWAL) retire(pgno uint32, img []byte, mark int) {
+	prev := w.versions[pgno]
+	if pgno == 1 && w.hdrLoose && w.unreachable(prev, img) {
+		w.spareMu.Lock()
+		w.addSpare(prev)
+		w.spareMu.Unlock()
+		return
+	}
+	w.queueRetired(prev, img, mark)
+}
+
+// unreachable reports whether nothing can hold prev, the page-1 version
+// img replaces: no round in flight, no batch out, not the page's base, no
+// reader pinned. Caller holds w.mu exclusively, so no reader pins meanwhile.
+func (w *NVWAL) unreachable(prev, img []byte) bool {
+	if prev == nil || &prev[0] == &img[0] || w.ckpt != nil || w.exporting.Load() != 0 {
+		return false
+	}
+	if base := w.base[1]; base != nil && &base[0] == &prev[0] {
+		return false
+	}
+	w.pinMu.Lock()
+	defer w.pinMu.Unlock()
+	return len(w.pins) == 0
+}
+
+// addSpare puts a released image on the spare list. Caller holds
+// w.spareMu.
+func (w *NVWAL) addSpare(img []byte) {
+	if w.spareHook != nil {
+		w.spareHook(img, true)
+	}
+	if poison != nil {
+		poison(img)
+	}
+	w.spare = append(w.spare, img)
 }
 
 // releaseImages is the release rule, run by a completing round after it
@@ -69,13 +142,7 @@ func (w *NVWAL) releaseImages(watermark int) {
 	w.spare = w.spare[:keep]
 	if release {
 		for _, r := range w.retired[:n] {
-			if w.spareHook != nil {
-				w.spareHook(r.img, true)
-			}
-			if poison != nil {
-				poison(r.img)
-			}
-			w.spare = append(w.spare, r.img)
+			w.addSpare(r.img)
 		}
 	}
 	w.spareMu.Unlock()

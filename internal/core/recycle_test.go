@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"sync"
 	"testing"
@@ -58,6 +60,10 @@ func TestNoImageEntersSpareTwice(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.MarkDirty(pgno)[rng.Intn(4096)] ^= byte(1 + rng.Intn(255))
+		}
+		if rng.Intn(3) == 0 {
+			// A header commit, whose page-1 image the next one releases.
+			p.MarkDirty(1)[pager.HeaderPositionOff+rng.Intn(20)] ^= byte(1 + rng.Intn(255))
 		}
 		switch rng.Intn(4) {
 		case 0:
@@ -172,4 +178,87 @@ func TestSpareListCarriesAtMostOneRound(t *testing.T) {
 	}
 	w.ExportDone()
 	c.Close()
+}
+
+// TestHeaderCommitReleasesPageOneAtOnce: a commit whose page-1 frames
+// lie in the pager's header releases the page-1 image it replaces at
+// once, unless a reader is pinned, a batch is out or the image is the
+// page's base; a commit that writes past the header leaves its image to
+// the next round. The history replays every mark although each released
+// image is written over as soon as it is taken.
+func TestHeaderCommitReleasesPageOneAtOnce(t *testing.T) {
+	e := newEnv(t)
+	w := e.open(t, VariantUHLSDiff())
+	var marks []int
+	var want [][]byte
+	cur := fullPage('c')
+	commit := func(img []byte) {
+		t.Helper()
+		commitPages(t, w, map[uint32][]byte{1: img})
+		cur = img
+		marks = append(marks, w.Mark())
+		want = append(want, bytes.Clone(img))
+	}
+	header := func(k uint64) []byte {
+		img := bytes.Clone(cur)
+		binary.LittleEndian.PutUint64(img[pager.HeaderPositionOff:], k)
+		return img
+	}
+	released := func(step string, n int) {
+		t.Helper()
+		got := 0
+		for img := w.SpareImage(); img != nil; img = w.SpareImage() {
+			for i := range img {
+				img[i] = 0xDB
+			}
+			got++
+		}
+		if got != n {
+			t.Fatalf("%s: %d page-1 images released at once, want %d", step, got, n)
+		}
+	}
+	replays := func() {
+		t.Helper()
+		for i, m := range marks {
+			if img, ok := w.PageVersionAt(1, m); !ok || !bytes.Equal(img, want[i]) {
+				t.Fatalf("page 1 at mark %d does not replay", m)
+			}
+		}
+	}
+
+	commit(cur) // a full frame: no header commit
+	commit(header(1))
+	released("after a full frame", 0)
+	commit(header(2))
+	released("header after header", 1)
+	mark := w.Pin()
+	commit(header(3))
+	released("with a reader pinned", 0)
+	w.Unpin(mark)
+	commit(header(4))
+	released("after the reader left", 1)
+	if _, ok := w.ExportSince(w.Mark()-1, nil); !ok {
+		t.Fatal("export refused")
+	}
+	commit(header(5))
+	released("with a batch out", 0)
+	w.ExportDone()
+	past := bytes.Clone(header(6))
+	past[pager.HeaderReserved] ^= 1
+	commit(past)
+	released("a commit past the header, after a header commit", 1)
+	commit(header(7))
+	released("header after a commit past the header", 0)
+	replays()
+
+	if err := w.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	released("the round", 4) // the four queued above
+	marks, want = marks[:0], want[:0]
+	commit(header(8))
+	released("replacing the page's base", 0)
+	commit(header(9))
+	released("header after header, past the round", 1)
+	replays()
 }

@@ -47,6 +47,9 @@ type stagedPage struct {
 	img     []byte // full new image; ownership passes to the stream
 	full    bool
 	extents []Extent
+	// header: page 1 with every extent in the pager's header, whose
+	// history payloads appendStreams copies out of img (recycle.go).
+	header bool
 }
 
 // setFull gives the page the §3.2 full-frame shape: one extent from

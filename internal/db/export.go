@@ -5,7 +5,8 @@
 // ExportPages captures a full point-in-time page image (the re-seed path
 // a replica falls back to when its range is no longer retained, or when
 // it detects divergence) whose size SeedBytes tells beforehand. A
-// follower's database takes both back through one entry, ImportFrames.
+// follower's database takes both back through one entry, ImportFrames,
+// which commits the follower's Position with them.
 package db
 
 import (
@@ -13,6 +14,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 
@@ -108,14 +110,52 @@ func (d *DB) ExportPages() (*PageSnapshot, error) {
 	return snap, nil
 }
 
+// Position is where a follower database stands in the log it follows: the
+// log's incarnation, the mark applied through and the export chain there.
+// It lives in page 1's header (pager.HeaderPositionOff), so the commit
+// mark that publishes an import's frames publishes it too. The zero
+// Position means none.
+type Position struct {
+	Incarnation uint64
+	Applied     int
+	Chain       uint32
+}
+
+// ImportedPosition returns the Position the last ImportFrames committed.
+// A page 1 that cannot be read, or holds a mark no journal could have, is
+// an error.
+func (d *DB) ImportedPosition() (Position, error) {
+	if d.view == nil {
+		return Position{}, ErrNoExport
+	}
+	mark := d.nv.Pin()
+	defer d.unpin(mark)
+	hdr, _, err := d.view.PageAt(1, mark)
+	if err != nil {
+		return Position{}, err
+	}
+	b := hdr[pager.HeaderPositionOff:]
+	applied := binary.LittleEndian.Uint64(b[8:])
+	if applied > math.MaxInt {
+		return Position{}, fmt.Errorf("db: page 1 holds applied mark %d", applied)
+	}
+	return Position{
+		Incarnation: binary.LittleEndian.Uint64(b),
+		Applied:     int(applied),
+		Chain:       binary.LittleEndian.Uint32(b[16:]),
+	}, nil
+}
+
 // ImportFrames applies frames shipped from a primary — an ExportSince
 // batch, or an ExportPages snapshot as one Full frame per page — as one
 // write transaction: each frame patches its page's committed image (a
-// Full frame replaces it) in order, and the dirty pages commit through the
-// journal like any transaction's, logged against the versions the log
-// holds. A frame that overruns its page, or a page that cannot be read,
-// fails the batch and nothing of it is applied. NVWAL journals only.
-func (d *DB) ImportFrames(frames []core.ExportFrame) error {
+// Full frame replaces it) in order, then pos goes into page 1's header
+// (after the frames: a shipped page 1's bytes there mean nothing here),
+// and the dirty pages commit through the journal like any transaction's,
+// logged against the versions the log holds. A frame that overruns its
+// page, or a page that cannot be read, fails the batch and nothing of it
+// is applied. NVWAL journals only.
+func (d *DB) ImportFrames(frames []core.ExportFrame, pos Position) error {
 	if d.nv == nil {
 		return ErrNoExport
 	}
@@ -123,12 +163,10 @@ func (d *DB) ImportFrames(frames []core.ExportFrame) error {
 		return err
 	}
 	d.pg.Begin()
-	for _, fr := range frames {
-		if err := d.importFrame(fr); err != nil {
-			d.pg.Rollback()
-			d.releaseSlot()
-			return err
-		}
+	if err := d.importFrames(frames, pos); err != nil {
+		d.pg.Rollback()
+		d.releaseSlot()
+		return err
 	}
 	// The frames may move any table's root, page 1 included: no tree
 	// opened before them may serve again.
@@ -137,6 +175,21 @@ func (d *DB) ImportFrames(frames []core.ExportFrame) error {
 	d.treeMu.Unlock()
 	_, err := d.commitHeldTxn(d.newDeadline(context.Background())) // releases the slot
 	return err
+}
+
+// importFrames patches the frames, then pos, into their pages inside the
+// open transaction.
+func (d *DB) importFrames(frames []core.ExportFrame, pos Position) error {
+	for _, fr := range frames {
+		if err := d.importFrame(fr); err != nil {
+			return err
+		}
+	}
+	var rec [20]byte
+	binary.LittleEndian.PutUint64(rec[0:], pos.Incarnation)
+	binary.LittleEndian.PutUint64(rec[8:], uint64(pos.Applied))
+	binary.LittleEndian.PutUint32(rec[16:], pos.Chain)
+	return d.importFrame(core.ExportFrame{Pgno: 1, Off: pager.HeaderPositionOff, Payload: rec[:]})
 }
 
 // importFrame patches fr into its page inside the open transaction.

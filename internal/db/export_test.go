@@ -64,15 +64,23 @@ func TestExportPagesSnapshot(t *testing.T) {
 
 // TestImportFramesFollowsAnotherDatabase: a database that imports
 // another's snapshot and then its frame batches holds that database's
-// state. Its own tree cache from before is dropped — the import moved the
-// table's root, and the old root now holds the other database's "pad" —
-// and a batch with a frame that overruns its page applies nothing.
+// state and the position each import committed, which the snapshot's own
+// page 1 does not overwrite. Its own tree cache from before is dropped —
+// the import moved the table's root, and the old root now holds the other
+// database's "pad" — and a batch with a frame that overruns its page
+// applies nothing, position included.
 func TestImportFramesFollowsAnotherDatabase(t *testing.T) {
 	opts := Options{Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff()}
 	src, _ := newDB(t, opts)
 	dst, _ := newDB(t, opts)
 	defer dst.Close()
 	defer src.Close()
+	at := func(want Position) {
+		t.Helper()
+		if pos, err := dst.ImportedPosition(); err != nil || pos != want {
+			t.Fatalf("ImportedPosition = %+v err=%v, want %+v", pos, err, want)
+		}
+	}
 	get := func(d *DB, want string) {
 		t.Helper()
 		if v, found, err := d.Get("t", []byte("k")); err != nil || !found || string(v) != want {
@@ -109,27 +117,31 @@ func TestImportFramesFollowsAnotherDatabase(t *testing.T) {
 	for i, pg := range snap.Pages {
 		seed[i] = core.ExportFrame{Pgno: pg.Pgno, Full: true, Payload: pg.Data}
 	}
-	if err := dst.ImportFrames(seed); err != nil {
+	at(Position{})
+	if err := dst.ImportFrames(seed, Position{Incarnation: 3, Applied: snap.Mark, Chain: 0xC0FFEE}); err != nil {
 		t.Fatal(err)
 	}
 	get(dst, "src")
+	at(Position{Incarnation: 3, Applied: snap.Mark, Chain: 0xC0FFEE})
 
 	mustCommitKV(t, src, "t", map[string]string{"k": "src2"})
 	b, ok, err := src.ExportSince(snap.Mark, nil)
 	if err != nil || !ok {
 		t.Fatalf("ExportSince(%d) = ok=%v err=%v", snap.Mark, ok, err)
 	}
-	if err := dst.ImportFrames(b.Frames); err != nil {
+	if err := dst.ImportFrames(b.Frames, Position{Incarnation: 3, Applied: b.To, Chain: 1}); err != nil {
 		t.Fatal(err)
 	}
 	get(dst, "src2")
+	at(Position{Incarnation: 3, Applied: b.To, Chain: 1})
 
 	// The first frame would wipe the catalog; the second fails the batch.
 	overrun := []core.ExportFrame{{Pgno: 1, Full: true, Payload: []byte{0}}, {Pgno: 2, Off: PageSize - 8, Payload: make([]byte, 16)}}
-	if err := dst.ImportFrames(overrun); err == nil {
+	if err := dst.ImportFrames(overrun, Position{}); err == nil {
 		t.Fatal("a frame that overruns its page was imported")
 	}
 	get(dst, "src2")
+	at(Position{Incarnation: 3, Applied: b.To, Chain: 1})
 	if err := dst.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +174,7 @@ func TestCorruptCatalogIsAnError(t *testing.T) {
 				}
 			}
 			mustCommitKV(t, d, "kv", map[string]string{"k": "v"})
-			if err := d.ImportFrames([]core.ExportFrame{tc.patch}); err != nil {
+			if err := d.ImportFrames([]core.ExportFrame{tc.patch}, Position{}); err != nil {
 				t.Fatal(err)
 			}
 			check := func(op string, err error) {

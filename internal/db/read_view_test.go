@@ -66,6 +66,25 @@ func TestCatalogParsedOncePerVersion(t *testing.T) {
 		t.Fatal("catalog re-parsed although page 1 did not change")
 	}
 
+	// A commit that changes only page 1's position bytes (a follower's
+	// import) leaves its catalog bytes alone: no re-parse, and the next
+	// tree open allocates nothing.
+	if err := d.ImportFrames(nil, Position{Incarnation: 1, Applied: 7, Chain: 9}); err != nil {
+		t.Fatal(err)
+	}
+	r3, _ := d.BeginRead()
+	defer r3.Close()
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := d.treeAt(&r3.store, &r3.store, "t"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("tree open after a position-only commit: %.1f allocs, want 0", allocs)
+	}
+	if d.catalog.last.Load() != parsed {
+		t.Fatal("catalog re-parsed after a commit that changed only the position")
+	}
+
 	for _, ddl := range []struct {
 		name string
 		run  func() error

@@ -188,6 +188,9 @@ const (
 	// like SQLite's freelist trunk.
 	hdrFreeHeadOff  = 16
 	hdrFreeCountOff = 20
+	// HeaderPositionOff holds a follower database's 20-byte position in
+	// the log it follows (db.Position); the pager never reads it.
+	HeaderPositionOff = 24
 	// HeaderReserved is the portion of page 1 owned by the pager; the
 	// database catalog uses the rest.
 	HeaderReserved = 64

@@ -1,5 +1,6 @@
-// The persistent cursor record: what one update costs, and what a power
-// cut at every point of an apply leaves behind.
+// The replica's position under the commit mark: what an applied batch
+// costs, what a power cut at every point of an apply or a promotion
+// leaves behind.
 package repl
 
 import (
@@ -10,11 +11,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/heapo"
+	"repro/internal/db"
 	"repro/internal/memsim"
 	"repro/internal/metrics"
+	"repro/internal/pager"
 	"repro/internal/platform"
-	"repro/internal/server"
 )
 
 // cursorRig is a replica driven by hand: a seed of four pages, then
@@ -22,6 +23,7 @@ import (
 // applied mark must show kept beside it.
 type cursorRig struct {
 	t     *testing.T
+	c     *Cluster
 	plat  *platform.Platform
 	r     *Replica
 	model map[uint32][]byte
@@ -31,8 +33,8 @@ const cursorRigSeedMark = 10
 
 func newCursorRig(t *testing.T) *cursorRig {
 	t.Helper()
-	node := newTestCluster(t, "n1").Node("n1")
-	g := &cursorRig{t: t, plat: node.Plat, model: make(map[uint32][]byte)}
+	c := newTestCluster(t, "n1")
+	g := &cursorRig{t: t, c: c, plat: c.Node("n1").Plat, model: make(map[uint32][]byte)}
 	g.reopen()
 	seed := seedMsg{incarnation: 1, mark: cursorRigSeedMark, pageSize: 4096}
 	g.model[1] = headerPage(4)
@@ -88,15 +90,23 @@ func (g *cursorRig) patch(b core.ExportBatch) {
 	}
 }
 
-// holds reports whether the replica's journal state equals the model.
+// holds reports whether the replica's journal state equals the model,
+// page 1's position bytes aside: the model's shipped header leaves them
+// zero, the replica's own holds its position there.
 func (g *cursorRig) holds() bool {
 	g.t.Helper()
 	snap, err := g.r.db.ExportPages()
 	if err != nil {
 		g.t.Fatal(err)
 	}
+	const posEnd = pager.HeaderPositionOff + 20
 	for pgno, want := range g.model {
-		if !bytes.Equal(snap.Pages[pgno-1].Data, want) {
+		got := snap.Pages[pgno-1].Data
+		if pgno == 1 {
+			if !bytes.Equal(got[:pager.HeaderPositionOff], want[:pager.HeaderPositionOff]) || !bytes.Equal(got[posEnd:], want[posEnd:]) {
+				return false
+			}
+		} else if !bytes.Equal(got, want) {
 			return false
 		}
 	}
@@ -111,177 +121,223 @@ func (g *cursorRig) apply(b core.ExportBatch) {
 	g.patch(b)
 }
 
-// TestCursorUpdateIsOneFlushOneBarrier pins the record's cost: one store,
-// one flush behind one kernel crossing, one persist barrier — and nothing
-// from the heap manager, whose root table the cursor no longer touches.
-func TestCursorUpdateIsOneFlushOneBarrier(t *testing.T) {
-	g := newCursorRig(t)
-	g.apply(g.batch(1, false))
-	m := g.plat.Metrics
-	before := m.Snapshot()
-	g.r.saveCursor(false)
-	d := m.Snapshot().Sub(before)
-	for name, want := range map[string]int64{
-		metrics.PersistBarrier: 1,
-		metrics.CacheLineFlush: 1,
-		metrics.Syscall:        1,
-		metrics.MemoryBarrier:  2,
-		metrics.HeapAlloc:      0,
-	} {
-		if got := d.Count(name); got != want {
-			t.Errorf("%s = %d per cursor update, want %d", name, got, want)
+// lowerReseed is a seed of incarnation 2 at a mark below every mark of
+// the rig's incarnation 1, and the model it leaves: its data pages differ
+// from the model's in 40 bytes each, so that its commit logs little.
+func (g *cursorRig) lowerReseed() (seedMsg, map[uint32][]byte) {
+	seed := seedMsg{incarnation: 2, mark: 4, pageSize: 4096}
+	model := map[uint32][]byte{1: headerPage(4)}
+	for pgno := uint32(2); pgno <= 4; pgno++ {
+		model[pgno] = bytes.Clone(g.model[pgno])
+		copy(model[pgno][512:], bytes.Repeat([]byte{0xA0 + byte(pgno)}, 40))
+	}
+	for pgno := uint32(1); pgno <= 4; pgno++ {
+		seed.pages = append(seed.pages, seedPage{pgno: pgno, data: model[pgno]})
+	}
+	return seed, model
+}
+
+// TestCursorApplyCostsItsImport pins what an applied batch costs: exactly
+// the ImportFrames commit of its frames, which logs the batch's page and
+// page 1's header — nothing beside it on the device, nothing from the
+// heap manager.
+func TestCursorApplyCostsItsImport(t *testing.T) {
+	var deltas [2]metrics.Snapshot
+	for i, viaReplica := range []bool{true, false} {
+		g := newCursorRig(t)
+		g.apply(g.batch(1, false))
+		g.apply(g.batch(2, false))
+		b := g.batch(3, false)
+		pos := db.Position{Incarnation: 1, Applied: b.To, Chain: core.ChainExport(g.r.pos.Chain, b)}
+		before := g.plat.Metrics.Snapshot()
+		if viaReplica {
+			if !g.r.ApplyBatch(1, b) {
+				t.Fatal("batch refused")
+			}
+		} else if err := g.r.db.ImportFrames(b.Frames, pos); err != nil {
+			t.Fatal(err)
 		}
+		deltas[i] = g.plat.Metrics.Snapshot().Sub(before)
+		if got, err := g.r.db.ImportedPosition(); err != nil || got != pos {
+			t.Fatalf("committed position %+v (err %v), want %+v", got, err, pos)
+		}
+	}
+	apply, imp := deltas[0], deltas[1]
+	if n := apply.Count(metrics.ReplBatchesApplied); n != 1 {
+		t.Fatalf("%s = %d per batch", metrics.ReplBatchesApplied, n)
+	}
+	delete(apply.Counts, metrics.ReplBatchesApplied)
+	if !maps.Equal(apply.Counts, imp.Counts) || !maps.Equal(apply.Times, imp.Times) {
+		t.Fatalf("an applied batch costs more than its import:\napply  %v\nimport %v", apply, imp)
+	}
+	if n := apply.Count(metrics.WALFrames); n != 2 {
+		t.Errorf("%s = %d per batch, want 2: the batch's page and page 1", metrics.WALFrames, n)
+	}
+	if n := apply.Count(metrics.HeapAlloc); n != 0 {
+		t.Errorf("%s = %d per batch, want 0", metrics.HeapAlloc, n)
 	}
 }
 
 // TestCursorPowerCutAtEveryOp cuts the power at every NVRAM operation of
-// one apply — the journal append, the cursor store, its flush, its
-// barrier and, on a boundary batch, the checkpoint round behind it —
-// under drop-all and under adversarial (torn, spontaneously evicted)
-// line survival. Whatever survives: the replica is seeded, its cursor is
-// the batch's start or its end, a cursor at the end is never ahead of
-// the journal's frames, and a stale-low cursor re-applies the batch
-// idempotently whether or not the journal already held it.
+// one apply — a batch, a batch that announces a boundary (so the round
+// behind it is in the window), and a re-seed of a new incarnation at a
+// lower mark — under drop-all and under adversarial (torn, spontaneously
+// evicted) line survival. Whatever survives, the recovered position and
+// the recovered pages agree: the apply's start with the old pages, or its
+// end with the new ones. Never one without the other.
 func TestCursorPowerCutAtEveryOp(t *testing.T) {
-	for _, boundary := range []bool{false, true} {
+	// step applies one input to a rig after its first two batches and
+	// returns the state it leaves.
+	for _, in := range []struct {
+		name string
+		step func(g *cursorRig) rigState
+	}{
+		{"batch", func(g *cursorRig) rigState { return g.stepBatch(false) }},
+		{"boundary", func(g *cursorRig) rigState { return g.stepBatch(true) }},
+		{"lower-reseed", func(g *cursorRig) rigState {
+			seed, model := g.lowerReseed()
+			g.r.applySeed(seed)
+			return rigState{db.Position{Incarnation: 2, Applied: seed.mark, Chain: core.ExportChainSeed(seed.mark)}, model}
+		}},
+	} {
 		// Measure the window once, on a rig that is then discarded.
 		probe := newCursorRig(t)
 		probe.apply(probe.batch(1, false))
 		probe.apply(probe.batch(2, false))
 		ops := probe.plat.OpCount()
-		probe.apply(probe.batch(3, boundary))
+		in.step(probe)
 		window := probe.plat.OpCount() - ops
 		if window < 10 {
-			t.Fatalf("one apply is %d NVRAM operations: too few to be the append and the cursor", window)
+			t.Fatalf("%s: one apply is %d NVRAM operations: too few to be a commit", in.name, window)
 		}
-		low, high := 0, 0
+		start, end := 0, 0
 		for _, policy := range []memsim.FailPolicy{memsim.FailDropAll, memsim.FailAdversarial} {
 			for at := int64(1); at <= window; at++ {
-				name := fmt.Sprintf("boundary=%v/policy=%d/op=%d", boundary, policy, at)
+				name := fmt.Sprintf("%s/policy=%d/op=%d", in.name, policy, at)
 				g := newCursorRig(t)
 				g.apply(g.batch(1, false))
 				g.apply(g.batch(2, false))
-				before := maps.Clone(g.model) // patch replaces images, never writes into them
-				b := g.batch(3, boundary)
+				from := rigState{g.r.pos, g.model}
 				g.plat.ArmCrash(at, policy, at)
-				g.r.ApplyBatch(1, b) // a ghost past the trigger: its ack means nothing
+				to := in.step(g) // a ghost past the trigger: its ack means nothing
 				g.powerCut(policy, at)
 
 				if !g.r.seeded.Load() {
-					t.Fatalf("%s: one cut left no valid cursor slot", name)
+					t.Fatalf("%s: the cut left the replica unseeded", name)
 				}
-				switch g.r.Applied() {
-				case b.To:
-					high++
-					g.patch(b)
-					if !g.holds() {
-						t.Fatalf("%s: cursor at %d is ahead of the journal's frames", name, b.To)
-					}
-				case b.From:
-					low++
-					g.model = before
-					if held := g.holds(); !held {
-						// The frames were durable, only the cursor was not.
-						g.patch(b)
-						if !g.holds() {
-							t.Fatalf("%s: journal holds neither the batch's start nor its end", name)
-						}
-					}
-					g.model = before
-					g.apply(b)
-					if !g.holds() {
-						t.Fatalf("%s: re-applying from a stale-low cursor diverged", name)
-					}
+				switch g.r.pos {
+				case from.pos:
+					start++
+					g.model = from.model
+				case to.pos:
+					end++
+					g.model = to.model
 				default:
-					t.Fatalf("%s: cursor at %d, want %d or %d", name, g.r.Applied(), b.From, b.To)
+					t.Fatalf("%s: position %+v, want %+v or %+v", name, g.r.pos, from.pos, to.pos)
+				}
+				if !g.holds() {
+					t.Fatalf("%s: position %+v recovered without its pages", name, g.r.pos)
 				}
 			}
 		}
-		if low == 0 || high == 0 {
-			t.Fatalf("boundary=%v: %d stale-low and %d advanced recoveries: the sweep missed a side of the cursor store", boundary, low, high)
+		if start == 0 || end == 0 {
+			t.Fatalf("%s: %d recoveries at the start and %d at the end: the sweep missed a side of the commit", in.name, start, end)
 		}
 	}
 }
 
-// TestCursorTornRecordFallsBackToStaleSlot: a record that reached NVRAM
-// only in part fails its checksum, the other slot — one batch stale —
-// is the cursor, and the batch re-applies. Two bad slots read as
-// unseeded, which only a seed heals.
-func TestCursorTornRecordFallsBackToStaleSlot(t *testing.T) {
-	g := newCursorRig(t)
-	g.apply(g.batch(1, false))
-	g.apply(g.batch(2, false))
-	dev := g.plat.Heap.Device()
-	tear := func(slot int) {
-		// The applied mark and half the chain of a newer record over the
-		// old one's incarnation and checksum.
-		addr := g.r.cursorAddr + uint64(slot*g.r.cursorStride())
-		dev.Write(addr+8, []byte{0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0xAB, 0xCD})
-		dev.Flush(addr, addr+cursorRecSize)
-		dev.PersistBarrier()
-	}
-	newest := g.r.cursorSlot
-	tear(newest)
-	g.powerCut(memsim.FailDropAll, 1)
-	if !g.r.seeded.Load() || g.r.Applied() != cursorRigSeedMark+1 || g.r.cursorSlot == newest {
-		t.Fatalf("after a torn newest slot: seeded=%v applied=%d slot=%d; want the stale slot's %d",
-			g.r.seeded.Load(), g.r.Applied(), g.r.cursorSlot, cursorRigSeedMark+1)
-	}
-	if !g.holds() { // the journal is ahead of the cursor, never behind
-		t.Fatal("journal lost the second batch")
-	}
-	if !g.r.ApplyBatch(1, g.batch(2, false)) || !g.holds() {
-		t.Fatal("re-applying the batch the stale slot predates diverged")
-	}
-
-	tear(0)
-	tear(1)
-	g.powerCut(memsim.FailDropAll, 2)
-	if g.r.seeded.Load() || !g.r.Status().Degraded {
-		t.Fatal("two bad slots must read as unseeded")
-	}
-	if g.r.ApplyBatch(1, g.batch(3, false)) {
-		t.Fatal("an unseeded replica accepted frames")
-	}
-	seed := seedMsg{incarnation: 2, mark: 4, pageSize: 4096, pages: []seedPage{{pgno: 1, data: g.model[1]}}}
-	if a := g.r.applySeed(seed); !a.ok {
-		t.Fatal("healing seed refused")
-	}
-	// The seed's mark is below the old slots': it must still win the load.
-	g.powerCut(memsim.FailDropAll, 3)
-	if !g.r.seeded.Load() || g.r.Applied() != 4 || g.r.incarnation != 2 {
-		t.Fatalf("after the healing seed: seeded=%v applied=%d incarnation=%d", g.r.seeded.Load(), g.r.Applied(), g.r.incarnation)
-	}
+// rigState is a position and the pages that must come with it.
+type rigState struct {
+	pos   db.Position
+	model map[uint32][]byte
 }
 
-// TestCursorBlockFreedByPromote: promotion deletes the cursor and gives
-// its block back to the heap.
-func TestCursorBlockFreedByPromote(t *testing.T) {
-	c := newTestCluster(t, "n0", "n1")
-	pn := startPrimaryWithTable(t, c, "n0", 1, 0)
-	defer pn.Stop(false)
-	rn, err := c.StartReplica("n1", ReplicaOptions{Epoch: 1}, server.Options{})
+// stepBatch applies the rig's third batch and returns the state it
+// leaves; the rig's own model stays at the batch's start.
+func (g *cursorRig) stepBatch(boundary bool) rigState {
+	b := g.batch(3, boundary)
+	pos := db.Position{Incarnation: 1, Applied: b.To, Chain: core.ChainExport(g.r.pos.Chain, b)}
+	g.r.ApplyBatch(1, b)
+	start := g.model
+	g.model = maps.Clone(start) // patch replaces images, never writes into them
+	g.patch(b)
+	end := g.model
+	g.model = start
+	return rigState{pos, end}
+}
+
+// TestCursorClearedByPromote: promotion's first commit clears the
+// position, so the node reopened as a replica is unseeded and its HELLO
+// asks for a seed. A power cut at every NVRAM operation of Promote leaves
+// the old seeded replica, pages and position together, or an unseeded
+// one.
+func TestCursorClearedByPromote(t *testing.T) {
+	promote := func(g *cursorRig) {
+		if d, err := g.r.Promote(DefaultDBOptions()); err == nil {
+			d.Abandon()
+		}
+	}
+	g := newCursorRig(t)
+	g.apply(g.batch(1, false))
+	d, err := g.r.Promote(DefaultDBOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pn.Attach(c, "n1")
-	if !rn.WaitCaughtUp(pn.Repl.Status().Mark, 5*time.Second) {
-		t.Fatal("replica never seeded")
+	if pos, err := d.ImportedPosition(); err != nil || pos != (db.Position{}) {
+		t.Fatalf("promoted database holds position %+v (err %v)", pos, err)
 	}
-	rn.Stop()
-	h, addr := rn.Node.Plat.Heap, rn.R.cursorAddr
-	if st, err := h.StateOf(addr); err != nil || st != heapo.StateInUse {
-		t.Fatalf("seeded replica's cursor block at %#x: state %d err %v", addr, st, err)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
-	d, err := rn.R.Promote(DefaultDBOptions())
+	g.reopen()
+	if g.r.seeded.Load() {
+		t.Fatal("a replica reopened after its promotion is seeded")
+	}
+	l, err := g.c.Net.Listen(ReplAddr("n1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	if _, ok := h.GetRoot(rootCursor); ok {
-		t.Fatal("cursor root survived promotion")
+	go g.r.Serve(l)
+	defer g.r.Close()
+	conn, err := g.c.Net.Dial("probe", ReplAddr("n1"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st, err := h.StateOf(addr); err != nil || st != heapo.StateFree {
-		t.Fatalf("cursor block after promotion: state %d err %v, want free", st, err)
+	defer conn.Close()
+	msg, err := conn.Recv(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := decodeHello(msg); err != nil || !h.needSeed {
+		t.Fatalf("HELLO after promotion = %+v (err %v), want a seed request", h, err)
+	}
+
+	probe := newCursorRig(t)
+	probe.apply(probe.batch(1, false))
+	ops := probe.plat.OpCount()
+	promote(probe)
+	window := probe.plat.OpCount() - ops
+	seeded, unseeded := 0, 0
+	for _, policy := range []memsim.FailPolicy{memsim.FailDropAll, memsim.FailAdversarial} {
+		for at := int64(1); at <= window; at++ {
+			name := fmt.Sprintf("policy=%d/op=%d", policy, at)
+			g := newCursorRig(t)
+			g.apply(g.batch(1, false))
+			want := g.r.pos
+			g.plat.ArmCrash(at, policy, at)
+			promote(g)
+			g.powerCut(policy, at)
+			if !g.r.seeded.Load() {
+				unseeded++
+				continue
+			}
+			seeded++
+			if g.r.pos != want || !g.holds() {
+				t.Fatalf("%s: seeded at %+v, want the old replica at %+v with its pages", name, g.r.pos, want)
+			}
+		}
+	}
+	if seeded == 0 || unseeded == 0 {
+		t.Fatalf("%d seeded and %d unseeded recoveries over %d operations: the sweep missed a side of the clearing commit", seeded, unseeded, window)
 	}
 }

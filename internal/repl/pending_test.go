@@ -39,7 +39,7 @@ func TestReplicaAppliesOverRecoveredPendingPages(t *testing.T) {
 	apply := func(r *Replica, pgno uint32, off int, fill byte) bool {
 		fr := core.ExportFrame{Pgno: pgno, Off: uint32(off), Payload: bytes.Repeat([]byte{fill}, 40)}
 		b := core.ExportBatch{From: r.Applied(), To: r.Applied() + 1, Frames: []core.ExportFrame{fr}}
-		a, _ := r.applyFrames(framesMsg{incarnation: 1, batch: b, endChain: core.ChainExport(r.chain, b)})
+		a, _ := r.applyFrames(framesMsg{incarnation: 1, batch: b, endChain: core.ChainExport(r.pos.Chain, b)})
 		if a.ok {
 			model[pgno] = bytes.Clone(model[pgno])
 			copy(model[pgno][off:], fr.Payload)

@@ -187,7 +187,7 @@ func TestDivergenceLatchesDegradedUntilReseed(t *testing.T) {
 	}
 	// Degraded still serves reads at the applied mark, but refuses
 	// further frame batches.
-	good := framesMsg{incarnation: 1, batch: batch, endChain: core.ChainExport(r.chain, batch)}
+	good := framesMsg{incarnation: 1, batch: batch, endChain: core.ChainExport(r.pos.Chain, batch)}
 	if a, _ := r.applyFrames(good); a.ok {
 		t.Fatal("degraded replica accepted frames")
 	}

@@ -4,10 +4,10 @@
 // committed through the replica's own NVWAL, one commit mark per batch) —
 // so a replica survives its own power failures by the same recovery path
 // as a primary, and re-applied ranges after a crash are idempotent. The
-// applied primary mark, stream chain and primary incarnation persist as
-// one checksummed record in the NVRAM namespace, written only AFTER the
-// corresponding frames are durable (a crash between the two leaves the
-// cursor stale-low, which resumes by harmless re-apply). The replica
+// replica's position — primary incarnation, applied primary mark, stream
+// chain — is written into page 1 inside that same transaction
+// (db.Position), so one commit mark publishes the frames and the position
+// together and a crash leaves neither without the other. The replica
 // checkpoints its journal when its primary does — on the batch that
 // carries a backfill watermark it has not yet checkpointed at, after that
 // batch's ack is on the wire — so the cluster has one checkpoint policy,
@@ -18,10 +18,8 @@ package repl
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 
@@ -32,21 +30,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/server"
 )
-
-// The persistent cursor is one record, {incarnation u64, applied u64,
-// chain u32, crc32c u32}, kept in two slots of one heapo block found
-// through rootCursor. The root is written once, when the first seed
-// allocates the block; every later update is a store into the slot that
-// does not hold the newest record, one flush and one persist barrier —
-// persist the record, publish it with one ordered store. Each slot has a
-// cache line to itself, so a write torn by a power cut damages at most
-// the slot being written and the other still holds the previous cursor.
-const (
-	rootCursor    = "repl:cursor"
-	cursorRecSize = 24
-)
-
-var replCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // checkpointNet is the replica's safety net: its own journal reaching
 // this many unbackfilled frames forces a round even if no boundary
@@ -84,19 +67,11 @@ type Replica struct {
 	// seeded: applies set it under rw, Promote clears it under reads.
 	seeded atomic.Bool
 
-	// rw serializes applies, rounds and the position fields below.
+	// rw serializes applies, rounds and the fields below. pos is the
+	// position the database's last import committed.
 	rw          sync.RWMutex
-	incarnation uint64
-	applied     int
-	chain       uint32
+	pos         db.Position
 	degradedErr error
-	// cursorAddr is the cursor block (0 until the first seed allocates
-	// it) and cursorSlot the slot holding the newest record.
-	cursorAddr uint64
-	cursorSlot int
-	// cursorBuf is the record storeCursor hands the device, the replica's
-	// own so that a cursor update allocates nothing. Guarded by r.rw.
-	cursorBuf [cursorRecSize]byte
 	// ckptAt is the primary mark this replica's journal was last
 	// checkpointed at; ckptErr is that round's failure, nil once a later
 	// round succeeds.
@@ -111,11 +86,11 @@ type Replica struct {
 
 // NewReplica opens (or re-opens after a crash) replica state for the
 // database file name on plat. Recovery of the replica's own journal runs
-// inside db.Open; the persisted cursor then says which primary mark that
-// state corresponds to. An invalid or missing cursor leaves the replica
-// unseeded — it will request a full generation transfer. A database that
-// opens degraded still follows: its applies go on, and its rounds fail
-// until a re-seed finds a healthy node.
+// inside db.Open and restores the position its last import committed
+// with its frames. No position, or a page 1 that cannot be read, leaves
+// the replica unseeded — it will request a full generation transfer. A
+// database that opens degraded still follows: its applies go on, and its
+// rounds fail until a re-seed finds a healthy node.
 func NewReplica(plat *platform.Platform, name string, opts ReplicaOptions) (*Replica, error) {
 	if opts.Metrics == nil {
 		opts.Metrics = plat.Metrics
@@ -125,119 +100,13 @@ func NewReplica(plat *platform.Platform, name string, opts ReplicaOptions) (*Rep
 		return nil, err
 	}
 	r := &Replica{plat: plat, name: name, opts: opts, m: opts.Metrics, db: d}
-	r.loadCursor()
-	return r, nil
-}
-
-// cursorRec is the persistent cursor in memory.
-type cursorRec struct {
-	incarnation uint64
-	applied     int
-	chain       uint32
-}
-
-// encode writes the record into rec, which crc32 sees through a pointer:
-// a caller's buffer, not one encode would have to allocate.
-func (c cursorRec) encode(rec *[cursorRecSize]byte) {
-	binary.LittleEndian.PutUint64(rec[0:], c.incarnation)
-	binary.LittleEndian.PutUint64(rec[8:], uint64(c.applied))
-	binary.LittleEndian.PutUint32(rec[16:], c.chain)
-	binary.LittleEndian.PutUint32(rec[20:], crc32.Checksum(rec[:20], replCRC))
-}
-
-// decodeCursor reports ok=false for a slot that fails its checksum — a
-// torn or never-written record; an all-zero slot is one — or holds a
-// mark no journal could have.
-func decodeCursor(rec []byte) (cursorRec, bool) {
-	applied, err := markAt(rec[8:])
-	if err != nil || binary.LittleEndian.Uint32(rec[20:]) != crc32.Checksum(rec[:20], replCRC) {
-		return cursorRec{}, false
-	}
-	return cursorRec{
-		incarnation: binary.LittleEndian.Uint64(rec[0:]),
-		applied:     applied,
-		chain:       binary.LittleEndian.Uint32(rec[16:]),
-	}, true
-}
-
-// cursorStride is the distance between the two cursor slots: each has a
-// cache line to itself.
-func (r *Replica) cursorStride() int {
-	line := r.plat.Heap.Device().LineSize()
-	return (cursorRecSize + line - 1) / line * line
-}
-
-// loadCursor restores the persisted cursor from the valid slot with the
-// higher applied mark. No cursor block, or two slots that fail their
-// checksum, means unseeded. The journal may be ahead of a slot that
-// lost its last update to a power cut, never behind it.
-func (r *Replica) loadCursor() {
-	h := r.plat.Heap
-	addr, ok := h.GetRoot(rootCursor)
-	if !ok {
-		return
-	}
-	r.cursorAddr = addr
-	var rec [cursorRecSize]byte
-	for slot := 0; slot < 2; slot++ {
-		h.Device().Read(addr+uint64(slot*r.cursorStride()), rec[:])
-		c, ok := decodeCursor(rec[:])
-		if !ok || (r.seeded.Load() && c.applied <= r.applied) {
-			continue
-		}
-		r.incarnation, r.applied, r.chain = c.incarnation, c.applied, c.chain
-		r.cursorSlot = slot
+	if pos, err := d.ImportedPosition(); err == nil && pos != (db.Position{}) {
+		r.pos = pos
 		r.seeded.Store(true)
 	}
 	// The next boundary the primary announces past this mark runs a round.
-	r.ckptAt = r.applied
-}
-
-// allocCursor allocates the cursor block and binds rootCursor to it, with
-// both slots zeroed first so that no record from the block's previous
-// life can read as a cursor.
-func (r *Replica) allocCursor() error {
-	h := r.plat.Heap
-	blk, err := h.NVMalloc(2 * r.cursorStride())
-	if err != nil {
-		return err
-	}
-	r.cursorAddr = blk.Addr
-	r.cursorBuf = [cursorRecSize]byte{}
-	r.storeCursor(0)
-	r.storeCursor(1)
-	if err := h.SetRoot(rootCursor, blk.Addr); err != nil {
-		r.cursorAddr = 0
-		_ = h.NVFree(blk) // the root table is full, which is the error reported
-		return err
-	}
-	return nil
-}
-
-// saveCursor persists the cursor AFTER the frames it covers are durable
-// in the replica's journal. A batch writes the slot that does not hold
-// the newest record. A seed starts a new mark space, in which the other
-// slot's higher applied mark would win the next load, so it writes both.
-func (r *Replica) saveCursor(seed bool) {
-	cursorRec{incarnation: r.incarnation, applied: r.applied, chain: r.chain}.encode(&r.cursorBuf)
-	r.cursorSlot ^= 1
-	r.storeCursor(r.cursorSlot)
-	if seed {
-		r.storeCursor(r.cursorSlot ^ 1)
-	}
-}
-
-// storeCursor writes cursorBuf to one slot and makes it durable: one
-// store, one cache_line_flush call (a kernel crossing, as for any
-// user-level flush) between its two dmb fences, and one persist barrier.
-func (r *Replica) storeCursor(slot int) {
-	dev, addr := r.plat.Heap.Device(), r.cursorAddr+uint64(slot*r.cursorStride())
-	dev.Write(addr, r.cursorBuf[:])
-	dev.MemoryBarrier()
-	dev.Syscall()
-	dev.Flush(addr, addr+cursorRecSize)
-	dev.MemoryBarrier()
-	dev.PersistBarrier()
+	r.ckptAt = r.pos.Applied
+	return r, nil
 }
 
 // Serve accepts primary connections on l until Close. Newest conn
@@ -317,8 +186,9 @@ func (r *Replica) stopped() bool {
 // Promote ends replication and re-opens the replica's state as a full
 // database: recovery replays the replica's own journal, and the
 // caller serves writes from the returned handle under a NEW fencing
-// epoch. The replication cursor is deleted — the new primary starts a
-// new mark space, and its followers re-seed by construction.
+// epoch. Its first commit clears the replication position — the new
+// primary starts a new mark space, its followers re-seed by construction,
+// and the node reopened as a replica later is unseeded.
 func (r *Replica) Promote(opts db.Options) (*db.DB, error) {
 	r.Close()
 	r.rw.Lock()
@@ -327,25 +197,24 @@ func (r *Replica) Promote(opts db.Options) (*db.DB, error) {
 	r.reads.Lock()
 	r.seeded.Store(false)
 	r.reads.Unlock()
-	if h := r.plat.Heap; r.cursorAddr != 0 {
-		// Root first: a crash in between leaks the block, the other order
-		// leaves a root pointing at memory the heap may hand out again.
-		h.DeleteRoot(rootCursor)
-		if blk, err := h.BlockAt(r.cursorAddr); err == nil {
-			_ = h.NVFree(blk) // a block that will not free is a leaked page, not a failed promotion
-		}
-		r.cursorAddr = 0
+	d, err := db.Open(r.plat, r.name, opts)
+	if err != nil {
+		return d, err
 	}
-	return db.Open(r.plat, r.name, opts)
+	if err := d.ImportFrames(nil, db.Position{}); err != nil {
+		_ = d.Close()
+		return nil, err
+	}
+	return d, nil
 }
 
 // handleConn runs one primary connection: hello, then apply/ack.
 func (r *Replica) handleConn(conn netsim.Conn) {
 	r.rw.RLock()
 	h := hello{
-		incarnation: r.incarnation,
-		applied:     r.applied,
-		chain:       r.chain,
+		incarnation: r.pos.Incarnation,
+		applied:     r.pos.Applied,
+		chain:       r.pos.Chain,
 		needSeed:    !r.seeded.Load() || r.degradedErr != nil,
 	}
 	r.rw.RUnlock()
@@ -385,8 +254,8 @@ func (r *Replica) handleConn(conn netsim.Conn) {
 		default:
 			return
 		}
-		// Ack first, write back second: the ack says the frames are committed
-		// and the cursor durable, which is all the primary's commit waits
+		// Ack first, write back second: the ack says the frames and the
+		// position are committed, which is all the primary's commit waits
 		// for. A round the batch left due runs before the next batch is
 		// read, whether or not the ack got out.
 		err = conn.Send(encodeAck(ackBuf[:0], a))
@@ -407,33 +276,24 @@ func (r *Replica) handleConn(conn netsim.Conn) {
 func (r *Replica) applySeed(s seedMsg) ack {
 	r.rw.Lock()
 	defer r.rw.Unlock()
-	nack := ack{incarnation: s.incarnation, applied: r.applied, ok: false}
+	nack := ack{incarnation: s.incarnation, applied: r.pos.Applied, ok: false}
 	if r.stopped() {
 		return nack
-	}
-	if r.cursorAddr == 0 {
-		// The first seed: without its cursor block the replica would apply
-		// state it could never resume from.
-		if err := r.allocCursor(); err != nil {
-			return nack
-		}
 	}
 	frames := make([]core.ExportFrame, len(s.pages))
 	for i, pg := range s.pages {
 		frames[i] = core.ExportFrame{Pgno: pg.pgno, Full: true, Payload: pg.data}
 	}
-	if err := r.db.ImportFrames(frames); err != nil {
+	pos := db.Position{Incarnation: s.incarnation, Applied: s.mark, Chain: core.ExportChainSeed(s.mark)}
+	if err := r.db.ImportFrames(frames, pos); err != nil {
 		return nack
 	}
-	r.incarnation = s.incarnation
-	r.applied = s.mark
-	r.chain = core.ExportChainSeed(s.mark)
+	r.pos = pos
 	r.seeded.Store(true)
 	r.degradedErr = nil
 	r.checkpoint()
-	r.saveCursor(true)
 	r.m.Inc(metrics.ReplBatchesApplied, 1)
-	return ack{incarnation: r.incarnation, applied: r.applied, ok: true}
+	return ack{incarnation: pos.Incarnation, applied: pos.Applied, ok: true}
 }
 
 // ApplyBatch applies an exported range the way a FRAMES message from a
@@ -443,7 +303,7 @@ func (r *Replica) applySeed(s seedMsg) ack {
 // the one the message would carry is folded here.
 func (r *Replica) ApplyBatch(incarnation uint64, b core.ExportBatch) bool {
 	r.rw.RLock()
-	chain := r.chain
+	chain := r.pos.Chain
 	r.rw.RUnlock()
 	a, roundDue := r.applyFrames(framesMsg{incarnation: incarnation, batch: b, endChain: core.ChainExport(chain, b)})
 	if roundDue {
@@ -462,19 +322,19 @@ func (r *Replica) ApplyBatch(incarnation uint64, b core.ExportBatch) bool {
 func (r *Replica) applyFrames(f framesMsg) (a ack, roundDue bool) {
 	r.rw.Lock()
 	defer r.rw.Unlock()
-	nack := ack{incarnation: r.incarnation, applied: r.applied, ok: false}
+	nack := ack{incarnation: r.pos.Incarnation, applied: r.pos.Applied, ok: false}
 	if !r.seeded.Load() || r.degradedErr != nil || r.stopped() {
 		return nack, false
 	}
-	if f.incarnation != r.incarnation {
+	if f.incarnation != r.pos.Incarnation {
 		return nack, false
 	}
-	if f.batch.From != r.applied {
-		// A range not anchored at the cursor is a gap (or an overlap
+	if f.batch.From != r.pos.Applied {
+		// A range not anchored at the applied mark is a gap (or an overlap
 		// from a confused sender) — unhealable in place.
 		return nack, false
 	}
-	end := core.ChainExport(r.chain, f.batch)
+	end := core.ChainExport(r.pos.Chain, f.batch)
 	if end != f.endChain {
 		// The stream diverged from what the primary computed: latch
 		// read-only-degraded; only a full re-seed clears it.
@@ -483,15 +343,14 @@ func (r *Replica) applyFrames(f framesMsg) (a ack, roundDue bool) {
 		r.m.Inc(metrics.ReplDivergences, 1)
 		return nack, false
 	}
-	if err := r.db.ImportFrames(f.batch.Frames); err != nil {
+	pos := db.Position{Incarnation: r.pos.Incarnation, Applied: f.batch.To, Chain: end}
+	if err := r.db.ImportFrames(f.batch.Frames, pos); err != nil {
 		return nack, false
 	}
-	r.applied = f.batch.To
-	r.chain = end
-	r.saveCursor(false)
+	r.pos = pos
 	r.m.Inc(metrics.ReplBatchesApplied, 1)
 	roundDue = f.batch.Backfill > r.ckptAt || r.db.Journal().FramesSinceCheckpoint() >= checkpointNet
-	return ack{incarnation: r.incarnation, applied: r.applied, ok: true}, roundDue
+	return ack{incarnation: pos.Incarnation, applied: pos.Applied, ok: true}, roundDue
 }
 
 // checkpointAfterAck runs the round an applied batch left due. It runs
@@ -528,7 +387,7 @@ func (r *Replica) checkpoint() {
 			return
 		}
 	}
-	r.ckptAt = r.applied
+	r.ckptAt = r.pos.Applied
 	if r.ckptErr = err; err != nil {
 		r.m.Inc(metrics.ReplCheckpointErrors, 1)
 	}
@@ -600,8 +459,8 @@ func (r *Replica) Status() server.Status {
 	return server.Status{
 		Role:    "replica",
 		Epoch:   r.opts.Epoch,
-		Mark:    r.applied,
-		Applied: r.applied,
+		Mark:    r.pos.Applied,
+		Applied: r.pos.Applied,
 		// A failed checkpoint round degrades the replica only once the
 		// safety net is past as well: until then the next boundary retries.
 		Degraded: r.degradedErr != nil || !r.seeded.Load() ||
@@ -614,7 +473,7 @@ func (r *Replica) Status() server.Status {
 func (r *Replica) Applied() int {
 	r.rw.RLock()
 	defer r.rw.RUnlock()
-	return r.applied
+	return r.pos.Applied
 }
 
 // Incarnation returns the incarnation (its primary's fencing epoch) of
@@ -623,7 +482,7 @@ func (r *Replica) Applied() int {
 func (r *Replica) Incarnation() uint64 {
 	r.rw.RLock()
 	defer r.rw.RUnlock()
-	return r.incarnation
+	return r.pos.Incarnation
 }
 
 // Degraded returns the latched divergence error, if any.

@@ -3,8 +3,9 @@
 // ships them to N replicas, which verify the export CRC chain, apply
 // the frames to their own database (db.ImportFrames: the commit path a
 // primary's transactions take, so replica durability is the same §4.2
-// story as primary durability), persist the applied primary mark in the
-// NVRAM namespace, and serve snapshot reads at exactly that mark. The protocol is strict request/response per conn:
+// story as primary durability) with the applied primary mark in the same
+// commit, and serve snapshot reads at exactly that mark. The protocol is
+// strict request/response per conn:
 //
 //	replica → HELLO (incarnation, applied mark, chain)   on connect
 //	primary → SEED   (full page snapshot)  |  FRAMES (mark range, backfill watermark)
