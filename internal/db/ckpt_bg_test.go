@@ -64,6 +64,39 @@ func TestBackgroundCheckpointDrainsLog(t *testing.T) {
 	}
 }
 
+// TestRoundDeferredByReaderRunsAtNextCommit: a reader pinned below the
+// log's tip refuses every round the commits past the limit kick for.
+// Closing it wakes nobody; the first commit after the close, past the
+// limit like every commit before it, kicks the deferred round, which
+// drains the log.
+func TestRoundDeferredByReaderRunsAtNextCommit(t *testing.T) {
+	opts := bgOptions()
+	d, plat := newDB(t, opts)
+	if err := d.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	r, err := d.BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*opts.CheckpointLimit; i++ {
+		mustCommitKV(t, d, "t", map[string]string{fmt.Sprintf("k%d", i): "v"})
+	}
+	if n := d.Journal().FramesSinceCheckpoint(); n < 2*opts.CheckpointLimit {
+		t.Fatalf("%d frames since the last round: a round ran past the reader's mark", n)
+	}
+	before := plat.Metrics.Count(metrics.Checkpoints)
+	r.Close()
+	mustCommitKV(t, d, "t", map[string]string{"after": "v"})
+	waitDrained(t, d, opts.CheckpointLimit)
+	if plat.Metrics.Count(metrics.Checkpoints) == before {
+		t.Fatal("the log drained without a checkpoint round")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
 // TestReaderOpenedMidCheckpointKeepsMark parks the background
 // checkpointer inside phase B (page writeback, no lock held), opens a
 // snapshot reader and lands a commit while it is parked, and verifies

@@ -253,8 +253,8 @@ type DB struct {
 	idle   []*sessionState
 
 	// Background checkpointer (Options.BackgroundCheckpoint): commits
-	// and closing readers kick the goroutine instead of checkpointing
-	// inline. A checkpoint error is latched into ckptErr.
+	// past the limit and pressure stalls kick the goroutine instead of
+	// checkpointing inline. A checkpoint error is latched into ckptErr.
 	ckptKick  chan struct{}
 	ckptQuit  chan struct{}
 	ckptDone  chan struct{}
@@ -979,11 +979,9 @@ func (d *DB) AutoCheckpoint(freezeOnly bool) error {
 }
 
 // kickCheckpoint nudges the background checkpointer (no-op when the
-// kick buffer already holds a pending nudge, or in inline mode).
+// kick buffer already holds a pending nudge, or in inline mode, where
+// ckptKick is nil).
 func (d *DB) kickCheckpoint() {
-	if d.ckptKick == nil {
-		return
-	}
 	select {
 	case d.ckptKick <- struct{}{}:
 	default:
@@ -993,11 +991,11 @@ func (d *DB) kickCheckpoint() {
 // checkpointLoop is the background checkpointer: each kick drains the
 // log below the frame limit without ever taking the writer slot, so
 // commits overlap the checkpoint's page writeback and fsync. A round
-// deferred by an open reader waits for the next kick (readers kick on
-// Close); a real failure is latched for Close to report. Space
-// pressure lowers the bar: below the soft watermark any non-empty log
-// is drained, so stalled writers get pages back before the frame limit
-// would have triggered.
+// deferred by an open reader waits for the next kick, from the next
+// commit past the limit or the next pressure stall; a real failure is
+// latched for Close to report. Space pressure lowers the bar: below the
+// soft watermark any non-empty log is drained, so stalled writers get
+// pages back before the frame limit would have triggered.
 func (d *DB) checkpointLoop() {
 	defer close(d.ckptDone)
 	tr := d.health.Tracker("checkpointer")

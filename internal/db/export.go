@@ -50,7 +50,7 @@ func (d *DB) SeedBytes() (int64, error) {
 		return 0, ErrNoExport
 	}
 	mark := d.nv.Pin()
-	defer d.unpin(mark)
+	defer d.nv.Unpin(mark)
 	hdr, _, err := d.view.PageAt(1, mark)
 	if err != nil {
 		return 0, err
@@ -78,7 +78,7 @@ func (d *DB) ExportPages() (*PageSnapshot, error) {
 		return nil, ErrNoExport
 	}
 	mark := d.nv.Pin()
-	defer d.unpin(mark)
+	defer d.nv.Unpin(mark)
 
 	// The page count lives in the header page; reading it at the pinned
 	// mark keeps the capture self-consistent even while writers extend
@@ -129,7 +129,7 @@ func (d *DB) ImportedPosition() (Position, error) {
 		return Position{}, ErrNoExport
 	}
 	mark := d.nv.Pin()
-	defer d.unpin(mark)
+	defer d.nv.Unpin(mark)
 	hdr, _, err := d.view.PageAt(1, mark)
 	if err != nil {
 		return Position{}, err

@@ -473,7 +473,7 @@ func (tx *CTx) releaseMark() {
 		return
 	}
 	tx.markHeld = false
-	tx.d.unpin(tx.store.snap.Mark)
+	tx.d.nv.Unpin(tx.store.snap.Mark)
 }
 
 // finish closes the session out: mark released, writer unregistered

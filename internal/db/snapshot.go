@@ -51,13 +51,6 @@ func (d *DB) BeginRead() (*ReadTx, error) {
 	return r, nil
 }
 
-// unpin releases a mark pinned in the journal (core.NVWAL.Pin). A
-// background checkpointer waiting out the mark is kicked to retry.
-func (d *DB) unpin(mark int) {
-	d.nv.Unpin(mark)
-	d.kickCheckpoint()
-}
-
 // maxKeptBuilt bounds the built-page table a closed ReadTx keeps for its
 // next use: a long reader's table goes, rather than be cleared on every
 // later Close.
@@ -70,7 +63,7 @@ func (r *ReadTx) Close() {
 		return
 	}
 	r.done = true
-	r.d.unpin(r.store.Mark)
+	r.d.nv.Unpin(r.store.Mark)
 	r.tables = tables{}
 	if len(r.store.built) > maxKeptBuilt {
 		r.store.built = nil
