@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	nvwal-bench [-txns N] [-json FILE] [-gate FILE] table1|table2|fig5|fig6|fig7|fig8|fig9|...|allocs|all
+//	nvwal-bench [-txns N] [-json FILE] table1|table2|fig5|fig6|fig7|fig8|fig9|...|all
 //
 // Throughput numbers are virtual-time based and deterministic; see
 // EXPERIMENTS.md for the paper-versus-measured comparison.
@@ -71,7 +71,6 @@ var table = []experiment{
 	{"mvcc", of(experiments.MVCC)},
 	{"repl", of(experiments.Repl)},
 	{"slow", of(experiments.Slow)},
-	{"allocs", of(experiments.CommitAllocs)},
 }
 
 // of adapts an experiment's entry point to the table's signature.
@@ -100,19 +99,18 @@ func (f fig7) Print(w io.Writer) {
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command. It returns the exit code: 0 done, 1 when an
-// experiment fails or the allocs gate trips, 2 on a usage error.
+// experiment fails, 2 on a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nvwal-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	txns := fs.Int("txns", 0, "transactions per measurement (0 = experiment default)")
 	jsonOut := fs.String("json", "", "also write the experiment's result as JSON to this file")
-	gate := fs.String("gate", "", "baseline JSON to gate against (allocs only): exit non-zero when allocs/op regress above it")
 	var names []string
 	for _, e := range table {
 		names = append(names, e.name)
 	}
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: nvwal-bench [-txns N] [-json FILE] [-gate FILE] %s|all\n", strings.Join(names, "|"))
+		fmt.Fprintf(stderr, "usage: nvwal-bench [-txns N] [-json FILE] %s|all\n", strings.Join(names, "|"))
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -136,8 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		refused = fmt.Sprintf("unknown experiment %q", name)
 	case name == "all" && *jsonOut != "":
 		refused = "-json writes one experiment's result; name the experiment instead of all"
-	case *gate != "" && name != "allocs":
-		refused = "-gate applies to allocs only"
 	}
 	if refused != "" {
 		fmt.Fprintln(stderr, "nvwal-bench:", refused)
@@ -147,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if name == "all" {
 			fmt.Fprintf(stdout, "==== %s ====\n", e.name)
 		}
-		if err := runOne(e, *txns, *jsonOut, *gate, stdout); err != nil {
+		if err := runOne(e, *txns, *jsonOut, stdout); err != nil {
 			fmt.Fprintln(stderr, "nvwal-bench:", err)
 			return 1
 		}
@@ -158,24 +154,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runOne runs and prints one experiment, then writes its JSON and gates
-// it when asked to.
-func runOne(e experiment, txns int, jsonOut, gate string, stdout io.Writer) error {
+// runOne runs and prints one experiment, then writes its JSON when asked
+// to.
+func runOne(e experiment, txns int, jsonOut string, stdout io.Writer) error {
 	r, err := e.run(txns)
 	if err != nil {
 		return err
 	}
 	r.Print(stdout)
 	if jsonOut != "" {
-		if err := writeJSON(jsonOut, r); err != nil {
-			return err
-		}
-	}
-	if gate != "" {
-		if err := gateAllocs(r.(*experiments.CommitAllocsResult), gate); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "allocs/op gate passed against %s\n", gate)
+		return writeJSON(jsonOut, r)
 	}
 	return nil
 }
@@ -212,53 +200,4 @@ func gitSHA() string {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// gateAllocs compares the measured allocation audit against a recorded
-// baseline and fails on regression. Allocs/op is near-deterministic for
-// a fixed op count, but map-growth boundaries and pool warmup shift it
-// by a fraction; the gate allows 10% + 2 allocs of slack — except on a
-// row recorded below 1 alloc/op, which may rise by 0.05 only, so one
-// allocation per operation creeping back into a path that makes none
-// shows — and, on bytes/op, 10% + half a page, so one page-sized copy
-// creeping back shows, before calling a regression. It ignores latency
-// (wall-clock, machine-dependent).
-func gateAllocs(r *experiments.CommitAllocsResult, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading allocs baseline: %w", err)
-	}
-	var base experiments.CommitAllocsResult
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing allocs baseline %s: %w", path, err)
-	}
-	var failures []string
-	for _, want := range base.Rows {
-		got := experiments.Find(r.Rows, func(row experiments.CommitAllocsRow) bool { return row.Path == want.Path })
-		if got == nil {
-			failures = append(failures, fmt.Sprintf("%s: missing from current run", want.Path))
-			continue
-		}
-		if limit := allocsLimit(want.AllocsPerOp); got.AllocsPerOp > limit {
-			failures = append(failures, fmt.Sprintf("%s: %.2f allocs/op exceeds baseline %.2f (limit %.2f)",
-				want.Path, got.AllocsPerOp, want.AllocsPerOp, limit))
-		}
-		if limit := want.BytesPerOp*1.10 + 2048; got.BytesPerOp > limit {
-			failures = append(failures, fmt.Sprintf("%s: %.0f bytes/op exceeds baseline %.0f (limit %.0f)",
-				want.Path, got.BytesPerOp, want.BytesPerOp, limit))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("allocs/op regression:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// allocsLimit is the most allocs/op the gate lets a row recorded at base
-// reach.
-func allocsLimit(base float64) float64 {
-	if base < 1 {
-		return base + 0.05
-	}
-	return base*1.10 + 2
 }

@@ -25,8 +25,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"nosuch"},
 		{"table1", "fig5"},
 		{"-json", out, "all"},
-		{"-gate", out, "fig5"},
-		{"-gate", out, "all"},
+		{"-nosuch", "fig5"},
 		{"-txns", "x", "table1"},
 	} {
 		if code, stdout, stderr := runBench(t, args...); code != 2 || stdout != "" || stderr == "" {
@@ -35,49 +34,6 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("a refused run wrote %s", out)
-	}
-}
-
-func TestAllocsGateNamesRegressedRow(t *testing.T) {
-	data, err := os.ReadFile("../../results/BENCH_commit_allocs.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	row := doc["rows"].([]any)[0].(map[string]any)
-	path := row["path"].(string)
-	row["allocs_per_op"] = 0.0
-	base := filepath.Join(t.TempDir(), "baseline.json")
-	if data, err = json.Marshal(doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(base, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := runBench(t, "-gate", base, "allocs")
-	if code != 1 || !strings.Contains(stderr, path+":") {
-		t.Fatalf("exit %d, stderr %q; want 1 naming %s", code, stderr, path)
-	}
-	if strings.Contains(stdout, "gate passed") {
-		t.Fatalf("gate reported a pass:\n%s", stdout)
-	}
-}
-
-// TestAllocsLimitSeesOneAllocation: a row recorded below one allocation
-// per op fails at one more allocation per op; a larger row keeps 10% + 2.
-func TestAllocsLimitSeesOneAllocation(t *testing.T) {
-	for _, c := range []struct{ base, pass, fail float64 }{
-		{0, 0.05, 1},
-		{0.10, 0.15, 1.10},
-		{0.82, 0.87, 1.82},
-		{2, 4.2, 4.3},
-	} {
-		if got := allocsLimit(c.base); got < c.pass || got >= c.fail {
-			t.Errorf("allocsLimit(%v) = %v, want within [%v, %v)", c.base, got, c.pass, c.fail)
-		}
 	}
 }
 

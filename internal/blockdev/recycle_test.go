@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
@@ -29,7 +30,9 @@ func readPage(t *testing.T, d *Device, p int) []byte {
 }
 
 // TestWriteSyncOnWarmDeviceAllocatesNothing: the buffer a Sync replaces
-// is the buffer the next write of that page programs into.
+// is the buffer the next write of that page programs into. Measured
+// without rounding: a round of nine programs and a Sync may allocate 0.05
+// times, so one buffer per round shows.
 func TestWriteSyncOnWarmDeviceAllocatesNothing(t *testing.T) {
 	d := New(Config{Pages: 64}, simclock.New(), &metrics.Counters{}, nil)
 	img := page(0x5A, d.PageSize())
@@ -48,8 +51,8 @@ func TestWriteSyncOnWarmDeviceAllocatesNothing(t *testing.T) {
 	}
 	round()
 	round()
-	if avg := testing.AllocsPerRun(50, round); avg != 0 {
-		t.Fatalf("write→sync on a warmed device: %.1f allocs per round, want 0", avg)
+	if allocs, bytes := alloctest.PerRun(300, round); allocs > 0.05 || bytes > 2048 {
+		t.Fatalf("write→sync on a warmed device: %.3f allocs and %.1f bytes per round, want 0", allocs, bytes)
 	}
 }
 

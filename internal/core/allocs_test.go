@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/metrics"
 	"repro/internal/pager"
 )
@@ -44,21 +45,6 @@ func successiveImages(first []byte, n int) [][]byte {
 	return imgs
 }
 
-// perRun reports the mean heap allocations and bytes of f over runs
-// calls, after one warm-up call, measured like testing.AllocsPerRun.
-func perRun(runs int, f func()) (allocs, bytes float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs),
-		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
-}
-
 func TestSoloCommitAllocs(t *testing.T) {
 	e := newEnv(t)
 	w := e.open(t, VariantUHLSDiff())
@@ -67,7 +53,7 @@ func TestSoloCommitAllocs(t *testing.T) {
 	commitPages(t, w, map[uint32][]byte{2: imgs[0]})
 
 	next := 1
-	avg, perCommit := perRun(runs, func() {
+	avg, perCommit := alloctest.PerRun(runs, func() {
 		if err := w.CommitTransaction([]pager.Frame{{Pgno: 2, Data: imgs[next]}}); err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +105,7 @@ func TestGroupCommitAllocs(t *testing.T) {
 	// append kernel's scratch reused across calls.
 	const groupAllocBudget = 1.0 * members
 	next := 1
-	avg, perCommit := perRun(runs, func() {
+	avg, perCommit := alloctest.PerRun(runs, func() {
 		commit(next)
 		next++
 	})

@@ -433,7 +433,8 @@ func (r *pendingRun) run(steps int) {
 // page at every valid mark and the database file compared after each.
 func TestPendingPagesMatchEagerReference(t *testing.T) {
 	steps, seeds := 120, int64(3)
-	if testing.Short() {
+	short := testing.Short() || raceEnabled
+	if short {
 		steps, seeds = 60, 1
 	}
 	for _, v := range []NamedConfig{
@@ -452,7 +453,7 @@ func TestPendingPagesMatchEagerReference(t *testing.T) {
 		}
 		t.Logf("%s: steps that began with pages pending: %v", v.Name, met)
 		for _, s := range pendingSteps {
-			if met[s.name] == 0 && !testing.Short() {
+			if met[s.name] == 0 && !short {
 				t.Errorf("%s: no %s step met a pending page", v.Name, s.name)
 			}
 		}

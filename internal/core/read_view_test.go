@@ -380,12 +380,16 @@ func newReadViewRun(t *testing.T, cfg Config, seed int64) *readViewRun {
 	return &readViewRun{t: t, e: e, cfg: cfg, w: e.open(t, cfg), rng: rand.New(rand.NewSource(seed)), cur: make(map[uint32][]byte)}
 }
 
+// raceEnabled is set by race_test.go when the race detector is on: the
+// long equivalence properties then run at their -short size.
+var raceEnabled bool
+
 // TestReadViewMatchesReference is the reference-equivalence property
 // over full-frame (LS, UH+LS) and differential (LS+Diff, UH+LS+Diff)
 // variants.
 func TestReadViewMatchesReference(t *testing.T) {
 	steps, seeds := 120, int64(3)
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		steps, seeds = 60, 1
 	}
 	for _, v := range []NamedConfig{

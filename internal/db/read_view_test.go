@@ -6,12 +6,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/core"
 	"repro/internal/memsim"
 	"repro/internal/metrics"
@@ -377,16 +377,8 @@ func TestSessionCopiesOnlyWrittenPages(t *testing.T) {
 	// pages copies none of them (that alone would be 256 KiB); the write
 	// adds one page copy and small bookkeeping, not a second page.
 	bytesPerSession := func(write bool) float64 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		session(write, nil)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		const runs = 20
-		for i := 0; i < runs; i++ {
-			session(write, nil)
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+		_, bytes := alloctest.PerRun(20, func() { session(write, nil) })
+		return bytes
 	}
 	readOnly, written := bytesPerSession(false), bytesPerSession(true)
 	t.Logf("session of %d reads: %.0f B; with one write: %.0f B", reads, readOnly, written)

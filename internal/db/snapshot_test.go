@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/core"
 )
 
@@ -302,7 +303,8 @@ func TestSessionScanSeesOwnWrites(t *testing.T) {
 // TestSnapshotScanAllocatesNothing pins the read side's allocations: a
 // warm 20-record ReadTx.ScanRange and a Count hand out views and allocate
 // nothing, and a whole snapshot point read — BeginRead, Get, Close —
-// allocates the ReadTx, the value it returns and at most one more.
+// allocates the ReadTx, the value it returns and at most one more. Neither
+// copies a page image: under 2 KiB per read.
 func TestSnapshotScanAllocatesNothing(t *testing.T) {
 	d, _ := newDB(t, Options{Journal: JournalNVWAL, NVWAL: core.VariantUHLSDiff(), Concurrent: true, CheckpointLimit: -1})
 	if err := d.CreateTable("t"); err != nil {
@@ -325,8 +327,8 @@ func TestSnapshotScanAllocatesNothing(t *testing.T) {
 		}
 	}
 	scan()
-	if a := testing.AllocsPerRun(100, scan); a != 0 {
-		t.Fatalf("a 20-record ReadTx.ScanRange allocates %v times, want 0", a)
+	if a, b := alloctest.PerRun(100, scan); a > 0.05 || b >= 2048 {
+		t.Fatalf("a 20-record ReadTx.ScanRange allocates %.2f times and %.0f bytes, want 0", a, b)
 	}
 	if a := testing.AllocsPerRun(20, func() { rt.Count("t") }); a != 0 {
 		t.Fatalf("ReadTx.Count allocates %v times, want 0", a)
@@ -348,7 +350,7 @@ func TestSnapshotScanAllocatesNothing(t *testing.T) {
 		rt.Close()
 	}
 	read()
-	if a := testing.AllocsPerRun(100, read); a > 3 {
-		t.Fatalf("BeginRead + Get + Close allocates %v times, want at most 3", a)
+	if a, b := alloctest.PerRun(100, read); a > 3 || b >= 2048 {
+		t.Fatalf("BeginRead + Get + Close allocates %.2f times and %.0f bytes, want at most 3 and no page image", a, b)
 	}
 }

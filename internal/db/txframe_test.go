@@ -1,9 +1,11 @@
 package db_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/platform"
@@ -76,6 +78,62 @@ func TestLegacyTxnAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(runs, update); n != 0 {
 		t.Fatalf("a warm legacy transaction allocates %v times, want 0", n)
+	}
+}
+
+// TestSoloTxnAllocs holds a one-record transaction end to end with no
+// checkpoint round in reach: an insert of a fresh key, and an update of
+// one record on a cached page while the log has no retired version to
+// spare. The update's only page-sized allocation is the transaction's
+// private copy of that page, which the journal then keeps as the page's
+// version: one 4 KiB copy, not the rollback image's or the log's too.
+func TestSoloTxnAllocs(t *testing.T) {
+	if db.RaceEnabled() {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const runs = 300
+	d := openTxDB(t, db.Options{CheckpointLimit: 1 << 20})
+	key, val := make([]byte, 8), make([]byte, 100)
+	next := uint64(0)
+	insert := func() {
+		next++
+		binary.BigEndian.PutUint64(key, next)
+		tx, err := d.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Insert("t", key, val); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 16 {
+		insert()
+	}
+	allocs, bytes := alloctest.PerRun(runs, insert)
+	t.Logf("fresh-key insert: %.2f allocs/op, %.0f bytes/op", allocs, bytes)
+	if allocs > 3.5 {
+		t.Fatalf("a fresh-key insert allocates %.2f times, want at most 3.5", allocs)
+	}
+	update := func() {
+		val[0]++
+		tx, err := d.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := tx.Update("t", []byte("k"), val); err != nil || !ok {
+			t.Fatalf("Update = (%v, %v)", ok, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs, bytes = alloctest.PerRun(runs, update)
+	t.Logf("one-record update, no spare: %.2f allocs/op, %.0f bytes/op", allocs, bytes)
+	if allocs > 3 || bytes < 4096 || bytes >= 2*4096 {
+		t.Fatalf("a one-record update allocates %.2f times and %.0f bytes, want at most 3 and one 4 KiB page copy", allocs, bytes)
 	}
 }
 

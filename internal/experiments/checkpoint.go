@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/metrics"
+	"repro/internal/simclock"
 )
 
 // CheckpointRow is one (mode, writer count) cell of the checkpoint
@@ -123,7 +124,7 @@ func runCheckpointStall(background bool, writers, txns int, latency time.Duratio
 		CheckpointPages: delta.Count(metrics.CheckpointPages),
 		CheckpointNs:    delta.Count(metrics.CheckpointNanos),
 		CommitStallNs:   delta.Count(metrics.CommitStallNanos),
-		Throughput:      perSecond(total, elapsed),
+		Throughput:      simclock.Throughput(total, elapsed),
 	}, nil
 }
 

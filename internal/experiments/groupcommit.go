@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pager"
+	"repro/internal/simclock"
 )
 
 // GroupCommitRow is one group size's measurement.
@@ -76,7 +77,7 @@ func GroupCommit(txns int) (*GroupCommitResult, error) {
 		elapsed := s.Plat.Clock.Now() - start
 		res.Rows = append(res.Rows, GroupCommitRow{
 			GroupSize:  g,
-			Throughput: perSecond(txns, elapsed),
+			Throughput: simclock.Throughput(txns, elapsed),
 		})
 	}
 	return res, nil

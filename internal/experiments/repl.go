@@ -62,9 +62,11 @@ type ReplSteadyResult struct {
 	ReplicaRoundsPerKWrite float64 `json:"replica_rounds_per_1000_writes"`
 	ReplicaPagesPerKWrite  float64 `json:"replica_ckpt_pages_per_1000_writes"`
 	// What one applied batch costs a replica's NVRAM in persist barriers,
-	// kernel crossings and heap-manager allocations: the journal commit
-	// (two barriers) plus the cursor record (one barrier, one crossing —
-	// pinned by repl's TestCursorUpdateIsOneFlushOneBarrier).
+	// kernel crossings and heap-manager allocations: the journal commit of
+	// its frames, which also carries page 1 with the replica's position
+	// (two barriers, nothing beside it — pinned by repl's
+	// TestCursorApplyCostsItsImport), plus its share of the replica's
+	// checkpoint rounds.
 	ReplicaBarriersPerBatch   float64 `json:"replica_persist_barriers_per_batch"`
 	ReplicaSyscallsPerBatch   float64 `json:"replica_syscalls_per_batch"`
 	ReplicaHeapAllocsPerBatch float64 `json:"replica_heap_allocs_per_batch"`
@@ -228,7 +230,7 @@ func runReplReadRow(replicas, reads, keys, valueBytes int, latency time.Duration
 		Readers:     nodes,
 		Reads:       total,
 		ElapsedNs:   int64(elapsed),
-		ReadsPerSec: perSecond(total, elapsed),
+		ReadsPerSec: simclock.Throughput(total, elapsed),
 	}, nil
 }
 
@@ -502,7 +504,7 @@ func (r *ReplResult) Print(w io.Writer) {
 		st.Writes, st.PrimaryCheckpoints, st.Seeds)
 	fmt.Fprintf(w, "  checkpoint rounds per 1000 writes: primary %.2f, each replica %.2f (%.0f pages)\n",
 		st.PrimaryRoundsPerKWrite, st.ReplicaRoundsPerKWrite, st.ReplicaPagesPerKWrite)
-	fmt.Fprintf(w, "  per applied batch on a replica: %.2f persist barriers, %.2f syscalls, %.2f heap allocations (journal commit + cursor record)\n",
+	fmt.Fprintf(w, "  per applied batch on a replica: %.2f persist barriers, %.2f syscalls, %.2f heap allocations (journal commit carrying page 1's position)\n",
 		st.ReplicaBarriersPerBatch, st.ReplicaSyscallsPerBatch, st.ReplicaHeapAllocsPerBatch)
 	fmt.Fprintf(w, "  retained export tail, high-water mark: %d frames, %d bytes\n", st.TailPeakFrames, st.TailPeakBytes)
 	fmt.Fprintf(w, "  per primary boundary: %.1f virtual ms in writes above 20 ms; %d writes between 1 and 20 ms; mean send-to-ack %.1f µs\n",

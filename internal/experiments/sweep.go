@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/db"
+	"repro/internal/simclock"
 )
 
 // The extension sweeps (checkpoint, pressure, shards, mvcc)
@@ -82,18 +83,8 @@ func (s sweep) stats(elapsed time.Duration) commitStats {
 		Busy:        s.busy,
 		P50CommitNs: int64(quantile(s.lats, 0.50)),
 		P99CommitNs: int64(quantile(s.lats, 0.99)),
-		Throughput:  perSecond(s.committed, elapsed),
+		Throughput:  simclock.Throughput(s.committed, elapsed),
 	}
-}
-
-// perSecond is n events over elapsed, or 0 when no time passed: a cell
-// that did no work reports no throughput rather than NaN or +Inf, which
-// encoding/json refuses. Every throughput column goes through it.
-func perSecond(n int, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(n) / elapsed.Seconds()
 }
 
 // quantile returns the q-quantile of ascending values, the element at

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
@@ -449,5 +450,36 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if d.WriteLatency() != DefaultNVRAMWriteLatency {
 		t.Fatalf("default write latency = %v, want %v", d.WriteLatency(), DefaultNVRAMWriteLatency)
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestCommitShapedFlushAllocatesNothing holds the simulated hardware
+// every commit runs on to no allocation at all: one commit-shaped burst
+// (BenchmarkCommitShapedFlush's 48-line gather store, the flush batch,
+// dmb, persist barrier) goes through the line table and the counter cells
+// without a heap allocation. The bound, 0.05 per burst, is about 1/1000 of
+// one per line.
+func TestCommitShapedFlushAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const lines = 48
+	d, _, _ := newDomain(t, Config{Size: 16 << 20})
+	ls := uint64(d.LineSize())
+	hdr, payload := make([]byte, ls), make([]byte, (lines-1)*ls)
+	i := 0
+	allocs, bytes := alloctest.PerRun(1000, func() {
+		addr := uint64(i%1024) * lines * ls
+		i++
+		d.WriteV(addr, hdr, payload)
+		d.CacheLineFlush(addr, addr+lines*ls)
+		d.MemoryBarrier()
+		d.PersistBarrier()
+	})
+	if allocs > 0.05 || bytes > 2048 {
+		t.Fatalf("a 48-line commit burst allocates %.3f times and %.1f bytes, want 0", allocs, bytes)
 	}
 }

