@@ -18,6 +18,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
 )
@@ -38,79 +39,122 @@ func diffExtents(old, new []byte, gapMerge int) []Extent {
 	return diffExtentsInto(nil, old, new, gapMerge)
 }
 
+// diffBlock is the diff kernel's unit: four 8-byte words, one line at
+// the default NVRAM cache line size.
+const diffBlock = 32
+
+// diffSpan is the stretch of eight blocks that one call of the runtime's
+// vectorized compare settles when it is clean, which most of a page is.
+const diffSpan = 256
+
 // diffExtentsInto is diffExtents appending into out[:0], so a caller
 // with a commit loop can reuse one backing array across transactions.
-// It decides which bytes reach NVRAM, so it must find exactly the runs a
-// byte-at-a-time comparison finds (FuzzDiffExtents holds it to that).
+// It decides which bytes reach NVRAM, so it must find exactly the
+// extents a byte-at-a-time comparison finds (FuzzDiffExtents holds it
+// to that).
+//
+// It makes one pass over 32-byte blocks, XORing old and new a word at
+// a time, and at each 256-byte span boundary first skips the span whole
+// if bytes.Equal finds it clean. Of a dirty block only the first and
+// last differing bytes matter whenever gapMerge > 30: two differing
+// bytes of one block are at most 31 apart, so at most 30 clean bytes lie
+// between them and every dirty run of the block merges with the next.
+// The block is then one run, from its first differing byte to its last,
+// and it extends the previous extent exactly when a byte-wise scan
+// would: when its first byte lies less than gapMerge past that extent's
+// end. The clean bytes a run happens to share with its old image are
+// never looked at. With a smaller gapMerge (tests use 8) a dirty block's
+// runs are walked byte by byte between its first and last differing
+// byte, as is the tail of an image whose length is not a multiple of
+// the block.
 func diffExtentsInto(out []Extent, old, new []byte, gapMerge int) []Extent {
-	if len(old) != len(new) {
+	n := len(new)
+	if len(old) != n {
 		panic("core: diffExtents requires equal-length images")
 	}
-	out = out[:0]
-	for i := nextDiff(old, new, 0); i < len(new); i = nextDiff(old, new, i) {
-		start := i
-		i = nextSame(old, new, i)
-		if n := len(out); n > 0 && start-(out[n-1].Off+out[n-1].Len) < gapMerge {
-			out[n-1].Len = i - out[n-1].Off
-		} else {
-			out = append(out, Extent{Off: start, Len: i - start})
+	old, out = old[:n], out[:0]
+	// Maximal runs are at least one byte apart, so a gapMerge below 1
+	// merges nothing that 1 would not; 1 rejoins a run a block edge cut.
+	gapMerge = max(gapMerge, 1)
+	blockRuns := gapMerge > diffBlock-2
+	i := 0
+	for ; i+diffBlock <= n; i += diffBlock {
+		if i&(diffSpan-1) == 0 && i+diffSpan <= n && bytes.Equal(old[i:i+diffSpan], new[i:i+diffSpan]) {
+			i += diffSpan - diffBlock
+			continue
 		}
+		a, b := old[i:i+diffBlock:i+diffBlock], new[i:i+diffBlock:i+diffBlock]
+		x0 := word(a, 0) ^ word(b, 0)
+		x1 := word(a, 8) ^ word(b, 8)
+		x2 := word(a, 16) ^ word(b, 16)
+		x3 := word(a, 24) ^ word(b, 24)
+		if x0|x1|x2|x3 == 0 {
+			continue
+		}
+		// A word's lowest differing byte is its lowest set bit's byte,
+		// its highest the highest set bit's (little-endian loads).
+		var first, last int
+		switch {
+		case x0 != 0:
+			first = bits.TrailingZeros64(x0) / 8
+		case x1 != 0:
+			first = 8 + bits.TrailingZeros64(x1)/8
+		case x2 != 0:
+			first = 16 + bits.TrailingZeros64(x2)/8
+		default:
+			first = 24 + bits.TrailingZeros64(x3)/8
+		}
+		switch {
+		case x3 != 0:
+			last = 31 - bits.LeadingZeros64(x3)/8
+		case x2 != 0:
+			last = 23 - bits.LeadingZeros64(x2)/8
+		case x1 != 0:
+			last = 15 - bits.LeadingZeros64(x1)/8
+		default:
+			last = 7 - bits.LeadingZeros64(x0)/8
+		}
+		if blockRuns {
+			out = addRun(out, i+first, i+last+1, gapMerge)
+		} else {
+			out = addRuns(out, old, new, i+first, i+last+1, gapMerge)
+		}
+	}
+	return addRuns(out, old, new, i, n, gapMerge)
+}
+
+// addRun records the dirty run [start, end): it extends the last
+// extent when the clean gap since that extent's end is below gapMerge,
+// and opens a new extent otherwise.
+func addRun(out []Extent, start, end, gapMerge int) []Extent {
+	if k := len(out) - 1; k >= 0 && start-(out[k].Off+out[k].Len) < gapMerge {
+		out[k].Len = end - out[k].Off
+		return out
+	}
+	return append(out, Extent{Off: start, Len: end - start})
+}
+
+// addRuns records the dirty runs of old and new within [lo, hi), found
+// byte by byte.
+func addRuns(out []Extent, old, new []byte, lo, hi, gapMerge int) []Extent {
+	old, new = old[:hi], new[:hi]
+	for i := lo; i < hi; {
+		if old[i] == new[i] {
+			i++
+			continue
+		}
+		start := i
+		for i < hi && old[i] != new[i] {
+			i++
+		}
+		out = addRun(out, start, i, gapMerge)
 	}
 	return out
 }
 
-const (
-	lowBytes  = 0x0101010101010101
-	highBytes = 0x8080808080808080
-)
-
 // word loads the 8 bytes of b at off (b is a fixed-length window, so the
 // bounds checks fold away).
 func word(b []byte, off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
-
-// nextDiff returns the index of the first byte at or after i where old
-// and new differ, or len(new). Most of a page is clean: it skips 32-byte
-// blocks with one compare, then words, landing on the differing byte
-// through the lowest set byte of old^new.
-func nextDiff(old, new []byte, i int) int {
-	n := len(new)
-	old = old[:n]
-	for ; i+32 <= n; i += 32 {
-		a, b := old[i:i+32], new[i:i+32]
-		if (word(a, 0)^word(b, 0))|(word(a, 8)^word(b, 8))|(word(a, 16)^word(b, 16))|(word(a, 24)^word(b, 24)) != 0 {
-			break
-		}
-	}
-	for ; i+8 <= n; i += 8 {
-		if x := word(old[i:i+8], 0) ^ word(new[i:i+8], 0); x != 0 {
-			return i + bits.TrailingZeros64(x)/8
-		}
-	}
-	for i < n && old[i] == new[i] {
-		i++
-	}
-	return i
-}
-
-// nextSame returns the index of the first byte at or after i where old
-// and new agree, or len(new): a dirty run is scanned a word at a time and
-// ends at the lowest zero byte of old^new. (x-lowBytes)&^x&highBytes
-// flags every zero byte of x, and possibly a 0x01 byte above one; the
-// lowest flag is always exact.
-func nextSame(old, new []byte, i int) int {
-	n := len(new)
-	old = old[:n]
-	for ; i+8 <= n; i += 8 {
-		x := word(old[i:i+8], 0) ^ word(new[i:i+8], 0)
-		if z := (x - lowBytes) &^ x & highBytes; z != 0 {
-			return i + bits.TrailingZeros64(z)/8
-		}
-	}
-	for i < n && old[i] != new[i] {
-		i++
-	}
-	return i
-}
 
 // applyExtent patches page with payload at off.
 func applyExtent(page []byte, off int, payload []byte) {
@@ -118,11 +162,18 @@ func applyExtent(page []byte, off int, payload []byte) {
 }
 
 // trailingZeros counts the clean (zero) tail of a page image, the
-// region §3.2 truncates from a full-page frame.
+// region §3.2 truncates from a full-page frame. It steps back a word at
+// a time: in the last non-zero word, the zero
+// bytes above its highest set bit are the rest of the tail.
 func trailingZeros(p []byte) int {
-	n := 0
-	for i := len(p) - 1; i >= 0 && p[i] == 0; i-- {
-		n++
+	i := len(p)
+	for ; i >= 8; i -= 8 {
+		if w := word(p[i-8:i], 0); w != 0 {
+			return len(p) - i + bits.LeadingZeros64(w)/8
+		}
 	}
-	return n
+	for i > 0 && p[i-1] == 0 {
+		i--
+	}
+	return len(p) - i
 }

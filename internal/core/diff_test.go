@@ -69,18 +69,43 @@ func TestDiffExtentsLengthMismatchPanics(t *testing.T) {
 	diffExtents(make([]byte, 10), make([]byte, 11), 8)
 }
 
+// TestTrailingZeros holds the word-wise tail scan to a byte count from
+// the end, for every length up to five words and every position of the
+// last non-zero byte, and on a 4 KiB page.
 func TestTrailingZeros(t *testing.T) {
-	if got := trailingZeros(make([]byte, 100)); got != 100 {
-		t.Fatalf("all-zero page: %d", got)
+	bytewise := func(p []byte) int {
+		n := 0
+		for i := len(p) - 1; i >= 0 && p[i] == 0; i-- {
+			n++
+		}
+		return n
 	}
-	p := make([]byte, 100)
-	p[10] = 1
-	if got := trailingZeros(p); got != 89 {
-		t.Fatalf("trailingZeros = %d, want 89", got)
+	check := func(p []byte) {
+		t.Helper()
+		if got, want := trailingZeros(p), bytewise(p); got != want {
+			t.Fatalf("len %d: trailingZeros = %d, byte-wise %d", len(p), got, want)
+		}
 	}
-	p[99] = 1
-	if got := trailingZeros(p); got != 0 {
-		t.Fatalf("trailingZeros = %d, want 0", got)
+	for n := 0; n <= 40; n++ {
+		p := make([]byte, n)
+		check(p)
+		for last := 0; last < n; last++ {
+			for _, v := range []byte{0x01, 0x80, 0xFF} {
+				clear(p)
+				p[last] = v
+				check(p)
+				if last > 0 {
+					p[last-1] = 0xFF // a non-zero byte below the last
+					check(p)
+				}
+			}
+		}
+	}
+	page := make([]byte, 4096)
+	for _, last := range []int{0, 7, 8, 100, 4087, 4088, 4095} {
+		clear(page)
+		page[last] = 1
+		check(page)
 	}
 }
 

@@ -347,6 +347,47 @@ func TestMVCCDeleteAndFree(t *testing.T) {
 	}
 }
 
+// TestMVCCRollbackRecyclesPageNumbers: the page numbers a session
+// allocated come back to the DB when it rolls back, and the next
+// session that allocates takes them before it extends the file.
+func TestMVCCRollbackRecyclesPageNumbers(t *testing.T) {
+	d, _ := newDB(t, concurrentOpts(1))
+	if err := d.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	fill := func(tx *CTx) {
+		t.Helper()
+		for i := 0; i < 40; i++ {
+			if err := tx.Insert("t", []byte(fmt.Sprintf("k%03d", i)), make([]byte, 400)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tx, err := d.BeginConcurrent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(tx)
+	tx.Rollback()
+	top := d.allocTop.Load()
+	if len(d.allocPool) == 0 {
+		t.Fatal("a rolled-back session's page numbers were not recycled")
+	}
+	if tx, err = d.BeginConcurrent(); err != nil {
+		t.Fatal(err)
+	}
+	fill(tx)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.allocTop.Load(); got != top {
+		t.Fatalf("the file grew to page %d past %d while recycled numbers were pooled", got, top)
+	}
+	if err := d.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMVCCGroupMergesStreams checks the group queue merges concurrent
 // session streams: K disjoint-page sessions opened together must flush
 // as ONE group (the Kth enqueue triggers the merged CommitStreams

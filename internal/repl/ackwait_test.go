@@ -73,6 +73,9 @@ func TestWaitAcksEndings(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := ackWaitPrimary(tc.ackWait)
+			// The clock starts before the context's: a deadline counts
+			// from the context's creation, not from the wait.
+			start := time.Now()
 			ctx, cancel := context.Background(), context.CancelFunc(func() {})
 			if tc.ctx != nil {
 				ctx, cancel = tc.ctx()
@@ -81,7 +84,6 @@ func TestWaitAcksEndings(t *testing.T) {
 			if tc.during != nil {
 				time.AfterFunc(10*time.Millisecond, func() { tc.during(p) })
 			}
-			start := time.Now()
 			err := p.waitAcks(ctx, 11)
 			took := time.Since(start)
 			if tc.wantErr != (err != nil) || (err != nil && !errors.Is(err, server.ErrIndeterminate)) {

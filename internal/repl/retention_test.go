@@ -65,7 +65,7 @@ func awayAndBack(t *testing.T, c *Cluster, pn *PrimaryNode, rn *ReplicaNode, cli
 		t.Fatal("replica never caught up")
 	}
 	name := rn.Node.Name
-	seedsBefore := pn.Node.M.Count(metrics.ReplReseeds)
+	seedsBefore := settledSeeds(t, pn)
 	rn.Stop()
 	away()
 	back, err := c.StartReplica(name, ReplicaOptions{Epoch: 1}, server.Options{})
@@ -76,12 +76,21 @@ func awayAndBack(t *testing.T, c *Cluster, pn *PrimaryNode, rn *ReplicaNode, cli
 	if !back.WaitCaughtUp(pn.Repl.Status().Mark, 5*time.Second) {
 		t.Fatalf("returning replica stuck at %d, primary mark %d", back.R.Applied(), pn.Repl.Status().Mark)
 	}
-	// The sender counts a seed after its Send returns, which can be after
-	// the replica applied it, and before it records the replica's ack.
+	return back, settledSeeds(t, pn) - seedsBefore
+}
+
+// settledSeeds returns the seeds the primary has shipped, once it has
+// recorded every replica's ack of its mark. A count read when only the
+// replica has caught up is not final: the sender counts a seed after
+// its Send returns, which can be after the replica applied it; and a
+// seed whose ack outlasts the sender's wait is applied while the sender
+// redials, and may be followed by a second one.
+func settledSeeds(t *testing.T, pn *PrimaryNode) int64 {
+	t.Helper()
 	if !waitFor(t, 5*time.Second, func() bool { return pn.Repl.Status().Lag == 0 }) {
-		t.Fatal("the primary never recorded the returning replica's ack")
+		t.Fatalf("the primary never recorded its replicas' acks: %+v", pn.Repl.Status())
 	}
-	return back, pn.Node.M.Count(metrics.ReplReseeds) - seedsBefore
+	return pn.Node.M.Count(metrics.ReplReseeds)
 }
 
 func mustGet(t *testing.T, r *Replica, key, want string) {
@@ -159,7 +168,7 @@ func TestRetentionBoundedForSilentPeer(t *testing.T) {
 	if !rn.WaitCaughtUp(pn.Repl.Status().Mark, 5*time.Second) {
 		t.Fatal("replica never caught up")
 	}
-	seedsBefore := pn.Node.M.Count(metrics.ReplReseeds)
+	seedsBefore := settledSeeds(t, pn)
 
 	c.IsolateNode("n1")
 	outgrowSeedBudget(t, pn, cli, ReplAddr("n1"))
@@ -182,7 +191,7 @@ func TestRetentionBoundedForSilentPeer(t *testing.T) {
 	if !rn.WaitCaughtUp(pn.Repl.Status().Mark, 10*time.Second) {
 		t.Fatal("returning peer never caught up")
 	}
-	if got := pn.Node.M.Count(metrics.ReplReseeds) - seedsBefore; got != 1 {
+	if got := settledSeeds(t, pn) - seedsBefore; got != 1 {
 		t.Fatalf("a backlog past the budget cost %d seeds, want 1", got)
 	}
 	mustGet(t, rn.R, "early", "1")
