@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -206,22 +205,65 @@ type errReadback uint32
 
 func (e errReadback) Error() string { return "immediate readback of committed page failed" }
 
-// A bulk session must not leave its size behind in the reused page set
-// of CommitStreams: clearing a map that once held thousands of pages
-// would tax every group after it.
-func TestSeenScratchDroppedAfterBulkGroup(t *testing.T) {
-	w := &NVWAL{}
-	id := func(m map[uint32]struct{}) uintptr { return reflect.ValueOf(m).Pointer() }
-	small := w.seenScratch()
-	small[7] = struct{}{}
-	if again := w.seenScratch(); id(again) != id(small) || len(again) != 0 {
-		t.Fatal("a small group's set must be reused, emptied")
+// TestOnePageGroupAfterBulkGroupAllocatesNothing: a 5 000-page group
+// leaves nothing behind that the one-page groups after it pay for or
+// allocate. CommitStreams marks a page staged with the group's stamp in
+// the page's own wal-index entry, so a group's page set is neither
+// cleared nor rebuilt; once a checkpoint round has retired the bulk
+// group, a one-page group allocates nothing.
+func TestOnePageGroupAfterBulkGroupAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
 	}
-	for pgno := uint32(0); pgno <= maxReusedSeen; pgno++ {
-		small[pgno] = struct{}{}
+	e := newEnv(t)
+	w := e.open(t, VariantUHLSDiff())
+	const bulk, runs = 5000, 40
+	s := w.NewStream()
+	page := func(pgno uint32, v byte) []byte {
+		img := make([]byte, 4096)
+		img[0], img[1], img[2] = byte(pgno), byte(pgno>>8), v
+		return img
 	}
-	if fresh := w.seenScratch(); id(fresh) == id(small) || len(fresh) != 0 {
-		t.Fatal("a bulk group's set must be replaced, not cleared")
+	last := make([][]byte, bulk+2)
+	for pgno := uint32(2); pgno < bulk+2; pgno++ {
+		last[pgno] = page(pgno, 1)
+		if _, err := s.StagePage(pgno, last[pgno], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	streams := []*Stream{s}
+	if err := w.CommitStreams(streams, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// One-page groups over the bulk group's pages, each image made ahead.
+	imgs := make([][]byte, runs+1)
+	for i := range imgs {
+		imgs[i] = page(uint32(2+i), 2)
+	}
+	next := 0
+	group := func() {
+		pgno := uint32(2 + next)
+		s.Reset()
+		if _, err := s.StagePage(pgno, imgs[next], last[pgno]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.CommitStreams(streams, 1); err != nil {
+			t.Fatal(err)
+		}
+		last[pgno] = imgs[next]
+		next++
+	}
+	group()
+	if n := testing.AllocsPerRun(runs-1, group); n != 0 {
+		t.Fatalf("a one-page group after a %d-page group allocates %v times, want 0", bulk, n)
+	}
+	for pgno := uint32(2); pgno < 2+runs; pgno++ {
+		if got, _ := w.PageVersion(pgno); !bytes.Equal(got, last[pgno]) {
+			t.Fatalf("page %d is not its last committed image", pgno)
+		}
 	}
 }
 

@@ -212,6 +212,49 @@ func BenchmarkPageVersionAt(b *testing.B) {
 	})
 }
 
+// BenchmarkPageImageAt is the read the pager's cache miss and a pinned
+// reader make, over 1 024 logged pages: "latest" asks for a page's latest
+// image, "pinned" for its image at a mark pinned before every other page
+// was rewritten (those resolve to their base, the rest to their version).
+// Both hand out an image the log holds: 0 allocs/op.
+func BenchmarkPageImageAt(b *testing.B) {
+	const pages = 1024
+	e := newEnv(b)
+	w := e.open(b, VariantUHLSDiff())
+	commit := func(step uint32, v byte) {
+		var frames []pager.Frame
+		for pgno := uint32(2); pgno < 2+pages; pgno += step {
+			img := make([]byte, 4096)
+			img[0], img[1], img[2] = byte(pgno), byte(pgno>>8), v
+			frames = append(frames, pager.Frame{Pgno: pgno, Data: img})
+		}
+		if err := w.CommitTransaction(frames); err != nil {
+			b.Fatal(err)
+		}
+	}
+	commit(1, 1)
+	if err := w.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	mark := w.Pin()
+	defer w.Unpin(mark)
+	commit(2, 2)
+	for _, c := range []struct {
+		name string
+		mark int
+	}{{"latest", pager.Latest}, {"pinned", mark}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pgno := 2 + uint32(i)*2654435761>>22 // 0..1023, scattered
+				if img, _, err := w.PageImageAt(pgno, c.mark); err != nil || img == nil {
+					b.Fatalf("page %d at mark %d: %v", pgno, c.mark, err)
+				}
+			}
+		})
+	}
+}
+
 // TestPinRefusesRoundsPastItsMark holds the reader registry's contract: a
 // pin below the round's watermark refuses Checkpoint and FreezeCheckpoint
 // with ErrCheckpointPending and leaves the log as it was, a pin at the

@@ -191,10 +191,10 @@ func TestExportConcurrentWithCheckpointRounds(t *testing.T) {
 	reseed := func() {
 		w.mu.RLock()
 		cursor = w.histBase + len(w.history)
-		for pgno, img := range w.versions {
-			cp := make([]byte, len(img))
-			copy(cp, img)
-			model[pgno] = cp
+		for pgno, e := range w.pages {
+			if e.version != nil {
+				model[uint32(pgno)] = bytes.Clone(e.version)
+			}
 		}
 		w.mu.RUnlock()
 		reseeds++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -307,11 +308,45 @@ type histFrame struct {
 // built under w.mu in phase A and owned by the single checkpointer
 // (serialized by w.ckptMu) afterwards.
 type ckptState struct {
-	watermark int               // absolute frame index the round covers
-	pages     map[uint32][]byte // images at the watermark (shared, immutable)
-	blocks    []heapo.Block     // the frozen generation's chain, head first
-	salt      uint64            // the frozen generation's salt
-	synced    bool              // phase B done: pages durable in the DB file
+	watermark int           // absolute frame index the round covers
+	pages     []ckptPage    // images at the watermark, in page order
+	blocks    []heapo.Block // the frozen generation's chain, head first
+	salt      uint64        // the frozen generation's salt
+	synced    bool          // phase B done: pages durable in the DB file
+}
+
+// ckptPage is one page a round writes back: its image at the watermark
+// (shared, immutable).
+type ckptPage struct {
+	pgno uint32
+	img  []byte
+}
+
+// pageEntry is one page's entry in the wal-index (NVWAL.pages).
+type pageEntry struct {
+	// version is the page's latest committed image, nil when the log
+	// never held the page (or holds it pending).
+	version []byte
+	// base is, for a page the log held before its first unbackfilled
+	// frame, the image that frame replaced: the page's state at every
+	// mark at or below that frame, and where replay starts. Nil when that
+	// frame first logged the page; the database file holds its earlier
+	// state.
+	base []byte
+	// frames indexes history by page: the ascending absolute indices of
+	// the page's unbackfilled frames, what makes imageAt
+	// O(frames-for-that-page) instead of O(total history). A round trims
+	// it in place, so indexing a frame allocates nothing in steady state.
+	frames []int
+	// pending marks a page recovery indexed without building: its frames
+	// are in history, but version and base are not set yet. version
+	// builds it the first time anything needs it and clears the mark,
+	// which is never set again; every read of version and base is
+	// preceded by that build (version on the writer's side,
+	// readLockBuilt on the readers').
+	pending bool
+	// stagedIn is the last CommitStreams group that staged the page.
+	stagedIn uint64
 }
 
 // preparedTxn is the volatile side of one prepared-but-undecided 2PC
@@ -392,48 +427,33 @@ type NVWAL struct {
 	// that outlive the commit are the callers' own, handed over with the
 	// frames (versions keep them, history payloads alias them). solo is
 	// the untagged stream legacy frame sets are staged into, one the
-	// stream list holding just it, seen CommitStreams' set of pages an
-	// earlier stream of the group already stages.
+	// stream list holding just it, group CommitStreams' last group stamp.
 	written []frameRef
 	newHist []histFrame
 	hdrBuf  [frameHdrSize]byte
 	solo    Stream
 	one     [1]*Stream
-	seen    map[uint32]struct{}
+	group   uint64
 
 	// Volatile state, rebuilt by recovery (the wal-index analogue).
 	blocks   []heapo.Block // live generation's block chain in order
 	tailUsed int           // bytes used in the tail block (including link)
 	chain    uint32        // running frame checksum
-	versions map[uint32][]byte
+	// pages is the wal-index, indexed by page number: one entry per page
+	// up to the largest one the log has staged or indexed. Only a holder
+	// of w.mu exclusively grows it (entry), and only by append; readers
+	// look a page past its end up as one the log never held. pending
+	// counts the entries marked pending; idxBlock is what is left of the
+	// block newFrames carves pages' first frame indexes from.
+	pages    []pageEntry
+	pending  int
+	idxBlock []int
 	// history records the frames not yet backfilled into the database
 	// file; history[i] is absolute frame histBase+i. histBase is the
 	// backfill watermark (SQLite's nBackfill): marks below it are
 	// invalid, and no round passes a pinned mark (Pin).
 	history  []histFrame
 	histBase int
-	// byPage indexes history by page: ascending absolute frame indices.
-	// It is the per-page wal-index that makes PageVersionAt
-	// O(frames-for-that-page) instead of O(total history). idxFree holds
-	// the emptied index slices of pages a checkpoint round retired, for
-	// publish to index the next newly logged pages in: a page's index is
-	// trimmed in place and a retired one reused, so indexing a frame
-	// allocates nothing in steady state, round after round.
-	byPage  map[uint32][]int
-	idxFree [][]int
-	// base holds, for every indexed page the log held before its first
-	// unbackfilled frame, the image that frame replaced: the page's
-	// state at every mark at or below that frame, and where replay
-	// starts. A page with no entry was first logged by that frame; the
-	// database file holds its earlier state.
-	base map[uint32][]byte
-	// pending holds the pages recovery indexed without building: their
-	// frames are in history and byPage, but versions and base have no
-	// entry for them yet. version builds one the first time anything needs
-	// it and removes it from the set, which only ever shrinks; every read
-	// of versions and base is preceded by that build (version on the
-	// writer's side, readLockBuilt on the readers').
-	pending map[uint32]struct{}
 	// Export retention (export.go): the registered export cursors and the
 	// retired frames at or above the lowest of them — tail[i] is absolute
 	// frame tailBase+i and the tail ends where history begins — so while no
@@ -580,10 +600,6 @@ func Open(h *heapo.Manager, db pager.DBFile, cfg Config, m *metrics.Counters) (*
 		cfg:       cfg,
 		m:         m,
 		pageSize:  db.PageSize(),
-		versions:  make(map[uint32][]byte),
-		byPage:    make(map[uint32][]int),
-		base:      make(map[uint32][]byte),
-		pending:   make(map[uint32]struct{}),
 		badBlocks: make(map[uint64]bool),
 		pins:      make(map[int]int),
 
@@ -1191,24 +1207,19 @@ func (w *NVWAL) persistMark(addr, mark uint64) {
 func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns int) {
 	w.chain = chain
 	for _, f := range hist {
-		idxs, tracked := w.byPage[f.pgno]
-		if !tracked {
+		e := w.entry(f.pgno)
+		if len(e.frames) == 0 {
 			// The page's first unbackfilled frame: record the image it
 			// replaces (the pre-transaction version, which a completed
 			// checkpoint round has made durable). A page the log never
 			// held has none; the database file serves it. An untracked page
 			// is never pending, so its version needs no build.
-			if prev, logged := w.versions[f.pgno]; logged {
-				w.base[f.pgno] = prev
-			}
-			if n := len(w.idxFree); n > 0 {
-				idxs, w.idxFree[n-1] = w.idxFree[n-1], nil
-				w.idxFree = w.idxFree[:n-1]
-			} else {
-				idxs = make([]int, 0, newIdxCap)
+			e.base = e.version
+			if cap(e.frames) == 0 {
+				e.frames = w.newFrames()
 			}
 		}
-		w.byPage[f.pgno] = append(idxs, w.histBase+len(w.history))
+		e.frames = append(e.frames, w.histBase+len(w.history))
 		w.history = append(w.history, f)
 		w.published += int64(len(f.payload))
 	}
@@ -1216,8 +1227,9 @@ func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns 
 	for _, s := range streams {
 		for i := range s.pages {
 			sp := &s.pages[i]
-			w.retire(sp.pgno, sp.img, mark)
-			w.versions[sp.pgno] = sp.img
+			e := w.entry(sp.pgno)
+			w.retire(sp.pgno, e.version, sp.img, mark)
+			e.version = sp.img
 			if sp.pgno == 1 {
 				w.hdrLoose = sp.header
 			}
@@ -1232,49 +1244,53 @@ func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns 
 // version is the one way to a page's latest committed image, nil when
 // the log holds none. A recovered page is built the first time it is
 // asked for, and only then: when its first frame is differential, the
-// database-file page is its base, read once and kept as base[pgno] (a
-// full first frame needs none); its frames replay on top into
-// versions[pgno]. A failed read leaves the page pending and returns the
+// database-file page is its base, read once and kept as the entry's
+// base (a full first frame needs none); its frames replay on top into
+// the entry's version. A failed read leaves the page pending and returns the
 // error; no image stands in for it. Caller holds w.mu exclusively.
 func (w *NVWAL) version(pgno uint32) ([]byte, error) {
-	if _, ok := w.pending[pgno]; !ok {
-		return w.versions[pgno], nil
+	if int(pgno) >= len(w.pages) {
+		return nil, nil
+	}
+	e := &w.pages[pgno]
+	if !e.pending {
+		return e.version, nil
 	}
 	// No checkpoint round can have retired any of its frames: freezing
 	// one builds every pending page first.
-	idxs := w.byPage[pgno]
 	img := make([]byte, w.pageSize)
-	if !w.history[idxs[0]-w.histBase].full {
+	if !w.history[e.frames[0]-w.histBase].full {
 		if err := w.db.ReadPage(pgno, img); err != nil {
 			return nil, fmt.Errorf("nvwal: reading the database-file base of recovered page %d: %w", pgno, err)
 		}
-		w.base[pgno] = slices.Clone(img)
+		e.base = slices.Clone(img)
 	}
-	for _, abs := range idxs {
+	for _, abs := range e.frames {
 		f := w.history[abs-w.histBase]
 		if f.full {
 			clear(img)
 		}
 		applyExtent(img, f.off, f.payload)
 	}
-	w.versions[pgno] = img
-	delete(w.pending, pgno)
+	e.version, e.pending = img, false
+	w.pending--
 	return img, nil
+}
+
+// entry returns pgno's wal-index entry, growing the table by append to
+// hold it. Caller holds w.mu exclusively.
+func (w *NVWAL) entry(pgno uint32) *pageEntry {
+	if n := int(pgno) + 1 - len(w.pages); n > 0 {
+		w.pages = append(w.pages, make([]pageEntry, n)...)
+	}
+	return &w.pages[pgno]
 }
 
 // buildPending builds every pending page, in page order. Caller holds
 // w.mu exclusively.
 func (w *NVWAL) buildPending() error {
-	if len(w.pending) == 0 {
-		return nil
-	}
-	pgnos := make([]uint32, 0, len(w.pending))
-	for pgno := range w.pending {
-		pgnos = append(pgnos, pgno)
-	}
-	slices.Sort(pgnos)
-	for _, pgno := range pgnos {
-		if _, err := w.version(pgno); err != nil {
+	for pgno := 0; w.pending > 0; pgno++ {
+		if _, err := w.version(uint32(pgno)); err != nil {
 			return err
 		}
 	}
@@ -1286,7 +1302,7 @@ func (w *NVWAL) buildPending() error {
 // pending again, so the read lock taken afterwards finds it built.
 func (w *NVWAL) readLockBuilt(pgno uint32) error {
 	w.mu.RLock()
-	if _, ok := w.pending[pgno]; !ok {
+	if int(pgno) >= len(w.pages) || !w.pages[pgno].pending {
 		return nil
 	}
 	w.mu.RUnlock()
@@ -1344,27 +1360,30 @@ func (w *NVWAL) Mark() int {
 // Reads charge no virtual time; this is the site that will.
 //
 //	frames below mark   frames at/above mark   image
-//	none                none                   versions[pgno] (= the file, once logged), else nil
-//	none                some                   base[pgno], else nil
-//	all                 none                   versions[pgno]
-//	some                some                   base[pgno] + the frames below mark, replayed
+//	none                none                   version (= the file, once logged), else nil
+//	none                some                   base, else nil
+//	all                 none                   version
+//	some                some                   base + the frames below mark, replayed
 func (w *NVWAL) imageAt(pgno uint32, mark int) (img []byte, below, shared bool, err error) {
 	if err := w.readLockBuilt(pgno); err != nil {
 		return nil, false, false, err
 	}
 	defer w.mu.RUnlock()
-	idxs := w.byPage[pgno]
-	n := sort.SearchInts(idxs, mark)
+	if int(pgno) >= len(w.pages) {
+		return nil, false, true, nil
+	}
+	e := &w.pages[pgno]
+	n := sort.SearchInts(e.frames, mark)
 	switch n {
-	case len(idxs):
-		return w.versions[pgno], n > 0, true, nil
+	case len(e.frames):
+		return e.version, n > 0, true, nil
 	case 0:
-		return w.base[pgno], false, true, nil
+		return e.base, false, true, nil
 	}
 	// Rewritten after the mark: O(frames of this page below it).
 	img = make([]byte, w.pageSize)
-	copy(img, w.base[pgno])
-	for _, abs := range idxs[:n] {
+	copy(img, e.base)
+	for _, abs := range e.frames[:n] {
 		f := w.history[abs-w.histBase]
 		if f.full {
 			clear(img)
@@ -1515,20 +1534,25 @@ func (w *NVWAL) beginCheckpoint() (*ckptState, error) {
 	if err := w.buildPending(); err != nil {
 		return nil, err
 	}
-	// The last round's state is reused: its pages map, and its chain array
-	// — emptied as that round freed its blocks — for the next generation.
+	// The last round's state is reused: its pages array, and its chain
+	// array — emptied as that round freed its blocks — for the next
+	// generation.
 	st := w.spent
 	w.spent = nil
 	if st == nil {
-		st = &ckptState{pages: make(map[uint32][]byte, len(w.byPage))}
+		st = &ckptState{}
 	}
 	next := st.blocks[:0]
 	st.watermark, st.blocks, st.salt, st.synced = w.histBase+len(w.history), w.blocks, w.salt, false
-	for pgno := range w.byPage {
-		// Images at the watermark; shared, not copied — version images
-		// are replaced wholesale on commit, never mutated in place.
-		st.pages[pgno] = w.versions[pgno]
+	for i, f := range w.history {
+		// Every indexed page once, at its last frame, with its image at
+		// the watermark; shared, not copied — version images are replaced
+		// wholesale on commit, never mutated in place.
+		if e := &w.pages[f.pgno]; e.frames[len(e.frames)-1] == w.histBase+i {
+			st.pages = append(st.pages, ckptPage{pgno: f.pgno, img: e.version})
+		}
 	}
+	slices.SortFunc(st.pages, func(a, b ckptPage) int { return cmp.Compare(a.pgno, b.pgno) })
 	// SyncChecksum acknowledges commits before their frames persist
 	// (§4.2), so the chain/count about to be sealed describe volatile
 	// state: a crash mid-backfill would legally lose sealed frames,
@@ -1568,8 +1592,8 @@ func (w *NVWAL) backfill(st *ckptState) error {
 		return nil
 	}
 	start := time.Now()
-	for pgno, img := range st.pages {
-		if err := w.db.WritePage(pgno, img); err != nil {
+	for _, pg := range st.pages {
+		if err := w.db.WritePage(pg.pgno, pg.img); err != nil {
 			return err
 		}
 	}
@@ -1584,15 +1608,23 @@ func (w *NVWAL) backfill(st *ckptState) error {
 	return nil
 }
 
-// newIdxCap is a fresh page index's capacity: the indexes circulate
-// among pages through idxFree, and one grown from a single frame would
-// regrow, 1 → 2 → 4 → 8, in every window a busier page takes it up.
+// newIdxCap is a fresh page index's capacity: one grown from a single
+// frame would regrow, 1 → 2 → 4 → 8, on its way to a busy page's
+// frames per round.
 const newIdxCap = 8
 
-// maxFreeIdx bounds what a round leaves for reuse: of a round that
-// retires more pages (a bulk load's), only this many emptied indexes are
-// kept in idxFree, and its pages map is not kept at all.
-const maxFreeIdx = 4096
+// newFrames returns an empty frame index of capacity newIdxCap for a page
+// the log indexes for the first time, carved from a block of 64: a page
+// keeps its index for good, so a growing database costs one allocation
+// per 64 pages it brings into the log. Caller holds w.mu exclusively.
+func (w *NVWAL) newFrames() []int {
+	if len(w.idxBlock) < newIdxCap {
+		w.idxBlock = make([]int, 64*newIdxCap)
+	}
+	f := w.idxBlock[:0:newIdxCap]
+	w.idxBlock = w.idxBlock[newIdxCap:]
+	return f
+}
 
 // completeCheckpoint runs phase C: free the frozen generation and drop
 // the backfilled prefix from the volatile index. Frees are NVRAM
@@ -1620,39 +1652,30 @@ func (w *NVWAL) completeCheckpoint(st *ckptState) error {
 	// C3: retire the record, then advance the backfill watermark.
 	w.writeCkptRecord(0, 0, ckptNone, 0, 0)
 	// History and the per-page index keep their arrays: the surviving
-	// frames move to the front, and a fully retired page's index goes to
-	// idxFree (up to a bound, past which a bulk round's are dropped).
+	// frames move to the front. Only the round's pages have frames below
+	// its watermark.
 	retired := w.history[:st.watermark-w.histBase]
 	w.retainForExport(retired)
 	n := copy(w.history, w.history[len(retired):])
 	clear(w.history[n:])
 	w.history = w.history[:n]
 	w.histBase = st.watermark
-	for pgno, idxs := range w.byPage {
-		cut := sort.SearchInts(idxs, st.watermark)
-		if cut == 0 {
-			continue
-		}
-		if cut == len(idxs) {
-			delete(w.byPage, pgno)
-			delete(w.base, pgno)
-			if len(w.idxFree) < maxFreeIdx {
-				w.idxFree = append(w.idxFree, idxs[:0])
-			}
-			continue
-		}
-		w.byPage[pgno] = idxs[:copy(idxs, idxs[cut:])]
+	for _, pg := range st.pages {
+		e := &w.pages[pg.pgno]
+		e.frames = e.frames[:copy(e.frames, e.frames[sort.SearchInts(e.frames, st.watermark):])]
 		// The surviving frames now follow the image this round just made
 		// durable (the page's state at the watermark) — the append-time
 		// base below the watermark is gone from history.
-		w.base[pgno] = st.pages[pgno]
+		e.base = nil
+		if len(e.frames) > 0 {
+			e.base = pg.img
+		}
 	}
 	w.releaseImages(st.watermark)
 	w.ckpt = nil
-	if len(st.pages) <= maxFreeIdx {
-		clear(st.pages)
-		w.spent = st
-	}
+	clear(st.pages)
+	st.pages = st.pages[:0]
+	w.spent = st
 	w.cCheckpoints.Add(1)
 	return nil
 }

@@ -32,26 +32,30 @@ func eagerRecover(w *NVWAL) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, f := range w.history {
-		if _, ok := w.pending[f.pgno]; !ok {
+		e := &w.pages[f.pgno]
+		if !e.pending {
 			continue
 		}
-		img, ok := w.versions[f.pgno]
-		if !ok {
+		img := e.version
+		if img == nil {
 			img = make([]byte, w.pageSize)
 			if !f.full {
 				if err := w.db.ReadPage(f.pgno, img); err != nil {
 					return err
 				}
-				w.base[f.pgno] = slices.Clone(img)
+				e.base = slices.Clone(img)
 			}
-			w.versions[f.pgno] = img
+			e.version = img
 		}
 		if f.full {
 			clear(img)
 		}
 		applyExtent(img, f.off, f.payload)
 	}
-	clear(w.pending)
+	for i := range w.pages {
+		w.pages[i].pending = false
+	}
+	w.pending = 0
 	return nil
 }
 
@@ -396,7 +400,7 @@ var pendingSteps = []struct {
 }
 
 func (r *pendingRun) step(i int, name string, fn func(*pendingRun)) {
-	if len(r.lazy.w.pending) > 0 {
+	if r.lazy.w.pending > 0 {
 		r.met[name]++
 	}
 	fn(r)
@@ -536,8 +540,8 @@ func TestPendingCostMovedNotHidden(t *testing.T) {
 					t.Fatalf("page %d's base read %d times", pgno, n)
 				}
 			}
-			if len(lazy.pending) != 0 {
-				t.Fatalf("%d pages still pending after every page was read", len(lazy.pending))
+			if lazy.pending != 0 {
+				t.Fatalf("%d pages still pending after every page was read", lazy.pending)
 			}
 		})
 	}
@@ -588,7 +592,7 @@ func TestPendingBuildFailureIsAnError(t *testing.T) {
 	if w.Mark() != mark || w.ckpt != nil {
 		t.Fatal("a failed build moved the log")
 	}
-	if _, ok := w.pending[bad]; !ok {
+	if !indexed(w, bad).pending {
 		t.Fatal("the page left pending without an image")
 	}
 

@@ -28,13 +28,13 @@ func referencePageAt(w *NVWAL, pgno uint32, mark int) (img []byte, below bool, e
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	img = make([]byte, w.pageSize)
-	idxs := w.byPage[pgno]
-	n := sort.SearchInts(idxs, mark)
+	e := indexed(w, pgno)
+	n := sort.SearchInts(e.frames, mark)
 	if n == 0 {
 		return img, false, w.db.ReadPage(pgno, img)
 	}
-	copy(img, w.base[pgno])
-	for _, abs := range idxs[:n] {
+	copy(img, e.base)
+	for _, abs := range e.frames[:n] {
 		f := w.history[abs-w.histBase]
 		if f.full {
 			for i := range img {
@@ -44,6 +44,15 @@ func referencePageAt(w *NVWAL, pgno uint32, mark int) (img []byte, below bool, e
 		applyExtent(img, f.off, f.payload)
 	}
 	return img, true, nil
+}
+
+// indexed returns pgno's wal-index entry: the zero entry, a page the
+// log never held, past the table.
+func indexed(w *NVWAL, pgno uint32) pageEntry {
+	if int(pgno) < len(w.pages) {
+		return w.pages[pgno]
+	}
+	return pageEntry{}
 }
 
 // imageGuard checks the ownership rule behind image sharing: an image
@@ -120,15 +129,17 @@ func (g *imageGuard) observe(w *NVWAL, step string) (err error) {
 			g.seen[&img[0]] = guardedImage{img, crc32.ChecksumIEEE(img), fmt.Sprintf("%s[%d] after %s", kind, pgno, step)}
 		}
 	}
-	for pgno, img := range w.versions {
-		note("versions", pgno, img)
-	}
-	for pgno, img := range w.base {
-		note("base", pgno, img)
+	for pgno, e := range w.pages {
+		if e.version != nil {
+			note("versions", uint32(pgno), e.version)
+		}
+		if e.base != nil {
+			note("base", uint32(pgno), e.base)
+		}
 	}
 	if w.ckpt != nil {
-		for pgno, img := range w.ckpt.pages {
-			note("ckpt.pages", pgno, img)
+		for _, pg := range w.ckpt.pages {
+			note("ckpt.pages", pg.pgno, pg.img)
 		}
 	}
 	return err
@@ -418,13 +429,13 @@ func TestReadViewGuardCatchesInPlacePatch(t *testing.T) {
 		var img []byte
 		switch victim {
 		case "version":
-			img = r.w.versions[2]
+			img = indexed(r.w, 2).version
 		case "base":
-			img = r.w.base[2]
+			img = indexed(r.w, 2).base
 		case "replaced":
 			// Replaced, and not yet released: no round has retired the
 			// commit that replaced it.
-			img = r.w.versions[2]
+			img = indexed(r.w, 2).version
 			r.must(r.w.CommitTransaction([]pager.Frame{{Pgno: 2, Data: r.next(img)}}))
 		}
 		img[100] ^= 0x40
@@ -470,9 +481,9 @@ func testSharesInstalledImages(t *testing.T, cfg Config) {
 		shared []byte
 		want   []byte
 	}{
-		{"fully backfilled", 3, w.Mark(), w.versions[3], fullPage(0x33)},
-		{"all frames above the mark", 2, backfilled, w.base[2], v1},
-		{"unchanged since the mark", 2, w.Mark(), w.versions[2], v3},
+		{"fully backfilled", 3, w.Mark(), indexed(w, 3).version, fullPage(0x33)},
+		{"all frames above the mark", 2, backfilled, indexed(w, 2).base, v1},
+		{"unchanged since the mark", 2, w.Mark(), indexed(w, 2).version, v3},
 		{"rewritten after the mark", 2, mid, nil, v2},
 	}
 	for _, c := range cases {

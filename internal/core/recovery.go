@@ -110,13 +110,10 @@ type scanInfo struct {
 func (w *NVWAL) recover() error {
 	rep := &SalvageReport{}
 	w.salvage = rep
-	w.versions = make(map[uint32][]byte)
+	w.pages, w.pending = nil, 0
 	w.blocks = nil
 	w.history = nil
 	w.histBase = 0
-	w.byPage = make(map[uint32][]int)
-	w.base = make(map[uint32][]byte)
-	w.pending = make(map[uint32]struct{})
 
 	hdr := make([]byte, 64)
 	if err := w.dev.ReadChecked(w.headerAddr, hdr); err != nil {
@@ -479,8 +476,12 @@ func (w *NVWAL) probeFrame(blk heapo.Block, off int, salt uint64) (int, bool) {
 // images are built on first use (version), not here.
 func (w *NVWAL) indexFrames(kept []scannedFrame) {
 	for _, fr := range kept {
-		w.pending[fr.pgno] = struct{}{}
-		w.byPage[fr.pgno] = append(w.byPage[fr.pgno], w.histBase+len(w.history))
+		e := w.entry(fr.pgno)
+		if !e.pending {
+			e.pending = true
+			w.pending++
+		}
+		e.frames = append(e.frames, w.histBase+len(w.history))
 		w.history = append(w.history, histFrame{pgno: fr.pgno, off: fr.off, full: fr.full, payload: fr.payload})
 	}
 }
@@ -503,7 +504,8 @@ func (w *NVWAL) replayFrames(kept []scannedFrame, record bool, gen uint64, unrea
 			rep.FramesDropped++
 			continue
 		}
-		img, ok := w.versions[fr.pgno]
+		e := w.entry(fr.pgno)
+		img, ok := e.version, e.version != nil
 		if !ok {
 			img = make([]byte, w.pageSize)
 			if !fr.full {
@@ -516,15 +518,15 @@ func (w *NVWAL) replayFrames(kept []scannedFrame, record bool, gen uint64, unrea
 					continue
 				}
 			}
-			w.versions[fr.pgno] = img
+			e.version = img
 		}
 		if record {
-			if _, tracked := w.byPage[fr.pgno]; !tracked && (ok || !fr.full) {
+			if len(e.frames) == 0 && (ok || !fr.full) {
 				// img is patched in place below (no reader exists yet), so
 				// the base is the one image recovery copies.
-				w.base[fr.pgno] = slices.Clone(img)
+				e.base = slices.Clone(img)
 			}
-			w.byPage[fr.pgno] = append(w.byPage[fr.pgno], w.histBase+len(w.history))
+			e.frames = append(e.frames, w.histBase+len(w.history))
 			w.history = append(w.history, histFrame{pgno: fr.pgno, off: fr.off, full: fr.full, payload: fr.payload})
 		}
 		if fr.full {
@@ -546,8 +548,11 @@ func (w *NVWAL) replayFrames(kept []scannedFrame, record bool, gen uint64, unrea
 // (the next recovery retries) and the report is flagged so the database
 // layer opens degraded.
 func (w *NVWAL) finishRecoveredCheckpoint(firstBlk, salt uint64, blocks []heapo.Block, rep *SalvageReport) error {
-	for pgno, img := range w.versions {
-		if err := w.db.WritePage(pgno, img); err != nil {
+	for pgno, e := range w.pages {
+		if e.version == nil {
+			continue
+		}
+		if err := w.db.WritePage(uint32(pgno), e.version); err != nil {
 			rep.DBFileDamaged = true
 			rep.eventf("recovered checkpoint: writing page %d: %v — round left pending, opening degraded", pgno, err)
 			return nil

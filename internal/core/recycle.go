@@ -66,8 +66,7 @@ func (w *NVWAL) detach(payload []byte) []byte {
 // retire disposes of the version img replaces as pgno's image: spared at
 // once if it is a header commit's page 1 that nothing can reach, queued
 // for the next round otherwise. Caller holds w.mu exclusively.
-func (w *NVWAL) retire(pgno uint32, img []byte, mark int) {
-	prev := w.versions[pgno]
+func (w *NVWAL) retire(pgno uint32, prev, img []byte, mark int) {
 	if pgno == 1 && w.hdrLoose && w.unreachable(prev, img) {
 		w.spareMu.Lock()
 		w.addSpare(prev)
@@ -84,7 +83,7 @@ func (w *NVWAL) unreachable(prev, img []byte) bool {
 	if prev == nil || &prev[0] == &img[0] || w.ckpt != nil || w.exporting.Load() != 0 {
 		return false
 	}
-	if base := w.base[1]; base != nil && &base[0] == &prev[0] {
+	if base := w.pages[1].base; base != nil && &base[0] == &prev[0] {
 		return false
 	}
 	w.pinMu.Lock()

@@ -154,8 +154,9 @@ func (w *NVWAL) CommitStreams(streams []*Stream, txns int) error {
 	// its base. If the log holds no version for it and no earlier
 	// stream in this group stages it first, convert the frame to a full
 	// one — same first-touch rule the legacy staging applies. Asking for
-	// the version builds a recovered page, as staging does.
-	seen := w.seenScratch()
+	// the version builds a recovered page, as staging does. The group's
+	// stamp marks each page as staged.
+	w.group++
 	for _, s := range streams {
 		if s.pageSize != w.pageSize {
 			return fmt.Errorf("nvwal: stream page size %d, log %d", s.pageSize, w.pageSize)
@@ -166,12 +167,11 @@ func (w *NVWAL) CommitStreams(streams []*Stream, txns int) error {
 			if err != nil {
 				return err
 			}
-			if !sp.full {
-				if _, staged := seen[sp.pgno]; v == nil && !staged {
-					sp.setFull()
-				}
+			e := w.entry(sp.pgno)
+			if !sp.full && v == nil && e.stagedIn != w.group {
+				sp.setFull()
 			}
-			seen[sp.pgno] = struct{}{}
+			e.stagedIn = w.group
 		}
 	}
 	if err := w.appendStreams(streams, commitValue, txns); err != nil {
@@ -181,24 +181,6 @@ func (w *NVWAL) CommitStreams(streams []*Stream, txns int) error {
 		w.cGroupCommits.Add(1)
 	}
 	return nil
-}
-
-// maxReusedSeen bounds how large a group's page set may have been for
-// the next group to reuse its map. A Go map never shrinks, so after one
-// bulk session clearing it would cost that session's size on every
-// group that follows; a group above the bound logs enough frames itself
-// that the one map its successor allocates is noise.
-const maxReusedSeen = 256
-
-// seenScratch returns the empty page set CommitStreams fills. Caller
-// holds w.mu.
-func (w *NVWAL) seenScratch() map[uint32]struct{} {
-	if w.seen == nil || len(w.seen) > maxReusedSeen {
-		w.seen = make(map[uint32]struct{})
-	} else {
-		clear(w.seen)
-	}
-	return w.seen
 }
 
 // AppendFrames appends a stream's staged pages to dst as plain pager

@@ -153,8 +153,9 @@ func (d *DB) ImportedPosition() (Position, error) {
 // (after the frames: a shipped page 1's bytes there mean nothing here),
 // and the dirty pages commit through the journal like any transaction's,
 // logged against the versions the log holds. A frame that overruns its
-// page, or a page that cannot be read, fails the batch and nothing of it
-// is applied. NVWAL journals only.
+// page, a page that cannot be read, or one past the page count the
+// batch's page-1 frames leave (pager.ErrPageRange) fails the batch and
+// nothing of it is applied. NVWAL journals only.
 func (d *DB) ImportFrames(frames []core.ExportFrame, pos Position) error {
 	if d.nv == nil {
 		return ErrNoExport
@@ -178,11 +179,19 @@ func (d *DB) ImportFrames(frames []core.ExportFrame, pos Position) error {
 }
 
 // importFrames patches the frames, then pos, into their pages inside the
-// open transaction.
+// open transaction. Page 1's frames go first: the page count they leave
+// bounds every other page's (the pager refuses a page past it), and each
+// frame patches only its own page, so only a page's own frames keep their
+// order.
 func (d *DB) importFrames(frames []core.ExportFrame, pos Position) error {
-	for _, fr := range frames {
-		if err := d.importFrame(fr); err != nil {
-			return err
+	for _, pass := range [2]bool{true, false} {
+		for _, fr := range frames {
+			if (fr.Pgno == 1) != pass {
+				continue
+			}
+			if err := d.importFrame(fr); err != nil {
+				return err
+			}
 		}
 	}
 	var rec [20]byte

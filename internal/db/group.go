@@ -76,12 +76,12 @@ type groupCommitter struct {
 	// the engine refuses further writes instead of corrupting state.
 	failed error
 	// versions is the per-page version vector behind MVCC first-
-	// committer-wins validation: versions[pgno] is the seq of the last
-	// committed transaction that wrote pgno (guarded by mu, bumped only
-	// by stamp). A session whose snapshot seq is older than a written
-	// page's entry lost the race and gets ErrConflict. Lazily allocated:
-	// nil until the first bump.
-	versions map[uint32]uint64
+	// committer-wins validation, indexed by page number: versions[pgno] is
+	// the seq of the last committed transaction that wrote pgno, 0 for a
+	// page past its end (guarded by mu, grown and bumped only by stamp). A
+	// session whose snapshot seq is older than a written page's entry lost
+	// the race and gets ErrConflict.
+	versions []uint64
 }
 
 // stamp assigns the next commit sequence number and records it in the
@@ -91,10 +91,10 @@ type groupCommitter struct {
 // it wrote. Caller holds mu.
 func (gc *groupCommitter) stamp(frames []pager.Frame) uint64 {
 	gc.nextSeq++
-	if gc.versions == nil && len(frames) > 0 {
-		gc.versions = make(map[uint32]uint64)
-	}
 	for _, fr := range frames {
+		if n := int(fr.Pgno) + 1 - len(gc.versions); n > 0 {
+			gc.versions = append(gc.versions, make([]uint64, n)...)
+		}
 		gc.versions[fr.Pgno] = gc.nextSeq
 	}
 	return gc.nextSeq

@@ -671,7 +671,7 @@ func (tx *CTx) CommitCtx(ctx context.Context) error {
 		if wr.pgno == 1 || wr.fresh {
 			continue
 		}
-		if gc.versions[wr.pgno] > tx.snapSeq {
+		if int(wr.pgno) < len(gc.versions) && gc.versions[wr.pgno] > tx.snapSeq {
 			gc.mu.Unlock()
 			d.releaseSlot()
 			tx.finish(true)

@@ -201,6 +201,10 @@ var headerMagic = []byte("NVWALDB1")
 // ErrNoTxn is returned for write operations outside a transaction.
 var ErrNoTxn = errors.New("pager: no transaction in progress")
 
+// ErrPageRange is returned by Get for a page number past the database's
+// page count: no such page exists, and the pager caches nothing for it.
+var ErrPageRange = errors.New("pager: page number past the database's page count")
+
 // Pager is the page cache. It implements btree.PageStore.
 //
 // The cache holds committed images and never writes one in place: a
@@ -222,12 +226,13 @@ type Pager struct {
 	imager   PageImager
 	recycler ImageRecycler
 
-	cache map[uint32][]byte
-	// orig holds, for every page the open transaction dirtied, the
-	// committed image its private copy was made from — nil for a page
-	// the transaction allocated, which has none. Its keys are the
-	// transaction's dirty set.
-	orig  map[uint32][]byte
+	// pages is the page table, indexed by page number (pages[0] is
+	// unused): one slot per page up to the largest one cached. It only
+	// grows, and only to a page within the header's page count (Get) or
+	// one the writer creates (Allocate, Install). dirty lists the open
+	// transaction's dirty pages, in the order they were first dirtied.
+	pages []slot
+	dirty []uint32
 	inTxn bool
 	// frameScratch backs PrepareCommit's frame list, reused across
 	// transactions: both commit paths consume the list (journal write,
@@ -244,6 +249,25 @@ type Pager struct {
 	allocBase func(pageCount uint32) uint32
 }
 
+// slot is one page's entry in the table.
+type slot struct {
+	// img is the cached image, nil when the page is not cached.
+	img []byte
+	// orig is, for a page the open transaction dirtied, the committed
+	// image its private copy was made from — nil for a page the
+	// transaction allocated, which has none.
+	orig  []byte
+	dirty bool
+}
+
+// slot returns pgno's entry, growing the table to hold it.
+func (p *Pager) slot(pgno uint32) *slot {
+	if n := int(pgno) + 1 - len(p.pages); n > 0 {
+		p.pages = append(p.pages, make([]slot, n)...)
+	}
+	return &p.pages[pgno]
+}
+
 // Open attaches a pager to the database file and journal. A fresh
 // database gets its header initialized in memory; the caller commits it
 // with the first transaction.
@@ -252,8 +276,6 @@ func Open(db DBFile, jrn Journal) (*Pager, error) {
 		pageSize: db.PageSize(),
 		db:       db,
 		jrn:      jrn,
-		cache:    make(map[uint32][]byte),
-		orig:     make(map[uint32][]byte),
 	}
 	p.imager, _ = jrn.(PageImager)
 	p.recycler, _ = jrn.(ImageRecycler)
@@ -309,13 +331,25 @@ func (p *Pager) setPageCount(hdr []byte, n uint32) {
 }
 
 // Get implements btree.PageStore: cache, then journal, then database
-// file. The image is read-only (MarkDirty returns the writable one).
+// file. The image is read-only (MarkDirty returns the writable one). A
+// page past the header's page count is ErrPageRange.
 func (p *Pager) Get(pgno uint32) ([]byte, error) {
+	if int(pgno) < len(p.pages) {
+		if buf := p.pages[pgno].img; buf != nil {
+			return buf, nil
+		}
+	}
 	if pgno == 0 {
 		return nil, fmt.Errorf("pager: page numbers start at 1")
 	}
-	if buf, ok := p.cache[pgno]; ok {
-		return buf, nil
+	if pgno > 1 {
+		n, err := p.PageCount()
+		if err != nil {
+			return nil, err
+		}
+		if pgno > n {
+			return nil, fmt.Errorf("%w: page %d of %d", ErrPageRange, pgno, n)
+		}
 	}
 	// Nothing in the cache is written in place, so the journal's own
 	// image serves as the cache entry as it is — no copy.
@@ -337,7 +371,7 @@ func (p *Pager) Get(pgno uint32) ([]byte, error) {
 			return nil, err
 		}
 	}
-	p.cache[pgno] = buf
+	p.slot(pgno).img = buf
 	return buf, nil
 }
 
@@ -373,8 +407,8 @@ func (p *Pager) Allocate() (uint32, []byte, error) {
 	}
 	p.setPageCount(hdr, pgno)
 	buf := NewImage(p.recycler, nil, p.pageSize)
-	p.cache[pgno] = buf
-	p.orig[pgno] = nil
+	*p.slot(pgno) = slot{img: buf, dirty: true}
+	p.dirty = append(p.dirty, pgno)
 	return pgno, buf, nil
 }
 
@@ -430,16 +464,16 @@ func (p *Pager) MarkDirty(pgno uint32) []byte {
 	if !p.inTxn {
 		panic("pager: MarkDirty outside a transaction")
 	}
-	buf, ok := p.cache[pgno]
-	if !ok {
+	if int(pgno) >= len(p.pages) || p.pages[pgno].img == nil {
 		panic(fmt.Sprintf("pager: MarkDirty of page %d, which was never read", pgno))
 	}
-	if _, dirty := p.orig[pgno]; dirty {
-		return buf
+	s := &p.pages[pgno]
+	if s.dirty {
+		return s.img
 	}
-	own := NewImage(p.recycler, buf, p.pageSize)
-	p.orig[pgno] = buf
-	p.cache[pgno] = own
+	own := NewImage(p.recycler, s.img, p.pageSize)
+	s.img, s.orig, s.dirty = own, s.img, true
+	p.dirty = append(p.dirty, pgno)
 	return own
 }
 
@@ -468,8 +502,8 @@ func (p *Pager) PrepareCommit() ([]Frame, error) {
 		return nil, ErrNoTxn
 	}
 	frames := p.frameScratch[:0]
-	for pgno := range p.orig {
-		frames = append(frames, Frame{Pgno: pgno, Data: p.cache[pgno]})
+	for _, pgno := range p.dirty {
+		frames = append(frames, Frame{Pgno: pgno, Data: p.pages[pgno].img})
 	}
 	// Deterministic frame order keeps experiments reproducible.
 	sortFrames(frames)
@@ -512,29 +546,21 @@ func (p *Pager) Rollback() {
 	if !p.inTxn {
 		return
 	}
-	for pgno, committed := range p.orig {
-		if committed == nil {
-			delete(p.cache, pgno)
-		} else {
-			p.cache[pgno] = committed
-		}
+	for _, pgno := range p.dirty {
+		s := &p.pages[pgno]
+		s.img = s.orig // nil for a page the transaction allocated: dropped
 	}
 	p.endTxn()
 }
 
-// maxReusedOrig bounds the dirty set whose map the next transaction
-// reuses. A Go map never shrinks, and clearing or ranging over one costs
-// its capacity, so after one bulk transaction (a replica's seed, a
-// populate) every later commit would pay that size; past the bound the
-// map is dropped instead.
-const maxReusedOrig = 256
-
+// endTxn forgets the dirty set: the rollback images are released and the
+// slots are clean again, whatever image each now caches.
 func (p *Pager) endTxn() {
-	if len(p.orig) > maxReusedOrig {
-		p.orig = make(map[uint32][]byte)
-	} else {
-		clear(p.orig)
+	for _, pgno := range p.dirty {
+		s := &p.pages[pgno]
+		s.orig, s.dirty = nil, false
 	}
+	p.dirty = p.dirty[:0]
 	p.inTxn = false
 }
 
@@ -577,7 +603,7 @@ func (p *Pager) Install(pgno uint32, data []byte) {
 	if p.inTxn {
 		panic("pager: Install inside a transaction")
 	}
-	p.cache[pgno] = data
+	p.slot(pgno).img = data
 }
 
 // Header-field accessors for page-1 images held outside the pager (the
@@ -598,12 +624,12 @@ func (p *Pager) DropCache() {
 	if p.inTxn {
 		panic("pager: DropCache inside a transaction")
 	}
-	p.cache = make(map[uint32][]byte)
+	clear(p.pages)
 }
 
 // DirtyPages reports the number of pages dirtied so far in the open
 // transaction.
-func (p *Pager) DirtyPages() int { return len(p.orig) }
+func (p *Pager) DirtyPages() int { return len(p.dirty) }
 
 func sortFrames(frames []Frame) {
 	slices.SortFunc(frames, func(a, b Frame) int { return cmp.Compare(a.Pgno, b.Pgno) })

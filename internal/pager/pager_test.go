@@ -182,7 +182,7 @@ func TestRollbackRestoresPreImages(t *testing.T) {
 	if &own[0] == &committed[0] {
 		t.Fatal("MarkDirty handed out the committed image for writing")
 	}
-	if &p.orig[2][0] != &committed[0] {
+	if &p.pages[2].orig[0] != &committed[0] {
 		t.Fatal("the rollback image is a copy, not the committed image")
 	}
 	if again := p.MarkDirty(2); &again[0] != &own[0] {
@@ -238,13 +238,11 @@ func (g *imageGuard) check(t *testing.T, step string, p *Pager, j *fakeJournal) 
 			t.Fatalf("%s: a committed image was written in place", step)
 		}
 	}
-	for pgno, img := range p.cache {
-		if _, dirty := p.orig[pgno]; !dirty {
-			g.record(img)
+	for _, s := range p.pages {
+		if !s.dirty {
+			g.record(s.img)
 		}
-	}
-	for _, img := range p.orig {
-		g.record(img)
+		g.record(s.orig)
 	}
 	for _, img := range j.versions {
 		g.record(img)
@@ -357,6 +355,12 @@ func TestGetReadsThroughJournalThenFile(t *testing.T) {
 	img2 := make([]byte, 4096)
 	copy(img2, "from-file")
 	f.pages[8] = img2
+	// Pages 7 and 8 exist: the header counts them.
+	p.Begin()
+	SetHeaderPageCount(p.MarkDirty(1), 8)
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
 
 	got, _ := p.Get(7)
 	if !bytes.Equal(got[:12], []byte("from-journal")) {
@@ -365,6 +369,76 @@ func TestGetReadsThroughJournalThenFile(t *testing.T) {
 	got, _ = p.Get(8)
 	if !bytes.Equal(got[:9], []byte("from-file")) {
 		t.Fatal("file fallback broken")
+	}
+}
+
+// TestGetPastPageCount: a page past the header's page count is
+// ErrPageRange, even where the database file holds bytes for it, and the
+// page table does not grow for it; inside a transaction the count is the
+// transaction's own, so an allocation brings the next page into range and
+// its rollback takes it out again.
+func TestGetPastPageCount(t *testing.T) {
+	p, _, f := newPager(t)
+	p.Begin()
+	for range 2 {
+		if _, _, err := p.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	n, _ := p.PageCount()
+	f.pages[n+1] = bytes.Repeat([]byte{0xF1}, 4096)
+	before := len(p.pages)
+	for _, pgno := range []uint32{n + 1, 1 << 31} {
+		if img, err := p.Get(pgno); !errors.Is(err, ErrPageRange) || img != nil {
+			t.Fatalf("Get(%d) of a %d-page database = (%d bytes, %v), want ErrPageRange", pgno, n, len(img), err)
+		}
+		if len(p.pages) != before {
+			t.Fatalf("Get(%d) grew the page table from %d to %d slots", pgno, before, len(p.pages))
+		}
+	}
+	p.Begin()
+	if pgno, _, err := p.Allocate(); err != nil || pgno != n+1 {
+		t.Fatalf("Allocate = (%d, %v), want page %d", pgno, err, n+1)
+	}
+	if _, err := p.Get(n + 1); err != nil {
+		t.Fatalf("Get of the page the transaction allocated: %v", err)
+	}
+	if _, err := p.Get(n + 2); !errors.Is(err, ErrPageRange) {
+		t.Fatalf("Get(%d) inside the transaction = %v, want ErrPageRange", n+2, err)
+	}
+	p.Rollback()
+	if _, err := p.Get(n + 1); !errors.Is(err, ErrPageRange) {
+		t.Fatalf("Get(%d) after the allocation rolled back = %v, want ErrPageRange", n+1, err)
+	}
+}
+
+var sinkImage []byte
+
+// BenchmarkPagerGet is a cache hit on a 4 096-page database, pages
+// visited scattered: the page table's lookup. 0 allocs/op.
+func BenchmarkPagerGet(b *testing.B) {
+	const pages = 4096
+	p, _, _ := newPager(b)
+	p.Begin()
+	for range pages - 1 {
+		if _, _, err := p.Allocate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := p.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		img, err := p.Get(1 + uint32(i)*2654435761>>20) // 1..4096
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkImage = img
 	}
 }
 
@@ -643,6 +717,11 @@ type plainJournal struct{ Journal }
 func TestUnbuiltPageNeverReadsTheFile(t *testing.T) {
 	f := newFakeDBFile()
 	_ = f.WritePage(unbuilt, bytes.Repeat([]byte{0xF2}, 4096))
+	// A database whose header counts the unbuilt page.
+	hdr := make([]byte, 4096)
+	copy(hdr, headerMagic)
+	SetHeaderPageCount(hdr, unbuilt)
+	_ = f.WritePage(1, hdr)
 	for _, c := range []struct {
 		name string
 		jrn  unbuiltJournal

@@ -616,7 +616,7 @@ func (rl *replicaLink) serveConn() bool {
 				return true
 			}
 			p.m.Inc(metrics.ReplReseeds, 1) // seeds handed to the wire, not attempts on a dead conn
-			a, ackAt, _, ok := rl.awaitAck(conn)
+			a, ackAt, _, ok := rl.awaitAck(conn, seedAckPolls(len(snap.Pages)))
 			if !ok || !a.ok {
 				return true
 			}
@@ -670,7 +670,7 @@ func (rl *replicaLink) serveConn() bool {
 		p.m.Inc(metrics.ReplBatchesShipped, 1)
 		p.m.Inc(metrics.ReplFramesShipped, int64(frames))
 		p.m.Inc(metrics.ReplBytesShipped, int64(shipped))
-		a, ackAt, virt, ok := rl.awaitAck(conn)
+		a, ackAt, virt, ok := rl.awaitAck(conn, batchAckPolls)
 		if !ok {
 			return true
 		}
@@ -763,19 +763,33 @@ func (rl *replicaLink) observeAck(d time.Duration) {
 // address (tests and status probes).
 func (p *Primary) AckLatencies() map[string]time.Duration { return p.acks.EWMAs() }
 
-// awaitAck reads the replica's ack for the last message, honouring
-// quit. ok=false means the conn died, went silent, or the sender is
-// stopping. The silence bound matters for liveness: a partition drops
-// messages silently, so an unacked send on a zombie conn would
-// otherwise block the strict send/ack loop forever — giving up forces
-// a redial, and the reconnect hello resumes from the replica's real
-// cursor.
+// An ack is awaited in polls of ackPoll: a frame batch's gets
+// batchAckPolls of them.
+const (
+	ackPoll       = 250 * time.Millisecond
+	batchAckPolls = 4
+)
+
+// seedAckPolls is the ack wait of a seed of pages pages. The replica
+// imports and checkpoints every page before it acks, so the wait grows
+// with the seed: four times a batch's, and one poll more per 256 pages.
+// Giving up on a seed still being installed redials into a hello that
+// carries the old position, and a second full seed.
+func seedAckPolls(pages int) int { return 4*batchAckPolls + pages/256 }
+
+// awaitAck reads the replica's ack for the last message, waiting at most
+// polls × ackPoll and honouring quit. ok=false means the conn died, went
+// silent, or the sender is stopping. The silence bound matters for
+// liveness: a partition drops messages silently, so an unacked send on a
+// zombie conn would otherwise block the strict send/ack loop forever —
+// giving up forces a redial, and the reconnect hello resumes from the
+// replica's real cursor.
 // On simulated transports it reports the ack's own virtual delivery
 // time (virt=true) and leaves the primary's lane where it is: the caller
 // measures per-link latency against that time, and the lane moves only
 // for the commit whose quorum the ack completes (waitAcks).
-func (rl *replicaLink) awaitAck(conn netsim.Conn) (a ack, at time.Duration, virt, ok bool) {
-	for tries := 0; tries < 4; tries++ {
+func (rl *replicaLink) awaitAck(conn netsim.Conn, polls int) (a ack, at time.Duration, virt, ok bool) {
+	for range polls {
 		select {
 		case <-rl.quit:
 			return ack{}, 0, false, false
@@ -784,9 +798,9 @@ func (rl *replicaLink) awaitAck(conn netsim.Conn) (a ack, at time.Duration, virt
 		var msg []byte
 		var err error
 		if rl.p.opts.Clock != nil {
-			msg, at, virt, err = netsim.RecvAt(conn, 250*time.Millisecond)
+			msg, at, virt, err = netsim.RecvAt(conn, ackPoll)
 		} else {
-			msg, err = conn.Recv(250 * time.Millisecond)
+			msg, err = conn.Recv(ackPoll)
 		}
 		if err == nil {
 			a, derr := decodeAck(msg)

@@ -7,6 +7,7 @@ package repl
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -625,14 +626,16 @@ func TestReplicaCheckpointErrorIsCountedAndRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a := r.applySeed(seedMsg{incarnation: 1, mark: 3, pageSize: 4096, pages: []seedPage{{pgno: 1, data: make([]byte, 4096)}}}); !a.ok {
+	if a := r.applySeed(seedMsg{incarnation: 1, mark: 3, pageSize: 4096, pages: []seedPage{{pgno: 1, data: headerPage(1)}}}); !a.ok {
 		t.Fatal("seed refused")
 	}
-	// next builds a batch of n full frames on distinct fresh pages: n
-	// frames in the replica's own journal.
+	// next builds a batch of n full frames on distinct fresh pages, and
+	// the page-1 frame that counts them: n frames in the replica's own
+	// journal beside page 1, which every import logs.
 	pgno := uint32(2)
 	next := func(n, backfill int) core.ExportBatch {
 		b := core.ExportBatch{From: r.Applied(), To: r.Applied() + n, Backfill: backfill}
+		b.Frames = append(b.Frames, core.ExportFrame{Pgno: 1, Off: 12, Payload: binary.LittleEndian.AppendUint32(nil, pgno+uint32(n)-1)})
 		for i := 0; i < n; i++ {
 			b.Frames = append(b.Frames, core.ExportFrame{Pgno: pgno, Full: true, Payload: []byte{byte(pgno), 1, 2, 3, 4, 5, 6, 7}})
 			pgno++
