@@ -229,15 +229,43 @@ func (t *Tree) AppendGet(dst, key []byte) ([]byte, bool, error) {
 	return v, true, nil
 }
 
-// Has reports whether key is present, without copying its value out.
-func (t *Tree) Has(key []byte) (bool, error) {
-	_, _, found, err := t.seek(key)
-	return found, err
-}
-
 // Put inserts key/val, replacing any existing value. Values too large
 // for a page cell spill to overflow pages.
 func (t *Tree) Put(key, val []byte) error {
+	_, err := t.put(key, val, false)
+	return err
+}
+
+// Update rewrites the value of an existing key in place (delete +
+// insert within the leaf), reporting whether the key existed. A missing
+// key costs one descent and nothing else: no page is dirtied or
+// allocated, and the value is not looked at. On an error Update reports
+// false.
+func (t *Tree) Update(key, val []byte) (bool, error) {
+	return t.put(key, val, true)
+}
+
+// errNoKey ends an Update's descent at a leaf that lacks the key.
+var errNoKey = errors.New("btree: key not found")
+
+// put is Put and, with update, Update: one descent to the leaf, where
+// insert builds the cell and places it.
+func (t *Tree) put(key, val []byte, update bool) (bool, error) {
+	e := t.borrowEdit()
+	defer e.release()
+	res, err := t.insert(e, t.root, key, val, update)
+	if err == nil && res.split {
+		err = t.growRoot(e, res)
+	}
+	if errors.Is(err, errNoKey) {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// encodeCell checks key/val and encodes their leaf cell into e.cell,
+// spilling a value too large for a cell to a fresh overflow chain.
+func (t *Tree) encodeCell(e *edit, key, val []byte) error {
 	if len(key) == 0 {
 		return errors.New("btree: empty key")
 	}
@@ -247,25 +275,16 @@ func (t *Tree) Put(key, val []byte) error {
 	if len(val) > MaxValueSize {
 		return fmt.Errorf("%w: value of %d bytes, limit %d", ErrTooLarge, len(val), MaxValueSize)
 	}
-	e := t.borrowEdit()
-	defer e.release()
 	if leafCellSize(key, val) <= t.maxCell() {
 		e.cell = appendLeafCell(e.cell[:0], key, val)
-	} else {
-		localLen := t.maxCell() - overflowCellSize(len(key), 0)
-		head, err := t.buildOverflowChain(val[localLen:])
-		if err != nil {
-			return err
-		}
-		e.cell = appendOverflowCell(e.cell[:0], key, val[:localLen], len(val), head)
+		return nil
 	}
-	res, err := t.insert(e, t.root, key, e.cell)
+	localLen := t.maxCell() - overflowCellSize(len(key), 0)
+	head, err := t.buildOverflowChain(val[localLen:])
 	if err != nil {
 		return err
 	}
-	if res.split {
-		return t.growRoot(e, res)
-	}
+	e.cell = appendOverflowCell(e.cell[:0], key, val[:localLen], len(val), head)
 	return nil
 }
 
@@ -362,15 +381,26 @@ type splitResult struct {
 	right uint32 // page holding the upper half
 }
 
-// insert descends to the leaf, placing the pre-encoded cell and
-// splitting on the way back up.
-func (t *Tree) insert(e *edit, pgno uint32, key, cell []byte) (splitResult, error) {
+// insert descends to the leaf and places key/val's cell there,
+// splitting on the way back up. An update stops at a leaf without the
+// key (errNoKey). The cell, and any overflow chain, is built at the
+// leaf before the leaf is dirtied: the store allocates the chain's
+// pages before the leaf's MarkDirty and any split's page, which is the
+// page numbering and dirty order recorded results depend on.
+func (t *Tree) insert(e *edit, pgno uint32, key, val []byte, update bool) (splitResult, error) {
 	p, err := t.page(pgno)
 	if err != nil {
 		return splitResult{}, err
 	}
 	if p.isLeaf() {
 		i, found := searchLeaf(&p, key)
+		if update && !found {
+			return splitResult{}, errNoKey
+		}
+		if err := t.encodeCell(e, key, val); err != nil {
+			return splitResult{}, err
+		}
+		cell := e.cell
 		t.dirty(&p)
 		if found {
 			if err := t.dropCell(e, &p, i); err != nil {
@@ -385,7 +415,7 @@ func (t *Tree) insert(e *edit, pgno uint32, key, cell []byte) (splitResult, erro
 	}
 
 	child, idx := routeInterior(&p, key)
-	res, err := t.insert(e, child, key, cell)
+	res, err := t.insert(e, child, key, val, update)
 	if err != nil || !res.split {
 		return splitResult{}, err
 	}
@@ -645,16 +675,6 @@ func (t *Tree) deleteRec(e *edit, pgno uint32, key []byte) (deleteResult, error)
 		return deleteResult{}, err
 	}
 	return deleteResult{deleted: true}, nil
-}
-
-// Update rewrites the value of an existing key in place (delete +
-// insert within the leaf), reporting whether the key existed.
-func (t *Tree) Update(key, val []byte) (bool, error) {
-	ok, err := t.Has(key)
-	if err != nil || !ok {
-		return false, err
-	}
-	return true, t.Put(key, val)
 }
 
 // Scan visits all records in ascending key order until fn returns

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -423,6 +424,53 @@ func TestUpdate(t *testing.T) {
 	ok, err = tr.Update(key(99), vals("x"))
 	if err != nil || ok {
 		t.Fatalf("Update of absent key = (%v,%v), want (false,nil)", ok, err)
+	}
+}
+
+// TestUpdateOfMissingKeyTouchesNothing: Update looks the key up before
+// it builds anything, so a missing key returns (false, nil) whatever the
+// value — one over MaxValueSize, which encoding would refuse, or one
+// that would spill to an overflow chain, which encoding would allocate —
+// and the store sees no Allocate and no MarkDirty.
+func TestUpdateOfMissingKeyTouchesNothing(t *testing.T) {
+	tr, s := newTree(t, 0)
+	for i := 0; i < 400; i += 2 {
+		if err := tr.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d, _ := tr.Depth(); d < 1 {
+		t.Fatal("the tree has no interior page")
+	}
+	dirtied := func() (n int) {
+		for _, c := range s.dirtied {
+			n += c
+		}
+		return n
+	}
+	next, marks := s.next, dirtied()
+	for _, v := range [][]byte{make([]byte, MaxValueSize+1), make([]byte, 9000)} {
+		for _, k := range [][]byte{key(-1), key(201), key(999)} {
+			if ok, err := tr.Update(k, v); ok || err != nil {
+				t.Fatalf("Update(%q, %d bytes) of a missing key = (%v, %v), want (false, nil)", k, len(v), ok, err)
+			}
+		}
+	}
+	if s.next != next || dirtied() != marks {
+		t.Fatalf("updates of missing keys allocated %d pages and dirtied %d", s.next-next, dirtied()-marks)
+	}
+	if ok, err := tr.Update(key(200), make([]byte, MaxValueSize+1)); ok || !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Update of a present key with an over-size value = (%v, %v), want ErrTooLarge", ok, err)
+	}
+	big := bytes.Repeat([]byte{'o'}, 9000)
+	if ok, err := tr.Update(key(200), big); !ok || err != nil {
+		t.Fatalf("Update of a present key with an overflow value = (%v, %v)", ok, err)
+	}
+	if got, _, _ := tr.Get(key(200)); !bytes.Equal(got, big) {
+		t.Fatal("the overflow update did not take")
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

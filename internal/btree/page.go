@@ -207,18 +207,65 @@ func (p *page) deleteCellAt(i int, scratch []byte) {
 }
 
 // compact repacks all cell content against the end of the usable area,
-// preserving cell order: the cells are copied out back to back, then
-// re-laid from the page end, each one's size read off its own copy.
+// preserving cell order: cell i's target ends where cell i-1's begins,
+// the first at the end of the usable area. It moves only what moves.
+// The leading cells that already sit at their targets stay put. If the
+// rest sit in order and back to back (cell i+1 ends where cell i
+// begins), they move together with one copy; otherwise they go through
+// scratch (relay). Every path writes the bytes the relay writes over the
+// whole page, and only between the new content start and the leading
+// cells, so what lies below the new content start keeps its stale bytes
+// as it does under the relay (§5.2's dirty bytes depend on them).
 func (p *page) compact(scratch []byte) {
 	n := p.nCells()
+	i, writeAt := 0, p.usable
+	for ; i < n; i++ {
+		sz := p.cellSize(i)
+		if p.cellPtr(i) != writeAt-sz {
+			break
+		}
+		writeAt -= sz
+	}
+	if i == n {
+		p.setContentStart(writeAt)
+		return
+	}
+	lo := p.cellPtr(i)
+	hi := lo + p.cellSize(i)
+	j := i + 1
+	for ; j < n; j++ {
+		off := p.cellPtr(j)
+		if off+p.cellSize(j) != lo {
+			break
+		}
+		lo = off
+	}
+	if j < n {
+		p.relay(i, writeAt, scratch)
+		return
+	}
+	shift := writeAt - hi
+	copy(p.buf[lo+shift:], p.buf[lo:hi])
+	for ; i < n; i++ {
+		p.setCellPtr(i, p.cellPtr(i)+shift)
+	}
+	p.setContentStart(lo + shift)
+}
+
+// relay re-lays cells from on through scratch (at least the page's
+// size): they are copied out back to back, then laid down from writeAt,
+// the start of cell from-1's target, each one's size read off its own
+// copy. relay(0, usable) is the whole compaction.
+func (p *page) relay(from, writeAt int, scratch []byte) {
+	n := p.nCells()
 	pos := 0
-	for i := 0; i < n; i++ {
+	for i := from; i < n; i++ {
 		off := p.cellPtr(i)
 		pos += copy(scratch[pos:], p.buf[off:off+p.cellSize(i)])
 	}
 	leaf := p.isLeaf()
-	writeAt, pos := p.usable, 0
-	for i := 0; i < n; i++ {
+	pos = 0
+	for i := from; i < n; i++ {
 		sz := cellSizeAt(scratch[pos:], leaf)
 		writeAt -= sz
 		copy(p.buf[writeAt:], scratch[pos:pos+sz])

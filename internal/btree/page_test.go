@@ -210,3 +210,92 @@ func TestPropertyPageCellOps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzCompact runs a script of cell inserts, deletes, updates (a delete
+// and an insert at the same index) and bare compactions on one leaf or
+// interior page. Before every compaction the whole-page relay runs on a
+// copy of the page, and the page the fast paths leave must equal that
+// copy byte for byte over the whole buffer: the cells, the pointers, the
+// stale bytes below the content start and the reserved tail.
+func FuzzCompact(f *testing.F) {
+	f.Add(true, []byte{0, 40, 0, 40, 0, 40, 0, 40, 1, 0, 1, 0, 3})
+	f.Add(true, []byte{0, 10, 0, 200, 0, 3, 0, 90, 2, 1, 70, 1, 2, 2, 0, 5, 1, 1})
+	f.Add(false, []byte{0, 5, 0, 6, 0, 7, 0, 8, 1, 1, 2, 0, 9, 3, 1, 2})
+	f.Add(true, bytes.Repeat([]byte{0, 1, 0, 255, 2, 1, 33}, 12))
+	f.Fuzz(func(t *testing.T, leaf bool, script []byte) {
+		next := func() int {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return int(b)
+		}
+		typ := pageInterior
+		if leaf {
+			typ = pageLeaf
+		}
+		p := &page{no: 1, buf: make([]byte, 1024), usable: 1024 - ReservedTail}
+		for i := range p.buf {
+			p.buf[i] = byte(i * 7) // stale bytes a compaction must not touch
+		}
+		p.init(typ)
+		scratch := make([]byte, len(p.buf))
+		// cell encodes a cell of roughly n bytes whose bytes tell it apart.
+		cell := func(n int) []byte {
+			body := make([]byte, n%120)
+			for i := range body {
+				body[i] = byte(n + i)
+			}
+			switch {
+			case !leaf:
+				return appendInteriorCell(nil, uint32(n), body)
+			case n%5 == 0:
+				return appendOverflowCell(nil, body[:len(body)/2], body[len(body)/2:], 5000, uint32(n))
+			default:
+				return appendLeafCell(nil, body[:len(body)/3], body[len(body)/3:])
+			}
+		}
+		insert := func(i, n int) {
+			if c := cell(n); p.freeSpace() >= len(c)+2 {
+				p.insertCellAt(i, c)
+			}
+		}
+		// compacted checks the compaction drop made (dropping cell i, or
+		// none for i < 0) against the relay's on a copy of the page.
+		compacted := func(op string, i int) {
+			want := &page{no: p.no, buf: bytes.Clone(p.buf), usable: p.usable}
+			if i >= 0 {
+				n := want.nCells()
+				copy(want.buf[headerSize+2*i:], want.buf[headerSize+2*(i+1):headerSize+2*n])
+				want.setNCells(n - 1)
+				want.relay(0, want.usable, make([]byte, len(p.buf)))
+				p.deleteCellAt(i, scratch)
+			} else {
+				want.relay(0, want.usable, make([]byte, len(p.buf)))
+				p.compact(scratch)
+			}
+			if !bytes.Equal(p.buf, want.buf) {
+				t.Fatalf("%s: the page differs from the whole-page relay's", op)
+			}
+			if err := p.checkAccounting(); err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+		}
+		for len(script) > 0 {
+			n := p.nCells()
+			switch op := next() % 4; {
+			case op == 0 || n == 0:
+				insert(next()%(n+1), next())
+			case op == 1:
+				compacted("delete", next()%n)
+			case op == 2:
+				i := next() % n
+				compacted("update", i)
+				insert(i, next())
+			default:
+				compacted("compact", -1)
+			}
+		}
+	})
+}

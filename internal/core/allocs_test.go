@@ -360,3 +360,70 @@ func TestCheckpointRoundAllocatesNothing(t *testing.T) {
 		t.Fatalf("a commit and its checkpoint round allocate %v times, want 0", n)
 	}
 }
+
+// TestNewPagesIndexGrowthAllocs: 128 pages new to the log each take 20
+// frames in one round, so each page's frame index passes three sizes
+// (8, 16 and 32 frames). Each size is carved from a block of 64
+// indexes, so the round costs at most one allocation per 64 pages per
+// size more than the same round over pages whose indexes have grown
+// before; an index regrown by append costs one per page per size
+// (≈ 256 here). Two rounds over 128 other pages, each retired by a
+// checkpoint, warm the history array, the wal-index table and the
+// commit scratch, and use up the blocks' first indexes.
+func TestNewPagesIndexGrowthAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	e := newEnv(t)
+	w := e.open(t, VariantUHLSDiff())
+	const pages, frames, sizes = 128, 20, 3
+	// round returns the commits of one round over pages first …
+	// first+pages-1: one frame per page per commit, each commit every
+	// page's next image. Each round's first image rewrites the whole
+	// page, so every round logs as many bytes as one over new pages.
+	rounds := 0
+	round := func(first uint32) [][]pager.Frame {
+		rounds++
+		txns := make([][]pager.Frame, frames)
+		for p := uint32(0); p < pages; p++ {
+			img := fullPage(byte(rounds))
+			for i := range txns {
+				img = bytes.Clone(img)
+				img[100] = byte(i)
+				txns[i] = append(txns[i], pager.Frame{Pgno: first + p, Data: img})
+			}
+		}
+		return txns
+	}
+	commit := func(txns [][]pager.Frame) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, frames := range txns {
+			if err := w.CommitTransaction(frames); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if err := w.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	const old, fresh = 2 + pages, 2
+	commit(round(old))
+	commit(round(old))
+	warm := commit(round(old))
+	txns := round(fresh)
+	got, limit := commit(txns), warm+sizes*pages/64
+	t.Logf("a round over %d pages: %d allocations, %d when the pages are new to the log", pages, warm, got)
+	if got > limit {
+		t.Fatalf("%d new pages × %d frames in one round allocate %d times, want ≤ %d (%d for grown pages, one per 64 pages per index size)",
+			pages, frames, got, limit, warm)
+	}
+	for p := uint32(0); p < pages; p++ {
+		if v, _ := w.PageVersion(fresh + p); !bytes.Equal(v, txns[frames-1][p].Data) {
+			t.Fatalf("page %d is not its last committed image", fresh+p)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/heapo"
+	"repro/internal/memsim"
 	"repro/internal/metrics"
 	"repro/internal/nvram"
 	"repro/internal/pager"
@@ -284,12 +285,6 @@ var (
 	ErrNoPrepared = errors.New("nvwal: no such prepared transaction")
 )
 
-// frameRef locates one physical frame in NVRAM.
-type frameRef struct {
-	addr uint64 // device address of the frame header
-	size int    // header + payload bytes (unaligned)
-}
-
 // histFrame is the in-DRAM record of one logged frame, kept for
 // snapshot reads. A full frame resets the page to zero before its
 // payload applies; a differential frame patches the prior image. The
@@ -428,7 +423,7 @@ type NVWAL struct {
 	// frames (versions keep them, history payloads alias them). solo is
 	// the untagged stream legacy frame sets are staged into, one the
 	// stream list holding just it, group CommitStreams' last group stamp.
-	written []frameRef
+	written []memsim.AddrRange
 	newHist []histFrame
 	hdrBuf  [frameHdrSize]byte
 	solo    Stream
@@ -443,11 +438,11 @@ type NVWAL struct {
 	// up to the largest one the log has staged or indexed. Only a holder
 	// of w.mu exclusively grows it (entry), and only by append; readers
 	// look a page past its end up as one the log never held. pending
-	// counts the entries marked pending; idxBlock is what is left of the
-	// block newFrames carves pages' first frame indexes from.
-	pages    []pageEntry
-	pending  int
-	idxBlock []int
+	// counts the entries marked pending; idxBlocks[k] is what is left of
+	// the block appendFrame carves frame indexes of size class k from.
+	pages     []pageEntry
+	pending   int
+	idxBlocks [idxClasses][]int
 	// history records the frames not yet backfilled into the database
 	// file; history[i] is absolute frame histBase+i. histBase is the
 	// backfill watermark (SQLite's nBackfill): marks below it are
@@ -668,11 +663,7 @@ func (w *NVWAL) persistRange(addr uint64, n int) {
 		w.dev.Domain().EpochBarrier()
 		return
 	}
-	w.dev.MemoryBarrier()
-	w.dev.Syscall()
-	w.dev.Flush(addr, addr+uint64(n))
-	w.dev.MemoryBarrier()
-	w.dev.PersistBarrier()
+	w.dev.Sync([]memsim.AddrRange{{Start: addr, End: addr + uint64(n)}}, memsim.SyncFence|memsim.SyncSyscall|memsim.SyncPersist)
 }
 
 // writeHeader persists the header block's live-generation fields.
@@ -1115,7 +1106,7 @@ func (w *NVWAL) appendStreams(streams []*Stream, mark uint64, txns int) error {
 					// each log write drains before the next may persist.
 					w.persistRange(addr, size)
 				}
-				w.written = append(w.written, frameRef{addr: addr, size: size})
+				w.written = append(w.written, memsim.AddrRange{Start: addr, End: addr + uint64(size)})
 				hist := payload
 				if sp.header {
 					hist = w.detach(payload)
@@ -1128,7 +1119,7 @@ func (w *NVWAL) appendStreams(streams []*Stream, mark uint64, txns int) error {
 
 	var markAddr uint64
 	if len(w.written) > 0 {
-		markAddr = w.written[len(w.written)-1].addr
+		markAddr = w.written[len(w.written)-1].Start
 	}
 	marked := mark != 0 && len(w.written) > 0
 	// The deliberate ordering bug (see Config.UnsafeEarlyCommitMark):
@@ -1145,15 +1136,11 @@ func (w *NVWAL) appendStreams(streams []*Stream, mark uint64, txns int) error {
 	case w.cfg.Sync == SyncLazy && len(w.written) > 0:
 		// Algorithm 1 lines 21–28: one dmb, a batch of per-frame
 		// cache_line_flush syscalls, a dmb, and one persist barrier.
-		w.dev.MemoryBarrier()
-		for _, f := range w.written {
-			w.dev.Syscall()
-			w.dev.Flush(f.addr, f.addr+uint64(f.size))
-		}
-		w.dev.MemoryBarrier()
+		phase := memsim.SyncFence | memsim.SyncSyscall
 		if !earlyMark {
-			w.dev.PersistBarrier()
+			phase |= memsim.SyncPersist
 		}
+		w.dev.Sync(w.written, phase)
 	case w.cfg.Sync == SyncEpochPersistency && len(w.written) > 0:
 		// §4.4 relaxed persistency: one hardware epoch boundary closes
 		// the logging phase; no flush instructions, no kernel crossing.
@@ -1215,11 +1202,8 @@ func (w *NVWAL) publish(chain uint32, hist []histFrame, streams []*Stream, txns 
 			// held has none; the database file serves it. An untracked page
 			// is never pending, so its version needs no build.
 			e.base = e.version
-			if cap(e.frames) == 0 {
-				e.frames = w.newFrames()
-			}
 		}
-		e.frames = append(e.frames, w.histBase+len(w.history))
+		e.frames = w.appendFrame(e.frames, w.histBase+len(w.history))
 		w.history = append(w.history, f)
 		w.published += int64(len(f.payload))
 	}
@@ -1561,11 +1545,11 @@ func (w *NVWAL) beginCheckpoint() (*ckptState, error) {
 	// backfilling it — so a sealed-scan shortfall only ever means
 	// real damage.
 	if w.cfg.Sync == SyncChecksum {
-		for _, b := range w.blocks {
-			w.dev.Flush(b.Addr, b.Addr+uint64(b.Size()))
+		rs := make([]memsim.AddrRange, len(w.blocks))
+		for i, b := range w.blocks {
+			rs[i] = memsim.AddrRange{Start: b.Addr, End: b.Addr + uint64(b.Size())}
 		}
-		w.dev.MemoryBarrier()
-		w.dev.PersistBarrier()
+		w.dev.Sync(rs, memsim.SyncPersist)
 	}
 	// A1: persist the record naming the generation about to freeze,
 	// sealed with its final chain value and frame count so salvage can
@@ -1610,20 +1594,37 @@ func (w *NVWAL) backfill(st *ckptState) error {
 
 // newIdxCap is a fresh page index's capacity: one grown from a single
 // frame would regrow, 1 → 2 → 4 → 8, on its way to a busy page's
-// frames per round.
-const newIdxCap = 8
+// frames per round. idxClasses is how many index sizes are carved from
+// blocks: newIdxCap << k frames for k < idxClasses (8, 16, 32).
+const (
+	newIdxCap  = 8
+	idxClasses = 3
+)
 
-// newFrames returns an empty frame index of capacity newIdxCap for a page
-// the log indexes for the first time, carved from a block of 64: a page
-// keeps its index for good, so a growing database costs one allocation
-// per 64 pages it brings into the log. Caller holds w.mu exclusively.
-func (w *NVWAL) newFrames() []int {
-	if len(w.idxBlock) < newIdxCap {
-		w.idxBlock = make([]int, 64*newIdxCap)
+// appendFrame appends frame i to a page's frame index f. A full index of
+// a carved size moves to one of twice its capacity (newIdxCap for a page
+// the log indexes for the first time), carved from a block of 64 such
+// indexes: a page keeps its index for good, so a growing database costs
+// one allocation per 64 pages per size its pages reach, not one per
+// page per size. An index past the largest carved size grows by append.
+// Caller holds w.mu exclusively.
+func (w *NVWAL) appendFrame(f []int, i int) []int {
+	if len(f) < cap(f) {
+		return append(f, i)
 	}
-	f := w.idxBlock[:0:newIdxCap]
-	w.idxBlock = w.idxBlock[newIdxCap:]
-	return f
+	k, c := 0, newIdxCap
+	for c <= len(f) {
+		k, c = k+1, c<<1
+	}
+	if k >= idxClasses {
+		return append(f, i)
+	}
+	b := w.idxBlocks[k]
+	if len(b) < c {
+		b = make([]int, 64*c)
+	}
+	w.idxBlocks[k] = b[c:]
+	return append(append(b[:0:c], f...), i)
 }
 
 // completeCheckpoint runs phase C: free the frozen generation and drop

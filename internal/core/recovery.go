@@ -481,7 +481,7 @@ func (w *NVWAL) indexFrames(kept []scannedFrame) {
 			e.pending = true
 			w.pending++
 		}
-		e.frames = append(e.frames, w.histBase+len(w.history))
+		e.frames = w.appendFrame(e.frames, w.histBase+len(w.history))
 		w.history = append(w.history, histFrame{pgno: fr.pgno, off: fr.off, full: fr.full, payload: fr.payload})
 	}
 }
@@ -526,7 +526,7 @@ func (w *NVWAL) replayFrames(kept []scannedFrame, record bool, gen uint64, unrea
 				// the base is the one image recovery copies.
 				e.base = slices.Clone(img)
 			}
-			e.frames = append(e.frames, w.histBase+len(w.history))
+			e.frames = w.appendFrame(e.frames, w.histBase+len(w.history))
 			w.history = append(w.history, histFrame{pgno: fr.pgno, off: fr.off, full: fr.full, payload: fr.payload})
 		}
 		if fr.full {

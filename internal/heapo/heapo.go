@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/memsim"
 	"repro/internal/metrics"
 	"repro/internal/nvram"
 )
@@ -199,10 +200,7 @@ func (m *Manager) Device() *nvram.Device { return m.dev }
 // persistRange flushes and persists a metadata range, the crash-
 // consistency discipline every state transition follows.
 func (m *Manager) persistRange(start, end uint64) {
-	m.dev.MemoryBarrier()
-	m.dev.Flush(start, end)
-	m.dev.MemoryBarrier()
-	m.dev.PersistBarrier()
+	m.dev.Sync([]memsim.AddrRange{{Start: start, End: end}}, memsim.SyncFence|memsim.SyncPersist)
 }
 
 func (m *Manager) metaAddr(page int) uint64 { return m.metaBase + uint64(page)*8 }
@@ -581,9 +579,7 @@ func (m *Manager) ReclaimPending() int {
 		page += run
 	}
 	if to != 0 {
-		m.dev.Flush(from, to)
-		m.dev.MemoryBarrier()
-		m.dev.PersistBarrier()
+		m.dev.Sync([]memsim.AddrRange{{Start: from, End: to}}, memsim.SyncPersist)
 	}
 	m.freeHint = 0
 	return reclaimed

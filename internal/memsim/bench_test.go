@@ -47,3 +47,53 @@ func BenchmarkCommitShapedFlush(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lines, "ns/line")
 }
+
+// BenchmarkCommitSequence is the NVRAM side of a two-frame lazy commit
+// (Algorithm 1): two frames stored as gather writes, their sync phase
+// (dmb, a cache_line_flush syscall and the flushes per frame, dmb,
+// persist barrier), the 8-byte commit mark and its own phase. "sync"
+// makes each phase one Sync call; "calls" makes the separate
+// MemoryBarrier, Syscall, CacheLineFlush and PersistBarrier calls it
+// stands for, to the same virtual cost.
+func BenchmarkCommitSequence(b *testing.B) {
+	for _, oneCall := range []bool{true, false} {
+		name := "calls"
+		if oneCall {
+			name = "sync"
+		}
+		b.Run(name, func(b *testing.B) {
+			d, _, _ := newDomain(b, Config{Size: 16 << 20})
+			ls := uint64(d.LineSize())
+			hdr, payload := make([]byte, 24), make([]byte, 3*ls)
+			frames := make([]AddrRange, 2)
+			mark := []AddrRange{{}}
+			phase := func(ranges []AddrRange) {
+				if oneCall {
+					d.Sync(0, ranges, SyncFence|SyncSyscall|SyncPersist)
+					return
+				}
+				d.MemoryBarrier()
+				for _, r := range ranges {
+					d.Syscall()
+					d.CacheLineFlush(r.Start, r.End)
+				}
+				d.MemoryBarrier()
+				d.PersistBarrier()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				addr := uint64(i%4096) * 8 * ls
+				for f := range frames {
+					d.WriteV(addr, hdr, payload)
+					frames[f] = AddrRange{Start: addr, End: addr + uint64(len(hdr)+len(payload))}
+					addr += 4 * ls
+				}
+				phase(frames)
+				d.Write(frames[0].Start, hdr[:8])
+				mark[0] = AddrRange{Start: frames[0].Start, End: frames[0].Start + 8}
+				phase(mark)
+			}
+		})
+	}
+}

@@ -180,14 +180,16 @@ type Domain struct {
 	lineShift uint      // log2 of the cache line size
 	t         lineTable // per-line cache and controller-queue state
 
-	// What the current call owes the clock and the per-line counters,
-	// accumulated line by line under d.mu and published once by
+	// What the current call owes the clock and the counters, accumulated
+	// line by line and barrier by barrier under d.mu and published once by
 	// publishLocked before the call returns (and before an armed crash
 	// trigger fires, so the frozen image is resolved at the right time).
 	// Virtual "now" under the lock is nowLocked, which includes owed.
 	owed                   time.Duration
 	owedMemcpy, owedFlush  time.Duration
 	owedFlushes, owedLines int64
+	owedDmbs, owedPersists int64
+	owedSyscalls           int64
 
 	// The cells this domain adds to on its store, flush and barrier
 	// paths, bound once; the rare fault counters go by name.
@@ -290,9 +292,9 @@ func (d *Domain) checkRange(addr uint64, n int) {
 func (d *Domain) nowLocked() time.Duration { return d.clock.Now() + d.owed }
 
 // publishLocked pays what the call accumulated: one clock advance and
-// one add per counter instead of one of each per line. A counter is
-// added to only when the call moved it, so Snapshot lists the names it
-// always listed. Caller holds d.mu.
+// one add per counter instead of one of each per line or barrier. A
+// counter is added to only when the call moved it, so Snapshot lists
+// the names it always listed. Caller holds d.mu.
 func (d *Domain) publishLocked() {
 	d.clock.Advance(d.owed)
 	if d.owedMemcpy > 0 {
@@ -308,7 +310,20 @@ func (d *Domain) publishLocked() {
 		d.cLineWrites.Add(d.owedLines)
 		d.cBytes.Add(d.owedLines << d.lineShift)
 	}
+	if d.owedDmbs > 0 {
+		d.cDmb.Add(d.owedDmbs)
+		d.tDmb.Add(d.owedDmbs * int64(d.cfg.BarrierCost))
+	}
+	if d.owedPersists > 0 {
+		d.cPersistBarriers.Add(d.owedPersists)
+		d.tPersist.Add(d.owedPersists * int64(d.cfg.PersistBarrierCost))
+	}
+	if d.owedSyscalls > 0 {
+		d.cSyscalls.Add(d.owedSyscalls)
+		d.tSyscall.Add(d.owedSyscalls * int64(SyscallCost))
+	}
 	d.owed, d.owedMemcpy, d.owedFlush, d.owedFlushes, d.owedLines = 0, 0, 0, 0, 0
+	d.owedDmbs, d.owedPersists, d.owedSyscalls = 0, 0, 0
 }
 
 // Write stores p at addr through the cache. The data becomes visible to
@@ -484,11 +499,17 @@ func (d *Domain) ReadPersisted(addr uint64, p []byte) {
 // ARMv7, so user code pays one Syscall per flush batch while kernel
 // components (the Heapo heap manager) flush for free.
 func (d *Domain) CacheLineFlush(start, end uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.flushLocked(start, end)
+	d.publishLocked()
+}
+
+// flushLocked is CacheLineFlush's body. Caller holds d.mu.
+func (d *Domain) flushLocked(start, end uint64) {
 	if end <= start {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.checkRange(start, int(end-start))
 	if d.failed {
 		return
@@ -507,7 +528,6 @@ func (d *Domain) CacheLineFlush(start, end uint64) {
 		}
 		d.countOpLocked()
 	}
-	d.publishLocked()
 }
 
 // SyscallCost is the simulated kernel-mode switch overhead per system
@@ -521,25 +541,28 @@ const SyscallCost = 800 * time.Nanosecond
 func (d *Domain) Syscall() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.cSyscalls.Add(1)
-	d.tSyscall.Add(int64(SyscallCost))
-	d.clock.Advance(SyscallCost)
+	d.syscallLocked()
+	d.publishLocked()
+}
+
+// syscallLocked is Syscall's body. It is charged on a failed domain
+// too: the crossing is CPU work, not a store. Caller holds d.mu.
+func (d *Domain) syscallLocked() {
+	d.owedSyscalls++
+	d.owed += SyscallCost
 }
 
 // barrierLocked blocks until the memory controller has serviced every
 // outstanding write-back, then pays the barrier's own fixed cost. The
 // wait is flush completion, so it is attributed to the flush phase; the
-// fixed cost to the barrier's phase. One clock advance for both. Caller
+// fixed cost (counted by the caller) to the barrier's phase. Caller
 // holds d.mu.
-func (d *Domain) barrierLocked(phase *metrics.Cell, cost time.Duration) {
-	wait := d.lastCompletion - d.clock.Now()
-	if wait > 0 {
-		d.tFlush.Add(int64(wait))
-	} else {
-		wait = 0
+func (d *Domain) barrierLocked(cost time.Duration) {
+	if wait := d.lastCompletion - d.nowLocked(); wait > 0 {
+		d.owed += wait
+		d.owedFlush += wait
 	}
-	phase.Add(int64(cost))
-	d.clock.Advance(wait + cost)
+	d.owed += cost
 }
 
 // MemoryBarrier models dmb: it blocks until every outstanding write-back
@@ -549,11 +572,17 @@ func (d *Domain) barrierLocked(phase *metrics.Cell, cost time.Duration) {
 func (d *Domain) MemoryBarrier() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.dmbLocked()
+	d.publishLocked()
+}
+
+// dmbLocked is MemoryBarrier's body. Caller holds d.mu.
+func (d *Domain) dmbLocked() {
 	if d.failed {
 		return
 	}
-	d.cDmb.Add(1)
-	d.barrierLocked(d.tDmb, d.cfg.BarrierCost)
+	d.owedDmbs++
+	d.barrierLocked(d.cfg.BarrierCost)
 	d.countOpLocked()
 }
 
@@ -563,17 +592,66 @@ func (d *Domain) MemoryBarrier() {
 func (d *Domain) PersistBarrier() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.persistLocked()
+	d.publishLocked()
+}
+
+// persistLocked is PersistBarrier's body. Caller holds d.mu.
+func (d *Domain) persistLocked() {
 	if d.failed {
 		return
 	}
-	d.cPersistBarriers.Add(1)
-	d.barrierLocked(d.tPersist, d.cfg.PersistBarrierCost)
+	d.owedPersists++
+	d.barrierLocked(d.cfg.PersistBarrierCost)
 	d.drainQueueLocked()
 	// Counted after the queue drains, so a crash armed at this op index
 	// observes the barrier's durability effect (a crash "at" a persist
 	// barrier means the barrier completed; crashes inside the drain are
 	// exercised by arming on the flushes that precede it).
 	d.countOpLocked()
+}
+
+// SyncPhase selects the optional steps of a Sync call.
+type SyncPhase uint8
+
+const (
+	// SyncFence opens the phase with a dmb, ordering the stores before
+	// it ahead of its flushes (Algorithm 1 line 21).
+	SyncFence SyncPhase = 1 << iota
+	// SyncSyscall charges one kernel-mode switch before each range's
+	// flushes: the cache_line_flush() system call user code makes.
+	SyncSyscall
+	// SyncPersist closes the phase with a persist barrier after its
+	// closing dmb.
+	SyncPersist
+)
+
+// Sync runs one synchronization phase of Algorithm 1 in one call: a dmb
+// if p has SyncFence; for each range, shifted by base, a kernel-mode
+// switch if p has SyncSyscall and the dccmvac loop over its lines; a
+// dmb; a persist barrier if p has SyncPersist. It runs the bodies of
+// MemoryBarrier, Syscall, CacheLineFlush and PersistBarrier in that
+// order under one hold of the domain mutex, so the virtual costs, the
+// counters and the op numbering ArmCrash targets are exactly those of
+// the separate calls; the clock and the counters are published once, at
+// the end (or at an armed crash's instant, as every call does).
+func (d *Domain) Sync(base uint64, ranges []AddrRange, p SyncPhase) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if p&SyncFence != 0 {
+		d.dmbLocked()
+	}
+	for _, r := range ranges {
+		if p&SyncSyscall != 0 {
+			d.syscallLocked()
+		}
+		d.flushLocked(base+r.Start, base+r.End)
+	}
+	d.dmbLocked()
+	if p&SyncPersist != 0 {
+		d.persistLocked()
+	}
+	d.publishLocked()
 }
 
 // EpochBarrier models the persist barrier of an epoch-persistency
@@ -588,15 +666,15 @@ func (d *Domain) EpochBarrier() {
 	if d.failed {
 		return
 	}
-	d.cPersistBarriers.Add(1)
+	d.owedPersists++
 	// Hardware write-back of all dirty lines: enqueue without per-line
 	// issue cost (no instructions are executed for them).
 	for d.t.lruTail != 0 {
 		d.enqueueLocked(d.t.lruTail)
 	}
-	d.publishLocked()
-	d.barrierLocked(d.tPersist, d.cfg.PersistBarrierCost)
+	d.barrierLocked(d.cfg.PersistBarrierCost)
 	d.drainQueueLocked()
+	d.publishLocked()
 }
 
 // PowerFail simulates pulling the power. Everything not yet persisted is

@@ -262,6 +262,29 @@ func (d *refDomain) persistBarrier(epoch bool) {
 	}
 }
 
+func (d *refDomain) syscall() {
+	d.clock.Advance(SyscallCost)
+	d.m.Inc(metrics.Syscall, 1)
+	d.m.AddTime(metrics.TimeSyscall, SyscallCost)
+}
+
+// sync is a Sync phase as the separate calls it stands for.
+func (d *refDomain) sync(ranges []AddrRange, p SyncPhase) {
+	if p&SyncFence != 0 {
+		d.memoryBarrier()
+	}
+	for _, r := range ranges {
+		if p&SyncSyscall != 0 {
+			d.syscall()
+		}
+		d.flush(r.Start, r.End)
+	}
+	d.memoryBarrier()
+	if p&SyncPersist != 0 {
+		d.persistBarrier(false)
+	}
+}
+
 func (d *refDomain) resolveSurvivors(dst []byte, policy FailPolicy, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	now := d.clock.Now()
@@ -434,12 +457,17 @@ func TestLineTableMatchesMapReference(t *testing.T) {
 						a := addr(len(p) + len(q))
 						d.WriteV(a, p, q)
 						ref.write(a, p, q)
-					case r < 62:
+					case r < 54:
 						what = "flush"
 						n := 1 + rng.Intn(600)
 						a := addr(n)
 						d.CacheLineFlush(a, a+uint64(n))
 						ref.flush(a, a+uint64(n))
+					case r < 62:
+						what = "sync"
+						ranges, phase := syncScript(rng, addr)
+						d.Sync(0, ranges, phase)
+						ref.sync(ranges, phase)
 					case r < 72:
 						what = "dmb"
 						d.MemoryBarrier()
@@ -487,6 +515,111 @@ func TestLineTableMatchesMapReference(t *testing.T) {
 	}
 }
 
+// syncScript draws a Sync phase: one to four ranges from addr (an empty
+// one now and then) and any combination of the optional steps.
+func syncScript(rng *rand.Rand, addr func(n int) uint64) ([]AddrRange, SyncPhase) {
+	ranges := make([]AddrRange, 1+rng.Intn(4))
+	for i := range ranges {
+		n := rng.Intn(300)
+		a := addr(n + 1)
+		ranges[i] = AddrRange{Start: a, End: a + uint64(n)}
+	}
+	return ranges, SyncPhase(rng.Intn(8))
+}
+
+// TestSyncMatchesSeparateCalls arms a crash at every op index of a Sync
+// phase — its dmbs, each flushed line, its persist barrier — and one
+// past it, on a domain that runs the phase as one Sync call and on one
+// that runs the separate calls it stands for. At the trigger instant
+// (read by onTrigger) and after the phase, the clocks, the counters and
+// the op counts agree, and so do the frozen durable images.
+func TestSyncMatchesSeparateCalls(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{Size: 16 << 10, CacheCapacityLines: 24}
+		if seed%2 == 0 {
+			cfg.CacheLineSize, cfg.NVRAMBanks = 64, 2
+		}
+		var setup []func(d *Domain)
+		for i := 0; i < 40; i++ {
+			p := make([]byte, 1+rng.Intn(200))
+			rng.Read(p)
+			a := uint64(rng.Intn(cfg.Size - len(p)))
+			setup = append(setup, func(d *Domain) { d.Write(a, p) })
+		}
+		ranges, phase := syncScript(rng, func(n int) uint64 { return uint64(rng.Intn(cfg.Size - n)) })
+		separate := func(d *Domain) {
+			if phase&SyncFence != 0 {
+				d.MemoryBarrier()
+			}
+			for _, r := range ranges {
+				if phase&SyncSyscall != 0 {
+					d.Syscall()
+				}
+				d.CacheLineFlush(r.Start, r.End)
+			}
+			d.MemoryBarrier()
+			if phase&SyncPersist != 0 {
+				d.PersistBarrier()
+			}
+		}
+		type outcome struct {
+			atTrigger, after string
+			frozen           []byte
+		}
+		// run arms a crash at op after (0: none) and runs setup and the
+		// phase, in one call or as separate calls.
+		run := func(after int64, policy FailPolicy, oneCall bool) outcome {
+			clock, m := simclock.New(), &metrics.Counters{}
+			d := New(cfg, clock, m)
+			var o outcome
+			if after > 0 {
+				d.ArmCrash(after, policy, seed, func() {
+					o.atTrigger = fmt.Sprintf("clock %v ops %d\n%s", clock.Now(), d.ops, m.Snapshot())
+				})
+			}
+			for _, f := range setup {
+				f(d)
+			}
+			if oneCall {
+				d.Sync(0, ranges, phase)
+			} else {
+				separate(d)
+			}
+			o.after = fmt.Sprintf("clock %v ops %d\n%s", clock.Now(), d.OpCount(), m.Snapshot())
+			o.frozen = d.frozen
+			return o
+		}
+		if got, want := run(0, FailDropAll, true), run(0, FailDropAll, false); got.after != want.after {
+			t.Fatalf("seed %d: after the phase\n got: %s\nwant: %s", seed, got.after, want.after)
+		}
+		d := New(cfg, simclock.New(), &metrics.Counters{})
+		for _, f := range setup {
+			f(d)
+		}
+		separate(d)
+		phaseEnd := d.OpCount()
+		for _, policy := range []FailPolicy{FailDropAll, FailKeepCompleted, FailAdversarial} {
+			// setup's stores are one op each; the phase's ops follow.
+			for after := int64(len(setup)) + 1; after <= phaseEnd+1; after++ {
+				got, want := run(after, policy, true), run(after, policy, false)
+				if fired := got.atTrigger != ""; fired != (after <= phaseEnd) {
+					t.Fatalf("seed %d crash at op %d of %d: fired %v", seed, after, phaseEnd, fired)
+				}
+				if got.atTrigger != want.atTrigger {
+					t.Fatalf("seed %d policy %d crash at op %d: at the trigger\n got: %s\nwant: %s", seed, policy, after, got.atTrigger, want.atTrigger)
+				}
+				if got.after != want.after {
+					t.Fatalf("seed %d policy %d crash at op %d: after the phase\n got: %s\nwant: %s", seed, policy, after, got.after, want.after)
+				}
+				if !bytes.Equal(got.frozen, want.frozen) {
+					t.Fatalf("seed %d policy %d crash at op %d: frozen images differ", seed, policy, after)
+				}
+			}
+		}
+	}
+}
+
 // TestStoreWhileFailedInvisibleAfterRecover: Recover copies nothing, so
 // what keeps a ghost store out of the rebooted view is that it was
 // dropped in the first place — under every policy, and also when the
@@ -508,6 +641,7 @@ func TestStoreWhileFailedInvisibleAfterRecover(t *testing.T) {
 		d.CacheLineFlush(0, 8192)
 		d.MemoryBarrier()
 		d.PersistBarrier()
+		d.Sync(0, []AddrRange{{Start: 0, End: 8192}}, SyncFence|SyncSyscall|SyncPersist)
 		d.EpochBarrier()
 		d.Recover()
 

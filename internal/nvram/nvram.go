@@ -118,12 +118,11 @@ func (d *Device) Syscall() { d.dom.Syscall() }
 // Metrics returns the counter sink shared by everything on this device.
 func (d *Device) Metrics() *metrics.Counters { return d.dom.Metrics() }
 
-// MemoryBarrier issues a dmb.
-func (d *Device) MemoryBarrier() { d.dom.MemoryBarrier() }
-
-// PersistBarrier issues a persist barrier, making all flushed lines
-// durable.
-func (d *Device) PersistBarrier() { d.dom.PersistBarrier() }
+// Sync runs one synchronization phase over ranges of this device in one
+// simulator call (memsim.Domain.Sync): an optional dmb, each range's
+// optional kernel-mode switch and flushes, a dmb, an optional persist
+// barrier.
+func (d *Device) Sync(ranges []memsim.AddrRange, p memsim.SyncPhase) { d.dom.Sync(d.base, ranges, p) }
 
 // PowerFail crashes the device under the given survival policy.
 func (d *Device) PowerFail(policy memsim.FailPolicy, seed int64) { d.dom.PowerFail(policy, seed) }

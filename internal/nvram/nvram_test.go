@@ -49,10 +49,7 @@ func TestAligned8ByteWriteIsAtomicAcrossCrash(t *testing.T) {
 func TestCommitMarkOrderingViaFlush(t *testing.T) {
 	d := newDev(t)
 	d.PutUint64(0, 42)
-	d.MemoryBarrier()
-	d.Flush(0, 8)
-	d.MemoryBarrier()
-	d.PersistBarrier()
+	d.Sync([]memsim.AddrRange{{Start: 0, End: 8}}, memsim.SyncFence|memsim.SyncPersist)
 	d.PowerFail(memsim.FailDropAll, 1)
 	d.Recover()
 	if got := d.Uint64(0); got != 42 {

@@ -23,11 +23,7 @@ func TestWindowTranslatesAddresses(t *testing.T) {
 		t.Fatalf("window read = %#x, want 0xDEADBEEF", got)
 	}
 	// Persist through the window, then verify the durable image.
-	win.MemoryBarrier()
-	win.Syscall()
-	win.Flush(16, 24)
-	win.MemoryBarrier()
-	win.PersistBarrier()
+	win.Sync([]memsim.AddrRange{{Start: 16, End: 24}}, memsim.SyncFence|memsim.SyncSyscall|memsim.SyncPersist)
 	var buf [8]byte
 	if err := win.ReadPersistedChecked(16, buf[:]); err != nil {
 		t.Fatalf("ReadPersistedChecked: %v", err)

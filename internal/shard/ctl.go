@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/heapo"
+	"repro/internal/memsim"
 	"repro/internal/nvram"
 )
 
@@ -81,10 +82,7 @@ func openCtl(h *heapo.Manager, nshards int) (*ctlRecord, error) {
 
 // persist makes [start,end) durable with the standard store discipline.
 func persist(dev *nvram.Device, start, end uint64) {
-	dev.MemoryBarrier()
-	dev.Flush(start, end)
-	dev.MemoryBarrier()
-	dev.PersistBarrier()
+	dev.Sync([]memsim.AddrRange{{Start: start, End: end}}, memsim.SyncFence|memsim.SyncPersist)
 }
 
 // allocate issues the next global transaction id, durably, before the
