@@ -1,33 +1,34 @@
 // Command nvwal-bench regenerates the paper's evaluation (§5) on the
-// simulated platforms: one subcommand per table/figure, plus "all".
+// simulated platforms: one subcommand per section, plus "all".
 //
 // Usage:
 //
-//	nvwal-bench [-txns N] [-json FILE] table1|table2|fig5|fig6|fig7|fig8|fig9|...|all
+//	nvwal-bench [-txns N] <section>|all
+//
+// The twelve sections are the paper's tables and figures (table1,
+// table2, fig5, fig6, fig7, fig8, fig9) and its side studies:
+// persistency (§4.4), prealloc (§5.4), baselines (§1/§2), cschecksum
+// (§4.2) and groupcommit (§3.3). "all" prints every section in that
+// order, each under a "==== name ====" header.
 //
 // Throughput numbers are virtual-time based and deterministic; see
 // EXPERIMENTS.md for the paper-versus-measured comparison.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
-	"runtime"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/mobibench"
 )
 
-// result is what an experiment returns: it prints itself, and it is the
-// value -json writes.
+// result is what an experiment returns: it prints itself.
 type result interface{ Print(io.Writer) }
 
 // experiment is one subcommand; "all" runs every one in table order.
@@ -65,12 +66,6 @@ var table = []experiment{
 	{"baselines", of(experiments.Baselines)},
 	{"cschecksum", of(experiments.ChecksumStudy)},
 	{"groupcommit", of(experiments.GroupCommit)},
-	{"checkpoint", of(experiments.CheckpointStall)},
-	{"pressure", of(experiments.Pressure)},
-	{"shards", of(experiments.Shards)},
-	{"mvcc", of(experiments.MVCC)},
-	{"repl", of(experiments.Repl)},
-	{"slow", of(experiments.Slow)},
 }
 
 // of adapts an experiment's entry point to the table's signature.
@@ -104,13 +99,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nvwal-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	txns := fs.Int("txns", 0, "transactions per measurement (0 = experiment default)")
-	jsonOut := fs.String("json", "", "also write the experiment's result as JSON to this file")
 	var names []string
 	for _, e := range table {
 		names = append(names, e.name)
 	}
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: nvwal-bench [-txns N] [-json FILE] %s|all\n", strings.Join(names, "|"))
+		fmt.Fprintf(stderr, "usage: nvwal-bench [-txns N] %s|all\n", strings.Join(names, "|"))
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -128,76 +122,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if i >= 0 {
 		todo = table[i : i+1]
 	}
-	var refused string
-	switch {
-	case i < 0 && name != "all":
-		refused = fmt.Sprintf("unknown experiment %q", name)
-	case name == "all" && *jsonOut != "":
-		refused = "-json writes one experiment's result; name the experiment instead of all"
-	}
-	if refused != "" {
-		fmt.Fprintln(stderr, "nvwal-bench:", refused)
+	if i < 0 && name != "all" {
+		fmt.Fprintf(stderr, "nvwal-bench: unknown experiment %q\n", name)
 		return 2
 	}
 	for _, e := range todo {
 		if name == "all" {
 			fmt.Fprintf(stdout, "==== %s ====\n", e.name)
 		}
-		if err := runOne(e, *txns, *jsonOut, stdout); err != nil {
+		r, err := e.run(*txns)
+		if err != nil {
 			fmt.Fprintln(stderr, "nvwal-bench:", err)
 			return 1
 		}
+		r.Print(stdout)
 		if name == "all" {
 			fmt.Fprintln(stdout)
 		}
 	}
 	return 0
-}
-
-// runOne runs and prints one experiment, then writes its JSON when asked
-// to.
-func runOne(e experiment, txns int, jsonOut string, stdout io.Writer) error {
-	r, err := e.run(txns)
-	if err != nil {
-		return err
-	}
-	r.Print(stdout)
-	if jsonOut != "" {
-		return writeJSON(jsonOut, r)
-	}
-	return nil
-}
-
-// writeJSON dumps v indented to path, stamped with provenance meta
-// (git SHA, date, Go version) so a checked-in result answers "built
-// from what, when, with which toolchain" by itself. Readers that
-// unmarshal into result structs ignore the extra key.
-func writeJSON(path string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(data, &doc); err == nil {
-		doc["meta"] = map[string]string{
-			"git_sha":    gitSHA(),
-			"date":       time.Now().UTC().Format(time.RFC3339),
-			"go_version": runtime.Version(),
-		}
-		if stamped, err := json.MarshalIndent(doc, "", "  "); err == nil {
-			data = stamped
-		}
-	} else if indented, ierr := json.MarshalIndent(v, "", "  "); ierr == nil {
-		data = indented // non-object result: write unstamped
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// gitSHA reports the working tree's commit, "unknown" outside a repo.
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }

@@ -46,7 +46,7 @@ func Baselines(txns int) (*BaselinesResult, error) {
 	res := &BaselinesResult{}
 	for _, m := range modes {
 		m.opts.CPU, m.opts.CheckpointLimit = Nexus5.cpu(), db1000
-		s, err := newSetup(Nexus5.newPlatform, m.opts)
+		s, err := newSetup(Nexus5, m.opts)
 		if err != nil {
 			return nil, err
 		}

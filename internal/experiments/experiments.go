@@ -9,6 +9,11 @@
 //	Figure 8  block I/O trace, stock vs. optimized WAL on EXT4
 //	Figure 9  throughput vs. NVRAM latency, NVWAL vs. WAL on flash
 //
+// and the studies the paper raises beside them: persistency models
+// (§4.4), WALDIO pre-allocation (§5.4), the journaling baselines
+// (§1/§2), the asynchronous-commit checksum (§4.2) and group commit
+// (§3.3). These are the twelve sections cmd/nvwal-bench prints.
+//
 // Absolute numbers come from the calibrated virtual clock; the shapes
 // (who wins, by what factor, where crossovers fall) are the
 // reproduction targets recorded in EXPERIMENTS.md.
@@ -63,31 +68,9 @@ func (b Board) cpu() db.CPUProfile {
 	return db.CPUTuna
 }
 
-// machine builds the simulated hardware a Setup runs on: a board
-// (Tuna.newPlatform), a board at a fixed NVRAM latency (Tuna.at) or
-// explicit hardware parameters (configured).
-type machine func() (*platform.Platform, error)
-
-// at is the board with its NVRAM write latency set before anything runs
-// on it.
-func (b Board) at(latency time.Duration) machine {
-	return func() (*platform.Platform, error) {
-		plat, err := b.newPlatform()
-		if err == nil {
-			plat.SetNVRAMLatency(latency)
-		}
-		return plat, err
-	}
-}
-
-func configured(cfg platform.Config) machine {
-	return func() (*platform.Platform, error) { return platform.New(cfg) }
-}
-
-// newSetup opens bench.db with opts on a fresh machine and creates the
-// given tables (the sweeps write to "bench"; mobibench creates its own).
-func newSetup(m machine, opts db.Options, tables ...string) (*Setup, error) {
-	plat, err := m()
+// newSetup opens bench.db with opts on a fresh board.
+func newSetup(b Board, opts db.Options) (*Setup, error) {
+	plat, err := b.newPlatform()
 	if err != nil {
 		return nil, err
 	}
@@ -95,17 +78,12 @@ func newSetup(m machine, opts db.Options, tables ...string) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range tables {
-		if err := d.CreateTable(t); err != nil {
-			return nil, err
-		}
-	}
 	return &Setup{Plat: plat, DB: d}, nil
 }
 
 // NewNVWALSetup opens an NVWAL-journaled database on the given board.
 func NewNVWALSetup(b Board, cfg core.Config, checkpointLimit int) (*Setup, error) {
-	return newSetup(b.newPlatform, db.Options{
+	return newSetup(b, db.Options{
 		Journal:         db.JournalNVWAL,
 		NVWAL:           cfg,
 		CPU:             b.cpu(),
@@ -120,7 +98,7 @@ func NewWALSetup(b Board, optimized bool, checkpointLimit int) (*Setup, error) {
 	if optimized {
 		mode = db.JournalOptimizedWAL
 	}
-	return newSetup(b.newPlatform, db.Options{Journal: mode, CPU: b.cpu(), CheckpointLimit: checkpointLimit})
+	return newSetup(b, db.Options{Journal: mode, CPU: b.cpu(), CheckpointLimit: checkpointLimit})
 }
 
 // runWorkload prepares and runs a mobibench workload, returning the
@@ -163,4 +141,15 @@ var nexusLatencies = []time.Duration{
 	100 * time.Microsecond,
 	160 * time.Microsecond,
 	230 * time.Microsecond,
+}
+
+// Find returns the first of rows that match accepts, or nil: the one
+// lookup over every result's rows, cells and points.
+func Find[R any](rows []R, match func(R) bool) *R {
+	for i := range rows {
+		if match(rows[i]) {
+			return &rows[i]
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -228,15 +229,44 @@ func TestFigure9HeadlineSpeedupAndCrossovers(t *testing.T) {
 	}
 }
 
+// TestPrintersProduceOutput runs the paper's figures and the baselines
+// study small and checks that each printer writes its header.
 func TestPrintersProduceOutput(t *testing.T) {
 	r5, err := Figure5(20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b bytes.Buffer
-	r5.Print(&b)
-	r5.WriteFigure6(&b)
-	if !strings.Contains(b.String(), "Figure 5") || !strings.Contains(b.String(), "Figure 6") {
-		t.Fatal("printer output missing headers")
+	r7, err := Figure7(mobibench.Insert, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r8, err := Figure8()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r9, err := Figure9(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := Baselines(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct {
+		print  func(io.Writer)
+		header string
+	}{
+		{r5.Print, "Figure 5"},
+		{r5.WriteFigure6, "Figure 6"},
+		{r7.Print, "Figure 7(insert)"},
+		{r8.Print, "EXT4 journal traffic reduction"},
+		{r9.Print, "speedup of UH+LS+Diff over optimized WAL"},
+		{rb.Print, "Journaling baselines"},
+	} {
+		var b bytes.Buffer
+		p.print(&b)
+		if !strings.Contains(b.String(), p.header) {
+			t.Errorf("printer output lacks %q:\n%s", p.header, b.String())
+		}
 	}
 }

@@ -157,165 +157,3 @@ func TestChecksumStudyShapes(t *testing.T) {
 		}
 	}
 }
-
-func TestCheckpointStallShapes(t *testing.T) {
-	r, err := CheckpointStall(160)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p99 := func(mode string, writers int) int64 {
-		return Find(r.Rows, func(row CheckpointRow) bool { return row.Mode == mode && row.Writers == writers }).P99CommitNs
-	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.Txns == 0 || row.P99CommitNs == 0 {
-			t.Fatalf("empty measurement: %+v", row)
-		}
-		if row.P99CommitNs < row.P50CommitNs {
-			t.Fatalf("p99 below p50: %+v", row)
-		}
-	}
-	// The blocking baseline runs its rounds inline from the commit path,
-	// so its checkpoint count must be substantial (one per ~limit frames);
-	// the background mode must have checkpointed at least once too —
-	// otherwise the comparison measured nothing.
-	for _, row := range r.Rows {
-		if row.Checkpoints == 0 {
-			t.Fatalf("%s/%d writers ran no checkpoint rounds: %+v", row.Mode, row.Writers, row)
-		}
-	}
-	// Wall-clock latency comparisons are load-sensitive, so the shape
-	// check stays coarse: with one writer the background p99 must not be
-	// dramatically WORSE than blocking (it has strictly less work on the
-	// commit path). Allow 2x slack for scheduler noise.
-	if bg, bl := p99("background", 1), p99("blocking", 1); bg > 2*bl {
-		t.Fatalf("background p99 %dns > 2x blocking p99 %dns", bg, bl)
-	}
-}
-
-func TestPressureShapes(t *testing.T) {
-	r, err := Pressure(120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(r.Rows))
-	}
-	var urgentOnSmallest int64
-	for _, row := range r.Rows {
-		// The headline property: every transaction either committed or came
-		// back ErrBusy — Pressure returns an error for anything else, so
-		// reaching here with full accounting is the assertion.
-		if row.Committed+row.Busy != row.Txns {
-			t.Fatalf("unaccounted transactions: %+v", row)
-		}
-		if row.Committed == 0 {
-			t.Fatalf("no commits ever succeeded: %+v", row)
-		}
-		if row.P99CommitNs < row.P50CommitNs {
-			t.Fatalf("p99 below p50: %+v", row)
-		}
-		if row.HeapPages == 24 {
-			urgentOnSmallest += row.UrgentCkpts
-		}
-	}
-	// A 24-page heap cannot absorb 120 1KB overwrites without the
-	// watermarks checkpointing early; zero urgent rounds would mean the
-	// sweep exercised no pressure at all.
-	if urgentOnSmallest == 0 {
-		t.Fatal("24-page cells triggered no urgent checkpoints")
-	}
-}
-
-func TestShardsShapes(t *testing.T) {
-	r, err := Shards(96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowOf := func(shards, writers int) *ShardRow {
-		return Find(r.Rows, func(row ShardRow) bool { return row.Shards == shards && row.Writers == writers })
-	}
-	// 3 baseline cells (shards=0) + 4 shard counts × 3 writer counts.
-	if len(r.Rows) != 15 {
-		t.Fatalf("rows = %d, want 15", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.Committed+row.Busy != row.Txns {
-			t.Fatalf("unaccounted transactions: %+v", row)
-		}
-		if row.Committed == 0 {
-			t.Fatalf("no commits ever succeeded: %+v", row)
-		}
-		if row.P99CommitNs < row.P50CommitNs {
-			t.Fatalf("p99 below p50: %+v", row)
-		}
-	}
-	// The headline property survives even a tiny sweep: with 32 writers,
-	// 8 shards on 8 lanes must out-commit 1 shard per unit virtual time.
-	one, eight := rowOf(1, 32), rowOf(8, 32)
-	if one == nil || eight == nil {
-		t.Fatal("sweep missing the 1- or 8-shard 32-writer cell")
-	}
-	if eight.Throughput < 2*one.Throughput {
-		t.Fatalf("8 shards only %.2fx over 1 at 32 writers",
-			eight.Throughput/one.Throughput)
-	}
-	// The shard layer may not tax the single-shard path: shards=1 stays
-	// in the same latency regime as the bare engine (loose 2x bound —
-	// the committed full-size run pins it within 10%).
-	base := rowOf(0, 1)
-	if s1 := rowOf(1, 1); s1.P50CommitNs > 2*base.P50CommitNs {
-		t.Fatalf("shards=1 p50 %dns vs bare-engine %dns", s1.P50CommitNs, base.P50CommitNs)
-	}
-	var b bytes.Buffer
-	r.Print(&b)
-	if !strings.Contains(b.String(), "scale-out") {
-		t.Fatal("printer output missing header")
-	}
-}
-
-func TestMVCCShapes(t *testing.T) {
-	r, err := MVCC(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowOf := func(mode string, writers int) *MVCCRow {
-		return Find(r.Rows, func(row MVCCRow) bool { return row.Mode == mode && row.Writers == writers })
-	}
-	// 2 modes × 4 writer counts.
-	if len(r.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.Committed == 0 {
-			t.Fatalf("no commits ever succeeded: %+v", row)
-		}
-		if row.P99CommitNs < row.P50CommitNs {
-			t.Fatalf("p99 below p50: %+v", row)
-		}
-		if row.Conflicts > 0 && row.Mode == "legacy" {
-			t.Fatalf("legacy slot transactions can never conflict: %+v", row)
-		}
-	}
-	// The headline property survives a tiny sweep: sessions on
-	// independent CPU lanes out-commit slot-serialized writers per unit
-	// virtual time, and keep scaling with writers (loose bounds — the
-	// committed full-size run pins 6.4x at 64 writers).
-	l8, m8, m64 := rowOf("legacy", 8), rowOf("mvcc", 8), rowOf("mvcc", 64)
-	if l8 == nil || m8 == nil || m64 == nil {
-		t.Fatal("sweep missing a mode/writer cell")
-	}
-	if m8.Throughput < 2*l8.Throughput {
-		t.Fatalf("mvcc only %.2fx over legacy at 8 writers", m8.Throughput/l8.Throughput)
-	}
-	if m64.Throughput < 1.5*m8.Throughput {
-		t.Fatalf("mvcc at 64 writers only %.2fx over 8", m64.Throughput/m8.Throughput)
-	}
-	var b bytes.Buffer
-	r.Print(&b)
-	if !strings.Contains(b.String(), "MVCC sweep") {
-		t.Fatal("printer output missing header")
-	}
-}

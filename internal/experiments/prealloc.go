@@ -38,7 +38,7 @@ func Prealloc(txns int) (*PreallocResult, error) {
 		if pages == 0 {
 			opts.Journal = db.JournalWAL // stock WAL: no pre-allocation
 		}
-		s, err := newSetup(Nexus5.newPlatform, opts)
+		s, err := newSetup(Nexus5, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -202,7 +202,17 @@ func TestDivergenceLatchesDegradedUntilReseed(t *testing.T) {
 	}
 }
 
+// TestFailoverPreservesAckedWrites: every write the semi-sync quorum
+// (1 of 2 replicas) acknowledged survives the crash of the primary and
+// the promotion of the most-caught-up replica, for a short run and for
+// 400 writes.
 func TestFailoverPreservesAckedWrites(t *testing.T) {
+	for _, n := range []int{25, 400} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) { failoverPreservesAckedWrites(t, n) })
+	}
+}
+
+func failoverPreservesAckedWrites(t *testing.T, n int) {
 	c := newTestCluster(t, "n0", "n1", "n2")
 	pn := startPrimaryWithTable(t, c, "n0", 1, 1)
 	r1, err := c.StartReplica("n1", ReplicaOptions{Epoch: 1}, server.Options{})
@@ -218,7 +228,6 @@ func TestFailoverPreservesAckedWrites(t *testing.T) {
 
 	cli := server.NewClient(c.Dialer("cli"), []string{"n0", "n1", "n2"}, server.ClientOptions{})
 	defer cli.Close()
-	const n = 25
 	for i := 0; i < n; i++ {
 		if _, err := cli.Put("kv", []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatalf("acked write %d failed: %v", i, err)

@@ -3,6 +3,8 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/memsim"
 	"repro/internal/nvram"
 	"repro/internal/platform"
+	"repro/internal/simclock"
 )
 
 func testConfig() platform.Config {
@@ -480,5 +483,114 @@ func TestSingleKeyErrorPaths(t *testing.T) {
 	}
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scaleCell commits txns single-key transactions from writers
+// goroutines. Writer w is bound to home shard w mod shards, writes 8 keys
+// routed there and times each Commit on that shard's lane; shards == 0
+// runs the same loop on a bare engine with no shard layer. It returns the
+// virtual transactions per second on the platform clock and the median
+// commit latency.
+func scaleCell(t *testing.T, shards, writers, txns int) (perSec float64, p50 time.Duration) {
+	t.Helper()
+	opts := db.Options{Journal: db.JournalNVWAL, NVWAL: core.VariantUHLSDiff(), Concurrent: true, GroupCommit: 1, CheckpointLimit: -1}
+	var (
+		clock *simclock.Clock
+		home  func(w int) (*db.DB, *simclock.Clock)
+		key   = func(w, k int) []byte { return []byte(fmt.Sprintf("w%d-k%d", w, k)) }
+	)
+	if shards == 0 {
+		plat, err := platform.New(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := db.Open(plat, "bare.db", opts)
+		if err == nil {
+			err = d.CreateTable("t")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock = plat.Clock
+		home = func(int) (*db.DB, *simclock.Clock) { return d, plat.Clock }
+	} else {
+		plat, err := NewLaned(testConfig(), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(plat, "test.db", Options{DB: opts})
+		if err == nil {
+			err = s.CreateTable("t")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock = plat.Clock
+		home = func(w int) (*db.DB, *simclock.Clock) { return s.Shard(w % shards), plat.View(w % shards).Clock }
+		key = func(w, k int) []byte { return keyOn(s, w%shards, fmt.Sprintf("w%d-k%d", w, k)) }
+	}
+	var (
+		mu   sync.Mutex
+		wg   sync.WaitGroup
+		lats []time.Duration
+	)
+	start := clock.Now()
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d, lane := home(w)
+			val := make([]byte, 256)
+			for i := range txns / writers {
+				for j := range val {
+					val[j] = byte(i + j + w)
+				}
+				tx, err := d.Begin()
+				if err != nil {
+					t.Errorf("shards=%d writer %d: %v", shards, w, err)
+					return
+				}
+				if err := tx.Insert("t", key(w, i%8), val); err != nil {
+					tx.Rollback()
+					t.Errorf("shards=%d writer %d: %v", shards, w, err)
+					return
+				}
+				t0 := lane.Now()
+				if err := tx.Commit(); err != nil {
+					t.Errorf("shards=%d writer %d: %v", shards, w, err)
+					return
+				}
+				mu.Lock()
+				lats = append(lats, lane.Now()-t0)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	slices.Sort(lats)
+	return simclock.Throughput(len(lats), clock.Now()-start), lats[(len(lats)-1)/2]
+}
+
+// TestLanedShardsScaleOut: on a laned platform every shard is its own
+// virtual core, so single-key transactions that never leave their shard
+// commit in parallel. At 32 writers 8 shards commit at least twice the
+// virtual txn/s of 1 shard, and at 1 writer the shard layer costs the
+// commit path little: the 1-shard median stays within 2x the bare
+// engine's.
+func TestLanedShardsScaleOut(t *testing.T) {
+	const txns = 96
+	one, _ := scaleCell(t, 1, 32, txns)
+	eight, _ := scaleCell(t, 8, 32, txns)
+	if eight < 2*one {
+		t.Errorf("32 writers: 8 shards commit only %.2fx the txn/s of 1", eight/one)
+	}
+	_, bare := scaleCell(t, 0, 1, txns)
+	_, sharded := scaleCell(t, 1, 1, txns)
+	if sharded > 2*bare {
+		t.Errorf("1 writer: 1-shard p50 commit %v against the bare engine's %v", sharded, bare)
 	}
 }
