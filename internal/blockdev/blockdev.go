@@ -143,10 +143,10 @@ type Device struct {
 	cfg     Config
 	clock   *simclock.Clock
 	m       *metrics.Counters
-	rec     *trace.Recorder
-	durable map[int][]byte // page -> content surviving power failure
-	pending map[int][]byte // written, not yet flushed
-	frozen  map[int][]byte // durable image captured by Freeze, restored by PowerFail
+	rec     *trace.Recorder // nil until StartTrace
+	durable map[int][]byte  // page -> content surviving power failure
+	pending map[int][]byte  // written, not yet flushed
+	frozen  map[int][]byte  // durable image captured by Freeze, restored by PowerFail
 	// frozenPending snapshots the in-flight writes at the Freeze
 	// instant: the candidates for torn-sector application at PowerFail.
 	frozenPending map[int][]byte
@@ -174,14 +174,13 @@ type Device struct {
 	failNextRead, failNextWrite, failNextSync int
 }
 
-// New creates a device. rec may be nil to disable tracing.
-func New(cfg Config, clock *simclock.Clock, m *metrics.Counters, rec *trace.Recorder) *Device {
+// New creates a device. It traces nothing until StartTrace.
+func New(cfg Config, clock *simclock.Clock, m *metrics.Counters) *Device {
 	cfg = cfg.withDefaults()
 	return &Device{
 		cfg:     cfg,
 		clock:   clock,
 		m:       m,
-		rec:     rec,
 		durable: make(map[int][]byte),
 		pending: make(map[int][]byte),
 		badPage: make(map[int]bool),
@@ -381,6 +380,17 @@ func (d *Device) WritePage(page int, p []byte, tag string) error {
 	d.cWrite.Add(1)
 	d.rec.Record(trace.Event{T: d.clock.Now(), Block: page, Tag: tag, Bytes: d.cfg.PageSize})
 	return nil
+}
+
+// StartTrace attaches a fresh block-trace recorder and returns it: every
+// page written from now on is recorded (Figure 8). A recorder attached
+// earlier is dropped.
+func (d *Device) StartTrace() *trace.Recorder {
+	rec := trace.New()
+	d.mu.Lock()
+	d.rec = rec
+	d.mu.Unlock()
+	return rec
 }
 
 // ReadPage loads one page into p (zero-filled if never written).

@@ -14,8 +14,8 @@ func newDev(t testing.TB) (*Device, *simclock.Clock, *metrics.Counters, *trace.R
 	t.Helper()
 	clock := simclock.New()
 	m := &metrics.Counters{}
-	rec := trace.New()
-	return New(Config{Pages: 1024}, clock, m, rec), clock, m, rec
+	d := New(Config{Pages: 1024}, clock, m)
+	return d, clock, m, d.StartTrace()
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -98,10 +98,17 @@ func TestTraceRecordsTaggedWrites(t *testing.T) {
 	}
 }
 
+// TestNilRecorderOK: a device writes with no recorder attached, and
+// one attached later records only the writes that follow.
 func TestNilRecorderOK(t *testing.T) {
-	d := New(Config{Pages: 16}, simclock.New(), &metrics.Counters{}, nil)
+	d := New(Config{Pages: 16}, simclock.New(), &metrics.Counters{})
 	d.WritePage(0, []byte("x"), "db")
 	d.Sync()
+	rec := d.StartTrace()
+	d.WritePage(1, []byte("y"), "db")
+	if evs := rec.Events(); len(evs) != 1 || evs[0].Block != 1 {
+		t.Fatalf("trace = %+v, want only the write after StartTrace", evs)
+	}
 }
 
 func TestOutOfRangePanics(t *testing.T) {
@@ -139,7 +146,7 @@ func TestPendingPages(t *testing.T) {
 
 func TestConfigOverrides(t *testing.T) {
 	clock := simclock.New()
-	d := New(Config{PageSize: 512, Pages: 8, ProgramLatency: time.Millisecond}, clock, &metrics.Counters{}, nil)
+	d := New(Config{PageSize: 512, Pages: 8, ProgramLatency: time.Millisecond}, clock, &metrics.Counters{})
 	if d.PageSize() != 512 || d.Pages() != 8 {
 		t.Fatalf("config not applied: %d/%d", d.PageSize(), d.Pages())
 	}

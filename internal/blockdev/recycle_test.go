@@ -34,7 +34,7 @@ func readPage(t *testing.T, d *Device, p int) []byte {
 // without rounding: a round of nine programs and a Sync may allocate 0.05
 // times, so one buffer per round shows.
 func TestWriteSyncOnWarmDeviceAllocatesNothing(t *testing.T) {
-	d := New(Config{Pages: 64}, simclock.New(), &metrics.Counters{}, nil)
+	d := New(Config{Pages: 64}, simclock.New(), &metrics.Counters{})
 	img := page(0x5A, d.PageSize())
 	round := func() {
 		for p := 0; p < 8; p++ {
@@ -62,7 +62,7 @@ func TestWriteSyncOnWarmDeviceAllocatesNothing(t *testing.T) {
 // later write — data programmed over them, before or after a Sync, leaves
 // the others zero.
 func TestNoDataProgramsShareZeroPage(t *testing.T) {
-	d := New(Config{Pages: 256}, simclock.New(), &metrics.Counters{}, nil)
+	d := New(Config{Pages: 256}, simclock.New(), &metrics.Counters{})
 	zero, img := make([]byte, d.PageSize()), page(0x5A, d.PageSize())
 	next := 0
 	if avg := testing.AllocsPerRun(50, func() {
@@ -104,7 +104,7 @@ func TestNoDataProgramsShareZeroPage(t *testing.T) {
 // programs still reuse every buffer the last Sync replaced.
 func TestRoundLargerThanFloorAllocatesNothing(t *testing.T) {
 	const pages = 400 // past maxFreeBuffers, as a busy round is
-	d := New(Config{Pages: 512}, simclock.New(), &metrics.Counters{}, nil)
+	d := New(Config{Pages: 512}, simclock.New(), &metrics.Counters{})
 	img := page(0x3C, d.PageSize())
 	round := func() {
 		for p := 0; p < pages; p++ {
@@ -126,7 +126,7 @@ func TestRoundLargerThanFloorAllocatesNothing(t *testing.T) {
 // TestRecycledBufferCarriesNoStaleBytes: a short page image and a short
 // write land on a buffer that held another page's content a moment ago.
 func TestRecycledBufferCarriesNoStaleBytes(t *testing.T) {
-	d := New(Config{Pages: 64}, simclock.New(), &metrics.Counters{}, nil)
+	d := New(Config{Pages: 64}, simclock.New(), &metrics.Counters{})
 	ps := d.PageSize()
 	d.WritePage(1, page(0xEE, ps), "db")
 	d.Sync()
@@ -163,7 +163,7 @@ func TestRecycledBufferCarriesNoStaleBytes(t *testing.T) {
 // what PowerFail restores untouched. Buffers recycled before the Freeze
 // are in no map and stay reusable.
 func TestFreezeImageSurvivesRecycling(t *testing.T) {
-	d := New(Config{Pages: 64}, simclock.New(), &metrics.Counters{}, nil)
+	d := New(Config{Pages: 64}, simclock.New(), &metrics.Counters{})
 	ps := d.PageSize()
 	for p := 0; p < 4; p++ {
 		d.WritePage(p, page(0xA0+byte(p), ps), "db")
@@ -193,7 +193,7 @@ func TestFreezeImageSurvivesRecycling(t *testing.T) {
 		t.Fatalf("a write pending at the freeze instant survived: %#x", got[0])
 	}
 	// Torn sectors come from the frozen in-flight set, intact.
-	d2 := New(Config{Pages: 64}, simclock.New(), &metrics.Counters{}, nil)
+	d2 := New(Config{Pages: 64}, simclock.New(), &metrics.Counters{})
 	d2.InjectFaults(FaultConfig{Seed: 5, TornWriteRate: 1})
 	d2.WritePage(2, page(0x22, ps), "db")
 	d2.Sync()
@@ -214,7 +214,7 @@ func TestFreezeImageSurvivesRecycling(t *testing.T) {
 // and the smaller rounds after it draw the surplus down to their own
 // size without allocating, instead of keeping it.
 func TestBulkRoundSurplusDrains(t *testing.T) {
-	d := New(Config{Pages: 2048}, simclock.New(), &metrics.Counters{}, nil)
+	d := New(Config{Pages: 2048}, simclock.New(), &metrics.Counters{})
 	img := page(0x5A, d.PageSize())
 	round := func(pages int) {
 		for p := 0; p < pages; p++ {

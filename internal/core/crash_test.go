@@ -647,7 +647,7 @@ func TestCrashMatrixBoundaryFrozenRound(t *testing.T) {
 						t.Fatal(err)
 					}
 					frozenAt := w.Mark()
-					if b, _ := w.ExportSince(frozenAt, nil); b.Backfill != frozenAt {
+					if b, _ := w.ExportSince(frozenAt, w.Mark(), nil); b.Backfill != frozenAt {
 						t.Fatalf("a frozen round announces watermark %d, want %d", b.Backfill, frozenAt)
 					}
 					if err := w.FreezeCheckpoint(); err != nil || w.FramesSinceCheckpoint() != 4 {

@@ -45,14 +45,14 @@ type ExportFrame struct {
 }
 
 // ExportBatch is the contiguous committed mark range [From, To).
-// Backfill is the watermark of the exporter's newest checkpoint round
-// when the batch was cut — a round still writing back counts from the
-// moment it froze its generation, so the commit that triggered an inline
-// round announces it even to a subscriber that ships before the round
-// completes; 0 = the exporter never checkpointed. It is at most To. A
-// subscriber that checkpoints on the batch that brings it to a watermark
-// it has not yet checkpointed at runs one round per exporter round, on
-// the same boundary.
+// Backfill is the watermark of the exporter's newest checkpoint round at
+// or below To when the batch was cut — a round still writing back counts
+// from the moment it froze its generation, so the commit that triggered
+// an inline round announces it even to a subscriber that ships before the
+// round completes; 0 = no round at or below To is known. It is never
+// above To. A subscriber that checkpoints on the batch that brings it to
+// a watermark it has not yet checkpointed at runs one round per exporter
+// round, on the same boundary.
 type ExportBatch struct {
 	From, To int
 	Backfill int
@@ -234,14 +234,14 @@ func (w *NVWAL) trimTail() {
 	}
 }
 
-// ExportSince returns every committed frame in [from, Mark()), read
-// across the export tail and the live history. It reports ok=false when
-// the range is gone: from precedes the retained floor (the backfill
+// ExportSince returns every committed frame in [from, to), read across
+// the export tail and the live history. It reports ok=false when the
+// range is gone: from precedes the retained floor (the backfill
 // watermark, or the lowest registered cursor that was below it when the
-// frames retired) or lies beyond the current mark — either way the
-// caller's cursor has an unhealable gap and must re-seed from a full
-// snapshot. An empty batch (From==To) with ok=true means the caller is
-// caught up.
+// frames retired), lies beyond to, or to lies beyond the current mark —
+// either way the caller's cursor has an unhealable gap and must re-seed
+// from a full snapshot. An empty batch (From==To) with ok=true means the
+// caller is caught up to to.
 //
 // Payload slices alias the log's immutable history images; callers
 // must not mutate them. A batch with frames is out until the caller
@@ -250,23 +250,25 @@ func (w *NVWAL) trimTail() {
 // are no longer read. The frame list is built in frames' array (the
 // batch's Frames is frames[:0] with the range appended), so a shipper
 // that cuts batch after batch keeps one list; nil allocates a fresh one.
-func (w *NVWAL) ExportSince(from int, frames []ExportFrame) (ExportBatch, bool) {
+func (w *NVWAL) ExportSince(from, to int, frames []ExportFrame) (ExportBatch, bool) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	mark := w.histBase + len(w.history)
-	if from < w.exportFloor() || from > mark {
+	if from < w.exportFloor() || from > to || to > w.histBase+len(w.history) {
 		return ExportBatch{}, false
 	}
-	b := ExportBatch{From: from, To: mark, Backfill: w.histBase}
-	if w.ckpt != nil {
+	b := ExportBatch{From: from, To: to}
+	switch {
+	case w.ckpt != nil && w.ckpt.watermark <= to:
 		b.Backfill = w.ckpt.watermark
+	case w.histBase <= to:
+		b.Backfill = w.histBase
 	}
-	if from == mark {
+	if from == to {
 		return b, true
 	}
 	w.exporting.Add(1)
-	b.Frames = slices.Grow(frames[:0], mark-from)
-	tail, live := w.retained(from, mark)
+	b.Frames = slices.Grow(frames[:0], to-from)
+	tail, live := w.retained(from, to)
 	for _, part := range [2][]histFrame{tail, live} {
 		for _, hf := range part {
 			b.Frames = append(b.Frames, ExportFrame{

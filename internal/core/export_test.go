@@ -32,7 +32,7 @@ func TestExportSinceStreamsCommittedFrames(t *testing.T) {
 	commitPages(t, w, map[uint32][]byte{2: fullPage(0x11), 3: fullPage(0x12)})
 	commitPages(t, w, map[uint32][]byte{2: patchedPage(fullPage(0x11), 100, 40, 0x13)})
 
-	b, ok := w.ExportSince(0, nil)
+	b, ok := w.ExportSince(0, w.Mark(), nil)
 	if !ok {
 		t.Fatal("ExportSince(0) reported a gap on a fresh log")
 	}
@@ -54,12 +54,12 @@ func TestExportSinceStreamsCommittedFrames(t *testing.T) {
 	}
 
 	// Caught up: empty batch, still ok.
-	b2, ok := w.ExportSince(b.To, nil)
+	b2, ok := w.ExportSince(b.To, w.Mark(), nil)
 	if !ok || len(b2.Frames) != 0 || b2.From != b2.To {
 		t.Fatalf("caught-up export = %+v ok=%v, want empty ok batch", b2, ok)
 	}
 	// Beyond the mark: a gap.
-	if _, ok := w.ExportSince(b.To+1, nil); ok {
+	if _, ok := w.ExportSince(b.To+1, w.Mark(), nil); ok {
 		t.Fatal("ExportSince past the mark must report a gap")
 	}
 
@@ -71,6 +71,41 @@ func TestExportSinceStreamsCommittedFrames(t *testing.T) {
 	}
 	if c1 == ExportChainSeed(0) {
 		t.Fatal("chain did not absorb the frames")
+	}
+}
+
+// TestExportSinceStopsAtItsBound: a batch ends where the caller bounds it
+// and announces only a round whose watermark it reaches — the completed
+// one, not a round frozen above its end — so Backfill is never above To.
+func TestExportSinceStopsAtItsBound(t *testing.T) {
+	e := newEnv(t)
+	w := e.open(t, VariantUHLSDiff())
+	commitPages(t, w, map[uint32][]byte{2: fullPage(0x31)})
+	if err := w.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	done := w.Mark()
+	commitPages(t, w, map[uint32][]byte{3: fullPage(0x32)})
+	mid := w.Mark()
+	commitPages(t, w, map[uint32][]byte{2: fullPage(0x33)})
+	if err := w.FreezeCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	frozen := w.Mark()
+
+	for _, c := range []struct{ to, backfill int }{{mid, done}, {frozen, frozen}} {
+		b, ok := w.ExportSince(done, c.to, nil)
+		if !ok || b.From != done || b.To != c.to || len(b.Frames) != c.to-done || b.Backfill != c.backfill {
+			t.Fatalf("ExportSince(%d, %d) = [%d, %d) %d frames watermark %d ok=%v, want [%d, %d) watermark %d",
+				done, c.to, b.From, b.To, len(b.Frames), b.Backfill, ok, done, c.to, c.backfill)
+		}
+		w.ExportDone()
+	}
+	if _, ok := w.ExportSince(done, frozen+1, nil); ok {
+		t.Fatal("a bound past the mark must report a gap")
+	}
+	if _, ok := w.ExportSince(mid, done, nil); ok {
+		t.Fatal("a bound below the start must report a gap")
 	}
 }
 
@@ -86,10 +121,10 @@ func TestExportGapAfterCheckpointRetirement(t *testing.T) {
 	if err := w.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := w.ExportSince(0, nil); ok {
+	if _, ok := w.ExportSince(0, w.Mark(), nil); ok {
 		t.Fatal("cursor 0 must be a gap after the checkpoint retired the frames")
 	}
-	if b, ok := w.ExportSince(w.Mark(), nil); !ok || len(b.Frames) != 0 {
+	if b, ok := w.ExportSince(w.Mark(), w.Mark(), nil); !ok || len(b.Frames) != 0 {
 		t.Fatalf("cursor at the post-checkpoint mark must be a caught-up empty batch, got %+v ok=%v", b, ok)
 	}
 }
@@ -117,7 +152,7 @@ func TestExportGapAfterRecovery(t *testing.T) {
 	// equal to the new mark is "caught up" only by coincidence of mark
 	// arithmetic — the chain values diverge, which is what replication
 	// keys re-seeding on.
-	b, ok := w2.ExportSince(0, nil)
+	b, ok := w2.ExportSince(0, w2.Mark(), nil)
 	if !ok {
 		t.Fatal("full re-export from 0 must succeed on the recovered log")
 	}
@@ -201,7 +236,7 @@ func TestExportConcurrentWithCheckpointRounds(t *testing.T) {
 	}
 	exportErr := func() error {
 		for {
-			b, ok := w.ExportSince(cursor, nil)
+			b, ok := w.ExportSince(cursor, w.Mark(), nil)
 			if !ok {
 				reseed()
 				continue
@@ -232,7 +267,7 @@ func TestExportConcurrentWithCheckpointRounds(t *testing.T) {
 	// Drain whatever landed after the exporter's last cursor, then the
 	// replayed model must equal the log's own idea of every page.
 	for {
-		b, ok := w.ExportSince(cursor, nil)
+		b, ok := w.ExportSince(cursor, w.Mark(), nil)
 		if !ok {
 			reseed()
 			continue
@@ -371,14 +406,14 @@ func exportRetentionRun(t *testing.T, seed int64) {
 			}
 		}
 
-		all, ok := ref.ExportSince(0, nil)
+		all, ok := ref.ExportSince(0, ref.Mark(), nil)
 		if !ok || all.To != w.Mark() {
 			t.Fatalf("step %d: reference at mark %d (ok=%v), log at %d", step, all.To, ok, w.Mark())
 		}
 		lowest := w.Mark()
 		for _, c := range cursors {
 			lowest = min(lowest, c.pos)
-			b, ok := w.ExportSince(c.pos, nil)
+			b, ok := w.ExportSince(c.pos, w.Mark(), nil)
 			backfill := w.histBase
 			if parked != nil {
 				backfill = parked.watermark // announced from the moment the round froze it
@@ -410,7 +445,7 @@ func exportRetentionRun(t *testing.T, seed int64) {
 			t.Fatalf("step %d: retention report %+v for a tail of %d frames, %d B", step, ret, len(w.tail), payloadBytes(w.tail))
 		}
 		if floor := w.exportFloor(); floor > 0 {
-			if _, ok := w.ExportSince(floor-1, nil); ok {
+			if _, ok := w.ExportSince(floor-1, w.Mark(), nil); ok {
 				t.Fatalf("step %d: mark %d below the retained floor %d exported", step, floor-1, floor)
 			}
 		}

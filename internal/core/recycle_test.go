@@ -153,7 +153,7 @@ func TestSpareListCarriesAtMostOneRound(t *testing.T) {
 	// A batch out holds back every round until it is handed back; the
 	// list that round leaves is empty.
 	round(3, func() {
-		if b, ok := w.ExportSince(w.Mark()-2, nil); !ok || len(b.Frames) != 2 {
+		if b, ok := w.ExportSince(w.Mark()-2, w.Mark(), nil); !ok || len(b.Frames) != 2 {
 			t.Fatalf("export: ok=%v, %d frames", ok, len(b.Frames))
 		}
 	})
@@ -172,7 +172,7 @@ func TestSpareListCarriesAtMostOneRound(t *testing.T) {
 	if n := drainSpares(w); n != 3 {
 		t.Fatalf("a round with a cursor below its watermark released %d images, want 3", n)
 	}
-	tail, ok := w.ExportSince(c.pos, nil)
+	tail, ok := w.ExportSince(c.pos, w.Mark(), nil)
 	if !ok || len(tail.Frames) != 6 { // two extents per commit
 		t.Fatalf("the cursor's frames are not retained: ok=%v, %d frames", ok, len(tail.Frames))
 	}
@@ -237,7 +237,7 @@ func TestHeaderCommitReleasesPageOneAtOnce(t *testing.T) {
 	w.Unpin(mark)
 	commit(header(4))
 	released("after the reader left", 1)
-	if _, ok := w.ExportSince(w.Mark()-1, nil); !ok {
+	if _, ok := w.ExportSince(w.Mark()-1, w.Mark(), nil); !ok {
 		t.Fatal("export refused")
 	}
 	commit(header(5))

@@ -29,7 +29,7 @@ func writeBackRun(t *testing.T) (*SalvageReport, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd := blockdev.New(blockdev.Config{Pages: 1 << 14}, clock, m, nil)
+	bd := blockdev.New(blockdev.Config{Pages: 1 << 14}, clock, m)
 	fs := ext4.New(bd)
 	f, err := fs.Create("test.db", "db")
 	if err != nil {

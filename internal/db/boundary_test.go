@@ -94,7 +94,7 @@ func TestBoundaryFreezeAnnouncesOnlyWhatWouldRun(t *testing.T) {
 	}
 	w := d.Journal().(*core.NVWAL)
 	announced := func() int {
-		b, ok := w.ExportSince(w.Mark(), nil)
+		b, ok := w.ExportSince(w.Mark(), w.Mark(), nil)
 		if !ok {
 			t.Fatal("the current mark is not exportable")
 		}

@@ -1045,12 +1045,6 @@ func (d *DB) checkpointLoop() {
 	}
 }
 
-// Health exposes the engine's gray-failure watchdogs: per-component
-// progress heartbeats and latency EWMAs for the background
-// checkpointer, group flusher, and scrubber. Serving layers fold it
-// into status reporting; tests assert on detection.
-func (d *DB) Health() *health.Monitor { return d.health }
-
 // Get reads a record outside any transaction. In Concurrent mode it
 // waits for the writer slot; in legacy mode an open write transaction
 // is reported as ErrTxnOpen. The value is a copy the caller owns.

@@ -26,16 +26,16 @@ import (
 // NVWAL-journaled databases ship log generations.
 var ErrNoExport = fmt.Errorf("db: journal mode has no export hook")
 
-// ExportSince returns the committed NVWAL frames in [from, Mark()),
-// their list built in frames' array (core.NVWAL.ExportSince). ok=false
-// means the range is no longer retained (or lies past the mark) and the
-// caller must re-seed via ExportPages. A batch with frames is handed back
-// with ExportDone once its payloads are no longer read.
-func (d *DB) ExportSince(from int, frames []core.ExportFrame) (core.ExportBatch, bool, error) {
+// ExportSince returns the committed NVWAL frames in [from, to), their
+// list built in frames' array (core.NVWAL.ExportSince). ok=false means
+// the range is no longer retained (or lies past the mark) and the caller
+// must re-seed via ExportPages. A batch with frames is handed back with
+// ExportDone once its payloads are no longer read.
+func (d *DB) ExportSince(from, to int, frames []core.ExportFrame) (core.ExportBatch, bool, error) {
 	if d.nv == nil {
 		return core.ExportBatch{}, false, ErrNoExport
 	}
-	b, ok := d.nv.ExportSince(from, frames)
+	b, ok := d.nv.ExportSince(from, to, frames)
 	return b, ok, nil
 }
 

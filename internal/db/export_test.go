@@ -53,7 +53,7 @@ func TestExportPagesSnapshot(t *testing.T) {
 
 	// The incremental hook covers [0, Mark) gaplessly before any
 	// checkpoint has retired frames.
-	b, ok, err := d.ExportSince(0, nil)
+	b, ok, err := d.ExportSince(0, d.nv.Mark(), nil)
 	if err != nil || !ok {
 		t.Fatalf("ExportSince(0) = ok=%v err=%v", ok, err)
 	}
@@ -125,7 +125,7 @@ func TestImportFramesFollowsAnotherDatabase(t *testing.T) {
 	at(Position{Incarnation: 3, Applied: snap.Mark, Chain: 0xC0FFEE})
 
 	mustCommitKV(t, src, "t", map[string]string{"k": "src2"})
-	b, ok, err := src.ExportSince(snap.Mark, nil)
+	b, ok, err := src.ExportSince(snap.Mark, src.nv.Mark(), nil)
 	if err != nil || !ok {
 		t.Fatalf("ExportSince(%d) = ok=%v err=%v", snap.Mark, ok, err)
 	}

@@ -12,7 +12,7 @@ import (
 
 func newFile(t testing.TB) *File {
 	t.Helper()
-	dev := blockdev.New(blockdev.Config{Pages: 1 << 14}, simclock.New(), &metrics.Counters{}, nil)
+	dev := blockdev.New(blockdev.Config{Pages: 1 << 14}, simclock.New(), &metrics.Counters{})
 	fs := ext4.New(dev)
 	f, err := fs.Create("x.db", "db")
 	if err != nil {

@@ -79,7 +79,7 @@ func runChecksumTrial(bits int, seed int64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	bd := blockdev.New(blockdev.Config{Pages: 1 << 12}, clock, m, nil)
+	bd := blockdev.New(blockdev.Config{Pages: 1 << 12}, clock, m)
 	fs := ext4.New(bd)
 	f, err := fs.Create("cs.db", "db")
 	if err != nil {

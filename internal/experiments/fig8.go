@@ -40,7 +40,7 @@ func Figure8() (*Fig8Result, error) {
 		if err != nil {
 			return Fig8Side{}, err
 		}
-		s.Plat.Trace.Reset()
+		rec := s.Plat.Flash.StartTrace()
 		start := s.Plat.Clock.Now()
 		if _, err := mobibench.Run(s.DB, s.Plat.Clock, w); err != nil {
 			return Fig8Side{}, err
@@ -51,8 +51,8 @@ func Figure8() (*Fig8Result, error) {
 		}
 		return Fig8Side{
 			Mode:      mode,
-			Events:    s.Plat.Trace.Events(),
-			ByTag:     s.Plat.Trace.BytesByTag(),
+			Events:    rec.Events(),
+			ByTag:     rec.BytesByTag(),
 			BatchTime: s.Plat.Clock.Now() - start,
 		}, nil
 	}

@@ -42,7 +42,7 @@ func Prealloc(txns int) (*PreallocResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Plat.Trace.Reset()
+		rec := s.Plat.Flash.StartTrace()
 		r, err := s.runWorkload(mobibench.Workload{
 			Op: mobibench.Insert, Transactions: txns, OpsPerTxn: 1, Seed: 13,
 		})
@@ -65,7 +65,7 @@ func Prealloc(txns int) (*PreallocResult, error) {
 		res.Rows = append(res.Rows, PreallocRow{
 			InitialPages: pages,
 			Throughput:   r.Throughput(),
-			JournalKB:    float64(s.Plat.Trace.BytesByTag()[ext4.TagJournal]) / 1024,
+			JournalKB:    float64(rec.BytesByTag()[ext4.TagJournal]) / 1024,
 			WastedPages:  wasted,
 		})
 	}

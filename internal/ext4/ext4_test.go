@@ -17,8 +17,8 @@ func newFS(t testing.TB) (*FS, *trace.Recorder, *metrics.Counters, *simclock.Clo
 	t.Helper()
 	clock := simclock.New()
 	m := &metrics.Counters{}
-	rec := trace.New()
-	dev := blockdev.New(blockdev.Config{Pages: 8192 + journalRegionPages}, clock, m, rec)
+	dev := blockdev.New(blockdev.Config{Pages: 8192 + journalRegionPages}, clock, m)
+	rec := dev.StartTrace()
 	return New(dev), rec, m, clock
 }
 

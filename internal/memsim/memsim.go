@@ -89,7 +89,6 @@ type Config struct {
 const (
 	DefaultSize               = 64 << 20
 	DefaultCacheLineSize      = 32
-	DefaultCacheCapacityLines = (512 << 10) / 32
 	DefaultNVRAMWriteLatency  = 500 * time.Nanosecond
 	DefaultNVRAMBanks         = 4
 	DefaultFlushIssueCost     = 115 * time.Nanosecond

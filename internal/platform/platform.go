@@ -20,14 +20,12 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nvram"
 	"repro/internal/simclock"
-	"repro/internal/trace"
 )
 
 // Platform is one assembled machine.
 type Platform struct {
 	Clock   *simclock.Clock
 	Metrics *metrics.Counters
-	Trace   *trace.Recorder
 	NVRAM   *nvram.Device
 	Heap    *heapo.Manager
 	Flash   *blockdev.Device
@@ -38,8 +36,6 @@ type Platform struct {
 type Config struct {
 	NVRAM nvram.Config
 	Flash blockdev.Config
-	// EnableTrace attaches a block-trace recorder (Figure 8).
-	EnableTrace bool
 }
 
 // New assembles a platform from explicit hardware parameters.
@@ -48,16 +44,13 @@ func New(cfg Config) (*Platform, error) {
 		Clock:   simclock.New(),
 		Metrics: &metrics.Counters{},
 	}
-	if cfg.EnableTrace {
-		p.Trace = trace.New()
-	}
 	p.NVRAM = nvram.NewDevice(cfg.NVRAM, p.Clock, p.Metrics)
 	h, err := heapo.Format(p.NVRAM)
 	if err != nil {
 		return nil, err
 	}
 	p.Heap = h
-	p.Flash = blockdev.New(cfg.Flash, p.Clock, p.Metrics, p.Trace)
+	p.Flash = blockdev.New(cfg.Flash, p.Clock, p.Metrics)
 	p.FS = ext4.New(p.Flash)
 	return p, nil
 }
@@ -79,8 +72,8 @@ func NewTuna() (*Platform, error) {
 // emulated at a configurable latency, and eMMC flash behind EXT4. The
 // paper emulates NVRAM latency there by inserting nop delays after each
 // clflush — a mostly serial path — so the simulated controller gets
-// only 2 banks (the Tuna board's FPGA DDR3 controller gets 4). Block
-// tracing is enabled (Figure 8 runs on this platform).
+// only 2 banks (the Tuna board's FPGA DDR3 controller gets 4). Figure 8
+// traces its flash (Flash.StartTrace) for the run it plots.
 func NewNexus5() (*Platform, error) {
 	return New(Config{
 		NVRAM: nvram.Config{
@@ -89,7 +82,6 @@ func NewNexus5() (*Platform, error) {
 			NVRAMWriteLatency: 2 * time.Microsecond,
 			NVRAMBanks:        2,
 		},
-		EnableTrace: true,
 	})
 }
 

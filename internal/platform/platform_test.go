@@ -18,9 +18,6 @@ func TestNewTuna(t *testing.T) {
 	if p.NVRAM.WriteLatency() != 500*time.Nanosecond {
 		t.Fatalf("Tuna NVRAM latency = %v", p.NVRAM.WriteLatency())
 	}
-	if p.Trace != nil {
-		t.Fatal("Tuna should not trace by default")
-	}
 	if p.Heap.TotalPages() == 0 {
 		t.Fatal("heap not formatted")
 	}
@@ -33,9 +30,6 @@ func TestNewNexus5(t *testing.T) {
 	}
 	if p.NVRAM.LineSize() != 64 {
 		t.Fatalf("Nexus 5 line size = %d, want 64", p.NVRAM.LineSize())
-	}
-	if p.Trace == nil {
-		t.Fatal("Nexus 5 must have block tracing for Figure 8")
 	}
 }
 

@@ -71,7 +71,7 @@ func TestReplicaApplyAllocs(t *testing.T) {
 		if n := len(batches); n > 0 {
 			from = batches[n-1].To
 		}
-		b, ok, err := pn.DB.ExportSince(from, nil)
+		b, ok, err := pn.DB.ExportSince(from, markOf(pn.DB), nil)
 		if err != nil || !ok {
 			t.Fatalf("export from %d: ok=%v err=%v", from, ok, err)
 		}

@@ -103,8 +103,8 @@ func startTappedReplica(t *testing.T, c *Cluster, name string, wrap func(netsim.
 }
 
 // startBoundaryPrimary serves a primary whose inline round is due every
-// limit frames and whose senders ship only when a commit kicks them, so
-// which batch carries which commit is exact.
+// limit frames. Its senders ship only what Apply announced, so which batch
+// carries which commit is exact.
 func startBoundaryPrimary(t *testing.T, c *Cluster, limit int, popts PrimaryOptions) *PrimaryNode {
 	t.Helper()
 	opts := DefaultDBOptions()
@@ -113,7 +113,6 @@ func startBoundaryPrimary(t *testing.T, c *Cluster, limit int, popts PrimaryOpti
 	if err != nil {
 		t.Fatal(err)
 	}
-	pn.Repl.pollEvery = time.Hour // no sender runs before Attach
 	if err := pn.DB.CreateTable("kv"); err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +316,92 @@ func TestBoundaryAckPrecedesEveryRound(t *testing.T) {
 	for _, r := range replicas {
 		model.verify(t, "replica", r.Get)
 	}
+}
+
+// TestBoundaryBatchWaitsForTheFreeze: a sender made to look for work
+// between a commit and its freeze — the moment a batch cut early would
+// leave without the round's watermark — finds nothing to ship, because
+// nothing is announced before the freeze. Every batch then ends at or
+// below a boundary commit's mark, and the one that ends at it carries its
+// watermark. The hook waits for a send the woken sender might make, so an
+// early cut is always seen.
+func TestBoundaryBatchWaitsForTheFreeze(t *testing.T) {
+	const limit = 8
+	c := newTestCluster(t, "n0", "n1")
+	pn := startBoundaryPrimary(t, c, limit, PrimaryOptions{Epoch: 1, AckReplicas: 1})
+	defer pn.Stop(false)
+	rn, err := c.StartReplica("n1", ReplicaOptions{Epoch: 1}, server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rn.Stop()
+
+	var mu sync.Mutex
+	var batches []core.ExportBatch
+	sent := make(chan struct{}, 1)
+	dial := c.Dialer("n0")
+	pn.Repl.AddReplica(ReplAddr("n1"), func(addr string) (netsim.Conn, error) {
+		conn, err := dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		return &tapConn{Conn: conn, beforeSend: func(msg []byte) {
+			if b, ok := shippedBatch(msg); ok {
+				mu.Lock()
+				batches = append(batches, b)
+				mu.Unlock()
+				select {
+				case sent <- struct{}{}:
+				default:
+				}
+			}
+		}}, nil
+	})
+	p := pn.Repl
+	p.beforeFreeze = func() {
+		select {
+		case <-sent:
+		default:
+		}
+		p.mu.Lock()
+		p.shipCond.Broadcast() // every sender looks for work now
+		p.mu.Unlock()
+		select {
+		case <-sent:
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+
+	model := kvModel{}
+	var boundaryMarks []int
+	for i := 0; len(boundaryMarks) < 3; i++ {
+		if i > 20*limit {
+			t.Fatalf("%d writes crossed only %d boundaries", i, len(boundaryMarks))
+		}
+		before := rounds(pn.Node)
+		model.put(t, p, i)
+		if rounds(pn.Node) > before {
+			boundaryMarks = append(boundaryMarks, p.wal.Mark())
+		}
+	}
+	p.beforeFreeze = nil
+	model.put(t, p, 1<<20)
+	waitApplied(t, p, rn.R)
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, b := range batches {
+		if b.Backfill > b.To {
+			t.Errorf("batch [%d, %d) announces watermark %d above its end", b.From, b.To, b.Backfill)
+		}
+		for _, bm := range boundaryMarks {
+			if b.From < bm && bm <= b.To && (b.To != bm || b.Backfill != bm) {
+				t.Errorf("boundary commit at %d left in batch [%d, %d) with watermark %d, want a batch ending there that carries it",
+					bm, b.From, b.To, b.Backfill)
+			}
+		}
+	}
+	model.verify(t, "replica", rn.R.Get)
 }
 
 // TestBoundaryDeferredByReaderCostsReplicasNoRounds: what the primary

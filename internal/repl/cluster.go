@@ -62,7 +62,7 @@ func NewCluster(cfg platform.Config, netCfg netsim.Config, seed int64, names ...
 		if err != nil {
 			return nil, fmt.Errorf("node %s: %w", name, err)
 		}
-		flash := blockdev.New(cfg.Flash, lane, m, nil)
+		flash := blockdev.New(cfg.Flash, lane, m)
 		plat := &platform.Platform{
 			Clock:   lane,
 			Metrics: m,

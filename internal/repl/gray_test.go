@@ -253,7 +253,7 @@ func TestReseedAbortsOnStagedDoubleFault(t *testing.T) {
 	if err := pn.DB.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := pn.DB.ExportSince(cursor, nil); ok {
+	if _, ok, _ := pn.DB.ExportSince(cursor, markOf(pn.DB), nil); ok {
 		t.Fatalf("staging failed: cursor %d still exportable, no re-seed would be needed", cursor)
 	}
 

@@ -96,7 +96,7 @@ func (g *pinRig) seed() {
 // announces a primary round at its end, which the replica runs after it.
 func (g *pinRig) ship(boundary bool) {
 	g.t.Helper()
-	b, ok, err := g.p.ExportSince(g.from, nil)
+	b, ok, err := g.p.ExportSince(g.from, markOf(g.p), nil)
 	if err != nil || !ok {
 		g.t.Fatalf("export from %d: ok=%v err=%v", g.from, ok, err)
 	}
@@ -258,7 +258,7 @@ func TestPinnedReplicaRoundWaitsOutRefusingRead(t *testing.T) {
 	}()
 	<-inScan
 	g.write()
-	b, ok, err := g.p.ExportSince(g.from, nil)
+	b, ok, err := g.p.ExportSince(g.from, markOf(g.p), nil)
 	if err != nil || !ok {
 		t.Fatalf("export: ok=%v err=%v", ok, err)
 	}

@@ -64,10 +64,6 @@ type PrimaryOptions struct {
 	Metrics *metrics.Counters
 }
 
-// pollEvery is a sender's fallback poll interval for new frames when no
-// commit kick arrives (real time).
-const pollEvery = 2 * time.Millisecond
-
 // Primary wraps a local database as a replicating server.Engine.
 type Primary struct {
 	eng  *server.DBEngine
@@ -75,23 +71,30 @@ type Primary struct {
 	wal  *core.NVWAL
 	opts PrimaryOptions
 	m    *metrics.Counters
-	// pollEvery is the senders' poll interval: the constant, except in a
-	// test that ships only on commit kicks.
-	pollEvery time.Duration
 	// now is the primary's one time source (health.NodeClock), and acks
 	// holds each link's send→ack latency tracker on it, keyed by address.
 	now  func() time.Duration
 	acks *health.Monitor
 
+	// freezeMu orders Apply's freeze-and-announce steps: announcements
+	// are made in the order the freezes ran.
+	freezeMu sync.Mutex
+	// beforeFreeze, when set, runs in Apply between the local commit and
+	// the freeze (tests).
+	beforeFreeze func()
+
 	mu       sync.Mutex
 	ackCond  *timedcond.Cond
 	replicas []*replicaLink
 	closed   bool
-	// commitMark and commitAt are the newest commit Apply announced and
-	// the lane's time when it was durable locally: every frame below
-	// commitMark existed by commitAt (see shipAt).
-	commitMark int
-	commitAt   time.Duration
+	// announced and announcedAt are the mark Apply last announced and the
+	// lane's time when the commit that announced it was durable locally:
+	// senders ship frames below announced and nothing above it, and every
+	// frame below it existed by announcedAt. shipCond wakes a sender
+	// waiting for announced to pass its cursor.
+	announced   int
+	announcedAt time.Duration
+	shipCond    sync.Cond
 
 	// fenced holds a newer epoch this primary learned it was superseded
 	// by (failover drivers call Fence on the old primary when promoting
@@ -109,7 +112,6 @@ type replicaLink struct {
 	p    *Primary
 	addr string
 	dial server.Dialer
-	kick chan struct{}
 	quit chan struct{}
 	done chan struct{}
 
@@ -128,10 +130,8 @@ type replicaLink struct {
 	// the link holds none (reviewPin).
 	pin *core.ExportCursor
 
-	// The sender's own, reused batch after batch: the caught-up poll
-	// timer, the exported frame list and the encoded message (a Conn keeps
-	// no reference to what it sends).
-	poll   *time.Timer
+	// The sender's own, reused batch after batch: the exported frame list
+	// and the encoded message (a Conn keeps no reference to what it sends).
 	frames []core.ExportFrame
 	wire   []byte
 }
@@ -157,16 +157,16 @@ func NewPrimary(d *db.DB, opts PrimaryOptions) (*Primary, error) {
 		opts.Metrics = d.Metrics()
 	}
 	p := &Primary{
-		eng:       server.NewDBEngine(d, opts.Epoch),
-		d:         d,
-		wal:       wal,
-		opts:      opts,
-		m:         opts.Metrics,
-		pollEvery: pollEvery,
-		now:       health.NodeClock(opts.Clock),
+		eng:  server.NewDBEngine(d, opts.Epoch),
+		d:    d,
+		wal:  wal,
+		opts: opts,
+		m:    opts.Metrics,
+		now:  health.NodeClock(opts.Clock),
 	}
 	p.acks = health.NewMonitor(health.Options{Now: p.now, Alpha: 0.3, DegradedLatency: opts.AckBudget})
 	p.ackCond = timedcond.New(&p.mu)
+	p.shipCond.L = &p.mu
 	return p, nil
 }
 
@@ -179,7 +179,6 @@ func (p *Primary) AddReplica(addr string, dial server.Dialer) {
 		addr: addr,
 		dial: dial,
 		ack:  p.acks.Tracker(addr),
-		kick: make(chan struct{}, 1),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -199,6 +198,7 @@ func (p *Primary) Close() {
 	p.closed = true
 	reps := append([]*replicaLink(nil), p.replicas...)
 	p.ackCond.Broadcast()
+	p.shipCond.Broadcast()
 	p.mu.Unlock()
 	for _, rl := range reps {
 		close(rl.quit)
@@ -224,33 +224,35 @@ func (p *Primary) AppendGet(dst []byte, table string, key []byte) ([]byte, bool,
 // Apply is the one place a replicated write is sequenced, and nobody's
 // acknowledgement in it waits for flash: commit durably → if an inline
 // checkpoint round is due, freeze its generation (phase A: two persists)
-// → ship → (semi-sync) wait for the ack quorum → write the round back
-// (phases B + C), the last step before Apply returns, also when the ack
-// wait failed. Freezing before the ship makes the boundary a fact the
-// batch carrying this commit announces (ExportSince stamps the frozen
-// watermark), so every replica runs its own round after its ack and the
-// cluster's rounds overlap instead of chaining. The quorum guarantee: on
-// success, every byte of this commit is applied on at least AckReplicas
-// replicas.
+// → announce the commit to the senders → (semi-sync) wait for the ack
+// quorum → write the round back (phases B + C), the last step before
+// Apply returns, also when the ack wait failed. An announcement is the
+// only thing that makes a sender ship, and it comes after the freeze, so
+// the boundary is a fact the batch carrying this commit announces
+// (ExportSince stamps the frozen watermark): every replica runs its own
+// round after its ack and the cluster's rounds overlap instead of
+// chaining. The quorum guarantee: on success, every byte of this commit
+// is applied on at least AckReplicas replicas.
 func (p *Primary) Apply(ctx context.Context, table string, ops []server.Op) (uint64, error) {
 	seq, err := p.eng.ApplyDurable(ctx, table, ops)
 	if err != nil {
 		return 0, err
 	}
 	// The commit is durable locally at (at least) the current mark.
-	target := p.wal.Mark()
-	if p.opts.Clock != nil {
-		now := p.now()
-		p.mu.Lock()
-		if target >= p.commitMark {
-			p.commitMark, p.commitAt = target, now
-		}
-		p.mu.Unlock()
+	target, at := p.wal.Mark(), p.now()
+	if p.beforeFreeze != nil {
+		p.beforeFreeze()
 	}
 	// A round that cannot freeze now (a reader below the watermark, the
-	// writer slot busy) is not announced either; a later commit retries.
+	// writer slot busy) puts no watermark in the batch; a later commit
+	// retries. The commit is announced all the same.
+	p.freezeMu.Lock()
 	_ = p.d.AutoCheckpoint(true)
-	p.kickAll()
+	p.announce(target, at)
+	p.freezeMu.Unlock()
+	for _, rl := range p.links() {
+		rl.reviewPin()
+	}
 	if p.opts.AckReplicas > 0 {
 		p.m.Inc(metrics.ReplAckWaits, 1)
 		err = p.waitAcks(ctx, target)
@@ -414,38 +416,37 @@ func (p *Primary) links() []*replicaLink {
 	return p.replicas
 }
 
-// shipAt is the virtual time a batch ending at mark `to` leaves the
-// primary on a link whose previous ack was delivered at linkFree: when
-// its last frame existed or when the link came free, whichever is later.
-// Both are virtual events. The lane's Now() at the host moment the sender
-// goroutine runs is neither: the lane is shared with the commits and with
-// the checkpoint round that follows the quorum's ack, so a sender
-// scheduled a moment late would ship "during" a round it does not wait
-// for, the replica's own round would start that much later, and the next
-// read from that replica would carry the difference into a client's
-// clock — more often the faster the host runs the path to the first ack.
-// Frames nobody announced (a commit that did not come through Apply) ship
-// at the lane's time, as before.
-func (p *Primary) shipAt(to int, linkFree time.Duration) time.Duration {
-	at := p.now()
+// announce lets the senders ship every frame below mark, which the
+// commit that announces it made durable at lane time at. Announcements
+// only move forward. Caller holds freezeMu.
+func (p *Primary) announce(mark int, at time.Duration) {
 	p.mu.Lock()
-	if to <= p.commitMark {
-		at = p.commitAt
+	if mark > p.announced {
+		p.announced, p.announcedAt = mark, at
+		p.shipCond.Broadcast()
 	}
 	p.mu.Unlock()
-	return max(at, linkFree)
 }
 
-// kickAll runs after every local commit: each link's pin is held to the
-// retention budget, then its sender is woken.
-func (p *Primary) kickAll() {
-	for _, rl := range p.links() {
-		rl.reviewPin()
-		select {
-		case rl.kick <- struct{}{}:
-		default:
-		}
+// awaitAnnounced blocks until a mark past cursor is announced and returns
+// it with its lane time; ok=false once the primary closes. A batch ending
+// at that mark leaves, on a link whose previous ack was delivered at
+// linkFree, at max(at, linkFree): when its last frame existed or when the
+// link came free, whichever is later. Both are virtual events. The lane's
+// Now() at the host moment the sender goroutine runs is neither: the lane
+// is shared with the commits and with the checkpoint round that follows
+// the quorum's ack, so a sender scheduled a moment late would ship
+// "during" a round it does not wait for, the replica's own round would
+// start that much later, and the next read from that replica would carry
+// the difference into a client's clock — more often the faster the host
+// runs the path to the first ack.
+func (p *Primary) awaitAnnounced(cursor int) (mark int, at time.Duration, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.announced <= cursor && !p.closed {
+		p.shipCond.Wait()
 	}
+	return p.announced, p.announcedAt, !p.closed
 }
 
 // reviewPin is the retention policy, stated once. A link holds an export
@@ -518,11 +519,6 @@ func (rl *replicaLink) unpin() {
 func (rl *replicaLink) run() {
 	defer close(rl.done)
 	defer rl.unpin()
-	defer func() {
-		if rl.poll != nil {
-			rl.poll.Stop()
-		}
-	}()
 	for {
 		select {
 		case <-rl.quit:
@@ -627,7 +623,13 @@ func (rl *replicaLink) serveConn() bool {
 			continue
 		}
 
-		batch, ok, err := p.d.ExportSince(cursor, rl.frames)
+		// Frames committed outside Apply (DDL on the primary's DB) ship
+		// with the next announcement, which covers them.
+		to, at, open := p.awaitAnnounced(cursor)
+		if !open {
+			return false
+		}
+		batch, ok, err := p.d.ExportSince(cursor, to, rl.frames)
 		if err != nil {
 			return true
 		}
@@ -637,23 +639,12 @@ func (rl *replicaLink) serveConn() bool {
 			needSeed = true
 			continue
 		}
-		if batch.From == batch.To {
-			// Caught up: wait for a commit kick (or poll — commits via
-			// paths that do not kick, e.g. direct db use, still ship).
-			select {
-			case <-rl.quit:
-				return false
-			case <-rl.kick:
-			case <-rl.pollAfter(p.pollEvery):
-			}
-			continue
-		}
 		endChain := core.ChainExport(chain, batch)
 		rl.wire = encodeFrames(rl.wire[:0], p.opts.Epoch, batch, endChain)
 		p.d.ExportDone() // the payloads are in the wire buffer now
 		var t0 time.Duration
 		if p.opts.Clock != nil {
-			t0 = p.shipAt(batch.To, linkFree)
+			t0 = max(at, linkFree)
 			err = netsim.SendAt(conn, rl.wire, t0)
 		} else {
 			t0 = p.now()
@@ -697,24 +688,6 @@ func (rl *replicaLink) serveConn() bool {
 			linkFree = ackAt
 		}
 	}
-}
-
-// pollAfter re-arms the link's poll timer for d and returns its channel
-// (sender only). A timer that fired unread is drained first, so the
-// channel holds nothing from an earlier wait.
-func (rl *replicaLink) pollAfter(d time.Duration) <-chan time.Time {
-	if rl.poll == nil {
-		rl.poll = time.NewTimer(d)
-		return rl.poll.C
-	}
-	if !rl.poll.Stop() {
-		select {
-		case <-rl.poll.C:
-		default:
-		}
-	}
-	rl.poll.Reset(d)
-	return rl.poll.C
 }
 
 // keepScratch keeps a sent batch's frame list and message buffer for the

@@ -50,6 +50,9 @@ func headerPage(pages uint32) []byte {
 	return img
 }
 
+// markOf is the mark of d's journal.
+func markOf(d *db.DB) int { return d.Journal().(*core.NVWAL).Mark() }
+
 func startPrimaryWithTable(t *testing.T, c *Cluster, name string, epoch uint64, acks int) *PrimaryNode {
 	t.Helper()
 	pn, err := c.StartPrimary(name, DefaultDBOptions(), PrimaryOptions{Epoch: epoch, AckReplicas: acks}, server.Options{})

@@ -24,8 +24,8 @@ func newEnv(t testing.TB) *env {
 	t.Helper()
 	clock := simclock.New()
 	m := &metrics.Counters{}
-	rec := trace.New()
-	dev := blockdev.New(blockdev.Config{Pages: 1 << 15}, clock, m, rec)
+	dev := blockdev.New(blockdev.Config{Pages: 1 << 15}, clock, m)
+	rec := dev.StartTrace()
 	fs := ext4.New(dev)
 	f, err := fs.Create("r.db", "db")
 	if err != nil {

@@ -358,6 +358,47 @@ func TestClientRetriesThroughDrops(t *testing.T) {
 	}
 }
 
+// TestClientDeadlineAbortsWriterSlotWait: a PUT carrying a 20 ms
+// client deadline waits on a writer slot another transaction holds. The
+// server's deadline context ends the wait in the engine: the client is
+// told Busy, the server counts one deadline abort, and the key stays
+// absent.
+func TestClientDeadlineAbortsWriterSlotWait(t *testing.T) {
+	plat, err := platform.NewTuna()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := db.Open(plat, "deadline.db", db.Options{Journal: db.JournalNVWAL, NVWAL: core.VariantUHLSDiff(), Concurrent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = d.Close() })
+	if err := d.CreateTable("kv"); err != nil {
+		t.Fatal(err)
+	}
+	sm := &metrics.Counters{}
+	_, dial := startSim(t, NewDBEngine(d, 0), Options{Metrics: sm})
+	cli := NewClient(dial, []string{"srv"}, ClientOptions{Deadline: 20 * time.Millisecond, RetryBudget: 1})
+	defer cli.Close()
+
+	holder, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, perr := cli.Put("kv", []byte("k"), []byte("v"))
+	holder.Rollback()
+	var oe *OpError
+	if !errors.As(perr, &oe) || oe.Indeterminate || !strings.Contains(oe.Error(), "busy") {
+		t.Fatalf("PUT behind a held writer slot = %v, want a determinate busy", perr)
+	}
+	if got := sm.Count(metrics.DeadlineAborts); got != 1 {
+		t.Fatalf("%d deadline aborts, want 1", got)
+	}
+	if _, found, err := d.Get("kv", []byte("k")); err != nil || found {
+		t.Fatalf("key after the aborted PUT: found=%v err=%v, want absent", found, err)
+	}
+}
+
 func TestServerEngineBusySurfacesAdvice(t *testing.T) {
 	eng := &stubEngine{err: &db.BusyError{
 		Watermark: "begin-admission",

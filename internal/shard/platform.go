@@ -79,7 +79,7 @@ func NewShared(cfg platform.Config, n int) (*Platform, error) {
 	}
 	devMetrics := p.Registry.Counters(DeviceLabel)
 	p.dev = nvram.NewDevice(cfg.NVRAM, p.Clock, devMetrics)
-	flash := blockdev.New(cfg.Flash, p.Clock, devMetrics, nil)
+	flash := blockdev.New(cfg.Flash, p.Clock, devMetrics)
 	p.fs = ext4.New(flash)
 	win := (uint64(p.dev.Size()) / uint64(n)) &^ (heapo.PageSize - 1)
 	if win < 8*heapo.PageSize {
@@ -125,7 +125,7 @@ func NewLaned(cfg platform.Config, n int) (*Platform, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		flash := blockdev.New(cfg.Flash, lane, m, nil)
+		flash := blockdev.New(cfg.Flash, lane, m)
 		p.views = append(p.views, &platform.Platform{
 			Clock:   lane,
 			Metrics: m,
