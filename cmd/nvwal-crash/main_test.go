@@ -7,9 +7,10 @@ import (
 )
 
 // TestCrashExitCodes drives run, the command minus os.Exit: one variant
-// of the single-engine matrix passes all of its cases and exits 0, and a
-// variant label nobody defines exits 2 in both matrices, with nothing on
-// stdout and the refusal on stderr, instead of running zero cases.
+// of the single-engine matrix and one seed of the sharded matrix pass all
+// of their cases and exit 0, and a variant label nobody defines exits 2
+// in both matrices, with nothing on stdout and the refusal on stderr,
+// instead of running zero cases.
 func TestCrashExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -18,6 +19,7 @@ func TestCrashExitCodes(t *testing.T) {
 		out, errOut string
 	}{
 		{"one-variant", []string{"-variant", "LS", "-seeds", "1"}, 0, "\n30 cases passed, 0 failed\n", ""},
+		{"sharded-one-seed", []string{"-shards", "2", "-seeds", "1"}, 0, "\n22 cases passed, 0 failed\n", ""},
 		{"bogus-variant", []string{"-variant", "bogus"}, 2, "", `nvwal-crash: unknown variant "bogus"`},
 		{"bogus-variant-sharded", []string{"-shards", "2", "-variant", "bogus"}, 2, "", `nvwal-crash: unknown variant "bogus"`},
 	} {

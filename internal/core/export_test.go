@@ -333,7 +333,7 @@ func exportRetentionRun(t *testing.T, seed int64) {
 		if err := w.backfill(parked); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.completeCheckpoint(parked); err != nil {
+		if err := w.completeCheckpoint(parked, nil); err != nil {
 			t.Fatal(err)
 		}
 		parked = nil

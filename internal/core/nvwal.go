@@ -1469,7 +1469,7 @@ func (w *NVWAL) Checkpoint() error {
 	if err := w.backfill(st); err != nil {
 		return err
 	}
-	return w.completeCheckpoint(st)
+	return w.completeCheckpoint(st, nil)
 }
 
 // FreezeCheckpoint runs phase A of a round on its own: the checkpoint
@@ -1630,7 +1630,9 @@ func (w *NVWAL) appendFrame(f []int, i int) []int {
 // completeCheckpoint runs phase C: free the frozen generation and drop
 // the backfilled prefix from the volatile index. Frees are NVRAM
 // metadata writes (no block I/O), so the critical section stays short.
-func (w *NVWAL) completeCheckpoint(st *ckptState) error {
+// rep, set when recovery finishes the round, counts the frozen blocks
+// that go to quarantine.
+func (w *NVWAL) completeCheckpoint(st *ckptState, rep *SalvageReport) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// C1: the images are durable — recovery no longer needs the frozen
@@ -1643,7 +1645,7 @@ func (w *NVWAL) completeCheckpoint(st *ckptState) error {
 	// a leaked block is reclaimable, a blocked checkpoint is not.
 	half := len(st.blocks) / 2
 	for i := len(st.blocks) - 1; i >= 0; i-- {
-		w.releaseBlock(st.blocks[i], w.cfg.UserHeap)
+		w.releaseBlock(st.blocks[i], w.cfg.UserHeap, rep)
 		st.blocks = st.blocks[:i]
 		if i == half && half > 0 {
 			w.step(StepCkptMidFree)

@@ -24,10 +24,10 @@ import (
 
 // eagerRecover is recovery as it was before recovered pages were left
 // pending, kept as the reference: right after Open, replay every recovered
-// frame into the page images, reading a page's database-file base when
-// its first frame is differential — replayFrames with record set, run over
-// the history recovery indexed. After a frozen round's recovery, which
-// still replays eagerly, nothing is pending and it does nothing.
+// frame still pending into the page images, reading a page's
+// database-file base when its first frame is differential. After a frozen
+// round's recovery the pages that round wrote back are built already;
+// the ones only the live generation touched are built here.
 func eagerRecover(w *NVWAL) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -373,8 +373,8 @@ func (r *pendingRun) powerCut() {
 }
 
 // frozenCut cuts power mid-checkpoint, after phase A froze the
-// generation and one commit landed in the next: recovery then replays
-// eagerly on both sides and completes the round.
+// generation and one commit landed in the next: recovery then completes
+// the round on both sides, and the reference builds the rest eagerly.
 func (r *pendingRun) frozenCut() {
 	if r.lazy.w.FramesSinceCheckpoint() > 0 {
 		r.both(func(w *NVWAL) error {
@@ -605,13 +605,13 @@ func TestPendingBuildFailureIsAnError(t *testing.T) {
 	}
 }
 
-// TestRecoverFrozenRoundUnreadableBaseKeepsRoundPending is the eager
-// replay's partial-frame-set bug: a frozen round's page whose base read
-// fails once must not be rebuilt from the file plus its later frames, and
-// that image must not reach the database file. Every frame of the page is
-// dropped, the round stays pending and the report flags the file; the
-// next recovery, with the file readable, replays the page whole and
-// completes the round.
+// TestRecoverFrozenRoundUnreadableBaseKeepsRoundPending: a frozen round's
+// page whose base read fails once at open keeps its frames and stays
+// pending, the round stays pending, nothing reaches the database file and
+// the report flags it. A later read retries the base, and at no mark does
+// the page read as the file plus a subset of its frames. The next
+// recovery, with the file readable, completes the round: the file holds
+// the page's image at the round's watermark.
 func TestRecoverFrozenRoundUnreadableBaseKeepsRoundPending(t *testing.T) {
 	e := newEnv(t)
 	cfg := VariantUHLSDiff()
@@ -669,7 +669,89 @@ func TestRecoverFrozenRoundUnreadableBaseKeepsRoundPending(t *testing.T) {
 	if got, ok := w3.PageVersion(2); !ok || !bytes.Equal(got, v3) {
 		t.Fatal("page 2 not replayed whole once its base was readable")
 	}
-	if err := e.db.ReadPage(2, onFile); err != nil || !bytes.Equal(onFile, v3) {
+	if err := e.db.ReadPage(2, onFile); err != nil || !bytes.Equal(onFile, v2) {
 		t.Fatalf("the retried round did not backfill page 2 (err %v)", err)
+	}
+}
+
+// TestRecoveredRoundWritesWhatTheRoundWrites: power fails in a checkpoint
+// round after its freeze, once the new generation holds a rewrite of a
+// frozen page (2) and a differential frame over a file base for a page no
+// frozen frame touches (4). The recovered round must leave the database
+// file as the same script with an uninterrupted round leaves it — each
+// frozen page at its image at the watermark — and open must read nothing
+// of page 4.
+func TestRecoveredRoundWritesWhatTheRoundWrites(t *testing.T) {
+	cfg := VariantUHLSDiff()
+	v2 := fullPage(0x20)
+	v3 := fullPage(0x30)
+	v4 := fullPage(0x40)
+	v2b := patchedPage(v2, 100, 40, 0x21)
+	v3b := patchedPage(v3, 200, 40, 0x31)
+	v2c := patchedPage(v2b, 3000, 40, 0x22)
+	v4b := patchedPage(v4, 500, 40, 0x41)
+	// script runs everything up to the freeze, freeze committing the
+	// generation, then the new generation's commits.
+	script := func(t *testing.T, freeze func(w *NVWAL)) (*testEnv, *NVWAL) {
+		e := newEnv(t)
+		w := e.open(t, cfg)
+		commitPages(t, w, map[uint32][]byte{2: v2, 3: v3, 4: v4})
+		if err := w.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		commitPages(t, w, map[uint32][]byte{2: v2b, 3: v3b})
+		freeze(w)
+		commitPages(t, w, map[uint32][]byte{2: v2c})
+		commitPages(t, w, map[uint32][]byte{4: v4b})
+		return e, w
+	}
+	twinEnv, twin := script(t, func(w *NVWAL) {
+		if err := w.FreezeCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := twin.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, step := range []string{StepCkptAfterSalt, StepCkptAfterPages, StepCkptAfterSync} {
+		t.Run(step, func(t *testing.T) {
+			e, w := script(t, func(w *NVWAL) { runUntilStep(w, StepCkptAfterSalt, w.Checkpoint) })
+			if step != StepCkptAfterSalt {
+				runUntilStep(w, step, w.Checkpoint)
+			}
+			var reads *countingDB
+			e.wrap = func(db pager.DBFile) pager.DBFile {
+				reads = newCountingDB(db)
+				return reads
+			}
+			w = e.reopen(t, cfg, memsim.FailDropAll, 1)
+			if n := reads.reads[4]; n != 0 {
+				t.Errorf("open read page 4, which only the live generation touched, %d times", n)
+			}
+			// Marks restart at recovery: the round's watermark is its two
+			// frozen frames, and the two live frames follow it.
+			if w.ckpt != nil || w.Mark() != 4 || w.FramesSinceCheckpoint() != twin.FramesSinceCheckpoint() {
+				t.Errorf("round pending %v, mark %d, %d frames to backfill; want done, 4, %d (%s)",
+					w.ckpt != nil, w.Mark(), w.FramesSinceCheckpoint(), twin.FramesSinceCheckpoint(), w.Salvage())
+			}
+			got, want := make([]byte, 4096), make([]byte, 4096)
+			for pgno := uint32(1); pgno <= 8; pgno++ {
+				if err := e.db.ReadPage(pgno, got); err != nil {
+					t.Fatal(err)
+				}
+				if err := twinEnv.db.ReadPage(pgno, want); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("database-file page %d differs from the uninterrupted round's", pgno)
+				}
+			}
+			for pgno, want := range map[uint32][]byte{2: v2c, 3: v3b, 4: v4b} {
+				if img, ok := w.PageVersion(pgno); !ok || !bytes.Equal(img, want) {
+					t.Errorf("page %d does not read as its last commit", pgno)
+				}
+			}
+		})
 	}
 }

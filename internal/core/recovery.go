@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"slices"
 
 	"repro/internal/heapo"
 	"repro/internal/metrics"
@@ -89,20 +88,21 @@ type scanInfo struct {
 //   - phase "freeing": the frozen generation's pages are already durable
 //     in the database file; recovery only finishes freeing its blocks;
 //   - phase "backfilling": the frozen generation's committed frames are
-//     replayed (they are all below the interrupted round's watermark),
-//     then the live generation on top, and the round is completed
-//     synchronously — backfill, free, retire. If media damage cost the
-//     frozen generation sealed frames, completion is impossible: the
-//     crashed backfill may already have written the lost frames' pages
-//     into the database file, and no copy survives to either finish or
-//     undo that. The round is left pending and the report flags the
+//     indexed first, so the interrupted round's watermark is their count,
+//     then the live generation's on top; the round then runs the phases
+//     Checkpoint runs after phase A — backfill each page with a frozen
+//     frame at its image at the watermark, free, retire. If media damage
+//     cost the frozen generation sealed frames, completion is impossible:
+//     the crashed backfill may already have written the lost frames'
+//     pages into the database file, and no copy survives to either finish
+//     or undo that. The round is left pending and the report flags the
 //     database file so the database layer opens degraded read-only.
 //
-// Without a frozen round, recovery does what SQLite's does and no more:
-// it validates the live chain, keeps the committed prefix and fills the
-// history and its per-page index. No page image is built and the
-// database file is not read; every recovered page stays pending until
-// its first use builds it (version).
+// Otherwise recovery does what SQLite's does and no more: it validates
+// the chains, keeps the committed prefix and fills the history and its
+// per-page index. Every recovered page stays pending until its first use
+// builds it (version); only the pages a frozen round writes back are
+// built, and read from the database file, at open.
 //
 // Recovery is also what gives the asynchronous-commit mode (§4.2) its
 // semantics: a commit mark whose transaction has a torn (checksum-
@@ -157,21 +157,17 @@ func (w *NVWAL) recover() error {
 		ckBlk = 0
 	}
 
-	// An interrupted backfill round: replay the frozen generation's
-	// frames first — every one of them is below the round's watermark,
-	// so they update page images without entering history. The chain
-	// seal decides whether the scan got them all: a short or diverging
-	// scan means committed frames are gone, which poisons the (newer)
-	// live generation too.
+	// An interrupted backfill round: index the frozen generation's frames
+	// first, so every one of them is below the round's watermark. The
+	// chain seal decides whether the scan got them all: a short or
+	// diverging scan means committed frames are gone, which poisons the
+	// (newer) live generation too.
 	var frozenBlocks []heapo.Block
 	// A block belongs to one chain: seen holds the header and every block
 	// either scan has taken.
 	seen := map[uint64]bool{w.headerAddr: true}
 	frozenDamaged := false
 	frozenLost := false
-	// unreadable collects the pages whose database-file base could not be
-	// read during the frozen round's eager replay, across both passes.
-	unreadable := make(map[uint32]bool)
 	if ckBlk != 0 {
 		blocks, scanned, info := w.scanGeneration(ckBlk, ckSalt, w.headerAddr+hdrCkptBlkOff, false, seen, rep)
 		frozenBlocks = blocks
@@ -200,14 +196,14 @@ func (w *NVWAL) recover() error {
 			rep.eventf("frozen generation (salt %d) damaged: scanned %d of %d sealed frames (chain %#x, want %#x), kept %d whole-transaction frames",
 				ckSalt, len(scanned), ckCount, endChain, ckChain, len(kept))
 		}
-		rep.FramesKept += w.replayFrames(kept, false, ckSalt, unreadable, rep)
+		w.indexFrames(kept)
+		rep.FramesKept += len(kept)
 	}
+	watermark := len(w.history)
 
 	// Live generation: scan, keep the committed prefix and index it —
-	// replayed into the page images too when a frozen round needs every
-	// image to finish — unless a damaged frozen generation already lost
-	// older committed frames, in which case the whole live generation goes
-	// too.
+	// unless a damaged frozen generation already lost older committed
+	// frames, in which case the whole live generation goes too.
 	liveSalt := w.salt
 	blocks, scanned, info := w.scanGeneration(
 		binary.LittleEndian.Uint64(hdr[hdrFirstBlkOff:]), liveSalt,
@@ -257,12 +253,8 @@ func (w *NVWAL) recover() error {
 	} else {
 		rep.FramesDropped += len(scanned) - len(kept) + info.ghosts
 	}
-	if ckBlk != 0 {
-		rep.FramesKept += w.replayFrames(kept, true, liveSalt, unreadable, rep)
-	} else {
-		w.indexFrames(kept)
-		rep.FramesKept += len(kept)
-	}
+	w.indexFrames(kept)
+	rep.FramesKept += len(kept)
 	w.chain = chainSeed(liveSalt)
 	if lastCommit >= 0 {
 		w.chain = kept[lastCommit].chainAfter
@@ -303,31 +295,49 @@ func (w *NVWAL) recover() error {
 
 	w.m.Inc(metrics.FramesSalvaged, int64(rep.FramesKept))
 	w.m.Inc(metrics.FramesDropped, int64(rep.FramesDropped))
-	if ckBlk != 0 {
-		if len(unreadable) > 0 {
-			// Those pages' frames are dropped and the database file holds
-			// their pre-round images: finishing would retire frozen frames
-			// that no durable copy has absorbed. Same verdict as below.
-			rep.eventf("frozen generation (salt %d): %d pages without a readable base; round left pending, opening degraded", ckSalt, len(unreadable))
-			return nil
-		}
-		if frozenLost {
-			// Sealed frames of the interrupted round are gone, and the
-			// crashed backfill may already have pushed their page images —
-			// whole or torn — into the database file. Rewriting only the
-			// kept prefix cannot undo that, and no copy of the lost frames
-			// exists to finish the job, so the database file itself can no
-			// longer be trusted to match any transaction boundary. The
-			// round stays pending (the next recovery reaches the same
-			// verdict from the same durable state) and the report is
-			// flagged so the database layer opens degraded read-only.
-			rep.DBFileDamaged = true
-			rep.eventf("frozen generation (salt %d) lost sealed frames mid-backfill: database file may hold partially backfilled pages; round left pending, opening degraded", ckSalt)
-			return nil
-		}
-		return w.finishRecoveredCheckpoint(ckBlk, ckSalt, frozenBlocks, rep)
+	if ckBlk == 0 {
+		return nil
 	}
-	return nil
+	if frozenLost {
+		// Sealed frames of the interrupted round are gone, and the crashed
+		// backfill may already have pushed their page images — whole or
+		// torn — into the database file. Rewriting only the kept prefix
+		// cannot undo that, and no copy of the lost frames exists to
+		// finish the job, so the database file itself can no longer be
+		// trusted to match any transaction boundary. The round stays
+		// pending (the next recovery reaches the same verdict from the
+		// same durable state) and the report is flagged so the database
+		// layer opens degraded read-only.
+		rep.DBFileDamaged = true
+		rep.eventf("frozen generation (salt %d) lost sealed frames mid-backfill: database file may hold partially backfilled pages; round left pending, opening degraded", ckSalt)
+		return nil
+	}
+	// Finish the round as Checkpoint does after phase A: each page with a
+	// frame below the watermark goes back at its image there, built as any
+	// read builds it. A base that cannot be read, or a failed writeback,
+	// leaves the round pending — the record still names it, the next
+	// recovery runs it again — and the page pending, for a later read to
+	// retry; the report is flagged so the database layer opens degraded.
+	st := &ckptState{watermark: watermark, blocks: frozenBlocks, salt: ckSalt}
+	for pgno := range w.pages {
+		if e := &w.pages[pgno]; len(e.frames) == 0 || e.frames[0] >= watermark {
+			continue
+		}
+		img, _, _, err := w.imageAt(uint32(pgno), watermark)
+		if err != nil {
+			rep.DBFileDamaged = true
+			rep.eventf("frozen generation (salt %d): %v — round left pending, opening degraded", ckSalt, err)
+			return nil
+		}
+		st.pages = append(st.pages, ckptPage{pgno: uint32(pgno), img: img})
+	}
+	w.ckpt = st
+	if err := w.backfill(st); err != nil {
+		rep.DBFileDamaged = true
+		rep.eventf("recovered checkpoint: %v — round left pending, opening degraded", err)
+		return nil
+	}
+	return w.completeCheckpoint(st, rep)
 }
 
 // plausiblePageSize reports whether n could be a configured page size (a
@@ -471,9 +481,9 @@ func (w *NVWAL) probeFrame(blk heapo.Block, off int, salt uint64) (int, bool) {
 	return align8(frameHdrSize + size), true
 }
 
-// indexFrames enters the live generation's kept frames into the history
-// and the per-page index, and leaves every page they touch pending: its
-// images are built on first use (version), not here.
+// indexFrames enters a generation's kept frames into the history and the
+// per-page index, and leaves every page they touch pending: its images
+// are built on first use (version), not here.
 func (w *NVWAL) indexFrames(kept []scannedFrame) {
 	for _, fr := range kept {
 		e := w.entry(fr.pgno)
@@ -484,98 +494,6 @@ func (w *NVWAL) indexFrames(kept []scannedFrame) {
 		e.frames = w.appendFrame(e.frames, w.histBase+len(w.history))
 		w.history = append(w.history, histFrame{pgno: fr.pgno, off: fr.off, full: fr.full, payload: fr.payload})
 	}
-}
-
-// replayFrames is the eager replay a frozen round's recovery runs: it
-// applies kept frames to the page images, returning how many were
-// applied. When record is true the frames are not yet backfilled: they
-// also enter the history and the per-page index, capturing each page's
-// replay base. A page whose first frame is differential was backfilled
-// by an earlier checkpoint round, so its base comes from the database
-// file — and when that read fails, the log cannot repair the database:
-// the page joins unreadable, every later frame of it is dropped too (an
-// image built from the file plus a subset of its frames is no version
-// the page ever had), and the report is flagged so the database layer
-// opens degraded.
-func (w *NVWAL) replayFrames(kept []scannedFrame, record bool, gen uint64, unreadable map[uint32]bool, rep *SalvageReport) int {
-	applied := 0
-	for i, fr := range kept {
-		if unreadable[fr.pgno] {
-			rep.FramesDropped++
-			continue
-		}
-		e := w.entry(fr.pgno)
-		img, ok := e.version, e.version != nil
-		if !ok {
-			img = make([]byte, w.pageSize)
-			if !fr.full {
-				if err := w.db.ReadPage(fr.pgno, img); err != nil {
-					unreadable[fr.pgno] = true
-					rep.DBFileDamaged = true
-					rep.FramesDropped++
-					rep.eventf("dropping frames for page %d: %v",
-						fr.pgno, fmt.Errorf("nvwal: reading backfilled base of page %d: %w at gen %d frame %d", fr.pgno, err, gen, i))
-					continue
-				}
-			}
-			e.version = img
-		}
-		if record {
-			if len(e.frames) == 0 && (ok || !fr.full) {
-				// img is patched in place below (no reader exists yet), so
-				// the base is the one image recovery copies.
-				e.base = slices.Clone(img)
-			}
-			e.frames = w.appendFrame(e.frames, w.histBase+len(w.history))
-			w.history = append(w.history, histFrame{pgno: fr.pgno, off: fr.off, full: fr.full, payload: fr.payload})
-		}
-		if fr.full {
-			clear(img)
-		}
-		applyExtent(img, fr.off, fr.payload)
-		applied++
-	}
-	return applied
-}
-
-// finishRecoveredCheckpoint completes a round that power failure caught
-// in its backfill phase: make every recovered page image durable, then
-// run phase C's record flip + frees. Backfilling the live generation's
-// pages too is over-eager but harmless — replaying a differential frame
-// onto an image that already includes it is idempotent, and no reader
-// can hold a mark below the recovery point. A database-file failure
-// does not fail the open: the record stays in its backfilling phase
-// (the next recovery retries) and the report is flagged so the database
-// layer opens degraded.
-func (w *NVWAL) finishRecoveredCheckpoint(firstBlk, salt uint64, blocks []heapo.Block, rep *SalvageReport) error {
-	for pgno, e := range w.pages {
-		if e.version == nil {
-			continue
-		}
-		if err := w.db.WritePage(uint32(pgno), e.version); err != nil {
-			rep.DBFileDamaged = true
-			rep.eventf("recovered checkpoint: writing page %d: %v — round left pending, opening degraded", pgno, err)
-			return nil
-		}
-	}
-	if err := w.db.Sync(); err != nil {
-		rep.DBFileDamaged = true
-		rep.eventf("recovered checkpoint: sync: %v — round left pending, opening degraded", err)
-		return nil
-	}
-	w.writeCkptRecord(firstBlk, salt, ckptFreeing, 0, 0)
-	for i := len(blocks) - 1; i >= 0; i-- {
-		// Best effort; the live-generation scan may already have freed a
-		// block the interrupted round shared with a half-written header.
-		if w.isBad(blocks[i].Addr) {
-			w.quarantineNow(blocks[i], rep)
-		} else {
-			_ = w.heap.NVFree(blocks[i])
-		}
-	}
-	w.writeCkptRecord(0, 0, ckptNone, 0, 0)
-	w.cCheckpoints.Add(1)
-	return nil
 }
 
 // freeOldChain finishes freeing a frozen generation whose pages are
@@ -646,11 +564,7 @@ func (w *NVWAL) truncateAfter(keepIdx int) {
 	for i := len(w.blocks) - 1; i > keepIdx; i-- {
 		// Best effort: a block that cannot be freed is leaked, never
 		// corrupted.
-		if w.isBad(w.blocks[i].Addr) {
-			w.quarantineNow(w.blocks[i], w.salvage)
-		} else {
-			_ = w.heap.NVFree(w.blocks[i])
-		}
+		w.releaseBlock(w.blocks[i], false, w.salvage)
 	}
 	w.blocks = w.blocks[:keepIdx+1]
 	w.clearLink(w.linkAddrForNext())

@@ -98,18 +98,22 @@ func (w *NVWAL) isBad(addr uint64) bool {
 }
 
 // releaseBlock retires a log block: media-suspect blocks go to the
-// heap's persistent quarantine, healthy ones are recycled (user heap)
-// or freed. Best effort, like every free on this path — a leaked block
-// is reclaimable, a corrupted one is not.
-func (w *NVWAL) releaseBlock(blk heapo.Block, recycle bool) {
+// heap's persistent quarantine, counted in rep when there is one, and
+// healthy ones are recycled (user heap) or freed. Best effort, like every
+// free on this path — a leaked block is reclaimable, a corrupted one is
+// not.
+func (w *NVWAL) releaseBlock(blk heapo.Block, recycle bool, rep *SalvageReport) {
 	w.badMu.Lock()
 	bad := w.badBlocks[blk.Addr]
 	delete(w.badBlocks, blk.Addr)
 	w.badMu.Unlock()
-	if bad {
-		if w.heap.Quarantine(blk) == nil {
-			return
+	if bad && w.heap.Quarantine(blk) == nil {
+		if rep != nil {
+			rep.BlocksQuarantined++
+			rep.BytesQuarantined += blk.Size()
+			rep.eventf("quarantined block %#x (%d bytes)", blk.Addr, blk.Size())
 		}
+		return
 	}
 	if recycle {
 		_ = w.heap.Recycle(blk)
@@ -119,20 +123,10 @@ func (w *NVWAL) releaseBlock(blk heapo.Block, recycle bool) {
 }
 
 // quarantineNow is releaseBlock for recovery paths that already know the
-// block is bad and want the report updated.
+// block is bad.
 func (w *NVWAL) quarantineNow(blk heapo.Block, rep *SalvageReport) {
-	w.badMu.Lock()
-	delete(w.badBlocks, blk.Addr)
-	w.badMu.Unlock()
-	if w.heap.Quarantine(blk) == nil {
-		if rep != nil {
-			rep.BlocksQuarantined++
-			rep.BytesQuarantined += blk.Size()
-			rep.eventf("quarantined block %#x (%d bytes)", blk.Addr, blk.Size())
-		}
-		return
-	}
-	_ = w.heap.NVFree(blk)
+	w.markBad(blk.Addr)
+	w.releaseBlock(blk, false, rep)
 }
 
 // mix64 is a splitmix64-style finalizer used to derive a fresh salt

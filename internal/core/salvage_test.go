@@ -266,6 +266,40 @@ func TestSalvageMediaReadErrorQuarantinesBlock(t *testing.T) {
 	}
 }
 
+// TestSalvageRecoveredRoundQuarantinesFrozenBlock: an unreadable link
+// word in the frozen chain's tail block costs no sealed frame, so
+// recovery completes the interrupted round, and the block goes to the
+// heap's quarantine with the report counting it.
+func TestSalvageRecoveredRoundQuarantinesFrozenBlock(t *testing.T) {
+	e := newEnv(t)
+	w := e.open(t, salvageCfg())
+	imgA, imgB := fullPage(0x61), fullPage(0x62)
+	commitPages(t, w, map[uint32][]byte{2: imgA})
+	commitPages(t, w, map[uint32][]byte{3: imgB})
+	runUntilStep(w, StepCkptAfterSalt, w.Checkpoint)
+	bad := w.ckpt.blocks[len(w.ckpt.blocks)-1]
+	e.dev.InjectFaults(memsim.FaultConfig{
+		Seed:          3,
+		ReadErrorRate: 1,
+		Ranges:        []memsim.AddrRange{{Start: bad.Addr, End: bad.Addr + 1}},
+	})
+
+	w2 := e.reopen(t, salvageCfg(), memsim.FailDropAll, 4)
+	rep := w2.Salvage()
+	if rep.DBFileDamaged || rep.BlocksQuarantined != 1 || rep.BytesQuarantined != bad.Size() {
+		t.Fatalf("frozen tail block not quarantined by the recovered round: %s", rep)
+	}
+	if w2.ckpt != nil || e.heap.QuarantinedPages() == 0 {
+		t.Fatalf("round pending %v, %d pages in the heap quarantine", w2.ckpt != nil, e.heap.QuarantinedPages())
+	}
+	got := make([]byte, 4096)
+	for pgno, want := range map[uint32][]byte{2: imgA, 3: imgB} {
+		if err := e.db.ReadPage(pgno, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("database-file page %d not backfilled (err %v)", pgno, err)
+		}
+	}
+}
+
 // TestSalvageBitFlipsNeverHardError is the acceptance property in
 // miniature: with a 1e-4 per-line bit-flip rate confined to the heap's
 // data pages, repeated crash/recover cycles must never fail to open —

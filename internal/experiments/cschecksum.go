@@ -9,13 +9,10 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/dbfile"
-	"repro/internal/ext4"
-	"repro/internal/heapo"
 	"repro/internal/memsim"
-	"repro/internal/metrics"
 	"repro/internal/nvram"
 	"repro/internal/pager"
-	"repro/internal/simclock"
+	"repro/internal/platform"
 )
 
 // ChecksumRow reports the crash outcomes of asynchronous commit under
@@ -72,16 +69,14 @@ func ChecksumStudy(trials int) (*ChecksumResult, error) {
 // runChecksumTrial performs one commit-crash-recover cycle and reports
 // "survived", "dropped", or "corrupted".
 func runChecksumTrial(bits int, seed int64) (string, error) {
-	clock := simclock.New()
-	m := &metrics.Counters{}
-	dev := nvram.NewDevice(nvram.Config{Size: 4 << 20}, clock, m)
-	h, err := heapo.Format(dev)
+	p, err := platform.New(platform.Config{
+		NVRAM: nvram.Config{Size: 4 << 20},
+		Flash: blockdev.Config{Pages: 1 << 12},
+	})
 	if err != nil {
 		return "", err
 	}
-	bd := blockdev.New(blockdev.Config{Pages: 1 << 12}, clock, m)
-	fs := ext4.New(bd)
-	f, err := fs.Create("cs.db", "db")
+	f, err := p.FS.Create("cs.db", "db")
 	if err != nil {
 		return "", err
 	}
@@ -91,7 +86,7 @@ func runChecksumTrial(bits int, seed int64) (string, error) {
 	if bits < 32 {
 		cfg.ChecksumMask = (1 << bits) - 1
 	}
-	w, err := core.Open(h, db, cfg, m)
+	w, err := core.Open(p.Heap, db, cfg, p.Metrics)
 	if err != nil {
 		return "", err
 	}
@@ -103,14 +98,13 @@ func runChecksumTrial(bits int, seed int64) (string, error) {
 		return "", err
 	}
 
-	dev.PowerFail(memsim.FailAdversarial, seed)
-	dev.Recover()
-	h2, err := heapo.Attach(dev)
-	if err != nil {
+	// NVRAM alone fails: the torn commit is the log's, and the file
+	// holds nothing the trial wrote.
+	p.NVRAM.PowerFail(memsim.FailAdversarial, seed)
+	if err := p.Reboot(); err != nil {
 		return "", err
 	}
-	h2.ReclaimPending()
-	w2, err := core.Open(h2, db, cfg, m)
+	w2, err := core.Open(p.Heap, db, cfg, p.Metrics)
 	if err != nil {
 		return "", err
 	}

@@ -38,19 +38,24 @@ type Config struct {
 	Flash blockdev.Config
 }
 
-// New assembles a platform from explicit hardware parameters.
+// New assembles a platform from explicit hardware parameters, on a
+// clock and a metrics sink of its own.
 func New(cfg Config) (*Platform, error) {
-	p := &Platform{
-		Clock:   simclock.New(),
-		Metrics: &metrics.Counters{},
-	}
-	p.NVRAM = nvram.NewDevice(cfg.NVRAM, p.Clock, p.Metrics)
+	return Assemble(cfg, simclock.New(), &metrics.Counters{})
+}
+
+// Assemble builds a platform on the caller's clock (a lane of a shared
+// one, say) and metrics sink: the NVRAM device, a heap freshly formatted
+// over it, the flash device and the file system over that.
+func Assemble(cfg Config, clock *simclock.Clock, m *metrics.Counters) (*Platform, error) {
+	p := &Platform{Clock: clock, Metrics: m}
+	p.NVRAM = nvram.NewDevice(cfg.NVRAM, clock, m)
 	h, err := heapo.Format(p.NVRAM)
 	if err != nil {
 		return nil, err
 	}
 	p.Heap = h
-	p.Flash = blockdev.New(cfg.Flash, p.Clock, p.Metrics)
+	p.Flash = blockdev.New(cfg.Flash, clock, m)
 	p.FS = ext4.New(p.Flash)
 	return p, nil
 }

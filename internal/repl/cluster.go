@@ -11,14 +11,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/db"
-	"repro/internal/ext4"
-	"repro/internal/heapo"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/nvram"
 	"repro/internal/platform"
 	"repro/internal/server"
 	"repro/internal/simclock"
@@ -57,19 +53,9 @@ func NewCluster(cfg platform.Config, netCfg netsim.Config, seed int64, names ...
 	for _, name := range names {
 		lane := c.Clock.NewLane()
 		m := c.Registry.Counters(name)
-		dev := nvram.NewDevice(cfg.NVRAM, lane, m)
-		h, err := heapo.Format(dev)
+		plat, err := platform.Assemble(cfg, lane, m)
 		if err != nil {
 			return nil, fmt.Errorf("node %s: %w", name, err)
-		}
-		flash := blockdev.New(cfg.Flash, lane, m)
-		plat := &platform.Platform{
-			Clock:   lane,
-			Metrics: m,
-			NVRAM:   dev,
-			Heap:    h,
-			Flash:   flash,
-			FS:      ext4.New(flash),
 		}
 		node := &Node{Name: name, Plat: plat, M: m}
 		c.Nodes = append(c.Nodes, node)

@@ -118,22 +118,11 @@ func NewLaned(cfg platform.Config, n int) (*Platform, error) {
 		Registry: metrics.NewRegistry(),
 	}
 	for i := 0; i < n; i++ {
-		lane := p.Clock.NewLane()
-		m := p.Registry.Counters(shardLabel(i))
-		dev := nvram.NewDevice(cfg.NVRAM, lane, m)
-		h, err := heapo.Format(dev)
+		view, err := platform.Assemble(cfg, p.Clock.NewLane(), p.Registry.Counters(shardLabel(i)))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		flash := blockdev.New(cfg.Flash, lane, m)
-		p.views = append(p.views, &platform.Platform{
-			Clock:   lane,
-			Metrics: m,
-			NVRAM:   dev,
-			Heap:    h,
-			Flash:   flash,
-			FS:      ext4.New(flash),
-		})
+		p.views = append(p.views, view)
 	}
 	return p, nil
 }
